@@ -15,7 +15,7 @@ use pc_mobility::{MobileClient, MobilityModel};
 use pc_net::Channel;
 use pc_rtree::ObjectId;
 use pc_server::{Server, ServerConfig, Update};
-use pc_sim::UpdatingClient;
+use pc_sim::{ModelRunner, ProactiveRunner};
 use pc_workload::{QueryGenerator, WorkloadConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,12 +50,13 @@ fn main() {
             pc_rtree::RTreeConfig::paper(),
             ServerConfig::default(),
         );
-        let mut client = UpdatingClient::new(
+        let mut client = ProactiveRunner::new(
             total_bytes / 100, // |C| = 1 %
             ReplacementPolicy::Grd3,
             Catalog::from_tree(server.snapshot().tree()),
         )
         .with_client(1)
+        .versioned(true)
         .at_epoch(server.snapshot().epoch());
         let mut mobile = MobileClient::new(
             MobilityModel::Dir,
@@ -105,9 +106,9 @@ fn main() {
             mobile.advance(qgen.think_time());
             let pos = mobile.position();
             let spec = qgen.next_query(pos);
-            let out = client.query(&server, &spec, pos, 0.008);
+            let out = client.run_query(&server, &spec, pos, 0.008);
             let _ = q;
-            retries += out.round_trips.saturating_sub(1) as u64;
+            retries += out.ledger.contacts.saturating_sub(1) as u64;
             dropped += out.invalidated_items as u64;
             saved += out.ledger.saved_bytes;
             results += out.ledger.result_bytes();

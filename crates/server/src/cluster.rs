@@ -279,13 +279,8 @@ impl Cluster {
                 )
             })
             .collect();
-        let roots = shards
-            .iter()
-            .map(|sv| {
-                let snap = sv.core().pin();
-                snap.tree().root_mbr().map(|_| snap.tree().root())
-            })
-            .collect();
+        let pins: Vec<Arc<Snapshot>> = shards.iter().map(|sv| sv.core().pin()).collect();
+        let roots = Self::current_roots(&pins);
         let mut history = VecDeque::new();
         history.push_back(EpochEntry {
             epoch: 0,
@@ -528,15 +523,9 @@ impl Cluster {
             }
         });
 
-        let shard_epochs: Vec<u64> = self.shards.iter().map(|sv| sv.core().epoch()).collect();
-        let roots = self
-            .shards
-            .iter()
-            .map(|sv| {
-                let snap = sv.core().pin();
-                snap.tree().root_mbr().map(|_| snap.tree().root())
-            })
-            .collect();
+        let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(|sv| sv.core().pin()).collect();
+        let shard_epochs: Vec<u64> = pins.iter().map(|p| p.epoch()).collect();
+        let roots = Self::current_roots(&pins);
 
         let mut state = lock_recover(&self.state);
         // ordering: Acquire — pairs with the Release below; the writer
@@ -1240,53 +1229,22 @@ impl IndexView for ClusterView<'_> {
             return Expansion::Missing;
         }
 
+        // A shard node: the shard's own view expands it, and only the
+        // node ids it hands out are translated into the global space.
         let (s, local) = self.map.to_local(cell.node);
         let snap = &self.pins[s as usize];
-        let bpt = snap.bpts().get(local);
-        if bpt.is_empty() {
-            return Expansion::Children(Vec::new());
-        }
-        if let Some(children) = bpt.children(cell.code) {
-            return Expansion::Children(
-                children
-                    .iter()
-                    .map(|(code, c)| CellChild {
-                        mbr: c.mbr,
-                        target: Target::Cell(CellRef {
-                            node: cell.node,
-                            code: *code,
-                        }),
-                    })
-                    .collect(),
-            );
-        }
-        match bpt.find(cell.code) {
-            Some(c) => match c.kind {
-                BptCellKind::Leaf { entry_idx } => {
-                    let entry = snap.tree().node(local).entry(entry_idx as usize);
-                    let child = match entry.child {
-                        pc_rtree::ChildRef::Node(n) => CellChild {
-                            mbr: entry.mbr,
-                            target: Target::Cell(CellRef::node_root(self.map.to_global(n, s))),
-                        },
-                        pc_rtree::ChildRef::Object(o) => CellChild {
-                            mbr: entry.mbr,
-                            target: Target::Object {
-                                id: o,
-                                cached: false,
-                            },
-                        },
-                    };
-                    Expansion::Children(vec![child])
+        let mut expansion = FullView::new(snap.tree(), snap.bpts()).expand(CellRef {
+            node: local,
+            code: cell.code,
+        });
+        if let Expansion::Children(children) = &mut expansion {
+            for child in children {
+                if let Target::Cell(c) = &mut child.target {
+                    c.node = self.map.to_global(c.node, s);
                 }
-                // pc-check: allow(no-unwrap, "invariant by construction: the expansion path above already resolved internal cells via children(), so only leaves reach this match")
-                BptCellKind::Internal { .. } => unreachable!("children() covered internals"),
-            },
-            None => {
-                debug_assert!(false, "invalid cell {cell} on the merged view");
-                Expansion::Missing
             }
         }
+        expansion
     }
 
     fn authoritative(&self) -> bool {

@@ -19,7 +19,7 @@ use crate::sync_util::lock_recover;
 use crate::updates::{Update, UpdateLog};
 use pc_rtree::bpt::BptStore;
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
-use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
+use pc_rtree::proto::{QuerySpec, RemainderQuery, Response, ServerReply, VersionedReply};
 use pc_rtree::view::FullView;
 use pc_rtree::{ObjectStore, RTree, RTreeConfig};
 use std::sync::{Arc, Mutex};
@@ -110,6 +110,50 @@ impl Snapshot {
             index,
             expansions: outcome.expansions,
         }
+    }
+
+    /// One remainder contact answered entirely against this epoch — the
+    /// single version gate of the §7 protocol. `client_epoch` is the
+    /// contact's epoch stamp; `None` is the plain envelope, which resumes
+    /// unconditionally.
+    ///
+    /// Conservative rule: *any* epoch gap refuses the resume
+    /// ([`VersionedReply::Stale`] with the changed-node list). A weaker
+    /// rule (refuse only when the heap references changed nodes) would
+    /// keep the resume sound, but the client's stage-① portion `Rs` was
+    /// computed against stale cached leaves the heap never mentions — the
+    /// answer could serve deleted or moved objects at a server contact.
+    /// Refusing forces the client to invalidate and re-run stage ① against
+    /// cleaned state, making every contact answer current; the price is
+    /// one extra round trip per (client × update-epoch) gap, which the
+    /// experiments charge honestly.
+    ///
+    /// A stamp **below the log's low-water mark** cannot be given a
+    /// complete invalidation list (that history was pruned); it gets a
+    /// [`VersionedReply::FullRefresh`] — never a silently truncated list.
+    pub fn answer_remainder(
+        &self,
+        rq: &RemainderQuery,
+        mode: FormMode,
+        client_epoch: Option<u64>,
+    ) -> Response {
+        let Some(since) = client_epoch else {
+            return Response::Remainder(self.resume_remainder(rq, mode));
+        };
+        let epoch = self.epoch();
+        if !self.updates.can_answer(since) {
+            return Response::Versioned(VersionedReply::FullRefresh { epoch });
+        }
+        let invalidate = self.updates.changed_since(since);
+        Response::Versioned(if invalidate.is_empty() {
+            VersionedReply::Fresh {
+                reply: self.resume_remainder(rq, mode),
+                invalidate,
+                epoch,
+            }
+        } else {
+            VersionedReply::Stale { invalidate, epoch }
+        })
     }
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
@@ -233,40 +277,57 @@ impl ServerCore {
         client_floor: Option<u64>,
         max_history: u64,
     ) -> u64 {
-        let _writer = lock_recover(&self.write);
-        let mut next = Snapshot::clone(&self.pin());
-        let mut deleted: Vec<pc_rtree::ObjectId> = Vec::new();
-        for u in updates {
-            match *u {
-                Update::Insert { mbr, size_bytes } => {
-                    let id = next.store_mut().push(mbr, size_bytes);
-                    let obj = *next.store().get(id);
-                    next.tree_mut().insert(&obj);
-                }
-                Update::Delete(id) => {
-                    let Some(mbr) = next.store().try_get(id).map(|o| o.mbr) else {
-                        continue; // unknown id: malformed batch entry, skip
-                    };
-                    if next.tree_mut().delete(id, &mbr) {
-                        next.store_mut().mark_dead(id);
-                        deleted.push(id);
-                    }
-                }
-                Update::Move { id, to } => {
-                    let Some(from) = next.store().try_get(id).map(|o| o.mbr) else {
-                        continue; // unknown id: malformed batch entry, skip
-                    };
-                    if next.tree_mut().delete(id, &from) {
-                        next.store_mut().set_mbr(id, to);
+        self.publish_next(client_floor, max_history, |next| {
+            let mut deleted: Vec<pc_rtree::ObjectId> = Vec::new();
+            for u in updates {
+                match *u {
+                    Update::Insert { mbr, size_bytes } => {
+                        let id = next.store_mut().push(mbr, size_bytes);
                         let obj = *next.store().get(id);
                         next.tree_mut().insert(&obj);
                     }
+                    Update::Delete(id) => {
+                        let Some(mbr) = next.store().try_get(id).map(|o| o.mbr) else {
+                            continue; // unknown id: malformed batch entry, skip
+                        };
+                        if next.tree_mut().delete(id, &mbr) {
+                            next.store_mut().mark_dead(id);
+                            deleted.push(id);
+                        }
+                    }
+                    Update::Move { id, to } => {
+                        let Some(from) = next.store().try_get(id).map(|o| o.mbr) else {
+                            continue; // unknown id: malformed batch entry, skip
+                        };
+                        if next.tree_mut().delete(id, &from) {
+                            next.store_mut().set_mbr(id, to);
+                            let obj = *next.store().get(id);
+                            next.tree_mut().insert(&obj);
+                        }
+                    }
                 }
             }
-        }
+            deleted
+        })
+    }
+
+    /// The one epoch transition: clones the current snapshot under the
+    /// writer lock, lets `mutate` apply a batch to the clone (returning
+    /// the objects it tombstoned), then bumps the epoch, logs tombstones
+    /// and dirty nodes (rebuilding their BPTs), prunes history at or below
+    /// `max(client_floor, epoch - max_history)` and publishes.
+    fn publish_next(
+        &self,
+        client_floor: Option<u64>,
+        max_history: u64,
+        mutate: impl FnOnce(&mut Snapshot) -> Vec<pc_rtree::ObjectId>,
+    ) -> u64 {
+        let _writer = lock_recover(&self.write);
+        let mut next = Snapshot::clone(&self.pin());
+        let tombstones = mutate(&mut next);
         let dirty = next.tree_mut().take_dirty();
         let epoch = next.update_log_mut().bump_epoch();
-        for id in deleted {
+        for id in tombstones {
             next.update_log_mut().record_delete(id, epoch);
         }
         for n in dirty {
@@ -301,42 +362,28 @@ impl ServerCore {
         client_floor: Option<u64>,
         max_history: u64,
     ) -> u64 {
-        let _writer = lock_recover(&self.write);
-        let mut next = Snapshot::clone(&self.pin());
-        *next.store_mut() = store;
-        for op in ops {
-            match *op {
-                PartitionOp::Insert(id) => {
-                    let obj = *next.store().get(id);
-                    next.tree_mut().insert(&obj);
-                }
-                PartitionOp::Delete(id, ref from) => {
-                    let removed = next.tree_mut().delete(id, from);
-                    debug_assert!(removed, "partition delete must match the indexed entry");
-                }
-                PartitionOp::Relocate(id, ref from) => {
-                    if next.tree_mut().delete(id, from) {
+        self.publish_next(client_floor, max_history, |next| {
+            *next.store_mut() = store;
+            for op in ops {
+                match *op {
+                    PartitionOp::Insert(id) => {
                         let obj = *next.store().get(id);
                         next.tree_mut().insert(&obj);
                     }
+                    PartitionOp::Delete(id, ref from) => {
+                        let removed = next.tree_mut().delete(id, from);
+                        debug_assert!(removed, "partition delete must match the indexed entry");
+                    }
+                    PartitionOp::Relocate(id, ref from) => {
+                        if next.tree_mut().delete(id, from) {
+                            let obj = *next.store().get(id);
+                            next.tree_mut().insert(&obj);
+                        }
+                    }
                 }
             }
-        }
-        let dirty = next.tree_mut().take_dirty();
-        let epoch = next.update_log_mut().bump_epoch();
-        for &id in tombstones {
-            next.update_log_mut().record_delete(id, epoch);
-        }
-        for n in dirty {
-            next.rebuild_bpt(n);
-            next.update_log_mut().record_change(n, epoch);
-        }
-        let horizon = client_floor
-            .unwrap_or(0)
-            .max(epoch.saturating_sub(max_history));
-        next.update_log_mut().prune(horizon);
-        self.snap.publish(next);
-        epoch
+            tombstones.to_vec()
+        })
     }
 
     /// Swaps in a newer global store **without** bumping the epoch — the

@@ -17,10 +17,10 @@
 //!
 //! Protocol boundary: all client traffic travels as typed
 //! `Request`/`Response` envelopes (`pc_rtree::proto`) over a [`Transport`]
-//! — [`InProcess`] (or a bare `&Server`) dispatches straight into the
-//! concrete methods, while [`BatchedService`] coalesces concurrently
-//! arriving remainder queries per shard before executing them against the
-//! shared [`ServerCore`]. Simulation drivers hold a [`ServerHandle`]
+//! — a bare `&Server` dispatches straight into its concrete methods,
+//! while [`BatchedService`] coalesces concurrently arriving remainder
+//! queries per shard before executing them against the shared
+//! [`ServerCore`]. Simulation drivers hold a [`ServerHandle`]
 //! (transport + shared-core metadata) instead of a concrete `&Server`.
 
 mod adaptive;
@@ -44,6 +44,6 @@ pub use epoch::SnapshotCell;
 pub use forms::{build_shipments, FormMode};
 pub use server::{ClientId, FormPolicy, Server, ServerConfig};
 pub use service::{BatchConfig, BatchedService, ServiceStats};
-pub use transport::{InProcess, ServerHandle, Transport};
+pub use transport::{ServerHandle, Transport};
 pub use updates::{Update, UpdateLog, VersionedReply};
 pub use wire::{TcpTransport, WireServer, WireServerConfig, WireServerStats, WireTransportStats};

@@ -38,7 +38,7 @@ use crate::server::{ClientId, Server};
 use crate::sync_util::{lock_recover, wait_recover};
 use crate::transport::{dispatch, ServerHandle, Transport};
 use crate::{FormMode, ServerCore};
-use pc_rtree::proto::{RemainderQuery, Request, Response, VersionedReply};
+use pc_rtree::proto::{RemainderQuery, Request, Response};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,32 +132,7 @@ impl Pending {
     /// Resolves this request against its pinned snapshot — the one pure
     /// computation a flusher performs per batch entry.
     fn execute(&self) -> Response {
-        match self.epoch {
-            None => Response::Remainder(self.snap.resume_remainder(&self.rq, self.mode)),
-            Some(client_epoch) => {
-                let log = self.snap.update_log();
-                if !log.can_answer(client_epoch) {
-                    // History below the pruned horizon: full refresh, never
-                    // a silently truncated invalidation list.
-                    return Response::Versioned(VersionedReply::FullRefresh {
-                        epoch: self.snap.epoch(),
-                    });
-                }
-                let invalidate = log.changed_since(client_epoch);
-                Response::Versioned(if invalidate.is_empty() {
-                    VersionedReply::Fresh {
-                        reply: self.snap.resume_remainder(&self.rq, self.mode),
-                        invalidate,
-                        epoch: self.snap.epoch(),
-                    }
-                } else {
-                    VersionedReply::Stale {
-                        invalidate,
-                        epoch: self.snap.epoch(),
-                    }
-                })
-            }
-        }
+        self.snap.answer_remainder(&self.rq, self.mode, self.epoch)
     }
 }
 

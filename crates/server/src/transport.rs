@@ -106,45 +106,11 @@ impl ServerHandle for Server {
     }
 }
 
-/// An explicit in-process transport over a borrowed [`Server`] — the
-/// canonical `Transport` implementation. Functionally identical to using
-/// `&Server` directly; exists so call sites can name the transport they
-/// hold (and swap it for a batched or remote one without retyping).
-#[derive(Clone, Copy, Debug)]
-pub struct InProcess<'a> {
-    server: &'a Server,
-}
-
-impl<'a> InProcess<'a> {
-    pub fn new(server: &'a Server) -> Self {
-        InProcess { server }
-    }
-
-    pub fn server(&self) -> &'a Server {
-        self.server
-    }
-}
-
-impl Transport for InProcess<'_> {
-    fn call(&self, client: ClientId, req: Request) -> Response {
-        dispatch(self.server, client, req)
-    }
-}
-
-impl ServerHandle for InProcess<'_> {
-    fn core(&self) -> &ServerCore {
-        self.server.core()
-    }
-
-    fn apply_updates(&self, updates: &[Update]) -> u64 {
-        Server::apply_updates(self.server, updates)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::FormPolicy;
+    use crate::server::{FormPolicy, ServerConfig};
+    use crate::service::BatchedService;
     use crate::test_util::{cold_remainder, sample_server};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, VersionedReply};
@@ -156,7 +122,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<dyn Transport>();
         assert_send_sync::<dyn ServerHandle>();
-        assert_send_sync::<InProcess<'_>>();
         // `&Server` coerces to a handle at call sites.
         let server = sample_server(50, 1, FormPolicy::Adaptive);
         let handle: &dyn ServerHandle = &server;
@@ -166,8 +131,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Each `Request` variant dispatched through `InProcess` must be
-        /// outcome-identical to the corresponding direct `Server` method.
+        /// Each `Request` variant dispatched through `&Server` as a
+        /// transport, and through the batched service in front of it, must
+        /// be outcome-identical to the corresponding bare `Server` method —
+        /// including every arm of the §7 version gate (`Fresh`, `Stale`
+        /// behind a just-applied update, `FullRefresh` below a pruned
+        /// horizon).
         #[test]
         fn in_process_dispatch_equals_direct_methods(
             seed in 0u64..1000,
@@ -185,33 +154,40 @@ mod tests {
                 _ => QuerySpec::Join { dist: 0.02 },
             };
 
-            // Two identical servers: one driven through the transport, one
-            // through bare methods.
-            let via_transport = sample_server(150, seed, FormPolicy::Adaptive);
-            let via_methods = sample_server(150, seed, FormPolicy::Adaptive);
-            let t = InProcess::new(&via_transport);
+            // Three identical servers (one epoch of history, so the second
+            // publish prunes epoch 0): one driven through bare methods, one
+            // as a transport, one behind the batched service.
+            let build = || {
+                Server::from_core(
+                    sample_server(150, seed, FormPolicy::Adaptive).core().clone(),
+                    ServerConfig { max_update_history: 1, ..ServerConfig::default() },
+                )
+            };
+            let (via_methods, via_transport, via_batched) = (build(), build(), build());
+            let t: &dyn Transport = &via_transport;
+            let batched = BatchedService::over(&via_batched);
+            // The same versioned contact three ways.
+            let gate = |rq: &pc_rtree::proto::RemainderQuery, epoch: u64| {
+                let req = Request::RemainderVersioned { query: rq.clone(), epoch };
+                let a = t.call(client, req.clone()).into_versioned();
+                let b = batched.call(client, req).into_versioned();
+                let m = via_methods.process_remainder_versioned(client, rq, epoch);
+                (a, b, m)
+            };
 
             // Remainder.
             let rq = cold_remainder(&via_methods, spec);
+            let m = via_methods.process_remainder(client, &rq);
             let a = t.call(client, Request::Remainder(rq.clone())).into_remainder();
-            let b = via_methods.process_remainder(client, &rq);
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(&a, &m);
+            let b = batched.call(client, Request::Remainder(rq.clone())).into_remainder();
+            prop_assert_eq!(&b, &m);
 
             // Versioned remainder (epoch 0 == current: always fresh).
-            let a = t
-                .call(client, Request::RemainderVersioned { query: rq.clone(), epoch: 0 })
-                .into_versioned();
-            match (a, via_methods.process_remainder_versioned(client, &rq, 0)) {
-                (
-                    VersionedReply::Fresh { reply: ra, invalidate: ia, epoch: ea },
-                    VersionedReply::Fresh { reply: rb, invalidate: ib, epoch: eb },
-                ) => {
-                    prop_assert_eq!(ra, rb);
-                    prop_assert_eq!(ia, ib);
-                    prop_assert_eq!(ea, eb);
-                }
-                (a, b) => prop_assert!(false, "variant mismatch: {:?} vs {:?}", a, b),
-            }
+            let (a, b, m) = gate(&rq, 0);
+            prop_assert!(matches!(m, VersionedReply::Fresh { .. }), "{:?}", m);
+            prop_assert_eq!(&a, &m);
+            prop_assert_eq!(&b, &m);
 
             // Direct.
             let a = t.call(client, Request::Direct(spec)).into_direct();
@@ -238,6 +214,34 @@ mod tests {
                 via_transport.tracked_clients(),
                 via_methods.tracked_clients()
             );
+
+            // A client epoch behind a just-applied update: stale.
+            let publish = |i: u32| {
+                let batch = [Update::Move {
+                    id: ObjectId(i),
+                    to: Rect::from_point(Point::new(cx, cy)),
+                }];
+                for server in [&via_methods, &via_transport, &via_batched] {
+                    server.apply_updates(&batch);
+                }
+            };
+            publish(0);
+            let (a, b, m) = gate(&rq, 0);
+            prop_assert!(matches!(m, VersionedReply::Stale { .. }), "{:?}", m);
+            prop_assert_eq!(&a, &m);
+            prop_assert_eq!(&b, &m);
+
+            // A second publish prunes epoch 0 below the horizon: full
+            // refresh; a client at epoch 1 is merely stale.
+            publish(1);
+            let (a, b, m) = gate(&rq, 0);
+            prop_assert_eq!(&m, &VersionedReply::FullRefresh { epoch: 2 });
+            prop_assert_eq!(&a, &m);
+            prop_assert_eq!(&b, &m);
+            let (a, b, m) = gate(&rq, 1);
+            prop_assert!(matches!(m, VersionedReply::Stale { .. }), "{:?}", m);
+            prop_assert_eq!(&a, &m);
+            prop_assert_eq!(&b, &m);
         }
     }
 }

@@ -32,7 +32,7 @@ use pc_rtree::proto::RemainderQuery;
 /// [`Request::RemainderVersioned`](pc_rtree::proto::Request) envelope
 /// carries it.
 pub use pc_rtree::proto::VersionedReply;
-use pc_rtree::{NodeId, ObjectId, SpatialObject};
+use pc_rtree::{NodeId, ObjectId};
 use std::collections::HashMap;
 
 /// One server-side data change.
@@ -161,24 +161,10 @@ impl Server {
         )
     }
 
-    /// The version-aware stage ② of the invalidation protocol. The epoch
-    /// check and (when current) the resume both run against one pinned
-    /// snapshot, so the answer is exact for the epoch it reports.
-    ///
-    /// Conservative rule: *any* epoch gap refuses the resume. A weaker rule
-    /// (refuse only when the heap references changed nodes) would keep the
-    /// resume sound, but the client's stage-① portion `Rs` was computed
-    /// against stale cached leaves the heap never mentions — the answer
-    /// could serve deleted or moved objects at a server contact. Refusing
-    /// forces the client to invalidate and re-run stage ① against cleaned
-    /// state, making every contact answer current; the price is one extra
-    /// round trip per (client × update-epoch) gap, which the experiments
-    /// charge honestly.
-    ///
-    /// A client stamped **below the log's low-water mark** cannot be given
-    /// a complete invalidation list (that history was pruned); it gets a
-    /// [`VersionedReply::FullRefresh`] and must drop its cache and re-sync
-    /// — never a silently truncated list.
+    /// The version-aware stage ② of the invalidation protocol: pins one
+    /// snapshot and lets its gate ([`crate::Snapshot::answer_remainder`])
+    /// run the epoch check and (when current) the resume against it, so
+    /// the answer is exact for the epoch it reports.
     ///
     /// Every contact also records the epoch this client will sync to in
     /// the adaptive table, which is what keeps the fleet low-water mark —
@@ -191,34 +177,8 @@ impl Server {
     ) -> VersionedReply {
         let snap = self.core().pin();
         self.note_client_epoch(client, snap.epoch());
-        if !snap.update_log().can_answer(client_epoch) {
-            return VersionedReply::FullRefresh {
-                epoch: snap.epoch(),
-            };
-        }
-        let invalidate = snap.update_log().changed_since(client_epoch);
-        if !invalidate.is_empty() {
-            return VersionedReply::Stale {
-                invalidate,
-                epoch: snap.epoch(),
-            };
-        }
-        VersionedReply::Fresh {
-            reply: snap.resume_remainder(rq, self.remainder_mode(client)),
-            invalidate,
-            epoch: snap.epoch(),
-        }
-    }
-
-    /// A versioned direct query for baselines/ground truth after updates;
-    /// evaluated on one pinned snapshot.
-    pub fn direct_current(&self, spec: &pc_rtree::proto::QuerySpec) -> Vec<SpatialObject> {
-        let snap = self.core().pin();
-        snap.direct(spec)
-            .results
-            .iter()
-            .map(|&(id, _)| *snap.store().get(id))
-            .collect()
+        snap.answer_remainder(rq, self.remainder_mode(client), Some(client_epoch))
+            .into_versioned()
     }
 }
 
@@ -229,7 +189,7 @@ mod tests {
     use pc_geom::Point;
     use pc_rtree::naive;
     use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, Side};
-    use pc_rtree::{ObjectStore, RTreeConfig};
+    use pc_rtree::{ObjectStore, RTreeConfig, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

@@ -25,7 +25,9 @@
 use pc_cache::{CacheView, Catalog, ItemData, ItemKey, ProactiveCache};
 use pc_net::Channel;
 use pc_rtree::engine::{resume, AccessLog};
-use pc_rtree::proto::{HeapEntry, NodeShipment, RemainderQuery, ServerReply, Side};
+use pc_rtree::proto::{
+    HeapEntry, NodeShipment, RemainderQuery, ServerReply, Side, CONFIRM_BYTES, OBJECT_HEADER_BYTES,
+};
 use pc_rtree::{NodeId, ObjectId};
 use std::collections::{HashMap, HashSet};
 
@@ -252,6 +254,28 @@ pub fn query_with_peers(
     let mut weighted = 0.0;
     let mut total_result_bytes: u64 = objects.iter().map(|&o| obj_bytes(o)).sum();
     let mut t = 0.0;
+    // Confirmations and payloads answer as a reply streams in over `ch`
+    // from time `t`; returns when its last byte lands.
+    let mut stream_in = |ch: &Channel, reply: &ServerReply, mut t: f64| {
+        t += ch.transfer_s(reply.confirmed.len() as u64 * CONFIRM_BYTES);
+        for id in &reply.confirmed {
+            let b = obj_bytes(*id);
+            weighted += b as f64 * t;
+            total_result_bytes += b;
+            if seen.insert(*id) {
+                objects.push(*id);
+            }
+        }
+        for o in &reply.objects {
+            t += ch.transfer_s(o.size_bytes as u64 + OBJECT_HEADER_BYTES);
+            weighted += o.size_bytes as f64 * t;
+            total_result_bytes += o.size_bytes as u64;
+            if seen.insert(o.id) {
+                objects.push(o.id);
+            }
+        }
+        t
+    };
 
     let mut rem = local.remainder;
 
@@ -275,25 +299,8 @@ pub fn query_with_peers(
         let down = contribution.reply.downlink_bytes();
         out.local_bytes += up + down;
         t += local_ch.transfer_s(up);
-        // Confirmations and payloads answer as the peer reply streams in.
         let reply = &contribution.reply;
-        t += local_ch.transfer_s(reply.confirmed.len() as u64 * 8);
-        for id in &reply.confirmed {
-            let b = obj_bytes(*id);
-            weighted += b as f64 * t;
-            total_result_bytes += b;
-            if seen.insert(*id) {
-                objects.push(*id);
-            }
-        }
-        for o in &reply.objects {
-            t += local_ch.transfer_s(o.size_bytes as u64 + 40);
-            weighted += o.size_bytes as f64 * t;
-            total_result_bytes += o.size_bytes as u64;
-            if seen.insert(o.id) {
-                objects.push(o.id);
-            }
-        }
+        t = stream_in(local_ch, reply, t);
         out.peer_served += reply.confirmed.len() + reply.objects.len();
         pairs.extend(reply.pairs.iter().copied());
         clients[origin].absorb(reply, pos);
@@ -310,23 +317,7 @@ pub fn query_with_peers(
             .into_remainder();
         out.remote_bytes += rq.uplink_bytes() + reply.downlink_bytes();
         t += remote_ch.transfer_s(rq.uplink_bytes()) + server_time_s;
-        t += remote_ch.transfer_s(reply.confirmed.len() as u64 * 8);
-        for id in &reply.confirmed {
-            let b = obj_bytes(*id);
-            weighted += b as f64 * t;
-            total_result_bytes += b;
-            if seen.insert(*id) {
-                objects.push(*id);
-            }
-        }
-        for o in &reply.objects {
-            t += remote_ch.transfer_s(o.size_bytes as u64 + 40);
-            weighted += o.size_bytes as f64 * t;
-            total_result_bytes += o.size_bytes as u64;
-            if seen.insert(o.id) {
-                objects.push(o.id);
-            }
-        }
+        stream_in(remote_ch, &reply, t);
         pairs.extend(reply.pairs.iter().copied());
         clients[origin].absorb(&reply, pos);
     }

@@ -1,10 +1,10 @@
 //! The multi-client fleet driver: N [`ClientSession`]s against one shared
-//! [`ServerHandle`] — a bare `&Server`, an `InProcess` transport, or the
-//! batched remainder service — spread over scoped worker threads. Sessions
-//! are seeded per client id and never share mutable state (the server's
-//! read path is `&self`, its adaptive table is per-client), so a
-//! concurrent fleet run produces exactly the per-client metrics of the
-//! same sessions run sequentially — only wall-clock CPU timings differ.
+//! [`ServerHandle`] — a bare `&Server`, a cluster, or the batched
+//! remainder service — spread over scoped worker threads. Sessions are
+//! seeded per client id and never share mutable state (the server's read
+//! path is `&self`, its adaptive table is per-client), so a concurrent
+//! fleet run produces exactly the per-client metrics of the same sessions
+//! run sequentially — only wall-clock CPU timings differ.
 //!
 //! With [`Fleet::churn`], an **update driver** thread runs alongside the
 //! workers, injecting paper-§6-style update batches through the epoch-swap

@@ -32,7 +32,7 @@ pub use fleet::{Fleet, FleetResult};
 pub use metrics::{QueryKind, QueryRecord, SimResult, Summary, SummaryTotals, WindowPoint};
 pub use runner::{ModelRunner, ProactiveRunner, RunOutput};
 pub use session::{client_seed, ClientSession};
-pub use updates::{generate_update, ChurnConfig, UpdatingClient, UpdatingOutcome};
+pub use updates::{generate_update, ChurnConfig};
 
 use pc_server::{Cluster, ClusterConfig, Server, ServerConfig};
 

@@ -15,7 +15,7 @@ use pc_rtree::proto::{
     QuerySpec, Request, VersionedReply, CONFIRM_BYTES, EPOCH_BYTES, FULL_REFRESH_BYTES,
     INVALIDATION_BYTES, OBJECT_HEADER_BYTES, PAIR_BYTES,
 };
-use pc_rtree::ObjectId;
+use pc_rtree::{NodeId, ObjectId};
 use pc_server::{ClientId, ServerHandle, SUPER_ROOT};
 use std::time::Instant;
 
@@ -41,6 +41,8 @@ pub struct RunOutput {
     /// Invalidation-list + epoch-stamp downlink bytes (versioned protocol
     /// only; also charged into the ledger's extra downlink).
     pub invalidation_bytes: u64,
+    /// Cache items dropped by invalidation lists and full refreshes.
+    pub invalidated_items: usize,
 }
 
 /// A caching model under simulation. `Send` so a fleet can drive one
@@ -189,7 +191,7 @@ pub struct ProactiveRunner {
     /// invalidation + stage-① re-run + resubmit on `Stale`.
     versioned: bool,
     /// Last epoch this client synced to (versioned protocol only).
-    epoch: u64,
+    pub(crate) epoch: u64,
 }
 
 impl ProactiveRunner {
@@ -230,12 +232,37 @@ impl ProactiveRunner {
         self.client_id
     }
 
-    /// Runs one query through versioned contacts, invalidating and
-    /// resubmitting after stale refusals. Same accounting conventions as
-    /// the plain path, plus: each contact's uplink carries the epoch
-    /// stamp, each reply's invalidation list + epoch stamp land in the
-    /// extra downlink, and retries repeat the full uplink + server time.
-    fn run_query_versioned(
+    /// Drops the cached views of `nodes`; returns the items dropped.
+    fn invalidate(&mut self, nodes: &[NodeId]) -> usize {
+        let cache = self.client.cache_mut();
+        nodes
+            .iter()
+            .map(|&n| {
+                // The virtual super-root is routing metadata: drop only
+                // its own view. Its shard subtrees are versioned per shard
+                // (each arrives with its own invalidation entries), and a
+                // deep drop here would tear out views the in-flight
+                // remainder heap still references.
+                if n == SUPER_ROOT {
+                    cache.invalidate_node_shallow(n).0
+                } else {
+                    cache.invalidate_node(n).0
+                }
+            })
+            .sum()
+    }
+}
+
+impl ModelRunner for ProactiveRunner {
+    /// Fig. 3's one client↔server exchange: stage ① local run, stage ②
+    /// remainder contact, stage ③ absorb. Under the §7 versioned protocol
+    /// each contact's uplink carries the epoch stamp, each reply's
+    /// invalidation list + epoch stamp land in the extra downlink, and a
+    /// refused contact (stale or below the pruned horizon) cleans the
+    /// cache and restarts stage ①, repeating the full uplink + server
+    /// time. A plain reply is a fresh one with nothing to invalidate and
+    /// no stamp.
+    fn run_query(
         &mut self,
         server: &dyn ServerHandle,
         spec: &QuerySpec,
@@ -243,11 +270,7 @@ impl ProactiveRunner {
         server_time_s: f64,
     ) -> RunOutput {
         self.client.begin_query();
-        let mut ledger = Ledger::default();
-        let mut server_cpu_s = 0.0;
-        let mut stale_retries = 0u32;
-        let mut full_refreshes = 0u32;
-        let mut invalidation_bytes = 0u64;
+        let mut out = RunOutput::default();
         // A stale refusal advances the client to the refusing epoch, so
         // each retry needs a *new* epoch to land mid-query to repeat; the
         // churn driver's pacing makes long runs vanishingly unlikely, and
@@ -259,107 +282,82 @@ impl ProactiveRunner {
             let snap = server.core().pin();
             let store = snap.store();
             let local = self.client.run_local(spec);
-            ledger.saved_bytes = local
+            out.ledger.saved_bytes = local
                 .saved
                 .iter()
                 .map(|&id| store.get(id).size_bytes as u64)
                 .sum();
+            out.client_expansions = local.expansions;
             let Some(rq) = &local.remainder else {
                 let answer = self.client.assemble(&local, None);
-                return RunOutput {
-                    ledger,
-                    objects: answer.objects,
-                    pairs: answer.pairs,
-                    cached_results: local.saved.clone(),
-                    locally_served: local.saved,
-                    server_cpu_s,
-                    client_expansions: local.expansions,
-                    stale_retries,
-                    full_refreshes,
-                    invalidation_bytes,
-                };
+                out.objects = answer.objects;
+                out.pairs = answer.pairs;
+                out.cached_results = local.saved.clone();
+                out.locally_served = local.saved;
+                return out;
             };
-            let req = Request::RemainderVersioned {
-                query: rq.clone(),
-                epoch: self.epoch,
+            let req = if self.versioned {
+                Request::RemainderVersioned {
+                    query: rq.clone(),
+                    epoch: self.epoch,
+                }
+            } else {
+                Request::Remainder(rq.clone())
             };
-            ledger.contacted_server = true;
-            ledger.contacts += 1;
-            ledger.uplink_bytes += req.wire_bytes();
-            ledger.server_time_s += server_time_s;
+            out.ledger.contacted_server = true;
+            out.ledger.contacts += 1;
+            out.ledger.uplink_bytes += req.wire_bytes();
+            out.ledger.server_time_s += server_time_s;
             let t = Instant::now();
-            let resp = server.call(self.client_id, req).into_versioned();
-            server_cpu_s += t.elapsed().as_secs_f64();
+            let resp = server.call(self.client_id, req);
+            out.server_cpu_s += t.elapsed().as_secs_f64();
+            // `stamp` is the epoch stamp every versioned reply carries.
+            let (resp, stamp) = if self.versioned {
+                (resp.into_versioned(), EPOCH_BYTES)
+            } else {
+                let fresh = VersionedReply::Fresh {
+                    reply: resp.into_remainder(),
+                    invalidate: Vec::new(),
+                    epoch: self.epoch,
+                };
+                (fresh, 0)
+            };
             match resp {
                 VersionedReply::Fresh {
                     reply,
                     invalidate,
                     epoch,
                 } => {
-                    let inv = invalidate.len() as u64 * INVALIDATION_BYTES;
-                    invalidation_bytes += inv + EPOCH_BYTES;
-                    for &n in &invalidate {
-                        // The virtual super-root is routing metadata: drop
-                        // only its own view. Its shard subtrees are
-                        // versioned per shard (each arrives with its own
-                        // invalidation entries), and a deep drop here
-                        // would tear out views the in-flight remainder
-                        // heap still references.
-                        if n == SUPER_ROOT {
-                            self.client.cache_mut().invalidate_node_shallow(n);
-                        } else {
-                            self.client.cache_mut().invalidate_node(n);
-                        }
-                    }
+                    let inv = invalidate.len() as u64 * INVALIDATION_BYTES + stamp;
+                    out.invalidation_bytes += inv;
+                    out.invalidated_items += self.invalidate(&invalidate);
                     self.epoch = epoch;
-                    ledger.confirmed_bytes = reply
+                    out.ledger.confirmed_bytes = reply
                         .confirmed
                         .iter()
                         .map(|&id| store.get(id).size_bytes as u64)
                         .sum();
-                    ledger.confirm_wire_bytes = reply.confirmed.len() as u64 * CONFIRM_BYTES;
-                    ledger.transmitted = reply.objects.iter().map(|o| o.size_bytes).collect();
-                    ledger.transmitted_header_bytes =
+                    out.ledger.confirm_wire_bytes = reply.confirmed.len() as u64 * CONFIRM_BYTES;
+                    out.ledger.transmitted = reply.objects.iter().map(|o| o.size_bytes).collect();
+                    out.ledger.transmitted_header_bytes =
                         reply.objects.len() as u64 * OBJECT_HEADER_BYTES;
-                    ledger.extra_downlink_bytes += reply.index_bytes()
-                        + reply.pairs.len() as u64 * PAIR_BYTES
-                        + inv
-                        + EPOCH_BYTES;
-                    let mut cached_results = local.saved.clone();
-                    cached_results.extend(reply.confirmed.iter().copied());
+                    out.ledger.extra_downlink_bytes +=
+                        reply.index_bytes() + reply.pairs.len() as u64 * PAIR_BYTES + inv;
+                    out.cached_results = local.saved.clone();
+                    out.cached_results.extend(reply.confirmed.iter().copied());
                     self.client.absorb(&reply, pos);
                     let answer = self.client.assemble(&local, Some(&reply));
-                    return RunOutput {
-                        ledger,
-                        objects: answer.objects,
-                        pairs: answer.pairs,
-                        cached_results,
-                        locally_served: local.saved.clone(),
-                        server_cpu_s,
-                        client_expansions: local.expansions,
-                        stale_retries,
-                        full_refreshes,
-                        invalidation_bytes,
-                    };
+                    out.objects = answer.objects;
+                    out.pairs = answer.pairs;
+                    out.locally_served = local.saved;
+                    return out;
                 }
                 VersionedReply::Stale { invalidate, epoch } => {
-                    stale_retries += 1;
-                    let inv = invalidate.len() as u64 * INVALIDATION_BYTES;
-                    invalidation_bytes += inv + EPOCH_BYTES;
-                    ledger.extra_downlink_bytes += inv + EPOCH_BYTES;
-                    for &n in &invalidate {
-                        // The virtual super-root is routing metadata: drop
-                        // only its own view. Its shard subtrees are
-                        // versioned per shard (each arrives with its own
-                        // invalidation entries), and a deep drop here
-                        // would tear out views the in-flight remainder
-                        // heap still references.
-                        if n == SUPER_ROOT {
-                            self.client.cache_mut().invalidate_node_shallow(n);
-                        } else {
-                            self.client.cache_mut().invalidate_node(n);
-                        }
-                    }
+                    out.stale_retries += 1;
+                    let inv = invalidate.len() as u64 * INVALIDATION_BYTES + EPOCH_BYTES;
+                    out.invalidation_bytes += inv;
+                    out.ledger.extra_downlink_bytes += inv;
+                    out.invalidated_items += self.invalidate(&invalidate);
                     self.epoch = epoch;
                     // Loop: re-run stage ① against the cleaned cache.
                 }
@@ -370,11 +368,11 @@ impl ProactiveRunner {
                     // metadata, like the bootstrap catalog) and restart
                     // stage ① cold. The refusal's fixed wire cost is
                     // charged; re-warming shows up on later queries.
-                    full_refreshes += 1;
-                    invalidation_bytes += FULL_REFRESH_BYTES;
-                    ledger.extra_downlink_bytes += FULL_REFRESH_BYTES;
+                    out.full_refreshes += 1;
+                    out.invalidation_bytes += FULL_REFRESH_BYTES;
+                    out.ledger.extra_downlink_bytes += FULL_REFRESH_BYTES;
                     let (root, epoch) = server.bootstrap_root();
-                    self.client.full_refresh(pc_cache::Catalog { root });
+                    out.invalidated_items += self.client.full_refresh(Catalog { root }).0;
                     self.epoch = epoch;
                 }
             }
@@ -385,76 +383,6 @@ impl ProactiveRunner {
              the update driver is outpacing every query",
             self.client_id
         );
-    }
-}
-
-impl ModelRunner for ProactiveRunner {
-    fn run_query(
-        &mut self,
-        server: &dyn ServerHandle,
-        spec: &QuerySpec,
-        pos: Point,
-        server_time_s: f64,
-    ) -> RunOutput {
-        if self.versioned {
-            return self.run_query_versioned(server, spec, pos, server_time_s);
-        }
-        self.client.begin_query();
-        let local = self.client.run_local(spec);
-        let snap = server.core().pin();
-        let store = snap.store();
-
-        let mut ledger = Ledger {
-            saved_bytes: local
-                .saved
-                .iter()
-                .map(|&id| store.get(id).size_bytes as u64)
-                .sum(),
-            ..Default::default()
-        };
-        let mut server_cpu_s = 0.0;
-        let mut cached_results: Vec<ObjectId> = local.saved.clone();
-
-        let reply = match &local.remainder {
-            Some(rq) => {
-                let req = Request::Remainder(rq.clone());
-                ledger.contacted_server = true;
-                ledger.contacts = 1;
-                ledger.uplink_bytes = req.wire_bytes();
-                ledger.server_time_s = server_time_s;
-                let t = Instant::now();
-                let reply = server.call(self.client_id, req).into_remainder();
-                server_cpu_s = t.elapsed().as_secs_f64();
-                ledger.confirmed_bytes = reply
-                    .confirmed
-                    .iter()
-                    .map(|&id| store.get(id).size_bytes as u64)
-                    .sum();
-                ledger.confirm_wire_bytes = reply.confirmed.len() as u64 * CONFIRM_BYTES;
-                ledger.transmitted = reply.objects.iter().map(|o| o.size_bytes).collect();
-                ledger.transmitted_header_bytes = reply.objects.len() as u64 * OBJECT_HEADER_BYTES;
-                ledger.extra_downlink_bytes =
-                    reply.index_bytes() + reply.pairs.len() as u64 * PAIR_BYTES;
-                cached_results.extend(reply.confirmed.iter().copied());
-                self.client.absorb(&reply, pos);
-                Some(reply)
-            }
-            None => None,
-        };
-
-        let answer = self.client.assemble(&local, reply.as_ref());
-        RunOutput {
-            ledger,
-            objects: answer.objects,
-            pairs: answer.pairs,
-            cached_results,
-            locally_served: local.saved.clone(),
-            server_cpu_s,
-            client_expansions: local.expansions,
-            stale_retries: 0,
-            full_refreshes: 0,
-            invalidation_bytes: 0,
-        }
     }
 
     fn cache_stats(&self) -> (u64, u64) {

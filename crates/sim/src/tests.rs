@@ -227,11 +227,11 @@ fn smaller_cache_cannot_beat_bigger_cache_by_much() {
 }
 
 // ---------------------------------------------------------------------
-// Churn-path client fixes (§7 protocol drivers)
+// Churn-path client regressions (§7 versioned protocol)
 // ---------------------------------------------------------------------
 
 mod churn_clients {
-    use crate::updates::UpdatingClient;
+    use crate::runner::{ModelRunner, ProactiveRunner};
     use pc_cache::{Catalog, ReplacementPolicy};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, Request, Response};
@@ -247,31 +247,35 @@ mod churn_clients {
         )
     }
 
-    fn warm_client(server: &Server, id: ClientId) -> UpdatingClient {
-        UpdatingClient::new(
+    fn warm_client(server: &Server, id: ClientId) -> ProactiveRunner {
+        ProactiveRunner::new(
             1 << 22,
             ReplacementPolicy::Grd3,
             Catalog::from_tree(server.snapshot().tree()),
         )
         .with_client(id)
+        .versioned(true)
         .at_epoch(server.snapshot().epoch())
     }
 
+    fn range_at(pos: Point, half: f64) -> (QuerySpec, Rect) {
+        let window = Rect::centered_square(pos, half);
+        (QuerySpec::Range { window }, window)
+    }
+
     #[test]
-    fn updating_client_sends_its_own_id() {
-        // Regression: `UpdatingClient::query` used to hardcode client 0,
+    fn versioned_runner_sends_its_own_id() {
+        // Regression: the versioned client used to hardcode client 0,
         // corrupting per-client adaptive state and epoch attribution the
         // moment two clients shared a server.
         let server = sample_server(500, 11, ServerConfig::default());
         let mut a = warm_client(&server, 7);
         let mut b = warm_client(&server, 9);
         let pos = Point::new(0.31, 0.36);
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.2),
-        };
-        let out = a.query(&server, &spec, pos, 0.0);
+        let (spec, _) = range_at(pos, 0.2);
+        let out = a.run_query(&server, &spec, pos, 0.0);
         assert!(out.ledger.contacted_server);
-        b.query(&server, &spec, pos, 0.0);
+        b.run_query(&server, &spec, pos, 0.0);
         assert_eq!(server.client_last_epoch(7), Some(0), "a's contact is a's");
         assert_eq!(server.client_last_epoch(9), Some(0), "b's contact is b's");
         assert_eq!(
@@ -315,7 +319,7 @@ mod churn_clients {
     }
 
     #[test]
-    fn updating_client_survives_repeated_mid_query_epoch_races() {
+    fn versioned_runner_survives_repeated_mid_query_epoch_races() {
         // Regression for the 4-attempt retry cap: ten consecutive races
         // force ten stale refusals on one query. The client must keep
         // re-running stage ① (sizing each attempt off a fresh pin) and
@@ -329,22 +333,17 @@ mod churn_clients {
         };
         let mut client = warm_client(&server, 4);
         let pos = Point::new(0.31, 0.36);
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.25),
-        };
-        let out = client.query(&handle, &spec, pos, 0.0);
+        let (spec, window) = range_at(pos, 0.25);
+        let out = client.run_query(&handle, &spec, pos, 0.0);
         assert_eq!(
-            out.round_trips,
-            races + 1,
+            (out.ledger.contacts, out.stale_retries),
+            (races + 1, races),
             "every race costs exactly one refused round trip"
         );
         assert_eq!(out.full_refreshes, 0, "full history: no refresh needed");
-        assert_eq!(client.epoch(), races as u64);
+        assert_eq!(client.epoch, races as u64);
         client.client().cache().validate().unwrap();
-        let QuerySpec::Range { window } = spec else {
-            unreachable!()
-        };
-        let mut got = out.answer.objects.clone();
+        let mut got = out.objects.clone();
         got.sort_unstable();
         got.dedup();
         assert_eq!(
@@ -355,7 +354,7 @@ mod churn_clients {
     }
 
     #[test]
-    fn updating_client_recovers_from_a_full_refresh() {
+    fn versioned_runner_recovers_from_a_full_refresh() {
         // A client whose epoch fell below the server's pruned invalidation
         // horizon gets a FullRefresh refusal: it must drop its whole
         // cache, re-sync the catalog, and still answer exactly.
@@ -369,10 +368,8 @@ mod churn_clients {
         );
         let mut client = warm_client(&server, 3);
         let pos = Point::new(0.31, 0.36);
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.25),
-        };
-        let first = client.query(&server, &spec, pos, 0.0);
+        let (spec, _) = range_at(pos, 0.25);
+        let first = client.run_query(&server, &spec, pos, 0.0);
         assert!(first.ledger.contacted_server);
         assert!(
             !client.client().cache().is_empty(),
@@ -391,78 +388,78 @@ mod churn_clients {
 
         // A wider window than the warmed one: stage ① cannot finish
         // locally, so the client must contact — and be refused.
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.5),
-        };
-        let out = client.query(&server, &spec, pos, 0.0);
+        let (spec, window) = range_at(pos, 0.5);
+        let out = client.run_query(&server, &spec, pos, 0.0);
         assert_eq!(out.full_refreshes, 1, "one refusal, one refresh");
-        assert_eq!(out.round_trips, 2, "refresh + resubmit");
+        assert_eq!(out.ledger.contacts, 2, "refresh + resubmit");
+        assert!(out.invalidation_bytes > 0, "the refusal is charged");
         assert!(
             out.invalidated_items > 0,
             "the refresh must have dropped the warm cache"
         );
-        assert_eq!(client.epoch(), 6, "re-synced to the current epoch");
+        assert_eq!(client.epoch, 6, "re-synced to the current epoch");
         client.client().cache().validate().unwrap();
-        let QuerySpec::Range { window } = spec else {
-            unreachable!()
-        };
-        let mut got = out.answer.objects.clone();
+        let mut got = out.objects.clone();
         got.sort_unstable();
         got.dedup();
         assert_eq!(got, naive::range_naive(server.snapshot().store(), &window));
     }
 
     #[test]
-    fn versioned_runner_recovers_from_a_full_refresh() {
-        use crate::runner::{ModelRunner, ProactiveRunner};
-        let server = sample_server(
-            600,
-            8,
-            ServerConfig {
-                max_update_history: 1,
-                ..ServerConfig::default()
-            },
-        );
-        let mut runner = ProactiveRunner::new(
-            1 << 22,
-            ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.snapshot().tree()),
-        )
-        .with_client(2)
-        .versioned(true)
-        .at_epoch(0);
-        let pos = Point::new(0.31, 0.36);
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.25),
+    fn epoch_stamp_costs_exactly_its_bytes_on_a_static_world() {
+        // ROADMAP "(a)": what the plain envelope saves. On a world that
+        // never churns, the same seeded tour run plain and stamped must
+        // answer identically, never retry, and differ in the ledger by
+        // exactly one epoch stamp each way per contact.
+        use pc_rtree::proto::EPOCH_BYTES;
+        let cfg = crate::SimConfig::small();
+        let server = crate::build_server(&cfg);
+        let capacity = cfg.cache_bytes(server.snapshot().store().total_bytes());
+        let runner = |versioned: bool| {
+            ProactiveRunner::new(
+                capacity,
+                cfg.policy,
+                Catalog::from_tree(server.snapshot().tree()),
+            )
+            .with_client(versioned as ClientId)
+            .versioned(versioned)
         };
-        // Warm, then outrun the 1-epoch history window.
-        let handle: &dyn ServerHandle = &server;
-        runner.run_query(handle, &spec, pos, 0.0);
-        for i in 0..4u32 {
-            server.apply_updates(&[Update::Move {
-                id: ObjectId(i),
-                to: Rect::from_point(Point::new(0.92, 0.04 + 0.01 * i as f64)),
-            }]);
+        let (mut plain, mut stamped) = (runner(false), runner(true));
+        let mut mobile = pc_mobility::MobileClient::new(cfg.mobility, cfg.mobility_cfg, 7);
+        let mut qgen = pc_workload::QueryGenerator::new(cfg.workload, 8);
+        let (mut contacts, mut uplink, mut downlink) = (0u64, 0u64, 0u64);
+        for _ in 0..cfg.n_queries {
+            mobile.advance(qgen.think_time());
+            let pos = mobile.position();
+            let spec = qgen.next_query(pos);
+            let a = plain.run_query(&server, &spec, pos, cfg.server_time_s);
+            let b = stamped.run_query(&server, &spec, pos, cfg.server_time_s);
+            assert_eq!(
+                (&a.objects, &a.pairs, &a.cached_results, &a.locally_served),
+                (&b.objects, &b.pairs, &b.cached_results, &b.locally_served)
+            );
+            assert_eq!(
+                (b.stale_retries, b.full_refreshes, b.invalidated_items),
+                (0, 0, 0)
+            );
+            let stamp = EPOCH_BYTES * a.ledger.contacts as u64;
+            assert_eq!(b.invalidation_bytes, stamp);
+            let mut want = a.ledger.clone();
+            want.uplink_bytes += stamp;
+            want.extra_downlink_bytes += stamp;
+            assert_eq!(b.ledger, want, "the stamp is the whole difference");
+            contacts += a.ledger.contacts as u64;
+            uplink += a.ledger.uplink_bytes;
+            downlink += a.ledger.downlink_bytes();
         }
-        let spec = QuerySpec::Range {
-            window: Rect::centered_square(pos, 0.5),
-        };
-        let out = runner.run_query(handle, &spec, pos, 0.0);
-        assert_eq!(out.full_refreshes, 1);
-        assert!(out.invalidation_bytes > 0, "the refusal is charged");
-        let mut got = out.objects.clone();
-        got.sort_unstable();
-        got.dedup();
-        assert_eq!(
-            got,
-            naive::range_naive(server.snapshot().store(), &window_of(&spec))
+        assert!(contacts > 0, "the tour must reach the server");
+        let stamps = EPOCH_BYTES * contacts;
+        println!(
+            "stamp cost: {contacts} contacts / {} queries, +{stamps} B each way = \
+             +{:.2}% uplink ({uplink} B), +{:.4}% downlink ({downlink} B)",
+            cfg.n_queries,
+            100.0 * stamps as f64 / uplink as f64,
+            100.0 * stamps as f64 / downlink as f64,
         );
-    }
-
-    fn window_of(spec: &QuerySpec) -> Rect {
-        match spec {
-            QuerySpec::Range { window } => *window,
-            _ => unreachable!(),
-        }
     }
 }

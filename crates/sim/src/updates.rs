@@ -1,201 +1,15 @@
-//! Client and workload drivers for the §7 update/invalidation extension:
-//! [`UpdatingClient`] wraps the proactive [`Client`] with epoch tracking
-//! and the stale-retry loop (the single-threaded reference
-//! implementation; fleet sessions speak the same protocol through
-//! `ProactiveRunner`'s versioned mode), and [`ChurnConfig`] +
-//! [`generate_update`] describe the paper-§6-style update workload the
-//! fleet's update-driver thread injects while sessions run.
+//! The §7 update workload: [`ChurnConfig`] + [`generate_update`] describe
+//! the paper-§6-style update stream the fleet's update-driver thread
+//! injects while sessions run. The client half of the invalidation
+//! protocol (epoch stamps, stale retry, full refresh) is
+//! [`ProactiveRunner`](crate::ProactiveRunner)'s one contact loop, switched
+//! on with `versioned(true)`.
 
-use pc_cache::{Catalog, ReplacementPolicy};
-use pc_client::{Client, QueryAnswer};
 use pc_geom::{Point, Rect};
-use pc_net::Ledger;
-use pc_rtree::proto::{
-    QuerySpec, Request, CONFIRM_BYTES, EPOCH_BYTES, FULL_REFRESH_BYTES, INVALIDATION_BYTES,
-    OBJECT_HEADER_BYTES, PAIR_BYTES,
-};
-use pc_rtree::{NodeId, ObjectId};
-use pc_server::{ClientId, ServerHandle, Update, VersionedReply, SUPER_ROOT};
+use pc_rtree::ObjectId;
+use pc_server::Update;
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Outcome of one version-aware query.
-#[derive(Clone, Debug, Default)]
-pub struct UpdatingOutcome {
-    pub answer: QueryAnswer,
-    pub ledger: Ledger,
-    /// Server contacts this query needed (1 normally; 2 when the first
-    /// remainder was refused as stale).
-    pub round_trips: u32,
-    /// Node items dropped by invalidation during this query.
-    pub invalidated_items: usize,
-    /// Full-refresh refusals suffered (the client fell below the server's
-    /// pruned invalidation horizon and dropped its whole cache).
-    pub full_refreshes: u32,
-}
-
-/// A proactive client that follows the epoch-stamped invalidation protocol.
-pub struct UpdatingClient {
-    client: Client,
-    /// The id this client identifies as on every contact — it selects the
-    /// server-side adaptive state and feeds the fleet low-water mark.
-    client_id: ClientId,
-    epoch: u64,
-}
-
-impl UpdatingClient {
-    pub fn new(capacity: u64, policy: ReplacementPolicy, catalog: Catalog) -> Self {
-        UpdatingClient {
-            client: Client::new(capacity, policy, catalog),
-            client_id: 0,
-            epoch: 0,
-        }
-    }
-
-    /// Identifies this client as `id` towards the server (mirrors
-    /// `ProactiveRunner::with_client`). Without this every request would
-    /// travel as client 0, corrupting per-client adaptive state and fmr
-    /// attribution the moment two clients share a server.
-    pub fn with_client(mut self, id: ClientId) -> Self {
-        self.client_id = id;
-        self
-    }
-
-    /// Declares the epoch this client's catalog/cache state was built from.
-    pub fn at_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    pub fn client(&self) -> &Client {
-        &self.client
-    }
-
-    pub fn client_id(&self) -> ClientId {
-        self.client_id
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn apply_invalidations(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for &n in nodes {
-            // A cluster's virtual super-root is routing metadata: drop
-            // only its own view and keep the shard subtrees (each shard
-            // ships its own invalidation entries). A deep drop would tear
-            // out views an in-flight remainder heap still references.
-            let (items, _) = if n == SUPER_ROOT {
-                self.client.cache_mut().invalidate_node_shallow(n)
-            } else {
-                self.client.cache_mut().invalidate_node(n)
-            };
-            dropped += items;
-        }
-        dropped
-    }
-
-    /// Runs one query to completion, retrying after stale refusals and
-    /// recovering from full-refresh refusals. All contacts travel as
-    /// [`Request::RemainderVersioned`] envelopes over the handle's
-    /// transport, stamped with this client's [`ClientId`].
-    pub fn query(
-        &mut self,
-        server: &dyn ServerHandle,
-        spec: &QuerySpec,
-        pos: Point,
-        server_time_s: f64,
-    ) -> UpdatingOutcome {
-        let mut out = UpdatingOutcome::default();
-        self.client.begin_query();
-        // A stale refusal advances the client to the refusing epoch, so a
-        // retry only repeats when *another* update batch lands mid-query.
-        // Against a live concurrently-updating server that can happen
-        // repeatedly; the cap (matching `ProactiveRunner`'s) turns a
-        // pathological livelock into a loud failure instead of spinning.
-        for _attempt in 0..64 {
-            // Re-pinned every attempt: after a refusal the next contact is
-            // answered by a *newer* epoch, so byte sizing and liveness
-            // reads must come from a store at least as new as the reply —
-            // never the pre-query pin.
-            let snap = server.core().pin();
-            let store = snap.store();
-            let local = self.client.run_local(spec);
-            out.ledger.saved_bytes = local
-                .saved
-                .iter()
-                .map(|&id| store.get(id).size_bytes as u64)
-                .sum();
-            let Some(rq) = &local.remainder else {
-                out.answer = self.client.assemble(&local, None);
-                return out;
-            };
-            let req = Request::RemainderVersioned {
-                query: rq.clone(),
-                epoch: self.epoch,
-            };
-            out.round_trips += 1;
-            out.ledger.contacted_server = true;
-            out.ledger.contacts += 1;
-            out.ledger.uplink_bytes += req.wire_bytes();
-            out.ledger.server_time_s += server_time_s;
-            match server.call(self.client_id, req).into_versioned() {
-                VersionedReply::Fresh {
-                    reply,
-                    invalidate,
-                    epoch,
-                } => {
-                    out.invalidated_items += self.apply_invalidations(&invalidate);
-                    out.ledger.extra_downlink_bytes +=
-                        invalidate.len() as u64 * INVALIDATION_BYTES + EPOCH_BYTES;
-                    self.epoch = epoch;
-                    out.ledger.confirmed_bytes += reply
-                        .confirmed
-                        .iter()
-                        .map(|&id| store.get(id).size_bytes as u64)
-                        .sum::<u64>();
-                    out.ledger.confirm_wire_bytes += reply.confirmed.len() as u64 * CONFIRM_BYTES;
-                    out.ledger
-                        .transmitted
-                        .extend(reply.objects.iter().map(|o| o.size_bytes));
-                    out.ledger.transmitted_header_bytes +=
-                        reply.objects.len() as u64 * OBJECT_HEADER_BYTES;
-                    out.ledger.extra_downlink_bytes +=
-                        reply.index_bytes() + reply.pairs.len() as u64 * PAIR_BYTES;
-                    self.client.absorb(&reply, pos);
-                    out.answer = self.client.assemble(&local, Some(&reply));
-                    return out;
-                }
-                VersionedReply::Stale { invalidate, epoch } => {
-                    out.invalidated_items += self.apply_invalidations(&invalidate);
-                    out.ledger.extra_downlink_bytes +=
-                        invalidate.len() as u64 * INVALIDATION_BYTES + EPOCH_BYTES;
-                    self.epoch = epoch;
-                    // Loop: re-run stage ① against the cleaned cache.
-                }
-                VersionedReply::FullRefresh { .. } => {
-                    // The server pruned history below our epoch: drop the
-                    // whole cache, re-sync the catalog from a fresh pin
-                    // (out-of-band metadata, like the bootstrap catalog)
-                    // and restart stage ① cold.
-                    out.full_refreshes += 1;
-                    out.ledger.extra_downlink_bytes += FULL_REFRESH_BYTES;
-                    let (root, epoch) = server.bootstrap_root();
-                    let (items, _) = self.client.full_refresh(Catalog { root });
-                    out.invalidated_items += items;
-                    self.epoch = epoch;
-                }
-            }
-        }
-        // pc-check: allow(no-unwrap, "deliberate loud livelock cap: 64 straight stale retries means the workload config is broken (driver outpaces every query) and silently returning a partial result would corrupt the measurement")
-        panic!(
-            "client {}: stale retries did not converge in 64 attempts — \
-             the update driver is outpacing every query",
-            self.client_id
-        );
-    }
-}
 
 /// Server-update workload injected under a running fleet (paper §6-style
 /// mix of moves, inserts and deletes; cf. the `ext_invalidation`

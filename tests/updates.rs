@@ -9,19 +9,20 @@ use procache::rtree::naive;
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::{ObjectId, RTreeConfig};
 use procache::server::{Server, ServerConfig, Update};
-use procache::sim::UpdatingClient;
+use procache::sim::{ModelRunner, ProactiveRunner};
 use procache::workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn setup(n: usize, seed: u64) -> (Server, UpdatingClient) {
+fn setup(n: usize, seed: u64) -> (Server, ProactiveRunner) {
     let store = datasets::ne_like(n, seed);
     let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
-    let client = UpdatingClient::new(
+    let client = ProactiveRunner::new(
         1 << 22,
         ReplacementPolicy::Grd3,
         Catalog::from_tree(server.snapshot().tree()),
-    );
+    )
+    .versioned(true);
     (server, client)
 }
 
@@ -57,14 +58,14 @@ fn contact_answers_track_updates_exactly() {
         let spec = QuerySpec::Range {
             window: Rect::centered_square(pos, rng.random_range(0.05..0.2)),
         };
-        let out = client.query(&server, &spec, pos, 0.0);
+        let out = client.run_query(&server, &spec, pos, 0.0);
         client.client().cache().validate().unwrap();
         // Queries that contacted the server must match the *current* truth.
         if out.ledger.contacted_server {
             let QuerySpec::Range { window } = &spec else {
                 unreachable!()
             };
-            let mut got = out.answer.objects.clone();
+            let mut got = out.objects.clone();
             got.sort_unstable();
             got.dedup();
             // Tombstoned objects stay in the store (dense ids) but the
@@ -83,8 +84,8 @@ fn stale_resume_costs_one_extra_round_trip() {
         window: Rect::centered_square(pos, 0.25),
     };
     // Warm up.
-    let first = client.query(&server, &spec, pos, 0.0);
-    assert_eq!(first.round_trips, 1);
+    let first = client.run_query(&server, &spec, pos, 0.0);
+    assert_eq!(first.ledger.contacts, 1);
 
     // Update a node the warm cache definitely holds (delete an object in
     // the warmed window), then query a *wider* window so the client's
@@ -95,14 +96,14 @@ fn stale_resume_costs_one_extra_round_trip() {
     let wider = QuerySpec::Range {
         window: Rect::centered_square(pos, 0.5),
     };
-    let out = client.query(&server, &wider, pos, 0.0);
+    let out = client.run_query(&server, &wider, pos, 0.0);
     assert!(
-        out.round_trips <= 2,
+        out.ledger.contacts <= 2,
         "stale retry must converge immediately"
     );
     assert!(out.invalidated_items > 0, "stale items must be dropped");
     // Final answer is correct w.r.t. current state.
-    let mut got = out.answer.objects.clone();
+    let mut got = out.objects.clone();
     got.sort_unstable();
     let QuerySpec::Range { window } = wider else {
         unreachable!()
@@ -110,10 +111,7 @@ fn stale_resume_costs_one_extra_round_trip() {
     let mut want = naive::range_naive(server.snapshot().store(), &window);
     want.retain(|id| *id != victim);
     assert_eq!(got, want);
-    assert!(
-        !out.answer.objects.contains(&victim),
-        "deleted object served"
-    );
+    assert!(!out.objects.contains(&victim), "deleted object served");
 }
 
 #[test]
@@ -125,9 +123,9 @@ fn up_to_date_client_pays_no_invalidation_overhead() {
             center: Point::new(0.5 + i as f64 * 0.01, 0.5),
             k: 3,
         };
-        let out = client.query(&server, &spec, pos, 0.0);
+        let out = client.run_query(&server, &spec, pos, 0.0);
         assert_eq!(out.invalidated_items, 0);
-        assert!(out.round_trips <= 1);
+        assert!(out.ledger.contacts <= 1);
     }
 }
 
@@ -147,9 +145,9 @@ fn repeated_update_query_cycles_stay_consistent() {
             center: Point::new(x, 0.5),
             k: 1,
         };
-        let out = client.query(&server, &spec, Point::new(x, 0.5), 0.0);
+        let out = client.run_query(&server, &spec, Point::new(x, 0.5), 0.0);
         assert_eq!(
-            out.answer.objects.first(),
+            out.objects.first(),
             Some(&id),
             "step {step}: the moved object must be its own nearest neighbor"
         );
