@@ -18,7 +18,8 @@
 //!
 //! Per row: mean publish wall time, copied node slots / rebuilt BPTs /
 //! copied store segments per publish (diagnosed by `Arc` pointer equality
-//! against the previous pin), an estimate of freshly allocated bytes, and
+//! against the previous pin), an estimate of freshly allocated bytes beside
+//! the resident heap bytes of the whole epoch (`Snapshot::heap_bytes`), and
 //! the update log's retained record count (bounded by pruning).
 //!
 //! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
@@ -49,6 +50,9 @@ struct Row {
     copied_bpt_chunks: f64,
     copied_chunks: f64,
     fresh_bytes: f64,
+    /// `Snapshot::heap_bytes` of the final epoch: what one world keeps
+    /// resident, the figure `fresh_bytes` is small against.
+    heap_bytes: usize,
     log_records: usize,
 }
 
@@ -112,6 +116,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_bpt_chunks: copied_bpt_chunks as f64 / rounds,
         copied_chunks: copied_chunks as f64 / rounds,
         fresh_bytes: fresh_bytes as f64 / rounds,
+        heap_bytes: snap.heap_bytes(),
         log_records: snap.update_log().retained_records(),
     }
 }
@@ -119,7 +124,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
 fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
     let mut t = Table::new(vec![
         "objects", "batch", "nodes", "publish", "copied n", "n-chunk", "bpts", "b-chunk", "chunks",
-        "fresh", "log",
+        "fresh", "heap", "log",
     ]);
     let mut json_rows = Vec::new();
     for r in rows {
@@ -134,6 +139,7 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
             format!("{:.1}", r.copied_bpt_chunks),
             format!("{:.1}", r.copied_chunks),
             fmt_bytes(r.fresh_bytes),
+            fmt_bytes(r.heap_bytes as f64),
             r.log_records.to_string(),
         ]);
         json_rows.push(
@@ -149,6 +155,7 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
                 .num("copied_bpt_chunks", r.copied_bpt_chunks)
                 .num("copied_chunks", r.copied_chunks)
                 .num("fresh_bytes", r.fresh_bytes)
+                .num("heap_bytes", r.heap_bytes)
                 .num("log_records", r.log_records)
                 .render(),
         );

@@ -8,10 +8,12 @@
 //! these cells; the query engine treats a super entry exactly like an
 //! R-tree entry whose MBR is the union of the entries it covers.
 
-use crate::split::rstar_split;
+use crate::par;
+use crate::split::{midpoint_split, rstar_split, SplitScratch};
 use crate::tree::RTree;
-use crate::NodeId;
+use crate::{Node, NodeId};
 use pc_geom::Rect;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A path through a binary partition tree: the paper's `(n, code)` id with
@@ -151,8 +153,24 @@ pub enum SplitPolicy {
     Midpoint,
 }
 
+/// Working memory of one BPT build, reused from node to node: a whole
+/// store build (or one builder thread's share of it) allocates these
+/// buffers once, after which a build allocates only the BPT's own cells.
+#[derive(Default)]
+pub(crate) struct BptScratch {
+    split: SplitScratch,
+    /// Entry indices, permuted in place so every cell covers one
+    /// contiguous range.
+    ids: Vec<u16>,
+    /// MBRs of the range being split, in `ids` order.
+    subset: Vec<Rect>,
+    /// The range's ids regrouped left-then-right, before they are copied
+    /// back over it.
+    regrouped: Vec<u16>,
+}
+
 /// The binary partition tree of one R-tree node.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bpt {
     /// Cell 0 is the root; an empty vector models an empty node.
     cells: Vec<BptCell>,
@@ -168,60 +186,82 @@ impl Bpt {
 
     /// Builds with an explicit split policy (ablation support).
     pub fn build_with(entry_mbrs: &[Rect], policy: SplitPolicy) -> Bpt {
+        Bpt::build_in(entry_mbrs, policy, &mut BptScratch::default())
+    }
+
+    /// [`build_with`](Self::build_with) on caller-owned working memory.
+    /// What `scratch` held before has no effect on the result.
+    pub(crate) fn build_in(
+        entry_mbrs: &[Rect],
+        policy: SplitPolicy,
+        scratch: &mut BptScratch,
+    ) -> Bpt {
+        let n = entry_mbrs.len();
         let mut bpt = Bpt {
-            cells: Vec::with_capacity(entry_mbrs.len().saturating_mul(2)),
+            cells: Vec::with_capacity((2 * n).saturating_sub(1)),
             height: 0,
         };
-        if entry_mbrs.is_empty() {
+        if n == 0 {
             return bpt;
         }
-        let indices: Vec<u16> = (0..entry_mbrs.len() as u16).collect();
+        scratch.ids.clear();
+        scratch.ids.extend(0..n as u16);
         bpt.cells.push(BptCell {
             // Placeholder, fixed by build_rec.
             mbr: entry_mbrs[0],
             kind: BptCellKind::Leaf { entry_idx: 0 },
         });
-        bpt.build_rec(0, &indices, entry_mbrs, 0, policy);
+        bpt.build_rec(0, 0..n, entry_mbrs, 0, policy, scratch);
         bpt
     }
 
+    /// Fills cell `cell_idx` with the subtree over `scratch.ids[range]`.
     fn build_rec(
         &mut self,
         cell_idx: usize,
-        indices: &[u16],
+        range: Range<usize>,
         mbrs: &[Rect],
         depth: u8,
         policy: SplitPolicy,
+        scratch: &mut BptScratch,
     ) {
         self.height = self.height.max(depth);
-        if indices.len() == 1 {
+        if range.len() == 1 {
+            let entry_idx = scratch.ids[range.start];
             self.cells[cell_idx] = BptCell {
-                mbr: mbrs[indices[0] as usize],
-                kind: BptCellKind::Leaf {
-                    entry_idx: indices[0],
-                },
+                mbr: mbrs[entry_idx as usize],
+                kind: BptCellKind::Leaf { entry_idx },
             };
             return;
         }
-        let subset: Vec<Rect> = indices.iter().map(|&i| mbrs[i as usize]).collect();
+        let BptScratch {
+            split,
+            ids,
+            subset,
+            regrouped,
+        } = &mut *scratch;
+        subset.clear();
+        subset.extend(ids[range.clone()].iter().map(|&i| mbrs[i as usize]));
         let (l, r) = match policy {
             SplitPolicy::RStar => {
                 // Keep both sides ≥ 35 % so codes stay shallow (see `Code`).
                 let m = ((subset.len() as f64 * 0.35).floor() as usize).max(1);
-                rstar_split(&subset, m)
+                rstar_split(subset, m, split)
             }
-            SplitPolicy::Midpoint => midpoint_split(&subset),
+            SplitPolicy::Midpoint => midpoint_split(subset, split),
         };
-        let left_ids: Vec<u16> = l.iter().map(|&i| indices[i]).collect();
-        let right_ids: Vec<u16> = r.iter().map(|&i| indices[i]).collect();
+        let mid = range.start + l.len();
+        regrouped.clear();
+        regrouped.extend(l.iter().chain(r).map(|&i| ids[range.start + i]));
+        ids[range.clone()].copy_from_slice(regrouped);
 
         let left_idx = self.cells.len();
         self.cells.push(self.cells[cell_idx]); // placeholder
         let right_idx = self.cells.len();
         self.cells.push(self.cells[cell_idx]); // placeholder
 
-        self.build_rec(left_idx, &left_ids, mbrs, depth + 1, policy);
-        self.build_rec(right_idx, &right_ids, mbrs, depth + 1, policy);
+        self.build_rec(left_idx, range.start..mid, mbrs, depth + 1, policy, scratch);
+        self.build_rec(right_idx, mid..range.end, mbrs, depth + 1, policy, scratch);
 
         let mbr = self.cells[left_idx].mbr.union(&self.cells[right_idx].mbr);
         self.cells[cell_idx] = BptCell {
@@ -330,27 +370,20 @@ impl Bpt {
     }
 }
 
-/// Median cut along the longer axis of the subset's bounding box — the
-/// ablation control for [`SplitPolicy::Midpoint`].
-fn midpoint_split(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
-    let bbox = Rect::union_all(rects.iter().copied()).expect("non-empty subset");
-    let horizontal = bbox.width() >= bbox.height();
-    let mut order: Vec<usize> = (0..rects.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ka = if horizontal {
-            rects[a].center().x
-        } else {
-            rects[a].center().y
-        };
-        let kb = if horizontal {
-            rects[b].center().x
-        } else {
-            rects[b].center().y
-        };
-        ka.partial_cmp(&kb).unwrap()
-    });
-    let cut = rects.len() / 2;
-    (order[..cut].to_vec(), order[cut..].to_vec())
+/// Builds BPTs straight off tree nodes, gathering each node's SoA MBR
+/// columns into one reused buffer.
+#[derive(Default)]
+struct NodeBptBuilder {
+    mbrs: Vec<Rect>,
+    scratch: BptScratch,
+}
+
+impl NodeBptBuilder {
+    fn build(&mut self, node: &Node, policy: SplitPolicy) -> Arc<Bpt> {
+        self.mbrs.clear();
+        self.mbrs.extend((0..node.len()).map(|j| node.mbr_at(j)));
+        Arc::new(Bpt::build_in(&self.mbrs, policy, &mut self.scratch))
+    }
 }
 
 /// BPT slots per store segment (power of two so indexing is a shift+mask).
@@ -380,13 +413,27 @@ impl BptStore {
         BptStore::build_with(tree, SplitPolicy::RStar)
     }
 
-    /// Builds with an explicit split policy (ablation support).
+    /// Builds with an explicit split policy (ablation support), on as many
+    /// threads as the tree's size repays ([`par::worker_count`]).
     pub fn build_with(tree: &RTree, policy: SplitPolicy) -> BptStore {
+        // Every object and every non-root node is one entry of some node.
+        let workers = par::worker_count(tree.object_count() + tree.slab_len());
+        BptStore::build_on(tree, policy, workers)
+    }
+
+    /// Nodes are independent, so the slab is cut into contiguous `NodeId`
+    /// ranges built side by side and pushed back in id order: the store is
+    /// slot for slot the same for every `workers`.
+    pub(crate) fn build_on(tree: &RTree, policy: SplitPolicy, workers: usize) -> BptStore {
+        let built = par::map_ranges(tree.slab_len(), workers, |range| {
+            let mut builder = NodeBptBuilder::default();
+            range
+                .map(|i| builder.build(tree.node(NodeId(i as u32)), policy))
+                .collect()
+        });
         let mut store = BptStore::default();
-        for i in 0..tree.slab_len() {
-            let node = tree.node(NodeId(i as u32));
-            let mbrs: Vec<Rect> = (0..node.len()).map(|j| node.mbr_at(j)).collect();
-            store.push(Arc::new(Bpt::build_with(&mbrs, policy)));
+        for bpt in built {
+            store.push(bpt);
         }
         store
     }
@@ -415,11 +462,10 @@ impl BptStore {
             // the dirty set, so each placeholder is rebuilt in turn.
             self.push(Arc::new(Bpt::default()));
         }
-        let node = tree.node(id);
-        let mbrs: Vec<Rect> = (0..node.len()).map(|j| node.mbr_at(j)).collect();
+        let bpt = NodeBptBuilder::default().build(tree.node(id), SplitPolicy::RStar);
         let i = id.0 as usize;
         let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
-        chunk[i & (BPT_CHUNK_LEN - 1)] = Arc::new(Bpt::build(&mbrs));
+        chunk[i & (BPT_CHUNK_LEN - 1)] = bpt;
     }
 
     /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"
@@ -455,6 +501,25 @@ impl BptStore {
                 }
             })
             .sum()
+    }
+
+    /// Heap bytes this store keeps resident, by capacity: the segment
+    /// table, every segment's slot table and every BPT's cell arena
+    /// (shared ones included — each snapshot holding a BPT counts it).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let segments: usize = self
+            .chunks
+            .iter()
+            .map(|chunk| {
+                chunk.capacity() * size_of::<Arc<Bpt>>()
+                    + chunk
+                        .iter()
+                        .map(|bpt| size_of::<Bpt>() + bpt.cells.capacity() * size_of::<BptCell>())
+                        .sum::<usize>()
+            })
+            .sum();
+        self.chunks.capacity() * size_of::<Arc<Vec<Arc<Bpt>>>>() + segments
     }
 
     /// Number of store segments (denominator for

@@ -14,6 +14,8 @@
 //!   queries over any [`engine::IndexView`], handling *missing entries* and
 //!   producing remainder queries. The server runs the same engine over a
 //!   complete view; the client runs it over its cache.
+//! * [`par`] — the fork-join helper the offline builds (BPT store here,
+//!   cluster shards in `pc_server`) share.
 //! * [`proto`] — query specifications, serialized heap entries, remainder
 //!   queries, server replies, and the byte-accounting rules used by every
 //!   experiment metric.
@@ -21,6 +23,7 @@
 pub mod bpt;
 pub mod engine;
 pub mod naive;
+pub mod par;
 pub mod proto;
 pub mod query;
 mod split;
@@ -123,11 +126,31 @@ impl Node {
         level: u16,
         entries: impl IntoIterator<Item = Entry>,
     ) -> Self {
+        let entries = entries.into_iter();
         let mut node = Node::new(parent, level);
+        // Exact-size sources (bulk-load tiles, split halves) get exact
+        // columns instead of five doubling growths to the next power of two.
+        let expected = entries.size_hint().0;
+        node.min_x.reserve_exact(expected);
+        node.min_y.reserve_exact(expected);
+        node.max_x.reserve_exact(expected);
+        node.max_y.reserve_exact(expected);
+        node.children.reserve_exact(expected);
         for e in entries {
             node.push(e);
         }
         node
+    }
+
+    /// Heap bytes the entry columns hold (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.min_x.capacity()
+            + self.min_y.capacity()
+            + self.max_x.capacity()
+            + self.max_y.capacity())
+            * size_of::<f64>()
+            + self.children.capacity() * size_of::<ChildRef>()
     }
 
     /// Number of entries.
@@ -311,13 +334,10 @@ impl ObjectStore {
             );
         }
         let len = objects.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(STORE_CHUNK_LEN));
-        let mut objects = objects;
-        while !objects.is_empty() {
-            let rest = objects.split_off(objects.len().min(STORE_CHUNK_LEN));
-            chunks.push(std::sync::Arc::new(objects));
-            objects = rest;
-        }
+        // (`split_off` in a loop would leave segment k owning the capacity
+        // of the whole remaining tail — Σ ≈ n²/2048 slots of written,
+        // never-freed pages.)
+        let chunks = objects.chunks(STORE_CHUNK_LEN).map(Self::segment).collect();
         ObjectStore {
             chunks,
             len,
@@ -389,16 +409,13 @@ impl ObjectStore {
     pub fn push(&mut self, mbr: Rect, size_bytes: u32) -> ObjectId {
         let id = ObjectId(self.len as u32);
         if self.len.is_multiple_of(STORE_CHUNK_LEN) {
-            self.chunks
-                .push(std::sync::Arc::new(Vec::with_capacity(STORE_CHUNK_LEN)));
+            self.chunks.push(Self::segment(&[]));
         }
-        std::sync::Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push(
-            SpatialObject {
-                id,
-                mbr,
-                size_bytes,
-            },
-        );
+        Self::chunk_mut(self.chunks.last_mut().expect("chunk just ensured")).push(SpatialObject {
+            id,
+            mbr,
+            size_bytes,
+        });
         self.len += 1;
         if self.len > self.dead.len() * 64 {
             self.dead.push(0);
@@ -410,9 +427,27 @@ impl ObjectStore {
     /// updated separately (delete + insert).
     pub fn set_mbr(&mut self, id: ObjectId, mbr: Rect) {
         let i = id.0 as usize;
-        std::sync::Arc::make_mut(&mut self.chunks[i >> STORE_CHUNK_SHIFT])
-            [i & (STORE_CHUNK_LEN - 1)]
-            .mbr = mbr;
+        Self::chunk_mut(&mut self.chunks[i >> STORE_CHUNK_SHIFT])[i & (STORE_CHUNK_LEN - 1)].mbr =
+            mbr;
+    }
+
+    /// A segment holding `objects`: always one [`STORE_CHUNK_LEN`]
+    /// allocation, so a partial segment never reallocates under `push` and
+    /// Σ capacity stays within one segment of the store's length.
+    fn segment(objects: &[SpatialObject]) -> std::sync::Arc<Vec<SpatialObject>> {
+        let mut segment = Vec::with_capacity(STORE_CHUNK_LEN);
+        segment.extend_from_slice(objects);
+        std::sync::Arc::new(segment)
+    }
+
+    /// The copy-on-write seam: unshares `chunk` if a cloned store still
+    /// holds it. (`Arc::make_mut` would size the copy to its length, and
+    /// the next `push` would then double it past a segment.)
+    fn chunk_mut(chunk: &mut std::sync::Arc<Vec<SpatialObject>>) -> &mut Vec<SpatialObject> {
+        if std::sync::Arc::get_mut(chunk).is_none() {
+            *chunk = Self::segment(chunk);
+        }
+        std::sync::Arc::get_mut(chunk).expect("segment unshared above")
     }
 
     /// How many segments `self` physically shares with `other` (same `Arc`
@@ -430,6 +465,17 @@ impl ObjectStore {
     /// [`shared_chunks`](ObjectStore::shared_chunks)).
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Heap bytes this store keeps resident, by capacity: the segment
+    /// table, every segment (shared ones included — each snapshot holding
+    /// a segment counts it) and the tombstone bitset.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let segments: usize = self.chunks.iter().map(|c| c.capacity()).sum();
+        self.chunks.capacity() * size_of::<std::sync::Arc<Vec<SpatialObject>>>()
+            + segments * size_of::<SpatialObject>()
+            + self.dead.capacity() * size_of::<u64>()
     }
 }
 
@@ -462,6 +508,54 @@ mod lib_tests {
             size_bytes: 1,
         }];
         ObjectStore::new(objs);
+    }
+
+    /// Every segment holds at most one segment's worth of capacity, and
+    /// the store as a whole at most one partial segment of slack.
+    fn assert_linear_capacity(store: &ObjectStore) {
+        let caps: Vec<usize> = store.chunks.iter().map(|c| c.capacity()).collect();
+        assert!(
+            caps.iter().all(|&c| c <= STORE_CHUNK_LEN),
+            "segment over-allocated at len {}: {caps:?}",
+            store.len()
+        );
+        assert!(caps.iter().sum::<usize>() <= store.len() + STORE_CHUNK_LEN);
+        assert!(store.heap_bytes() >= store.len() * std::mem::size_of::<SpatialObject>());
+    }
+
+    #[test]
+    fn object_store_capacity_is_linear_in_its_length() {
+        for n in [0usize, 1, 1023, 1024, 1025, 123_593] {
+            let objs: Vec<SpatialObject> = (0..n)
+                .map(|i| SpatialObject {
+                    id: ObjectId(i as u32),
+                    mbr: Rect::from_point(Point::new(i as f64 / n as f64, 0.5)),
+                    size_bytes: i as u32,
+                })
+                .collect();
+            let mut store = ObjectStore::new(objs);
+            assert_eq!(store.len(), n);
+            assert_eq!(store.chunk_count(), n.div_ceil(STORE_CHUNK_LEN));
+            assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n));
+            assert_linear_capacity(&store);
+
+            // Copy-on-write copies obey the same bound: grow, relocate and
+            // tombstone on a clone while the original pins every segment.
+            let base = store.clone();
+            for _ in 0..3_000 {
+                store.push(Rect::UNIT, 1);
+            }
+            assert_linear_capacity(&store);
+            for id in [0, n + 1_500, n + 2_999].map(|i| ObjectId(i as u32)) {
+                store.set_mbr(id, Rect::UNIT);
+                store.mark_dead(id);
+            }
+            assert_linear_capacity(&store);
+            assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n + 3_000));
+            assert_eq!(store.live_count(), n + 2_997);
+            assert_eq!(base.len(), n);
+            assert_linear_capacity(&base);
+        }
     }
 
     #[test]

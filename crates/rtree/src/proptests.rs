@@ -2,7 +2,7 @@
 //! must satisfy their contracts on *arbitrary* inputs, not just the
 //! hand-picked unit-test data.
 
-use crate::bpt::{BptStore, Code};
+use crate::bpt::{Bpt, BptScratch, BptStore, Code, SplitPolicy};
 use crate::engine::{execute, resume, CellChild, Expansion, IndexView, NoopTracer, Target};
 use crate::proto::{
     CellKind, CellRecord, CellRef, HeapEntry, NodeShipment, QuerySpec, RemainderQuery, Request,
@@ -368,6 +368,66 @@ proptest! {
         }
         want_pairs.sort_unstable();
         prop_assert_eq!(pairs, want_pairs);
+    }
+
+    #[test]
+    fn parallel_bpt_store_build_equals_the_per_node_loop(
+        objects in arb_objects(160),
+        shape in 0usize..3,
+    ) {
+        // `objects` tiled side by side 0 times, once, or up to 9 000 of
+        // them: a tree of one empty node, of a handful (down to fewer than
+        // the 7 workers below), or of more than one 1024-slot chunk.
+        let tiles = [0, 1, 9_000 / objects.len() + 1][shape];
+        let tiled: Vec<SpatialObject> = (0..tiles)
+            .flat_map(|t| objects.iter().map(move |o| (t, o)))
+            .enumerate()
+            .map(|(i, (t, o))| SpatialObject {
+                id: ObjectId(i as u32),
+                mbr: Rect::from_coords(
+                    o.mbr.min.x + t as f64,
+                    o.mbr.min.y,
+                    o.mbr.max.x + t as f64,
+                    o.mbr.max.y,
+                ),
+                size_bytes: o.size_bytes,
+            })
+            .collect();
+        let tree = RTree::bulk_load(RTreeConfig::small(), &tiled);
+        prop_assert!(shape < 2 || tree.slab_len() > crate::bpt::BPT_CHUNK_LEN);
+        for policy in [SplitPolicy::RStar, SplitPolicy::Midpoint] {
+            let looped: Vec<Bpt> = (0..tree.slab_len())
+                .map(|i| {
+                    let node = tree.node(NodeId(i as u32));
+                    let mbrs: Vec<Rect> = node.entries().map(|e| e.mbr).collect();
+                    Bpt::build_with(&mbrs, policy)
+                })
+                .collect();
+            let stores = [1usize, 2, 3, 7]
+                .map(|workers| BptStore::build_on(&tree, policy, workers));
+            for store in stores.iter().chain([&BptStore::build_with(&tree, policy)]) {
+                prop_assert_eq!(store.node_count(), looped.len());
+                for (i, want) in looped.iter().enumerate() {
+                    prop_assert_eq!(store.get(NodeId(i as u32)), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bpt_build_ignores_what_its_scratch_held(
+        small in arb_objects(12),
+        large in arb_objects(110),
+        midpoint in any::<bool>(),
+    ) {
+        let policy = if midpoint { SplitPolicy::Midpoint } else { SplitPolicy::RStar };
+        let mbrs = |objs: &[SpatialObject]| objs.iter().map(|o| o.mbr).collect::<Vec<Rect>>();
+        let mut scratch = BptScratch::default();
+        let large_first = Bpt::build_in(&mbrs(&large), policy, &mut scratch);
+        // The scratch now holds a larger node's orderings and ids.
+        let reused = Bpt::build_in(&mbrs(&small), policy, &mut scratch);
+        prop_assert_eq!(&reused, &Bpt::build_with(&mbrs(&small), policy));
+        prop_assert_eq!(large_first, Bpt::build_with(&mbrs(&large), policy));
     }
 
     #[test]

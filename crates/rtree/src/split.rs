@@ -5,25 +5,50 @@
 
 use pc_geom::Rect;
 
+/// Working memory of [`rstar_split`]: the candidate ordering, the best
+/// ordering so far and the prefix/suffix MBR tables. A BPT build runs one
+/// split per super entry (~100 per 4 KB node), so the caller keeps one of
+/// these per thread and every split after the first allocates nothing
+/// here.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    order: Vec<usize>,
+    best: Vec<usize>,
+    prefix: Vec<Rect>,
+    suffix: Vec<Rect>,
+}
+
 /// Splits `rects` into two index groups, each of size at least `m`, using
 /// the R* heuristic: pick the axis (and sort direction) with minimum total
 /// margin over all candidate distributions, then within it the distribution
-/// with minimum overlap, ties broken by minimum combined area.
+/// with minimum overlap, ties broken by minimum combined area. The groups
+/// borrow `scratch` and are valid until its next use.
 ///
 /// # Panics
 /// Panics unless `1 <= m` and `2 * m <= rects.len()`.
-pub(crate) fn rstar_split(rects: &[Rect], m: usize) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn rstar_split<'s>(
+    rects: &[Rect],
+    m: usize,
+    scratch: &'s mut SplitScratch,
+) -> (&'s [usize], &'s [usize]) {
     let n = rects.len();
     assert!(m >= 1 && 2 * m <= n, "invalid split bounds: n={n}, m={m}");
+    let SplitScratch {
+        order,
+        best,
+        prefix,
+        suffix,
+    } = scratch;
 
     // Best candidate over all (axis, sort-direction) orderings, compared by
     // (total margin, overlap, area) lexicographically.
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut best_split: Option<(Vec<usize>, usize)> = None;
+    let mut best_k = None;
 
     for axis in 0..2usize {
         for by_upper in [false, true] {
-            let mut order: Vec<usize> = (0..n).collect();
+            order.clear();
+            order.extend(0..n);
             order.sort_by(|&a, &b| {
                 sort_key(&rects[a], axis, by_upper)
                     .partial_cmp(&sort_key(&rects[b], axis, by_upper))
@@ -31,14 +56,15 @@ pub(crate) fn rstar_split(rects: &[Rect], m: usize) -> (Vec<usize>, Vec<usize>) 
             });
 
             // Prefix/suffix MBRs make every distribution O(1).
-            let mut prefix = Vec::with_capacity(n);
+            prefix.clear();
             let mut acc = rects[order[0]];
             prefix.push(acc);
             for &i in &order[1..] {
                 acc = acc.union(&rects[i]);
                 prefix.push(acc);
             }
-            let mut suffix = vec![rects[order[n - 1]]; n];
+            suffix.clear();
+            suffix.resize(n, rects[order[n - 1]]);
             for i in (0..n - 1).rev() {
                 suffix[i] = rects[order[i]].union(&suffix[i + 1]);
             }
@@ -58,13 +84,38 @@ pub(crate) fn rstar_split(rects: &[Rect], m: usize) -> (Vec<usize>, Vec<usize>) 
             let key = (margin_sum, local_best.0, local_best.1);
             if key < best_key {
                 best_key = key;
-                best_split = Some((order, local_best.2));
+                best_k = Some(local_best.2);
+                std::mem::swap(order, best);
             }
         }
     }
 
-    let (order, k) = best_split.expect("split must find a distribution");
-    (order[..k].to_vec(), order[k..].to_vec())
+    let k = best_k.expect("split must find a distribution");
+    best.split_at(k)
+}
+
+/// Median cut along the longer axis of the set's bounding box — the naïve
+/// control the BPT split ablation compares [`rstar_split`] against. Same
+/// borrowing contract.
+pub(crate) fn midpoint_split<'s>(
+    rects: &[Rect],
+    scratch: &'s mut SplitScratch,
+) -> (&'s [usize], &'s [usize]) {
+    let bbox = Rect::union_all(rects.iter().copied()).expect("non-empty subset");
+    let horizontal = bbox.width() >= bbox.height();
+    let key = |i: usize| {
+        let c = rects[i].center();
+        if horizontal {
+            c.x
+        } else {
+            c.y
+        }
+    };
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(0..rects.len());
+    order.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap());
+    order.split_at(rects.len() / 2)
 }
 
 fn sort_key(r: &Rect, axis: usize, by_upper: bool) -> f64 {
@@ -94,7 +145,8 @@ mod tests {
     #[test]
     fn split_is_a_partition() {
         let rects = rects_grid(20);
-        let (l, r) = rstar_split(&rects, 5);
+        let mut scratch = SplitScratch::default();
+        let (l, r) = rstar_split(&rects, 5, &mut scratch);
         assert_eq!(l.len() + r.len(), 20);
         let mut all: Vec<usize> = l.iter().chain(r.iter()).copied().collect();
         all.sort_unstable();
@@ -114,7 +166,8 @@ mod tests {
             let d = 0.9 + i as f64 * 0.01;
             rects.push(Rect::from_coords(d, d, d + 0.01, d + 0.01));
         }
-        let (l, r) = rstar_split(&rects, 2);
+        let mut scratch = SplitScratch::default();
+        let (l, r) = rstar_split(&rects, 2, &mut scratch);
         let lset: std::collections::HashSet<_> = l.iter().copied().collect();
         let l_is_low = (0..5).all(|i| lset.contains(&i)) && l.len() == 5;
         let r_is_low = (0..5).all(|i| !lset.contains(&i)) && r.len() == 5;
@@ -124,7 +177,8 @@ mod tests {
     #[test]
     fn split_minimum_group_size_respected() {
         let rects = rects_grid(7);
-        let (l, r) = rstar_split(&rects, 3);
+        let mut scratch = SplitScratch::default();
+        let (l, r) = rstar_split(&rects, 3, &mut scratch);
         assert!(l.len() >= 3 && r.len() >= 3);
         assert_eq!(l.len() + r.len(), 7);
     }
@@ -135,7 +189,8 @@ mod tests {
             Rect::from_coords(0.0, 0.0, 0.1, 0.1),
             Rect::from_coords(0.8, 0.8, 0.9, 0.9),
         ];
-        let (l, r) = rstar_split(&rects, 1);
+        let mut scratch = SplitScratch::default();
+        let (l, r) = rstar_split(&rects, 1, &mut scratch);
         assert_eq!(l.len(), 1);
         assert_eq!(r.len(), 1);
     }
@@ -146,7 +201,8 @@ mod tests {
         let rects: Vec<Rect> = (0..6)
             .map(|i| Rect::from_point(pc_geom::Point::new(i as f64 * 0.1, 0.5)))
             .collect();
-        let (l, r) = rstar_split(&rects, 2);
+        let mut scratch = SplitScratch::default();
+        let (l, r) = rstar_split(&rects, 2, &mut scratch);
         assert_eq!(l.len() + r.len(), 6);
         assert!(l.len() >= 2 && r.len() >= 2);
     }
@@ -155,6 +211,6 @@ mod tests {
     #[should_panic(expected = "invalid split bounds")]
     fn split_rejects_undersized_input() {
         let rects = vec![Rect::from_coords(0.0, 0.0, 0.1, 0.1)];
-        rstar_split(&rects, 1);
+        rstar_split(&rects, 1, &mut SplitScratch::default());
     }
 }

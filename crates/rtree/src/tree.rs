@@ -2,7 +2,7 @@
 //! construction and full R* dynamic insertion (ChooseSubtree with the
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
-use crate::split::rstar_split;
+use crate::split::{rstar_split, SplitScratch};
 use crate::{ChildRef, Entry, Node, NodeId, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
@@ -130,18 +130,24 @@ impl RTree {
 
     /// Bulk loads with Sort-Tile-Recursive packing — the standard way to
     /// build a static R-tree over a full dataset.
-    pub fn bulk_load(cfg: RTreeConfig, objects: &[SpatialObject]) -> Self {
-        if objects.is_empty() {
+    ///
+    /// Takes any pass over the objects — a slice, or
+    /// [`ObjectStore::iter`](crate::ObjectStore::iter) directly — since all
+    /// it keeps of them is the `(MBR, id)` pairs it packs.
+    pub fn bulk_load<'a>(
+        cfg: RTreeConfig,
+        objects: impl IntoIterator<Item = &'a SpatialObject>,
+    ) -> Self {
+        // Level 0.
+        let leaf_items: Vec<(Rect, ChildRef)> = objects
+            .into_iter()
+            .map(|o| (o.mbr, ChildRef::Object(o.id)))
+            .collect();
+        if leaf_items.is_empty() {
             return RTree::new(cfg);
         }
         let mut tree = RTree::hollow(cfg);
-        tree.object_count = objects.len();
-
-        // Level 0.
-        let leaf_items: Vec<(Rect, ChildRef)> = objects
-            .iter()
-            .map(|o| (o.mbr, ChildRef::Object(o.id)))
-            .collect();
+        tree.object_count = leaf_items.len();
         let mut level_nodes = tree.str_pack(leaf_items, 0);
         let mut level = 0u16;
 
@@ -258,6 +264,28 @@ impl RTree {
                 }
             })
             .sum()
+    }
+
+    /// Heap bytes this tree keeps resident, by capacity: the segment
+    /// table, every segment's slot table and every node with its entry
+    /// columns (shared ones included — each snapshot holding a node counts
+    /// it).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let segments: usize = self
+            .nodes
+            .iter()
+            .map(|chunk| {
+                chunk.capacity() * size_of::<Arc<Node>>()
+                    + chunk
+                        .iter()
+                        .map(|node| size_of::<Node>() + node.heap_bytes())
+                        .sum::<usize>()
+            })
+            .sum();
+        self.nodes.capacity() * size_of::<Arc<Vec<Arc<Node>>>>()
+            + segments
+            + self.dirty.capacity() * size_of::<NodeId>()
     }
 
     /// Number of slab segments (denominator for
@@ -513,7 +541,8 @@ impl RTree {
         let level = self.node(id).level;
         let entries = self.node_mut(id).take_entries();
         let rects: Vec<Rect> = entries.iter().map(|e| e.mbr).collect();
-        let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries);
+        let mut scratch = SplitScratch::default();
+        let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries, &mut scratch);
 
         let left_entries: Vec<Entry> = left_idx.iter().map(|&i| entries[i]).collect();
         let right_entries: Vec<Entry> = right_idx.iter().map(|&i| entries[i]).collect();

@@ -44,7 +44,7 @@ use pc_rtree::proto::{
     VersionedReply,
 };
 use pc_rtree::view::FullView;
-use pc_rtree::{NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,6 +159,21 @@ impl ShardMap {
         mask
     }
 
+    /// The live objects each shard indexes, in id order, from one pass
+    /// over `store`: an object goes to every shard owning a tile its MBR
+    /// covers (straddlers are replicated).
+    pub fn partition(&self, store: &ObjectStore) -> Vec<Vec<SpatialObject>> {
+        let mut owned = vec![Vec::new(); self.shards as usize];
+        for o in store.iter_live() {
+            let mut mask = self.owners(&o.mbr);
+            while mask != 0 {
+                owned[mask.trailing_zeros() as usize].push(*o);
+                mask &= mask - 1;
+            }
+        }
+        owned
+    }
+
     /// Whether shard `s` owns any tile `r` covers.
     pub fn owns(&self, s: u32, r: &Rect) -> bool {
         self.owners(r) & (1 << s) != 0
@@ -266,19 +281,20 @@ impl Cluster {
         // pc-check: allow(no-unwrap, "constructor precondition, documented 'Panics on an invalid configuration' above — a misconfigured cluster must never start serving")
         cfg.validate().expect("invalid ClusterConfig");
         let map = ShardMap::new(TileGrid::new(cfg.grid_per_axis()), cfg.shards);
-        let shards: Vec<Server> = (0..cfg.shards)
-            .map(|s| {
-                let owned: Vec<SpatialObject> = store
-                    .iter_live()
-                    .filter(|o| map.owns(s, &o.mbr))
-                    .copied()
-                    .collect();
-                Server::from_core(
-                    ServerCore::build_with_objects(store.clone(), tree_cfg, &owned),
-                    cfg.server,
-                )
-            })
-            .collect();
+        let owned = map.partition(&store);
+        // Shards are independent worlds over one shared store: build them
+        // side by side, as `apply_updates` publishes them.
+        let workers = par::worker_count(owned.iter().map(Vec::len).sum());
+        let shards: Vec<Server> = par::map_ranges(owned.len(), workers, |range| {
+            range
+                .map(|s| {
+                    Server::from_core(
+                        ServerCore::build_with_objects(store.clone(), tree_cfg, &owned[s]),
+                        cfg.server,
+                    )
+                })
+                .collect()
+        });
         let pins: Vec<Arc<Snapshot>> = shards.iter().map(|sv| sv.core().pin()).collect();
         let roots = Self::current_roots(&pins);
         let mut history = VecDeque::new();

@@ -160,6 +160,13 @@ impl Snapshot {
     pub fn bpt_bytes(&self) -> u64 {
         self.bpts.total_aux_bytes()
     }
+
+    /// Heap bytes this epoch keeps resident, by capacity: store + tree +
+    /// BPTs (the update log is bounded by pruning and not counted).
+    /// Segments shared with other live epochs are counted in each.
+    pub fn heap_bytes(&self) -> usize {
+        self.store.heap_bytes() + self.tree.heap_bytes() + self.bpts.heap_bytes()
+    }
 }
 
 /// The shared-state heart of the server: the current [`Snapshot`] plus the
@@ -185,8 +192,8 @@ impl Clone for ServerCore {
 impl ServerCore {
     /// Bulk loads the index over `store` and prepares the BPTs offline.
     pub fn build(store: ObjectStore, tree_cfg: RTreeConfig) -> Self {
-        let objects: Vec<_> = store.iter().copied().collect();
-        ServerCore::build_with_objects(store, tree_cfg, &objects)
+        let tree = RTree::bulk_load(tree_cfg, store.iter());
+        ServerCore::with_tree(store, tree)
     }
 
     /// [`build`](Self::build) indexing only `objects` — a subset of
@@ -199,7 +206,10 @@ impl ServerCore {
         tree_cfg: RTreeConfig,
         objects: &[pc_rtree::SpatialObject],
     ) -> Self {
-        let tree = RTree::bulk_load(tree_cfg, objects);
+        ServerCore::with_tree(store, RTree::bulk_load(tree_cfg, objects))
+    }
+
+    fn with_tree(store: ObjectStore, tree: RTree) -> Self {
         let bpts = BptStore::build(&tree);
         ServerCore {
             snap: SnapshotCell::new(Snapshot {

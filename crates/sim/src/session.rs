@@ -49,6 +49,9 @@ impl ClientSession {
     pub fn new(cfg: &SimConfig, server: &dyn ServerHandle, id: ClientId) -> Self {
         let capacity = cfg.cache_bytes(server.core().pin().store().total_bytes());
         let seed = client_seed(cfg.seed, id);
+        let mut result = SimResult::new(cfg.window);
+        // One record per query: sized once, not doubled up to it.
+        result.records.reserve_exact(cfg.n_queries);
         ClientSession {
             id,
             cfg: *cfg,
@@ -59,7 +62,7 @@ impl ClientSession {
             drifting: cfg
                 .drifting_k
                 .map(|(hi, lo)| DriftingK::new(cfg.n_queries, hi, lo, seed ^ 0x4446)),
-            result: SimResult::new(cfg.window),
+            result,
             fm_win: 0,
             cached_win: 0,
             issued: 0,

@@ -230,6 +230,40 @@ fn compare_replies(
     }
 }
 
+/// Each shard's tree holds exactly the objects the router's one-pass
+/// partition of the (not yet updated) store assigns it.
+fn assert_shards_index_their_partition(single: &Server, cluster: &Cluster) {
+    let pin = single.core().pin();
+    let owned = cluster.shard_map().partition(pin.store());
+    assert_eq!(owned.len(), cluster.shard_count() as usize);
+    for (s, owned) in owned.iter().enumerate() {
+        let shard = cluster.shard(s as u32).core().pin();
+        assert_eq!(shard.tree().object_count(), owned.len(), "shard {s}");
+    }
+}
+
+/// A world large enough that `Cluster::new` builds its shards (and each
+/// shard its BPTs) on worker threads wherever the host has more than one
+/// core: same partition, same answers as the single server.
+#[test]
+fn cluster_built_on_worker_threads_matches_single_server() {
+    let store = sample_store(40_000, 77);
+    let single = Server::new(store.clone(), RTreeConfig::paper(), ServerConfig::default());
+    let cluster = Cluster::new(store, RTreeConfig::paper(), ClusterConfig::new(4));
+    assert_shards_index_their_partition(&single, &cluster);
+    for spec in [
+        QuerySpec::Range {
+            window: Rect::from_coords(0.2, 0.3, 0.6, 0.55),
+        },
+        QuerySpec::Knn {
+            center: Point::new(0.5, 0.5),
+            k: 40,
+        },
+    ] {
+        assert_equivalent(&single, &cluster, spec);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -244,6 +278,7 @@ proptest! {
         let store = sample_store(n, seed);
         let single = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
         let cluster = Cluster::new(store, RTreeConfig::small(), ClusterConfig::new(shards));
+        assert_shards_index_their_partition(&single, &cluster);
 
         // Identical update batches on both sides: same stream, same order,
         // so inserts get the same ids and liveness gating agrees.

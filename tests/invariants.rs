@@ -1,9 +1,13 @@
 //! Cross-crate invariant tests: Theorem 5.5 holds through the *real*
-//! pipeline (not just synthetic item trees), and byte metrics are exactly
-//! reproducible run-to-run.
+//! pipeline (not just synthetic item trees), byte metrics are exactly
+//! reproducible run-to-run, and the served world's footprint is linear in
+//! the dataset.
 
 use procache::cache::ReplacementPolicy;
+use procache::rtree::RTreeConfig;
+use procache::server::ServerCore;
 use procache::sim::{self, CacheModel, SimConfig};
+use procache::workload::datasets::ne_like;
 
 fn base() -> SimConfig {
     let mut cfg = SimConfig::small();
@@ -115,4 +119,25 @@ fn hit_c_never_exceeds_hit_b() {
             r.summary.hit_b
         );
     }
+}
+
+#[test]
+fn served_world_footprint_is_linear_in_the_dataset() {
+    // Store + tree + BPTs by capacity: 4× the objects may cost 4× the
+    // bytes plus rounding (partial segments, the last leaf), never a
+    // superlinear term — the `split_off` chunking this pins against held
+    // n²/2048 object slots — and stays under 400 B per object (40 B
+    // object, ~40 B leaf entry, ~96 B of BPT cells, plus interior nodes).
+    let heap = |n: usize| {
+        ServerCore::build(ne_like(n, 2005), RTreeConfig::paper())
+            .pin()
+            .heap_bytes()
+    };
+    let (small, large) = (heap(10_000), heap(40_000));
+    assert!(
+        large as f64 <= 4.3 * small as f64,
+        "footprint grew superlinearly: {small} B at 10k, {large} B at 40k"
+    );
+    assert!(small <= 400 * 10_000, "{small} B at 10k objects");
+    assert!(large <= 400 * 40_000, "{large} B at 40k objects");
 }
