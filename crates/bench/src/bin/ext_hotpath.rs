@@ -1,30 +1,38 @@
-//! Query hot-path extension experiment: what did flattening the node layout
-//! buy on the read side?
+//! Query hot-path extension experiment: what does a served query cost, next
+//! to the plain-tree reference?
 //!
-//! The server answers every remainder query (and the epoch snapshots answer
-//! every direct query) through the `pc_rtree` kernels, so their cost is the
-//! floor under all Fig. 6–9 response times. This binary sweeps dataset sizes
-//! up to `--objects` (use `--objects 1000000` for the million-object run)
-//! and, at each size, times the three §3.1 algorithms twice:
+//! Every query a server, cluster or client answers runs the §3.3 engine
+//! (`pc_rtree::engine`) over an `IndexView`; `pc_rtree::query` is the
+//! reference the tests compare it against and serves nothing. This binary
+//! sweeps dataset sizes up to `--objects` (use `--objects 1000000` for the
+//! million-object run) and, at each size, answers the same range, kNN and
+//! self-join queries four ways:
 //!
-//! * **base** — the recursive per-entry baseline (`query::baseline`), the
-//!   pre-SoA code shape: one `Vec`/`BinaryHeap` allocation per call and an
-//!   `Entry` materialised per comparison;
-//! * **soa** — the iterative struct-of-arrays kernels driven by one reused
-//!   [`QueryScratch`] and caller-owned result buffers (zero steady-state
-//!   allocations).
+//! * **direct** — `Snapshot::direct`: the engine over the server's
+//!   `FullView`, untraced (what `Request::Direct` runs);
+//! * **resume** — `Snapshot::resume_remainder` of the cold remainder
+//!   `{Q, [root]}` in compact form: the same traversal traced, plus
+//!   building the supporting index and splitting the result set (what a
+//!   cold client's contact costs the server);
+//! * **run_local** — `Client::run_local` over a `CacheView` warmed by
+//!   these very queries (cache large enough that nothing is evicted), so
+//!   every query completes locally: stage ① at its best;
+//! * **reference** — `pc_rtree::query`, the iterative SoA loops over the
+//!   plain tree.
 //!
-//! Both variants answer the *same* queries and the results are
-//! cross-checked before timing, so the speedup column never compares
-//! different work. `--json OUT` writes the rows as `BENCH_hotpath.json`
-//! for the CI artifact trail.
-//!
-//! [`QueryScratch`]: pc_rtree::query::QueryScratch
+//! Each arm's time includes producing its id / pair list. Before timing,
+//! **every** query is answered by all four arms and the answers compared
+//! (ids for range, distances for kNN — ties may pick different ids — and
+//! canonical pairs for the join); any disagreement aborts the run with a
+//! non-zero exit. `--json OUT` writes the rows as `BENCH_hotpath.json`.
 
 use pc_bench::{json, HarnessOpts, Table};
+use pc_cache::{Catalog, ReplacementPolicy};
+use pc_client::Client;
 use pc_geom::{Point, Rect};
-use pc_rtree::query::{self, QueryScratch};
-use pc_rtree::{ObjectId, RTree, RTreeConfig};
+use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
+use pc_rtree::{query, ObjectId, RTreeConfig};
+use pc_server::{FormMode, Server, ServerConfig, Snapshot};
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,168 +41,210 @@ use std::time::Instant;
 
 /// Neighbours requested per kNN query (the paper's NN experiments use
 /// small k; 10 keeps the heap non-trivial).
-const K: usize = 10;
+const K: u32 = 10;
 
 /// Self-join distance — the paper's 5e-5 scale; the NE-like hard-core
 /// spacing makes this a pure index/CPU stressor at every cardinality.
 const JOIN_DIST: f64 = 6e-5;
 
+/// The self-join walks the whole tree; a handful of repetitions is plenty
+/// of work at every size in the sweep.
+const JOIN_REPS: usize = 3;
+
+const ARMS: [&str; 4] = ["direct", "resume", "run_local", "reference"];
+
+/// What one arm answered: result ids in the arm's own order, join pairs.
+type Answer = (Vec<ObjectId>, Vec<(ObjectId, ObjectId)>);
+
+/// A query and the remainder `{Q, [root]}` a cold client submits for it.
+struct Case {
+    spec: QuerySpec,
+    cold: RemainderQuery,
+}
+
+/// The part of an answer every arm must agree on, bit for bit.
+fn canonical(spec: &QuerySpec, (mut ids, mut pairs): Answer, snap: &Snapshot) -> Vec<u64> {
+    match spec {
+        QuerySpec::Range { .. } => {
+            ids.sort_unstable();
+            ids.iter().map(|id| id.0 as u64).collect()
+        }
+        // Nearest first in every arm; equal distances may name different
+        // objects.
+        QuerySpec::Knn { center, .. } => ids
+            .iter()
+            .map(|&id| snap.store().get(id).mbr.min_dist(center).to_bits())
+            .collect(),
+        QuerySpec::Join { .. } => {
+            pairs.sort_unstable();
+            pairs
+                .iter()
+                .map(|(a, b)| (a.0 as u64) << 32 | b.0 as u64)
+                .collect()
+        }
+    }
+}
+
+fn direct(snap: &Snapshot, case: &Case) -> Answer {
+    let out = snap.direct(&case.spec);
+    let ids = out.results.iter().map(|&(id, _)| id).collect();
+    (ids, out.result_pairs)
+}
+
+fn resume(snap: &Snapshot, case: &Case) -> Answer {
+    let reply = snap.resume_remainder(&case.cold, FormMode::COMPACT);
+    black_box(&reply.index);
+    (reply.objects.iter().map(|o| o.id).collect(), reply.pairs)
+}
+
+fn run_local(client: &mut Client, case: &Case) -> Answer {
+    let local = client.run_local(&case.spec);
+    assert!(
+        local.complete(),
+        "warm cache left a remainder for {:?}",
+        case.spec
+    );
+    (local.saved, local.saved_pairs)
+}
+
+fn reference(snap: &Snapshot, case: &Case) -> Answer {
+    let tree = snap.tree();
+    match case.spec {
+        QuerySpec::Range { window } => (query::range_query(tree, &window), Vec::new()),
+        QuerySpec::Knn { center, k } => {
+            let nearest = query::knn_query(tree, &center, k as usize);
+            (nearest.into_iter().map(|(id, _)| id).collect(), Vec::new())
+        }
+        QuerySpec::Join { dist } => (Vec::new(), query::distance_self_join(tree, dist)),
+    }
+}
+
+/// Runs `spec` through the client until its cache answers it alone.
+fn warm(client: &mut Client, server: &Server, spec: &QuerySpec) {
+    for _ in 0..8 {
+        client.begin_query();
+        let Some(rq) = client.run_local(spec).remainder else {
+            return;
+        };
+        let reply = server.process_remainder(0, &rq);
+        client.absorb(&reply, Point::ORIGIN);
+    }
+    panic!("cache still incomplete for {spec:?} after 8 contacts");
+}
+
 struct Row {
     objects: usize,
     kind: &'static str,
     queries: usize,
-    base_us: f64,
-    soa_us: f64,
+    /// µs per query, in [`ARMS`] order.
+    us: [f64; 4],
     results: u64,
 }
 
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.base_us / self.soa_us.max(1e-9)
-    }
-}
-
-/// Times `queries` runs of `f` and returns (µs per query, checksum).
-fn time_each<F: FnMut() -> u64>(queries: usize, mut f: F) -> (f64, u64) {
-    let mut checksum = 0u64;
+/// Times one pass of `arm` over `cases`: (µs per query, results returned).
+fn time_pass(cases: &[Case], mut arm: impl FnMut(&Case) -> Answer) -> (f64, u64) {
+    let mut results = 0;
     let t = Instant::now();
-    for _ in 0..queries {
-        checksum = checksum.wrapping_add(f());
+    for case in cases {
+        let (ids, pairs) = black_box(arm(black_box(case)));
+        results += (ids.len() + pairs.len()) as u64;
     }
-    (t.elapsed().as_secs_f64() * 1e6 / queries as f64, checksum)
+    let us = t.elapsed().as_secs_f64() * 1e6 / cases.len() as f64;
+    (us, results)
 }
 
 fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
-    let store = datasets::ne_like(n, seed);
-    let objects: Vec<_> = store.iter().copied().collect();
-    let tree = RTree::bulk_load(RTreeConfig::paper(), &objects);
+    let server = Server::new(
+        datasets::ne_like(n, seed),
+        RTreeConfig::paper(),
+        ServerConfig::default(),
+    );
+    let snap = server.snapshot();
+    let snap = &*snap;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x407);
+    let mut point = || Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
 
+    let tree = snap.tree();
+    let root = Side::Cell {
+        cell: CellRef::node_root(tree.root()),
+        mbr: tree.root_mbr().expect("non-empty dataset"),
+    };
+    let case = |spec: QuerySpec| {
+        let entry = if spec.is_join() {
+            HeapEntry::Pair(root, root)
+        } else {
+            HeapEntry::Single(root)
+        };
+        let cold = RemainderQuery {
+            spec,
+            already_found: 0,
+            heap: vec![(0.0, entry)],
+        };
+        Case { spec, cold }
+    };
     // Fixed window area (1e-4 of the unit square): result counts grow with
     // n, which is exactly what stresses the qualification loop.
-    let side = 0.01;
-    let windows: Vec<Rect> = (0..queries)
+    let windows: Vec<Case> = (0..queries)
+        .map(|_| Rect::centered_square(point(), 0.01))
+        .map(|window| case(QuerySpec::Range { window }))
+        .collect();
+    let knns: Vec<Case> = (0..queries)
         .map(|_| {
-            let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
-            Rect::centered_square(p, side)
+            case(QuerySpec::Knn {
+                center: point(),
+                k: K,
+            })
         })
         .collect();
-    let centers: Vec<Point> = (0..queries)
-        .map(|_| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
+    let joins: Vec<Case> = (0..JOIN_REPS)
+        .map(|_| case(QuerySpec::Join { dist: JOIN_DIST }))
         .collect();
 
-    // Cross-check before timing: both variants must answer identically.
-    let mut scratch = QueryScratch::default();
-    let mut ids: Vec<ObjectId> = Vec::new();
-    query::range_query_with(&tree, &windows[0], &mut scratch, &mut ids);
-    ids.sort_unstable();
-    let mut rec = query::baseline::range_query(&tree, &windows[0]);
-    rec.sort_unstable();
-    assert_eq!(ids, rec, "range kernels disagree");
-    let mut knn = Vec::new();
-    query::knn_query_with(&tree, &centers[0], K, &mut scratch, &mut knn);
-    assert_eq!(
-        knn,
-        query::baseline::knn_query(&tree, &centers[0], K),
-        "kNN kernels disagree"
-    );
-    let mut pairs = Vec::new();
-    query::distance_self_join_with(&tree, JOIN_DIST, &mut scratch, &mut pairs);
-    assert_eq!(
-        pairs,
-        query::baseline::distance_self_join(&tree, JOIN_DIST),
-        "join kernels disagree"
-    );
+    // A cache nothing is ever evicted from, warmed by the queries it will
+    // be timed on.
+    let catalog = Catalog::from_tree(tree);
+    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+    for case in windows.iter().chain(&knns).chain(&joins[..1]) {
+        warm(&mut client, &server, &case.spec);
+    }
 
     let mut rows = Vec::new();
-    // `move` closures below capture these shared borrows (Copy), not the
-    // owned values.
-    let tree = &tree;
-    let windows = &windows[..];
-    let centers = &centers[..];
-
-    let (base_us, base_sum) = time_each(queries, {
-        let mut i = 0;
-        move || {
-            let w = &windows[i % windows.len()];
-            i += 1;
-            query::baseline::range_query(tree, black_box(w)).len() as u64
+    for (kind, cases) in [("range", &windows), ("knn", &knns), ("join", &joins)] {
+        // Cross-check every query before timing any: the table never
+        // compares different work.
+        for case in cases {
+            let want = canonical(&case.spec, reference(snap, case), snap);
+            let served = [
+                direct(snap, case),
+                resume(snap, case),
+                run_local(&mut client, case),
+            ];
+            for (arm, got) in ARMS.iter().zip(served) {
+                assert!(
+                    canonical(&case.spec, got, snap) == want,
+                    "{arm} disagrees with the reference on {:?} at {n} objects",
+                    case.spec
+                );
+            }
         }
-    });
-    let (soa_us, soa_sum) = time_each(queries, {
-        let mut i = 0;
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        move || {
-            let w = &windows[i % windows.len()];
-            i += 1;
-            query::range_query_with(tree, black_box(w), &mut scratch, &mut out);
-            out.len() as u64
-        }
-    });
-    assert_eq!(base_sum, soa_sum, "range checksums diverged");
-    rows.push(Row {
-        objects: n,
-        kind: "range",
-        queries,
-        base_us,
-        soa_us,
-        results: soa_sum,
-    });
-
-    let (base_us, base_sum) = time_each(queries, {
-        let mut i = 0;
-        move || {
-            let p = &centers[i % centers.len()];
-            i += 1;
-            query::baseline::knn_query(tree, black_box(p), K).len() as u64
-        }
-    });
-    let (soa_us, soa_sum) = time_each(queries, {
-        let mut i = 0;
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        move || {
-            let p = &centers[i % centers.len()];
-            i += 1;
-            query::knn_query_with(tree, black_box(p), K, &mut scratch, &mut out);
-            out.len() as u64
-        }
-    });
-    assert_eq!(base_sum, soa_sum, "kNN checksums diverged");
-    rows.push(Row {
-        objects: n,
-        kind: "knn",
-        queries,
-        base_us,
-        soa_us,
-        results: soa_sum,
-    });
-
-    // The self-join walks the whole tree; a handful of repetitions is
-    // plenty of work at every size in the sweep.
-    let join_reps = 3;
-    let (base_us, base_sum) = time_each(join_reps, || {
-        query::baseline::distance_self_join(tree, black_box(JOIN_DIST)).len() as u64
-    });
-    let (soa_us, soa_sum) = time_each(join_reps, {
-        let mut scratch = QueryScratch::default();
-        let mut out = Vec::new();
-        move || {
-            query::distance_self_join_with(tree, black_box(JOIN_DIST), &mut scratch, &mut out);
-            out.len() as u64
-        }
-    });
-    assert_eq!(base_sum, soa_sum, "join checksums diverged");
-    rows.push(Row {
-        objects: n,
-        kind: "join",
-        queries: join_reps,
-        base_us,
-        soa_us,
-        results: soa_sum,
-    });
-
+        let passes = [
+            time_pass(cases, |c| direct(snap, c)),
+            time_pass(cases, |c| resume(snap, c)),
+            time_pass(cases, |c| run_local(&mut client, c)),
+            time_pass(cases, |c| reference(snap, c)),
+        ];
+        assert!(
+            passes.iter().all(|p| p.1 == passes[3].1),
+            "{kind} result counts diverged between arms"
+        );
+        rows.push(Row {
+            objects: n,
+            kind,
+            queries: cases.len(),
+            us: passes.map(|p| p.0),
+            results: passes[3].1,
+        });
+    }
     rows
 }
 
@@ -202,7 +252,7 @@ fn main() {
     let opts = HarnessOpts::from_args();
     let max_objects = opts.objects.unwrap_or(200_000);
     let queries = opts.queries.unwrap_or(1_000);
-    println!("=== ext: query hot path (recursive baseline vs iterative SoA kernels) ===");
+    println!("=== ext: query hot path (served executor vs plain-tree reference) ===");
     println!(
         "k={K} join_dist={JOIN_DIST} queries/size={queries} seed={}\n",
         opts.seed
@@ -215,44 +265,38 @@ fn main() {
     sizes.reverse();
 
     let mut t = Table::new(vec![
-        "objects", "kind", "queries", "base/q", "soa/q", "speedup", "results",
+        "objects",
+        "kind",
+        "queries",
+        "direct/q",
+        "resume/q",
+        "run_local/q",
+        "reference/q",
+        "results",
     ]);
     let mut json_rows = Vec::new();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
     for &n in &sizes {
         for r in measure(n, queries, opts.seed) {
-            t.row(vec![
+            let mut cells = vec![
                 r.objects.to_string(),
                 r.kind.to_string(),
                 r.queries.to_string(),
-                format!("{:.1}us", r.base_us),
-                format!("{:.1}us", r.soa_us),
-                format!("{:.2}x", r.speedup()),
-                r.results.to_string(),
-            ]);
-            json_rows.push(
-                json::Obj::new()
-                    .num("objects", r.objects)
-                    .str("kind", r.kind)
-                    .num("queries", r.queries)
-                    .num("base_us_per_query", r.base_us)
-                    .num("soa_us_per_query", r.soa_us)
-                    .num("speedup", r.speedup())
-                    .num("results", r.results)
-                    .render(),
-            );
-            if n == max_objects {
-                speedups.push((r.kind.to_string(), r.speedup()));
+            ];
+            cells.extend(r.us.iter().map(|us| format!("{us:.1}us")));
+            cells.push(r.results.to_string());
+            t.row(cells);
+            let mut obj = json::Obj::new()
+                .num("objects", r.objects)
+                .str("kind", r.kind)
+                .num("queries", r.queries);
+            for (arm, us) in ARMS.iter().zip(r.us) {
+                obj = obj.num(&format!("{arm}_us"), us);
             }
+            json_rows.push(obj.num("results", r.results).render());
         }
     }
     t.print();
-
-    let summary: Vec<String> = speedups
-        .iter()
-        .map(|(k, s)| format!("{k} {s:.2}x"))
-        .collect();
-    println!("\nat {max_objects} objects: {}", summary.join(", "));
+    println!("\nevery query cross-checked: direct = resume = run_local = reference");
 
     if let Some(path) = &opts.json {
         let doc = json::Obj::new()

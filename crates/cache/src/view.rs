@@ -5,8 +5,8 @@
 
 use crate::cache::ProactiveCache;
 use pc_geom::Rect;
-use pc_rtree::engine::{CellChild, Expansion, IndexView, Target};
-use pc_rtree::proto::{CellKind, CellRef};
+use pc_rtree::engine::{Expansion, IndexView};
+use pc_rtree::proto::{CellKind, CellRef, Side};
 use pc_rtree::{NodeId, RTree};
 
 /// Static catalog metadata the client receives out of band (root id and
@@ -60,30 +60,23 @@ impl IndexView for CacheView<'_> {
             return Expansion::Missing;
         };
         match vc.kind {
-            CellKind::Node(child) => Expansion::Children(vec![CellChild {
+            CellKind::Node(child) => Expansion::Entry(Side::Cell {
+                cell: CellRef::node_root(child),
                 mbr: vc.mbr,
-                target: Target::Cell(CellRef::node_root(child)),
-            }]),
-            CellKind::Object(id) => Expansion::Children(vec![CellChild {
+            }),
+            CellKind::Object(id) => Expansion::Entry(Side::Obj {
+                id,
                 mbr: vc.mbr,
-                target: Target::Object {
-                    id,
-                    cached: self.cache.contains_object(id),
-                },
-            }]),
+                cached: self.cache.contains_object(id),
+            }),
             CellKind::Super => match view.children(cell.code) {
-                Some(children) => Expansion::Children(
-                    children
-                        .iter()
-                        .map(|(code, c)| CellChild {
-                            mbr: c.mbr,
-                            target: Target::Cell(CellRef {
-                                node: cell.node,
-                                code: *code,
-                            }),
-                        })
-                        .collect(),
-                ),
+                Some(children) => Expansion::Split(children.map(|(code, c)| Side::Cell {
+                    cell: CellRef {
+                        node: cell.node,
+                        code,
+                    },
+                    mbr: c.mbr,
+                })),
                 None => Expansion::Missing,
             },
         }
@@ -207,30 +200,28 @@ mod tests {
             },
         );
         // Root cell expands to its two BPT children.
-        let Expansion::Children(kids) = view.expand(CellRef::node_root(NodeId(0))) else {
-            panic!("root must expand")
-        };
-        assert_eq!(kids.len(), 2);
+        let root = view.expand(CellRef::node_root(NodeId(0)));
+        assert!(root.is_split(), "root must split: {root:?}");
         // Child 0 is a full entry pointing to node 1.
         let c0 = CellRef {
             node: NodeId(0),
             code: Code::ROOT.child(false),
         };
-        let Expansion::Children(kids) = view.expand(c0) else {
-            panic!("entry cell must expand")
-        };
-        assert_eq!(kids.len(), 1);
-        assert_eq!(kids[0].target, Target::Cell(CellRef::node_root(NodeId(1))));
-        // Node 1's root cell is a leaf entry for the cached object 7.
-        let Expansion::Children(kids) = view.expand(CellRef::node_root(NodeId(1))) else {
-            panic!("leaf root must expand")
-        };
         assert_eq!(
-            kids[0].target,
-            Target::Object {
+            view.expand(c0),
+            Expansion::Entry(Side::Cell {
+                cell: CellRef::node_root(NodeId(1)),
+                mbr: Rect::from_coords(0.0, 0.0, 0.2, 0.2),
+            })
+        );
+        // Node 1's root cell is a leaf entry for the cached object 7.
+        assert_eq!(
+            view.expand(CellRef::node_root(NodeId(1))),
+            Expansion::Entry(Side::Obj {
                 id: ObjectId(7),
-                cached: true
-            }
+                mbr: Rect::from_coords(0.0, 0.0, 0.01, 0.01),
+                cached: true,
+            })
         );
     }
 }

@@ -8,7 +8,9 @@
 //! these cells; the query engine treats a super entry exactly like an
 //! R-tree entry whose MBR is the union of the entries it covers.
 
+use crate::engine::Expansion;
 use crate::par;
+use crate::proto::{CellRef, Side};
 use crate::split::{midpoint_split, rstar_split, SplitScratch};
 use crate::tree::RTree;
 use crate::{Node, NodeId};
@@ -334,6 +336,32 @@ impl Bpt {
         }
     }
 
+    /// Expands `cell` of this BPT in one walk: a super entry into its two
+    /// sibling cells, a full entry into whatever `entry(entry_idx, mbr)`
+    /// resolves it to. Total — a code this BPT does not have is
+    /// [`Expansion::Missing`], any code of an empty BPT [`Expansion::Empty`].
+    pub fn expand(&self, cell: CellRef, entry: impl FnOnce(u16, Rect) -> Side) -> Expansion {
+        if self.cells.is_empty() {
+            return Expansion::Empty;
+        }
+        let Some(found) = self.find(cell.code) else {
+            return Expansion::Missing;
+        };
+        match found.kind {
+            BptCellKind::Leaf { entry_idx } => Expansion::Entry(entry(entry_idx, found.mbr)),
+            BptCellKind::Internal { left, right } => {
+                let child = |idx: u32, right: bool| Side::Cell {
+                    cell: CellRef {
+                        node: cell.node,
+                        code: cell.code.child(right),
+                    },
+                    mbr: self.cells[idx as usize].mbr,
+                };
+                Expansion::Split([child(left, false), child(right, true)])
+            }
+        }
+    }
+
     /// The frontier `d` levels below `code`: "replacing each entry in the
     /// compact form with its d level descendant nodes or the entries,
     /// whichever come first" (§4.3). `d = 0` returns `code` itself.
@@ -451,6 +479,17 @@ impl BptStore {
     pub fn get(&self, id: NodeId) -> &Bpt {
         let i = id.0 as usize;
         &self.chunks[i >> BPT_CHUNK_SHIFT][i & (BPT_CHUNK_LEN - 1)]
+    }
+
+    /// Checked [`get`](Self::get), for ids that arrive from outside the
+    /// program: `None` past the slab.
+    pub(crate) fn try_get(&self, id: NodeId) -> Option<&Bpt> {
+        let i = id.0 as usize;
+        let bpt = self
+            .chunks
+            .get(i >> BPT_CHUNK_SHIFT)?
+            .get(i & (BPT_CHUNK_LEN - 1))?;
+        Some(bpt)
     }
 
     /// Rebuilds the BPT of one node (used when dynamic inserts change a

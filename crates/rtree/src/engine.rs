@@ -23,31 +23,52 @@ use crate::{NodeId, ObjectId};
 use pc_geom::Rect;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// A child produced by expanding a cell.
+/// Result of asking a view to expand a cell. The children are frontier
+/// [`Side`]s as the engine queues them — and as a remainder ships them — so
+/// a view hands them over in fixed arity and nothing is converted or
+/// allocated on the way.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CellChild {
-    pub mbr: Rect,
-    pub target: Target,
-}
-
-/// What a cell child points at.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Target {
-    /// Another cell: a BPT sibling pair member, or a child node's root.
-    Cell(CellRef),
-    /// An object (leaf level); `cached` says whether the *client* holds its
-    /// payload (authoritative views report `false`: the requester has not
-    /// received it).
-    Object { id: ObjectId, cached: bool },
-}
-
-/// Result of asking a view to expand a cell.
-#[derive(Clone, Debug, PartialEq)]
 pub enum Expansion {
-    Children(Vec<CellChild>),
-    /// The view does not hold this cell's children — only possible for
-    /// non-authoritative (cache) views.
+    /// The view holds nothing under this cell: a cache view was never
+    /// shipped it; an authoritative view has no such node or code (a
+    /// reference from outside the program — the engine drops it).
     Missing,
+    /// An empty node (the root of an empty tree): read, nothing under it.
+    Empty,
+    /// A full entry: the pointed-to node's root cell, or the object.
+    Entry(Side),
+    /// A BPT super entry: its two sibling cells, left then right.
+    Split([Side; 2]),
+}
+
+impl Expansion {
+    /// The children in frontier order; `None` when missing.
+    #[inline]
+    pub fn children(&self) -> Option<&[Side]> {
+        match self {
+            Expansion::Missing => None,
+            Expansion::Empty => Some(&[]),
+            Expansion::Entry(side) => Some(std::slice::from_ref(side)),
+            Expansion::Split(pair) => Some(pair),
+        }
+    }
+
+    /// Whether a super entry was split — the `internal` flag of
+    /// [`Tracer::cell_expanded`].
+    #[inline]
+    pub fn is_split(&self) -> bool {
+        matches!(self, Expansion::Split(_))
+    }
+
+    /// The same expansion with every child passed through `f` (id
+    /// translation, re-flagging `cached`).
+    pub fn map(self, f: impl Fn(Side) -> Side) -> Expansion {
+        match self {
+            Expansion::Entry(side) => Expansion::Entry(f(side)),
+            Expansion::Split(pair) => Expansion::Split(pair.map(f)),
+            other => other,
+        }
+    }
 }
 
 /// A navigable picture of the index: complete on the server, partial on the
@@ -61,7 +82,8 @@ pub trait IndexView {
     /// pointed-to node root or object for a full entry).
     fn expand(&self, cell: CellRef) -> Expansion;
 
-    /// Authoritative views can always expand and always adjudicate results.
+    /// Authoritative views adjudicate every result and never leave a
+    /// remainder: a cell they cannot expand names nothing and is dropped.
     fn authoritative(&self) -> bool;
 }
 
@@ -216,12 +238,11 @@ impl<T> Ord for PqItem<T> {
 
 /// Reusable engine buffers: the best-first priority queues and the
 /// missing/blocked staging vectors of Algorithm 1. One per query session —
-/// [`execute_with`]/[`resume_with`] clear and refill it, so a steady-state
-/// loop (a fleet client issuing thousands of cache-complete queries)
-/// allocates only its result vector per query. Queries that end in a
-/// remainder hand their staging buffers to the [`RemainderQuery`] (the
-/// remainder is serialized for the wire anyway, so that path allocates
-/// regardless).
+/// [`execute_with`] clears and refills it, so a steady-state loop (a fleet
+/// client issuing thousands of cache-complete queries) allocates only its
+/// result vector per query. Queries that end in a remainder hand their
+/// staging buffers to the [`RemainderQuery`] (the remainder is serialized
+/// for the wire anyway, so that path allocates regardless).
 #[derive(Clone, Default)]
 pub struct EngineScratch {
     single_pq: BinaryHeap<PqItem<Side>>,
@@ -245,37 +266,47 @@ pub fn execute<V: IndexView, T: Tracer>(view: &V, spec: &QuerySpec, tracer: &mut
     execute_with(view, spec, tracer, &mut EngineScratch::default())
 }
 
-/// [`execute`] with caller-owned [`EngineScratch`] buffers.
+/// [`execute`] with caller-owned [`EngineScratch`] buffers. A fresh query
+/// is the resume of the cold heap `[root]` (`[(root, root)]` for a join).
 pub fn execute_with<V: IndexView, T: Tracer>(
     view: &V,
     spec: &QuerySpec,
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
-    if spec.is_join() {
-        run_join(view, spec, None, tracer, scratch)
-    } else {
-        run_single(view, spec, None, tracer, scratch)
-    }
+    let cold = view
+        .root()
+        .filter(|(mbr, _)| spec.qualifies(mbr))
+        .map(|(mbr, cell)| {
+            let root = Side::Cell { cell, mbr };
+            let entry = if spec.is_join() {
+                HeapEntry::Pair(root, root)
+            } else {
+                HeapEntry::Single(root)
+            };
+            (spec.key_for(&mbr), entry)
+        });
+    run(view, spec, 0, cold.as_slice(), tracer, scratch)
 }
 
 /// Resumes a remainder query from its shipped heap (server side of §3.2
 /// stage 2; also usable by a client that re-runs after a cache refill).
 pub fn resume<V: IndexView, T: Tracer>(view: &V, rq: &RemainderQuery, tracer: &mut T) -> Outcome {
-    resume_with(view, rq, tracer, &mut EngineScratch::default())
+    let scratch = &mut EngineScratch::default();
+    run(view, &rq.spec, rq.already_found, &rq.heap, tracer, scratch)
 }
 
-/// [`resume`] with caller-owned [`EngineScratch`] buffers.
-pub fn resume_with<V: IndexView, T: Tracer>(
+fn run<V: IndexView, T: Tracer>(
     view: &V,
-    rq: &RemainderQuery,
+    spec: &QuerySpec,
+    already_found: u32,
+    heap: &[(f64, HeapEntry)],
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
-    if rq.spec.is_join() {
-        run_join(view, &rq.spec, Some(rq), tracer, scratch)
-    } else {
-        run_single(view, &rq.spec, Some(rq), tracer, scratch)
+    match *spec {
+        QuerySpec::Join { dist } => run_join(view, spec, dist, heap, tracer, scratch),
+        _ => run_single(view, spec, already_found as usize, heap, tracer, scratch),
     }
 }
 
@@ -286,7 +317,8 @@ pub fn resume_with<V: IndexView, T: Tracer>(
 fn run_single<V: IndexView, T: Tracer>(
     view: &V,
     spec: &QuerySpec,
-    resume_from: Option<&RemainderQuery>,
+    m0: usize,
+    heap: &[(f64, HeapEntry)],
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
@@ -295,41 +327,25 @@ fn run_single<V: IndexView, T: Tracer>(
     scratch.missing.clear();
     scratch.blocked.clear();
     let mut seq = 0u64;
-    let m0 = resume_from.map(|r| r.already_found as usize).unwrap_or(0);
     let k_target = match spec {
         QuerySpec::Knn { k, .. } => Some(*k as usize),
         _ => None,
     };
 
-    match resume_from {
-        None => {
-            if let Some((mbr, cell)) = view.root() {
-                if spec.qualifies(&mbr) {
-                    tracer.cell_touched(cell);
-                    pq.push(PqItem {
-                        key: spec.key_for(&mbr),
-                        seq: post_inc(&mut seq),
-                        payload: Side::Cell { cell, mbr },
-                    });
-                }
-            }
+    for &(key, entry) in heap {
+        // A pair entry in a non-join heap is malformed outside input:
+        // skipped.
+        let HeapEntry::Single(side) = entry else {
+            continue;
+        };
+        if let Side::Cell { cell, .. } = side {
+            tracer.cell_touched(cell);
         }
-        Some(rq) => {
-            for (key, he) in &rq.heap {
-                let HeapEntry::Single(side) = he else {
-                    debug_assert!(false, "pair entry in a non-join remainder");
-                    continue;
-                };
-                if let Side::Cell { cell, .. } = side {
-                    tracer.cell_touched(*cell);
-                }
-                pq.push(PqItem {
-                    key: *key,
-                    seq: post_inc(&mut seq),
-                    payload: *side,
-                });
-            }
-        }
+        pq.push(PqItem {
+            key,
+            seq: post_inc(&mut seq),
+            payload: side,
+        });
     }
 
     let mut results: Vec<(ObjectId, bool)> = Vec::new();
@@ -351,47 +367,27 @@ fn run_single<V: IndexView, T: Tracer>(
         let Some(item) = pq.pop() else { break };
         let key = item.key;
         match item.payload {
-            Side::Cell { cell, .. } => match view.expand(cell) {
-                Expansion::Missing => {
-                    debug_assert!(!view.authoritative());
-                    min_missing_cell_key = min_missing_cell_key.min(key);
-                    missing.push((key, item.payload));
-                }
-                Expansion::Children(children) => {
-                    expansions += 1;
-                    tracer.cell_expanded(cell, is_internal_expansion(cell, &children));
-                    for c in children {
-                        // Expanding a cell reads *both* children off the
-                        // page, so both are grey (§4.2's CF includes the
-                        // pushed-but-never-popped sibling); only qualifying
-                        // ones enter the frontier. This also keeps every
-                        // shipped form a covering antichain, which the
-                        // client's view merge relies on.
-                        if let Target::Cell(cc) = c.target {
-                            tracer.cell_touched(cc);
-                        }
-                        if !spec.qualifies(&c.mbr) {
-                            continue;
-                        }
-                        let side = match c.target {
-                            Target::Cell(cc) => Side::Cell {
-                                cell: cc,
-                                mbr: c.mbr,
-                            },
-                            Target::Object { id, cached } => Side::Obj {
-                                id,
-                                mbr: c.mbr,
-                                cached,
-                            },
-                        };
+            Side::Cell { cell, .. } => {
+                let expansion = expand_traced(view, cell, tracer, &mut expansions);
+                let Some(children) = expansion.children() else {
+                    if !view.authoritative() {
+                        min_missing_cell_key = min_missing_cell_key.min(key);
+                        missing.push((key, item.payload));
+                    }
+                    continue;
+                };
+                // Only qualifying children enter the frontier.
+                for &child in children {
+                    let mbr = child.mbr();
+                    if spec.qualifies(&mbr) {
                         pq.push(PqItem {
-                            key: spec.key_for(&c.mbr),
+                            key: spec.key_for(&mbr),
                             seq: post_inc(&mut seq),
-                            payload: side,
+                            payload: child,
                         });
                     }
                 }
-            },
+            }
             Side::Obj { id, cached, .. } => {
                 if view.authoritative() {
                     // The server adjudicates every popped object; `cached`
@@ -466,16 +462,6 @@ fn prune_after_kth_leaf(heap: &mut Vec<(f64, HeapEntry)>, need: usize) {
     heap.retain(|(k, _)| *k <= cutoff);
 }
 
-/// An expansion is "internal" (super entry → two sibling cells) iff its
-/// children live in the same node; full-entry expansions descend to a child
-/// node or an object.
-fn is_internal_expansion(cell: CellRef, children: &[CellChild]) -> bool {
-    children.iter().any(|c| match c.target {
-        Target::Cell(cc) => cc.node == cell.node,
-        Target::Object { .. } => false,
-    })
-}
-
 fn post_inc(x: &mut u64) -> u64 {
     let v = *x;
     *x += 1;
@@ -489,49 +475,32 @@ fn post_inc(x: &mut u64) -> u64 {
 fn run_join<V: IndexView, T: Tracer>(
     view: &V,
     spec: &QuerySpec,
-    resume_from: Option<&RemainderQuery>,
+    dist: f64,
+    heap: &[(f64, HeapEntry)],
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
-    let QuerySpec::Join { dist } = *spec else {
-        unreachable!("run_join requires a join spec")
-    };
-
     let pq = &mut scratch.join_pq;
     pq.clear();
     scratch.join_missing.clear();
     let mut seq = 0u64;
 
-    match resume_from {
-        None => {
-            if let Some((mbr, cell)) = view.root() {
+    for &(key, entry) in heap {
+        // A single entry in a join heap is malformed outside input:
+        // skipped.
+        let HeapEntry::Pair(a, b) = entry else {
+            continue;
+        };
+        for side in [a, b] {
+            if let Side::Cell { cell, .. } = side {
                 tracer.cell_touched(cell);
-                let side = Side::Cell { cell, mbr };
-                pq.push(PqItem {
-                    key: 0.0,
-                    seq: post_inc(&mut seq),
-                    payload: (side, side),
-                });
             }
         }
-        Some(rq) => {
-            for (key, he) in &rq.heap {
-                let HeapEntry::Pair(a, b) = he else {
-                    debug_assert!(false, "single entry in a join remainder");
-                    continue;
-                };
-                for s in [a, b] {
-                    if let Side::Cell { cell, .. } = s {
-                        tracer.cell_touched(*cell);
-                    }
-                }
-                pq.push(PqItem {
-                    key: *key,
-                    seq: post_inc(&mut seq),
-                    payload: (*a, *b),
-                });
-            }
-        }
+        pq.push(PqItem {
+            key,
+            seq: post_inc(&mut seq),
+            payload: (a, b),
+        });
     }
 
     let mut pair_set: HashSet<(ObjectId, ObjectId)> = HashSet::new();
@@ -582,14 +551,17 @@ fn run_join<V: IndexView, T: Tracer>(
                     Side::Cell { cell: c2, .. },
                 ) if c1 == c2);
 
-                let exp_a = expand_side(view, &a, tracer, &mut expansions);
-                let exp_b = if same_cell {
-                    exp_a.clone()
-                } else {
-                    expand_side(view, &b, tracer, &mut expansions)
+                let mut expand = |side: Side| match side {
+                    Side::Cell { cell, .. } => expand_traced(view, cell, tracer, &mut expansions),
+                    // An object side stands for itself.
+                    object => Expansion::Entry(object),
                 };
-                let (Some(ka), Some(kb)) = (exp_a, exp_b) else {
-                    missing.push((key, HeapEntry::Pair(a, b)));
+                let exp_a = expand(a);
+                let exp_b = if same_cell { exp_a } else { expand(b) };
+                let (Some(ka), Some(kb)) = (exp_a.children(), exp_b.children()) else {
+                    if !view.authoritative() {
+                        missing.push((key, HeapEntry::Pair(a, b)));
+                    }
                     continue;
                 };
 
@@ -629,45 +601,28 @@ fn run_join<V: IndexView, T: Tracer>(
     }
 }
 
-/// Expands one side of a join pair into frontier sides; `None` ⇒ missing.
-fn expand_side<V: IndexView, T: Tracer>(
+/// Expands `cell` and reports the page read to the tracer. A read sees
+/// *both* children, so both are grey whether or not they qualify (§4.2's CF
+/// includes the pushed-but-never-popped sibling); this also keeps every
+/// shipped form a covering antichain, which the client's view merge relies
+/// on.
+fn expand_traced<V: IndexView, T: Tracer>(
     view: &V,
-    side: &Side,
+    cell: CellRef,
     tracer: &mut T,
     expansions: &mut u64,
-) -> Option<Vec<Side>> {
-    match side {
-        Side::Obj { .. } => Some(vec![*side]),
-        Side::Cell { cell, .. } => match view.expand(*cell) {
-            Expansion::Missing => None,
-            Expansion::Children(children) => {
-                *expansions += 1;
-                tracer.cell_expanded(*cell, is_internal_expansion(*cell, &children));
-                Some(
-                    children
-                        .into_iter()
-                        .map(|c| match c.target {
-                            Target::Cell(cc) => {
-                                // Both children are grey once the page is
-                                // read — see the range-query comment in
-                                // `run_single`.
-                                tracer.cell_touched(cc);
-                                Side::Cell {
-                                    cell: cc,
-                                    mbr: c.mbr,
-                                }
-                            }
-                            Target::Object { id, cached } => Side::Obj {
-                                id,
-                                mbr: c.mbr,
-                                cached,
-                            },
-                        })
-                        .collect(),
-                )
+) -> Expansion {
+    let expansion = view.expand(cell);
+    if let Some(children) = expansion.children() {
+        *expansions += 1;
+        tracer.cell_expanded(cell, expansion.is_split());
+        for child in children {
+            if let Side::Cell { cell, .. } = child {
+                tracer.cell_touched(*cell);
             }
-        },
+        }
     }
+    expansion
 }
 
 fn canonical(a: ObjectId, b: ObjectId) -> (ObjectId, ObjectId) {
@@ -679,4 +634,4 @@ fn canonical(a: ObjectId, b: ObjectId) -> (ObjectId, ObjectId) {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -37,10 +37,10 @@ fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree, BptStore) {
 /// A partial view for tests: only `visible` nodes expand; objects report
 /// the `cached` flag from `have_objects`. This mimics the client cache
 /// without depending on the cache crate.
-struct PartialView<'a> {
-    full: FullView<'a>,
-    visible: std::collections::HashSet<NodeId>,
-    have_objects: std::collections::HashSet<ObjectId>,
+pub(crate) struct PartialView<'a> {
+    pub full: FullView<'a>,
+    pub visible: HashSet<NodeId>,
+    pub have_objects: HashSet<ObjectId>,
 }
 
 impl IndexView for PartialView<'_> {
@@ -52,24 +52,14 @@ impl IndexView for PartialView<'_> {
         if !self.visible.contains(&cell.node) {
             return Expansion::Missing;
         }
-        match self.full.expand(cell) {
-            Expansion::Children(children) => Expansion::Children(
-                children
-                    .into_iter()
-                    .map(|c| CellChild {
-                        mbr: c.mbr,
-                        target: match c.target {
-                            Target::Object { id, .. } => Target::Object {
-                                id,
-                                cached: self.have_objects.contains(&id),
-                            },
-                            t => t,
-                        },
-                    })
-                    .collect(),
-            ),
-            m => m,
-        }
+        self.full.expand(cell).map(|side| match side {
+            Side::Obj { id, mbr, .. } => Side::Obj {
+                id,
+                mbr,
+                cached: self.have_objects.contains(&id),
+            },
+            cell => cell,
+        })
     }
 
     fn authoritative(&self) -> bool {
@@ -183,6 +173,10 @@ fn empty_tree_yields_empty_outcomes() {
     let tree = RTree::new(RTreeConfig::small());
     let bpts = BptStore::build(&tree);
     let view = FullView::new(&tree, &bpts);
+    assert_eq!(
+        view.expand(CellRef::node_root(tree.root())),
+        Expansion::Empty
+    );
     for spec in [
         QuerySpec::Range { window: Rect::UNIT },
         QuerySpec::Knn {
@@ -429,6 +423,75 @@ fn access_log_frontier_is_an_antichain_covering_touched_nodes() {
             }
         }
     }
+}
+
+/// Order-independent fingerprint of an access log: (cells touched, super
+/// entries expanded, nodes shipped, FNV-1a over the sorted trace).
+fn log_digest(log: &AccessLog) -> (usize, usize, usize, u64) {
+    let mut nodes: Vec<_> = log.nodes.iter().collect();
+    nodes.sort_by_key(|(id, _)| **id);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for byte in v.to_le_bytes() {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let (mut touched, mut expanded) = (0, 0);
+    for (id, acc) in nodes {
+        mix(id.0 as u64);
+        mix(acc.any_expansion as u64);
+        for (tag, set) in [(1u64, &acc.touched), (2, &acc.expanded_internal)] {
+            let mut codes: Vec<_> = set.iter().map(|c| c.raw()).collect();
+            codes.sort_unstable();
+            for (bits, len) in codes {
+                mix(tag << 40 | (len as u64) << 32 | bits as u64);
+            }
+        }
+        touched += acc.touched.len();
+        expanded += acc.expanded_internal.len();
+    }
+    (touched, expanded, log.shipped_nodes().len(), hash)
+}
+
+#[test]
+fn cold_resume_access_log_matches_the_recorded_trace() {
+    // The trace decides what index a reply ships, so it is pinned: these
+    // digests of three cold remainders `{Q, [root]}` were recorded at the
+    // commit before `Expansion` became fixed-arity, and must not move.
+    let (_, tree, bpts) = dataset(600, 77);
+    let view = FullView::new(&tree, &bpts);
+    let (mbr, cell) = view.root().unwrap();
+    let root = Side::Cell { cell, mbr };
+    let cold = |spec: QuerySpec| {
+        let entry = if spec.is_join() {
+            HeapEntry::Pair(root, root)
+        } else {
+            HeapEntry::Single(root)
+        };
+        let rq = RemainderQuery {
+            spec,
+            already_found: 0,
+            heap: vec![(0.0, entry)],
+        };
+        let mut log = AccessLog::default();
+        let out = resume(&view, &rq, &mut log);
+        assert!(out.remainder.is_none());
+        (out.expansions, log_digest(&log))
+    };
+    let window = Rect::centered_square(Point::new(0.4, 0.6), 0.2);
+    let center = Point::new(0.7, 0.2);
+    assert_eq!(
+        cold(QuerySpec::Range { window }),
+        (100, (137, 61, 15, 8505422665968033972))
+    );
+    assert_eq!(
+        cold(QuerySpec::Knn { center, k: 9 }),
+        (45, (66, 29, 8, 10548061020285097763))
+    );
+    assert_eq!(
+        cold(QuerySpec::Join { dist: 0.01 }),
+        (3233, (1293, 599, 95, 9204763061743563968))
+    );
 }
 
 #[test]

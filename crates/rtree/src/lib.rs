@@ -12,8 +12,13 @@
 //! * [`engine`] — the **generic query processor** (paper Algorithm 1): one
 //!   best-first loop that evaluates range, kNN and distance self-join
 //!   queries over any [`engine::IndexView`], handling *missing entries* and
-//!   producing remainder queries. The server runs the same engine over a
-//!   complete view; the client runs it over its cache.
+//!   producing remainder queries. It is the only executor a served query
+//!   runs: the server over a complete view ([`view::FullView`]), the client
+//!   over its cache; views hand it frontier [`proto::Side`]s in fixed arity
+//!   ([`engine::Expansion`]).
+//! * [`query`] / [`naive`] — the plain-tree reference (one iterative
+//!   function per query kind) and the brute-force oracle the tests hold the
+//!   engine against. They serve nothing.
 //! * [`par`] — the fork-join helper the offline builds (BPT store here,
 //!   cluster shards in `pc_server`) share.
 //! * [`proto`] — query specifications, serialized heap entries, remainder
@@ -191,7 +196,7 @@ impl Node {
     }
 
     /// The raw MBR columns `(min_x, min_y, max_x, max_y)` — the lanes the
-    /// iterative kernels in [`crate::query`] scan directly.
+    /// reference loops in [`crate::query`] scan directly.
     #[inline]
     pub fn mbr_cols(&self) -> (&[f64], &[f64], &[f64], &[f64]) {
         (&self.min_x, &self.min_y, &self.max_x, &self.max_y)

@@ -2,8 +2,9 @@
 //! must satisfy their contracts on *arbitrary* inputs, not just the
 //! hand-picked unit-test data.
 
-use crate::bpt::{Bpt, BptScratch, BptStore, Code, SplitPolicy};
-use crate::engine::{execute, resume, CellChild, Expansion, IndexView, NoopTracer, Target};
+use crate::bpt::{Bpt, BptCellKind, BptScratch, BptStore, Code, SplitPolicy};
+use crate::engine::tests::PartialView;
+use crate::engine::{execute, resume, Expansion, IndexView, NoopTracer};
 use crate::proto::{
     CellKind, CellRecord, CellRef, HeapEntry, NodeShipment, QuerySpec, RemainderQuery, Request,
     Response, ServerReply, Side, VersionedReply, CONFIRM_BYTES, ENTRY_BYTES, EPOCH_BYTES,
@@ -12,7 +13,7 @@ use crate::proto::{
 };
 use crate::tree::{RTree, RTreeConfig};
 use crate::view::FullView;
-use crate::{naive, query, NodeId, ObjectId, ObjectStore, SpatialObject};
+use crate::{naive, query, ChildRef, NodeId, ObjectId, ObjectStore, SpatialObject};
 use pc_geom::{Point, Rect};
 use proptest::prelude::*;
 
@@ -130,50 +131,6 @@ fn arb_reply() -> impl Strategy<Value = ServerReply> {
         })
 }
 
-/// Partial view driven by a bitmask over node ids and object ids.
-struct MaskView<'a> {
-    full: FullView<'a>,
-    node_mask: Vec<bool>,
-    obj_mask: Vec<bool>,
-}
-
-impl IndexView for MaskView<'_> {
-    fn root(&self) -> Option<(Rect, CellRef)> {
-        self.full.root()
-    }
-    fn expand(&self, cell: CellRef) -> Expansion {
-        if !self
-            .node_mask
-            .get(cell.node.0 as usize)
-            .copied()
-            .unwrap_or(false)
-        {
-            return Expansion::Missing;
-        }
-        match self.full.expand(cell) {
-            Expansion::Children(children) => Expansion::Children(
-                children
-                    .into_iter()
-                    .map(|c| CellChild {
-                        mbr: c.mbr,
-                        target: match c.target {
-                            Target::Object { id, .. } => Target::Object {
-                                id,
-                                cached: self.obj_mask.get(id.0 as usize).copied().unwrap_or(false),
-                            },
-                            t => t,
-                        },
-                    })
-                    .collect(),
-            ),
-            m => m,
-        }
-    }
-    fn authoritative(&self) -> bool {
-        false
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -244,17 +201,15 @@ proptest! {
         which in 0u8..3, k in 1u32..8, side in 0.02f64..0.4, dist in 0.0f64..0.05,
     ) {
         let (store, tree, bpts) = build(&objects);
-        let mut node_mask = vec![false; 512];
-        for (i, b) in node_bits.iter().enumerate() {
-            // Stripe the mask across the slab.
-            for j in (i..512).step_by(64) {
-                node_mask[j] = *b;
-            }
-        }
-        let view = MaskView {
+        // A partial view driven by the bits: node bits striped across the
+        // slab, one object bit per id.
+        let view = PartialView {
             full: FullView::new(&tree, &bpts),
-            node_mask,
-            obj_mask: obj_bits,
+            visible: (0..512).filter(|i| node_bits[i % 64]).map(|i| NodeId(i as u32)).collect(),
+            have_objects: (0..obj_bits.len())
+                .filter(|&i| obj_bits[i])
+                .map(|i| ObjectId(i as u32))
+                .collect(),
         };
         let full = FullView::new(&tree, &bpts);
         let spec = match which {
@@ -303,71 +258,129 @@ proptest! {
         cx in 0.0f64..1.0, cy in 0.0f64..1.0,
         side in 0.02f64..0.5, k in 1usize..10, dist in 0.0f64..0.08,
     ) {
-        // The SoA iterative kernels must stay result-identical — ordering,
-        // distances and tie-breaks included — to the recursive baseline and
-        // to brute force, on trees shaped by arbitrary update sequences,
-        // with a single `QueryScratch` reused across all three query kinds.
+        // Served executor ≡ plain-tree reference ≡ brute force, on trees
+        // shaped by arbitrary update sequences. Inserted points and the
+        // query point snap to a 1/8 grid, so equal coordinates, equal
+        // distances and zero-distance pairs are the common case, not luck.
+        let snap = |v: f64| (v * 8.0).floor() / 8.0;
         let mut tree = RTree::bulk_load(RTreeConfig::small(), &objects);
-        let mut live = objects.clone();
-        let mut next_id = objects.len() as u32;
+        let mut store = ObjectStore::new(objects);
         for (insert, pick, x, y) in ops {
+            let live = store.iter_live().count();
             if insert {
-                let o = SpatialObject {
-                    id: ObjectId(next_id),
-                    mbr: Rect::from_point(Point::new(x, y)),
-                    size_bytes: 64,
-                };
-                next_id += 1;
-                tree.insert(&o);
-                live.push(o);
-            } else if !live.is_empty() {
-                let o = live.swap_remove(pick as usize % live.len());
+                let id = store.push(Rect::from_point(Point::new(snap(x), snap(y))), 64);
+                tree.insert(store.get(id));
+            } else if live > 0 {
+                let o = *store.iter_live().nth(pick as usize % live).unwrap();
+                prop_assert!(tree.delete(o.id, &o.mbr));
+                store.mark_dead(o.id);
+            }
+        }
+        tree.validate(store.iter_live().count(), false).unwrap();
+        let bpts = BptStore::build(&tree);
+        let served = |spec: QuerySpec| {
+            let out = execute(&FullView::new(&tree, &bpts), &spec, &mut NoopTracer);
+            assert!(out.remainder.is_none());
+            let mut ids: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
+            let mut pairs = out.result_pairs;
+            if !matches!(spec, QuerySpec::Knn { .. }) {
+                ids.sort_unstable();
+                pairs.sort_unstable();
+            }
+            (ids, pairs)
+        };
+
+        let window = Rect::centered_square(Point::new(snap(cx), snap(cy)), side);
+        let want = naive::range_naive(&store, &window);
+        let mut reference = query::range_query(&tree, &window);
+        reference.sort_unstable();
+        prop_assert_eq!(&served(QuerySpec::Range { window }).0, &want);
+        prop_assert_eq!(&reference, &want);
+
+        // kNN: the three break distance ties differently (pop sequence vs
+        // object id), so compare what a tie cannot change — the distances,
+        // exactly — and that each id is a distinct live object at the
+        // distance it was returned for.
+        let center = Point::new(snap(cx), snap(cy));
+        let want: Vec<f64> = naive::knn_naive(&store, &center, k).iter().map(|n| n.1).collect();
+        let reference = query::knn_query(&tree, &center, k);
+        for (id, d) in &reference {
+            prop_assert_eq!(store.get(*id).mbr.min_dist(&center), *d);
+        }
+        for mut ids in [
+            served(QuerySpec::Knn { center, k: k as u32 }).0,
+            reference.iter().map(|n| n.0).collect(),
+        ] {
+            let got: Vec<f64> = ids.iter().map(|id| store.get(*id).mbr.min_dist(&center)).collect();
+            prop_assert_eq!(&got, &want);
+            prop_assert!(ids.iter().all(|id| store.is_live(*id)));
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), want.len()); // no object returned twice
+        }
+
+        let want = naive::join_naive(&store, dist);
+        prop_assert_eq!(&served(QuerySpec::Join { dist }).1, &want);
+        prop_assert_eq!(&query::distance_self_join(&tree, dist), &want);
+    }
+
+    #[test]
+    fn full_view_expansion_is_the_bpt_structure(
+        objects in arb_objects(120),
+        delete_bits in prop::collection::vec(any::<bool>(), 120),
+    ) {
+        // Deletes leave under-full nodes, a shrunk root and detached husks
+        // in the slab; an all-deleted tree is one empty root node.
+        let mut tree = RTree::bulk_load(RTreeConfig::small(), &objects);
+        for (o, del) in objects.iter().zip(&delete_bits) {
+            if *del {
                 prop_assert!(tree.delete(o.id, &o.mbr));
             }
         }
-        tree.validate(live.len(), false).unwrap();
-        let mut scratch = query::QueryScratch::default();
-
-        let w = Rect::centered_square(Point::new(cx, cy), side);
-        let mut ids = Vec::new();
-        query::range_query_with(&tree, &w, &mut scratch, &mut ids);
-        ids.sort_unstable();
-        // Traversal order differs (LIFO stack vs recursion) but the result
-        // set must match the recursive baseline exactly.
-        let mut rec = query::baseline::range_query(&tree, &w);
-        rec.sort_unstable();
-        prop_assert_eq!(&ids, &rec);
-        let mut want: Vec<ObjectId> =
-            live.iter().filter(|o| w.intersects(&o.mbr)).map(|o| o.id).collect();
-        want.sort_unstable();
-        prop_assert_eq!(&ids, &want);
-
-        let p = Point::new(cx, cy);
-        let mut knn = Vec::new();
-        query::knn_query_with(&tree, &p, k, &mut scratch, &mut knn);
-        prop_assert_eq!(&knn, &query::baseline::knn_query(&tree, &p, k));
-        let mut brute: Vec<(f64, ObjectId)> =
-            live.iter().map(|o| (o.mbr.min_dist(&p), o.id)).collect();
-        brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        prop_assert_eq!(knn.len(), k.min(live.len()));
-        for (g, b) in knn.iter().zip(&brute) {
-            prop_assert!((g.1 - b.0).abs() < 1e-12);
-        }
-
-        let mut pairs = Vec::new();
-        query::distance_self_join_with(&tree, dist, &mut scratch, &mut pairs);
-        prop_assert_eq!(&pairs, &query::baseline::distance_self_join(&tree, dist));
-        let mut want_pairs = Vec::new();
-        for (i, a) in live.iter().enumerate() {
-            for b in &live[i + 1..] {
-                if a.mbr.min_dist_rect(&b.mbr) <= dist {
-                    let (lo, hi) = if a.id < b.id { (a.id, b.id) } else { (b.id, a.id) };
-                    want_pairs.push((lo, hi));
+        let bpts = BptStore::build(&tree);
+        let view = FullView::new(&tree, &bpts);
+        let mut stack = vec![CellRef::node_root(tree.root())];
+        while let Some(cell) = stack.pop() {
+            let (node, bpt) = (tree.node(cell.node), bpts.get(cell.node));
+            let want = match (bpt.children(cell.code), bpt.find(cell.code).map(|c| c.kind)) {
+                // Two children iff the BPT splits here, in its order.
+                (Some(pair), _) => Expansion::Split(pair.map(|(code, c)| Side::Cell {
+                    cell: CellRef { node: cell.node, code },
+                    mbr: c.mbr,
+                })),
+                // One iff it is a leaf cell: the entry it stands for.
+                (None, Some(BptCellKind::Leaf { entry_idx })) => {
+                    let entry = node.entry(entry_idx as usize);
+                    Expansion::Entry(match entry.child {
+                        ChildRef::Node(n) => Side::Cell { cell: CellRef::node_root(n), mbr: entry.mbr },
+                        ChildRef::Object(id) => Side::Obj { id, mbr: entry.mbr, cached: false },
+                    })
                 }
-            }
+                // None only for an empty node.
+                _ => {
+                    prop_assert!(bpt.is_empty() && node.is_empty());
+                    Expansion::Empty
+                }
+            };
+            let got = view.expand(cell);
+            prop_assert_eq!(got, want);
+            stack.extend(got.children().unwrap().iter().filter_map(|side| match side {
+                Side::Cell { cell, .. } => Some(*cell),
+                Side::Obj { .. } => None,
+            }));
         }
-        want_pairs.sort_unstable();
-        prop_assert_eq!(pairs, want_pairs);
+        // What the index does not have is missing, not a panic.
+        let past_slab = CellRef::node_root(NodeId(tree.slab_len() as u32));
+        prop_assert_eq!(view.expand(past_slab), Expansion::Missing);
+        prop_assert_eq!(view.expand(CellRef::node_root(NodeId(u32::MAX))), Expansion::Missing);
+        if !bpts.get(tree.root()).is_empty() {
+            let mut deep = Code::ROOT;
+            for _ in 0..30 {
+                deep = deep.child(true);
+            }
+            let no_such_code = CellRef { node: tree.root(), code: deep };
+            prop_assert_eq!(view.expand(no_such_code), Expansion::Missing);
+        }
     }
 
     #[test]

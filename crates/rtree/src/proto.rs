@@ -169,6 +169,21 @@ impl Side {
     pub fn is_obj(&self) -> bool {
         matches!(self, Side::Obj { .. })
     }
+
+    /// A cell side with its node id passed through `f` (a cluster moves
+    /// ids between shard-local and global space); an object side as it is.
+    pub fn map_node(self, f: impl FnOnce(NodeId) -> NodeId) -> Side {
+        match self {
+            Side::Cell { cell, mbr } => Side::Cell {
+                cell: CellRef {
+                    node: f(cell.node),
+                    code: cell.code,
+                },
+                mbr,
+            },
+            object => object,
+        }
+    }
 }
 
 /// A serialized heap entry of a remainder query: the paper ships the whole

@@ -1,23 +1,20 @@
 //! Plain R-tree query algorithms (§3.1): range search, best-first kNN
 //! (Hjaltason & Samet \[11\]) and the RJ distance join (Brinkhoff et al.
-//! \[3\]).
+//! \[3\]) — the **reference** the served executor is checked against.
 //!
-//! The production kernels are **iterative** (explicit stacks, no recursion
-//! — pathological tree depth cannot blow the call stack) and scan the
-//! struct-of-arrays MBR columns of [`crate::Node`] directly: window
-//! qualification, `MINDIST` and rect-pair pruning each run over four
-//! contiguous `f64` lanes with non-short-circuiting combines, the shape the
-//! compiler autovectorizes. All transient state (stacks, the kNN heap)
-//! lives in a caller-owned [`QueryScratch`] so steady-state query loops
-//! allocate nothing per query.
-//!
-//! The original recursive entry-at-a-time implementations survive in
-//! [`baseline`] — they are the comparison arm of the `bench_query_kernel`
-//! criterion bench and an extra cross-check oracle. These are *independent
-//! implementations* from the generic engine in [`crate::engine`]: the test
-//! suites cross-check the two against each other and against the
-//! brute-force oracle in [`crate::naive`], so a bug would have to be
+//! No served request runs this module: every query a server, cluster or
+//! client answers goes through [`crate::engine`] over an
+//! [`IndexView`](crate::engine::IndexView). These three functions know
+//! nothing of BPTs, views or remainders; they walk the plain tree, so the
+//! test suites compare the engine against them and both against the
+//! brute-force oracle in [`crate::naive`] — a bug would have to be
 //! introduced three times to go unnoticed.
+//!
+//! They are **iterative** (explicit stacks, no recursion — pathological
+//! tree depth cannot blow the call stack) and scan the struct-of-arrays MBR
+//! columns of [`crate::Node`] directly: window qualification, `MINDIST` and
+//! rect-pair pruning each run over four contiguous `f64` lanes with
+//! non-short-circuiting combines, the shape the compiler autovectorizes.
 
 use crate::tree::RTree;
 use crate::{ChildRef, NodeId, ObjectId};
@@ -52,37 +49,11 @@ impl Ord for Hi {
     }
 }
 
-/// Reusable traversal state for the iterative kernels: the DFS stack
-/// (range), the pair stack (join) and the best-first heap (kNN). One per
-/// query session — [`range_query_with`], [`knn_query_with`] and
-/// [`distance_self_join_with`] clear and refill it, so a loop issuing
-/// thousands of queries performs zero per-query heap allocations once the
-/// buffers have grown to steady state.
-#[derive(Clone, Debug, Default)]
-pub struct QueryScratch {
-    stack: Vec<NodeId>,
-    pairs: Vec<(NodeId, NodeId)>,
-    heap: BinaryHeap<Hi>,
-}
-
 /// All objects whose MBR intersects `window`, in unspecified order.
 pub fn range_query(tree: &RTree, window: &Rect) -> Vec<ObjectId> {
     let mut out = Vec::new();
-    range_query_with(tree, window, &mut QueryScratch::default(), &mut out);
-    out
-}
-
-/// [`range_query`] into caller-owned buffers: `out` is cleared and filled.
-pub fn range_query_with(
-    tree: &RTree,
-    window: &Rect,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<ObjectId>,
-) {
-    out.clear();
-    scratch.stack.clear();
-    scratch.stack.push(tree.root());
-    while let Some(id) = scratch.stack.pop() {
+    let mut stack = vec![tree.root()];
+    while let Some(id) = stack.pop() {
         let node = tree.node(id);
         let (min_x, min_y, max_x, max_y) = node.mbr_cols();
         let children = node.children();
@@ -95,12 +66,13 @@ pub fn range_query_with(
                 & (window.min.y <= max_y[i]);
             if hit {
                 match children[i] {
-                    ChildRef::Node(c) => scratch.stack.push(c),
+                    ChildRef::Node(c) => stack.push(c),
                     ChildRef::Object(o) => out.push(o),
                 }
             }
         }
     }
+    out
 }
 
 /// The `k` nearest objects to `center` with their distances, closest first.
@@ -109,24 +81,10 @@ pub fn range_query_with(
 /// objects). Ties are broken by object id for determinism.
 pub fn knn_query(tree: &RTree, center: &Point, k: usize) -> Vec<(ObjectId, f64)> {
     let mut out = Vec::new();
-    knn_query_with(tree, center, k, &mut QueryScratch::default(), &mut out);
-    out
-}
-
-/// [`knn_query`] into caller-owned buffers: `out` is cleared and filled.
-pub fn knn_query_with(
-    tree: &RTree,
-    center: &Point,
-    k: usize,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<(ObjectId, f64)>,
-) {
-    out.clear();
     if k == 0 || tree.object_count() == 0 {
-        return;
+        return out;
     }
-    let heap = &mut scratch.heap;
-    heap.clear();
+    let mut heap = BinaryHeap::new();
     let mut seq = 0u64;
     heap.push(Hi(0.0, seq, HiItem::Node(tree.root())));
     while let Some(Hi(d, _, item)) = heap.pop() {
@@ -138,7 +96,7 @@ pub fn knn_query_with(
                 for i in 0..children.len() {
                     seq += 1;
                     // MINDIST over the columns — bit-identical to
-                    // `Rect::min_dist` so results match the baseline exactly.
+                    // `Rect::min_dist`.
                     let dx = (min_x[i] - center.x).max(0.0).max(center.x - max_x[i]);
                     let dy = (min_y[i] - center.y).max(0.0).max(center.y - max_y[i]);
                     let dist = (dx * dx + dy * dy).sqrt();
@@ -158,33 +116,18 @@ pub fn knn_query_with(
             }
         }
     }
-    heap.clear();
+    out
 }
 
 /// Distance self-join: all canonical pairs `(a, b)` with `a < b` whose MBR
 /// distance is at most `dist`, sorted for deterministic comparison.
 pub fn distance_self_join(tree: &RTree, dist: f64) -> Vec<(ObjectId, ObjectId)> {
     let mut out = Vec::new();
-    distance_self_join_with(tree, dist, &mut QueryScratch::default(), &mut out);
-    out
-}
-
-/// [`distance_self_join`] into caller-owned buffers: `out` is cleared,
-/// filled and sorted.
-pub fn distance_self_join_with(
-    tree: &RTree,
-    dist: f64,
-    scratch: &mut QueryScratch,
-    out: &mut Vec<(ObjectId, ObjectId)>,
-) {
-    out.clear();
     if tree.object_count() == 0 {
-        out.sort_unstable();
-        return;
+        return out;
     }
-    scratch.pairs.clear();
-    scratch.pairs.push((tree.root(), tree.root()));
-    while let Some((a, b)) = scratch.pairs.pop() {
+    let mut pairs = vec![(tree.root(), tree.root())];
+    while let Some((a, b)) = pairs.pop() {
         let na = tree.node(a);
         let nb = tree.node(b);
         let same = a == b;
@@ -207,7 +150,7 @@ pub fn distance_self_join_with(
                     continue;
                 }
                 match (na.child_at(i), nb.child_at(j)) {
-                    (ChildRef::Node(ca), ChildRef::Node(cb)) => scratch.pairs.push((ca, cb)),
+                    (ChildRef::Node(ca), ChildRef::Node(cb)) => pairs.push((ca, cb)),
                     (ChildRef::Object(oa), ChildRef::Object(ob)) => {
                         if oa != ob {
                             out.push(if oa < ob { (oa, ob) } else { (ob, oa) });
@@ -220,112 +163,7 @@ pub fn distance_self_join_with(
         }
     }
     out.sort_unstable();
-}
-
-/// The pre-SoA recursive kernels, retained verbatim (modulo the [`Entry`]
-/// accessor API) as the comparison arm of the `bench_query_kernel`
-/// criterion bench and an additional oracle for the proptests.
-///
-/// **Do not use on adversarially deep trees** — the recursion depth equals
-/// the tree height, which is exactly the hazard the iterative kernels above
-/// remove.
-///
-/// [`Entry`]: crate::Entry
-pub mod baseline {
-    use super::*;
-
-    /// Recursive counterpart of [`range_query`](super::range_query).
-    pub fn range_query(tree: &RTree, window: &Rect) -> Vec<ObjectId> {
-        let mut out = Vec::new();
-        range_rec(tree, tree.root(), window, &mut out);
-        out
-    }
-
-    fn range_rec(tree: &RTree, node: NodeId, window: &Rect, out: &mut Vec<ObjectId>) {
-        for e in tree.node(node).entries() {
-            if !window.intersects(&e.mbr) {
-                continue;
-            }
-            match e.child {
-                ChildRef::Node(c) => range_rec(tree, c, window, out),
-                ChildRef::Object(o) => out.push(o),
-            }
-        }
-    }
-
-    /// Entry-at-a-time counterpart of [`knn_query`](super::knn_query)
-    /// (the loop itself was already iterative over a heap).
-    pub fn knn_query(tree: &RTree, center: &Point, k: usize) -> Vec<(ObjectId, f64)> {
-        let mut out = Vec::new();
-        if k == 0 || tree.object_count() == 0 {
-            return out;
-        }
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        heap.push(Hi(0.0, seq, HiItem::Node(tree.root())));
-        while let Some(Hi(d, _, item)) = heap.pop() {
-            match item {
-                HiItem::Node(n) => {
-                    for e in tree.node(n).entries() {
-                        seq += 1;
-                        let dist = e.mbr.min_dist(center);
-                        match e.child {
-                            ChildRef::Node(c) => heap.push(Hi(dist, seq, HiItem::Node(c))),
-                            ChildRef::Object(o) => heap.push(Hi(dist, o.0 as u64, HiItem::Obj(o))),
-                        }
-                    }
-                }
-                HiItem::Obj(o) => {
-                    out.push((o, d));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Recursive counterpart of
-    /// [`distance_self_join`](super::distance_self_join).
-    pub fn distance_self_join(tree: &RTree, dist: f64) -> Vec<(ObjectId, ObjectId)> {
-        let mut out = Vec::new();
-        if tree.object_count() > 0 {
-            join_rec(tree, tree.root(), tree.root(), dist, &mut out);
-        }
-        out.sort_unstable();
-        out
-    }
-
-    fn join_rec(
-        tree: &RTree,
-        a: NodeId,
-        b: NodeId,
-        dist: f64,
-        out: &mut Vec<(ObjectId, ObjectId)>,
-    ) {
-        let na = tree.node(a);
-        let nb = tree.node(b);
-        let same = a == b;
-        for (i, ea) in na.entries().enumerate() {
-            let j0 = if same { i } else { 0 };
-            for eb in nb.entries().skip(j0) {
-                if ea.mbr.min_dist_rect(&eb.mbr) > dist {
-                    continue;
-                }
-                match (ea.child, eb.child) {
-                    (ChildRef::Node(ca), ChildRef::Node(cb)) => join_rec(tree, ca, cb, dist, out),
-                    (ChildRef::Object(oa), ChildRef::Object(ob)) => {
-                        if oa != ob {
-                            out.push(if oa < ob { (oa, ob) } else { (ob, oa) });
-                        }
-                    }
-                    // Balanced tree + lockstep descent: levels always match.
-                    _ => unreachable!("mixed node/object pair in balanced self-join"),
-                }
-            }
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -360,8 +198,6 @@ mod tests {
     fn range_matches_naive() {
         let (store, tree) = dataset(400, 1);
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut scratch = QueryScratch::default();
-        let mut buf = Vec::new();
         for _ in 0..50 {
             let cx: f64 = rng.random_range(0.0..1.0);
             let cy: f64 = rng.random_range(0.0..1.0);
@@ -370,13 +206,6 @@ mod tests {
             let mut got = range_query(&tree, &w);
             got.sort_unstable();
             assert_eq!(got, naive::range_naive(&store, &w));
-            // The scratch-reusing variant and the recursive baseline agree.
-            range_query_with(&tree, &w, &mut scratch, &mut buf);
-            buf.sort_unstable();
-            assert_eq!(buf, got);
-            let mut base = baseline::range_query(&tree, &w);
-            base.sort_unstable();
-            assert_eq!(base, got);
         }
     }
 
@@ -384,8 +213,6 @@ mod tests {
     fn knn_matches_naive() {
         let (store, tree) = dataset(300, 2);
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut scratch = QueryScratch::default();
-        let mut buf = Vec::new();
         for _ in 0..50 {
             let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
             let k = rng.random_range(1..12usize);
@@ -396,11 +223,6 @@ mod tests {
                 // Distances must agree exactly; ids may differ only on ties.
                 assert!((g.1 - w.1).abs() < 1e-12, "dist mismatch {g:?} vs {w:?}");
             }
-            // The SoA MINDIST is bit-identical to the baseline's, so the
-            // full result (ids included) matches exactly.
-            knn_query_with(&tree, &p, k, &mut scratch, &mut buf);
-            assert_eq!(buf, got);
-            assert_eq!(baseline::knn_query(&tree, &p, k), got);
         }
     }
 
@@ -422,17 +244,12 @@ mod tests {
 
     #[test]
     fn join_matches_naive() {
-        let mut scratch = QueryScratch::default();
-        let mut buf = Vec::new();
         for seed in [5u64, 6, 7] {
             let (store, tree) = dataset(150, seed);
             for dist in [0.0, 0.01, 0.05, 0.15] {
                 let got = distance_self_join(&tree, dist);
                 let want = naive::join_naive(&store, dist);
                 assert_eq!(got, want, "seed {seed} dist {dist}");
-                distance_self_join_with(&tree, dist, &mut scratch, &mut buf);
-                assert_eq!(buf, got);
-                assert_eq!(baseline::distance_self_join(&tree, dist), got);
             }
         }
     }
@@ -457,51 +274,38 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_leaves_no_stale_results() {
-        // A wide query followed by a narrow one through the same scratch
-        // and output buffers: the second result must not retain the first's.
-        let (store, tree) = dataset(250, 9);
-        let mut scratch = QueryScratch::default();
-        let mut ids = Vec::new();
-        let mut nn = Vec::new();
-        range_query_with(&tree, &Rect::UNIT, &mut scratch, &mut ids);
-        assert_eq!(ids.len(), 250);
-        let narrow = Rect::centered_square(Point::new(0.5, 0.5), 0.05);
-        range_query_with(&tree, &narrow, &mut scratch, &mut ids);
-        ids.sort_unstable();
-        assert_eq!(ids, naive::range_naive(&store, &narrow));
-        knn_query_with(&tree, &Point::new(0.1, 0.9), 7, &mut scratch, &mut nn);
-        assert_eq!(nn.len(), 7);
-        knn_query_with(&tree, &Point::new(0.9, 0.1), 3, &mut scratch, &mut nn);
-        assert_eq!(nn.len(), 3);
-        let naive_nn = naive::knn_naive(&store, &Point::new(0.9, 0.1), 3);
-        for (g, w) in nn.iter().zip(&naive_nn) {
-            assert!((g.1 - w.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn iterative_kernels_survive_pathological_depth() {
         // Regression for the recursion hazard: a 50 000-level single-entry
         // chain ran the old recursive kernels out of stack (50k frames need
-        // megabytes). The iterative kernels traverse it inside a 64 KiB
-        // thread stack — heap-allocated traversal state, O(1) stack frames.
+        // megabytes). The iterative reference and the served executor both
+        // traverse it inside a 64 KiB thread stack — heap-allocated
+        // traversal state, O(1) stack frames.
+        use crate::bpt::BptStore;
+        use crate::engine::{execute, NoopTracer};
+        use crate::proto::QuerySpec;
+        use crate::view::FullView;
         let tree = RTree::degenerate_chain(RTreeConfig::small(), 50_000);
+        let bpts = BptStore::build(&tree);
         let handle = std::thread::Builder::new()
             .name("tiny-stack-query".into())
             .stack_size(64 * 1024)
             .spawn(move || {
-                let mut scratch = QueryScratch::default();
-                let mut ids = Vec::new();
-                range_query_with(&tree, &Rect::UNIT, &mut scratch, &mut ids);
-                assert_eq!(ids, vec![ObjectId(0)]);
-                let mut nn = Vec::new();
-                knn_query_with(&tree, &Point::ORIGIN, 1, &mut scratch, &mut nn);
+                assert_eq!(range_query(&tree, &Rect::UNIT), vec![ObjectId(0)]);
+                let nn = knn_query(&tree, &Point::ORIGIN, 1);
                 assert_eq!(nn.len(), 1);
                 assert_eq!(nn[0].0, ObjectId(0));
-                let mut pairs = Vec::new();
-                distance_self_join_with(&tree, 1.0, &mut scratch, &mut pairs);
+                let pairs = distance_self_join(&tree, 1.0);
                 assert!(pairs.is_empty(), "a single object joins with nothing");
+
+                let view = FullView::new(&tree, &bpts);
+                let window = Rect::UNIT;
+                let out = execute(&view, &QuerySpec::Range { window }, &mut NoopTracer);
+                assert_eq!(out.results, vec![(ObjectId(0), false)]);
+                let center = Point::ORIGIN;
+                let out = execute(&view, &QuerySpec::Knn { center, k: 1 }, &mut NoopTracer);
+                assert_eq!(out.results, vec![(ObjectId(0), false)]);
+                let out = execute(&view, &QuerySpec::Join { dist: 1.0 }, &mut NoopTracer);
+                assert!(out.result_pairs.is_empty());
             })
             .expect("spawn tiny-stack thread");
         handle

@@ -1,14 +1,15 @@
 //! [`FullView`]: the authoritative [`IndexView`] over a complete R-tree and
 //! its BPT store — what the server's query processor navigates.
 
-use crate::bpt::{BptCellKind, BptStore};
-use crate::engine::{CellChild, Expansion, IndexView, Target};
-use crate::proto::CellRef;
+use crate::bpt::BptStore;
+use crate::engine::{Expansion, IndexView};
+use crate::proto::{CellRef, Side};
 use crate::tree::RTree;
 use crate::ChildRef;
 use pc_geom::Rect;
 
-/// Complete server-side view: every cell expands, nothing is missing.
+/// Complete server-side view: every cell of the index expands; a reference
+/// to anything else is [`Expansion::Missing`].
 pub struct FullView<'a> {
     tree: &'a RTree,
     bpts: &'a BptStore,
@@ -36,52 +37,28 @@ impl IndexView for FullView<'_> {
     }
 
     fn expand(&self, cell: CellRef) -> Expansion {
-        let bpt = self.bpts.get(cell.node);
-        if bpt.is_empty() {
-            // Empty root node of an empty tree.
-            return Expansion::Children(Vec::new());
-        }
-        if let Some(children) = bpt.children(cell.code) {
-            // Super entry: its two BPT children.
-            return Expansion::Children(
-                children
-                    .iter()
-                    .map(|(code, c)| CellChild {
-                        mbr: c.mbr,
-                        target: Target::Cell(CellRef {
-                            node: cell.node,
-                            code: *code,
-                        }),
-                    })
-                    .collect(),
-            );
-        }
-        match bpt.find(cell.code) {
-            Some(c) => match c.kind {
-                BptCellKind::Leaf { entry_idx } => {
-                    let entry = self.tree.node(cell.node).entry(entry_idx as usize);
-                    let child = match entry.child {
-                        ChildRef::Node(n) => CellChild {
-                            mbr: entry.mbr,
-                            target: Target::Cell(CellRef::node_root(n)),
-                        },
-                        ChildRef::Object(o) => CellChild {
-                            mbr: entry.mbr,
-                            target: Target::Object {
-                                id: o,
-                                cached: false,
-                            },
-                        },
-                    };
-                    Expansion::Children(vec![child])
-                }
-                BptCellKind::Internal { .. } => unreachable!("children() covered internals"),
-            },
-            None => {
-                debug_assert!(false, "invalid cell {cell} on an authoritative view");
-                Expansion::Missing
+        // Cells of a remainder heap come off the wire: a node id past the
+        // slab is missing, never indexed. (The BPT store has one slot per
+        // tree slot and a leaf cell per entry, so the lookups under a
+        // found cell cannot miss.)
+        let Some(bpt) = self.bpts.try_get(cell.node) else {
+            return Expansion::Missing;
+        };
+        bpt.expand(cell, |entry_idx, _| {
+            let entry = self.tree.node(cell.node).entry(entry_idx as usize);
+            match entry.child {
+                ChildRef::Node(n) => Side::Cell {
+                    cell: CellRef::node_root(n),
+                    mbr: entry.mbr,
+                },
+                // `cached: false`: the requester has not received it.
+                ChildRef::Object(id) => Side::Obj {
+                    id,
+                    mbr: entry.mbr,
+                    cached: false,
+                },
             }
-        }
+        })
     }
 
     fn authoritative(&self) -> bool {

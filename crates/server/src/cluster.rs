@@ -28,16 +28,14 @@
 //! stamp into the vector it was synced at.
 
 use crate::core::{PartitionOp, ServerCore, Snapshot};
-use crate::forms::build_shipments;
+use crate::forms::FormMode;
 use crate::server::{ClientId, Server, ServerConfig};
 use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use pc_geom::{Rect, TileGrid};
 use pc_rtree::bpt::{Bpt, BptCellKind, Code};
-use pc_rtree::engine::{
-    execute, resume, AccessLog, CellChild, Expansion, IndexView, NoopTracer, Outcome, Target,
-};
+use pc_rtree::engine::{execute, resume, AccessLog, Expansion, IndexView, NoopTracer, Outcome};
 use pc_rtree::proto::{
     CellKind, CellRecord, CellRef, DirectReply, EpochVector, HeapEntry, NodeShipment, QuerySpec,
     RemainderQuery, Request, Response, ServerReply, ShardSubReply, ShardSubRequest, Side,
@@ -149,8 +147,8 @@ impl ShardMap {
         self.grid.index(tx, ty) % self.shards
     }
 
-    /// Bitmask of the shards owning any tile `r` covers (never empty: the
-    /// grid clamps, so every rectangle covers at least one tile).
+    /// Bitmask of the shards owning any tile `r` covers (never empty for
+    /// `min ≤ max`: the grid clamps, so the rectangle covers a tile).
     pub fn owners(&self, r: &Rect) -> u64 {
         let mut mask = 0u64;
         for (tx, ty) in self.grid.cover(r) {
@@ -180,9 +178,14 @@ impl ShardMap {
     }
 
     /// The lowest-numbered owning shard — the canonical home used to
-    /// route single-object work so it is answered exactly once.
+    /// route single-object work so it is answered exactly once. An
+    /// inverted rectangle (`min > max`; only a heap built outside this
+    /// program carries one) covers no tile and routes to shard 0.
     pub fn first_owner(&self, r: &Rect) -> u32 {
-        self.owners(r).trailing_zeros()
+        match self.owners(r) {
+            0 => 0,
+            mask => mask.trailing_zeros(),
+        }
     }
 
     /// Translates a shard-local node id into the cluster-global space.
@@ -712,30 +715,19 @@ impl Cluster {
     pub fn direct(&self, spec: &QuerySpec) -> DirectReply {
         let set = self.pin_all();
         match *spec {
-            QuerySpec::Range { window } => {
-                let owners = self.map.owners(&window);
-                let mut ids: Vec<ObjectId> = Vec::new();
+            QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
+                // A window's owners hold all of its results (straddlers
+                // are replicated); a kNN can reach any shard.
+                let owners = match *spec {
+                    QuerySpec::Range { window } => self.map.owners(&window),
+                    _ => u64::MAX,
+                };
+                let mut cands: Vec<(f64, ObjectId)> = Vec::new();
                 let mut expansions = 0;
                 for (s, pin) in set.pins.iter().enumerate() {
                     if owners & (1 << s) == 0 {
                         continue;
                     }
-                    let out = pin.direct(spec);
-                    expansions += out.expansions;
-                    ids.extend(out.results.iter().map(|&(id, _)| id));
-                }
-                ids.sort();
-                ids.dedup();
-                DirectReply {
-                    results: ids,
-                    pairs: Vec::new(),
-                    expansions,
-                }
-            }
-            QuerySpec::Knn { k, .. } => {
-                let mut cands: Vec<(f64, ObjectId)> = Vec::new();
-                let mut expansions = 0;
-                for pin in &set.pins {
                     let out = pin.direct(spec);
                     expansions += out.expansions;
                     for &(id, _) in &out.results {
@@ -747,7 +739,9 @@ impl Cluster {
                 cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 // Same id ⇒ same MBR ⇒ same key: duplicates are adjacent.
                 cands.dedup_by_key(|c| c.1);
-                cands.truncate(k as usize);
+                if let QuerySpec::Knn { k, .. } = *spec {
+                    cands.truncate(k as usize);
+                }
                 DirectReply {
                     results: cands.into_iter().map(|(_, id)| id).collect(),
                     pairs: Vec::new(),
@@ -763,11 +757,6 @@ impl Cluster {
                 };
                 let out = execute(&view, spec, &mut NoopTracer);
                 let mut pairs = out.result_pairs;
-                for p in &mut pairs {
-                    if p.0 > p.1 {
-                        *p = (p.1, p.0);
-                    }
-                }
                 pairs.sort();
                 pairs.dedup();
                 let mut ids: Vec<ObjectId> = out.results.iter().map(|&(id, _)| id).collect();
@@ -787,36 +776,35 @@ impl Cluster {
     /// sub-heap. Returns the router-side cell expansions performed.
     fn decompose_super(
         &self,
-        layout: &SuperLayout,
-        set: &PinSet,
+        view: &ClusterView<'_>,
         code: Code,
         spec: &QuerySpec,
         sub: &mut [Vec<(f64, HeapEntry)>],
     ) -> u64 {
         let mut expansions = 0;
         let mut stack = vec![code];
-        while let Some(c) = stack.pop() {
-            if let Some(children) = layout.bpt.children(c) {
-                expansions += 1;
-                for (cc, cell) in children {
-                    if spec.qualifies(&cell.mbr) {
-                        stack.push(cc);
+        while let Some(code) = stack.pop() {
+            let node = SUPER_ROOT;
+            match view.expand(CellRef { node, code }) {
+                Expansion::Split(children) => {
+                    expansions += 1;
+                    for child in children {
+                        if let Side::Cell { cell, mbr } = child {
+                            if spec.qualifies(&mbr) {
+                                stack.push(cell.code);
+                            }
+                        }
                     }
                 }
-            } else if let Some(cell) = layout.bpt.find(c) {
-                if let BptCellKind::Leaf { entry_idx } = cell.kind {
-                    let s = layout.members[entry_idx as usize];
-                    let tree = set.pins[s as usize].tree();
-                    sub[s as usize].push((
-                        spec.key_for(&cell.mbr),
-                        HeapEntry::Single(Side::Cell {
-                            cell: CellRef::node_root(tree.root()),
-                            mbr: cell.mbr,
-                        }),
-                    ));
+                // A layout leaf hands off into its shard's root.
+                Expansion::Entry(root @ Side::Cell { cell, mbr }) => {
+                    let (s, local) = self.map.to_local(cell.node);
+                    let entry = HeapEntry::Single(root.map_node(|_| local));
+                    sub[s as usize].push((spec.key_for(&mbr), entry));
                 }
-            } else {
-                debug_assert!(false, "invalid super-root cell in a remainder heap");
+                // A code the layout does not have (only a heap built
+                // outside this program names one): nothing to route.
+                _ => {}
             }
         }
         expansions
@@ -836,16 +824,7 @@ impl Cluster {
             Side::Cell { cell, .. } => Some(self.map.to_local(cell.node).0),
             Side::Obj { .. } => None,
         };
-        let localize = |side: Side| match side {
-            Side::Cell { cell, mbr } => Side::Cell {
-                cell: CellRef {
-                    node: self.map.to_local(cell.node).1,
-                    code: cell.code,
-                },
-                mbr,
-            },
-            obj => obj,
-        };
+        let localize = |side: Side| side.map_node(|n| self.map.to_local(n).1);
         match (shard_of(&a), shard_of(&b)) {
             (Some(x), Some(y)) if x == y => Some((x, localize(a), localize(b))),
             (Some(x), None) => Some((x, localize(a), b)),
@@ -890,6 +869,11 @@ impl Cluster {
         layout: &SuperLayout,
     ) -> ServerReply {
         let n = self.cfg.shards as usize;
+        let view = ClusterView {
+            map: &self.map,
+            pins: &set.pins,
+            layout,
+        };
         let mut sub: Vec<Vec<(f64, HeapEntry)>> = vec![Vec::new(); n];
         let mut leftover: Vec<(f64, HeapEntry)> = Vec::new();
         let mut super_ship = false;
@@ -900,23 +884,13 @@ impl Cluster {
                 HeapEntry::Single(Side::Obj { mbr, .. }) => {
                     sub[self.map.first_owner(&mbr) as usize].push((key, entry));
                 }
-                HeapEntry::Single(Side::Cell { cell, mbr }) => {
+                HeapEntry::Single(side @ Side::Cell { cell, .. }) => {
                     if cell.node == SUPER_ROOT {
                         super_ship = true;
-                        expansions +=
-                            self.decompose_super(layout, set, cell.code, &rq.spec, &mut sub);
+                        expansions += self.decompose_super(&view, cell.code, &rq.spec, &mut sub);
                     } else {
                         let (s, local) = self.map.to_local(cell.node);
-                        sub[s as usize].push((
-                            key,
-                            HeapEntry::Single(Side::Cell {
-                                cell: CellRef {
-                                    node: local,
-                                    code: cell.code,
-                                },
-                                mbr,
-                            }),
-                        ));
+                        sub[s as usize].push((key, HeapEntry::Single(side.map_node(|_| local))));
                     }
                 }
                 HeapEntry::Pair(a, b) => match self.route_pair(a, b) {
@@ -946,14 +920,9 @@ impl Cluster {
                 .scatter_bytes
                 .fetch_add(req.wire_bytes(), Ordering::Relaxed);
             self.stats.sub_queries.fetch_add(1, Ordering::Relaxed);
-            let snap = &set.pins[s];
-            let view = FullView::new(snap.tree(), snap.bpts());
-            let out = resume(&view, &req.query, &mut logs[s]);
-            debug_assert!(
-                out.remainder.is_none(),
-                "authoritative resume never leaves a remainder"
-            );
+            let (out, log) = set.pins[s].resume_traced(&req.query);
             outcomes[s] = Some(out);
+            logs[s] = log;
         }
 
         // Cross-shard leftovers (join pairs spanning shards) resume over
@@ -961,11 +930,6 @@ impl Cluster {
         // shards' logs so shipments are built once per shard.
         let mut leftover_outcome: Option<Outcome> = None;
         if !leftover.is_empty() {
-            let view = ClusterView {
-                map: &self.map,
-                pins: &set.pins,
-                layout,
-            };
             let mut log = AccessLog::default();
             let out = resume(
                 &view,
@@ -990,80 +954,69 @@ impl Cluster {
             leftover_outcome = Some(out);
         }
 
-        // Gather: per-shard partial replies, charged on the backplane.
-        let mut index: Vec<NodeShipment> = Vec::new();
-        if super_ship {
-            index.push(layout.shipment(&self.map, &set.pins));
-        }
-        let mut all: Vec<(Option<u32>, Outcome)> = Vec::new();
+        // Gather: per-shard partial replies, charged on the backplane,
+        // each paired with the pin whose store resolves its ids.
+        let mut partials: Vec<(&Snapshot, ServerReply)> = Vec::new();
         for (s, (out, log)) in outcomes.into_iter().zip(logs).enumerate() {
             let Some(out) = out.or_else(|| (!log.nodes.is_empty()).then(Outcome::default)) else {
                 continue;
             };
-            let snap = &set.pins[s];
-            let shipments: Vec<NodeShipment> = build_shipments(
-                &log,
-                snap.tree(),
-                snap.bpts(),
-                self.shards[s].remainder_mode(client),
-            )
-            .into_iter()
-            .map(|sh| self.translate_shipment(sh, s as u32))
-            .collect();
+            let snap = &*set.pins[s];
+            let mut reply = snap.assemble(out, &log, self.shards[s].remainder_mode(client));
+            reply.index = std::mem::take(&mut reply.index)
+                .into_iter()
+                .map(|sh| self.translate_shipment(sh, s as u32))
+                .collect();
             let sub_reply = ShardSubReply {
                 shard: s as u32,
                 epochs: EpochVector {
                     epochs: set.vector.clone(),
                 },
-                reply: ServerReply {
-                    confirmed: out
-                        .results
-                        .iter()
-                        .filter(|&&(_, c)| c)
-                        .map(|&(id, _)| id)
-                        .collect(),
-                    objects: out
-                        .results
-                        .iter()
-                        .filter(|&&(_, c)| !c)
-                        .map(|&(id, _)| *snap.store().get(id))
-                        .collect(),
-                    pairs: out.result_pairs.clone(),
-                    index: shipments,
-                    expansions: out.expansions,
-                },
+                reply,
             };
             // ordering: Relaxed — monotone stats counter (see `stats`).
             self.stats
                 .gather_bytes
                 .fetch_add(sub_reply.wire_bytes(), Ordering::Relaxed);
-            index.extend(sub_reply.reply.index);
-            expansions += out.expansions;
-            all.push((Some(s as u32), out));
+            partials.push((snap, sub_reply.reply));
         }
         if let Some(out) = leftover_outcome {
-            expansions += out.expansions;
-            all.push((None, out));
+            // Router-side results read shard 0's store (same batch, the
+            // MBR vintage can lag one refresh — ids and sizes cannot);
+            // their index went into the shards' logs above.
+            let snap = &*set.pins[0];
+            partials.push((
+                snap,
+                snap.assemble(out, &AccessLog::default(), FormMode::COMPACT),
+            ));
         }
 
         // Merge: each object appears (and is charged) exactly once, even
         // when several shards returned a boundary straddler.
+        let mut index: Vec<NodeShipment> = Vec::new();
+        if super_ship {
+            index.push(layout.shipment(&self.map, &set.pins));
+        }
+        let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
         let mut seen: HashMap<ObjectId, usize> = HashMap::new();
         let mut cands: Vec<(SpatialObject, bool)> = Vec::new();
         let mut dups = 0u64;
-        for (src, out) in &all {
-            for &(id, cached) in &out.results {
-                // An owning shard's pinned store is exact for its objects;
-                // router leftovers read shard 0's store (same batch, the
-                // MBR vintage can lag one refresh — ids and sizes cannot).
-                let store = match src {
-                    Some(s) => set.pins[*s as usize].store(),
-                    None => set.pins[0].store(),
-                };
-                match seen.entry(id) {
+        for (snap, reply) in partials {
+            expansions += reply.expansions;
+            index.extend(reply.index);
+            pairs.extend(reply.pairs);
+            // A confirmed id the store never assigned (outside input) has
+            // no object to merge.
+            let confirmed = reply
+                .confirmed
+                .iter()
+                .filter_map(|&id| snap.store().try_get(id))
+                .map(|o| (*o, true));
+            for (object, cached) in confirmed.chain(reply.objects.into_iter().map(|o| (o, false))) {
+                match seen.entry(object.id) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert(cands.len());
-                        cands.push((*store.get(id), cached));
+                        cands.push((object, cached));
                     }
                     std::collections::hash_map::Entry::Occupied(o) => {
                         dups += 1;
@@ -1079,10 +1032,6 @@ impl Cluster {
                 .fetch_add(dups, Ordering::Relaxed);
         }
 
-        let mut pairs: Vec<(ObjectId, ObjectId)> = all
-            .iter()
-            .flat_map(|(_, o)| o.result_pairs.iter().copied())
-            .collect();
         match rq.spec {
             QuerySpec::Knn { k, .. } => {
                 let budget = k.saturating_sub(rq.already_found) as usize;
@@ -1095,11 +1044,7 @@ impl Cluster {
                 cands.truncate(budget);
             }
             QuerySpec::Join { .. } => {
-                for p in &mut pairs {
-                    if p.0 > p.1 {
-                        *p = (p.1, p.0);
-                    }
-                }
+                // Engine pairs are canonical; shards repeat straddlers'.
                 pairs.sort();
                 pairs.dedup();
                 cands.sort_by_key(|c| c.0.id);
@@ -1193,74 +1138,34 @@ struct ClusterView<'a> {
 
 impl IndexView for ClusterView<'_> {
     fn root(&self) -> Option<(Rect, CellRef)> {
-        let mut mbr: Option<Rect> = None;
-        for &m in &self.layout.members {
-            // pc-check: allow(no-unwrap, "invariant: `members` was built from these same pins and lists exactly the shards whose pinned root existed")
-            let r = self.pins[m as usize].tree().root_mbr().unwrap();
-            mbr = Some(match mbr {
-                Some(u) => u.union(&r),
-                None => r,
-            });
-        }
-        mbr.map(|m| {
-            (
-                m,
-                CellRef {
-                    node: SUPER_ROOT,
-                    code: Code::ROOT,
-                },
-            )
-        })
+        // The layout BPT's root cell covers every non-empty shard root.
+        let root = self.layout.bpt.find(Code::ROOT)?;
+        Some((root.mbr, CellRef::node_root(SUPER_ROOT)))
     }
 
     fn expand(&self, cell: CellRef) -> Expansion {
         if cell.node == SUPER_ROOT {
-            if let Some(children) = self.layout.bpt.children(cell.code) {
-                return Expansion::Children(
-                    children
-                        .iter()
-                        .map(|(code, c)| CellChild {
-                            mbr: c.mbr,
-                            target: Target::Cell(CellRef {
-                                node: SUPER_ROOT,
-                                code: *code,
-                            }),
-                        })
-                        .collect(),
-                );
-            }
-            if let Some(c) = self.layout.bpt.find(cell.code) {
-                if let BptCellKind::Leaf { entry_idx } = c.kind {
-                    let s = self.layout.members[entry_idx as usize];
-                    let tree = self.pins[s as usize].tree();
-                    return Expansion::Children(vec![CellChild {
-                        mbr: c.mbr,
-                        target: Target::Cell(CellRef::node_root(
-                            self.map.to_global(tree.root(), s),
-                        )),
-                    }]);
+            return self.layout.bpt.expand(cell, |entry_idx, mbr| {
+                let s = self.layout.members[entry_idx as usize];
+                let root = self.pins[s as usize].tree().root();
+                Side::Cell {
+                    cell: CellRef::node_root(self.map.to_global(root, s)),
+                    mbr,
                 }
-            }
-            debug_assert!(false, "invalid super cell {cell} on the merged view");
-            return Expansion::Missing;
+            });
         }
 
         // A shard node: the shard's own view expands it, and only the
         // node ids it hands out are translated into the global space.
         let (s, local) = self.map.to_local(cell.node);
         let snap = &self.pins[s as usize];
-        let mut expansion = FullView::new(snap.tree(), snap.bpts()).expand(CellRef {
+        let cell = CellRef {
             node: local,
             code: cell.code,
-        });
-        if let Expansion::Children(children) = &mut expansion {
-            for child in children {
-                if let Target::Cell(c) = &mut child.target {
-                    c.node = self.map.to_global(c.node, s);
-                }
-            }
-        }
-        expansion
+        };
+        FullView::new(snap.tree(), snap.bpts())
+            .expand(cell)
+            .map(|side| side.map_node(|n| self.map.to_global(n, s)))
     }
 
     fn authoritative(&self) -> bool {

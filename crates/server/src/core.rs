@@ -87,27 +87,48 @@ impl Snapshot {
     /// ones) and the supporting index `Ir` in `mode`. This is the
     /// policy-free primitive behind [`crate::Server::process_remainder`].
     pub fn resume_remainder(&self, rq: &RemainderQuery, mode: FormMode) -> ServerReply {
+        let (outcome, log) = self.resume_traced(rq);
+        self.assemble(outcome, &log, mode)
+    }
+
+    /// The resume half of stage ②: runs `Qr` to completion over this
+    /// epoch's index and records which cells the traversal read. A cluster
+    /// folds cross-shard accesses into the log before [`assemble`]ing.
+    ///
+    /// [`assemble`]: Self::assemble
+    pub(crate) fn resume_traced(&self, rq: &RemainderQuery) -> (Outcome, AccessLog) {
         let view = FullView::new(&self.tree, &self.bpts);
         let mut log = AccessLog::default();
         let outcome = resume(&view, rq, &mut log);
         debug_assert!(outcome.remainder.is_none(), "server must finish queries");
+        (outcome, log)
+    }
 
-        let index = build_shipments(&log, &self.tree, &self.bpts, mode);
-
+    /// The assembly half of stage ②: `Ir` in `mode` for every node `log`
+    /// saw expanded, and `Rr` split into confirmations (the client holds
+    /// the payload) and transmitted objects.
+    pub(crate) fn assemble(
+        &self,
+        outcome: Outcome,
+        log: &AccessLog,
+        mode: FormMode,
+    ) -> ServerReply {
         let mut confirmed = Vec::new();
         let mut objects = Vec::new();
-        for &(id, cached) in &outcome.results {
+        for (id, cached) in outcome.results {
             if cached {
                 confirmed.push(id);
-            } else {
-                objects.push(*self.store.get(id));
+            } else if let Some(object) = self.store.try_get(id) {
+                // An id the store never assigned can only come from a
+                // heap built outside this program: nothing to transmit.
+                objects.push(*object);
             }
         }
         ServerReply {
             confirmed,
             objects,
             pairs: outcome.result_pairs,
-            index,
+            index: build_shipments(log, &self.tree, &self.bpts, mode),
             expansions: outcome.expansions,
         }
     }

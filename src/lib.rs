@@ -29,17 +29,18 @@
 //! ## Quickstart
 //!
 //! ```
-//! use procache::rtree::{RTree, RTreeConfig, proto::QuerySpec};
-//! use procache::workload::datasets;
 //! use procache::geom::{Point, Rect};
+//! use procache::rtree::{proto::QuerySpec, RTreeConfig};
+//! use procache::server::{Server, ServerConfig};
+//! use procache::workload::datasets;
 //!
-//! // A small NE-like dataset, its R*-tree, and one range query.
+//! // A small NE-like dataset behind a server (R*-tree + per-node BPTs),
+//! // and one range query answered by the §3.3 engine over its index.
 //! let store = datasets::ne_like(500, 42);
-//! let objects: Vec<_> = store.iter().copied().collect();
-//! let tree = RTree::bulk_load(RTreeConfig::small(), &objects);
+//! let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
 //! let window = Rect::centered_square(Point::new(0.5, 0.5), 0.1);
-//! let hits = procache::rtree::query::range_query(&tree, &window);
-//! assert!(hits.len() <= 500);
+//! let hits = server.snapshot().direct(&QuerySpec::Range { window });
+//! assert!(hits.results.len() <= 500);
 //! ```
 
 pub use pc_baselines as baselines;

@@ -241,3 +241,127 @@ fn single_object_dataset() {
         "self-join of a single object has no pairs"
     );
 }
+
+/// A remainder frame `decode_request` accepts may name nodes, objects and
+/// super-root codes the index never had; the serving thread skips them
+/// (an unchecked slab index would panic it) and keeps serving.
+#[test]
+fn hostile_remainder_heaps_are_skipped_not_indexed() {
+    use procache::rtree::bpt::Code;
+    use procache::rtree::proto::{CellRef, HeapEntry, RemainderQuery, Request, Response, Side};
+    use procache::rtree::{NodeId, ObjectId};
+    use procache::server::{BatchedService, Cluster, ClusterConfig, ServerHandle, SUPER_ROOT};
+    use procache::wire;
+
+    let store = datasets::ne_like(2_000, 9);
+    let server = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
+    let batched = BatchedService::over(&server);
+    let cluster = Cluster::new(store, RTreeConfig::small(), ClusterConfig::new(4));
+    let handles: [(&str, &dyn ServerHandle); 3] = [
+        ("server", &server),
+        ("batched service", &batched),
+        ("4-shard cluster", &cluster),
+    ];
+
+    // What the socket loop does with the bytes of a frame.
+    let over_the_wire = |req: &Request| {
+        let bytes = wire::encode_request(7, 1, req);
+        let frame = wire::read_frame(&mut &bytes[..], 1 << 20).expect("well-formed frame");
+        wire::decode_request(frame.header.tag, &frame.body).expect("the codec accepts it")
+    };
+    let deep = (0..20).fold(Code::ROOT, |code, _| code.child(true));
+    let cell = |node, code| Side::Cell {
+        cell: CellRef { node, code },
+        mbr: Rect::UNIT,
+    };
+    let hostile = [
+        ("node id past the slab", cell(NodeId(4_000_000), Code::ROOT)),
+        ("code no BPT has", cell(NodeId(0), deep)),
+        ("super-root code no layout has", cell(SUPER_ROOT, deep)),
+        (
+            "object id the store never assigned",
+            Side::Obj {
+                id: ObjectId(3_000_000_000),
+                mbr: Rect::UNIT,
+                cached: false,
+            },
+        ),
+        (
+            "inverted rectangle (covers no tile)",
+            Side::Obj {
+                id: ObjectId(0),
+                mbr: Rect {
+                    min: Point::new(0.9, 0.9),
+                    max: Point::new(0.1, 0.1),
+                },
+                cached: true,
+            },
+        ),
+    ];
+    let specs = [
+        QuerySpec::Range { window: Rect::UNIT },
+        QuerySpec::Knn {
+            center: Point::new(0.5, 0.5),
+            k: 5,
+        },
+        QuerySpec::Join { dist: 0.001 },
+    ];
+
+    for (name, handle) in handles {
+        // A well-behaved cold client, before and after the hostile traffic.
+        let (root, _) = handle.bootstrap_root().0.expect("non-empty world");
+        let root = cell(root, Code::ROOT);
+        let honest = |spec: &QuerySpec, extra: Option<Side>| {
+            let entry = |side| {
+                if spec.is_join() {
+                    HeapEntry::Pair(side, root)
+                } else {
+                    HeapEntry::Single(side)
+                }
+            };
+            let sides = [Some(root), extra].into_iter().flatten();
+            RemainderQuery {
+                spec: *spec,
+                already_found: 0,
+                heap: sides.map(|side| (0.0, entry(side))).collect(),
+            }
+        };
+        let clean: Vec<Response> = specs
+            .iter()
+            .map(|spec| handle.call(7, over_the_wire(&Request::Remainder(honest(spec, None)))))
+            .collect();
+
+        for (what, side) in hostile {
+            for spec in &specs {
+                let query = honest(spec, Some(side));
+                for req in [
+                    Request::Remainder(query.clone()),
+                    Request::RemainderVersioned { query, epoch: 0 },
+                ] {
+                    let reply = handle.call(7, over_the_wire(&req));
+                    assert!(
+                        matches!(reply, Response::Remainder(_) | Response::Versioned(_)),
+                        "{name}: {what}: {reply:?}"
+                    );
+                }
+            }
+        }
+        // A query kind mismatch is malformed too: pairs in a range heap,
+        // singles in a join heap.
+        let mut swapped = honest(&specs[0], None);
+        swapped.heap.push((0.0, HeapEntry::Pair(root, root)));
+        handle.call(7, over_the_wire(&Request::Remainder(swapped)));
+        let mut swapped = honest(&specs[2], None);
+        swapped.heap.push((0.0, HeapEntry::Single(root)));
+        handle.call(7, over_the_wire(&Request::Remainder(swapped)));
+
+        let after: Vec<Response> = specs
+            .iter()
+            .map(|spec| handle.call(7, over_the_wire(&Request::Remainder(honest(spec, None)))))
+            .collect();
+        assert_eq!(
+            after, clean,
+            "{name}: honest callers must be served as before"
+        );
+    }
+}
