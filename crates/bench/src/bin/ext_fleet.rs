@@ -38,15 +38,6 @@
 //! * `batches` / `avg b` — flushes and mean requests per flush (`--batch`
 //!   only; `avg b = 1.00` means no coalescing happened).
 //!
-//! With `--wire`, the binary switches to *measured-bytes* mode: each row
-//! serves the fleet over real TCP loopback frames — a
-//! [`pc_server::WireServer`] accept loop (optionally batched with
-//! `--batch`) behind a [`pc_server::TcpTransport`] client — and the table
-//! reports measured frame bytes next to what the `wire_bytes()` model
-//! charged for the same traffic. Every row asserts the reconciliation
-//! identity `measured == modeled + itemized framing overhead` in both
-//! directions; `--json OUT` writes `BENCH_wire.json`-style rows.
-//!
 //! With `--shards N[,N...]`, the binary switches to *cluster scaling*
 //! mode: the fleet size is held fixed (`--clients`, default 8) and each
 //! row runs the same workload against a fresh spatially-sharded
@@ -61,12 +52,8 @@
 //! (`Forget`) when their budget completes, so the adaptive table drains
 //! between rows on its own.
 
-use std::sync::Arc;
-
 use pc_bench::{banner, fmt_bytes, fmt_pct, fmt_s, json, HarnessOpts, Table};
-use pc_server::{
-    BatchConfig, BatchedService, ServerHandle, TcpTransport, WireServer, WireServerConfig,
-};
+use pc_server::{BatchConfig, BatchedService, ServerHandle};
 use pc_sim::{build_cluster, build_server, CacheModel, ChurnConfig, Fleet, FleetResult};
 
 fn main() {
@@ -83,16 +70,7 @@ fn main() {
         seed: opts.seed ^ 0x5EED_CAFE,
     };
     if !opts.shards.is_empty() {
-        assert!(
-            !opts.wire,
-            "--wire and --shards are mutually exclusive: the wire transport \
-             fronts a single server, not the cluster router"
-        );
         shard_scaling(&opts, cfg, churn, max_clients);
-        return;
-    }
-    if opts.wire {
-        wire_fleet(&opts, cfg, churn, max_clients);
         return;
     }
     banner(
@@ -226,169 +204,6 @@ fn main() {
     if let Some(path) = &opts.json {
         let doc = json::Obj::new()
             .str("bench", "ext_fleet")
-            .str("mode", if opts.batch { "batched" } else { "direct" })
-            .num("seed", opts.seed)
-            .num("objects", cfg.n_objects)
-            .num("queries_per_client", cfg.n_queries)
-            .num("update_rate_per_100", opts.update_rate)
-            .num("update_batch", opts.update_batch)
-            .raw("rows", &json::array(&json_rows))
-            .render();
-        std::fs::write(path, doc + "\n").expect("write --json output");
-        println!("wrote {path}");
-    }
-}
-
-/// Measured-bytes mode (`--wire`): the same doubling fleet, but every
-/// request crosses TCP loopback as a real `pc_wire` frame. Each row
-/// spawns a fresh [`WireServer`] (its accept loop is per-row state) and a
-/// [`TcpTransport`] whose counters record actual encoded frame lengths
-/// alongside the `wire_bytes()` model; the row asserts the reconciliation
-/// identity before it is reported.
-fn wire_fleet(opts: &HarnessOpts, cfg: pc_sim::SimConfig, churn: ChurnConfig, max_clients: u32) {
-    banner(
-        if opts.batch {
-            "ext: client fleet over TCP loopback (batched remainder service)"
-        } else {
-            "ext: client fleet over TCP loopback (measured wire frames)"
-        },
-        &cfg,
-    );
-    if opts.update_rate > 0 {
-        println!(
-            "churn: {} updates / 100 queries, {} per epoch (versioned protocol)\n",
-            opts.update_rate, opts.update_batch
-        );
-    }
-
-    let shared_server = Arc::new(build_server(&cfg));
-    let mut sizes = Vec::new();
-    let mut n = 1;
-    while n < max_clients {
-        sizes.push(n);
-        n *= 2;
-    }
-    sizes.push(max_clients);
-
-    let mut table = Table::new(vec![
-        "clients", "queries", "wall", "wall q/s", "resp", "hit_c", "fmr", "upd", "tx", "rx",
-        "tx ovh", "rx ovh", "frames", "recon",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for &clients in &sizes {
-        // Churn mutates the dataset, so each churned row gets a fresh
-        // server (same reasoning as the in-process mode); update-free rows
-        // share one.
-        let server: Arc<pc_server::Server> = if opts.update_rate > 0 {
-            Arc::new(build_server(&cfg))
-        } else {
-            Arc::clone(&shared_server)
-        };
-        let wire_cfg = WireServerConfig::default();
-        let (mut ws, service) = if opts.batch {
-            let (ws, service) = WireServer::spawn_batched(
-                Arc::clone(&server),
-                BatchConfig {
-                    max_batch: opts.batch_max,
-                    queue_cap: opts.batch_max.max(4) * 4,
-                    ..BatchConfig::default()
-                },
-                wire_cfg,
-            )
-            .expect("bind wire server");
-            (ws, Some(service))
-        } else {
-            let handle: Arc<dyn ServerHandle> = Arc::clone(&server) as Arc<dyn ServerHandle>;
-            (
-                WireServer::spawn(handle, wire_cfg).expect("bind wire server"),
-                None,
-            )
-        };
-        // Metadata calls (core(), apply_updates, bootstrap_root) stay
-        // in-process through the inner handle; only Request/Response
-        // envelopes cross the socket.
-        let transport =
-            TcpTransport::connect(ws.addr(), Arc::clone(&server) as Arc<dyn ServerHandle>);
-        let fleet = Fleet::new(cfg)
-            .clients(clients)
-            .threads(opts.threads)
-            .churn(churn);
-        let out: FleetResult = fleet.run(&transport);
-        let t = transport.stats();
-        assert!(
-            t.reconciles(),
-            "measured frame bytes must equal modeled + itemized overhead: {t:?}"
-        );
-        drop(transport);
-        ws.shutdown();
-        let srv = ws.stats();
-        assert_eq!(
-            srv.requests_served, t.rx_frames,
-            "every request frame the client counted was served"
-        );
-        let s = &out.merged.summary;
-        table.row(vec![
-            clients.to_string(),
-            out.total_queries().to_string(),
-            fmt_s(out.wall_s),
-            format!("{:.0}", out.wall_qps()),
-            fmt_s(s.avg_response_s),
-            fmt_pct(s.hit_c),
-            fmt_pct(s.fmr),
-            out.updates_applied.to_string(),
-            fmt_bytes(t.tx_bytes as f64),
-            fmt_bytes(t.rx_bytes as f64),
-            fmt_bytes(t.tx_overhead_bytes as f64),
-            fmt_bytes(t.rx_overhead_bytes as f64),
-            (t.tx_frames + t.rx_frames).to_string(),
-            "ok".to_string(),
-        ]);
-        json_rows.push(
-            json::Obj::new()
-                .num("clients", clients)
-                .num("queries", out.total_queries())
-                .num("wall_s", out.wall_s)
-                .num("wall_qps", out.wall_qps())
-                .num("avg_response_s", s.avg_response_s)
-                .num("hit_c", s.hit_c)
-                .num("fmr", s.fmr)
-                .num("modeled_uplink_bytes", t.modeled_tx_bytes)
-                .num("modeled_downlink_bytes", t.modeled_rx_bytes)
-                .num("measured_tx_bytes", t.tx_bytes)
-                .num("measured_rx_bytes", t.rx_bytes)
-                .num("tx_overhead_bytes", t.tx_overhead_bytes)
-                .num("rx_overhead_bytes", t.rx_overhead_bytes)
-                .num("tx_frames", t.tx_frames)
-                .num("rx_frames", t.rx_frames)
-                .num("reconciles", t.reconciles())
-                .num("connections_accepted", srv.connections_accepted)
-                .num("requests_served", srv.requests_served)
-                .num("frames_rejected", srv.frames_rejected)
-                .num("stale_retries", s.totals.stale_retries)
-                .num("full_refreshes", s.totals.full_refreshes)
-                .num("updates_applied", out.updates_applied)
-                .num("final_epoch", out.final_epoch)
-                .num(
-                    "batches",
-                    service.as_ref().map_or(0, |sv| sv.stats().batches),
-                )
-                .num(
-                    "mean_batch",
-                    service.as_ref().map_or(0.0, |sv| sv.stats().mean_batch()),
-                )
-                .render(),
-        );
-    }
-    table.print();
-    println!();
-    println!(
-        "every row reconciled: measured frame bytes == wire_bytes() model \
-         + itemized framing overhead, both directions"
-    );
-
-    if let Some(path) = &opts.json {
-        let doc = json::Obj::new()
-            .str("bench", "ext_fleet_wire")
             .str("mode", if opts.batch { "batched" } else { "direct" })
             .num("seed", opts.seed)
             .num("objects", cfg.n_objects)

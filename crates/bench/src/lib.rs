@@ -39,10 +39,6 @@ pub struct HarnessOpts {
     /// Shard counts for cluster-scaling experiments (`--shards 1,2,4,8`).
     /// Empty = single-server mode.
     pub shards: Vec<u32>,
-    /// Run the fleet over real TCP loopback frames (`pc_server`'s
-    /// `WireServer` and `TcpTransport`) instead of in-process dispatch,
-    /// cross-checking measured frame bytes against `wire_bytes()`.
-    pub wire: bool,
     /// Write machine-readable results (JSON) to this path.
     pub json: Option<String>,
 }
@@ -61,7 +57,6 @@ impl HarnessOpts {
             update_rate: 0,
             update_batch: 1,
             shards: Vec::new(),
-            wire: false,
             json: None,
         };
         let args: Vec<String> = std::env::args().collect();
@@ -120,7 +115,6 @@ impl HarnessOpts {
                         .collect();
                     assert!(!opts.shards.is_empty(), "--shards needs at least one count");
                 }
-                "--wire" => opts.wire = true,
                 "--json" => {
                     i += 1;
                     opts.json = Some(args[i].clone());
@@ -130,7 +124,7 @@ impl HarnessOpts {
                         "options: --paper-scale | --objects N | --queries N | --seed S \
                          | --clients N | --threads N | --batch | --batch-max N \
                          | --update-rate R | --update-batch B | --shards N[,N...] \
-                         | --wire | --json OUT"
+                         | --json OUT"
                     );
                     std::process::exit(0);
                 }

@@ -19,8 +19,10 @@
 //!   provides — what it synchronizes, or why no synchronization is needed.
 //! * [`RULE_GUARD`] — in `pc_server::wire`, no lock guard may be held
 //!   across a blocking socket write (`write_all`) unless the write goes
-//!   *through* that guard (the per-connection write mutex). A guard held
-//!   across a blocking write turns one slow peer into a server-wide stall.
+//!   *through* that guard: the one per-connection I/O mutex, which *is* the
+//!   client's channel and is held for the whole request/reply exchange. Any
+//!   other guard (the connection table, say) held across a blocking write
+//!   turns one slow peer into a stall for every client.
 //! * [`RULE_DRIFT`] — the byte constants in `pc_rtree::proto` (the
 //!   paper's cost model) and the packed record sizes in `pc_wire`'s codec
 //!   must agree, so the `encoded == wire_bytes() + itemized overhead`

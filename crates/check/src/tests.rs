@@ -160,8 +160,8 @@ fn cmp_ordering_is_ignored() {
 #[test]
 fn guard_across_socket_write_is_flagged() {
     let src = r#"
-fn bad(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
-    let slots = conn.slots.lock().unwrap();
+fn bad(tcp: &TcpTransport, stream: &mut TcpStream, frame: &[u8]) {
+    let conns = tcp.conns.lock().unwrap();
     stream.write_all(frame).ok();
 }
 "#;
@@ -170,11 +170,11 @@ fn bad(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
 }
 
 #[test]
-fn writing_through_the_write_guard_is_allowed() {
+fn writing_through_the_connection_io_guard_is_allowed() {
     let src = r#"
-fn good(conn: &Conn, frame: &[u8]) {
-    let mut w = conn.write.lock().unwrap();
-    w.write_all(frame).ok();
+fn good(conn: &Mutex<Conn>, frame: &[u8]) {
+    let mut io = conn.lock().unwrap();
+    io.stream.write_all(frame).ok();
 }
 "#;
     let mut f = parse(src);
@@ -184,9 +184,9 @@ fn good(conn: &Conn, frame: &[u8]) {
 #[test]
 fn dropped_guards_do_not_flag_later_writes() {
     let src = r#"
-fn ok(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
-    let slots = conn.slots.lock().unwrap();
-    drop(slots);
+fn ok(tcp: &TcpTransport, stream: &mut TcpStream, frame: &[u8]) {
+    let conns = tcp.conns.lock().unwrap();
+    drop(conns);
     stream.write_all(frame).ok();
 }
 "#;
@@ -197,10 +197,10 @@ fn ok(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
 #[test]
 fn scope_exit_releases_guards() {
     let src = r#"
-fn ok(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
+fn ok(tcp: &TcpTransport, stream: &mut TcpStream, frame: &[u8]) {
     {
-        let slots = conn.slots.lock().unwrap();
-        let _ = slots.len();
+        let conns = tcp.conns.lock().unwrap();
+        let _ = conns.len();
     }
     stream.write_all(frame).ok();
 }
@@ -212,8 +212,8 @@ fn ok(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
 #[test]
 fn recover_helpers_bind_guards_too() {
     let src = r#"
-fn bad(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
-    let slots = lock_recover(&conn.slots);
+fn bad(tcp: &TcpTransport, stream: &mut TcpStream, frame: &[u8]) {
+    let conns = lock_recover(&tcp.conns);
     stream.write_all(frame).ok();
 }
 "#;
@@ -222,11 +222,11 @@ fn bad(conn: &Conn, stream: &mut TcpStream, frame: &[u8]) {
 }
 
 #[test]
-fn writing_through_a_recovered_write_guard_is_allowed() {
+fn writing_through_a_recovered_connection_io_guard_is_allowed() {
     let src = r#"
-fn good(conn: &Conn, frame: &[u8]) {
-    let mut w = crate::sync_util::lock_recover(&conn.write);
-    w.write_all(frame).ok();
+fn good(conn: &Mutex<Conn>, frame: &[u8]) {
+    let mut io = crate::sync_util::lock_recover(conn);
+    io.stream.write_all(frame).ok();
 }
 "#;
     let mut f = parse(src);

@@ -11,13 +11,19 @@
 //! connections coalesce exactly like in-process callers.
 //!
 //! Client side, [`TcpTransport`] implements [`ServerHandle`]: `call` is a
-//! blocking request/reply, and [`TcpTransport::call_pipelined`] sends a
-//! burst of frames before waiting on any reply — a dedicated reader thread
-//! per connection demultiplexes responses by the echoed `seq`, so uplink,
-//! server time and downlink overlap. Each [`ClientId`] gets its own lazily
-//! opened connection (mirroring "one channel per mobile client"), and
-//! answering a [`Request::Forget`] closes that client's connection — the
-//! disconnect the envelope models.
+//! synchronous request/reply on the calling thread — it writes its frame
+//! and reads its own reply through the connection's one I/O mutex, so the
+//! transport owns no thread and no reply table. The paper's client is
+//! closed-loop (one outstanding contact per mobile client), and concurrent
+//! callers on one [`ClientId`] simply take turns on that mutex. Each
+//! [`ClientId`] gets its own lazily opened connection (mirroring "one
+//! channel per mobile client"), and answering a [`Request::Forget`] closes
+//! that client's connection — the disconnect the envelope models. A call
+//! whose exchange fails (peer death, a reply that does not echo the
+//! request's `seq`) panics loudly and drops the connection; the next call
+//! reconnects.
+//!
+//! Both ends read frames only through [`pc_wire::read_frame`].
 //!
 //! Measured bytes: both ends count actual encoded frame lengths alongside
 //! the `wire_bytes()` model, and the identity
@@ -31,7 +37,7 @@
 
 use crate::server::{ClientId, Server};
 use crate::service::{BatchConfig, BatchedService};
-use crate::sync_util::{lock_recover, wait_recover};
+use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use crate::ServerCore;
@@ -40,13 +46,13 @@ use pc_rtree::proto::{Request, Response};
 use pc_rtree::NodeId;
 use pc_wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, request_overhead,
-    response_overhead, tag, FrameHeader, FRAME_HEADER_BYTES,
+    response_overhead, tag, WireError, FRAME_HEADER_BYTES,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -123,63 +129,52 @@ pub struct WireServer {
     stats: Arc<ServerCounters>,
 }
 
-/// Outcome of the stop-aware exact read inside a connection handler.
-enum ReadOutcome {
-    Ok,
-    /// Clean EOF before the first byte of this read.
-    Eof,
-    /// The stop flag was raised between frames.
-    Drained,
-    /// Truncation, a wedged peer during drain, or a socket error.
-    Failed,
+/// The connection's socket as [`read_frame`] sees it while the server may
+/// be stopping: the 250 ms read timeout becomes a poll of the stop flag.
+/// One adaptor reads one frame. Before the frame's first byte a raised
+/// flag reads as a clean EOF, so the connection drains on a frame
+/// boundary; mid-frame it keeps reading so a request already on the wire
+/// completes (bounded by the peer closing or the 40-tick cap ≈ 10 s
+/// against a wedged peer).
+struct StopAwareRead<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+    mid_frame: bool,
+    stalled_ticks: u32,
 }
 
-/// Reads exactly `buf.len()` bytes, waking every read-timeout tick to
-/// check the stop flag. Between frames (`filled == 0`) a raised stop flag
-/// drains the connection; mid-structure it keeps reading so a request
-/// already on the wire completes (bounded by the peer closing or the
-/// 40-tick cap ≈ 10 s against a wedged peer).
-fn read_exact_stoppable(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> ReadOutcome {
-    let mut filled = 0usize;
-    let mut stalled_ticks = 0u32;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    // Peer closed mid-structure: a truncated frame.
-                    ReadOutcome::Failed
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                stalled_ticks = 0;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // ordering: Relaxed — standalone stop flag carrying no
-                // data; this loop re-loads it every timeout tick, so cache
-                // coherence alone bounds how stale a read can be.
-                if stop.load(Ordering::Relaxed) {
-                    if filled == 0 {
-                        return ReadOutcome::Drained;
-                    }
-                    stalled_ticks += 1;
-                    if stalled_ticks > 40 {
-                        return ReadOutcome::Failed;
+impl Read for StopAwareRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.mid_frame |= n > 0;
+                    self.stalled_ticks = 0;
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    // ordering: Relaxed — standalone stop flag carrying no
+                    // data; this loop re-loads it every timeout tick, so cache
+                    // coherence alone bounds how stale a read can be.
+                    if self.stop.load(Ordering::Relaxed) {
+                        if !self.mid_frame {
+                            return Ok(0);
+                        }
+                        self.stalled_ticks += 1;
+                        if self.stalled_ticks > 40 {
+                            return Err(e);
+                        }
                     }
                 }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Failed,
         }
     }
-    ReadOutcome::Ok
 }
 
 fn handle_connection(
@@ -192,45 +187,32 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     loop {
-        let mut hdr = [0u8; FRAME_HEADER_BYTES as usize];
-        match read_exact_stoppable(&mut stream, &mut hdr, stop) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Eof | ReadOutcome::Drained => return,
-            ReadOutcome::Failed => {
-                // ordering: Relaxed — monotone stats counter (see snapshot).
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let header = match FrameHeader::parse(hdr) {
-            Ok(h) => h,
-            Err(_) => {
-                // Bad magic/version: the stream is desynchronized beyond
-                // recovery — close it.
-                // ordering: Relaxed — monotone stats counter (see snapshot).
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        let mut reader = StopAwareRead {
+            stream: &stream,
+            stop,
+            mid_frame: false,
+            stalled_ticks: 0,
         };
-        if header.body_len as u64 > cfg.max_frame_bytes || !tag::is_request(header.tag) {
-            // ordering: Relaxed — monotone stats counter (see snapshot).
-            stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut body = vec![0u8; header.body_len as usize];
-        match read_exact_stoppable(&mut stream, &mut body, stop) {
-            ReadOutcome::Ok => {}
+        let frame = match read_frame(&mut reader, cfg.max_frame_bytes) {
+            Ok(frame) if tag::is_request(frame.header.tag) => frame,
+            // Clean EOF, or the stop flag, on a frame boundary.
+            Err(WireError::Closed) => return,
+            // Bad magic/version, an oversized or truncated frame, a wedged
+            // peer during drain, a socket error, a response tag: the stream
+            // is desynchronized beyond recovery — close it.
             _ => {
                 // ordering: Relaxed — monotone stats counter (see snapshot).
                 stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-        }
+        };
+        let header = frame.header;
         // ordering: Relaxed — monotone stats counter (see snapshot).
-        stats
-            .rx_frame_bytes
-            .fetch_add(FRAME_HEADER_BYTES + body.len() as u64, Ordering::Relaxed);
-        let req = match decode_request(header.tag, &body) {
+        stats.rx_frame_bytes.fetch_add(
+            FRAME_HEADER_BYTES + frame.body.len() as u64,
+            Ordering::Relaxed,
+        );
+        let req = match decode_request(header.tag, &frame.body) {
             Ok(r) => r,
             Err(_) => {
                 // ordering: Relaxed — monotone stats counter (see snapshot).
@@ -445,88 +427,6 @@ impl TransportCounters {
     }
 }
 
-/// One client's connection: a write half guarded by a mutex (frames are
-/// written atomically), a reader thread demultiplexing responses into
-/// per-`seq` slots, and a monotone `seq` counter. Multiple in-flight
-/// requests pipeline: send N frames, then collect N replies in any order.
-struct Conn {
-    stream: TcpStream,
-    write: Mutex<TcpStream>,
-    seq: AtomicU32,
-    slots: Mutex<HashMap<u32, Option<Response>>>,
-    ready: Condvar,
-    dead: AtomicBool,
-    reader: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Conn {
-    fn open(
-        addr: SocketAddr,
-        counters: Arc<TransportCounters>,
-        max_frame_bytes: u64,
-    ) -> std::io::Result<Arc<Conn>> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let write = stream.try_clone()?;
-        let conn = Arc::new(Conn {
-            stream: stream.try_clone()?,
-            write: Mutex::new(write),
-            seq: AtomicU32::new(0),
-            slots: Mutex::new(HashMap::new()),
-            ready: Condvar::new(),
-            dead: AtomicBool::new(false),
-            reader: Mutex::new(None),
-        });
-        let reader = {
-            let conn = Arc::clone(&conn);
-            let mut stream = stream;
-            std::thread::Builder::new()
-                .name("wire-reader".into())
-                .spawn(move || {
-                    while let Ok(frame) = read_frame(&mut stream, max_frame_bytes) {
-                        let Ok(resp) = decode_response(frame.header.tag, &frame.body) else {
-                            break;
-                        };
-                        counters.note_rx(FRAME_HEADER_BYTES + frame.body.len() as u64, &resp);
-                        let mut slots = lock_recover(&conn.slots);
-                        slots.insert(frame.header.seq, Some(resp));
-                        conn.ready.notify_all();
-                        drop(slots);
-                    }
-                    // Whatever ended the stream (orderly close, reset,
-                    // undecodable frame), parked waiters must observe it —
-                    // fail fast, never hang on the condvar.
-                    conn.mark_dead();
-                })?
-        };
-        *lock_recover(&conn.reader) = Some(reader);
-        Ok(conn)
-    }
-
-    /// Marks the connection dead and wakes every parked waiter. The flag
-    /// flips *under the slots lock*: a waiter holds that lock continuously
-    /// from its dead-check to its condvar park, so it either sees the flag
-    /// or is parked when `notify_all` fires — the lost-wakeup window of a
-    /// lock-free store/notify pair cannot occur.
-    fn mark_dead(&self) {
-        let _slots = lock_recover(&self.slots);
-        // ordering: Relaxed — the slots mutex (held here and by `wait`)
-        // carries the happens-before; the atomic only lets `conn()` peek
-        // without the lock, where a stale read is benign (one wasted reuse
-        // attempt that then fails loudly in `wait`).
-        self.dead.store(true, Ordering::Relaxed);
-        self.ready.notify_all();
-    }
-
-    fn close(&self) {
-        self.mark_dead();
-        let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(t) = lock_recover(&self.reader).take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// Client-side response frame ceiling. Unlike the server's request cap
 /// (a hostile-input guard), responses come from our own server and scale
 /// with result payloads — a cold query against a large cache can ship
@@ -535,14 +435,21 @@ impl Conn {
 /// busy.
 const RESPONSE_FRAME_CAP_BYTES: u64 = 1 << 30;
 
+/// One client's channel: the socket and the next `seq`. It lives behind
+/// the one per-connection I/O mutex, which a call holds from its frame
+/// write to the end of its reply read.
+struct Conn {
+    stream: TcpStream,
+    seq: u32,
+}
+
 /// Client-side [`ServerHandle`] over a TCP connection per [`ClientId`].
 pub struct TcpTransport {
     addr: SocketAddr,
     /// In-process handle backing the out-of-band metadata surface.
     inner: Arc<dyn ServerHandle>,
-    conns: Mutex<HashMap<ClientId, Arc<Conn>>>,
-    counters: Arc<TransportCounters>,
-    max_frame_bytes: u64,
+    conns: Mutex<HashMap<ClientId, Arc<Mutex<Conn>>>>,
+    counters: TransportCounters,
 }
 
 impl TcpTransport {
@@ -553,8 +460,7 @@ impl TcpTransport {
             addr,
             inner,
             conns: Mutex::new(HashMap::new()),
-            counters: Arc::new(TransportCounters::default()),
-            max_frame_bytes: RESPONSE_FRAME_CAP_BYTES,
+            counters: TransportCounters::default(),
         }
     }
 
@@ -562,116 +468,96 @@ impl TcpTransport {
         self.counters.snapshot()
     }
 
-    fn conn(&self, client: ClientId) -> Arc<Conn> {
-        let mut conns = lock_recover(&self.conns);
-        if let Some(c) = conns.get(&client) {
-            // ordering: Relaxed — lock-free peek at the dead flag; a stale
-            // `false` merely reuses a dying connection, which then fails
-            // loudly in `wait` (see `Conn::mark_dead`).
-            if !c.dead.load(Ordering::Relaxed) {
-                return Arc::clone(c);
-            }
+    /// `client`'s connection, opened on first use. The table lock covers
+    /// only the lookup and the insert — never the connect, which would
+    /// stall every other client's call behind one client's handshake.
+    fn conn(&self, client: ClientId) -> Arc<Mutex<Conn>> {
+        let open = lock_recover(&self.conns).get(&client).cloned();
+        if let Some(conn) = open {
+            return conn;
         }
-        // pc-check: allow(no-unwrap, "client-side harness precondition: the loopback server runs in this same process, so a refused connect is unrecoverable setup breakage — fail fast at the first call")
-        let c = Conn::open(self.addr, Arc::clone(&self.counters), self.max_frame_bytes)
+        let stream = TcpStream::connect(self.addr)
+            .and_then(|s| s.set_nodelay(true).map(|()| s))
+            // pc-check: allow(no-unwrap, "client-side harness precondition: the loopback server runs in this same process, so a refused connect is unrecoverable setup breakage — fail fast at the first call")
             .expect("wire transport: connect to loopback server");
-        conns.insert(client, Arc::clone(&c));
-        c
+        // Two threads may have raced to connect the same client: the first
+        // insert wins and the loser's socket closes unused.
+        Arc::clone(
+            lock_recover(&self.conns)
+                .entry(client)
+                .or_insert_with(|| Arc::new(Mutex::new(Conn { stream, seq: 0 }))),
+        )
     }
 
-    /// Sends one request frame, returning its `seq` for [`Self::wait`].
-    fn send(&self, conn: &Conn, client: ClientId, req: &Request) -> u32 {
-        // ordering: Relaxed — `seq` only needs per-connection uniqueness,
-        // which fetch_add's atomicity alone provides; replies are matched
-        // back to waiters by value under the slots lock.
-        let seq = conn.seq.fetch_add(1, Ordering::Relaxed);
+    /// One request/reply exchange on `conn`. `Err` says why the connection
+    /// can no longer be used; its socket is already shut down then, so a
+    /// caller queued on the same connection fails as promptly.
+    fn exchange(
+        &self,
+        conn: &Mutex<Conn>,
+        client: ClientId,
+        req: &Request,
+    ) -> Result<Response, String> {
+        // Held across the blocking write *and* read by design: this guard
+        // is the channel, and only callers sharing the `ClientId` contend.
+        let mut io = lock_recover(conn);
+        let seq = io.seq;
+        io.seq = seq.wrapping_add(1);
         let frame = encode_request(client, seq, req);
         self.counters.note_tx(frame.len() as u64, req);
-        // Reserve the slot before the bytes hit the wire: the reader must
-        // always find somewhere to park the reply.
-        lock_recover(&conn.slots).insert(seq, None);
-        let w_result = {
-            // The write mutex *is* held across this blocking write by
-            // design: it serializes whole frames onto the shared socket,
-            // and nothing else ever contends on it mid-request.
-            let mut w = lock_recover(&conn.write);
-            w.write_all(&frame)
-        };
-        if w_result.is_err() {
-            // The kernel refused the frame (peer reset / shutdown mid-
-            // send). Flag the connection so this request's `wait` — and
-            // every other parked waiter — fails loudly instead of hanging.
-            conn.mark_dead();
-        }
-        seq
-    }
-
-    fn wait(&self, conn: &Conn, seq: u32) -> Response {
-        let mut slots = lock_recover(&conn.slots);
-        loop {
-            if let Some(slot) = slots.get_mut(&seq) {
-                if let Some(resp) = slot.take() {
-                    slots.remove(&seq);
-                    return resp;
-                }
+        let sent = io.stream.write_all(&frame).map_err(WireError::from);
+        let reply = sent.and_then(|()| read_frame(&mut io.stream, RESPONSE_FRAME_CAP_BYTES));
+        let died = |e: WireError| format!("connection died awaiting reply seq {seq}: {e}");
+        let outcome = match reply {
+            Ok(reply) if reply.header.seq != seq || !tag::is_response(reply.header.tag) => {
+                Err(format!(
+                    "desynchronized stream: a frame with tag {} seq {} answered request seq {seq}",
+                    reply.header.tag, reply.header.seq
+                ))
             }
-            // ordering: Relaxed — read under the slots mutex that
-            // `Conn::mark_dead` holds while flipping the flag; the lock
-            // supplies the happens-before.
-            assert!(
-                !conn.dead.load(Ordering::Relaxed),
-                "wire transport: connection died awaiting reply seq {seq}"
-            );
-            slots = wait_recover(&conn.ready, slots);
+            Ok(reply) => decode_response(reply.header.tag, &reply.body)
+                .inspect(|resp| {
+                    self.counters
+                        .note_rx(FRAME_HEADER_BYTES + reply.body.len() as u64, resp);
+                })
+                .map_err(died),
+            Err(e) => Err(died(e)),
+        };
+        if outcome.is_err() {
+            let _ = io.stream.shutdown(Shutdown::Both);
         }
+        outcome
     }
 
-    /// Pipelined burst: all frames are sent before any reply is awaited,
-    /// so the requests overlap on the wire and in the server. Replies come
-    /// back in request order regardless of wire completion order.
-    pub fn call_pipelined(&self, client: ClientId, reqs: &[Request]) -> Vec<Response> {
-        let conn = self.conn(client);
-        let seqs: Vec<u32> = reqs.iter().map(|r| self.send(&conn, client, r)).collect();
-        let resps: Vec<Response> = seqs.iter().map(|&s| self.wait(&conn, s)).collect();
-        if reqs.iter().any(|r| matches!(r, Request::Forget)) {
-            self.disconnect(client);
-        }
-        resps
-    }
-
-    /// Closes `client`'s connection (the server handler sees EOF).
+    /// Closes `client`'s connection (the server handler sees EOF). A call
+    /// still in flight on another thread finishes first: the socket closes
+    /// with its last user.
     pub fn disconnect(&self, client: ClientId) {
-        if let Some(c) = lock_recover(&self.conns).remove(&client) {
-            c.close();
-        }
+        lock_recover(&self.conns).remove(&client);
     }
 
     /// Closes every connection.
     pub fn disconnect_all(&self) {
-        let conns: Vec<Arc<Conn>> = lock_recover(&self.conns).drain().map(|(_, c)| c).collect();
-        for c in conns {
-            c.close();
-        }
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.disconnect_all();
+        lock_recover(&self.conns).clear();
     }
 }
 
 impl Transport for TcpTransport {
     fn call(&self, client: ClientId, req: Request) -> Response {
         let conn = self.conn(client);
-        let is_forget = matches!(req, Request::Forget);
-        let seq = self.send(&conn, client, &req);
-        let resp = self.wait(&conn, seq);
-        if is_forget {
-            // The forget envelope models the disconnect; drop the socket.
-            self.disconnect(client);
+        let outcome = self.exchange(&conn, client, &req);
+        if outcome.is_err() || matches!(req, Request::Forget) {
+            // The forget envelope models the disconnect, and a failed
+            // exchange leaves a dead socket: either way retire this
+            // connection (unless a newer one already took its place) so
+            // the next call reconnects.
+            let mut conns = lock_recover(&self.conns);
+            if conns.get(&client).is_some_and(|c| Arc::ptr_eq(c, &conn)) {
+                conns.remove(&client);
+            }
         }
-        resp
+        // pc-check: allow(no-unwrap, "Transport::call is infallible by signature: a channel that died or desynchronized mid-contact fails its caller loudly rather than hanging or inventing a reply")
+        outcome.unwrap_or_else(|why| panic!("wire transport: {why}"))
     }
 }
 
@@ -701,6 +587,7 @@ mod tests {
     use crate::test_util::{cold_remainder, sample_server};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::QuerySpec;
+    use pc_wire::FrameHeader;
 
     fn served(objects: usize, seed: u64) -> (WireServer, Arc<Server>) {
         let server = Arc::new(sample_server(objects, seed, FormPolicy::Adaptive));
@@ -739,29 +626,96 @@ mod tests {
         assert_eq!(s.frames_rejected, 0);
     }
 
+    /// What a scripted raw peer does with the one request it reads on
+    /// each connection it accepts, before closing that connection.
+    #[derive(Clone, Copy)]
+    enum Peer {
+        HangUp,
+        WrongSeq,
+        RequestTag,
+        Honest,
+    }
+
+    /// Accepts one connection per script entry, in order.
+    fn scripted_peer(script: Vec<Peer>) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            for behaviour in script {
+                let (mut s, _) = listener.accept().unwrap();
+                let asked = read_frame(&mut s, 1 << 20).unwrap().header;
+                let reply = match behaviour {
+                    Peer::HangUp => continue,
+                    Peer::WrongSeq => {
+                        encode_response(asked.client, asked.seq + 1, &Response::NewD(3))
+                    }
+                    Peer::RequestTag => encode_request(asked.client, asked.seq, &Request::Forget),
+                    Peer::Honest => encode_response(asked.client, asked.seq, &Response::NewD(3)),
+                };
+                s.write_all(&reply).unwrap();
+            }
+        });
+        (addr, peer)
+    }
+
     #[test]
-    fn pipelined_burst_preserves_request_order() {
-        let (mut ws, server) = served(300, 9);
+    fn a_dying_or_desynchronized_peer_fails_the_call_loudly_and_the_next_call_reconnects() {
+        let (addr, peer) = scripted_peer(vec![
+            Peer::HangUp,
+            Peer::WrongSeq,
+            Peer::RequestTag,
+            Peer::Honest,
+        ]);
+        let inner = Arc::new(sample_server(10, 1, FormPolicy::Adaptive));
+        let tcp = TcpTransport::connect(addr, inner as Arc<dyn ServerHandle>);
+        let report = || tcp.call(5, Request::ReportFmr { fmr: 0.5 });
+        // The peer serves one request per connection, so each failure below
+        // is only reached if the failure before it dropped its connection.
+        for expected in ["connection died", "desynchronized", "desynchronized"] {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(report))
+                .expect_err("a broken exchange must not return a reply");
+            let msg = panic.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains(expected), "expected {expected:?} in {msg:?}");
+        }
+        assert_eq!(report().into_new_d(), 3, "a fresh connection is healthy");
+        assert_eq!(tcp.stats().rx_frames, 1, "only the honest reply counted");
+        drop(tcp);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_callers_on_one_client_each_get_the_reply_to_their_own_request() {
+        let (mut ws, server) = served(400, 13);
         let tcp = TcpTransport::connect(ws.addr(), Arc::clone(&server) as Arc<dyn ServerHandle>);
-        // A mixed burst: fmr report, direct query, fmr report. Replies must
-        // land in request order even though they pipeline.
-        let reqs = vec![
-            Request::ReportFmr { fmr: 0.9 },
-            Request::Direct(QuerySpec::Knn {
-                center: Point::new(0.5, 0.5),
-                k: 4,
-            }),
-            Request::ReportFmr { fmr: 0.9 },
-        ];
-        let resps = tcp.call_pipelined(7, &reqs);
-        assert_eq!(resps.len(), 3);
-        resps[0].clone().into_new_d();
-        assert_eq!(resps[1].clone().into_direct().results.len(), 4);
-        resps[2].clone().into_new_d();
-        assert!(tcp.stats().reconciles());
+        // All four threads race the first connect, then take turns on the
+        // winner's connection; every request asks for a different k, so a
+        // reply handed to the wrong caller cannot pass.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (tcp, server, start) = (&tcp, &server, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..50u32 {
+                        let ask = || {
+                            Request::Direct(QuerySpec::Knn {
+                                center: Point::new(0.5, 0.5),
+                                k: 1 + t * 50 + i,
+                            })
+                        };
+                        let over_wire = tcp.call(7, ask()).into_direct();
+                        assert_eq!(over_wire.results.len() as u32, 1 + t * 50 + i);
+                        assert_eq!(over_wire, server.call(7, ask()).into_direct());
+                    }
+                });
+            }
+        });
+        let stats = tcp.stats();
+        assert!(stats.reconciles(), "{stats:?}");
+        assert_eq!((stats.tx_frames, stats.rx_frames), (200, 200));
         drop(tcp);
         ws.shutdown();
-        assert_eq!(ws.stats().requests_served, 3);
+        assert_eq!(ws.stats().requests_served, 200);
     }
 
     #[test]

@@ -14,9 +14,9 @@ use crate::{tag, WireError};
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;
 use pc_rtree::proto::{
-    CellKind, CellRecord, CellRef, DirectReply, EpochVector, HeapEntry, NodeShipment, QuerySpec,
-    RemainderQuery, Request, Response, ServerReply, ShardSubReply, ShardSubRequest, Side,
-    VersionedReply, FMR_REPORT_BYTES, FORGET_BYTES, QUERY_DESC_BYTES,
+    CellKind, CellRecord, CellRef, DirectReply, HeapEntry, NodeShipment, QuerySpec, RemainderQuery,
+    Request, Response, ServerReply, Side, VersionedReply, FMR_REPORT_BYTES, FORGET_BYTES,
+    QUERY_DESC_BYTES,
 };
 use pc_rtree::{NodeId, ObjectId, SpatialObject};
 
@@ -74,13 +74,35 @@ fn unpack_code(packed: u32) -> Result<Code, WireError> {
 // Writer / reader primitives
 // ---------------------------------------------------------------------
 
+/// Builds one frame in place: the header's 16 bytes are reserved up
+/// front and patched by [`Writer::finish`] once the body length is known,
+/// so a frame is one buffer, written once.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     fn new() -> Writer {
-        Writer { buf: Vec::new() }
+        Writer {
+            buf: vec![0; FRAME_HEADER_BYTES as usize],
+        }
+    }
+
+    fn finish(mut self, tag: u8, seq: u32, client: u32) -> Vec<u8> {
+        let body_len = self.buf.len() - FRAME_HEADER_BYTES as usize;
+        assert!(
+            body_len <= u32::MAX as usize,
+            "frame body exceeds u32 length prefix"
+        );
+        let header = FrameHeader {
+            tag,
+            flags: 0,
+            seq,
+            client,
+            body_len: body_len as u32,
+        };
+        self.buf[..FRAME_HEADER_BYTES as usize].copy_from_slice(&header.to_bytes());
+        self.buf
     }
 
     fn u8(&mut self, v: u8) {
@@ -324,9 +346,12 @@ fn put_server_reply(w: &mut Writer, reply: &ServerReply) {
     }
 }
 
-fn request_body(req: &Request) -> (u8, Vec<u8>) {
+/// Encodes one request as a complete frame (header + body). The frame's
+/// total length is `req.wire_bytes() + request_overhead(req)` — pinned by
+/// this crate's proptests.
+pub fn encode_request(client: u32, seq: u32, req: &Request) -> Vec<u8> {
     let mut w = Writer::new();
-    let t = match req {
+    let tag = match req {
         Request::Remainder(rq) => {
             put_remainder(&mut w, rq);
             tag::REQ_REMAINDER
@@ -351,12 +376,14 @@ fn request_body(req: &Request) -> (u8, Vec<u8>) {
             tag::REQ_FORGET
         }
     };
-    (t, w.buf)
+    w.finish(tag, seq, client)
 }
 
-fn response_body(resp: &Response) -> (u8, Vec<u8>) {
+/// Encodes one response as a complete frame, echoing the request's `seq`.
+/// Total length is `resp.wire_bytes() + response_overhead(resp)`.
+pub fn encode_response(client: u32, seq: u32, resp: &Response) -> Vec<u8> {
     let mut w = Writer::new();
-    let t = match resp {
+    let tag = match resp {
         Response::Remainder(reply) => {
             put_server_reply(&mut w, reply);
             tag::RESP_REMAINDER
@@ -414,40 +441,7 @@ fn response_body(resp: &Response) -> (u8, Vec<u8>) {
             tag::RESP_FORGOTTEN
         }
     };
-    (t, w.buf)
-}
-
-fn assemble(tag: u8, seq: u32, client: u32, body: Vec<u8>) -> Vec<u8> {
-    assert!(
-        body.len() <= u32::MAX as usize,
-        "frame body exceeds u32 length prefix"
-    );
-    let header = FrameHeader {
-        tag,
-        flags: 0,
-        seq,
-        client,
-        body_len: body.len() as u32,
-    };
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + body.len());
-    frame.extend_from_slice(&header.to_bytes());
-    frame.extend_from_slice(&body);
-    frame
-}
-
-/// Encodes one request as a complete frame (header + body). The frame's
-/// total length is `req.wire_bytes() + request_overhead(req)` — pinned by
-/// this crate's proptests.
-pub fn encode_request(client: u32, seq: u32, req: &Request) -> Vec<u8> {
-    let (tag, body) = request_body(req);
-    assemble(tag, seq, client, body)
-}
-
-/// Encodes one response as a complete frame, echoing the request's `seq`.
-/// Total length is `resp.wire_bytes() + response_overhead(resp)`.
-pub fn encode_response(client: u32, seq: u32, resp: &Response) -> Vec<u8> {
-    let (tag, body) = response_body(resp);
-    assemble(tag, seq, client, body)
+    w.finish(tag, seq, client)
 }
 
 /// Framing bytes an encoded request adds beyond its `wire_bytes()` model:
@@ -471,89 +465,6 @@ pub fn response_overhead(resp: &Response) -> u64 {
             Response::Direct(_) => RESPONSE_DIRECT_HEADER_BYTES,
             Response::NewD(_) | Response::Forgotten(_) => 0,
         }
-}
-
-// ---------------------------------------------------------------------
-// Cluster backplane envelopes (no frame header: these travel router ↔
-// shard inside one process today, but serialize for symmetry and tests)
-// ---------------------------------------------------------------------
-
-/// Encodes a per-shard epoch vector at exactly its `wire_bytes()` size.
-pub fn encode_epoch_vector(v: &EpochVector) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(v.epochs.len() as u32);
-    for &e in &v.epochs {
-        w.u64(e);
-    }
-    w.buf
-}
-
-/// Decodes an epoch vector; total like the frame decoders.
-pub fn decode_epoch_vector(body: &[u8]) -> Result<EpochVector, WireError> {
-    let mut rd = Reader::new(body);
-    let v = get_epoch_vector(&mut rd)?;
-    rd.finish()?;
-    Ok(v)
-}
-
-fn get_epoch_vector(rd: &mut Reader<'_>) -> Result<EpochVector, WireError> {
-    let n = rd.u32("epoch vector length")?;
-    let n = rd.expect_count(n, 8, "epoch vector")?;
-    let mut epochs = Vec::with_capacity(n);
-    for _ in 0..n {
-        epochs.push(rd.u64("epoch entry")?);
-    }
-    Ok(EpochVector { epochs })
-}
-
-/// Encodes one router → shard sub-query at exactly its `wire_bytes()`
-/// size (routing header + the remainder sized like a client uplink).
-pub fn encode_shard_sub_request(sub: &ShardSubRequest) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(sub.shard);
-    w.u32(0);
-    put_remainder(&mut w, &sub.query);
-    w.buf
-}
-
-/// Decodes a shard sub-request.
-pub fn decode_shard_sub_request(body: &[u8]) -> Result<ShardSubRequest, WireError> {
-    let mut rd = Reader::new(body);
-    let shard = rd.u32("sub-request shard")?;
-    rd.u32("sub-request reserved")?;
-    let query = get_remainder(&mut rd)?;
-    rd.finish()?;
-    Ok(ShardSubRequest { shard, query })
-}
-
-/// Encodes one shard → router partial reply. Encoded size is
-/// `wire_bytes() + RESPONSE_REPLY_HEADER_BYTES` (the reply section header
-/// is framing, same as on the client downlink).
-pub fn encode_shard_sub_reply(sub: &ShardSubReply) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u32(sub.shard);
-    w.u32(0);
-    w.u32(sub.epochs.epochs.len() as u32);
-    for &e in &sub.epochs.epochs {
-        w.u64(e);
-    }
-    put_server_reply(&mut w, &sub.reply);
-    w.buf
-}
-
-/// Decodes a shard sub-reply.
-pub fn decode_shard_sub_reply(body: &[u8]) -> Result<ShardSubReply, WireError> {
-    let mut rd = Reader::new(body);
-    let shard = rd.u32("sub-reply shard")?;
-    rd.u32("sub-reply reserved")?;
-    let epochs = get_epoch_vector(&mut rd)?;
-    let reply = get_server_reply(&mut rd)?;
-    rd.finish()?;
-    Ok(ShardSubReply {
-        shard,
-        epochs,
-        reply,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1152,44 +1063,7 @@ mod tests {
     }
 
     #[test]
-    fn backplane_envelopes_round_trip_at_model_size() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let vector = EpochVector {
-            epochs: vec![3, 0, 7, 1 << 40],
-        };
-        let enc = encode_epoch_vector(&vector);
-        assert_eq!(enc.len() as u64, vector.wire_bytes());
-        assert_eq!(decode_epoch_vector(&enc), Ok(vector.clone()));
-
-        let sub = ShardSubRequest {
-            shard: 2,
-            query: arb_remainder(&mut rng),
-        };
-        let enc = encode_shard_sub_request(&sub);
-        assert_eq!(enc.len() as u64, sub.wire_bytes());
-        assert_eq!(decode_shard_sub_request(&enc), Ok(sub));
-
-        let reply = ShardSubReply {
-            shard: 1,
-            epochs: vector,
-            reply: arb_server_reply(&mut rng),
-        };
-        let enc = encode_shard_sub_reply(&reply);
-        assert_eq!(
-            enc.len() as u64,
-            reply.wire_bytes() + RESPONSE_REPLY_HEADER_BYTES
-        );
-        assert_eq!(decode_shard_sub_reply(&enc), Ok(reply));
-
-        // Truncations of backplane envelopes are typed errors too.
-        assert!(decode_epoch_vector(
-            &encode_epoch_vector(&EpochVector { epochs: vec![1, 2] })[..7]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn full_refresh_and_epoch_vectors_round_trip() {
+    fn full_refresh_and_invalidation_lists_round_trip() {
         // The §7 refusal and a Fresh reply carrying invalidations — the
         // variants the versioned churn path depends on.
         for resp in [

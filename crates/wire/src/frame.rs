@@ -60,46 +60,16 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Blocking read of one complete frame. A clean EOF *before the first
-/// header byte* is a normal disconnect ([`WireError::Closed`]); an EOF
-/// anywhere later is [`WireError::Truncated`]. A declared body length above
-/// `max_body` is rejected *before* allocation ([`WireError::Oversized`]).
-pub fn read_frame(r: &mut impl Read, max_body: u64) -> Result<Frame, WireError> {
-    let mut hdr = [0u8; FRAME_HEADER_BYTES as usize];
+/// Reads exactly `buf.len()` bytes; an EOF short of that is
+/// [`WireError::Truncated`] in `context`.
+fn fill(r: &mut impl Read, buf: &mut [u8], context: &'static str) -> Result<(), WireError> {
     let mut filled = 0usize;
-    while filled < hdr.len() {
-        match r.read(&mut hdr[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated {
-                        context: "frame header",
-                        needed: hdr.len(),
-                        got: filled,
-                    }
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e.kind())),
-        }
-    }
-    let header = FrameHeader::parse(hdr)?;
-    if header.body_len as u64 > max_body {
-        return Err(WireError::Oversized {
-            len: header.body_len as u64,
-            max: max_body,
-        });
-    }
-    let mut body = vec![0u8; header.body_len as usize];
-    let mut filled = 0usize;
-    while filled < body.len() {
-        match r.read(&mut body[filled..]) {
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(WireError::Truncated {
-                    context: "frame body",
-                    needed: body.len(),
+                    context,
+                    needed: buf.len(),
                     got: filled,
                 });
             }
@@ -108,6 +78,28 @@ pub fn read_frame(r: &mut impl Read, max_body: u64) -> Result<Frame, WireError> 
             Err(e) => return Err(WireError::Io(e.kind())),
         }
     }
+    Ok(())
+}
+
+/// Blocking read of one complete frame. A clean EOF *before the first
+/// header byte* is a normal disconnect ([`WireError::Closed`]); an EOF
+/// anywhere later is [`WireError::Truncated`]. A declared body length above
+/// `max_body` is rejected *before* allocation ([`WireError::Oversized`]).
+pub fn read_frame(r: &mut impl Read, max_body: u64) -> Result<Frame, WireError> {
+    let mut hdr = [0u8; FRAME_HEADER_BYTES as usize];
+    fill(r, &mut hdr, "frame header").map_err(|e| match e {
+        WireError::Truncated { got: 0, .. } => WireError::Closed,
+        e => e,
+    })?;
+    let header = FrameHeader::parse(hdr)?;
+    if header.body_len as u64 > max_body {
+        return Err(WireError::Oversized {
+            len: header.body_len as u64,
+            max: max_body,
+        });
+    }
+    let mut body = vec![0u8; header.body_len as usize];
+    fill(r, &mut body, "frame body")?;
     Ok(Frame { header, body })
 }
 

@@ -37,16 +37,26 @@
 //!
 //! Multi-byte integers are little-endian; `f64` travels as its IEEE-754
 //! bit pattern (`to_bits`), so every finite value round-trips bit-exactly.
+//!
+//! An encoder builds its frame in one buffer: the 16 header bytes are
+//! reserved first and `body_len` is patched in once the body is written.
+//! [`read_frame`] is the only frame reader — both ends of the socket
+//! transport (`pc_server::wire`) read through it.
+//!
+//! # Not encoded: the cluster backplane
+//!
+//! Only the client ↔ server envelopes have a codec. The router ↔ shard
+//! messages (`ShardSubRequest`, `ShardSubReply`, `EpochVector`) stay
+//! in-process; `ClusterStats` charges them by their `wire_bytes()` formulas
+//! alone. A backplane codec re-opens with the parked networked-shard work.
 
 mod codec;
 mod frame;
 
 pub use codec::{
-    decode_epoch_vector, decode_request, decode_response, decode_shard_sub_reply,
-    decode_shard_sub_request, encode_epoch_vector, encode_request, encode_response,
-    encode_shard_sub_reply, encode_shard_sub_request, request_overhead, response_overhead,
-    RESPONSE_DIRECT_HEADER_BYTES, RESPONSE_REPLY_HEADER_BYTES, VERSIONED_FRESH_OVERHEAD_BYTES,
-    VERSIONED_STALE_OVERHEAD_BYTES,
+    decode_request, decode_response, encode_request, encode_response, request_overhead,
+    response_overhead, RESPONSE_DIRECT_HEADER_BYTES, RESPONSE_REPLY_HEADER_BYTES,
+    VERSIONED_FRESH_OVERHEAD_BYTES, VERSIONED_STALE_OVERHEAD_BYTES,
 };
 pub use frame::{read_frame, Frame, FrameHeader, FRAME_HEADER_BYTES, FRAME_MAGIC, WIRE_VERSION};
 

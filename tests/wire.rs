@@ -13,7 +13,8 @@
 //!     frames the clients counted;
 //! (d) a churned fleet speaking the §7 versioned protocol over the wire
 //!     completes its full budget, drains the adaptive table, and still
-//!     reconciles byte-for-byte.
+//!     reconciles byte-for-byte — with direct dispatch and with the
+//!     batched service behind the socket.
 
 use std::sync::Arc;
 
@@ -218,18 +219,26 @@ fn churned_wire_fleet_completes_and_reconciles() {
         batch: 2,
         seed: 0xC0FFEE,
     };
-    let (out, tstats, sstats, server) = run_over_wire(cfg, clients, None, Some(churn));
+    // Direct dispatch, then the flat-combining service behind the socket.
+    let batched = BatchConfig {
+        shards: 1,
+        max_batch: 4,
+        queue_cap: 16,
+    };
+    for batch in [None, Some(batched)] {
+        let (out, tstats, sstats, server) = run_over_wire(cfg, clients, batch, Some(churn));
 
-    assert_eq!(out.total_queries(), clients as usize * cfg.n_queries);
-    assert_eq!(
-        out.updates_applied,
-        out.total_queries() as u64 * 2,
-        "driver quota is a deterministic function of the query count"
-    );
-    assert!(out.final_epoch > 0);
-    assert_eq!(server.tracked_clients(), 0);
+        assert_eq!(out.total_queries(), clients as usize * cfg.n_queries);
+        assert_eq!(
+            out.updates_applied,
+            out.total_queries() as u64 * 2,
+            "driver quota is a deterministic function of the query count"
+        );
+        assert!(out.final_epoch > 0);
+        assert_eq!(server.tracked_clients(), 0);
 
-    // Versioned envelopes (Stale refusals, epoch vectors, full refreshes)
-    // travel the same frames and must reconcile just as exactly.
-    assert_stats_reconcile(&tstats, &sstats);
+        // Versioned envelopes (Stale refusals, epoch vectors, full refreshes)
+        // travel the same frames and must reconcile just as exactly.
+        assert_stats_reconcile(&tstats, &sstats);
+    }
 }
