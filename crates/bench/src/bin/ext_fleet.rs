@@ -5,13 +5,6 @@
 //! threads — through the typed `Transport` protocol — and we watch
 //! aggregate throughput and per-client response time as the fleet grows.
 //!
-//! With `--batch`, remainder queries are routed through the
-//! `BatchedService` front-end instead of direct dispatch: concurrently
-//! arriving requests coalesce per shard (flush threshold `--batch-max`)
-//! and execute against the shared core in one pass. Per-client results are
-//! identical either way (pinned by `tests/fleet.rs`); the batch columns
-//! report how much coalescing the fleet actually produced.
-//!
 //! With `--update-rate R` (updates per 100 completed queries, batches of
 //! `--update-batch`), an update-driver thread churns the object set
 //! *while* the fleet runs, through the epoch-swap `&self` update path:
@@ -34,9 +27,7 @@
 //! * `upd` / `stale` / `refr` / `inv` — updates applied under the run, stale
 //!   retries suffered, full-refresh refusals recovered from (the client
 //!   fell below the server's pruned invalidation horizon), and
-//!   invalidation downlink bytes (churn only);
-//! * `batches` / `avg b` — flushes and mean requests per flush (`--batch`
-//!   only; `avg b = 1.00` means no coalescing happened).
+//!   invalidation downlink bytes (churn only).
 //!
 //! With `--shards N[,N...]`, the binary switches to *cluster scaling*
 //! mode: the fleet size is held fixed (`--clients`, default 8) and each
@@ -53,7 +44,7 @@
 //! between rows on its own.
 
 use pc_bench::{banner, fmt_bytes, fmt_pct, fmt_s, json, HarnessOpts, Table};
-use pc_server::{BatchConfig, BatchedService, ServerHandle};
+use pc_server::ServerHandle;
 use pc_sim::{build_cluster, build_server, CacheModel, ChurnConfig, Fleet, FleetResult};
 
 fn main() {
@@ -74,11 +65,7 @@ fn main() {
         return;
     }
     banner(
-        if opts.batch {
-            "ext: concurrent client fleet (batched remainder service)"
-        } else {
-            "ext: concurrent client fleet (shared Send+Sync server)"
-        },
+        "ext: concurrent client fleet (shared Send+Sync server)",
         &cfg,
     );
     if opts.update_rate > 0 {
@@ -99,7 +86,7 @@ fn main() {
 
     let mut table = Table::new(vec![
         "clients", "threads", "queries", "wall", "sim q/s", "wall q/s", "resp", "hit_c", "fmr",
-        "upd", "stale", "refr", "inv", "batches", "avg b",
+        "upd", "stale", "refr", "inv",
     ]);
     let mut json_rows: Vec<String> = Vec::new();
     let mut last_sim_qps = 0.0;
@@ -121,27 +108,9 @@ fn main() {
             .clients(clients)
             .threads(opts.threads)
             .churn(churn);
-        let (out, stats): (FleetResult, Option<pc_server::ServiceStats>) = if opts.batch {
-            let service = BatchedService::new(
-                server,
-                BatchConfig {
-                    max_batch: opts.batch_max,
-                    queue_cap: opts.batch_max.max(4) * 4,
-                    ..BatchConfig::default()
-                },
-            );
-            let out = fleet.run(&service);
-            (out, Some(service.stats()))
-        } else {
-            let handle: &dyn ServerHandle = server;
-            (fleet.run(handle), None)
-        };
+        let out = fleet.run(server);
         tracked_after = server.tracked_clients();
         let s = &out.merged.summary;
-        let (batches, avg_b) = match stats {
-            Some(st) => (st.batches.to_string(), format!("{:.2}", st.mean_batch())),
-            None => ("-".to_string(), "-".to_string()),
-        };
         table.row(vec![
             clients.to_string(),
             if opts.threads == 0 {
@@ -160,8 +129,6 @@ fn main() {
             s.totals.stale_retries.to_string(),
             s.totals.full_refreshes.to_string(),
             fmt_bytes(s.totals.invalidation_bytes as f64),
-            batches,
-            avg_b,
         ]);
         json_rows.push(
             json::Obj::new()
@@ -180,8 +147,6 @@ fn main() {
                 .num("updates_applied", out.updates_applied)
                 .num("final_epoch", out.final_epoch)
                 .num("log_records", out.log_records)
-                .num("batches", stats.map_or(0, |st| st.batches))
-                .num("mean_batch", stats.map_or(0.0, |st| st.mean_batch()))
                 .render(),
         );
         monotone &= out.sim_qps() > last_sim_qps;
@@ -190,21 +155,19 @@ fn main() {
     table.print();
     println!();
     println!(
-        "aggregate throughput {} with fleet size ({} dispatch); \
+        "aggregate throughput {} with fleet size; \
          {} client states remain tracked after disconnects",
         if monotone {
             "scales monotonically"
         } else {
             "did NOT scale monotonically"
         },
-        if opts.batch { "batched" } else { "direct" },
         tracked_after
     );
 
     if let Some(path) = &opts.json {
         let doc = json::Obj::new()
             .str("bench", "ext_fleet")
-            .str("mode", if opts.batch { "batched" } else { "direct" })
             .num("seed", opts.seed)
             .num("objects", cfg.n_objects)
             .num("queries_per_client", cfg.n_queries)
@@ -218,15 +181,10 @@ fn main() {
 }
 
 /// Cluster-scaling mode (`--shards`): a fixed fleet against a fresh
-/// spatially-sharded cluster per shard count. Remainder dispatch is
-/// direct — the scatter-gather router already fans work out across
-/// shards, which is the parallelism under measurement here.
+/// spatially-sharded cluster per shard count: the scatter-gather router
+/// fans work out across shards, which is the parallelism under
+/// measurement here.
 fn shard_scaling(opts: &HarnessOpts, cfg: pc_sim::SimConfig, churn: ChurnConfig, clients: u32) {
-    assert!(
-        !opts.batch,
-        "--batch and --shards are mutually exclusive: the cluster router \
-         is its own fan-out front-end"
-    );
     banner("ext: shard scaling (spatially-sharded cluster)", &cfg);
     println!(
         "fleet fixed at {clients} clients; shard counts {:?}{}\n",

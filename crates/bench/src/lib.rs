@@ -26,11 +26,6 @@ pub struct HarnessOpts {
     pub clients: Option<u32>,
     /// Worker-thread cap for fleet runs; 0 = host parallelism.
     pub threads: usize,
-    /// Route remainder queries through the batched service
-    /// (`pc_server::BatchedService`) instead of direct dispatch.
-    pub batch: bool,
-    /// Flush threshold for `--batch` (requests per batch).
-    pub batch_max: usize,
     /// Server updates applied per 100 completed queries while a fleet
     /// runs (`Fleet::churn`); 0 = no churn.
     pub update_rate: u32,
@@ -43,8 +38,20 @@ pub struct HarnessOpts {
     pub json: Option<String>,
 }
 
+/// Reads the value following a flag and parses it; a missing or malformed
+/// value panics with the flag's usage string.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, usage: &str) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("usage: {usage}"))
+}
+
 impl HarnessOpts {
     pub fn from_args() -> Self {
+        HarnessOpts::parse(std::env::args().skip(1))
+    }
+
+    fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = HarnessOpts {
             paper_scale: false,
             objects: None,
@@ -52,77 +59,49 @@ impl HarnessOpts {
             seed: 2005,
             clients: None,
             threads: 0,
-            batch: false,
-            batch_max: 16,
             update_rate: 0,
             update_batch: 1,
             shards: Vec::new(),
             json: None,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let args = &mut args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--paper-scale" => opts.paper_scale = true,
-                "--objects" => {
-                    i += 1;
-                    opts.objects = Some(args[i].parse().expect("--objects N"));
-                }
-                "--queries" => {
-                    i += 1;
-                    opts.queries = Some(args[i].parse().expect("--queries N"));
-                }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed S");
-                }
+                "--objects" => opts.objects = Some(value(args, "--objects N")),
+                "--queries" => opts.queries = Some(value(args, "--queries N")),
+                "--seed" => opts.seed = value(args, "--seed S"),
                 "--clients" => {
-                    i += 1;
-                    let n: u32 = args[i].parse().expect("--clients N");
+                    let n: u32 = value(args, "--clients N");
                     assert!(n > 0, "--clients must be ≥ 1");
                     opts.clients = Some(n);
                 }
-                "--threads" => {
-                    i += 1;
-                    opts.threads = args[i].parse().expect("--threads N");
-                }
-                "--batch" => opts.batch = true,
-                "--batch-max" => {
-                    i += 1;
-                    let n: usize = args[i].parse().expect("--batch-max N");
-                    assert!(n > 0, "--batch-max must be ≥ 1");
-                    opts.batch_max = n;
-                }
-                "--update-rate" => {
-                    i += 1;
-                    opts.update_rate = args[i].parse().expect("--update-rate R");
-                }
+                "--threads" => opts.threads = value(args, "--threads N"),
+                "--update-rate" => opts.update_rate = value(args, "--update-rate R"),
                 "--update-batch" => {
-                    i += 1;
-                    let n: usize = args[i].parse().expect("--update-batch B");
+                    let n: usize = value(args, "--update-batch B");
                     assert!(n > 0, "--update-batch must be ≥ 1");
                     opts.update_batch = n;
                 }
                 "--shards" => {
-                    i += 1;
-                    opts.shards = args[i]
+                    let usage = "--shards N[,N...]";
+                    opts.shards = value::<String>(args, usage)
                         .split(',')
                         .map(|s| {
-                            let n: u32 = s.trim().parse().expect("--shards N[,N...]");
+                            let n: u32 = s
+                                .trim()
+                                .parse()
+                                .unwrap_or_else(|_| panic!("usage: {usage}"));
                             assert!(n > 0, "--shards entries must be ≥ 1");
                             n
                         })
                         .collect();
-                    assert!(!opts.shards.is_empty(), "--shards needs at least one count");
                 }
-                "--json" => {
-                    i += 1;
-                    opts.json = Some(args[i].clone());
-                }
+                "--json" => opts.json = Some(value(args, "--json OUT")),
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --paper-scale | --objects N | --queries N | --seed S \
-                         | --clients N | --threads N | --batch | --batch-max N \
+                         | --clients N | --threads N \
                          | --update-rate R | --update-batch B | --shards N[,N...] \
                          | --json OUT"
                     );
@@ -130,7 +109,6 @@ impl HarnessOpts {
                 }
                 other => panic!("unknown option {other}"),
             }
-            i += 1;
         }
         opts
     }
@@ -378,6 +356,12 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "usage: --objects N")]
+    fn a_valued_flag_given_last_names_its_usage() {
+        HarnessOpts::parse(["--queries", "5", "--objects"].map(String::from));
     }
 
     #[test]

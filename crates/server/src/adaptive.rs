@@ -193,8 +193,8 @@ impl AdaptiveController {
             },
             last_report: clock,
         });
-        // Per-client contacts are serial, but batched transports may note
-        // out of order — keep the max so the mark never runs backwards.
+        // A client's contacts are serial, but callers sharing one id may
+        // note out of order — keep the max so the mark never runs backwards.
         entry.state.last_epoch = Some(entry.state.last_epoch.unwrap_or(0).max(epoch));
         entry.last_report = clock;
     }

@@ -1,12 +1,13 @@
 //! The spatially-sharded cluster: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
-//! is a full [`Server`] (its own [`ServerCore`] snapshot cell, adaptive
-//! controller and update log) indexing exactly the objects whose MBRs
-//! touch its tiles. Objects straddling tile boundaries are **replicated**
-//! into every owning shard's tree — which is what makes per-shard
-//! staleness sound (any change to an object touches all shards a query
-//! over it could route to) — and the router deduplicates them on merge so
-//! each object is wire-charged to the client exactly once.
+//! is a [`ServerCore`] (its own snapshot cell and update log) indexing
+//! exactly the objects whose MBRs touch its tiles; the per-client state
+//! (§4.3 `d`, last-synced epoch) lives once, in the cluster's single
+//! [`AdaptiveController`]. Objects straddling tile boundaries are
+//! **replicated** into every owning shard's tree — which is what makes
+//! per-shard staleness sound (any change to an object touches all shards
+//! a query over it could route to) — and the router deduplicates them on
+//! merge so each object is wire-charged to the client exactly once.
 //!
 //! [`Cluster`] implements [`ServerHandle`]: clients navigate a synthetic
 //! **super-root** node (a BPT over the shard root MBRs, shipped like any
@@ -27,9 +28,10 @@
 //! per-shard epoch vectors, and the router re-expands a client's scalar
 //! stamp into the vector it was synced at.
 
+use crate::adaptive::AdaptiveController;
 use crate::core::{PartitionOp, ServerCore, Snapshot};
 use crate::forms::FormMode;
-use crate::server::{ClientId, Server, ServerConfig};
+use crate::server::{form_mode, ClientId, ServerConfig};
 use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
@@ -65,7 +67,8 @@ pub struct ClusterConfig {
     /// Tiles per grid axis; 0 picks `ceil(sqrt(4·shards))` so every shard
     /// owns a handful of tiles and boundary straddlers stay rare.
     pub grid: u32,
-    /// Configuration applied to every shard's [`Server`].
+    /// The deployment's server policy: form, the one per-client adaptive
+    /// table, and the update-history cap (in cluster epochs).
     pub server: ServerConfig,
 }
 
@@ -221,9 +224,6 @@ struct ClusterState {
     history: VecDeque<EpochEntry>,
     /// Oldest cluster epoch the history can still expand into a vector.
     low_water: u64,
-    /// Last cluster epoch each versioned client synced to — the floor
-    /// history pruning respects (bounded like the adaptive table).
-    clients: HashMap<ClientId, u64>,
 }
 
 #[derive(Debug, Default)]
@@ -264,7 +264,10 @@ struct PinSet {
 #[derive(Debug)]
 pub struct Cluster {
     map: ShardMap,
-    shards: Vec<Server>,
+    shards: Vec<ServerCore>,
+    /// The deployment's one per-client table: §4.3 `d` and the *cluster*
+    /// epoch each versioned client last synced to.
+    adaptive: AdaptiveController,
     cfg: ClusterConfig,
     /// Serializes cluster update batches (per-shard publishes inside one
     /// batch still run in parallel).
@@ -288,17 +291,12 @@ impl Cluster {
         // Shards are independent worlds over one shared store: build them
         // side by side, as `apply_updates` publishes them.
         let workers = par::worker_count(owned.iter().map(Vec::len).sum());
-        let shards: Vec<Server> = par::map_ranges(owned.len(), workers, |range| {
+        let shards: Vec<ServerCore> = par::map_ranges(owned.len(), workers, |range| {
             range
-                .map(|s| {
-                    Server::from_core(
-                        ServerCore::build_with_objects(store.clone(), tree_cfg, &owned[s]),
-                        cfg.server,
-                    )
-                })
+                .map(|s| ServerCore::build_with_objects(store.clone(), tree_cfg, &owned[s]))
                 .collect()
         });
-        let pins: Vec<Arc<Snapshot>> = shards.iter().map(|sv| sv.core().pin()).collect();
+        let pins: Vec<Arc<Snapshot>> = shards.iter().map(ServerCore::pin).collect();
         let roots = Self::current_roots(&pins);
         let mut history = VecDeque::new();
         history.push_back(EpochEntry {
@@ -309,12 +307,12 @@ impl Cluster {
         Cluster {
             map,
             shards,
+            adaptive: cfg.server.adaptive_table(),
             cfg,
             write: Mutex::new(()),
             state: Mutex::new(ClusterState {
                 history,
                 low_water: 0,
-                clients: HashMap::new(),
             }),
             epoch: AtomicU64::new(0),
             stats: Counters::default(),
@@ -333,8 +331,8 @@ impl Cluster {
         self.cfg.shards
     }
 
-    /// One shard's server (tests and diagnostics).
-    pub fn shard(&self, s: u32) -> &Server {
+    /// One shard's core (tests and diagnostics).
+    pub fn shard(&self, s: u32) -> &ServerCore {
         &self.shards[s as usize]
     }
 
@@ -359,10 +357,9 @@ impl Cluster {
         }
     }
 
-    /// Clients with adaptive state (fmr reports broadcast to every shard,
-    /// so any shard's table reports the same census).
+    /// Clients with adaptive state.
     pub fn tracked_clients(&self) -> usize {
-        self.shards[0].tracked_clients()
+        self.adaptive.tracked_clients()
     }
 
     // -----------------------------------------------------------------
@@ -382,7 +379,7 @@ impl Cluster {
                 self.entry_at(&state, epoch).map(|e| e.shard_epochs.clone())
             };
             let Some(vector) = vector else { continue };
-            let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(|sv| sv.core().pin()).collect();
+            let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(ServerCore::pin).collect();
             // ordering: Acquire (same pairing as above) — the re-load
             // validates no publish raced the per-shard pins.
             let consistent = pins.iter().zip(&vector).all(|(p, &want)| p.epoch() == want)
@@ -409,7 +406,7 @@ impl Cluster {
                 .shard_epochs
                 .clone()
         };
-        let pins = self.shards.iter().map(|sv| sv.core().pin()).collect();
+        let pins = self.shards.iter().map(ServerCore::pin).collect();
         PinSet {
             pins,
             epoch,
@@ -447,7 +444,7 @@ impl Cluster {
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
         let _writer = lock_recover(&self.write);
         let n = self.cfg.shards as usize;
-        let base = self.shards[0].core().pin();
+        let base = self.shards[0].pin();
         let mut next_store = base.store().clone();
 
         // Apply the batch to the store, remembering each object's state at
@@ -516,78 +513,71 @@ impl Cluster {
             }
         }
 
+        // Retire history below the horizon — the most-behind versioned
+        // client's sync point, hard-capped at `max_update_history` cluster
+        // epochs. The oldest vector still retained is the furthest back any
+        // admitted stamp re-expands to, so its entries are the per-shard
+        // floors below which the shard logs may prune.
+        // ordering: Acquire — pairs with the Release below; the writer
+        // lock already serializes bumps, this read just picks up the last.
+        let epoch = self.epoch.load(Ordering::Acquire) + 1;
+        let horizon = self
+            .adaptive
+            .epoch_low_water()
+            .unwrap_or(0)
+            .max(epoch.saturating_sub(self.cfg.server.max_update_history));
+        let floors: Vec<u64> = {
+            let mut state = lock_recover(&self.state);
+            while state
+                .history
+                .front()
+                .is_some_and(|front| front.epoch < horizon)
+            {
+                state.history.pop_front();
+            }
+            state.low_water = state.low_water.max(horizon);
+            // Never empty: the horizon is at most the current epoch, whose
+            // entry therefore stays.
+            state
+                .history
+                .front()
+                .map(|front| front.shard_epochs.clone())
+                .unwrap_or_default()
+        };
+
         // Publish: touched shards in parallel (each bumps its own epoch),
         // untouched shards just sync the store so globally-assigned ids
         // stay resolvable from any shard's pin.
         std::thread::scope(|scope| {
-            for s in 0..n {
-                let shard = &self.shards[s];
+            for (s, shard) in self.shards.iter().enumerate() {
                 let store = next_store.clone();
                 let ops = &ops[s];
                 let tombs = &tombs[s];
-                let max_history = self.cfg.server.max_update_history;
+                let floor = floors.get(s).copied();
                 if ops.is_empty() && tombs.is_empty() {
-                    shard.core().refresh_store(store);
+                    shard.refresh_store(store);
                 } else {
                     scope.spawn(move || {
-                        shard.core().publish_partition(
-                            store,
-                            ops,
-                            tombs,
-                            shard.epoch_low_water(),
-                            max_history,
-                        );
+                        shard.publish_partition(store, ops, tombs, floor);
                     });
                 }
             }
         });
 
-        let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(|sv| sv.core().pin()).collect();
+        let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(ServerCore::pin).collect();
         let shard_epochs: Vec<u64> = pins.iter().map(|p| p.epoch()).collect();
         let roots = Self::current_roots(&pins);
-
-        let mut state = lock_recover(&self.state);
-        // ordering: Acquire — pairs with the Release below; the writer
-        // lock already serializes bumps, this read just picks up the last.
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-        state.history.push_back(EpochEntry {
+        lock_recover(&self.state).history.push_back(EpochEntry {
             epoch,
             shard_epochs,
             roots,
         });
-        let floor = state.clients.values().copied().min();
-        let horizon = floor
-            .unwrap_or(0)
-            .max(epoch.saturating_sub(self.cfg.server.max_update_history));
-        while state
-            .history
-            .front()
-            .is_some_and(|front| front.epoch < horizon)
-        {
-            state.history.pop_front();
-        }
-        state.low_water = state.low_water.max(horizon);
-        drop(state);
         // ordering: Release — published only after every shard publish and
         // the history push above; pairs with the Acquire loads in
         // `epoch()` / `pin_all`, so an observer of epoch E can always
         // resolve E's vector from history.
         self.epoch.store(epoch, Ordering::Release);
         epoch
-    }
-
-    /// Records `client`'s sync point (cluster epoch) for history pruning,
-    /// evicting the most-behind entry past the tracked-client cap.
-    fn note_client(&self, client: ClientId, epoch: u64) {
-        let mut state = lock_recover(&self.state);
-        if !state.clients.contains_key(&client)
-            && state.clients.len() >= self.cfg.server.max_tracked_clients
-        {
-            if let Some((&evict, _)) = state.clients.iter().min_by_key(|(_, &e)| e) {
-                state.clients.remove(&evict);
-            }
-        }
-        state.clients.insert(client, epoch);
     }
 
     // -----------------------------------------------------------------
@@ -615,10 +605,7 @@ impl Cluster {
     ) -> VersionedReply {
         let set = self.pin_all();
         let n = self.cfg.shards as usize;
-        for (shard, &e) in self.shards.iter().zip(&set.vector) {
-            shard.note_client_epoch(client, e);
-        }
-        self.note_client(client, set.epoch);
+        self.adaptive.note_epoch(client, set.epoch);
 
         let entry = {
             let state = lock_recover(&self.state);
@@ -956,13 +943,14 @@ impl Cluster {
 
         // Gather: per-shard partial replies, charged on the backplane,
         // each paired with the pin whose store resolves its ids.
+        let mode = form_mode(self.cfg.server.form, &self.adaptive, client);
         let mut partials: Vec<(&Snapshot, ServerReply)> = Vec::new();
         for (s, (out, log)) in outcomes.into_iter().zip(logs).enumerate() {
             let Some(out) = out.or_else(|| (!log.nodes.is_empty()).then(Outcome::default)) else {
                 continue;
             };
             let snap = &*set.pins[s];
-            let mut reply = snap.assemble(out, &log, self.shards[s].remainder_mode(client));
+            let mut reply = snap.assemble(out, &log, mode);
             reply.index = std::mem::take(&mut reply.index)
                 .into_iter()
                 .map(|sh| self.translate_shipment(sh, s as u32))
@@ -1185,24 +1173,8 @@ impl Transport for Cluster {
                 Response::Versioned(self.process_remainder_versioned(client, &query, epoch))
             }
             Request::Direct(spec) => Response::Direct(self.direct(&spec)),
-            Request::ReportFmr { fmr } => {
-                // Broadcast so every shard's adaptive trajectory for this
-                // client stays aligned (they all see the same fmr stream
-                // and hence agree on d).
-                let mut d = 0;
-                for shard in &self.shards {
-                    d = shard.report_fmr(client, fmr);
-                }
-                Response::NewD(d)
-            }
-            Request::Forget => {
-                let mut any = false;
-                for shard in &self.shards {
-                    any |= shard.forget_client(client);
-                }
-                lock_recover(&self.state).clients.remove(&client);
-                Response::Forgotten(any)
-            }
+            Request::ReportFmr { fmr } => Response::NewD(self.adaptive.report(client, fmr)),
+            Request::Forget => Response::Forgotten(self.adaptive.forget_client(client)),
         }
     }
 }
@@ -1213,7 +1185,7 @@ impl ServerHandle for Cluster {
         // batch syncs it to all shards), which is what metadata readers
         // want. Its *tree* is only shard 0's slice — navigation must go
         // through `bootstrap_root` + the protocol instead.
-        self.shards[0].core()
+        &self.shards[0]
     }
 
     fn apply_updates(&self, updates: &[Update]) -> u64 {
@@ -1235,7 +1207,7 @@ impl ServerHandle for Cluster {
     fn log_records(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.core().pin().update_log().retained_records())
+            .map(|s| s.pin().update_log().retained_records())
             .sum()
     }
 }
@@ -1243,6 +1215,7 @@ impl ServerHandle for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Server;
     use pc_geom::Point;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1502,7 +1475,7 @@ mod tests {
     #[test]
     fn updates_publish_per_shard_epochs_independently() {
         let cl = quad_cluster(sample_store(80, 3));
-        let quiet: Vec<u64> = (0..4).map(|s| cl.shard(s).core().epoch()).collect();
+        let quiet: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
         assert_eq!(quiet, vec![0, 0, 0, 0]);
 
         // Insert into the lower-left quadrant: exactly one shard publishes.
@@ -1514,7 +1487,7 @@ mod tests {
             }],
         );
         assert_eq!(e, 1, "cluster epoch advances once per batch");
-        let after: Vec<u64> = (0..4).map(|s| cl.shard(s).core().epoch()).collect();
+        let after: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
         assert_eq!(after.iter().sum::<u64>(), 1, "only the owner published");
         let owner = after.iter().position(|&x| x == 1).unwrap() as u32;
         assert_eq!(
@@ -1534,7 +1507,7 @@ mod tests {
             }],
         );
         assert_eq!(e, 2);
-        let finally: Vec<u64> = (0..4).map(|s| cl.shard(s).core().epoch()).collect();
+        let finally: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
         let new_owner = cl
             .shard_map()
             .first_owner(&Rect::centered_square(Point::new(0.8, 0.8), 0.01));
@@ -1587,7 +1560,7 @@ mod tests {
 
         // A warm heap referencing only the quiet shard's root: the churn
         // elsewhere must NOT force a stale round-trip...
-        let quiet_pin = cl.shard(quiet_shard).core().pin();
+        let quiet_pin = cl.shard(quiet_shard).pin();
         let quiet_root = quiet_pin.tree().root();
         let quiet_mbr = quiet_pin.tree().root_mbr().unwrap();
         let warm = RemainderQuery {
@@ -1643,9 +1616,116 @@ mod tests {
         assert_eq!(epoch, 0);
         // The super MBR covers every shard root.
         for s in 0..4 {
-            if let Some(r) = cl.shard(s).core().pin().tree().root_mbr() {
+            if let Some(r) = cl.shard(s).pin().tree().root_mbr() {
                 assert!(mbr.contains_rect(&r));
             }
         }
+    }
+
+    /// Cluster twin of `fleet_low_water_mark_prunes_ahead_of_the_history_cap`:
+    /// the one adaptive table's low-water mark bounds the epoch-vector
+    /// history, and the oldest retained vector is each shard log's floor.
+    #[test]
+    fn lagging_client_holds_shard_logs_until_it_forgets() {
+        let store = sample_store(240, 13);
+        let cl = Cluster::new(
+            store.clone(),
+            RTreeConfig::small(),
+            ClusterConfig {
+                shards: 4,
+                grid: 2,
+                server: ServerConfig {
+                    // Never reached below: the fleet mark prunes first.
+                    max_update_history: 8,
+                    ..ServerConfig::default()
+                },
+            },
+        );
+        // Batch `e` deletes one object in each of two shards, so the
+        // per-shard epochs drift apart and a floor is a real vector.
+        let mut by_shard: Vec<Vec<ObjectId>> = vec![Vec::new(); 4];
+        for o in store.iter() {
+            by_shard[cl.shard_map().first_owner(&o.mbr) as usize].push(o.id);
+        }
+        let touched = |e: u64| [(e % 4) as usize, ((e + 1) % 4) as usize];
+        let publish = |e: u64| {
+            let batch = touched(e).map(|s| Update::Delete(by_shard[s][e as usize]));
+            assert_eq!(cl.apply_updates(&batch), e);
+        };
+        let vector = || (0..4).map(|s| cl.shard(s).epoch()).collect::<Vec<u64>>();
+        let contact = |client: ClientId, stamp: u64| {
+            let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
+            cl.process_remainder_versioned(client, &rq, stamp)
+        };
+
+        publish(1);
+        publish(2);
+        // The laggard syncs at cluster epoch 2 and then goes quiet.
+        assert!(matches!(
+            contact(1, 0),
+            VersionedReply::Stale { epoch: 2, .. }
+        ));
+        let synced = vector();
+        for e in 3..=6 {
+            publish(e);
+            for s in 0..4 {
+                let log = cl.shard(s as u32).pin();
+                let log = log.update_log();
+                assert!(log.low_water() <= synced[s], "shard {s} over-pruned at {e}");
+                if touched(e).contains(&s) {
+                    assert_eq!(log.low_water(), synced[s], "shard {s} floor at {e}");
+                }
+                // Every tombstone the laggard has not seen is retained.
+                for b in (3..=e).filter(|&b| touched(b).contains(&s)) {
+                    let id = by_shard[s][b as usize];
+                    assert!(log.deleted_objects().iter().any(|&(d, _)| d == id));
+                }
+            }
+        }
+        // Its stamp still re-expands, and every shard log still answers it.
+        match contact(2, 2) {
+            VersionedReply::Stale { invalidate, epoch } => {
+                assert_eq!(epoch, 6);
+                assert!(!invalidate.is_empty());
+            }
+            other => panic!("a retained stamp must be answered, got {other:?}"),
+        }
+
+        // Client 2 is caught up (epoch 6); once the laggard disconnects the
+        // next publish prunes history and shard logs up to that mark.
+        let caught_up = vector();
+        let before = cl.log_records();
+        assert!(cl.call(1, Request::Forget).into_forgotten());
+        assert_eq!(cl.tracked_clients(), 1);
+        publish(7);
+        assert!(cl.log_records() < before, "the laggard's records are gone");
+        for s in touched(7) {
+            let log = cl.shard(s as u32).pin();
+            assert_eq!(log.update_log().low_water(), caught_up[s]);
+        }
+        assert_eq!(contact(3, 2), VersionedReply::FullRefresh { epoch: 7 });
+        assert!(matches!(
+            contact(2, 6),
+            VersionedReply::Stale { epoch: 7, .. }
+        ));
+    }
+
+    #[test]
+    fn fmr_reports_move_one_table_like_a_single_server() {
+        let store = sample_store(60, 4);
+        let single = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
+        let cl = quad_cluster(store);
+        for fmr in [0.1, 0.5, 0.9, 0.95, 0.2, 0.05] {
+            let req = Request::ReportFmr { fmr };
+            assert_eq!(
+                cl.call(7, req.clone()).into_new_d(),
+                single.call(7, req).into_new_d(),
+                "fmr {fmr}"
+            );
+        }
+        assert_eq!(cl.tracked_clients(), 1);
+        assert!(cl.call(7, Request::Forget).into_forgotten());
+        assert_eq!(cl.tracked_clients(), 0);
+        assert!(!cl.call(7, Request::Forget).into_forgotten());
     }
 }

@@ -255,21 +255,6 @@ impl ServerCore {
         self.pin().epoch()
     }
 
-    /// [`Snapshot::direct`] on the current snapshot.
-    pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        self.pin().direct(spec)
-    }
-
-    /// [`Snapshot::resume_remainder`] on the current snapshot.
-    pub fn resume_remainder(&self, rq: &RemainderQuery, mode: FormMode) -> ServerReply {
-        self.pin().resume_remainder(rq, mode)
-    }
-
-    /// [`Snapshot::bpt_bytes`] on the current snapshot.
-    pub fn bpt_bytes(&self) -> u64 {
-        self.pin().bpt_bytes()
-    }
-
     /// Applies one batch of updates atomically *while queries keep
     /// running*: clones the current snapshot **structurally** (the tree's
     /// node slab, the per-node BPTs and the store's segments are all
@@ -381,8 +366,10 @@ impl ServerCore {
     /// objects that went globally dead this batch *and* were owned here —
     /// they land in this shard's update log so behind-epoch clients are
     /// told to drop them. Epoch bumping, dirty-node BPT rebuilds and
-    /// low-water pruning work exactly like
-    /// [`apply_updates_bounded`](Self::apply_updates_bounded); shards the
+    /// low-water pruning at `client_floor` work exactly like
+    /// [`apply_updates_bounded`](Self::apply_updates_bounded), minus the
+    /// hard cap: the cluster bounds its epoch-vector history and derives
+    /// each shard's floor from the oldest vector it retains. Shards the
     /// batch never touched are not called at all, so their epochs — and
     /// their clients' staleness — advance independently.
     pub fn publish_partition(
@@ -391,9 +378,8 @@ impl ServerCore {
         ops: &[PartitionOp],
         tombstones: &[pc_rtree::ObjectId],
         client_floor: Option<u64>,
-        max_history: u64,
     ) -> u64 {
-        self.publish_next(client_floor, max_history, |next| {
+        self.publish_next(client_floor, u64::MAX, |next| {
             *next.store_mut() = store;
             for op in ops {
                 match *op {
@@ -492,6 +478,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let w = Rect::centered_square(Point::new(0.2 + 0.15 * t as f64, 0.5), 0.2);
                     let got: Vec<ObjectId> = core
+                        .pin()
                         .direct(&QuerySpec::Range { window: w })
                         .results
                         .iter()

@@ -17,11 +17,11 @@
 //!
 //! Protocol boundary: all client traffic travels as typed
 //! `Request`/`Response` envelopes (`pc_rtree::proto`) over a [`Transport`]
-//! — a bare `&Server` dispatches straight into its concrete methods,
-//! while [`BatchedService`] coalesces concurrently arriving remainder
-//! queries per shard before executing them against the shared
-//! [`ServerCore`]. Simulation drivers hold a [`ServerHandle`]
-//! (transport + shared-core metadata) instead of a concrete `&Server`.
+//! — a bare `&Server` dispatches straight into its concrete methods, a
+//! [`Cluster`] scatters over its shards, and a [`TcpTransport`] carries
+//! the same envelopes over a socket. Simulation drivers hold a
+//! [`ServerHandle`] (transport + shared-core metadata) instead of a
+//! concrete `&Server`.
 
 mod adaptive;
 pub mod cluster;
@@ -29,7 +29,6 @@ mod core;
 pub mod epoch;
 mod forms;
 mod server;
-pub mod service;
 pub mod sync_util;
 #[cfg(test)]
 mod test_util;
@@ -43,7 +42,6 @@ pub use core::{PartitionOp, ServerCore, Snapshot};
 pub use epoch::SnapshotCell;
 pub use forms::{build_shipments, FormMode};
 pub use server::{ClientId, FormPolicy, Server, ServerConfig};
-pub use service::{BatchConfig, BatchedService, ServiceStats};
 pub use transport::{ServerHandle, Transport};
 pub use updates::{Update, UpdateLog, VersionedReply};
 pub use wire::{TcpTransport, WireServer, WireServerConfig, WireServerStats, WireTransportStats};

@@ -99,6 +99,28 @@ impl ServerConfig {
         }
         Ok(())
     }
+
+    /// A fresh per-client table under this configuration — one per
+    /// deployment (a [`Server`], or a whole [`crate::Cluster`]).
+    pub(crate) fn adaptive_table(&self) -> AdaptiveController {
+        AdaptiveController::new(self.sensitivity, self.initial_d, self.max_d)
+            .with_max_clients(self.max_tracked_clients)
+    }
+}
+
+/// The form `Ir` is built in for `client` under `policy`: the one
+/// `(FormPolicy, d)` → [`FormMode`] mapping, shared by [`Server`] and
+/// [`crate::Cluster`]. Only the adaptive policy reads the client's `d`.
+pub(crate) fn form_mode(
+    policy: FormPolicy,
+    adaptive: &AdaptiveController,
+    client: ClientId,
+) -> FormMode {
+    match policy {
+        FormPolicy::Full => FormMode::Full,
+        FormPolicy::Compact => FormMode::COMPACT,
+        FormPolicy::Adaptive => FormMode::DLevel(adaptive.d(client)),
+    }
 }
 
 /// The mobile application server of Fig. 3.
@@ -124,8 +146,7 @@ impl Server {
         Server {
             core,
             cfg,
-            adaptive: AdaptiveController::new(cfg.sensitivity, cfg.initial_d, cfg.max_d)
-                .with_max_clients(cfg.max_tracked_clients),
+            adaptive: cfg.adaptive_table(),
         }
     }
 
@@ -149,41 +170,28 @@ impl Server {
     /// ground truth for the simulator's metrics and the backend for the
     /// PAG/SEM baselines.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        self.core.direct(spec)
+        self.core.pin().direct(spec)
     }
 
     /// The form mode this server would build `Ir` in for `client` right
-    /// now — the per-client policy half of `process_remainder`, split out
-    /// so batched/remote services can execute resumes directly against a
-    /// pinned [`Snapshot`].
-    pub fn remainder_mode(&self, client: ClientId) -> FormMode {
-        match self.cfg.form {
-            FormPolicy::Full => FormMode::Full,
-            FormPolicy::Compact => FormMode::COMPACT,
-            FormPolicy::Adaptive => FormMode::DLevel(self.adaptive.d(client)),
-        }
+    /// now — the per-client policy half of `process_remainder`.
+    pub(crate) fn remainder_mode(&self, client: ClientId) -> FormMode {
+        form_mode(self.cfg.form, &self.adaptive, client)
     }
 
     /// Stage ② of Fig. 3: resumes `Qr` from its heap, assembles `Rr`
     /// (splitting confirmed-cached results from transmitted ones) and the
     /// supporting index `Ir` in this server's form for this client.
     pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        self.core.resume_remainder(rq, self.remainder_mode(client))
+        self.core
+            .pin()
+            .resume_remainder(rq, self.remainder_mode(client))
     }
 
     /// The per-client adaptive controller (d⁺ trajectories + last-synced
     /// epochs feeding the fleet low-water mark).
     pub(crate) fn adaptive(&self) -> &AdaptiveController {
         &self.adaptive
-    }
-
-    /// Records the epoch `client` will be synced to after the versioned
-    /// contact currently being answered. Transports that bypass
-    /// [`Server::process_remainder_versioned`] (the batched service pins
-    /// its own snapshot) call this at enqueue time so the fleet low-water
-    /// mark stays honest.
-    pub fn note_client_epoch(&self, client: ClientId, epoch: u64) {
-        self.adaptive.note_epoch(client, epoch);
     }
 
     /// The epoch `client` last synced to over the versioned protocol, if
@@ -221,7 +229,7 @@ impl Server {
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
     pub fn bpt_bytes(&self) -> u64 {
-        self.core.bpt_bytes()
+        self.core.pin().bpt_bytes()
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! `std`'s lock poisoning turns *one* panicked thread into a panic
 //! cascade: every later `lock().unwrap()` on the same lock panics too,
-//! stranding whole connection pools and condvar wait-sets (the PR 8
-//! hung-fleet failure family — one dead thread, N wedged ones). That is
-//! the wrong default for this server's locks, because every critical
+//! stranding whole connection pools (the PR 8 hung-fleet failure family
+//! — one dead thread, N wedged ones). That is the wrong default for this
+//! server's locks, because every critical
 //! section in this crate is *panic-atomic by construction*: it only moves
 //! plain data (pointer swaps, `VecDeque` push/pop, counter bumps, map
 //! inserts) and performs no fallible calls mid-update, so a panic can
@@ -17,7 +17,7 @@
 //! Every lock acquisition in `pc_server` library code goes through these
 //! helpers; the `pc-check` lint (`no-unwrap`) keeps it that way.
 
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, recovering the guard from a poisoned peer panic.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -32,12 +32,6 @@ pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `l`, recovering from poison.
 pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Waits on `cv`, recovering the re-acquired guard from poison.
-pub fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

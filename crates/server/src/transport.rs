@@ -1,8 +1,9 @@
 //! The client ↔ server boundary as a first-class API: a [`Transport`]
 //! carries typed [`Request`]/[`Response`] envelopes between a client (by
-//! id) and *some* server — in-process today, batched ([`crate::service`])
-//! or remote tomorrow — and a [`ServerHandle`] is a transport that also
-//! exposes the shared immutable [`ServerCore`] (dataset + index metadata
+//! id) and *some* server — in-process ([`Server`], [`crate::Cluster`]) or
+//! remote ([`crate::TcpTransport`]) — and a [`ServerHandle`] is a
+//! transport that also exposes the shared immutable [`ServerCore`]
+//! (dataset + index metadata
 //! that both ends of the paper's Fig. 3 know out of band: the client's
 //! catalog is bootstrapped from it, and the simulator reads ground-truth
 //! object sizes from it).
@@ -65,10 +66,8 @@ pub trait ServerHandle: Transport {
 }
 
 /// Dispatches one envelope against a concrete [`Server`] — the single
-/// point where the wire protocol meets the server's method surface. Every
-/// in-process transport (including the batched service's pass-through
-/// path) funnels through here, so protocol/method equivalence is testable
-/// in one place.
+/// point where the wire protocol meets the server's method surface, so
+/// protocol/method equivalence is testable in one place.
 pub(crate) fn dispatch(server: &Server, client: ClientId, req: Request) -> Response {
     match req {
         Request::Remainder(rq) => Response::Remainder(server.process_remainder(client, &rq)),
@@ -110,7 +109,6 @@ impl ServerHandle for Server {
 mod tests {
     use super::*;
     use crate::server::{FormPolicy, ServerConfig};
-    use crate::service::BatchedService;
     use crate::test_util::{cold_remainder, sample_server};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, VersionedReply};
@@ -132,9 +130,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Each `Request` variant dispatched through `&Server` as a
-        /// transport, and through the batched service in front of it, must
-        /// be outcome-identical to the corresponding bare `Server` method —
-        /// including every arm of the §7 version gate (`Fresh`, `Stale`
+        /// transport must be outcome-identical to the corresponding bare
+        /// `Server` method — including every arm of the §7 version gate
+        /// (`Fresh`, `Stale`
         /// behind a just-applied update, `FullRefresh` below a pruned
         /// horizon).
         #[test]
@@ -154,25 +152,23 @@ mod tests {
                 _ => QuerySpec::Join { dist: 0.02 },
             };
 
-            // Three identical servers (one epoch of history, so the second
+            // Two identical servers (one epoch of history, so the second
             // publish prunes epoch 0): one driven through bare methods, one
-            // as a transport, one behind the batched service.
+            // as a transport.
             let build = || {
                 Server::from_core(
                     sample_server(150, seed, FormPolicy::Adaptive).core().clone(),
                     ServerConfig { max_update_history: 1, ..ServerConfig::default() },
                 )
             };
-            let (via_methods, via_transport, via_batched) = (build(), build(), build());
+            let (via_methods, via_transport) = (build(), build());
             let t: &dyn Transport = &via_transport;
-            let batched = BatchedService::over(&via_batched);
-            // The same versioned contact three ways.
+            // The same versioned contact both ways.
             let gate = |rq: &pc_rtree::proto::RemainderQuery, epoch: u64| {
                 let req = Request::RemainderVersioned { query: rq.clone(), epoch };
-                let a = t.call(client, req.clone()).into_versioned();
-                let b = batched.call(client, req).into_versioned();
+                let a = t.call(client, req).into_versioned();
                 let m = via_methods.process_remainder_versioned(client, rq, epoch);
-                (a, b, m)
+                (a, m)
             };
 
             // Remainder.
@@ -180,14 +176,11 @@ mod tests {
             let m = via_methods.process_remainder(client, &rq);
             let a = t.call(client, Request::Remainder(rq.clone())).into_remainder();
             prop_assert_eq!(&a, &m);
-            let b = batched.call(client, Request::Remainder(rq.clone())).into_remainder();
-            prop_assert_eq!(&b, &m);
 
             // Versioned remainder (epoch 0 == current: always fresh).
-            let (a, b, m) = gate(&rq, 0);
+            let (a, m) = gate(&rq, 0);
             prop_assert!(matches!(m, VersionedReply::Fresh { .. }), "{:?}", m);
             prop_assert_eq!(&a, &m);
-            prop_assert_eq!(&b, &m);
 
             // Direct.
             let a = t.call(client, Request::Direct(spec)).into_direct();
@@ -221,27 +214,24 @@ mod tests {
                     id: ObjectId(i),
                     to: Rect::from_point(Point::new(cx, cy)),
                 }];
-                for server in [&via_methods, &via_transport, &via_batched] {
+                for server in [&via_methods, &via_transport] {
                     server.apply_updates(&batch);
                 }
             };
             publish(0);
-            let (a, b, m) = gate(&rq, 0);
+            let (a, m) = gate(&rq, 0);
             prop_assert!(matches!(m, VersionedReply::Stale { .. }), "{:?}", m);
             prop_assert_eq!(&a, &m);
-            prop_assert_eq!(&b, &m);
 
             // A second publish prunes epoch 0 below the horizon: full
             // refresh; a client at epoch 1 is merely stale.
             publish(1);
-            let (a, b, m) = gate(&rq, 0);
+            let (a, m) = gate(&rq, 0);
             prop_assert_eq!(&m, &VersionedReply::FullRefresh { epoch: 2 });
             prop_assert_eq!(&a, &m);
-            prop_assert_eq!(&b, &m);
-            let (a, b, m) = gate(&rq, 1);
+            let (a, m) = gate(&rq, 1);
             prop_assert!(matches!(m, VersionedReply::Stale { .. }), "{:?}", m);
             prop_assert_eq!(&a, &m);
-            prop_assert_eq!(&b, &m);
         }
     }
 }

@@ -176,7 +176,7 @@ impl Server {
         client_epoch: u64,
     ) -> VersionedReply {
         let snap = self.core().pin();
-        self.note_client_epoch(client, snap.epoch());
+        self.adaptive().note_epoch(client, snap.epoch());
         snap.answer_remainder(rq, self.remainder_mode(client), Some(client_epoch))
             .into_versioned()
     }

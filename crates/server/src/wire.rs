@@ -5,10 +5,8 @@
 //! listener: an accept thread spawns one connection thread per client
 //! socket, each running a read-frame → decode → dispatch → encode →
 //! write-frame loop (std::net + threads; no async runtime exists in this
-//! build environment). The flat-combining [`BatchedService`] *is* the
-//! batching policy — [`WireServer::spawn_batched`] fronts the server with
-//! it, so concurrently arriving remainder frames from different
-//! connections coalesce exactly like in-process callers.
+//! build environment). Connection threads dispatch concurrently into the
+//! one shared handle; nothing queues between the socket and the server.
 //!
 //! Client side, [`TcpTransport`] implements [`ServerHandle`]: `call` is a
 //! synchronous request/reply on the calling thread — it writes its frame
@@ -35,8 +33,7 @@
 //! `log_records`) delegates to the wrapped in-process handle: the byte
 //! ledger charges nothing for it, so it does not travel the socket.
 
-use crate::server::{ClientId, Server};
-use crate::service::{BatchConfig, BatchedService};
+use crate::server::ClientId;
 use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
@@ -290,19 +287,6 @@ impl WireServer {
             accept: Some(accept),
             stats,
         })
-    }
-
-    /// Serves `server` through a flat-combining [`BatchedService`] — the
-    /// connection loop's batching policy. Returns the service too, so the
-    /// caller can read [`crate::ServiceStats`] after the run.
-    pub fn spawn_batched(
-        server: Arc<Server>,
-        batch: BatchConfig,
-        cfg: WireServerConfig,
-    ) -> std::io::Result<(WireServer, Arc<BatchedService<Arc<Server>>>)> {
-        let service = Arc::new(BatchedService::new(server, batch));
-        let handle: Arc<dyn ServerHandle> = Arc::clone(&service) as Arc<dyn ServerHandle>;
-        Ok((WireServer::spawn(handle, cfg)?, service))
     }
 
     /// The bound loopback address clients connect to.
@@ -583,7 +567,7 @@ impl ServerHandle for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::FormPolicy;
+    use crate::server::{FormPolicy, Server};
     use crate::test_util::{cold_remainder, sample_server};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::QuerySpec;
@@ -812,32 +796,5 @@ mod tests {
         let stats = ws.stats();
         assert_eq!(stats.requests_served, 3);
         assert_eq!(stats.connections_accepted, 2, "forget dropped the socket");
-    }
-
-    #[test]
-    fn batched_policy_behind_the_socket_answers_identically() {
-        let server = Arc::new(sample_server(250, 12, FormPolicy::Adaptive));
-        let reference = sample_server(250, 12, FormPolicy::Adaptive);
-        let (mut ws, service) = WireServer::spawn_batched(
-            Arc::clone(&server),
-            BatchConfig::default(),
-            WireServerConfig::default(),
-        )
-        .unwrap();
-        let tcp = TcpTransport::connect(ws.addr(), Arc::clone(&server) as Arc<dyn ServerHandle>);
-        for client in 0..4u32 {
-            let spec = QuerySpec::Knn {
-                center: Point::new(0.2 + 0.15 * client as f64, 0.6),
-                k: 3,
-            };
-            let rq = cold_remainder(&reference, spec);
-            let got = tcp
-                .call(client, Request::Remainder(rq.clone()))
-                .into_remainder();
-            assert_eq!(got, reference.process_remainder(client, &rq));
-        }
-        assert_eq!(service.stats().batched_requests, 4);
-        drop(tcp);
-        ws.shutdown();
     }
 }

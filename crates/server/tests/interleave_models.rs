@@ -1,26 +1,23 @@
-//! Interleaving model checks of the server's two core concurrency
-//! protocols, run under the vendored `interleave` explorer (a miniature
-//! loom): every schedule within the preemption bound is executed, with
-//! vector-clock race detection on the protected state.
+//! Interleaving model check of the server's core concurrency protocol,
+//! run under the vendored `interleave` explorer (a miniature loom): every
+//! schedule within the preemption bound is executed, with vector-clock
+//! race detection on the protected state.
 //!
-//! Two protocols are modeled, faithfully mirroring the production control
-//! flow (not the production types — the models substitute `RaceCell`
+//! One protocol is modeled, faithfully mirroring the production control
+//! flow (not the production types — the model substitutes `RaceCell`
 //! payloads so the detector can see unsynchronized access):
 //!
 //! 1. **`SnapshotCell` publish/pin/drop** (`src/epoch.rs`): an
 //!    `RwLock<Arc<Snap>>` where writers build the next snapshot off to
 //!    the side and swap under the write lock, and readers pin (clone the
 //!    `Arc` under the read lock) and then use the pin lock-free.
-//! 2. **`BatchedService` enqueue-vs-flush** (`src/service.rs`): the
-//!    flat-combining shard — fast path, `flushing` flag, slot handoff,
-//!    and the condvar wake protocol.
 //!
-//! Each sound model is paired with a seeded mutant the checker must
+//! The sound model is paired with a seeded mutant the checker must
 //! *catch* — a model checker that cannot flag a planted bug proves
 //! nothing when it passes.
 
 use interleave::cell::RaceCell;
-use interleave::sync::{Condvar, Mutex, RwLock};
+use interleave::sync::RwLock;
 use interleave::{thread, Builder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -184,157 +181,4 @@ fn snapshot_mutant_in_place_publish_is_caught() {
         })
         .expect_err("in-place publish is a race and must be caught");
     assert!(err.message.contains("data race"), "{}", err.message);
-}
-
-// ---------------------------------------------------------------------
-// Model 2: BatchedService enqueue vs flush
-// ---------------------------------------------------------------------
-
-struct ModelPending {
-    id: u64,
-    slot: Arc<Mutex<Option<u64>>>,
-}
-
-struct ModelShard {
-    queue: Mutex<ModelQueue>,
-    wake: Condvar,
-    /// Stands in for the server the flusher drives: every `execute`
-    /// touches it unsynchronized, so two concurrent flushers — which the
-    /// `flushing` flag must rule out — would be reported as a race.
-    server: RaceCell<u64>,
-}
-
-#[derive(Default)]
-struct ModelQueue {
-    pending: Vec<ModelPending>,
-    flushing: bool,
-}
-
-impl ModelShard {
-    fn execute(&self, id: u64) -> u64 {
-        let served = self.server.get();
-        self.server.set(served + 1);
-        id * 100 + served
-    }
-
-    /// `BatchedService::batched_remainder`'s control flow: fast path when
-    /// idle, otherwise enqueue and either wait for a flusher or become
-    /// one. `notify` is the seeded-mutant switch: the sound model passes
-    /// `true`; `false` drops the post-flush wakeup and must deadlock.
-    fn submit(&self, id: u64, notify: bool) -> u64 {
-        let mut q = self.queue.lock();
-        if q.pending.is_empty() && !q.flushing {
-            q.flushing = true;
-            drop(q);
-            let reply = self.execute(id); // batch of one
-            let mut q = self.queue.lock();
-            q.flushing = false;
-            drop(q);
-            if notify {
-                self.wake.notify_all();
-            }
-            return reply;
-        }
-        let slot = Arc::new(Mutex::new(None));
-        q.pending.push(ModelPending {
-            id,
-            slot: slot.clone(),
-        });
-        loop {
-            {
-                let mut s = slot.lock();
-                if let Some(reply) = s.take() {
-                    return reply;
-                }
-            }
-            if q.flushing {
-                q = self.wake.wait(q);
-                continue;
-            }
-            q.flushing = true;
-            let batch: Vec<ModelPending> = q.pending.drain(..).collect();
-            drop(q);
-            self.wake.notify_all(); // freed queue space
-
-            for p in batch {
-                let reply = self.execute(p.id);
-                *p.slot.lock() = Some(reply);
-            }
-
-            // FlushReset: clear the flag, wake parked waiters.
-            let mut q2 = self.queue.lock();
-            q2.flushing = false;
-            drop(q2);
-            if notify {
-                self.wake.notify_all();
-            }
-            q = self.queue.lock();
-        }
-    }
-}
-
-#[test]
-fn batched_service_enqueue_vs_flush_is_sound() {
-    let report = explorer()
-        .check(|| {
-            let shard = Arc::new(ModelShard {
-                queue: Mutex::new(ModelQueue::default()),
-                wake: Condvar::new(),
-                server: RaceCell::new(0),
-            });
-            let hs: Vec<_> = (0..2u64)
-                .map(|id| {
-                    let shard = shard.clone();
-                    thread::spawn(move || shard.submit(id, true))
-                })
-                .collect();
-            let replies: Vec<u64> = hs.into_iter().map(|h| h.join().unwrap()).collect();
-            // Exactly-once service: each client gets its own reply, and
-            // the "server" executed exactly one request per client.
-            for (id, reply) in replies.iter().enumerate() {
-                assert_eq!(
-                    reply / 100,
-                    id as u64,
-                    "client got someone else's reply: {reply}"
-                );
-            }
-            assert_eq!(
-                shard.server.get(),
-                2,
-                "every request must execute exactly once"
-            );
-        })
-        .expect("batched-service protocol must survive every schedule");
-    assert!(
-        report.complete,
-        "exploration truncated at {} schedules — raise the cap",
-        report.schedules
-    );
-    assert!(report.schedules > 10, "enqueue/flush explores a real space");
-}
-
-#[test]
-fn batched_service_mutant_missing_wakeup_is_caught() {
-    // Seeded mutant: the flusher clears `flushing` without notifying —
-    // the PR 8 hung-fleet failure family. Some schedule parks a waiter
-    // after the only wakeup, and the deadlock detector must see it.
-    let err = explorer()
-        .check(|| {
-            let shard = Arc::new(ModelShard {
-                queue: Mutex::new(ModelQueue::default()),
-                wake: Condvar::new(),
-                server: RaceCell::new(0),
-            });
-            let hs: Vec<_> = (0..2u64)
-                .map(|id| {
-                    let shard = shard.clone();
-                    thread::spawn(move || shard.submit(id, false))
-                })
-                .collect();
-            for h in hs {
-                let _ = h.join();
-            }
-        })
-        .expect_err("a flush without a wakeup must strand some schedule");
-    assert!(err.message.contains("deadlock"), "{}", err.message);
 }

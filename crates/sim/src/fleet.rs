@@ -1,6 +1,6 @@
 //! The multi-client fleet driver: N [`ClientSession`]s against one shared
-//! [`ServerHandle`] — a bare `&Server`, a cluster, or the batched
-//! remainder service — spread over scoped worker threads. Sessions are
+//! [`ServerHandle`] — a bare `&Server`, a cluster, or a TCP transport —
+//! spread over scoped worker threads. Sessions are
 //! seeded per client id and never share mutable state (the server's read
 //! path is `&self`, its adaptive table is per-client), so a concurrent
 //! fleet run produces exactly the per-client metrics of the same sessions

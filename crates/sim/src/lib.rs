@@ -11,7 +11,7 @@
 //! and steps against a shared `ServerHandle` — every byte of server
 //! traffic travels as a typed `Request`/`Response` envelope through the
 //! handle's `Transport`, so the same sessions run unchanged against a bare
-//! `&Server`, the batched remainder service, or any future remote backend.
+//! `&Server`, a sharded `Cluster`, or a `TcpTransport` to a remote server.
 //! A [`Fleet`] drives N sessions concurrently on scoped threads and merges
 //! their results. The single-client entry points [`run`] /
 //! [`run_with_server`] are thin wrappers over a session with client id 0
@@ -80,11 +80,8 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 }
 
 /// Runs a single-client simulation against a pre-built server (must match
-/// `cfg.dataset`, `cfg.n_objects`, `cfg.seed` and the form policy). Takes
-/// `&mut` only for historical compatibility — the session needs a shared
-/// handle.
-pub fn run_with_server(cfg: &SimConfig, server: &mut Server) -> SimResult {
-    let server: &Server = server;
+/// `cfg.dataset`, `cfg.n_objects`, `cfg.seed` and the form policy).
+pub fn run_with_server(cfg: &SimConfig, server: &Server) -> SimResult {
     ClientSession::new(cfg, server, 0).run(server)
 }
 

@@ -2,8 +2,8 @@
 //! client so the simulation loop is model-agnostic. Runners never touch a
 //! concrete `Server` — every byte that crosses the client/server boundary
 //! travels as a `Request`/`Response` envelope through the
-//! [`ServerHandle`]'s transport, so swapping the in-process path for the
-//! batched service (or a real network) is invisible to them.
+//! [`ServerHandle`]'s transport, so swapping the in-process path for a
+//! cluster or a real network is invisible to them.
 
 use crate::config::{CacheModel, SimConfig};
 use pc_baselines::{PageCache, SemanticCache};

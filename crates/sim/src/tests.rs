@@ -133,8 +133,8 @@ fn adaptive_form_reacts_to_fmr_reports() {
     cfg.fmr_report_period = 20;
     cfg.drifting_k = Some((8, 1));
     cfg.n_queries = 300;
-    let mut server = build_server(&cfg);
-    let _ = run_with_server(&cfg, &mut server);
+    let server = build_server(&cfg);
+    let _ = run_with_server(&cfg, &server);
     // After a drifting-k run with periodic reports the controller has a
     // recorded state for client 0 (d may or may not have moved, but the
     // baseline must exist).

@@ -24,9 +24,9 @@ fn drift_cfg(form: FormPolicy) -> SimConfig {
 #[test]
 fn adaptive_d_moves_during_a_drift_run() {
     let cfg = drift_cfg(FormPolicy::Adaptive);
-    let mut server = sim::build_server(&cfg);
+    let server = sim::build_server(&cfg);
     let initial_d = server.client_d(0);
-    let _ = sim::run_with_server(&cfg, &mut server);
+    let _ = sim::run_with_server(&cfg, &server);
     // After 600 queries with reports every 25, the controller has a
     // baseline; d itself may have returned to the initial value, but the
     // run must have moved it at least... we can't observe the trajectory

@@ -237,7 +237,7 @@ fn assert_shards_index_their_partition(single: &Server, cluster: &Cluster) {
     let owned = cluster.shard_map().partition(pin.store());
     assert_eq!(owned.len(), cluster.shard_count() as usize);
     for (s, owned) in owned.iter().enumerate() {
-        let shard = cluster.shard(s as u32).core().pin();
+        let shard = cluster.shard(s as u32).pin();
         assert_eq!(shard.tree().object_count(), owned.len(), "shard {s}");
     }
 }
@@ -341,7 +341,7 @@ fn churned_fleet_publishes_per_shard_epochs() {
     // Each shard publishes at most once per cluster batch, and only when
     // touched — so shard epochs trail the cluster epoch.
     let max_shard_epoch = (0..cluster.shard_count())
-        .map(|s| cluster.shard(s).core().epoch())
+        .map(|s| cluster.shard(s).epoch())
         .max()
         .unwrap();
     assert!(max_shard_epoch <= res.final_epoch);

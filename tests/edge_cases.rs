@@ -250,18 +250,14 @@ fn hostile_remainder_heaps_are_skipped_not_indexed() {
     use procache::rtree::bpt::Code;
     use procache::rtree::proto::{CellRef, HeapEntry, RemainderQuery, Request, Response, Side};
     use procache::rtree::{NodeId, ObjectId};
-    use procache::server::{BatchedService, Cluster, ClusterConfig, ServerHandle, SUPER_ROOT};
+    use procache::server::{Cluster, ClusterConfig, ServerHandle, SUPER_ROOT};
     use procache::wire;
 
     let store = datasets::ne_like(2_000, 9);
     let server = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
-    let batched = BatchedService::over(&server);
     let cluster = Cluster::new(store, RTreeConfig::small(), ClusterConfig::new(4));
-    let handles: [(&str, &dyn ServerHandle); 3] = [
-        ("server", &server),
-        ("batched service", &batched),
-        ("4-shard cluster", &cluster),
-    ];
+    let handles: [(&str, &dyn ServerHandle); 2] =
+        [("server", &server), ("4-shard cluster", &cluster)];
 
     // What the socket loop does with the bytes of a frame.
     let over_the_wire = |req: &Request| {

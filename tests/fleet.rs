@@ -5,18 +5,13 @@
 //!     path exactly (deterministic metrics; CPU wall-clock excluded);
 //! (b) an N-client concurrent run's per-client results equal the same N
 //!     sessions run sequentially;
-//! (c) routing the same fleet through the `BatchedService` transport
-//!     changes no per-client result — a 1-client batched fleet stays
-//!     identical to the sequential runner, and a concurrent batched fleet
-//!     matches direct dispatch client by client;
-//! (d) completed sessions disconnect (`Forget`), so the server's adaptive
+//! (c) completed sessions disconnect (`Forget`), so the server's adaptive
 //!     table drains back to empty after every run;
-//! (e) a fleet with a 0-rate churn config is bit-identical to the plain
+//! (d) a fleet with a 0-rate churn config is bit-identical to the plain
 //!     fleet (no driver, no versioned envelopes), while a churned fleet
 //!     completes with the §7 protocol's stale-retry and invalidation
 //!     bytes in its ledgers, which stay merge-order-insensitive.
 
-use procache::server::{BatchConfig, BatchedService};
 use procache::sim::{self, CacheModel, ChurnConfig, Fleet, SimConfig, SimResult, Summary};
 
 fn fleet_cfg(model: CacheModel) -> SimConfig {
@@ -84,8 +79,8 @@ fn one_client_fleet_reproduces_the_sequential_runner() {
         CacheModel::Proactive,
     ] {
         let cfg = fleet_cfg(model);
-        let mut server = sim::build_server(&cfg);
-        let sequential = sim::run_with_server(&cfg, &mut server);
+        let server = sim::build_server(&cfg);
+        let sequential = sim::run_with_server(&cfg, &server);
 
         // Fresh server: the sequential run above fed the adaptive state.
         let server = sim::build_server(&cfg);
@@ -103,64 +98,6 @@ fn one_client_fleet_reproduces_the_sequential_runner() {
             "{model}: finished session must have disconnected"
         );
     }
-}
-
-#[test]
-fn one_client_batched_fleet_reproduces_the_sequential_runner() {
-    // The batched remainder service is a pure transport swap: with one
-    // client every batch has size one and the stream must stay
-    // bit-identical to the sequential runner.
-    let cfg = fleet_cfg(CacheModel::Proactive);
-    let mut server = sim::build_server(&cfg);
-    let sequential = sim::run_with_server(&cfg, &mut server);
-
-    let server = sim::build_server(&cfg);
-    let service = BatchedService::over(&server);
-    let fleet = Fleet::new(cfg).clients(1).run(&service);
-    assert_eq!(fleet.per_client.len(), 1);
-    assert_same_stream(&sequential, &fleet.per_client[0], "batched client");
-    assert_same_stream(&sequential, &fleet.merged, "batched merged");
-    let stats = service.stats();
-    assert!(stats.batches > 0, "remainders went through the service");
-    assert_eq!(stats.max_batch, 1, "one client cannot coalesce");
-    assert_eq!(server.tracked_clients(), 0, "session disconnected");
-}
-
-#[test]
-fn concurrent_batched_fleet_matches_direct_dispatch() {
-    let cfg = fleet_cfg(CacheModel::Proactive);
-    let clients = 3;
-
-    let server = sim::build_server(&cfg);
-    let direct = Fleet::new(cfg).clients(clients).threads(4).run(&server);
-
-    let server = sim::build_server(&cfg);
-    let service = BatchedService::new(
-        &server,
-        BatchConfig {
-            shards: 1, // maximize coalescing pressure
-            max_batch: 4,
-            queue_cap: 16,
-        },
-    );
-    let batched = Fleet::new(cfg).clients(clients).threads(4).run(&service);
-
-    assert_eq!(batched.per_client.len(), clients as usize);
-    for (c, (a, b)) in batched
-        .per_client
-        .iter()
-        .zip(&direct.per_client)
-        .enumerate()
-    {
-        assert_same_stream(a, b, &format!("batched client {c}"));
-    }
-    let stats = service.stats();
-    assert_eq!(
-        stats.batched_requests,
-        direct.merged.records.iter().filter(|r| r.contacted).count() as u64,
-        "every contact went through the batched service"
-    );
-    assert_eq!(server.tracked_clients(), 0, "all sessions disconnected");
 }
 
 #[test]

@@ -5,22 +5,17 @@
 //! (a) an N-client concurrent fleet over TCP loopback is bit-identical,
 //!     client by client, to the same fleet over the in-process
 //!     `Transport` on the same seeds;
-//! (b) the same holds when the socket fronts the flat-combining
-//!     `BatchedService` as the server loop's batching policy;
-//! (c) across the whole fleet run, measured frame bytes reconcile with
+//! (b) across the whole fleet run, measured frame bytes reconcile with
 //!     the `wire_bytes()` model: `measured == modeled + itemized framing
 //!     overhead` in both directions, and the server served exactly the
 //!     frames the clients counted;
-//! (d) a churned fleet speaking the §7 versioned protocol over the wire
+//! (c) a churned fleet speaking the §7 versioned protocol over the wire
 //!     completes its full budget, drains the adaptive table, and still
-//!     reconciles byte-for-byte — with direct dispatch and with the
-//!     batched service behind the socket.
+//!     reconciles byte-for-byte.
 
 use std::sync::Arc;
 
-use procache::server::{
-    BatchConfig, Server, ServerHandle, TcpTransport, WireServer, WireServerConfig,
-};
+use procache::server::{Server, ServerHandle, TcpTransport, WireServer, WireServerConfig};
 use procache::sim::{self, CacheModel, ChurnConfig, Fleet, SimConfig, SimResult, Summary};
 
 fn fleet_cfg(model: CacheModel) -> SimConfig {
@@ -86,7 +81,6 @@ fn assert_same_stream(a: &SimResult, b: &SimResult, who: &str) {
 fn run_over_wire(
     cfg: SimConfig,
     clients: u32,
-    batch: Option<BatchConfig>,
     churn: Option<ChurnConfig>,
 ) -> (
     procache::sim::FleetResult,
@@ -95,18 +89,8 @@ fn run_over_wire(
     Arc<Server>,
 ) {
     let server = Arc::new(sim::build_server(&cfg));
-    let mut ws = match batch {
-        Some(b) => {
-            let (ws, _service) =
-                WireServer::spawn_batched(Arc::clone(&server), b, WireServerConfig::default())
-                    .expect("bind wire server");
-            ws
-        }
-        None => {
-            let handle: Arc<dyn ServerHandle> = Arc::clone(&server) as Arc<dyn ServerHandle>;
-            WireServer::spawn(handle, WireServerConfig::default()).expect("bind wire server")
-        }
-    };
+    let handle: Arc<dyn ServerHandle> = Arc::clone(&server) as Arc<dyn ServerHandle>;
+    let mut ws = WireServer::spawn(handle, WireServerConfig::default()).expect("bind wire server");
     let transport = TcpTransport::connect(ws.addr(), Arc::clone(&server) as Arc<dyn ServerHandle>);
     let mut fleet = Fleet::new(cfg).clients(clients).threads(4);
     if let Some(c) = churn {
@@ -165,7 +149,7 @@ fn wire_fleet_is_bit_identical_to_in_process_fleet() {
         .threads(4)
         .run(&in_proc_server);
 
-    let (wired, tstats, sstats, server) = run_over_wire(cfg, clients, None, None);
+    let (wired, tstats, sstats, server) = run_over_wire(cfg, clients, None);
 
     assert_eq!(wired.per_client.len(), clients as usize);
     for (c, (a, b)) in wired.per_client.iter().zip(&in_proc.per_client).enumerate() {
@@ -177,36 +161,10 @@ fn wire_fleet_is_bit_identical_to_in_process_fleet() {
         "merged summaries"
     );
 
-    // (c) whole-fleet measured-bytes cross-check, both sides of the wire.
+    // (b) whole-fleet measured-bytes cross-check, both sides of the wire.
     assert!(tstats.tx_frames > 0, "requests crossed the socket");
     assert_stats_reconcile(&tstats, &sstats);
     assert_eq!(server.tracked_clients(), 0, "Forget crossed the wire too");
-}
-
-#[test]
-fn batched_wire_fleet_is_bit_identical_to_in_process_fleet() {
-    let cfg = fleet_cfg(CacheModel::Proactive);
-    let clients = 3;
-
-    let in_proc_server = sim::build_server(&cfg);
-    let in_proc = Fleet::new(cfg)
-        .clients(clients)
-        .threads(4)
-        .run(&in_proc_server);
-
-    let batch = BatchConfig {
-        shards: 1, // maximize coalescing pressure behind the socket
-        max_batch: 4,
-        queue_cap: 16,
-    };
-    let (wired, tstats, sstats, server) = run_over_wire(cfg, clients, Some(batch), None);
-
-    assert_eq!(wired.per_client.len(), clients as usize);
-    for (c, (a, b)) in wired.per_client.iter().zip(&in_proc.per_client).enumerate() {
-        assert_same_stream(a, b, &format!("batched wire client {c}"));
-    }
-    assert_stats_reconcile(&tstats, &sstats);
-    assert_eq!(server.tracked_clients(), 0);
 }
 
 #[test]
@@ -219,26 +177,18 @@ fn churned_wire_fleet_completes_and_reconciles() {
         batch: 2,
         seed: 0xC0FFEE,
     };
-    // Direct dispatch, then the flat-combining service behind the socket.
-    let batched = BatchConfig {
-        shards: 1,
-        max_batch: 4,
-        queue_cap: 16,
-    };
-    for batch in [None, Some(batched)] {
-        let (out, tstats, sstats, server) = run_over_wire(cfg, clients, batch, Some(churn));
+    let (out, tstats, sstats, server) = run_over_wire(cfg, clients, Some(churn));
 
-        assert_eq!(out.total_queries(), clients as usize * cfg.n_queries);
-        assert_eq!(
-            out.updates_applied,
-            out.total_queries() as u64 * 2,
-            "driver quota is a deterministic function of the query count"
-        );
-        assert!(out.final_epoch > 0);
-        assert_eq!(server.tracked_clients(), 0);
+    assert_eq!(out.total_queries(), clients as usize * cfg.n_queries);
+    assert_eq!(
+        out.updates_applied,
+        out.total_queries() as u64 * 2,
+        "driver quota is a deterministic function of the query count"
+    );
+    assert!(out.final_epoch > 0);
+    assert_eq!(server.tracked_clients(), 0);
 
-        // Versioned envelopes (Stale refusals, epoch vectors, full refreshes)
-        // travel the same frames and must reconcile just as exactly.
-        assert_stats_reconcile(&tstats, &sstats);
-    }
+    // Versioned envelopes (Stale refusals, epoch vectors, full refreshes)
+    // travel the same frames and must reconcile just as exactly.
+    assert_stats_reconcile(&tstats, &sstats);
 }
