@@ -16,17 +16,21 @@
 //! * **fixed dataset, growing batch** — both should grow ~linearly with
 //!   the batch.
 //!
-//! Per row: mean publish wall time, copied node slots / rebuilt BPTs /
-//! copied store segments per publish (diagnosed by `Arc` pointer equality
-//! against the previous pin), an estimate of freshly allocated bytes beside
-//! the resident heap bytes of the whole epoch (`Snapshot::heap_bytes`), and
-//! the update log's retained record count (bounded by pruning).
+//! Per row: mean publish wall time and the share of it that is rebuilding
+//! the dirtied nodes' BPTs (the same `BptStore::rebuild_nodes` call, timed
+//! again on a clone of the previous epoch's store), copied node slots /
+//! rebuilt BPTs / copied store segments per publish (diagnosed by `Arc`
+//! pointer equality against the previous pin), freshly allocated *resident*
+//! bytes beside the resident heap bytes of the whole epoch
+//! (`Snapshot::heap_bytes`), and the update log's retained record count
+//! (bounded by pruning).
 //!
 //! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
 //! trail.
 
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_rtree::proto::PAGE_BYTES;
+use pc_rtree::SpatialObject;
 use pc_server::{Server, ServerConfig};
 use pc_sim::generate_update;
 use pc_workload::datasets;
@@ -44,6 +48,8 @@ struct Row {
     batch: usize,
     nodes: usize,
     publish_us: f64,
+    /// Mean wall time of rebuilding one publish's dirtied BPTs.
+    rebuild_us: f64,
     copied_nodes: f64,
     copied_node_chunks: f64,
     rebuilt_bpts: f64,
@@ -64,6 +70,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     );
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xE60C);
     let mut publish_s = 0.0;
+    let mut rebuild_s = 0.0;
     let mut copied_nodes = 0usize;
     let mut copied_node_chunks = 0usize;
     let mut rebuilt_bpts = 0usize;
@@ -91,14 +98,26 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_bpt_chunks += bpt_chunks;
         let chunks = new.store().chunk_count() - new.store().shared_chunks(old.store());
         copied_chunks += chunks;
-        // Freshly allocated bytes per publish: copied index pages, the
-        // rebuilt BPTs (at the store's mean aux size), copied store
-        // segments (40 bytes per object record) and the copied chunk
-        // spines (one `Arc` pointer per slot).
-        let mean_bpt = new.bpt_bytes() / new.bpts().node_count().max(1) as u64;
+        // The BPT-rebuild share of the publish: the nodes this epoch
+        // logged as changed are the ones it dirtied, and rebuilding them
+        // over the previous epoch's store is the work `publish_next` did.
+        let dirty = new.update_log().changed_since(old.epoch());
+        let mut bpts = old.bpts().clone();
+        let t = Instant::now();
+        bpts.rebuild_nodes(new.tree(), &dirty);
+        rebuild_s += t.elapsed().as_secs_f64();
+
+        // Freshly allocated resident bytes per publish: copied index
+        // pages, the rebuilt BPTs' own columns (the dirtied nodes' slots,
+        // and only those, are rebuilt), copied store segments and the
+        // copied chunk spines (one `Arc` pointer per slot).
+        let rebuilt_bytes: usize = dirty
+            .iter()
+            .map(|&id| new.bpts().get(id).heap_bytes())
+            .sum();
         fresh_bytes += copied as u64 * PAGE_BYTES
-            + rebuilt as u64 * mean_bpt
-            + chunks as u64 * pc_rtree::STORE_CHUNK_LEN as u64 * 40
+            + rebuilt_bytes as u64
+            + (chunks * pc_rtree::STORE_CHUNK_LEN * std::mem::size_of::<SpatialObject>()) as u64
             + (node_chunks as u64 * pc_rtree::NODE_CHUNK_LEN as u64
                 + bpt_chunks as u64 * pc_rtree::bpt::BPT_CHUNK_LEN as u64)
                 * 8;
@@ -110,6 +129,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         batch,
         nodes: snap.tree().slab_len(),
         publish_us: publish_s * 1e6 / rounds,
+        rebuild_us: rebuild_s * 1e6 / rounds,
         copied_nodes: copied_nodes as f64 / rounds,
         copied_node_chunks: copied_node_chunks as f64 / rounds,
         rebuilt_bpts: rebuilt_bpts as f64 / rounds,
@@ -123,8 +143,8 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
 
 fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
     let mut t = Table::new(vec![
-        "objects", "batch", "nodes", "publish", "copied n", "n-chunk", "bpts", "b-chunk", "chunks",
-        "fresh", "heap", "log",
+        "objects", "batch", "nodes", "publish", "rebuild", "share", "copied n", "n-chunk", "bpts",
+        "b-chunk", "chunks", "fresh", "heap", "log",
     ]);
     let mut json_rows = Vec::new();
     for r in rows {
@@ -133,6 +153,8 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
             r.batch.to_string(),
             r.nodes.to_string(),
             format!("{:.0}us", r.publish_us),
+            format!("{:.0}us", r.rebuild_us),
+            format!("{:.0}%", 100.0 * r.rebuild_us / r.publish_us),
             format!("{:.1}", r.copied_nodes),
             format!("{:.1}", r.copied_node_chunks),
             format!("{:.1}", r.rebuilt_bpts),
@@ -149,6 +171,7 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
                 .num("batch", r.batch)
                 .num("nodes", r.nodes)
                 .num("publish_us", r.publish_us)
+                .num("rebuild_us", r.rebuild_us)
                 .num("copied_nodes", r.copied_nodes)
                 .num("copied_node_chunks", r.copied_node_chunks)
                 .num("rebuilt_bpts", r.rebuilt_bpts)

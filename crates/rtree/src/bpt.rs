@@ -7,6 +7,26 @@
 //! Compact forms, d⁺-level forms and the adaptive scheme all operate on
 //! these cells; the query engine treats a super entry exactly like an
 //! R-tree entry whose MBR is the union of the entries it covers.
+//!
+//! # Layout: implicit leaves
+//!
+//! "A one-time operation" in the paper, the BPTs are the largest resident
+//! part of a served world and are rebuilt for every node a publish dirties,
+//! so a [`Bpt`] keeps only what the R-tree node does not already hold: its
+//! `N − 1` super entries, as two columns (`mbrs`, `kids`: 32 + 4 = 36 B per
+//! entry). A leaf cell *is* an entry of the node — a child reference with
+//! the high bit set is the entry index — and its MBR is read from the entry
+//! set the BPT was built over ([`EntryMbrs`]: the [`Node`]'s SoA columns,
+//! or the plain slice behind the cluster's super-root layout). Cells are
+//! handed out by value ([`BptCell`]); nothing stores a leaf MBR twice.
+//!
+//! Super entries are numbered in build pre-order (a super entry, its left
+//! subtree, its right subtree), which is neither observable nor on the
+//! wire. What *is* on the wire is the order [`Bpt::descend`] and
+//! [`Bpt::leaf_cells`] emit cells in — shipment cell order — so both keep
+//! the right-before-left depth-first order of the cell-arena walk they
+//! replaced (`reference::ArenaBpt`, kept under `cfg(test)` and held equal
+//! by proptest).
 
 use crate::engine::Expansion;
 use crate::par;
@@ -123,7 +143,8 @@ impl std::fmt::Debug for Code {
     }
 }
 
-/// One cell of a binary partition tree.
+/// One cell of a binary partition tree, by value: a view assembled from
+/// the BPT's super-entry columns or, for a leaf, from the node's own entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BptCell {
     /// MBR of the entry subset this cell covers.
@@ -133,11 +154,32 @@ pub struct BptCell {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BptCellKind {
-    /// A super entry: indices of the two child cells in the BPT arena.
-    Internal { left: u32, right: u32 },
+    /// A super entry.
+    Internal,
     /// An actual entry of the R-tree node (index into its entry columns,
     /// resolved via [`crate::Node::entry`]).
     Leaf { entry_idx: u16 },
+}
+
+/// The entry MBRs a [`Bpt`] was built over — where its leaf cells live.
+/// Every `Bpt` method that can hand out a leaf cell takes the same entry
+/// set the tree was built from.
+pub trait EntryMbrs {
+    fn entry_mbr(&self, entry_idx: u16) -> Rect;
+}
+
+impl EntryMbrs for Node {
+    #[inline]
+    fn entry_mbr(&self, entry_idx: u16) -> Rect {
+        self.mbr_at(entry_idx as usize)
+    }
+}
+
+impl EntryMbrs for [Rect] {
+    #[inline]
+    fn entry_mbr(&self, entry_idx: u16) -> Rect {
+        self[entry_idx as usize]
+    }
 }
 
 /// How a BPT partitions an entry subset in two — the design choice §4.2
@@ -156,8 +198,9 @@ pub enum SplitPolicy {
 }
 
 /// Working memory of one BPT build, reused from node to node: a whole
-/// store build (or one builder thread's share of it) allocates these
-/// buffers once, after which a build allocates only the BPT's own cells.
+/// store build (or one builder thread's share of it, or one publish's
+/// dirty set) allocates these buffers once, after which a build allocates
+/// only the BPT's own two columns.
 #[derive(Default)]
 pub(crate) struct BptScratch {
     split: SplitScratch,
@@ -171,11 +214,23 @@ pub(crate) struct BptScratch {
     regrouped: Vec<u16>,
 }
 
-/// The binary partition tree of one R-tree node.
+/// Set on a child reference that names an entry of the node (a leaf cell)
+/// rather than a super entry; the low 15 bits are the index either way.
+const LEAF_BIT: u16 = 1 << 15;
+
+/// The binary partition tree of one R-tree node: its super entries only
+/// (module docs — leaves are implicit).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bpt {
-    /// Cell 0 is the root; an empty vector models an empty node.
-    cells: Vec<BptCell>,
+    /// MBR of each super entry; super entry 0 is the root of a BPT over
+    /// two or more entries.
+    mbrs: Vec<Rect>,
+    /// `[left, right]` child references of each super entry: an index
+    /// into these columns, or `LEAF_BIT | entry_idx`.
+    kids: Vec<[u16; 2]>,
+    /// `N`, the number of entries built over: 0 models an empty node, 1 a
+    /// BPT that is a single leaf — neither has a super entry.
+    entries: u16,
     height: u8,
 }
 
@@ -193,48 +248,48 @@ impl Bpt {
 
     /// [`build_with`](Self::build_with) on caller-owned working memory.
     /// What `scratch` held before has no effect on the result.
+    ///
+    /// # Panics
+    /// Panics on 2¹⁵ or more entries: a child reference is 15 bits.
     pub(crate) fn build_in(
         entry_mbrs: &[Rect],
         policy: SplitPolicy,
         scratch: &mut BptScratch,
     ) -> Bpt {
         let n = entry_mbrs.len();
+        assert!(
+            n < LEAF_BIT as usize,
+            "a BPT addresses at most 2^15 - 1 entries, got {n}"
+        );
+        let supers = n.saturating_sub(1);
         let mut bpt = Bpt {
-            cells: Vec::with_capacity((2 * n).saturating_sub(1)),
+            mbrs: Vec::with_capacity(supers),
+            kids: Vec::with_capacity(supers),
+            entries: n as u16,
             height: 0,
         };
-        if n == 0 {
-            return bpt;
+        if n > 0 {
+            scratch.ids.clear();
+            scratch.ids.extend(0..n as u16);
+            bpt.build_rec(0..n, entry_mbrs, 0, policy, scratch);
         }
-        scratch.ids.clear();
-        scratch.ids.extend(0..n as u16);
-        bpt.cells.push(BptCell {
-            // Placeholder, fixed by build_rec.
-            mbr: entry_mbrs[0],
-            kind: BptCellKind::Leaf { entry_idx: 0 },
-        });
-        bpt.build_rec(0, 0..n, entry_mbrs, 0, policy, scratch);
         bpt
     }
 
-    /// Fills cell `cell_idx` with the subtree over `scratch.ids[range]`.
+    /// Builds the subtree over `scratch.ids[range]`; returns the reference
+    /// to its root cell and that cell's MBR.
     fn build_rec(
         &mut self,
-        cell_idx: usize,
         range: Range<usize>,
         mbrs: &[Rect],
         depth: u8,
         policy: SplitPolicy,
         scratch: &mut BptScratch,
-    ) {
+    ) -> (u16, Rect) {
         self.height = self.height.max(depth);
         if range.len() == 1 {
             let entry_idx = scratch.ids[range.start];
-            self.cells[cell_idx] = BptCell {
-                mbr: mbrs[entry_idx as usize],
-                kind: BptCellKind::Leaf { entry_idx },
-            };
-            return;
+            return (LEAF_BIT | entry_idx, mbrs[entry_idx as usize]);
         }
         let BptScratch {
             split,
@@ -257,35 +312,27 @@ impl Bpt {
         regrouped.extend(l.iter().chain(r).map(|&i| ids[range.start + i]));
         ids[range.clone()].copy_from_slice(regrouped);
 
-        let left_idx = self.cells.len();
-        self.cells.push(self.cells[cell_idx]); // placeholder
-        let right_idx = self.cells.len();
-        self.cells.push(self.cells[cell_idx]); // placeholder
-
-        self.build_rec(left_idx, range.start..mid, mbrs, depth + 1, policy, scratch);
-        self.build_rec(right_idx, mid..range.end, mbrs, depth + 1, policy, scratch);
-
-        let mbr = self.cells[left_idx].mbr.union(&self.cells[right_idx].mbr);
-        self.cells[cell_idx] = BptCell {
-            mbr,
-            kind: BptCellKind::Internal {
-                left: left_idx as u32,
-                right: right_idx as u32,
-            },
-        };
+        // Claim this super entry's slot before its subtrees claim theirs
+        // (pre-order numbering); both columns are filled on the way back.
+        let at = self.mbrs.len();
+        self.mbrs.push(subset[0]);
+        self.kids.push([0; 2]);
+        let (left, left_mbr) = self.build_rec(range.start..mid, mbrs, depth + 1, policy, scratch);
+        let (right, right_mbr) = self.build_rec(mid..range.end, mbrs, depth + 1, policy, scratch);
+        let mbr = left_mbr.union(&right_mbr);
+        self.mbrs[at] = mbr;
+        self.kids[at] = [left, right];
+        (at as u16, mbr)
     }
 
     /// Number of cells (`2N - 1` for an `N`-entry node).
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.entries as usize + self.mbrs.len()
     }
 
     /// Number of super entries (`N - 1`).
     pub fn internal_count(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c.kind, BptCellKind::Internal { .. }))
-            .count()
+        self.mbrs.len()
     }
 
     /// Height of the tree (the `h` of §4.3: the `h⁺`-level compact form is
@@ -295,99 +342,142 @@ impl Bpt {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.entries == 0
+    }
+
+    /// Reference to the root cell: super entry 0, the lone entry of a
+    /// one-entry node, nothing for an empty one.
+    fn root(&self) -> Option<u16> {
+        match self.entries {
+            0 => None,
+            1 => Some(LEAF_BIT),
+            _ => Some(0),
+        }
+    }
+
+    /// Walks `code`'s branch digits from the root to a cell reference.
+    fn resolve(&self, code: Code) -> Option<u16> {
+        let mut at = self.root()?;
+        for i in 0..code.depth() {
+            if at & LEAF_BIT != 0 {
+                return None;
+            }
+            at = self.kids[at as usize][code.bit(i) as usize];
+        }
+        Some(at)
+    }
+
+    /// The cell behind a reference.
+    fn cell<E: EntryMbrs + ?Sized>(&self, at: u16, entries: &E) -> BptCell {
+        if at & LEAF_BIT != 0 {
+            let entry_idx = at & !LEAF_BIT;
+            BptCell {
+                mbr: entries.entry_mbr(entry_idx),
+                kind: BptCellKind::Leaf { entry_idx },
+            }
+        } else {
+            BptCell {
+                mbr: self.mbrs[at as usize],
+                kind: BptCellKind::Internal,
+            }
+        }
     }
 
     /// Resolves a code to its cell, walking branch digits from the root.
-    pub fn find(&self, code: Code) -> Option<&BptCell> {
-        self.find_idx(code).map(|i| &self.cells[i])
-    }
-
-    fn find_idx(&self, code: Code) -> Option<usize> {
-        if self.cells.is_empty() {
-            return None;
-        }
-        let mut idx = 0usize;
-        for i in 0..code.depth() {
-            match self.cells[idx].kind {
-                BptCellKind::Internal { left, right } => {
-                    idx = if code.bit(i) {
-                        right as usize
-                    } else {
-                        left as usize
-                    };
-                }
-                BptCellKind::Leaf { .. } => return None,
-            }
-        }
-        Some(idx)
+    pub fn find<E: EntryMbrs + ?Sized>(&self, code: Code, entries: &E) -> Option<BptCell> {
+        self.resolve(code).map(|at| self.cell(at, entries))
     }
 
     /// Children of an internal cell as `(code, cell)` pairs; `None` for
     /// leaves and unknown codes.
-    pub fn children(&self, code: Code) -> Option<[(Code, &BptCell); 2]> {
-        let idx = self.find_idx(code)?;
-        match self.cells[idx].kind {
-            BptCellKind::Internal { left, right } => Some([
-                (code.child(false), &self.cells[left as usize]),
-                (code.child(true), &self.cells[right as usize]),
-            ]),
-            BptCellKind::Leaf { .. } => None,
+    pub fn children<E: EntryMbrs + ?Sized>(
+        &self,
+        code: Code,
+        entries: &E,
+    ) -> Option<[(Code, BptCell); 2]> {
+        let at = self.resolve(code)?;
+        if at & LEAF_BIT != 0 {
+            return None;
         }
+        let [left, right] = self.kids[at as usize];
+        Some([
+            (code.child(false), self.cell(left, entries)),
+            (code.child(true), self.cell(right, entries)),
+        ])
     }
 
     /// Expands `cell` of this BPT in one walk: a super entry into its two
     /// sibling cells, a full entry into whatever `entry(entry_idx, mbr)`
     /// resolves it to. Total — a code this BPT does not have is
     /// [`Expansion::Missing`], any code of an empty BPT [`Expansion::Empty`].
-    pub fn expand(&self, cell: CellRef, entry: impl FnOnce(u16, Rect) -> Side) -> Expansion {
-        if self.cells.is_empty() {
+    pub fn expand<E: EntryMbrs + ?Sized>(
+        &self,
+        cell: CellRef,
+        entries: &E,
+        entry: impl FnOnce(u16, Rect) -> Side,
+    ) -> Expansion {
+        if self.is_empty() {
             return Expansion::Empty;
         }
-        let Some(found) = self.find(cell.code) else {
+        let Some(at) = self.resolve(cell.code) else {
             return Expansion::Missing;
         };
-        match found.kind {
-            BptCellKind::Leaf { entry_idx } => Expansion::Entry(entry(entry_idx, found.mbr)),
-            BptCellKind::Internal { left, right } => {
-                let child = |idx: u32, right: bool| Side::Cell {
-                    cell: CellRef {
-                        node: cell.node,
-                        code: cell.code.child(right),
-                    },
-                    mbr: self.cells[idx as usize].mbr,
-                };
-                Expansion::Split([child(left, false), child(right, true)])
-            }
+        if at & LEAF_BIT != 0 {
+            let entry_idx = at & !LEAF_BIT;
+            return Expansion::Entry(entry(entry_idx, entries.entry_mbr(entry_idx)));
         }
+        let [left, right] = self.kids[at as usize];
+        let child = |at: u16, right: bool| Side::Cell {
+            cell: CellRef {
+                node: cell.node,
+                code: cell.code.child(right),
+            },
+            mbr: self.cell(at, entries).mbr,
+        };
+        Expansion::Split([child(left, false), child(right, true)])
+    }
+
+    /// Visits the frontier `levels` below the cell at `at`, right subtree
+    /// before left (module docs: the emission order is on the wire).
+    fn walk(&self, at: u16, code: Code, levels: u8, visit: &mut impl FnMut(Code, u16)) {
+        if at & LEAF_BIT != 0 || levels == 0 {
+            return visit(code, at);
+        }
+        let [left, right] = self.kids[at as usize];
+        self.walk(right, code.child(true), levels - 1, visit);
+        self.walk(left, code.child(false), levels - 1, visit);
     }
 
     /// The frontier `d` levels below `code`: "replacing each entry in the
     /// compact form with its d level descendant nodes or the entries,
-    /// whichever come first" (§4.3). `d = 0` returns `code` itself.
-    pub fn descend(&self, code: Code, d: u8) -> Vec<(Code, &BptCell)> {
-        let mut out = Vec::new();
-        let Some(idx) = self.find_idx(code) else {
-            return out;
-        };
-        let mut stack = vec![(code, idx, 0u8)];
-        while let Some((c, i, depth)) = stack.pop() {
-            let cell = &self.cells[i];
-            match cell.kind {
-                BptCellKind::Internal { left, right } if depth < d => {
-                    stack.push((c.child(false), left as usize, depth + 1));
-                    stack.push((c.child(true), right as usize, depth + 1));
-                }
-                _ => out.push((c, cell)),
-            }
+    /// whichever come first" (§4.3). `d = 0` visits `code` itself; an
+    /// unknown code visits nothing.
+    pub fn descend<E: EntryMbrs + ?Sized>(
+        &self,
+        code: Code,
+        d: u8,
+        entries: &E,
+        mut visit: impl FnMut(Code, BptCell),
+    ) {
+        if let Some(at) = self.resolve(code) {
+            self.walk(at, code, d, &mut |c, at| visit(c, self.cell(at, entries)));
         }
-        out
     }
 
-    /// All leaf (entry) cells with their codes, i.e. the full form as an
-    /// antichain.
-    pub fn leaf_cells(&self) -> Vec<(Code, &BptCell)> {
-        self.descend(Code::ROOT, u8::MAX)
+    /// All leaf (entry) cells as `(code, entry_idx, mbr)`, i.e. the full
+    /// form as an antichain.
+    pub fn leaf_cells<E: EntryMbrs + ?Sized>(
+        &self,
+        entries: &E,
+        mut visit: impl FnMut(Code, u16, Rect),
+    ) {
+        if let Some(root) = self.root() {
+            // Codes are at most 32 digits, so `u8::MAX` levels reach every leaf.
+            self.walk(root, Code::ROOT, u8::MAX, &mut |c, at| {
+                let entry_idx = at & !LEAF_BIT;
+                visit(c, entry_idx, entries.entry_mbr(entry_idx))
+            });
+        }
     }
 
     /// Auxiliary storage of this BPT per the paper's §4.2 accounting:
@@ -395,6 +485,15 @@ impl Bpt {
     pub fn aux_bytes(&self) -> u64 {
         let internal = self.internal_count() as u64;
         internal * crate::proto::ENTRY_BYTES + 2 * internal * 8
+    }
+
+    /// Heap bytes this BPT keeps resident, by capacity: the two super-entry
+    /// columns (36 B per super entry) plus the header.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Bpt>()
+            + self.mbrs.capacity() * size_of::<Rect>()
+            + self.kids.capacity() * size_of::<[u16; 2]>()
     }
 }
 
@@ -426,7 +525,7 @@ pub const BPT_CHUNK_LEN: usize = 1 << BPT_CHUNK_SHIFT;
 /// detached node husks keep an empty BPT, which costs zero aux bytes),
 /// segmented into [`BPT_CHUNK_LEN`]-slot `Arc` chunks like the tree's node
 /// slab. Each BPT additionally sits behind its own `Arc`: cloning the store
-/// clones only the segment pointer table, and [`BptStore::rebuild_node`]
+/// clones only the segment pointer table, and [`BptStore::rebuild_nodes`]
 /// swaps in a fresh BPT for exactly the nodes an update batch dirtied —
 /// copying the dirtied slots' segments, not the whole table — leaving every
 /// other node's BPT structurally shared with the previous snapshot.
@@ -492,19 +591,21 @@ impl BptStore {
         Some(bpt)
     }
 
-    /// Rebuilds the BPT of one node (used when dynamic inserts change a
-    /// node's entry set), growing the slab when the node is new. Copies
-    /// only the segment the slot lives in.
-    pub fn rebuild_node(&mut self, tree: &RTree, id: NodeId) {
-        while self.len <= id.0 as usize {
-            // Slots for nodes created by this batch; every new node is in
-            // the dirty set, so each placeholder is rebuilt in turn.
-            self.push(Arc::new(Bpt::default()));
+    /// Rebuilds the BPTs of `ids` — the nodes one update batch dirtied —
+    /// on one builder, growing the slab for nodes the batch created. Copies
+    /// only the segments the slots live in.
+    pub fn rebuild_nodes(&mut self, tree: &RTree, ids: &[NodeId]) {
+        let mut builder = NodeBptBuilder::default();
+        for &id in ids {
+            while self.len <= id.0 as usize {
+                // Slots for nodes created by this batch; every new node is
+                // in the dirty set, so each placeholder is rebuilt in turn.
+                self.push(Arc::new(Bpt::default()));
+            }
+            let i = id.0 as usize;
+            let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
+            chunk[i & (BPT_CHUNK_LEN - 1)] = builder.build(tree.node(id), SplitPolicy::RStar);
         }
-        let bpt = NodeBptBuilder::default().build(tree.node(id), SplitPolicy::RStar);
-        let i = id.0 as usize;
-        let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
-        chunk[i & (BPT_CHUNK_LEN - 1)] = bpt;
     }
 
     /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"
@@ -543,7 +644,7 @@ impl BptStore {
     }
 
     /// Heap bytes this store keeps resident, by capacity: the segment
-    /// table, every segment's slot table and every BPT's cell arena
+    /// table, every segment's slot table and every BPT's columns
     /// (shared ones included — each snapshot holding a BPT counts it).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -552,10 +653,7 @@ impl BptStore {
             .iter()
             .map(|chunk| {
                 chunk.capacity() * size_of::<Arc<Bpt>>()
-                    + chunk
-                        .iter()
-                        .map(|bpt| size_of::<Bpt>() + bpt.cells.capacity() * size_of::<BptCell>())
-                        .sum::<usize>()
+                    + chunk.iter().map(|bpt| bpt.heap_bytes()).sum::<usize>()
             })
             .sum();
         self.chunks.capacity() * size_of::<Arc<Vec<Arc<Bpt>>>>() + segments
@@ -638,43 +736,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_node_has_empty_bpt() {
-        let bpt = Bpt::build(&[]);
-        assert!(bpt.is_empty());
-        assert_eq!(bpt.find(Code::ROOT), None);
-        assert!(bpt.descend(Code::ROOT, 3).is_empty());
+    /// `descend` collected into a vector, for assertions.
+    fn frontier(bpt: &Bpt, ms: &[Rect], code: Code, d: u8) -> Vec<(Code, BptCell)> {
+        let mut out = Vec::new();
+        bpt.descend(code, d, ms, |c, cell| out.push((c, cell)));
+        out
     }
 
-    #[test]
-    fn single_entry_bpt_is_one_leaf() {
-        let bpt = Bpt::build(&mbrs(1));
-        assert_eq!(bpt.cell_count(), 1);
-        assert_eq!(bpt.height(), 0);
-        match bpt.find(Code::ROOT).unwrap().kind {
-            BptCellKind::Leaf { entry_idx } => assert_eq!(entry_idx, 0),
-            _ => panic!("expected leaf"),
-        }
+    /// The entry index behind every leaf cell, in emission order.
+    fn leaf_entries(bpt: &Bpt, ms: &[Rect]) -> Vec<u16> {
+        let mut out = Vec::new();
+        bpt.leaf_cells(ms, |_, entry_idx, _| out.push(entry_idx));
+        out
     }
 
-    #[test]
-    fn root_mbr_covers_all_entries() {
-        let ms = mbrs(23);
-        let bpt = Bpt::build(&ms);
-        let root = bpt.find(Code::ROOT).unwrap();
-        let total = Rect::union_all(ms.iter().copied()).unwrap();
-        assert_eq!(root.mbr, total);
-    }
-
-    #[test]
-    fn internal_mbr_is_union_of_children() {
-        let ms = mbrs(17);
-        let bpt = Bpt::build(&ms);
-        // Walk every internal cell.
+    /// Every internal cell's MBR is the union of its children's.
+    fn assert_internal_mbrs_union_children(bpt: &Bpt, ms: &[Rect]) {
         let mut stack = vec![Code::ROOT];
         while let Some(code) = stack.pop() {
-            if let Some([(c0, l), (c1, r)]) = bpt.children(code) {
-                let cell = bpt.find(code).unwrap();
+            if let Some([(c0, l), (c1, r)]) = bpt.children(code, ms) {
+                let cell = bpt.find(code, ms).unwrap();
                 assert_eq!(cell.mbr, l.mbr.union(&r.mbr), "cell {code}");
                 stack.push(c0);
                 stack.push(c1);
@@ -683,18 +764,54 @@ mod tests {
     }
 
     #[test]
+    fn empty_node_has_empty_bpt() {
+        let bpt = Bpt::build(&[]);
+        let none: &[Rect] = &[];
+        assert!(bpt.is_empty());
+        assert_eq!(bpt.cell_count(), 0);
+        assert_eq!(bpt.find(Code::ROOT, none), None);
+        assert!(frontier(&bpt, none, Code::ROOT, 3).is_empty());
+        assert!(leaf_entries(&bpt, none).is_empty());
+    }
+
+    #[test]
+    fn single_entry_bpt_is_one_leaf() {
+        let ms = mbrs(1);
+        let bpt = Bpt::build(&ms);
+        assert_eq!(bpt.cell_count(), 1);
+        assert_eq!(bpt.height(), 0);
+        let root = bpt.find(Code::ROOT, &ms[..]).unwrap();
+        assert_eq!(root.kind, BptCellKind::Leaf { entry_idx: 0 });
+        assert_eq!(root.mbr, ms[0]);
+        assert_eq!(bpt.find(Code::ROOT.child(false), &ms[..]), None);
+    }
+
+    #[test]
+    fn root_mbr_covers_all_entries() {
+        let ms = mbrs(23);
+        let bpt = Bpt::build(&ms);
+        let root = bpt.find(Code::ROOT, &ms[..]).unwrap();
+        let total = Rect::union_all(ms.iter().copied()).unwrap();
+        assert_eq!(root.mbr, total);
+    }
+
+    #[test]
+    fn internal_mbr_is_union_of_children() {
+        let ms = mbrs(17);
+        assert_internal_mbrs_union_children(&Bpt::build(&ms), &ms);
+    }
+
+    #[test]
     fn leaf_cells_cover_every_entry_exactly_once() {
         let ms = mbrs(29);
         let bpt = Bpt::build(&ms);
-        let leaves = bpt.leaf_cells();
-        assert_eq!(leaves.len(), 29);
-        let mut seen: Vec<u16> = leaves
-            .iter()
-            .map(|(_, c)| match c.kind {
-                BptCellKind::Leaf { entry_idx } => entry_idx,
-                _ => panic!("descend(∞) must return leaves"),
-            })
-            .collect();
+        // Each leaf cell carries its entry's own MBR.
+        bpt.leaf_cells(&ms[..], |code, entry_idx, mbr| {
+            assert_eq!(mbr, ms[entry_idx as usize]);
+            let found = bpt.find(code, &ms[..]).unwrap();
+            assert_eq!(found.kind, BptCellKind::Leaf { entry_idx });
+        });
+        let mut seen = leaf_entries(&bpt, &ms);
         seen.sort_unstable();
         assert_eq!(seen, (0..29).collect::<Vec<_>>());
     }
@@ -704,7 +821,7 @@ mod tests {
         let ms = mbrs(40);
         let bpt = Bpt::build(&ms);
         for d in 0..=bpt.height() {
-            let frontier = bpt.descend(Code::ROOT, d);
+            let frontier = frontier(&bpt, &ms, Code::ROOT, d);
             // Pairwise non-prefix (an antichain in the code order).
             for i in 0..frontier.len() {
                 for j in 0..frontier.len() {
@@ -720,7 +837,7 @@ mod tests {
             }
             // And the union of MBRs covers the root.
             let union = Rect::union_all(frontier.iter().map(|(_, c)| c.mbr)).unwrap();
-            assert_eq!(union, bpt.find(Code::ROOT).unwrap().mbr);
+            assert_eq!(union, bpt.find(Code::ROOT, &ms[..]).unwrap().mbr);
         }
     }
 
@@ -738,28 +855,13 @@ mod tests {
     #[test]
     fn midpoint_policy_builds_valid_trees() {
         for n in [1usize, 2, 7, 40] {
-            let bpt = Bpt::build_with(&mbrs(n), SplitPolicy::Midpoint);
+            let ms = mbrs(n);
+            let bpt = Bpt::build_with(&ms, SplitPolicy::Midpoint);
             assert_eq!(bpt.cell_count(), 2 * n - 1, "n={n}");
-            let leaves = bpt.leaf_cells();
-            assert_eq!(leaves.len(), n);
-            let mut seen: Vec<u16> = leaves
-                .iter()
-                .map(|(_, c)| match c.kind {
-                    BptCellKind::Leaf { entry_idx } => entry_idx,
-                    _ => unreachable!(),
-                })
-                .collect();
+            let mut seen = leaf_entries(&bpt, &ms);
             seen.sort_unstable();
             assert_eq!(seen, (0..n as u16).collect::<Vec<_>>());
-            // Internal MBRs still union children.
-            let mut stack = vec![Code::ROOT];
-            while let Some(code) = stack.pop() {
-                if let Some([(c0, l), (c1, r)]) = bpt.children(code) {
-                    assert_eq!(bpt.find(code).unwrap().mbr, l.mbr.union(&r.mbr));
-                    stack.push(c0);
-                    stack.push(c1);
-                }
-            }
+            assert_internal_mbrs_union_children(&bpt, &ms);
         }
     }
 
@@ -779,7 +881,7 @@ mod tests {
             let mut total = 0.0;
             let mut stack = vec![Code::ROOT];
             while let Some(code) = stack.pop() {
-                if let Some([(c0, l), (c1, r)]) = bpt.children(code) {
+                if let Some([(c0, l), (c1, r)]) = bpt.children(code, &ms[..]) {
                     total += l.mbr.overlap_area(&r.mbr);
                     stack.push(c0);
                     stack.push(c1);
@@ -795,5 +897,19 @@ mod tests {
         let bpt = Bpt::build(&mbrs(10));
         // 9 super entries * 40 bytes + 18 pointers * 8 bytes.
         assert_eq!(bpt.aux_bytes(), 9 * 40 + 18 * 8);
+    }
+
+    #[test]
+    fn heap_bytes_is_36_per_super_entry() {
+        // Implicit leaves: two exact-capacity columns, nothing per leaf.
+        let bpt = Bpt::build(&mbrs(102));
+        assert_eq!(bpt.heap_bytes(), std::mem::size_of::<Bpt>() + 101 * 36);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^15 - 1 entries")]
+    fn build_rejects_more_entries_than_a_child_ref_addresses() {
+        let ms = vec![Rect::from_point(Point::new(0.5, 0.5)); 1 << 15];
+        Bpt::build(&ms);
     }
 }

@@ -37,6 +37,8 @@ pub mod view;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;
 
 use pc_geom::Rect;
 

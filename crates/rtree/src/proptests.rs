@@ -342,7 +342,7 @@ proptest! {
         let mut stack = vec![CellRef::node_root(tree.root())];
         while let Some(cell) = stack.pop() {
             let (node, bpt) = (tree.node(cell.node), bpts.get(cell.node));
-            let want = match (bpt.children(cell.code), bpt.find(cell.code).map(|c| c.kind)) {
+            let want = match (bpt.children(cell.code, node), bpt.find(cell.code, node).map(|c| c.kind)) {
                 // Two children iff the BPT splits here, in its order.
                 (Some(pair), _) => Expansion::Split(pair.map(|(code, c)| Side::Cell {
                     cell: CellRef { node: cell.node, code },
@@ -498,15 +498,21 @@ proptest! {
     fn bpt_codes_are_navigable(objects in arb_objects(100)) {
         let (_, tree, bpts) = build(&objects);
         for id in tree.node_ids() {
-            let bpt = bpts.get(id);
-            // Every leaf cell's code resolves back to itself.
-            for (code, cell) in bpt.leaf_cells() {
-                let found = bpt.find(code).unwrap();
-                prop_assert_eq!(found.mbr, cell.mbr);
+            let (bpt, node) = (bpts.get(id), tree.node(id));
+            let mut leaves = Vec::new();
+            bpt.leaf_cells(node, |code, entry_idx, mbr| leaves.push((code, entry_idx, mbr)));
+            prop_assert_eq!(leaves.len(), node.len());
+            // Every leaf cell's code resolves back to itself: the entry's
+            // own MBR, read from the node.
+            for (code, entry_idx, mbr) in leaves {
+                let found = bpt.find(code, node).unwrap();
+                prop_assert_eq!(found.kind, BptCellKind::Leaf { entry_idx });
+                prop_assert_eq!(found.mbr, mbr);
+                prop_assert_eq!(mbr, node.mbr_at(entry_idx as usize));
                 // And every ancestor covers it.
                 let mut c = code;
                 while let Some(p) = c.parent() {
-                    prop_assert!(bpt.find(p).unwrap().mbr.contains_rect(&cell.mbr));
+                    prop_assert!(bpt.find(p, node).unwrap().mbr.contains_rect(&mbr));
                     c = p;
                 }
             }

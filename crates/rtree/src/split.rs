@@ -2,20 +2,75 @@
 //! and by binary-partition-tree construction (§4.2 uses "the R-tree node
 //! splitting algorithm to assure minimal overlap between the MBRs of the
 //! two subsets").
+//!
+//! A BPT build runs one split per super entry and a publish rebuilds the
+//! BPT of every node it dirtied, so this kernel is the write path's inner
+//! loop. Each candidate ordering is sorted as integers that carry the key
+//! and the rect index together ([`pack`]), extracted once per ordering —
+//! no comparison reaches back through `rects[i]` — and an ordering that
+//! cannot win is not evaluated at all:
+//!
+//! * **The degenerate-axis rule.** On an axis where every rectangle of the
+//!   subset has `min == max` (point data: both axes), the by-upper keys
+//!   compare exactly like the by-lower keys, so the ordering, its group
+//!   MBRs and its `(margin, overlap, area)` score are the by-lower pass's —
+//!   which was evaluated first and which only a *strictly* smaller score
+//!   displaces. The by-upper pass is skipped.
+//! * **Two rectangles** have one distribution, scored the same under every
+//!   ordering: the first ordering (by lower x) stands, no table is built.
+//!
+//! Both shortcuts return the split the full evaluation returns, bit for
+//! bit. Ties are part of the contract (BPT shapes decide shipped forms,
+//! which are on the wire): equal keys keep ascending index order, `-0.0`
+//! and `0.0` are equal keys, and `reference::rstar_split` — the index-sort
+//! kernel this one replaced, kept under `cfg(test)` — must return the same
+//! two index lists on every input.
 
 use pc_geom::Rect;
 
-/// Working memory of [`rstar_split`]: the candidate ordering, the best
-/// ordering so far and the prefix/suffix MBR tables. A BPT build runs one
+/// Working memory of a split: the candidate ordering, the best ordering so
+/// far, the tail MBR table and the winning index list. A BPT build runs one
 /// split per super entry (~100 per 4 KB node), so the caller keeps one of
-/// these per thread and every split after the first allocates nothing
-/// here.
+/// these per thread and every split after the first allocates nothing here.
 #[derive(Default)]
 pub(crate) struct SplitScratch {
+    /// The ordering being evaluated, as [`pack`]ed elements.
+    keyed: Vec<u128>,
+    /// The best ordering so far (swapped with `keyed` when beaten).
+    best: Vec<u128>,
+    /// MBRs of the ordering's tails (see `rstar_split`).
+    tails: Vec<Rect>,
+    /// The winning ordering as plain indices — what the caller borrows.
     order: Vec<usize>,
-    best: Vec<usize>,
-    prefix: Vec<Rect>,
-    suffix: Vec<Rect>,
+}
+
+/// One element of a candidate ordering: the sort key's order-preserving
+/// integer image in the high 64 bits, the rect's index in the low 32 — so
+/// a plain integer sort orders by key with equal keys in ascending index
+/// order, which is what a stable sort of the index vector by key produces.
+/// `-0.0` is folded onto `0.0` first: IEEE comparison calls them equal.
+fn pack(key: f64, idx: usize) -> u128 {
+    debug_assert!(!key.is_nan(), "MBR coordinates are never NaN");
+    debug_assert!(idx <= u32::MAX as usize);
+    let bits = (key + 0.0).to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (ordered as u128) << 32 | idx as u32 as u128
+}
+
+/// The rect index of a [`pack`]ed element.
+fn idx_of(keyed: u128) -> usize {
+    keyed as u32 as usize
+}
+
+/// Copies the index column of `keyed` into `order` and cuts it at `k`.
+fn cut<'s>(keyed: &[u128], order: &'s mut Vec<usize>, k: usize) -> (&'s [usize], &'s [usize]) {
+    order.clear();
+    order.extend(keyed.iter().map(|&e| idx_of(e)));
+    order.split_at(k)
 }
 
 /// Splits `rects` into two index groups, each of size at least `m`, using
@@ -34,11 +89,24 @@ pub(crate) fn rstar_split<'s>(
     let n = rects.len();
     assert!(m >= 1 && 2 * m <= n, "invalid split bounds: n={n}, m={m}");
     let SplitScratch {
-        order,
+        keyed,
         best,
-        prefix,
-        suffix,
+        tails,
+        order,
     } = scratch;
+
+    if n == 2 {
+        // Half the splits of a BPT build. Two rects have one distribution,
+        // which scores the same under every ordering, so the first ordering
+        // — by lower x, ties in index order — keeps the strict `<`.
+        order.clear();
+        order.extend(if rects[1].min.x < rects[0].min.x {
+            [1, 0]
+        } else {
+            [0, 1]
+        });
+        return order.split_at(1);
+    }
 
     // Best candidate over all (axis, sort-direction) orderings, compared by
     // (total margin, overlap, area) lexicographically.
@@ -46,52 +114,65 @@ pub(crate) fn rstar_split<'s>(
     let mut best_k = None;
 
     for axis in 0..2usize {
+        let mut degenerate = true;
         for by_upper in [false, true] {
-            order.clear();
-            order.extend(0..n);
-            order.sort_by(|&a, &b| {
-                sort_key(&rects[a], axis, by_upper)
-                    .partial_cmp(&sort_key(&rects[b], axis, by_upper))
-                    .unwrap()
-            });
-
-            // Prefix/suffix MBRs make every distribution O(1).
-            prefix.clear();
-            let mut acc = rects[order[0]];
-            prefix.push(acc);
-            for &i in &order[1..] {
-                acc = acc.union(&rects[i]);
-                prefix.push(acc);
+            if by_upper && degenerate {
+                // The by-lower pass of this axis already stands for it
+                // (module docs: the degenerate-axis rule).
+                continue;
             }
-            suffix.clear();
-            suffix.resize(n, rects[order[n - 1]]);
-            for i in (0..n - 1).rev() {
-                suffix[i] = rects[order[i]].union(&suffix[i + 1]);
+            keyed.clear();
+            keyed.extend(rects.iter().enumerate().map(|(i, r)| {
+                let (lo, hi) = if axis == 0 {
+                    (r.min.x, r.max.x)
+                } else {
+                    (r.min.y, r.max.y)
+                };
+                degenerate &= lo == hi;
+                pack(if by_upper { hi } else { lo }, i)
+            }));
+            keyed.sort_unstable();
+
+            // Distribution `k` puts the first `k` rects of the ordering in
+            // one group and the rest in the other, `m <= k <= n - m`: a
+            // table of tail MBRs and a running head MBR make each O(1).
+            let rect = |i: usize| &rects[idx_of(keyed[i])];
+            tails.clear();
+            let mut tail = *rect(n - 1);
+            tails.push(tail);
+            for i in (m..n - 1).rev() {
+                tail = rect(i).union(&tail);
+                tails.push(tail);
+            }
+            let mut head = *rect(0);
+            for i in 1..m {
+                head = head.union(rect(i));
             }
 
             let mut margin_sum = 0.0;
             let mut local_best = (f64::INFINITY, f64::INFINITY, 0usize); // (overlap, area, k)
             for k in m..=n - m {
-                let g1 = prefix[k - 1];
-                let g2 = suffix[k];
+                // `tails[j]` covers the last `j + 1` rects.
+                let (g1, g2) = (head, tails[n - 1 - k]);
                 margin_sum += g1.margin() + g2.margin();
                 let overlap = g1.overlap_area(&g2);
                 let area = g1.area() + g2.area();
                 if (overlap, area) < (local_best.0, local_best.1) {
                     local_best = (overlap, area, k);
                 }
+                head = head.union(rect(k));
             }
             let key = (margin_sum, local_best.0, local_best.1);
             if key < best_key {
                 best_key = key;
                 best_k = Some(local_best.2);
-                std::mem::swap(order, best);
+                std::mem::swap(keyed, best);
             }
         }
     }
 
     let k = best_k.expect("split must find a distribution");
-    best.split_at(k)
+    cut(best, order, k)
 }
 
 /// Median cut along the longer axis of the set's bounding box — the naïve
@@ -103,29 +184,14 @@ pub(crate) fn midpoint_split<'s>(
 ) -> (&'s [usize], &'s [usize]) {
     let bbox = Rect::union_all(rects.iter().copied()).expect("non-empty subset");
     let horizontal = bbox.width() >= bbox.height();
-    let key = |i: usize| {
-        let c = rects[i].center();
-        if horizontal {
-            c.x
-        } else {
-            c.y
-        }
-    };
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..rects.len());
-    order.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap());
-    order.split_at(rects.len() / 2)
-}
-
-fn sort_key(r: &Rect, axis: usize, by_upper: bool) -> f64 {
-    match (axis, by_upper) {
-        (0, false) => r.min.x,
-        (0, true) => r.max.x,
-        (1, false) => r.min.y,
-        (1, true) => r.max.y,
-        _ => unreachable!(),
-    }
+    let SplitScratch { keyed, order, .. } = scratch;
+    keyed.clear();
+    keyed.extend(rects.iter().enumerate().map(|(i, r)| {
+        let c = r.center();
+        pack(if horizontal { c.x } else { c.y }, i)
+    }));
+    keyed.sort_unstable();
+    cut(keyed, order, rects.len() / 2)
 }
 
 #[cfg(test)]
@@ -140,6 +206,28 @@ mod tests {
                 Rect::from_coords(x, y, x + 0.05, y + 0.05)
             })
             .collect()
+    }
+
+    #[test]
+    fn packed_keys_sort_like_ieee_comparison_then_index() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+        ];
+        for (i, &a) in keys.iter().enumerate() {
+            for &b in &keys[i + 1..] {
+                assert!(pack(a, 9) < pack(b, 0), "{a} must sort before {b}");
+            }
+            assert!(pack(a, 0) < pack(a, 1));
+        }
+        // The two zeros are one key: the index alone orders them.
+        assert!(pack(0.0, 0) < pack(-0.0, 1) && pack(-0.0, 0) < pack(0.0, 1));
+        assert_eq!(idx_of(pack(-0.0, 77)), 77);
     }
 
     #[test]

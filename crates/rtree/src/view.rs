@@ -40,21 +40,21 @@ impl IndexView for FullView<'_> {
         // Cells of a remainder heap come off the wire: a node id past the
         // slab is missing, never indexed. (The BPT store has one slot per
         // tree slot and a leaf cell per entry, so the lookups under a
-        // found cell cannot miss.)
+        // found slot cannot miss.)
         let Some(bpt) = self.bpts.try_get(cell.node) else {
             return Expansion::Missing;
         };
-        bpt.expand(cell, |entry_idx, _| {
-            let entry = self.tree.node(cell.node).entry(entry_idx as usize);
-            match entry.child {
+        let node = self.tree.node(cell.node);
+        bpt.expand(cell, node, |entry_idx, mbr| {
+            match node.child_at(entry_idx as usize) {
                 ChildRef::Node(n) => Side::Cell {
                     cell: CellRef::node_root(n),
-                    mbr: entry.mbr,
+                    mbr,
                 },
                 // `cached: false`: the requester has not received it.
                 ChildRef::Object(id) => Side::Obj {
                     id,
-                    mbr: entry.mbr,
+                    mbr,
                     cached: false,
                 },
             }

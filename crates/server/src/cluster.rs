@@ -36,7 +36,7 @@ use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use pc_geom::{Rect, TileGrid};
-use pc_rtree::bpt::{Bpt, BptCellKind, Code};
+use pc_rtree::bpt::{Bpt, Code};
 use pc_rtree::engine::{execute, resume, AccessLog, Expansion, IndexView, NoopTracer, Outcome};
 use pc_rtree::proto::{
     CellKind, CellRecord, CellRef, DirectReply, EpochVector, HeapEntry, NodeShipment, QuerySpec,
@@ -1060,6 +1060,9 @@ impl Cluster {
 struct SuperLayout {
     /// Non-empty shard indices, in shard order (= layout entry order).
     members: Vec<u32>,
+    /// The members' root MBRs: the entry set `bpt` was built over, which
+    /// its leaf cells are read from.
+    mbrs: Vec<Rect>,
     bpt: Bpt,
     /// One above the tallest shard root.
     level: u16,
@@ -1081,30 +1084,24 @@ impl SuperLayout {
         SuperLayout {
             members,
             bpt: Bpt::build(&mbrs),
+            mbrs,
             level,
         }
     }
 
     /// The full-form shipment of the super-root node.
     fn shipment(&self, map: &ShardMap, pins: &[Arc<Snapshot>]) -> NodeShipment {
-        let cells = self
-            .bpt
-            .leaf_cells()
-            .into_iter()
-            .map(|(code, cell)| {
-                let BptCellKind::Leaf { entry_idx } = cell.kind else {
-                    // pc-check: allow(no-unwrap, "invariant by construction: Bpt::leaf_cells yields only leaf cells; an internal here means the BPT itself is corrupt")
-                    unreachable!("leaf_cells returns leaves");
-                };
+        let mut cells = Vec::with_capacity(self.members.len());
+        self.bpt
+            .leaf_cells(self.mbrs.as_slice(), |code, entry_idx, mbr| {
                 let s = self.members[entry_idx as usize];
                 let root = pins[s as usize].tree().root();
-                CellRecord {
+                cells.push(CellRecord {
                     code,
-                    mbr: cell.mbr,
+                    mbr,
                     kind: CellKind::Node(map.to_global(root, s)),
-                }
-            })
-            .collect();
+                })
+            });
         NodeShipment {
             node: SUPER_ROOT,
             level: self.level,
@@ -1127,14 +1124,18 @@ struct ClusterView<'a> {
 impl IndexView for ClusterView<'_> {
     fn root(&self) -> Option<(Rect, CellRef)> {
         // The layout BPT's root cell covers every non-empty shard root.
-        let root = self.layout.bpt.find(Code::ROOT)?;
+        let SuperLayout { mbrs, bpt, .. } = self.layout;
+        let root = bpt.find(Code::ROOT, mbrs.as_slice())?;
         Some((root.mbr, CellRef::node_root(SUPER_ROOT)))
     }
 
     fn expand(&self, cell: CellRef) -> Expansion {
         if cell.node == SUPER_ROOT {
-            return self.layout.bpt.expand(cell, |entry_idx, mbr| {
-                let s = self.layout.members[entry_idx as usize];
+            let SuperLayout {
+                members, mbrs, bpt, ..
+            } = self.layout;
+            return bpt.expand(cell, mbrs.as_slice(), |entry_idx, mbr| {
+                let s = members[entry_idx as usize];
                 let root = self.pins[s as usize].tree().root();
                 Side::Cell {
                     cell: CellRef::node_root(self.map.to_global(root, s)),

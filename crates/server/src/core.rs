@@ -70,11 +70,6 @@ impl Snapshot {
         self.updates.epoch()
     }
 
-    /// Rebuilds the BPT of one node after its entry set changed.
-    pub(crate) fn rebuild_bpt(&mut self, node: pc_rtree::NodeId) {
-        self.bpts.rebuild_node(&self.tree, node);
-    }
-
     /// Evaluates a query directly (no caching) — ground truth for the
     /// simulator's metrics and the backend for the PAG/SEM baselines.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
@@ -346,8 +341,8 @@ impl ServerCore {
         for id in tombstones {
             next.update_log_mut().record_delete(id, epoch);
         }
+        next.bpts.rebuild_nodes(&next.tree, &dirty);
         for n in dirty {
-            next.rebuild_bpt(n);
             next.update_log_mut().record_change(n, epoch);
         }
         let horizon = client_floor

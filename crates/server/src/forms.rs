@@ -9,10 +9,10 @@
 //!   cell replaced by its `d`-level BPT descendants "or the entries,
 //!   whichever come first".
 
-use pc_rtree::bpt::{BptCellKind, BptStore};
+use pc_rtree::bpt::{BptCell, BptCellKind, BptStore, Code};
 use pc_rtree::engine::AccessLog;
 use pc_rtree::proto::{CellKind, CellRecord, NodeShipment};
-use pc_rtree::{ChildRef, NodeId, RTree};
+use pc_rtree::{ChildRef, Node, NodeId, RTree};
 
 /// Which form of the supporting index to ship.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,15 +52,18 @@ fn ship_node(
     let mut cells = Vec::new();
     match mode {
         FormMode::Full => {
-            for (code, cell) in bpt.leaf_cells() {
-                cells.push(record(code, cell, n));
-            }
+            cells.reserve_exact(n.len());
+            bpt.leaf_cells(n, |code, entry_idx, mbr| {
+                cells.push(CellRecord {
+                    code,
+                    mbr,
+                    kind: entry_kind(n, entry_idx),
+                })
+            });
         }
         FormMode::DLevel(d) => {
             for code in log.frontier(node) {
-                for (c, cell) in bpt.descend(code, d) {
-                    cells.push(record(c, cell, n));
-                }
+                bpt.descend(code, d, n, |c, cell| cells.push(record(c, cell, n)));
             }
         }
     }
@@ -72,17 +75,18 @@ fn ship_node(
     }
 }
 
-fn record(
-    code: pc_rtree::bpt::Code,
-    cell: &pc_rtree::bpt::BptCell,
-    node: &pc_rtree::Node,
-) -> CellRecord {
+/// What the `entry_idx`-th entry of `node` ships as.
+fn entry_kind(node: &Node, entry_idx: u16) -> CellKind {
+    match node.child_at(entry_idx as usize) {
+        ChildRef::Node(c) => CellKind::Node(c),
+        ChildRef::Object(o) => CellKind::Object(o),
+    }
+}
+
+fn record(code: Code, cell: BptCell, node: &Node) -> CellRecord {
     let kind = match cell.kind {
-        BptCellKind::Internal { .. } => CellKind::Super,
-        BptCellKind::Leaf { entry_idx } => match node.entry(entry_idx as usize).child {
-            ChildRef::Node(c) => CellKind::Node(c),
-            ChildRef::Object(o) => CellKind::Object(o),
-        },
+        BptCellKind::Internal => CellKind::Super,
+        BptCellKind::Leaf { entry_idx } => entry_kind(node, entry_idx),
     };
     CellRecord {
         code,
