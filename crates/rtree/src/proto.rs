@@ -377,61 +377,27 @@ impl VersionedReply {
 }
 
 // ---------------------------------------------------------------------
-// Cluster backplane envelopes
+// Cluster backplane sizes
 // ---------------------------------------------------------------------
 
-/// Per-shard epoch stamps carried on the cluster backplane: entry `i` is
-/// the epoch shard `i`'s reply was answered at, so staleness is decided
-/// per shard instead of globally (an update landing in shard 3 never
-/// refuses a query that only touched shard 0).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EpochVector {
-    pub epochs: Vec<u64>,
+/// Backplane bytes of one router → shard leg of a scattered remainder:
+/// the routing header plus the sub-query (the part of the client's
+/// frontier this shard owns, re-addressed into its local node-id space),
+/// sized exactly like a client uplink remainder.
+pub fn shard_sub_request_bytes(query: &RemainderQuery) -> u64 {
+    SHARD_SUB_HEADER_BYTES + query.uplink_bytes()
 }
 
-impl EpochVector {
-    /// Wire bytes: the shard-count header plus one epoch stamp per shard.
-    pub fn wire_bytes(&self) -> u64 {
-        EPOCH_VECTOR_HEADER_BYTES + self.epochs.len() as u64 * EPOCH_BYTES
-    }
-}
-
-/// One router → shard leg of a scattered remainder: the sub-heap of the
-/// client's frontier that this shard owns, re-addressed into the shard's
-/// local node-id space.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardSubRequest {
-    /// Index of the target shard in the cluster's shard map.
-    pub shard: u32,
-    pub query: RemainderQuery,
-}
-
-impl ShardSubRequest {
-    /// Backplane bytes of this leg: routing header plus the sub-query,
-    /// sized exactly like a client uplink remainder.
-    pub fn wire_bytes(&self) -> u64 {
-        SHARD_SUB_HEADER_BYTES + self.query.uplink_bytes()
-    }
-}
-
-/// One shard → router leg of a gathered remainder: the shard's partial
-/// reply stamped with the epoch vector entry it was answered at. The
-/// router merges these into one client-facing [`ServerReply`],
-/// deduplicating objects that straddle tile boundaries so each object is
-/// wire-charged exactly once on the client channel.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardSubReply {
-    pub shard: u32,
-    pub epochs: EpochVector,
-    pub reply: ServerReply,
-}
-
-impl ShardSubReply {
-    /// Backplane bytes of this leg: routing header, epoch vector and the
-    /// partial reply at its client-downlink size (before router dedup).
-    pub fn wire_bytes(&self) -> u64 {
-        SHARD_SUB_HEADER_BYTES + self.epochs.wire_bytes() + self.reply.downlink_bytes()
-    }
+/// Backplane bytes of one shard → router leg of a gathered remainder: the
+/// routing header, the epoch vector of a `shards`-shard cluster (entry `i`
+/// is the epoch shard `i` was answered at, so staleness is decided per
+/// shard) and the partial reply at its client-downlink size — before the
+/// router deduplicates boundary straddlers.
+pub fn shard_sub_reply_bytes(shards: usize, reply: &ServerReply) -> u64 {
+    SHARD_SUB_HEADER_BYTES
+        + EPOCH_VECTOR_HEADER_BYTES
+        + shards as u64 * EPOCH_BYTES
+        + reply.downlink_bytes()
 }
 
 // ---------------------------------------------------------------------
@@ -613,13 +579,6 @@ mod tests {
 
     #[test]
     fn cluster_backplane_byte_accounting() {
-        let vector = EpochVector {
-            epochs: vec![3, 0, 7],
-        };
-        assert_eq!(
-            vector.wire_bytes(),
-            EPOCH_VECTOR_HEADER_BYTES + 3 * EPOCH_BYTES
-        );
         let side = Side::Cell {
             cell: CellRef::node_root(NodeId(1)),
             mbr: Rect::UNIT,
@@ -629,22 +588,16 @@ mod tests {
             already_found: 2,
             heap: vec![(0.0, HeapEntry::Single(side))],
         };
-        let sub = ShardSubRequest { shard: 1, query };
         assert_eq!(
-            sub.wire_bytes(),
+            shard_sub_request_bytes(&query),
             SHARD_SUB_HEADER_BYTES + QUERY_DESC_BYTES + HEAP_ENTRY_BYTES
         );
         let reply = ServerReply {
             confirmed: vec![ObjectId(1)],
             ..ServerReply::default()
         };
-        let gathered = ShardSubReply {
-            shard: 1,
-            epochs: vector,
-            reply: reply.clone(),
-        };
         assert_eq!(
-            gathered.wire_bytes(),
+            shard_sub_reply_bytes(3, &reply),
             SHARD_SUB_HEADER_BYTES
                 + EPOCH_VECTOR_HEADER_BYTES
                 + 3 * EPOCH_BYTES

@@ -12,24 +12,57 @@
 //! [`Cluster`] implements [`ServerHandle`]: clients navigate a synthetic
 //! **super-root** node (a BPT over the shard root MBRs, shipped like any
 //! other node) whose leaves hand off into per-shard subtrees; remainder
-//! heaps are decomposed by ownership into per-shard sub-queries
-//! ([`ShardSubRequest`]), resumed against each shard's pinned snapshot,
-//! and gathered ([`ShardSubReply`], carrying the per-shard
-//! [`EpochVector`]) into one client-facing reply. Shard node ids are
-//! translated into disjoint global ranges (`global = local·N + shard`) so
-//! one client cache can hold index slices of every shard at once.
+//! heaps are decomposed by ownership into per-shard sub-queries, resumed
+//! against each shard's pinned snapshot, and gathered into one
+//! client-facing reply (both legs are charged to [`ClusterStats`] at
+//! their backplane sizes). Shard node ids are translated into disjoint
+//! global ranges (`global = local·N + shard`) so one client cache can
+//! hold index slices of every shard at once.
 //!
 //! Updates route by location: one cluster batch is applied to the global
 //! store once, split into per-shard tree operations by before/after tile
-//! ownership ([`PartitionOp`]) and published **in parallel, only to the
-//! shards it touches** — untouched shards keep their epoch, so a reply's
-//! staleness is decided per shard, not globally. Clients keep speaking
+//! ownership ([`PartitionOp`]) and published **only to the shards it
+//! touches** — untouched shards keep their epoch, so a reply's staleness
+//! is decided per shard, not globally. Clients keep speaking
 //! the scalar-epoch protocol: the cluster epoch indexes a history of
 //! per-shard epoch vectors, and the router re-expands a client's scalar
 //! stamp into the vector it was synced at.
+//!
+//! # One epoch, one published value
+//!
+//! A cluster reads its world the way a [`ServerCore`] does: everything a
+//! contact needs — the `N` shard pins, the epoch's stamp (epoch, per-shard
+//! epoch vector, shard root ids), the super-root layout built over exactly
+//! those pins and the retained stamp history — is one immutable
+//! `ClusterSnapshot` behind one [`SnapshotCell`]. A reader takes one
+//! `pin()` and never touches a lock or a shard cell again; the vector
+//! agrees with the pins because both were put into the value together.
+//!
+//! * **Publish order.** `apply_updates` publishes every shard cell first
+//!   and the cluster value last, all under the writer lock. A reader can
+//!   therefore never pin a cluster epoch whose shards are not published,
+//!   and the store a client reads through [`ServerHandle::core`] (shard
+//!   0's cell) is never older than the epoch its reply was answered at.
+//! * **Who tears down a retired epoch.** The published value holds the
+//!   shard pins, so a retired shard snapshot lives until the retired
+//!   cluster value drops: its teardown (the epoch's private CoW copies,
+//!   40–120 µs per four-update batch) falls to whoever drops the last
+//!   reference — a reader still pinned to it, else the writer at the end
+//!   of `apply_updates` — not to the shard publish that retired it.
+//! * **One thread publishes.** The touched shards of a batch publish one
+//!   after another on the writer's thread. A scoped thread per touched
+//!   shard was measured dearer at the benchmark's four-update batches in
+//!   every form tried — all spawned, or all but one with the writer
+//!   taking the last — by 1.3–5× at the median once readers keep the
+//!   cores busy: a shard's share of such a batch is ~150 µs of work, less
+//!   than a spawn and a wake-up cost, and snapshots built on short-lived
+//!   threads are then freed from another one. Per-shard threads re-open
+//!   with a batch size and core count that show them winning
+//!   (CHANGES.md, PR 20, has every run).
 
 use crate::adaptive::AdaptiveController;
 use crate::core::{PartitionOp, ServerCore, Snapshot};
+use crate::epoch::SnapshotCell;
 use crate::forms::FormMode;
 use crate::server::{form_mode, ClientId, ServerConfig};
 use crate::sync_util::lock_recover;
@@ -39,13 +72,13 @@ use pc_geom::{Rect, TileGrid};
 use pc_rtree::bpt::{Bpt, Code};
 use pc_rtree::engine::{execute, resume, AccessLog, Expansion, IndexView, NoopTracer, Outcome};
 use pc_rtree::proto::{
-    CellKind, CellRecord, CellRef, DirectReply, EpochVector, HeapEntry, NodeShipment, QuerySpec,
-    RemainderQuery, Request, Response, ServerReply, ShardSubReply, ShardSubRequest, Side,
+    shard_sub_reply_bytes, shard_sub_request_bytes, CellKind, CellRecord, CellRef, DirectReply,
+    HeapEntry, NodeShipment, QuerySpec, RemainderQuery, Request, Response, ServerReply, Side,
     VersionedReply,
 };
 use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -209,21 +242,123 @@ impl ShardMap {
 // Cluster state
 // ---------------------------------------------------------------------
 
-/// One published cluster epoch: the per-shard epoch vector and the shard
-/// root ids at publish time (for super-root change detection).
-#[derive(Clone, Debug)]
-struct EpochEntry {
+/// The stamp of one published cluster epoch: the per-shard epoch vector
+/// and the shard root ids at publish time (for super-root change
+/// detection).
+#[derive(Debug)]
+struct EpochStamp {
     epoch: u64,
     shard_epochs: Vec<u64>,
     roots: Vec<Option<NodeId>>,
 }
 
-#[derive(Debug, Default)]
-struct ClusterState {
-    /// Contiguous published epochs, oldest first (`history[e - front]`).
-    history: VecDeque<EpochEntry>,
-    /// Oldest cluster epoch the history can still expand into a vector.
-    low_water: u64,
+/// One whole cluster epoch, published and pinned as a single value: a
+/// reader holding it has a consistent cross-shard world by construction.
+#[derive(Debug)]
+struct ClusterSnapshot {
+    /// The cluster's shard map (global ↔ shard-local node ids).
+    map: ShardMap,
+    /// Every shard's snapshot as of this epoch.
+    pins: Vec<Arc<Snapshot>>,
+    /// Read off `pins`, so `pins[s].epoch() == stamp.shard_epochs[s]`.
+    stamp: Arc<EpochStamp>,
+    /// Built over `pins`.
+    layout: SuperLayout,
+    /// Retained stamps, contiguous and oldest first, ending with `stamp`
+    /// (`history[e - front]`). The front is the low-water mark: the oldest
+    /// cluster epoch a client stamp can still be re-expanded at. Rides in
+    /// the published value the way `UpdateLog` rides in a [`Snapshot`];
+    /// a publish copies the pointers.
+    history: VecDeque<Arc<EpochStamp>>,
+}
+
+impl ClusterSnapshot {
+    /// The epoch after `history` (the retained stamps of the epochs before
+    /// it, already pruned), over the shards as currently published.
+    fn assemble(
+        map: ShardMap,
+        shards: &[ServerCore],
+        epoch: u64,
+        mut history: VecDeque<Arc<EpochStamp>>,
+    ) -> Self {
+        let pins: Vec<Arc<Snapshot>> = shards.iter().map(ServerCore::pin).collect();
+        let stamp = Arc::new(EpochStamp {
+            epoch,
+            shard_epochs: pins.iter().map(|p| p.epoch()).collect(),
+            roots: pins
+                .iter()
+                .map(|p| p.tree().root_mbr().map(|_| p.tree().root()))
+                .collect(),
+        });
+        history.push_back(stamp.clone());
+        ClusterSnapshot {
+            layout: SuperLayout::build(&map, &pins),
+            map,
+            pins,
+            stamp,
+            history,
+        }
+    }
+
+    /// The stamp of cluster epoch `e`, if it is still retained.
+    fn stamp_at(&self, e: u64) -> Option<&EpochStamp> {
+        let front = self.history.front()?.epoch;
+        let at = e.checked_sub(front)? as usize;
+        self.history.get(at).map(Arc::as_ref)
+    }
+
+    /// Ground-truth query against this epoch's merged world.
+    fn direct(&self, spec: &QuerySpec) -> DirectReply {
+        match *spec {
+            QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
+                // A window's owners hold all of its results (straddlers
+                // are replicated); a kNN can reach any shard.
+                let owners = match *spec {
+                    QuerySpec::Range { window } => self.map.owners(&window),
+                    _ => u64::MAX,
+                };
+                let mut cands: Vec<(f64, ObjectId)> = Vec::new();
+                let mut expansions = 0;
+                for (s, pin) in self.pins.iter().enumerate() {
+                    if owners & (1 << s) == 0 {
+                        continue;
+                    }
+                    let out = pin.direct(spec);
+                    expansions += out.expansions;
+                    for &(id, _) in &out.results {
+                        cands.push((spec.key_for(&pin.store().get(id).mbr), id));
+                    }
+                }
+                // total_cmp: distance keys are never NaN, and a total
+                // order costs nothing over the panicking partial_cmp.
+                cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                // Same id ⇒ same MBR ⇒ same key: duplicates are adjacent.
+                cands.dedup_by_key(|c| c.1);
+                if let QuerySpec::Knn { k, .. } = *spec {
+                    cands.truncate(k as usize);
+                }
+                DirectReply {
+                    results: cands.into_iter().map(|(_, id)| id).collect(),
+                    pairs: Vec::new(),
+                    expansions,
+                }
+            }
+            QuerySpec::Join { .. } => {
+                let out = execute(self, spec, &mut NoopTracer);
+                let mut pairs = out.result_pairs;
+                pairs.sort();
+                pairs.dedup();
+                let mut ids: Vec<ObjectId> = out.results.iter().map(|&(id, _)| id).collect();
+                ids.sort();
+                ids.dedup();
+                DirectReply {
+                    results: ids,
+                    pairs,
+                    expansions: out.expansions,
+                }
+            }
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -239,23 +374,15 @@ struct Counters {
 /// the merged reply).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Router → shard sub-query bytes ([`ShardSubRequest`]).
+    /// Router → shard sub-query bytes ([`shard_sub_request_bytes`]).
     pub scatter_bytes: u64,
-    /// Shard → router partial-reply bytes ([`ShardSubReply`]).
+    /// Shard → router partial-reply bytes ([`shard_sub_reply_bytes`]).
     pub gather_bytes: u64,
     /// Sub-queries scattered (shards touched by remainder resumes).
     pub sub_queries: u64,
     /// Straddler duplicates dropped by the merge — objects returned by
     /// more than one shard but charged to the client once.
     pub duplicates_merged: u64,
-}
-
-/// A consistent cross-shard read: every pin's epoch matches the cluster
-/// epoch's recorded vector.
-struct PinSet {
-    pins: Vec<Arc<Snapshot>>,
-    epoch: u64,
-    vector: Vec<u64>,
 }
 
 /// The scatter-gather router over `N` spatial shards. Implements
@@ -269,13 +396,10 @@ pub struct Cluster {
     /// epoch each versioned client last synced to.
     adaptive: AdaptiveController,
     cfg: ClusterConfig,
-    /// Serializes cluster update batches (per-shard publishes inside one
-    /// batch still run in parallel).
+    /// Serializes cluster update batches.
     write: Mutex<()>,
-    state: Mutex<ClusterState>,
-    /// Current cluster epoch; stored *after* every shard of a batch has
-    /// published, so a pin taken at this epoch can reach the vector.
-    epoch: AtomicU64,
+    /// The current cluster epoch — the one thing a reader pins.
+    snap: SnapshotCell<ClusterSnapshot>,
     stats: Counters,
 }
 
@@ -296,25 +420,13 @@ impl Cluster {
                 .map(|s| ServerCore::build_with_objects(store.clone(), tree_cfg, &owned[s]))
                 .collect()
         });
-        let pins: Vec<Arc<Snapshot>> = shards.iter().map(ServerCore::pin).collect();
-        let roots = Self::current_roots(&pins);
-        let mut history = VecDeque::new();
-        history.push_back(EpochEntry {
-            epoch: 0,
-            shard_epochs: vec![0; cfg.shards as usize],
-            roots,
-        });
         Cluster {
+            snap: SnapshotCell::new(ClusterSnapshot::assemble(map, &shards, 0, VecDeque::new())),
             map,
             shards,
             adaptive: cfg.server.adaptive_table(),
             cfg,
             write: Mutex::new(()),
-            state: Mutex::new(ClusterState {
-                history,
-                low_water: 0,
-            }),
-            epoch: AtomicU64::new(0),
             stats: Counters::default(),
         }
     }
@@ -338,10 +450,7 @@ impl Cluster {
 
     /// The current cluster epoch (bumped once per applied update batch).
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the Release store at the end of
-        // `apply_updates`: observing epoch E implies E's history entry and
-        // every shard publish of batch E are visible too.
-        self.epoch.load(Ordering::Acquire)
+        self.snap.pin().stamp.epoch
     }
 
     /// Router backplane counters since construction.
@@ -363,73 +472,6 @@ impl Cluster {
     }
 
     // -----------------------------------------------------------------
-    // Consistent pinning
-    // -----------------------------------------------------------------
-
-    /// Pins every shard at the epochs the current cluster epoch recorded.
-    /// Optimistic: re-pins on a concurrent publish; falls back to briefly
-    /// excluding writers if churn outruns it.
-    fn pin_all(&self) -> PinSet {
-        for _ in 0..64 {
-            // ordering: Acquire pairs with `apply_updates`' Release store —
-            // seeing epoch E guarantees E's history entry is in `state`.
-            let epoch = self.epoch.load(Ordering::Acquire);
-            let vector = {
-                let state = lock_recover(&self.state);
-                self.entry_at(&state, epoch).map(|e| e.shard_epochs.clone())
-            };
-            let Some(vector) = vector else { continue };
-            let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(ServerCore::pin).collect();
-            // ordering: Acquire (same pairing as above) — the re-load
-            // validates no publish raced the per-shard pins.
-            let consistent = pins.iter().zip(&vector).all(|(p, &want)| p.epoch() == want)
-                && self.epoch.load(Ordering::Acquire) == epoch;
-            if consistent {
-                return PinSet {
-                    pins,
-                    epoch,
-                    vector,
-                };
-            }
-        }
-        // Writers are publishing faster than we can pin: take the writer
-        // lock for one consistent read.
-        let _writer = lock_recover(&self.write);
-        // ordering: Acquire — same pairing as the loop above; the writer
-        // lock additionally excludes concurrent publishes entirely.
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let vector = {
-            let state = lock_recover(&self.state);
-            self.entry_at(&state, epoch)
-                // pc-check: allow(no-unwrap, "invariant: pruning never pops the entry of the current epoch (the horizon is capped below it), and the writer lock held here excludes a concurrent bump")
-                .expect("current epoch is always in history")
-                .shard_epochs
-                .clone()
-        };
-        let pins = self.shards.iter().map(ServerCore::pin).collect();
-        PinSet {
-            pins,
-            epoch,
-            vector,
-        }
-    }
-
-    /// The history entry of cluster epoch `e`, if it is still retained.
-    fn entry_at<'a>(&self, state: &'a ClusterState, e: u64) -> Option<&'a EpochEntry> {
-        let front = state.history.front()?.epoch;
-        if e < front {
-            return None;
-        }
-        state.history.get((e - front) as usize)
-    }
-
-    fn current_roots(pins: &[Arc<Snapshot>]) -> Vec<Option<NodeId>> {
-        pins.iter()
-            .map(|p| p.tree().root_mbr().map(|_| p.tree().root()))
-            .collect()
-    }
-
-    // -----------------------------------------------------------------
     // Updates
     // -----------------------------------------------------------------
 
@@ -437,23 +479,24 @@ impl Cluster {
     /// updated once (same id assignment and liveness gating as a single
     /// server), per-shard tree operations are derived from before/after
     /// tile ownership — a `Move` across a tile boundary becomes
-    /// delete-here/insert-there in the same logical batch — and the
-    /// touched shards publish their next epochs **in parallel**.
-    /// Untouched shards only swap in the new store (no epoch bump), so
-    /// their clients stay fresh. Returns the new cluster epoch.
+    /// delete-here/insert-there in the same logical batch — and only the
+    /// touched shards publish their next epochs. Untouched shards just
+    /// swap in the new store (no epoch bump), so their clients stay
+    /// fresh. Returns the new cluster epoch.
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
         let _writer = lock_recover(&self.write);
         let n = self.cfg.shards as usize;
-        let base = self.shards[0].pin();
+        let current = self.snap.pin();
+        let base = &current.pins[0];
         let mut next_store = base.store().clone();
 
         // Apply the batch to the store, remembering each object's state at
         // batch start (first touch) — deletes against shard trees must use
         // the MBR the tree actually indexed, not an intermediate one.
         let mut touch_order: Vec<ObjectId> = Vec::new();
-        let mut touched: HashMap<ObjectId, ()> = HashMap::new();
+        let mut touched: HashSet<ObjectId> = HashSet::new();
         let mut touch = |id: ObjectId, order: &mut Vec<ObjectId>| {
-            if touched.insert(id, ()).is_none() {
+            if touched.insert(id) {
                 order.push(id);
             }
         };
@@ -515,68 +558,41 @@ impl Cluster {
 
         // Retire history below the horizon — the most-behind versioned
         // client's sync point, hard-capped at `max_update_history` cluster
-        // epochs. The oldest vector still retained is the furthest back any
+        // epochs. The oldest stamp still retained is the furthest back any
         // admitted stamp re-expands to, so its entries are the per-shard
-        // floors below which the shard logs may prune.
-        // ordering: Acquire — pairs with the Release below; the writer
-        // lock already serializes bumps, this read just picks up the last.
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
+        // floors below which the shard logs may prune. (Never empty: the
+        // horizon is at most the current epoch, whose stamp therefore stays.)
+        let epoch = current.stamp.epoch + 1;
         let horizon = self
             .adaptive
             .epoch_low_water()
             .unwrap_or(0)
             .max(epoch.saturating_sub(self.cfg.server.max_update_history));
-        let floors: Vec<u64> = {
-            let mut state = lock_recover(&self.state);
-            while state
-                .history
-                .front()
-                .is_some_and(|front| front.epoch < horizon)
-            {
-                state.history.pop_front();
-            }
-            state.low_water = state.low_water.max(horizon);
-            // Never empty: the horizon is at most the current epoch, whose
-            // entry therefore stays.
-            state
-                .history
-                .front()
-                .map(|front| front.shard_epochs.clone())
-                .unwrap_or_default()
-        };
+        let mut history = current.history.clone();
+        while history.front().is_some_and(|front| front.epoch < horizon) {
+            history.pop_front();
+        }
+        let floors: &[u64] = history.front().map_or(&[], |front| &front.shard_epochs);
 
-        // Publish: touched shards in parallel (each bumps its own epoch),
-        // untouched shards just sync the store so globally-assigned ids
-        // stay resolvable from any shard's pin.
-        std::thread::scope(|scope| {
-            for (s, shard) in self.shards.iter().enumerate() {
-                let store = next_store.clone();
-                let ops = &ops[s];
-                let tombs = &tombs[s];
-                let floor = floors.get(s).copied();
-                if ops.is_empty() && tombs.is_empty() {
-                    shard.refresh_store(store);
-                } else {
-                    scope.spawn(move || {
-                        shard.publish_partition(store, ops, tombs, floor);
-                    });
-                }
+        // Publish the shard cells: a touched shard bumps its own epoch, an
+        // untouched one just syncs the store so globally-assigned ids stay
+        // resolvable from any shard's pin. One after another on this
+        // thread: see the module docs for why not a thread per shard.
+        for (s, shard) in self.shards.iter().enumerate() {
+            let store = next_store.clone();
+            if ops[s].is_empty() && tombs[s].is_empty() {
+                shard.refresh_store(store);
+            } else {
+                shard.publish_partition(store, &ops[s], &tombs[s], floors.get(s).copied());
             }
-        });
+        }
 
-        let pins: Vec<Arc<Snapshot>> = self.shards.iter().map(ServerCore::pin).collect();
-        let shard_epochs: Vec<u64> = pins.iter().map(|p| p.epoch()).collect();
-        let roots = Self::current_roots(&pins);
-        lock_recover(&self.state).history.push_back(EpochEntry {
-            epoch,
-            shard_epochs,
-            roots,
-        });
-        // ordering: Release — published only after every shard publish and
-        // the history push above; pairs with the Acquire loads in
-        // `epoch()` / `pin_all`, so an observer of epoch E can always
-        // resolve E's vector from history.
-        self.epoch.store(epoch, Ordering::Release);
+        // Publish order: every shard cell above, the cluster value last.
+        // Readers pin only the cluster value, so none can see this epoch
+        // before all of its shards are published, and the store read
+        // through `core()` is never older than a reply's epoch.
+        let next = ClusterSnapshot::assemble(self.map, &self.shards, epoch, history);
+        self.snap.publish(next);
         epoch
     }
 
@@ -586,9 +602,7 @@ impl Cluster {
 
     /// Answers a plain (unversioned) remainder query by scatter-gather.
     pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        let set = self.pin_all();
-        let layout = SuperLayout::build(&set.pins);
-        self.scatter_remainder(client, rq, &set, &layout)
+        self.scatter_remainder(client, rq, &self.snap.pin())
     }
 
     /// The versioned contact: the client's scalar cluster epoch is
@@ -603,27 +617,20 @@ impl Cluster {
         rq: &RemainderQuery,
         client_epoch: u64,
     ) -> VersionedReply {
-        let set = self.pin_all();
+        let snap = self.snap.pin();
         let n = self.cfg.shards as usize;
-        self.adaptive.note_epoch(client, set.epoch);
+        let epoch = snap.stamp.epoch;
+        self.adaptive.note_epoch(client, epoch);
 
-        let entry = {
-            let state = lock_recover(&self.state);
-            if client_epoch < state.low_water {
-                None
-            } else {
-                self.entry_at(&state, client_epoch).cloned()
-            }
-        };
-        let Some(entry) = entry else {
-            return VersionedReply::FullRefresh { epoch: set.epoch };
+        let Some(synced) = snap.stamp_at(client_epoch) else {
+            return VersionedReply::FullRefresh { epoch };
         };
 
         // Per-shard deltas since the client's synced vector.
         let mut changed: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-        for (pin, &since) in set.pins.iter().zip(&entry.shard_epochs) {
+        for (pin, &since) in snap.pins.iter().zip(&synced.shard_epochs) {
             if !pin.update_log().can_answer(since) {
-                return VersionedReply::FullRefresh { epoch: set.epoch };
+                return VersionedReply::FullRefresh { epoch };
             }
             changed.push(pin.update_log().changed_since(since));
         }
@@ -631,9 +638,9 @@ impl Cluster {
         // Did the super-root layout change? Either a shard root id moved,
         // or a current root node is itself in its shard's changed set (its
         // MBR may have moved, re-shaping the layout BPT).
-        let current_roots = Self::current_roots(&set.pins);
-        let super_changed = entry.roots != current_roots
-            || current_roots
+        let roots = &snap.stamp.roots;
+        let super_changed = synced.roots != *roots
+            || roots
                 .iter()
                 .zip(&changed)
                 .any(|(root, ch)| root.is_some_and(|r| ch.contains(&r)));
@@ -685,77 +692,18 @@ impl Cluster {
         }
 
         if changed_mask & covered != 0 || (super_changed && mentions_super) {
-            return VersionedReply::Stale {
-                invalidate,
-                epoch: set.epoch,
-            };
+            return VersionedReply::Stale { invalidate, epoch };
         }
-        let layout = SuperLayout::build(&set.pins);
         VersionedReply::Fresh {
-            reply: self.scatter_remainder(client, rq, &set, &layout),
+            reply: self.scatter_remainder(client, rq, &snap),
             invalidate,
-            epoch: set.epoch,
+            epoch,
         }
     }
 
-    /// Ground-truth query against the merged current snapshot set.
+    /// Ground-truth query against the merged current epoch.
     pub fn direct(&self, spec: &QuerySpec) -> DirectReply {
-        let set = self.pin_all();
-        match *spec {
-            QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
-                // A window's owners hold all of its results (straddlers
-                // are replicated); a kNN can reach any shard.
-                let owners = match *spec {
-                    QuerySpec::Range { window } => self.map.owners(&window),
-                    _ => u64::MAX,
-                };
-                let mut cands: Vec<(f64, ObjectId)> = Vec::new();
-                let mut expansions = 0;
-                for (s, pin) in set.pins.iter().enumerate() {
-                    if owners & (1 << s) == 0 {
-                        continue;
-                    }
-                    let out = pin.direct(spec);
-                    expansions += out.expansions;
-                    for &(id, _) in &out.results {
-                        cands.push((spec.key_for(&pin.store().get(id).mbr), id));
-                    }
-                }
-                // total_cmp: distance keys are never NaN, and a total
-                // order costs nothing over the panicking partial_cmp.
-                cands.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                // Same id ⇒ same MBR ⇒ same key: duplicates are adjacent.
-                cands.dedup_by_key(|c| c.1);
-                if let QuerySpec::Knn { k, .. } = *spec {
-                    cands.truncate(k as usize);
-                }
-                DirectReply {
-                    results: cands.into_iter().map(|(_, id)| id).collect(),
-                    pairs: Vec::new(),
-                    expansions,
-                }
-            }
-            QuerySpec::Join { .. } => {
-                let layout = SuperLayout::build(&set.pins);
-                let view = ClusterView {
-                    map: &self.map,
-                    pins: &set.pins,
-                    layout: &layout,
-                };
-                let out = execute(&view, spec, &mut NoopTracer);
-                let mut pairs = out.result_pairs;
-                pairs.sort();
-                pairs.dedup();
-                let mut ids: Vec<ObjectId> = out.results.iter().map(|&(id, _)| id).collect();
-                ids.sort();
-                ids.dedup();
-                DirectReply {
-                    results: ids,
-                    pairs,
-                    expansions: out.expansions,
-                }
-            }
-        }
+        self.snap.pin().direct(spec)
     }
 
     /// Decomposes one client-held super-root cell into the shard roots
@@ -763,7 +711,7 @@ impl Cluster {
     /// sub-heap. Returns the router-side cell expansions performed.
     fn decompose_super(
         &self,
-        view: &ClusterView<'_>,
+        view: &ClusterSnapshot,
         code: Code,
         spec: &QuerySpec,
         sub: &mut [Vec<(f64, HeapEntry)>],
@@ -852,15 +800,9 @@ impl Cluster {
         &self,
         client: ClientId,
         rq: &RemainderQuery,
-        set: &PinSet,
-        layout: &SuperLayout,
+        snap: &ClusterSnapshot,
     ) -> ServerReply {
         let n = self.cfg.shards as usize;
-        let view = ClusterView {
-            map: &self.map,
-            pins: &set.pins,
-            layout,
-        };
         let mut sub: Vec<Vec<(f64, HeapEntry)>> = vec![Vec::new(); n];
         let mut leftover: Vec<(f64, HeapEntry)> = Vec::new();
         let mut super_ship = false;
@@ -874,7 +816,7 @@ impl Cluster {
                 HeapEntry::Single(side @ Side::Cell { cell, .. }) => {
                     if cell.node == SUPER_ROOT {
                         super_ship = true;
-                        expansions += self.decompose_super(&view, cell.code, &rq.spec, &mut sub);
+                        expansions += self.decompose_super(snap, cell.code, &rq.spec, &mut sub);
                     } else {
                         let (s, local) = self.map.to_local(cell.node);
                         sub[s as usize].push((key, HeapEntry::Single(side.map_node(|_| local))));
@@ -894,20 +836,17 @@ impl Cluster {
             if heap.is_empty() {
                 continue;
             }
-            let req = ShardSubRequest {
-                shard: s as u32,
-                query: RemainderQuery {
-                    spec: rq.spec,
-                    already_found: rq.already_found,
-                    heap,
-                },
+            let query = RemainderQuery {
+                spec: rq.spec,
+                already_found: rq.already_found,
+                heap,
             };
             // ordering: Relaxed — monotone stats counters (see `stats`).
             self.stats
                 .scatter_bytes
-                .fetch_add(req.wire_bytes(), Ordering::Relaxed);
+                .fetch_add(shard_sub_request_bytes(&query), Ordering::Relaxed);
             self.stats.sub_queries.fetch_add(1, Ordering::Relaxed);
-            let (out, log) = set.pins[s].resume_traced(&req.query);
+            let (out, log) = snap.pins[s].resume_traced(&query);
             outcomes[s] = Some(out);
             logs[s] = log;
         }
@@ -919,7 +858,7 @@ impl Cluster {
         if !leftover.is_empty() {
             let mut log = AccessLog::default();
             let out = resume(
-                &view,
+                snap,
                 &RemainderQuery {
                     spec: rq.spec,
                     already_found: rq.already_found,
@@ -949,33 +888,26 @@ impl Cluster {
             let Some(out) = out.or_else(|| (!log.nodes.is_empty()).then(Outcome::default)) else {
                 continue;
             };
-            let snap = &*set.pins[s];
-            let mut reply = snap.assemble(out, &log, mode);
+            let shard = &*snap.pins[s];
+            let mut reply = shard.assemble(out, &log, mode);
             reply.index = std::mem::take(&mut reply.index)
                 .into_iter()
                 .map(|sh| self.translate_shipment(sh, s as u32))
                 .collect();
-            let sub_reply = ShardSubReply {
-                shard: s as u32,
-                epochs: EpochVector {
-                    epochs: set.vector.clone(),
-                },
-                reply,
-            };
             // ordering: Relaxed — monotone stats counter (see `stats`).
             self.stats
                 .gather_bytes
-                .fetch_add(sub_reply.wire_bytes(), Ordering::Relaxed);
-            partials.push((snap, sub_reply.reply));
+                .fetch_add(shard_sub_reply_bytes(n, &reply), Ordering::Relaxed);
+            partials.push((shard, reply));
         }
         if let Some(out) = leftover_outcome {
             // Router-side results read shard 0's store (same batch, the
             // MBR vintage can lag one refresh — ids and sizes cannot);
             // their index went into the shards' logs above.
-            let snap = &*set.pins[0];
+            let shard = &*snap.pins[0];
             partials.push((
-                snap,
-                snap.assemble(out, &AccessLog::default(), FormMode::COMPACT),
+                shard,
+                shard.assemble(out, &AccessLog::default(), FormMode::COMPACT),
             ));
         }
 
@@ -983,13 +915,13 @@ impl Cluster {
         // when several shards returned a boundary straddler.
         let mut index: Vec<NodeShipment> = Vec::new();
         if super_ship {
-            index.push(layout.shipment(&self.map, &set.pins));
+            index.push(snap.layout.shipment());
         }
         let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
         let mut seen: HashMap<ObjectId, usize> = HashMap::new();
         let mut cands: Vec<(SpatialObject, bool)> = Vec::new();
         let mut dups = 0u64;
-        for (snap, reply) in partials {
+        for (shard, reply) in partials {
             expansions += reply.expansions;
             index.extend(reply.index);
             pairs.extend(reply.pairs);
@@ -998,7 +930,7 @@ impl Cluster {
             let confirmed = reply
                 .confirmed
                 .iter()
-                .filter_map(|&id| snap.store().try_get(id))
+                .filter_map(|&id| shard.store().try_get(id))
                 .map(|o| (*o, true));
             for (object, cached) in confirmed.chain(reply.objects.into_iter().map(|o| (o, false))) {
                 match seen.entry(object.id) {
@@ -1054,14 +986,16 @@ impl Cluster {
 // Super-root layout + merged view
 // ---------------------------------------------------------------------
 
-/// The synthetic top of the merged index for one consistent pin set: a
-/// BPT over the non-empty shard roots' MBRs, shipped to clients as the
-/// [`SUPER_ROOT`] node in full form.
+/// The synthetic top of one epoch's merged index: a BPT over the non-empty
+/// shard roots' MBRs, shipped to clients as the [`SUPER_ROOT`] node in full
+/// form. Built once per published epoch, never per contact.
+#[derive(Debug)]
 struct SuperLayout {
-    /// Non-empty shard indices, in shard order (= layout entry order).
-    members: Vec<u32>,
-    /// The members' root MBRs: the entry set `bpt` was built over, which
-    /// its leaf cells are read from.
+    /// The non-empty shards' root nodes as cluster-global ids, in shard
+    /// order (= layout entry order).
+    roots: Vec<NodeId>,
+    /// Their root MBRs: the entry set `bpt` was built over, which its leaf
+    /// cells are read from.
     mbrs: Vec<Rect>,
     bpt: Bpt,
     /// One above the tallest shard root.
@@ -1069,20 +1003,20 @@ struct SuperLayout {
 }
 
 impl SuperLayout {
-    fn build(pins: &[Arc<Snapshot>]) -> SuperLayout {
-        let mut members = Vec::new();
+    fn build(map: &ShardMap, pins: &[Arc<Snapshot>]) -> SuperLayout {
+        let mut roots = Vec::new();
         let mut mbrs = Vec::new();
         let mut level = 0u16;
         for (s, pin) in pins.iter().enumerate() {
             if let Some(mbr) = pin.tree().root_mbr() {
-                members.push(s as u32);
-                mbrs.push(mbr);
                 let root = pin.tree().root();
+                roots.push(map.to_global(root, s as u32));
+                mbrs.push(mbr);
                 level = level.max(pin.tree().node(root).level + 1);
             }
         }
         SuperLayout {
-            members,
+            roots,
             bpt: Bpt::build(&mbrs),
             mbrs,
             level,
@@ -1090,16 +1024,14 @@ impl SuperLayout {
     }
 
     /// The full-form shipment of the super-root node.
-    fn shipment(&self, map: &ShardMap, pins: &[Arc<Snapshot>]) -> NodeShipment {
-        let mut cells = Vec::with_capacity(self.members.len());
+    fn shipment(&self) -> NodeShipment {
+        let mut cells = Vec::with_capacity(self.roots.len());
         self.bpt
             .leaf_cells(self.mbrs.as_slice(), |code, entry_idx, mbr| {
-                let s = self.members[entry_idx as usize];
-                let root = pins[s as usize].tree().root();
                 cells.push(CellRecord {
                     code,
                     mbr,
-                    kind: CellKind::Node(map.to_global(root, s)),
+                    kind: CellKind::Node(self.roots[entry_idx as usize]),
                 })
             });
         NodeShipment {
@@ -1111,20 +1043,15 @@ impl SuperLayout {
     }
 }
 
-/// The authoritative [`IndexView`] over the whole cluster: the super-root
-/// expands through the layout BPT into translated shard roots, and every
-/// other node delegates to its shard's pinned tree with ids translated on
-/// the way out. Used for cross-shard join resumes and direct ground truth.
-struct ClusterView<'a> {
-    map: &'a ShardMap,
-    pins: &'a [Arc<Snapshot>],
-    layout: &'a SuperLayout,
-}
-
-impl IndexView for ClusterView<'_> {
+/// The authoritative [`IndexView`] over one whole cluster epoch: the
+/// super-root expands through the layout BPT into translated shard roots,
+/// and every other node delegates to its shard's pinned tree with ids
+/// translated on the way out. Used for cross-shard join resumes and direct
+/// ground truth.
+impl IndexView for ClusterSnapshot {
     fn root(&self) -> Option<(Rect, CellRef)> {
         // The layout BPT's root cell covers every non-empty shard root.
-        let SuperLayout { mbrs, bpt, .. } = self.layout;
+        let SuperLayout { mbrs, bpt, .. } = &self.layout;
         let root = bpt.find(Code::ROOT, mbrs.as_slice())?;
         Some((root.mbr, CellRef::node_root(SUPER_ROOT)))
     }
@@ -1132,15 +1059,11 @@ impl IndexView for ClusterView<'_> {
     fn expand(&self, cell: CellRef) -> Expansion {
         if cell.node == SUPER_ROOT {
             let SuperLayout {
-                members, mbrs, bpt, ..
-            } = self.layout;
-            return bpt.expand(cell, mbrs.as_slice(), |entry_idx, mbr| {
-                let s = members[entry_idx as usize];
-                let root = self.pins[s as usize].tree().root();
-                Side::Cell {
-                    cell: CellRef::node_root(self.map.to_global(root, s)),
-                    mbr,
-                }
+                roots, mbrs, bpt, ..
+            } = &self.layout;
+            return bpt.expand(cell, mbrs.as_slice(), |entry_idx, mbr| Side::Cell {
+                cell: CellRef::node_root(roots[entry_idx as usize]),
+                mbr,
             });
         }
 
@@ -1194,21 +1117,18 @@ impl ServerHandle for Cluster {
     }
 
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
-        let set = self.pin_all();
-        let layout = SuperLayout::build(&set.pins);
-        let view = ClusterView {
-            map: &self.map,
-            pins: &set.pins,
-            layout: &layout,
-        };
-        let root = view.root().map(|(mbr, cell)| (cell.node, mbr));
-        (root, set.epoch)
+        let snap = self.snap.pin();
+        let root = snap.root().map(|(mbr, cell)| (cell.node, mbr));
+        (root, snap.stamp.epoch)
     }
 
     fn log_records(&self) -> usize {
-        self.shards
+        // One cluster pin, so the sum is over one epoch's logs — never a
+        // mix of shards from either side of a batch in flight.
+        let snap = self.snap.pin();
+        snap.pins
             .iter()
-            .map(|s| s.pin().update_log().retained_records())
+            .map(|pin| pin.update_log().retained_records())
             .sum()
     }
 }
@@ -1471,6 +1391,301 @@ mod tests {
                 .map(|o| pc_rtree::proto::OBJECT_HEADER_BYTES + o.size_bytes as u64)
                 .sum::<u64>()
         );
+    }
+
+    /// FNV-1a over everything a merged reply puts on the client channel,
+    /// in emission order.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn u64(&mut self, v: u64) {
+            for b in v.to_le_bytes() {
+                self.0 ^= b as u64;
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn rect(&mut self, r: &Rect) {
+            for c in [r.min.x, r.min.y, r.max.x, r.max.y] {
+                self.u64(c.to_bits());
+            }
+        }
+
+        fn reply(&mut self, reply: &ServerReply) {
+            self.u64(reply.confirmed.len() as u64);
+            for id in &reply.confirmed {
+                self.u64(id.0 as u64);
+            }
+            self.u64(reply.objects.len() as u64);
+            for o in &reply.objects {
+                self.u64(o.id.0 as u64);
+                self.rect(&o.mbr);
+                self.u64(o.size_bytes as u64);
+            }
+            self.u64(reply.pairs.len() as u64);
+            for &(a, b) in &reply.pairs {
+                self.u64(a.0 as u64);
+                self.u64(b.0 as u64);
+            }
+            self.u64(reply.index.len() as u64);
+            for s in &reply.index {
+                self.u64(s.node.0 as u64);
+                self.u64(s.level as u64);
+                self.u64(s.parent.map_or(u64::MAX, |p| p.0 as u64));
+                self.u64(s.cells.len() as u64);
+                for c in &s.cells {
+                    let (bits, len) = c.code.raw();
+                    self.u64(bits as u64);
+                    self.u64(len as u64);
+                    self.rect(&c.mbr);
+                    match c.kind {
+                        CellKind::Super => self.u64(0),
+                        CellKind::Node(n) => self.u64(1 << 32 | n.0 as u64),
+                        CellKind::Object(o) => self.u64(2 << 32 | o.0 as u64),
+                    }
+                }
+            }
+            self.u64(reply.expansions);
+        }
+
+        fn versioned(&mut self, reply: &VersionedReply) {
+            let (tag, invalidate, epoch) = match reply {
+                VersionedReply::Fresh {
+                    reply,
+                    invalidate,
+                    epoch,
+                } => {
+                    self.reply(reply);
+                    (0, invalidate.as_slice(), *epoch)
+                }
+                VersionedReply::Stale { invalidate, epoch } => (1, invalidate.as_slice(), *epoch),
+                VersionedReply::FullRefresh { epoch } => (2, &[][..], *epoch),
+            };
+            self.u64(tag);
+            self.u64(invalidate.len() as u64);
+            for n in invalidate {
+                self.u64(n.0 as u64);
+            }
+            self.u64(epoch);
+        }
+    }
+
+    /// The router's backplane counters and every byte of its merged
+    /// replies, for a fixed 4-shard world of small rectangles (so tile
+    /// boundaries have straddlers), cold range / kNN / join remainders and
+    /// two update batches. Recorded at the last commit that pinned shards
+    /// one by one (`pin_all`) and sized each backplane leg through a
+    /// message value built for the purpose; a change to how an epoch is
+    /// pinned or how a leg is sized must reproduce them exactly.
+    #[test]
+    fn backplane_counters_and_merged_replies_match_recorded_pins() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        let objects: Vec<SpatialObject> = (0..600)
+            .map(|i| SpatialObject {
+                id: ObjectId(i),
+                mbr: Rect::centered_square(
+                    Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
+                    rng.random_range(0.0..0.03),
+                ),
+                size_bytes: rng.random_range(100..2000),
+            })
+            .collect();
+        let cl = quad_cluster(ObjectStore::new(objects));
+        let specs = [
+            QuerySpec::Range {
+                window: Rect::centered_square(Point::new(0.5, 0.5), 0.3),
+            },
+            QuerySpec::Knn {
+                center: Point::new(0.49, 0.52),
+                k: 12,
+            },
+            QuerySpec::Join { dist: 0.004 },
+        ];
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+
+        for spec in specs {
+            h.reply(&cl.process_remainder(1, &cold_remainder(&cl, spec)));
+        }
+        // Batch 1: an insert on the centre corner (all four shards), a move
+        // across a tile boundary, a delete.
+        let epoch = cl.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.5, 0.5), 0.02),
+                size_bytes: 700,
+            },
+            Update::Move {
+                id: ObjectId(17),
+                to: Rect::centered_square(Point::new(0.9, 0.1), 0.01),
+            },
+            Update::Delete(ObjectId(40)),
+        ]);
+        assert_eq!(epoch, 1);
+        // A client synced at epoch 0 is refused, then answered.
+        for (spec, stamp) in [(specs[0], 0), (specs[0], 1), (specs[1], 1)] {
+            h.versioned(&cl.process_remainder_versioned(2, &cold_remainder(&cl, spec), stamp));
+        }
+        // Batch 2 touches one quadrant only.
+        let epoch = cl.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.2, 0.8), 0.005),
+                size_bytes: 300,
+            },
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.15, 0.85), 0.01),
+                size_bytes: 900,
+            },
+        ]);
+        assert_eq!(epoch, 2);
+        // A kNN can reach the churned quadrant: refused.
+        h.versioned(&cl.process_remainder_versioned(2, &cold_remainder(&cl, specs[1]), 1));
+        // A warm window over a quiet shard's root cannot: answered, with
+        // the other quadrant's invalidations riding along.
+        let window = Rect::centered_square(Point::new(0.8, 0.2), 0.1);
+        let quiet = cl.shard_map().first_owner(&window);
+        let pin = cl.shard(quiet).pin();
+        let warm = RemainderQuery {
+            spec: QuerySpec::Range { window },
+            already_found: 0,
+            heap: vec![(
+                0.0,
+                HeapEntry::Single(Side::Cell {
+                    cell: CellRef::node_root(cl.shard_map().to_global(pin.tree().root(), quiet)),
+                    mbr: pin.tree().root_mbr().unwrap(),
+                }),
+            )],
+        };
+        let fresh = cl.process_remainder_versioned(2, &warm, 1);
+        assert!(
+            matches!(&fresh, VersionedReply::Fresh { invalidate, epoch: 2, .. } if !invalidate.is_empty())
+        );
+        h.versioned(&fresh);
+        for spec in specs {
+            h.reply(&cl.process_remainder(1, &cold_remainder(&cl, spec)));
+        }
+
+        assert_eq!(
+            cl.stats(),
+            ClusterStats {
+                scatter_bytes: 3000,
+                gather_bytes: 441_512,
+                sub_queries: 25,
+                duplicates_merged: 22,
+            }
+        );
+        assert_eq!(
+            h.0, 0xe851_813b_02e3_867a,
+            "merged reply digest {:#018x}",
+            h.0
+        );
+    }
+
+    /// What `pin_all` used to establish by re-pinning until the vector
+    /// matched: a pinned epoch's stamp and layout describe exactly its pins.
+    fn assert_one_consistent_epoch(snap: &ClusterSnapshot) {
+        let mut nonempty = Vec::new();
+        for (s, pin) in snap.pins.iter().enumerate() {
+            assert_eq!(pin.epoch(), snap.stamp.shard_epochs[s], "shard {s}");
+            let root = pin.tree().root_mbr().map(|_| pin.tree().root());
+            assert_eq!(root, snap.stamp.roots[s], "shard {s} root id");
+            if let (Some(root), Some(mbr)) = (root, pin.tree().root_mbr()) {
+                nonempty.push((snap.map.to_global(root, s as u32), mbr));
+            }
+        }
+        // The layout resolves every non-empty shard root, at its MBR.
+        let mut shipped: Vec<(NodeId, Rect)> = snap
+            .layout
+            .shipment()
+            .cells
+            .iter()
+            .map(|c| match c.kind {
+                CellKind::Node(root) => (root, c.mbr),
+                other => panic!("a layout leaf is a shard root, got {other:?}"),
+            })
+            .collect();
+        shipped.sort_by_key(|c| c.0);
+        nonempty.sort_by_key(|c| c.0);
+        assert_eq!(shipped, nonempty);
+        assert_eq!(
+            snap.history.back().map(|stamp| stamp.epoch),
+            Some(snap.stamp.epoch)
+        );
+    }
+
+    #[test]
+    fn every_pin_is_one_consistent_epoch_under_concurrent_publishes() {
+        use std::sync::atomic::AtomicBool;
+        const BATCHES: u64 = 300;
+        let cl = quad_cluster(sample_store(400, 31));
+        let quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)];
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let (mut pins, mut last) = (0u32, 0u64);
+                    // ordering: Acquire pairs with the writer's Release
+                    // store, so a reader that sees `done` also sees the
+                    // last publish — pinning the final-epoch assert.
+                    while pins < 2000 || !done.load(Ordering::Acquire) {
+                        let snap = cl.snap.pin();
+                        assert_one_consistent_epoch(&snap);
+                        assert!(snap.stamp.epoch >= last, "epochs went backwards");
+                        last = snap.stamp.epoch;
+                        pins += 1;
+                    }
+                    assert_eq!(cl.snap.pin().stamp.epoch, BATCHES);
+                });
+            }
+            // Batch `b` inserts into 1–4 quadrants and, every third batch,
+            // deletes an original object wherever it lives.
+            for b in 0..BATCHES {
+                let mut batch: Vec<Update> = (0..=b % 4)
+                    .map(|q| {
+                        let (x, y) = quadrants[((b + q) % 4) as usize];
+                        Update::Insert {
+                            mbr: Rect::centered_square(Point::new(x, y), 0.001 * (q + 1) as f64),
+                            size_bytes: 200,
+                        }
+                    })
+                    .collect();
+                if b % 3 == 0 {
+                    batch.push(Update::Delete(ObjectId(b as u32)));
+                }
+                assert_eq!(cl.apply_updates(&batch), b + 1);
+            }
+            // ordering: Release publishes "all batches applied" to the
+            // Acquire loads in the reader loops above.
+            done.store(true, Ordering::Release);
+        });
+        assert_one_consistent_epoch(&cl.snap.pin());
+    }
+
+    /// Cluster twin of `pinned_snapshot_outlives_a_publish`.
+    #[test]
+    fn pinned_cluster_epoch_outlives_a_publish() {
+        let cl = quad_cluster(sample_store(200, 5));
+        let spec = QuerySpec::Range {
+            window: Rect::centered_square(Point::new(0.5, 0.5), 0.1),
+        };
+        let old = cl.snap.pin();
+        let before = old.direct(&spec).results;
+        // One insert on the centre corner: all four shards publish.
+        assert_eq!(
+            cl.apply_updates(&[Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.5, 0.5), 0.01),
+                size_bytes: 42,
+            }]),
+            1
+        );
+        // The pinned world is frozen at epoch 0 …
+        assert_eq!(old.stamp.epoch, 0);
+        assert_one_consistent_epoch(&old);
+        assert_eq!(old.direct(&spec).results, before);
+        // … while the current one moved on.
+        let mut after = cl.direct(&spec).results;
+        after.retain(|id| !before.contains(id));
+        assert_eq!(after, vec![ObjectId(200)]);
+        assert_eq!(cl.epoch(), 1);
+        assert_eq!(cl.snap.pin().stamp.shard_epochs, vec![1, 1, 1, 1]);
     }
 
     #[test]

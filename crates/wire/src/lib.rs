@@ -46,9 +46,11 @@
 //! # Not encoded: the cluster backplane
 //!
 //! Only the client ↔ server envelopes have a codec. The router ↔ shard
-//! messages (`ShardSubRequest`, `ShardSubReply`, `EpochVector`) stay
-//! in-process; `ClusterStats` charges them by their `wire_bytes()` formulas
-//! alone. A backplane codec re-opens with the parked networked-shard work.
+//! legs of a cluster contact are function calls, not messages: there is no
+//! type for them, and `ClusterStats` charges them by the two sizing
+//! formulas `pc_rtree::proto::{shard_sub_request_bytes,
+//! shard_sub_reply_bytes}`. A backplane codec re-opens with the parked
+//! networked-shard work.
 
 mod codec;
 mod frame;
