@@ -66,8 +66,10 @@ impl TileGrid {
     }
 
     fn axis_tile(&self, c: Coord) -> u32 {
-        let t = (c * self.g as Coord).floor();
-        (t.max(0.0) as u32).min(self.g - 1)
+        // Clamp, then truncate: for a non-negative value the cast *is* the
+        // floor (and it saturates), without the libm call `floor` costs
+        // on every routed object.
+        ((c * self.g as Coord).max(0.0) as u32).min(self.g - 1)
     }
 
     /// Iterates the tiles `r` covers (intersects with positive or zero

@@ -1,4 +1,4 @@
-//! The spatially-sharded cluster: the unit square is cut into a fixed
+//! The deployment — every deployment: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
 //! is a [`ServerCore`] (its own snapshot cell and update log) indexing
 //! exactly the objects whose MBRs touch its tiles; the per-client state
@@ -18,6 +18,16 @@
 //! their backplane sizes). Shard node ids are translated into disjoint
 //! global ranges (`global = local·N + shard`) so one client cache can
 //! hold index slices of every shard at once.
+//!
+//! One shard is the smallest case, not a special one: a [`crate::Server`]
+//! is a one-shard cluster over a one-tile grid, where id translation is
+//! the identity. What keeps it cheap is a rule on the input, not on the
+//! configuration — **when exactly one shard was consulted and nothing
+//! resumed router-side, that shard's reply is the answer** (no merge map,
+//! re-sort or dedup; `direct` likewise) — which serves an N-shard window
+//! inside one shard's tiles just the same. The shard count is read in two
+//! places only: a lone shard's clients bootstrap from its own root, so
+//! they are never handed `SUPER_ROOT` nor told to invalidate it.
 //!
 //! Updates route by location: one cluster batch is applied to the global
 //! store once, split into per-shard tree operations by before/after tile
@@ -78,6 +88,7 @@ use pc_rtree::proto::{
 };
 use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -193,24 +204,21 @@ impl ShardMap {
         mask
     }
 
-    /// The live objects each shard indexes, in id order, from one pass
-    /// over `store`: an object goes to every shard owning a tile its MBR
-    /// covers (straddlers are replicated).
-    pub fn partition(&self, store: &ObjectStore) -> Vec<Vec<SpatialObject>> {
+    /// The live objects each shard indexes, as ids in id order, from one
+    /// pass over `store`: an object goes to every shard owning a tile its
+    /// MBR covers (straddlers are replicated). Ids, not objects: the store
+    /// already holds those, and a second resident copy of the dataset
+    /// would sit under every build's peak.
+    pub fn partition(&self, store: &ObjectStore) -> Vec<Vec<ObjectId>> {
         let mut owned = vec![Vec::new(); self.shards as usize];
         for o in store.iter_live() {
             let mut mask = self.owners(&o.mbr);
             while mask != 0 {
-                owned[mask.trailing_zeros() as usize].push(*o);
+                owned[mask.trailing_zeros() as usize].push(o.id);
                 mask &= mask - 1;
             }
         }
         owned
-    }
-
-    /// Whether shard `s` owns any tile `r` covers.
-    pub fn owns(&self, s: u32, r: &Rect) -> bool {
-        self.owners(r) & (1 << s) != 0
     }
 
     /// The lowest-numbered owning shard — the canonical home used to
@@ -309,18 +317,28 @@ impl ClusterSnapshot {
 
     /// Ground-truth query against this epoch's merged world.
     fn direct(&self, spec: &QuerySpec) -> DirectReply {
+        // A window's owners hold all of its results (straddlers are
+        // replicated); a kNN or a join can reach any shard.
+        let reach = match *spec {
+            QuerySpec::Range { window } => self.map.owners(&window),
+            _ => u64::MAX >> (64 - self.pins.len()),
+        };
+        // One shard to consult: its answer, in its own pop order, is the
+        // answer — nothing to merge, re-sort or deduplicate.
+        if reach.count_ones() == 1 {
+            let out = self.pins[reach.trailing_zeros() as usize].direct(spec);
+            return DirectReply {
+                results: out.results.iter().map(|&(id, _)| id).collect(),
+                pairs: out.result_pairs,
+                expansions: out.expansions,
+            };
+        }
         match *spec {
             QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
-                // A window's owners hold all of its results (straddlers
-                // are replicated); a kNN can reach any shard.
-                let owners = match *spec {
-                    QuerySpec::Range { window } => self.map.owners(&window),
-                    _ => u64::MAX,
-                };
                 let mut cands: Vec<(f64, ObjectId)> = Vec::new();
                 let mut expansions = 0;
                 for (s, pin) in self.pins.iter().enumerate() {
-                    if owners & (1 << s) == 0 {
+                    if reach & (1 << s) == 0 {
                         continue;
                     }
                     let out = pin.direct(spec);
@@ -359,6 +377,27 @@ impl ClusterSnapshot {
             }
         }
     }
+}
+
+/// What changed between a client's synced epoch and the pinned one.
+#[derive(Default)]
+struct Delta {
+    /// Nodes to drop, as cluster-global ids, sorted.
+    invalidate: Vec<NodeId>,
+    /// Mask of the shards that changed.
+    changed: u64,
+    /// Whether the super-root layout did.
+    super_changed: bool,
+}
+
+/// One shard's leg of a scattered remainder.
+#[derive(Default)]
+struct Leg {
+    /// The part of the client's frontier this shard owns, in its local ids.
+    heap: Vec<(f64, HeapEntry)>,
+    /// Its resume of `heap` — or, for a shard only a router-side resume
+    /// reached, just the accesses folded back in.
+    resumed: Option<(Outcome, AccessLog)>,
 }
 
 #[derive(Debug, Default)]
@@ -417,7 +456,10 @@ impl Cluster {
         let workers = par::worker_count(owned.iter().map(Vec::len).sum());
         let shards: Vec<ServerCore> = par::map_ranges(owned.len(), workers, |range| {
             range
-                .map(|s| ServerCore::build_with_objects(store.clone(), tree_cfg, &owned[s]))
+                .map(|s| {
+                    let objects = owned[s].iter().map(|&id| store.get(id));
+                    ServerCore::build_with_objects(store.clone(), tree_cfg, objects)
+                })
                 .collect()
         });
         Cluster {
@@ -471,18 +513,36 @@ impl Cluster {
         self.adaptive.tracked_clients()
     }
 
+    /// The deployment's per-client table (d⁺ trajectories + last-synced
+    /// epochs feeding the fleet low-water mark).
+    pub(crate) fn adaptive(&self) -> &AdaptiveController {
+        &self.adaptive
+    }
+
     // -----------------------------------------------------------------
     // Updates
     // -----------------------------------------------------------------
 
-    /// Applies one update batch across the cluster: the global store is
-    /// updated once (same id assignment and liveness gating as a single
-    /// server), per-shard tree operations are derived from before/after
-    /// tile ownership — a `Move` across a tile boundary becomes
-    /// delete-here/insert-there in the same logical batch — and only the
-    /// touched shards publish their next epochs. Untouched shards just
-    /// swap in the new store (no epoch bump), so their clients stay
-    /// fresh. Returns the new cluster epoch.
+    /// Applies one update batch atomically while queries keep running.
+    /// The global store is updated once, in batch order (ids are assigned
+    /// in that order; updates naming unassigned ids or tombstoned objects
+    /// are **ignored** — a malformed batch must not panic the writer
+    /// mid-epoch). The batch is then **netted per object**: each touched
+    /// object becomes at most one tree operation per shard, derived from
+    /// its batch-start and batch-end tile ownership — a `Move` across a
+    /// tile boundary is delete-here/insert-there, an object moved twice is
+    /// relocated once, one inserted and deleted in the same batch never
+    /// reaches an index. Only the touched shards publish their next
+    /// epochs; untouched shards just swap in the new store (no epoch
+    /// bump), so their clients stay fresh. Returns the new cluster epoch.
+    ///
+    /// History is pruned below the fleet's **low-water mark** (the minimum
+    /// last-synced epoch over tracked versioned clients, fed by every
+    /// versioned contact) and, regardless of clients, below
+    /// [`max_update_history`](ServerConfig) epochs, so a long-running
+    /// deployment under sustained churn keeps bounded invalidation logs.
+    /// Clients that fall below the pruned horizon get a
+    /// [`VersionedReply::FullRefresh`] refusal at their next contact.
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
         let _writer = lock_recover(&self.write);
         let n = self.cfg.shards as usize;
@@ -490,68 +550,54 @@ impl Cluster {
         let base = &current.pins[0];
         let mut next_store = base.store().clone();
 
-        // Apply the batch to the store, remembering each object's state at
-        // batch start (first touch) — deletes against shard trees must use
-        // the MBR the tree actually indexed, not an intermediate one.
-        let mut touch_order: Vec<ObjectId> = Vec::new();
-        let mut touched: HashSet<ObjectId> = HashSet::new();
-        let mut touch = |id: ObjectId, order: &mut Vec<ObjectId>| {
-            if touched.insert(id) {
-                order.push(id);
-            }
-        };
+        // Apply the batch to the store, remembering which objects it
+        // touched, in first-touch order.
+        let mut touched: Vec<ObjectId> = Vec::new();
+        let mut seen: HashSet<ObjectId> = HashSet::new();
         for u in updates {
-            match *u {
-                Update::Insert { mbr, size_bytes } => {
-                    let id = next_store.push(mbr, size_bytes);
-                    touch(id, &mut touch_order);
+            let id = match *u {
+                Update::Insert { mbr, size_bytes } => next_store.push(mbr, size_bytes),
+                Update::Delete(id) if next_store.is_live(id) => {
+                    next_store.mark_dead(id);
+                    id
                 }
-                Update::Delete(id) => {
-                    if next_store.try_get(id).is_some() && next_store.is_live(id) {
-                        next_store.mark_dead(id);
-                        touch(id, &mut touch_order);
-                    }
+                Update::Move { id, to } if next_store.is_live(id) => {
+                    next_store.set_mbr(id, to);
+                    id
                 }
-                Update::Move { id, to } => {
-                    if next_store.try_get(id).is_some() && next_store.is_live(id) {
-                        next_store.set_mbr(id, to);
-                        touch(id, &mut touch_order);
-                    }
-                }
+                // An id the store never assigned, or one already dead.
+                _ => continue,
+            };
+            if seen.insert(id) {
+                touched.push(id);
             }
         }
 
-        // Net per-shard ops from (batch-start, batch-end) ownership.
+        // Net per-shard ops from (batch-start, batch-end) ownership. A
+        // delete against a shard tree must use the MBR the tree actually
+        // indexed — the batch-start one — not an intermediate one.
         let mut ops: Vec<Vec<PartitionOp>> = vec![Vec::new(); n];
         let mut tombs: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
-        for &id in &touch_order {
-            let initial = base
-                .store()
-                .try_get(id)
-                .filter(|_| base.store().is_live(id))
-                .map(|o| o.mbr);
+        for id in touched {
+            let from = base.store().is_live(id).then(|| base.store().get(id).mbr);
             let live_after = next_store.is_live(id);
-            let final_mbr = next_store.get(id).mbr;
-            for s in 0..self.cfg.shards {
+            let to = next_store.get(id).mbr;
+            let before = from.map_or(0, |m| self.map.owners(&m));
+            let after = if live_after { self.map.owners(&to) } else { 0 };
+            for s in 0..n {
                 // `Some(mbr)` iff shard `s` indexed the object at batch
                 // start — carrying the MBR instead of a bool keeps the
                 // delete/relocate arms total (no unwrap on a side channel).
-                let before = initial.filter(|m| self.map.owns(s, m));
-                let after = live_after && self.map.owns(s, &final_mbr);
-                match (before, after) {
-                    (Some(from), false) => {
-                        ops[s as usize].push(PartitionOp::Delete(id, from));
+                match (from.filter(|_| before >> s & 1 != 0), after >> s & 1 != 0) {
+                    (Some(from), false) => ops[s].push(PartitionOp::Delete(id, from)),
+                    (None, true) => ops[s].push(PartitionOp::Insert(id)),
+                    (Some(from), true) if from != to => {
+                        ops[s].push(PartitionOp::Relocate(id, from))
                     }
-                    (None, true) => ops[s as usize].push(PartitionOp::Insert(id)),
-                    (Some(from), true) => {
-                        if from != final_mbr {
-                            ops[s as usize].push(PartitionOp::Relocate(id, from));
-                        }
-                    }
-                    (None, false) => {}
+                    _ => {}
                 }
-                if before.is_some() && !live_after {
-                    tombs[s as usize].push(id);
+                if before >> s & 1 != 0 && !live_after {
+                    tombs[s].push(id);
                 }
             }
         }
@@ -578,8 +624,9 @@ impl Cluster {
         // untouched one just syncs the store so globally-assigned ids stay
         // resolvable from any shard's pin. One after another on this
         // thread: see the module docs for why not a thread per shard.
-        for (s, shard) in self.shards.iter().enumerate() {
-            let store = next_store.clone();
+        // (`repeat_n` hands the last shard the store itself, not a clone.)
+        let stores = std::iter::repeat_n(next_store, n);
+        for ((s, shard), store) in self.shards.iter().enumerate().zip(stores) {
             if ops[s].is_empty() && tombs[s].is_empty() {
                 shard.refresh_store(store);
             } else {
@@ -602,103 +649,145 @@ impl Cluster {
 
     /// Answers a plain (unversioned) remainder query by scatter-gather.
     pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        self.scatter_remainder(client, rq, &self.snap.pin())
+        self.scatter_remainder(client, rq.clone(), &self.snap.pin())
     }
 
-    /// The versioned contact: the client's scalar cluster epoch is
-    /// re-expanded into the per-shard epoch vector it was synced at
-    /// (via the epoch history), and staleness is decided **per shard** —
-    /// only changes in shards the query could touch force a `Stale`
-    /// round-trip, while changes elsewhere ride along as invalidations on
-    /// a `Fresh` reply.
+    /// The versioned contact — the one version gate of the §7 protocol.
+    /// The client's scalar epoch is re-expanded into the per-shard epoch
+    /// vector it was synced at (via the epoch history), and staleness is
+    /// decided **per shard**: only changes in shards the query could touch
+    /// force a `Stale` round-trip, while changes elsewhere ride along as
+    /// invalidations on a `Fresh` reply. Check and resume run against one
+    /// pinned epoch, and every contact records the epoch this client will
+    /// sync to, which keeps the fleet low-water mark — and pruning — honest.
+    ///
+    /// Conservative rule: *any* epoch gap in a reachable shard refuses the
+    /// resume ([`VersionedReply::Stale`] with the changed-node list). A
+    /// weaker rule (refuse only when the heap references changed nodes)
+    /// would keep the resume sound, but the client's stage-① portion `Rs`
+    /// was computed against stale cached leaves the heap never mentions —
+    /// the answer could serve deleted or moved objects at a server
+    /// contact. Refusing forces the client to invalidate and re-run stage
+    /// ① against cleaned state, making every contact answer current; the
+    /// price is one extra round trip per (client × update-epoch) gap,
+    /// which the experiments charge honestly.
+    ///
+    /// A stamp **below the retained history** cannot be given a complete
+    /// invalidation list (that history was pruned); it gets a
+    /// [`VersionedReply::FullRefresh`] — never a silently truncated list.
     pub fn process_remainder_versioned(
         &self,
         client: ClientId,
         rq: &RemainderQuery,
         client_epoch: u64,
     ) -> VersionedReply {
+        self.answer_versioned(client, Cow::Borrowed(rq), client_epoch)
+    }
+
+    /// [`process_remainder_versioned`](Self::process_remainder_versioned)
+    /// over a frontier the caller may already own (a transport does): the
+    /// resume routes an owned frontier in place, and a refusal never
+    /// copies a borrowed one.
+    fn answer_versioned(
+        &self,
+        client: ClientId,
+        rq: Cow<'_, RemainderQuery>,
+        client_epoch: u64,
+    ) -> VersionedReply {
         let snap = self.snap.pin();
-        let n = self.cfg.shards as usize;
         let epoch = snap.stamp.epoch;
         self.adaptive.note_epoch(client, epoch);
 
-        let Some(synced) = snap.stamp_at(client_epoch) else {
+        // Stamped with the pinned epoch itself: nothing to tell.
+        let delta = if client_epoch == epoch {
+            Some(Delta::default())
+        } else {
+            self.delta_since(&snap, client_epoch)
+        };
+        let Some(delta) = delta else {
             return VersionedReply::FullRefresh { epoch };
         };
-
-        // Per-shard deltas since the client's synced vector.
-        let mut changed: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-        for (pin, &since) in snap.pins.iter().zip(&synced.shard_epochs) {
-            if !pin.update_log().can_answer(since) {
-                return VersionedReply::FullRefresh { epoch };
-            }
-            changed.push(pin.update_log().changed_since(since));
+        if self.reaches_change(&rq, &delta) {
+            return VersionedReply::Stale {
+                invalidate: delta.invalidate,
+                epoch,
+            };
         }
+        VersionedReply::Fresh {
+            reply: self.scatter_remainder(client, rq.into_owned(), &snap),
+            invalidate: delta.invalidate,
+            epoch,
+        }
+    }
 
-        // Did the super-root layout change? Either a shard root id moved,
-        // or a current root node is itself in its shard's changed set (its
+    /// What a client synced at cluster epoch `since` has to be told at
+    /// `snap`'s: `None` when `since` is outside the retained history (or a
+    /// shard log was pruned past it), so no complete list exists. Out of
+    /// line: an up-to-date client's contact never runs it.
+    #[inline(never)]
+    fn delta_since(&self, snap: &ClusterSnapshot, since: u64) -> Option<Delta> {
+        let mut delta = Delta::default();
+        // Per-shard deltas since the client's synced vector. The
+        // super-root layout changed with them if a shard root id moved, or
+        // a current root node is itself in its shard's changed set (its
         // MBR may have moved, re-shaping the layout BPT).
+        let synced = snap.stamp_at(since)?;
         let roots = &snap.stamp.roots;
-        let super_changed = synced.roots != *roots
-            || roots
-                .iter()
-                .zip(&changed)
-                .any(|(root, ch)| root.is_some_and(|r| ch.contains(&r)));
-
-        let mut invalidate: Vec<NodeId> = Vec::new();
-        let mut changed_mask = 0u64;
-        for (s, ch) in changed.iter().enumerate() {
-            if !ch.is_empty() {
-                changed_mask |= 1 << s;
+        delta.super_changed = synced.roots != *roots;
+        for (s, (pin, &since)) in snap.pins.iter().zip(&synced.shard_epochs).enumerate() {
+            if !pin.update_log().can_answer(since) {
+                return None;
             }
-            invalidate.extend(ch.iter().map(|&nid| self.map.to_global(nid, s as u32)));
+            let changed = pin.update_log().changed_since(since);
+            if changed.is_empty() {
+                continue;
+            }
+            delta.changed |= 1 << s;
+            delta.super_changed |= roots[s].is_some_and(|root| changed.contains(&root));
+            let global = changed.iter().map(|&nid| self.map.to_global(nid, s as u32));
+            delta.invalidate.extend(global);
         }
-        if super_changed {
-            invalidate.push(SUPER_ROOT);
+        if self.cfg.shards == 1 {
+            // Never handed out (`bootstrap_root`), so never invalidated.
+            delta.super_changed = false;
         }
-        invalidate.sort();
+        if delta.super_changed {
+            delta.invalidate.push(SUPER_ROOT);
+        }
+        delta.invalidate.sort();
+        Some(delta)
+    }
 
-        // Shards this query could touch. A range query is covered by the
-        // owners of its window tiles plus whatever its heap references
-        // (straddler replication makes the window owners sufficient for
-        // the result set); kNN and join have unbounded reach.
-        let mut covered = match rq.spec {
+    /// Whether `rq` could touch a shard that changed (or the super-root,
+    /// when that did). A range query reaches the owners of its window
+    /// tiles (straddler replication makes them sufficient for the result
+    /// set) plus whatever its heap references; kNN and join have unbounded
+    /// reach.
+    fn reaches_change(&self, rq: &RemainderQuery, delta: &Delta) -> bool {
+        let (changed, super_changed) = (delta.changed, delta.super_changed);
+        if changed == 0 && !super_changed {
+            return false;
+        }
+        let reach = match rq.spec {
             QuerySpec::Range { window } => self.map.owners(&window),
-            _ => u64::MAX >> (64 - n),
+            _ => u64::MAX,
         };
-        let mut mentions_super = false;
-        let mut note_side = |side: &Side| match *side {
-            Side::Cell { cell, .. } => {
-                if cell.node == SUPER_ROOT {
-                    mentions_super = true;
-                } else {
-                    covered |= 1 << self.map.to_local(cell.node).0;
-                }
-            }
+        if reach & changed != 0 {
+            return true;
+        }
+        let hit = |side: &Side| match *side {
+            Side::Cell { cell, .. } if cell.node == SUPER_ROOT => super_changed,
+            Side::Cell { cell, .. } => changed & (1 << self.map.to_local(cell.node).0) != 0,
             // Every owner, not just the canonical one: a straddler's cell
             // may sit in the client's cache under *any* replica owner's
             // view, and that view must not be invalidated out from under
             // the heap by a Fresh reply.
-            Side::Obj { ref mbr, .. } => covered |= self.map.owners(mbr),
+            Side::Obj { ref mbr, .. } => changed & self.map.owners(mbr) != 0,
         };
-        for (_, entry) in &rq.heap {
-            match entry {
-                HeapEntry::Single(side) => note_side(side),
-                HeapEntry::Pair(a, b) => {
-                    note_side(a);
-                    note_side(b);
-                }
-            }
-        }
-
-        if changed_mask & covered != 0 || (super_changed && mentions_super) {
-            return VersionedReply::Stale { invalidate, epoch };
-        }
-        VersionedReply::Fresh {
-            reply: self.scatter_remainder(client, rq, &snap),
-            invalidate,
-            epoch,
-        }
+        rq.heap.iter().any(|(_, entry)| match entry {
+            HeapEntry::Single(side) => hit(side),
+            HeapEntry::Pair(a, b) => hit(a) || hit(b),
+        })
     }
 
     /// Ground-truth query against the merged current epoch.
@@ -708,13 +797,14 @@ impl Cluster {
 
     /// Decomposes one client-held super-root cell into the shard roots
     /// under it, pushing each qualifying shard root into that shard's
-    /// sub-heap. Returns the router-side cell expansions performed.
+    /// leg. Returns the router-side cell expansions performed.
+    #[inline(never)]
     fn decompose_super(
         &self,
         view: &ClusterSnapshot,
         code: Code,
         spec: &QuerySpec,
-        sub: &mut [Vec<(f64, HeapEntry)>],
+        legs: &mut [Leg],
     ) -> u64 {
         let mut expansions = 0;
         let mut stack = vec![code];
@@ -732,10 +822,10 @@ impl Cluster {
                     }
                 }
                 // A layout leaf hands off into its shard's root.
-                Expansion::Entry(root @ Side::Cell { cell, mbr }) => {
-                    let (s, local) = self.map.to_local(cell.node);
-                    let entry = HeapEntry::Single(root.map_node(|_| local));
-                    sub[s as usize].push((spec.key_for(&mbr), entry));
+                Expansion::Entry(mut root @ Side::Cell { cell, mbr }) => {
+                    self.localize(&mut root);
+                    let heap = &mut legs[self.map.to_local(cell.node).0 as usize].heap;
+                    heap.push((spec.key_for(&mbr), HeapEntry::Single(root)));
                 }
                 // A code the layout does not have (only a heap built
                 // outside this program names one): nothing to route.
@@ -745,49 +835,49 @@ impl Cluster {
         expansions
     }
 
-    /// Routes a join frontier pair to a single shard when both sides live
-    /// there (objects are wildcards: an authoritative resume confirms them
-    /// without a tree lookup). Cross-shard or super-rooted pairs return
-    /// `None` and resume router-side over the merged view.
-    fn route_pair(&self, a: Side, b: Side) -> Option<(u32, Side, Side)> {
-        let is_super =
-            |side: &Side| matches!(side, Side::Cell { cell, .. } if cell.node == SUPER_ROOT);
-        if is_super(&a) || is_super(&b) {
-            return None;
-        }
-        let shard_of = |side: &Side| match side {
+    /// The shard a frontier side lives in: a cell's node id names it, an
+    /// object is a wildcard (`None` — an authoritative resume confirms it
+    /// without a tree lookup, on whichever shard it is handed to).
+    fn side_shard(&self, side: &Side) -> Option<u32> {
+        match side {
             Side::Cell { cell, .. } => Some(self.map.to_local(cell.node).0),
             Side::Obj { .. } => None,
-        };
-        let localize = |side: Side| side.map_node(|n| self.map.to_local(n).1);
-        match (shard_of(&a), shard_of(&b)) {
-            (Some(x), Some(y)) if x == y => Some((x, localize(a), localize(b))),
-            (Some(x), None) => Some((x, localize(a), b)),
-            (None, Some(y)) => Some((y, a, localize(b))),
-            (None, None) => Some((self.map.first_owner(&a.mbr()), a, b)),
-            (Some(_), Some(_)) => None,
         }
+    }
+
+    /// The one shard that can resume a join frontier pair: the shard both
+    /// cells live in, the cell's shard when the other side is an object,
+    /// the canonical owner of the first for two objects. Cross-shard or
+    /// super-rooted pairs have none and resume router-side over the merged
+    /// view.
+    #[inline(never)]
+    fn pair_shard(&self, a: &Side, b: &Side) -> Option<u32> {
+        let is_super =
+            |side: &Side| matches!(side, Side::Cell { cell, .. } if cell.node == SUPER_ROOT);
+        if is_super(a) || is_super(b) {
+            return None;
+        }
+        match (self.side_shard(a), self.side_shard(b)) {
+            (Some(x), Some(y)) => (x == y).then_some(x),
+            (Some(s), None) | (None, Some(s)) => Some(s),
+            (None, None) => Some(self.map.first_owner(&a.mbr())),
+        }
+    }
+
+    /// Re-addresses a frontier side into its shard's local node-id space.
+    fn localize(&self, side: &mut Side) {
+        *side = side.map_node(|n| self.map.to_local(n).1);
     }
 
     /// Rewrites one shard's shipment into the cluster-global node-id
     /// space so a single client cache can hold slices of every shard.
-    fn translate_shipment(&self, sh: NodeShipment, s: u32) -> NodeShipment {
-        NodeShipment {
-            node: self.map.to_global(sh.node, s),
-            level: sh.level,
-            parent: sh.parent.map(|p| self.map.to_global(p, s)),
-            cells: sh
-                .cells
-                .into_iter()
-                .map(|c| CellRecord {
-                    code: c.code,
-                    mbr: c.mbr,
-                    kind: match c.kind {
-                        CellKind::Node(nid) => CellKind::Node(self.map.to_global(nid, s)),
-                        other => other,
-                    },
-                })
-                .collect(),
+    fn translate_shipment(&self, sh: &mut NodeShipment, s: u32) {
+        sh.node = self.map.to_global(sh.node, s);
+        sh.parent = sh.parent.map(|p| self.map.to_global(p, s));
+        for c in &mut sh.cells {
+            if let CellKind::Node(nid) = &mut c.kind {
+                *nid = self.map.to_global(*nid, s);
+            }
         }
     }
 
@@ -799,124 +889,183 @@ impl Cluster {
     fn scatter_remainder(
         &self,
         client: ClientId,
-        rq: &RemainderQuery,
+        rq: RemainderQuery,
         snap: &ClusterSnapshot,
     ) -> ServerReply {
         let n = self.cfg.shards as usize;
-        let mut sub: Vec<Vec<(f64, HeapEntry)>> = vec![Vec::new(); n];
+        let mut legs: Vec<Leg> = (0..n).map(|_| Leg::default()).collect();
         let mut leftover: Vec<(f64, HeapEntry)> = Vec::new();
         let mut super_ship = false;
         let mut expansions = 0u64;
 
-        for &(key, entry) in &rq.heap {
-            match entry {
-                HeapEntry::Single(Side::Obj { mbr, .. }) => {
-                    sub[self.map.first_owner(&mbr) as usize].push((key, entry));
+        // Route in place: the first shard named keeps the frontier's own
+        // buffer (its entries re-addressed where they lie), so a frontier
+        // that lives in one shard is never copied; entries of any other
+        // shard move out to that shard's leg.
+        let mut frontier = rq.heap;
+        let mut home: Option<u32> = None;
+        frontier.retain_mut(|item| {
+            let shard = match &item.1 {
+                HeapEntry::Single(Side::Cell { cell, .. }) if cell.node == SUPER_ROOT => {
+                    super_ship = true;
+                    expansions += self.decompose_super(snap, cell.code, &rq.spec, &mut legs);
+                    return false;
                 }
-                HeapEntry::Single(side @ Side::Cell { cell, .. }) => {
-                    if cell.node == SUPER_ROOT {
-                        super_ship = true;
-                        expansions += self.decompose_super(snap, cell.code, &rq.spec, &mut sub);
-                    } else {
-                        let (s, local) = self.map.to_local(cell.node);
-                        sub[s as usize].push((key, HeapEntry::Single(side.map_node(|_| local))));
-                    }
+                // An object on its own goes to its canonical owner, so it
+                // is answered exactly once.
+                HeapEntry::Single(Side::Obj { mbr, .. }) => Some(self.map.first_owner(mbr)),
+                HeapEntry::Single(cell) => self.side_shard(cell),
+                HeapEntry::Pair(a, b) => self.pair_shard(a, b),
+            };
+            let Some(s) = shard else {
+                leftover.push(*item);
+                return false;
+            };
+            match &mut item.1 {
+                HeapEntry::Single(side) => self.localize(side),
+                HeapEntry::Pair(a, b) => {
+                    self.localize(a);
+                    self.localize(b);
                 }
-                HeapEntry::Pair(a, b) => match self.route_pair(a, b) {
-                    Some((s, la, lb)) => sub[s as usize].push((key, HeapEntry::Pair(la, lb))),
-                    None => leftover.push((key, entry)),
-                },
             }
+            let stays = *home.get_or_insert(s) == s;
+            if !stays {
+                legs[s as usize].heap.push(*item);
+            }
+            stays
+        });
+        if let Some(home) = home {
+            // Shard roots a super-root cell decomposed into come after.
+            let heap = &mut legs[home as usize].heap;
+            frontier.append(heap);
+            *heap = frontier;
         }
 
         // Scatter: per-shard authoritative resumes.
-        let mut outcomes: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
-        let mut logs: Vec<AccessLog> = (0..n).map(|_| AccessLog::default()).collect();
-        for (s, heap) in sub.into_iter().enumerate() {
-            if heap.is_empty() {
+        for (leg, pin) in legs.iter_mut().zip(&snap.pins) {
+            if leg.heap.is_empty() {
                 continue;
             }
             let query = RemainderQuery {
                 spec: rq.spec,
                 already_found: rq.already_found,
-                heap,
+                heap: std::mem::take(&mut leg.heap),
             };
             // ordering: Relaxed — monotone stats counters (see `stats`).
             self.stats
                 .scatter_bytes
                 .fetch_add(shard_sub_request_bytes(&query), Ordering::Relaxed);
             self.stats.sub_queries.fetch_add(1, Ordering::Relaxed);
-            let (out, log) = snap.pins[s].resume_traced(&query);
-            outcomes[s] = Some(out);
-            logs[s] = log;
+            leg.resumed = Some(pin.resume_traced(&query));
         }
 
-        // Cross-shard leftovers (join pairs spanning shards) resume over
-        // the merged view; their node accesses fold back into the owning
-        // shards' logs so shipments are built once per shard.
-        let mut leftover_outcome: Option<Outcome> = None;
-        if !leftover.is_empty() {
-            let mut log = AccessLog::default();
-            let out = resume(
-                snap,
-                &RemainderQuery {
-                    spec: rq.spec,
-                    already_found: rq.already_found,
-                    heap: leftover,
-                },
-                &mut log,
-            );
-            for (gnode, acc) in log.nodes {
-                if gnode == SUPER_ROOT {
-                    super_ship |= acc.any_expansion;
-                    continue;
-                }
-                let (s, local) = self.map.to_local(gnode);
-                let slot = logs[s as usize].nodes.entry(local).or_default();
-                slot.touched.extend(acc.touched);
-                slot.expanded_internal.extend(acc.expanded_internal);
-                slot.any_expansion |= acc.any_expansion;
-            }
-            leftover_outcome = Some(out);
-        }
+        // Cross-shard leftovers (join pairs spanning shards) resume
+        // router-side, over the merged view.
+        let router_side = (!leftover.is_empty()).then(|| {
+            let query = RemainderQuery {
+                spec: rq.spec,
+                already_found: rq.already_found,
+                heap: leftover,
+            };
+            self.resume_across(snap, &query, &mut legs, &mut super_ship)
+        });
 
         // Gather: per-shard partial replies, charged on the backplane,
         // each paired with the pin whose store resolves its ids.
         let mode = form_mode(self.cfg.server.form, &self.adaptive, client);
-        let mut partials: Vec<(&Snapshot, ServerReply)> = Vec::new();
-        for (s, (out, log)) in outcomes.into_iter().zip(logs).enumerate() {
-            let Some(out) = out.or_else(|| (!log.nodes.is_empty()).then(Outcome::default)) else {
-                continue;
-            };
-            let shard = &*snap.pins[s];
-            let mut reply = shard.assemble(out, &log, mode);
-            reply.index = std::mem::take(&mut reply.index)
-                .into_iter()
-                .map(|sh| self.translate_shipment(sh, s as u32))
-                .collect();
-            // ordering: Relaxed — monotone stats counter (see `stats`).
-            self.stats
-                .gather_bytes
-                .fetch_add(shard_sub_reply_bytes(n, &reply), Ordering::Relaxed);
-            partials.push((shard, reply));
-        }
-        if let Some(out) = leftover_outcome {
-            // Router-side results read shard 0's store (same batch, the
-            // MBR vintage can lag one refresh — ids and sizes cannot);
-            // their index went into the shards' logs above.
-            let shard = &*snap.pins[0];
-            partials.push((
-                shard,
-                shard.assemble(out, &AccessLog::default(), FormMode::COMPACT),
-            ));
-        }
+        let consulted = legs.iter().filter(|leg| leg.resumed.is_some()).count();
+        let mut partials =
+            legs.into_iter()
+                .zip(&snap.pins)
+                .zip(0u32..)
+                .filter_map(|((leg, pin), s)| {
+                    let (out, log) = leg.resumed?;
+                    let mut reply = pin.assemble(out, &log, mode);
+                    for sh in &mut reply.index {
+                        self.translate_shipment(sh, s);
+                    }
+                    // ordering: Relaxed — monotone stats counter (see `stats`).
+                    self.stats
+                        .gather_bytes
+                        .fetch_add(shard_sub_reply_bytes(n, &reply), Ordering::Relaxed);
+                    Some((&**pin, reply))
+                });
 
-        // Merge: each object appears (and is charged) exactly once, even
-        // when several shards returned a boundary straddler.
-        let mut index: Vec<NodeShipment> = Vec::new();
+        // One shard consulted and nothing resumed router-side: that
+        // shard's reply is the answer. It holds each object once, in query
+        // order, within the kNN budget, with canonical pairs — there is
+        // nothing to deduplicate, re-sort or truncate.
+        let lone = if consulted == 1 && router_side.is_none() {
+            partials.next()
+        } else {
+            None
+        };
+        let mut reply = match lone {
+            Some((_, reply)) => reply,
+            None => {
+                // Router-side results read shard 0's store (same batch,
+                // the MBR vintage can lag one refresh — ids and sizes
+                // cannot); their index went into the shards' logs above.
+                let router_side = router_side.map(|out| {
+                    let shard = &*snap.pins[0];
+                    let reply = shard.assemble(out, &AccessLog::default(), FormMode::COMPACT);
+                    (shard, reply)
+                });
+                self.merge_partials(&rq.spec, rq.already_found, partials.chain(router_side))
+            }
+        };
+        reply.expansions += expansions;
         if super_ship {
-            index.push(snap.layout.shipment());
+            reply.index.insert(0, snap.layout.shipment());
         }
+        reply
+    }
+
+    /// Resumes `query` — frontier pairs no single shard can — over the
+    /// merged view, folding its node accesses back into the owning shards'
+    /// legs so shipments are built once per shard. Out of line, like
+    /// [`merge_partials`](Self::merge_partials): a contact one shard
+    /// answers runs neither, and its path stays compact in the
+    /// instruction cache.
+    #[inline(never)]
+    fn resume_across(
+        &self,
+        snap: &ClusterSnapshot,
+        query: &RemainderQuery,
+        legs: &mut [Leg],
+        super_ship: &mut bool,
+    ) -> Outcome {
+        let mut log = AccessLog::default();
+        let out = resume(snap, query, &mut log);
+        for (gnode, acc) in log.nodes {
+            if gnode == SUPER_ROOT {
+                *super_ship |= acc.any_expansion;
+                continue;
+            }
+            let (s, local) = self.map.to_local(gnode);
+            let (_, shard_log) = legs[s as usize]
+                .resumed
+                .get_or_insert_with(Default::default);
+            let slot = shard_log.nodes.entry(local).or_default();
+            slot.touched.extend(acc.touched);
+            slot.expanded_internal.extend(acc.expanded_internal);
+            slot.any_expansion |= acc.any_expansion;
+        }
+        out
+    }
+
+    /// Merges partial replies, each paired with the pin whose store
+    /// resolves its ids: every object appears (and is charged) exactly
+    /// once, even when several shards returned a boundary straddler.
+    #[inline(never)]
+    fn merge_partials<'a>(
+        &self,
+        spec: &QuerySpec,
+        already_found: u32,
+        partials: impl Iterator<Item = (&'a Snapshot, ServerReply)>,
+    ) -> ServerReply {
+        let mut index: Vec<NodeShipment> = Vec::new();
+        let mut expansions = 0u64;
         let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
         let mut seen: HashMap<ObjectId, usize> = HashMap::new();
         let mut cands: Vec<(SpatialObject, bool)> = Vec::new();
@@ -952,12 +1101,12 @@ impl Cluster {
                 .fetch_add(dups, Ordering::Relaxed);
         }
 
-        match rq.spec {
+        match *spec {
             QuerySpec::Knn { k, .. } => {
-                let budget = k.saturating_sub(rq.already_found) as usize;
+                let budget = k.saturating_sub(already_found) as usize;
                 cands.sort_by(|a, b| {
-                    let ka = rq.spec.key_for(&a.0.mbr);
-                    let kb = rq.spec.key_for(&b.0.mbr);
+                    let ka = spec.key_for(&a.0.mbr);
+                    let kb = spec.key_for(&b.0.mbr);
                     // total_cmp: distance keys are never NaN (see above).
                     ka.total_cmp(&kb).then(a.0.id.cmp(&b.0.id))
                 });
@@ -1024,6 +1173,7 @@ impl SuperLayout {
     }
 
     /// The full-form shipment of the super-root node.
+    #[inline(never)]
     fn shipment(&self) -> NodeShipment {
         let mut cells = Vec::with_capacity(self.roots.len());
         self.bpt
@@ -1092,9 +1242,11 @@ impl IndexView for ClusterSnapshot {
 impl Transport for Cluster {
     fn call(&self, client: ClientId, req: Request) -> Response {
         match req {
-            Request::Remainder(rq) => Response::Remainder(self.process_remainder(client, &rq)),
+            Request::Remainder(rq) => {
+                Response::Remainder(self.scatter_remainder(client, rq, &self.snap.pin()))
+            }
             Request::RemainderVersioned { query, epoch } => {
-                Response::Versioned(self.process_remainder_versioned(client, &query, epoch))
+                Response::Versioned(self.answer_versioned(client, Cow::Owned(query), epoch))
             }
             Request::Direct(spec) => Response::Direct(self.direct(&spec)),
             Request::ReportFmr { fmr } => Response::NewD(self.adaptive.report(client, fmr)),
@@ -1118,7 +1270,14 @@ impl ServerHandle for Cluster {
 
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
         let snap = self.snap.pin();
-        let root = snap.root().map(|(mbr, cell)| (cell.node, mbr));
+        let root = if self.cfg.shards == 1 {
+            // A lone shard's tree is the whole index: clients navigate
+            // its root directly, with no super-root hop above it.
+            let tree = snap.pins[0].tree();
+            tree.root_mbr().map(|mbr| (tree.root(), mbr))
+        } else {
+            snap.root().map(|(mbr, cell)| (cell.node, mbr))
+        };
         (root, snap.stamp.epoch)
     }
 
@@ -1137,25 +1296,10 @@ impl ServerHandle for Cluster {
 mod tests {
     use super::*;
     use crate::server::Server;
+    use crate::test_util::{cold_remainder, sample_store, Fnv};
     use pc_geom::Point;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    fn sample_store(n: usize, seed: u64) -> ObjectStore {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        ObjectStore::new(
-            (0..n)
-                .map(|i| SpatialObject {
-                    id: ObjectId(i as u32),
-                    mbr: Rect::from_point(Point::new(
-                        rng.random_range(0.0..1.0),
-                        rng.random_range(0.0..1.0),
-                    )),
-                    size_bytes: rng.random_range(100..2000),
-                })
-                .collect(),
-        )
-    }
 
     fn quad_cluster(store: ObjectStore) -> Cluster {
         Cluster::new(
@@ -1167,25 +1311,6 @@ mod tests {
                 server: ServerConfig::default(),
             },
         )
-    }
-
-    fn cold_remainder(cl: &Cluster, spec: QuerySpec) -> RemainderQuery {
-        let (root, _) = cl.bootstrap_root();
-        let (node, mbr) = root.expect("non-empty cluster");
-        let side = Side::Cell {
-            cell: CellRef::node_root(node),
-            mbr,
-        };
-        let entry = if spec.is_join() {
-            HeapEntry::Pair(side, side)
-        } else {
-            HeapEntry::Single(side)
-        };
-        RemainderQuery {
-            spec,
-            already_found: 0,
-            heap: vec![(spec.key_for(&mbr), entry)],
-        }
     }
 
     fn reply_ids(reply: &ServerReply) -> Vec<ObjectId> {
@@ -1393,83 +1518,6 @@ mod tests {
         );
     }
 
-    /// FNV-1a over everything a merged reply puts on the client channel,
-    /// in emission order.
-    struct Fnv(u64);
-
-    impl Fnv {
-        fn u64(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-
-        fn rect(&mut self, r: &Rect) {
-            for c in [r.min.x, r.min.y, r.max.x, r.max.y] {
-                self.u64(c.to_bits());
-            }
-        }
-
-        fn reply(&mut self, reply: &ServerReply) {
-            self.u64(reply.confirmed.len() as u64);
-            for id in &reply.confirmed {
-                self.u64(id.0 as u64);
-            }
-            self.u64(reply.objects.len() as u64);
-            for o in &reply.objects {
-                self.u64(o.id.0 as u64);
-                self.rect(&o.mbr);
-                self.u64(o.size_bytes as u64);
-            }
-            self.u64(reply.pairs.len() as u64);
-            for &(a, b) in &reply.pairs {
-                self.u64(a.0 as u64);
-                self.u64(b.0 as u64);
-            }
-            self.u64(reply.index.len() as u64);
-            for s in &reply.index {
-                self.u64(s.node.0 as u64);
-                self.u64(s.level as u64);
-                self.u64(s.parent.map_or(u64::MAX, |p| p.0 as u64));
-                self.u64(s.cells.len() as u64);
-                for c in &s.cells {
-                    let (bits, len) = c.code.raw();
-                    self.u64(bits as u64);
-                    self.u64(len as u64);
-                    self.rect(&c.mbr);
-                    match c.kind {
-                        CellKind::Super => self.u64(0),
-                        CellKind::Node(n) => self.u64(1 << 32 | n.0 as u64),
-                        CellKind::Object(o) => self.u64(2 << 32 | o.0 as u64),
-                    }
-                }
-            }
-            self.u64(reply.expansions);
-        }
-
-        fn versioned(&mut self, reply: &VersionedReply) {
-            let (tag, invalidate, epoch) = match reply {
-                VersionedReply::Fresh {
-                    reply,
-                    invalidate,
-                    epoch,
-                } => {
-                    self.reply(reply);
-                    (0, invalidate.as_slice(), *epoch)
-                }
-                VersionedReply::Stale { invalidate, epoch } => (1, invalidate.as_slice(), *epoch),
-                VersionedReply::FullRefresh { epoch } => (2, &[][..], *epoch),
-            };
-            self.u64(tag);
-            self.u64(invalidate.len() as u64);
-            for n in invalidate {
-                self.u64(n.0 as u64);
-            }
-            self.u64(epoch);
-        }
-    }
-
     /// The router's backplane counters and every byte of its merged
     /// replies, for a fixed 4-shard world of small rectangles (so tile
     /// boundaries have straddlers), cold range / kNN / join remainders and
@@ -1501,7 +1549,7 @@ mod tests {
             },
             QuerySpec::Join { dist: 0.004 },
         ];
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
 
         for spec in specs {
             h.reply(&cl.process_remainder(1, &cold_remainder(&cl, spec)));

@@ -1,25 +1,27 @@
-//! The shared query core of the server: dataset, R*-tree, BPT store and
-//! update log, published as an epoch-stamped immutable [`Snapshot`] behind
-//! a [`SnapshotCell`]. Query paths [`pin`](ServerCore::pin) the current
+//! One shard of a deployment: dataset, R*-tree, BPT store and update log,
+//! published as an epoch-stamped immutable [`Snapshot`] behind a
+//! [`SnapshotCell`]. Query paths [`pin`](ServerCore::pin) the current
 //! snapshot (a refcount bump) and read it with plain `&self` methods, so a
 //! `ServerCore` is `Send + Sync` and serves any number of worker threads —
 //! the concurrency story of a server that, per Fig. 3, serves many mobile
-//! clients at once. Updates ([`ServerCore::apply_updates`]) build the
-//! *next* snapshot off to the side and publish it with one pointer swap,
-//! so readers never block on churn and a pinned reader always sees one
-//! consistent (tree, BPTs, store, epoch) world.
+//! clients at once. An update batch ([`ServerCore::publish_partition`],
+//! driven by [`crate::Cluster::apply_updates`]) builds the *next* snapshot
+//! off to the side and publishes it with one pointer swap, so readers
+//! never block on churn and a pinned reader always sees one consistent
+//! (tree, BPTs, store, epoch) world.
 //!
-//! The per-client *adaptive* state (§4.3) deliberately lives outside this
-//! type, in [`crate::AdaptiveController`]; [`crate::Server`] composes the
-//! two and remains the one-stop façade.
+//! Everything that spans shards or clients lives one level up, in
+//! [`crate::Cluster`]: routing, the version gate, batch netting and the
+//! per-client *adaptive* state (§4.3, [`crate::AdaptiveController`]). A
+//! [`crate::Server`] is the cluster of one such shard.
 
 use crate::epoch::SnapshotCell;
 use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
-use crate::updates::{Update, UpdateLog};
+use crate::updates::UpdateLog;
 use pc_rtree::bpt::BptStore;
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
-use pc_rtree::proto::{QuerySpec, RemainderQuery, Response, ServerReply, VersionedReply};
+use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
 use pc_rtree::{ObjectStore, RTree, RTreeConfig};
 use std::sync::{Arc, Mutex};
@@ -40,10 +42,6 @@ impl Snapshot {
         &self.tree
     }
 
-    pub(crate) fn tree_mut(&mut self) -> &mut RTree {
-        &mut self.tree
-    }
-
     pub fn bpts(&self) -> &BptStore {
         &self.bpts
     }
@@ -52,17 +50,9 @@ impl Snapshot {
         &self.store
     }
 
-    pub(crate) fn store_mut(&mut self) -> &mut ObjectStore {
-        &mut self.store
-    }
-
     /// Update/invalidation state (§7 extension).
     pub fn update_log(&self) -> &UpdateLog {
         &self.updates
-    }
-
-    pub(crate) fn update_log_mut(&mut self) -> &mut UpdateLog {
-        &mut self.updates
     }
 
     /// The epoch this snapshot was published at (0 = the bulk-loaded seed).
@@ -80,7 +70,8 @@ impl Snapshot {
     /// Stage ② of Fig. 3 with an explicit form: resumes `Qr` from its heap,
     /// assembles `Rr` (splitting confirmed-cached results from transmitted
     /// ones) and the supporting index `Ir` in `mode`. This is the
-    /// policy-free primitive behind [`crate::Server::process_remainder`].
+    /// policy-free, single-shard primitive the router's scatter is built
+    /// from.
     pub fn resume_remainder(&self, rq: &RemainderQuery, mode: FormMode) -> ServerReply {
         let (outcome, log) = self.resume_traced(rq);
         self.assemble(outcome, &log, mode)
@@ -128,48 +119,15 @@ impl Snapshot {
         }
     }
 
-    /// One remainder contact answered entirely against this epoch — the
-    /// single version gate of the §7 protocol. `client_epoch` is the
-    /// contact's epoch stamp; `None` is the plain envelope, which resumes
-    /// unconditionally.
-    ///
-    /// Conservative rule: *any* epoch gap refuses the resume
-    /// ([`VersionedReply::Stale`] with the changed-node list). A weaker
-    /// rule (refuse only when the heap references changed nodes) would
-    /// keep the resume sound, but the client's stage-① portion `Rs` was
-    /// computed against stale cached leaves the heap never mentions — the
-    /// answer could serve deleted or moved objects at a server contact.
-    /// Refusing forces the client to invalidate and re-run stage ① against
-    /// cleaned state, making every contact answer current; the price is
-    /// one extra round trip per (client × update-epoch) gap, which the
-    /// experiments charge honestly.
-    ///
-    /// A stamp **below the log's low-water mark** cannot be given a
-    /// complete invalidation list (that history was pruned); it gets a
-    /// [`VersionedReply::FullRefresh`] — never a silently truncated list.
-    pub fn answer_remainder(
-        &self,
-        rq: &RemainderQuery,
-        mode: FormMode,
-        client_epoch: Option<u64>,
-    ) -> Response {
-        let Some(since) = client_epoch else {
-            return Response::Remainder(self.resume_remainder(rq, mode));
-        };
-        let epoch = self.epoch();
-        if !self.updates.can_answer(since) {
-            return Response::Versioned(VersionedReply::FullRefresh { epoch });
+    /// This epoch's index and log — a structural clone: pointer tables,
+    /// not data — over a newer global `store`, as the start of the next.
+    fn over_store(&self, store: ObjectStore) -> Snapshot {
+        Snapshot {
+            tree: self.tree.clone(),
+            bpts: self.bpts.clone(),
+            store,
+            updates: self.updates.clone(),
         }
-        let invalidate = self.updates.changed_since(since);
-        Response::Versioned(if invalidate.is_empty() {
-            VersionedReply::Fresh {
-                reply: self.resume_remainder(rq, mode),
-                invalidate,
-                epoch,
-            }
-        } else {
-            VersionedReply::Stale { invalidate, epoch }
-        })
     }
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
@@ -185,24 +143,15 @@ impl Snapshot {
     }
 }
 
-/// The shared-state heart of the server: the current [`Snapshot`] plus the
-/// writer lock that serializes epoch transitions.
+/// One shard: the current [`Snapshot`] plus the writer lock that
+/// serializes its epoch transitions.
 #[derive(Debug)]
 pub struct ServerCore {
     snap: SnapshotCell<Snapshot>,
-    /// Serializes `apply_updates` callers: each builds its next snapshot
-    /// from the one it read, so concurrent writers must not interleave
+    /// Serializes publishers: each builds its next snapshot from the one
+    /// it read, so concurrent writers must not interleave
     /// (last-publish-wins would silently drop a batch).
     write: Mutex<()>,
-}
-
-impl Clone for ServerCore {
-    fn clone(&self) -> Self {
-        ServerCore {
-            snap: SnapshotCell::new(Snapshot::clone(&self.pin())),
-            write: Mutex::new(()),
-        }
-    }
 }
 
 impl ServerCore {
@@ -217,10 +166,10 @@ impl ServerCore {
     /// cluster shard's shape: every shard shares the global object store
     /// (ids, sizes, liveness are world-wide facts) but its tree covers
     /// only the objects whose MBRs touch the tiles it owns.
-    pub fn build_with_objects(
+    pub fn build_with_objects<'a>(
         store: ObjectStore,
         tree_cfg: RTreeConfig,
-        objects: &[pc_rtree::SpatialObject],
+        objects: impl IntoIterator<Item = &'a pc_rtree::SpatialObject>,
     ) -> Self {
         ServerCore::with_tree(store, RTree::bulk_load(tree_cfg, objects))
     }
@@ -239,134 +188,35 @@ impl ServerCore {
     }
 
     /// Pins the current snapshot: an `Arc` that stays valid and internally
-    /// consistent across concurrent [`apply_updates`](Self::apply_updates)
-    /// publishes. Pin once per query and read everything off the pin.
+    /// consistent across concurrent publishes. Pin once per query and read
+    /// everything off the pin.
     pub fn pin(&self) -> Arc<Snapshot> {
         self.snap.pin()
     }
 
-    /// The current epoch (bumped once per applied update batch).
+    /// This shard's epoch: bumped once per update batch that touched it.
     pub fn epoch(&self) -> u64 {
         self.pin().epoch()
     }
 
-    /// Applies one batch of updates atomically *while queries keep
-    /// running*: clones the current snapshot **structurally** (the tree's
-    /// node slab, the per-node BPTs and the store's segments are all
-    /// `Arc`-shared, so the clone copies pointer tables, not data), mutates
-    /// the clone — copy-on-write touches only the root-to-leaf spines and
-    /// store segments the batch lands in, and only dirty nodes' BPTs are
-    /// rebuilt — and publishes it with a single pointer swap. Readers
-    /// pinned to the old epoch are untouched; the next pin sees the new
-    /// epoch. Returns the new epoch. Concurrent callers serialize on the
-    /// writer lock.
+    /// Publishes one routed slice of an update batch against this shard
+    /// *while queries keep running*: clones the current snapshot
+    /// **structurally** (node slab, per-node BPTs and store segments are
+    /// `Arc`-shared, so the clone copies pointer tables, not data), swaps
+    /// in the already-updated global `store` (the cluster applies id
+    /// assignment, liveness and MBR changes once, for all shards), applies
+    /// the shard-local tree operations the router derived from tile
+    /// ownership — copy-on-write touches only the spines the batch lands
+    /// in — bumps the epoch, rebuilds only the dirty nodes' BPTs, logs
+    /// them and the `tombstones` (objects that went dead this batch *and*
+    /// were indexed here, so behind-epoch clients are told to drop them),
+    /// prunes the log at or below `client_floor` and publishes with one
+    /// pointer swap. Pinned readers are untouched. Returns the new epoch.
     ///
-    /// Updates naming ids the store never assigned are **ignored** (a
-    /// malformed batch must not panic the writer mid-epoch), as are
-    /// deletes/moves of already-tombstoned objects.
-    ///
-    /// This entry point never prunes update history; [`crate::Server`]'s
-    /// wrapper passes the fleet low-water mark and history cap through
-    /// [`apply_updates_bounded`](Self::apply_updates_bounded).
-    pub fn apply_updates(&self, updates: &[Update]) -> u64 {
-        self.apply_updates_bounded(updates, None, u64::MAX)
-    }
-
-    /// [`apply_updates`](Self::apply_updates) with history bounding: after
-    /// publishing epoch `N`, update-log records at or below
-    /// `max(client_floor, N - max_history)` are pruned and the log's
-    /// low-water mark rises accordingly — a client stamped below it gets a
-    /// [`VersionedReply::FullRefresh`](pc_rtree::proto::VersionedReply)
-    /// refusal instead of a truncated invalidation list.
-    ///
-    /// `client_floor` is the fleet's minimum last-synced epoch (see
-    /// `AdaptiveController::epoch_low_water`); `None` means no versioned
-    /// client is tracked and only the hard cap applies.
-    pub fn apply_updates_bounded(
-        &self,
-        updates: &[Update],
-        client_floor: Option<u64>,
-        max_history: u64,
-    ) -> u64 {
-        self.publish_next(client_floor, max_history, |next| {
-            let mut deleted: Vec<pc_rtree::ObjectId> = Vec::new();
-            for u in updates {
-                match *u {
-                    Update::Insert { mbr, size_bytes } => {
-                        let id = next.store_mut().push(mbr, size_bytes);
-                        let obj = *next.store().get(id);
-                        next.tree_mut().insert(&obj);
-                    }
-                    Update::Delete(id) => {
-                        let Some(mbr) = next.store().try_get(id).map(|o| o.mbr) else {
-                            continue; // unknown id: malformed batch entry, skip
-                        };
-                        if next.tree_mut().delete(id, &mbr) {
-                            next.store_mut().mark_dead(id);
-                            deleted.push(id);
-                        }
-                    }
-                    Update::Move { id, to } => {
-                        let Some(from) = next.store().try_get(id).map(|o| o.mbr) else {
-                            continue; // unknown id: malformed batch entry, skip
-                        };
-                        if next.tree_mut().delete(id, &from) {
-                            next.store_mut().set_mbr(id, to);
-                            let obj = *next.store().get(id);
-                            next.tree_mut().insert(&obj);
-                        }
-                    }
-                }
-            }
-            deleted
-        })
-    }
-
-    /// The one epoch transition: clones the current snapshot under the
-    /// writer lock, lets `mutate` apply a batch to the clone (returning
-    /// the objects it tombstoned), then bumps the epoch, logs tombstones
-    /// and dirty nodes (rebuilding their BPTs), prunes history at or below
-    /// `max(client_floor, epoch - max_history)` and publishes.
-    fn publish_next(
-        &self,
-        client_floor: Option<u64>,
-        max_history: u64,
-        mutate: impl FnOnce(&mut Snapshot) -> Vec<pc_rtree::ObjectId>,
-    ) -> u64 {
-        let _writer = lock_recover(&self.write);
-        let mut next = Snapshot::clone(&self.pin());
-        let tombstones = mutate(&mut next);
-        let dirty = next.tree_mut().take_dirty();
-        let epoch = next.update_log_mut().bump_epoch();
-        for id in tombstones {
-            next.update_log_mut().record_delete(id, epoch);
-        }
-        next.bpts.rebuild_nodes(&next.tree, &dirty);
-        for n in dirty {
-            next.update_log_mut().record_change(n, epoch);
-        }
-        let horizon = client_floor
-            .unwrap_or(0)
-            .max(epoch.saturating_sub(max_history));
-        next.update_log_mut().prune(horizon);
-        self.snap.publish(next);
-        epoch
-    }
-
-    /// Publishes one routed slice of a cluster update batch against this
-    /// shard: swaps in the already-updated global `store` (the cluster
-    /// processes id assignment, liveness and MBR changes once, against one
-    /// store for all shards) and applies the shard-local tree operations
-    /// the router derived from tile ownership. `tombstones` are the
-    /// objects that went globally dead this batch *and* were owned here —
-    /// they land in this shard's update log so behind-epoch clients are
-    /// told to drop them. Epoch bumping, dirty-node BPT rebuilds and
-    /// low-water pruning at `client_floor` work exactly like
-    /// [`apply_updates_bounded`](Self::apply_updates_bounded), minus the
-    /// hard cap: the cluster bounds its epoch-vector history and derives
-    /// each shard's floor from the oldest vector it retains. Shards the
-    /// batch never touched are not called at all, so their epochs — and
-    /// their clients' staleness — advance independently.
+    /// No history cap here: the cluster bounds its epoch-vector history
+    /// and derives each shard's floor from the oldest vector it retains.
+    /// Shards a batch never touched are not called at all, so their epochs
+    /// — and their clients' staleness — advance independently.
     pub fn publish_partition(
         &self,
         store: ObjectStore,
@@ -374,28 +224,38 @@ impl ServerCore {
         tombstones: &[pc_rtree::ObjectId],
         client_floor: Option<u64>,
     ) -> u64 {
-        self.publish_next(client_floor, u64::MAX, |next| {
-            *next.store_mut() = store;
-            for op in ops {
-                match *op {
-                    PartitionOp::Insert(id) => {
-                        let obj = *next.store().get(id);
-                        next.tree_mut().insert(&obj);
-                    }
-                    PartitionOp::Delete(id, ref from) => {
-                        let removed = next.tree_mut().delete(id, from);
-                        debug_assert!(removed, "partition delete must match the indexed entry");
-                    }
-                    PartitionOp::Relocate(id, ref from) => {
-                        if next.tree_mut().delete(id, from) {
-                            let obj = *next.store().get(id);
-                            next.tree_mut().insert(&obj);
-                        }
+        let _writer = lock_recover(&self.write);
+        let mut next = self.pin().over_store(store);
+        for op in ops {
+            match *op {
+                PartitionOp::Insert(id) => {
+                    let obj = *next.store.get(id);
+                    next.tree.insert(&obj);
+                }
+                PartitionOp::Delete(id, ref from) => {
+                    let removed = next.tree.delete(id, from);
+                    debug_assert!(removed, "partition delete must match the indexed entry");
+                }
+                PartitionOp::Relocate(id, ref from) => {
+                    if next.tree.delete(id, from) {
+                        let obj = *next.store.get(id);
+                        next.tree.insert(&obj);
                     }
                 }
             }
-            tombstones.to_vec()
-        })
+        }
+        let dirty = next.tree.take_dirty();
+        let epoch = next.updates.bump_epoch();
+        for &id in tombstones {
+            next.updates.record_delete(id, epoch);
+        }
+        next.bpts.rebuild_nodes(&next.tree, &dirty);
+        for n in dirty {
+            next.updates.record_change(n, epoch);
+        }
+        next.updates.prune(client_floor.unwrap_or(0));
+        self.snap.publish(next);
+        epoch
     }
 
     /// Swaps in a newer global store **without** bumping the epoch — the
@@ -406,9 +266,7 @@ impl ServerCore {
     /// matter which shard's snapshot a session pins.
     pub fn refresh_store(&self, store: ObjectStore) {
         let _writer = lock_recover(&self.write);
-        let mut next = Snapshot::clone(&self.pin());
-        *next.store_mut() = store;
-        self.snap.publish(next);
+        self.snap.publish(self.pin().over_store(store));
     }
 }
 
@@ -433,6 +291,8 @@ pub enum PartitionOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::sample_store;
+    use crate::{Server, ServerConfig, Update};
     use pc_geom::{Point, Rect};
     use pc_rtree::naive;
     use pc_rtree::{ObjectId, SpatialObject};
@@ -441,19 +301,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
-    fn sample_core(n: usize, seed: u64) -> ServerCore {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let objects: Vec<SpatialObject> = (0..n)
-            .map(|i| SpatialObject {
-                id: ObjectId(i as u32),
-                mbr: Rect::from_point(Point::new(
-                    rng.random_range(0.0..1.0),
-                    rng.random_range(0.0..1.0),
-                )),
-                size_bytes: 1000,
-            })
-            .collect();
-        ServerCore::build(ObjectStore::new(objects), RTreeConfig::small())
+    /// The one-shard deployment the publish tests drive their batches
+    /// through; they read the shard off `core().pin()`.
+    fn sample_server(n: usize, seed: u64) -> Server {
+        Server::new(
+            sample_store(n, seed),
+            RTreeConfig::small(),
+            ServerConfig::default(),
+        )
     }
 
     #[test]
@@ -466,7 +321,10 @@ mod tests {
 
     #[test]
     fn shared_core_answers_queries_from_many_threads() {
-        let core = Arc::new(sample_core(400, 11));
+        let core = Arc::new(ServerCore::build(
+            sample_store(400, 11),
+            RTreeConfig::small(),
+        ));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let core = Arc::clone(&core);
@@ -497,9 +355,10 @@ mod tests {
         // The epoch-cost tentpole: a small batch against a large snapshot
         // copies only the spines/segments/BPTs it touches. Everything else
         // is the *same allocation* as the previous epoch.
-        let core = sample_core(2000, 17);
+        let server = sample_server(2000, 17);
+        let core = server.core();
         let old = core.pin();
-        core.apply_updates(&[
+        server.apply_updates(&[
             Update::Insert {
                 mbr: Rect::from_point(Point::new(0.41, 0.43)),
                 size_bytes: 100,
@@ -541,13 +400,14 @@ mod tests {
         // segments* shared by `Arc` between epochs — the publish cost is
         // O(batch · depth) slot copies plus one chunk clone per dirty chunk,
         // independent of the dataset size.
-        let core = sample_core(9000, 23);
+        let server = sample_server(9000, 23);
+        let core = server.core();
         let old = core.pin();
         assert!(
             old.tree().node_chunk_count() >= 2,
             "dataset too small to span multiple node chunks"
         );
-        core.apply_updates(&[
+        server.apply_updates(&[
             Update::Insert {
                 mbr: Rect::from_point(Point::new(0.61, 0.39)),
                 size_bytes: 100,
@@ -579,8 +439,9 @@ mod tests {
         // Deletes/moves naming ids the store never assigned are skipped; a
         // delete of an already-tombstoned object is a no-op too. The epoch
         // still bumps (the batch was applied, however vacuous).
-        let core = sample_core(100, 9);
-        let epoch = core.apply_updates(&[
+        let server = sample_server(100, 9);
+        let core = server.core();
+        let epoch = server.apply_updates(&[
             Update::Delete(ObjectId(100_000)),
             Update::Move {
                 id: ObjectId(99_999),
@@ -628,7 +489,8 @@ mod tests {
             batches in 1usize..6,
             per_batch in 1usize..8,
         ) {
-            let core = sample_core(300, seed);
+            let server = sample_server(300, seed);
+            let core = server.core();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0C0A);
             for _ in 0..batches {
                 let n = core.pin().store().len() as u32;
@@ -651,7 +513,7 @@ mod tests {
                         },
                     })
                     .collect();
-                core.apply_updates(&batch);
+                server.apply_updates(&batch);
             }
             let snap = core.pin();
             let live = live_objects(&snap);
@@ -717,10 +579,11 @@ mod tests {
 
     #[test]
     fn pinned_snapshot_outlives_a_publish() {
-        let core = sample_core(200, 5);
+        let server = sample_server(200, 5);
+        let core = server.core();
         let old = core.pin();
         let before = old.store().len();
-        let epoch = core.apply_updates(&[Update::Insert {
+        let epoch = server.apply_updates(&[Update::Insert {
             mbr: Rect::from_point(Point::new(0.5, 0.5)),
             size_bytes: 42,
         }]);

@@ -4,24 +4,28 @@
 //! per-client adaptive controller that tunes `d` from reported false-miss
 //! rates (§4.3).
 //!
-//! Concurrency: [`Server`] is `Send + Sync` with a `&self` surface for
-//! *everything* — queries (`process_remainder` / `report_fmr` / `direct`)
-//! *and* data updates ([`Server::apply_updates`]). The [`ServerCore`]
-//! publishes the dataset + R*-tree + BPT store as epoch-stamped immutable
-//! [`Snapshot`]s behind a [`SnapshotCell`]: readers
-//! pin the current snapshot and never block, while an update batch builds
-//! the next snapshot off to the side and swaps it in with one atomic
-//! publish. A sharded, interior-mutable [`AdaptiveController`] keeps the
-//! per-client §4.3 state. One server instance serves a whole fleet of
-//! concurrent clients while the object set churns.
+//! One deployment type: a [`Cluster`] of N [`ServerCore`] shards behind a
+//! scatter-gather router, with one serve path, one §7 version gate and one
+//! update path. A [`Server`] is the cluster of one shard — a thin
+//! constructor whose methods forward.
+//!
+//! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
+//! (`process_remainder` / `report_fmr` / `direct`) *and* data updates
+//! (`apply_updates`). Each shard publishes its dataset + R*-tree + BPT
+//! store as epoch-stamped immutable [`Snapshot`]s behind a
+//! [`SnapshotCell`], and the cluster publishes one value per epoch naming
+//! all of them: readers pin it and never block, while an update batch
+//! builds the next snapshots off to the side and swaps them in. A sharded,
+//! interior-mutable [`AdaptiveController`] keeps the per-client §4.3
+//! state. One instance serves a whole fleet of concurrent clients while
+//! the object set churns.
 //!
 //! Protocol boundary: all client traffic travels as typed
 //! `Request`/`Response` envelopes (`pc_rtree::proto`) over a [`Transport`]
-//! — a bare `&Server` dispatches straight into its concrete methods, a
-//! [`Cluster`] scatters over its shards, and a [`TcpTransport`] carries
-//! the same envelopes over a socket. Simulation drivers hold a
-//! [`ServerHandle`] (transport + shared-core metadata) instead of a
-//! concrete `&Server`.
+//! — a [`Cluster`] (or a [`Server`], forwarding to its own) answers on the
+//! caller's thread, and a [`TcpTransport`] carries the same envelopes over
+//! a socket. Simulation drivers hold a [`ServerHandle`] (transport +
+//! shared-store metadata) instead of a concrete `&Server`.
 
 mod adaptive;
 pub mod cluster;

@@ -1,17 +1,22 @@
-//! The server: composes the shared [`ServerCore`] (epoch-swapped dataset,
-//! R*-tree, BPT store snapshots) with the per-client
-//! [`AdaptiveController`], and turns remainder queries into replies. The
-//! whole surface — `process_remainder`, `report_fmr`, `direct`, *and*
-//! `apply_updates` — takes `&self`, and `Server` is `Send + Sync`, so one
-//! server instance behind an `Arc` (or scoped-thread borrows) serves a
-//! concurrent fleet of clients while the object set churns.
+//! The server: the policy types every deployment shares ([`ServerConfig`],
+//! [`FormPolicy`], the `(policy, d)` → form mapping) and [`Server`], the
+//! single-node deployment — a thin constructor over a one-shard
+//! [`Cluster`], which owns the serve path, the version gate and the update
+//! path. The whole surface — `process_remainder`, `report_fmr`, `direct`,
+//! *and* `apply_updates` — takes `&self`, and `Server` is `Send + Sync`,
+//! so one server instance behind an `Arc` (or scoped-thread borrows)
+//! serves a concurrent fleet of clients while the object set churns.
 
 use crate::adaptive::AdaptiveController;
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::core::{ServerCore, Snapshot};
 use crate::forms::FormMode;
+use crate::transport::{ServerHandle, Transport};
+use crate::updates::Update;
+use pc_geom::Rect;
 use pc_rtree::engine::Outcome;
-use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
-use pc_rtree::{ObjectStore, RTreeConfig};
+use pc_rtree::proto::{QuerySpec, RemainderQuery, Request, Response, ServerReply, VersionedReply};
+use pc_rtree::{NodeId, ObjectStore, RTreeConfig};
 use std::sync::Arc;
 
 /// Identifier the server uses to keep per-client adaptive state.
@@ -79,9 +84,9 @@ impl ServerConfig {
     /// Rejects configurations that would silently misbehave instead of
     /// erroring: an adaptive table capped at zero clients evicts every
     /// state the moment it is written, and a zero-epoch history window
-    /// full-refreshes every versioned contact. Called by
-    /// [`Server::new`]/[`Server::from_core`] (and the cluster's config
-    /// check), which panic with the returned message.
+    /// full-refreshes every versioned contact. Called through
+    /// [`ClusterConfig::validate`] by every constructor, which panic with
+    /// the returned message.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_tracked_clients == 0 {
             return Err(
@@ -101,7 +106,7 @@ impl ServerConfig {
     }
 
     /// A fresh per-client table under this configuration — one per
-    /// deployment (a [`Server`], or a whole [`crate::Cluster`]).
+    /// deployment, whatever its shard count.
     pub(crate) fn adaptive_table(&self) -> AdaptiveController {
         AdaptiveController::new(self.sensitivity, self.initial_d, self.max_d)
             .with_max_clients(self.max_tracked_clients)
@@ -109,8 +114,8 @@ impl ServerConfig {
 }
 
 /// The form `Ir` is built in for `client` under `policy`: the one
-/// `(FormPolicy, d)` → [`FormMode`] mapping, shared by [`Server`] and
-/// [`crate::Cluster`]. Only the adaptive policy reads the client's `d`.
+/// `(FormPolicy, d)` → [`FormMode`] mapping. Only the adaptive policy
+/// reads the client's `d`.
 pub(crate) fn form_mode(
     policy: FormPolicy,
     adaptive: &AdaptiveController,
@@ -123,121 +128,148 @@ pub(crate) fn form_mode(
     }
 }
 
-/// The mobile application server of Fig. 3.
-#[derive(Clone, Debug)]
+/// The mobile application server of Fig. 3: a [`Cluster`] of one shard
+/// owning the whole unit square. Every method forwards — one serve path,
+/// one version gate and one update path serve every deployment size.
+#[derive(Debug)]
 pub struct Server {
-    core: ServerCore,
-    cfg: ServerConfig,
-    adaptive: AdaptiveController,
+    cluster: Cluster,
 }
 
 impl Server {
     /// Bulk loads the index over `store` and prepares the BPTs offline.
+    /// Panics on an invalid configuration ([`ServerConfig::validate`]).
     pub fn new(store: ObjectStore, tree_cfg: RTreeConfig, cfg: ServerConfig) -> Self {
-        Server::from_core(ServerCore::build(store, tree_cfg), cfg)
-    }
-
-    /// Wraps an already-built core (shared-index deployments build the core
-    /// once and stand up policy façades around it). Panics on an invalid
-    /// configuration ([`ServerConfig::validate`]).
-    pub fn from_core(core: ServerCore, cfg: ServerConfig) -> Self {
-        // pc-check: allow(no-unwrap, "constructor precondition, documented 'Panics on an invalid configuration' above; no locks or waiters exist yet, so failing fast beats carrying a Result through every deployment path")
-        cfg.validate().expect("invalid ServerConfig");
+        let cfg = ClusterConfig {
+            shards: 1,
+            grid: 1,
+            server: cfg,
+        };
         Server {
-            core,
-            cfg,
-            adaptive: cfg.adaptive_table(),
+            cluster: Cluster::new(store, tree_cfg, cfg),
         }
     }
 
-    /// The shared query core (snapshot cell + writer lock).
+    /// The one shard: snapshot cell + writer lock.
     pub fn core(&self) -> &ServerCore {
-        &self.core
+        self.cluster.shard(0)
     }
 
     /// Pins the current [`Snapshot`] (dataset, R*-tree, BPTs, update log at
     /// one epoch). The pin stays valid and self-consistent across
-    /// concurrent [`apply_updates`](Server::apply_updates) calls.
+    /// concurrent [`apply_updates`](Server::apply_updates) calls. Its
+    /// `epoch()` is the shard's own — it skips batches that netted to
+    /// nothing — so it can trail the epoch `apply_updates` returns.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.core.pin()
+        self.core().pin()
     }
 
     pub fn config(&self) -> &ServerConfig {
-        &self.cfg
+        &self.cluster.config().server
     }
 
     /// Evaluates a query directly (no caching) on the current snapshot —
     /// ground truth for the simulator's metrics and the backend for the
     /// PAG/SEM baselines.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        self.core.pin().direct(spec)
-    }
-
-    /// The form mode this server would build `Ir` in for `client` right
-    /// now — the per-client policy half of `process_remainder`.
-    pub(crate) fn remainder_mode(&self, client: ClientId) -> FormMode {
-        form_mode(self.cfg.form, &self.adaptive, client)
+        self.snapshot().direct(spec)
     }
 
     /// Stage ② of Fig. 3: resumes `Qr` from its heap, assembles `Rr`
     /// (splitting confirmed-cached results from transmitted ones) and the
     /// supporting index `Ir` in this server's form for this client.
     pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        self.core
-            .pin()
-            .resume_remainder(rq, self.remainder_mode(client))
+        self.cluster.process_remainder(client, rq)
     }
 
-    /// The per-client adaptive controller (d⁺ trajectories + last-synced
-    /// epochs feeding the fleet low-water mark).
-    pub(crate) fn adaptive(&self) -> &AdaptiveController {
-        &self.adaptive
+    /// The version-aware stage ② of the §7 invalidation protocol
+    /// ([`Cluster::process_remainder_versioned`]).
+    pub fn process_remainder_versioned(
+        &self,
+        client: ClientId,
+        rq: &RemainderQuery,
+        client_epoch: u64,
+    ) -> VersionedReply {
+        self.cluster
+            .process_remainder_versioned(client, rq, client_epoch)
+    }
+
+    /// Applies one batch of updates atomically while queries keep running
+    /// ([`Cluster::apply_updates`]); returns the new epoch.
+    pub fn apply_updates(&self, updates: &[Update]) -> u64 {
+        self.cluster.apply_updates(updates)
     }
 
     /// The epoch `client` last synced to over the versioned protocol, if
     /// it is tracked (`None` for unknown or plain-protocol clients).
     pub fn client_last_epoch(&self, client: ClientId) -> Option<u64> {
-        self.adaptive.state(client).last_epoch
+        self.cluster.adaptive().state(client).last_epoch
     }
 
     /// The fleet low-water mark: the minimum last-synced epoch over all
     /// tracked versioned clients (`None` with no versioned clients).
     pub fn epoch_low_water(&self) -> Option<u64> {
-        self.adaptive.epoch_low_water()
+        self.cluster.adaptive().epoch_low_water()
     }
 
     /// Receives a client's periodic fmr report (§4.3); returns the new d.
     pub fn report_fmr(&self, client: ClientId, fmr: f64) -> u8 {
-        self.adaptive.report(client, fmr)
+        self.cluster.adaptive().report(client, fmr)
     }
 
     /// Current d⁺-level the server would use for this client.
     pub fn client_d(&self, client: ClientId) -> u8 {
-        self.adaptive.d(client)
+        self.cluster.adaptive().d(client)
     }
 
     /// Drops a client's adaptive state (e.g. on disconnect); returns
     /// whether anything was tracked.
     pub fn forget_client(&self, client: ClientId) -> bool {
-        self.adaptive.forget_client(client)
+        self.cluster.adaptive().forget_client(client)
     }
 
     /// Number of clients with recorded adaptive state.
     pub fn tracked_clients(&self) -> usize {
-        self.adaptive.tracked_clients()
+        self.cluster.tracked_clients()
     }
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
     pub fn bpt_bytes(&self) -> u64 {
-        self.core.pin().bpt_bytes()
+        self.snapshot().bpt_bytes()
+    }
+}
+
+/// The in-process fast path: a `Server` is itself a transport, answering
+/// envelopes on the caller's thread with no queueing.
+impl Transport for Server {
+    fn call(&self, client: ClientId, req: Request) -> Response {
+        self.cluster.call(client, req)
+    }
+}
+
+impl ServerHandle for Server {
+    fn core(&self) -> &ServerCore {
+        Server::core(self)
+    }
+
+    fn apply_updates(&self, updates: &[Update]) -> u64 {
+        self.cluster.apply_updates(updates)
+    }
+
+    fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
+        self.cluster.bootstrap_root()
+    }
+
+    fn log_records(&self) -> usize {
+        self.cluster.log_records()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{cold_remainder, sample_server};
-    use pc_geom::{Point, Rect};
+    use crate::test_util::{cold_remainder, sample_server, sample_store};
+    use pc_geom::Point;
     use pc_rtree::naive;
     use pc_rtree::ObjectId;
     use std::sync::Arc;
@@ -268,8 +300,7 @@ mod tests {
             max_update_history: 0,
             ..ServerConfig::default()
         };
-        let base = sample_server(10, 1, FormPolicy::Adaptive);
-        let _ = Server::from_core(base.core().clone(), cfg);
+        let _ = Server::new(sample_store(10, 1), RTreeConfig::small(), cfg);
     }
 
     #[test]
@@ -290,7 +321,7 @@ mod tests {
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let w = Rect::centered_square(Point::new(0.5, 0.5), 0.2);
-                    let rq = cold_remainder(&server, QuerySpec::Range { window: w });
+                    let rq = cold_remainder(&*server, QuerySpec::Range { window: w });
                     let reply = server.process_remainder(client, &rq);
                     // Client `client` reports a rising fmr `client` times.
                     for step in 0..client {
@@ -413,6 +444,168 @@ mod tests {
         assert!(server.forget_client(3));
         assert_eq!(server.client_d(3), ServerConfig::default().initial_d);
         assert_eq!(server.tracked_clients(), 0);
+    }
+
+    /// Every reply a one-shard deployment puts on the client channel, one
+    /// FNV digest each: cold range / kNN / join remainders and
+    /// `Request::Direct` for each kind, a three-update batch with the
+    /// `Stale` / `Fresh` / `Fresh` contacts around it, a second batch that
+    /// prunes epoch 0 below a `max_update_history: 1` horizon
+    /// (`FullRefresh`, then `Stale` one epoch up) and a warm `Fresh` over
+    /// an inner node — whose invalidation list is empty by construction:
+    /// with one shard there is no quiet shard for a change to ride along
+    /// from. Recorded at the last commit where `Server` had a serve path
+    /// of its own (`Snapshot::answer_remainder`, `transport::dispatch`,
+    /// `ServerCore::apply_updates_bounded`), debug and release.
+    #[test]
+    fn one_shard_deployment_matches_recorded_pins() {
+        use crate::test_util::Fnv;
+        use crate::transport::Transport;
+        use crate::updates::Update;
+        use pc_rtree::proto::{CellRef, HeapEntry, RemainderQuery, Request, Side, VersionedReply};
+        use pc_rtree::{ChildRef, ObjectStore, RTreeConfig, SpatialObject};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(29);
+        let objects: Vec<SpatialObject> = (0..600)
+            .map(|i| SpatialObject {
+                id: ObjectId(i),
+                mbr: Rect::centered_square(
+                    Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
+                    rng.random_range(0.0..0.03),
+                ),
+                size_bytes: rng.random_range(100..2000),
+            })
+            .collect();
+        let server = Server::new(
+            ObjectStore::new(objects),
+            RTreeConfig::small(),
+            ServerConfig {
+                max_update_history: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let specs = [
+            QuerySpec::Range {
+                window: Rect::centered_square(Point::new(0.5, 0.5), 0.3),
+            },
+            QuerySpec::Knn {
+                center: Point::new(0.49, 0.52),
+                k: 12,
+            },
+            QuerySpec::Join { dist: 0.004 },
+        ];
+        let digest = |feed: &dyn Fn(&mut Fnv)| {
+            let mut h = Fnv::new();
+            feed(&mut h);
+            h.0
+        };
+        let mut pins: Vec<u64> = Vec::new();
+        let cold_and_direct = |pins: &mut Vec<u64>| {
+            for spec in specs {
+                let reply = server.process_remainder(1, &cold_remainder(&server, spec));
+                pins.push(digest(&|h| h.reply(&reply)));
+            }
+            for spec in specs {
+                let reply = server.call(1, Request::Direct(spec)).into_direct();
+                pins.push(digest(&|h| h.direct(&reply)));
+            }
+        };
+        let contact = |pins: &mut Vec<u64>, rq: &RemainderQuery, stamp: u64| {
+            let reply = server.process_remainder_versioned(2, rq, stamp);
+            pins.push(digest(&|h| h.versioned(&reply)));
+            reply
+        };
+
+        cold_and_direct(&mut pins);
+        let epoch = server.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.5, 0.5), 0.02),
+                size_bytes: 700,
+            },
+            Update::Move {
+                id: ObjectId(17),
+                to: Rect::centered_square(Point::new(0.9, 0.1), 0.01),
+            },
+            Update::Delete(ObjectId(40)),
+        ]);
+        assert_eq!(epoch, 1);
+        // A client synced at epoch 0 is refused, then answered.
+        let stale = contact(&mut pins, &cold_remainder(&server, specs[0]), 0);
+        assert!(matches!(stale, VersionedReply::Stale { epoch: 1, .. }));
+        for spec in [specs[0], specs[1]] {
+            let fresh = contact(&mut pins, &cold_remainder(&server, spec), 1);
+            assert!(matches!(fresh, VersionedReply::Fresh { epoch: 1, .. }));
+        }
+        // The second publish prunes epoch 0: full refresh below the
+        // horizon, plain staleness at it.
+        let epoch = server.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.2, 0.8), 0.005),
+                size_bytes: 300,
+            },
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.15, 0.85), 0.01),
+                size_bytes: 900,
+            },
+        ]);
+        assert_eq!(epoch, 2);
+        let refresh = contact(&mut pins, &cold_remainder(&server, specs[1]), 0);
+        assert_eq!(refresh, VersionedReply::FullRefresh { epoch: 2 });
+        let stale = contact(&mut pins, &cold_remainder(&server, specs[1]), 1);
+        assert!(matches!(stale, VersionedReply::Stale { epoch: 2, .. }));
+        // A warm heap: one inner node under the root, at the current epoch.
+        let snap = server.snapshot();
+        let inner = snap
+            .tree()
+            .node(snap.tree().root())
+            .children()
+            .iter()
+            .find_map(|c| match *c {
+                ChildRef::Node(n) => Some(n),
+                ChildRef::Object(_) => None,
+            })
+            .expect("600 objects make a tree taller than one node");
+        let mbr = snap.tree().node(inner).mbr().unwrap();
+        let warm = RemainderQuery {
+            spec: QuerySpec::Range { window: mbr },
+            already_found: 0,
+            heap: vec![(
+                0.0,
+                HeapEntry::Single(Side::Cell {
+                    cell: CellRef::node_root(inner),
+                    mbr,
+                }),
+            )],
+        };
+        let fresh = contact(&mut pins, &warm, 2);
+        assert!(
+            matches!(&fresh, VersionedReply::Fresh { invalidate, epoch: 2, .. } if invalidate.is_empty())
+        );
+        cold_and_direct(&mut pins);
+
+        const RECORDED: [u64; 18] = [
+            0x3a92_e418_f8ee_841d,
+            0x5943_7bfa_c7d4_6d1b,
+            0x01d0_dc14_7fb1_e01e,
+            0x18df_6d69_2dc0_332e,
+            0x2f6c_5cfc_163f_efc3,
+            0x398d_eea3_205d_79ae,
+            0xf7b1_10fc_00a0_3653,
+            0xb4e6_c60f_e87f_05c9,
+            0x055b_4687_d299_25c5,
+            0x912c_043c_6531_6385,
+            0x6967_8fd4_2141_dbd2,
+            0x265c_49e9_f992_0123,
+            0x72c2_1ab9_117d_5777,
+            0xa5de_f17b_d555_49a1,
+            0xd151_2a6f_192e_972b,
+            0x9992_7e19_beeb_9bb2,
+            0x1a4f_6f03_4258_4aeb,
+            0xf7ed_c281_40f2_34af,
+        ];
+        assert_eq!(pins, RECORDED, "reply digests {:#018x?}", pins);
     }
 
     #[test]

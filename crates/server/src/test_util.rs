@@ -1,17 +1,21 @@
-//! Shared fixtures for this crate's unit tests: a seeded random server
-//! and a cold-cache remainder (just the root cell, or the root pair for
-//! joins) — the starting point of every stage-② scenario.
+//! Shared fixtures for this crate's unit tests: a seeded random server,
+//! a cold-cache remainder (just the root cell, or the root pair for
+//! joins) — the starting point of every stage-② scenario — and the FNV
+//! digest the recorded-reply pins are taken with.
 
 use crate::server::{FormPolicy, Server, ServerConfig};
+use crate::transport::ServerHandle;
 use pc_geom::{Point, Rect};
-use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
+use pc_rtree::proto::{
+    CellKind, CellRef, DirectReply, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side,
+    VersionedReply,
+};
 use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// `n` uniformly placed point objects with random payload sizes, indexed
-/// under the small tree configuration.
-pub fn sample_server(n: usize, seed: u64, form: FormPolicy) -> Server {
+/// `n` uniformly placed point objects with random payload sizes.
+pub fn sample_store(n: usize, seed: u64) -> ObjectStore {
     let mut rng = SmallRng::seed_from_u64(seed);
     let objects: Vec<SpatialObject> = (0..n)
         .map(|i| SpatialObject {
@@ -23,24 +27,25 @@ pub fn sample_server(n: usize, seed: u64, form: FormPolicy) -> Server {
             size_bytes: rng.random_range(100..2000),
         })
         .collect();
-    Server::new(
-        ObjectStore::new(objects),
-        RTreeConfig::small(),
-        ServerConfig {
-            form,
-            ..Default::default()
-        },
-    )
+    ObjectStore::new(objects)
 }
 
-/// A cold-cache remainder: the whole query state is the root cell (or the
-/// root pair for joins).
-pub fn cold_remainder(server: &Server, spec: QuerySpec) -> RemainderQuery {
-    let snap = server.snapshot();
-    let root = snap.tree().root();
-    let mbr = snap.tree().root_mbr().unwrap();
+/// A server over [`sample_store`], indexed under the small tree
+/// configuration.
+pub fn sample_server(n: usize, seed: u64, form: FormPolicy) -> Server {
+    let cfg = ServerConfig {
+        form,
+        ..Default::default()
+    };
+    Server::new(sample_store(n, seed), RTreeConfig::small(), cfg)
+}
+
+/// A cold-cache remainder against any deployment: the whole query state
+/// is its bootstrap root cell (or the root pair for joins).
+pub fn cold_remainder(server: &dyn ServerHandle, spec: QuerySpec) -> RemainderQuery {
+    let (node, mbr) = server.bootstrap_root().0.expect("non-empty world");
     let side = Side::Cell {
-        cell: CellRef::node_root(root),
+        cell: CellRef::node_root(node),
         mbr,
     };
     let entry = if spec.is_join() {
@@ -52,5 +57,99 @@ pub fn cold_remainder(server: &Server, spec: QuerySpec) -> RemainderQuery {
         spec,
         already_found: 0,
         heap: vec![(spec.key_for(&mbr), entry)],
+    }
+}
+
+/// FNV-1a over everything a merged reply puts on the client channel,
+/// in emission order.
+pub struct Fnv(pub u64);
+
+impl Fnv {
+    pub fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn rect(&mut self, r: &Rect) {
+        for c in [r.min.x, r.min.y, r.max.x, r.max.y] {
+            self.u64(c.to_bits());
+        }
+    }
+
+    pub fn reply(&mut self, reply: &ServerReply) {
+        self.u64(reply.confirmed.len() as u64);
+        for id in &reply.confirmed {
+            self.u64(id.0 as u64);
+        }
+        self.u64(reply.objects.len() as u64);
+        for o in &reply.objects {
+            self.u64(o.id.0 as u64);
+            self.rect(&o.mbr);
+            self.u64(o.size_bytes as u64);
+        }
+        self.u64(reply.pairs.len() as u64);
+        for &(a, b) in &reply.pairs {
+            self.u64(a.0 as u64);
+            self.u64(b.0 as u64);
+        }
+        self.u64(reply.index.len() as u64);
+        for s in &reply.index {
+            self.u64(s.node.0 as u64);
+            self.u64(s.level as u64);
+            self.u64(s.parent.map_or(u64::MAX, |p| p.0 as u64));
+            self.u64(s.cells.len() as u64);
+            for c in &s.cells {
+                let (bits, len) = c.code.raw();
+                self.u64(bits as u64);
+                self.u64(len as u64);
+                self.rect(&c.mbr);
+                match c.kind {
+                    CellKind::Super => self.u64(0),
+                    CellKind::Node(n) => self.u64(1 << 32 | n.0 as u64),
+                    CellKind::Object(o) => self.u64(2 << 32 | o.0 as u64),
+                }
+            }
+        }
+        self.u64(reply.expansions);
+    }
+
+    pub fn versioned(&mut self, reply: &VersionedReply) {
+        let (tag, invalidate, epoch) = match reply {
+            VersionedReply::Fresh {
+                reply,
+                invalidate,
+                epoch,
+            } => {
+                self.reply(reply);
+                (0, invalidate.as_slice(), *epoch)
+            }
+            VersionedReply::Stale { invalidate, epoch } => (1, invalidate.as_slice(), *epoch),
+            VersionedReply::FullRefresh { epoch } => (2, &[][..], *epoch),
+        };
+        self.u64(tag);
+        self.u64(invalidate.len() as u64);
+        for n in invalidate {
+            self.u64(n.0 as u64);
+        }
+        self.u64(epoch);
+    }
+
+    pub fn direct(&mut self, reply: &DirectReply) {
+        self.u64(reply.results.len() as u64);
+        for id in &reply.results {
+            self.u64(id.0 as u64);
+        }
+        self.u64(reply.pairs.len() as u64);
+        for &(a, b) in &reply.pairs {
+            self.u64(a.0 as u64);
+            self.u64(b.0 as u64);
+        }
+        self.u64(reply.expansions);
     }
 }

@@ -1,9 +1,9 @@
 //! The client ↔ server boundary as a first-class API: a [`Transport`]
 //! carries typed [`Request`]/[`Response`] envelopes between a client (by
-//! id) and *some* server — in-process ([`Server`], [`crate::Cluster`]) or
-//! remote ([`crate::TcpTransport`]) — and a [`ServerHandle`] is a
-//! transport that also exposes the shared immutable [`ServerCore`]
-//! (dataset + index metadata
+//! id) and *some* server — in-process ([`crate::Server`],
+//! [`crate::Cluster`]) or remote ([`crate::TcpTransport`]) — and a
+//! [`ServerHandle`] is a transport that also exposes the shared immutable
+//! [`ServerCore`] (dataset + index metadata
 //! that both ends of the paper's Fig. 3 know out of band: the client's
 //! catalog is bootstrapped from it, and the simulator reads ground-truth
 //! object sizes from it).
@@ -14,11 +14,11 @@
 //! go through [`ServerHandle::core`] and cost nothing — exactly the
 //! distinction the byte ledger draws.
 
-use crate::server::{ClientId, Server};
+use crate::server::ClientId;
 use crate::updates::Update;
 use crate::ServerCore;
 use pc_geom::Rect;
-use pc_rtree::proto::{DirectReply, Request, Response};
+use pc_rtree::proto::{Request, Response};
 use pc_rtree::NodeId;
 
 /// A synchronous request/reply channel to a server. `Send + Sync` so one
@@ -37,82 +37,32 @@ pub trait ServerHandle: Transport {
     fn core(&self) -> &ServerCore;
 
     /// Applies one update batch through this handle (the churn driver's
-    /// entry point). Server-backed handles override this to route through
-    /// `Server::apply_updates`, which prunes update-log history below the
-    /// fleet low-water mark; the default hits the core directly and keeps
-    /// full history.
-    fn apply_updates(&self, updates: &[Update]) -> u64 {
-        self.core().apply_updates(updates)
-    }
+    /// entry point): one epoch bump for the whole deployment, update-log
+    /// history pruned below the fleet low-water mark. Returns the new
+    /// epoch.
+    fn apply_updates(&self, updates: &[Update]) -> u64;
 
     /// The out-of-band catalog bootstrap: `(root node, root MBR)` of the
     /// index a cold client should navigate (`None` for an empty world)
-    /// plus the epoch that root was pinned at. The default reads the
-    /// single core's tree; a cluster overrides it with its synthetic
-    /// super-root (and its cluster-wide epoch) so clients navigate the
+    /// plus the deployment epoch that root was pinned at. A multi-shard
+    /// cluster hands out its synthetic super-root so clients navigate the
     /// merged view instead of one shard's slice.
-    fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
-        let snap = self.core().pin();
-        let root = snap.tree().root_mbr().map(|mbr| (snap.tree().root(), mbr));
-        (root, snap.epoch())
-    }
+    fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64);
 
     /// Retained update-log records (changed nodes + tombstones) across the
-    /// whole deployment — summed over shards for a cluster. The bounded-log
-    /// diagnostic fleet runs report.
-    fn log_records(&self) -> usize {
-        self.core().pin().update_log().retained_records()
-    }
-}
-
-/// Dispatches one envelope against a concrete [`Server`] — the single
-/// point where the wire protocol meets the server's method surface, so
-/// protocol/method equivalence is testable in one place.
-pub(crate) fn dispatch(server: &Server, client: ClientId, req: Request) -> Response {
-    match req {
-        Request::Remainder(rq) => Response::Remainder(server.process_remainder(client, &rq)),
-        Request::RemainderVersioned { query, epoch } => {
-            Response::Versioned(server.process_remainder_versioned(client, &query, epoch))
-        }
-        Request::Direct(spec) => {
-            let outcome = server.direct(&spec);
-            Response::Direct(DirectReply {
-                results: outcome.results.iter().map(|&(id, _)| id).collect(),
-                pairs: outcome.result_pairs,
-                expansions: outcome.expansions,
-            })
-        }
-        Request::ReportFmr { fmr } => Response::NewD(server.report_fmr(client, fmr)),
-        Request::Forget => Response::Forgotten(server.forget_client(client)),
-    }
-}
-
-/// The in-process fast path: `Server` is itself a transport, dispatching
-/// envelopes straight into its concrete methods with no queueing.
-impl Transport for Server {
-    fn call(&self, client: ClientId, req: Request) -> Response {
-        dispatch(self, client, req)
-    }
-}
-
-impl ServerHandle for Server {
-    fn core(&self) -> &ServerCore {
-        Server::core(self)
-    }
-
-    fn apply_updates(&self, updates: &[Update]) -> u64 {
-        Server::apply_updates(self, updates)
-    }
+    /// whole deployment, summed over shards. The bounded-log diagnostic
+    /// fleet runs report.
+    fn log_records(&self) -> usize;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{FormPolicy, ServerConfig};
-    use crate::test_util::{cold_remainder, sample_server};
+    use crate::server::{FormPolicy, Server, ServerConfig};
+    use crate::test_util::{cold_remainder, sample_server, sample_store};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, VersionedReply};
-    use pc_rtree::ObjectId;
+    use pc_rtree::{ObjectId, RTreeConfig};
     use proptest::prelude::*;
 
     #[test]
@@ -156,8 +106,9 @@ mod tests {
             // publish prunes epoch 0): one driven through bare methods, one
             // as a transport.
             let build = || {
-                Server::from_core(
-                    sample_server(150, seed, FormPolicy::Adaptive).core().clone(),
+                Server::new(
+                    sample_store(150, seed),
+                    RTreeConfig::small(),
                     ServerConfig { max_update_history: 1, ..ServerConfig::default() },
                 )
             };

@@ -12,12 +12,13 @@
 //!   resubmits — one extra round trip per epoch gap, charged honestly by
 //!   the experiments.
 //!
-//! Updates are **concurrent with queries**: [`Server::apply_updates`]
-//! takes `&self`, building the next epoch's snapshot off to the side and
-//! publishing it with one pointer swap ([`crate::ServerCore`]), so a fleet
-//! keeps reading the old epoch while the object set churns. The version
-//! check and the resume of one contact execute against a single pinned
-//! snapshot, so an accepted resume can never straddle an epoch boundary.
+//! Updates are **concurrent with queries**: [`crate::Cluster::apply_updates`]
+//! (which [`crate::Server::apply_updates`] forwards to) takes `&self`,
+//! building the next epoch's snapshots off to the side and publishing
+//! them by pointer swap ([`crate::ServerCore`]), so a fleet keeps reading
+//! the old epoch while the object set churns. The version check and the
+//! resume of one contact execute against a single pinned epoch, so an
+//! accepted resume can never straddle an epoch boundary.
 //!
 //! Consistency model: answers computed *at* a contact reflect the epoch
 //! they were answered in exactly; purely local answers between contacts
@@ -25,9 +26,7 @@
 //! trade-off for invalidation-on-contact schemes without a downlink
 //! broadcast channel.
 
-use crate::server::{ClientId, Server};
 use pc_geom::Rect;
-use pc_rtree::proto::RemainderQuery;
 /// Re-exported from the wire protocol (`pc_rtree::proto`), where the
 /// [`Request::RemainderVersioned`](pc_rtree::proto::Request) envelope
 /// carries it.
@@ -140,56 +139,15 @@ impl UpdateLog {
     }
 }
 
-impl Server {
-    /// Applies one batch of updates atomically while queries keep running:
-    /// delegates to [`crate::ServerCore::apply_updates_bounded`], which
-    /// publishes the next snapshot with a single pointer swap. Returns the
-    /// new epoch.
-    ///
-    /// Update-log history is pruned below the fleet's **low-water mark**
-    /// (the minimum last-synced epoch over tracked versioned clients, fed
-    /// by every versioned contact) and, regardless of clients, below the
-    /// configured [`max_update_history`](crate::ServerConfig) epochs — so
-    /// a long-running server under sustained churn keeps a bounded
-    /// invalidation log. Clients that fall below the pruned horizon get a
-    /// [`VersionedReply::FullRefresh`] refusal at their next contact.
-    pub fn apply_updates(&self, updates: &[Update]) -> u64 {
-        self.core().apply_updates_bounded(
-            updates,
-            self.adaptive().epoch_low_water(),
-            self.config().max_update_history,
-        )
-    }
-
-    /// The version-aware stage ② of the invalidation protocol: pins one
-    /// snapshot and lets its gate ([`crate::Snapshot::answer_remainder`])
-    /// run the epoch check and (when current) the resume against it, so
-    /// the answer is exact for the epoch it reports.
-    ///
-    /// Every contact also records the epoch this client will sync to in
-    /// the adaptive table, which is what keeps the fleet low-water mark —
-    /// and thus pruning — honest.
-    pub fn process_remainder_versioned(
-        &self,
-        client: ClientId,
-        rq: &RemainderQuery,
-        client_epoch: u64,
-    ) -> VersionedReply {
-        let snap = self.core().pin();
-        self.adaptive().note_epoch(client, snap.epoch());
-        snap.answer_remainder(rq, self.remainder_mode(client), Some(client_epoch))
-            .into_versioned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
+    use crate::server::{Server, ServerConfig};
+    use crate::test_util::sample_store;
     use pc_geom::Point;
     use pc_rtree::naive;
-    use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, Side};
-    use pc_rtree::{ObjectStore, RTreeConfig, SpatialObject};
+    use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
+    use pc_rtree::{RTreeConfig, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -197,22 +155,11 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn sample_server(n: usize, seed: u64) -> Server {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let objects: Vec<SpatialObject> = (0..n)
-            .map(|i| SpatialObject {
-                id: ObjectId(i as u32),
-                mbr: Rect::from_point(Point::new(
-                    rng.random_range(0.0..1.0),
-                    rng.random_range(0.0..1.0),
-                )),
-                size_bytes: 1000,
-            })
-            .collect();
-        Server::new(
-            ObjectStore::new(objects),
-            RTreeConfig::small(),
-            ServerConfig::default(),
-        )
+        sample_server_with(n, seed, ServerConfig::default())
+    }
+
+    fn sample_server_with(n: usize, seed: u64, cfg: ServerConfig) -> Server {
+        Server::new(sample_store(n, seed), RTreeConfig::small(), cfg)
     }
 
     #[test]
@@ -271,6 +218,76 @@ mod tests {
             k: 1,
         });
         assert_eq!(knn.results[0].0, id, "moved object is now the nearest");
+    }
+
+    /// Root, then every reachable node with its level and entries.
+    fn tree_shape(snap: &crate::Snapshot) -> (NodeId, Vec<(NodeId, u16, Vec<pc_rtree::Entry>)>) {
+        let tree = snap.tree();
+        let mut nodes: Vec<_> = tree
+            .node_ids()
+            .into_iter()
+            .map(|n| (n, tree.node(n).level, tree.node(n).entries().collect()))
+            .collect();
+        nodes.sort_by_key(|n| n.0);
+        (tree.root(), nodes)
+    }
+
+    #[test]
+    fn a_batch_naming_one_object_twice_nets_to_its_single_op_equivalent() {
+        // One answer for every deployment: a batch is netted per object —
+        // the tree sees one operation, deleting at the batch-start MBR —
+        // so it dirties (and invalidates) exactly what the equivalent
+        // single-op batch does.
+        let a = ObjectId(11);
+        let p = Rect::from_point(Point::new(0.9, 0.9));
+        let q = Rect::from_point(Point::new(0.1, 0.8));
+        let fresh = Update::Insert {
+            mbr: q,
+            size_bytes: 64,
+        };
+        let cases: [(&[Update], &[Update]); 3] = [
+            (
+                &[Update::Move { id: a, to: p }, Update::Move { id: a, to: q }],
+                &[Update::Move { id: a, to: q }],
+            ),
+            (
+                &[Update::Move { id: a, to: p }, Update::Delete(a)],
+                &[Update::Delete(a)],
+            ),
+            // The index never saw the object: nothing to log, though the
+            // store did assign (and tombstone) its id.
+            (&[fresh, Update::Delete(ObjectId(200))], &[]),
+        ];
+        for (twice, once) in cases {
+            let (x, y) = (sample_server(200, 8), sample_server(200, 8));
+            assert_eq!(x.apply_updates(twice), 1);
+            assert_eq!(y.apply_updates(once), 1);
+            let (x, y) = (x.snapshot(), y.snapshot());
+            assert_eq!(tree_shape(&x), tree_shape(&y), "{twice:?}");
+            let (lx, ly) = (x.update_log(), y.update_log());
+            assert_eq!(lx.deleted_objects(), ly.deleted_objects(), "{twice:?}");
+            assert_eq!(lx.changed_since(0), ly.changed_since(0), "{twice:?}");
+            x.tree().validate(x.store().live_count(), false).unwrap();
+        }
+
+        // Ids are assigned in batch order, whatever the netting drops.
+        let server = sample_server(200, 8);
+        server.apply_updates(&[
+            Update::Insert {
+                mbr: p,
+                size_bytes: 1,
+            },
+            fresh,
+            Update::Delete(ObjectId(200)),
+        ]);
+        let snap = server.snapshot();
+        assert_eq!(snap.store().len(), 202);
+        assert!(!snap.store().is_live(ObjectId(200)));
+        assert_eq!(snap.store().get(ObjectId(200)).mbr, p);
+        assert_eq!(snap.store().get(ObjectId(201)).mbr, q);
+        assert_eq!(naive::range_naive(snap.store(), &q), vec![ObjectId(201)]);
+        let found = snap.direct(&QuerySpec::Range { window: q }).results;
+        assert_eq!(found, vec![(ObjectId(201), false)]);
     }
 
     #[test]
@@ -370,22 +387,20 @@ mod tests {
             max_update_history: 3,
             ..ServerConfig::default()
         };
-        let server = Server::from_core(
-            crate::ServerCore::build(
-                pc_rtree::ObjectStore::new(
-                    (0..200)
-                        .map(|i| SpatialObject {
-                            id: ObjectId(i),
-                            mbr: Rect::from_point(Point::new(
-                                (i % 20) as f64 * 0.05,
-                                (i / 20) as f64 * 0.1,
-                            )),
-                            size_bytes: 100,
-                        })
-                        .collect(),
-                ),
-                RTreeConfig::small(),
+        let server = Server::new(
+            pc_rtree::ObjectStore::new(
+                (0..200)
+                    .map(|i| SpatialObject {
+                        id: ObjectId(i),
+                        mbr: Rect::from_point(Point::new(
+                            (i % 20) as f64 * 0.05,
+                            (i / 20) as f64 * 0.1,
+                        )),
+                        size_bytes: 100,
+                    })
+                    .collect(),
             ),
+            RTreeConfig::small(),
             cfg,
         );
         for i in 0..10u32 {
@@ -496,6 +511,7 @@ mod tests {
         // observes a torn world (each pins one snapshot per query).
         let server = sample_server(300, 6);
         let stop = AtomicBool::new(false);
+        let mut epoch = 0;
         std::thread::scope(|scope| {
             for t in 0..3u32 {
                 let server = &server;
@@ -537,13 +553,16 @@ mod tests {
                         )),
                     },
                 };
-                server.apply_updates(&[update]);
+                epoch = server.apply_updates(&[update]);
             }
             // ordering: Release publishes "all updates applied" to the
             // Acquire loads in the reader loops above.
             stop.store(true, Ordering::Release);
         });
-        assert_eq!(server.snapshot().epoch(), 40);
+        // One deployment epoch per batch; the shard's own epoch skips the
+        // batches that netted to nothing (a delete of a dead id).
+        assert_eq!(epoch, 40);
+        assert!(server.snapshot().epoch() <= 40);
     }
 
     /// The leaf of `id` in `snap`'s tree (`None` once it is deleted there).
@@ -573,8 +592,7 @@ mod tests {
                 max_update_history: history,
                 ..ServerConfig::default()
             };
-            let base = sample_server(200, seed);
-            let server = Server::from_core(base.core().clone(), cfg);
+            let server = sample_server_with(200, seed, cfg);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xFACADE);
             // (pin epoch, victim leaves at that pin) per batch.
             let mut watch: Vec<(u64, Vec<NodeId>)> = Vec::new();

@@ -8,7 +8,7 @@
 //!
 //! With [`Fleet::churn`], an **update driver** thread runs alongside the
 //! workers, injecting paper-§6-style update batches through the epoch-swap
-//! `&self` [`apply_updates`](pc_server::ServerCore::apply_updates) path
+//! `&self` [`apply_updates`](pc_server::ServerHandle::apply_updates) path
 //! while sessions keep querying. Churn makes sessions speak the §7
 //! versioned protocol (resubmit on `Stale`, invalidation bytes charged to
 //! their ledgers); per-query outcomes then depend on update/query
@@ -223,7 +223,7 @@ fn drive_updates(
     let core = server.core();
     let mut rng = SmallRng::seed_from_u64(churn.seed);
     let mut applied = 0u64;
-    let mut epoch = core.epoch();
+    let mut epoch = server.bootstrap_root().1;
     loop {
         // ordering: Acquire pairs with the Release store in `run` after all
         // workers joined — seeing `stop` implies seeing the final issued
@@ -237,9 +237,8 @@ fn drive_updates(
             let n = churn.batch.min((target - applied) as usize);
             let n_live = core.pin().store().len() as u32;
             let batch: Vec<Update> = (0..n).map(|_| generate_update(&mut rng, n_live)).collect();
-            // Through the handle, not the bare core: server-backed handles
-            // prune update-log history below the fleet low-water mark on
-            // every publish, keeping the invalidation log bounded.
+            // Every publish also prunes update-log history below the
+            // fleet low-water mark, keeping the invalidation log bounded.
             epoch = server.apply_updates(&batch);
             applied += n as u64;
         }

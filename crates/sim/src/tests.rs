@@ -235,7 +235,7 @@ mod churn_clients {
     use pc_cache::{Catalog, ReplacementPolicy};
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, Request, Response};
-    use pc_rtree::{naive, ObjectId, RTreeConfig};
+    use pc_rtree::{naive, NodeId, ObjectId, RTreeConfig};
     use pc_server::{ClientId, Server, ServerConfig, ServerCore, ServerHandle, Transport, Update};
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -295,18 +295,20 @@ mod churn_clients {
 
     impl Transport for RacingHandle<'_> {
         fn call(&self, client: ClientId, req: Request) -> Response {
-            if matches!(req, Request::RemainderVersioned { .. })
-                && self
+            if matches!(req, Request::RemainderVersioned { .. }) {
+                // ordering: SeqCst — test counter; ordering immaterial,
+                // strongest-for-free beats justifying anything weaker.
+                let raced = self
                     .races
-                    // ordering: SeqCst — test counter; ordering immaterial,
-                    // strongest-for-free beats justifying anything weaker.
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(1))
-                    .is_ok()
-            {
-                self.server.apply_updates(&[Update::Move {
-                    id: ObjectId(0),
-                    to: Rect::from_point(Point::new(0.97, 0.03)),
-                }]);
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(1));
+                if let Ok(left) = raced {
+                    // A new destination per race: a move to where the
+                    // object already is nets to nothing and changes no node.
+                    self.server.apply_updates(&[Update::Move {
+                        id: ObjectId(0),
+                        to: Rect::from_point(Point::new(0.97, 0.03 + 0.001 * left as f64)),
+                    }]);
+                }
             }
             self.server.call(client, req)
         }
@@ -315,6 +317,18 @@ mod churn_clients {
     impl ServerHandle for RacingHandle<'_> {
         fn core(&self) -> &ServerCore {
             self.server.core()
+        }
+
+        fn apply_updates(&self, updates: &[Update]) -> u64 {
+            self.server.apply_updates(updates)
+        }
+
+        fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
+            self.server.bootstrap_root()
+        }
+
+        fn log_records(&self) -> usize {
+            self.server.log_records()
         }
     }
 

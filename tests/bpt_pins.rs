@@ -15,7 +15,7 @@ use procache::rtree::engine::{execute, AccessLog};
 use procache::rtree::proto::{CellKind, QuerySpec};
 use procache::rtree::view::FullView;
 use procache::rtree::{NodeId, RTree, RTreeConfig};
-use procache::server::{build_shipments, FormMode, ServerCore, Update};
+use procache::server::{build_shipments, FormMode, Server, ServerConfig, Update};
 use procache::sim::generate_update;
 use procache::workload::datasets::ne_like;
 use rand::rngs::SmallRng;
@@ -180,14 +180,19 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
     // (no node the batch changed kept a stale BPT), and every slot the
     // batch left alone is still the previous pin's allocation (`get` hands
     // out the `Arc`'s pointee, so address equality is `Arc::ptr_eq`).
-    let core = ServerCore::build(ne_like(20_000, 7), RTreeConfig::paper());
+    let server = Server::new(
+        ne_like(20_000, 7),
+        RTreeConfig::paper(),
+        ServerConfig::default(),
+    );
+    let core = server.core();
     let mut rng = SmallRng::seed_from_u64(0xB97);
     let (mut rebuilt, mut kept) = (0usize, 0usize);
     for _ in 0..40 {
         let old = core.pin();
         let n_live = old.store().len() as u32;
         let batch: Vec<Update> = (0..4).map(|_| generate_update(&mut rng, n_live)).collect();
-        core.apply_updates(&batch);
+        server.apply_updates(&batch);
         let new = core.pin();
         assert!(!Arc::ptr_eq(&old, &new));
         assert_eq!(new.bpts().node_count(), new.tree().slab_len());

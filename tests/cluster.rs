@@ -1,21 +1,27 @@
 //! Integration tests for the spatially-sharded cluster: an N-shard
-//! [`Cluster`] behind the scatter-gather router must be observationally
-//! equivalent to a single [`Server`] built from the same dataset — for
-//! direct queries, cold remainder resumes and the §7 versioned protocol,
-//! before and after arbitrary update batches — and fleets must drive it
-//! through `&dyn ServerHandle` unchanged.
+//! [`Cluster`] behind the scatter-gather router — N = 1 is what a `Server`
+//! is — must be observationally equivalent to one unsharded index over
+//! the same dataset, for direct queries, cold remainder resumes and the §7
+//! versioned protocol, before and after arbitrary update batches — and
+//! fleets must drive it through `&dyn ServerHandle` unchanged.
+//!
+//! The reference shares nothing with the router: a bare
+//! [`ServerCore`] bulk-loaded from the cluster's *current* store, read
+//! through `Snapshot::direct` / `Snapshot::resume_remainder`, plus the
+//! `pc_rtree::naive` oracles. A bug in the scatter, the merge or the
+//! per-shard update derivation cannot hide by sitting on both sides.
 //!
 //! "Equivalent" is answer-level, not byte-level: the router gathers
-//! per-shard partial replies, so serialization *order* differs from the
-//! single server's pop order, but the answer sets (ids, kNN distance
-//! multisets, canonical join pairs) are identical and every object is
-//! shipped — and wire-charged — exactly once.
+//! per-shard partial replies, so serialization *order* differs from one
+//! tree's pop order, but the answer sets (ids, kNN distance multisets,
+//! canonical join pairs) are identical and every object is shipped — and
+//! wire-charged — exactly once.
 
 use procache::geom::{Point, Rect};
 use procache::rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side};
-use procache::rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use procache::rtree::{naive, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use procache::server::{
-    Cluster, ClusterConfig, Server, ServerConfig, ServerHandle, Update, VersionedReply,
+    Cluster, ClusterConfig, FormMode, ServerCore, ServerHandle, Snapshot, Update, VersionedReply,
 };
 use procache::sim::{self, generate_update, ChurnConfig, Fleet, SimConfig};
 use proptest::prelude::*;
@@ -40,11 +46,12 @@ fn sample_store(n: usize, seed: u64) -> ObjectStore {
     )
 }
 
-/// A cold (empty-cache) remainder query rooted at whatever the handle
-/// advertises as its bootstrap root — the super-root for a cluster, the
-/// R-tree root for a single server.
-fn cold_remainder(handle: &dyn ServerHandle, spec: QuerySpec) -> Option<RemainderQuery> {
-    let (root, _) = handle.bootstrap_root();
+/// A cold (empty-cache) remainder query rooted at `root` — whatever a
+/// cluster advertises as its bootstrap root, or a bare tree's own root.
+fn cold_remainder(
+    root: Option<(procache::rtree::NodeId, Rect)>,
+    spec: QuerySpec,
+) -> Option<RemainderQuery> {
     let (node, mbr) = root?;
     let side = Side::Cell {
         cell: CellRef::node_root(node),
@@ -121,45 +128,62 @@ fn any_spec() -> impl Strategy<Value = QuerySpec> {
     })
 }
 
+/// One unsharded index over the live objects of `cluster`'s current store,
+/// built from scratch: the reference world of [`assert_equivalent`].
+fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> std::sync::Arc<Snapshot> {
+    let store = cluster.core().pin().store().clone();
+    let live: Vec<SpatialObject> = store.iter_live().copied().collect();
+    ServerCore::build_with_objects(store, tree_cfg, &live).pin()
+}
+
 /// The router-equivalence property: for any dataset, shard count, query
-/// and update history, the cluster and a single server agree on every
-/// query path, and the merged reply never ships an object twice.
-fn assert_equivalent(single: &Server, cluster: &Cluster, spec: QuerySpec) {
-    let snap = single.snapshot();
-    let store = snap.store();
+/// and update history, the cluster agrees with one unsharded tree and the
+/// brute-force oracle on every query path, and the merged reply never
+/// ships an object twice.
+fn assert_equivalent(single: &Snapshot, cluster: &Cluster, spec: QuerySpec) {
+    let store = single.store();
 
     // Direct (uncached) path.
     let sd = single.direct(&spec);
     let cd = cluster.direct(&spec);
     match spec {
-        QuerySpec::Range { .. } => {
+        QuerySpec::Range { ref window } => {
             let mut want: Vec<ObjectId> = sd.results.iter().map(|&(id, _)| id).collect();
             want.sort_unstable();
+            assert_eq!(want, naive::range_naive(store, window), "reference range");
             let mut got = cd.results.clone();
             got.sort_unstable();
             assert_eq!(got, want, "direct range diverged");
         }
-        QuerySpec::Knn { ref center, .. } => {
+        QuerySpec::Knn { ref center, k } => {
             assert_eq!(cd.results.len(), sd.results.len(), "direct knn count");
             let want = distance_bits(store, sd.results.iter().map(|&(id, _)| id), center);
+            let oracle = naive::knn_naive(store, center, k as usize);
+            assert_eq!(
+                want,
+                distance_bits(store, oracle.iter().map(|&(id, _)| id), center),
+                "reference knn"
+            );
             let got = distance_bits(store, cd.results.iter().copied(), center);
             assert_eq!(got, want, "direct knn distances diverged");
         }
-        QuerySpec::Join { .. } => {
-            assert_eq!(
-                canonical_pairs(&cd.pairs),
-                canonical_pairs(&sd.result_pairs),
-                "direct join diverged"
-            );
+        QuerySpec::Join { dist } => {
+            let want = canonical_pairs(&sd.result_pairs);
+            assert_eq!(want, naive::join_naive(store, dist), "reference join");
+            assert_eq!(canonical_pairs(&cd.pairs), want, "direct join diverged");
         }
     }
 
-    // Cold remainder resume, each side from its own bootstrap root.
-    let (Some(srq), Some(crq)) = (cold_remainder(single, spec), cold_remainder(cluster, spec))
-    else {
+    // Cold remainder resume, each side from its own root.
+    let tree = single.tree();
+    let single_root = tree.root_mbr().map(|mbr| (tree.root(), mbr));
+    let (Some(srq), Some(crq)) = (
+        cold_remainder(single_root, spec),
+        cold_remainder(cluster.bootstrap_root().0, spec),
+    ) else {
         return;
     };
-    let sreply = single.process_remainder(9, &srq);
+    let sreply = single.resume_remainder(&srq, FormMode::COMPACT);
     let creply = cluster.process_remainder(9, &crq);
     // Wire honesty: the merged reply must never ship (and charge) an
     // object twice, boundary straddlers included.
@@ -174,24 +198,19 @@ fn assert_equivalent(single: &Server, cluster: &Cluster, spec: QuerySpec) {
     );
     compare_replies(store, &spec, &sreply, &creply, "cold remainder");
 
-    // Versioned protocol at the current epoch: both sides answer Fresh
-    // with nothing to invalidate and the same payload.
-    let sv = single.process_remainder_versioned(9, &srq, snap.epoch());
-    let cv = cluster.process_remainder_versioned(9, &crq, cluster.epoch());
-    match (sv, cv) {
-        (
-            VersionedReply::Fresh { reply: sr, .. },
-            VersionedReply::Fresh {
-                reply: cr,
-                invalidate,
-                epoch,
-            },
-        ) => {
+    // Versioned protocol at the current epoch: Fresh, nothing to
+    // invalidate, the same payload.
+    match cluster.process_remainder_versioned(9, &crq, cluster.epoch()) {
+        VersionedReply::Fresh {
+            reply,
+            invalidate,
+            epoch,
+        } => {
             assert!(invalidate.is_empty(), "nothing changed since current epoch");
             assert_eq!(epoch, cluster.epoch());
-            compare_replies(store, &spec, &sr, &cr, "versioned remainder");
+            compare_replies(store, &spec, &sreply, &reply, "versioned remainder");
         }
-        (sv, cv) => panic!("expected Fresh/Fresh at current epoch, got {sv:?} / {cv:?}"),
+        other => panic!("expected Fresh at the current epoch, got {other:?}"),
     }
 }
 
@@ -232,9 +251,8 @@ fn compare_replies(
 
 /// Each shard's tree holds exactly the objects the router's one-pass
 /// partition of the (not yet updated) store assigns it.
-fn assert_shards_index_their_partition(single: &Server, cluster: &Cluster) {
-    let pin = single.core().pin();
-    let owned = cluster.shard_map().partition(pin.store());
+fn assert_shards_index_their_partition(store: &ObjectStore, cluster: &Cluster) {
+    let owned = cluster.shard_map().partition(store);
     assert_eq!(owned.len(), cluster.shard_count() as usize);
     for (s, owned) in owned.iter().enumerate() {
         let shard = cluster.shard(s as u32).pin();
@@ -244,13 +262,13 @@ fn assert_shards_index_their_partition(single: &Server, cluster: &Cluster) {
 
 /// A world large enough that `Cluster::new` builds its shards (and each
 /// shard its BPTs) on worker threads wherever the host has more than one
-/// core: same partition, same answers as the single server.
+/// core: same partition, same answers as one unsharded tree.
 #[test]
 fn cluster_built_on_worker_threads_matches_single_server() {
     let store = sample_store(40_000, 77);
-    let single = Server::new(store.clone(), RTreeConfig::paper(), ServerConfig::default());
-    let cluster = Cluster::new(store, RTreeConfig::paper(), ClusterConfig::new(4));
-    assert_shards_index_their_partition(&single, &cluster);
+    let cluster = Cluster::new(store.clone(), RTreeConfig::paper(), ClusterConfig::new(4));
+    assert_shards_index_their_partition(&store, &cluster);
+    let single = reference_world(&cluster, RTreeConfig::paper());
     for spec in [
         QuerySpec::Range {
             window: Rect::from_coords(0.2, 0.3, 0.6, 0.55),
@@ -276,22 +294,22 @@ proptest! {
         batches in prop::collection::vec(1usize..12, 0..=3),
     ) {
         let store = sample_store(n, seed);
-        let single = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
-        let cluster = Cluster::new(store, RTreeConfig::small(), ClusterConfig::new(shards));
-        assert_shards_index_their_partition(&single, &cluster);
+        let cluster = Cluster::new(store.clone(), RTreeConfig::small(), ClusterConfig::new(shards));
+        assert_shards_index_their_partition(&store, &cluster);
 
-        // Identical update batches on both sides: same stream, same order,
-        // so inserts get the same ids and liveness gating agrees.
+        // After every batch the reference is rebuilt from the store the
+        // cluster now serves, so a mis-derived shard operation shows as a
+        // wrong answer at the batch that made it.
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
         for batch_len in batches {
-            let n_live = single.core().pin().store().len() as u32;
+            let n_live = cluster.core().pin().store().len() as u32;
             let batch: Vec<Update> =
                 (0..batch_len).map(|_| generate_update(&mut rng, n_live)).collect();
-            single.apply_updates(&batch);
             cluster.apply_updates(&batch);
+            assert_equivalent(&reference_world(&cluster, RTreeConfig::small()), &cluster, spec);
         }
 
-        assert_equivalent(&single, &cluster, spec);
+        assert_equivalent(&reference_world(&cluster, RTreeConfig::small()), &cluster, spec);
     }
 }
 
