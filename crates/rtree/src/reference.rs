@@ -11,9 +11,16 @@
 //! (duplicates, coordinates snapped to a coarse grid, `-0.0` vs `0.0`),
 //! point data and single-axis degenerate data (the by-upper pass the dense
 //! kernel skips).
+//!
+//! Beside it, for the same reason, the STR bulk load that sorted whole
+//! `(Rect, ChildRef)` items through a `partial_cmp` comparator
+//! ([`str_bulk_load`]): node ids are slab positions and every BPT hangs off
+//! a node's entry order, so the key-sorted packer must emit the same nodes
+//! in the same order.
 
 use crate::bpt::{Bpt, BptCellKind, Code, SplitPolicy};
 use crate::split::{self, SplitScratch};
+use crate::{ChildRef, Entry, Node, NodeId, ObjectId, RTree, RTreeConfig, SpatialObject};
 use pc_geom::{Point, Rect};
 use proptest::prelude::*;
 
@@ -88,6 +95,43 @@ fn midpoint_split(rects: &[Rect]) -> (Vec<usize>, Vec<usize>) {
     order.sort_by(|&a, &b| key(a).partial_cmp(&key(b)).unwrap());
     let (l, r) = order.split_at(rects.len() / 2);
     (l.to_vec(), r.to_vec())
+}
+
+/// The comparator STR bulk load: every level's `(MBR, child)` items are
+/// materialised and stably sorted by centre x, then slab by slab by centre
+/// y. Returns the nodes in slab (id) order as `(level, entries)`; the last
+/// is the root.
+fn str_bulk_load(cap: usize, objects: &[SpatialObject]) -> Vec<(u16, Vec<(Rect, ChildRef)>)> {
+    let mut nodes: Vec<(u16, Vec<(Rect, ChildRef)>)> = Vec::new();
+    let mut items: Vec<(Rect, ChildRef)> = objects
+        .iter()
+        .map(|o| (o.mbr, ChildRef::Object(o.id)))
+        .collect();
+    for level in 0.. {
+        let first = nodes.len();
+        let page_count = items.len().div_ceil(cap);
+        let slab_count = (page_count as f64).sqrt().ceil() as usize;
+        let slab_size = items.len().div_ceil(slab_count);
+        items.sort_by(|a, b| a.0.center().x.partial_cmp(&b.0.center().x).unwrap());
+        for slab in items.chunks_mut(slab_size.max(1)) {
+            slab.sort_by(|a, b| a.0.center().y.partial_cmp(&b.0.center().y).unwrap());
+            nodes.extend(slab.chunks(cap).map(|tile| (level, tile.to_vec())));
+        }
+        if nodes.len() - first == 1 {
+            break;
+        }
+        items = (first..nodes.len())
+            .map(|id| {
+                let entries = nodes[id].1.iter().map(|&(mbr, child)| Entry { mbr, child });
+                let mbr = Node::with_entries(None, level, entries).mbr();
+                (
+                    mbr.expect("packed node non-empty"),
+                    ChildRef::Node(NodeId(id as u32)),
+                )
+            })
+            .collect();
+    }
+    nodes
 }
 
 #[derive(Clone, Copy)]
@@ -282,6 +326,66 @@ proptest! {
         let (want_l, want_r) = midpoint_split(&rects);
         prop_assert_eq!(l, &want_l[..]);
         prop_assert_eq!(r, &want_r[..]);
+    }
+
+    #[test]
+    fn key_sorted_bulk_load_packs_the_comparator_sorts_nodes(
+        rects in arb_rects(300),
+        ties in 0u8..3,
+    ) {
+        prop_assume!(!rects.is_empty());
+        // On top of the shapes above: every centre x equal, or the cloud
+        // stretched over the unit square's edges and clamped back the way
+        // the generators' `clamp01` piles real ties onto 0 and 1.
+        let clamp = |c: f64| ((c - 0.5) * 3.0 + 0.5).clamp(0.0, 1.0);
+        let objects: Vec<SpatialObject> = rects
+            .iter()
+            .enumerate()
+            .map(|(i, r)| SpatialObject {
+                // Ids that are not positions, as a cluster shard's are not.
+                id: ObjectId(7 * i as u32 + 3),
+                mbr: match ties {
+                    0 => *r,
+                    1 => Rect {
+                        min: Point::new(rects[0].min.x, r.min.y),
+                        max: Point::new(rects[0].max.x, r.max.y),
+                    },
+                    _ => Rect {
+                        min: Point::new(clamp(r.min.x), clamp(r.min.y)),
+                        max: Point::new(clamp(r.max.x), clamp(r.max.y)),
+                    },
+                },
+                size_bytes: 1,
+            })
+            .collect();
+        let cfg = RTreeConfig::small();
+        let tree = RTree::bulk_load(cfg, &objects);
+        let want = str_bulk_load(cfg.max_entries, &objects);
+
+        prop_assert_eq!(tree.slab_len(), want.len());
+        prop_assert_eq!(tree.root(), NodeId(want.len() as u32 - 1));
+        prop_assert_eq!(tree.height(), want[want.len() - 1].0 + 1);
+        let mut parents = vec![None; want.len()];
+        for (id, (level, entries)) in want.iter().enumerate() {
+            let node = tree.node(NodeId(id as u32));
+            prop_assert_eq!(node.level, *level);
+            // The raw columns: `Node::entries` re-normalises corners, which
+            // may flip a zero's sign.
+            let (x0, y0, x1, y1) = node.mbr_cols();
+            let got: Vec<_> = (0..node.len())
+                .map(|i| ([x0[i], y0[i], x1[i], y1[i]].map(f64::to_bits), node.child_at(i)))
+                .collect();
+            let entries: Vec<_> = entries.iter().map(|(mbr, child)| (rect_bits(mbr), *child)).collect();
+            for (_, child) in &entries {
+                if let ChildRef::Node(child) = child {
+                    parents[child.0 as usize] = Some(NodeId(id as u32));
+                }
+            }
+            prop_assert_eq!((id, got), (id, entries));
+        }
+        for (id, parent) in parents.into_iter().enumerate() {
+            prop_assert_eq!((id, tree.node(NodeId(id as u32)).parent), (id, parent));
+        }
     }
 
     #[test]

@@ -44,21 +44,27 @@ pub(crate) struct SplitScratch {
     order: Vec<usize>,
 }
 
-/// One element of a candidate ordering: the sort key's order-preserving
-/// integer image in the high 64 bits, the rect's index in the low 32 — so
-/// a plain integer sort orders by key with equal keys in ascending index
-/// order, which is what a stable sort of the index vector by key produces.
-/// `-0.0` is folded onto `0.0` first: IEEE comparison calls them equal.
-fn pack(key: f64, idx: usize) -> u128 {
+/// The order-preserving integer image of a sort key: unsigned comparison
+/// of the images is IEEE comparison of the keys. `-0.0` is folded onto
+/// `0.0` first: IEEE comparison calls them equal. NaN has no place in the
+/// order; callers that can meet one check before they get here.
+pub(crate) fn key_bits(key: f64) -> u64 {
     debug_assert!(!key.is_nan(), "MBR coordinates are never NaN");
-    debug_assert!(idx <= u32::MAX as usize);
     let bits = (key + 0.0).to_bits();
-    let ordered = if bits >> 63 == 1 {
+    if bits >> 63 == 1 {
         !bits
     } else {
         bits | 1 << 63
-    };
-    (ordered as u128) << 32 | idx as u32 as u128
+    }
+}
+
+/// One element of a candidate ordering: the sort key's [`key_bits`] in the
+/// high 64 bits, the rect's index in the low 32 — so a plain integer sort
+/// orders by key with equal keys in ascending index order, which is what a
+/// stable sort of the index vector by key produces.
+fn pack(key: f64, idx: usize) -> u128 {
+    debug_assert!(idx <= u32::MAX as usize);
+    (key_bits(key) as u128) << 32 | idx as u32 as u128
 }
 
 /// The rect index of a [`pack`]ed element.

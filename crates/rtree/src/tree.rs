@@ -2,7 +2,7 @@
 //! construction and full R* dynamic insertion (ChooseSubtree with the
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
-use crate::split::{rstar_split, SplitScratch};
+use crate::split::{key_bits, rstar_split, SplitScratch};
 use crate::{ChildRef, Entry, Node, NodeId, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
@@ -93,6 +93,19 @@ pub struct RTree {
     dirty: Vec<NodeId>,
 }
 
+/// One record of an STR sort: the key's order-preserving integer image
+/// ([`key_bits`]) in the high 64 bits, then the entry's rank in the order
+/// the sort starts from, then its input position — so a plain integer sort
+/// is the stable sort by key, and the position rides along.
+fn sort_key(key: f64, rank: usize, position: usize) -> u128 {
+    (key_bits(key) as u128) << 64 | (rank as u128) << 32 | position as u128
+}
+
+/// The input position of a [`sort_key`] record.
+fn position_of(record: u128) -> usize {
+    record as u32 as usize
+}
+
 impl RTree {
     /// An empty tree (a single empty leaf as root).
     pub fn new(cfg: RTreeConfig) -> Self {
@@ -133,87 +146,101 @@ impl RTree {
     ///
     /// Takes any pass over the objects — a slice, or
     /// [`ObjectStore::iter`](crate::ObjectStore::iter) directly — since all
-    /// it keeps of them is the `(MBR, id)` pairs it packs.
+    /// it keeps of them is a reference each: entries are gathered from the
+    /// objects themselves when their node is packed.
+    ///
+    /// # Panics
+    /// Panics, naming the object, if an MBR coordinate is NaN.
     pub fn bulk_load<'a>(
         cfg: RTreeConfig,
         objects: impl IntoIterator<Item = &'a SpatialObject>,
     ) -> Self {
-        // Level 0.
-        let leaf_items: Vec<(Rect, ChildRef)> = objects
-            .into_iter()
-            .map(|o| (o.mbr, ChildRef::Object(o.id)))
-            .collect();
-        if leaf_items.is_empty() {
+        let objects: Vec<&SpatialObject> = objects.into_iter().collect();
+        if objects.is_empty() {
             return RTree::new(cfg);
         }
         let mut tree = RTree::hollow(cfg);
-        tree.object_count = leaf_items.len();
-        let mut level_nodes = tree.str_pack(leaf_items, 0);
+        tree.object_count = objects.len();
+        let mut level_nodes = tree.str_pack(objects.len(), 0, |_, i| Entry {
+            mbr: objects[i].mbr,
+            child: ChildRef::Object(objects[i].id),
+        });
         let mut level = 0u16;
 
         while level_nodes.len() > 1 {
             level += 1;
-            let items: Vec<(Rect, ChildRef)> = level_nodes
-                .iter()
-                .map(|&id| {
-                    let mbr = tree.node(id).mbr().expect("packed node non-empty");
-                    (mbr, ChildRef::Node(id))
-                })
-                .collect();
-            level_nodes = tree.str_pack(items, level);
+            level_nodes = tree.str_pack(level_nodes.len(), level, |tree, i| Entry {
+                mbr: tree
+                    .node(level_nodes[i])
+                    .mbr()
+                    .expect("packed node non-empty"),
+                child: ChildRef::Node(level_nodes[i]),
+            });
         }
 
         tree.root = level_nodes[0];
         tree.height = level + 1;
-        // Fix parent pointers (str_pack fills children before parents).
-        tree.rewire_parents();
         tree
     }
 
-    /// Packs `items` into nodes of `cfg.max_entries` at `level`, returning
-    /// the created node ids in tile order.
-    fn str_pack(&mut self, mut items: Vec<(Rect, ChildRef)>, level: u16) -> Vec<NodeId> {
+    /// Packs the `n` entries `entry(self, 0..n)` into nodes of
+    /// `cfg.max_entries` at `level`, returning the created node ids in tile
+    /// order, and makes each new node the parent of the nodes it points at.
+    ///
+    /// STR: sort by centre x, cut into vertical slabs, sort each slab by
+    /// centre y, cut into tiles. Both sorts are stable — ties (`clamp01`
+    /// makes real ones at 0 and 1) keep their incoming order, and node
+    /// ids, BPT shapes and shipped forms all follow from it. What is sorted
+    /// is one [`sort_key`] per entry, never the 40-byte entries.
+    fn str_pack(
+        &mut self,
+        n: usize,
+        level: u16,
+        entry: impl Fn(&RTree, usize) -> Entry,
+    ) -> Vec<NodeId> {
+        assert!(n <= u32::MAX as usize, "entry positions are 32-bit");
         let cap = self.cfg.max_entries;
-        let n = items.len();
         let page_count = n.div_ceil(cap);
         let slab_count = (page_count as f64).sqrt().ceil() as usize;
         let slab_size = n.div_ceil(slab_count);
 
-        items.sort_by(|a, b| a.0.center().x.partial_cmp(&b.0.center().x).unwrap());
+        let centre = |tree: &RTree, i: usize| {
+            let e = entry(tree, i);
+            let c = e.mbr.center();
+            assert!(
+                !c.x.is_nan() && !c.y.is_nan(),
+                "bulk_load: entry {i} ({:?}) has a NaN MBR coordinate: {:?}",
+                e.child,
+                e.mbr
+            );
+            c
+        };
+        let mut keys: Vec<u128> = (0..n).map(|i| sort_key(centre(self, i).x, i, i)).collect();
+        keys.sort_unstable();
 
         let mut out = Vec::with_capacity(page_count);
-        for slab in items.chunks_mut(slab_size.max(1)) {
-            slab.sort_by(|a, b| a.0.center().y.partial_cmp(&b.0.center().y).unwrap());
+        for slab in keys.chunks_mut(slab_size.max(1)) {
+            for (rank, key) in slab.iter_mut().enumerate() {
+                let i = position_of(*key);
+                *key = sort_key(centre(self, i).y, rank, i);
+            }
+            slab.sort_unstable();
             for tile in slab.chunks(cap) {
                 let node = Node::with_entries(
                     None,
                     level,
-                    tile.iter().map(|&(mbr, child)| Entry { mbr, child }),
+                    tile.iter().map(|&key| entry(self, position_of(key))),
                 );
-                out.push(self.push_node(node));
+                let id = self.push_node(node);
+                for slot in 0..tile.len() {
+                    if let ChildRef::Node(child) = self.node(id).child_at(slot) {
+                        self.node_mut(child).parent = Some(id);
+                    }
+                }
+                out.push(id);
             }
         }
         out
-    }
-
-    fn rewire_parents(&mut self) {
-        let ids: Vec<NodeId> = (0..self.node_len as u32).map(NodeId).collect();
-        for id in ids {
-            let children: Vec<NodeId> = self
-                .node(id)
-                .children()
-                .iter()
-                .filter_map(|c| match c {
-                    ChildRef::Node(c) => Some(*c),
-                    ChildRef::Object(_) => None,
-                })
-                .collect();
-            for c in children {
-                self.node_mut(c).parent = Some(id);
-            }
-        }
-        let root = self.root;
-        self.node_mut(root).parent = None;
     }
 
     // ------------------------------------------------------------------
@@ -866,6 +893,17 @@ mod tests {
             tree.validate(n, false)
                 .unwrap_or_else(|e| panic!("n={n}: {e}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry 2 (Object(ObjectId(2))) has a NaN MBR coordinate")]
+    fn bulk_load_names_the_entry_with_a_nan_mbr() {
+        // An integer sort would order a NaN key silently; the comparator
+        // this replaced died in `partial_cmp().unwrap()` without saying
+        // where.
+        let mut objs = random_objects(40, 9);
+        objs[2].mbr = Rect::from_point(Point::new(0.5, f64::NAN));
+        RTree::bulk_load(RTreeConfig::small(), &objs);
     }
 
     #[test]

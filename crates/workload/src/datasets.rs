@@ -1,5 +1,8 @@
 //! Synthetic datasets substituting the paper's real ones (rtreeportal.org
-//! is long gone; see DESIGN.md §3 for the substitution argument):
+//! is long gone). The experiments depend on a dataset's cardinality, its
+//! clustering skew, the shape of its objects and how few pairs lie within
+//! the join distance — not on its coordinates — and those are what the
+//! generators reproduce:
 //!
 //! * [`ne_like`] ↔ **NE** (123,593 postal zones of New York, Philadelphia
 //!   and Boston): three metro-area gaussian mixtures with sub-clusters,
@@ -14,7 +17,7 @@
 
 use crate::dist::{gaussian, ZipfSizes};
 use pc_geom::{Point, Rect};
-use pc_rtree::{ObjectId, ObjectStore, SpatialObject};
+use pc_rtree::{ObjectId, ObjectStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,20 +74,30 @@ fn clamp01(v: f64) -> f64 {
 /// paper's 5e-5 distance join nearly result-free (a pure index/CPU
 /// stressor); a plain gaussian mixture would pile points arbitrarily close
 /// and turn every join into a megabyte-scale download, wrecking every
-/// byte-metric shape. See DESIGN.md §3.
+/// byte-metric shape.
 const NE_MIN_SPACING: f64 = 1.5e-4;
 
-/// A hash grid for min-distance (hard-core) thinning.
+/// The grid for min-distance (hard-core) thinning: a cell is one minimum
+/// spacing wide, so whatever is too close to a point lies in the 3 × 3
+/// cells around it. One open-addressed, linearly probed table, allocated
+/// once from the number of points to come; a slot holds the id of a placed
+/// object, whose point is read back from the store being filled. A cell
+/// may hold several points (forced accepts pile up in saturated cluster
+/// cores): they are the slots of its probe run whose point keys to it.
 struct SpacingGrid {
     cell: f64,
-    map: std::collections::HashMap<(i32, i32), Vec<Point>>,
+    /// [`Self::EMPTY`] or an object id. A power of two, at least twice the
+    /// points to come, so every probe run ends at an empty slot.
+    slots: Vec<u32>,
 }
 
 impl SpacingGrid {
-    fn new(cell: f64) -> Self {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(cell: f64, points: usize) -> Self {
         SpacingGrid {
             cell,
-            map: std::collections::HashMap::new(),
+            slots: vec![Self::EMPTY; (2 * points).max(2).next_power_of_two()],
         }
     }
 
@@ -92,23 +105,42 @@ impl SpacingGrid {
         ((p.x / self.cell) as i32, (p.y / self.cell) as i32)
     }
 
-    fn too_close(&self, p: &Point, dist: f64) -> bool {
+    /// Where cell `key`'s probe run starts: Fibonacci hashing of the two
+    /// cell coordinates side by side, top bits of the product.
+    fn home(&self, key: (i32, i32)) -> usize {
+        let packed = (key.0 as u32 as u64) << 32 | key.1 as u32 as u64;
+        let bits = self.slots.len().trailing_zeros();
+        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits)) as usize
+    }
+
+    /// Whether an object of `placed` lies closer than `dist` to `p`.
+    fn too_close(&self, p: &Point, dist: f64, placed: &ObjectStore) -> bool {
         let (kx, ky) = self.key(p);
+        let mask = self.slots.len() - 1;
         for dx in -1..=1 {
             for dy in -1..=1 {
-                if let Some(pts) = self.map.get(&(kx + dx, ky + dy)) {
-                    if pts.iter().any(|q| q.dist(p) < dist) {
+                let cell = (kx + dx, ky + dy);
+                let mut slot = self.home(cell);
+                while self.slots[slot] != Self::EMPTY {
+                    let q = placed.get(ObjectId(self.slots[slot])).mbr.min;
+                    if q.dist(p) < dist && self.key(&q) == cell {
                         return true;
                     }
+                    slot = (slot + 1) & mask;
                 }
             }
         }
         false
     }
 
-    fn insert(&mut self, p: Point) {
-        let k = self.key(&p);
-        self.map.entry(k).or_default().push(p);
+    /// Records object `id`, placed at `p`.
+    fn insert(&mut self, p: &Point, id: ObjectId) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(self.key(p));
+        while self.slots[slot] != Self::EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = id.0;
     }
 }
 
@@ -139,41 +171,37 @@ pub fn ne_like(n: usize, seed: u64) -> ObjectStore {
     }
     let total_w: f64 = subcenters.iter().map(|(_, w)| w).sum();
 
-    let mut grid = SpacingGrid::new(NE_MIN_SPACING);
-    let objects = (0..n)
-        .map(|i| {
-            let mut p = Point::new(0.5, 0.5);
-            for attempt in 0..64 {
-                // Pick a sub-cluster by weight; widen the spread on retries
-                // so saturated cluster cores spill outward instead of
-                // looping forever.
-                let mut u: f64 = rng.random_range(0.0..total_w);
-                let mut chosen = subcenters[0].0;
-                for (c, w) in &subcenters {
-                    if u < *w {
-                        chosen = *c;
-                        break;
-                    }
-                    u -= w;
-                }
-                let sigma = 0.012 * (1.0 + attempt as f64 * 0.25);
-                p = Point::new(
-                    clamp01(gaussian(&mut rng, chosen.x, sigma)),
-                    clamp01(gaussian(&mut rng, chosen.y, sigma)),
-                );
-                if !grid.too_close(&p, NE_MIN_SPACING) {
+    let mut grid = SpacingGrid::new(NE_MIN_SPACING, n);
+    let mut store = ObjectStore::default();
+    for _ in 0..n {
+        let mut p = Point::new(0.5, 0.5);
+        for attempt in 0..64 {
+            // Pick a sub-cluster by weight; widen the spread on retries
+            // so saturated cluster cores spill outward instead of
+            // looping forever.
+            let mut u: f64 = rng.random_range(0.0..total_w);
+            let mut chosen = subcenters[0].0;
+            for (c, w) in &subcenters {
+                if u < *w {
+                    chosen = *c;
                     break;
                 }
+                u -= w;
             }
-            grid.insert(p);
-            SpatialObject {
-                id: ObjectId(i as u32),
-                mbr: Rect::from_point(p),
-                size_bytes: sizes.sample(&mut rng),
+            let sigma = 0.012 * (1.0 + attempt as f64 * 0.25);
+            p = Point::new(
+                clamp01(gaussian(&mut rng, chosen.x, sigma)),
+                clamp01(gaussian(&mut rng, chosen.y, sigma)),
+            );
+            if !grid.too_close(&p, NE_MIN_SPACING, &store) {
+                break;
             }
-        })
-        .collect();
-    ObjectStore::new(objects)
+        }
+        // After 64 failed placements the last draw stands, too close or not.
+        let id = store.push(Rect::from_point(p), sizes.sample(&mut rng));
+        grid.insert(&p, id);
+    }
+    store
 }
 
 /// RD substitute: `n` thin road segments along a jittered grid of streets
@@ -211,69 +239,59 @@ pub fn rd_like(n: usize, seed: u64) -> ObjectStore {
     // sub-5e-5 join pairs that real road data does not have; crossings
     // between different roads still contribute a few genuine pairs).
     let per_road = (n / roads.len()).max(1);
-    let objects = (0..n)
-        .map(|i| {
-            let road = roads[i % roads.len()];
-            let slot = (i / roads.len()) % per_road;
-            let spacing = 1.0 / per_road as f64;
-            let along: f64 = (slot as f64 + rng.random_range(0.1..0.9)) * spacing;
-            let len: f64 = rng.random_range(0.002f64..0.010).min(spacing * 0.8);
-            let width: f64 = rng.random_range(0.0001..0.0005);
-            let mbr = match road {
-                Road::H(y) => {
-                    let y = clamp01(y + gaussian(&mut rng, 0.0, 0.001));
-                    Rect::from_coords(
-                        clamp01(along),
-                        clamp01(y - width / 2.0),
-                        clamp01(along + len),
-                        clamp01(y + width / 2.0),
-                    )
-                }
-                Road::V(x) => {
-                    let x = clamp01(x + gaussian(&mut rng, 0.0, 0.001));
-                    Rect::from_coords(
-                        clamp01(x - width / 2.0),
-                        clamp01(along),
-                        clamp01(x + width / 2.0),
-                        clamp01(along + len),
-                    )
-                }
-                Road::Diag(off, up) => {
-                    let x = along;
-                    let y = if up { x + off } else { 1.0 - x + off };
-                    Rect::from_coords(
-                        clamp01(x),
-                        clamp01(y),
-                        clamp01(x + len / 1.4),
-                        clamp01(y + len / 1.4),
-                    )
-                }
-            };
-            SpatialObject {
-                id: ObjectId(i as u32),
-                mbr,
-                size_bytes: sizes.sample(&mut rng),
+    let mut store = ObjectStore::default();
+    for i in 0..n {
+        let road = roads[i % roads.len()];
+        let slot = (i / roads.len()) % per_road;
+        let spacing = 1.0 / per_road as f64;
+        let along: f64 = (slot as f64 + rng.random_range(0.1..0.9)) * spacing;
+        let len: f64 = rng.random_range(0.002f64..0.010).min(spacing * 0.8);
+        let width: f64 = rng.random_range(0.0001..0.0005);
+        let mbr = match road {
+            Road::H(y) => {
+                let y = clamp01(y + gaussian(&mut rng, 0.0, 0.001));
+                Rect::from_coords(
+                    clamp01(along),
+                    clamp01(y - width / 2.0),
+                    clamp01(along + len),
+                    clamp01(y + width / 2.0),
+                )
             }
-        })
-        .collect();
-    ObjectStore::new(objects)
+            Road::V(x) => {
+                let x = clamp01(x + gaussian(&mut rng, 0.0, 0.001));
+                Rect::from_coords(
+                    clamp01(x - width / 2.0),
+                    clamp01(along),
+                    clamp01(x + width / 2.0),
+                    clamp01(along + len),
+                )
+            }
+            Road::Diag(off, up) => {
+                let x = along;
+                let y = if up { x + off } else { 1.0 - x + off };
+                Rect::from_coords(
+                    clamp01(x),
+                    clamp01(y),
+                    clamp01(x + len / 1.4),
+                    clamp01(y + len / 1.4),
+                )
+            }
+        };
+        store.push(mbr, sizes.sample(&mut rng));
+    }
+    store
 }
 
 /// Uniform control dataset: point objects spread evenly.
 pub fn uniform(n: usize, seed: u64) -> ObjectStore {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x554e);
     let sizes = ZipfSizes::paper();
-    let objects = (0..n)
-        .map(|i| SpatialObject {
-            id: ObjectId(i as u32),
-            mbr: Rect::from_point(Point::new(
-                rng.random_range(0.0..1.0),
-                rng.random_range(0.0..1.0),
-            )),
-            size_bytes: sizes.sample(&mut rng),
-        })
-        .collect();
-    ObjectStore::new(objects)
+    let mut store = ObjectStore::default();
+    for _ in 0..n {
+        let at = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        store.push(Rect::from_point(at), sizes.sample(&mut rng));
+    }
+    store
 }
 
 #[cfg(test)]
@@ -351,6 +369,46 @@ mod tests {
         }
         let c = ne_like(500, 8);
         assert!(a.iter().zip(c.iter()).any(|(x, y)| x != y));
+    }
+
+    /// FNV-1a over every object in id order: the bits of the four MBR
+    /// coordinates, `size_bytes`, `id`.
+    fn digest(store: &ObjectStore) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for o in store.iter() {
+            for c in [o.mbr.min.x, o.mbr.min.y, o.mbr.max.x, o.mbr.max.y] {
+                eat(c.to_bits());
+            }
+            eat(o.size_bytes as u64);
+            eat(o.id.0 as u64);
+        }
+        h
+    }
+
+    #[test]
+    fn datasets_match_their_recorded_digests() {
+        // Recorded at 738a6eb (debug and release), before the generators
+        // were rewritten: every figure, BPT pin and benchmark model metric
+        // is taken over these exact worlds. The NE digests cover the
+        // forced accepts after 64 failed placements.
+        let got = [
+            digest(&ne_like(123_593, 2005)),
+            digest(&ne_like(20_000, 2005)),
+            digest(&rd_like(50_000, 2005)),
+            digest(&uniform(20_000, 2005)),
+        ];
+        let want = [
+            0x2405_396c_cb29_3960u64,
+            0xa0e0_d446_519c_bf6a,
+            0x57da_00d9_9a96_25fd,
+            0xf09e_d1bf_89f6_d387,
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 
     #[test]
