@@ -1,5 +1,6 @@
-//! Ablation (DESIGN.md §8): does §4.2's choice of the *R\* split* for
-//! binary partition trees actually matter, versus a naïve midpoint cut?
+//! Ablation of a design choice the paper asserts but does not test: does
+//! §4.2's choice of the *R\* split* for binary partition trees actually
+//! matter, versus a naïve midpoint cut?
 //!
 //! Same tree, two BPT stores. For a batch of cold kNN/range remainders we
 //! compare (a) compact-form sizes — worse partitions overlap more, so the

@@ -1,6 +1,6 @@
-//! Ablation (DESIGN.md §8): the adaptive scheme's sensitivity `s` and
-//! report period. Table 6.1 fixes s = 20 % and the paper does not sweep
-//! it; this harness does, on the Fig. 11 drifting-k workload.
+//! Ablation of the adaptive scheme's sensitivity `s` and report period.
+//! Table 6.1 fixes s = 20 % and the paper does not sweep it; this harness
+//! does, on the Fig. 11 drifting-k workload.
 //!
 //! Expectations: tiny `s` makes d twitchy (index share oscillates), huge
 //! `s` freezes d (APRO degenerates towards its initial form); the paper's

@@ -78,15 +78,16 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     let mut copied_chunks = 0usize;
     let mut fresh_bytes = 0u64;
     for _ in 0..ROUNDS {
-        let old = server.core().pin();
-        let n_live = old.store().len() as u32;
+        let old_world = server.core().pin();
+        let n_live = old_world.store().len() as u32;
         let updates: Vec<_> = (0..batch)
             .map(|_| generate_update(&mut rng, n_live))
             .collect();
         let t = Instant::now();
         server.apply_updates(&updates);
         publish_s += t.elapsed().as_secs_f64();
-        let new = server.core().pin();
+        let new_world = server.core().pin();
+        let (old, new) = (old_world.shard(0), new_world.shard(0));
 
         let copied = new.tree().slab_len() - new.tree().shared_node_slots(old.tree());
         copied_nodes += copied;
@@ -96,11 +97,12 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         rebuilt_bpts += rebuilt;
         let bpt_chunks = new.bpts().chunk_count() - new.bpts().shared_chunks(old.bpts());
         copied_bpt_chunks += bpt_chunks;
-        let chunks = new.store().chunk_count() - new.store().shared_chunks(old.store());
+        let (old_store, new_store) = (old_world.store(), new_world.store());
+        let chunks = new_store.chunk_count() - new_store.shared_chunks(old_store);
         copied_chunks += chunks;
         // The BPT-rebuild share of the publish: the nodes this epoch
         // logged as changed are the ones it dirtied, and rebuilding them
-        // over the previous epoch's store is the work `publish_next` did.
+        // over the previous epoch's BPT store is the work `Shard::next` did.
         let dirty = new.update_log().changed_since(old.epoch());
         let mut bpts = old.bpts().clone();
         let t = Instant::now();
@@ -127,7 +129,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     Row {
         objects: n_objects,
         batch,
-        nodes: snap.tree().slab_len(),
+        nodes: snap.shard(0).tree().slab_len(),
         publish_us: publish_s * 1e6 / rounds,
         rebuild_us: rebuild_s * 1e6 / rounds,
         copied_nodes: copied_nodes as f64 / rounds,
@@ -137,7 +139,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_chunks: copied_chunks as f64 / rounds,
         fresh_bytes: fresh_bytes as f64 / rounds,
         heap_bytes: snap.heap_bytes(),
-        log_records: snap.update_log().retained_records(),
+        log_records: snap.shard(0).update_log().retained_records(),
     }
 }
 

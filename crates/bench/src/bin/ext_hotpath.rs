@@ -8,9 +8,9 @@
 //! million-object run) and, at each size, answers the same range, kNN and
 //! self-join queries four ways:
 //!
-//! * **direct** — `Snapshot::direct`: the engine over the server's
+//! * **direct** — `Shard::direct`: the engine over the server's
 //!   `FullView`, untraced (what `Request::Direct` runs);
-//! * **resume** — `Snapshot::resume_remainder` of the cold remainder
+//! * **resume** — `Shard::resume_remainder` of the cold remainder
 //!   `{Q, [root]}` in compact form: the same traversal traced, plus
 //!   building the supporting index and splitting the result set (what a
 //!   cold client's contact costs the server);
@@ -86,13 +86,15 @@ fn canonical(spec: &QuerySpec, (mut ids, mut pairs): Answer, snap: &Snapshot) ->
 }
 
 fn direct(snap: &Snapshot, case: &Case) -> Answer {
-    let out = snap.direct(&case.spec);
+    let out = snap.shard(0).direct(&case.spec);
     let ids = out.results.iter().map(|&(id, _)| id).collect();
     (ids, out.result_pairs)
 }
 
 fn resume(snap: &Snapshot, case: &Case) -> Answer {
-    let reply = snap.resume_remainder(&case.cold, FormMode::COMPACT);
+    let reply = snap
+        .shard(0)
+        .resume_remainder(snap.store(), &case.cold, FormMode::COMPACT);
     black_box(&reply.index);
     (reply.objects.iter().map(|o| o.id).collect(), reply.pairs)
 }
@@ -108,7 +110,7 @@ fn run_local(client: &mut Client, case: &Case) -> Answer {
 }
 
 fn reference(snap: &Snapshot, case: &Case) -> Answer {
-    let tree = snap.tree();
+    let tree = snap.shard(0).tree();
     match case.spec {
         QuerySpec::Range { window } => (query::range_query(tree, &window), Vec::new()),
         QuerySpec::Knn { center, k } => {
@@ -164,7 +166,7 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x407);
     let mut point = || Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
 
-    let tree = snap.tree();
+    let tree = snap.shard(0).tree();
     let root = Side::Cell {
         cell: CellRef::node_root(tree.root()),
         mbr: tree.root_mbr().expect("non-empty dataset"),

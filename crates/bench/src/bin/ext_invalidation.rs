@@ -53,7 +53,7 @@ fn main() {
         let mut client = ProactiveRunner::new(
             total_bytes / 100, // |C| = 1 %
             ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.snapshot().tree()),
+            Catalog::from_tree(server.snapshot().shard(0).tree()),
         )
         .with_client(1)
         .versioned(true)

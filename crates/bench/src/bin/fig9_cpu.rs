@@ -6,7 +6,8 @@
 //! SEM scan their caches sequentially, so their CPU grows with |C|.
 //!
 //! CPU here is measured wall-clock on the host, so absolute values differ
-//! from the paper's Pentium 4; the comparison is relative (see DESIGN.md).
+//! from the paper's Pentium 4; the comparison is relative — which model
+//! costs more, and how each curve bends with |C|.
 
 use pc_bench::{banner, fmt_ms, run_parallel, three_models, HarnessOpts, Table};
 use pc_mobility::MobilityModel;

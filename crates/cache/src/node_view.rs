@@ -147,25 +147,6 @@ impl CachedNodeView {
         self.cells.get(&Code::ROOT).map(|c| c.mbr)
     }
 
-    /// Exports the finest known antichain as shippable cell records — what
-    /// a *peer* serves to a neighbor in the cache-collaboration extension.
-    /// The frontier is a covering antichain by construction, so the
-    /// receiver can merge it exactly like a server shipment.
-    pub fn frontier_records(&self) -> Vec<CellRecord> {
-        let mut out: Vec<CellRecord> = self
-            .cells
-            .iter()
-            .filter(|(code, _)| !self.cells.contains_key(&code.child(false)))
-            .map(|(code, cell)| CellRecord {
-                code: *code,
-                mbr: cell.mbr,
-                kind: cell.kind,
-            })
-            .collect();
-        out.sort_by_key(|r| r.code);
-        out
-    }
-
     pub fn cell_count(&self) -> usize {
         self.cells.len()
     }

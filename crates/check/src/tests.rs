@@ -93,7 +93,7 @@ fn whole_test_files_are_exempt_from_no_unwrap() {
     );
     assert_eq!(findings_of(&mut f, RULE_UNWRAP), Vec::<usize>::new());
     let mut f = SourceFile::parse(
-        "crates/sim/src/collab/tests.rs",
+        "crates/baselines/src/semantic/tests.rs",
         "fn helper() { x.unwrap(); }",
     );
     assert_eq!(findings_of(&mut f, RULE_UNWRAP), Vec::<usize>::new());

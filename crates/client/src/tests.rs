@@ -39,7 +39,7 @@ fn make_client(server: &Server, capacity: u64) -> Client {
     Client::new(
         capacity,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     )
 }
 

@@ -67,9 +67,9 @@ impl std::fmt::Display for NodeId {
 
 /// A spatial data object: an MBR plus a payload *size*.
 ///
-/// Following DESIGN.md, payload bytes are accounted but never materialized —
-/// every algorithm in the paper operates on ids and MBRs only, while the
-/// channel model charges `size_bytes` per transmission.
+/// Payload bytes are accounted but never materialized — every algorithm in
+/// the paper operates on ids and MBRs only, while the channel model charges
+/// `size_bytes` per transmission.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpatialObject {
     pub id: ObjectId,

@@ -1,7 +1,8 @@
 //! The deployment — every deployment: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
-//! is a [`ServerCore`] (its own snapshot cell and update log) indexing
-//! exactly the objects whose MBRs touch its tiles; the per-client state
+//! is a [`Shard`] (its own tree, BPTs and update log) indexing exactly the
+//! objects whose MBRs touch its tiles, over the one global store the
+//! deployment's [`Snapshot`] holds; the per-client state
 //! (§4.3 `d`, last-synced epoch) lives once, in the cluster's single
 //! [`AdaptiveController`]. Objects straddling tile boundaries are
 //! **replicated** into every owning shard's tree — which is what makes
@@ -13,7 +14,7 @@
 //! **super-root** node (a BPT over the shard root MBRs, shipped like any
 //! other node) whose leaves hand off into per-shard subtrees; remainder
 //! heaps are decomposed by ownership into per-shard sub-queries, resumed
-//! against each shard's pinned snapshot, and gathered into one
+//! against each shard of the pinned snapshot, and gathered into one
 //! client-facing reply (both legs are charged to [`ClusterStats`] at
 //! their backplane sizes). Shard node ids are translated into disjoint
 //! global ranges (`global = local·N + shard`) so one client cache can
@@ -31,51 +32,45 @@
 //!
 //! Updates route by location: one cluster batch is applied to the global
 //! store once, split into per-shard tree operations by before/after tile
-//! ownership ([`PartitionOp`]) and published **only to the shards it
-//! touches** — untouched shards keep their epoch, so a reply's staleness
-//! is decided per shard, not globally. Clients keep speaking
+//! ownership (`PartitionOp`) and rebuilds **only the shards it touches** —
+//! untouched shards keep their epoch, so a reply's staleness is decided
+//! per shard, not globally. Clients keep speaking
 //! the scalar-epoch protocol: the cluster epoch indexes a history of
 //! per-shard epoch vectors, and the router re-expands a client's scalar
 //! stamp into the vector it was synced at.
 //!
 //! # One epoch, one published value
 //!
-//! A cluster reads its world the way a [`ServerCore`] does: everything a
-//! contact needs — the `N` shard pins, the epoch's stamp (epoch, per-shard
-//! epoch vector, shard root ids), the super-root layout built over exactly
-//! those pins and the retained stamp history — is one immutable
-//! `ClusterSnapshot` behind one [`SnapshotCell`]. A reader takes one
-//! `pin()` and never touches a lock or a shard cell again; the vector
-//! agrees with the pins because both were put into the value together.
+//! A deployment is one world at one epoch, and that is what it publishes:
+//! everything a contact needs — the global store, the `N` shards, the
+//! epoch's stamp (epoch, per-shard epoch vector, shard root ids), the
+//! super-root layout built over exactly those shards and the retained
+//! stamp history — is one immutable [`Snapshot`] behind the one cell of
+//! the deployment's [`ServerCore`]. A reader takes one `pin()` and never
+//! touches a lock again; the vector, the layout and the store agree with
+//! the shards because the one writer read them off the values it had just
+//! built and put all of them into the value together.
 //!
-//! * **Publish order.** `apply_updates` publishes every shard cell first
-//!   and the cluster value last, all under the writer lock. A reader can
-//!   therefore never pin a cluster epoch whose shards are not published,
-//!   and the store a client reads through [`ServerHandle::core`] (shard
-//!   0's cell) is never older than the epoch its reply was answered at.
-//! * **Who tears down a retired epoch.** The published value holds the
-//!   shard pins, so a retired shard snapshot lives until the retired
-//!   cluster value drops: its teardown (the epoch's private CoW copies,
-//!   40–120 µs per four-update batch) falls to whoever drops the last
-//!   reference — a reader still pinned to it, else the writer at the end
-//!   of `apply_updates` — not to the shard publish that retired it.
-//! * **One thread publishes.** The touched shards of a batch publish one
-//!   after another on the writer's thread. A scoped thread per touched
-//!   shard was measured dearer at the benchmark's four-update batches in
-//!   every form tried — all spawned, or all but one with the writer
-//!   taking the last — by 1.3–5× at the median once readers keep the
-//!   cores busy: a shard's share of such a batch is ~150 µs of work, less
-//!   than a spawn and a wake-up cost, and snapshots built on short-lived
-//!   threads are then freed from another one. Per-shard threads re-open
-//!   with a batch size and core count that show them winning
-//!   (CHANGES.md, PR 20, has every run).
+//! * **Who builds what.** `apply_updates` (under the core's writer lock)
+//!   clones the store once and applies the batch to it, then builds the
+//!   next value shard by shard: a touched shard is `Shard::next` — a pure
+//!   function of the current shard, the new store and its slice of the
+//!   batch — and an untouched one is the current epoch's `Arc`, a pointer
+//!   copy. There is no per-shard cell or lock, so nothing to order.
+//! * **Who tears down a retired epoch.** A retired shard lives until the
+//!   last snapshot naming it drops: its teardown (the epoch's private CoW
+//!   copies, 40–120 µs per four-update batch) falls to whoever drops the
+//!   last reference — a reader still pinned to it, else the writer.
+//! * **One thread builds.** The touched shards of a batch are built one
+//!   after another on the writer's thread: a scoped thread per touched
+//!   shard was measured 1.3–5× dearer at the median at four-update
+//!   batches on two busy cores — a shard's ~150 µs share is less than a
+//!   spawn and a wake-up (CHANGES.md, PR 20, has every run).
 
 use crate::adaptive::AdaptiveController;
-use crate::core::{PartitionOp, ServerCore, Snapshot};
-use crate::epoch::SnapshotCell;
+use crate::core::{PartitionOp, ServerCore, Shard};
 use crate::forms::FormMode;
 use crate::server::{form_mode, ClientId, ServerConfig};
-use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use pc_geom::{Rect, TileGrid};
@@ -91,7 +86,7 @@ use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The synthetic node id of the cluster's super-root (the BPT over shard
 /// root MBRs a client's catalog points at). Deliberately the topmost id so
@@ -260,52 +255,83 @@ struct EpochStamp {
     roots: Vec<Option<NodeId>>,
 }
 
-/// One whole cluster epoch, published and pinned as a single value: a
+/// One whole deployment epoch, published and pinned as a single value: a
 /// reader holding it has a consistent cross-shard world by construction.
+/// Nothing here ever mutates after publication.
 #[derive(Debug)]
-struct ClusterSnapshot {
+pub struct Snapshot {
     /// The cluster's shard map (global ↔ shard-local node ids).
     map: ShardMap,
-    /// Every shard's snapshot as of this epoch.
-    pins: Vec<Arc<Snapshot>>,
-    /// Read off `pins`, so `pins[s].epoch() == stamp.shard_epochs[s]`.
+    /// The global object store as of this epoch — the only handle to it.
+    store: ObjectStore,
+    /// Every shard's index as of this epoch; a shard the publishing batch
+    /// never touched is the previous epoch's `Arc`.
+    shards: Vec<Arc<Shard>>,
+    /// Read off `shards`, so `shards[s].epoch() == stamp.shard_epochs[s]`.
     stamp: Arc<EpochStamp>,
-    /// Built over `pins`.
+    /// Built over `shards`.
     layout: SuperLayout,
     /// Retained stamps, contiguous and oldest first, ending with `stamp`
     /// (`history[e - front]`). The front is the low-water mark: the oldest
     /// cluster epoch a client stamp can still be re-expanded at. Rides in
-    /// the published value the way `UpdateLog` rides in a [`Snapshot`];
+    /// the published value the way `UpdateLog` rides in a [`Shard`];
     /// a publish copies the pointers.
     history: VecDeque<Arc<EpochStamp>>,
 }
 
-impl ClusterSnapshot {
+impl Snapshot {
     /// The epoch after `history` (the retained stamps of the epochs before
-    /// it, already pruned), over the shards as currently published.
+    /// it, already pruned): `shards` over `store`.
     fn assemble(
         map: ShardMap,
-        shards: &[ServerCore],
+        store: ObjectStore,
+        shards: Vec<Arc<Shard>>,
         epoch: u64,
         mut history: VecDeque<Arc<EpochStamp>>,
     ) -> Self {
-        let pins: Vec<Arc<Snapshot>> = shards.iter().map(ServerCore::pin).collect();
         let stamp = Arc::new(EpochStamp {
             epoch,
-            shard_epochs: pins.iter().map(|p| p.epoch()).collect(),
-            roots: pins
+            shard_epochs: shards.iter().map(|shard| shard.epoch()).collect(),
+            roots: shards
                 .iter()
-                .map(|p| p.tree().root_mbr().map(|_| p.tree().root()))
+                .map(|shard| shard.tree().root_mbr().map(|_| shard.tree().root()))
                 .collect(),
         });
         history.push_back(stamp.clone());
-        ClusterSnapshot {
-            layout: SuperLayout::build(&map, &pins),
+        Snapshot {
+            layout: SuperLayout::build(&map, &shards),
             map,
-            pins,
+            store,
+            shards,
             stamp,
             history,
         }
+    }
+
+    /// The dataset as of this epoch: ids, sizes, liveness and MBRs are
+    /// world-wide facts, held once for all shards.
+    pub fn store(&self) -> &ObjectStore {
+        &self.store
+    }
+
+    /// Shard `s`'s index as of this epoch.
+    pub fn shard(&self, s: u32) -> &Shard {
+        &self.shards[s as usize]
+    }
+
+    /// The deployment epoch this snapshot was published at (0 = the
+    /// bulk-loaded seed): bumped once per update batch, whatever the batch
+    /// netted to. A shard's own epoch is `shard(s).epoch()`.
+    pub fn epoch(&self) -> u64 {
+        self.stamp.epoch
+    }
+
+    /// Heap bytes this epoch keeps resident, by capacity: the store once,
+    /// plus every shard's tree and BPTs. Segments shared with other live
+    /// epochs are counted in each.
+    pub fn heap_bytes(&self) -> usize {
+        let shards: usize = self.shards.iter().map(|shard| shard.heap_bytes()).sum();
+        self.store.heap_bytes() + shards
     }
 
     /// The stamp of cluster epoch `e`, if it is still retained.
@@ -316,17 +342,17 @@ impl ClusterSnapshot {
     }
 
     /// Ground-truth query against this epoch's merged world.
-    fn direct(&self, spec: &QuerySpec) -> DirectReply {
+    pub fn direct(&self, spec: &QuerySpec) -> DirectReply {
         // A window's owners hold all of its results (straddlers are
         // replicated); a kNN or a join can reach any shard.
         let reach = match *spec {
             QuerySpec::Range { window } => self.map.owners(&window),
-            _ => u64::MAX >> (64 - self.pins.len()),
+            _ => u64::MAX >> (64 - self.shards.len()),
         };
         // One shard to consult: its answer, in its own pop order, is the
         // answer — nothing to merge, re-sort or deduplicate.
         if reach.count_ones() == 1 {
-            let out = self.pins[reach.trailing_zeros() as usize].direct(spec);
+            let out = self.shards[reach.trailing_zeros() as usize].direct(spec);
             return DirectReply {
                 results: out.results.iter().map(|&(id, _)| id).collect(),
                 pairs: out.result_pairs,
@@ -337,14 +363,14 @@ impl ClusterSnapshot {
             QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
                 let mut cands: Vec<(f64, ObjectId)> = Vec::new();
                 let mut expansions = 0;
-                for (s, pin) in self.pins.iter().enumerate() {
+                for (s, shard) in self.shards.iter().enumerate() {
                     if reach & (1 << s) == 0 {
                         continue;
                     }
-                    let out = pin.direct(spec);
+                    let out = shard.direct(spec);
                     expansions += out.expansions;
                     for &(id, _) in &out.results {
-                        cands.push((spec.key_for(&pin.store().get(id).mbr), id));
+                        cands.push((spec.key_for(&self.store.get(id).mbr), id));
                     }
                 }
                 // total_cmp: distance keys are never NaN, and a total
@@ -429,16 +455,14 @@ pub struct ClusterStats {
 /// a single server.
 #[derive(Debug)]
 pub struct Cluster {
+    /// The current epoch — the one thing a reader pins — and the lock
+    /// that serializes update batches.
+    core: ServerCore,
     map: ShardMap,
-    shards: Vec<ServerCore>,
     /// The deployment's one per-client table: §4.3 `d` and the *cluster*
     /// epoch each versioned client last synced to.
     adaptive: AdaptiveController,
     cfg: ClusterConfig,
-    /// Serializes cluster update batches.
-    write: Mutex<()>,
-    /// The current cluster epoch — the one thing a reader pins.
-    snap: SnapshotCell<ClusterSnapshot>,
     stats: Counters,
 }
 
@@ -451,24 +475,22 @@ impl Cluster {
         cfg.validate().expect("invalid ClusterConfig");
         let map = ShardMap::new(TileGrid::new(cfg.grid_per_axis()), cfg.shards);
         let owned = map.partition(&store);
-        // Shards are independent worlds over one shared store: build them
-        // side by side, as `apply_updates` publishes them.
+        // Shards are independent indexes over one shared store: build
+        // them side by side.
         let workers = par::worker_count(owned.iter().map(Vec::len).sum());
-        let shards: Vec<ServerCore> = par::map_ranges(owned.len(), workers, |range| {
+        let shards: Vec<Arc<Shard>> = par::map_ranges(owned.len(), workers, |range| {
             range
                 .map(|s| {
                     let objects = owned[s].iter().map(|&id| store.get(id));
-                    ServerCore::build_with_objects(store.clone(), tree_cfg, objects)
+                    Arc::new(Shard::build(tree_cfg, objects))
                 })
                 .collect()
         });
         Cluster {
-            snap: SnapshotCell::new(ClusterSnapshot::assemble(map, &shards, 0, VecDeque::new())),
+            core: ServerCore::new(Snapshot::assemble(map, store, shards, 0, VecDeque::new())),
             map,
-            shards,
             adaptive: cfg.server.adaptive_table(),
             cfg,
-            write: Mutex::new(()),
             stats: Counters::default(),
         }
     }
@@ -485,14 +507,9 @@ impl Cluster {
         self.cfg.shards
     }
 
-    /// One shard's core (tests and diagnostics).
-    pub fn shard(&self, s: u32) -> &ServerCore {
-        &self.shards[s as usize]
-    }
-
     /// The current cluster epoch (bumped once per applied update batch).
     pub fn epoch(&self) -> u64 {
-        self.snap.pin().stamp.epoch
+        self.core.epoch()
     }
 
     /// Router backplane counters since construction.
@@ -532,9 +549,10 @@ impl Cluster {
     /// its batch-start and batch-end tile ownership — a `Move` across a
     /// tile boundary is delete-here/insert-there, an object moved twice is
     /// relocated once, one inserted and deleted in the same batch never
-    /// reaches an index. Only the touched shards publish their next
-    /// epochs; untouched shards just swap in the new store (no epoch
-    /// bump), so their clients stay fresh. Returns the new cluster epoch.
+    /// reaches an index. Only the touched shards are rebuilt, at their
+    /// next epochs; an untouched shard is carried into the next snapshot
+    /// as it is (no epoch bump), so its clients stay fresh. Returns the
+    /// new cluster epoch.
     ///
     /// History is pruned below the fleet's **low-water mark** (the minimum
     /// last-synced epoch over tracked versioned clients, fed by every
@@ -544,11 +562,14 @@ impl Cluster {
     /// Clients that fall below the pruned horizon get a
     /// [`VersionedReply::FullRefresh`] refusal at their next contact.
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
-        let _writer = lock_recover(&self.write);
+        self.core
+            .advance(|current| self.next_epoch(current, updates))
+    }
+
+    /// The snapshot `updates` turn `current` into.
+    fn next_epoch(&self, current: &Snapshot, updates: &[Update]) -> Snapshot {
         let n = self.cfg.shards as usize;
-        let current = self.snap.pin();
-        let base = &current.pins[0];
-        let mut next_store = base.store().clone();
+        let mut next_store = current.store.clone();
 
         // Apply the batch to the store, remembering which objects it
         // touched, in first-touch order.
@@ -578,8 +599,9 @@ impl Cluster {
         // indexed — the batch-start one — not an intermediate one.
         let mut ops: Vec<Vec<PartitionOp>> = vec![Vec::new(); n];
         let mut tombs: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
+        let base = &current.store;
         for id in touched {
-            let from = base.store().is_live(id).then(|| base.store().get(id).mbr);
+            let from = base.is_live(id).then(|| base.get(id).mbr);
             let live_after = next_store.is_live(id);
             let to = next_store.get(id).mbr;
             let before = from.map_or(0, |m| self.map.owners(&m));
@@ -620,27 +642,20 @@ impl Cluster {
         }
         let floors: &[u64] = history.front().map_or(&[], |front| &front.shard_epochs);
 
-        // Publish the shard cells: a touched shard bumps its own epoch, an
-        // untouched one just syncs the store so globally-assigned ids stay
-        // resolvable from any shard's pin. One after another on this
-        // thread: see the module docs for why not a thread per shard.
-        // (`repeat_n` hands the last shard the store itself, not a clone.)
-        let stores = std::iter::repeat_n(next_store, n);
-        for ((s, shard), store) in self.shards.iter().enumerate().zip(stores) {
-            if ops[s].is_empty() && tombs[s].is_empty() {
-                shard.refresh_store(store);
-            } else {
-                shard.publish_partition(store, &ops[s], &tombs[s], floors.get(s).copied());
-            }
-        }
-
-        // Publish order: every shard cell above, the cluster value last.
-        // Readers pin only the cluster value, so none can see this epoch
-        // before all of its shards are published, and the store read
-        // through `core()` is never older than a reply's epoch.
-        let next = ClusterSnapshot::assemble(self.map, &self.shards, epoch, history);
-        self.snap.publish(next);
-        epoch
+        // A touched shard is rebuilt at its own next epoch; an untouched
+        // one is this epoch's `Arc`. One after another on this thread: see
+        // the module docs for why not a thread per shard.
+        let shards = (0..n)
+            .map(|s| {
+                if ops[s].is_empty() && tombs[s].is_empty() {
+                    Arc::clone(&current.shards[s])
+                } else {
+                    let floor = floors.get(s).copied().unwrap_or(0);
+                    Arc::new(current.shards[s].next(&next_store, &ops[s], &tombs[s], floor))
+                }
+            })
+            .collect();
+        Snapshot::assemble(self.map, next_store, shards, epoch, history)
     }
 
     // -----------------------------------------------------------------
@@ -649,7 +664,7 @@ impl Cluster {
 
     /// Answers a plain (unversioned) remainder query by scatter-gather.
     pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        self.scatter_remainder(client, rq.clone(), &self.snap.pin())
+        self.scatter_remainder(client, rq.clone(), &self.core.pin())
     }
 
     /// The versioned contact — the one version gate of the §7 protocol.
@@ -694,7 +709,7 @@ impl Cluster {
         rq: Cow<'_, RemainderQuery>,
         client_epoch: u64,
     ) -> VersionedReply {
-        let snap = self.snap.pin();
+        let snap = self.core.pin();
         let epoch = snap.stamp.epoch;
         self.adaptive.note_epoch(client, epoch);
 
@@ -725,7 +740,7 @@ impl Cluster {
     /// shard log was pruned past it), so no complete list exists. Out of
     /// line: an up-to-date client's contact never runs it.
     #[inline(never)]
-    fn delta_since(&self, snap: &ClusterSnapshot, since: u64) -> Option<Delta> {
+    fn delta_since(&self, snap: &Snapshot, since: u64) -> Option<Delta> {
         let mut delta = Delta::default();
         // Per-shard deltas since the client's synced vector. The
         // super-root layout changed with them if a shard root id moved, or
@@ -734,11 +749,11 @@ impl Cluster {
         let synced = snap.stamp_at(since)?;
         let roots = &snap.stamp.roots;
         delta.super_changed = synced.roots != *roots;
-        for (s, (pin, &since)) in snap.pins.iter().zip(&synced.shard_epochs).enumerate() {
-            if !pin.update_log().can_answer(since) {
+        for (s, (shard, &since)) in snap.shards.iter().zip(&synced.shard_epochs).enumerate() {
+            if !shard.update_log().can_answer(since) {
                 return None;
             }
-            let changed = pin.update_log().changed_since(since);
+            let changed = shard.update_log().changed_since(since);
             if changed.is_empty() {
                 continue;
             }
@@ -792,7 +807,7 @@ impl Cluster {
 
     /// Ground-truth query against the merged current epoch.
     pub fn direct(&self, spec: &QuerySpec) -> DirectReply {
-        self.snap.pin().direct(spec)
+        self.core.pin().direct(spec)
     }
 
     /// Decomposes one client-held super-root cell into the shard roots
@@ -801,7 +816,7 @@ impl Cluster {
     #[inline(never)]
     fn decompose_super(
         &self,
-        view: &ClusterSnapshot,
+        view: &Snapshot,
         code: Code,
         spec: &QuerySpec,
         legs: &mut [Leg],
@@ -882,15 +897,15 @@ impl Cluster {
     }
 
     /// The scatter-gather core: decompose the heap by ownership, resume
-    /// each sub-query against its shard's pinned snapshot, resume genuinely
-    /// cross-shard work over the merged view, then merge the partial
-    /// replies — deduplicating boundary straddlers so each object is
-    /// wire-charged exactly once.
+    /// each sub-query against its shard of the pinned snapshot, resume
+    /// genuinely cross-shard work over the merged view, then merge the
+    /// partial replies — deduplicating boundary straddlers so each object
+    /// is wire-charged exactly once.
     fn scatter_remainder(
         &self,
         client: ClientId,
         rq: RemainderQuery,
-        snap: &ClusterSnapshot,
+        snap: &Snapshot,
     ) -> ServerReply {
         let n = self.cfg.shards as usize;
         let mut legs: Vec<Leg> = (0..n).map(|_| Leg::default()).collect();
@@ -942,7 +957,7 @@ impl Cluster {
         }
 
         // Scatter: per-shard authoritative resumes.
-        for (leg, pin) in legs.iter_mut().zip(&snap.pins) {
+        for (leg, shard) in legs.iter_mut().zip(&snap.shards) {
             if leg.heap.is_empty() {
                 continue;
             }
@@ -956,7 +971,7 @@ impl Cluster {
                 .scatter_bytes
                 .fetch_add(shard_sub_request_bytes(&query), Ordering::Relaxed);
             self.stats.sub_queries.fetch_add(1, Ordering::Relaxed);
-            leg.resumed = Some(pin.resume_traced(&query));
+            leg.resumed = Some(shard.resume_traced(&query));
         }
 
         // Cross-shard leftovers (join pairs spanning shards) resume
@@ -970,17 +985,16 @@ impl Cluster {
             self.resume_across(snap, &query, &mut legs, &mut super_ship)
         });
 
-        // Gather: per-shard partial replies, charged on the backplane,
-        // each paired with the pin whose store resolves its ids.
+        // Gather: per-shard partial replies, charged on the backplane.
         let mode = form_mode(self.cfg.server.form, &self.adaptive, client);
         let consulted = legs.iter().filter(|leg| leg.resumed.is_some()).count();
         let mut partials =
             legs.into_iter()
-                .zip(&snap.pins)
+                .zip(&snap.shards)
                 .zip(0u32..)
-                .filter_map(|((leg, pin), s)| {
+                .filter_map(|((leg, shard), s)| {
                     let (out, log) = leg.resumed?;
-                    let mut reply = pin.assemble(out, &log, mode);
+                    let mut reply = shard.assemble(&snap.store, out, &log, mode);
                     for sh in &mut reply.index {
                         self.translate_shipment(sh, s);
                     }
@@ -988,7 +1002,7 @@ impl Cluster {
                     self.stats
                         .gather_bytes
                         .fetch_add(shard_sub_reply_bytes(n, &reply), Ordering::Relaxed);
-                    Some((&**pin, reply))
+                    Some(reply)
                 });
 
         // One shard consulted and nothing resumed router-side: that
@@ -1001,17 +1015,20 @@ impl Cluster {
             None
         };
         let mut reply = match lone {
-            Some((_, reply)) => reply,
+            Some(reply) => reply,
             None => {
-                // Router-side results read shard 0's store (same batch,
-                // the MBR vintage can lag one refresh — ids and sizes
-                // cannot); their index went into the shards' logs above.
+                // Router-side results carry no index of their own (it went
+                // into the shards' logs above), so any shard assembles them.
                 let router_side = router_side.map(|out| {
-                    let shard = &*snap.pins[0];
-                    let reply = shard.assemble(out, &AccessLog::default(), FormMode::COMPACT);
-                    (shard, reply)
+                    snap.shards[0].assemble(
+                        &snap.store,
+                        out,
+                        &AccessLog::default(),
+                        FormMode::COMPACT,
+                    )
                 });
-                self.merge_partials(&rq.spec, rq.already_found, partials.chain(router_side))
+                let partials = partials.chain(router_side);
+                self.merge_partials(&snap.store, &rq.spec, rq.already_found, partials)
             }
         };
         reply.expansions += expansions;
@@ -1030,7 +1047,7 @@ impl Cluster {
     #[inline(never)]
     fn resume_across(
         &self,
-        snap: &ClusterSnapshot,
+        snap: &Snapshot,
         query: &RemainderQuery,
         legs: &mut [Leg],
         super_ship: &mut bool,
@@ -1054,15 +1071,16 @@ impl Cluster {
         out
     }
 
-    /// Merges partial replies, each paired with the pin whose store
-    /// resolves its ids: every object appears (and is charged) exactly
-    /// once, even when several shards returned a boundary straddler.
+    /// Merges partial replies (ids resolve through the epoch's `store`):
+    /// every object appears (and is charged) exactly once, even when
+    /// several shards returned a boundary straddler.
     #[inline(never)]
-    fn merge_partials<'a>(
+    fn merge_partials(
         &self,
+        store: &ObjectStore,
         spec: &QuerySpec,
         already_found: u32,
-        partials: impl Iterator<Item = (&'a Snapshot, ServerReply)>,
+        partials: impl Iterator<Item = ServerReply>,
     ) -> ServerReply {
         let mut index: Vec<NodeShipment> = Vec::new();
         let mut expansions = 0u64;
@@ -1070,7 +1088,7 @@ impl Cluster {
         let mut seen: HashMap<ObjectId, usize> = HashMap::new();
         let mut cands: Vec<(SpatialObject, bool)> = Vec::new();
         let mut dups = 0u64;
-        for (shard, reply) in partials {
+        for reply in partials {
             expansions += reply.expansions;
             index.extend(reply.index);
             pairs.extend(reply.pairs);
@@ -1079,7 +1097,7 @@ impl Cluster {
             let confirmed = reply
                 .confirmed
                 .iter()
-                .filter_map(|&id| shard.store().try_get(id))
+                .filter_map(|&id| store.try_get(id))
                 .map(|o| (*o, true));
             for (object, cached) in confirmed.chain(reply.objects.into_iter().map(|o| (o, false))) {
                 match seen.entry(object.id) {
@@ -1152,16 +1170,16 @@ struct SuperLayout {
 }
 
 impl SuperLayout {
-    fn build(map: &ShardMap, pins: &[Arc<Snapshot>]) -> SuperLayout {
+    fn build(map: &ShardMap, shards: &[Arc<Shard>]) -> SuperLayout {
         let mut roots = Vec::new();
         let mut mbrs = Vec::new();
         let mut level = 0u16;
-        for (s, pin) in pins.iter().enumerate() {
-            if let Some(mbr) = pin.tree().root_mbr() {
-                let root = pin.tree().root();
+        for (s, shard) in shards.iter().enumerate() {
+            if let Some(mbr) = shard.tree().root_mbr() {
+                let root = shard.tree().root();
                 roots.push(map.to_global(root, s as u32));
                 mbrs.push(mbr);
-                level = level.max(pin.tree().node(root).level + 1);
+                level = level.max(shard.tree().node(root).level + 1);
             }
         }
         SuperLayout {
@@ -1195,10 +1213,10 @@ impl SuperLayout {
 
 /// The authoritative [`IndexView`] over one whole cluster epoch: the
 /// super-root expands through the layout BPT into translated shard roots,
-/// and every other node delegates to its shard's pinned tree with ids
+/// and every other node delegates to its shard's tree with ids
 /// translated on the way out. Used for cross-shard join resumes and direct
 /// ground truth.
-impl IndexView for ClusterSnapshot {
+impl IndexView for Snapshot {
     fn root(&self) -> Option<(Rect, CellRef)> {
         // The layout BPT's root cell covers every non-empty shard root.
         let SuperLayout { mbrs, bpt, .. } = &self.layout;
@@ -1220,12 +1238,12 @@ impl IndexView for ClusterSnapshot {
         // A shard node: the shard's own view expands it, and only the
         // node ids it hands out are translated into the global space.
         let (s, local) = self.map.to_local(cell.node);
-        let snap = &self.pins[s as usize];
+        let shard = &self.shards[s as usize];
         let cell = CellRef {
             node: local,
             code: cell.code,
         };
-        FullView::new(snap.tree(), snap.bpts())
+        FullView::new(shard.tree(), shard.bpts())
             .expand(cell)
             .map(|side| side.map_node(|n| self.map.to_global(n, s)))
     }
@@ -1243,7 +1261,7 @@ impl Transport for Cluster {
     fn call(&self, client: ClientId, req: Request) -> Response {
         match req {
             Request::Remainder(rq) => {
-                Response::Remainder(self.scatter_remainder(client, rq, &self.snap.pin()))
+                Response::Remainder(self.scatter_remainder(client, rq, &self.core.pin()))
             }
             Request::RemainderVersioned { query, epoch } => {
                 Response::Versioned(self.answer_versioned(client, Cow::Owned(query), epoch))
@@ -1257,11 +1275,7 @@ impl Transport for Cluster {
 
 impl ServerHandle for Cluster {
     fn core(&self) -> &ServerCore {
-        // Shard 0's core: its store is the shared global store (every
-        // batch syncs it to all shards), which is what metadata readers
-        // want. Its *tree* is only shard 0's slice — navigation must go
-        // through `bootstrap_root` + the protocol instead.
-        &self.shards[0]
+        &self.core
     }
 
     fn apply_updates(&self, updates: &[Update]) -> u64 {
@@ -1269,11 +1283,11 @@ impl ServerHandle for Cluster {
     }
 
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
-        let snap = self.snap.pin();
+        let snap = self.core.pin();
         let root = if self.cfg.shards == 1 {
             // A lone shard's tree is the whole index: clients navigate
             // its root directly, with no super-root hop above it.
-            let tree = snap.pins[0].tree();
+            let tree = snap.shards[0].tree();
             tree.root_mbr().map(|mbr| (tree.root(), mbr))
         } else {
             snap.root().map(|(mbr, cell)| (cell.node, mbr))
@@ -1282,12 +1296,12 @@ impl ServerHandle for Cluster {
     }
 
     fn log_records(&self) -> usize {
-        // One cluster pin, so the sum is over one epoch's logs — never a
-        // mix of shards from either side of a batch in flight.
-        let snap = self.snap.pin();
-        snap.pins
+        // One pin, so the sum is over one epoch's logs — never a mix of
+        // shards from either side of a batch in flight.
+        let snap = self.core.pin();
+        snap.shards
             .iter()
-            .map(|pin| pin.update_log().retained_records())
+            .map(|shard| shard.update_log().retained_records())
             .sum()
     }
 }
@@ -1590,7 +1604,8 @@ mod tests {
         // the other quadrant's invalidations riding along.
         let window = Rect::centered_square(Point::new(0.8, 0.2), 0.1);
         let quiet = cl.shard_map().first_owner(&window);
-        let pin = cl.shard(quiet).pin();
+        let pin = cl.core.pin();
+        let pin = pin.shard(quiet);
         let warm = RemainderQuery {
             spec: QuerySpec::Range { window },
             already_found: 0,
@@ -1628,16 +1643,40 @@ mod tests {
     }
 
     /// What `pin_all` used to establish by re-pinning until the vector
-    /// matched: a pinned epoch's stamp and layout describe exactly its pins.
-    fn assert_one_consistent_epoch(snap: &ClusterSnapshot) {
+    /// matched, and the publish order used to promise about the store: a
+    /// pinned epoch's stamp, layout and store describe exactly its shards.
+    fn assert_one_consistent_epoch(snap: &Snapshot) {
         let mut nonempty = Vec::new();
-        for (s, pin) in snap.pins.iter().enumerate() {
-            assert_eq!(pin.epoch(), snap.stamp.shard_epochs[s], "shard {s}");
-            let root = pin.tree().root_mbr().map(|_| pin.tree().root());
+        for (s, shard) in snap.shards.iter().enumerate() {
+            assert_eq!(shard.epoch(), snap.stamp.shard_epochs[s], "shard {s}");
+            let root = shard.tree().root_mbr().map(|_| shard.tree().root());
             assert_eq!(root, snap.stamp.roots[s], "shard {s} root id");
-            if let (Some(root), Some(mbr)) = (root, pin.tree().root_mbr()) {
+            if let (Some(root), Some(mbr)) = (root, shard.tree().root_mbr()) {
                 nonempty.push((snap.map.to_global(root, s as u32), mbr));
             }
+        }
+        // Store and index are of one vintage: every shard's leaves index
+        // exactly the live objects it owns, each at its store MBR — so a
+        // dead id is reachable nowhere.
+        let owned = snap.map.partition(&snap.store);
+        for (s, (shard, owned)) in snap.shards.iter().zip(owned).enumerate() {
+            let tree = shard.tree();
+            let mut indexed: Vec<(ObjectId, Rect)> = tree
+                .node_ids()
+                .into_iter()
+                .filter(|&n| tree.node(n).is_leaf())
+                .flat_map(|n| tree.node(n).entries())
+                .map(|e| match e.child {
+                    pc_rtree::ChildRef::Object(id) => (id, e.mbr),
+                    pc_rtree::ChildRef::Node(n) => panic!("leaf entry names node {n:?}"),
+                })
+                .collect();
+            indexed.sort_by_key(|e| e.0);
+            let want: Vec<(ObjectId, Rect)> = owned
+                .into_iter()
+                .map(|id| (id, snap.store.get(id).mbr))
+                .collect();
+            assert_eq!(indexed, want, "shard {s} indexes another store's world");
         }
         // The layout resolves every non-empty shard root, at its MBR.
         let mut shipped: Vec<(NodeId, Rect)> = snap
@@ -1674,13 +1713,13 @@ mod tests {
                     // store, so a reader that sees `done` also sees the
                     // last publish — pinning the final-epoch assert.
                     while pins < 2000 || !done.load(Ordering::Acquire) {
-                        let snap = cl.snap.pin();
+                        let snap = cl.core.pin();
                         assert_one_consistent_epoch(&snap);
                         assert!(snap.stamp.epoch >= last, "epochs went backwards");
                         last = snap.stamp.epoch;
                         pins += 1;
                     }
-                    assert_eq!(cl.snap.pin().stamp.epoch, BATCHES);
+                    assert_eq!(cl.core.epoch(), BATCHES);
                 });
             }
             // Batch `b` inserts into 1–4 quadrants and, every third batch,
@@ -1704,7 +1743,7 @@ mod tests {
             // Acquire loads in the reader loops above.
             done.store(true, Ordering::Release);
         });
-        assert_one_consistent_epoch(&cl.snap.pin());
+        assert_one_consistent_epoch(&cl.core.pin());
     }
 
     /// Cluster twin of `pinned_snapshot_outlives_a_publish`.
@@ -1714,7 +1753,7 @@ mod tests {
         let spec = QuerySpec::Range {
             window: Rect::centered_square(Point::new(0.5, 0.5), 0.1),
         };
-        let old = cl.snap.pin();
+        let old = cl.core.pin();
         let before = old.direct(&spec).results;
         // One insert on the centre corner: all four shards publish.
         assert_eq!(
@@ -1733,14 +1772,14 @@ mod tests {
         after.retain(|id| !before.contains(id));
         assert_eq!(after, vec![ObjectId(200)]);
         assert_eq!(cl.epoch(), 1);
-        assert_eq!(cl.snap.pin().stamp.shard_epochs, vec![1, 1, 1, 1]);
+        assert_eq!(cl.core.pin().stamp.shard_epochs, vec![1, 1, 1, 1]);
     }
 
     #[test]
     fn updates_publish_per_shard_epochs_independently() {
         let cl = quad_cluster(sample_store(80, 3));
-        let quiet: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
-        assert_eq!(quiet, vec![0, 0, 0, 0]);
+        let seed = cl.core.pin();
+        assert_eq!(seed.stamp.shard_epochs, vec![0, 0, 0, 0]);
 
         // Insert into the lower-left quadrant: exactly one shard publishes.
         let e = ServerHandle::apply_updates(
@@ -1751,7 +1790,8 @@ mod tests {
             }],
         );
         assert_eq!(e, 1, "cluster epoch advances once per batch");
-        let after: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
+        let first = cl.core.pin();
+        let after = &first.stamp.shard_epochs;
         assert_eq!(after.iter().sum::<u64>(), 1, "only the owner published");
         let owner = after.iter().position(|&x| x == 1).unwrap() as u32;
         assert_eq!(
@@ -1759,6 +1799,15 @@ mod tests {
             cl.shard_map()
                 .first_owner(&Rect::centered_square(Point::new(0.2, 0.2), 0.01))
         );
+        // A shard the batch never touched costs it nothing: the next epoch
+        // holds the same allocation. The touched one was rebuilt.
+        for s in 0..4 {
+            let same = Arc::ptr_eq(&seed.shards[s], &first.shards[s]);
+            assert_eq!(same, s as u32 != owner, "shard {s}");
+        }
+        // One store per epoch, counted once.
+        let shards: usize = first.shards.iter().map(|shard| shard.heap_bytes()).sum();
+        assert_eq!(first.heap_bytes(), first.store().heap_bytes() + shards);
 
         // Move it across the tile boundary: delete-here/insert-there in
         // one batch — both shards publish, the others stay quiet.
@@ -1771,7 +1820,7 @@ mod tests {
             }],
         );
         assert_eq!(e, 2);
-        let finally: Vec<u64> = (0..4).map(|s| cl.shard(s).epoch()).collect();
+        let finally = cl.core.pin().stamp.shard_epochs.clone();
         let new_owner = cl
             .shard_map()
             .first_owner(&Rect::centered_square(Point::new(0.8, 0.8), 0.01));
@@ -1824,9 +1873,9 @@ mod tests {
 
         // A warm heap referencing only the quiet shard's root: the churn
         // elsewhere must NOT force a stale round-trip...
-        let quiet_pin = cl.shard(quiet_shard).pin();
-        let quiet_root = quiet_pin.tree().root();
-        let quiet_mbr = quiet_pin.tree().root_mbr().unwrap();
+        let pin = cl.core.pin();
+        let quiet_root = pin.shard(quiet_shard).tree().root();
+        let quiet_mbr = pin.shard(quiet_shard).tree().root_mbr().unwrap();
         let warm = RemainderQuery {
             spec: QuerySpec::Range {
                 window: Rect::centered_square(Point::new(0.2, 0.2), 0.05),
@@ -1880,7 +1929,7 @@ mod tests {
         assert_eq!(epoch, 0);
         // The super MBR covers every shard root.
         for s in 0..4 {
-            if let Some(r) = cl.shard(s).pin().tree().root_mbr() {
+            if let Some(r) = cl.core.pin().shard(s).tree().root_mbr() {
                 assert!(mbr.contains_rect(&r));
             }
         }
@@ -1916,7 +1965,7 @@ mod tests {
             let batch = touched(e).map(|s| Update::Delete(by_shard[s][e as usize]));
             assert_eq!(cl.apply_updates(&batch), e);
         };
-        let vector = || (0..4).map(|s| cl.shard(s).epoch()).collect::<Vec<u64>>();
+        let vector = || cl.core.pin().stamp.shard_epochs.clone();
         let contact = |client: ClientId, stamp: u64| {
             let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
             cl.process_remainder_versioned(client, &rq, stamp)
@@ -1933,8 +1982,8 @@ mod tests {
         for e in 3..=6 {
             publish(e);
             for s in 0..4 {
-                let log = cl.shard(s as u32).pin();
-                let log = log.update_log();
+                let pin = cl.core.pin();
+                let log = pin.shard(s as u32).update_log();
                 assert!(log.low_water() <= synced[s], "shard {s} over-pruned at {e}");
                 if touched(e).contains(&s) {
                     assert_eq!(log.low_water(), synced[s], "shard {s} floor at {e}");
@@ -1964,8 +2013,8 @@ mod tests {
         publish(7);
         assert!(cl.log_records() < before, "the laggard's records are gone");
         for s in touched(7) {
-            let log = cl.shard(s as u32).pin();
-            assert_eq!(log.update_log().low_water(), caught_up[s]);
+            let pin = cl.core.pin();
+            assert_eq!(pin.shard(s as u32).update_log().low_water(), caught_up[s]);
         }
         assert_eq!(contact(3, 2), VersionedReply::FullRefresh { epoch: 7 });
         assert!(matches!(

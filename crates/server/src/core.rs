@@ -1,20 +1,26 @@
-//! One shard of a deployment: dataset, R*-tree, BPT store and update log,
-//! published as an epoch-stamped immutable [`Snapshot`] behind a
-//! [`SnapshotCell`]. Query paths [`pin`](ServerCore::pin) the current
-//! snapshot (a refcount bump) and read it with plain `&self` methods, so a
-//! `ServerCore` is `Send + Sync` and serves any number of worker threads —
-//! the concurrency story of a server that, per Fig. 3, serves many mobile
-//! clients at once. An update batch ([`ServerCore::publish_partition`],
-//! driven by [`crate::Cluster::apply_updates`]) builds the *next* snapshot
-//! off to the side and publishes it with one pointer swap, so readers
-//! never block on churn and a pinned reader always sees one consistent
-//! (tree, BPTs, store, epoch) world.
+//! What a deployment publishes and where: a [`Shard`] is one shard's index
+//! at one epoch — R*-tree, BPT store and update log, no object store of its
+//! own — built by pure functions ([`Shard::build`] at set-up, `Shard::next`
+//! per update batch), and a [`ServerCore`] is the deployment's **one**
+//! [`SnapshotCell`] plus the writer lock that serializes its epoch
+//! transitions. The value in the cell is the whole world at one epoch, a
+//! [`Snapshot`]: the global store once and every shard by `Arc`. Query
+//! paths [`pin`](ServerCore::pin) it (a refcount bump) and read it with
+//! plain `&self` methods, so a `ServerCore` is `Send + Sync` and serves any
+//! number of worker threads — the concurrency story of a server that, per
+//! Fig. 3, serves many mobile clients at once. An update batch
+//! ([`crate::Cluster::apply_updates`]) builds the *next* snapshot off to
+//! the side — a shard the batch never touched is the same `Arc` in both —
+//! and publishes it with one pointer swap, so readers never block on churn
+//! and a pinned reader always sees one consistent (store, trees, BPTs,
+//! epoch) world.
 //!
-//! Everything that spans shards or clients lives one level up, in
-//! [`crate::Cluster`]: routing, the version gate, batch netting and the
-//! per-client *adaptive* state (§4.3, [`crate::AdaptiveController`]). A
-//! [`crate::Server`] is the cluster of one such shard.
+//! Everything that spans shards or clients lives in [`crate::Cluster`]:
+//! routing, the version gate, batch netting and the per-client *adaptive*
+//! state (§4.3, [`crate::AdaptiveController`]). A [`crate::Server`] is the
+//! cluster of one shard.
 
+use crate::cluster::Snapshot;
 use crate::epoch::SnapshotCell;
 use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
@@ -23,21 +29,37 @@ use pc_rtree::bpt::BptStore;
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
-use pc_rtree::{ObjectStore, RTree, RTreeConfig};
+use pc_rtree::{ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use std::sync::{Arc, Mutex};
 
-/// One immutable epoch of the server's world: index + data + versioning,
-/// no per-client state. All query methods take `&self`; nothing here ever
-/// mutates after publication.
+/// One shard's immutable index at one of its epochs: tree + BPTs +
+/// versioning, no per-client state and no objects — ids resolve through
+/// the [`Snapshot`]'s store, which the methods that need it take. All
+/// query methods take `&self`; nothing here ever mutates after
+/// publication.
 #[derive(Clone, Debug)]
-pub struct Snapshot {
+pub struct Shard {
     tree: RTree,
     bpts: BptStore,
-    store: ObjectStore,
     updates: UpdateLog,
 }
 
-impl Snapshot {
+impl Shard {
+    /// Bulk loads the index over `objects` — the objects whose MBRs touch
+    /// the tiles this shard owns (all of them, for a lone shard) — and
+    /// prepares the BPTs offline.
+    pub fn build<'a>(
+        tree_cfg: RTreeConfig,
+        objects: impl IntoIterator<Item = &'a SpatialObject>,
+    ) -> Shard {
+        let tree = RTree::bulk_load(tree_cfg, objects);
+        Shard {
+            bpts: BptStore::build(&tree),
+            tree,
+            updates: UpdateLog::default(),
+        }
+    }
+
     pub fn tree(&self) -> &RTree {
         &self.tree
     }
@@ -46,22 +68,18 @@ impl Snapshot {
         &self.bpts
     }
 
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
     /// Update/invalidation state (§7 extension).
     pub fn update_log(&self) -> &UpdateLog {
         &self.updates
     }
 
-    /// The epoch this snapshot was published at (0 = the bulk-loaded seed).
+    /// This shard's own epoch: bumped once per update batch that touched
+    /// it (0 = the bulk-loaded seed).
     pub fn epoch(&self) -> u64 {
         self.updates.epoch()
     }
 
-    /// Evaluates a query directly (no caching) — ground truth for the
-    /// simulator's metrics and the backend for the PAG/SEM baselines.
+    /// Evaluates a query directly (no caching) over this shard's index.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
         let view = FullView::new(&self.tree, &self.bpts);
         execute(&view, spec, &mut NoopTracer)
@@ -69,12 +87,17 @@ impl Snapshot {
 
     /// Stage ② of Fig. 3 with an explicit form: resumes `Qr` from its heap,
     /// assembles `Rr` (splitting confirmed-cached results from transmitted
-    /// ones) and the supporting index `Ir` in `mode`. This is the
-    /// policy-free, single-shard primitive the router's scatter is built
-    /// from.
-    pub fn resume_remainder(&self, rq: &RemainderQuery, mode: FormMode) -> ServerReply {
+    /// ones, read from the epoch's `store`) and the supporting index `Ir`
+    /// in `mode`. This is the policy-free, single-shard primitive the
+    /// router's scatter is built from.
+    pub fn resume_remainder(
+        &self,
+        store: &ObjectStore,
+        rq: &RemainderQuery,
+        mode: FormMode,
+    ) -> ServerReply {
         let (outcome, log) = self.resume_traced(rq);
-        self.assemble(outcome, &log, mode)
+        self.assemble(store, outcome, &log, mode)
     }
 
     /// The resume half of stage ②: runs `Qr` to completion over this
@@ -92,9 +115,10 @@ impl Snapshot {
 
     /// The assembly half of stage ②: `Ir` in `mode` for every node `log`
     /// saw expanded, and `Rr` split into confirmations (the client holds
-    /// the payload) and transmitted objects.
+    /// the payload) and objects transmitted out of `store`.
     pub(crate) fn assemble(
         &self,
+        store: &ObjectStore,
         outcome: Outcome,
         log: &AccessLog,
         mode: FormMode,
@@ -104,7 +128,7 @@ impl Snapshot {
         for (id, cached) in outcome.results {
             if cached {
                 confirmed.push(id);
-            } else if let Some(object) = self.store.try_get(id) {
+            } else if let Some(object) = store.try_get(id) {
                 // An id the store never assigned can only come from a
                 // heap built outside this program: nothing to transmit.
                 objects.push(*object);
@@ -119,127 +143,37 @@ impl Snapshot {
         }
     }
 
-    /// This epoch's index and log — a structural clone: pointer tables,
-    /// not data — over a newer global `store`, as the start of the next.
-    fn over_store(&self, store: ObjectStore) -> Snapshot {
-        Snapshot {
-            tree: self.tree.clone(),
-            bpts: self.bpts.clone(),
-            store,
-            updates: self.updates.clone(),
-        }
-    }
-
-    /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
-    pub fn bpt_bytes(&self) -> u64 {
-        self.bpts.total_aux_bytes()
-    }
-
-    /// Heap bytes this epoch keeps resident, by capacity: store + tree +
-    /// BPTs (the update log is bounded by pruning and not counted).
-    /// Segments shared with other live epochs are counted in each.
-    pub fn heap_bytes(&self) -> usize {
-        self.store.heap_bytes() + self.tree.heap_bytes() + self.bpts.heap_bytes()
-    }
-}
-
-/// One shard: the current [`Snapshot`] plus the writer lock that
-/// serializes its epoch transitions.
-#[derive(Debug)]
-pub struct ServerCore {
-    snap: SnapshotCell<Snapshot>,
-    /// Serializes publishers: each builds its next snapshot from the one
-    /// it read, so concurrent writers must not interleave
-    /// (last-publish-wins would silently drop a batch).
-    write: Mutex<()>,
-}
-
-impl ServerCore {
-    /// Bulk loads the index over `store` and prepares the BPTs offline.
-    pub fn build(store: ObjectStore, tree_cfg: RTreeConfig) -> Self {
-        let tree = RTree::bulk_load(tree_cfg, store.iter());
-        ServerCore::with_tree(store, tree)
-    }
-
-    /// [`build`](Self::build) indexing only `objects` — a subset of
-    /// `store` — while keeping the whole store resident. This is a
-    /// cluster shard's shape: every shard shares the global object store
-    /// (ids, sizes, liveness are world-wide facts) but its tree covers
-    /// only the objects whose MBRs touch the tiles it owns.
-    pub fn build_with_objects<'a>(
-        store: ObjectStore,
-        tree_cfg: RTreeConfig,
-        objects: impl IntoIterator<Item = &'a pc_rtree::SpatialObject>,
-    ) -> Self {
-        ServerCore::with_tree(store, RTree::bulk_load(tree_cfg, objects))
-    }
-
-    fn with_tree(store: ObjectStore, tree: RTree) -> Self {
-        let bpts = BptStore::build(&tree);
-        ServerCore {
-            snap: SnapshotCell::new(Snapshot {
-                tree,
-                bpts,
-                store,
-                updates: UpdateLog::default(),
-            }),
-            write: Mutex::new(()),
-        }
-    }
-
-    /// Pins the current snapshot: an `Arc` that stays valid and internally
-    /// consistent across concurrent publishes. Pin once per query and read
-    /// everything off the pin.
-    pub fn pin(&self) -> Arc<Snapshot> {
-        self.snap.pin()
-    }
-
-    /// This shard's epoch: bumped once per update batch that touched it.
-    pub fn epoch(&self) -> u64 {
-        self.pin().epoch()
-    }
-
-    /// Publishes one routed slice of an update batch against this shard
-    /// *while queries keep running*: clones the current snapshot
-    /// **structurally** (node slab, per-node BPTs and store segments are
-    /// `Arc`-shared, so the clone copies pointer tables, not data), swaps
-    /// in the already-updated global `store` (the cluster applies id
-    /// assignment, liveness and MBR changes once, for all shards), applies
-    /// the shard-local tree operations the router derived from tile
-    /// ownership — copy-on-write touches only the spines the batch lands
-    /// in — bumps the epoch, rebuilds only the dirty nodes' BPTs, logs
-    /// them and the `tombstones` (objects that went dead this batch *and*
-    /// were indexed here, so behind-epoch clients are told to drop them),
-    /// prunes the log at or below `client_floor` and publishes with one
-    /// pointer swap. Pinned readers are untouched. Returns the new epoch.
-    ///
-    /// No history cap here: the cluster bounds its epoch-vector history
-    /// and derives each shard's floor from the oldest vector it retains.
-    /// Shards a batch never touched are not called at all, so their epochs
-    /// — and their clients' staleness — advance independently.
-    pub fn publish_partition(
+    /// This shard after one routed slice of an update batch, built *while
+    /// queries keep running* on the current one: clones it **structurally**
+    /// (node slab and per-node BPTs are `Arc`-shared, so the clone copies
+    /// pointer tables, not data), applies the shard-local tree operations
+    /// the router derived from tile ownership against the already-updated
+    /// global `store` — copy-on-write touches only the spines the batch
+    /// lands in — bumps the shard epoch, rebuilds only the dirty nodes'
+    /// BPTs, logs them and the `tombstones` (objects that went dead this
+    /// batch *and* were indexed here, so behind-epoch clients are told to
+    /// drop them) and prunes the log at or below `floor`, which the
+    /// cluster derives from the oldest epoch vector it retains. A shard a
+    /// batch never touched is not rebuilt at all, so its epoch — and its
+    /// clients' staleness — advance independently.
+    pub(crate) fn next(
         &self,
-        store: ObjectStore,
+        store: &ObjectStore,
         ops: &[PartitionOp],
-        tombstones: &[pc_rtree::ObjectId],
-        client_floor: Option<u64>,
-    ) -> u64 {
-        let _writer = lock_recover(&self.write);
-        let mut next = self.pin().over_store(store);
+        tombstones: &[ObjectId],
+        floor: u64,
+    ) -> Shard {
+        let mut next = self.clone();
         for op in ops {
             match *op {
-                PartitionOp::Insert(id) => {
-                    let obj = *next.store.get(id);
-                    next.tree.insert(&obj);
-                }
+                PartitionOp::Insert(id) => next.tree.insert(store.get(id)),
                 PartitionOp::Delete(id, ref from) => {
                     let removed = next.tree.delete(id, from);
                     debug_assert!(removed, "partition delete must match the indexed entry");
                 }
                 PartitionOp::Relocate(id, ref from) => {
                     if next.tree.delete(id, from) {
-                        let obj = *next.store.get(id);
-                        next.tree.insert(&obj);
+                        next.tree.insert(store.get(id));
                     }
                 }
             }
@@ -253,20 +187,63 @@ impl ServerCore {
         for n in dirty {
             next.updates.record_change(n, epoch);
         }
-        next.updates.prune(client_floor.unwrap_or(0));
-        self.snap.publish(next);
-        epoch
+        next.updates.prune(floor);
+        next
     }
 
-    /// Swaps in a newer global store **without** bumping the epoch — the
-    /// cluster's store-sync for shards an update batch never touched.
-    /// Safe exactly because an untouched shard owns none of the batch's
-    /// objects: its indexed world (tree, BPTs, update log) is unchanged,
-    /// while globally-assigned ids stay resolvable for byte sizing no
-    /// matter which shard's snapshot a session pins.
-    pub fn refresh_store(&self, store: ObjectStore) {
+    /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
+    pub fn bpt_bytes(&self) -> u64 {
+        self.bpts.total_aux_bytes()
+    }
+
+    /// Heap bytes this shard keeps resident, by capacity: tree + BPTs (the
+    /// update log is bounded by pruning and not counted). Segments shared
+    /// with other live epochs are counted in each.
+    pub fn heap_bytes(&self) -> usize {
+        self.tree.heap_bytes() + self.bpts.heap_bytes()
+    }
+}
+
+/// The deployment's one published value and the one lock that orders its
+/// writers: the current [`Snapshot`] behind a [`SnapshotCell`].
+#[derive(Debug)]
+pub struct ServerCore {
+    snap: SnapshotCell<Snapshot>,
+    /// Serializes publishers: each builds its next snapshot from the one
+    /// it read, so concurrent writers must not interleave
+    /// (last-publish-wins would silently drop a batch).
+    write: Mutex<()>,
+}
+
+impl ServerCore {
+    pub(crate) fn new(seed: Snapshot) -> Self {
+        ServerCore {
+            snap: SnapshotCell::new(seed),
+            write: Mutex::new(()),
+        }
+    }
+
+    /// Pins the current snapshot: an `Arc` that stays valid and internally
+    /// consistent across concurrent publishes. Pin once per query and read
+    /// everything off the pin.
+    pub fn pin(&self) -> Arc<Snapshot> {
+        self.snap.pin()
+    }
+
+    /// The deployment epoch: bumped once per applied update batch.
+    pub fn epoch(&self) -> u64 {
+        self.pin().epoch()
+    }
+
+    /// One epoch transition, under the writer lock: `build` derives the
+    /// next snapshot from the current one and it is published with one
+    /// pointer swap. Pinned readers are untouched. Returns the new epoch.
+    pub(crate) fn advance(&self, build: impl FnOnce(&Snapshot) -> Snapshot) -> u64 {
         let _writer = lock_recover(&self.write);
-        self.snap.publish(self.pin().over_store(store));
+        let next = build(&self.pin());
+        let epoch = next.epoch();
+        self.snap.publish(next);
+        epoch
     }
 }
 
@@ -276,16 +253,16 @@ impl ServerCore {
 /// shard's tree actually indexed — so the entry is found even when a batch
 /// moved the object several times before settling.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PartitionOp {
+pub(crate) enum PartitionOp {
     /// The object enters this shard's ownership: insert it at the MBR the
     /// (already updated) store records.
-    Insert(pc_rtree::ObjectId),
+    Insert(ObjectId),
     /// The object leaves this shard (moved away or went dead): delete the
     /// entry indexed at its batch-start MBR.
-    Delete(pc_rtree::ObjectId, pc_geom::Rect),
+    Delete(ObjectId, pc_geom::Rect),
     /// The object stays owned here but relocated: delete at the
     /// batch-start MBR, re-insert at the store's current one.
-    Relocate(pc_rtree::ObjectId, pc_geom::Rect),
+    Relocate(ObjectId, pc_geom::Rect),
 }
 
 #[cfg(test)]
@@ -316,22 +293,22 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServerCore>();
         assert_send_sync::<Snapshot>();
+        assert_send_sync::<Shard>();
         assert_send_sync::<Arc<ServerCore>>();
     }
 
     #[test]
     fn shared_core_answers_queries_from_many_threads() {
-        let core = Arc::new(ServerCore::build(
-            sample_store(400, 11),
-            RTreeConfig::small(),
-        ));
+        let server = Arc::new(sample_server(400, 11));
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let core = Arc::clone(&core);
+                let server = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let w = Rect::centered_square(Point::new(0.2 + 0.15 * t as f64, 0.5), 0.2);
-                    let got: Vec<ObjectId> = core
+                    let got: Vec<ObjectId> = server
+                        .core()
                         .pin()
+                        .shard(0)
                         .direct(&QuerySpec::Range { window: w })
                         .results
                         .iter()
@@ -343,7 +320,7 @@ mod tests {
                 })
             })
             .collect();
-        let snap = core.pin();
+        let snap = server.core().pin();
         for h in handles {
             let (w, got) = h.join().unwrap();
             assert_eq!(got, naive::range_naive(snap.store(), &w));
@@ -367,17 +344,17 @@ mod tests {
         ]);
         let new = core.pin();
 
-        let slab = old.tree().slab_len();
-        let shared_nodes = old.tree().shared_node_slots(new.tree());
+        let slab = old.shard(0).tree().slab_len();
+        let shared_nodes = old.shard(0).tree().shared_node_slots(new.shard(0).tree());
         assert!(
-            slab - shared_nodes <= 6 * new.tree().height() as usize + 12,
+            slab - shared_nodes <= 6 * new.shard(0).tree().height() as usize + 12,
             "2-update batch copied {} of {slab} nodes",
             slab - shared_nodes
         );
-        let bpts = old.bpts().node_count();
-        let shared_bpts = old.bpts().shared_bpts(new.bpts());
+        let bpts = old.shard(0).bpts().node_count();
+        let shared_bpts = old.shard(0).bpts().shared_bpts(new.shard(0).bpts());
         assert!(
-            bpts - shared_bpts <= 6 * new.tree().height() as usize + 12,
+            bpts - shared_bpts <= 6 * new.shard(0).tree().height() as usize + 12,
             "2-update batch rebuilt {} of {bpts} BPTs",
             bpts - shared_bpts
         );
@@ -389,8 +366,8 @@ mod tests {
             chunks - shared_chunks
         );
         // And both worlds still answer correctly.
-        old.tree().validate(2000, false).unwrap();
-        new.tree().validate(2000, false).unwrap(); // +1 insert, -1 delete
+        old.shard(0).tree().validate(2000, false).unwrap();
+        new.shard(0).tree().validate(2000, false).unwrap(); // +1 insert, -1 delete
     }
 
     #[test]
@@ -404,7 +381,7 @@ mod tests {
         let core = server.core();
         let old = core.pin();
         assert!(
-            old.tree().node_chunk_count() >= 2,
+            old.shard(0).tree().node_chunk_count() >= 2,
             "dataset too small to span multiple node chunks"
         );
         server.apply_updates(&[
@@ -416,18 +393,21 @@ mod tests {
         ]);
         let new = core.pin();
 
-        let node_chunks = old.tree().node_chunk_count();
-        let copied_slots = old.tree().slab_len() - old.tree().shared_node_slots(new.tree());
-        let copied_node_chunks = node_chunks - old.tree().shared_node_chunks(new.tree());
+        let node_chunks = old.shard(0).tree().node_chunk_count();
+        let copied_slots = old.shard(0).tree().slab_len()
+            - old.shard(0).tree().shared_node_slots(new.shard(0).tree());
+        let copied_node_chunks =
+            node_chunks - old.shard(0).tree().shared_node_chunks(new.shard(0).tree());
         assert!(copied_node_chunks >= 1, "an update must dirty some chunk");
         assert!(
             copied_node_chunks <= copied_slots.max(1),
             "copied {copied_node_chunks} node chunks for only {copied_slots} dirty slots"
         );
 
-        let bpt_chunks = old.bpts().chunk_count();
-        let rebuilt = old.bpts().node_count() - old.bpts().shared_bpts(new.bpts());
-        let copied_bpt_chunks = bpt_chunks - old.bpts().shared_chunks(new.bpts());
+        let bpt_chunks = old.shard(0).bpts().chunk_count();
+        let rebuilt =
+            old.shard(0).bpts().node_count() - old.shard(0).bpts().shared_bpts(new.shard(0).bpts());
+        let copied_bpt_chunks = bpt_chunks - old.shard(0).bpts().shared_chunks(new.shard(0).bpts());
         assert!(
             copied_bpt_chunks <= rebuilt.max(1),
             "copied {copied_bpt_chunks} BPT chunks for only {rebuilt} rebuilt BPTs"
@@ -456,7 +436,8 @@ mod tests {
         assert_eq!(snap.store().live_count(), 99, "exactly one real delete");
         assert!(!snap.store().is_live(ObjectId(3)));
         assert_eq!(
-            snap.update_log()
+            snap.shard(0)
+                .update_log()
                 .deleted_objects()
                 .iter()
                 .filter(|&&(id, _)| id == ObjectId(3))
@@ -464,7 +445,7 @@ mod tests {
             1,
             "the double delete must not duplicate the tombstone"
         );
-        snap.tree().validate(99, false).unwrap();
+        snap.shard(0).tree().validate(99, false).unwrap();
     }
 
     /// Live objects of a snapshot (tombstones excluded), in id order.
@@ -519,15 +500,14 @@ mod tests {
             let live = live_objects(&snap);
 
             // (1) The shared tree is structurally valid for the live set.
-            snap.tree().validate(live.len(), false).unwrap();
+            snap.shard(0).tree().validate(live.len(), false).unwrap();
 
             // (2) Direct answers equal a from-scratch bulk load over the
             // same final live set, and the naive oracle.
             let fresh = pc_rtree::RTree::bulk_load(RTreeConfig::small(), &live);
             for (cx, cy, half) in [(0.3, 0.4, 0.25), (0.6, 0.55, 0.2), (0.5, 0.5, 0.6)] {
                 let w = Rect::centered_square(Point::new(cx, cy), half);
-                let mut got: Vec<ObjectId> = snap
-                    .direct(&QuerySpec::Range { window: w })
+                let mut got: Vec<ObjectId> = snap.shard(0).direct(&QuerySpec::Range { window: w })
                     .results
                     .iter()
                     .map(|&(id, _)| id)
@@ -541,8 +521,8 @@ mod tests {
 
             // (3) A cold remainder resume through the incrementally
             // rebuilt BPTs equals the direct answer.
-            let root = snap.tree().root();
-            if let Some(mbr) = snap.tree().root_mbr() {
+            let root = snap.shard(0).tree().root();
+            if let Some(mbr) = snap.shard(0).tree().root_mbr() {
                 let w = Rect::centered_square(Point::new(0.5, 0.5), 0.35);
                 let rq = pc_rtree::proto::RemainderQuery {
                     spec: QuerySpec::Range { window: w },
@@ -555,13 +535,12 @@ mod tests {
                         }),
                     )],
                 };
-                let resumed = snap.resume_remainder(&rq, crate::FormMode::COMPACT);
+                let resumed = snap.shard(0).resume_remainder(snap.store(), &rq, crate::FormMode::COMPACT);
                 let mut via_bpt: Vec<ObjectId> =
                     resumed.objects.iter().map(|o| o.id).collect();
                 via_bpt.extend(resumed.confirmed.iter().copied());
                 via_bpt.sort_unstable();
-                let mut via_tree: Vec<ObjectId> = snap
-                    .direct(&QuerySpec::Range { window: w })
+                let mut via_tree: Vec<ObjectId> = snap.shard(0).direct(&QuerySpec::Range { window: w })
                     .results
                     .iter()
                     .map(|&(id, _)| id)
@@ -572,8 +551,8 @@ mod tests {
 
             // (4) The dirty-node-only BPT maintenance byte-matches a full
             // from-scratch BPT build over the *same* tree.
-            let rebuilt = pc_rtree::bpt::BptStore::build(snap.tree());
-            prop_assert_eq!(rebuilt.total_aux_bytes(), snap.bpt_bytes());
+            let rebuilt = pc_rtree::bpt::BptStore::build(snap.shard(0).tree());
+            prop_assert_eq!(rebuilt.total_aux_bytes(), snap.shard(0).bpt_bytes());
         }
     }
 

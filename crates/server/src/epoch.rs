@@ -43,7 +43,7 @@ impl<T> SnapshotCell<T> {
     /// Publishes `next` as the new current snapshot. Readers pinned to the
     /// old snapshot are unaffected; new pins see `next`. Callers that
     /// derive `next` from the current snapshot must serialize themselves
-    /// (see `ServerCore::publish_partition`) — the cell itself only guarantees
+    /// (see `ServerCore::advance`) — the cell itself only guarantees
     /// the swap is atomic.
     pub fn publish(&self, next: T) {
         let next = Arc::new(next);

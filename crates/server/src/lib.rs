@@ -4,18 +4,18 @@
 //! per-client adaptive controller that tunes `d` from reported false-miss
 //! rates (§4.3).
 //!
-//! One deployment type: a [`Cluster`] of N [`ServerCore`] shards behind a
-//! scatter-gather router, with one serve path, one §7 version gate and one
-//! update path. A [`Server`] is the cluster of one shard — a thin
-//! constructor whose methods forward.
+//! One deployment type: a [`Cluster`] of N [`Shard`]s behind a
+//! scatter-gather router, with one serve path, one §7 version gate, one
+//! update path and one published value. A [`Server`] is the cluster of one
+//! shard — a thin constructor whose methods forward.
 //!
 //! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
 //! (`process_remainder` / `report_fmr` / `direct`) *and* data updates
-//! (`apply_updates`). Each shard publishes its dataset + R*-tree + BPT
-//! store as epoch-stamped immutable [`Snapshot`]s behind a
-//! [`SnapshotCell`], and the cluster publishes one value per epoch naming
-//! all of them: readers pin it and never block, while an update batch
-//! builds the next snapshots off to the side and swaps them in. A sharded,
+//! (`apply_updates`). A deployment publishes its whole world — the
+//! dataset once, every shard's R*-tree + BPT store by `Arc` — as one
+//! epoch-stamped immutable [`Snapshot`] behind the one [`SnapshotCell`] of
+//! its [`ServerCore`]: readers pin it and never block, while an update
+//! batch builds the next snapshot off to the side and swaps it in. A sharded,
 //! interior-mutable [`AdaptiveController`] keeps the per-client §4.3
 //! state. One instance serves a whole fleet of concurrent clients while
 //! the object set churns.
@@ -41,8 +41,8 @@ pub mod updates;
 pub mod wire;
 
 pub use adaptive::{AdaptiveController, AdaptiveState};
-pub use cluster::{Cluster, ClusterConfig, ClusterStats, ShardMap, SUPER_ROOT};
-pub use core::{PartitionOp, ServerCore, Snapshot};
+pub use cluster::{Cluster, ClusterConfig, ClusterStats, ShardMap, Snapshot, SUPER_ROOT};
+pub use core::{ServerCore, Shard};
 pub use epoch::SnapshotCell;
 pub use forms::{build_shipments, FormMode};
 pub use server::{ClientId, FormPolicy, Server, ServerConfig};

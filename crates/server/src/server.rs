@@ -8,8 +8,8 @@
 //! serves a concurrent fleet of clients while the object set churns.
 
 use crate::adaptive::AdaptiveController;
-use crate::cluster::{Cluster, ClusterConfig};
-use crate::core::{ServerCore, Snapshot};
+use crate::cluster::{Cluster, ClusterConfig, Snapshot};
+use crate::core::ServerCore;
 use crate::forms::FormMode;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
@@ -150,16 +150,16 @@ impl Server {
         }
     }
 
-    /// The one shard: snapshot cell + writer lock.
+    /// The deployment's snapshot cell + writer lock.
     pub fn core(&self) -> &ServerCore {
-        self.cluster.shard(0)
+        self.cluster.core()
     }
 
-    /// Pins the current [`Snapshot`] (dataset, R*-tree, BPTs, update log at
-    /// one epoch). The pin stays valid and self-consistent across
-    /// concurrent [`apply_updates`](Server::apply_updates) calls. Its
-    /// `epoch()` is the shard's own — it skips batches that netted to
-    /// nothing — so it can trail the epoch `apply_updates` returns.
+    /// Pins the current [`Snapshot`] (dataset, plus R*-tree, BPTs and
+    /// update log as `shard(0)`, at one epoch). The pin stays valid and
+    /// self-consistent across concurrent
+    /// [`apply_updates`](Server::apply_updates) calls, and its `epoch()`
+    /// is the one the latest `apply_updates` returned.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.core().pin()
     }
@@ -172,7 +172,7 @@ impl Server {
     /// ground truth for the simulator's metrics and the backend for the
     /// PAG/SEM baselines.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        self.snapshot().direct(spec)
+        self.snapshot().shard(0).direct(spec)
     }
 
     /// Stage ② of Fig. 3: resumes `Qr` from its heap, assembles `Rr`
@@ -235,7 +235,7 @@ impl Server {
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
     pub fn bpt_bytes(&self) -> u64 {
-        self.snapshot().bpt_bytes()
+        self.snapshot().shard(0).bpt_bytes()
     }
 }
 
@@ -557,9 +557,9 @@ mod tests {
         assert!(matches!(stale, VersionedReply::Stale { epoch: 2, .. }));
         // A warm heap: one inner node under the root, at the current epoch.
         let snap = server.snapshot();
-        let inner = snap
-            .tree()
-            .node(snap.tree().root())
+        let tree = snap.shard(0).tree();
+        let inner = tree
+            .node(tree.root())
             .children()
             .iter()
             .find_map(|c| match *c {
@@ -567,7 +567,7 @@ mod tests {
                 ChildRef::Object(_) => None,
             })
             .expect("600 objects make a tree taller than one node");
-        let mbr = snap.tree().node(inner).mbr().unwrap();
+        let mbr = tree.node(inner).mbr().unwrap();
         let warm = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -615,7 +615,7 @@ mod tests {
         // index itself."
         let server = sample_server(500, 6, FormPolicy::Adaptive);
         let aux = server.bpt_bytes();
-        let index = server.snapshot().tree().stats().index_bytes;
+        let index = server.snapshot().shard(0).tree().stats().index_bytes;
         assert!(aux > 0);
         assert!(aux <= 2 * index, "aux {aux} vs index {index}");
     }

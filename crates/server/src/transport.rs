@@ -2,11 +2,11 @@
 //! carries typed [`Request`]/[`Response`] envelopes between a client (by
 //! id) and *some* server — in-process ([`crate::Server`],
 //! [`crate::Cluster`]) or remote ([`crate::TcpTransport`]) — and a
-//! [`ServerHandle`] is a transport that also exposes the shared immutable
-//! [`ServerCore`] (dataset + index metadata
-//! that both ends of the paper's Fig. 3 know out of band: the client's
-//! catalog is bootstrapped from it, and the simulator reads ground-truth
-//! object sizes from it).
+//! [`ServerHandle`] is a transport that also exposes the deployment's
+//! [`ServerCore`] — the cell its one published [`crate::Snapshot`] is
+//! pinned from (dataset + index metadata that both ends of the paper's
+//! Fig. 3 know out of band: the client's catalog is bootstrapped from it,
+//! and the simulator reads ground-truth object sizes from it).
 //!
 //! The split matters: *control and query traffic* (remainder queries, fmr
 //! reports, disconnects) must go through [`Transport::call`] so every byte
@@ -30,10 +30,11 @@ pub trait Transport: Send + Sync {
     fn call(&self, client: ClientId, req: Request) -> Response;
 }
 
-/// A [`Transport`] that also exposes the shared immutable query core —
-/// what simulation drivers hold instead of a concrete `&Server`.
+/// A [`Transport`] that also exposes the deployment's cell — what
+/// simulation drivers hold instead of a concrete `&Server`.
 pub trait ServerHandle: Transport {
-    /// The shared dataset + index core (metadata reads, not traffic).
+    /// The deployment's cell: `core().pin()` is the whole world at one
+    /// epoch — the store, every shard (metadata reads, not traffic).
     fn core(&self) -> &ServerCore;
 
     /// Applies one update batch through this handle (the churn driver's

@@ -14,8 +14,8 @@
 //!
 //! Updates are **concurrent with queries**: [`crate::Cluster::apply_updates`]
 //! (which [`crate::Server::apply_updates`] forwards to) takes `&self`,
-//! building the next epoch's snapshots off to the side and publishing
-//! them by pointer swap ([`crate::ServerCore`]), so a fleet keeps reading
+//! building the next epoch's snapshot off to the side and publishing
+//! it by pointer swap ([`crate::ServerCore`]), so a fleet keeps reading
 //! the old epoch while the object set churns. The version check and the
 //! resume of one contact execute against a single pinned epoch, so an
 //! accepted resume can never straddle an epoch boundary.
@@ -166,18 +166,18 @@ mod tests {
     fn updates_bump_epoch_and_record_changes() {
         let server = sample_server(200, 1);
         let snap = server.snapshot();
-        assert_eq!(snap.update_log().epoch(), 0);
+        assert_eq!(snap.shard(0).update_log().epoch(), 0);
         let e1 = server.apply_updates(&[Update::Insert {
             mbr: Rect::from_point(Point::new(0.5, 0.5)),
             size_bytes: 777,
         }]);
         assert_eq!(e1, 1);
         let now = server.snapshot();
-        assert!(!now.update_log().changed_since(0).is_empty());
-        assert!(now.update_log().changed_since(1).is_empty());
+        assert!(!now.shard(0).update_log().changed_since(0).is_empty());
+        assert!(now.shard(0).update_log().changed_since(1).is_empty());
         // The pre-update pin still sees the unchanged world.
         assert_eq!(snap.epoch(), 0);
-        assert!(snap.update_log().changed_since(0).is_empty());
+        assert!(snap.shard(0).update_log().changed_since(0).is_empty());
     }
 
     #[test]
@@ -202,8 +202,9 @@ mod tests {
             "was {before}, all deleted, one added"
         );
         let snap = server.snapshot();
-        snap.tree()
-            .validate(snap.tree().object_count(), false)
+        snap.shard(0)
+            .tree()
+            .validate(snap.shard(0).tree().object_count(), false)
             .unwrap();
     }
 
@@ -222,7 +223,7 @@ mod tests {
 
     /// Root, then every reachable node with its level and entries.
     fn tree_shape(snap: &crate::Snapshot) -> (NodeId, Vec<(NodeId, u16, Vec<pc_rtree::Entry>)>) {
-        let tree = snap.tree();
+        let tree = snap.shard(0).tree();
         let mut nodes: Vec<_> = tree
             .node_ids()
             .into_iter()
@@ -263,11 +264,19 @@ mod tests {
             assert_eq!(x.apply_updates(twice), 1);
             assert_eq!(y.apply_updates(once), 1);
             let (x, y) = (x.snapshot(), y.snapshot());
+            // The pin's epoch is the deployment's — what `apply_updates`
+            // just returned — even for the batch that netted to nothing,
+            // which only the shard's own epoch skips.
+            assert_eq!((x.epoch(), y.epoch()), (1, 1), "{twice:?}");
+            assert_eq!(x.shard(0).epoch(), u64::from(!once.is_empty()), "{twice:?}");
             assert_eq!(tree_shape(&x), tree_shape(&y), "{twice:?}");
-            let (lx, ly) = (x.update_log(), y.update_log());
+            let (lx, ly) = (x.shard(0).update_log(), y.shard(0).update_log());
             assert_eq!(lx.deleted_objects(), ly.deleted_objects(), "{twice:?}");
             assert_eq!(lx.changed_since(0), ly.changed_since(0), "{twice:?}");
-            x.tree().validate(x.store().live_count(), false).unwrap();
+            x.shard(0)
+                .tree()
+                .validate(x.store().live_count(), false)
+                .unwrap();
         }
 
         // Ids are assigned in batch order, whatever the netting drops.
@@ -286,7 +295,10 @@ mod tests {
         assert_eq!(snap.store().get(ObjectId(200)).mbr, p);
         assert_eq!(snap.store().get(ObjectId(201)).mbr, q);
         assert_eq!(naive::range_naive(snap.store(), &q), vec![ObjectId(201)]);
-        let found = snap.direct(&QuerySpec::Range { window: q }).results;
+        let found = snap
+            .shard(0)
+            .direct(&QuerySpec::Range { window: q })
+            .results;
         assert_eq!(found, vec![(ObjectId(201), false)]);
     }
 
@@ -299,13 +311,13 @@ mod tests {
         // (A remainder through *unchanged* nodes stays resumable — the
         // companion test below — so we target a changed leaf explicitly.)
         let snap = server.snapshot();
-        let changed = snap.update_log().changed_since(0);
+        let changed = snap.shard(0).update_log().changed_since(0);
         assert!(!changed.is_empty());
         let leaf = *changed
             .iter()
-            .find(|n| snap.tree().node(**n).is_leaf())
+            .find(|n| snap.shard(0).tree().node(**n).is_leaf())
             .expect("delete dirties its leaf");
-        let mbr = snap.tree().node(leaf).mbr().unwrap();
+        let mbr = snap.shard(0).tree().node(leaf).mbr().unwrap();
         let rq = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -350,14 +362,20 @@ mod tests {
             .0;
         server.apply_updates(&[Update::Delete(far)]);
         let snap = server.snapshot();
-        let changed: HashSet<NodeId> = snap.update_log().changed_since(0).into_iter().collect();
+        let changed: HashSet<NodeId> = snap
+            .shard(0)
+            .update_log()
+            .changed_since(0)
+            .into_iter()
+            .collect();
         let unchanged_leaf = snap
+            .shard(0)
             .tree()
             .node_ids()
             .into_iter()
-            .find(|n| snap.tree().node(*n).is_leaf() && !changed.contains(n))
+            .find(|n| snap.shard(0).tree().node(*n).is_leaf() && !changed.contains(n))
             .expect("some leaf unchanged");
-        let mbr = snap.tree().node(unchanged_leaf).mbr().unwrap();
+        let mbr = snap.shard(0).tree().node(unchanged_leaf).mbr().unwrap();
         let rq = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -407,7 +425,7 @@ mod tests {
             server.apply_updates(&[Update::Delete(ObjectId(i))]);
         }
         let log_snap = server.snapshot();
-        let log = log_snap.update_log();
+        let log = log_snap.shard(0).update_log();
         assert_eq!(log.epoch(), 10);
         assert_eq!(log.low_water(), 7, "epoch 10 minus 3 epochs of history");
         assert!(
@@ -419,8 +437,8 @@ mod tests {
 
         // A client synced within the window still gets a Stale with a
         // complete list; one below the horizon gets a FullRefresh.
-        let root = log_snap.tree().root();
-        let mbr = log_snap.tree().root_mbr().unwrap();
+        let root = log_snap.shard(0).tree().root();
+        let mbr = log_snap.shard(0).tree().root_mbr().unwrap();
         let rq = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -459,8 +477,8 @@ mod tests {
         server.apply_updates(&[Update::Delete(ObjectId(2))]);
         let rq = {
             let snap = server.snapshot();
-            let root = snap.tree().root();
-            let mbr = snap.tree().root_mbr().unwrap();
+            let root = snap.shard(0).tree().root();
+            let mbr = snap.shard(0).tree().root_mbr().unwrap();
             RemainderQuery {
                 spec: QuerySpec::Range { window: mbr },
                 already_found: 0,
@@ -481,13 +499,14 @@ mod tests {
             }
         }
         assert_eq!(server.epoch_low_water(), Some(2));
-        assert!(server.snapshot().update_log().retained_records() > 0);
+        assert!(server.snapshot().shard(0).update_log().retained_records() > 0);
         // The next publish prunes below the fleet mark.
         server.apply_updates(&[Update::Delete(ObjectId(3))]);
         let snap = server.snapshot();
-        assert_eq!(snap.update_log().low_water(), 2);
+        assert_eq!(snap.shard(0).update_log().low_water(), 2);
         assert!(
-            snap.update_log()
+            snap.shard(0)
+                .update_log()
                 .deleted_objects()
                 .iter()
                 .all(|&(_, e)| e > 2),
@@ -523,7 +542,7 @@ mod tests {
                     // observe all 40 published epochs.
                     while !stop.load(Ordering::Acquire) {
                         let snap = server.snapshot();
-                        let got = snap.direct(&QuerySpec::Range { window: w });
+                        let got = snap.shard(0).direct(&QuerySpec::Range { window: w });
                         // The naive oracle skips tombstoned objects via the
                         // store's liveness bitset.
                         let want = naive::range_naive(snap.store(), &w);
@@ -562,13 +581,14 @@ mod tests {
         // One deployment epoch per batch; the shard's own epoch skips the
         // batches that netted to nothing (a delete of a dead id).
         assert_eq!(epoch, 40);
-        assert!(server.snapshot().epoch() <= 40);
+        assert_eq!(server.snapshot().epoch(), 40);
+        assert!(server.snapshot().shard(0).epoch() <= 40);
     }
 
     /// The leaf of `id` in `snap`'s tree (`None` once it is deleted there).
     fn leaf_of(snap: &crate::Snapshot, id: ObjectId) -> Option<NodeId> {
-        snap.tree().node_ids().into_iter().find(|&n| {
-            let node = snap.tree().node(n);
+        snap.shard(0).tree().node_ids().into_iter().find(|&n| {
+            let node = snap.shard(0).tree().node(n);
             node.is_leaf() && node.children().contains(&pc_rtree::ChildRef::Object(id))
         })
     }
@@ -629,7 +649,7 @@ mod tests {
                 server.apply_updates(&updates);
             }
             let snap = server.snapshot();
-            let log = snap.update_log();
+            let log = snap.shard(0).update_log();
             let current = snap.epoch();
             prop_assert_eq!(log.low_water(), current.saturating_sub(history));
             for (since, victims) in watch {
@@ -641,8 +661,8 @@ mod tests {
                     }
                 } else {
                     // Below the mark: the protocol refuses outright.
-                    let root = snap.tree().root();
-                    let mbr = snap.tree().root_mbr().unwrap();
+                    let root = snap.shard(0).tree().root();
+                    let mbr = snap.shard(0).tree().root_mbr().unwrap();
                     let rq = RemainderQuery {
                         spec: QuerySpec::Range { window: mbr },
                         already_found: 0,
@@ -702,8 +722,8 @@ mod tests {
                             let snap = server.snapshot();
                             assert!(snap.epoch() >= last_epoch, "epoch ran backwards");
                             last_epoch = snap.epoch();
-                            let root = snap.tree().root();
-                            let mbr = snap.tree().root_mbr().unwrap();
+                            let root = snap.shard(0).tree().root();
+                            let mbr = snap.shard(0).tree().root_mbr().unwrap();
                             let w = Rect::centered_square(Point::new(0.5, 0.5), 0.3);
                             let rq = RemainderQuery {
                                 spec: QuerySpec::Range { window: w },
@@ -717,12 +737,13 @@ mod tests {
                                 )],
                             };
                             let resumed =
-                                snap.resume_remainder(&rq, crate::FormMode::COMPACT);
+                                snap.shard(0).resume_remainder(snap.store(), &rq, crate::FormMode::COMPACT);
                             let mut via_bpt: Vec<ObjectId> =
                                 resumed.objects.iter().map(|o| o.id).collect();
                             via_bpt.extend(resumed.confirmed.iter().copied());
                             via_bpt.sort_unstable();
                             let mut via_tree: Vec<ObjectId> = snap
+                                .shard(0)
                                 .direct(&QuerySpec::Range { window: w })
                                 .results
                                 .iter()
@@ -776,6 +797,7 @@ mod tests {
                     server.apply_updates(&updates);
                     let changed: HashSet<NodeId> = server
                         .snapshot()
+                        .shard(0)
                         .update_log()
                         .changed_since(old.epoch())
                         .into_iter()

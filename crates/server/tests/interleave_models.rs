@@ -3,20 +3,24 @@
 //! schedule within the preemption bound is executed, with vector-clock
 //! race detection on the protected state.
 //!
-//! Two protocols are modeled, faithfully mirroring the production control
-//! flow (not the production types — the models substitute `RaceCell`
-//! payloads so the detector can see unsynchronized access):
+//! One protocol is modeled — a deployment has one cell — faithfully
+//! mirroring the production control flow (not the production types — the
+//! model substitutes `RaceCell` payloads so the detector can see
+//! unsynchronized access):
 //!
-//! 1. **`SnapshotCell` publish/pin/drop** (`src/epoch.rs`): an
-//!    `RwLock<Arc<Snap>>` where writers build the next snapshot off to
-//!    the side and swap under the write lock, and readers pin (clone the
-//!    `Arc` under the read lock) and then use the pin lock-free.
-//! 2. **Cluster epoch publish/pin** (`src/cluster.rs`): one such cell per
-//!    shard plus one for the cluster; a batch publishes its shard cells
-//!    and then one cluster value holding the shard pins and the epoch
-//!    vector read off them. Readers pin the cluster cell only.
+//! * **`SnapshotCell` publish/pin/drop** (`src/epoch.rs`): an
+//!   `RwLock<Arc<Snap>>` where writers build the next snapshot off to
+//!   the side and swap under the write lock, and readers pin (clone the
+//!   `Arc` under the read lock) and then use the pin lock-free.
 //!
-//! Each sound model is paired with a seeded mutant the checker must
+//! What a cluster adds on top of the cell is no protocol: the one
+//! published value holds its shards and the epoch vector the one writer
+//! read off those very values while building it, so the two cannot
+//! disagree in any schedule (the real-thread
+//! `every_pin_is_one_consistent_epoch_under_concurrent_publishes` checks
+//! the built values).
+//!
+//! The sound model is paired with a seeded mutant the checker must
 //! *catch* — a model checker that cannot flag a planted bug proves
 //! nothing when it passes.
 
@@ -187,174 +191,4 @@ fn snapshot_mutant_in_place_publish_is_caught() {
         })
         .expect_err("in-place publish is a race and must be caught");
     assert!(err.message.contains("data race"), "{}", err.message);
-}
-
-// ---------------------------------------------------------------------
-// Model 2: cluster epoch publish/pin
-// ---------------------------------------------------------------------
-
-/// Model cluster epoch: the shard pins and the epoch vector read off them,
-/// published as one value. A shard's epoch is its `Snap`'s payload.
-struct ClusterSnap {
-    pins: [Arc<Snap>; 2],
-    vector: [RaceCell<u64>; 2],
-    drops: Arc<AtomicUsize>,
-}
-
-impl ClusterSnap {
-    /// `ClusterSnapshot::assemble`: pin every shard cell, stamp the value
-    /// with what those pins say.
-    fn assemble(shards: &[Arc<ModelCell<Snap>>; 2], drops: &Arc<AtomicUsize>) -> Self {
-        let pins = [shards[0].pin(), shards[1].pin()];
-        let vector = [
-            RaceCell::new(pins[0].a.get()),
-            RaceCell::new(pins[1].a.get()),
-        ];
-        ClusterSnap {
-            pins,
-            vector,
-            drops: drops.clone(),
-        }
-    }
-}
-
-impl Drop for ClusterSnap {
-    fn drop(&mut self) {
-        // ordering: SeqCst — drop counter read only after every thread
-        // joins (see `Snap::drop`).
-        self.drops.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-struct ModelCluster {
-    shards: [Arc<ModelCell<Snap>>; 2],
-    snap: Arc<ModelCell<ClusterSnap>>,
-    shard_drops: Arc<AtomicUsize>,
-    cluster_drops: Arc<AtomicUsize>,
-}
-
-impl ModelCluster {
-    fn new() -> Arc<Self> {
-        let shard_drops = Arc::new(AtomicUsize::new(0));
-        let cluster_drops = Arc::new(AtomicUsize::new(0));
-        let shards = [
-            ModelCell::new(Snap::new(&shard_drops)),
-            ModelCell::new(Snap::new(&shard_drops)),
-        ];
-        let snap = ModelCell::new(ClusterSnap::assemble(&shards, &cluster_drops));
-        Arc::new(ModelCluster {
-            shards,
-            snap,
-            shard_drops,
-            cluster_drops,
-        })
-    }
-
-    /// `ServerCore::publish_partition`: the shard's next epoch, built off
-    /// to the side and swapped in.
-    fn publish_shard(&self, s: usize, epoch: u64) {
-        let next = Arc::new(Snap::new(&self.shard_drops));
-        next.a.set(epoch);
-        next.b.set(epoch);
-        self.shards[s].publish(next);
-    }
-
-    /// `Cluster::apply_updates` for a batch touching both shards: the
-    /// shard cells first, the cluster value last.
-    fn apply_batch(&self, epoch: u64) {
-        self.publish_shard(0, epoch);
-        self.publish_shard(1, epoch);
-        let next = ClusterSnap::assemble(&self.shards, &self.cluster_drops);
-        self.snap.publish(Arc::new(next));
-    }
-}
-
-#[test]
-fn cluster_epoch_pins_never_disagree_with_their_vector() {
-    let report = explorer()
-        .check(|| {
-            let cluster = ModelCluster::new();
-            let writer = {
-                let cluster = cluster.clone();
-                thread::spawn(move || cluster.apply_batch(1))
-            };
-            // Two readers, each pinning the cluster cell once and reading
-            // everything off the pin: the vector and the pins it describes
-            // were put into the value together, so they must agree — and
-            // the race detector must find a happens-before edge from the
-            // threads that built the shard snapshots.
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    let cluster = cluster.clone();
-                    thread::spawn(move || {
-                        let pin = cluster.snap.pin();
-                        for s in 0..2 {
-                            let (a, b) = (pin.pins[s].a.get(), pin.pins[s].b.get());
-                            assert_eq!(a, b, "pinned shard snapshot observed torn");
-                            assert_eq!(
-                                pin.vector[s].get(),
-                                a,
-                                "epoch vector disagrees with its pins"
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for h in std::iter::once(writer).chain(readers) {
-                h.join().unwrap();
-            }
-
-            // A retired shard snapshot lives until the retired cluster
-            // value drops — and then, like it, frees exactly once: 4 shard
-            // snapshots and 2 cluster values existed.
-            let (shard_drops, cluster_drops) =
-                (cluster.shard_drops.clone(), cluster.cluster_drops.clone());
-            drop(cluster);
-            // ordering: SeqCst pairs with the fetch_adds in the Drop impls;
-            // all droppers were joined above, so any ordering would do.
-            let dropped = [&shard_drops, &cluster_drops].map(|d| d.load(Ordering::SeqCst));
-            assert_eq!(dropped, [4, 2], "retired values must drop exactly once");
-        })
-        .expect("cluster epoch protocol must survive every schedule");
-    assert!(
-        report.complete,
-        "exploration truncated at {} schedules — raise the cap",
-        report.schedules
-    );
-    assert!(
-        report.schedules > 100,
-        "4-thread model explores a real space"
-    );
-}
-
-#[test]
-fn cluster_mutant_self_assembled_pin_set_is_caught() {
-    // Seeded mutant: `pin_all` minus its check — a reader that takes the
-    // epoch vector from the cluster value but assembles its own pin set
-    // from the two shard cells, without validating one against the other.
-    // A batch published in between gives it pins newer than its vector.
-    let err = explorer()
-        .check(|| {
-            let cluster = ModelCluster::new();
-            let writer = {
-                let cluster = cluster.clone();
-                thread::spawn(move || cluster.apply_batch(1))
-            };
-            let stamp = cluster.snap.pin();
-            for s in 0..2 {
-                let pin = cluster.shards[s].pin();
-                assert_eq!(
-                    stamp.vector[s].get(),
-                    pin.a.get(),
-                    "epoch vector disagrees with its pins"
-                );
-            }
-            let _ = writer.join();
-        })
-        .expect_err("an unvalidated pin set can straddle a publish and must be caught");
-    assert!(
-        err.message.contains("epoch vector disagrees"),
-        "{}",
-        err.message
-    );
 }

@@ -17,7 +17,6 @@
 //! [`run_with_server`] are thin wrappers over a session with client id 0
 //! and reproduce the historical sequential behavior exactly.
 
-pub mod collab;
 mod config;
 mod fleet;
 mod metrics;

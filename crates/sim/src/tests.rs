@@ -251,7 +251,7 @@ mod churn_clients {
         ProactiveRunner::new(
             1 << 22,
             ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.snapshot().tree()),
+            Catalog::from_tree(server.snapshot().shard(0).tree()),
         )
         .with_client(id)
         .versioned(true)
@@ -398,7 +398,7 @@ mod churn_clients {
                 to: Rect::from_point(Point::new(0.9, 0.05 + 0.01 * i as f64)),
             }]);
         }
-        assert_eq!(server.snapshot().update_log().low_water(), 4);
+        assert_eq!(server.snapshot().shard(0).update_log().low_water(), 4);
 
         // A wider window than the warmed one: stage ① cannot finish
         // locally, so the client must contact — and be refused.
@@ -433,7 +433,7 @@ mod churn_clients {
             ProactiveRunner::new(
                 capacity,
                 cfg.policy,
-                Catalog::from_tree(server.snapshot().tree()),
+                Catalog::from_tree(server.snapshot().shard(0).tree()),
             )
             .with_client(versioned as ClientId)
             .versioned(versioned)

@@ -69,7 +69,7 @@ impl Zipf {
 /// average (Table 6.1). Sizes are `class · scale` over `classes` classes,
 /// with `scale` normalizing the mean to `mean_bytes`. (The raw rank-Zipf
 /// reading would put a single ~27 MB object in a 1.2 MB cache, so the paper
-/// setup only makes sense as bounded size classes; see DESIGN.md.)
+/// setup only makes sense as bounded size classes.)
 #[derive(Clone, Debug)]
 pub struct ZipfSizes {
     zipf: Zipf,

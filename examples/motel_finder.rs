@@ -31,7 +31,7 @@ fn main() {
     let mut pro = Client::new(
         2 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     // --- Semantic caching client --------------------------------------
     let mut sem = SemanticCache::new(2 << 20);

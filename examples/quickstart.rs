@@ -29,16 +29,16 @@ fn main() {
     let server = Server::new(store, RTreeConfig::paper(), ServerConfig::default());
     println!(
         "index: {} nodes, height {}, BPT overhead {:.2}x",
-        server.snapshot().tree().stats().node_count,
-        server.snapshot().tree().height(),
-        server.bpt_bytes() as f64 / server.snapshot().tree().stats().index_bytes as f64
+        server.snapshot().shard(0).tree().stats().node_count,
+        server.snapshot().shard(0).tree().height(),
+        server.bpt_bytes() as f64 / server.snapshot().shard(0).tree().stats().index_bytes as f64
     );
 
     // 3. A mobile client with a 1 MB proactive cache under GRD3.
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     let here = Point::new(0.31, 0.36); // downtown in the first cluster
     let channel = Channel::paper();

@@ -12,9 +12,10 @@
 //!   and FAR replacement (§5).
 //! * [`client`] — the client-side query processor (§3.3).
 //! * [`server`] — remainder-query resumption, compact / d⁺-level forms and
-//!   the adaptive controller (§4). `Send + Sync`: an immutable
-//!   `ServerCore` plus a sharded per-client controller, so one server
-//!   behind an `Arc` serves a concurrent client fleet.
+//!   the adaptive controller (§4). `Send + Sync`: one immutable
+//!   `Snapshot` of the whole world behind the deployment's `ServerCore`
+//!   cell, plus a sharded per-client controller, so one server behind an
+//!   `Arc` serves a concurrent client fleet.
 //! * [`baselines`] — semantic caching (SEM) and page caching (PAG).
 //! * [`mobility`] — random-waypoint and directed mobility models (§6.1).
 //! * [`workload`] — synthetic datasets, query generation, Zipf sizes.

@@ -195,6 +195,7 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
         server.apply_updates(&batch);
         let new = core.pin();
         assert!(!Arc::ptr_eq(&old, &new));
+        let (old, new) = (old.shard(0), new.shard(0));
         assert_eq!(new.bpts().node_count(), new.tree().slab_len());
         let fresh = BptStore::build(new.tree());
         // The nodes this epoch logged as changed are the ones it dirtied.

@@ -5,9 +5,9 @@
 //! versioned protocol, before and after arbitrary update batches — and
 //! fleets must drive it through `&dyn ServerHandle` unchanged.
 //!
-//! The reference shares nothing with the router: a bare
-//! [`ServerCore`] bulk-loaded from the cluster's *current* store, read
-//! through `Snapshot::direct` / `Snapshot::resume_remainder`, plus the
+//! The reference shares nothing with the router: a bare [`Shard`]
+//! bulk-loaded from the cluster's *current* store, read through
+//! `Shard::direct` / `Shard::resume_remainder`, plus the
 //! `pc_rtree::naive` oracles. A bug in the scatter, the merge or the
 //! per-shard update derivation cannot hide by sitting on both sides.
 //!
@@ -21,7 +21,7 @@ use procache::geom::{Point, Rect};
 use procache::rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side};
 use procache::rtree::{naive, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use procache::server::{
-    Cluster, ClusterConfig, FormMode, ServerCore, ServerHandle, Snapshot, Update, VersionedReply,
+    Cluster, ClusterConfig, FormMode, ServerHandle, Shard, Update, VersionedReply,
 };
 use procache::sim::{self, generate_update, ChurnConfig, Fleet, SimConfig};
 use proptest::prelude::*;
@@ -130,19 +130,17 @@ fn any_spec() -> impl Strategy<Value = QuerySpec> {
 
 /// One unsharded index over the live objects of `cluster`'s current store,
 /// built from scratch: the reference world of [`assert_equivalent`].
-fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> std::sync::Arc<Snapshot> {
+fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, Shard) {
     let store = cluster.core().pin().store().clone();
-    let live: Vec<SpatialObject> = store.iter_live().copied().collect();
-    ServerCore::build_with_objects(store, tree_cfg, &live).pin()
+    let single = Shard::build(tree_cfg, store.iter_live());
+    (store, single)
 }
 
 /// The router-equivalence property: for any dataset, shard count, query
 /// and update history, the cluster agrees with one unsharded tree and the
 /// brute-force oracle on every query path, and the merged reply never
 /// ships an object twice.
-fn assert_equivalent(single: &Snapshot, cluster: &Cluster, spec: QuerySpec) {
-    let store = single.store();
-
+fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, spec: QuerySpec) {
     // Direct (uncached) path.
     let sd = single.direct(&spec);
     let cd = cluster.direct(&spec);
@@ -183,7 +181,7 @@ fn assert_equivalent(single: &Snapshot, cluster: &Cluster, spec: QuerySpec) {
     ) else {
         return;
     };
-    let sreply = single.resume_remainder(&srq, FormMode::COMPACT);
+    let sreply = single.resume_remainder(store, &srq, FormMode::COMPACT);
     let creply = cluster.process_remainder(9, &crq);
     // Wire honesty: the merged reply must never ship (and charge) an
     // object twice, boundary straddlers included.
@@ -254,9 +252,10 @@ fn compare_replies(
 fn assert_shards_index_their_partition(store: &ObjectStore, cluster: &Cluster) {
     let owned = cluster.shard_map().partition(store);
     assert_eq!(owned.len(), cluster.shard_count() as usize);
+    let pin = cluster.core().pin();
     for (s, owned) in owned.iter().enumerate() {
-        let shard = cluster.shard(s as u32).pin();
-        assert_eq!(shard.tree().object_count(), owned.len(), "shard {s}");
+        let tree = pin.shard(s as u32).tree();
+        assert_eq!(tree.object_count(), owned.len(), "shard {s}");
     }
 }
 
@@ -356,10 +355,12 @@ fn churned_fleet_publishes_per_shard_epochs() {
     assert!(res.updates_applied > 0, "churn driver never ran");
     assert_eq!(res.final_epoch, cluster.epoch());
     assert!(res.final_epoch > 0);
-    // Each shard publishes at most once per cluster batch, and only when
+    // Each shard advances at most once per cluster batch, and only when
     // touched — so shard epochs trail the cluster epoch.
+    let pin = cluster.core().pin();
+    assert_eq!(pin.epoch(), res.final_epoch);
     let max_shard_epoch = (0..cluster.shard_count())
-        .map(|s| cluster.shard(s).epoch())
+        .map(|s| pin.shard(s).epoch())
         .max()
         .unwrap();
     assert!(max_shard_epoch <= res.final_epoch);

@@ -44,7 +44,7 @@ fn empty_dataset_serves_empty_answers() {
     let mut client = Client::new(
         10_000,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     for spec in [
         QuerySpec::Range { window: Rect::UNIT },
@@ -64,7 +64,7 @@ fn k_zero_and_k_beyond_dataset() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     let center = Point::new(0.5, 0.5);
     assert_eq!(
@@ -84,7 +84,7 @@ fn window_outside_the_data_space() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     let spec = QuerySpec::Range {
         window: Rect::from_coords(2.0, 2.0, 3.0, 3.0),
@@ -104,7 +104,7 @@ fn tiny_cache_still_answers_correctly() {
     let mut client = Client::new(
         64, // bytes!
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     for i in 0..10 {
         let spec = QuerySpec::Knn {
@@ -141,7 +141,7 @@ fn repeated_identical_queries_converge_to_fully_local() {
     let mut client = Client::new(
         1 << 22,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     let spec = QuerySpec::Range {
         window: Rect::centered_square(Point::new(0.31, 0.36), 0.2),
@@ -173,7 +173,7 @@ fn degenerate_all_coincident_objects() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     assert_eq!(
         run_pipeline(
@@ -222,7 +222,7 @@ fn single_object_dataset() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     assert_eq!(
         run_pipeline(

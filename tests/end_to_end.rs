@@ -49,8 +49,11 @@ fn check_dataset(kind: &str, server: &Server, seed: u64) {
             },
         );
         for policy in [ReplacementPolicy::Grd3, ReplacementPolicy::Lru] {
-            let mut client =
-                Client::new(40_000, policy, Catalog::from_tree(server.snapshot().tree()));
+            let mut client = Client::new(
+                40_000,
+                policy,
+                Catalog::from_tree(server.snapshot().shard(0).tree()),
+            );
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut pos = Point::new(0.4, 0.4);
             for round in 0..40 {
@@ -143,7 +146,7 @@ fn paper_fanout_tree_pipeline_is_exact() {
     let mut client = Client::new(
         300_000,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     );
     let mut rng = SmallRng::seed_from_u64(5);
     for round in 0..30 {

@@ -201,7 +201,8 @@ fn churn_fleet_completes_with_stale_retry_bytes_in_ledger() {
         // The deployment epoch counts batches; the shard's own epoch skips
         // the ones that netted to nothing (a move or delete of a dead id).
         assert_eq!(server.bootstrap_root().1, out.final_epoch);
-        assert!(server.snapshot().epoch() <= out.final_epoch);
+        assert_eq!(server.snapshot().epoch(), out.final_epoch);
+        assert!(server.snapshot().shard(0).epoch() <= out.final_epoch);
 
         // Per-client ledgers merge order-insensitively: the integer byte
         // and count sums are exact in any fold order (the wall-clock f64

@@ -5,7 +5,7 @@
 
 use procache::cache::ReplacementPolicy;
 use procache::rtree::RTreeConfig;
-use procache::server::ServerCore;
+use procache::server::{Server, ServerConfig};
 use procache::sim::{self, CacheModel, SimConfig};
 use procache::workload::datasets::ne_like;
 
@@ -131,9 +131,13 @@ fn served_world_footprint_is_linear_in_the_dataset() {
     // nodes, per-BPT headers and partial segments: ~135 B measured). A BPT
     // that stored its leaf cells again would add 60 B and trip it.
     let heap = |n: usize| {
-        ServerCore::build(ne_like(n, 2005), RTreeConfig::paper())
-            .pin()
-            .heap_bytes()
+        Server::new(
+            ne_like(n, 2005),
+            RTreeConfig::paper(),
+            ServerConfig::default(),
+        )
+        .snapshot()
+        .heap_bytes()
     };
     let (small, large) = (heap(10_000), heap(40_000));
     assert!(

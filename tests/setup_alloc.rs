@@ -7,6 +7,7 @@
 //! A binary of its own: the counting allocator is process-wide, so the one
 //! test here runs both builds back to back on an otherwise idle process.
 
+use procache::server::ServerHandle;
 use procache::sim::{build_cluster, build_server, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 // ordering: Relaxed throughout — the counters are statistics, read once the
@@ -90,12 +91,6 @@ fn building_a_world_peaks_at_its_resident_footprint() {
     drop(server);
 
     let (peak, allocations, cluster) = measured(|| build_cluster(&cfg, 4));
-    // Every shard's snapshot counts the store; the shards share one.
-    let shards: Vec<_> = (0..4).map(|s| cluster.shard(s).pin()).collect();
-    let resident = shards[0].store().heap_bytes()
-        + shards
-            .iter()
-            .map(|s| s.tree().heap_bytes() + s.bpts().heap_bytes())
-            .sum::<usize>();
+    let resident = cluster.core().pin().heap_bytes();
     assert_at_footprint("build_cluster(4)", peak, allocations, resident);
 }

@@ -20,7 +20,7 @@ fn setup(n: usize, seed: u64) -> (Server, ProactiveRunner) {
     let client = ProactiveRunner::new(
         1 << 22,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().tree()),
+        Catalog::from_tree(server.snapshot().shard(0).tree()),
     )
     .versioned(true);
     (server, client)
