@@ -1642,6 +1642,162 @@ mod tests {
         );
     }
 
+    /// FNV digest of every reply of the version gate over a scripted
+    /// history: after each batch, one versioned contact per stamp in
+    /// `0..=epoch + 1` (so below the low-water mark, inside the retained
+    /// window, current and from the future) for a cold one-tile window, the
+    /// whole square, a kNN, and the same window warm over its owner shard's
+    /// root. The client is forgotten after most batches so the history cap
+    /// prunes, and left tracked after every seventh so the fleet mark does.
+    fn gate_matrix_digest(h: &dyn ServerHandle) -> u64 {
+        let at = |x: f64, y: f64| Rect::from_point(Point::new(x, y));
+        let tile = Rect::centered_square(Point::new(0.25, 0.25), 0.1);
+        let specs = [
+            QuerySpec::Range { window: tile },
+            QuerySpec::Range { window: Rect::UNIT },
+            QuerySpec::Knn {
+                center: Point::new(0.6, 0.4),
+                k: 5,
+            },
+        ];
+        let mut fnv = Fnv::new();
+        let mut batches = 0;
+        let mut publish = |batch: &[Update]| {
+            let epoch = h.apply_updates(batch);
+            batches += 1;
+            assert_eq!(epoch, batches);
+            let snap = h.core().pin();
+            let owner = snap.map.first_owner(&tile);
+            let tree = snap.shard(owner).tree();
+            let warm = RemainderQuery {
+                spec: specs[0],
+                already_found: 0,
+                heap: vec![(
+                    0.0,
+                    HeapEntry::Single(Side::Cell {
+                        cell: CellRef::node_root(snap.map.to_global(tree.root(), owner)),
+                        mbr: tree.root_mbr().expect("the tile is never emptied"),
+                    }),
+                )],
+            };
+            for stamp in 0..=epoch + 1 {
+                let cold = specs.map(|spec| cold_remainder(h, spec));
+                for query in cold.into_iter().chain([warm.clone()]) {
+                    let req = Request::RemainderVersioned {
+                        query,
+                        epoch: stamp,
+                    };
+                    fnv.versioned(&h.call(1, req).into_versioned());
+                }
+            }
+            if epoch % 7 != 0 {
+                assert!(h.call(1, Request::Forget).into_forgotten());
+            }
+        };
+        let insert = |mbr: Rect| Update::Insert {
+            mbr,
+            size_bytes: 256,
+        };
+        let n = h.core().pin().store().len() as u32;
+
+        // One tile; two tiles by a cross-tile move; a batch that nets to
+        // nothing; deletes; a batch no index sees; all four tiles at once;
+        // a move inside one tile.
+        publish(&[insert(at(0.2, 0.2))]);
+        publish(&[Update::Move {
+            id: ObjectId(n),
+            to: at(0.8, 0.8),
+        }]);
+        publish(&[insert(at(0.7, 0.3)), Update::Delete(ObjectId(n + 1))]);
+        publish(&[0, 1, 2].map(|i| Update::Delete(ObjectId(i))));
+        publish(&[
+            Update::Delete(ObjectId(0)),
+            Update::Move {
+                id: ObjectId(1),
+                to: at(0.1, 0.1),
+            },
+            Update::Delete(ObjectId(1_000_000)),
+        ]);
+        publish(&[insert(Rect::centered_square(Point::new(0.5, 0.5), 0.02))]);
+        publish(&[Update::Move {
+            id: ObjectId(5),
+            to: at(0.3, 0.3),
+        }]);
+
+        // Per quadrant: bulk inserts until its shard's root splits, a batch
+        // elsewhere, then deletes — the quadrant's objects first, newest
+        // first — until that root shrinks again.
+        for (x0, y0) in [(0.0, 0.0), (0.5, 0.5)] {
+            let root = || {
+                let snap = h.core().pin();
+                let owner = snap.map.first_owner(&at(x0 + 0.25, y0 + 0.25));
+                snap.shard(owner).tree().root()
+            };
+            let before = root();
+            let mut i = 0u32;
+            while root() == before {
+                let batch: Vec<Update> = (i..i + 6)
+                    .map(|j| {
+                        insert(at(
+                            x0 + 0.05 + 0.4 * (j % 23) as f64 / 23.0,
+                            y0 + 0.05 + 0.4 * (j % 19) as f64 / 19.0,
+                        ))
+                    })
+                    .collect();
+                publish(&batch);
+                i += 6;
+                assert!(i < 4096, "the root never split");
+            }
+            publish(&[insert(at(0.75, 0.25))]);
+
+            let grown = root();
+            let outside =
+                |p: Point| !(x0..x0 + 0.5).contains(&p.x) || !(y0..y0 + 0.5).contains(&p.y);
+            let mut victims: Vec<(bool, ObjectId)> = (h.core().pin().store().iter_live())
+                .map(|o| (outside(o.mbr.min), o.id))
+                .collect();
+            victims.sort_by_key(|&(outside, id)| (outside, std::cmp::Reverse(id)));
+            let mut victims = victims.chunks(6);
+            while root() == grown {
+                let batch = victims.next().expect("the root never shrank");
+                let batch: Vec<Update> = batch.iter().map(|&(_, id)| Update::Delete(id)).collect();
+                publish(&batch);
+            }
+        }
+        publish(&[insert(at(0.25, 0.75)), insert(at(0.26, 0.24))]);
+        assert!(batches >= 12, "only {batches} batches");
+        fnv.0
+    }
+
+    /// The version gate's whole reply matrix, one shard and four, recorded
+    /// while the gate still re-expanded a client's scalar stamp into the
+    /// per-shard epoch vector it was synced at: a `Stale` / `Fresh` /
+    /// `FullRefresh` flip, a missing or extra `SUPER_ROOT` invalidation or
+    /// a moved prune horizon changes a digest.
+    #[test]
+    fn versioned_gate_matrix_matches_recorded_pins() {
+        let cfg = ServerConfig {
+            max_update_history: 4,
+            ..ServerConfig::default()
+        };
+        let single = Server::new(sample_store(160, 41), RTreeConfig::small(), cfg);
+        let quad = Cluster::new(
+            sample_store(160, 41),
+            RTreeConfig::small(),
+            ClusterConfig {
+                shards: 4,
+                grid: 2,
+                server: cfg,
+            },
+        );
+        let (one, four) = (gate_matrix_digest(&single), gate_matrix_digest(&quad));
+        assert_eq!(
+            (one, four),
+            (0xff33_e817_17cc_7f67, 0xbc0f_adb2_20aa_fd89),
+            "gate matrix digests {one:#018x} / {four:#018x}"
+        );
+    }
+
     /// What `pin_all` used to establish by re-pinning until the vector
     /// matched, and the publish order used to promise about the store: a
     /// pinned epoch's stamp, layout and store describe exactly its shards.
