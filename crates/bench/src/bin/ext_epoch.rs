@@ -23,7 +23,15 @@
 //! pointer equality against the previous pin), freshly allocated *resident*
 //! bytes beside the resident heap bytes of the whole epoch
 //! (`Snapshot::heap_bytes`), and the update log's retained record count
-//! (bounded by pruning).
+//! (`log`: change records, node → epoch, which is all a log holds; bounded
+//! by pruning).
+//!
+//! A publish's dirty set is read back as
+//! `new.update_log().changed_since(old.epoch())`: a shard's epoch is the
+//! deployment epoch of the last batch that touched it and its log stamps
+//! nodes with deployment epochs, so the records above the previous shard's
+//! epoch are exactly the ones this batch wrote — none when the batch never
+//! touched the shard.
 //!
 //! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
 //! trail.

@@ -63,7 +63,9 @@ pub const INVALIDATION_BYTES: u64 = 8;
 /// so no per-node list can be enumerated honestly.
 pub const FULL_REFRESH_BYTES: u64 = 4 + EPOCH_BYTES;
 /// Header of a per-shard epoch vector (shard count; the entries are
-/// [`EPOCH_BYTES`] each).
+/// [`EPOCH_BYTES`] each) — a term of the modelled backplane cost
+/// ([`shard_sub_reply_bytes`]) that the parked backplane codec will
+/// settle, not server state: the deployment keeps one scalar epoch.
 pub const EPOCH_VECTOR_HEADER_BYTES: u64 = 4;
 /// Header of one router → shard sub-query (shard id + type tag); the
 /// remainder payload is sized like any uplink remainder.
@@ -389,10 +391,12 @@ pub fn shard_sub_request_bytes(query: &RemainderQuery) -> u64 {
 }
 
 /// Backplane bytes of one shard → router leg of a gathered remainder: the
-/// routing header, the epoch vector of a `shards`-shard cluster (entry `i`
-/// is the epoch shard `i` was answered at, so staleness is decided per
-/// shard) and the partial reply at its client-downlink size — before the
-/// router deduplicates boundary straddlers.
+/// routing header, an epoch vector of a `shards`-shard cluster and the
+/// partial reply at its client-downlink size — before the router
+/// deduplicates boundary straddlers. The vector term is modelled cost the
+/// parked backplane codec will settle (the in-process router pins one
+/// snapshot at one scalar epoch and holds no such vector); its bytes are
+/// part of the pinned `ClusterStats`, so they stay.
 pub fn shard_sub_reply_bytes(shards: usize, reply: &ServerReply) -> u64 {
     SHARD_SUB_HEADER_BYTES
         + EPOCH_VECTOR_HEADER_BYTES

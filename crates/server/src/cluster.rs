@@ -33,23 +33,24 @@
 //! Updates route by location: one cluster batch is applied to the global
 //! store once, split into per-shard tree operations by before/after tile
 //! ownership (`PartitionOp`) and rebuilds **only the shards it touches** —
-//! untouched shards keep their epoch, so a reply's staleness is decided
-//! per shard, not globally. Clients keep speaking
-//! the scalar-epoch protocol: the cluster epoch indexes a history of
-//! per-shard epoch vectors, and the router re-expands a client's scalar
-//! stamp into the vector it was synced at.
+//! an untouched shard is carried over as it is, so a reply's staleness is
+//! decided per shard, by where the changes since the client's stamp lie.
 //!
 //! # One epoch, one published value
 //!
 //! A deployment is one world at one epoch, and that is what it publishes:
 //! everything a contact needs — the global store, the `N` shards, the
-//! epoch's stamp (epoch, per-shard epoch vector, shard root ids), the
-//! super-root layout built over exactly those shards and the retained
-//! stamp history — is one immutable [`Snapshot`] behind the one cell of
-//! the deployment's [`ServerCore`]. A reader takes one `pin()` and never
-//! touches a lock again; the vector, the layout and the store agree with
-//! the shards because the one writer read them off the values it had just
-//! built and put all of them into the value together.
+//! super-root layout built over exactly those shards and three integers —
+//! is one immutable [`Snapshot`] behind the one cell of the deployment's
+//! [`ServerCore`]. The deployment epoch is the only clock: `epoch` counts
+//! batches, `low_water` is the oldest client stamp a complete invalidation
+//! list still exists for, `layout_epoch` is the last epoch the super-root
+//! layout changed at, and every shard log stamps its changed nodes with
+//! the deployment epoch of the batch that changed them — so a client's
+//! scalar stamp asks each shard's log directly. A reader takes one `pin()`
+//! and never touches a lock again; the integers, the layout and the store
+//! agree with the shards because the one writer derived them from the
+//! values it had just built and put all of them into the value together.
 //!
 //! * **Who builds what.** `apply_updates` (under the core's writer lock)
 //!   clones the store once and applies the batch to it, then builds the
@@ -84,7 +85,7 @@ use pc_rtree::proto::{
 use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -245,16 +246,6 @@ impl ShardMap {
 // Cluster state
 // ---------------------------------------------------------------------
 
-/// The stamp of one published cluster epoch: the per-shard epoch vector
-/// and the shard root ids at publish time (for super-root change
-/// detection).
-#[derive(Debug)]
-struct EpochStamp {
-    epoch: u64,
-    shard_epochs: Vec<u64>,
-    roots: Vec<Option<NodeId>>,
-}
-
 /// One whole deployment epoch, published and pinned as a single value: a
 /// reader holding it has a consistent cross-shard world by construction.
 /// Nothing here ever mutates after publication.
@@ -267,47 +258,21 @@ pub struct Snapshot {
     /// Every shard's index as of this epoch; a shard the publishing batch
     /// never touched is the previous epoch's `Arc`.
     shards: Vec<Arc<Shard>>,
-    /// Read off `shards`, so `shards[s].epoch() == stamp.shard_epochs[s]`.
-    stamp: Arc<EpochStamp>,
     /// Built over `shards`.
     layout: SuperLayout,
-    /// Retained stamps, contiguous and oldest first, ending with `stamp`
-    /// (`history[e - front]`). The front is the low-water mark: the oldest
-    /// cluster epoch a client stamp can still be re-expanded at. Rides in
-    /// the published value the way `UpdateLog` rides in a [`Shard`];
-    /// a publish copies the pointers.
-    history: VecDeque<Arc<EpochStamp>>,
+    /// The deployment epoch: one per update batch, the clock every shard
+    /// log stamps its changes with.
+    epoch: u64,
+    /// The oldest client stamp a complete invalidation list still exists
+    /// for; every shard log retains its records above it.
+    low_water: u64,
+    /// The last epoch `layout` changed at: a shard root id moved, or a
+    /// root node was itself dirtied (its MBR may have moved, re-shaping
+    /// the layout BPT).
+    layout_epoch: u64,
 }
 
 impl Snapshot {
-    /// The epoch after `history` (the retained stamps of the epochs before
-    /// it, already pruned): `shards` over `store`.
-    fn assemble(
-        map: ShardMap,
-        store: ObjectStore,
-        shards: Vec<Arc<Shard>>,
-        epoch: u64,
-        mut history: VecDeque<Arc<EpochStamp>>,
-    ) -> Self {
-        let stamp = Arc::new(EpochStamp {
-            epoch,
-            shard_epochs: shards.iter().map(|shard| shard.epoch()).collect(),
-            roots: shards
-                .iter()
-                .map(|shard| shard.tree().root_mbr().map(|_| shard.tree().root()))
-                .collect(),
-        });
-        history.push_back(stamp.clone());
-        Snapshot {
-            layout: SuperLayout::build(&map, &shards),
-            map,
-            store,
-            shards,
-            stamp,
-            history,
-        }
-    }
-
     /// The dataset as of this epoch: ids, sizes, liveness and MBRs are
     /// world-wide facts, held once for all shards.
     pub fn store(&self) -> &ObjectStore {
@@ -321,9 +286,9 @@ impl Snapshot {
 
     /// The deployment epoch this snapshot was published at (0 = the
     /// bulk-loaded seed): bumped once per update batch, whatever the batch
-    /// netted to. A shard's own epoch is `shard(s).epoch()`.
+    /// netted to. `shard(s).epoch()` is the last one that touched shard `s`.
     pub fn epoch(&self) -> u64 {
-        self.stamp.epoch
+        self.epoch
     }
 
     /// Heap bytes this epoch keeps resident, by capacity: the store once,
@@ -332,13 +297,6 @@ impl Snapshot {
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(|shard| shard.heap_bytes()).sum();
         self.store.heap_bytes() + shards
-    }
-
-    /// The stamp of cluster epoch `e`, if it is still retained.
-    fn stamp_at(&self, e: u64) -> Option<&EpochStamp> {
-        let front = self.history.front()?.epoch;
-        let at = e.checked_sub(front)? as usize;
-        self.history.get(at).map(Arc::as_ref)
     }
 
     /// Ground-truth query against this epoch's merged world.
@@ -487,7 +445,15 @@ impl Cluster {
                 .collect()
         });
         Cluster {
-            core: ServerCore::new(Snapshot::assemble(map, store, shards, 0, VecDeque::new())),
+            core: ServerCore::new(Snapshot {
+                layout: SuperLayout::build(&map, &shards),
+                map,
+                store,
+                shards,
+                epoch: 0,
+                low_water: 0,
+                layout_epoch: 0,
+            }),
             map,
             adaptive: cfg.server.adaptive_table(),
             cfg,
@@ -542,17 +508,19 @@ impl Cluster {
 
     /// Applies one update batch atomically while queries keep running.
     /// The global store is updated once, in batch order (ids are assigned
-    /// in that order; updates naming unassigned ids or tombstoned objects
-    /// are **ignored** — a malformed batch must not panic the writer
-    /// mid-epoch). The batch is then **netted per object**: each touched
+    /// in that order; updates naming unassigned ids or dead objects, and
+    /// inserts or moves whose rectangle is not one — `min > max`, a NaN
+    /// coordinate — are **ignored**: a malformed batch must neither panic
+    /// the writer mid-epoch nor put an object in the store that no shard
+    /// indexes). The batch is then **netted per object**: each touched
     /// object becomes at most one tree operation per shard, derived from
     /// its batch-start and batch-end tile ownership — a `Move` across a
     /// tile boundary is delete-here/insert-there, an object moved twice is
     /// relocated once, one inserted and deleted in the same batch never
-    /// reaches an index. Only the touched shards are rebuilt, at their
-    /// next epochs; an untouched shard is carried into the next snapshot
-    /// as it is (no epoch bump), so its clients stay fresh. Returns the
-    /// new cluster epoch.
+    /// reaches an index. Only the touched shards are rebuilt, their logs
+    /// stamped with the new epoch; an untouched shard is carried into the
+    /// next snapshot as it is, so its clients stay fresh. Returns the new
+    /// deployment epoch.
     ///
     /// History is pruned below the fleet's **low-water mark** (the minimum
     /// last-synced epoch over tracked versioned clients, fed by every
@@ -568,25 +536,31 @@ impl Cluster {
 
     /// The snapshot `updates` turn `current` into.
     fn next_epoch(&self, current: &Snapshot, updates: &[Update]) -> Snapshot {
-        let n = self.cfg.shards as usize;
         let mut next_store = current.store.clone();
 
         // Apply the batch to the store, remembering which objects it
         // touched, in first-touch order.
         let mut touched: Vec<ObjectId> = Vec::new();
         let mut seen: HashSet<ObjectId> = HashSet::new();
+        // `min <= max` on both axes, which no NaN coordinate satisfies: an
+        // inverted rectangle covers no tile (no shard would index it) and
+        // a NaN one cannot be bulk loaded.
+        let well_formed = |r: &Rect| r.min.x <= r.max.x && r.min.y <= r.max.y;
         for u in updates {
             let id = match *u {
-                Update::Insert { mbr, size_bytes } => next_store.push(mbr, size_bytes),
+                Update::Insert { mbr, size_bytes } if well_formed(&mbr) => {
+                    next_store.push(mbr, size_bytes)
+                }
                 Update::Delete(id) if next_store.is_live(id) => {
                     next_store.mark_dead(id);
                     id
                 }
-                Update::Move { id, to } if next_store.is_live(id) => {
+                Update::Move { id, to } if next_store.is_live(id) && well_formed(&to) => {
                     next_store.set_mbr(id, to);
                     id
                 }
-                // An id the store never assigned, or one already dead.
+                // An id the store never assigned, one already dead, or a
+                // rectangle that is not one.
                 _ => continue,
             };
             if seen.insert(id) {
@@ -597,8 +571,7 @@ impl Cluster {
         // Net per-shard ops from (batch-start, batch-end) ownership. A
         // delete against a shard tree must use the MBR the tree actually
         // indexed — the batch-start one — not an intermediate one.
-        let mut ops: Vec<Vec<PartitionOp>> = vec![Vec::new(); n];
-        let mut tombs: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
+        let mut ops: Vec<Vec<PartitionOp>> = vec![Vec::new(); current.shards.len()];
         let base = &current.store;
         for id in touched {
             let from = base.is_live(id).then(|| base.get(id).mbr);
@@ -606,56 +579,61 @@ impl Cluster {
             let to = next_store.get(id).mbr;
             let before = from.map_or(0, |m| self.map.owners(&m));
             let after = if live_after { self.map.owners(&to) } else { 0 };
-            for s in 0..n {
+            for (s, ops) in ops.iter_mut().enumerate() {
                 // `Some(mbr)` iff shard `s` indexed the object at batch
                 // start — carrying the MBR instead of a bool keeps the
                 // delete/relocate arms total (no unwrap on a side channel).
-                match (from.filter(|_| before >> s & 1 != 0), after >> s & 1 != 0) {
-                    (Some(from), false) => ops[s].push(PartitionOp::Delete(id, from)),
-                    (None, true) => ops[s].push(PartitionOp::Insert(id)),
-                    (Some(from), true) if from != to => {
-                        ops[s].push(PartitionOp::Relocate(id, from))
-                    }
-                    _ => {}
-                }
-                if before >> s & 1 != 0 && !live_after {
-                    tombs[s].push(id);
-                }
+                let op = match (from.filter(|_| before >> s & 1 != 0), after >> s & 1 != 0) {
+                    (Some(from), false) => PartitionOp::Delete(id, from),
+                    (None, true) => PartitionOp::Insert(id),
+                    (Some(from), true) if from != to => PartitionOp::Relocate(id, from),
+                    _ => continue,
+                };
+                ops.push(op);
             }
         }
 
-        // Retire history below the horizon — the most-behind versioned
-        // client's sync point, hard-capped at `max_update_history` cluster
-        // epochs. The oldest stamp still retained is the furthest back any
-        // admitted stamp re-expands to, so its entries are the per-shard
-        // floors below which the shard logs may prune. (Never empty: the
-        // horizon is at most the current epoch, whose stamp therefore stays.)
-        let epoch = current.stamp.epoch + 1;
+        // Complete lists are kept back to the horizon — the most-behind
+        // versioned client's sync point, hard-capped at
+        // `max_update_history` epochs — and the mark never recedes.
+        let epoch = current.epoch + 1;
         let horizon = self
             .adaptive
             .epoch_low_water()
             .unwrap_or(0)
             .max(epoch.saturating_sub(self.cfg.server.max_update_history));
-        let mut history = current.history.clone();
-        while history.front().is_some_and(|front| front.epoch < horizon) {
-            history.pop_front();
-        }
-        let floors: &[u64] = history.front().map_or(&[], |front| &front.shard_epochs);
+        let low_water = current.low_water.max(horizon);
 
-        // A touched shard is rebuilt at its own next epoch; an untouched
-        // one is this epoch's `Arc`. One after another on this thread: see
-        // the module docs for why not a thread per shard.
-        let shards = (0..n)
-            .map(|s| {
-                if ops[s].is_empty() && tombs[s].is_empty() {
-                    Arc::clone(&current.shards[s])
+        // A touched shard is rebuilt, its changes stamped `epoch`; an
+        // untouched one is this epoch's `Arc`. One after another on this
+        // thread: see the module docs for why not a thread per shard.
+        let shards: Vec<Arc<Shard>> = (current.shards.iter().zip(&ops))
+            .map(|(shard, ops)| {
+                if ops.is_empty() {
+                    Arc::clone(shard)
                 } else {
-                    let floor = floors.get(s).copied().unwrap_or(0);
-                    Arc::new(current.shards[s].next(&next_store, &ops[s], &tombs[s], floor))
+                    Arc::new(shard.next(&next_store, ops, epoch, low_water))
                 }
             })
             .collect();
-        Snapshot::assemble(self.map, next_store, shards, epoch, history)
+
+        // The layout changed with this batch if a shard root id moved or a
+        // root node is in the batch's dirty set.
+        let layout = SuperLayout::build(&self.map, &shards);
+        let relaid = layout.roots != current.layout.roots
+            || layout.roots.iter().any(|&root| {
+                let (s, root) = self.map.to_local(root);
+                shards[s as usize].update_log().last_change(root) == Some(epoch)
+            });
+        Snapshot {
+            map: self.map,
+            store: next_store,
+            shards,
+            layout,
+            epoch,
+            low_water,
+            layout_epoch: if relaid { epoch } else { current.layout_epoch },
+        }
     }
 
     // -----------------------------------------------------------------
@@ -668,9 +646,9 @@ impl Cluster {
     }
 
     /// The versioned contact — the one version gate of the §7 protocol.
-    /// The client's scalar epoch is re-expanded into the per-shard epoch
-    /// vector it was synced at (via the epoch history), and staleness is
-    /// decided **per shard**: only changes in shards the query could touch
+    /// Each shard's log is asked what changed after the client's epoch,
+    /// and staleness is decided **per shard**: only changes in shards the
+    /// query could touch
     /// force a `Stale` round-trip, while changes elsewhere ride along as
     /// invalidations on a `Fresh` reply. Check and resume run against one
     /// pinned epoch, and every contact records the epoch this client will
@@ -687,8 +665,10 @@ impl Cluster {
     /// price is one extra round trip per (client × update-epoch) gap,
     /// which the experiments charge honestly.
     ///
-    /// A stamp **below the retained history** cannot be given a complete
-    /// invalidation list (that history was pruned); it gets a
+    /// A stamp **below the low-water mark** cannot be given a complete
+    /// invalidation list (that history was pruned), and one **above the
+    /// pinned epoch** (a client that outlived a restart) names a history
+    /// this deployment never had; both get a
     /// [`VersionedReply::FullRefresh`] — never a silently truncated list.
     pub fn process_remainder_versioned(
         &self,
@@ -710,7 +690,7 @@ impl Cluster {
         client_epoch: u64,
     ) -> VersionedReply {
         let snap = self.core.pin();
-        let epoch = snap.stamp.epoch;
+        let epoch = snap.epoch;
         self.adaptive.note_epoch(client, epoch);
 
         // Stamped with the pinned epoch itself: nothing to tell.
@@ -735,21 +715,22 @@ impl Cluster {
         }
     }
 
-    /// What a client synced at cluster epoch `since` has to be told at
-    /// `snap`'s: `None` when `since` is outside the retained history (or a
-    /// shard log was pruned past it), so no complete list exists. Out of
-    /// line: an up-to-date client's contact never runs it.
+    /// What a client synced at epoch `since` has to be told at `snap`'s:
+    /// `None` when `since` is below the low-water mark or ahead of the
+    /// pinned epoch, so no complete list exists. Out of line: an
+    /// up-to-date client's contact never runs it.
     #[inline(never)]
     fn delta_since(&self, snap: &Snapshot, since: u64) -> Option<Delta> {
-        let mut delta = Delta::default();
-        // Per-shard deltas since the client's synced vector. The
-        // super-root layout changed with them if a shard root id moved, or
-        // a current root node is itself in its shard's changed set (its
-        // MBR may have moved, re-shaping the layout BPT).
-        let synced = snap.stamp_at(since)?;
-        let roots = &snap.stamp.roots;
-        delta.super_changed = synced.roots != *roots;
-        for (s, (shard, &since)) in snap.shards.iter().zip(&synced.shard_epochs).enumerate() {
+        if since < snap.low_water || since > snap.epoch {
+            return None;
+        }
+        let mut delta = Delta {
+            // A lone shard's super-root is never handed out
+            // (`bootstrap_root`), so never invalidated.
+            super_changed: snap.layout_epoch > since && self.cfg.shards > 1,
+            ..Delta::default()
+        };
+        for (s, shard) in snap.shards.iter().enumerate() {
             if !shard.update_log().can_answer(since) {
                 return None;
             }
@@ -758,13 +739,8 @@ impl Cluster {
                 continue;
             }
             delta.changed |= 1 << s;
-            delta.super_changed |= roots[s].is_some_and(|root| changed.contains(&root));
             let global = changed.iter().map(|&nid| self.map.to_global(nid, s as u32));
             delta.invalidate.extend(global);
-        }
-        if self.cfg.shards == 1 {
-            // Never handed out (`bootstrap_root`), so never invalidated.
-            delta.super_changed = false;
         }
         if delta.super_changed {
             delta.invalidate.push(SUPER_ROOT);
@@ -1292,7 +1268,7 @@ impl ServerHandle for Cluster {
         } else {
             snap.root().map(|(mbr, cell)| (cell.node, mbr))
         };
-        (root, snap.stamp.epoch)
+        (root, snap.epoch)
     }
 
     fn log_records(&self) -> usize {
@@ -1310,7 +1286,7 @@ impl ServerHandle for Cluster {
 mod tests {
     use super::*;
     use crate::server::Server;
-    use crate::test_util::{cold_remainder, sample_store, Fnv};
+    use crate::test_util::{cold_remainder, leaves_of, sample_store, Fnv};
     use pc_geom::Point;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1680,9 +1656,9 @@ mod tests {
                     }),
                 )],
             };
+            let cold = specs.map(|spec| cold_remainder(h, spec));
             for stamp in 0..=epoch + 1 {
-                let cold = specs.map(|spec| cold_remainder(h, spec));
-                for query in cold.into_iter().chain([warm.clone()]) {
+                for query in cold.iter().chain([&warm]).cloned() {
                     let req = Request::RemainderVersioned {
                         query,
                         epoch: stamp,
@@ -1690,7 +1666,7 @@ mod tests {
                     fnv.versioned(&h.call(1, req).into_versioned());
                 }
             }
-            if epoch % 7 != 0 {
+            if !epoch.is_multiple_of(7) {
                 assert!(h.call(1, Request::Forget).into_forgotten());
             }
         };
@@ -1800,15 +1776,15 @@ mod tests {
 
     /// What `pin_all` used to establish by re-pinning until the vector
     /// matched, and the publish order used to promise about the store: a
-    /// pinned epoch's stamp, layout and store describe exactly its shards.
+    /// pinned epoch's integers, layout and store describe exactly its
+    /// shards.
     fn assert_one_consistent_epoch(snap: &Snapshot) {
+        assert!(snap.low_water <= snap.epoch && snap.layout_epoch <= snap.epoch);
         let mut nonempty = Vec::new();
         for (s, shard) in snap.shards.iter().enumerate() {
-            assert_eq!(shard.epoch(), snap.stamp.shard_epochs[s], "shard {s}");
-            let root = shard.tree().root_mbr().map(|_| shard.tree().root());
-            assert_eq!(root, snap.stamp.roots[s], "shard {s} root id");
-            if let (Some(root), Some(mbr)) = (root, shard.tree().root_mbr()) {
-                nonempty.push((snap.map.to_global(root, s as u32), mbr));
+            assert!(shard.epoch() <= snap.epoch, "shard {s} is from the future");
+            if let Some(mbr) = shard.tree().root_mbr() {
+                nonempty.push((snap.map.to_global(shard.tree().root(), s as u32), mbr));
             }
         }
         // Store and index are of one vintage: every shard's leaves index
@@ -1848,10 +1824,6 @@ mod tests {
         shipped.sort_by_key(|c| c.0);
         nonempty.sort_by_key(|c| c.0);
         assert_eq!(shipped, nonempty);
-        assert_eq!(
-            snap.history.back().map(|stamp| stamp.epoch),
-            Some(snap.stamp.epoch)
-        );
     }
 
     #[test]
@@ -1871,8 +1843,8 @@ mod tests {
                     while pins < 2000 || !done.load(Ordering::Acquire) {
                         let snap = cl.core.pin();
                         assert_one_consistent_epoch(&snap);
-                        assert!(snap.stamp.epoch >= last, "epochs went backwards");
-                        last = snap.stamp.epoch;
+                        assert!(snap.epoch >= last, "epochs went backwards");
+                        last = snap.epoch;
                         pins += 1;
                     }
                     assert_eq!(cl.core.epoch(), BATCHES);
@@ -1902,6 +1874,40 @@ mod tests {
         assert_one_consistent_epoch(&cl.core.pin());
     }
 
+    /// Cluster twin of `malformed_batches_never_panic_the_writer`: a
+    /// rectangle that is not one must not leave an object live in the
+    /// store and indexed by no shard (an inverted one covers no tile) or
+    /// indexed where the next build would trip over it (a NaN one).
+    #[test]
+    fn malformed_rectangles_reach_neither_the_store_nor_a_shard() {
+        let cl = quad_cluster(sample_store(500, 9));
+        let inverted = Rect {
+            min: Point::new(0.6, 0.6),
+            max: Point::new(0.4, 0.4),
+        };
+        let nan = Rect::from_point(Point::new(0.5, f64::NAN));
+        let insert = |mbr| Update::Insert {
+            mbr,
+            size_bytes: 10,
+        };
+        let relocate = |id, to| Update::Move {
+            id: ObjectId(id),
+            to,
+        };
+        let batch = [
+            insert(inverted),
+            insert(nan),
+            relocate(4, inverted),
+            relocate(5, nan),
+        ];
+        assert_eq!(cl.apply_updates(&batch), 1, "the epoch still bumps");
+        let snap = cl.core.pin();
+        assert_eq!((snap.store.len(), snap.store.live_count()), (500, 500));
+        let reachable = snap.direct(&QuerySpec::Range { window: Rect::UNIT });
+        assert_eq!(reachable.results.len(), snap.store.live_count());
+        assert_one_consistent_epoch(&snap);
+    }
+
     /// Cluster twin of `pinned_snapshot_outlives_a_publish`.
     #[test]
     fn pinned_cluster_epoch_outlives_a_publish() {
@@ -1920,7 +1926,7 @@ mod tests {
             1
         );
         // The pinned world is frozen at epoch 0 …
-        assert_eq!(old.stamp.epoch, 0);
+        assert_eq!(old.epoch, 0);
         assert_one_consistent_epoch(&old);
         assert_eq!(old.direct(&spec).results, before);
         // … while the current one moved on.
@@ -1928,14 +1934,20 @@ mod tests {
         after.retain(|id| !before.contains(id));
         assert_eq!(after, vec![ObjectId(200)]);
         assert_eq!(cl.epoch(), 1);
-        assert_eq!(cl.core.pin().stamp.shard_epochs, vec![1, 1, 1, 1]);
+        let now = cl.core.pin();
+        assert!((0..4).all(|s| now.shard(s).epoch() == 1));
     }
 
     #[test]
     fn updates_publish_per_shard_epochs_independently() {
         let cl = quad_cluster(sample_store(80, 3));
         let seed = cl.core.pin();
-        assert_eq!(seed.stamp.shard_epochs, vec![0, 0, 0, 0]);
+        // A shard's epoch is the deployment epoch of the last batch that
+        // touched it.
+        let last_touched = |snap: &Snapshot| -> Vec<u64> {
+            snap.shards.iter().map(|shard| shard.epoch()).collect()
+        };
+        assert_eq!(last_touched(&seed), vec![0, 0, 0, 0]);
 
         // Insert into the lower-left quadrant: exactly one shard publishes.
         let e = ServerHandle::apply_updates(
@@ -1947,19 +1959,16 @@ mod tests {
         );
         assert_eq!(e, 1, "cluster epoch advances once per batch");
         let first = cl.core.pin();
-        let after = &first.stamp.shard_epochs;
-        assert_eq!(after.iter().sum::<u64>(), 1, "only the owner published");
-        let owner = after.iter().position(|&x| x == 1).unwrap() as u32;
-        assert_eq!(
-            owner,
-            cl.shard_map()
-                .first_owner(&Rect::centered_square(Point::new(0.2, 0.2), 0.01))
-        );
+        let owner = cl
+            .shard_map()
+            .first_owner(&Rect::centered_square(Point::new(0.2, 0.2), 0.01));
         // A shard the batch never touched costs it nothing: the next epoch
-        // holds the same allocation. The touched one was rebuilt.
+        // holds the same allocation, log and all. The touched one was
+        // rebuilt, and stamped with the batch's epoch.
         for s in 0..4 {
             let same = Arc::ptr_eq(&seed.shards[s], &first.shards[s]);
             assert_eq!(same, s as u32 != owner, "shard {s}");
+            assert_eq!(first.shards[s].epoch(), u64::from(!same), "shard {s}");
         }
         // One store per epoch, counted once.
         let shards: usize = first.shards.iter().map(|shard| shard.heap_bytes()).sum();
@@ -1976,16 +1985,13 @@ mod tests {
             }],
         );
         assert_eq!(e, 2);
-        let finally = cl.core.pin().stamp.shard_epochs.clone();
         let new_owner = cl
             .shard_map()
             .first_owner(&Rect::centered_square(Point::new(0.8, 0.8), 0.01));
-        assert_eq!(finally[owner as usize], 2, "old owner published the delete");
-        assert_eq!(
-            finally[new_owner as usize], 1,
-            "new owner published the insert"
-        );
-        assert_eq!(finally.iter().sum::<u64>(), 3);
+        let mut want = vec![0; 4];
+        want[owner as usize] = 2; // published the delete
+        want[new_owner as usize] = 2; // published the insert
+        assert_eq!(last_touched(&cl.core.pin()), want);
 
         // The handoff is visible in ground truth.
         let found = cl.direct(&QuerySpec::Range {
@@ -2092,8 +2098,8 @@ mod tests {
     }
 
     /// Cluster twin of `fleet_low_water_mark_prunes_ahead_of_the_history_cap`:
-    /// the one adaptive table's low-water mark bounds the epoch-vector
-    /// history, and the oldest retained vector is each shard log's floor.
+    /// the one adaptive table's low-water mark is the deployment's, and
+    /// every shard log a batch touches prunes up to it and no further.
     #[test]
     fn lagging_client_holds_shard_logs_until_it_forgets() {
         let store = sample_store(240, 13);
@@ -2111,17 +2117,21 @@ mod tests {
             },
         );
         // Batch `e` deletes one object in each of two shards, so the
-        // per-shard epochs drift apart and a floor is a real vector.
+        // shards' logs are last stamped at different epochs.
         let mut by_shard: Vec<Vec<ObjectId>> = vec![Vec::new(); 4];
         for o in store.iter() {
             by_shard[cl.shard_map().first_owner(&o.mbr) as usize].push(o.id);
         }
         let touched = |e: u64| [(e % 4) as usize, ((e + 1) % 4) as usize];
-        let publish = |e: u64| {
-            let batch = touched(e).map(|s| Update::Delete(by_shard[s][e as usize]));
-            assert_eq!(cl.apply_updates(&batch), e);
+        // Publishes batch `e`; returns its victims' leaves as global ids.
+        let publish = |e: u64| -> Vec<NodeId> {
+            let pin = cl.core.pin();
+            let victims = touched(e).map(|s| by_shard[s][e as usize]);
+            assert_eq!(cl.apply_updates(&victims.map(Update::Delete)), e);
+            (victims.iter())
+                .flat_map(|&id| leaves_of(&pin, &pin.map, id))
+                .collect()
         };
-        let vector = || cl.core.pin().stamp.shard_epochs.clone();
         let contact = |client: ClientId, stamp: u64| {
             let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
             cl.process_remainder_versioned(client, &rq, stamp)
@@ -2129,54 +2139,61 @@ mod tests {
 
         publish(1);
         publish(2);
-        // The laggard syncs at cluster epoch 2 and then goes quiet.
+        // The laggard syncs at epoch 2 and then goes quiet.
         assert!(matches!(
             contact(1, 0),
             VersionedReply::Stale { epoch: 2, .. }
         ));
-        let synced = vector();
+        let mut unseen: Vec<NodeId> = Vec::new();
         for e in 3..=6 {
-            publish(e);
+            unseen.extend(publish(e));
+            let pin = cl.core.pin();
+            assert_eq!(pin.low_water, 2, "the laggard holds the mark at {e}");
             for s in 0..4 {
-                let pin = cl.core.pin();
-                let log = pin.shard(s as u32).update_log();
-                assert!(log.low_water() <= synced[s], "shard {s} over-pruned at {e}");
+                let log = pin.shards[s].update_log();
+                assert!(log.low_water() <= 2, "shard {s} over-pruned at {e}");
                 if touched(e).contains(&s) {
-                    assert_eq!(log.low_water(), synced[s], "shard {s} floor at {e}");
-                }
-                // Every tombstone the laggard has not seen is retained.
-                for b in (3..=e).filter(|&b| touched(b).contains(&s)) {
-                    let id = by_shard[s][b as usize];
-                    assert!(log.deleted_objects().iter().any(|&(d, _)| d == id));
+                    assert_eq!((log.low_water(), log.epoch()), (2, e), "shard {s}");
                 }
             }
         }
-        // Its stamp still re-expands, and every shard log still answers it.
+        // Its stamp is still answered, with every leaf it has not seen.
         match contact(2, 2) {
             VersionedReply::Stale { invalidate, epoch } => {
                 assert_eq!(epoch, 6);
-                assert!(!invalidate.is_empty());
+                assert!(unseen.iter().all(|leaf| invalidate.contains(leaf)));
             }
             other => panic!("a retained stamp must be answered, got {other:?}"),
         }
 
         // Client 2 is caught up (epoch 6); once the laggard disconnects the
-        // next publish prunes history and shard logs up to that mark.
-        let caught_up = vector();
+        // next publish prunes the touched shard logs up to that mark.
         let before = cl.log_records();
         assert!(cl.call(1, Request::Forget).into_forgotten());
         assert_eq!(cl.tracked_clients(), 1);
         publish(7);
         assert!(cl.log_records() < before, "the laggard's records are gone");
+        let pin = cl.core.pin();
+        assert_eq!(pin.low_water, 6);
         for s in touched(7) {
-            let pin = cl.core.pin();
-            assert_eq!(pin.shard(s as u32).update_log().low_water(), caught_up[s]);
+            assert_eq!(pin.shards[s].update_log().low_water(), 6);
         }
         assert_eq!(contact(3, 2), VersionedReply::FullRefresh { epoch: 7 });
         assert!(matches!(
             contact(2, 6),
             VersionedReply::Stale { epoch: 7, .. }
         ));
+
+        // A stamp from the future — a client that outlived a restart —
+        // names a history this deployment never had: refused outright, on
+        // four shards and on one.
+        assert_eq!(contact(3, 8), VersionedReply::FullRefresh { epoch: 7 });
+        let single = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+        let rq = cold_remainder(&single, QuerySpec::Range { window: Rect::UNIT });
+        assert_eq!(
+            single.process_remainder_versioned(3, &rq, 1),
+            VersionedReply::FullRefresh { epoch: 0 }
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ use pc_rtree::view::FullView;
 use pc_rtree::{ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use std::sync::{Arc, Mutex};
 
-/// One shard's immutable index at one of its epochs: tree + BPTs +
+/// One shard's immutable index as of one deployment epoch: tree + BPTs +
 /// versioning, no per-client state and no objects — ids resolve through
 /// the [`Snapshot`]'s store, which the methods that need it take. All
 /// query methods take `&self`; nothing here ever mutates after
@@ -73,8 +73,8 @@ impl Shard {
         &self.updates
     }
 
-    /// This shard's own epoch: bumped once per update batch that touched
-    /// it (0 = the bulk-loaded seed).
+    /// The deployment epoch of the last update batch that touched this
+    /// shard (0 = still the bulk-loaded seed).
     pub fn epoch(&self) -> u64 {
         self.updates.epoch()
     }
@@ -149,19 +149,17 @@ impl Shard {
     /// pointer tables, not data), applies the shard-local tree operations
     /// the router derived from tile ownership against the already-updated
     /// global `store` — copy-on-write touches only the spines the batch
-    /// lands in — bumps the shard epoch, rebuilds only the dirty nodes'
-    /// BPTs, logs them and the `tombstones` (objects that went dead this
-    /// batch *and* were indexed here, so behind-epoch clients are told to
-    /// drop them) and prunes the log at or below `floor`, which the
-    /// cluster derives from the oldest epoch vector it retains. A shard a
-    /// batch never touched is not rebuilt at all, so its epoch — and its
-    /// clients' staleness — advance independently.
+    /// lands in — rebuilds only the dirty nodes' BPTs, logs them at the
+    /// deployment `epoch` this batch publishes at and prunes the log at or
+    /// below the deployment `horizon`. A shard a batch never touched is
+    /// not rebuilt at all: the next snapshot holds the same `Arc`, log and
+    /// all.
     pub(crate) fn next(
         &self,
         store: &ObjectStore,
         ops: &[PartitionOp],
-        tombstones: &[ObjectId],
-        floor: u64,
+        epoch: u64,
+        horizon: u64,
     ) -> Shard {
         let mut next = self.clone();
         for op in ops {
@@ -179,15 +177,12 @@ impl Shard {
             }
         }
         let dirty = next.tree.take_dirty();
-        let epoch = next.updates.bump_epoch();
-        for &id in tombstones {
-            next.updates.record_delete(id, epoch);
-        }
+        next.updates.set_epoch(epoch);
         next.bpts.rebuild_nodes(&next.tree, &dirty);
         for n in dirty {
             next.updates.record_change(n, epoch);
         }
-        next.updates.prune(floor);
+        next.updates.prune(horizon);
         next
     }
 
@@ -268,14 +263,14 @@ pub(crate) enum PartitionOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::sample_store;
+    use crate::test_util::{random_update, sample_store};
     use crate::{Server, ServerConfig, Update};
     use pc_geom::{Point, Rect};
     use pc_rtree::naive;
     use pc_rtree::{ObjectId, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use std::sync::Arc;
 
     /// The one-shard deployment the publish tests drive their batches
@@ -417,10 +412,17 @@ mod tests {
     #[test]
     fn malformed_batches_never_panic_the_writer() {
         // Deletes/moves naming ids the store never assigned are skipped; a
-        // delete of an already-tombstoned object is a no-op too. The epoch
-        // still bumps (the batch was applied, however vacuous).
+        // delete of an already-dead object is a no-op too, and so is an
+        // insert or a move whose rectangle is not one (inverted, or with a
+        // NaN coordinate). The epoch still bumps (the batch was applied,
+        // however vacuous).
         let server = sample_server(100, 9);
         let core = server.core();
+        let inverted = Rect {
+            min: Point::new(0.6, 0.6),
+            max: Point::new(0.4, 0.4),
+        };
+        let nan = Rect::from_point(Point::new(f64::NAN, 0.5));
         let epoch = server.apply_updates(&[
             Update::Delete(ObjectId(100_000)),
             Update::Move {
@@ -429,26 +431,45 @@ mod tests {
             },
             Update::Delete(ObjectId(3)),
             Update::Delete(ObjectId(3)), // double delete: second is a no-op
+            Update::Insert {
+                mbr: inverted,
+                size_bytes: 10,
+            },
+            Update::Insert {
+                mbr: nan,
+                size_bytes: 10,
+            },
+            Update::Move {
+                id: ObjectId(4),
+                to: inverted,
+            },
+            Update::Move {
+                id: ObjectId(5),
+                to: nan,
+            },
         ]);
         assert_eq!(epoch, 1);
         let snap = core.pin();
-        assert_eq!(snap.store().len(), 100, "unknown ids created nothing");
+        assert_eq!(snap.store().len(), 100, "nothing malformed was assigned");
         assert_eq!(snap.store().live_count(), 99, "exactly one real delete");
         assert!(!snap.store().is_live(ObjectId(3)));
+        let seed = sample_store(100, 9);
+        for id in [ObjectId(4), ObjectId(5)] {
+            assert_eq!(snap.store().get(id).mbr, seed.get(id).mbr, "{id:?} moved");
+        }
+        let all = snap.direct(&QuerySpec::Range { window: Rect::UNIT });
+        assert_eq!(all.results.len(), 99, "every live object is reachable");
+        // The whole batch dirtied what its one real delete does.
+        let once = sample_server(100, 9);
+        once.apply_updates(&[Update::Delete(ObjectId(3))]);
         assert_eq!(
-            snap.shard(0)
-                .update_log()
-                .deleted_objects()
-                .iter()
-                .filter(|&&(id, _)| id == ObjectId(3))
-                .count(),
-            1,
-            "the double delete must not duplicate the tombstone"
+            snap.shard(0).update_log().changed_since(0),
+            once.snapshot().shard(0).update_log().changed_since(0),
         );
         snap.shard(0).tree().validate(99, false).unwrap();
     }
 
-    /// Live objects of a snapshot (tombstones excluded), in id order.
+    /// Live objects of a snapshot (dead ids excluded), in id order.
     fn live_objects(snap: &Snapshot) -> Vec<SpatialObject> {
         snap.store().iter_live().copied().collect()
     }
@@ -475,25 +496,10 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0C0A);
             for _ in 0..batches {
                 let n = core.pin().store().len() as u32;
-                let batch: Vec<Update> = (0..per_batch)
-                    .map(|_| match rng.random_range(0..3u32) {
-                        0 => Update::Insert {
-                            mbr: Rect::from_point(Point::new(
-                                rng.random_range(0.0..1.0),
-                                rng.random_range(0.0..1.0),
-                            )),
-                            size_bytes: 500,
-                        },
-                        1 => Update::Delete(ObjectId(rng.random_range(0..n + 5))),
-                        _ => Update::Move {
-                            id: ObjectId(rng.random_range(0..n + 5)),
-                            to: Rect::from_point(Point::new(
-                                rng.random_range(0.0..1.0),
-                                rng.random_range(0.0..1.0),
-                            )),
-                        },
-                    })
-                    .collect();
+                // Ids up to five past the assigned ones: some updates name
+                // objects that do not exist.
+                let batch: Vec<Update> =
+                    (0..per_batch).map(|_| random_update(&mut rng, n + 5)).collect();
                 server.apply_updates(&batch);
             }
             let snap = core.pin();

@@ -6,8 +6,8 @@
 //! — one dead thread, N wedged ones). That is the wrong default for this
 //! server's locks, because every critical
 //! section in this crate is *panic-atomic by construction*: it only moves
-//! plain data (pointer swaps, `VecDeque` push/pop, counter bumps, map
-//! inserts) and performs no fallible calls mid-update, so a panic can
+//! plain data (pointer swaps, counter bumps, map inserts) and performs
+//! no fallible calls mid-update, so a panic can
 //! interrupt a critical section only at allocation failure — at which
 //! point the process is lost anyway. Inheriting the data via
 //! [`std::sync::PoisonError::into_inner`] is therefore sound, and it

@@ -1,16 +1,19 @@
 //! Shared fixtures for this crate's unit tests: a seeded random server,
 //! a cold-cache remainder (just the root cell, or the root pair for
-//! joins) — the starting point of every stage-② scenario — and the FNV
-//! digest the recorded-reply pins are taken with.
+//! joins) — the starting point of every stage-② scenario — random update
+//! batches with the leaves they must invalidate, and the FNV digest the
+//! recorded-reply pins are taken with.
 
+use crate::cluster::{ShardMap, Snapshot};
 use crate::server::{FormPolicy, Server, ServerConfig};
 use crate::transport::ServerHandle;
+use crate::updates::Update;
 use pc_geom::{Point, Rect};
 use pc_rtree::proto::{
     CellKind, CellRef, DirectReply, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side,
     VersionedReply,
 };
-use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use pc_rtree::{ChildRef, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,6 +61,67 @@ pub fn cold_remainder(server: &dyn ServerHandle, spec: QuerySpec) -> RemainderQu
         already_found: 0,
         heap: vec![(spec.key_for(&mbr), entry)],
     }
+}
+
+/// One random update naming an id in `0..ids`: an insert at, a delete, or
+/// a move to a uniform point.
+pub fn random_update(rng: &mut SmallRng, ids: u32) -> Update {
+    let point = |rng: &mut SmallRng| {
+        Rect::from_point(Point::new(
+            rng.random_range(0.0..1.0),
+            rng.random_range(0.0..1.0),
+        ))
+    };
+    match rng.random_range(0..3u32) {
+        0 => Update::Insert {
+            mbr: point(rng),
+            size_bytes: 700,
+        },
+        1 => Update::Delete(ObjectId(rng.random_range(0..ids))),
+        _ => Update::Move {
+            id: ObjectId(rng.random_range(0..ids)),
+            to: point(rng),
+        },
+    }
+}
+
+/// The leaves indexing `id` in `snap` — one per owner shard, none once it
+/// is dead — as cluster-global node ids.
+pub fn leaves_of(snap: &Snapshot, map: &ShardMap, id: ObjectId) -> Vec<NodeId> {
+    (0..map.shards())
+        .flat_map(|s| {
+            let tree = snap.shard(s).tree();
+            let holds = |n: &NodeId| {
+                tree.node(*n).is_leaf() && tree.node(*n).children().contains(&ChildRef::Object(id))
+            };
+            let leaf = tree.node_ids().into_iter().find(holds);
+            leaf.map(|n| map.to_global(n, s))
+        })
+        .collect()
+}
+
+/// Applies one batch of `per_batch` random updates over the assigned ids;
+/// returns the epoch it was applied on top of and the leaves that indexed,
+/// at that epoch, every object it deletes or moves — what a client synced
+/// there must be told to drop.
+pub fn churn_once(
+    h: &dyn ServerHandle,
+    map: &ShardMap,
+    rng: &mut SmallRng,
+    per_batch: usize,
+) -> (u64, Vec<NodeId>) {
+    let old = h.core().pin();
+    let ids = old.store().len() as u32;
+    let batch: Vec<Update> = (0..per_batch).map(|_| random_update(rng, ids)).collect();
+    let victims = batch
+        .iter()
+        .flat_map(|u| match *u {
+            Update::Delete(id) | Update::Move { id, .. } => leaves_of(&old, map, id),
+            Update::Insert { .. } => Vec::new(),
+        })
+        .collect();
+    h.apply_updates(&batch);
+    (old.epoch(), victims)
 }
 
 /// FNV-1a over everything a merged reply puts on the client channel,

@@ -50,8 +50,8 @@ pub trait ServerHandle: Transport {
     /// merged view instead of one shard's slice.
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64);
 
-    /// Retained update-log records (changed nodes + tombstones) across the
-    /// whole deployment, summed over shards. The bounded-log diagnostic
+    /// Retained update-log records (changed nodes) across the whole
+    /// deployment, summed over shards. The bounded-log diagnostic
     /// fleet runs report.
     fn log_records(&self) -> usize;
 }

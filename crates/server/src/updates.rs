@@ -45,7 +45,11 @@ pub enum Update {
     Move { id: ObjectId, to: Rect },
 }
 
-/// Update/invalidation state carried by each published snapshot.
+/// One shard's invalidation log: which of its index nodes changed, each
+/// stamped with the **deployment** epoch of the batch that last changed it.
+/// The deployment has one clock; a batch writes only into the logs of the
+/// shards it touched, so a log's own [`epoch`](UpdateLog::epoch) is the
+/// deployment epoch of the last batch that touched its shard.
 ///
 /// History is **bounded**: each epoch publish prunes change records at or
 /// below a horizon (the fleet's low-water mark and/or a hard history
@@ -59,14 +63,12 @@ pub struct UpdateLog {
     /// Oldest client epoch `changed_since` can still answer completely.
     /// Everything recorded at or below it has been pruned.
     low_water: u64,
-    /// Node → epoch of its most recent change.
+    /// Node → deployment epoch of its most recent change.
     node_changes: HashMap<NodeId, u64>,
-    /// Tombstoned objects with the epoch their delete was recorded at (the
-    /// store keeps dense ids; the index no longer reaches them).
-    deleted: Vec<(ObjectId, u64)>,
 }
 
 impl UpdateLog {
+    /// The deployment epoch of the last batch recorded here (0 = none).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -101,17 +103,15 @@ impl UpdateLog {
         out
     }
 
-    /// Retained tombstones as `(object, delete epoch)` pairs. Bounded by
-    /// pruning: tombstones at or below the low-water mark are gone (the
-    /// store's liveness bitset remains the ground truth for deadness).
-    pub fn deleted_objects(&self) -> &[(ObjectId, u64)] {
-        &self.deleted
+    /// Number of retained change records — the resident-footprint
+    /// diagnostic the epoch-cost experiment reports.
+    pub fn retained_records(&self) -> usize {
+        self.node_changes.len()
     }
 
-    /// Number of retained change records (nodes + tombstones) — the
-    /// resident-footprint diagnostic the epoch-cost experiment reports.
-    pub fn retained_records(&self) -> usize {
-        self.node_changes.len() + self.deleted.len()
+    /// The epoch `node` last changed at, if that record is still retained.
+    pub(crate) fn last_change(&self, node: NodeId) -> Option<u64> {
+        self.node_changes.get(&node).copied()
     }
 
     /// Drops every record at or below `horizon` and raises the low-water
@@ -121,17 +121,12 @@ impl UpdateLog {
             return;
         }
         self.node_changes.retain(|_, &mut e| e > horizon);
-        self.deleted.retain(|&(_, e)| e > horizon);
         self.low_water = horizon;
     }
 
-    pub(crate) fn record_delete(&mut self, id: ObjectId, epoch: u64) {
-        self.deleted.push((id, epoch));
-    }
-
-    pub(crate) fn bump_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch
+    pub(crate) fn set_epoch(&mut self, epoch: u64) {
+        debug_assert!(epoch > self.epoch, "the deployment epoch only advances");
+        self.epoch = epoch;
     }
 
     pub(crate) fn record_change(&mut self, node: NodeId, epoch: u64) {
@@ -143,14 +138,14 @@ impl UpdateLog {
 mod tests {
     use super::*;
     use crate::server::{Server, ServerConfig};
-    use crate::test_util::sample_store;
+    use crate::test_util::{churn_once, cold_remainder, random_update, sample_store};
     use pc_geom::Point;
     use pc_rtree::naive;
     use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
     use pc_rtree::{RTreeConfig, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -266,12 +261,12 @@ mod tests {
             let (x, y) = (x.snapshot(), y.snapshot());
             // The pin's epoch is the deployment's — what `apply_updates`
             // just returned — even for the batch that netted to nothing,
-            // which only the shard's own epoch skips.
+            // which never touched the shard.
             assert_eq!((x.epoch(), y.epoch()), (1, 1), "{twice:?}");
             assert_eq!(x.shard(0).epoch(), u64::from(!once.is_empty()), "{twice:?}");
             assert_eq!(tree_shape(&x), tree_shape(&y), "{twice:?}");
             let (lx, ly) = (x.shard(0).update_log(), y.shard(0).update_log());
-            assert_eq!(lx.deleted_objects(), ly.deleted_objects(), "{twice:?}");
+            assert_eq!(x.store().live_count(), y.store().live_count(), "{twice:?}");
             assert_eq!(lx.changed_since(0), ly.changed_since(0), "{twice:?}");
             x.shard(0)
                 .tree()
@@ -428,9 +423,10 @@ mod tests {
         let log = log_snap.shard(0).update_log();
         assert_eq!(log.epoch(), 10);
         assert_eq!(log.low_water(), 7, "epoch 10 minus 3 epochs of history");
-        assert!(
-            log.deleted_objects().iter().all(|&(_, e)| e > 7),
-            "tombstones at or below the horizon are pruned"
+        assert_eq!(
+            log.retained_records(),
+            log.changed_since(7).len(),
+            "records at or below the horizon are pruned"
         );
         assert!(log.retained_records() > 0);
         assert!(log.can_answer(7) && !log.can_answer(6));
@@ -503,13 +499,11 @@ mod tests {
         // The next publish prunes below the fleet mark.
         server.apply_updates(&[Update::Delete(ObjectId(3))]);
         let snap = server.snapshot();
-        assert_eq!(snap.shard(0).update_log().low_water(), 2);
-        assert!(
-            snap.shard(0)
-                .update_log()
-                .deleted_objects()
-                .iter()
-                .all(|&(_, e)| e > 2),
+        let log = snap.shard(0).update_log();
+        assert_eq!(log.low_water(), 2);
+        assert_eq!(
+            log.retained_records(),
+            log.changed_since(2).len(),
             "records at or below the fleet mark are pruned"
         );
         // A brand-new client pinning the current snapshot is never below
@@ -555,137 +549,69 @@ mod tests {
             }
             let mut rng = SmallRng::seed_from_u64(99);
             for _ in 0..40 {
-                let update = match rng.random_range(0..3u32) {
-                    0 => Update::Insert {
-                        mbr: Rect::from_point(Point::new(
-                            rng.random_range(0.0..1.0),
-                            rng.random_range(0.0..1.0),
-                        )),
-                        size_bytes: 500,
-                    },
-                    1 => Update::Delete(ObjectId(rng.random_range(0..250))),
-                    _ => Update::Move {
-                        id: ObjectId(rng.random_range(0..250)),
-                        to: Rect::from_point(Point::new(
-                            rng.random_range(0.0..1.0),
-                            rng.random_range(0.0..1.0),
-                        )),
-                    },
-                };
+                let update = random_update(&mut rng, 250);
                 epoch = server.apply_updates(&[update]);
             }
             // ordering: Release publishes "all updates applied" to the
             // Acquire loads in the reader loops above.
             stop.store(true, Ordering::Release);
         });
-        // One deployment epoch per batch; the shard's own epoch skips the
-        // batches that netted to nothing (a delete of a dead id).
+        // One deployment epoch per batch; the shard's is the last batch
+        // that did not net to nothing (a delete of a dead id does).
         assert_eq!(epoch, 40);
         assert_eq!(server.snapshot().epoch(), 40);
         assert!(server.snapshot().shard(0).epoch() <= 40);
     }
 
-    /// The leaf of `id` in `snap`'s tree (`None` once it is deleted there).
-    fn leaf_of(snap: &crate::Snapshot, id: ObjectId) -> Option<NodeId> {
-        snap.shard(0).tree().node_ids().into_iter().find(|&n| {
-            let node = snap.shard(0).tree().node(n);
-            node.is_leaf() && node.children().contains(&pc_rtree::ChildRef::Object(id))
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Pruning never turns into silent truncation: for any client epoch
-        /// at or above the log's low-water mark, `changed_since` still
-        /// contains the old leaf of every moved/deleted object since that
-        /// epoch; for any epoch *below* the mark the versioned path refuses
-        /// with `FullRefresh` instead of answering from pruned history.
+        /// Pruning never turns into silent truncation, on one shard or
+        /// four: a client stamped at or above the deployment's low-water
+        /// mark is told to drop the old leaf — in every owner shard — of
+        /// every object moved or deleted since that epoch; one stamped
+        /// *below* the mark is refused with `FullRefresh` instead of being
+        /// answered from pruned history.
         #[test]
         fn pruned_changed_since_never_under_reports(
             seed in 0u64..300,
             batches in 2usize..7,
             per_batch in 1usize..4,
             history in 1u64..4,
+            quad in 0u32..2,
         ) {
-            let cfg = ServerConfig {
-                max_update_history: history,
-                ..ServerConfig::default()
+            let cfg = crate::ClusterConfig {
+                shards: 1 + 3 * quad,
+                grid: 1 + quad,
+                server: ServerConfig {
+                    max_update_history: history,
+                    ..ServerConfig::default()
+                },
             };
-            let server = sample_server_with(200, seed, cfg);
+            let cl = crate::Cluster::new(sample_store(200, seed), RTreeConfig::small(), cfg);
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xFACADE);
             // (pin epoch, victim leaves at that pin) per batch.
             let mut watch: Vec<(u64, Vec<NodeId>)> = Vec::new();
             for _ in 0..batches {
-                let old = server.core().pin();
-                let n_live = old.store().len() as u32;
-                let updates: Vec<Update> = (0..per_batch)
-                    .map(|_| match rng.random_range(0..3u32) {
-                        0 => Update::Insert {
-                            mbr: Rect::from_point(Point::new(
-                                rng.random_range(0.0..1.0),
-                                rng.random_range(0.0..1.0),
-                            )),
-                            size_bytes: 700,
-                        },
-                        1 => Update::Delete(ObjectId(rng.random_range(0..n_live))),
-                        _ => Update::Move {
-                            id: ObjectId(rng.random_range(0..n_live)),
-                            to: Rect::from_point(Point::new(
-                                rng.random_range(0.0..1.0),
-                                rng.random_range(0.0..1.0),
-                            )),
-                        },
-                    })
-                    .collect();
-                let victims: Vec<NodeId> = updates
-                    .iter()
-                    .filter_map(|u| match *u {
-                        Update::Delete(id) | Update::Move { id, .. } => leaf_of(&old, id),
-                        Update::Insert { .. } => None,
-                    })
-                    .collect();
-                watch.push((old.epoch(), victims));
-                server.apply_updates(&updates);
+                watch.push(churn_once(&cl, cl.shard_map(), &mut rng, per_batch));
             }
-            let snap = server.snapshot();
-            let log = snap.shard(0).update_log();
-            let current = snap.epoch();
-            prop_assert_eq!(log.low_water(), current.saturating_sub(history));
+            let current = cl.epoch();
+            let low_water = current.saturating_sub(history);
+            let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
             for (since, victims) in watch {
-                if log.can_answer(since) {
-                    let changed: HashSet<NodeId> =
-                        log.changed_since(since).into_iter().collect();
-                    for leaf in victims {
-                        prop_assert!(changed.contains(&leaf));
+                match cl.process_remainder_versioned(0, &rq, since) {
+                    VersionedReply::Stale { invalidate, epoch }
+                    | VersionedReply::Fresh { invalidate, epoch, .. } => {
+                        prop_assert!(since >= low_water, "stamp {} answered below the mark", since);
+                        prop_assert_eq!(epoch, current);
+                        for leaf in victims {
+                            prop_assert!(invalidate.contains(&leaf));
+                        }
                     }
-                } else {
                     // Below the mark: the protocol refuses outright.
-                    let root = snap.shard(0).tree().root();
-                    let mbr = snap.shard(0).tree().root_mbr().unwrap();
-                    let rq = RemainderQuery {
-                        spec: QuerySpec::Range { window: mbr },
-                        already_found: 0,
-                        heap: vec![(
-                            0.0,
-                            HeapEntry::Single(Side::Cell {
-                                cell: CellRef::node_root(root),
-                                mbr,
-                            }),
-                        )],
-                    };
-                    match server.process_remainder_versioned(0, &rq, since) {
-                        VersionedReply::FullRefresh { epoch } => {
-                            prop_assert_eq!(epoch, current);
-                        }
-                        other => {
-                            prop_assert!(
-                                false,
-                                "below-mark epoch {} must be refused, got {:?}",
-                                since,
-                                other
-                            );
-                        }
+                    VersionedReply::FullRefresh { epoch } => {
+                        prop_assert!(since < low_water, "stamp {} refused above the mark", since);
+                        prop_assert_eq!(epoch, current);
                     }
                 }
             }
@@ -703,6 +629,8 @@ mod tests {
             per_batch in 1usize..4,
         ) {
             let server = sample_server(220, seed);
+            // A `Server` is one shard over one tile.
+            let map = crate::ShardMap::new(pc_geom::TileGrid::new(1), 1);
             let stop = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 // Two readers pinning snapshots mid-storm: the (tree, BPT,
@@ -763,43 +691,13 @@ mod tests {
 
                 let mut rng = SmallRng::seed_from_u64(seed ^ 0xD15EA5E);
                 for _ in 0..batches {
-                    let old = server.core().pin();
-                    let n_live = old.store().len() as u32;
-                    let updates: Vec<Update> = (0..per_batch)
-                        .map(|_| match rng.random_range(0..3u32) {
-                            0 => Update::Insert {
-                                mbr: Rect::from_point(Point::new(
-                                    rng.random_range(0.0..1.0),
-                                    rng.random_range(0.0..1.0),
-                                )),
-                                size_bytes: 700,
-                            },
-                            1 => Update::Delete(ObjectId(rng.random_range(0..n_live))),
-                            _ => Update::Move {
-                                id: ObjectId(rng.random_range(0..n_live)),
-                                to: Rect::from_point(Point::new(
-                                    rng.random_range(0.0..1.0),
-                                    rng.random_range(0.0..1.0),
-                                )),
-                            },
-                        })
-                        .collect();
                     // Old-snapshot leaves of the victims, *before* the batch.
-                    let victims: Vec<NodeId> = updates
-                        .iter()
-                        .filter_map(|u| match *u {
-                            Update::Delete(id) | Update::Move { id, .. } => {
-                                leaf_of(&old, id)
-                            }
-                            Update::Insert { .. } => None,
-                        })
-                        .collect();
-                    server.apply_updates(&updates);
+                    let (since, victims) = churn_once(&server, &map, &mut rng, per_batch);
                     let changed: HashSet<NodeId> = server
                         .snapshot()
                         .shard(0)
                         .update_log()
-                        .changed_since(old.epoch())
+                        .changed_since(since)
                         .into_iter()
                         .collect();
                     for leaf in victims {

@@ -50,8 +50,8 @@ pub struct FleetResult {
     pub updates_applied: u64,
     /// Server epoch when the run finished (0 without churn).
     pub final_epoch: u64,
-    /// Update-log records (changed nodes + tombstones) retained when the
-    /// run finished — the low-water pruning keeps this bounded under
+    /// Update-log records (changed nodes) retained when the run
+    /// finished — the low-water pruning keeps this bounded under
     /// sustained churn (0 without churn).
     pub log_records: usize,
 }

@@ -335,9 +335,10 @@ fn verified_fleet_runs_against_a_cluster() {
     assert_eq!(cluster.tracked_clients(), 0);
 }
 
-/// Churn against the cluster: the update driver splits batches by owning
-/// shard and bumps only touched shards' epochs, while versioned sessions
-/// ride out stale refusals — per-shard, not global, staleness.
+/// Churn against the cluster: the router splits each batch by owning shard
+/// and rebuilds only the shards it touches — their logs stamped with the
+/// one deployment epoch — while versioned sessions ride out stale
+/// refusals: staleness is decided per shard, not globally.
 #[test]
 fn churned_fleet_publishes_per_shard_epochs() {
     let mut cfg = cluster_fleet_cfg();
@@ -355,8 +356,8 @@ fn churned_fleet_publishes_per_shard_epochs() {
     assert!(res.updates_applied > 0, "churn driver never ran");
     assert_eq!(res.final_epoch, cluster.epoch());
     assert!(res.final_epoch > 0);
-    // Each shard advances at most once per cluster batch, and only when
-    // touched — so shard epochs trail the cluster epoch.
+    // A shard's epoch is the deployment epoch of the last batch that
+    // touched it — so no shard is ahead of the deployment.
     let pin = cluster.core().pin();
     assert_eq!(pin.epoch(), res.final_epoch);
     let max_shard_epoch = (0..cluster.shard_count())

@@ -198,8 +198,8 @@ fn churn_fleet_completes_with_stale_retry_bytes_in_ledger() {
             "driver quota is a deterministic function of the query count"
         );
         assert!(out.final_epoch > 0);
-        // The deployment epoch counts batches; the shard's own epoch skips
-        // the ones that netted to nothing (a move or delete of a dead id).
+        // The deployment epoch counts batches; the shard's is the last one
+        // that did not net to nothing (a move or delete of a dead id does).
         assert_eq!(server.bootstrap_root().1, out.final_epoch);
         assert_eq!(server.snapshot().epoch(), out.final_epoch);
         assert!(server.snapshot().shard(0).epoch() <= out.final_epoch);

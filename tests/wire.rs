@@ -188,7 +188,7 @@ fn churned_wire_fleet_completes_and_reconciles() {
     assert!(out.final_epoch > 0);
     assert_eq!(server.tracked_clients(), 0);
 
-    // Versioned envelopes (Stale refusals, epoch vectors, full refreshes)
+    // Versioned envelopes (Stale refusals, epoch stamps, full refreshes)
     // travel the same frames and must reconcile just as exactly.
     assert_stats_reconcile(&tstats, &sstats);
 }
