@@ -10,21 +10,26 @@
 //!
 //! Two sweeps make that measurable:
 //!
-//! * **fixed batch, growing dataset** — publish latency and freshly
-//!   allocated bytes should stay ~flat (per-update work is O(depth), and
-//!   depth grows logarithmically);
+//! * **fixed batch, growing dataset** — publish latency and copied bytes
+//!   should stay ~flat (per-update work is O(depth), and depth grows
+//!   logarithmically);
 //! * **fixed dataset, growing batch** — both should grow ~linearly with
 //!   the batch.
 //!
 //! Per row: mean publish wall time and the share of it that is rebuilding
 //! the dirtied nodes' BPTs (the same `BptStore::rebuild_nodes` call, timed
-//! again on a clone of the previous epoch's store), copied node slots /
-//! rebuilt BPTs / copied store segments per publish (diagnosed by `Arc`
-//! pointer equality against the previous pin), freshly allocated *resident*
-//! bytes beside the resident heap bytes of the whole epoch
-//! (`Snapshot::heap_bytes`), and the update log's retained record count
-//! (`log`: change records, node → epoch, which is all a log holds; bounded
-//! by pruning).
+//! again on a clone of the previous epoch's store — with no spares lent, so
+//! every BPT it rebuilds is a fresh allocation where the publish reused
+//! retired ones), copied node slots / rebuilt BPTs / copied store segments
+//! per publish (diagnosed by `Arc` pointer equality against the previous
+//! pin), two byte figures per publish — `copied`, modelled: copied nodes ×
+//! `PAGE_BYTES` plus the rebuilt BPTs' heap plus copied store segments and
+//! chunk spines; `alloc`, measured: the bytes `apply_updates` asks the
+//! allocator for, counted by this binary's `#[global_allocator]`, which
+//! copies written into retired allocations do not — beside the resident
+//! heap bytes of the whole epoch (`Snapshot::heap_bytes`), and the update
+//! log's retained record count (`log`: change records, node → epoch, which
+//! is all a log holds; bounded by pruning).
 //!
 //! A publish's dirty set is read back as
 //! `new.update_log().changed_since(old.epoch())`: a shard's epoch is the
@@ -44,7 +49,37 @@ use pc_sim::generate_update;
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+// ordering: Relaxed — a statistic, read on the one thread that allocates
+// while a publish is measured; it publishes no other data.
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// Bytes handed out by the allocator since the process started.
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter beside
+// it is a plain statistic and never touches the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size(), Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// Update batches applied (and averaged over) per row.
 const ROUNDS: usize = 24;
@@ -63,9 +98,12 @@ struct Row {
     rebuilt_bpts: f64,
     copied_bpt_chunks: f64,
     copied_chunks: f64,
-    fresh_bytes: f64,
+    /// Modelled bytes of the copies one publish makes.
+    copied_bytes: f64,
+    /// Measured bytes one `apply_updates` allocates.
+    alloc_bytes: f64,
     /// `Snapshot::heap_bytes` of the final epoch: what one world keeps
-    /// resident, the figure `fresh_bytes` is small against.
+    /// resident, the figure both byte columns are small against.
     heap_bytes: usize,
     log_records: usize,
 }
@@ -84,16 +122,19 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     let mut rebuilt_bpts = 0usize;
     let mut copied_bpt_chunks = 0usize;
     let mut copied_chunks = 0usize;
-    let mut fresh_bytes = 0u64;
+    let mut copied_bytes = 0u64;
+    let mut alloc_bytes = 0usize;
     for _ in 0..ROUNDS {
         let old_world = server.core().pin();
         let n_live = old_world.store().len() as u32;
         let updates: Vec<_> = (0..batch)
             .map(|_| generate_update(&mut rng, n_live))
             .collect();
+        let allocated = ALLOCATED.load(Relaxed);
         let t = Instant::now();
         server.apply_updates(&updates);
         publish_s += t.elapsed().as_secs_f64();
+        alloc_bytes += ALLOCATED.load(Relaxed) - allocated;
         let new_world = server.core().pin();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 
@@ -117,15 +158,15 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         bpts.rebuild_nodes(new.tree(), &dirty);
         rebuild_s += t.elapsed().as_secs_f64();
 
-        // Freshly allocated resident bytes per publish: copied index
-        // pages, the rebuilt BPTs' own columns (the dirtied nodes' slots,
-        // and only those, are rebuilt), copied store segments and the
-        // copied chunk spines (one `Arc` pointer per slot).
+        // Modelled bytes of one publish's copies: copied index pages, the
+        // rebuilt BPTs' own columns (the dirtied nodes' slots, and only
+        // those, are rebuilt), copied store segments and the copied chunk
+        // spines (one `Arc` pointer per slot).
         let rebuilt_bytes: usize = dirty
             .iter()
             .map(|&id| new.bpts().get(id).heap_bytes())
             .sum();
-        fresh_bytes += copied as u64 * PAGE_BYTES
+        copied_bytes += copied as u64 * PAGE_BYTES
             + rebuilt_bytes as u64
             + (chunks * pc_rtree::STORE_CHUNK_LEN * std::mem::size_of::<SpatialObject>()) as u64
             + (node_chunks as u64 * pc_rtree::NODE_CHUNK_LEN as u64
@@ -145,7 +186,8 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         rebuilt_bpts: rebuilt_bpts as f64 / rounds,
         copied_bpt_chunks: copied_bpt_chunks as f64 / rounds,
         copied_chunks: copied_chunks as f64 / rounds,
-        fresh_bytes: fresh_bytes as f64 / rounds,
+        copied_bytes: copied_bytes as f64 / rounds,
+        alloc_bytes: alloc_bytes as f64 / rounds,
         heap_bytes: snap.heap_bytes(),
         log_records: snap.shard(0).update_log().retained_records(),
     }
@@ -154,7 +196,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
 fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
     let mut t = Table::new(vec![
         "objects", "batch", "nodes", "publish", "rebuild", "share", "copied n", "n-chunk", "bpts",
-        "b-chunk", "chunks", "fresh", "heap", "log",
+        "b-chunk", "chunks", "copied", "alloc", "heap", "log",
     ]);
     let mut json_rows = Vec::new();
     for r in rows {
@@ -170,7 +212,8 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
             format!("{:.1}", r.rebuilt_bpts),
             format!("{:.1}", r.copied_bpt_chunks),
             format!("{:.1}", r.copied_chunks),
-            fmt_bytes(r.fresh_bytes),
+            fmt_bytes(r.copied_bytes),
+            fmt_bytes(r.alloc_bytes),
             fmt_bytes(r.heap_bytes as f64),
             r.log_records.to_string(),
         ]);
@@ -187,7 +230,8 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
                 .num("rebuilt_bpts", r.rebuilt_bpts)
                 .num("copied_bpt_chunks", r.copied_bpt_chunks)
                 .num("copied_chunks", r.copied_chunks)
-                .num("fresh_bytes", r.fresh_bytes)
+                .num("copied_bytes", r.copied_bytes)
+                .num("alloc_bytes", r.alloc_bytes)
                 .num("heap_bytes", r.heap_bytes)
                 .num("log_records", r.log_records)
                 .render(),
@@ -231,10 +275,10 @@ fn main() {
 
     let first = &dataset_rows[0];
     let last = dataset_rows.last().unwrap();
-    let growth = last.fresh_bytes / first.fresh_bytes.max(1.0);
+    let growth = last.copied_bytes / first.copied_bytes.max(1.0);
     let data_growth = last.objects as f64 / first.objects as f64;
     println!(
-        "\n{}x dataset -> {:.2}x fresh bytes per publish (deep cloning would be ~{}x); \
+        "\n{}x dataset -> {:.2}x copied bytes per publish (deep cloning would be ~{}x); \
          publish latency {:.0}us -> {:.0}us",
         data_growth, growth, data_growth, first.publish_us, last.publish_us
     );

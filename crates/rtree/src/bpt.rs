@@ -31,9 +31,10 @@
 use crate::engine::Expansion;
 use crate::par;
 use crate::proto::{CellRef, Side};
+use crate::spares::{clear_to, Lent};
 use crate::split::{midpoint_split, rstar_split, SplitScratch};
 use crate::tree::RTree;
-use crate::{Node, NodeId};
+use crate::{Node, NodeId, Spares};
 use pc_geom::Rect;
 use std::ops::Range;
 use std::sync::Arc;
@@ -248,32 +249,44 @@ impl Bpt {
 
     /// [`build_with`](Self::build_with) on caller-owned working memory.
     /// What `scratch` held before has no effect on the result.
-    ///
-    /// # Panics
-    /// Panics on 2¹⁵ or more entries: a child reference is 15 bits.
     pub(crate) fn build_in(
         entry_mbrs: &[Rect],
         policy: SplitPolicy,
         scratch: &mut BptScratch,
     ) -> Bpt {
+        let mut bpt = Bpt::default();
+        bpt.rebuild(entry_mbrs, policy, scratch);
+        bpt
+    }
+
+    /// Rebuilds this BPT over `entry_mbrs` in place, its columns at exactly
+    /// `N − 1` capacity: what it held before has no effect on the result,
+    /// which equals a fresh [`build_in`](Self::build_in) field for field.
+    ///
+    /// # Panics
+    /// Panics on 2¹⁵ or more entries: a child reference is 15 bits.
+    fn rebuild(&mut self, entry_mbrs: &[Rect], policy: SplitPolicy, scratch: &mut BptScratch) {
         let n = entry_mbrs.len();
         assert!(
             n < LEAF_BIT as usize,
             "a BPT addresses at most 2^15 - 1 entries, got {n}"
         );
         let supers = n.saturating_sub(1);
-        let mut bpt = Bpt {
-            mbrs: Vec::with_capacity(supers),
-            kids: Vec::with_capacity(supers),
-            entries: n as u16,
-            height: 0,
-        };
+        let Bpt {
+            mbrs,
+            kids,
+            entries,
+            height,
+        } = self;
+        clear_to(mbrs, supers);
+        clear_to(kids, supers);
+        *entries = n as u16;
+        *height = 0;
         if n > 0 {
             scratch.ids.clear();
             scratch.ids.extend(0..n as u16);
-            bpt.build_rec(0..n, entry_mbrs, 0, policy, scratch);
+            self.build_rec(0..n, entry_mbrs, 0, policy, scratch);
         }
-        bpt
     }
 
     /// Builds the subtree over `scratch.ids[range]`; returns the reference
@@ -507,9 +520,15 @@ struct NodeBptBuilder {
 
 impl NodeBptBuilder {
     fn build(&mut self, node: &Node, policy: SplitPolicy) -> Arc<Bpt> {
+        let mut bpt = Bpt::default();
+        self.build_into(node, policy, &mut bpt);
+        Arc::new(bpt)
+    }
+
+    fn build_into(&mut self, node: &Node, policy: SplitPolicy, bpt: &mut Bpt) {
         self.mbrs.clear();
         self.mbrs.extend((0..node.len()).map(|j| node.mbr_at(j)));
-        Arc::new(Bpt::build_in(&self.mbrs, policy, &mut self.scratch))
+        bpt.rebuild(&self.mbrs, policy, &mut self.scratch);
     }
 }
 
@@ -526,13 +545,17 @@ pub const BPT_CHUNK_LEN: usize = 1 << BPT_CHUNK_SHIFT;
 /// segmented into [`BPT_CHUNK_LEN`]-slot `Arc` chunks like the tree's node
 /// slab. Each BPT additionally sits behind its own `Arc`: cloning the store
 /// clones only the segment pointer table, and [`BptStore::rebuild_nodes`]
-/// swaps in a fresh BPT for exactly the nodes an update batch dirtied —
+/// swaps in a rebuilt BPT for exactly the nodes an update batch dirtied —
 /// copying the dirtied slots' segments, not the whole table — leaving every
-/// other node's BPT structurally shared with the previous snapshot.
+/// other node's BPT structurally shared with the previous snapshot. A
+/// writer that [lends](BptStore::with_spares) the store its [`Spares`] has
+/// each BPT rebuilt into one an earlier rebuild retired, once nothing
+/// holds it any more.
 #[derive(Clone, Debug, Default)]
 pub struct BptStore {
     chunks: Vec<Arc<Vec<Arc<Bpt>>>>,
     len: usize,
+    spares: Lent<Bpt>,
 }
 
 impl BptStore {
@@ -593,7 +616,8 @@ impl BptStore {
 
     /// Rebuilds the BPTs of `ids` — the nodes one update batch dirtied —
     /// on one builder, growing the slab for nodes the batch created. Copies
-    /// only the segments the slots live in.
+    /// only the segments the slots live in; a slot nothing else holds is
+    /// rebuilt in place.
     pub fn rebuild_nodes(&mut self, tree: &RTree, ids: &[NodeId]) {
         let mut builder = NodeBptBuilder::default();
         for &id in ids {
@@ -604,8 +628,24 @@ impl BptStore {
             }
             let i = id.0 as usize;
             let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
-            chunk[i & (BPT_CHUNK_LEN - 1)] = builder.build(tree.node(id), SplitPolicy::RStar);
+            // Nothing of the old BPT is copied: the rebuild overwrites it all.
+            let bpt = self
+                .spares
+                .make_mut(&mut chunk[i & (BPT_CHUNK_LEN - 1)], |_, _| {});
+            builder.build_into(tree.node(id), SplitPolicy::RStar, bpt);
         }
+    }
+
+    /// Runs `edit` on this store with `spares` lent to its copy-on-write
+    /// seam: a rebuilt BPT is written into one an earlier rebuild retired
+    /// once nothing holds it any more, and every BPT a rebuild replaces is
+    /// retired into `spares`, which the store hands back.
+    pub fn with_spares<R>(
+        &mut self,
+        spares: &mut Spares<Bpt>,
+        edit: impl FnOnce(&mut BptStore) -> R,
+    ) -> R {
+        Lent::lend(self, |bpts| &mut bpts.spares, spares, edit)
     }
 
     /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"

@@ -31,6 +31,7 @@ pub mod naive;
 pub mod par;
 pub mod proto;
 pub mod query;
+mod spares;
 mod split;
 mod tree;
 pub mod view;
@@ -41,7 +42,10 @@ mod proptests;
 mod reference;
 
 use pc_geom::Rect;
+use spares::Lent;
+use std::sync::Arc;
 
+pub use spares::Spares;
 pub use tree::{RTree, RTreeConfig, TreeStats, NODE_CHUNK_LEN};
 
 /// Identifier of a data object. Objects are numbered densely from zero so
@@ -158,6 +162,32 @@ impl Node {
             + self.max_y.capacity())
             * size_of::<f64>()
             + self.children.capacity() * size_of::<ChildRef>()
+    }
+
+    /// Overwrites this node with `src`, every column holding room for
+    /// exactly `columns` entries (or `src`'s, if more): a copy-on-write
+    /// copy, into a retired node's columns or fresh ones.
+    pub(crate) fn copy_from(&mut self, src: &Node, columns: usize) {
+        fn column<T: Copy>(into: &mut Vec<T>, src: &[T], columns: usize) {
+            spares::clear_to(into, columns.max(src.len()));
+            into.extend_from_slice(src);
+        }
+        let Node {
+            parent,
+            level,
+            min_x,
+            min_y,
+            max_x,
+            max_y,
+            children,
+        } = self;
+        *parent = src.parent;
+        *level = src.level;
+        column(min_x, &src.min_x, columns);
+        column(min_y, &src.min_y, columns);
+        column(max_x, &src.max_x, columns);
+        column(max_y, &src.max_y, columns);
+        column(children, &src.children, columns);
     }
 
     /// Number of entries.
@@ -308,23 +338,26 @@ pub const STORE_CHUNK_LEN: usize = 1 << STORE_CHUNK_SHIFT;
 /// logical index; [`ObjectStore::new`] enforces this.
 ///
 /// Storage is chunked into `Arc`-shared segments of [`STORE_CHUNK_LEN`]
-/// objects: cloning a store clones only the segment pointer table, and a
-/// mutation ([`push`](ObjectStore::push), [`set_mbr`](ObjectStore::set_mbr),
-/// [`mark_dead`](ObjectStore::mark_dead)) copies just the one segment it
-/// lands in. Snapshots in `pc_server` therefore share all untouched
-/// segments across epochs instead of deep-cloning the dataset per update
-/// batch.
+/// objects: cloning a store clones only the segment pointer table (and the
+/// liveness bitset), and a mutation ([`push`](ObjectStore::push),
+/// [`set_mbr`](ObjectStore::set_mbr)) copies just the one segment it lands
+/// in. Snapshots in `pc_server` therefore share all untouched segments
+/// across epochs instead of deep-cloning the dataset per update batch. A
+/// writer that [lends](ObjectStore::with_spares) the store its [`Spares`]
+/// has each copy written into a segment an earlier copy retired, once
+/// nothing holds that segment any more.
 ///
 /// Deleted objects keep their slot (ids stay dense — the §7 update
 /// extension tombstones them) but are flagged dead; the naive oracles and
 /// liveness-aware callers skip them via [`is_live`](ObjectStore::is_live).
 #[derive(Clone, Debug, Default)]
 pub struct ObjectStore {
-    chunks: Vec<std::sync::Arc<Vec<SpatialObject>>>,
+    chunks: Vec<Arc<Vec<SpatialObject>>>,
     len: usize,
     /// Tombstone bitset, one bit per slot (dense ids; dead = 1).
     dead: Vec<u64>,
     dead_count: usize,
+    spares: Lent<Vec<SpatialObject>>,
 }
 
 impl ObjectStore {
@@ -350,6 +383,7 @@ impl ObjectStore {
             len,
             dead: vec![0; len.div_ceil(64)],
             dead_count: 0,
+            spares: Lent::default(),
         }
     }
 
@@ -418,7 +452,8 @@ impl ObjectStore {
         if self.len.is_multiple_of(STORE_CHUNK_LEN) {
             self.chunks.push(Self::segment(&[]));
         }
-        Self::chunk_mut(self.chunks.last_mut().expect("chunk just ensured")).push(SpatialObject {
+        let last = self.chunks.last_mut().expect("chunk just ensured");
+        Self::chunk_mut(&mut self.spares, last).push(SpatialObject {
             id,
             mbr,
             size_bytes,
@@ -434,27 +469,43 @@ impl ObjectStore {
     /// updated separately (delete + insert).
     pub fn set_mbr(&mut self, id: ObjectId, mbr: Rect) {
         let i = id.0 as usize;
-        Self::chunk_mut(&mut self.chunks[i >> STORE_CHUNK_SHIFT])[i & (STORE_CHUNK_LEN - 1)].mbr =
-            mbr;
+        let chunk = &mut self.chunks[i >> STORE_CHUNK_SHIFT];
+        Self::chunk_mut(&mut self.spares, chunk)[i & (STORE_CHUNK_LEN - 1)].mbr = mbr;
+    }
+
+    /// Runs `edit` on this store with `spares` lent to its copy-on-write
+    /// seam: a segment copy is written into a segment an earlier copy
+    /// retired once nothing holds it any more, and every segment a copy
+    /// replaces is retired into `spares`, which the store hands back.
+    pub fn with_spares<R>(
+        &mut self,
+        spares: &mut Spares<Vec<SpatialObject>>,
+        edit: impl FnOnce(&mut ObjectStore) -> R,
+    ) -> R {
+        Lent::lend(self, |store| &mut store.spares, spares, edit)
     }
 
     /// A segment holding `objects`: always one [`STORE_CHUNK_LEN`]
     /// allocation, so a partial segment never reallocates under `push` and
     /// Σ capacity stays within one segment of the store's length.
-    fn segment(objects: &[SpatialObject]) -> std::sync::Arc<Vec<SpatialObject>> {
+    fn segment(objects: &[SpatialObject]) -> Arc<Vec<SpatialObject>> {
         let mut segment = Vec::with_capacity(STORE_CHUNK_LEN);
         segment.extend_from_slice(objects);
-        std::sync::Arc::new(segment)
+        Arc::new(segment)
     }
 
     /// The copy-on-write seam: unshares `chunk` if a cloned store still
-    /// holds it. (`Arc::make_mut` would size the copy to its length, and
-    /// the next `push` would then double it past a segment.)
-    fn chunk_mut(chunk: &mut std::sync::Arc<Vec<SpatialObject>>) -> &mut Vec<SpatialObject> {
-        if std::sync::Arc::get_mut(chunk).is_none() {
-            *chunk = Self::segment(chunk);
-        }
-        std::sync::Arc::get_mut(chunk).expect("segment unshared above")
+    /// holds it, into a segment of the same one size — reused or fresh.
+    /// (`Arc::make_mut` would size the copy to its length, and the next
+    /// `push` would then double it past a segment.)
+    fn chunk_mut<'c>(
+        spares: &mut Lent<Vec<SpatialObject>>,
+        chunk: &'c mut Arc<Vec<SpatialObject>>,
+    ) -> &'c mut Vec<SpatialObject> {
+        spares.make_mut(chunk, |objects, copy| {
+            spares::clear_to(copy, STORE_CHUNK_LEN);
+            copy.extend_from_slice(objects);
+        })
     }
 
     /// How many segments `self` physically shares with `other` (same `Arc`
@@ -464,7 +515,7 @@ impl ObjectStore {
         self.chunks
             .iter()
             .zip(&other.chunks)
-            .filter(|(a, b)| std::sync::Arc::ptr_eq(a, b))
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
 
@@ -480,7 +531,7 @@ impl ObjectStore {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let segments: usize = self.chunks.iter().map(|c| c.capacity()).sum();
-        self.chunks.capacity() * size_of::<std::sync::Arc<Vec<SpatialObject>>>()
+        self.chunks.capacity() * size_of::<Arc<Vec<SpatialObject>>>()
             + segments * size_of::<SpatialObject>()
             + self.dead.capacity() * size_of::<u64>()
     }

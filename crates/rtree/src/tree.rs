@@ -2,8 +2,9 @@
 //! construction and full R* dynamic insertion (ChooseSubtree with the
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
+use crate::spares::Lent;
 use crate::split::{key_bits, rstar_split, SplitScratch};
-use crate::{ChildRef, Entry, Node, NodeId, SpatialObject};
+use crate::{ChildRef, Entry, Node, NodeId, Spares, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
 
@@ -72,11 +73,16 @@ pub const NODE_CHUNK_LEN: usize = 1 << NODE_CHUNK_SHIFT;
 /// segmented into [`NODE_CHUNK_LEN`]-slot `Arc` chunks: cloning a tree
 /// clones only the segment pointer table (`len/1024` refcount bumps), and a
 /// mutation after a clone copies the one segment the slot lives in (1024
-/// pointer bumps) plus the node it actually touches ([`Arc::make_mut`]
-/// twice), leaving everything else structurally shared between the two
-/// trees. This is what makes an epoch publish in `pc_server` cost
-/// O(batch · depth) node copies — *including* the pointer table, which a
-/// flat `Vec<Arc<Node>>` slab would re-clone in full (O(nodes)) per epoch.
+/// pointer bumps, [`Arc::make_mut`]) plus the node it actually touches,
+/// leaving everything else structurally shared between the two trees.
+/// This is what makes an epoch publish in `pc_server` cost O(batch · depth)
+/// node copies — *including* the pointer table, which a flat
+/// `Vec<Arc<Node>>` slab would re-clone in full (O(nodes)) per epoch.
+/// Every node copy has room for exactly `max_entries + 1` entries, the
+/// most a node holds before it splits, so any retired node fits any copy:
+/// a writer that [lends](RTree::with_spares) the tree its [`Spares`] has
+/// each copy written into a node an earlier copy retired, once nothing
+/// holds it any more.
 #[derive(Clone, Debug)]
 pub struct RTree {
     cfg: RTreeConfig,
@@ -91,6 +97,7 @@ pub struct RTree {
     /// — the hook the update/invalidation subsystem builds on. Detached
     /// nodes are reported too (clients may still cache them).
     dirty: Vec<NodeId>,
+    spares: Lent<Node>,
 }
 
 /// One record of an STR sort: the key's order-preserving integer image
@@ -125,6 +132,7 @@ impl RTree {
             height: 0,
             object_count: 0,
             dirty: Vec::new(),
+            spares: Lent::default(),
         }
     }
 
@@ -262,7 +270,23 @@ impl RTree {
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
         let i = id.0 as usize;
         let chunk = Arc::make_mut(&mut self.nodes[i >> NODE_CHUNK_SHIFT]);
-        Arc::make_mut(&mut chunk[i & (NODE_CHUNK_LEN - 1)])
+        let columns = self.cfg.max_entries + 1;
+        self.spares
+            .make_mut(&mut chunk[i & (NODE_CHUNK_LEN - 1)], |node, copy| {
+                copy.copy_from(node, columns)
+            })
+    }
+
+    /// Runs `edit` on this tree with `spares` lent to its copy-on-write
+    /// seam: a node copy is written into a node an earlier copy retired
+    /// once nothing holds it any more, and every node a copy replaces is
+    /// retired into `spares`, which the tree hands back.
+    pub fn with_spares<R>(
+        &mut self,
+        spares: &mut Spares<Node>,
+        edit: impl FnOnce(&mut RTree) -> R,
+    ) -> R {
+        Lent::lend(self, |tree| &mut tree.spares, spares, edit)
     }
 
     /// Number of slab slots (reachable nodes plus detached husks) — the

@@ -58,10 +58,19 @@
 //!   function of the current shard, the new store and its slice of the
 //!   batch — and an untouched one is the current epoch's `Arc`, a pointer
 //!   copy. There is no per-shard cell or lock, so nothing to order.
-//! * **Who tears down a retired epoch.** A retired shard lives until the
-//!   last snapshot naming it drops: its teardown (the epoch's private CoW
-//!   copies, 40–120 µs per four-update batch) falls to whoever drops the
-//!   last reference — a reader still pinned to it, else the writer.
+//! * **Who tears down a retired epoch.** Nobody frees its private CoW
+//!   copies: every node, BPT and store segment a batch replaced was
+//!   retired into the writer's spares (`WriterSpares`, guarded by the
+//!   core's writer lock), and a later batch writes its own copies into
+//!   them once the last snapshot naming them — the previous epoch, or a
+//!   reader still pinned to an older one — has dropped. What the last
+//!   dropper frees is pointer tables: a shard's slot segments, the store's
+//!   segment table and liveness bitset, the log. The spares die with the
+//!   deployment. Reusing them is what keeps a churned world in the memory
+//!   it was built in: a fresh copy is allocated by the writer's thread, the
+//!   copy it replaces freed into wherever it was allocated — for the
+//!   world set-up built, an allocator arena only the idle set-up thread
+//!   would ever allocate from again.
 //! * **One thread builds.** The touched shards of a batch are built one
 //!   after another on the writer's thread: a scoped thread per touched
 //!   shard was measured 1.3–5× dearer at the median at four-update
@@ -69,7 +78,7 @@
 //!   spawn and a wake-up (CHANGES.md, PR 20, has every run).
 
 use crate::adaptive::AdaptiveController;
-use crate::core::{PartitionOp, ServerCore, Shard};
+use crate::core::{PartitionOp, ServerCore, Shard, WriterSpares};
 use crate::forms::FormMode;
 use crate::server::{form_mode, ClientId, ServerConfig};
 use crate::transport::{ServerHandle, Transport};
@@ -531,11 +540,17 @@ impl Cluster {
     /// [`VersionedReply::FullRefresh`] refusal at their next contact.
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
         self.core
-            .advance(|current| self.next_epoch(current, updates))
+            .advance(|current, spares| self.next_epoch(current, updates, spares))
     }
 
-    /// The snapshot `updates` turn `current` into.
-    fn next_epoch(&self, current: &Snapshot, updates: &[Update]) -> Snapshot {
+    /// The snapshot `updates` turn `current` into, its copies written into
+    /// the writer's `spares` wherever one is free.
+    fn next_epoch(
+        &self,
+        current: &Snapshot,
+        updates: &[Update],
+        spares: &mut WriterSpares,
+    ) -> Snapshot {
         let mut next_store = current.store.clone();
 
         // Apply the batch to the store, remembering which objects it
@@ -546,27 +561,29 @@ impl Cluster {
         // inverted rectangle covers no tile (no shard would index it) and
         // a NaN one cannot be bulk loaded.
         let well_formed = |r: &Rect| r.min.x <= r.max.x && r.min.y <= r.max.y;
-        for u in updates {
-            let id = match *u {
-                Update::Insert { mbr, size_bytes } if well_formed(&mbr) => {
-                    next_store.push(mbr, size_bytes)
+        next_store.with_spares(&mut spares.segments, |store| {
+            for u in updates {
+                let id = match *u {
+                    Update::Insert { mbr, size_bytes } if well_formed(&mbr) => {
+                        store.push(mbr, size_bytes)
+                    }
+                    Update::Delete(id) if store.is_live(id) => {
+                        store.mark_dead(id);
+                        id
+                    }
+                    Update::Move { id, to } if store.is_live(id) && well_formed(&to) => {
+                        store.set_mbr(id, to);
+                        id
+                    }
+                    // An id the store never assigned, one already dead, or a
+                    // rectangle that is not one.
+                    _ => continue,
+                };
+                if seen.insert(id) {
+                    touched.push(id);
                 }
-                Update::Delete(id) if next_store.is_live(id) => {
-                    next_store.mark_dead(id);
-                    id
-                }
-                Update::Move { id, to } if next_store.is_live(id) && well_formed(&to) => {
-                    next_store.set_mbr(id, to);
-                    id
-                }
-                // An id the store never assigned, one already dead, or a
-                // rectangle that is not one.
-                _ => continue,
-            };
-            if seen.insert(id) {
-                touched.push(id);
             }
-        }
+        });
 
         // Net per-shard ops from (batch-start, batch-end) ownership. A
         // delete against a shard tree must use the MBR the tree actually
@@ -612,7 +629,7 @@ impl Cluster {
                 if ops.is_empty() {
                     Arc::clone(shard)
                 } else {
-                    Arc::new(shard.next(&next_store, ops, epoch, low_water))
+                    Arc::new(shard.next(&next_store, ops, epoch, low_water, spares))
                 }
             })
             .collect();

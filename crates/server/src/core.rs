@@ -25,11 +25,11 @@ use crate::epoch::SnapshotCell;
 use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
 use crate::updates::UpdateLog;
-use pc_rtree::bpt::BptStore;
+use pc_rtree::bpt::{Bpt, BptStore};
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
-use pc_rtree::{ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
+use pc_rtree::{Node, ObjectId, ObjectStore, RTree, RTreeConfig, Spares, SpatialObject};
 use std::sync::{Arc, Mutex};
 
 /// One shard's immutable index as of one deployment epoch: tree + BPTs +
@@ -149,36 +149,42 @@ impl Shard {
     /// pointer tables, not data), applies the shard-local tree operations
     /// the router derived from tile ownership against the already-updated
     /// global `store` — copy-on-write touches only the spines the batch
-    /// lands in — rebuilds only the dirty nodes' BPTs, logs them at the
-    /// deployment `epoch` this batch publishes at and prunes the log at or
-    /// below the deployment `horizon`. A shard a batch never touched is
-    /// not rebuilt at all: the next snapshot holds the same `Arc`, log and
-    /// all.
+    /// lands in, each copy written into one of the writer's `spares` when
+    /// nothing holds it any more — rebuilds only the dirty nodes' BPTs the
+    /// same way, logs them at the deployment `epoch` this batch publishes
+    /// at and prunes the log at or below the deployment `horizon`. A shard
+    /// a batch never touched is not rebuilt at all: the next snapshot holds
+    /// the same `Arc`, log and all.
     pub(crate) fn next(
         &self,
         store: &ObjectStore,
         ops: &[PartitionOp],
         epoch: u64,
         horizon: u64,
+        spares: &mut WriterSpares,
     ) -> Shard {
         let mut next = self.clone();
-        for op in ops {
-            match *op {
-                PartitionOp::Insert(id) => next.tree.insert(store.get(id)),
-                PartitionOp::Delete(id, ref from) => {
-                    let removed = next.tree.delete(id, from);
-                    debug_assert!(removed, "partition delete must match the indexed entry");
-                }
-                PartitionOp::Relocate(id, ref from) => {
-                    if next.tree.delete(id, from) {
-                        next.tree.insert(store.get(id));
+        next.tree.with_spares(&mut spares.nodes, |tree| {
+            for op in ops {
+                match *op {
+                    PartitionOp::Insert(id) => tree.insert(store.get(id)),
+                    PartitionOp::Delete(id, ref from) => {
+                        let removed = tree.delete(id, from);
+                        debug_assert!(removed, "partition delete must match the indexed entry");
+                    }
+                    PartitionOp::Relocate(id, ref from) => {
+                        if tree.delete(id, from) {
+                            tree.insert(store.get(id));
+                        }
                     }
                 }
             }
-        }
+        });
         let dirty = next.tree.take_dirty();
         next.updates.set_epoch(epoch);
-        next.bpts.rebuild_nodes(&next.tree, &dirty);
+        next.bpts.with_spares(&mut spares.bpts, |bpts| {
+            bpts.rebuild_nodes(&next.tree, &dirty)
+        });
         for n in dirty {
             next.updates.record_change(n, epoch);
         }
@@ -199,6 +205,16 @@ impl Shard {
     }
 }
 
+/// What a deployment's publishes retired, by copy-on-write seam, kept for
+/// the next publishes to copy into: the writer's, lent to the value it is
+/// building for one batch at a time and never published.
+#[derive(Debug, Default)]
+pub(crate) struct WriterSpares {
+    pub(crate) nodes: Spares<Node>,
+    pub(crate) bpts: Spares<Bpt>,
+    pub(crate) segments: Spares<Vec<SpatialObject>>,
+}
+
 /// The deployment's one published value and the one lock that orders its
 /// writers: the current [`Snapshot`] behind a [`SnapshotCell`].
 #[derive(Debug)]
@@ -206,15 +222,16 @@ pub struct ServerCore {
     snap: SnapshotCell<Snapshot>,
     /// Serializes publishers: each builds its next snapshot from the one
     /// it read, so concurrent writers must not interleave
-    /// (last-publish-wins would silently drop a batch).
-    write: Mutex<()>,
+    /// (last-publish-wins would silently drop a batch). What it guards is
+    /// the writer's spares: they die with the deployment.
+    write: Mutex<WriterSpares>,
 }
 
 impl ServerCore {
     pub(crate) fn new(seed: Snapshot) -> Self {
         ServerCore {
             snap: SnapshotCell::new(seed),
-            write: Mutex::new(()),
+            write: Mutex::new(WriterSpares::default()),
         }
     }
 
@@ -231,11 +248,15 @@ impl ServerCore {
     }
 
     /// One epoch transition, under the writer lock: `build` derives the
-    /// next snapshot from the current one and it is published with one
-    /// pointer swap. Pinned readers are untouched. Returns the new epoch.
-    pub(crate) fn advance(&self, build: impl FnOnce(&Snapshot) -> Snapshot) -> u64 {
-        let _writer = lock_recover(&self.write);
-        let next = build(&self.pin());
+    /// next snapshot from the current one, copying into the writer's
+    /// spares, and it is published with one pointer swap. Pinned readers
+    /// are untouched. Returns the new epoch.
+    pub(crate) fn advance(
+        &self,
+        build: impl FnOnce(&Snapshot, &mut WriterSpares) -> Snapshot,
+    ) -> u64 {
+        let mut spares = lock_recover(&self.write);
+        let next = build(&self.pin(), &mut spares);
         let epoch = next.epoch();
         self.snap.publish(next);
         epoch
@@ -267,10 +288,11 @@ mod tests {
     use crate::{Server, ServerConfig, Update};
     use pc_geom::{Point, Rect};
     use pc_rtree::naive;
-    use pc_rtree::{ObjectId, SpatialObject};
+    use pc_rtree::{Entry, NodeId, ObjectId, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     /// The one-shard deployment the publish tests drive their batches
@@ -406,6 +428,151 @@ mod tests {
         assert!(
             copied_bpt_chunks <= rebuilt.max(1),
             "copied {copied_bpt_chunks} BPT chunks for only {rebuilt} rebuilt BPTs"
+        );
+    }
+
+    /// Where one epoch's nodes, BPTs and store segments (by their first
+    /// object) live, slot by slot: the addresses a copy-on-write copy
+    /// either reuses or does not.
+    #[derive(Clone)]
+    struct Allocations {
+        nodes: Vec<usize>,
+        bpts: Vec<usize>,
+        segments: Vec<usize>,
+    }
+
+    fn allocations(snap: &Snapshot) -> Allocations {
+        let shard = snap.shard(0);
+        let slots = |n: usize| (0..n as u32).map(NodeId);
+        Allocations {
+            nodes: slots(shard.tree().slab_len())
+                .map(|id| shard.tree().node(id) as *const Node as usize)
+                .collect(),
+            bpts: slots(shard.bpts().node_count())
+                .map(|id| shard.bpts().get(id) as *const Bpt as usize)
+                .collect(),
+            segments: (0..snap.store().chunk_count())
+                .map(|k| {
+                    let first = ObjectId((k * pc_rtree::STORE_CHUNK_LEN) as u32);
+                    snap.store().get(first) as *const SpatialObject as usize
+                })
+                .collect(),
+        }
+    }
+
+    /// What `after` holds in the slots both epochs have where `before`
+    /// held another allocation: the copies a batch made, or — with the
+    /// epochs swapped — what it retired.
+    fn replaced(before: &Allocations, after: &Allocations) -> Allocations {
+        let moved = |b: &[usize], a: &[usize]| -> Vec<usize> {
+            b.iter()
+                .zip(a)
+                .filter(|(b, a)| b != a)
+                .map(|(_, &a)| a)
+                .collect()
+        };
+        Allocations {
+            nodes: moved(&before.nodes, &after.nodes),
+            bpts: moved(&before.bpts, &after.bpts),
+            segments: moved(&before.segments, &after.segments),
+        }
+    }
+
+    fn kinds(a: &Allocations) -> [(&str, &[usize]); 3] {
+        [
+            ("node", &a.nodes),
+            ("BPT", &a.bpts),
+            ("segment", &a.segments),
+        ]
+    }
+
+    fn moves(rng: &mut SmallRng, ids: u32, n: usize) -> Vec<Update> {
+        (0..n)
+            .map(|_| Update::Move {
+                id: ObjectId(rng.random_range(0..ids)),
+                to: Rect::from_point(Point::new(
+                    rng.random_range(0.0..1.0),
+                    rng.random_range(0.0..1.0),
+                )),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_publish_copies_into_what_the_publish_before_retired() {
+        let server = sample_server(4000, 29);
+        let mut rng = SmallRng::seed_from_u64(29);
+        let first = allocations(&server.snapshot());
+        // Moves all over the world retire many spines, their BPTs and every
+        // store segment …
+        server.apply_updates(&moves(&mut rng, 4000, 16));
+        let second = allocations(&server.snapshot());
+        let retired = replaced(&second, &first);
+        // … and with nothing pinning the first epoch any more, every copy a
+        // one-move batch makes is written into one of them.
+        server.apply_updates(&moves(&mut rng, 4000, 1));
+        let copied = replaced(&second, &allocations(&server.snapshot()));
+        for ((kind, copied), (_, retired)) in kinds(&copied).into_iter().zip(kinds(&retired)) {
+            assert!(!copied.is_empty(), "the batch copied no {kind}");
+            let retired: HashSet<usize> = retired.iter().copied().collect();
+            assert!(
+                copied.iter().all(|a| retired.contains(a)),
+                "a {kind} copy took a fresh allocation while a retired one was free"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pinned_epoch_is_never_recycled() {
+        let server = sample_server(3000, 37);
+        let mut rng = SmallRng::seed_from_u64(37);
+        // A batch first, so the writer has spares when the pin is taken.
+        server.apply_updates(&moves(&mut rng, 3000, 8));
+        let pinned = server.snapshot();
+        let held = allocations(&pinned);
+        let held_set: HashSet<usize> = kinds(&held)
+            .iter()
+            .flat_map(|(_, a)| a.iter().copied())
+            .collect();
+        let deep = |snap: &Snapshot| {
+            let tree = snap.shard(0).tree();
+            let nodes: Vec<(Option<NodeId>, u16, Vec<Entry>)> = (0..tree.slab_len() as u32)
+                .map(|id| {
+                    let node = tree.node(NodeId(id));
+                    (node.parent, node.level, node.entries().collect())
+                })
+                .collect();
+            let bpts: Vec<Bpt> = (0..snap.shard(0).bpts().node_count() as u32)
+                .map(|id| snap.shard(0).bpts().get(NodeId(id)).clone())
+                .collect();
+            let objects: Vec<SpatialObject> = snap.store().iter().copied().collect();
+            let answers: Vec<Vec<ObjectId>> = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3), (0.5, 0.5, 0.6)]
+                .map(|(x, y, half)| {
+                    let window = Rect::centered_square(Point::new(x, y), half);
+                    snap.direct(&QuerySpec::Range { window }).results
+                })
+                .to_vec();
+            (nodes, bpts, objects, answers)
+        };
+        let at_pin = deep(&pinned);
+
+        let mut before = held.clone();
+        for batch in 0..20 {
+            let ids = server.snapshot().store().len() as u32;
+            let updates: Vec<Update> = (0..4).map(|_| random_update(&mut rng, ids)).collect();
+            server.apply_updates(&updates);
+            let now = allocations(&server.snapshot());
+            for (kind, copied) in kinds(&replaced(&before, &now)) {
+                assert!(
+                    copied.iter().all(|a| !held_set.contains(a)),
+                    "batch {batch} copied a {kind} into an allocation the pinned epoch holds"
+                );
+            }
+            before = now;
+        }
+        assert!(
+            deep(&pinned) == at_pin,
+            "the pinned epoch changed under its pin"
         );
     }
 
@@ -555,9 +722,15 @@ mod tests {
                 prop_assert_eq!(via_bpt, via_tree);
             }
 
-            // (4) The dirty-node-only BPT maintenance byte-matches a full
-            // from-scratch BPT build over the *same* tree.
+            // (4) The dirty-node-only BPT maintenance — rebuilding into
+            // retired BPTs from the second batch on — equals a full
+            // from-scratch BPT build over the *same* tree, slot by slot and
+            // field by field: a stale field left in a reused BPT shows here.
             let rebuilt = pc_rtree::bpt::BptStore::build(snap.shard(0).tree());
+            prop_assert_eq!(rebuilt.node_count(), snap.shard(0).bpts().node_count());
+            for id in (0..rebuilt.node_count() as u32).map(NodeId) {
+                prop_assert_eq!(rebuilt.get(id), snap.shard(0).bpts().get(id));
+            }
             prop_assert_eq!(rebuilt.total_aux_bytes(), snap.shard(0).bpt_bytes());
         }
     }

@@ -51,11 +51,12 @@ impl<T> SnapshotCell<T> {
             let mut guard = write_recover(&self.current);
             std::mem::replace(&mut *guard, next)
         };
-        // When no reader still pins it, the old snapshot deallocates here
-        // — outside the lock, so a teardown never stalls pins. (With
-        // structurally-shared snapshots the teardown is cheap anyway:
-        // everything the next epoch still references survives behind its
-        // inner `Arc`s, so only the retired epoch's private copies free.)
+        // When no reader still pins it, the old snapshot drops here —
+        // outside the lock, so a teardown never stalls pins — and its
+        // private copies return to the writer's spares: everything the
+        // next epoch still references survives behind its inner `Arc`s,
+        // and every copy the next epoch replaced was retired into the
+        // spares that build it, which now hold those copies alone.
         drop(old);
     }
 }
