@@ -131,11 +131,11 @@ mod tests {
     use super::*;
     use pc_geom::{Point, Rect};
     use pc_rtree::{naive, ObjectStore, RTreeConfig, SpatialObject};
-    use pc_server::{Server, ServerConfig};
+    use pc_server::{Cluster, ServerConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn server(n: usize, seed: u64) -> Server {
+    fn server(n: usize, seed: u64) -> Cluster {
         let mut rng = SmallRng::seed_from_u64(seed);
         let objects: Vec<SpatialObject> = (0..n)
             .map(|i| SpatialObject {
@@ -147,7 +147,7 @@ mod tests {
                 size_bytes: rng.random_range(500..2000),
             })
             .collect();
-        Server::new(
+        Cluster::single(
             ObjectStore::new(objects),
             RTreeConfig::small(),
             ServerConfig::default(),

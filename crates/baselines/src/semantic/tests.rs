@@ -4,11 +4,11 @@
 
 use super::*;
 use pc_rtree::{naive, ObjectStore, RTreeConfig, SpatialObject};
-use pc_server::{Server, ServerConfig};
+use pc_server::{Cluster, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn server(n: usize, seed: u64) -> Server {
+fn server(n: usize, seed: u64) -> Cluster {
     let mut rng = SmallRng::seed_from_u64(seed);
     let objects: Vec<SpatialObject> = (0..n)
         .map(|i| SpatialObject {
@@ -20,7 +20,7 @@ fn server(n: usize, seed: u64) -> Server {
             size_bytes: rng.random_range(500..2000),
         })
         .collect();
-    Server::new(
+    Cluster::single(
         ObjectStore::new(objects),
         RTreeConfig::small(),
         ServerConfig::default(),

@@ -44,7 +44,7 @@
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_rtree::proto::PAGE_BYTES;
 use pc_rtree::SpatialObject;
-use pc_server::{Server, ServerConfig};
+use pc_server::{Cluster, ServerConfig};
 use pc_sim::generate_update;
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
@@ -109,7 +109,7 @@ struct Row {
 }
 
 fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
-    let server = Server::new(
+    let server = Cluster::single(
         datasets::ne_like(n_objects, seed),
         pc_rtree::RTreeConfig::paper(),
         ServerConfig::default(),
@@ -125,7 +125,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     let mut copied_bytes = 0u64;
     let mut alloc_bytes = 0usize;
     for _ in 0..ROUNDS {
-        let old_world = server.core().pin();
+        let old_world = server.snapshot();
         let n_live = old_world.store().len() as u32;
         let updates: Vec<_> = (0..batch)
             .map(|_| generate_update(&mut rng, n_live))
@@ -135,7 +135,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         server.apply_updates(&updates);
         publish_s += t.elapsed().as_secs_f64();
         alloc_bytes += ALLOCATED.load(Relaxed) - allocated;
-        let new_world = server.core().pin();
+        let new_world = server.snapshot();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 
         let copied = new.tree().slab_len() - new.tree().shared_node_slots(old.tree());

@@ -32,7 +32,7 @@ use pc_client::Client;
 use pc_geom::{Point, Rect};
 use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
 use pc_rtree::{query, ObjectId, RTreeConfig};
-use pc_server::{FormMode, Server, ServerConfig, Snapshot};
+use pc_server::{Cluster, FormMode, ServerConfig, Snapshot};
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -122,7 +122,7 @@ fn reference(snap: &Snapshot, case: &Case) -> Answer {
 }
 
 /// Runs `spec` through the client until its cache answers it alone.
-fn warm(client: &mut Client, server: &Server, spec: &QuerySpec) {
+fn warm(client: &mut Client, server: &Cluster, spec: &QuerySpec) {
     for _ in 0..8 {
         client.begin_query();
         let Some(rq) = client.run_local(spec).remainder else {
@@ -156,7 +156,7 @@ fn time_pass(cases: &[Case], mut arm: impl FnMut(&Case) -> Answer) -> (f64, u64)
 }
 
 fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
-    let server = Server::new(
+    let server = Cluster::single(
         datasets::ne_like(n, seed),
         RTreeConfig::paper(),
         ServerConfig::default(),

@@ -14,7 +14,7 @@ use pc_geom::{Point, Rect};
 use pc_mobility::{MobileClient, MobilityModel};
 use pc_net::Channel;
 use pc_rtree::ObjectId;
-use pc_server::{Server, ServerConfig, Update};
+use pc_server::{Cluster, ServerConfig, Update};
 use pc_sim::{ModelRunner, ProactiveRunner};
 use pc_workload::{QueryGenerator, WorkloadConfig};
 use rand::rngs::SmallRng;
@@ -45,7 +45,7 @@ fn main() {
     for rate in UPDATE_RATES {
         let store = pc_workload::datasets::ne_like(n_objects, opts.seed);
         let total_bytes = store.total_bytes();
-        let server = Server::new(
+        let server = Cluster::single(
             store,
             pc_rtree::RTreeConfig::paper(),
             ServerConfig::default(),

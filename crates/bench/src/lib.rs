@@ -21,19 +21,8 @@ pub struct HarnessOpts {
     pub objects: Option<usize>,
     pub queries: Option<usize>,
     pub seed: u64,
-    /// Fleet size for multi-client experiments (sessions with ids `0..N`);
-    /// `None` lets each binary pick its own default.
-    pub clients: Option<u32>,
-    /// Worker-thread cap for fleet runs; 0 = host parallelism.
-    pub threads: usize,
-    /// Server updates applied per 100 completed queries while a fleet
-    /// runs (`Fleet::churn`); 0 = no churn.
-    pub update_rate: u32,
-    /// Updates per applied churn batch (one epoch bump per batch).
+    /// Updates per applied batch (one epoch bump per batch).
     pub update_batch: usize,
-    /// Shard counts for cluster-scaling experiments (`--shards 1,2,4,8`).
-    /// Empty = single-server mode.
-    pub shards: Vec<u32>,
     /// Write machine-readable results (JSON) to this path.
     pub json: Option<String>,
 }
@@ -57,11 +46,7 @@ impl HarnessOpts {
             objects: None,
             queries: None,
             seed: 2005,
-            clients: None,
-            threads: 0,
-            update_rate: 0,
             update_batch: 1,
-            shards: Vec::new(),
             json: None,
         };
         let args = &mut args.into_iter();
@@ -71,39 +56,16 @@ impl HarnessOpts {
                 "--objects" => opts.objects = Some(value(args, "--objects N")),
                 "--queries" => opts.queries = Some(value(args, "--queries N")),
                 "--seed" => opts.seed = value(args, "--seed S"),
-                "--clients" => {
-                    let n: u32 = value(args, "--clients N");
-                    assert!(n > 0, "--clients must be ≥ 1");
-                    opts.clients = Some(n);
-                }
-                "--threads" => opts.threads = value(args, "--threads N"),
-                "--update-rate" => opts.update_rate = value(args, "--update-rate R"),
                 "--update-batch" => {
                     let n: usize = value(args, "--update-batch B");
                     assert!(n > 0, "--update-batch must be ≥ 1");
                     opts.update_batch = n;
                 }
-                "--shards" => {
-                    let usage = "--shards N[,N...]";
-                    opts.shards = value::<String>(args, usage)
-                        .split(',')
-                        .map(|s| {
-                            let n: u32 = s
-                                .trim()
-                                .parse()
-                                .unwrap_or_else(|_| panic!("usage: {usage}"));
-                            assert!(n > 0, "--shards entries must be ≥ 1");
-                            n
-                        })
-                        .collect();
-                }
                 "--json" => opts.json = Some(value(args, "--json OUT")),
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --paper-scale | --objects N | --queries N | --seed S \
-                         | --clients N | --threads N \
-                         | --update-rate R | --update-batch B | --shards N[,N...] \
-                         | --json OUT"
+                         | --update-batch B | --json OUT"
                     );
                     std::process::exit(0);
                 }

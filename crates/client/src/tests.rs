@@ -9,11 +9,11 @@ use pc_geom::{Point, Rect};
 use pc_rtree::naive;
 use pc_rtree::proto::QuerySpec;
 use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use pc_server::{FormPolicy, Server, ServerConfig};
+use pc_server::{Cluster, FormPolicy, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn make_server(n: usize, seed: u64, form: FormPolicy) -> Server {
+fn make_server(n: usize, seed: u64, form: FormPolicy) -> Cluster {
     let mut rng = SmallRng::seed_from_u64(seed);
     let objects: Vec<SpatialObject> = (0..n)
         .map(|i| SpatialObject {
@@ -25,7 +25,7 @@ fn make_server(n: usize, seed: u64, form: FormPolicy) -> Server {
             size_bytes: rng.random_range(200..3000),
         })
         .collect();
-    Server::new(
+    Cluster::single(
         ObjectStore::new(objects),
         RTreeConfig::small(),
         ServerConfig {
@@ -35,7 +35,7 @@ fn make_server(n: usize, seed: u64, form: FormPolicy) -> Server {
     )
 }
 
-fn make_client(server: &Server, capacity: u64) -> Client {
+fn make_client(server: &Cluster, capacity: u64) -> Client {
     Client::new(
         capacity,
         ReplacementPolicy::Grd3,
@@ -47,7 +47,7 @@ fn make_client(server: &Server, capacity: u64) -> Client {
 /// answer, and returns (saved objects, total results).
 fn pipeline_query(
     client: &mut Client,
-    server: &Server,
+    server: &Cluster,
     spec: &QuerySpec,
     pos: Point,
 ) -> (usize, usize) {
@@ -69,7 +69,7 @@ fn pipeline_query(
         QuerySpec::Join { .. } => {
             let mut got = answer.pairs.clone();
             got.sort_unstable();
-            let mut want = direct.result_pairs.clone();
+            let mut want = direct.pairs.clone();
             want.sort_unstable();
             assert_eq!(got, want, "join pipeline diverged");
         }
@@ -79,7 +79,7 @@ fn pipeline_query(
             let d = |id: ObjectId| server.snapshot().store().get(id).mbr.min_dist(center);
             let mut got: Vec<f64> = answer.objects.iter().map(|&o| d(o)).collect();
             got.sort_by(f64::total_cmp);
-            let mut want: Vec<f64> = direct.results.iter().map(|&(o, _)| d(o)).collect();
+            let mut want: Vec<f64> = direct.results.iter().map(|&o| d(o)).collect();
             want.sort_by(f64::total_cmp);
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-12, "knn pipeline diverged");
@@ -88,7 +88,7 @@ fn pipeline_query(
         QuerySpec::Range { .. } => {
             let mut got = answer.objects.clone();
             got.sort_unstable();
-            let mut want: Vec<ObjectId> = direct.results.iter().map(|(o, _)| *o).collect();
+            let mut want = direct.results;
             want.sort_unstable();
             assert_eq!(got, want, "range pipeline diverged");
         }

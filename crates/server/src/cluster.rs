@@ -20,10 +20,11 @@
 //! global ranges (`global = local·N + shard`) so one client cache can
 //! hold index slices of every shard at once.
 //!
-//! One shard is the smallest case, not a special one: a [`crate::Server`]
-//! is a one-shard cluster over a one-tile grid, where id translation is
-//! the identity. What keeps it cheap is a rule on the input, not on the
-//! configuration — **when exactly one shard was consulted and nothing
+//! One shard is the smallest case, not a special one: the paper's one
+//! mobile application server is [`Cluster::single`], a one-shard cluster
+//! over a one-tile grid, where id translation is the identity. What keeps
+//! it cheap is a rule on the input, not on the configuration — **when
+//! exactly one shard was consulted and nothing
 //! resumed router-side, that shard's reply is the answer** (no merge map,
 //! re-sort or dedup; `direct` likewise) — which serves an N-shard window
 //! inside one shard's tiles just the same. The shard count is read in two
@@ -78,9 +79,9 @@
 //!   spawn and a wake-up (CHANGES.md, PR 20, has every run).
 
 use crate::adaptive::AdaptiveController;
+use crate::config::{form_mode, ClientId, ServerConfig};
 use crate::core::{PartitionOp, ServerCore, Shard, WriterSpares};
 use crate::forms::FormMode;
-use crate::server::{form_mode, ClientId, ServerConfig};
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use pc_geom::{Rect, TileGrid};
@@ -470,6 +471,18 @@ impl Cluster {
         }
     }
 
+    /// The mobile application server of Fig. 3: one shard owning the whole
+    /// unit square, over a one-tile grid. Panics on an invalid
+    /// configuration ([`ServerConfig::validate`]).
+    pub fn single(store: ObjectStore, tree_cfg: RTreeConfig, server: ServerConfig) -> Self {
+        let cfg = ClusterConfig {
+            shards: 1,
+            grid: 1,
+            server,
+        };
+        Cluster::new(store, tree_cfg, cfg)
+    }
+
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
     }
@@ -487,6 +500,15 @@ impl Cluster {
         self.core.epoch()
     }
 
+    /// Pins the current [`Snapshot`]: the dataset and every shard's
+    /// R*-tree, BPTs and update log at one epoch. The pin stays valid and
+    /// self-consistent across concurrent
+    /// [`apply_updates`](Self::apply_updates) calls, and its `epoch()` is
+    /// the one the latest `apply_updates` returned.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.core.pin()
+    }
+
     /// Router backplane counters since construction.
     pub fn stats(&self) -> ClusterStats {
         // ordering: Relaxed — monotone stats counters; a snapshot is a
@@ -500,14 +522,10 @@ impl Cluster {
         }
     }
 
-    /// Clients with adaptive state.
-    pub fn tracked_clients(&self) -> usize {
-        self.adaptive.tracked_clients()
-    }
-
-    /// The deployment's per-client table (d⁺ trajectories + last-synced
-    /// epochs feeding the fleet low-water mark).
-    pub(crate) fn adaptive(&self) -> &AdaptiveController {
+    /// The deployment's per-client table: §4.3 d⁺ trajectories (`d`,
+    /// `report`, `forget_client`) and the last-synced epochs feeding the
+    /// fleet low-water mark (`state(c).last_epoch`, `epoch_low_water`).
+    pub fn adaptive(&self) -> &AdaptiveController {
         &self.adaptive
     }
 
@@ -1302,9 +1320,10 @@ impl ServerHandle for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::Server;
-    use crate::test_util::{cold_remainder, leaves_of, sample_store, Fnv};
+    use crate::config::FormPolicy;
+    use crate::test_util::{cold_remainder, leaves_of, sample_server, sample_store, Fnv};
     use pc_geom::Point;
+    use pc_rtree::{naive, ChildRef};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1391,7 +1410,7 @@ mod tests {
     #[test]
     fn cluster_answers_match_a_single_server() {
         let store = sample_store(300, 7);
-        let single = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
+        let single = Cluster::single(store.clone(), RTreeConfig::small(), ServerConfig::default());
         let cl = quad_cluster(store);
 
         for spec in [
@@ -1407,7 +1426,7 @@ mod tests {
             // Direct ground truth.
             let a = cl.direct(&spec);
             let b = single.direct(&spec);
-            let mut b_ids: Vec<ObjectId> = b.results.iter().map(|&(id, _)| id).collect();
+            let mut b_ids = b.results.clone();
             b_ids.sort();
             b_ids.dedup();
             let mut a_ids = a.results.clone();
@@ -1428,7 +1447,7 @@ mod tests {
             }
             let mut a_pairs = a.pairs.clone();
             let mut b_pairs: Vec<(ObjectId, ObjectId)> = b
-                .result_pairs
+                .pairs
                 .iter()
                 .map(|&(x, y)| if x <= y { (x, y) } else { (y, x) })
                 .collect();
@@ -1525,6 +1544,328 @@ mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "max_update_history")]
+    fn construction_rejects_invalid_configs() {
+        let cfg = ServerConfig {
+            max_update_history: 0,
+            ..ServerConfig::default()
+        };
+        let _ = Cluster::single(sample_store(10, 1), RTreeConfig::small(), cfg);
+    }
+
+    #[test]
+    fn cluster_is_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Cluster>();
+        assert_send_sync::<Arc<Cluster>>();
+    }
+
+    #[test]
+    fn shared_server_serves_concurrent_clients() {
+        // The whole read path — remainder resumption + fmr reports — runs
+        // from plain `&Cluster` on several threads at once, and each client
+        // keeps its own adaptive trajectory.
+        let server = Arc::new(sample_server(300, 10, FormPolicy::Adaptive));
+        let handles: Vec<_> = (0..4u32)
+            .map(|client| {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let w = Rect::centered_square(Point::new(0.5, 0.5), 0.2);
+                    let rq = cold_remainder(&*server, QuerySpec::Range { window: w });
+                    let reply = server.process_remainder(client, &rq);
+                    // Client `client` reports a rising fmr `client` times.
+                    for step in 0..client {
+                        server
+                            .adaptive()
+                            .report(client, 0.1 * (step + 1) as f64 + 0.01);
+                    }
+                    reply.objects.len()
+                })
+            })
+            .collect();
+        let counts: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "same query, same answer"
+        );
+        // 0 reports → initial d; k≥2 reports → d rose k−1 times.
+        let d0 = ServerConfig::default().initial_d;
+        assert_eq!(server.adaptive().d(0), d0);
+        assert_eq!(server.adaptive().d(2), d0 + 1);
+        assert_eq!(server.adaptive().d(3), d0 + 2);
+    }
+
+    #[test]
+    fn cold_remainder_range_returns_ground_truth() {
+        let server = sample_server(300, 1, FormPolicy::Adaptive);
+        let w = Rect::centered_square(Point::new(0.4, 0.6), 0.3);
+        let rq = cold_remainder(&server, QuerySpec::Range { window: w });
+        let reply = server.process_remainder(7, &rq);
+        let mut got: Vec<ObjectId> = reply.objects.iter().map(|o| o.id).collect();
+        got.sort_unstable();
+        assert_eq!(got, naive::range_naive(server.snapshot().store(), &w));
+        assert!(reply.confirmed.is_empty(), "cold cache has nothing cached");
+        assert!(!reply.index.is_empty(), "Ir must accompany Rr");
+        assert!(reply.downlink_bytes() > 0);
+    }
+
+    #[test]
+    fn knn_reply_objects_arrive_in_distance_order() {
+        let server = sample_server(300, 2, FormPolicy::Compact);
+        let p = Point::new(0.5, 0.5);
+        let rq = cold_remainder(&server, QuerySpec::Knn { center: p, k: 8 });
+        let reply = server.process_remainder(1, &rq);
+        assert_eq!(reply.objects.len(), 8);
+        let d: Vec<f64> = reply.objects.iter().map(|o| o.mbr.min_dist(&p)).collect();
+        for w in d.windows(2) {
+            assert!(w[0] <= w[1] + 1e-12);
+        }
+    }
+
+    #[test]
+    fn join_reply_matches_naive() {
+        let server = sample_server(120, 3, FormPolicy::Adaptive);
+        let dist = 0.03;
+        let rq = cold_remainder(&server, QuerySpec::Join { dist });
+        let reply = server.process_remainder(1, &rq);
+        let mut pairs = reply.pairs.clone();
+        pairs.sort_unstable();
+        assert_eq!(pairs, naive::join_naive(server.snapshot().store(), dist));
+        // All pair members must be transmitted exactly once.
+        let mut ids: Vec<ObjectId> = reply.objects.iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        let mut expect: Vec<ObjectId> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(ids, expect);
+    }
+
+    #[test]
+    fn form_policy_sizes_are_ordered() {
+        // Same remainder, three form policies: compact ≤ adaptive(d) ≤ full
+        // in index bytes.
+        let spec = QuerySpec::Knn {
+            center: Point::new(0.25, 0.75),
+            k: 3,
+        };
+        let full = sample_server(400, 4, FormPolicy::Full);
+        let compact = sample_server(400, 4, FormPolicy::Compact);
+        let adaptive = sample_server(400, 4, FormPolicy::Adaptive);
+        let b_full = full
+            .process_remainder(1, &cold_remainder(&full, spec))
+            .index_bytes();
+        let b_compact = compact
+            .process_remainder(1, &cold_remainder(&compact, spec))
+            .index_bytes();
+        let b_adaptive = adaptive
+            .process_remainder(1, &cold_remainder(&adaptive, spec))
+            .index_bytes();
+        assert!(b_compact <= b_adaptive, "{b_compact} > {b_adaptive}");
+        assert!(b_adaptive <= b_full, "{b_adaptive} > {b_full}");
+        assert!(b_compact < b_full, "compact must actually save bytes");
+    }
+
+    #[test]
+    fn adaptive_d_feedback_changes_future_forms() {
+        let server = sample_server(400, 5, FormPolicy::Adaptive);
+        let spec = QuerySpec::Knn {
+            center: Point::new(0.5, 0.5),
+            k: 2,
+        };
+        let before = server
+            .process_remainder(9, &cold_remainder(&server, spec))
+            .index_bytes();
+        // Report a strongly rising fmr twice: d goes up by 2.
+        server.adaptive().report(9, 0.1);
+        server.adaptive().report(9, 0.5);
+        server.adaptive().report(9, 0.9);
+        assert!(server.adaptive().d(9) > ServerConfig::default().initial_d);
+        let after = server
+            .process_remainder(9, &cold_remainder(&server, spec))
+            .index_bytes();
+        assert!(after >= before, "higher d must not shrink the form");
+    }
+
+    #[test]
+    fn forgotten_client_restarts_from_initial_d() {
+        let server = sample_server(200, 7, FormPolicy::Adaptive);
+        server.adaptive().report(3, 0.1);
+        server.adaptive().report(3, 0.5);
+        assert!(server.adaptive().d(3) > ServerConfig::default().initial_d);
+        assert_eq!(server.adaptive().tracked_clients(), 1);
+        assert!(server.adaptive().forget_client(3));
+        assert_eq!(server.adaptive().d(3), ServerConfig::default().initial_d);
+        assert_eq!(server.adaptive().tracked_clients(), 0);
+    }
+
+    /// Every reply a one-shard deployment puts on the client channel, one
+    /// FNV digest each: cold range / kNN / join remainders and
+    /// `Request::Direct` for each kind, a three-update batch with the
+    /// `Stale` / `Fresh` / `Fresh` contacts around it, a second batch that
+    /// prunes epoch 0 below a `max_update_history: 1` horizon
+    /// (`FullRefresh`, then `Stale` one epoch up) and a warm `Fresh` over
+    /// an inner node — whose invalidation list is empty by construction:
+    /// with one shard there is no quiet shard for a change to ride along
+    /// from. Recorded at the last commit where the one-shard deployment
+    /// (then `Server`) had a serve path of its own
+    /// (`Snapshot::answer_remainder`, `transport::dispatch`,
+    /// `ServerCore::apply_updates_bounded`), debug and release; replayed
+    /// through `Cluster::single` since.
+    #[test]
+    fn one_shard_deployment_matches_recorded_pins() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        let objects: Vec<SpatialObject> = (0..600)
+            .map(|i| SpatialObject {
+                id: ObjectId(i),
+                mbr: Rect::centered_square(
+                    Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
+                    rng.random_range(0.0..0.03),
+                ),
+                size_bytes: rng.random_range(100..2000),
+            })
+            .collect();
+        let server = Cluster::single(
+            ObjectStore::new(objects),
+            RTreeConfig::small(),
+            ServerConfig {
+                max_update_history: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let specs = [
+            QuerySpec::Range {
+                window: Rect::centered_square(Point::new(0.5, 0.5), 0.3),
+            },
+            QuerySpec::Knn {
+                center: Point::new(0.49, 0.52),
+                k: 12,
+            },
+            QuerySpec::Join { dist: 0.004 },
+        ];
+        let digest = |feed: &dyn Fn(&mut Fnv)| {
+            let mut h = Fnv::new();
+            feed(&mut h);
+            h.0
+        };
+        let mut pins: Vec<u64> = Vec::new();
+        let cold_and_direct = |pins: &mut Vec<u64>| {
+            for spec in specs {
+                let reply = server.process_remainder(1, &cold_remainder(&server, spec));
+                pins.push(digest(&|h| h.reply(&reply)));
+            }
+            for spec in specs {
+                let reply = server.call(1, Request::Direct(spec)).into_direct();
+                pins.push(digest(&|h| h.direct(&reply)));
+            }
+        };
+        let contact = |pins: &mut Vec<u64>, rq: &RemainderQuery, stamp: u64| {
+            let reply = server.process_remainder_versioned(2, rq, stamp);
+            pins.push(digest(&|h| h.versioned(&reply)));
+            reply
+        };
+
+        cold_and_direct(&mut pins);
+        let epoch = server.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.5, 0.5), 0.02),
+                size_bytes: 700,
+            },
+            Update::Move {
+                id: ObjectId(17),
+                to: Rect::centered_square(Point::new(0.9, 0.1), 0.01),
+            },
+            Update::Delete(ObjectId(40)),
+        ]);
+        assert_eq!(epoch, 1);
+        // A client synced at epoch 0 is refused, then answered.
+        let stale = contact(&mut pins, &cold_remainder(&server, specs[0]), 0);
+        assert!(matches!(stale, VersionedReply::Stale { epoch: 1, .. }));
+        for spec in [specs[0], specs[1]] {
+            let fresh = contact(&mut pins, &cold_remainder(&server, spec), 1);
+            assert!(matches!(fresh, VersionedReply::Fresh { epoch: 1, .. }));
+        }
+        // The second publish prunes epoch 0: full refresh below the
+        // horizon, plain staleness at it.
+        let epoch = server.apply_updates(&[
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.2, 0.8), 0.005),
+                size_bytes: 300,
+            },
+            Update::Insert {
+                mbr: Rect::centered_square(Point::new(0.15, 0.85), 0.01),
+                size_bytes: 900,
+            },
+        ]);
+        assert_eq!(epoch, 2);
+        let refresh = contact(&mut pins, &cold_remainder(&server, specs[1]), 0);
+        assert_eq!(refresh, VersionedReply::FullRefresh { epoch: 2 });
+        let stale = contact(&mut pins, &cold_remainder(&server, specs[1]), 1);
+        assert!(matches!(stale, VersionedReply::Stale { epoch: 2, .. }));
+        // A warm heap: one inner node under the root, at the current epoch.
+        let snap = server.snapshot();
+        let tree = snap.shard(0).tree();
+        let inner = tree
+            .node(tree.root())
+            .children()
+            .iter()
+            .find_map(|c| match *c {
+                ChildRef::Node(n) => Some(n),
+                ChildRef::Object(_) => None,
+            })
+            .expect("600 objects make a tree taller than one node");
+        let mbr = tree.node(inner).mbr().unwrap();
+        let warm = RemainderQuery {
+            spec: QuerySpec::Range { window: mbr },
+            already_found: 0,
+            heap: vec![(
+                0.0,
+                HeapEntry::Single(Side::Cell {
+                    cell: CellRef::node_root(inner),
+                    mbr,
+                }),
+            )],
+        };
+        let fresh = contact(&mut pins, &warm, 2);
+        assert!(
+            matches!(&fresh, VersionedReply::Fresh { invalidate, epoch: 2, .. } if invalidate.is_empty())
+        );
+        cold_and_direct(&mut pins);
+
+        const RECORDED: [u64; 18] = [
+            0x3a92_e418_f8ee_841d,
+            0x5943_7bfa_c7d4_6d1b,
+            0x01d0_dc14_7fb1_e01e,
+            0x18df_6d69_2dc0_332e,
+            0x2f6c_5cfc_163f_efc3,
+            0x398d_eea3_205d_79ae,
+            0xf7b1_10fc_00a0_3653,
+            0xb4e6_c60f_e87f_05c9,
+            0x055b_4687_d299_25c5,
+            0x912c_043c_6531_6385,
+            0x6967_8fd4_2141_dbd2,
+            0x265c_49e9_f992_0123,
+            0x72c2_1ab9_117d_5777,
+            0xa5de_f17b_d555_49a1,
+            0xd151_2a6f_192e_972b,
+            0x9992_7e19_beeb_9bb2,
+            0x1a4f_6f03_4258_4aeb,
+            0xf7ed_c281_40f2_34af,
+        ];
+        assert_eq!(pins, RECORDED, "reply digests {:#018x?}", pins);
+    }
+
+    #[test]
+    fn bpt_bytes_within_twice_index_size() {
+        // §4.2: "the additional space required to store the binary
+        // partition trees … is no more than two times that of the R-tree
+        // index itself."
+        let server = sample_server(500, 6, FormPolicy::Adaptive);
+        let aux = server.snapshot().shard(0).bpt_bytes();
+        let index = server.snapshot().shard(0).tree().stats().index_bytes;
+        assert!(aux > 0);
+        assert!(aux <= 2 * index, "aux {aux} vs index {index}");
+    }
     /// The router's backplane counters and every byte of its merged
     /// replies, for a fixed 4-shard world of small rectangles (so tile
     /// boundaries have straddlers), cold range / kNN / join remainders and
@@ -1773,7 +2114,7 @@ mod tests {
             max_update_history: 4,
             ..ServerConfig::default()
         };
-        let single = Server::new(sample_store(160, 41), RTreeConfig::small(), cfg);
+        let single = Cluster::single(sample_store(160, 41), RTreeConfig::small(), cfg);
         let quad = Cluster::new(
             sample_store(160, 41),
             RTreeConfig::small(),
@@ -2187,7 +2528,7 @@ mod tests {
         // next publish prunes the touched shard logs up to that mark.
         let before = cl.log_records();
         assert!(cl.call(1, Request::Forget).into_forgotten());
-        assert_eq!(cl.tracked_clients(), 1);
+        assert_eq!(cl.adaptive().tracked_clients(), 1);
         publish(7);
         assert!(cl.log_records() < before, "the laggard's records are gone");
         let pin = cl.core.pin();
@@ -2205,7 +2546,7 @@ mod tests {
         // names a history this deployment never had: refused outright, on
         // four shards and on one.
         assert_eq!(contact(3, 8), VersionedReply::FullRefresh { epoch: 7 });
-        let single = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+        let single = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
         let rq = cold_remainder(&single, QuerySpec::Range { window: Rect::UNIT });
         assert_eq!(
             single.process_remainder_versioned(3, &rq, 1),
@@ -2216,7 +2557,7 @@ mod tests {
     #[test]
     fn fmr_reports_move_one_table_like_a_single_server() {
         let store = sample_store(60, 4);
-        let single = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
+        let single = Cluster::single(store.clone(), RTreeConfig::small(), ServerConfig::default());
         let cl = quad_cluster(store);
         for fmr in [0.1, 0.5, 0.9, 0.95, 0.2, 0.05] {
             let req = Request::ReportFmr { fmr };
@@ -2226,9 +2567,9 @@ mod tests {
                 "fmr {fmr}"
             );
         }
-        assert_eq!(cl.tracked_clients(), 1);
+        assert_eq!(cl.adaptive().tracked_clients(), 1);
         assert!(cl.call(7, Request::Forget).into_forgotten());
-        assert_eq!(cl.tracked_clients(), 0);
+        assert_eq!(cl.adaptive().tracked_clients(), 0);
         assert!(!cl.call(7, Request::Forget).into_forgotten());
     }
 }

@@ -17,8 +17,8 @@
 //!
 //! Everything that spans shards or clients lives in [`crate::Cluster`]:
 //! routing, the version gate, batch netting and the per-client *adaptive*
-//! state (§4.3, [`crate::AdaptiveController`]). A [`crate::Server`] is the
-//! cluster of one shard.
+//! state (§4.3, [`crate::AdaptiveController`]), of one shard
+//! ([`crate::Cluster::single`]) or many.
 
 use crate::cluster::Snapshot;
 use crate::epoch::SnapshotCell;
@@ -285,7 +285,7 @@ pub(crate) enum PartitionOp {
 mod tests {
     use super::*;
     use crate::test_util::{random_update, sample_store};
-    use crate::{Server, ServerConfig, Update};
+    use crate::{Cluster, ServerConfig, ServerHandle, Update};
     use pc_geom::{Point, Rect};
     use pc_rtree::naive;
     use pc_rtree::{Entry, NodeId, ObjectId, SpatialObject};
@@ -297,8 +297,8 @@ mod tests {
 
     /// The one-shard deployment the publish tests drive their batches
     /// through; they read the shard off `core().pin()`.
-    fn sample_server(n: usize, seed: u64) -> Server {
-        Server::new(
+    fn sample_server(n: usize, seed: u64) -> Cluster {
+        Cluster::single(
             sample_store(n, seed),
             RTreeConfig::small(),
             ServerConfig::default(),

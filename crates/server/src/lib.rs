@@ -6,33 +6,33 @@
 //!
 //! One deployment type: a [`Cluster`] of N [`Shard`]s behind a
 //! scatter-gather router, with one serve path, one §7 version gate, one
-//! update path and one published value. A [`Server`] is the cluster of one
-//! shard — a thin constructor whose methods forward.
+//! update path and one published value. The paper's single mobile
+//! application server is [`Cluster::single`], the cluster of one shard.
 //!
 //! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
-//! (`process_remainder` / `report_fmr` / `direct`) *and* data updates
-//! (`apply_updates`). A deployment publishes its whole world — the
-//! dataset once, every shard's R*-tree + BPT store by `Arc` — as one
-//! epoch-stamped immutable [`Snapshot`] behind the one [`SnapshotCell`] of
-//! its [`ServerCore`]: readers pin it and never block, while an update
-//! batch builds the next snapshot off to the side and swaps it in. A sharded,
-//! interior-mutable [`AdaptiveController`] keeps the per-client §4.3
-//! state. One instance serves a whole fleet of concurrent clients while
-//! the object set churns.
+//! (`process_remainder` / `direct` / fmr reports through
+//! [`Cluster::adaptive`]) *and* data updates (`apply_updates`). A
+//! deployment publishes its whole world — the dataset once, every shard's
+//! R*-tree + BPT store by `Arc` — as one epoch-stamped immutable
+//! [`Snapshot`] behind the one [`SnapshotCell`] of its [`ServerCore`]:
+//! readers pin it and never block, while an update batch builds the next
+//! snapshot off to the side and swaps it in. A sharded, interior-mutable
+//! [`AdaptiveController`] keeps the per-client §4.3 state. One instance
+//! serves a whole fleet of concurrent clients while the object set churns.
 //!
 //! Protocol boundary: all client traffic travels as typed
 //! `Request`/`Response` envelopes (`pc_rtree::proto`) over a [`Transport`]
-//! — a [`Cluster`] (or a [`Server`], forwarding to its own) answers on the
-//! caller's thread, and a [`TcpTransport`] carries the same envelopes over
-//! a socket. Simulation drivers hold a [`ServerHandle`] (transport +
-//! shared-store metadata) instead of a concrete `&Server`.
+//! — a [`Cluster`] answers on the caller's thread, and a [`TcpTransport`]
+//! carries the same envelopes over a socket. Simulation drivers hold a
+//! [`ServerHandle`] (transport + shared-store metadata) instead of a
+//! concrete `&Cluster`.
 
 mod adaptive;
 pub mod cluster;
+mod config;
 mod core;
 pub mod epoch;
 mod forms;
-mod server;
 pub mod sync_util;
 #[cfg(test)]
 mod test_util;
@@ -42,10 +42,10 @@ pub mod wire;
 
 pub use adaptive::{AdaptiveController, AdaptiveState};
 pub use cluster::{Cluster, ClusterConfig, ClusterStats, ShardMap, Snapshot, SUPER_ROOT};
+pub use config::{ClientId, FormPolicy, ServerConfig};
 pub use core::{ServerCore, Shard};
 pub use epoch::SnapshotCell;
 pub use forms::{build_shipments, FormMode};
-pub use server::{ClientId, FormPolicy, Server, ServerConfig};
 pub use transport::{ServerHandle, Transport};
 pub use updates::{Update, UpdateLog, VersionedReply};
 pub use wire::{TcpTransport, WireServer, WireServerConfig, WireServerStats, WireTransportStats};

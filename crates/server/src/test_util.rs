@@ -4,8 +4,8 @@
 //! batches with the leaves they must invalidate, and the FNV digest the
 //! recorded-reply pins are taken with.
 
-use crate::cluster::{ShardMap, Snapshot};
-use crate::server::{FormPolicy, Server, ServerConfig};
+use crate::cluster::{Cluster, ShardMap, Snapshot};
+use crate::config::{FormPolicy, ServerConfig};
 use crate::transport::ServerHandle;
 use crate::updates::Update;
 use pc_geom::{Point, Rect};
@@ -33,14 +33,14 @@ pub fn sample_store(n: usize, seed: u64) -> ObjectStore {
     ObjectStore::new(objects)
 }
 
-/// A server over [`sample_store`], indexed under the small tree
-/// configuration.
-pub fn sample_server(n: usize, seed: u64, form: FormPolicy) -> Server {
+/// A one-shard deployment over [`sample_store`], indexed under the small
+/// tree configuration.
+pub fn sample_server(n: usize, seed: u64, form: FormPolicy) -> Cluster {
     let cfg = ServerConfig {
         form,
         ..Default::default()
     };
-    Server::new(sample_store(n, seed), RTreeConfig::small(), cfg)
+    Cluster::single(sample_store(n, seed), RTreeConfig::small(), cfg)
 }
 
 /// A cold-cache remainder against any deployment: the whole query state

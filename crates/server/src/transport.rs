@@ -1,7 +1,7 @@
 //! The client ↔ server boundary as a first-class API: a [`Transport`]
 //! carries typed [`Request`]/[`Response`] envelopes between a client (by
-//! id) and *some* server — in-process ([`crate::Server`],
-//! [`crate::Cluster`]) or remote ([`crate::TcpTransport`]) — and a
+//! id) and *some* server — in-process ([`crate::Cluster`]) or remote
+//! ([`crate::TcpTransport`]) — and a
 //! [`ServerHandle`] is a transport that also exposes the deployment's
 //! [`ServerCore`] — the cell its one published [`crate::Snapshot`] is
 //! pinned from (dataset + index metadata that both ends of the paper's
@@ -14,7 +14,7 @@
 //! go through [`ServerHandle::core`] and cost nothing — exactly the
 //! distinction the byte ledger draws.
 
-use crate::server::ClientId;
+use crate::config::ClientId;
 use crate::updates::Update;
 use crate::ServerCore;
 use pc_geom::Rect;
@@ -31,7 +31,7 @@ pub trait Transport: Send + Sync {
 }
 
 /// A [`Transport`] that also exposes the deployment's cell — what
-/// simulation drivers hold instead of a concrete `&Server`.
+/// simulation drivers hold instead of a concrete `&Cluster`.
 pub trait ServerHandle: Transport {
     /// The deployment's cell: `core().pin()` is the whole world at one
     /// epoch — the store, every shard (metadata reads, not traffic).
@@ -59,8 +59,9 @@ pub trait ServerHandle: Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{FormPolicy, Server, ServerConfig};
+    use crate::config::{FormPolicy, ServerConfig};
     use crate::test_util::{cold_remainder, sample_server, sample_store};
+    use crate::Cluster;
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, VersionedReply};
     use pc_rtree::{ObjectId, RTreeConfig};
@@ -71,7 +72,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<dyn Transport>();
         assert_send_sync::<dyn ServerHandle>();
-        // `&Server` coerces to a handle at call sites.
+        // `&Cluster` coerces to a handle at call sites.
         let server = sample_server(50, 1, FormPolicy::Adaptive);
         let handle: &dyn ServerHandle = &server;
         assert_eq!(handle.core().pin().store().len(), 50);
@@ -80,12 +81,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Each `Request` variant dispatched through `&Server` as a
-        /// transport must be outcome-identical to the corresponding bare
-        /// `Server` method — including every arm of the §7 version gate
-        /// (`Fresh`, `Stale`
-        /// behind a just-applied update, `FullRefresh` below a pruned
-        /// horizon).
+        /// Each `Request` variant dispatched through `Cluster::call` must
+        /// be outcome-identical to the corresponding `Cluster` method (or
+        /// `adaptive()` table call) — including every arm of the §7
+        /// version gate (`Fresh`, `Stale` behind a just-applied update,
+        /// `FullRefresh` below a pruned horizon).
         #[test]
         fn in_process_dispatch_equals_direct_methods(
             seed in 0u64..1000,
@@ -103,11 +103,11 @@ mod tests {
                 _ => QuerySpec::Join { dist: 0.02 },
             };
 
-            // Two identical servers (one epoch of history, so the second
+            // Two identical deployments (one epoch of history, so the second
             // publish prunes epoch 0): one driven through bare methods, one
             // as a transport.
             let build = || {
-                Server::new(
+                Cluster::single(
                     sample_store(150, seed),
                     RTreeConfig::small(),
                     ServerConfig { max_update_history: 1, ..ServerConfig::default() },
@@ -136,28 +136,24 @@ mod tests {
 
             // Direct.
             let a = t.call(client, Request::Direct(spec)).into_direct();
-            let b = via_methods.direct(&spec);
-            let b_ids: Vec<ObjectId> = b.results.iter().map(|&(id, _)| id).collect();
-            prop_assert_eq!(a.results, b_ids);
-            prop_assert_eq!(a.pairs, b.result_pairs);
-            prop_assert_eq!(a.expansions, b.expansions);
+            prop_assert_eq!(a, via_methods.direct(&spec));
 
             // Fmr reports move the same adaptive trajectory.
             let a1 = t.call(client, Request::ReportFmr { fmr: fmr_a }).into_new_d();
-            let b1 = via_methods.report_fmr(client, fmr_a);
+            let b1 = via_methods.adaptive().report(client, fmr_a);
             prop_assert_eq!(a1, b1);
             let a2 = t.call(client, Request::ReportFmr { fmr: fmr_b }).into_new_d();
-            let b2 = via_methods.report_fmr(client, fmr_b);
+            let b2 = via_methods.adaptive().report(client, fmr_b);
             prop_assert_eq!(a2, b2);
 
             // Forget drops exactly what the method drops.
             prop_assert_eq!(
                 t.call(client, Request::Forget).into_forgotten(),
-                via_methods.forget_client(client)
+                via_methods.adaptive().forget_client(client)
             );
             prop_assert_eq!(
-                via_transport.tracked_clients(),
-                via_methods.tracked_clients()
+                via_transport.adaptive().tracked_clients(),
+                via_methods.adaptive().tracked_clients()
             );
 
             // A client epoch behind a just-applied update: stale.

@@ -13,9 +13,8 @@
 //!   the experiments.
 //!
 //! Updates are **concurrent with queries**: [`crate::Cluster::apply_updates`]
-//! (which [`crate::Server::apply_updates`] forwards to) takes `&self`,
-//! building the next epoch's snapshot off to the side and publishing
-//! it by pointer swap ([`crate::ServerCore`]), so a fleet keeps reading
+//! takes `&self`, building the next epoch's snapshot off to the side and
+//! publishing it by pointer swap ([`crate::ServerCore`]), so a fleet keeps reading
 //! the old epoch while the object set churns. The version check and the
 //! resume of one contact execute against a single pinned epoch, so an
 //! accepted resume can never straddle an epoch boundary.
@@ -137,8 +136,8 @@ impl UpdateLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Server, ServerConfig};
     use crate::test_util::{churn_once, cold_remainder, random_update, sample_store};
+    use crate::{Cluster, ServerConfig};
     use pc_geom::Point;
     use pc_rtree::naive;
     use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
@@ -149,12 +148,12 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn sample_server(n: usize, seed: u64) -> Server {
+    fn sample_server(n: usize, seed: u64) -> Cluster {
         sample_server_with(n, seed, ServerConfig::default())
     }
 
-    fn sample_server_with(n: usize, seed: u64, cfg: ServerConfig) -> Server {
-        Server::new(sample_store(n, seed), RTreeConfig::small(), cfg)
+    fn sample_server_with(n: usize, seed: u64, cfg: ServerConfig) -> Cluster {
+        Cluster::single(sample_store(n, seed), RTreeConfig::small(), cfg)
     }
 
     #[test]
@@ -213,7 +212,7 @@ mod tests {
             center: Point::new(0.99, 0.99),
             k: 1,
         });
-        assert_eq!(knn.results[0].0, id, "moved object is now the nearest");
+        assert_eq!(knn.results[0], id, "moved object is now the nearest");
     }
 
     /// Root, then every reachable node with its level and entries.
@@ -353,8 +352,7 @@ mod tests {
                 center: Point::new(0.95, 0.95),
                 k: 1,
             })
-            .results[0]
-            .0;
+            .results[0];
         server.apply_updates(&[Update::Delete(far)]);
         let snap = server.snapshot();
         let changed: HashSet<NodeId> = snap
@@ -400,7 +398,7 @@ mod tests {
             max_update_history: 3,
             ..ServerConfig::default()
         };
-        let server = Server::new(
+        let server = Cluster::single(
             pc_rtree::ObjectStore::new(
                 (0..200)
                     .map(|i| SpatialObject {
@@ -458,9 +456,10 @@ mod tests {
             other => panic!("below-horizon client must get FullRefresh, got {other:?}"),
         }
         // Both contacts fed the fleet low-water mark.
-        assert_eq!(server.client_last_epoch(1), Some(10));
-        assert_eq!(server.client_last_epoch(2), Some(10));
-        assert_eq!(server.epoch_low_water(), Some(10));
+        let adaptive = server.adaptive();
+        assert_eq!(adaptive.state(1).last_epoch, Some(10));
+        assert_eq!(adaptive.state(2).last_epoch, Some(10));
+        assert_eq!(adaptive.epoch_low_water(), Some(10));
     }
 
     #[test]
@@ -494,7 +493,7 @@ mod tests {
                 other => panic!("expected Stale, got {other:?}"),
             }
         }
-        assert_eq!(server.epoch_low_water(), Some(2));
+        assert_eq!(server.adaptive().epoch_low_water(), Some(2));
         assert!(server.snapshot().shard(0).update_log().retained_records() > 0);
         // The next publish prunes below the fleet mark.
         server.apply_updates(&[Update::Delete(ObjectId(3))]);
@@ -513,8 +512,8 @@ mod tests {
             other => panic!("current-epoch client must be Fresh, got {other:?}"),
         }
         // A disconnect releases the client's pin on the mark.
-        assert!(server.forget_client(5));
-        assert!(server.forget_client(6));
+        assert!(server.adaptive().forget_client(5));
+        assert!(server.adaptive().forget_client(6));
     }
 
     #[test]
@@ -629,8 +628,7 @@ mod tests {
             per_batch in 1usize..4,
         ) {
             let server = sample_server(220, seed);
-            // A `Server` is one shard over one tile.
-            let map = crate::ShardMap::new(pc_geom::TileGrid::new(1), 1);
+            let map = *server.shard_map();
             let stop = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 // Two readers pinning snapshots mid-storm: the (tree, BPT,

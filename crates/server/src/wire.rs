@@ -33,7 +33,7 @@
 //! `log_records`) delegates to the wrapped in-process handle: the byte
 //! ledger charges nothing for it, so it does not travel the socket.
 
-use crate::server::ClientId;
+use crate::config::ClientId;
 use crate::sync_util::lock_recover;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
@@ -567,13 +567,14 @@ impl ServerHandle for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{FormPolicy, Server};
+    use crate::config::FormPolicy;
     use crate::test_util::{cold_remainder, sample_server};
+    use crate::Cluster;
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::QuerySpec;
     use pc_wire::FrameHeader;
 
-    fn served(objects: usize, seed: u64) -> (WireServer, Arc<Server>) {
+    fn served(objects: usize, seed: u64) -> (WireServer, Arc<Cluster>) {
         let server = Arc::new(sample_server(objects, seed, FormPolicy::Adaptive));
         let handle: Arc<dyn ServerHandle> = Arc::clone(&server) as Arc<dyn ServerHandle>;
         let ws = WireServer::spawn(handle, WireServerConfig::default()).unwrap();
@@ -761,7 +762,7 @@ mod tests {
             tcp.call(9, Request::ReportFmr { fmr: 0.1 })
                 .clone()
                 .into_new_d(),
-            crate::server::ServerConfig::default().initial_d
+            crate::ServerConfig::default().initial_d
         );
         drop(tcp);
         ws.shutdown();
@@ -785,12 +786,12 @@ mod tests {
         let (mut ws, server) = served(150, 6);
         let tcp = TcpTransport::connect(ws.addr(), Arc::clone(&server) as Arc<dyn ServerHandle>);
         tcp.call(3, Request::ReportFmr { fmr: 0.2 });
-        assert_eq!(server.tracked_clients(), 1);
+        assert_eq!(server.adaptive().tracked_clients(), 1);
         assert!(tcp.call(3, Request::Forget).into_forgotten());
-        assert_eq!(server.tracked_clients(), 0);
+        assert_eq!(server.adaptive().tracked_clients(), 0);
         // The next call transparently reconnects.
         tcp.call(3, Request::ReportFmr { fmr: 0.2 });
-        assert_eq!(server.tracked_clients(), 1);
+        assert_eq!(server.adaptive().tracked_clients(), 1);
         drop(tcp);
         ws.shutdown();
         let stats = ws.stats();

@@ -1,5 +1,5 @@
 //! The multi-client fleet driver: N [`ClientSession`]s against one shared
-//! [`ServerHandle`] — a bare `&Server`, a cluster, or a TCP transport —
+//! [`ServerHandle`] — a one-shard or sharded `&Cluster`, or a TCP transport —
 //! spread over scoped worker threads. Sessions are
 //! seeded per client id and never share mutable state (the server's read
 //! path is `&self`, its adaptive table is per-client), so a concurrent
@@ -26,7 +26,6 @@ use pc_server::{ClientId, ServerHandle, Update};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Builder/driver for a fleet of concurrent client sessions.
 #[derive(Clone, Copy, Debug)]
@@ -44,8 +43,6 @@ pub struct FleetResult {
     pub per_client: Vec<SimResult>,
     /// All clients folded together ([`SimResult::merge`] in id order).
     pub merged: SimResult,
-    /// Wall-clock seconds for the whole fleet run.
-    pub wall_s: f64,
     /// Updates the churn driver applied (0 without churn).
     pub updates_applied: u64,
     /// Server epoch when the run finished (0 without churn).
@@ -57,7 +54,7 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    fn collect(mut per_client: Vec<(ClientId, SimResult)>, wall_s: f64) -> Self {
+    fn collect(mut per_client: Vec<(ClientId, SimResult)>) -> Self {
         per_client.sort_by_key(|(id, _)| *id);
         let per_client: Vec<SimResult> = per_client.into_iter().map(|(_, r)| r).collect();
         let mut merged = SimResult::default();
@@ -67,7 +64,6 @@ impl FleetResult {
         FleetResult {
             per_client,
             merged,
-            wall_s,
             updates_applied: 0,
             final_epoch: 0,
             log_records: 0,
@@ -76,19 +72,6 @@ impl FleetResult {
 
     pub fn total_queries(&self) -> usize {
         self.merged.summary.queries
-    }
-
-    /// Aggregate server throughput against the wall clock (hardware view).
-    pub fn wall_qps(&self) -> f64 {
-        self.total_queries() as f64 / self.wall_s.max(1e-9)
-    }
-
-    /// Aggregate throughput in *simulated* time: total queries over the
-    /// longest client stream's span. Client streams run in parallel in the
-    /// simulated world, so this is the offered load one server absorbs —
-    /// it grows with fleet size regardless of host core count.
-    pub fn sim_qps(&self) -> f64 {
-        self.total_queries() as f64 / self.merged.sim_elapsed_s.max(1e-9)
     }
 }
 
@@ -139,7 +122,6 @@ impl Fleet {
     /// completion against the shared server handle, while the optional
     /// update driver churns the server at the configured rate.
     pub fn run(&self, server: &dyn ServerHandle) -> FleetResult {
-        let start = Instant::now();
         let workers = self.effective_threads();
         let cfg = self.cfg;
         let clients = self.clients;
@@ -186,7 +168,7 @@ impl Fleet {
                 .collect();
             (results, churn_out)
         });
-        let mut out = FleetResult::collect(results, start.elapsed().as_secs_f64());
+        let mut out = FleetResult::collect(results);
         if let Some((applied, epoch)) = churn_out {
             out.updates_applied = applied;
             out.final_epoch = epoch;
@@ -199,11 +181,10 @@ impl Fleet {
     /// the reference for the concurrency-determinism tests. Churn is not
     /// injected here (the reference stream is update-free by definition).
     pub fn run_sequential(&self, server: &dyn ServerHandle) -> FleetResult {
-        let start = Instant::now();
         let results = (0..self.clients)
             .map(|id| (id, ClientSession::new(&self.cfg, server, id).run(server)))
             .collect();
-        FleetResult::collect(results, start.elapsed().as_secs_f64())
+        FleetResult::collect(results)
     }
 }
 

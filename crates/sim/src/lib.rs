@@ -10,8 +10,9 @@
 //! (mobility, query generator, model runner, rolling fmr window, metrics)
 //! and steps against a shared `ServerHandle` — every byte of server
 //! traffic travels as a typed `Request`/`Response` envelope through the
-//! handle's `Transport`, so the same sessions run unchanged against a bare
-//! `&Server`, a sharded `Cluster`, or a `TcpTransport` to a remote server.
+//! handle's `Transport`, so the same sessions run unchanged against a
+//! one-shard `Cluster` (the paper's single server), a sharded one, or a
+//! `TcpTransport` to a remote server.
 //! A [`Fleet`] drives N sessions concurrently on scoped threads and merges
 //! their results. The single-client entry points [`run`] /
 //! [`run_with_server`] are thin wrappers over a session with client id 0
@@ -33,23 +34,15 @@ pub use runner::{ModelRunner, ProactiveRunner, RunOutput};
 pub use session::{client_seed, ClientSession};
 pub use updates::{generate_update, ChurnConfig};
 
-use pc_server::{Cluster, ClusterConfig, Server, ServerConfig};
+use pc_server::{Cluster, ClusterConfig, ServerConfig};
 
-/// Builds the server (dataset + index + BPTs) for a configuration. Exposed
+/// Builds the paper's single server — a one-shard [`Cluster`] over the
+/// generated dataset, index and BPTs — for a configuration. Exposed
 /// separately so harnesses can reuse one server across model runs — dataset
 /// generation and bulk loading dominate setup time at paper scale.
-pub fn build_server(cfg: &SimConfig) -> Server {
+pub fn build_server(cfg: &SimConfig) -> Cluster {
     let store = cfg.dataset.generate(cfg.n_objects, cfg.seed);
-    Server::new(
-        store,
-        cfg.tree_cfg,
-        ServerConfig {
-            form: cfg.form,
-            sensitivity: cfg.sensitivity,
-            initial_d: cfg.initial_d,
-            ..Default::default()
-        },
-    )
+    Cluster::single(store, cfg.tree_cfg, server_config(cfg))
 }
 
 /// Builds a spatially-sharded cluster over the same generated dataset —
@@ -57,19 +50,21 @@ pub fn build_server(cfg: &SimConfig) -> Server {
 /// drivers run against it through `&dyn ServerHandle` unchanged.
 pub fn build_cluster(cfg: &SimConfig, shards: u32) -> Cluster {
     let store = cfg.dataset.generate(cfg.n_objects, cfg.seed);
-    Cluster::new(
-        store,
-        cfg.tree_cfg,
-        ClusterConfig {
-            server: ServerConfig {
-                form: cfg.form,
-                sensitivity: cfg.sensitivity,
-                initial_d: cfg.initial_d,
-                ..Default::default()
-            },
-            ..ClusterConfig::new(shards)
-        },
-    )
+    let cluster = ClusterConfig {
+        server: server_config(cfg),
+        ..ClusterConfig::new(shards)
+    };
+    Cluster::new(store, cfg.tree_cfg, cluster)
+}
+
+/// The server policy a configuration runs under.
+fn server_config(cfg: &SimConfig) -> ServerConfig {
+    ServerConfig {
+        form: cfg.form,
+        sensitivity: cfg.sensitivity,
+        initial_d: cfg.initial_d,
+        ..Default::default()
+    }
 }
 
 /// Runs one full single-client simulation.
@@ -80,7 +75,7 @@ pub fn run(cfg: &SimConfig) -> SimResult {
 
 /// Runs a single-client simulation against a pre-built server (must match
 /// `cfg.dataset`, `cfg.n_objects`, `cfg.seed` and the form policy).
-pub fn run_with_server(cfg: &SimConfig, server: &Server) -> SimResult {
+pub fn run_with_server(cfg: &SimConfig, server: &Cluster) -> SimResult {
     ClientSession::new(cfg, server, 0).run(server)
 }
 

@@ -1,6 +1,6 @@
 //! Model adapters: one uniform interface over PAG, SEM and the proactive
 //! client so the simulation loop is model-agnostic. Runners never touch a
-//! concrete `Server` — every byte that crosses the client/server boundary
+//! concrete `Cluster` — every byte that crosses the client/server boundary
 //! travels as a `Request`/`Response` envelope through the
 //! [`ServerHandle`]'s transport, so swapping the in-process path for a
 //! cluster or a real network is invisible to them.

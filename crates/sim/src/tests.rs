@@ -138,7 +138,7 @@ fn adaptive_form_reacts_to_fmr_reports() {
     // After a drifting-k run with periodic reports the controller has a
     // recorded state for client 0 (d may or may not have moved, but the
     // baseline must exist).
-    assert!(server.client_d(0) <= 16);
+    assert!(server.adaptive().d(0) <= 16);
 }
 
 #[test]
@@ -163,10 +163,14 @@ fn each_fleet_client_drives_its_own_adaptive_state() {
             s.step(&server);
         }
     }
-    assert_eq!(server.tracked_clients(), 3, "one §4.3 state per client");
+    assert_eq!(
+        server.adaptive().tracked_clients(),
+        3,
+        "one §4.3 state per client"
+    );
     drop(sessions);
     for c in 0..3u32 {
-        assert!(server.forget_client(c));
+        assert!(server.adaptive().forget_client(c));
     }
 
     // A full fleet run self-cleans: sessions forget themselves on finish.
@@ -175,12 +179,15 @@ fn each_fleet_client_drives_its_own_adaptive_state() {
     assert_eq!(out.per_client.len(), 3);
     assert_eq!(out.total_queries(), 180);
     assert_eq!(
-        server.tracked_clients(),
+        server.adaptive().tracked_clients(),
         0,
         "completed sessions released their adaptive state"
     );
     for c in 0..3u32 {
-        assert!(!server.forget_client(c), "client {c} already forgotten");
+        assert!(
+            !server.adaptive().forget_client(c),
+            "client {c} already forgotten"
+        );
     }
 }
 
@@ -236,18 +243,18 @@ mod churn_clients {
     use pc_geom::{Point, Rect};
     use pc_rtree::proto::{QuerySpec, Request, Response};
     use pc_rtree::{naive, NodeId, ObjectId, RTreeConfig};
-    use pc_server::{ClientId, Server, ServerConfig, ServerCore, ServerHandle, Transport, Update};
+    use pc_server::{ClientId, Cluster, ServerConfig, ServerCore, ServerHandle, Transport, Update};
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn sample_server(n: usize, seed: u64, cfg: ServerConfig) -> Server {
-        Server::new(
+    fn sample_server(n: usize, seed: u64, cfg: ServerConfig) -> Cluster {
+        Cluster::single(
             pc_workload::datasets::ne_like(n, seed),
             RTreeConfig::small(),
             cfg,
         )
     }
 
-    fn warm_client(server: &Server, id: ClientId) -> ProactiveRunner {
+    fn warm_client(server: &Cluster, id: ClientId) -> ProactiveRunner {
         ProactiveRunner::new(
             1 << 22,
             ReplacementPolicy::Grd3,
@@ -276,10 +283,11 @@ mod churn_clients {
         let out = a.run_query(&server, &spec, pos, 0.0);
         assert!(out.ledger.contacted_server);
         b.run_query(&server, &spec, pos, 0.0);
-        assert_eq!(server.client_last_epoch(7), Some(0), "a's contact is a's");
-        assert_eq!(server.client_last_epoch(9), Some(0), "b's contact is b's");
+        let last_epoch = |c: ClientId| server.adaptive().state(c).last_epoch;
+        assert_eq!(last_epoch(7), Some(0), "a's contact is a's");
+        assert_eq!(last_epoch(9), Some(0), "b's contact is b's");
         assert_eq!(
-            server.client_last_epoch(0),
+            last_epoch(0),
             None,
             "nothing may be attributed to a hardcoded client 0"
         );
@@ -289,7 +297,7 @@ mod churn_clients {
     /// the first `races` versioned remainders — the worst-case interleaving
     /// where every retry is answered by a yet-newer epoch.
     struct RacingHandle<'a> {
-        server: &'a Server,
+        server: &'a Cluster,
         races: AtomicU32,
     }
 

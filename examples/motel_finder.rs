@@ -18,13 +18,13 @@ use procache::client::Client;
 use procache::geom::{Point, Rect};
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::RTreeConfig;
-use procache::server::{Server, ServerConfig};
+use procache::server::{Cluster, ServerConfig};
 use procache::workload::datasets;
 
 fn main() {
     // Motels along the road network.
     let store = datasets::rd_like(30_000, 7);
-    let server = Server::new(store, RTreeConfig::paper(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
     let joey = Point::new(0.42, 0.58);
 
     // --- Proactive caching client -------------------------------------

@@ -11,7 +11,7 @@ use procache::geom::{Point, Rect};
 use procache::net::{Channel, Ledger};
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::RTreeConfig;
-use procache::server::{Server, ServerConfig};
+use procache::server::{Cluster, ServerConfig};
 use procache::workload::datasets;
 
 fn main() {
@@ -26,19 +26,21 @@ fn main() {
 
     // 2. The server bulk-loads an R*-tree and builds the per-node binary
     //    partition trees offline (§4.2).
-    let server = Server::new(store, RTreeConfig::paper(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
+    let world = server.snapshot();
+    let shard = world.shard(0);
     println!(
         "index: {} nodes, height {}, BPT overhead {:.2}x",
-        server.snapshot().shard(0).tree().stats().node_count,
-        server.snapshot().shard(0).tree().height(),
-        server.bpt_bytes() as f64 / server.snapshot().shard(0).tree().stats().index_bytes as f64
+        shard.tree().stats().node_count,
+        shard.tree().height(),
+        shard.bpt_bytes() as f64 / shard.tree().stats().index_bytes as f64
     );
 
     // 3. A mobile client with a 1 MB proactive cache under GRD3.
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(shard.tree()),
     );
     let here = Point::new(0.31, 0.36); // downtown in the first cluster
     let channel = Channel::paper();
@@ -55,7 +57,7 @@ fn main() {
             saved_bytes: local
                 .saved
                 .iter()
-                .map(|&id| server.snapshot().store().get(id).size_bytes as u64)
+                .map(|&id| world.store().get(id).size_bytes as u64)
                 .sum(),
             ..Default::default()
         };

@@ -32,15 +32,16 @@
 //! ```
 //! use procache::geom::{Point, Rect};
 //! use procache::rtree::{proto::QuerySpec, RTreeConfig};
-//! use procache::server::{Server, ServerConfig};
+//! use procache::server::{Cluster, ServerConfig};
 //! use procache::workload::datasets;
 //!
-//! // A small NE-like dataset behind a server (R*-tree + per-node BPTs),
-//! // and one range query answered by the §3.3 engine over its index.
+//! // A small NE-like dataset behind the one server of Fig. 3 (a one-shard
+//! // cluster: R*-tree + per-node BPTs), and one range query answered by
+//! // the §3.3 engine over its index.
 //! let store = datasets::ne_like(500, 42);
-//! let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+//! let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
 //! let window = Rect::centered_square(Point::new(0.5, 0.5), 0.1);
-//! let hits = server.snapshot().direct(&QuerySpec::Range { window });
+//! let hits = server.direct(&QuerySpec::Range { window });
 //! assert!(hits.results.len() <= 500);
 //! ```
 

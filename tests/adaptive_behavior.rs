@@ -25,13 +25,13 @@ fn drift_cfg(form: FormPolicy) -> SimConfig {
 fn adaptive_d_moves_during_a_drift_run() {
     let cfg = drift_cfg(FormPolicy::Adaptive);
     let server = sim::build_server(&cfg);
-    let initial_d = server.client_d(0);
+    let initial_d = server.adaptive().d(0);
     let _ = sim::run_with_server(&cfg, &server);
     // After 600 queries with reports every 25, the controller has a
     // baseline; d itself may have returned to the initial value, but the
     // run must have moved it at least... we can't observe the trajectory
     // from outside, so assert the controller state exists and is clamped.
-    let final_d = server.client_d(0);
+    let final_d = server.adaptive().d(0);
     assert!(final_d <= 16);
     // The stronger signal: an adaptive run must not ship more index than
     // the full-form run nor less than compact (checked in fig11 shape

@@ -1,9 +1,10 @@
 //! Integration tests for the spatially-sharded cluster: an N-shard
-//! [`Cluster`] behind the scatter-gather router — N = 1 is what a `Server`
-//! is — must be observationally equivalent to one unsharded index over
-//! the same dataset, for direct queries, cold remainder resumes and the §7
-//! versioned protocol, before and after arbitrary update batches — and
-//! fleets must drive it through `&dyn ServerHandle` unchanged.
+//! [`Cluster`] behind the scatter-gather router — N = 1 is the paper's
+//! single server, `Cluster::single` — must be observationally equivalent
+//! to one unsharded index over the same dataset, for direct queries, cold
+//! remainder resumes and the §7 versioned protocol, before and after
+//! arbitrary update batches — and fleets must drive it through
+//! `&dyn ServerHandle` unchanged.
 //!
 //! The reference shares nothing with the router: a bare [`Shard`]
 //! bulk-loaded from the cluster's *current* store, read through
@@ -332,39 +333,43 @@ fn verified_fleet_runs_against_a_cluster() {
     assert_eq!(res.total_queries(), 3 * cfg.n_queries);
     // Sessions disconnect on completion; the router forgets them on every
     // shard.
-    assert_eq!(cluster.tracked_clients(), 0);
+    assert_eq!(cluster.adaptive().tracked_clients(), 0);
 }
 
 /// Churn against the cluster: the router splits each batch by owning shard
 /// and rebuilds only the shards it touches — their logs stamped with the
 /// one deployment epoch — while versioned sessions ride out stale
-/// refusals: staleness is decided per shard, not globally.
+/// refusals: staleness is decided per shard, not globally. At 2, 4 and 8
+/// shards (the benchmark churns 1 and 4).
 #[test]
 fn churned_fleet_publishes_per_shard_epochs() {
     let mut cfg = cluster_fleet_cfg();
     cfg.verify = false; // answers are epoch-exact, not end-state-exact
-    let cluster = sim::build_cluster(&cfg, 4);
-    let res = Fleet::new(cfg)
-        .clients(4)
-        .churn(ChurnConfig {
-            rate_per_100: 30,
-            batch: 4,
-            ..Default::default()
-        })
-        .run(&cluster);
-    assert_eq!(res.total_queries(), 4 * cfg.n_queries);
-    assert!(res.updates_applied > 0, "churn driver never ran");
-    assert_eq!(res.final_epoch, cluster.epoch());
-    assert!(res.final_epoch > 0);
-    // A shard's epoch is the deployment epoch of the last batch that
-    // touched it — so no shard is ahead of the deployment.
-    let pin = cluster.core().pin();
-    assert_eq!(pin.epoch(), res.final_epoch);
-    let max_shard_epoch = (0..cluster.shard_count())
-        .map(|s| pin.shard(s).epoch())
-        .max()
-        .unwrap();
-    assert!(max_shard_epoch <= res.final_epoch);
-    assert!(max_shard_epoch > 0, "no shard ever published");
-    assert!(res.log_records > 0, "churn left no invalidation log");
+    for shards in [2, 4, 8] {
+        let cluster = sim::build_cluster(&cfg, shards);
+        let res = Fleet::new(cfg)
+            .clients(4)
+            .churn(ChurnConfig {
+                rate_per_100: 30,
+                batch: 4,
+                ..Default::default()
+            })
+            .run(&cluster);
+        assert_eq!(res.total_queries(), 4 * cfg.n_queries, "{shards} shards");
+        assert!(res.updates_applied > 0, "churn driver never ran");
+        assert_eq!(res.final_epoch, cluster.epoch());
+        assert!(res.final_epoch > 0);
+        // A shard's epoch is the deployment epoch of the last batch that
+        // touched it — so no shard is ahead of the deployment.
+        let pin = cluster.snapshot();
+        assert_eq!(pin.epoch(), res.final_epoch);
+        let max_shard_epoch = (0..shards).map(|s| pin.shard(s).epoch()).max().unwrap();
+        assert!(max_shard_epoch <= res.final_epoch);
+        assert!(
+            max_shard_epoch > 0,
+            "{shards} shards: no shard ever published"
+        );
+        assert!(res.log_records > 0, "churn left no invalidation log");
+        assert_eq!(cluster.adaptive().tracked_clients(), 0, "{shards} shards");
+    }
 }

@@ -9,18 +9,18 @@ use procache::client::Client;
 use procache::geom::{Point, Rect};
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::{ObjectStore, RTreeConfig};
-use procache::server::{Server, ServerConfig};
+use procache::server::{Cluster, ServerConfig};
 use procache::workload::datasets;
 
-fn server_with(n: usize) -> Server {
-    Server::new(
+fn server_with(n: usize) -> Cluster {
+    Cluster::single(
         datasets::ne_like(n, 9),
         RTreeConfig::small(),
         ServerConfig::default(),
     )
 }
 
-fn run_pipeline(client: &mut Client, server: &Server, spec: &QuerySpec) -> usize {
+fn run_pipeline(client: &mut Client, server: &Cluster, spec: &QuerySpec) -> usize {
     client.begin_query();
     let local = client.run_local(spec);
     let reply = local
@@ -36,7 +36,7 @@ fn run_pipeline(client: &mut Client, server: &Server, spec: &QuerySpec) -> usize
 
 #[test]
 fn empty_dataset_serves_empty_answers() {
-    let server = Server::new(
+    let server = Cluster::single(
         ObjectStore::new(vec![]),
         RTreeConfig::small(),
         ServerConfig::default(),
@@ -165,7 +165,7 @@ fn degenerate_all_coincident_objects() {
             size_bytes: 100,
         })
         .collect();
-    let server = Server::new(
+    let server = Cluster::single(
         ObjectStore::new(objects),
         RTreeConfig::small(),
         ServerConfig::default(),
@@ -214,7 +214,7 @@ fn single_object_dataset() {
         mbr: Rect::from_point(Point::new(0.7, 0.2)),
         size_bytes: 5000,
     }];
-    let server = Server::new(
+    let server = Cluster::single(
         ObjectStore::new(objects),
         RTreeConfig::small(),
         ServerConfig::default(),
@@ -254,7 +254,7 @@ fn hostile_remainder_heaps_are_skipped_not_indexed() {
     use procache::wire;
 
     let store = datasets::ne_like(2_000, 9);
-    let server = Server::new(store.clone(), RTreeConfig::small(), ServerConfig::default());
+    let server = Cluster::single(store.clone(), RTreeConfig::small(), ServerConfig::default());
     let cluster = Cluster::new(store, RTreeConfig::small(), ClusterConfig::new(4));
     let handles: [(&str, &dyn ServerHandle); 2] =
         [("server", &server), ("4-shard cluster", &cluster)];

@@ -9,14 +9,14 @@ use procache::geom::{Point, Rect};
 use procache::rtree::naive;
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::{ObjectId, RTreeConfig};
-use procache::server::{FormPolicy, Server, ServerConfig};
+use procache::server::{Cluster, FormPolicy, ServerConfig};
 use procache::workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn pipeline(
     client: &mut Client,
-    server: &Server,
+    server: &Cluster,
     spec: &QuerySpec,
     pos: Point,
 ) -> (Vec<ObjectId>, Vec<(ObjectId, ObjectId)>) {
@@ -35,12 +35,12 @@ fn pipeline(
     (objs, a.pairs)
 }
 
-fn check_dataset(kind: &str, server: &Server, seed: u64) {
+fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
     for form in [FormPolicy::Full, FormPolicy::Compact, FormPolicy::Adaptive] {
         // Rebuild the server with this form (same dataset/seed).
         let store =
             procache::rtree::ObjectStore::new(server.snapshot().store().iter().copied().collect());
-        let server = Server::new(
+        let server = Cluster::single(
             store,
             RTreeConfig::small(),
             ServerConfig {
@@ -119,21 +119,21 @@ fn check_dataset(kind: &str, server: &Server, seed: u64) {
 #[test]
 fn ne_like_dataset_pipeline_is_exact() {
     let store = datasets::ne_like(600, 1);
-    let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
     check_dataset("ne", &server, 100);
 }
 
 #[test]
 fn rd_like_dataset_pipeline_is_exact() {
     let store = datasets::rd_like(600, 2);
-    let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
     check_dataset("rd", &server, 200);
 }
 
 #[test]
 fn uniform_dataset_pipeline_is_exact() {
     let store = datasets::uniform(600, 3);
-    let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
     check_dataset("uniform", &server, 300);
 }
 
@@ -142,7 +142,7 @@ fn paper_fanout_tree_pipeline_is_exact() {
     // Same contract under the 4 KB-page fan-out (102 entries/node): the
     // BPTs are deep and compact forms actually coarsen.
     let store = datasets::ne_like(5_000, 4);
-    let server = Server::new(store, RTreeConfig::paper(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
     let mut client = Client::new(
         300_000,
         ReplacementPolicy::Grd3,

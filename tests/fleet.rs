@@ -94,7 +94,7 @@ fn one_client_fleet_reproduces_the_sequential_runner() {
         );
         assert_same_stream(&sequential, &fleet.merged, &format!("{model} merged"));
         assert_eq!(
-            server.tracked_clients(),
+            server.adaptive().tracked_clients(),
             0,
             "{model}: finished session must have disconnected"
         );
@@ -127,7 +127,7 @@ fn concurrent_fleet_matches_sequential_sessions() {
         "merged summaries"
     );
     assert_eq!(
-        server.tracked_clients(),
+        server.adaptive().tracked_clients(),
         0,
         "every finished session must have sent Forget"
     );
@@ -191,7 +191,7 @@ fn churn_fleet_completes_with_stale_retry_bytes_in_ledger() {
         // Completion under churn: every session finished its budget and
         // disconnected; the driver drained its full update quota.
         assert_eq!(out.total_queries(), clients as usize * cfg.n_queries);
-        assert_eq!(server.tracked_clients(), 0);
+        assert_eq!(server.adaptive().tracked_clients(), 0);
         assert_eq!(
             out.updates_applied,
             out.total_queries() as u64 * 2,

@@ -8,15 +8,15 @@ use procache::geom::{Point, Rect};
 use procache::rtree::naive;
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::{ObjectId, RTreeConfig};
-use procache::server::{Server, ServerConfig, Update};
+use procache::server::{Cluster, ServerConfig, Update};
 use procache::sim::{ModelRunner, ProactiveRunner};
 use procache::workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn setup(n: usize, seed: u64) -> (Server, ProactiveRunner) {
+fn setup(n: usize, seed: u64) -> (Cluster, ProactiveRunner) {
     let store = datasets::ne_like(n, seed);
-    let server = Server::new(store, RTreeConfig::small(), ServerConfig::default());
+    let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
     let client = ProactiveRunner::new(
         1 << 22,
         ReplacementPolicy::Grd3,

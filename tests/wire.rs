@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use procache::server::{Server, ServerHandle, TcpTransport, WireServer, WireServerConfig};
+use procache::server::{Cluster, ServerHandle, TcpTransport, WireServer, WireServerConfig};
 use procache::sim::{self, CacheModel, ChurnConfig, Fleet, SimConfig, SimResult, Summary};
 
 fn fleet_cfg(model: CacheModel) -> SimConfig {
@@ -86,7 +86,7 @@ fn run_over_wire(
     procache::sim::FleetResult,
     procache::server::WireTransportStats,
     procache::server::WireServerStats,
-    Arc<Server>,
+    Arc<Cluster>,
 ) {
     let server = Arc::new(sim::build_server(&cfg));
     let handle: Arc<dyn ServerHandle> = Arc::clone(&server) as Arc<dyn ServerHandle>;
@@ -164,7 +164,11 @@ fn wire_fleet_is_bit_identical_to_in_process_fleet() {
     // (b) whole-fleet measured-bytes cross-check, both sides of the wire.
     assert!(tstats.tx_frames > 0, "requests crossed the socket");
     assert_stats_reconcile(&tstats, &sstats);
-    assert_eq!(server.tracked_clients(), 0, "Forget crossed the wire too");
+    assert_eq!(
+        server.adaptive().tracked_clients(),
+        0,
+        "Forget crossed the wire too"
+    );
 }
 
 #[test]
@@ -186,7 +190,7 @@ fn churned_wire_fleet_completes_and_reconciles() {
         "driver quota is a deterministic function of the query count"
     );
     assert!(out.final_epoch > 0);
-    assert_eq!(server.tracked_clients(), 0);
+    assert_eq!(server.adaptive().tracked_clients(), 0);
 
     // Versioned envelopes (Stale refusals, epoch stamps, full refreshes)
     // travel the same frames and must reconcile just as exactly.
