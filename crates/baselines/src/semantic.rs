@@ -95,10 +95,6 @@ impl SemanticCache {
         self.capacity
     }
 
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     pub fn contains_object(&self, id: ObjectId) -> bool {
         self.resident.contains_key(&id)
     }

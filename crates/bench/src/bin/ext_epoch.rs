@@ -32,11 +32,10 @@
 //! is all a log holds; bounded by pruning).
 //!
 //! A publish's dirty set is read back as
-//! `new.update_log().changed_since(old.epoch())`: a shard's epoch is the
-//! deployment epoch of the last batch that touched it and its log stamps
-//! nodes with deployment epochs, so the records above the previous shard's
-//! epoch are exactly the ones this batch wrote — none when the batch never
-//! touched the shard.
+//! `new_world.update_log().changed_since(old_world.epoch())`: the
+//! deployment's log stamps nodes with the epoch of the batch that changed
+//! them, so the records above the previous world's epoch are exactly the
+//! ones this batch wrote — none when it never touched the shard.
 //!
 //! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
 //! trail.
@@ -152,7 +151,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         // The BPT-rebuild share of the publish: the nodes this epoch
         // logged as changed are the ones it dirtied, and rebuilding them
         // over the previous epoch's BPT store is the work `Shard::next` did.
-        let dirty = new.update_log().changed_since(old.epoch());
+        let dirty = new_world.update_log().changed_since(old_world.epoch());
         let mut bpts = old.bpts().clone();
         let t = Instant::now();
         bpts.rebuild_nodes(new.tree(), &dirty);
@@ -189,7 +188,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_bytes: copied_bytes as f64 / rounds,
         alloc_bytes: alloc_bytes as f64 / rounds,
         heap_bytes: snap.heap_bytes(),
-        log_records: snap.shard(0).update_log().retained_records(),
+        log_records: snap.update_log().retained_records(),
     }
 }
 

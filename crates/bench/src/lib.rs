@@ -119,12 +119,6 @@ fn scale_selectivity(cfg: &mut SimConfig) {
     cfg.workload.area_wnd = 1e-6 * paper_n / n;
 }
 
-/// Runs one model configuration and returns its summary (convenience for
-/// single-threaded binaries).
-pub fn run_model(cfg: &SimConfig) -> pc_sim::SimResult {
-    pc_sim::run(cfg)
-}
-
 /// Runs several configurations on worker threads, preserving order.
 pub fn run_parallel(configs: &[SimConfig]) -> Vec<pc_sim::SimResult> {
     std::thread::scope(|scope| {

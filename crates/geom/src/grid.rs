@@ -25,11 +25,6 @@ impl TileGrid {
         TileGrid { g }
     }
 
-    /// Tiles per axis.
-    pub fn per_axis(&self) -> u32 {
-        self.g
-    }
-
     /// Total tile count (`g²`).
     pub fn tiles(&self) -> u32 {
         self.g * self.g

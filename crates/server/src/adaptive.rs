@@ -8,15 +8,20 @@
 //! adaptive state concurrently, and clients with different ids land on
 //! different shards most of the time (a multiplicative hash picks the
 //! shard). State growth is bounded: each shard evicts its
-//! least-recently-reporting client once its slice of the configured
-//! capacity is exceeded, so a long-lived server under churning client ids
-//! keeps a fixed-size table. The cap is enforced per shard (rounded up),
-//! so the global count can overshoot the configured value by at most
+//! least-recently-reporting client once its slice of the capacity
+//! (`MAX_TRACKED_CLIENTS`) is exceeded, so a long-lived server under
+//! churning client ids keeps a fixed-size table. The cap is enforced per
+//! shard (rounded up), so the global count can overshoot it by at most
 //! `SHARDS - 1`.
 
 use crate::sync_util::lock_recover;
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+/// Upper clamp for d (a BPT of a 4 KB page is ~11 deep).
+pub(crate) const MAX_D: u8 = 16;
+/// Default cap on tracked per-client states.
+const MAX_TRACKED_CLIENTS: usize = 1 << 16;
 
 /// Number of independently locked shards (power of two).
 const SHARDS: usize = 16;
@@ -64,7 +69,6 @@ pub struct AdaptiveController {
     /// Sensitivity `s` (Table 6.1 default: 20 %).
     sensitivity: f64,
     initial_d: u8,
-    max_d: u8,
     /// Total client-state capacity across all shards.
     max_clients: usize,
     shards: [Mutex<Shard>; SHARDS],
@@ -82,7 +86,6 @@ impl Clone for AdaptiveController {
         AdaptiveController {
             sensitivity: self.sensitivity,
             initial_d: self.initial_d,
-            max_d: self.max_d,
             max_clients: self.max_clients,
             shards,
         }
@@ -90,18 +93,19 @@ impl Clone for AdaptiveController {
 }
 
 impl AdaptiveController {
-    pub fn new(sensitivity: f64, initial_d: u8, max_d: u8) -> Self {
+    /// A table tracking up to `MAX_TRACKED_CLIENTS` (65 536) clients, each
+    /// starting at `initial_d`; d is clamped to `0..=16`.
+    pub fn new(sensitivity: f64, initial_d: u8) -> Self {
         assert!(sensitivity >= 0.0);
         AdaptiveController {
             sensitivity,
             initial_d,
-            max_d,
-            max_clients: usize::MAX,
+            max_clients: MAX_TRACKED_CLIENTS,
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
         }
     }
 
-    /// Caps the number of tracked clients; the least-recently-reporting
+    /// Re-caps the number of tracked clients; the least-recently-reporting
     /// client of a full shard is evicted back to the initial d. The cap is
     /// approximate: it is enforced per shard (`⌈max/SHARDS⌉` each), so the
     /// global count may exceed it by up to `SHARDS - 1`, and caps below
@@ -238,7 +242,7 @@ impl AdaptiveController {
         });
         if let Some(last) = entry.state.last_fmr {
             if fmr > last * (1.0 + self.sensitivity) {
-                entry.state.d = entry.state.d.saturating_add(1).min(self.max_d);
+                entry.state.d = entry.state.d.saturating_add(1).min(MAX_D);
             } else if fmr < last * (1.0 - self.sensitivity) {
                 entry.state.d = entry.state.d.saturating_sub(1);
             }
@@ -255,7 +259,7 @@ mod tests {
     use std::sync::Arc;
 
     fn controller() -> AdaptiveController {
-        AdaptiveController::new(0.2, 2, 8)
+        AdaptiveController::new(0.2, 2)
     }
 
     #[test]
@@ -289,16 +293,17 @@ mod tests {
 
     #[test]
     fn d_is_clamped_at_bounds() {
-        let c = AdaptiveController::new(0.2, 0, 2);
-        c.report(1, 0.1);
-        // Keep rising well beyond the band.
-        assert_eq!(c.report(1, 0.2), 1);
-        assert_eq!(c.report(1, 0.4), 2);
-        assert_eq!(c.report(1, 0.8), 2, "clamped at max_d");
-        // And fall to the floor.
-        assert_eq!(c.report(1, 0.1), 1);
-        assert_eq!(c.report(1, 0.01), 0);
-        assert_eq!(c.report(1, 0.001), 0, "clamped at 0");
+        let c = AdaptiveController::new(0.2, 0);
+        let fmr = |step: i32| 2f64.powi(step);
+        c.report(1, fmr(0));
+        // Doubling, well beyond the band: d climbs to the clamp and stays …
+        for step in 1..=i32::from(MAX_D) + 1 {
+            assert_eq!(c.report(1, fmr(step)), step.min(MAX_D.into()) as u8);
+        }
+        // … and halving drops it to the floor, where it stays too.
+        for step in (-1..=i32::from(MAX_D)).rev() {
+            assert_eq!(c.report(1, fmr(step)), (step - 1).max(0) as u8);
+        }
     }
 
     #[test]
@@ -423,9 +428,9 @@ mod tests {
             .map(|client| {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
-                    // Doubling fmr sequence (every rise > 20%): d climbs to
-                    // max (8).
-                    for step in 0..10 {
+                    // Doubling fmr sequence (every rise > 20%): d climbs
+                    // from 2 to the clamp.
+                    for step in 0..20 {
                         c.report(client, 1e-3 * (1u64 << step) as f64);
                     }
                 })
@@ -435,8 +440,8 @@ mod tests {
             h.join().unwrap();
         }
         for client in 0..8u32 {
-            assert_eq!(c.d(client), 8, "client {client}");
-            assert!((c.state(client).last_fmr.unwrap() - 0.512).abs() < 1e-12);
+            assert_eq!(c.d(client), MAX_D, "client {client}");
+            assert!((c.state(client).last_fmr.unwrap() - 524.288).abs() < 1e-9);
         }
         assert_eq!(c.tracked_clients(), 8);
     }

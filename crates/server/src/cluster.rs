@@ -1,8 +1,8 @@
 //! The deployment — every deployment: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
-//! is a [`Shard`] (its own tree, BPTs and update log) indexing exactly the
-//! objects whose MBRs touch its tiles, over the one global store the
-//! deployment's [`Snapshot`] holds; the per-client state
+//! is a [`Shard`] (its own tree and BPTs) indexing exactly the objects
+//! whose MBRs touch its tiles, over the one global store and the one update
+//! log the deployment's [`Snapshot`] holds; the per-client state
 //! (§4.3 `d`, last-synced epoch) lives once, in the cluster's single
 //! [`AdaptiveController`]. Objects straddling tile boundaries are
 //! **replicated** into every owning shard's tree — which is what makes
@@ -28,8 +28,9 @@
 //! resumed router-side, that shard's reply is the answer** (no merge map,
 //! re-sort or dedup; `direct` likewise) — which serves an N-shard window
 //! inside one shard's tiles just the same. The shard count is read in two
-//! places only: a lone shard's clients bootstrap from its own root, so
-//! they are never handed `SUPER_ROOT` nor told to invalidate it.
+//! places only: a lone shard's clients bootstrap from its own root, and its
+//! writer never logs the super-root, so they are never handed `SUPER_ROOT`
+//! nor told to invalidate it.
 //!
 //! Updates route by location: one cluster batch is applied to the global
 //! store once, split into per-shard tree operations by before/after tile
@@ -41,17 +42,18 @@
 //!
 //! A deployment is one world at one epoch, and that is what it publishes:
 //! everything a contact needs — the global store, the `N` shards, the
-//! super-root layout built over exactly those shards and three integers —
-//! is one immutable [`Snapshot`] behind the one cell of the deployment's
-//! [`ServerCore`]. The deployment epoch is the only clock: `epoch` counts
-//! batches, `low_water` is the oldest client stamp a complete invalidation
-//! list still exists for, `layout_epoch` is the last epoch the super-root
-//! layout changed at, and every shard log stamps its changed nodes with
-//! the deployment epoch of the batch that changed them — so a client's
-//! scalar stamp asks each shard's log directly. A reader takes one `pin()`
-//! and never touches a lock again; the integers, the layout and the store
-//! agree with the shards because the one writer derived them from the
-//! values it had just built and put all of them into the value together.
+//! super-root layout built over exactly those shards, the epoch and the
+//! update log — is one immutable [`Snapshot`] behind the one cell of the
+//! deployment's [`ServerCore`]. The deployment epoch is the only clock:
+//! `epoch` counts batches, and the one [`UpdateLog`] stamps every node a
+//! batch changed — in any shard, by its cluster-global id, and the
+//! super-root when the batch re-laid it — with that batch's epoch, so a
+//! client's scalar stamp asks one log one question. The log's low-water
+//! mark is the oldest stamp a complete invalidation list still exists for.
+//! A reader takes one `pin()` and never touches a lock again; the epoch,
+//! the log, the layout and the store agree with the shards because the one
+//! writer derived them from the values it had just built and put all of
+//! them into the value together.
 //!
 //! * **Who builds what.** `apply_updates` (under the core's writer lock)
 //!   clones the store once and applies the batch to it, then builds the
@@ -83,7 +85,7 @@ use crate::config::{form_mode, ClientId, ServerConfig};
 use crate::core::{PartitionOp, ServerCore, Shard, WriterSpares};
 use crate::forms::FormMode;
 use crate::transport::{ServerHandle, Transport};
-use crate::updates::Update;
+use crate::updates::{Update, UpdateLog};
 use pc_geom::{Rect, TileGrid};
 use pc_rtree::bpt::{Bpt, Code};
 use pc_rtree::engine::{execute, resume, AccessLog, Expansion, IndexView, NoopTracer, Outcome};
@@ -270,16 +272,11 @@ pub struct Snapshot {
     shards: Vec<Arc<Shard>>,
     /// Built over `shards`.
     layout: SuperLayout,
-    /// The deployment epoch: one per update batch, the clock every shard
-    /// log stamps its changes with.
+    /// The deployment epoch: one per update batch, the clock `log` stamps
+    /// its changes with.
     epoch: u64,
-    /// The oldest client stamp a complete invalidation list still exists
-    /// for; every shard log retains its records above it.
-    low_water: u64,
-    /// The last epoch `layout` changed at: a shard root id moved, or a
-    /// root node was itself dirtied (its MBR may have moved, re-shaping
-    /// the layout BPT).
-    layout_epoch: u64,
+    /// Every retained change, by cluster-global node id.
+    log: UpdateLog,
 }
 
 impl Snapshot {
@@ -296,9 +293,16 @@ impl Snapshot {
 
     /// The deployment epoch this snapshot was published at (0 = the
     /// bulk-loaded seed): bumped once per update batch, whatever the batch
-    /// netted to. `shard(s).epoch()` is the last one that touched shard `s`.
+    /// netted to.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// The §7 invalidation log as of this epoch: which nodes changed when,
+    /// by cluster-global id, the super-root included on a multi-shard
+    /// deployment.
+    pub fn update_log(&self) -> &UpdateLog {
+        &self.log
     }
 
     /// Heap bytes this epoch keeps resident, by capacity: the store once,
@@ -461,11 +465,10 @@ impl Cluster {
                 store,
                 shards,
                 epoch: 0,
-                low_water: 0,
-                layout_epoch: 0,
+                log: UpdateLog::default(),
             }),
             map,
-            adaptive: cfg.server.adaptive_table(),
+            adaptive: AdaptiveController::new(cfg.server.sensitivity, cfg.server.initial_d),
             cfg,
             stats: Counters::default(),
         }
@@ -500,8 +503,8 @@ impl Cluster {
         self.core.epoch()
     }
 
-    /// Pins the current [`Snapshot`]: the dataset and every shard's
-    /// R*-tree, BPTs and update log at one epoch. The pin stays valid and
+    /// Pins the current [`Snapshot`]: the dataset, every shard's R*-tree
+    /// and BPTs, and the update log at one epoch. The pin stays valid and
     /// self-consistent across concurrent
     /// [`apply_updates`](Self::apply_updates) calls, and its `epoch()` is
     /// the one the latest `apply_updates` returned.
@@ -544,16 +547,16 @@ impl Cluster {
     /// its batch-start and batch-end tile ownership — a `Move` across a
     /// tile boundary is delete-here/insert-there, an object moved twice is
     /// relocated once, one inserted and deleted in the same batch never
-    /// reaches an index. Only the touched shards are rebuilt, their logs
-    /// stamped with the new epoch; an untouched shard is carried into the
-    /// next snapshot as it is, so its clients stay fresh. Returns the new
-    /// deployment epoch.
+    /// reaches an index. Only the touched shards are rebuilt, the nodes
+    /// they dirtied logged at the new epoch; an untouched shard is carried
+    /// into the next snapshot as it is, so its clients stay fresh. Returns
+    /// the new deployment epoch.
     ///
     /// History is pruned below the fleet's **low-water mark** (the minimum
     /// last-synced epoch over tracked versioned clients, fed by every
     /// versioned contact) and, regardless of clients, below
     /// [`max_update_history`](ServerConfig) epochs, so a long-running
-    /// deployment under sustained churn keeps bounded invalidation logs.
+    /// deployment under sustained churn keeps a bounded invalidation log.
     /// Clients that fall below the pruned horizon get a
     /// [`VersionedReply::FullRefresh`] refusal at their next contact.
     pub fn apply_updates(&self, updates: &[Update]) -> u64 {
@@ -630,44 +633,49 @@ impl Cluster {
 
         // Complete lists are kept back to the horizon — the most-behind
         // versioned client's sync point, hard-capped at
-        // `max_update_history` epochs — and the mark never recedes.
+        // `max_update_history` epochs; `prune` never lowers the mark.
         let epoch = current.epoch + 1;
         let horizon = self
             .adaptive
             .epoch_low_water()
             .unwrap_or(0)
             .max(epoch.saturating_sub(self.cfg.server.max_update_history));
-        let low_water = current.low_water.max(horizon);
 
-        // A touched shard is rebuilt, its changes stamped `epoch`; an
-        // untouched one is this epoch's `Arc`. One after another on this
-        // thread: see the module docs for why not a thread per shard.
-        let shards: Vec<Arc<Shard>> = (current.shards.iter().zip(&ops))
-            .map(|(shard, ops)| {
+        // A touched shard is rebuilt and the nodes it dirtied are logged at
+        // `epoch`, by global id; an untouched one is this epoch's `Arc`.
+        // One after another on this thread: see the module docs for why
+        // not a thread per shard.
+        let mut log = current.log.clone();
+        let shards: Vec<Arc<Shard>> = (current.shards.iter().zip(&ops).zip(0u32..))
+            .map(|((shard, ops), s)| {
                 if ops.is_empty() {
-                    Arc::clone(shard)
-                } else {
-                    Arc::new(shard.next(&next_store, ops, epoch, low_water, spares))
+                    return Arc::clone(shard);
                 }
+                let (next, dirty) = shard.next(&next_store, ops, spares);
+                for n in dirty {
+                    log.record_change(self.map.to_global(n, s), epoch);
+                }
+                Arc::new(next)
             })
             .collect();
 
         // The layout changed with this batch if a shard root id moved or a
-        // root node is in the batch's dirty set.
+        // root node is in the batch's dirty set. A lone shard's super-root
+        // is never handed out (`bootstrap_root`), so never logged.
         let layout = SuperLayout::build(&self.map, &shards);
         let relaid = layout.roots != current.layout.roots
-            || layout.roots.iter().any(|&root| {
-                let (s, root) = self.map.to_local(root);
-                shards[s as usize].update_log().last_change(root) == Some(epoch)
-            });
+            || (layout.roots.iter()).any(|&root| log.last_change(root) == Some(epoch));
+        if relaid && self.cfg.shards > 1 {
+            log.record_change(SUPER_ROOT, epoch);
+        }
+        log.prune(horizon);
         Snapshot {
             map: self.map,
             store: next_store,
             shards,
             layout,
             epoch,
-            low_water,
-            layout_epoch: if relaid { epoch } else { current.layout_epoch },
+            log,
         }
     }
 
@@ -681,9 +689,9 @@ impl Cluster {
     }
 
     /// The versioned contact — the one version gate of the §7 protocol.
-    /// Each shard's log is asked what changed after the client's epoch,
-    /// and staleness is decided **per shard**: only changes in shards the
-    /// query could touch
+    /// The deployment's log is asked what changed after the client's
+    /// epoch, and staleness is decided **per shard**: only changes in
+    /// shards the query could touch
     /// force a `Stale` round-trip, while changes elsewhere ride along as
     /// invalidations on a `Fresh` reply. Check and resume run against one
     /// pinned epoch, and every contact records the epoch this client will
@@ -756,32 +764,19 @@ impl Cluster {
     /// up-to-date client's contact never runs it.
     #[inline(never)]
     fn delta_since(&self, snap: &Snapshot, since: u64) -> Option<Delta> {
-        if since < snap.low_water || since > snap.epoch {
+        if since < snap.log.low_water() || since > snap.epoch {
             return None;
         }
-        let mut delta = Delta {
-            // A lone shard's super-root is never handed out
-            // (`bootstrap_root`), so never invalidated.
-            super_changed: snap.layout_epoch > since && self.cfg.shards > 1,
-            ..Delta::default()
-        };
-        for (s, shard) in snap.shards.iter().enumerate() {
-            if !shard.update_log().can_answer(since) {
-                return None;
-            }
-            let changed = shard.update_log().changed_since(since);
-            if changed.is_empty() {
-                continue;
-            }
-            delta.changed |= 1 << s;
-            let global = changed.iter().map(|&nid| self.map.to_global(nid, s as u32));
-            delta.invalidate.extend(global);
-        }
-        if delta.super_changed {
-            delta.invalidate.push(SUPER_ROOT);
-        }
-        delta.invalidate.sort();
-        Some(delta)
+        let invalidate = snap.log.changed_since(since);
+        // The topmost id: when logged, it sorts last.
+        let super_changed = invalidate.last() == Some(&SUPER_ROOT);
+        let in_shards = &invalidate[..invalidate.len() - usize::from(super_changed)];
+        let changed = (in_shards.iter()).fold(0, |mask, &n| mask | 1 << self.map.to_local(n).0);
+        Some(Delta {
+            invalidate,
+            changed,
+            super_changed,
+        })
     }
 
     /// Whether `rq` could touch a shard that changed (or the super-root,
@@ -1307,13 +1302,7 @@ impl ServerHandle for Cluster {
     }
 
     fn log_records(&self) -> usize {
-        // One pin, so the sum is over one epoch's logs — never a mix of
-        // shards from either side of a batch in flight.
-        let snap = self.core.pin();
-        snap.shards
-            .iter()
-            .map(|shard| shard.update_log().retained_records())
-            .sum()
+        self.core.pin().log.retained_records()
     }
 }
 
@@ -2134,13 +2123,26 @@ mod tests {
 
     /// What `pin_all` used to establish by re-pinning until the vector
     /// matched, and the publish order used to promise about the store: a
-    /// pinned epoch's integers, layout and store describe exactly its
-    /// shards.
+    /// pinned epoch's log, layout and store describe exactly its shards.
     fn assert_one_consistent_epoch(snap: &Snapshot) {
-        assert!(snap.low_water <= snap.epoch && snap.layout_epoch <= snap.epoch);
+        // The log holds nothing from the future and nothing at or below
+        // its mark, and every id it names is a node of its shard's slab —
+        // or the layout, which only a multi-shard deployment logs.
+        let log = &snap.log;
+        assert!(log.low_water() <= snap.epoch);
+        assert!(log.changed_since(snap.epoch).is_empty());
+        let retained = log.changed_since(log.low_water());
+        assert_eq!(retained.len(), log.retained_records());
+        for n in retained {
+            if n == SUPER_ROOT {
+                assert!(snap.shards.len() > 1, "a lone shard logged the layout");
+                continue;
+            }
+            let (s, local) = snap.map.to_local(n);
+            assert!((local.0 as usize) < snap.shards[s as usize].tree().slab_len());
+        }
         let mut nonempty = Vec::new();
         for (s, shard) in snap.shards.iter().enumerate() {
-            assert!(shard.epoch() <= snap.epoch, "shard {s} is from the future");
             if let Some(mbr) = shard.tree().root_mbr() {
                 nonempty.push((snap.map.to_global(shard.tree().root(), s as u32), mbr));
             }
@@ -2292,20 +2294,26 @@ mod tests {
         after.retain(|id| !before.contains(id));
         assert_eq!(after, vec![ObjectId(200)]);
         assert_eq!(cl.epoch(), 1);
-        let now = cl.core.pin();
-        assert!((0..4).all(|s| now.shard(s).epoch() == 1));
+        assert_eq!(last_batch_shards(&cl.core.pin()), vec![0, 1, 2, 3]);
+    }
+
+    /// The shards the batch that published `snap` changed: those with a
+    /// record stamped at its epoch, in shard order.
+    fn last_batch_shards(snap: &Snapshot) -> Vec<u32> {
+        let mut shards: Vec<u32> = (snap.log.changed_since(snap.epoch - 1).into_iter())
+            .filter(|&n| n != SUPER_ROOT)
+            .map(|n| snap.map.to_local(n).0)
+            .collect();
+        shards.sort();
+        shards.dedup();
+        shards
     }
 
     #[test]
-    fn updates_publish_per_shard_epochs_independently() {
+    fn updates_rebuild_only_the_shards_they_touch() {
         let cl = quad_cluster(sample_store(80, 3));
         let seed = cl.core.pin();
-        // A shard's epoch is the deployment epoch of the last batch that
-        // touched it.
-        let last_touched = |snap: &Snapshot| -> Vec<u64> {
-            snap.shards.iter().map(|shard| shard.epoch()).collect()
-        };
-        assert_eq!(last_touched(&seed), vec![0, 0, 0, 0]);
+        assert_eq!(seed.log.retained_records(), 0);
 
         // Insert into the lower-left quadrant: exactly one shard publishes.
         let e = ServerHandle::apply_updates(
@@ -2321,13 +2329,13 @@ mod tests {
             .shard_map()
             .first_owner(&Rect::centered_square(Point::new(0.2, 0.2), 0.01));
         // A shard the batch never touched costs it nothing: the next epoch
-        // holds the same allocation, log and all. The touched one was
-        // rebuilt, and stamped with the batch's epoch.
+        // holds the same allocation. The touched one was rebuilt, and its
+        // changes stamped with the batch's epoch.
         for s in 0..4 {
             let same = Arc::ptr_eq(&seed.shards[s], &first.shards[s]);
             assert_eq!(same, s as u32 != owner, "shard {s}");
-            assert_eq!(first.shards[s].epoch(), u64::from(!same), "shard {s}");
         }
+        assert_eq!(last_batch_shards(&first), vec![owner]);
         // One store per epoch, counted once.
         let shards: usize = first.shards.iter().map(|shard| shard.heap_bytes()).sum();
         assert_eq!(first.heap_bytes(), first.store().heap_bytes() + shards);
@@ -2346,10 +2354,15 @@ mod tests {
         let new_owner = cl
             .shard_map()
             .first_owner(&Rect::centered_square(Point::new(0.8, 0.8), 0.01));
-        let mut want = vec![0; 4];
-        want[owner as usize] = 2; // published the delete
-        want[new_owner as usize] = 2; // published the insert
-        assert_eq!(last_touched(&cl.core.pin()), want);
+        // The old owner published the delete, the new one the insert.
+        let second = cl.core.pin();
+        let mut want = vec![owner, new_owner];
+        want.sort();
+        assert_eq!(last_batch_shards(&second), want);
+        for s in (0..4).filter(|s| !want.contains(s)) {
+            let s = s as usize;
+            assert!(Arc::ptr_eq(&seed.shards[s], &second.shards[s]), "shard {s}");
+        }
 
         // The handoff is visible in ground truth.
         let found = cl.direct(&QuerySpec::Range {
@@ -2456,10 +2469,11 @@ mod tests {
     }
 
     /// Cluster twin of `fleet_low_water_mark_prunes_ahead_of_the_history_cap`:
-    /// the one adaptive table's low-water mark is the deployment's, and
-    /// every shard log a batch touches prunes up to it and no further.
+    /// the one adaptive table's low-water mark is the deployment's, and the
+    /// one log prunes up to it and no further, whichever shards a batch
+    /// touches.
     #[test]
-    fn lagging_client_holds_shard_logs_until_it_forgets() {
+    fn lagging_client_holds_the_log_until_it_forgets() {
         let store = sample_store(240, 13);
         let cl = Cluster::new(
             store.clone(),
@@ -2475,7 +2489,7 @@ mod tests {
             },
         );
         // Batch `e` deletes one object in each of two shards, so the
-        // shards' logs are last stamped at different epochs.
+        // shards' changes are last stamped at different epochs.
         let mut by_shard: Vec<Vec<ObjectId>> = vec![Vec::new(); 4];
         for o in store.iter() {
             by_shard[cl.shard_map().first_owner(&o.mbr) as usize].push(o.id);
@@ -2505,15 +2519,8 @@ mod tests {
         let mut unseen: Vec<NodeId> = Vec::new();
         for e in 3..=6 {
             unseen.extend(publish(e));
-            let pin = cl.core.pin();
-            assert_eq!(pin.low_water, 2, "the laggard holds the mark at {e}");
-            for s in 0..4 {
-                let log = pin.shards[s].update_log();
-                assert!(log.low_water() <= 2, "shard {s} over-pruned at {e}");
-                if touched(e).contains(&s) {
-                    assert_eq!((log.low_water(), log.epoch()), (2, e), "shard {s}");
-                }
-            }
+            let mark = cl.core.pin().log.low_water();
+            assert_eq!(mark, 2, "the laggard holds the mark at {e}");
         }
         // Its stamp is still answered, with every leaf it has not seen.
         match contact(2, 2) {
@@ -2525,17 +2532,13 @@ mod tests {
         }
 
         // Client 2 is caught up (epoch 6); once the laggard disconnects the
-        // next publish prunes the touched shard logs up to that mark.
+        // next publish prunes the log up to that mark.
         let before = cl.log_records();
         assert!(cl.call(1, Request::Forget).into_forgotten());
         assert_eq!(cl.adaptive().tracked_clients(), 1);
         publish(7);
         assert!(cl.log_records() < before, "the laggard's records are gone");
-        let pin = cl.core.pin();
-        assert_eq!(pin.low_water, 6);
-        for s in touched(7) {
-            assert_eq!(pin.shards[s].update_log().low_water(), 6);
-        }
+        assert_eq!(cl.core.pin().log.low_water(), 6);
         assert_eq!(contact(3, 2), VersionedReply::FullRefresh { epoch: 7 });
         assert!(matches!(
             contact(2, 6),
@@ -2552,6 +2555,39 @@ mod tests {
             single.process_remainder_versioned(3, &rq, 1),
             VersionedReply::FullRefresh { epoch: 0 }
         );
+    }
+
+    /// The history cap holds for every shard, not only for those a batch
+    /// touches: once the churn moves away from a quadrant, its shard's old
+    /// changes age out like any other, and the log keeps no record the
+    /// gate could never hand out.
+    #[test]
+    fn history_cap_prunes_a_shard_batches_stop_touching() {
+        let mut cfg = ClusterConfig::new(4);
+        cfg.grid = 2;
+        cfg.server.max_update_history = 4;
+        let cl = Cluster::new(sample_store(240, 17), RTreeConfig::small(), cfg);
+        let at = |p: f64| Rect::centered_square(Point::new(p, p), 0.01);
+        let insert = |p: f64| Update::Insert {
+            mbr: at(p),
+            size_bytes: 100,
+        };
+        cl.apply_updates(&[insert(0.2)]);
+        for _ in 0..40 {
+            cl.apply_updates(&[insert(0.8)]);
+        }
+        let snap = cl.snapshot();
+        let log = snap.update_log();
+        assert_eq!((snap.epoch(), log.low_water()), (41, 37));
+        // Every retained record is above the mark, and none is the quiet
+        // shard's.
+        let retained = log.changed_since(log.low_water());
+        assert_eq!(log.retained_records(), retained.len());
+        assert_eq!(cl.log_records(), retained.len());
+        let quiet = cl.map.first_owner(&at(0.2));
+        assert!(retained
+            .iter()
+            .all(|&n| n == SUPER_ROOT || cl.map.to_local(n).0 != quiet));
     }
 
     #[test]

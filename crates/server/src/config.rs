@@ -2,7 +2,7 @@
 //! [`FormPolicy`], [`ClientId`] and the `(policy, d)` → form mapping. The
 //! deployment itself — one shard or many — is a [`crate::Cluster`].
 
-use crate::adaptive::AdaptiveController;
+use crate::adaptive::{AdaptiveController, MAX_D};
 use crate::forms::FormMode;
 
 /// Identifier the server uses to keep per-client adaptive state.
@@ -33,23 +33,17 @@ pub struct ServerConfig {
     pub form: FormPolicy,
     /// Adaptive sensitivity `s` (Table 6.1: 20 %).
     pub sensitivity: f64,
-    /// Initial d⁺-level for adaptive clients.
+    /// Initial d⁺-level for adaptive clients, at most 16: d is clamped
+    /// there (a BPT of a 4 KB page is ~11 deep).
     pub initial_d: u8,
-    /// Upper clamp for d (a BPT of a 4 KB page is ~11 deep).
-    pub max_d: u8,
-    /// Cap on tracked per-client adaptive states; the least-recently
-    /// reporting client is evicted past this, so a long-lived server under
-    /// churning client ids keeps a bounded table. Approximate: enforced
-    /// per controller shard, so the real bound is within ±16 of this value
-    /// (and never below 16, one state per shard).
-    pub max_tracked_clients: usize,
     /// Hard cap on retained update-log history, in epochs. Regardless of
-    /// client tracking, `apply_updates` prunes change records older than
-    /// this many epochs, so the invalidation log stays bounded even with
-    /// no connected clients; a client stamped below the pruned horizon is
-    /// refused with a full refresh. The fleet low-water mark (minimum
-    /// last-synced epoch over live clients) prunes *earlier* whenever the
-    /// whole fleet is caught up.
+    /// client tracking, `apply_updates` prunes the deployment's one log of
+    /// change records this many epochs old or older — in every shard, the
+    /// ones the batch never touched included — so the log stays bounded
+    /// even with no connected clients; a client stamped below the pruned
+    /// horizon is refused with a full refresh. The fleet low-water mark
+    /// (minimum last-synced epoch over live clients) prunes *earlier*
+    /// whenever the whole fleet is caught up.
     pub max_update_history: u64,
 }
 
@@ -59,8 +53,6 @@ impl Default for ServerConfig {
             form: FormPolicy::Adaptive,
             sensitivity: 0.2,
             initial_d: 1,
-            max_d: 16,
-            max_tracked_clients: 1 << 16,
             max_update_history: 1024,
         }
     }
@@ -70,11 +62,10 @@ impl ServerConfig {
     /// Rejects configurations that would silently misbehave instead of
     /// erroring: a sensitivity that is negative, NaN or infinite inverts,
     /// breaks or freezes §4.3's band; an initial d above the clamp makes a
-    /// client's first rising report move d *down*; an adaptive table
-    /// capped at zero clients evicts every state the moment it is written;
-    /// and a zero-epoch history window full-refreshes every versioned
-    /// contact. Called through [`ClusterConfig::validate`] by every
-    /// constructor, which panic with the returned message.
+    /// client's first rising report move d *down*; and a zero-epoch
+    /// history window full-refreshes every versioned contact. Called
+    /// through [`ClusterConfig::validate`] by every constructor, which
+    /// panic with the returned message.
     ///
     /// [`ClusterConfig::validate`]: crate::ClusterConfig::validate
     pub fn validate(&self) -> Result<(), String> {
@@ -85,19 +76,12 @@ impl ServerConfig {
                 self.sensitivity
             ));
         }
-        if self.initial_d > self.max_d {
+        if self.initial_d > MAX_D {
             return Err(format!(
-                "ServerConfig::initial_d {} exceeds max_d {}: a client's first rising fmr \
-                 report would move d down to the clamp",
-                self.initial_d, self.max_d
+                "ServerConfig::initial_d {} exceeds the clamp {MAX_D}: a client's first rising \
+                 fmr report would move d down to it",
+                self.initial_d
             ));
-        }
-        if self.max_tracked_clients == 0 {
-            return Err(
-                "ServerConfig::max_tracked_clients must be ≥ 1: a zero-capacity adaptive \
-                 table would evict every client state on write"
-                    .to_string(),
-            );
         }
         if self.max_update_history == 0 {
             return Err(
@@ -107,13 +91,6 @@ impl ServerConfig {
             );
         }
         Ok(())
-    }
-
-    /// A fresh per-client table under this configuration — one per
-    /// deployment, whatever its shard count.
-    pub(crate) fn adaptive_table(&self) -> AdaptiveController {
-        AdaptiveController::new(self.sensitivity, self.initial_d, self.max_d)
-            .with_max_clients(self.max_tracked_clients)
     }
 }
 
@@ -149,17 +126,16 @@ mod tests {
             |_| {},
             |c| c.sensitivity = 0.0,
             |c| c.sensitivity = 10.0,
-            |c| c.initial_d = c.max_d,
+            |c| c.initial_d = MAX_D,
         ];
         for edit in valid {
             assert!(validate(edit).is_ok());
         }
-        let invalid: [(Edit, &str); 6] = [
+        let invalid: [(Edit, &str); 5] = [
             (|c| c.sensitivity = -0.1, "sensitivity"),
             (|c| c.sensitivity = f64::NAN, "sensitivity"),
             (|c| c.sensitivity = f64::INFINITY, "sensitivity"),
-            (|c| c.initial_d = c.max_d + 1, "initial_d"),
-            (|c| c.max_tracked_clients = 0, "max_tracked_clients"),
+            (|c| c.initial_d = MAX_D + 1, "initial_d"),
             (|c| c.max_update_history = 0, "max_update_history"),
         ];
         for (edit, field) in invalid {

@@ -1,10 +1,11 @@
 //! What a deployment publishes and where: a [`Shard`] is one shard's index
-//! at one epoch — R*-tree, BPT store and update log, no object store of its
-//! own — built by pure functions ([`Shard::build`] at set-up, `Shard::next`
-//! per update batch), and a [`ServerCore`] is the deployment's **one**
-//! [`SnapshotCell`] plus the writer lock that serializes its epoch
-//! transitions. The value in the cell is the whole world at one epoch, a
-//! [`Snapshot`]: the global store once and every shard by `Arc`. Query
+//! at one epoch — R*-tree and BPT store, no object store or update log of
+//! its own — built by pure functions ([`Shard::build`] at set-up,
+//! `Shard::next` per update batch), and a [`ServerCore`] is the
+//! deployment's **one** [`SnapshotCell`] plus the writer lock that
+//! serializes its epoch transitions. The value in the cell is the whole
+//! world at one epoch, a [`Snapshot`]: the global store and the update log
+//! once, and every shard by `Arc`. Query
 //! paths [`pin`](ServerCore::pin) it (a refcount bump) and read it with
 //! plain `&self` methods, so a `ServerCore` is `Send + Sync` and serves any
 //! number of worker threads — the concurrency story of a server that, per
@@ -24,24 +25,22 @@ use crate::cluster::Snapshot;
 use crate::epoch::SnapshotCell;
 use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
-use crate::updates::UpdateLog;
 use pc_rtree::bpt::{Bpt, BptStore};
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
-use pc_rtree::{Node, ObjectId, ObjectStore, RTree, RTreeConfig, Spares, SpatialObject};
+use pc_rtree::{Node, NodeId, ObjectId, ObjectStore, RTree, RTreeConfig, Spares, SpatialObject};
 use std::sync::{Arc, Mutex};
 
-/// One shard's immutable index as of one deployment epoch: tree + BPTs +
-/// versioning, no per-client state and no objects — ids resolve through
-/// the [`Snapshot`]'s store, which the methods that need it take. All
-/// query methods take `&self`; nothing here ever mutates after
-/// publication.
+/// One shard's immutable index as of one deployment epoch: tree + BPTs, no
+/// per-client state, no versioning and no objects — ids resolve through
+/// the [`Snapshot`]'s store, which the methods that need it take, and what
+/// changed when is the [`Snapshot`]'s log. All query methods take `&self`;
+/// nothing here ever mutates after publication.
 #[derive(Clone, Debug)]
 pub struct Shard {
     tree: RTree,
     bpts: BptStore,
-    updates: UpdateLog,
 }
 
 impl Shard {
@@ -56,7 +55,6 @@ impl Shard {
         Shard {
             bpts: BptStore::build(&tree),
             tree,
-            updates: UpdateLog::default(),
         }
     }
 
@@ -66,17 +64,6 @@ impl Shard {
 
     pub fn bpts(&self) -> &BptStore {
         &self.bpts
-    }
-
-    /// Update/invalidation state (§7 extension).
-    pub fn update_log(&self) -> &UpdateLog {
-        &self.updates
-    }
-
-    /// The deployment epoch of the last update batch that touched this
-    /// shard (0 = still the bulk-loaded seed).
-    pub fn epoch(&self) -> u64 {
-        self.updates.epoch()
     }
 
     /// Evaluates a query directly (no caching) over this shard's index.
@@ -150,19 +137,16 @@ impl Shard {
     /// the router derived from tile ownership against the already-updated
     /// global `store` — copy-on-write touches only the spines the batch
     /// lands in, each copy written into one of the writer's `spares` when
-    /// nothing holds it any more — rebuilds only the dirty nodes' BPTs the
-    /// same way, logs them at the deployment `epoch` this batch publishes
-    /// at and prunes the log at or below the deployment `horizon`. A shard
-    /// a batch never touched is not rebuilt at all: the next snapshot holds
-    /// the same `Arc`, log and all.
+    /// nothing holds it any more — and rebuilds only the dirty nodes' BPTs
+    /// the same way. Returns the new shard beside its dirty nodes (local
+    /// ids, sorted), which the caller logs. A shard a batch never touched
+    /// is not rebuilt at all: the next snapshot holds the same `Arc`.
     pub(crate) fn next(
         &self,
         store: &ObjectStore,
         ops: &[PartitionOp],
-        epoch: u64,
-        horizon: u64,
         spares: &mut WriterSpares,
-    ) -> Shard {
+    ) -> (Shard, Vec<NodeId>) {
         let mut next = self.clone();
         next.tree.with_spares(&mut spares.nodes, |tree| {
             for op in ops {
@@ -181,15 +165,10 @@ impl Shard {
             }
         });
         let dirty = next.tree.take_dirty();
-        next.updates.set_epoch(epoch);
         next.bpts.with_spares(&mut spares.bpts, |bpts| {
             bpts.rebuild_nodes(&next.tree, &dirty)
         });
-        for n in dirty {
-            next.updates.record_change(n, epoch);
-        }
-        next.updates.prune(horizon);
-        next
+        (next, dirty)
     }
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
@@ -197,9 +176,8 @@ impl Shard {
         self.bpts.total_aux_bytes()
     }
 
-    /// Heap bytes this shard keeps resident, by capacity: tree + BPTs (the
-    /// update log is bounded by pruning and not counted). Segments shared
-    /// with other live epochs are counted in each.
+    /// Heap bytes this shard keeps resident, by capacity: tree + BPTs.
+    /// Segments shared with other live epochs are counted in each.
     pub fn heap_bytes(&self) -> usize {
         self.tree.heap_bytes() + self.bpts.heap_bytes()
     }
@@ -630,8 +608,8 @@ mod tests {
         let once = sample_server(100, 9);
         once.apply_updates(&[Update::Delete(ObjectId(3))]);
         assert_eq!(
-            snap.shard(0).update_log().changed_since(0),
-            once.snapshot().shard(0).update_log().changed_since(0),
+            snap.update_log().changed_since(0),
+            once.snapshot().update_log().changed_since(0),
         );
         snap.shard(0).tree().validate(99, false).unwrap();
     }

@@ -12,8 +12,8 @@
 //! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
 //! (`process_remainder` / `direct` / fmr reports through
 //! [`Cluster::adaptive`]) *and* data updates (`apply_updates`). A
-//! deployment publishes its whole world — the dataset once, every shard's
-//! R*-tree + BPT store by `Arc` — as one epoch-stamped immutable
+//! deployment publishes its whole world — the dataset and the update log
+//! once, every shard's R*-tree + BPT store by `Arc` — as one immutable
 //! [`Snapshot`] behind the one [`SnapshotCell`] of its [`ServerCore`]:
 //! readers pin it and never block, while an update batch builds the next
 //! snapshot off to the side and swaps it in. A sharded, interior-mutable

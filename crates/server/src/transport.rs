@@ -34,7 +34,8 @@ pub trait Transport: Send + Sync {
 /// simulation drivers hold instead of a concrete `&Cluster`.
 pub trait ServerHandle: Transport {
     /// The deployment's cell: `core().pin()` is the whole world at one
-    /// epoch — the store, every shard (metadata reads, not traffic).
+    /// epoch — the store, every shard, the update log (metadata reads, not
+    /// traffic).
     fn core(&self) -> &ServerCore;
 
     /// Applies one update batch through this handle (the churn driver's
@@ -50,9 +51,8 @@ pub trait ServerHandle: Transport {
     /// merged view instead of one shard's slice.
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64);
 
-    /// Retained update-log records (changed nodes) across the whole
-    /// deployment, summed over shards. The bounded-log diagnostic
-    /// fleet runs report.
+    /// Retained records (changed nodes) of the deployment's one update
+    /// log. The bounded-log diagnostic fleet runs report.
     fn log_records(&self) -> usize;
 }
 

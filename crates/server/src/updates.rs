@@ -3,8 +3,10 @@
 //! caching and devise efficient cache invalidation schemes"), built as an
 //! epoch-stamped invalidation protocol:
 //!
-//! * every update batch bumps the server **epoch** and records which index
-//!   nodes changed (the R-tree reports its dirty set; BPTs are rebuilt);
+//! * every update batch bumps the deployment **epoch** and records which
+//!   index nodes changed — in whichever shards it touched — in the
+//!   deployment's one [`UpdateLog`] (each shard's R-tree reports its dirty
+//!   set; their BPTs are rebuilt);
 //! * a client attaches its last-synced epoch to each remainder query;
 //! * a behind-epoch contact is refused ([`VersionedReply::Stale`]) with the
 //!   changed-node list: the client drops those items (with descendants,
@@ -44,11 +46,11 @@ pub enum Update {
     Move { id: ObjectId, to: Rect },
 }
 
-/// One shard's invalidation log: which of its index nodes changed, each
-/// stamped with the **deployment** epoch of the batch that last changed it.
-/// The deployment has one clock; a batch writes only into the logs of the
-/// shards it touched, so a log's own [`epoch`](UpdateLog::epoch) is the
-/// deployment epoch of the last batch that touched its shard.
+/// The deployment's invalidation log: which index nodes changed, as
+/// cluster-global ids (the super-root included, as [`crate::SUPER_ROOT`],
+/// when a batch re-laid it on a multi-shard deployment), each stamped with
+/// the deployment epoch of the batch that last changed it. One per
+/// published [`crate::Snapshot`], whatever its shard count.
 ///
 /// History is **bounded**: each epoch publish prunes change records at or
 /// below a horizon (the fleet's low-water mark and/or a hard history
@@ -58,7 +60,6 @@ pub enum Update {
 /// truncated invalidation list.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateLog {
-    epoch: u64,
     /// Oldest client epoch `changed_since` can still answer completely.
     /// Everything recorded at or below it has been pruned.
     low_water: u64,
@@ -67,28 +68,17 @@ pub struct UpdateLog {
 }
 
 impl UpdateLog {
-    /// The deployment epoch of the last batch recorded here (0 = none).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Oldest client epoch this log can produce a complete invalidation
     /// list for. Contacts stamped below it get a full-refresh refusal.
     pub fn low_water(&self) -> u64 {
         self.low_water
     }
 
-    /// Whether `changed_since(since)` would be complete (nothing relevant
-    /// was pruned away).
-    pub fn can_answer(&self, since: u64) -> bool {
-        since >= self.low_water
-    }
-
-    /// Nodes changed after `since`, sorted. Complete only when
-    /// [`can_answer`](UpdateLog::can_answer) holds for `since`.
+    /// Nodes changed after `since`, sorted. Complete only for
+    /// `since >= low_water`.
     pub fn changed_since(&self, since: u64) -> Vec<NodeId> {
         debug_assert!(
-            self.can_answer(since),
+            since >= self.low_water,
             "changed_since({since}) below the low-water mark {} under-reports",
             self.low_water
         );
@@ -123,11 +113,6 @@ impl UpdateLog {
         self.low_water = horizon;
     }
 
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        debug_assert!(epoch > self.epoch, "the deployment epoch only advances");
-        self.epoch = epoch;
-    }
-
     pub(crate) fn record_change(&mut self, node: NodeId, epoch: u64) {
         self.node_changes.insert(node, epoch);
     }
@@ -160,18 +145,18 @@ mod tests {
     fn updates_bump_epoch_and_record_changes() {
         let server = sample_server(200, 1);
         let snap = server.snapshot();
-        assert_eq!(snap.shard(0).update_log().epoch(), 0);
+        assert_eq!(snap.epoch(), 0);
         let e1 = server.apply_updates(&[Update::Insert {
             mbr: Rect::from_point(Point::new(0.5, 0.5)),
             size_bytes: 777,
         }]);
         assert_eq!(e1, 1);
         let now = server.snapshot();
-        assert!(!now.shard(0).update_log().changed_since(0).is_empty());
-        assert!(now.shard(0).update_log().changed_since(1).is_empty());
+        assert!(!now.update_log().changed_since(0).is_empty());
+        assert!(now.update_log().changed_since(1).is_empty());
         // The pre-update pin still sees the unchanged world.
         assert_eq!(snap.epoch(), 0);
-        assert!(snap.shard(0).update_log().changed_since(0).is_empty());
+        assert!(snap.update_log().changed_since(0).is_empty());
     }
 
     #[test]
@@ -260,11 +245,11 @@ mod tests {
             let (x, y) = (x.snapshot(), y.snapshot());
             // The pin's epoch is the deployment's — what `apply_updates`
             // just returned — even for the batch that netted to nothing,
-            // which never touched the shard.
+            // which never touched the shard and logged nothing.
             assert_eq!((x.epoch(), y.epoch()), (1, 1), "{twice:?}");
-            assert_eq!(x.shard(0).epoch(), u64::from(!once.is_empty()), "{twice:?}");
             assert_eq!(tree_shape(&x), tree_shape(&y), "{twice:?}");
-            let (lx, ly) = (x.shard(0).update_log(), y.shard(0).update_log());
+            let (lx, ly) = (x.update_log(), y.update_log());
+            assert_eq!(lx.retained_records() > 0, !once.is_empty(), "{twice:?}");
             assert_eq!(x.store().live_count(), y.store().live_count(), "{twice:?}");
             assert_eq!(lx.changed_since(0), ly.changed_since(0), "{twice:?}");
             x.shard(0)
@@ -305,7 +290,7 @@ mod tests {
         // (A remainder through *unchanged* nodes stays resumable — the
         // companion test below — so we target a changed leaf explicitly.)
         let snap = server.snapshot();
-        let changed = snap.shard(0).update_log().changed_since(0);
+        let changed = snap.update_log().changed_since(0);
         assert!(!changed.is_empty());
         let leaf = *changed
             .iter()
@@ -355,12 +340,7 @@ mod tests {
             .results[0];
         server.apply_updates(&[Update::Delete(far)]);
         let snap = server.snapshot();
-        let changed: HashSet<NodeId> = snap
-            .shard(0)
-            .update_log()
-            .changed_since(0)
-            .into_iter()
-            .collect();
+        let changed: HashSet<NodeId> = snap.update_log().changed_since(0).into_iter().collect();
         let unchanged_leaf = snap
             .shard(0)
             .tree()
@@ -418,8 +398,8 @@ mod tests {
             server.apply_updates(&[Update::Delete(ObjectId(i))]);
         }
         let log_snap = server.snapshot();
-        let log = log_snap.shard(0).update_log();
-        assert_eq!(log.epoch(), 10);
+        let log = log_snap.update_log();
+        assert_eq!(log_snap.epoch(), 10);
         assert_eq!(log.low_water(), 7, "epoch 10 minus 3 epochs of history");
         assert_eq!(
             log.retained_records(),
@@ -427,7 +407,6 @@ mod tests {
             "records at or below the horizon are pruned"
         );
         assert!(log.retained_records() > 0);
-        assert!(log.can_answer(7) && !log.can_answer(6));
 
         // A client synced within the window still gets a Stale with a
         // complete list; one below the horizon gets a FullRefresh.
@@ -494,11 +473,11 @@ mod tests {
             }
         }
         assert_eq!(server.adaptive().epoch_low_water(), Some(2));
-        assert!(server.snapshot().shard(0).update_log().retained_records() > 0);
+        assert!(server.snapshot().update_log().retained_records() > 0);
         // The next publish prunes below the fleet mark.
         server.apply_updates(&[Update::Delete(ObjectId(3))]);
         let snap = server.snapshot();
-        let log = snap.shard(0).update_log();
+        let log = snap.update_log();
         assert_eq!(log.low_water(), 2);
         assert_eq!(
             log.retained_records(),
@@ -555,11 +534,10 @@ mod tests {
             // Acquire loads in the reader loops above.
             stop.store(true, Ordering::Release);
         });
-        // One deployment epoch per batch; the shard's is the last batch
-        // that did not net to nothing (a delete of a dead id does).
+        // One deployment epoch per batch, however many netted to nothing
+        // (a delete of a dead id does).
         assert_eq!(epoch, 40);
         assert_eq!(server.snapshot().epoch(), 40);
-        assert!(server.snapshot().shard(0).epoch() <= 40);
     }
 
     proptest! {
@@ -693,7 +671,6 @@ mod tests {
                     let (since, victims) = churn_once(&server, &map, &mut rng, per_batch);
                     let changed: HashSet<NodeId> = server
                         .snapshot()
-                        .shard(0)
                         .update_log()
                         .changed_since(since)
                         .into_iter()

@@ -406,7 +406,7 @@ mod churn_clients {
                 to: Rect::from_point(Point::new(0.9, 0.05 + 0.01 * i as f64)),
             }]);
         }
-        assert_eq!(server.snapshot().shard(0).update_log().low_water(), 4);
+        assert_eq!(server.snapshot().update_log().low_water(), 4);
 
         // A wider window than the warmed one: stage ① cannot finish
         // locally, so the client must contact — and be refused.

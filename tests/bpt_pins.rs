@@ -194,16 +194,17 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
         server.apply_updates(&batch);
         let new = server.snapshot();
         assert!(!Arc::ptr_eq(&old, &new));
+        // The nodes this epoch logged as changed are the ones it dirtied.
+        let touched = new.update_log().changed_since(old.epoch());
+        let epoch = new.epoch();
         let (old, new) = (old.shard(0), new.shard(0));
         assert_eq!(new.bpts().node_count(), new.tree().slab_len());
         let fresh = BptStore::build(new.tree());
-        // The nodes this epoch logged as changed are the ones it dirtied.
-        let touched = new.update_log().changed_since(old.epoch());
         let mut shared = 0;
         for i in 0..new.bpts().node_count() {
             let id = NodeId(i as u32);
             let now = new.bpts().get(id);
-            assert_eq!(now, fresh.get(id), "{id} at epoch {}", new.epoch());
+            assert_eq!(now, fresh.get(id), "{id} at epoch {epoch}");
             let kept_pin = i < old.bpts().node_count() && std::ptr::eq(now, old.bpts().get(id));
             assert_eq!(
                 kept_pin,

@@ -198,11 +198,13 @@ fn churn_fleet_completes_with_stale_retry_bytes_in_ledger() {
             "driver quota is a deterministic function of the query count"
         );
         assert!(out.final_epoch > 0);
-        // The deployment epoch counts batches; the shard's is the last one
-        // that did not net to nothing (a move or delete of a dead id does).
+        // The deployment epoch counts batches, however many netted to
+        // nothing (a move or delete of a dead id does); the log holds no
+        // change from beyond it.
         assert_eq!(server.bootstrap_root().1, out.final_epoch);
-        assert_eq!(server.snapshot().epoch(), out.final_epoch);
-        assert!(server.snapshot().shard(0).epoch() <= out.final_epoch);
+        let snap = server.snapshot();
+        assert_eq!(snap.epoch(), out.final_epoch);
+        assert!(snap.update_log().changed_since(out.final_epoch).is_empty());
 
         // Per-client ledgers merge order-insensitively: the integer byte
         // and count sums are exact in any fold order (the wall-clock f64
