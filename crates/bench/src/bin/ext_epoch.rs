@@ -1,12 +1,13 @@
 //! Epoch-cost extension experiment: what does publishing one update epoch
 //! cost now that snapshots are structurally shared?
 //!
-//! Before this change, `apply_updates` deep-cloned the whole world (tree,
-//! BPTs, object store, update log) per batch — O(dataset) time and fresh
-//! memory per epoch. With `Arc`-per-node copy-on-write slots, `Arc`-per-BPT
-//! stores and chunked store segments, a publish copies only what the batch
-//! touches: the root-to-leaf spines of edited nodes, the dirtied nodes'
-//! BPTs, and the store segments mutated objects live in.
+//! A deep clone of the world (tree, BPTs, object store, update log) per
+//! batch would cost O(dataset) time and fresh memory per epoch. The node
+//! slab, the BPT slots and the object store are each a `pc_rtree::Chunked`
+//! copy-on-write column, with nodes and BPTs behind their own `Arc`s, so a
+//! publish copies only what the batch touches: the root-to-leaf spines of
+//! edited nodes, the dirtied nodes' BPTs, the store segments mutated
+//! objects live in, and the column segments those slots sit in.
 //!
 //! Two sweeps make that measurable:
 //!
@@ -20,11 +21,12 @@
 //! the dirtied nodes' BPTs (the same `BptStore::rebuild_nodes` call, timed
 //! again on a clone of the previous epoch's store — with no spares lent, so
 //! every BPT it rebuilds is a fresh allocation where the publish reused
-//! retired ones), copied node slots / rebuilt BPTs / copied store segments
-//! per publish (diagnosed by `Arc` pointer equality against the previous
-//! pin), two byte figures per publish — `copied`, modelled: copied nodes ×
-//! `PAGE_BYTES` plus the rebuilt BPTs' heap plus copied store segments and
-//! chunk spines; `alloc`, measured: the bytes `apply_updates` asks the
+//! retired ones), copied node slots / node segments / rebuilt BPTs / BPT
+//! segments / store segments per publish (the columns' sharing diagnostics
+//! against the previous pin: `Arc` pointer equality), two byte figures per
+//! publish — `copied`, modelled: copied nodes × `PAGE_BYTES` plus the
+//! rebuilt BPTs' heap plus every copied segment at `CHUNK_LEN` entries;
+//! `alloc`, measured: the bytes `apply_updates` asks the
 //! allocator for, counted by this binary's `#[global_allocator]`, which
 //! copies written into retired allocations do not — beside the resident
 //! heap bytes of the whole epoch (`Snapshot::heap_bytes`), and the update
@@ -37,12 +39,11 @@
 //! them, so the records above the previous world's epoch are exactly the
 //! ones this batch wrote — none when it never touched the shard.
 //!
-//! `--json OUT` writes the rows as `BENCH_epoch.json` for the CI artifact
-//! trail.
+//! `--json OUT` writes the rows as machine-readable JSON.
 
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_rtree::proto::PAGE_BYTES;
-use pc_rtree::SpatialObject;
+use pc_rtree::{Chunked, SpatialObject, CHUNK_LEN};
 use pc_server::{Cluster, ServerConfig};
 use pc_sim::generate_update;
 use pc_workload::datasets;
@@ -83,6 +84,9 @@ static GLOBAL: Counting = Counting;
 /// Update batches applied (and averaged over) per row.
 const ROUNDS: usize = 24;
 
+/// Updates per batch in the growing-dataset sweep.
+const FIXED_BATCH: usize = 2;
+
 /// One row of measurements: `ROUNDS` batches of `batch` updates against a
 /// server of `n_objects`, averaging publish latency and sharing diagnostics.
 struct Row {
@@ -105,6 +109,11 @@ struct Row {
     /// resident, the figure both byte columns are small against.
     heap_bytes: usize,
     log_records: usize,
+}
+
+/// Segments of `new` that are not `old`'s: the ones a publish copied.
+fn copied_segments<E>(new: &Chunked<E>, old: &Chunked<E>) -> usize {
+    new.chunk_count() - new.shared_chunks(old)
 }
 
 fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
@@ -137,16 +146,16 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         let new_world = server.snapshot();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 
-        let copied = new.tree().slab_len() - new.tree().shared_node_slots(old.tree());
+        let (old_nodes, new_nodes) = (old.tree().slots(), new.tree().slots());
+        let copied = new_nodes.len() - new_nodes.shared_slots(old_nodes);
         copied_nodes += copied;
-        let node_chunks = new.tree().node_chunk_count() - new.tree().shared_node_chunks(old.tree());
+        let node_chunks = copied_segments(new_nodes, old_nodes);
         copied_node_chunks += node_chunks;
-        let rebuilt = new.bpts().node_count() - new.bpts().shared_bpts(old.bpts());
-        rebuilt_bpts += rebuilt;
-        let bpt_chunks = new.bpts().chunk_count() - new.bpts().shared_chunks(old.bpts());
+        let (old_bpts, new_bpts) = (old.bpts().slots(), new.bpts().slots());
+        rebuilt_bpts += new_bpts.len() - new_bpts.shared_slots(old_bpts);
+        let bpt_chunks = copied_segments(new_bpts, old_bpts);
         copied_bpt_chunks += bpt_chunks;
-        let (old_store, new_store) = (old_world.store(), new_world.store());
-        let chunks = new_store.chunk_count() - new_store.shared_chunks(old_store);
+        let chunks = copied_segments(new_world.store().objects(), old_world.store().objects());
         copied_chunks += chunks;
         // The BPT-rebuild share of the publish: the nodes this epoch
         // logged as changed are the ones it dirtied, and rebuilding them
@@ -160,17 +169,15 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         // Modelled bytes of one publish's copies: copied index pages, the
         // rebuilt BPTs' own columns (the dirtied nodes' slots, and only
         // those, are rebuilt), copied store segments and the copied chunk
-        // spines (one `Arc` pointer per slot).
+        // spines (one `Arc` pointer per slot), every segment `CHUNK_LEN`.
         let rebuilt_bytes: usize = dirty
             .iter()
             .map(|&id| new.bpts().get(id).heap_bytes())
             .sum();
         copied_bytes += copied as u64 * PAGE_BYTES
             + rebuilt_bytes as u64
-            + (chunks * pc_rtree::STORE_CHUNK_LEN * std::mem::size_of::<SpatialObject>()) as u64
-            + (node_chunks as u64 * pc_rtree::NODE_CHUNK_LEN as u64
-                + bpt_chunks as u64 * pc_rtree::bpt::BPT_CHUNK_LEN as u64)
-                * 8;
+            + ((chunks * size_of::<SpatialObject>() + (node_chunks + bpt_chunks) * 8) * CHUNK_LEN)
+                as u64;
     }
     let snap = server.snapshot();
     let rounds = ROUNDS as f64;
@@ -242,7 +249,6 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
 fn main() {
     let opts = HarnessOpts::from_args();
     let max_objects = opts.objects.unwrap_or(40_000);
-    let batch = opts.update_batch.max(2);
     println!("=== ext: epoch publish cost (structurally-shared snapshots) ===");
     println!("rounds={ROUNDS} seed={}\n", opts.seed);
 
@@ -253,10 +259,10 @@ fn main() {
         sizes.push(sizes.last().unwrap() / 2);
     }
     sizes.reverse();
-    println!("fixed batch = {batch} updates, growing dataset:");
+    println!("fixed batch = {FIXED_BATCH} updates, growing dataset:");
     let dataset_rows: Vec<Row> = sizes
         .iter()
-        .map(|&n| measure(n, batch, opts.seed))
+        .map(|&n| measure(n, FIXED_BATCH, opts.seed))
         .collect();
     let (t, mut json_rows) = render(&dataset_rows, "dataset");
     t.print();
@@ -287,7 +293,7 @@ fn main() {
             .str("bench", "ext_epoch")
             .num("seed", opts.seed)
             .num("rounds", ROUNDS)
-            .num("fixed_batch", batch)
+            .num("fixed_batch", FIXED_BATCH)
             .num("max_objects", max_objects)
             .raw("rows", &json::array(&json_rows))
             .render();

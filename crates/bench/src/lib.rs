@@ -21,8 +21,6 @@ pub struct HarnessOpts {
     pub objects: Option<usize>,
     pub queries: Option<usize>,
     pub seed: u64,
-    /// Updates per applied batch (one epoch bump per batch).
-    pub update_batch: usize,
     /// Write machine-readable results (JSON) to this path.
     pub json: Option<String>,
 }
@@ -46,7 +44,6 @@ impl HarnessOpts {
             objects: None,
             queries: None,
             seed: 2005,
-            update_batch: 1,
             json: None,
         };
         let args = &mut args.into_iter();
@@ -56,16 +53,10 @@ impl HarnessOpts {
                 "--objects" => opts.objects = Some(value(args, "--objects N")),
                 "--queries" => opts.queries = Some(value(args, "--queries N")),
                 "--seed" => opts.seed = value(args, "--seed S"),
-                "--update-batch" => {
-                    let n: usize = value(args, "--update-batch B");
-                    assert!(n > 0, "--update-batch must be ≥ 1");
-                    opts.update_batch = n;
-                }
                 "--json" => opts.json = Some(value(args, "--json OUT")),
                 "--help" | "-h" => {
                     eprintln!(
-                        "options: --paper-scale | --objects N | --queries N | --seed S \
-                         | --update-batch B | --json OUT"
+                        "options: --paper-scale | --objects N | --queries N | --seed S | --json OUT"
                     );
                     std::process::exit(0);
                 }

@@ -18,20 +18,17 @@
 /// The wireless link.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Channel {
-    /// Link rate in bits per second.
+    /// Link rate in bits per second. There is no fixed per-contact
+    /// overhead: the paper ignores it — "the fixed transmission overhead is
+    /// ignored as it does not affect the analysis".
     pub bandwidth_bps: u64,
-    /// Fixed per-contact overhead in seconds (connection setup; the paper
-    /// ignores it — "the fixed transmission overhead is ignored as it does
-    /// not affect the analysis" — so the default is zero).
-    pub setup_s: f64,
 }
 
 impl Channel {
-    /// Table 6.1 default: 384 Kbps, no setup cost.
+    /// Table 6.1 default: 384 Kbps.
     pub fn paper() -> Self {
         Channel {
             bandwidth_bps: 384_000,
-            setup_s: 0.0,
         }
     }
 
@@ -71,11 +68,9 @@ pub struct Ledger {
     pub server_time_s: f64,
     /// Whether the server was contacted at all.
     pub contacted_server: bool,
-    /// Number of separate server contacts this query made (retry rounds of
-    /// the §7 versioned protocol, per-fragment fetches of the SEM
-    /// baseline). Each contact pays [`Channel::setup_s`] once. Sites that
-    /// set [`Ledger::contacted_server`] without counting are charged one
-    /// contact.
+    /// Number of contacts made: separate server contacts of this query
+    /// (retry rounds of the §7 versioned protocol, per-fragment fetches of
+    /// the SEM baseline).
     pub contacts: u32,
 }
 
@@ -121,9 +116,6 @@ impl Ledger {
         // Saved bytes answer immediately (wireless dominates CPU, §4.1).
         let mut t = 0.0;
         if self.contacted_server {
-            // Connection setup is paid once per contact, not per query: a
-            // stale-retry loop or a fragmented fetch redials the link.
-            t += channel.setup_s * self.contacts.max(1) as f64;
             t += channel.transfer_s(self.uplink_bytes);
             t += self.server_time_s;
             // Confirmations arrive first — they are a handful of ids.
@@ -177,49 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn setup_cost_is_charged_per_contact() {
-        let ch = Channel {
-            bandwidth_bps: 8_000, // 1000 bytes/s
-            setup_s: 0.5,
-        };
-        let one = Ledger {
-            uplink_bytes: 1000,
-            transmitted: vec![1000],
-            contacted_server: true,
-            contacts: 1,
-            ..Default::default()
-        };
-        let two = Ledger {
-            contacts: 2,
-            ..one.clone()
-        };
-        let a = one.response(&ch).completion_s;
-        let b = two.response(&ch).completion_s;
-        assert!((a - 2.5).abs() < 1e-9, "one setup: {a}");
-        assert!((b - (a + 0.5)).abs() < 1e-9, "second contact redials: {b}");
-        // Legacy sites that only set the flag still pay one setup.
-        let unset = Ledger {
-            contacts: 0,
-            ..one.clone()
-        };
-        assert_eq!(unset.response(&ch).completion_s, a);
-        // A zero-setup channel is unchanged by contact counting.
-        let free = Channel {
-            bandwidth_bps: 8_000,
-            setup_s: 0.0,
-        };
-        assert_eq!(
-            one.response(&free).completion_s,
-            two.response(&free).completion_s
-        );
-    }
-
-    #[test]
     fn streaming_orders_response_times() {
         // Two objects: the first must answer earlier than the second.
         let ch = Channel {
             bandwidth_bps: 8_000, // 1000 bytes/s for easy math
-            setup_s: 0.0,
         };
         let ledger = Ledger {
             uplink_bytes: 100,
@@ -242,7 +195,6 @@ mod tests {
     fn confirmed_bytes_answer_after_uplink_only() {
         let ch = Channel {
             bandwidth_bps: 8_000,
-            setup_s: 0.0,
         };
         let ledger = Ledger {
             uplink_bytes: 500,

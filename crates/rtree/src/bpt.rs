@@ -34,7 +34,7 @@ use crate::proto::{CellRef, Side};
 use crate::spares::{clear_to, Lent};
 use crate::split::{midpoint_split, rstar_split, SplitScratch};
 use crate::tree::RTree;
-use crate::{Node, NodeId, Spares};
+use crate::{Chunked, Node, NodeId, Spares};
 use pc_geom::Rect;
 use std::ops::Range;
 use std::sync::Arc;
@@ -532,29 +532,21 @@ impl NodeBptBuilder {
     }
 }
 
-/// BPT slots per store segment (power of two so indexing is a shift+mask).
-const BPT_CHUNK_SHIFT: u32 = 10;
-/// Segment capacity derived from the shift.
-pub const BPT_CHUNK_LEN: usize = 1 << BPT_CHUNK_SHIFT;
-
 /// Binary partition trees for every node of a tree, built offline ("a
 /// one-time operation", §4.2).
 ///
-/// A dense slab indexed by [`NodeId`] (one slot per tree slab slot —
-/// detached node husks keep an empty BPT, which costs zero aux bytes),
-/// segmented into [`BPT_CHUNK_LEN`]-slot `Arc` chunks like the tree's node
-/// slab. Each BPT additionally sits behind its own `Arc`: cloning the store
-/// clones only the segment pointer table, and [`BptStore::rebuild_nodes`]
+/// A [`Chunked`] column of `Arc<Bpt>` slots indexed by [`NodeId`], one per
+/// tree slab slot (detached node husks keep an empty BPT, which costs zero
+/// aux bytes), like the tree's node slab. [`BptStore::rebuild_nodes`]
 /// swaps in a rebuilt BPT for exactly the nodes an update batch dirtied —
-/// copying the dirtied slots' segments, not the whole table — leaving every
-/// other node's BPT structurally shared with the previous snapshot. A
-/// writer that [lends](BptStore::with_spares) the store its [`Spares`] has
-/// each BPT rebuilt into one an earlier rebuild retired, once nothing
-/// holds it any more.
+/// copying the dirtied slots' segments at their length, not the whole
+/// table — leaving every other node's BPT shared with the previous
+/// snapshot. A writer that [lends](BptStore::with_spares) the store its
+/// [`Spares`] has each BPT rebuilt into one an earlier rebuild retired,
+/// once nothing holds it any more.
 #[derive(Clone, Debug, Default)]
 pub struct BptStore {
-    chunks: Vec<Arc<Vec<Arc<Bpt>>>>,
-    len: usize,
+    slots: Chunked<Arc<Bpt>>,
     spares: Lent<Bpt>,
 }
 
@@ -583,35 +575,19 @@ impl BptStore {
         });
         let mut store = BptStore::default();
         for bpt in built {
-            store.push(bpt);
+            store.slots.push(bpt, None);
         }
         store
     }
 
-    /// Appends one slot, growing a fresh segment at chunk boundaries.
-    fn push(&mut self, bpt: Arc<Bpt>) {
-        if self.len.is_multiple_of(BPT_CHUNK_LEN) {
-            self.chunks
-                .push(Arc::new(Vec::with_capacity(BPT_CHUNK_LEN)));
-        }
-        Arc::make_mut(self.chunks.last_mut().expect("segment just ensured")).push(bpt);
-        self.len += 1;
-    }
-
     pub fn get(&self, id: NodeId) -> &Bpt {
-        let i = id.0 as usize;
-        &self.chunks[i >> BPT_CHUNK_SHIFT][i & (BPT_CHUNK_LEN - 1)]
+        self.slots.get(id.0 as usize)
     }
 
     /// Checked [`get`](Self::get), for ids that arrive from outside the
     /// program: `None` past the slab.
     pub(crate) fn try_get(&self, id: NodeId) -> Option<&Bpt> {
-        let i = id.0 as usize;
-        let bpt = self
-            .chunks
-            .get(i >> BPT_CHUNK_SHIFT)?
-            .get(i & (BPT_CHUNK_LEN - 1))?;
-        Some(bpt)
+        self.slots.try_get(id.0 as usize).map(Arc::as_ref)
     }
 
     /// Rebuilds the BPTs of `ids` — the nodes one update batch dirtied —
@@ -621,17 +597,14 @@ impl BptStore {
     pub fn rebuild_nodes(&mut self, tree: &RTree, ids: &[NodeId]) {
         let mut builder = NodeBptBuilder::default();
         for &id in ids {
-            while self.len <= id.0 as usize {
+            while self.slots.len() <= id.0 as usize {
                 // Slots for nodes created by this batch; every new node is
                 // in the dirty set, so each placeholder is rebuilt in turn.
-                self.push(Arc::new(Bpt::default()));
+                self.slots.push(Arc::new(Bpt::default()), None);
             }
-            let i = id.0 as usize;
-            let chunk = Arc::make_mut(&mut self.chunks[i >> BPT_CHUNK_SHIFT]);
+            let slot = self.slots.get_mut(id.0 as usize, None);
             // Nothing of the old BPT is copied: the rebuild overwrites it all.
-            let bpt = self
-                .spares
-                .make_mut(&mut chunk[i & (BPT_CHUNK_LEN - 1)], |_, _| {});
+            let bpt = self.spares.make_mut(slot, |_, _| {});
             builder.build_into(tree.node(id), SplitPolicy::RStar, bpt);
         }
     }
@@ -651,68 +624,26 @@ impl BptStore {
     /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"
     /// figure; bounded by twice the R-tree size.
     pub fn total_aux_bytes(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|b| b.aux_bytes())
-            .sum()
+        self.slots.iter().map(|b| b.aux_bytes()).sum()
     }
 
     /// Number of BPT slots (one per tree slab slot).
     pub fn node_count(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
-    /// How many per-node BPTs `self` physically shares with `other` (same
-    /// `Arc` at the same slot) — the structural-sharing diagnostic
-    /// mirroring [`RTree::shared_node_slots`].
-    pub fn shared_bpts(&self, other: &BptStore) -> usize {
-        self.chunks
-            .iter()
-            .zip(&other.chunks)
-            .map(|(a, b)| {
-                if Arc::ptr_eq(a, b) {
-                    a.len()
-                } else {
-                    a.iter()
-                        .zip(b.iter())
-                        .filter(|(x, y)| Arc::ptr_eq(x, y))
-                        .count()
-                }
-            })
-            .sum()
+    /// The BPT slots, read-only: their sharing diagnostics against another
+    /// epoch's store.
+    pub fn slots(&self) -> &Chunked<Arc<Bpt>> {
+        &self.slots
     }
 
-    /// Heap bytes this store keeps resident, by capacity: the segment
-    /// table, every segment's slot table and every BPT's columns
-    /// (shared ones included — each snapshot holding a BPT counts it).
+    /// Heap bytes this store keeps resident, by capacity: the slots and
+    /// every BPT's columns (shared ones included — each snapshot holding a
+    /// BPT counts it).
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let segments: usize = self
-            .chunks
-            .iter()
-            .map(|chunk| {
-                chunk.capacity() * size_of::<Arc<Bpt>>()
-                    + chunk.iter().map(|bpt| bpt.heap_bytes()).sum::<usize>()
-            })
-            .sum();
-        self.chunks.capacity() * size_of::<Arc<Vec<Arc<Bpt>>>>() + segments
-    }
-
-    /// Number of store segments (denominator for
-    /// [`shared_chunks`](BptStore::shared_chunks)).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// How many whole segments `self` physically shares with `other` — the
-    /// pointer-table analogue of [`BptStore::shared_bpts`].
-    pub fn shared_chunks(&self, other: &BptStore) -> usize {
-        self.chunks
-            .iter()
-            .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
+        let bpts: usize = self.slots.iter().map(|bpt| bpt.heap_bytes()).sum();
+        self.slots.heap_bytes() + bpts
     }
 }
 

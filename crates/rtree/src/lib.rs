@@ -19,6 +19,8 @@
 //! * [`query`] / [`naive`] — the plain-tree reference (one iterative
 //!   function per query kind) and the brute-force oracle the tests hold the
 //!   engine against. They serve nothing.
+//! * [`Chunked`] — the one copy-on-write column under the node slab, the
+//!   BPT slots and the [`ObjectStore`], and the [`Spares`] its copies reuse.
 //! * [`par`] — the fork-join helper the offline builds (BPT store here,
 //!   cluster shards in `pc_server`) share.
 //! * [`proto`] — query specifications, serialized heap entries, remainder
@@ -43,10 +45,9 @@ mod reference;
 
 use pc_geom::Rect;
 use spares::Lent;
-use std::sync::Arc;
 
-pub use spares::Spares;
-pub use tree::{RTree, RTreeConfig, TreeStats, NODE_CHUNK_LEN};
+pub use spares::{Chunked, Spares, CHUNK_LEN};
+pub use tree::{RTree, RTreeConfig, TreeStats};
 
 /// Identifier of a data object. Objects are numbered densely from zero so
 /// stores can be plain vectors.
@@ -329,31 +330,25 @@ impl Node {
     }
 }
 
-/// Objects per store segment (power of two so indexing is a shift+mask).
-const STORE_CHUNK_SHIFT: u32 = 10;
-/// Segment capacity derived from the shift.
-pub const STORE_CHUNK_LEN: usize = 1 << STORE_CHUNK_SHIFT;
-
 /// The object store backing an [`RTree`]. Object ids must equal their
 /// logical index; [`ObjectStore::new`] enforces this.
 ///
-/// Storage is chunked into `Arc`-shared segments of [`STORE_CHUNK_LEN`]
-/// objects: cloning a store clones only the segment pointer table (and the
-/// liveness bitset), and a mutation ([`push`](ObjectStore::push),
-/// [`set_mbr`](ObjectStore::set_mbr)) copies just the one segment it lands
-/// in. Snapshots in `pc_server` therefore share all untouched segments
-/// across epochs instead of deep-cloning the dataset per update batch. A
-/// writer that [lends](ObjectStore::with_spares) the store its [`Spares`]
-/// has each copy written into a segment an earlier copy retired, once
-/// nothing holds that segment any more.
+/// Storage is a [`Chunked`] column: cloning a store clones only the
+/// segment table (and the liveness bitset), and a mutation
+/// ([`push`](ObjectStore::push), [`set_mbr`](ObjectStore::set_mbr)) copies
+/// just the one segment it lands in. Snapshots in `pc_server` therefore
+/// share all untouched segments across epochs instead of deep-cloning the
+/// dataset per update batch. The store is the column a writer spares: a
+/// writer that [lends](ObjectStore::with_spares) it its [`Spares`] has
+/// each copy written into a segment an earlier copy retired, once nothing
+/// holds that segment any more.
 ///
 /// Deleted objects keep their slot (ids stay dense — the §7 update
 /// extension tombstones them) but are flagged dead; the naive oracles and
 /// liveness-aware callers skip them via [`is_live`](ObjectStore::is_live).
 #[derive(Clone, Debug, Default)]
 pub struct ObjectStore {
-    chunks: Vec<Arc<Vec<SpatialObject>>>,
-    len: usize,
+    objects: Chunked<SpatialObject>,
     /// Tombstone bitset, one bit per slot (dense ids; dead = 1).
     dead: Vec<u64>,
     dead_count: usize,
@@ -373,15 +368,9 @@ impl ObjectStore {
                 o.id
             );
         }
-        let len = objects.len();
-        // (`split_off` in a loop would leave segment k owning the capacity
-        // of the whole remaining tail — Σ ≈ n²/2048 slots of written,
-        // never-freed pages.)
-        let chunks = objects.chunks(STORE_CHUNK_LEN).map(Self::segment).collect();
         ObjectStore {
-            chunks,
-            len,
-            dead: vec![0; len.div_ceil(64)],
+            objects: Chunked::from_slice(&objects),
+            dead: vec![0; objects.len().div_ceil(64)],
             dead_count: 0,
             spares: Lent::default(),
         }
@@ -389,27 +378,32 @@ impl ObjectStore {
 
     #[inline]
     pub fn get(&self, id: ObjectId) -> &SpatialObject {
-        let i = id.0 as usize;
-        &self.chunks[i >> STORE_CHUNK_SHIFT][i & (STORE_CHUNK_LEN - 1)]
+        self.objects.get(id.0 as usize)
     }
 
     /// Checked lookup: `None` for ids the store never assigned. The guard
     /// malformed update batches go through instead of panicking the writer.
     #[inline]
     pub fn try_get(&self, id: ObjectId) -> Option<&SpatialObject> {
-        ((id.0 as usize) < self.len).then(|| self.get(id))
+        self.objects.try_get(id.0 as usize)
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.objects.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.objects.is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &SpatialObject> {
-        self.chunks.iter().flat_map(|c| c.iter())
+        self.objects.iter()
+    }
+
+    /// The object column, read-only: its segment-sharing diagnostics
+    /// against another epoch's store.
+    pub fn objects(&self) -> &Chunked<SpatialObject> {
+        &self.objects
     }
 
     /// Objects that are still live (not tombstoned), in id order.
@@ -421,7 +415,7 @@ impl ObjectStore {
     #[inline]
     pub fn is_live(&self, id: ObjectId) -> bool {
         let i = id.0 as usize;
-        i < self.len && self.dead[i >> 6] & (1 << (i & 63)) == 0
+        i < self.len() && self.dead[i >> 6] & (1 << (i & 63)) == 0
     }
 
     /// Tombstones an object (§7 delete): the slot stays (dense ids) but
@@ -436,7 +430,7 @@ impl ObjectStore {
 
     /// Number of live (non-tombstoned) objects.
     pub fn live_count(&self) -> usize {
-        self.len - self.dead_count
+        self.len() - self.dead_count
     }
 
     /// Total payload bytes across all objects (denominator of the paper's
@@ -448,18 +442,14 @@ impl ObjectStore {
     /// Appends a new object (dense ids: the next id is assigned). Used by
     /// the server-update extension.
     pub fn push(&mut self, mbr: Rect, size_bytes: u32) -> ObjectId {
-        let id = ObjectId(self.len as u32);
-        if self.len.is_multiple_of(STORE_CHUNK_LEN) {
-            self.chunks.push(Self::segment(&[]));
-        }
-        let last = self.chunks.last_mut().expect("chunk just ensured");
-        Self::chunk_mut(&mut self.spares, last).push(SpatialObject {
+        let id = ObjectId(self.len() as u32);
+        let object = SpatialObject {
             id,
             mbr,
             size_bytes,
-        });
-        self.len += 1;
-        if self.len > self.dead.len() * 64 {
+        };
+        self.objects.push(object, Some(&mut self.spares));
+        if self.len() > self.dead.len() * 64 {
             self.dead.push(0);
         }
         id
@@ -468,9 +458,9 @@ impl ObjectStore {
     /// Relocates an object (server-update extension). The index must be
     /// updated separately (delete + insert).
     pub fn set_mbr(&mut self, id: ObjectId, mbr: Rect) {
-        let i = id.0 as usize;
-        let chunk = &mut self.chunks[i >> STORE_CHUNK_SHIFT];
-        Self::chunk_mut(&mut self.spares, chunk)[i & (STORE_CHUNK_LEN - 1)].mbr = mbr;
+        self.objects
+            .get_mut(id.0 as usize, Some(&mut self.spares))
+            .mbr = mbr;
     }
 
     /// Runs `edit` on this store with `spares` lent to its copy-on-write
@@ -485,55 +475,11 @@ impl ObjectStore {
         Lent::lend(self, |store| &mut store.spares, spares, edit)
     }
 
-    /// A segment holding `objects`: always one [`STORE_CHUNK_LEN`]
-    /// allocation, so a partial segment never reallocates under `push` and
-    /// Σ capacity stays within one segment of the store's length.
-    fn segment(objects: &[SpatialObject]) -> Arc<Vec<SpatialObject>> {
-        let mut segment = Vec::with_capacity(STORE_CHUNK_LEN);
-        segment.extend_from_slice(objects);
-        Arc::new(segment)
-    }
-
-    /// The copy-on-write seam: unshares `chunk` if a cloned store still
-    /// holds it, into a segment of the same one size — reused or fresh.
-    /// (`Arc::make_mut` would size the copy to its length, and the next
-    /// `push` would then double it past a segment.)
-    fn chunk_mut<'c>(
-        spares: &mut Lent<Vec<SpatialObject>>,
-        chunk: &'c mut Arc<Vec<SpatialObject>>,
-    ) -> &'c mut Vec<SpatialObject> {
-        spares.make_mut(chunk, |objects, copy| {
-            spares::clear_to(copy, STORE_CHUNK_LEN);
-            copy.extend_from_slice(objects);
-        })
-    }
-
-    /// How many segments `self` physically shares with `other` (same `Arc`
-    /// at the same position) — the structural-sharing diagnostic mirroring
-    /// [`RTree::shared_node_slots`].
-    pub fn shared_chunks(&self, other: &ObjectStore) -> usize {
-        self.chunks
-            .iter()
-            .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-
-    /// Number of storage segments (denominator for
-    /// [`shared_chunks`](ObjectStore::shared_chunks)).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Heap bytes this store keeps resident, by capacity: the segment
-    /// table, every segment (shared ones included — each snapshot holding
-    /// a segment counts it) and the tombstone bitset.
+    /// Heap bytes this store keeps resident, by capacity: the object
+    /// column (shared segments included — each snapshot holding a segment
+    /// counts it) and the tombstone bitset.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let segments: usize = self.chunks.iter().map(|c| c.capacity()).sum();
-        self.chunks.capacity() * size_of::<Arc<Vec<SpatialObject>>>()
-            + segments * size_of::<SpatialObject>()
-            + self.dead.capacity() * size_of::<u64>()
+        self.objects.heap_bytes() + self.dead.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -566,54 +512,6 @@ mod lib_tests {
             size_bytes: 1,
         }];
         ObjectStore::new(objs);
-    }
-
-    /// Every segment holds at most one segment's worth of capacity, and
-    /// the store as a whole at most one partial segment of slack.
-    fn assert_linear_capacity(store: &ObjectStore) {
-        let caps: Vec<usize> = store.chunks.iter().map(|c| c.capacity()).collect();
-        assert!(
-            caps.iter().all(|&c| c <= STORE_CHUNK_LEN),
-            "segment over-allocated at len {}: {caps:?}",
-            store.len()
-        );
-        assert!(caps.iter().sum::<usize>() <= store.len() + STORE_CHUNK_LEN);
-        assert!(store.heap_bytes() >= store.len() * std::mem::size_of::<SpatialObject>());
-    }
-
-    #[test]
-    fn object_store_capacity_is_linear_in_its_length() {
-        for n in [0usize, 1, 1023, 1024, 1025, 123_593] {
-            let objs: Vec<SpatialObject> = (0..n)
-                .map(|i| SpatialObject {
-                    id: ObjectId(i as u32),
-                    mbr: Rect::from_point(Point::new(i as f64 / n as f64, 0.5)),
-                    size_bytes: i as u32,
-                })
-                .collect();
-            let mut store = ObjectStore::new(objs);
-            assert_eq!(store.len(), n);
-            assert_eq!(store.chunk_count(), n.div_ceil(STORE_CHUNK_LEN));
-            assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n));
-            assert_linear_capacity(&store);
-
-            // Copy-on-write copies obey the same bound: grow, relocate and
-            // tombstone on a clone while the original pins every segment.
-            let base = store.clone();
-            for _ in 0..3_000 {
-                store.push(Rect::UNIT, 1);
-            }
-            assert_linear_capacity(&store);
-            for id in [0, n + 1_500, n + 2_999].map(|i| ObjectId(i as u32)) {
-                store.set_mbr(id, Rect::UNIT);
-                store.mark_dead(id);
-            }
-            assert_linear_capacity(&store);
-            assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n + 3_000));
-            assert_eq!(store.live_count(), n + 2_997);
-            assert_eq!(base.len(), n);
-            assert_linear_capacity(&base);
-        }
     }
 
     #[test]

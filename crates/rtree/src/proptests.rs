@@ -407,7 +407,7 @@ proptest! {
             })
             .collect();
         let tree = RTree::bulk_load(RTreeConfig::small(), &tiled);
-        prop_assert!(shape < 2 || tree.slab_len() > crate::bpt::BPT_CHUNK_LEN);
+        prop_assert!(shape < 2 || tree.slab_len() > crate::CHUNK_LEN);
         for policy in [SplitPolicy::RStar, SplitPolicy::Midpoint] {
             let looped: Vec<Bpt> = (0..tree.slab_len())
                 .map(|i| {
@@ -457,10 +457,11 @@ proptest! {
         let bpts = BptStore::build(&tree);
         let base = tree.clone();
         let base_bpts = bpts.clone();
-        prop_assert_eq!(base.shared_node_slots(&tree), tree.slab_len());
-        prop_assert_eq!(base.shared_node_chunks(&tree), tree.node_chunk_count());
-        prop_assert_eq!(base_bpts.shared_bpts(&bpts), bpts.node_count());
-        prop_assert_eq!(base_bpts.shared_chunks(&bpts), bpts.chunk_count());
+        let (slots, bpt_slots) = (tree.slots(), bpts.slots());
+        prop_assert_eq!(base.slots().shared_slots(slots), slots.len());
+        prop_assert_eq!(base.slots().shared_chunks(slots), slots.chunk_count());
+        prop_assert_eq!(base_bpts.slots().shared_slots(bpt_slots), bpt_slots.len());
+        prop_assert_eq!(base_bpts.slots().shared_chunks(bpt_slots), bpt_slots.chunk_count());
 
         let before = query::range_query(&base, &Rect::UNIT);
         let mut live = objects.clone();
@@ -484,14 +485,14 @@ proptest! {
         // Accounting stays consistent: every copied chunk spine is explained
         // by a dirtied slot in it, except the tail chunk which growth alone
         // can clone.
-        let copied_slots = base.slab_len() - base.shared_node_slots(&tree);
-        let copied_chunks = base.node_chunk_count() - base.shared_node_chunks(&tree);
+        let copied_slots = base.slab_len() - base.slots().shared_slots(tree.slots());
+        let copied_chunks = base.slots().chunk_count() - base.slots().shared_chunks(tree.slots());
         prop_assert!(copied_chunks <= copied_slots + 1);
 
         // The snapshot is untouched by everything above.
         base.validate(objects.len(), false).unwrap();
         prop_assert_eq!(query::range_query(&base, &Rect::UNIT), before);
-        prop_assert_eq!(base_bpts.shared_bpts(&bpts), bpts.node_count());
+        prop_assert_eq!(base_bpts.slots().shared_slots(bpts.slots()), bpts.node_count());
     }
 
     #[test]

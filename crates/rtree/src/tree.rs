@@ -4,7 +4,7 @@
 
 use crate::spares::Lent;
 use crate::split::{key_bits, rstar_split, SplitScratch};
-use crate::{ChildRef, Entry, Node, NodeId, Spares, SpatialObject};
+use crate::{ChildRef, Chunked, Entry, Node, NodeId, Spares, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
 
@@ -61,23 +61,13 @@ pub struct TreeStats {
     pub index_bytes: u64,
 }
 
-/// Node slots per slab segment (power of two so indexing is a shift+mask,
-/// mirroring the object store's segmentation).
-const NODE_CHUNK_SHIFT: u32 = 10;
-/// Segment capacity derived from the shift.
-pub const NODE_CHUNK_LEN: usize = 1 << NODE_CHUNK_SHIFT;
-
 /// A two-dimensional R*-tree over [`SpatialObject`]s.
 ///
-/// Node slots are `Arc`-per-node copy-on-write, and the slab itself is
-/// segmented into [`NODE_CHUNK_LEN`]-slot `Arc` chunks: cloning a tree
-/// clones only the segment pointer table (`len/1024` refcount bumps), and a
-/// mutation after a clone copies the one segment the slot lives in (1024
-/// pointer bumps, [`Arc::make_mut`]) plus the node it actually touches,
-/// leaving everything else structurally shared between the two trees.
-/// This is what makes an epoch publish in `pc_server` cost O(batch · depth)
-/// node copies — *including* the pointer table, which a flat
-/// `Vec<Arc<Node>>` slab would re-clone in full (O(nodes)) per epoch.
+/// The node slab is a [`Chunked`] column of `Arc<Node>` slots, copied on
+/// write twice over: a mutation after a clone copies the slot's segment
+/// (at its length — nobody spares slot tables) and then the node it
+/// touches, leaving everything else shared between the two trees. So an
+/// epoch publish in `pc_server` costs O(batch · depth) node copies.
 /// Every node copy has room for exactly `max_entries + 1` entries, the
 /// most a node holds before it splits, so any retired node fits any copy:
 /// a writer that [lends](RTree::with_spares) the tree its [`Spares`] has
@@ -86,9 +76,8 @@ pub const NODE_CHUNK_LEN: usize = 1 << NODE_CHUNK_SHIFT;
 #[derive(Clone, Debug)]
 pub struct RTree {
     cfg: RTreeConfig,
-    /// Chunked slab: segment table → 1024 `Arc<Node>` slots per segment.
-    nodes: Vec<Arc<Vec<Arc<Node>>>>,
-    node_len: usize,
+    /// Node slots by [`NodeId`].
+    slots: Chunked<Arc<Node>>,
     root: NodeId,
     /// Number of levels; the root sits at `height - 1`, leaves at 0.
     height: u16,
@@ -126,8 +115,7 @@ impl RTree {
     fn hollow(cfg: RTreeConfig) -> Self {
         RTree {
             cfg,
-            nodes: Vec::new(),
-            node_len: 0,
+            slots: Chunked::default(),
             root: NodeId(0),
             height: 0,
             object_count: 0,
@@ -136,16 +124,10 @@ impl RTree {
         }
     }
 
-    /// Appends a node to the slab, growing a fresh segment at chunk
-    /// boundaries, and returns its id.
+    /// Appends a node to the slab and returns its id.
     fn push_node(&mut self, node: Node) -> NodeId {
-        if self.node_len.is_multiple_of(NODE_CHUNK_LEN) {
-            self.nodes
-                .push(Arc::new(Vec::with_capacity(NODE_CHUNK_LEN)));
-        }
-        Arc::make_mut(self.nodes.last_mut().expect("segment just ensured")).push(Arc::new(node));
-        let id = NodeId(self.node_len as u32);
-        self.node_len += 1;
+        let id = NodeId(self.slots.len() as u32);
+        self.slots.push(Arc::new(node), None);
         id
     }
 
@@ -257,24 +239,19 @@ impl RTree {
 
     #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
-        let i = id.0 as usize;
-        &self.nodes[i >> NODE_CHUNK_SHIFT][i & (NODE_CHUNK_LEN - 1)]
+        self.slots.get(id.0 as usize)
     }
 
     /// Mutable access to one node slot, copying the segment and then the
     /// node when either is shared with a cloned tree (the copy-on-write
-    /// seam: everything that edits a node funnels through here). The
-    /// segment copy is 1024 pointer bumps; slot-level sharing inside the
-    /// copied segment is preserved.
+    /// seam: everything that edits a node funnels through here). Slot-level
+    /// sharing inside a copied segment is preserved.
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        let i = id.0 as usize;
-        let chunk = Arc::make_mut(&mut self.nodes[i >> NODE_CHUNK_SHIFT]);
         let columns = self.cfg.max_entries + 1;
+        let slot = self.slots.get_mut(id.0 as usize, None);
         self.spares
-            .make_mut(&mut chunk[i & (NODE_CHUNK_LEN - 1)], |node, copy| {
-                copy.copy_from(node, columns)
-            })
+            .make_mut(slot, |node, copy| copy.copy_from(node, columns))
     }
 
     /// Runs `edit` on this tree with `spares` lent to its copy-on-write
@@ -289,72 +266,28 @@ impl RTree {
         Lent::lend(self, |tree| &mut tree.spares, spares, edit)
     }
 
-    /// Number of slab slots (reachable nodes plus detached husks) — the
-    /// denominator for [`RTree::shared_node_slots`].
+    /// Number of slab slots (reachable nodes plus detached husks).
     pub fn slab_len(&self) -> usize {
-        self.node_len
+        self.slots.len()
     }
 
-    /// How many node slots `self` physically shares with `other` (same
-    /// `Arc` allocation at the same slot). A diagnostic for the
-    /// structural-sharing guarantees: after cloning a tree and applying a
-    /// small update batch, all but the touched spines stay shared.
-    pub fn shared_node_slots(&self, other: &RTree) -> usize {
-        self.nodes
-            .iter()
-            .zip(&other.nodes)
-            .map(|(a, b)| {
-                if Arc::ptr_eq(a, b) {
-                    // Same segment allocation → every slot in it is shared.
-                    a.len()
-                } else {
-                    a.iter()
-                        .zip(b.iter())
-                        .filter(|(x, y)| Arc::ptr_eq(x, y))
-                        .count()
-                }
-            })
-            .sum()
+    /// The node slab, read-only: its sharing diagnostics against another
+    /// epoch's tree.
+    pub fn slots(&self) -> &Chunked<Arc<Node>> {
+        &self.slots
     }
 
-    /// Heap bytes this tree keeps resident, by capacity: the segment
-    /// table, every segment's slot table and every node with its entry
-    /// columns (shared ones included — each snapshot holding a node counts
-    /// it).
+    /// Heap bytes this tree keeps resident, by capacity: the slab and
+    /// every node with its entry columns (shared ones included — each
+    /// snapshot holding a node counts it).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let segments: usize = self
-            .nodes
+        let nodes: usize = self
+            .slots
             .iter()
-            .map(|chunk| {
-                chunk.capacity() * size_of::<Arc<Node>>()
-                    + chunk
-                        .iter()
-                        .map(|node| size_of::<Node>() + node.heap_bytes())
-                        .sum::<usize>()
-            })
+            .map(|node| size_of::<Node>() + node.heap_bytes())
             .sum();
-        self.nodes.capacity() * size_of::<Arc<Vec<Arc<Node>>>>()
-            + segments
-            + self.dirty.capacity() * size_of::<NodeId>()
-    }
-
-    /// Number of slab segments (denominator for
-    /// [`shared_node_chunks`](RTree::shared_node_chunks)).
-    pub fn node_chunk_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// How many whole slab segments `self` physically shares with `other`
-    /// — the pointer-table analogue of [`RTree::shared_node_slots`]. A
-    /// publish that edits `k` spines copies at most `k · depth` segments,
-    /// independent of the dataset size.
-    pub fn shared_node_chunks(&self, other: &RTree) -> usize {
-        self.nodes
-            .iter()
-            .zip(&other.nodes)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
+        self.slots.heap_bytes() + nodes + self.dirty.capacity() * size_of::<NodeId>()
     }
 
     #[inline]
@@ -1098,7 +1031,7 @@ mod tests {
         let base = RTree::bulk_load(RTreeConfig::small(), &objs);
         let mut next = base.clone();
         assert_eq!(
-            base.shared_node_slots(&next),
+            base.slots().shared_slots(next.slots()),
             base.slab_len(),
             "a fresh clone shares every slot"
         );
@@ -1107,7 +1040,7 @@ mod tests {
             mbr: Rect::from_point(Point::new(0.31, 0.62)),
             size_bytes: 10,
         });
-        let shared = base.shared_node_slots(&next);
+        let shared = base.slots().shared_slots(next.slots());
         let copied = base.slab_len() - shared;
         assert!(copied >= 1, "the insert must have copied its leaf");
         assert!(
@@ -1121,7 +1054,7 @@ mod tests {
         // A delete after the clone behaves the same way.
         let mut pruned = base.clone();
         assert!(pruned.delete(objs[0].id, &objs[0].mbr));
-        let shared = base.shared_node_slots(&pruned);
+        let shared = base.slots().shared_slots(pruned.slots());
         assert!(base.slab_len() - shared <= 4 * base.height() as usize + 8);
         base.validate(600, false).unwrap();
         pruned.validate(599, false).unwrap();
@@ -1134,15 +1067,16 @@ mod tests {
         // touched spine lands in, leaving whole segments shared.
         let objs = random_objects(9000, 33);
         let base = RTree::bulk_load(RTreeConfig::small(), &objs);
+        let chunks = base.slots().chunk_count();
         assert!(
-            base.node_chunk_count() >= 2,
+            chunks >= 2,
             "need a multi-segment slab for this test (got {} nodes)",
             base.slab_len()
         );
         let mut next = base.clone();
         assert_eq!(
-            base.shared_node_chunks(&next),
-            base.node_chunk_count(),
+            base.slots().shared_chunks(next.slots()),
+            chunks,
             "a fresh clone shares every segment"
         );
         next.insert(&SpatialObject {
@@ -1150,17 +1084,16 @@ mod tests {
             mbr: Rect::from_point(Point::new(0.44, 0.17)),
             size_bytes: 10,
         });
-        let copied_slots = base.slab_len() - base.shared_node_slots(&next);
-        let copied_chunks = base.node_chunk_count() - base.shared_node_chunks(&next);
+        let shared_chunks = base.slots().shared_chunks(next.slots());
+        let copied_slots = base.slab_len() - base.slots().shared_slots(next.slots());
+        let copied_chunks = chunks - shared_chunks;
         assert!(
             copied_chunks >= 1 && copied_chunks <= copied_slots,
             "{copied_chunks} segments copied for {copied_slots} touched slots"
         );
         assert!(
-            base.shared_node_chunks(&next) >= base.node_chunk_count().saturating_sub(copied_slots),
-            "untouched segments must stay shared ({}/{} shared)",
-            base.shared_node_chunks(&next),
-            base.node_chunk_count()
+            shared_chunks >= chunks.saturating_sub(copied_slots),
+            "untouched segments must stay shared ({shared_chunks}/{chunks} shared)"
         );
         base.validate(9000, false).unwrap();
         next.validate(9001, false).unwrap();

@@ -338,23 +338,25 @@ mod tests {
             Update::Delete(ObjectId(7)),
         ]);
         let new = core.pin();
+        let (old_nodes, new_nodes) = (old.shard(0).tree().slots(), new.shard(0).tree().slots());
+        let (old_bpts, new_bpts) = (old.shard(0).bpts().slots(), new.shard(0).bpts().slots());
 
-        let slab = old.shard(0).tree().slab_len();
-        let shared_nodes = old.shard(0).tree().shared_node_slots(new.shard(0).tree());
+        let slab = old_nodes.len();
+        let shared_nodes = old_nodes.shared_slots(new_nodes);
         assert!(
             slab - shared_nodes <= 6 * new.shard(0).tree().height() as usize + 12,
             "2-update batch copied {} of {slab} nodes",
             slab - shared_nodes
         );
-        let bpts = old.shard(0).bpts().node_count();
-        let shared_bpts = old.shard(0).bpts().shared_bpts(new.shard(0).bpts());
+        let bpts = old_bpts.len();
+        let shared_bpts = old_bpts.shared_slots(new_bpts);
         assert!(
             bpts - shared_bpts <= 6 * new.shard(0).tree().height() as usize + 12,
             "2-update batch rebuilt {} of {bpts} BPTs",
             bpts - shared_bpts
         );
-        let chunks = old.store().chunk_count();
-        let shared_chunks = old.store().shared_chunks(new.store());
+        let chunks = old.store().objects().chunk_count();
+        let shared_chunks = old.store().objects().shared_chunks(new.store().objects());
         assert!(
             chunks - shared_chunks <= 2,
             "2-update batch copied {} of {chunks} store segments",
@@ -375,8 +377,9 @@ mod tests {
         let server = sample_server(9000, 23);
         let core = server.core();
         let old = core.pin();
+        let old_nodes = old.shard(0).tree().slots();
         assert!(
-            old.shard(0).tree().node_chunk_count() >= 2,
+            old_nodes.chunk_count() >= 2,
             "dataset too small to span multiple node chunks"
         );
         server.apply_updates(&[
@@ -387,22 +390,19 @@ mod tests {
             Update::Delete(ObjectId(42)),
         ]);
         let new = core.pin();
+        let new_nodes = new.shard(0).tree().slots();
 
-        let node_chunks = old.shard(0).tree().node_chunk_count();
-        let copied_slots = old.shard(0).tree().slab_len()
-            - old.shard(0).tree().shared_node_slots(new.shard(0).tree());
-        let copied_node_chunks =
-            node_chunks - old.shard(0).tree().shared_node_chunks(new.shard(0).tree());
+        let copied_slots = old_nodes.len() - old_nodes.shared_slots(new_nodes);
+        let copied_node_chunks = old_nodes.chunk_count() - old_nodes.shared_chunks(new_nodes);
         assert!(copied_node_chunks >= 1, "an update must dirty some chunk");
         assert!(
             copied_node_chunks <= copied_slots.max(1),
             "copied {copied_node_chunks} node chunks for only {copied_slots} dirty slots"
         );
 
-        let bpt_chunks = old.shard(0).bpts().chunk_count();
-        let rebuilt =
-            old.shard(0).bpts().node_count() - old.shard(0).bpts().shared_bpts(new.shard(0).bpts());
-        let copied_bpt_chunks = bpt_chunks - old.shard(0).bpts().shared_chunks(new.shard(0).bpts());
+        let (old_bpts, new_bpts) = (old.shard(0).bpts().slots(), new.shard(0).bpts().slots());
+        let rebuilt = old_bpts.len() - old_bpts.shared_slots(new_bpts);
+        let copied_bpt_chunks = old_bpts.chunk_count() - old_bpts.shared_chunks(new_bpts);
         assert!(
             copied_bpt_chunks <= rebuilt.max(1),
             "copied {copied_bpt_chunks} BPT chunks for only {rebuilt} rebuilt BPTs"
@@ -420,20 +420,14 @@ mod tests {
     }
 
     fn allocations(snap: &Snapshot) -> Allocations {
-        let shard = snap.shard(0);
-        let slots = |n: usize| (0..n as u32).map(NodeId);
+        let (nodes, bpts) = (snap.shard(0).tree().slots(), snap.shard(0).bpts().slots());
+        let objects = snap.store().objects();
         Allocations {
-            nodes: slots(shard.tree().slab_len())
-                .map(|id| shard.tree().node(id) as *const Node as usize)
-                .collect(),
-            bpts: slots(shard.bpts().node_count())
-                .map(|id| shard.bpts().get(id) as *const Bpt as usize)
-                .collect(),
-            segments: (0..snap.store().chunk_count())
-                .map(|k| {
-                    let first = ObjectId((k * pc_rtree::STORE_CHUNK_LEN) as u32);
-                    snap.store().get(first) as *const SpatialObject as usize
-                })
+            nodes: nodes.iter().map(|n| Arc::as_ptr(n) as usize).collect(),
+            bpts: bpts.iter().map(|b| Arc::as_ptr(b) as usize).collect(),
+            segments: (0..objects.len())
+                .step_by(pc_rtree::CHUNK_LEN)
+                .map(|first| objects.get(first) as *const SpatialObject as usize)
                 .collect(),
         }
     }

@@ -213,7 +213,7 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
             );
             shared += kept_pin as usize;
         }
-        assert_eq!(shared, new.bpts().shared_bpts(old.bpts()));
+        assert_eq!(shared, new.bpts().slots().shared_slots(old.bpts().slots()));
         kept += shared;
         rebuilt += new.bpts().node_count() - shared;
     }
