@@ -23,7 +23,9 @@
 //! Each arm's time includes producing its id / pair list. Before timing,
 //! **every** query is answered by all four arms and the answers compared
 //! (ids for range, distances for kNN — ties may pick different ids — and
-//! canonical pairs for the join); any disagreement aborts the run with a
+//! the pair set for the join); the three served arms must also emit a
+//! join's pairs and objects in the same order, since the engine emits them
+//! by (pair distance, pair). Any disagreement aborts the run with a
 //! non-zero exit. `--json OUT` writes the rows as `BENCH_hotpath.json`.
 
 use pc_bench::{json, HarnessOpts, Table};
@@ -43,13 +45,13 @@ use std::time::Instant;
 /// small k; 10 keeps the heap non-trivial).
 const K: u32 = 10;
 
-/// Self-join distance — the paper's 5e-5 scale; the NE-like hard-core
-/// spacing makes this a pure index/CPU stressor at every cardinality.
-const JOIN_DIST: f64 = 6e-5;
-
-/// The self-join walks the whole tree; a handful of repetitions is plenty
-/// of work at every size in the sweep.
-const JOIN_REPS: usize = 3;
+/// Self-join distances, one query each (the self-join walks the whole
+/// tree, so two are plenty of work at every size in the sweep): the
+/// paper's 5e-5 scale, which the NE-like hard-core spacing (1.5e-4) makes
+/// a pure index/CPU stressor returning no pairs, and just above that
+/// spacing, which returns pairs at every size from 10 000 objects up
+/// (69 there, 8 835 at 123 593).
+const JOIN_DISTS: [f64; 2] = [6e-5, 2e-4];
 
 const ARMS: [&str; 4] = ["direct", "resume", "run_local", "reference"];
 
@@ -143,13 +145,14 @@ struct Row {
     results: u64,
 }
 
-/// Times one pass of `arm` over `cases`: (µs per query, results returned).
+/// Times one pass of `arm` over `cases`: (µs per query, results returned
+/// — pairs for a join, which the reference answers without objects).
 fn time_pass(cases: &[Case], mut arm: impl FnMut(&Case) -> Answer) -> (f64, u64) {
     let mut results = 0;
     let t = Instant::now();
     for case in cases {
         let (ids, pairs) = black_box(arm(black_box(case)));
-        results += (ids.len() + pairs.len()) as u64;
+        results += if case.spec.is_join() { pairs.len() } else { ids.len() } as u64;
     }
     let us = t.elapsed().as_secs_f64() * 1e6 / cases.len() as f64;
     (us, results)
@@ -198,15 +201,16 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
             })
         })
         .collect();
-    let joins: Vec<Case> = (0..JOIN_REPS)
-        .map(|_| case(QuerySpec::Join { dist: JOIN_DIST }))
+    let joins: Vec<Case> = JOIN_DISTS
+        .iter()
+        .map(|&dist| case(QuerySpec::Join { dist }))
         .collect();
 
     // A cache nothing is ever evicted from, warmed by the queries it will
     // be timed on.
     let catalog = Catalog::from_tree(tree);
     let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
-    for case in windows.iter().chain(&knns).chain(&joins[..1]) {
+    for case in windows.iter().chain(&knns).chain(&joins) {
         warm(&mut client, &server, &case.spec);
     }
 
@@ -221,6 +225,14 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
                 resume(snap, case),
                 run_local(&mut client, case),
             ];
+            if case.spec.is_join() {
+                for (arm, got) in ARMS.iter().zip(&served).skip(1) {
+                    assert!(
+                        *got == served[0],
+                        "{arm} emits the join at {n} objects in another order than direct"
+                    );
+                }
+            }
             for (arm, got) in ARMS.iter().zip(served) {
                 assert!(
                     canonical(&case.spec, got, snap) == want,
@@ -256,7 +268,7 @@ fn main() {
     let queries = opts.queries.unwrap_or(1_000);
     println!("=== ext: query hot path (served executor vs plain-tree reference) ===");
     println!(
-        "k={K} join_dist={JOIN_DIST} queries/size={queries} seed={}\n",
+        "k={K} join_dists={JOIN_DISTS:?} queries/size={queries} seed={}\n",
         opts.seed
     );
 
@@ -305,7 +317,7 @@ fn main() {
             .str("bench", "ext_hotpath")
             .num("seed", opts.seed)
             .num("k", K)
-            .num("join_dist", JOIN_DIST)
+            .raw("join_dists", &json::array(&JOIN_DISTS.map(|d| d.to_string())))
             .num("queries_per_size", queries)
             .num("max_objects", max_objects)
             .raw("rows", &json::array(&json_rows))

@@ -106,8 +106,8 @@ impl Client {
         // Hit accounting: every node whose cells the traversal consulted,
         // plus every object confirmed as a saved result.
         let now = self.seq;
-        for node in self.log.nodes.keys() {
-            self.cache.touch(ItemKey::Node(*node), now);
+        for node in self.log.nodes() {
+            self.cache.touch(ItemKey::Node(node), now);
         }
         for id in &self.log.confirmed {
             self.cache.touch(ItemKey::Object(*id), now);

@@ -1,0 +1,125 @@
+//! A cache-complete `Client::run_local` allocates its answer and nothing
+//! else: once one run has sized the client's engine buffers and access
+//! log, a range or kNN query makes exactly 2 allocations (the engine's
+//! result vector and the saved-id list) and a self-join exactly 3 (plus
+//! its pair list), however many cells the query expands.
+//!
+//! A binary of its own: the counting allocator is process-wide, so the one
+//! test here runs alone in its process.
+
+use pc_cache::{Catalog, ReplacementPolicy};
+use pc_client::Client;
+use pc_geom::{Point, Rect};
+use pc_rtree::proto::QuerySpec;
+use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use pc_server::{Cluster, ServerConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+// ordering: Relaxed — a statistics counter, read on the thread that did
+// the counted work; it publishes no other data.
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter
+// beside it never touches the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per cache-complete `run_local`, by query kind.
+const RANGE_OR_KNN: usize = 2;
+const JOIN: usize = 3;
+
+#[test]
+fn cache_complete_run_local_allocates_a_constant() {
+    let mut rng = SmallRng::seed_from_u64(41);
+    let objects: Vec<SpatialObject> = (0..3_000)
+        .map(|i| SpatialObject {
+            id: ObjectId(i),
+            mbr: Rect::from_point(Point::new(
+                rng.random_range(0.0..1.0),
+                rng.random_range(0.0..1.0),
+            )),
+            size_bytes: 500,
+        })
+        .collect();
+    let server = Cluster::single(
+        ObjectStore::new(objects),
+        RTreeConfig::small(),
+        ServerConfig::default(),
+    );
+    let catalog = Catalog::from_tree(server.snapshot().shard(0).tree());
+    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+
+    // A small and a large query of each kind: the expansion counts differ
+    // several-fold, the allocation counts must not.
+    let center = Point::new(0.45, 0.55);
+    let cases = [
+        (
+            QuerySpec::Range {
+                window: Rect::centered_square(center, 0.05),
+            },
+            RANGE_OR_KNN,
+        ),
+        (
+            QuerySpec::Range {
+                window: Rect::centered_square(center, 0.4),
+            },
+            RANGE_OR_KNN,
+        ),
+        (QuerySpec::Knn { center, k: 3 }, RANGE_OR_KNN),
+        (QuerySpec::Knn { center, k: 60 }, RANGE_OR_KNN),
+        (QuerySpec::Join { dist: 0.001 }, JOIN),
+        (QuerySpec::Join { dist: 0.01 }, JOIN),
+    ];
+    // Warm the cache until each query completes locally; that last run
+    // also sizes the engine buffers and the access log for it.
+    for (spec, _) in &cases {
+        let complete = (0..8).any(|_| {
+            client.begin_query();
+            let Some(rq) = client.run_local(spec).remainder else {
+                return true;
+            };
+            client.absorb(&server.process_remainder(0, &rq), Point::ORIGIN);
+            false
+        });
+        assert!(complete, "cache still incomplete for {spec:?}");
+    }
+
+    let mut expansions = Vec::new();
+    for (spec, want) in &cases {
+        let before = ALLOCATIONS.load(Relaxed);
+        let local = client.run_local(spec);
+        let allocations = ALLOCATIONS.load(Relaxed) - before;
+        assert!(local.complete());
+        assert!(!local.saved.is_empty(), "{spec:?} found nothing");
+        eprintln!(
+            "{spec:?}: {} expansions, {allocations} allocations",
+            local.expansions
+        );
+        assert_eq!(allocations, *want, "{spec:?}");
+        expansions.push(local.expansions);
+    }
+    for pair in expansions.chunks(2) {
+        assert!(pair[1] >= 2 * pair[0], "sizes too close: {expansions:?}");
+    }
+}

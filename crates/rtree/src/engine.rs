@@ -1,7 +1,7 @@
 //! The generic spatial query processor of §3.3 (paper Algorithm 1).
 //!
-//! One best-first loop evaluates range, kNN and distance self-join queries
-//! over *any* [`IndexView`]:
+//! One engine evaluates range, kNN and distance self-join queries over
+//! *any* [`IndexView`]:
 //!
 //! * the **server** runs it over [`crate::view::FullView`] (authoritative —
 //!   nothing is ever missing), both for fresh queries and to *resume*
@@ -12,16 +12,29 @@
 //!   the query cannot finish locally, the whole execution state is
 //!   serialized into a [`RemainderQuery`].
 //!
-//! The kNN subtleties of §3.3 are implemented exactly: a popped object is
-//! *blocked* (not confirmed) if a missing non-leaf entry with a smaller or
-//! equal key is pending; termination uses `m + n = k` where `n` counts
-//! blocked and missing leaf entries; and the remainder heap is pruned after
-//! the current k-th leaf entry (Example 3.1).
+//! Range and kNN run Algorithm 1's best-first loop. The kNN subtleties of
+//! §3.3 are implemented exactly: a popped object is *blocked* (not
+//! confirmed) if a missing non-leaf entry with a smaller or equal key is
+//! pending; termination uses `m + n = k` where `n` counts blocked and
+//! missing leaf entries; and the remainder heap is pruned after the current
+//! k-th leaf entry (Example 3.1).
+//!
+//! The distance self-join walks its pair frontier **depth first**. A
+//! threshold join expands every pair within the distance whatever the
+//! order, and a pair's children are never closer than the pair, so the
+//! best-first order decided only the order results were emitted in. The
+//! join emits them sorted by (pair distance, pair) after the walk instead:
+//! the order a best-first loop would pop them in, ties broken by pair id,
+//! so a reply depends only on its result set — and §4.1's response metric,
+//! which reads that order, sees the nearest pairs first.
 
+use crate::bpt::Code;
 use crate::proto::{pair_key, CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
 use crate::{NodeId, ObjectId};
 use pc_geom::Rect;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::BinaryHeap;
+use std::hash::BuildHasher;
 
 /// Result of asking a view to expand a cell. The children are frontier
 /// [`Side`]s as the engine queues them — and as a remainder ships them — so
@@ -104,78 +117,341 @@ pub trait Tracer {
 pub struct NoopTracer;
 impl Tracer for NoopTracer {}
 
-/// Per-node access record collected by [`AccessLog`].
-#[derive(Clone, Debug, Default)]
-pub struct NodeAccess {
-    /// Cells pushed into the frontier (the paper's "grey" cells).
-    pub touched: HashSet<crate::bpt::Code>,
-    /// Super entries that were expanded (their children became grey).
-    pub expanded_internal: HashSet<crate::bpt::Code>,
-    /// Whether any cell of this node was expanded at all — nodes without
-    /// expansions contribute nothing new and are not shipped.
-    pub any_expansion: bool,
+/// One logged cell of a node, as [`AccessLog::cells`] yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellAccess {
+    pub code: Code,
+    /// Pushed into the frontier (the paper's "grey" cells).
+    pub touched: bool,
+    /// Expanded as a super entry (its children became grey).
+    pub expanded_internal: bool,
+}
+
+/// Cell flags: touched / expanded as a super entry. A table entry is
+/// `bits << 32 | len << 8 | flags`; a cell is only ever logged with a flag
+/// set, so 0 is a vacant entry.
+const TOUCHED: u64 = 1;
+const INTERNAL: u64 = 2;
+
+/// One node of the trace: its cell table, a power-of-two run of
+/// [`AccessLog::cells`] at most three-quarters full.
+#[derive(Clone, Copy, Debug)]
+struct NodeSlot {
+    node: NodeId,
+    /// Some cell of the node was expanded.
+    expanded: bool,
+    start: u32,
+    /// 64 − log2 of the table's length: the hash shift.
+    shift: u32,
+    /// Cells logged.
+    len: u32,
+}
+
+impl NodeSlot {
+    fn table(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + (1 << (64 - self.shift))
+    }
+}
+
+/// A slot of the node index: the node slot it points at, valid only while
+/// `gen` is the log's generation.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndexSlot {
+    gen: u32,
+    node: u32,
 }
 
 /// Collects the access trace the server needs to build compact forms
 /// (§4.2: the compact form is the frontier of the grey subtree) and the
 /// client needs for cache hit statistics.
-#[derive(Clone, Debug, Default)]
+///
+/// Storage is flat and generation-stamped: a node index points at one
+/// slot per node, and each slot owns a small open-addressing table of the
+/// node's cells, all of them back to back in one vector. A remainder built
+/// outside the program may name any node id and code, so ids are hashed,
+/// not used as offsets, and every key is hashed with an odd multiplier
+/// drawn per log: the keys a remainder names cannot be chosen to collide. A join touches nearly every cell of the nodes it reads, so
+/// a per-node table of packed codes is the densest set the trace fits.
+/// [`clear`](Self::clear) bumps the generation and frees nothing: a log
+/// reused across queries (one per client) stops allocating once its
+/// largest query has run, and clearing after a join costs what clearing
+/// after a range query does.
+#[derive(Clone, Debug)]
 pub struct AccessLog {
-    pub nodes: HashMap<NodeId, NodeAccess>,
+    /// Power-of-two length, at most half full.
+    index: Vec<IndexSlot>,
+    /// In first-access order.
+    nodes: Vec<NodeSlot>,
+    cells: Vec<u64>,
+    /// Runs of `cells` a growing table moved out of, by log2 of their
+    /// length, for the next table of that size.
+    spare_runs: Vec<Vec<u32>>,
+    /// Never 0, so a zeroed index slot is vacant.
+    gen: u32,
+    /// The hash multiplier (odd).
+    mult: u64,
     pub confirmed: Vec<ObjectId>,
 }
 
+impl Default for AccessLog {
+    fn default() -> Self {
+        AccessLog {
+            index: Vec::new(),
+            nodes: Vec::new(),
+            cells: Vec::new(),
+            spare_runs: Vec::new(),
+            gen: 1,
+            mult: RandomState::new().hash_one(0u64) | 1,
+            confirmed: Vec::new(),
+        }
+    }
+}
+
+/// `code` as a table entry with no flags.
+#[inline]
+fn cell_key(code: Code) -> u64 {
+    let (bits, len) = code.raw();
+    u64::from(bits) << 32 | u64::from(len) << 8
+}
+
 impl AccessLog {
-    /// Resets the log for reuse, keeping the map's allocation — pairs with
+    /// `key`'s home slot in a table of `1 << (64 - shift)` slots.
+    #[inline]
+    fn spread(&self, key: u64, shift: u32) -> usize {
+        (key.wrapping_mul(self.mult) >> shift) as usize
+    }
+
+    /// Resets the log for reuse, keeping every allocation — pairs with
     /// [`EngineScratch`] so a query loop re-traces without reallocating.
     pub fn clear(&mut self) {
         self.nodes.clear();
+        self.cells.clear();
+        self.spare_runs.iter_mut().for_each(Vec::clear);
         self.confirmed.clear();
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Wrapped: stale stamps could read as current again.
+            self.index.fill(IndexSlot::default());
+            self.gen = 1;
+        }
     }
 
     /// The covering-antichain frontier for one node: touched cells minus
-    /// expanded super entries.
-    pub fn frontier(&self, node: NodeId) -> Vec<crate::bpt::Code> {
-        let Some(acc) = self.nodes.get(&node) else {
-            return Vec::new();
-        };
-        let mut out: Vec<crate::bpt::Code> = acc
-            .touched
-            .difference(&acc.expanded_internal)
-            .copied()
+    /// expanded super entries, in code order.
+    pub fn frontier(&self, node: NodeId) -> Vec<Code> {
+        let mut out: Vec<Code> = self
+            .cells(node)
+            .filter(|c| c.touched && !c.expanded_internal)
+            .map(|c| c.code)
             .collect();
         out.sort_unstable();
         out
     }
 
     /// Nodes that had at least one expansion, i.e. the "accessed R-tree
-    /// nodes" whose supporting index must be shipped (§3.2).
+    /// nodes" whose supporting index must be shipped (§3.2), in id order.
     pub fn shipped_nodes(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .nodes
             .iter()
-            .filter(|(_, a)| a.any_expansion)
-            .map(|(&n, _)| n)
+            .filter(|n| n.expanded)
+            .map(|n| n.node)
             .collect();
         out.sort_unstable();
         out
     }
+
+    /// Every node with a touched or expanded cell, in first-access order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes.iter().map(|n| n.node)
+    }
+
+    /// Whether any cell of `node` was expanded.
+    pub fn any_expansion(&self, node: NodeId) -> bool {
+        self.find(node).is_ok_and(|n| self.nodes[n].expanded)
+    }
+
+    /// The logged cells of `node`, in no particular order.
+    pub fn cells(&self, node: NodeId) -> impl Iterator<Item = CellAccess> + '_ {
+        let table = self.find(node).map_or(0..0, |n| self.nodes[n].table());
+        self.cells[table]
+            .iter()
+            .filter(|&&entry| entry != 0)
+            .filter_map(|&entry| {
+                Some(CellAccess {
+                    code: Code::from_raw((entry >> 32) as u32, (entry >> 8) as u8)?,
+                    touched: entry & TOUCHED != 0,
+                    expanded_internal: entry & INTERNAL != 0,
+                })
+            })
+    }
+
+    /// Logs everything `from` logged for its node `node` as accesses of
+    /// `as_node` — a cluster folding a cross-shard resume's trace into the
+    /// owning shard's log under the shard-local id.
+    pub fn record_node(&mut self, from: &AccessLog, node: NodeId, as_node: NodeId) {
+        let Ok(n) = from.find(node) else {
+            return;
+        };
+        let slot = self.slot(as_node);
+        self.nodes[slot].expanded |= from.nodes[n].expanded;
+        for &entry in &from.cells[from.nodes[n].table()] {
+            if entry != 0 {
+                self.flag(slot, entry & !0xff, entry & 0xff);
+            }
+        }
+    }
+
+    /// `node`'s slot, or the vacant index slot it would take.
+    #[inline]
+    fn find(&self, node: NodeId) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut at = self.spread(u64::from(node.0), 64 - self.index.len().trailing_zeros());
+        loop {
+            let slot = self.index[at];
+            if slot.gen != self.gen {
+                return Err(at);
+            }
+            if self.nodes[slot.node as usize].node == node {
+                return Ok(slot.node as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// `node`'s slot, opened with an empty eight-cell table when absent.
+    #[inline]
+    fn slot(&mut self, node: NodeId) -> usize {
+        let at = match self.find(node) {
+            Ok(slot) => return slot,
+            Err(at) => at,
+        };
+        let at = if 2 * (self.nodes.len() + 1) > self.index.len() {
+            self.grow_index();
+            self.find(node).err().unwrap_or(at)
+        } else {
+            at
+        };
+        let slot = self.nodes.len();
+        self.index[at] = IndexSlot {
+            gen: self.gen,
+            node: slot as u32,
+        };
+        let start = self.take_run(3);
+        self.nodes.push(NodeSlot {
+            node,
+            expanded: false,
+            start,
+            shift: 64 - 3,
+            len: 0,
+        });
+        slot
+    }
+
+    /// Sets `flags` on the cell `key` of node slot `slot`, logging it
+    /// first when absent.
+    #[inline]
+    fn flag(&mut self, slot: usize, key: u64, flags: u64) {
+        let n = self.nodes[slot];
+        let table = n.table();
+        let mask = table.len() - 1;
+        let mut at = self.spread(key, n.shift);
+        loop {
+            let entry = &mut self.cells[table.start + at];
+            if *entry == 0 {
+                break;
+            }
+            if *entry & !0xff == key {
+                *entry |= flags;
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+        if 4 * (n.len + 1) as usize > 3 * table.len() {
+            self.grow_table(slot);
+            return self.flag(slot, key, flags);
+        }
+        self.cells[table.start + at] = key | flags;
+        self.nodes[slot].len += 1;
+    }
+
+    /// Doubles the node index and re-files every node of this generation.
+    #[cold]
+    fn grow_index(&mut self) {
+        let len = (2 * self.index.len()).max(64);
+        self.index = vec![IndexSlot::default(); len];
+        for slot in 0..self.nodes.len() {
+            if let Err(at) = self.find(self.nodes[slot].node) {
+                self.index[at] = IndexSlot {
+                    gen: self.gen,
+                    node: slot as u32,
+                };
+            }
+        }
+    }
+
+    /// A zeroed run of `1 << log2` cells: a spare one, or new at the end.
+    fn take_run(&mut self, log2: usize) -> u32 {
+        let len = 1 << log2;
+        match self.spare_runs.get_mut(log2).and_then(Vec::pop) {
+            Some(start) => {
+                let at = start as usize;
+                self.cells[at..at + len].fill(0);
+                start
+            }
+            None => {
+                let start = self.cells.len();
+                self.cells.resize(start + len, 0);
+                start as u32
+            }
+        }
+    }
+
+    /// Moves node slot `slot`'s table into a run twice as long and spares
+    /// the one it leaves.
+    #[cold]
+    fn grow_table(&mut self, slot: usize) {
+        let old = self.nodes[slot].table();
+        let log2 = old.len().trailing_zeros() as usize;
+        let start = self.take_run(log2 + 1) as usize;
+        if self.spare_runs.len() <= log2 {
+            self.spare_runs.resize_with(log2 + 1, Vec::new);
+        }
+        self.spare_runs[log2].push(old.start as u32);
+        let n = &mut self.nodes[slot];
+        n.start = start as u32;
+        n.shift -= 1;
+        let (shift, len) = (n.shift, 2 * old.len());
+        for from in old {
+            let entry = self.cells[from];
+            if entry == 0 {
+                continue;
+            }
+            let mut at = self.spread(entry & !0xff, shift);
+            while self.cells[start + at] != 0 {
+                at = (at + 1) & (len - 1);
+            }
+            self.cells[start + at] = entry;
+        }
+    }
 }
 
 impl Tracer for AccessLog {
+    #[inline]
     fn cell_touched(&mut self, cell: CellRef) {
-        self.nodes
-            .entry(cell.node)
-            .or_default()
-            .touched
-            .insert(cell.code);
+        let slot = self.slot(cell.node);
+        self.flag(slot, cell_key(cell.code), TOUCHED);
     }
 
     fn cell_expanded(&mut self, cell: CellRef, internal: bool) {
-        let acc = self.nodes.entry(cell.node).or_default();
-        acc.any_expansion = true;
+        let slot = self.slot(cell.node);
+        self.nodes[slot].expanded = true;
         if internal {
-            acc.expanded_internal.insert(cell.code);
+            self.flag(slot, cell_key(cell.code), INTERNAL);
         }
     }
 
@@ -185,12 +461,15 @@ impl Tracer for AccessLog {
 }
 
 /// Everything the engine produced for one query.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Outcome {
-    /// Confirmed result objects in confirmation (pop) order, with the
-    /// client-cached flag (`true` ⇒ no payload transmission needed).
+    /// Confirmed result objects with the client-cached flag (`true` ⇒ no
+    /// payload transmission needed). Range and kNN: in confirmation (pop)
+    /// order. Join: in order of first appearance in `result_pairs`, each
+    /// with the flag of that appearance.
     pub results: Vec<(ObjectId, bool)>,
-    /// Join result pairs, canonical (`small id, large id`) order.
+    /// Join result pairs, each canonical (`small id, large id`), sorted by
+    /// (pair distance, pair) — a function of the result set alone.
     pub result_pairs: Vec<(ObjectId, ObjectId)>,
     /// The remainder query, when the view could not finish locally.
     pub remainder: Option<RemainderQuery>,
@@ -236,27 +515,39 @@ impl<T> Ord for PqItem<T> {
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Reusable engine buffers: the best-first priority queues and the
-/// missing/blocked staging vectors of Algorithm 1. One per query session —
-/// [`execute_with`] clears and refills it, so a steady-state loop (a fleet
-/// client issuing thousands of cache-complete queries) allocates only its
-/// result vector per query. Queries that end in a remainder hand their
-/// staging buffers to the [`RemainderQuery`] (the remainder is serialized
-/// for the wire anyway, so that path allocates regardless).
+/// A confirmed join pair awaiting emission: its distance, the canonical
+/// pair and each member's cached flag, in pair order.
+type FoundPair = (f64, (ObjectId, ObjectId), [bool; 2]);
+
+/// Reusable engine buffers: the range/kNN priority queue, the join's
+/// depth-first pair stack, the missing/blocked staging vectors of
+/// Algorithm 1 and the result staging the outcome is copied from. One per
+/// query session — [`execute_with`] clears and refills it, so a
+/// steady-state loop (a fleet client issuing thousands of cache-complete
+/// queries) allocates only its exact-size result vectors per query.
+/// Queries that end in a remainder hand their staging buffers to the
+/// [`RemainderQuery`] (the remainder is serialized for the wire anyway,
+/// so that path allocates regardless).
 #[derive(Clone, Default)]
 pub struct EngineScratch {
     single_pq: BinaryHeap<PqItem<Side>>,
-    join_pq: BinaryHeap<PqItem<(Side, Side)>>,
+    /// Pairs still to expand, with their distance.
+    join_stack: Vec<(f64, Side, Side)>,
     missing: Vec<(f64, Side)>,
     blocked: Vec<(f64, Side)>,
     join_missing: Vec<(f64, HeapEntry)>,
+    results: Vec<(ObjectId, bool)>,
+    join_found: Vec<FoundPair>,
+    /// Pair members with their position in emission order, for the
+    /// first-appearance pass.
+    join_members: Vec<(ObjectId, usize, bool)>,
 }
 
 impl std::fmt::Debug for EngineScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineScratch")
             .field("single_pq_cap", &self.single_pq.capacity())
-            .field("join_pq_cap", &self.join_pq.capacity())
+            .field("join_stack_cap", &self.join_stack.capacity())
             .finish_non_exhaustive()
     }
 }
@@ -348,7 +639,8 @@ fn run_single<V: IndexView, T: Tracer>(
         });
     }
 
-    let mut results: Vec<(ObjectId, bool)> = Vec::new();
+    let results = &mut scratch.results;
+    results.clear();
     let missing = &mut scratch.missing;
     let blocked = &mut scratch.blocked;
     let mut missing_leaf_count = 0usize;
@@ -435,7 +727,7 @@ fn run_single<V: IndexView, T: Tracer>(
     pq.clear();
 
     Outcome {
-        results,
+        results: results.to_vec(),
         result_pairs: Vec::new(),
         remainder,
         expansions,
@@ -480,12 +772,15 @@ fn run_join<V: IndexView, T: Tracer>(
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
-    let pq = &mut scratch.join_pq;
-    pq.clear();
+    let stack = &mut scratch.join_stack;
+    stack.clear();
     scratch.join_missing.clear();
-    let mut seq = 0u64;
+    let found = &mut scratch.join_found;
+    found.clear();
 
-    for &(key, entry) in heap {
+    // Reversed onto the stack, so the walk starts at the heap's first
+    // entry.
+    for &(key, entry) in heap.iter().rev() {
         // A single entry in a join heap is malformed outside input:
         // skipped.
         let HeapEntry::Pair(a, b) = entry else {
@@ -496,23 +791,16 @@ fn run_join<V: IndexView, T: Tracer>(
                 tracer.cell_touched(cell);
             }
         }
-        pq.push(PqItem {
-            key,
-            seq: post_inc(&mut seq),
-            payload: (a, b),
-        });
+        stack.push((key, a, b));
     }
 
-    let mut pair_set: HashSet<(ObjectId, ObjectId)> = HashSet::new();
-    let mut result_pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
-    let mut obj_flags: HashMap<ObjectId, bool> = HashMap::new();
-    let mut obj_order: Vec<ObjectId> = Vec::new();
     let missing = &mut scratch.join_missing;
     let mut expansions = 0u64;
 
-    while let Some(item) = pq.pop() {
-        let key = item.key;
-        let (a, b) = item.payload;
+    // Depth first: a threshold join expands every pair within `dist`
+    // whatever the order, so the stack needs no ordering and stays as
+    // short as the pair tree is deep.
+    while let Some((key, a, b)) = stack.pop() {
         match (a, b) {
             (
                 Side::Obj {
@@ -526,19 +814,11 @@ fn run_join<V: IndexView, T: Tracer>(
                     continue; // a distance self-join excludes self pairs
                 }
                 if view.authoritative() || (ca && cb) {
-                    let pair = canonical(ia, ib);
-                    if pair_set.insert(pair) {
-                        result_pairs.push(pair);
-                        for (id, cached) in [(ia, ca), (ib, cb)] {
-                            if let std::collections::hash_map::Entry::Vacant(v) =
-                                obj_flags.entry(id)
-                            {
-                                v.insert(cached);
-                                obj_order.push(id);
-                                tracer.object_confirmed(id);
-                            }
-                        }
-                    }
+                    found.push(if ia < ib {
+                        (key, (ia, ib), [ca, cb])
+                    } else {
+                        (key, (ib, ia), [cb, ca])
+                    });
                 } else {
                     // One of the payloads is absent: the pair becomes a
                     // missing entry pair (paper footnote 3).
@@ -575,11 +855,7 @@ fn run_join<V: IndexView, T: Tracer>(
                         }
                         let k = pair_key(&sa.mbr(), &sb.mbr());
                         if k <= dist {
-                            pq.push(PqItem {
-                                key: k,
-                                seq: post_inc(&mut seq),
-                                payload: (sa, sb),
-                            });
+                            stack.push((k, sa, sb));
                         }
                     }
                 }
@@ -593,8 +869,34 @@ fn run_join<V: IndexView, T: Tracer>(
         heap: std::mem::take(missing),
     });
 
+    // Emission: one entry per pair — mirror and straddler duplicates keep
+    // their nearest, cached-first copy — then by (distance, pair).
+    found.sort_unstable_by(|x, y| {
+        (x.1.cmp(&y.1))
+            .then(x.0.total_cmp(&y.0))
+            .then(y.2.cmp(&x.2))
+    });
+    found.dedup_by_key(|f| f.1);
+    found.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+    let result_pairs = found.iter().map(|f| f.1).collect();
+
+    // Objects in order of first appearance: each member's earliest
+    // position, then back into position order.
+    let members = &mut scratch.join_members;
+    members.clear();
+    for (at, &(_, (a, b), [ca, cb])) in found.iter().enumerate() {
+        members.extend([(a, 2 * at, ca), (b, 2 * at + 1, cb)]);
+    }
+    members.sort_unstable_by_key(|&(id, at, _)| (id, at));
+    members.dedup_by_key(|m| m.0);
+    members.sort_unstable_by_key(|m| m.1);
+    let results: Vec<(ObjectId, bool)> = members.iter().map(|&(id, _, c)| (id, c)).collect();
+    for &(id, _) in &results {
+        tracer.object_confirmed(id);
+    }
+
     Outcome {
-        results: obj_order.iter().map(|id| (*id, obj_flags[id])).collect(),
+        results,
         result_pairs,
         remainder,
         expansions,
@@ -623,14 +925,6 @@ fn expand_traced<V: IndexView, T: Tracer>(
         }
     }
     expansion
-}
-
-fn canonical(a: ObjectId, b: ObjectId) -> (ObjectId, ObjectId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 #[cfg(test)]

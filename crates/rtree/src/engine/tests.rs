@@ -13,6 +13,7 @@ use crate::{ObjectStore, SpatialObject};
 use pc_geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree, BptStore) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -166,6 +167,80 @@ fn knn_results_pop_in_distance_order() {
     for w in dists.windows(2) {
         assert!(w[0] <= w[1] + 1e-12);
     }
+}
+
+/// The join's emission contract: pairs sorted by (pair distance, pair),
+/// objects in order of first appearance among them. §4.1's response
+/// metric reads this order, and `tests/paper_shapes.rs`'s
+/// `fig6_shape_apro_dominates` guards it end to end: a depth-first join
+/// that emitted in walk order left APRO's response no longer below SEM's.
+#[test]
+fn join_results_emit_in_pair_distance_order() {
+    let (store, tree, bpts) = dataset(300, 14);
+    let full = FullView::new(&tree, &bpts);
+    let mut rng = SmallRng::seed_from_u64(15);
+    let partial = random_partial(&tree, &bpts, &store, 0.8, 0.7, &mut rng);
+    let spec = QuerySpec::Join { dist: 0.03 };
+    for out in [
+        execute(&full, &spec, &mut NoopTracer),
+        execute(&partial, &spec, &mut NoopTracer),
+    ] {
+        assert!(out.result_pairs.len() > 10, "too few pairs to order");
+        let keyed: Vec<(f64, (ObjectId, ObjectId))> = out
+            .result_pairs
+            .iter()
+            .map(|&(a, b)| (store.get(a).mbr.min_dist_rect(&store.get(b).mbr), (a, b)))
+            .collect();
+        for w in keyed.windows(2) {
+            assert!(w[0].1 .0 < w[0].1 .1, "pair not canonical");
+            assert!(
+                w[0].0.total_cmp(&w[1].0).then(w[0].1.cmp(&w[1].1)).is_lt(),
+                "{:?} emitted before {:?}",
+                w[0],
+                w[1]
+            );
+        }
+        let mut seen = HashSet::new();
+        let first_seen: Vec<ObjectId> = out
+            .result_pairs
+            .iter()
+            .flat_map(|&(a, b)| [a, b])
+            .filter(|id| seen.insert(*id))
+            .collect();
+        let objects: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
+        assert_eq!(objects, first_seen);
+    }
+}
+
+/// A join's server-side outcome is a function of its remainder as a set:
+/// the heap's order decides neither results, their order, their cached
+/// flags, the expansion count nor the access trace.
+#[test]
+fn join_resume_ignores_heap_order() {
+    let (store, tree, bpts) = dataset(300, 16);
+    let full = FullView::new(&tree, &bpts);
+    let mut rng = SmallRng::seed_from_u64(17);
+    let (mut resumed, mut cached) = (0, 0);
+    for _ in 0..10 {
+        let partial = random_partial(&tree, &bpts, &store, 0.6, 0.5, &mut rng);
+        let spec = QuerySpec::Join { dist: 0.03 };
+        let Some(rq) = execute(&partial, &spec, &mut NoopTracer).remainder else {
+            continue;
+        };
+        let mut shuffled = rq.clone();
+        for i in (1..shuffled.heap.len()).rev() {
+            shuffled.heap.swap(i, rng.random_range(0..=i));
+        }
+        let (mut log, mut shuffled_log) = (AccessLog::default(), AccessLog::default());
+        let out = resume(&full, &rq, &mut log);
+        cached += out.results.iter().filter(|(_, c)| *c).count();
+        assert_eq!(resume(&full, &shuffled, &mut shuffled_log), out);
+        assert_eq!(log_digest(&shuffled_log), log_digest(&log));
+        assert_eq!(shuffled_log.confirmed, log.confirmed);
+        resumed += 1;
+    }
+    assert!(resumed >= 5, "only {resumed} remainders to resume");
+    assert!(cached > 0, "no cached flag to carry through the resume");
 }
 
 #[test]
@@ -428,8 +503,8 @@ fn access_log_frontier_is_an_antichain_covering_touched_nodes() {
 /// Order-independent fingerprint of an access log: (cells touched, super
 /// entries expanded, nodes shipped, FNV-1a over the sorted trace).
 fn log_digest(log: &AccessLog) -> (usize, usize, usize, u64) {
-    let mut nodes: Vec<_> = log.nodes.iter().collect();
-    nodes.sort_by_key(|(id, _)| **id);
+    let mut nodes: Vec<NodeId> = log.nodes().collect();
+    nodes.sort_unstable();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         for byte in v.to_le_bytes() {
@@ -437,18 +512,25 @@ fn log_digest(log: &AccessLog) -> (usize, usize, usize, u64) {
         }
     };
     let (mut touched, mut expanded) = (0, 0);
-    for (id, acc) in nodes {
+    for id in nodes {
         mix(id.0 as u64);
-        mix(acc.any_expansion as u64);
-        for (tag, set) in [(1u64, &acc.touched), (2, &acc.expanded_internal)] {
-            let mut codes: Vec<_> = set.iter().map(|c| c.raw()).collect();
+        mix(log.any_expansion(id) as u64);
+        for tag in [1u64, 2] {
+            let mut codes: Vec<_> = log
+                .cells(id)
+                .filter(|c| if tag == 1 { c.touched } else { c.expanded_internal })
+                .map(|c| c.code.raw())
+                .collect();
             codes.sort_unstable();
+            if tag == 1 {
+                touched += codes.len();
+            } else {
+                expanded += codes.len();
+            }
             for (bits, len) in codes {
                 mix(tag << 40 | (len as u64) << 32 | bits as u64);
             }
         }
-        touched += acc.touched.len();
-        expanded += acc.expanded_internal.len();
     }
     (touched, expanded, log.shipped_nodes().len(), hash)
 }

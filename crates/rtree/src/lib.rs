@@ -9,9 +9,10 @@
 //! * [`bpt`] — per-node **binary partition trees** (§4.2): an offline
 //!   recursive R*-split of each node's entry set, giving every subset of
 //!   entries a *super entry* addressed by `(NodeId, Code)`.
-//! * [`engine`] — the **generic query processor** (paper Algorithm 1): one
-//!   best-first loop that evaluates range, kNN and distance self-join
-//!   queries over any [`engine::IndexView`], handling *missing entries* and
+//! * [`engine`] — the **generic query processor** (paper Algorithm 1): a
+//!   best-first loop for range and kNN and a depth-first pair walk for the
+//!   distance self-join (results emitted by pair distance), over any
+//!   [`engine::IndexView`], handling *missing entries* and
 //!   producing remainder queries. It is the only executor a served query
 //!   runs: the server over a complete view ([`view::FullView`]), the client
 //!   over its cache; views hand it frontier [`proto::Side`]s in fixed arity

@@ -1060,19 +1060,16 @@ impl Cluster {
     ) -> Outcome {
         let mut log = AccessLog::default();
         let out = resume(snap, query, &mut log);
-        for (gnode, acc) in log.nodes {
+        for gnode in log.nodes() {
             if gnode == SUPER_ROOT {
-                *super_ship |= acc.any_expansion;
+                *super_ship |= log.any_expansion(gnode);
                 continue;
             }
             let (s, local) = self.map.to_local(gnode);
             let (_, shard_log) = legs[s as usize]
                 .resumed
                 .get_or_insert_with(Default::default);
-            let slot = shard_log.nodes.entry(local).or_default();
-            slot.touched.extend(acc.touched);
-            slot.expanded_internal.extend(acc.expanded_internal);
-            slot.any_expansion |= acc.any_expansion;
+            shard_log.record_node(&log, gnode, local);
         }
         out
     }
@@ -1738,14 +1735,22 @@ mod tests {
             h.0
         };
         let mut pins: Vec<u64> = Vec::new();
-        let cold_and_direct = |pins: &mut Vec<u64>| {
+        // The join replies again, in id order: what they answer.
+        let mut join_sets: Vec<u64> = Vec::new();
+        let mut cold_and_direct = |pins: &mut Vec<u64>| {
             for spec in specs {
                 let reply = server.process_remainder(1, &cold_remainder(&server, spec));
                 pins.push(digest(&|h| h.reply(&reply)));
+                if spec.is_join() {
+                    join_sets.push(digest(&|h| h.reply_as_set(&reply)));
+                }
             }
             for spec in specs {
                 let reply = server.call(1, Request::Direct(spec)).into_direct();
                 pins.push(digest(&|h| h.direct(&reply)));
+                if spec.is_join() {
+                    join_sets.push(digest(&|h| h.direct_as_set(&reply)));
+                }
             }
         };
         let contact = |pins: &mut Vec<u64>, rq: &RemainderQuery, stamp: u64| {
@@ -1821,13 +1826,29 @@ mod tests {
         );
         cold_and_direct(&mut pins);
 
+        // The join replies as sets, recorded while the join walked best
+        // first and emitted in pop order: the depth-first walk answers the
+        // same sets, with the same cached flags, shipments and expansions.
+        const RECORDED_JOIN_SETS: [u64; 4] = [
+            0x7b90_fa01_186e_c30e,
+            0x3812_b92c_e966_f14a,
+            0x0fce_ceb8_56de_3a87,
+            0xf15c_ba21_1c7f_e7c3,
+        ];
+        assert_eq!(
+            join_sets, RECORDED_JOIN_SETS,
+            "join reply set digests {:#018x?}",
+            join_sets
+        );
+        // Entries 2, 5, 14 and 17 (the joins) were re-recorded when the
+        // join began emitting by (pair distance, pair); nothing else moved.
         const RECORDED: [u64; 18] = [
             0x3a92_e418_f8ee_841d,
             0x5943_7bfa_c7d4_6d1b,
-            0x01d0_dc14_7fb1_e01e,
+            0x51c7_4ccd_fa66_62d6,
             0x18df_6d69_2dc0_332e,
             0x2f6c_5cfc_163f_efc3,
-            0x398d_eea3_205d_79ae,
+            0xd9a3_90f5_8bc3_0a42,
             0xf7b1_10fc_00a0_3653,
             0xb4e6_c60f_e87f_05c9,
             0x055b_4687_d299_25c5,
@@ -1836,10 +1857,10 @@ mod tests {
             0x265c_49e9_f992_0123,
             0x72c2_1ab9_117d_5777,
             0xa5de_f17b_d555_49a1,
-            0xd151_2a6f_192e_972b,
+            0xda7f_f211_2790_0f1f,
             0x9992_7e19_beeb_9bb2,
             0x1a4f_6f03_4258_4aeb,
-            0xf7ed_c281_40f2_34af,
+            0x73f6_1f38_dbb3_71cf,
         ];
         assert_eq!(pins, RECORDED, "reply digests {:#018x?}", pins);
     }

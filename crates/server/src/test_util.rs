@@ -125,7 +125,7 @@ pub fn churn_once(
 }
 
 /// FNV-1a over everything a merged reply puts on the client channel,
-/// in emission order.
+/// in emission order (or, through the `*_as_set` twins, in id order).
 pub struct Fnv(pub u64);
 
 impl Fnv {
@@ -215,5 +215,25 @@ impl Fnv {
             self.u64(b.0 as u64);
         }
         self.u64(reply.expansions);
+    }
+
+    /// [`reply`](Self::reply) over the same reply with its result lists
+    /// sorted by id: what it answers — each object still on the side of
+    /// its `cached` flag — whatever order it emits that in.
+    pub fn reply_as_set(&mut self, reply: &ServerReply) {
+        let mut sorted = reply.clone();
+        sorted.confirmed.sort_unstable();
+        sorted.objects.sort_by_key(|o| o.id);
+        sorted.pairs.sort_unstable();
+        self.reply(&sorted);
+    }
+
+    /// [`direct`](Self::direct) over the same reply with its result lists
+    /// sorted by id.
+    pub fn direct_as_set(&mut self, reply: &DirectReply) {
+        let mut sorted = reply.clone();
+        sorted.results.sort_unstable();
+        sorted.pairs.sort_unstable();
+        self.direct(&sorted);
     }
 }

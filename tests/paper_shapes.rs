@@ -15,6 +15,12 @@ fn base() -> SimConfig {
     cfg
 }
 
+/// Fig. 6's ladders. The response ladder also guards the engine's join
+/// emission order: §4.1's response time charges each transmitted object
+/// when it completes, so a join must emit its nearest pairs first. A
+/// depth-first join that emitted results in walk order failed this test
+/// (APRO's response was no longer below SEM's); the engine sorts them by
+/// pair distance after the walk.
 #[test]
 fn fig6_shape_apro_dominates() {
     let mut pag = base();
