@@ -152,7 +152,11 @@ fn time_pass(cases: &[Case], mut arm: impl FnMut(&Case) -> Answer) -> (f64, u64)
     let t = Instant::now();
     for case in cases {
         let (ids, pairs) = black_box(arm(black_box(case)));
-        results += if case.spec.is_join() { pairs.len() } else { ids.len() } as u64;
+        results += if case.spec.is_join() {
+            pairs.len()
+        } else {
+            ids.len()
+        } as u64;
     }
     let us = t.elapsed().as_secs_f64() * 1e6 / cases.len() as f64;
     (us, results)
@@ -317,7 +321,10 @@ fn main() {
             .str("bench", "ext_hotpath")
             .num("seed", opts.seed)
             .num("k", K)
-            .raw("join_dists", &json::array(&JOIN_DISTS.map(|d| d.to_string())))
+            .raw(
+                "join_dists",
+                &json::array(&JOIN_DISTS.map(|d| d.to_string())),
+            )
             .num("queries_per_size", queries)
             .num("max_objects", max_objects)
             .raw("rows", &json::array(&json_rows))

@@ -188,3 +188,191 @@ proptest! {
         c.validate().unwrap();
     }
 }
+
+// ---------------------------------------------------------------------
+// The arena node view against the map it replaced
+// ---------------------------------------------------------------------
+
+/// Random choices read off a proptest-drawn vector, round and round.
+struct Tape {
+    vals: Vec<u32>,
+    at: usize,
+}
+
+impl Tape {
+    fn below(&mut self, n: usize) -> usize {
+        let v = self.vals[self.at % self.vals.len()];
+        self.at += 1;
+        v as usize % n.max(1)
+    }
+
+    fn chance(&mut self, percent: usize) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// Grows a random BPT over `n` entries under `code` into `shape` (every
+/// cell, super entries as the union of their children); returns its MBR.
+fn grow_bpt(code: Code, n: usize, tape: &mut Tape, shape: &mut Vec<CellRecord>) -> Rect {
+    let (mbr, kind) = if n == 1 {
+        let (x, y) = (
+            tape.below(1000) as f64 / 1000.0,
+            tape.below(1000) as f64 / 1000.0,
+        );
+        let side = tape.below(50) as f64 / 1000.0;
+        let id = shape.len() as u32;
+        let kind = if tape.chance(50) {
+            CellKind::Object(ObjectId(id))
+        } else {
+            CellKind::Node(NodeId(id))
+        };
+        (Rect::from_coords(x, y, x + side, y + side), kind)
+    } else {
+        // Each side keeps a quarter or more: depth stays far below a
+        // code's 32 digits.
+        let least = (n / 4).max(1);
+        let left = least + tape.below(n - 2 * least + 1);
+        let l = grow_bpt(code.child(false), left, tape, shape);
+        let r = grow_bpt(code.child(true), n - left, tape, shape);
+        (l.union(&r), CellKind::Super)
+    };
+    shape.push(CellRecord { code, mbr, kind });
+    mbr
+}
+
+/// A covering antichain of the subtree under `from`: a cell is shipped
+/// whole when it is an entry, when it is `cut` deep, or at random when
+/// `compact`; otherwise its children are.
+fn antichain(
+    shape: &[CellRecord],
+    from: Code,
+    cut: u8,
+    compact: bool,
+    tape: &mut Tape,
+    out: &mut Vec<CellRecord>,
+) {
+    let Some(cell) = shape.iter().find(|c| c.code == from) else {
+        return;
+    };
+    if cell.kind != CellKind::Super || from.depth() >= cut || (compact && tape.chance(30)) {
+        out.push(*cell);
+        return;
+    }
+    antichain(shape, from.child(false), cut, compact, tape, out);
+    antichain(shape, from.child(true), cut, compact, tape, out);
+}
+
+/// Every observable of the arena view equals the reference map's.
+fn assert_views_agree(
+    arena: &crate::CachedNodeView,
+    map: &crate::node_view::reference::MapView,
+    shape: &[CellRecord],
+) -> Result<(), TestCaseError> {
+    for code in shape
+        .iter()
+        .flat_map(|c| [c.code, c.code.child(false), c.code.child(true)])
+    {
+        prop_assert_eq!((code, arena.cell(code)), (code, map.cell(code)));
+        prop_assert_eq!((code, arena.children(code)), (code, map.children(code)));
+    }
+    prop_assert_eq!(arena.frontier_len(), map.frontier_len());
+    prop_assert_eq!(arena.cell_count(), map.cell_count());
+    prop_assert_eq!(arena.root_mbr(), map.root_mbr());
+    let sorted = |mut v: Vec<u32>| {
+        v.sort_unstable();
+        v
+    };
+    prop_assert_eq!(
+        sorted(arena.object_entries().map(|o| o.0).collect()),
+        sorted(map.object_entries().map(|o| o.0).collect())
+    );
+    prop_assert_eq!(
+        sorted(arena.node_entries().map(|n| n.0).collect()),
+        sorted(map.node_entries().map(|n| n.0).collect())
+    );
+    prop_assert!(
+        arena.debug_validate().is_ok() == map.debug_validate().is_ok(),
+        "verdicts: arena {:?}, map {:?}",
+        arena.debug_validate(),
+        map.debug_validate()
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The arena view answers every question the map view answered, the
+    /// same way, after every shipment of a random sequence: full, compact
+    /// and d⁺-level antichains under the root or a known cell, re-shipped
+    /// coarser cells, and — once `broken` — sibling-incomplete batches and
+    /// antichains under cells the view does not know. Valid sequences
+    /// must stay valid.
+    #[test]
+    fn arena_view_matches_the_map_view(
+        entries in 1usize..300,
+        steps in 1usize..12,
+        vals in prop::collection::vec(any::<u32>(), 512),
+    ) {
+        let mut tape = Tape { vals, at: 0 };
+        let mut shape = Vec::new();
+        grow_bpt(Code::ROOT, entries, &mut tape, &mut shape);
+        let mut arena: Option<crate::CachedNodeView> = None;
+        let mut map = crate::node_view::reference::MapView::default();
+        let mut broken = false;
+        for _ in 0..steps {
+            let op = tape.below(6);
+            let known: Vec<Code> = shape
+                .iter()
+                .map(|c| c.code)
+                .filter(|&c| map.cell(c).is_some())
+                .collect();
+            let from = match op {
+                // Anywhere in the BPT, known or not.
+                5 => shape[tape.below(shape.len())].code,
+                _ if known.is_empty() || tape.chance(25) => Code::ROOT,
+                _ => known[tape.below(known.len())],
+            };
+            let depth = from.depth();
+            let (cut, compact) = match op {
+                0 => (u8::MAX, false),                      // full: every entry
+                1 => (u8::MAX, true),                       // compact
+                2 => (depth + 1 + tape.below(4) as u8, false), // d⁺-level
+                3 => (depth + tape.below(2) as u8, false),  // coarser
+                _ => (u8::MAX, true),
+            };
+            let mut batch = Vec::new();
+            antichain(&shape, from, cut, compact, &mut tape, &mut batch);
+            if op >= 4 {
+                // Sibling-incomplete: drop some cells, keep at least one.
+                let mut kept = 0;
+                batch.retain(|_| {
+                    let keep = kept == 0 || tape.chance(60);
+                    kept += usize::from(keep);
+                    keep
+                });
+            }
+            for i in (1..batch.len()).rev() {
+                batch.swap(i, tape.below(i + 1));
+            }
+            broken |= op >= 4;
+            map.merge_records(&batch);
+            let view = match arena.as_mut() {
+                Some(view) => {
+                    view.merge_records(&batch);
+                    view
+                }
+                None if broken => arena.insert({
+                    let mut view = crate::CachedNodeView::empty(0);
+                    view.merge_records(&batch);
+                    view
+                }),
+                None => arena.insert(crate::CachedNodeView::new(0, &batch)),
+            };
+            assert_views_agree(view, &map, &shape)?;
+            if !broken {
+                prop_assert!(map.debug_validate().is_ok(), "{:?}", map.debug_validate());
+            }
+        }
+    }
+}

@@ -5,7 +5,7 @@
 
 use pc_cache::{CacheView, Catalog, InsertOutcome, ItemKey, ProactiveCache, ReplacementPolicy};
 use pc_geom::Point;
-use pc_rtree::engine::{execute_with, AccessLog, EngineScratch};
+use pc_rtree::engine::{execute_with, EngineScratch, NodeTrace};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::ObjectId;
 
@@ -48,7 +48,9 @@ pub struct Client {
     seq: u64,
     /// Reused engine buffers: one allocation set per client, not per query.
     scratch: EngineScratch,
-    log: AccessLog,
+    /// The nodes and objects a `run_local` used: all its hit statistics
+    /// read. The cell-level trace is the server's.
+    trace: NodeTrace,
 }
 
 impl Client {
@@ -58,7 +60,7 @@ impl Client {
             catalog,
             seq: 0,
             scratch: EngineScratch::default(),
-            log: AccessLog::default(),
+            trace: NodeTrace::default(),
         }
     }
 
@@ -98,18 +100,18 @@ impl Client {
     /// Stage ①: evaluates `spec` over the cache. All items the traversal
     /// used are marked as hit by this query.
     pub fn run_local(&mut self, spec: &QuerySpec) -> LocalOutcome {
-        self.log.clear();
+        self.trace.clear();
         let outcome = {
             let view = CacheView::new(&self.cache, self.catalog);
-            execute_with(&view, spec, &mut self.log, &mut self.scratch)
+            execute_with(&view, spec, &mut self.trace, &mut self.scratch)
         };
         // Hit accounting: every node whose cells the traversal consulted,
         // plus every object confirmed as a saved result.
         let now = self.seq;
-        for node in self.log.nodes() {
+        for node in self.trace.nodes() {
             self.cache.touch(ItemKey::Node(node), now);
         }
-        for id in &self.log.confirmed {
+        for id in &self.trace.confirmed {
             self.cache.touch(ItemKey::Object(*id), now);
         }
         LocalOutcome {

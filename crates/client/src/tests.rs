@@ -6,6 +6,7 @@
 use super::*;
 use pc_cache::Catalog;
 use pc_geom::{Point, Rect};
+use pc_rtree::engine::{execute, AccessLog, NodeTrace};
 use pc_rtree::naive;
 use pc_rtree::proto::QuerySpec;
 use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
@@ -253,4 +254,53 @@ fn eviction_churn_never_corrupts_answers() {
         pipeline_query(&mut client, &server, &spec, pos);
         assert!(client.cache().used_bytes() <= client.cache().capacity());
     }
+}
+
+/// The client's node trace sees of a query exactly what the server's cell
+/// log sees of its nodes: the same nodes in the same first-access order
+/// (the order `run_local` touches cache items in) and the same confirmed
+/// objects, over caches that miss in every way eviction churn leaves them.
+/// Both are reused across queries, as the client reuses its trace.
+#[test]
+fn node_trace_matches_the_access_log_over_partial_caches() {
+    let server = make_server(400, 21, FormPolicy::Adaptive);
+    let mut client = make_client(&server, 40_000);
+    let mut rng = SmallRng::seed_from_u64(23);
+    let (mut log, mut trace) = (AccessLog::default(), NodeTrace::default());
+    let mut pos = Point::new(0.5, 0.5);
+    let mut partial = [0; 3];
+    for round in 0..150 {
+        pos = Point::new(
+            (pos.x + rng.random_range(-0.08..0.08)).clamp(0.0, 1.0),
+            (pos.y + rng.random_range(-0.08..0.08)).clamp(0.0, 1.0),
+        );
+        let spec = match round % 3 {
+            0 => QuerySpec::Range {
+                window: Rect::centered_square(pos, rng.random_range(0.02..0.2)),
+            },
+            1 => QuerySpec::Knn {
+                center: pos,
+                k: rng.random_range(1..8),
+            },
+            _ => QuerySpec::Join {
+                dist: rng.random_range(0.0..0.02),
+            },
+        };
+        log.clear();
+        trace.clear();
+        let view = CacheView::new(client.cache(), client.catalog());
+        let logged = execute(&view, &spec, &mut log);
+        let traced = execute(&view, &spec, &mut trace);
+        assert_eq!(traced, logged, "{spec:?}");
+        assert!(trace.nodes().eq(log.nodes()), "{spec:?}: node order");
+        assert_eq!(trace.confirmed, log.confirmed(), "{spec:?}");
+        if logged.remainder.is_some() && logged.expansions > 0 {
+            partial[round % 3] += 1;
+        }
+        pipeline_query(&mut client, &server, &spec, pos);
+    }
+    assert!(
+        partial.iter().all(|&n| n >= 10),
+        "too few partial caches per kind: {partial:?}"
+    );
 }

@@ -4,10 +4,16 @@
 //! result vector and the saved-id list) and a self-join exactly 3 (plus
 //! its pair list), however many cells the query expands.
 //!
+//! And the client keeps no per-cell state: a self-join expands every cell
+//! of every cached node (each cell's pair with itself is within any
+//! distance), yet running one on a fresh client over a warm cache leaves
+//! the client larger by a few bytes per cached node, not per cell — the
+//! client traces nodes; the cell-level trace is the server's.
+//!
 //! A binary of its own: the counting allocator is process-wide, so the one
 //! test here runs alone in its process.
 
-use pc_cache::{Catalog, ReplacementPolicy};
+use pc_cache::{Catalog, ItemKey, ReplacementPolicy};
 use pc_client::Client;
 use pc_geom::{Point, Rect};
 use pc_rtree::proto::QuerySpec;
@@ -21,6 +27,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -29,15 +37,19 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LIVE.fetch_add(layout.size(), Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Relaxed);
+        LIVE.fetch_add(new_size, Relaxed);
+        LIVE.fetch_sub(layout.size(), Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,6 +60,13 @@ static GLOBAL: Counting = Counting;
 /// Allocations per cache-complete `run_local`, by query kind.
 const RANGE_OR_KNN: usize = 2;
 const JOIN: usize = 3;
+
+/// What a fresh client may keep after its first self-join over a warm
+/// cache: its engine buffers and node trace, per cached node and fixed.
+/// A client tracing every cell, as the server does, kept ~350 bytes per
+/// node here (8-entry nodes) and ~4.9 KB per node at 4 KB pages.
+const KEPT_BYTES_PER_NODE: usize = 64;
+const KEPT_BYTES_FIXED: usize = 16 << 10;
 
 #[test]
 fn cache_complete_run_local_allocates_a_constant() {
@@ -122,4 +141,34 @@ fn cache_complete_run_local_allocates_a_constant() {
     for pair in expansions.chunks(2) {
         assert!(pair[1] >= 2 * pair[0], "sizes too close: {expansions:?}");
     }
+
+    // A fresh client over the warm cache: its first self-join sizes its
+    // buffers and trace from nothing.
+    let nodes = client
+        .cache()
+        .keys()
+        .filter(|k| matches!(k, ItemKey::Node(_)))
+        .count();
+    let mut fresh = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+    *fresh.cache_mut() = client.cache().clone();
+    let join = QuerySpec::Join { dist: 0.001 };
+    let before = LIVE.load(Relaxed);
+    let local = fresh.run_local(&join);
+    assert!(local.complete());
+    let expansions = local.expansions;
+    drop(local);
+    let kept = LIVE.load(Relaxed).saturating_sub(before);
+    eprintln!(
+        "first join on a fresh client: {expansions} expansions over {nodes} cached nodes, \
+         {kept} bytes kept ({:.1} per node)",
+        kept as f64 / nodes as f64
+    );
+    assert!(
+        expansions as usize >= 4 * nodes,
+        "the join expanded too little to tell"
+    );
+    assert!(
+        kept <= KEPT_BYTES_PER_NODE * nodes + KEPT_BYTES_FIXED,
+        "run_local keeps {kept} bytes for {nodes} cached nodes"
+    );
 }

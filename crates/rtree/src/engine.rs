@@ -100,8 +100,9 @@ pub trait IndexView {
     fn authoritative(&self) -> bool;
 }
 
-/// Observer of engine activity, used for compact-form construction (server)
-/// and cache hit accounting (client).
+/// Observer of engine activity: the server traces cells to build compact
+/// forms ([`AccessLog`]), the client traces nodes for its cache hit
+/// statistics ([`NodeTrace`]).
 pub trait Tracer {
     /// `cell` was pushed into the traversal frontier.
     fn cell_touched(&mut self, _cell: CellRef) {}
@@ -116,6 +117,147 @@ pub trait Tracer {
 /// Tracer that ignores everything.
 pub struct NoopTracer;
 impl Tracer for NoopTracer {}
+
+/// A slot of the node index: the node slot it points at, valid only while
+/// `gen` is the trace's generation.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndexSlot {
+    gen: u32,
+    node: u32,
+}
+
+/// The nodes a query read, each once in first-access order, and the
+/// objects it confirmed: all the client's §5.2 hit statistics need of a
+/// trace (every item the traversal used is marked as hit by the query).
+///
+/// The node index is flat and generation-stamped. A remainder built
+/// outside the program may name any node id, so ids are hashed, not used
+/// as offsets, with an odd multiplier drawn per trace: the ids a remainder
+/// names cannot be chosen to collide. [`clear`](Self::clear) bumps the
+/// generation and frees nothing, so a trace reused across queries (one per
+/// client) stops allocating once its largest query has run.
+#[derive(Clone, Debug)]
+pub struct NodeTrace {
+    /// Power-of-two length, at most half full.
+    index: Vec<IndexSlot>,
+    /// In first-access order.
+    nodes: Vec<NodeId>,
+    /// Never 0, so a zeroed index slot is vacant.
+    gen: u32,
+    /// The hash multiplier (odd).
+    mult: u64,
+    pub confirmed: Vec<ObjectId>,
+}
+
+impl Default for NodeTrace {
+    fn default() -> Self {
+        NodeTrace {
+            index: Vec::new(),
+            nodes: Vec::new(),
+            gen: 1,
+            mult: RandomState::new().hash_one(0u64) | 1,
+            confirmed: Vec::new(),
+        }
+    }
+}
+
+impl NodeTrace {
+    /// `key`'s home slot in a table of `1 << (64 - shift)` slots.
+    #[inline]
+    fn spread(&self, key: u64, shift: u32) -> usize {
+        (key.wrapping_mul(self.mult) >> shift) as usize
+    }
+
+    /// Resets the trace for reuse, keeping every allocation — pairs with
+    /// [`EngineScratch`] so a query loop re-traces without reallocating.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.confirmed.clear();
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // Wrapped: stale stamps could read as current again.
+            self.index.fill(IndexSlot::default());
+            self.gen = 1;
+        }
+    }
+
+    /// Every node with a touched or expanded cell, in first-access order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes.iter().copied()
+    }
+
+    /// `node`'s slot, or the vacant index slot it would take.
+    #[inline]
+    fn find(&self, node: NodeId) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut at = self.spread(u64::from(node.0), 64 - self.index.len().trailing_zeros());
+        loop {
+            let slot = self.index[at];
+            if slot.gen != self.gen {
+                return Err(at);
+            }
+            if self.nodes[slot.node as usize] == node {
+                return Ok(slot.node as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// `node`'s slot, and whether this call opened it.
+    #[inline]
+    fn slot(&mut self, node: NodeId) -> (usize, bool) {
+        let at = match self.find(node) {
+            Ok(slot) => return (slot, false),
+            Err(at) => at,
+        };
+        let at = if 2 * (self.nodes.len() + 1) > self.index.len() {
+            self.grow_index();
+            self.find(node).err().unwrap_or(at)
+        } else {
+            at
+        };
+        let slot = self.nodes.len();
+        self.index[at] = IndexSlot {
+            gen: self.gen,
+            node: slot as u32,
+        };
+        self.nodes.push(node);
+        (slot, true)
+    }
+
+    /// Doubles the node index and re-files every node of this generation.
+    #[cold]
+    fn grow_index(&mut self) {
+        let len = (2 * self.index.len()).max(64);
+        self.index = vec![IndexSlot::default(); len];
+        for slot in 0..self.nodes.len() {
+            if let Err(at) = self.find(self.nodes[slot]) {
+                self.index[at] = IndexSlot {
+                    gen: self.gen,
+                    node: slot as u32,
+                };
+            }
+        }
+    }
+}
+
+impl Tracer for NodeTrace {
+    #[inline]
+    fn cell_touched(&mut self, cell: CellRef) {
+        self.slot(cell.node);
+    }
+
+    fn cell_expanded(&mut self, cell: CellRef, _internal: bool) {
+        self.slot(cell.node);
+    }
+
+    fn object_confirmed(&mut self, id: ObjectId) {
+        self.confirmed.push(id);
+    }
+}
 
 /// One logged cell of a node, as [`AccessLog::cells`] yields it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,11 +275,10 @@ pub struct CellAccess {
 const TOUCHED: u64 = 1;
 const INTERNAL: u64 = 2;
 
-/// One node of the trace: its cell table, a power-of-two run of
-/// [`AccessLog::cells`] at most three-quarters full.
+/// One node's cell table, a power-of-two run of [`AccessLog::cells`] at
+/// most three-quarters full; parallel to the trace's nodes.
 #[derive(Clone, Copy, Debug)]
-struct NodeSlot {
-    node: NodeId,
+struct NodeCells {
     /// Some cell of the node was expanded.
     expanded: bool,
     start: u32,
@@ -147,65 +288,33 @@ struct NodeSlot {
     len: u32,
 }
 
-impl NodeSlot {
+impl NodeCells {
     fn table(&self) -> std::ops::Range<usize> {
         let start = self.start as usize;
         start..start + (1 << (64 - self.shift))
     }
 }
 
-/// A slot of the node index: the node slot it points at, valid only while
-/// `gen` is the log's generation.
-#[derive(Clone, Copy, Debug, Default)]
-struct IndexSlot {
-    gen: u32,
-    node: u32,
-}
-
-/// Collects the access trace the server needs to build compact forms
-/// (§4.2: the compact form is the frontier of the grey subtree) and the
-/// client needs for cache hit statistics.
+/// The server's cell-level trace: the grey subtree §4.2's compact forms
+/// are cut from (the compact form is the frontier of the grey subtree).
+/// A [`NodeTrace`] plus, per traced node, a table of the cells touched or
+/// expanded; the client traces nodes only.
 ///
-/// Storage is flat and generation-stamped: a node index points at one
-/// slot per node, and each slot owns a small open-addressing table of the
-/// node's cells, all of them back to back in one vector. A remainder built
-/// outside the program may name any node id and code, so ids are hashed,
-/// not used as offsets, and every key is hashed with an odd multiplier
-/// drawn per log: the keys a remainder names cannot be chosen to collide. A join touches nearly every cell of the nodes it reads, so
-/// a per-node table of packed codes is the densest set the trace fits.
-/// [`clear`](Self::clear) bumps the generation and frees nothing: a log
-/// reused across queries (one per client) stops allocating once its
-/// largest query has run, and clearing after a join costs what clearing
-/// after a range query does.
-#[derive(Clone, Debug)]
+/// Each node owns a small open-addressing table of its cells, all of them
+/// back to back in one vector, keyed with the trace's per-log multiplier.
+/// A join touches nearly every cell of the nodes it reads, so a per-node
+/// table of packed codes is the densest set the trace fits.
+/// [`clear`](Self::clear) frees nothing: clearing after a join costs what
+/// clearing after a range query does.
+#[derive(Clone, Debug, Default)]
 pub struct AccessLog {
-    /// Power-of-two length, at most half full.
-    index: Vec<IndexSlot>,
-    /// In first-access order.
-    nodes: Vec<NodeSlot>,
+    trace: NodeTrace,
+    /// Indexed like the trace's nodes.
+    nodes: Vec<NodeCells>,
     cells: Vec<u64>,
     /// Runs of `cells` a growing table moved out of, by log2 of their
     /// length, for the next table of that size.
     spare_runs: Vec<Vec<u32>>,
-    /// Never 0, so a zeroed index slot is vacant.
-    gen: u32,
-    /// The hash multiplier (odd).
-    mult: u64,
-    pub confirmed: Vec<ObjectId>,
-}
-
-impl Default for AccessLog {
-    fn default() -> Self {
-        AccessLog {
-            index: Vec::new(),
-            nodes: Vec::new(),
-            cells: Vec::new(),
-            spare_runs: Vec::new(),
-            gen: 1,
-            mult: RandomState::new().hash_one(0u64) | 1,
-            confirmed: Vec::new(),
-        }
-    }
 }
 
 /// `code` as a table entry with no flags.
@@ -216,25 +325,17 @@ fn cell_key(code: Code) -> u64 {
 }
 
 impl AccessLog {
-    /// `key`'s home slot in a table of `1 << (64 - shift)` slots.
-    #[inline]
-    fn spread(&self, key: u64, shift: u32) -> usize {
-        (key.wrapping_mul(self.mult) >> shift) as usize
-    }
-
-    /// Resets the log for reuse, keeping every allocation — pairs with
-    /// [`EngineScratch`] so a query loop re-traces without reallocating.
+    /// Resets the log for reuse, keeping every allocation.
     pub fn clear(&mut self) {
+        self.trace.clear();
         self.nodes.clear();
         self.cells.clear();
         self.spare_runs.iter_mut().for_each(Vec::clear);
-        self.confirmed.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: stale stamps could read as current again.
-            self.index.fill(IndexSlot::default());
-            self.gen = 1;
-        }
+    }
+
+    /// Objects confirmed as results, in confirmation order.
+    pub fn confirmed(&self) -> &[ObjectId] {
+        &self.trace.confirmed
     }
 
     /// The covering-antichain frontier for one node: touched cells minus
@@ -253,10 +354,11 @@ impl AccessLog {
     /// nodes" whose supporting index must be shipped (§3.2), in id order.
     pub fn shipped_nodes(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.expanded)
-            .map(|n| n.node)
+            .trace
+            .nodes()
+            .zip(&self.nodes)
+            .filter(|(_, n)| n.expanded)
+            .map(|(node, _)| node)
             .collect();
         out.sort_unstable();
         out
@@ -264,17 +366,20 @@ impl AccessLog {
 
     /// Every node with a touched or expanded cell, in first-access order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().map(|n| n.node)
+        self.trace.nodes()
     }
 
     /// Whether any cell of `node` was expanded.
     pub fn any_expansion(&self, node: NodeId) -> bool {
-        self.find(node).is_ok_and(|n| self.nodes[n].expanded)
+        self.trace.find(node).is_ok_and(|n| self.nodes[n].expanded)
     }
 
     /// The logged cells of `node`, in no particular order.
     pub fn cells(&self, node: NodeId) -> impl Iterator<Item = CellAccess> + '_ {
-        let table = self.find(node).map_or(0..0, |n| self.nodes[n].table());
+        let table = self
+            .trace
+            .find(node)
+            .map_or(0..0, |n| self.nodes[n].table());
         self.cells[table]
             .iter()
             .filter(|&&entry| entry != 0)
@@ -291,7 +396,7 @@ impl AccessLog {
     /// `as_node` — a cluster folding a cross-shard resume's trace into the
     /// owning shard's log under the shard-local id.
     pub fn record_node(&mut self, from: &AccessLog, node: NodeId, as_node: NodeId) {
-        let Ok(n) = from.find(node) else {
+        let Ok(n) = from.trace.find(node) else {
             return;
         };
         let slot = self.slot(as_node);
@@ -303,52 +408,19 @@ impl AccessLog {
         }
     }
 
-    /// `node`'s slot, or the vacant index slot it would take.
-    #[inline]
-    fn find(&self, node: NodeId) -> Result<usize, usize> {
-        if self.index.is_empty() {
-            return Err(0);
-        }
-        let mask = self.index.len() - 1;
-        let mut at = self.spread(u64::from(node.0), 64 - self.index.len().trailing_zeros());
-        loop {
-            let slot = self.index[at];
-            if slot.gen != self.gen {
-                return Err(at);
-            }
-            if self.nodes[slot.node as usize].node == node {
-                return Ok(slot.node as usize);
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
     /// `node`'s slot, opened with an empty eight-cell table when absent.
     #[inline]
     fn slot(&mut self, node: NodeId) -> usize {
-        let at = match self.find(node) {
-            Ok(slot) => return slot,
-            Err(at) => at,
-        };
-        let at = if 2 * (self.nodes.len() + 1) > self.index.len() {
-            self.grow_index();
-            self.find(node).err().unwrap_or(at)
-        } else {
-            at
-        };
-        let slot = self.nodes.len();
-        self.index[at] = IndexSlot {
-            gen: self.gen,
-            node: slot as u32,
-        };
-        let start = self.take_run(3);
-        self.nodes.push(NodeSlot {
-            node,
-            expanded: false,
-            start,
-            shift: 64 - 3,
-            len: 0,
-        });
+        let (slot, opened) = self.trace.slot(node);
+        if opened {
+            let start = self.take_run(3);
+            self.nodes.push(NodeCells {
+                expanded: false,
+                start,
+                shift: 64 - 3,
+                len: 0,
+            });
+        }
         slot
     }
 
@@ -359,7 +431,7 @@ impl AccessLog {
         let n = self.nodes[slot];
         let table = n.table();
         let mask = table.len() - 1;
-        let mut at = self.spread(key, n.shift);
+        let mut at = self.trace.spread(key, n.shift);
         loop {
             let entry = &mut self.cells[table.start + at];
             if *entry == 0 {
@@ -377,21 +449,6 @@ impl AccessLog {
         }
         self.cells[table.start + at] = key | flags;
         self.nodes[slot].len += 1;
-    }
-
-    /// Doubles the node index and re-files every node of this generation.
-    #[cold]
-    fn grow_index(&mut self) {
-        let len = (2 * self.index.len()).max(64);
-        self.index = vec![IndexSlot::default(); len];
-        for slot in 0..self.nodes.len() {
-            if let Err(at) = self.find(self.nodes[slot].node) {
-                self.index[at] = IndexSlot {
-                    gen: self.gen,
-                    node: slot as u32,
-                };
-            }
-        }
     }
 
     /// A zeroed run of `1 << log2` cells: a spare one, or new at the end.
@@ -431,7 +488,7 @@ impl AccessLog {
             if entry == 0 {
                 continue;
             }
-            let mut at = self.spread(entry & !0xff, shift);
+            let mut at = self.trace.spread(entry & !0xff, shift);
             while self.cells[start + at] != 0 {
                 at = (at + 1) & (len - 1);
             }
@@ -456,7 +513,7 @@ impl Tracer for AccessLog {
     }
 
     fn object_confirmed(&mut self, id: ObjectId) {
-        self.confirmed.push(id);
+        self.trace.object_confirmed(id);
     }
 }
 

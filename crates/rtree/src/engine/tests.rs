@@ -236,7 +236,7 @@ fn join_resume_ignores_heap_order() {
         cached += out.results.iter().filter(|(_, c)| *c).count();
         assert_eq!(resume(&full, &shuffled, &mut shuffled_log), out);
         assert_eq!(log_digest(&shuffled_log), log_digest(&log));
-        assert_eq!(shuffled_log.confirmed, log.confirmed);
+        assert_eq!(shuffled_log.confirmed(), log.confirmed());
         resumed += 1;
     }
     assert!(resumed >= 5, "only {resumed} remainders to resume");
@@ -518,7 +518,13 @@ fn log_digest(log: &AccessLog) -> (usize, usize, usize, u64) {
         for tag in [1u64, 2] {
             let mut codes: Vec<_> = log
                 .cells(id)
-                .filter(|c| if tag == 1 { c.touched } else { c.expanded_internal })
+                .filter(|c| {
+                    if tag == 1 {
+                        c.touched
+                    } else {
+                        c.expanded_internal
+                    }
+                })
                 .map(|c| c.code.raw())
                 .collect();
             codes.sort_unstable();
