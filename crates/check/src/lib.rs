@@ -2,16 +2,9 @@
 //!
 //! A deliberately small, dependency-free static pass — a line-aware
 //! scanner (comments and string literals are stripped by a char-level
-//! state machine, `#[cfg(test)]` regions are tracked by brace depth), not
-//! a real parser. That buys exactly the class of checks this workspace
-//! needs without an AST:
+//! state machine), not a real parser. It holds the two invariants no
+//! compiler or clippy lint can express:
 //!
-//! * [`RULE_UNWRAP`] — no `unwrap()` / `expect()` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in non-test library code
-//!   of `pc_server`, `pc_wire` and `pc_sim`. A panic on a serving thread
-//!   strands every waiter parked on the same condvar or lock (the PR 8
-//!   hung-fleet failure family), so every panic path must either be
-//!   rewritten or carry a reasoned [suppression](#suppressions).
 //! * [`RULE_ORDERING`] — every atomic `Ordering::{Relaxed, Acquire,
 //!   Release, AcqRel, SeqCst}` use must be preceded (within
 //!   [`ORDERING_COMMENT_WINDOW`] lines, or trailed on the same line) by an
@@ -23,11 +16,11 @@
 //!   client's channel and is held for the whole request/reply exchange. Any
 //!   other guard (the connection table, say) held across a blocking write
 //!   turns one slow peer into a stall for every client.
-//! * [`RULE_DRIFT`] — the byte constants in `pc_rtree::proto` (the
-//!   paper's cost model) and the packed record sizes in `pc_wire`'s codec
-//!   must agree, so the `encoded == wire_bytes() + itemized overhead`
-//!   identity pinned by the codec proptests cannot silently rot when
-//!   either side's constants move.
+//!
+//! The rest is the toolchain's: panic paths in `pc_server`, `pc_wire` and
+//! `pc_sim` are denied by clippy lints at the top of each `lib.rs`, and
+//! the codec's record sizes are held to the `pc_rtree::proto` byte model
+//! by `const` assertions in `pc_wire`, which every build evaluates.
 //!
 //! # Suppressions
 //!
@@ -35,7 +28,7 @@
 //! the two preceding lines:
 //!
 //! ```text
-//! // pc-check: allow(no-unwrap, "constructor precondition, not runtime input")
+//! // pc-check: allow(ordering-invariant, "a token in a macro body, not an atomic access")
 //! ```
 //!
 //! The reason is mandatory — an allow without one is itself a violation —
@@ -48,24 +41,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-pub const RULE_UNWRAP: &str = "no-unwrap";
 pub const RULE_ORDERING: &str = "ordering-invariant";
 pub const RULE_GUARD: &str = "no-guard-across-write";
-pub const RULE_DRIFT: &str = "wire-const-drift";
 pub const RULE_SUPPRESSION: &str = "suppression";
 
 /// How many lines above an `Ordering::*` use the `ordering:` invariant
 /// comment may sit (multi-line method chains put the comment above the
 /// statement, not the token).
 pub const ORDERING_COMMENT_WINDOW: usize = 4;
-
-/// Crates whose library code must be panic-free (rule `no-unwrap`).
-const PANIC_FREE_CRATES: &[&str] = &["server", "wire", "sim"];
-
-/// File-name stems that are test code in their entirety (gated by a
-/// `#[cfg(test)] mod …;` in their parent, so the region tracker cannot
-/// see the attribute from inside the file).
-const TEST_FILE_STEMS: &[&str] = &["tests", "proptests", "test_util"];
 
 // ---------------------------------------------------------------------
 // Findings and the report
@@ -183,8 +166,6 @@ pub struct Line {
     pub code: String,
     /// Concatenated comment text on the line (line + block comments).
     pub comment: String,
-    /// Inside a `#[cfg(test)]`-gated region (or a test-only file).
-    pub in_test: bool,
 }
 
 /// A parsed `// pc-check: allow(rule, reason)` marker.
@@ -209,7 +190,6 @@ pub struct SourceFile {
 impl SourceFile {
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
         let lines = strip_lines(text);
-        let lines = mark_test_regions(rel_path, lines);
         let mut suppressions = Vec::new();
         for (i, line) in lines.iter().enumerate() {
             if let Some((rule, reason)) = parse_allow(&line.comment) {
@@ -402,11 +382,7 @@ fn strip_lines(text: &str) -> Vec<Line> {
                 }
             }
         }
-        out.push(Line {
-            code,
-            comment,
-            in_test: false,
-        });
+        out.push(Line { code, comment });
     }
     out
 }
@@ -424,104 +400,6 @@ fn prev_is_ident(code: &str) -> bool {
         .last()
         .map(|c| c.is_alphanumeric() || c == '_')
         .unwrap_or(false)
-}
-
-/// Marks lines inside `#[cfg(test)] <item> { … }` regions (brace-depth
-/// tracked) and whole-file test modules (by stem / directory convention).
-fn mark_test_regions(rel_path: &str, mut lines: Vec<Line>) -> Vec<Line> {
-    let path = Path::new(rel_path);
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or_default();
-    let whole_file_test = TEST_FILE_STEMS.contains(&stem)
-        || rel_path.starts_with("tests/")
-        || rel_path.contains("/tests/");
-    if whole_file_test {
-        for l in &mut lines {
-            l.in_test = true;
-        }
-        return lines;
-    }
-
-    let mut depth: i32 = 0;
-    // (region entry depth) for each open #[cfg(test)] item body.
-    let mut test_regions: Vec<i32> = Vec::new();
-    // Saw #[cfg(test)] and waiting for the item's opening brace.
-    let mut pending_cfg = false;
-    for line in &mut lines {
-        let code = line.code.clone();
-        if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
-            pending_cfg = true;
-        }
-        if !test_regions.is_empty() || pending_cfg {
-            line.in_test = true;
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    if pending_cfg {
-                        test_regions.push(depth);
-                        pending_cfg = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if let Some(&entry) = test_regions.last() {
-                        if depth == entry {
-                            test_regions.pop();
-                        }
-                    }
-                }
-                // `#[cfg(test)] mod foo;` — out-of-line module, no body
-                // here; the file itself is caught by the stem rule.
-                ';' if pending_cfg && test_regions.is_empty() => {
-                    pending_cfg = false;
-                }
-                _ => {}
-            }
-        }
-    }
-    lines
-}
-
-// ---------------------------------------------------------------------
-// Rule: no-unwrap
-// ---------------------------------------------------------------------
-
-const PANIC_TOKENS: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-fn check_no_unwrap(file: &mut SourceFile, report: &mut LintReport) {
-    for i in 0..file.lines.len() {
-        let line = &file.lines[i];
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.clone();
-        for tok in PANIC_TOKENS {
-            if !code.contains(tok) {
-                continue;
-            }
-            // `debug_assert!`-style macros are fine; `.expect(` never
-            // matches `expect_count(` etc. because of the leading dot.
-            let message = format!(
-                "`{}` in non-test library code: a panic here can strand \
-                 waiters on this thread's locks/condvars; return a typed \
-                 error or add a reasoned allow",
-                tok.trim_end_matches('(')
-            );
-            emit(file, report, RULE_UNWRAP, i + 1, message);
-            break; // one finding per line
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -681,377 +559,6 @@ fn parse_guard_binding(code: &str, depth: i32, line_no: usize) -> Option<LiveGua
 }
 
 // ---------------------------------------------------------------------
-// Rule: wire-const-drift
-// ---------------------------------------------------------------------
-
-/// The cross-crate byte-constant identities the codec's size proptests
-/// assume. Each is (label, lhs expr, rhs expr, relation) evaluated over
-/// the merged constant tables of `pc_rtree::proto` and `pc_wire`.
-const DRIFT_IDENTITIES: &[(&str, &str, &str, &str)] = &[
-    // The frame doc ("16-byte versioned frame header") and every
-    // overhead itemization assume this exact size.
-    ("frame-header", "FRAME_HEADER_BYTES", "16", "=="),
-    // Shipment cell records pack to the modeled R-tree entry record.
-    ("cell-pack", "SIDE_BYTES", "ENTRY_BYTES", "=="),
-    // Heap object sides pack to the modeled object header record.
-    ("obj-pack", "SIDE_BYTES", "OBJECT_HEADER_BYTES", "=="),
-    // A heap entry = confirmation word + one packed side…
-    (
-        "heap-entry",
-        "HEAP_ENTRY_BYTES",
-        "CONFIRM_BYTES + SIDE_BYTES",
-        "==",
-    ),
-    // …and a join-pair entry carries a second side.
-    (
-        "heap-pair",
-        "HEAP_PAIR_BYTES",
-        "CONFIRM_BYTES + 2 * SIDE_BYTES",
-        "==",
-    ),
-    // The encoded query spec must fit the model's descriptor budget.
-    ("spec-budget", "SPEC_BYTES", "QUERY_DESC_BYTES", "<="),
-    // Fresh versioned replies itemize exactly variant byte + count word
-    // + the reply section header.
-    (
-        "fresh-overhead",
-        "VERSIONED_FRESH_OVERHEAD_BYTES",
-        "1 + 4 + RESPONSE_REPLY_HEADER_BYTES",
-        "==",
-    ),
-];
-
-/// Files whose constants feed the drift identities, workspace-relative.
-pub const DRIFT_SOURCE_FILES: &[&str] = &[
-    "crates/rtree/src/proto.rs",
-    "crates/wire/src/codec.rs",
-    "crates/wire/src/frame.rs",
-    "crates/wire/src/lib.rs",
-];
-
-fn check_wire_drift(root: &Path, report: &mut LintReport) {
-    let mut consts: BTreeMap<String, i128> = BTreeMap::new();
-    let mut tag_consts: Vec<(String, i128)> = Vec::new();
-    for rel in DRIFT_SOURCE_FILES {
-        let path = root.join(rel);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            report.findings.push(Finding {
-                rule: RULE_DRIFT,
-                file: (*rel).to_string(),
-                line: 0,
-                message: "drift-check source file missing (moved or renamed?)".into(),
-            });
-            continue;
-        };
-        collect_consts(&text, &mut consts);
-    }
-    for (name, value) in &consts {
-        if name.starts_with("REQ_") || name.starts_with("RESP_") {
-            tag_consts.push((name.clone(), *value));
-        }
-    }
-
-    let anchor = |report: &mut LintReport, msg: String| {
-        report.findings.push(Finding {
-            rule: RULE_DRIFT,
-            file: DRIFT_SOURCE_FILES[0].to_string(),
-            line: 0,
-            message: msg,
-        });
-    };
-
-    for (label, lhs, rhs, rel) in DRIFT_IDENTITIES {
-        let l = eval_expr(lhs, &consts);
-        let r = eval_expr(rhs, &consts);
-        match (l, r) {
-            (Some(l), Some(r)) => {
-                let holds = match *rel {
-                    "==" => l == r,
-                    "<=" => l <= r,
-                    other => unreachable!("unknown relation {other}"),
-                };
-                if !holds {
-                    anchor(
-                        report,
-                        format!(
-                            "wire constant drift [{label}]: `{lhs}` = {l} is not {rel} `{rhs}` = {r}"
-                        ),
-                    );
-                }
-            }
-            _ => anchor(
-                report,
-                format!(
-                    "wire constant drift [{label}]: cannot resolve `{lhs}` {rel} `{rhs}` \
-                     (constant renamed or moved out of the scanned files?)"
-                ),
-            ),
-        }
-    }
-
-    // Frame tags: requests and responses live in disjoint nibble-ish
-    // ranges (`tag::is_request` relies on it) and never collide.
-    for (name, v) in &tag_consts {
-        let ok = if name.starts_with("REQ_") {
-            (1..16).contains(v)
-        } else {
-            (16..32).contains(v)
-        };
-        if !ok {
-            anchor(
-                report,
-                format!("wire constant drift [tag-range]: `{name}` = {v} escapes its tag range"),
-            );
-        }
-    }
-    for a in 0..tag_consts.len() {
-        for b in a + 1..tag_consts.len() {
-            if tag_consts[a].1 == tag_consts[b].1 {
-                anchor(
-                    report,
-                    format!(
-                        "wire constant drift [tag-collision]: `{}` and `{}` share value {}",
-                        tag_consts[a].0, tag_consts[b].0, tag_consts[a].1
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Pulls `const NAME: <int type> = EXPR;` declarations out of stripped
-/// source text. Expressions resolve lazily via [`eval_expr`].
-fn collect_consts(text: &str, out: &mut BTreeMap<String, i128>) {
-    let lines = strip_lines(text);
-    let mut raw: Vec<(String, String)> = Vec::new();
-    for line in &lines {
-        let code = line.code.trim();
-        let Some(rest) = code
-            .strip_prefix("pub const ")
-            .or_else(|| code.strip_prefix("const "))
-        else {
-            continue;
-        };
-        let Some((name_ty, expr)) = rest.split_once('=') else {
-            continue;
-        };
-        let Some((name, ty)) = name_ty.split_once(':') else {
-            continue;
-        };
-        let ty = ty.trim();
-        if !matches!(ty, "u8" | "u16" | "u32" | "u64" | "usize" | "i64") {
-            continue;
-        }
-        let expr = expr.trim().trim_end_matches(';').trim();
-        raw.push((name.trim().to_string(), expr.to_string()));
-    }
-    // Two resolution passes let forward references settle (const order in
-    // a file is arbitrary).
-    for _ in 0..2 {
-        for (name, expr) in &raw {
-            if !out.contains_key(name) {
-                if let Some(v) = eval_expr(expr, out) {
-                    out.insert(name.clone(), v);
-                }
-            }
-        }
-    }
-}
-
-/// Evaluates an integer const expression: literals (incl. `0x`, `_`),
-/// identifiers from `env`, `+ - * << >> |` and parens.
-pub fn eval_expr(expr: &str, env: &BTreeMap<String, i128>) -> Option<i128> {
-    let tokens = tokenize(expr)?;
-    let mut pos = 0;
-    let v = parse_or(&tokens, &mut pos, env)?;
-    if pos == tokens.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Num(i128),
-    Ident(String),
-    Op(&'static str),
-    LParen,
-    RParen,
-}
-
-fn tokenize(s: &str) -> Option<Vec<Tok>> {
-    let mut toks = Vec::new();
-    let chars: Vec<char> = s.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' => i += 1,
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            '+' => {
-                toks.push(Tok::Op("+"));
-                i += 1;
-            }
-            '-' => {
-                toks.push(Tok::Op("-"));
-                i += 1;
-            }
-            '*' => {
-                toks.push(Tok::Op("*"));
-                i += 1;
-            }
-            '|' => {
-                toks.push(Tok::Op("|"));
-                i += 1;
-            }
-            '<' if chars.get(i + 1) == Some(&'<') => {
-                toks.push(Tok::Op("<<"));
-                i += 2;
-            }
-            '>' if chars.get(i + 1) == Some(&'>') => {
-                toks.push(Tok::Op(">>"));
-                i += 2;
-            }
-            '0'..='9' => {
-                let start = i;
-                let hex = c == '0' && chars.get(i + 1) == Some(&'x');
-                if hex {
-                    i += 2;
-                }
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                let lit: String = chars[start..i].iter().filter(|&&c| c != '_').collect();
-                // Strip explicit type suffixes like `16u64` (hex digits
-                // must survive, so only the known suffixes come off).
-                let mut lit = lit;
-                for suffix in [
-                    "usize", "isize", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8",
-                ] {
-                    if let Some(body) = lit.strip_suffix(suffix) {
-                        if !body.is_empty() {
-                            lit = body.to_string();
-                        }
-                        break;
-                    }
-                }
-                let v = if let Some(h) = lit.strip_prefix("0x") {
-                    i128::from_str_radix(h, 16).ok()?
-                } else {
-                    lit.parse().ok()?
-                };
-                toks.push(Tok::Num(v));
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                let ident: String = chars[start..i].iter().collect();
-                // `EPOCH_BYTES as u64` style casts: skip the keyword and
-                // the following type token.
-                if ident == "as" {
-                    while i < chars.len() && chars[i] == ' ' {
-                        i += 1;
-                    }
-                    while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                        i += 1;
-                    }
-                } else {
-                    toks.push(Tok::Ident(ident));
-                }
-            }
-            _ => return None,
-        }
-    }
-    Some(toks)
-}
-
-fn parse_or(toks: &[Tok], pos: &mut usize, env: &BTreeMap<String, i128>) -> Option<i128> {
-    let mut v = parse_shift(toks, pos, env)?;
-    while toks.get(*pos) == Some(&Tok::Op("|")) {
-        *pos += 1;
-        v |= parse_shift(toks, pos, env)?;
-    }
-    Some(v)
-}
-
-fn parse_shift(toks: &[Tok], pos: &mut usize, env: &BTreeMap<String, i128>) -> Option<i128> {
-    let mut v = parse_add(toks, pos, env)?;
-    loop {
-        match toks.get(*pos) {
-            Some(Tok::Op("<<")) => {
-                *pos += 1;
-                v <<= parse_add(toks, pos, env)?;
-            }
-            Some(Tok::Op(">>")) => {
-                *pos += 1;
-                v >>= parse_add(toks, pos, env)?;
-            }
-            _ => return Some(v),
-        }
-    }
-}
-
-fn parse_add(toks: &[Tok], pos: &mut usize, env: &BTreeMap<String, i128>) -> Option<i128> {
-    let mut v = parse_mul(toks, pos, env)?;
-    loop {
-        match toks.get(*pos) {
-            Some(Tok::Op("+")) => {
-                *pos += 1;
-                v += parse_mul(toks, pos, env)?;
-            }
-            Some(Tok::Op("-")) => {
-                *pos += 1;
-                v -= parse_mul(toks, pos, env)?;
-            }
-            _ => return Some(v),
-        }
-    }
-}
-
-fn parse_mul(toks: &[Tok], pos: &mut usize, env: &BTreeMap<String, i128>) -> Option<i128> {
-    let mut v = parse_atom(toks, pos, env)?;
-    while toks.get(*pos) == Some(&Tok::Op("*")) {
-        *pos += 1;
-        v *= parse_atom(toks, pos, env)?;
-    }
-    Some(v)
-}
-
-fn parse_atom(toks: &[Tok], pos: &mut usize, env: &BTreeMap<String, i128>) -> Option<i128> {
-    match toks.get(*pos)? {
-        Tok::Num(v) => {
-            *pos += 1;
-            Some(*v)
-        }
-        Tok::Ident(name) => {
-            *pos += 1;
-            env.get(name).copied()
-        }
-        Tok::LParen => {
-            *pos += 1;
-            let v = parse_or(toks, pos, env)?;
-            if toks.get(*pos) == Some(&Tok::RParen) {
-                *pos += 1;
-                Some(v)
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
@@ -1138,12 +645,6 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
         let mut file = SourceFile::parse(&rel, &text);
         report.files_scanned += 1;
 
-        let panic_free = PANIC_FREE_CRATES
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-        if panic_free {
-            check_no_unwrap(&mut file, &mut report);
-        }
         check_ordering(&mut file, &mut report);
         if guard_rule_applies(&rel) {
             check_guard_across_write(&mut file, &mut report);
@@ -1168,7 +669,6 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
         }
     }
 
-    check_wire_drift(root, &mut report);
     report.findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)

@@ -7,10 +7,10 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: pc-check lint [--root DIR] [--json FILE] [-q]\n\
          \n\
-         Runs the workspace concurrency lint (panic paths, atomic ordering\n\
-         invariants, lock discipline across socket writes, wire-constant\n\
-         drift) and exits nonzero on any violation. --json writes the full\n\
-         report (findings + reasoned suppressions) for the CI artifact."
+         Runs the workspace concurrency lint (atomic ordering invariants,\n\
+         lock discipline across socket writes) and exits nonzero on any\n\
+         violation. --json writes the full report (findings + reasoned\n\
+         suppressions) for the CI artifact."
     );
     ExitCode::from(2)
 }

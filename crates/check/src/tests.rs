@@ -1,5 +1,5 @@
-//! Scanner-level unit tests: the lexical stripper, test-region tracking,
-//! suppression parsing and each rule on embedded fixtures.
+//! Scanner-level unit tests: the lexical stripper, suppression parsing and
+//! each rule on embedded fixtures.
 
 use super::*;
 
@@ -10,9 +10,8 @@ fn parse(src: &str) -> SourceFile {
 fn findings_of(file: &mut SourceFile, rule: &str) -> Vec<usize> {
     let mut report = LintReport::default();
     match rule {
-        RULE_UNWRAP => check_no_unwrap_public(file, &mut report),
-        RULE_ORDERING => check_ordering_public(file, &mut report),
-        RULE_GUARD => check_guard_public(file, &mut report),
+        RULE_ORDERING => check_ordering(file, &mut report),
+        RULE_GUARD => check_guard_across_write(file, &mut report),
         _ => panic!("unsupported rule in fixture helper"),
     }
     report
@@ -21,17 +20,6 @@ fn findings_of(file: &mut SourceFile, rule: &str) -> Vec<usize> {
         .filter(|f| f.rule == rule)
         .map(|f| f.line)
         .collect()
-}
-
-// Thin pub(crate) shims so the fixtures drive the real rule bodies.
-fn check_no_unwrap_public(file: &mut SourceFile, report: &mut LintReport) {
-    super::check_no_unwrap(file, report)
-}
-fn check_ordering_public(file: &mut SourceFile, report: &mut LintReport) {
-    super::check_ordering(file, report)
-}
-fn check_guard_public(file: &mut SourceFile, report: &mut LintReport) {
-    super::check_guard_across_write(file, report)
 }
 
 #[test]
@@ -72,50 +60,16 @@ fn char_literals_do_not_eat_lifetimes() {
 }
 
 #[test]
-fn cfg_test_regions_are_tracked_by_depth() {
-    let src = r#"
-fn lib_code() { x.unwrap(); }
-#[cfg(test)]
-mod tests {
-    fn test_code() { y.unwrap(); }
-}
-fn more_lib() { z.unwrap(); }
-"#;
-    let mut f = parse(src);
-    assert_eq!(findings_of(&mut f, RULE_UNWRAP), vec![2, 7]);
-}
-
-#[test]
-fn whole_test_files_are_exempt_from_no_unwrap() {
-    let mut f = SourceFile::parse(
-        "crates/server/src/test_util.rs",
-        "fn helper() { x.unwrap(); }",
-    );
-    assert_eq!(findings_of(&mut f, RULE_UNWRAP), Vec::<usize>::new());
-    let mut f = SourceFile::parse(
-        "crates/baselines/src/semantic/tests.rs",
-        "fn helper() { x.unwrap(); }",
-    );
-    assert_eq!(findings_of(&mut f, RULE_UNWRAP), Vec::<usize>::new());
-}
-
-#[test]
-fn expect_matches_only_the_method_call() {
-    let mut f = parse("let n = rd.expect_count(n, 16, \"x\");\nlet v = opt.expect(\"boom\");");
-    assert_eq!(findings_of(&mut f, RULE_UNWRAP), vec![2]);
-}
-
-#[test]
 fn suppressions_cover_same_line_and_two_above() {
     let src = r#"
-// pc-check: allow(no-unwrap, "fixture: invariant documented")
-let a = x.unwrap();
-let b = y.unwrap(); // pc-check: allow(no-unwrap, "fixture: also fine")
-let c = z.unwrap();
+// pc-check: allow(ordering-invariant, "fixture: invariant documented")
+let a = x.load(Ordering::Acquire);
+let b = y.load(Ordering::Acquire); // pc-check: allow(ordering-invariant, "fixture: also fine")
+let c = z.load(Ordering::Acquire);
 "#;
     let mut f = parse(src);
     let mut report = LintReport::default();
-    super::check_no_unwrap(&mut f, &mut report);
+    super::check_ordering(&mut f, &mut report);
     let lines: Vec<usize> = report.findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, vec![5], "only the unsuppressed site fires");
     assert_eq!(report.allowed.len(), 2);
@@ -123,10 +77,10 @@ let c = z.unwrap();
 
 #[test]
 fn unreasoned_suppressions_are_violations() {
-    let src = "let a = x.unwrap(); // pc-check: allow(no-unwrap)";
+    let src = "let a = x.load(Ordering::Acquire); // pc-check: allow(ordering-invariant)";
     let mut f = parse(src);
     let mut report = LintReport::default();
-    super::check_no_unwrap(&mut f, &mut report);
+    super::check_ordering(&mut f, &mut report);
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].rule, RULE_SUPPRESSION);
     assert!(report.allowed.is_empty());
@@ -242,37 +196,9 @@ fn stream_writes_with_args_are_not_guard_bindings() {
 }
 
 #[test]
-fn const_expr_evaluator_handles_the_real_shapes() {
-    let mut env = BTreeMap::new();
-    env.insert("EPOCH_BYTES".to_string(), 8);
-    assert_eq!(eval_expr("16", &env), Some(16));
-    assert_eq!(eval_expr("4 + EPOCH_BYTES", &env), Some(12));
-    assert_eq!(eval_expr("(1 << 23) - 1", &env), Some((1 << 23) - 1));
-    assert_eq!(eval_expr("8 << 20", &env), Some(8 << 20));
-    assert_eq!(eval_expr("1 + 4 + 24", &env), Some(29));
-    assert_eq!(eval_expr("2 * EPOCH_BYTES + 1", &env), Some(17));
-    assert_eq!(eval_expr("0x1F", &env), Some(0x1F));
-    assert_eq!(eval_expr("MISSING + 1", &env), None);
-}
-
-#[test]
-fn collect_consts_reads_declarations() {
-    let mut out = BTreeMap::new();
-    collect_consts(
-        "pub const A: u64 = 4096;\nconst B: usize = 33;\npub const C: u64 = 4 + A;\n\
-         pub const NOT_INT: &str = \"x\";",
-        &mut out,
-    );
-    assert_eq!(out.get("A"), Some(&4096));
-    assert_eq!(out.get("B"), Some(&33));
-    assert_eq!(out.get("C"), Some(&4100));
-    assert!(!out.contains_key("NOT_INT"));
-}
-
-#[test]
 fn stale_suppressions_are_reported_by_the_driver() {
     // Driven through run_lint in tests/workspace_clean.rs; here just the
     // bookkeeping: an allow that never matches stays unused.
-    let f = parse("// pc-check: allow(no-unwrap, \"nothing here\")\nlet x = 1;");
+    let f = parse("// pc-check: allow(ordering-invariant, \"nothing here\")\nlet x = 1;");
     assert!(f.suppressions.iter().all(|s| !s.used));
 }

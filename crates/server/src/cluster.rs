@@ -443,7 +443,10 @@ impl Cluster {
     /// tree per shard over the objects it owns. Panics on an invalid
     /// configuration ([`ClusterConfig::validate`]).
     pub fn new(store: ObjectStore, tree_cfg: RTreeConfig, cfg: ClusterConfig) -> Self {
-        // pc-check: allow(no-unwrap, "constructor precondition, documented 'Panics on an invalid configuration' above — a misconfigured cluster must never start serving")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor precondition, documented 'Panics on an invalid configuration' above — a misconfigured cluster must never start serving"
+        )]
         cfg.validate().expect("invalid ClusterConfig");
         let map = ShardMap::new(TileGrid::new(cfg.grid_per_axis()), cfg.shards);
         let owned = map.partition(&store);

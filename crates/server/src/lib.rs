@@ -27,6 +27,22 @@
 //! [`ServerHandle`] (transport + shared-store metadata) instead of a
 //! concrete `&Cluster`.
 
+// A panic on a serving thread strands every waiter parked on its locks and
+// condvars, so library code here returns typed errors and each deliberate
+// panic carries an `#[expect]` saying why it is safe. Tests panic to fail.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 mod adaptive;
 pub mod cluster;
 mod config;

@@ -15,7 +15,8 @@
 //! unrelated reasons.
 //!
 //! Every lock acquisition in `pc_server` library code goes through these
-//! helpers; the `pc-check` lint (`no-unwrap`) keeps it that way.
+//! helpers; clippy's `unwrap_used` / `expect_used`, denied in `lib.rs`, keep
+//! it that way.
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

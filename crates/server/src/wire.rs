@@ -262,12 +262,15 @@ impl WireServer {
                         let handle = Arc::clone(&handle);
                         let stop = Arc::clone(&stop);
                         let stats = Arc::clone(&stats);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "spawn fails only on OS resource exhaustion; panicking the accept thread stops intake while live connections drain — better than silently dropping the accepted socket"
+                        )]
                         let t = std::thread::Builder::new()
                             .name("wire-conn".into())
                             .spawn(move || {
                                 handle_connection(stream, &handle, cfg, &stop, &stats);
                             })
-                            // pc-check: allow(no-unwrap, "spawn fails only on OS resource exhaustion; panicking the accept thread stops intake while live connections drain — better than silently dropping the accepted socket")
                             .expect("spawn connection thread");
                         conns.push(t);
                         conns.retain(|t| !t.is_finished());
@@ -460,9 +463,12 @@ impl TcpTransport {
         if let Some(conn) = open {
             return conn;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "client-side harness precondition: the loopback server runs in this same process, so a refused connect is unrecoverable setup breakage — fail fast at the first call"
+        )]
         let stream = TcpStream::connect(self.addr)
             .and_then(|s| s.set_nodelay(true).map(|()| s))
-            // pc-check: allow(no-unwrap, "client-side harness precondition: the loopback server runs in this same process, so a refused connect is unrecoverable setup breakage — fail fast at the first call")
             .expect("wire transport: connect to loopback server");
         // Two threads may have raced to connect the same client: the first
         // insert wins and the loser's socket closes unused.
@@ -527,6 +533,10 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
+    #[expect(
+        clippy::panic,
+        reason = "Transport::call is infallible by signature: a channel that died or desynchronized mid-contact fails its caller loudly rather than hanging or inventing a reply"
+    )]
     fn call(&self, client: ClientId, req: Request) -> Response {
         let conn = self.conn(client);
         let outcome = self.exchange(&conn, client, &req);
@@ -540,7 +550,6 @@ impl Transport for TcpTransport {
                 conns.remove(&client);
             }
         }
-        // pc-check: allow(no-unwrap, "Transport::call is infallible by signature: a channel that died or desynchronized mid-contact fails its caller loudly rather than hanging or inventing a reply")
         outcome.unwrap_or_else(|why| panic!("wire transport: {why}"))
     }
 }

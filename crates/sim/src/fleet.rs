@@ -159,11 +159,17 @@ impl Fleet {
             // a driver that sees `stop` also sees every worker's final
             // issued-count contribution, so the drained quota is exact.
             stop.store(true, Ordering::Release);
-            // pc-check: allow(no-unwrap, "deliberate panic propagation out of a scoped-thread join: all peers are already joined, so re-raising the worker/driver panic on the benchmark thread strands nothing")
+            #[expect(
+                clippy::expect_used,
+                reason = "deliberate panic propagation out of a scoped-thread join: all peers are already joined, so re-raising the worker/driver panic on the benchmark thread strands nothing"
+            )]
             let churn_out = driver.map(|d| d.join().expect("update driver panicked"));
+            #[expect(
+                clippy::expect_used,
+                reason = "re-raises a joined worker's panic, as above"
+            )]
             let results: Vec<_> = joined
                 .into_iter()
-                // pc-check: allow(no-unwrap, "deliberate panic propagation out of a scoped-thread join: all peers are already joined, so re-raising the worker/driver panic on the benchmark thread strands nothing")
                 .flat_map(|r| r.expect("fleet worker panicked"))
                 .collect();
             (results, churn_out)

@@ -18,6 +18,22 @@
 //! [`run_with_server`] are thin wrappers over a session with client id 0
 //! and reproduce the historical sequential behavior exactly.
 
+// A panic on a serving thread strands every waiter parked on its locks and
+// condvars, so library code here returns typed errors and each deliberate
+// panic carries an `#[expect]` saying why it is safe. Tests panic to fail.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 mod config;
 mod fleet;
 mod metrics;

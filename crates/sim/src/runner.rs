@@ -262,6 +262,10 @@ impl ModelRunner for ProactiveRunner {
     /// cache and restarts stage ①, repeating the full uplink + server
     /// time. A plain reply is a fresh one with nothing to invalidate and
     /// no stamp.
+    #[expect(
+        clippy::panic,
+        reason = "deliberate loud livelock cap: 64 straight stale retries means the workload config is broken (driver outpaces every query) and silently returning a partial result would corrupt the measurement"
+    )]
     fn run_query(
         &mut self,
         server: &dyn ServerHandle,
@@ -377,7 +381,6 @@ impl ModelRunner for ProactiveRunner {
                 }
             }
         }
-        // pc-check: allow(no-unwrap, "deliberate loud livelock cap: 64 straight stale retries means the workload config is broken (driver outpaces every query) and silently returning a partial result would corrupt the measurement")
         panic!(
             "client {}: stale retries did not converge in 64 attempts — \
              the update driver is outpacing every query",

@@ -14,9 +14,9 @@ use crate::{tag, WireError};
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;
 use pc_rtree::proto::{
-    CellKind, CellRecord, CellRef, DirectReply, HeapEntry, NodeShipment, QuerySpec, RemainderQuery,
-    Request, Response, ServerReply, Side, VersionedReply, FMR_REPORT_BYTES, FORGET_BYTES,
-    QUERY_DESC_BYTES,
+    self, CellKind, CellRecord, CellRef, DirectReply, HeapEntry, NodeShipment, QuerySpec,
+    RemainderQuery, Request, Response, ServerReply, Side, VersionedReply, FMR_REPORT_BYTES,
+    FORGET_BYTES, QUERY_DESC_BYTES,
 };
 use pc_rtree::{NodeId, ObjectId, SpatialObject};
 
@@ -38,6 +38,17 @@ const VERSIONED_REFRESH_OVERHEAD_BYTES: u64 = 1;
 const SPEC_BYTES: usize = 33;
 /// Serialized size of one heap [`Side`]: packed flags + referent + MBR.
 const SIDE_BYTES: usize = 40;
+
+// The `encoded == wire_bytes() + overhead` identity the size proptests pin
+// holds only while the codec's records pack to the byte model's constants
+// in `pc_rtree::proto`; moving either side fails the build.
+const _: () = assert!(FRAME_HEADER_BYTES == 16); // the frame layout in the crate docs
+const _: () = assert!(SIDE_BYTES as u64 == proto::ENTRY_BYTES); // a shipment cell
+const _: () = assert!(SIDE_BYTES as u64 == proto::OBJECT_HEADER_BYTES); // an object side
+const _: () = assert!(proto::HEAP_ENTRY_BYTES == proto::CONFIRM_BYTES + SIDE_BYTES as u64);
+const _: () = assert!(proto::HEAP_PAIR_BYTES == proto::CONFIRM_BYTES + 2 * SIDE_BYTES as u64);
+const _: () = assert!(SPEC_BYTES as u64 <= QUERY_DESC_BYTES);
+const _: () = assert!(VERSIONED_FRESH_OVERHEAD_BYTES == 1 + 4 + RESPONSE_REPLY_HEADER_BYTES);
 
 // Packed-word bit layout shared by heap sides and shipment cells: the BPT
 // code's bits live in [0, 23), its length in [23, 28) — the balanced BPT

@@ -52,6 +52,22 @@
 //! shard_sub_reply_bytes}`. A backplane codec re-opens with the parked
 //! networked-shard work.
 
+// A panic on a serving thread strands every waiter parked on its locks and
+// condvars, so library code here returns typed errors and each deliberate
+// panic carries an `#[expect]` saying why it is safe. Tests panic to fail.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 mod codec;
 mod frame;
 
@@ -76,6 +92,49 @@ pub mod tag {
     pub const RESP_NEW_D: u8 = 20;
     pub const RESP_FORGOTTEN: u8 = 21;
 
+    const REQUESTS: [u8; 5] = [
+        REQ_REMAINDER,
+        REQ_REMAINDER_VERSIONED,
+        REQ_DIRECT,
+        REQ_REPORT_FMR,
+        REQ_FORGET,
+    ];
+    const RESPONSES: [u8; 5] = [
+        RESP_REMAINDER,
+        RESP_VERSIONED,
+        RESP_DIRECT,
+        RESP_NEW_D,
+        RESP_FORGOTTEN,
+    ];
+
+    /// Asserts that `tags` lie in `lo..=hi`, never collide and fill
+    /// `first..=last` without a gap, so a range test over `first..=last`
+    /// accepts exactly `tags`.
+    const fn check(tags: &[u8], lo: u8, hi: u8, first: u8, last: u8) {
+        assert!(
+            lo <= first && first <= last && last <= hi,
+            "tag range escapes its block"
+        );
+        let mut i = 0;
+        while i < tags.len() {
+            assert!(first <= tags[i] && tags[i] <= last, "tag outside its range");
+            let mut j = i + 1;
+            while j < tags.len() {
+                assert!(tags[i] != tags[j], "two tags collide");
+                j += 1;
+            }
+            i += 1;
+        }
+        assert!(
+            (last - first) as usize + 1 == tags.len(),
+            "the tags leave a gap"
+        );
+    }
+
+    // Requests and responses keep to disjoint blocks, so no tag names both.
+    const _: () = check(&REQUESTS, 1, 15, REQ_REMAINDER, REQ_FORGET);
+    const _: () = check(&RESPONSES, 16, 31, RESP_REMAINDER, RESP_FORGOTTEN);
+
     /// Whether `t` names a request envelope.
     pub fn is_request(t: u8) -> bool {
         (REQ_REMAINDER..=REQ_FORGET).contains(&t)
@@ -84,6 +143,20 @@ pub mod tag {
     /// Whether `t` names a response envelope.
     pub fn is_response(t: u8) -> bool {
         (RESP_REMAINDER..=RESP_FORGOTTEN).contains(&t)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn predicates_match_the_tag_tables_on_every_byte() {
+            for t in 0..=u8::MAX {
+                assert_eq!(is_request(t), REQUESTS.contains(&t), "tag {t}");
+                assert_eq!(is_response(t), RESPONSES.contains(&t), "tag {t}");
+                assert!(!(is_request(t) && is_response(t)), "tag {t}");
+            }
+        }
     }
 }
 
