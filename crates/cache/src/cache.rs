@@ -9,6 +9,7 @@ use pc_rtree::proto::{
     CellKind, NodeShipment, ServerReply, ENTRY_BYTES, OBJECT_HEADER_BYTES, SHIPMENT_HEADER_BYTES,
 };
 use pc_rtree::{NodeId, ObjectId};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// What one reply absorption did to the cache.
@@ -47,9 +48,13 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct ProactiveCache {
     capacity: u64,
-    used: u64,
     policy: ReplacementPolicy,
     items: HashMap<ItemKey, Item>,
+    /// Per-kind totals, kept wherever an item comes, grows or goes, so
+    /// `stats()` and `used_bytes()` walk nothing.
+    node_items: usize,
+    index_bytes: u64,
+    object_bytes: u64,
     /// Leaf node currently known to hold each object's entry — lets reply
     /// absorption link object items to their supporting leaf in O(1).
     object_parents: HashMap<ObjectId, NodeId>,
@@ -63,9 +68,11 @@ impl ProactiveCache {
     pub fn new(capacity: u64, policy: ReplacementPolicy) -> Self {
         ProactiveCache {
             capacity,
-            used: 0,
             policy,
             items: HashMap::new(),
+            node_items: 0,
+            index_bytes: 0,
+            object_bytes: 0,
             object_parents: HashMap::new(),
             last_bswap: false,
         }
@@ -114,7 +121,7 @@ impl ProactiveCache {
     }
 
     pub fn used_bytes(&self) -> u64 {
-        self.used
+        self.index_bytes + self.object_bytes
     }
 
     pub fn capacity(&self) -> u64 {
@@ -130,24 +137,14 @@ impl ProactiveCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats {
+        CacheStats {
             capacity: self.capacity,
-            used_bytes: self.used,
-            ..Default::default()
-        };
-        for item in self.items.values() {
-            match item.data {
-                ItemData::Node(_) => {
-                    s.node_items += 1;
-                    s.index_bytes += item.meta.size;
-                }
-                ItemData::Object(_) => {
-                    s.object_items += 1;
-                    s.object_bytes += item.meta.size;
-                }
-            }
+            used_bytes: self.used_bytes(),
+            node_items: self.node_items,
+            object_items: self.items.len() - self.node_items,
+            index_bytes: self.index_bytes,
+            object_bytes: self.object_bytes,
         }
-        s
     }
 
     // ------------------------------------------------------------------
@@ -193,7 +190,7 @@ impl ProactiveCache {
             if let Some(p) = self.items.get_mut(&parent_key) {
                 p.children.push(key);
             }
-            self.items.insert(
+            self.insert_item(
                 key,
                 Item {
                     meta: ItemMeta {
@@ -208,7 +205,6 @@ impl ProactiveCache {
                     children: Vec::new(),
                 },
             );
-            self.used += size;
             out.inserted_bytes += size;
         }
 
@@ -228,48 +224,46 @@ impl ProactiveCache {
             }
         }
         let grown = match self.items.get_mut(&key) {
-            Some(item) => {
-                let old = item.meta.size;
-                let ItemData::Node(view) = &mut item.data else {
-                    unreachable!("node key holds node data")
-                };
+            Some(Item {
+                meta,
+                data: ItemData::Node(view),
+                ..
+            }) => {
+                let old = meta.size;
                 view.merge(&s.cells);
                 let new = node_item_bytes(view);
-                item.meta.size = new;
-                item.meta.hits += 1;
-                item.meta.last_access = now;
+                meta.size = new;
+                meta.hits += 1;
+                meta.last_access = now;
                 if let Some(mbr) = view.root_mbr() {
-                    item.meta.mbr = mbr;
+                    meta.mbr = mbr;
                 }
                 // Refinement only adds cells, so the frontier (and size)
                 // never shrinks; stay correct even if that ever changes.
-                if new >= old {
-                    self.used += new - old;
-                } else {
-                    self.used -= old - new;
-                }
+                self.index_bytes = self.index_bytes + new - old;
                 new.saturating_sub(old)
             }
+            // A node key always holds node data.
+            Some(_) => 0,
+            // A decoded shipment may carry no cells: nothing to cache.
+            None if s.cells.is_empty() => return 0,
             None => {
                 let view = CachedNodeView::new(s.level, &s.cells);
                 let size = node_item_bytes(&view);
-                let mbr = view.root_mbr().expect("shipment is never empty");
-                let parent_key = s.parent.map(ItemKey::Node);
-                let parent_key = match parent_key {
-                    Some(pk) if self.items.contains_key(&pk) => {
-                        self.items.get_mut(&pk).unwrap().children.push(key);
-                        Some(pk)
-                    }
-                    Some(_) => {
-                        // Parent neither cached nor shipped: tolerated as
-                        // an orphan (evictable on its own; re-linked by
-                        // `adopt_orphan` if the parent arrives later). This
-                        // only arises after update-driven invalidations.
-                        None
+                let Some(mbr) = view.root_mbr() else { return 0 };
+                // A parent neither cached nor shipped leaves this node an
+                // orphan (evictable on its own; re-linked by `adopt_orphan`
+                // if the parent arrives later). This only arises after
+                // update-driven invalidations.
+                let parent = s.parent.map(ItemKey::Node);
+                let parent_key = match parent.and_then(|pk| self.items.get_mut(&pk)) {
+                    Some(p) => {
+                        p.children.push(key);
+                        parent
                     }
                     None => None,
                 };
-                self.items.insert(
+                self.insert_item(
                     key,
                     Item {
                         meta: ItemMeta {
@@ -284,7 +278,6 @@ impl ProactiveCache {
                         children: Vec::new(),
                     },
                 );
-                self.used += size;
                 size
             }
         };
@@ -307,144 +300,87 @@ impl ProactiveCache {
 
     /// Evicts until `used ≤ capacity`; returns `(items, bytes)` evicted.
     pub fn enforce_capacity(&mut self, now: u64, pos: Point) -> (usize, u64) {
-        if self.used <= self.capacity {
+        if self.used_bytes() <= self.capacity {
             return (0, 0);
         }
-        match self.policy {
-            ReplacementPolicy::Grd3 => self.evict_grd3(now),
-            ReplacementPolicy::Grd2 => self.evict_grd2(now),
-            _ => self.evict_scan(now, pos),
-        }
-    }
-
-    /// LRU / MRU / FAR: repeatedly scan hierarchy leaves for the victim.
-    fn evict_scan(&mut self, now: u64, pos: Point) -> (usize, u64) {
-        let mut count = 0;
-        let mut bytes = 0;
-        while self.used > self.capacity && !self.items.is_empty() {
-            let victim = self
-                .items
-                .iter()
-                .filter(|(_, it)| it.is_hierarchy_leaf())
-                .min_by(|(ka, a), (kb, b)| {
-                    let score = |it: &Item| -> f64 {
-                        match self.policy {
-                            ReplacementPolicy::Lru => it.meta.last_access as f64,
-                            // Negated so min_by picks the *most* recent.
-                            ReplacementPolicy::Mru => -(it.meta.last_access as f64),
-                            // Negated so min_by picks the *farthest*.
-                            ReplacementPolicy::Far => -it.meta.mbr.center().dist(&pos),
-                            _ => unreachable!("scan eviction covers LRU/MRU/FAR"),
-                        }
-                    };
-                    score(a).total_cmp(&score(b)).then(ka.cmp(kb))
-                })
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            bytes += self.remove_item(victim);
-            count += 1;
-        }
-        let _ = now;
+        // LRU, MRU and FAR are the greedy loop under another key; the
+        // negations make the min-heap pop the most recent / the farthest.
+        let (count, bytes, _) = match self.policy {
+            ReplacementPolicy::Grd3 => return self.evict_grd3(now),
+            ReplacementPolicy::Grd2 => return self.evict_grd2(now),
+            ReplacementPolicy::Lru => self.evict_leaves(|it| it.meta.last_access as f64),
+            ReplacementPolicy::Mru => self.evict_leaves(|it| -(it.meta.last_access as f64)),
+            ReplacementPolicy::Far => self.evict_leaves(|it| -it.meta.mbr.center().dist(&pos)),
+        };
         (count, bytes)
     }
 
-    /// GRD3 (Definition 5.1): a priority queue `G` over hierarchy leaves
-    /// keyed by `prob`; evict cheapest; when a parent runs out of cached
-    /// children it joins `G`; finally apply the B-swap guarantee step.
-    fn evict_grd3(&mut self, now: u64) -> (usize, u64) {
-        #[derive(PartialEq)]
-        struct Victim(f64, ItemKey);
-        impl Eq for Victim {}
-        impl PartialOrd for Victim {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Victim {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Min-heap on (prob, key) via reversed comparison.
-                other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-            }
-        }
-
-        self.last_bswap = false;
-        // Step (1): discard items too large ever to be kept.
-        let mut count = 0;
-        let mut bytes = 0;
-        bytes += self.discard_oversize(&mut count);
-
-        // Step (2): heapify the hierarchy leaves.
-        let mut heap: BinaryHeap<Victim> = self
+    /// Steps (2)–(5) of Definition 5.1 under any ranking: a min-heap `G`
+    /// over hierarchy leaves keyed by `(rank, ItemKey)`; evict the least
+    /// until the capacity holds, and push a parent once its last cached
+    /// child goes. Nothing touches an item mid-round, so ranks are fixed
+    /// and the pops are exactly a per-victim rescan's picks. Returns
+    /// `(items, bytes)` evicted and the last victim.
+    fn evict_leaves(
+        &mut self,
+        rank: impl Fn(&Item) -> f64,
+    ) -> (usize, u64, Option<(ItemKey, Item)>) {
+        let mut heap: BinaryHeap<Reverse<(i64, ItemKey)>> = self
             .items
             .iter()
             .filter(|(_, it)| it.is_hierarchy_leaf())
-            .map(|(k, it)| Victim(it.prob(now), *k))
+            .map(|(k, it)| Reverse((total_order(rank(it)), *k)))
             .collect();
-
-        let mut last_removed: Option<ItemKey> = None;
-        let mut last_removed_benefit = 0.0;
-        let mut last_removed_item: Option<Item> = None;
-
-        // Steps (3)-(5).
-        while self.used > self.capacity {
-            let Some(Victim(prob, key)) = heap.pop() else {
+        let (mut count, mut bytes, mut last) = (0, 0, None);
+        while self.used_bytes() > self.capacity {
+            let Some(Reverse((_, key))) = heap.pop() else {
                 break;
             };
-            // Lazy invalidation: skip stale entries.
-            let Some(item) = self.items.get(&key) else {
+            let Some(item) = self.remove_item(key) else {
                 continue;
             };
-            if !item.is_hierarchy_leaf() || (item.prob(now) - prob).abs() > 1e-12 {
-                continue;
-            }
-            last_removed_benefit = prob * item.meta.size as f64;
-            last_removed = Some(key);
-            last_removed_item = Some(item.clone());
-            let parent = item.meta.parent;
-            bytes += self.remove_item(key);
             count += 1;
-            // Step (4): a parent that just became a leaf joins G.
-            if let Some(pk) = parent {
-                if let Some(p) = self.items.get(&pk) {
-                    if p.is_hierarchy_leaf() {
-                        heap.push(Victim(p.prob(now), pk));
-                    }
+            bytes += item.meta.size;
+            if let Some(pk) = item.meta.parent {
+                if let Some(p) = self.items.get(&pk).filter(|p| p.is_hierarchy_leaf()) {
+                    heap.push(Reverse((total_order(rank(p)), pk)));
                 }
             }
+            last = Some((key, item));
         }
+        (count, bytes, last)
+    }
 
-        // Step (6): the B-swap approximation guarantee.
-        if let (Some(b_key), Some(b_item)) = (last_removed, last_removed_item) {
-            let remaining_benefit: f64 = self
-                .items
-                .values()
-                .map(|it| it.prob(now) * it.meta.size as f64)
-                .sum();
-            if last_removed_benefit > remaining_benefit && b_item.meta.size <= self.capacity {
-                self.last_bswap = true;
-                // Remove everything remaining; re-insert B as an orphan.
-                let all: Vec<ItemKey> = self.items.keys().copied().collect();
-                for k in all {
-                    if self.items.contains_key(&k) {
-                        bytes += self.remove_subtree(k, &mut count);
-                    }
-                }
-                let mut b = b_item;
-                b.meta.parent = None;
-                b.children.clear();
-                self.used += b.meta.size;
-                if let (ItemData::Node(v), ItemKey::Node(nid)) = (&b.data, b_key) {
-                    for o in v.object_entries() {
-                        self.object_parents.insert(o, nid);
-                    }
-                }
-                bytes = bytes.saturating_sub(b.meta.size);
-                self.items.insert(b_key, b);
-                count = count.saturating_sub(1);
+    /// GRD3 (Definition 5.1): step (1) discards what can never fit, the
+    /// leaf loop evicts in increasing `prob`, and step (6) — the B-swap
+    /// approximation guarantee — keeps the last victim alone when it alone
+    /// is worth more than everything left.
+    fn evict_grd3(&mut self, now: u64) -> (usize, u64) {
+        self.last_bswap = false;
+        let mut count = 0;
+        let oversize = self.discard_oversize(&mut count);
+        let (evicted, bytes, last) = self.evict_leaves(|it| it.prob(now));
+        let (count, bytes) = (count + evicted, oversize + bytes);
+        let Some((b_key, mut b)) = last else {
+            return (count, bytes);
+        };
+        let benefit = |it: &Item| it.prob(now) * it.meta.size as f64;
+        let remaining: f64 = self.items.values().map(benefit).sum();
+        if benefit(&b) <= remaining || b.meta.size > self.capacity {
+            return (count, bytes);
+        }
+        // Evict everything left and re-insert B as an orphan.
+        let (cleared, cleared_bytes) = self.clear();
+        self.last_bswap = true;
+        if let (ItemData::Node(v), ItemKey::Node(nid)) = (&b.data, b_key) {
+            for o in v.object_entries() {
+                self.object_parents.insert(o, nid);
             }
         }
-
-        (count, bytes)
+        b.meta.parent = None;
+        let kept = b.meta.size;
+        self.insert_item(b_key, b);
+        (count + cleared - 1, bytes + cleared_bytes - kept)
     }
 
     /// GRD2 (§5.1): recompute EBRS for every item, evict the minimum with
@@ -460,7 +396,7 @@ impl ProactiveCache {
         let mut count = 0;
         let mut bytes = 0;
         bytes += self.discard_oversize(&mut count);
-        while self.used > self.capacity && !self.items.is_empty() {
+        while self.used_bytes() > self.capacity && !self.items.is_empty() {
             let mut memo: HashMap<ItemKey, (f64, u64)> = HashMap::new(); // (benefit, SIZE)
             let keys: Vec<ItemKey> = self.items.keys().copied().collect();
             for k in &keys {
@@ -511,13 +447,10 @@ impl ProactiveCache {
             .filter(|(_, it)| it.meta.size > self.capacity)
             .map(|(k, _)| *k)
             .collect();
-        let mut bytes = 0;
-        for k in oversize {
-            if self.items.contains_key(&k) {
-                bytes += self.remove_subtree(k, count);
-            }
-        }
-        bytes
+        oversize
+            .into_iter()
+            .map(|k| self.remove_subtree(k, count))
+            .sum()
     }
 
     /// Subtree benefit `Σ prob·size` and `SIZE` (§5.1) with memoization.
@@ -546,20 +479,20 @@ impl ProactiveCache {
     /// parent item. No-op unless `child` exists, is parentless, and
     /// `parent` exists.
     fn adopt_orphan(&mut self, parent: ItemKey, child: ItemKey) {
-        if parent == child {
+        if parent == child || !self.items.contains_key(&parent) {
             return;
         }
-        let is_orphan = matches!(
-            self.items.get(&child),
-            Some(item) if item.meta.parent.is_none()
-        );
-        if !is_orphan || !self.items.contains_key(&parent) {
+        let Some(orphan) = self
+            .items
+            .get_mut(&child)
+            .filter(|it| it.meta.parent.is_none())
+        else {
             return;
-        }
+        };
+        orphan.meta.parent = Some(parent);
         if let Some(p) = self.items.get_mut(&parent) {
             p.children.push(child);
         }
-        self.items.get_mut(&child).unwrap().meta.parent = Some(parent);
     }
 
     /// Drops a node item and every cached descendant — the invalidation
@@ -585,16 +518,15 @@ impl ProactiveCache {
     /// entries. Returns `(items, bytes)` dropped (0 or 1 items).
     pub fn invalidate_node_shallow(&mut self, node: NodeId) -> (usize, u64) {
         let key = ItemKey::Node(node);
-        if !self.items.contains_key(&key) {
+        let Some(item) = self.items.get_mut(&key) else {
             return (0, 0);
-        }
-        let children = std::mem::take(&mut self.items.get_mut(&key).unwrap().children);
-        for c in children {
+        };
+        for c in std::mem::take(&mut item.children) {
             if let Some(child) = self.items.get_mut(&c) {
                 child.meta.parent = None;
             }
         }
-        (1, self.remove_item(key))
+        (1, self.remove_item(key).map_or(0, |it| it.meta.size))
     }
 
     /// Drops *everything* — the client's response to a full-refresh
@@ -602,41 +534,52 @@ impl ProactiveCache {
     /// the client's epoch, so no per-node list exists and the whole cache
     /// is suspect. Returns `(items, bytes)` dropped.
     pub fn clear(&mut self) -> (usize, u64) {
-        let count = self.items.len();
-        let bytes = self.used;
+        let dropped = (self.items.len(), self.used_bytes());
         self.items.clear();
         self.object_parents.clear();
-        self.used = 0;
+        (self.node_items, self.index_bytes, self.object_bytes) = (0, 0, 0);
         self.last_bswap = false;
-        (count, bytes)
+        dropped
     }
 
-    /// Removes a single (leaf) item; unlinks it from its parent and cleans
-    /// the object-parent map. Returns the bytes freed.
-    fn remove_item(&mut self, key: ItemKey) -> u64 {
-        let Some(item) = self.items.remove(&key) else {
-            return 0;
-        };
+    /// Inserts an item and charges its bytes to its kind.
+    fn insert_item(&mut self, key: ItemKey, item: Item) {
+        match item.data {
+            ItemData::Node(_) => {
+                self.node_items += 1;
+                self.index_bytes += item.meta.size;
+            }
+            ItemData::Object(_) => self.object_bytes += item.meta.size,
+        }
+        self.items.insert(key, item);
+    }
+
+    /// Removes a single (leaf) item; unlinks it from its parent, cleans
+    /// the object-parent map and refunds its bytes. Returns the item.
+    pub(crate) fn remove_item(&mut self, key: ItemKey) -> Option<Item> {
+        let item = self.items.remove(&key)?;
         debug_assert!(
             item.children.is_empty(),
             "remove_item on non-leaf {key}; use remove_subtree"
         );
-        self.used -= item.meta.size;
-        if let Some(pk) = item.meta.parent {
-            if let Some(p) = self.items.get_mut(&pk) {
-                p.children.retain(|&c| c != key);
-            }
+        if let Some(p) = item.meta.parent.and_then(|pk| self.items.get_mut(&pk)) {
+            p.children.retain(|&c| c != key);
         }
-        if let ItemData::Node(view) = &item.data {
-            if let ItemKey::Node(nid) = key {
-                for o in view.object_entries() {
-                    if self.object_parents.get(&o) == Some(&nid) {
-                        self.object_parents.remove(&o);
-                    }
+        if let (ItemData::Node(view), ItemKey::Node(nid)) = (&item.data, key) {
+            for o in view.object_entries() {
+                if self.object_parents.get(&o) == Some(&nid) {
+                    self.object_parents.remove(&o);
                 }
             }
         }
-        item.meta.size
+        match item.data {
+            ItemData::Node(_) => {
+                self.node_items -= 1;
+                self.index_bytes -= item.meta.size;
+            }
+            ItemData::Object(_) => self.object_bytes -= item.meta.size,
+        }
+        Some(item)
     }
 
     /// Removes an item and all cached descendants (the §5 constraint).
@@ -649,9 +592,8 @@ impl ProactiveCache {
         for c in children {
             bytes += self.remove_subtree(c, count);
         }
-        bytes += self.remove_item(key);
         *count += 1;
-        bytes
+        bytes + self.remove_item(key).map_or(0, |it| it.meta.size)
     }
 
     // ------------------------------------------------------------------
@@ -661,9 +603,8 @@ impl ProactiveCache {
     /// Structural validation of every §5 invariant; used by tests and
     /// debug assertions.
     pub fn validate(&self) -> Result<(), String> {
-        let mut sum = 0u64;
+        let (mut node_items, mut index_bytes, mut object_bytes) = (0, 0, 0);
         for (key, item) in &self.items {
-            sum += item.meta.size;
             if let Some(pk) = item.meta.parent {
                 let p = self
                     .items
@@ -684,12 +625,15 @@ impl ProactiveCache {
             }
             match (&item.data, key) {
                 (ItemData::Node(v), ItemKey::Node(_)) => {
+                    node_items += 1;
+                    index_bytes += item.meta.size;
                     v.debug_validate().map_err(|e| format!("{key}: {e}"))?;
                     if item.meta.size != node_item_bytes(v) {
                         return Err(format!("{key}: stale size"));
                     }
                 }
                 (ItemData::Object(o), ItemKey::Object(id)) => {
+                    object_bytes += item.meta.size;
                     if o.id != *id {
                         return Err(format!("{key}: object id mismatch"));
                     }
@@ -697,11 +641,19 @@ impl ProactiveCache {
                 _ => return Err(format!("{key}: key/data kind mismatch")),
             }
         }
-        if sum != self.used {
-            return Err(format!("used {} != sum of sizes {sum}", self.used));
+        let counted = (node_items, index_bytes, object_bytes);
+        let kept = (self.node_items, self.index_bytes, self.object_bytes);
+        if counted != kept {
+            return Err(format!(
+                "kept (nodes, index, object) {kept:?} != counted {counted:?}"
+            ));
         }
-        if self.used > self.capacity {
-            return Err(format!("over capacity: {} > {}", self.used, self.capacity));
+        if self.used_bytes() > self.capacity {
+            return Err(format!(
+                "over capacity: {} > {}",
+                self.used_bytes(),
+                self.capacity
+            ));
         }
         for (o, n) in &self.object_parents {
             match self.node_view(*n) {
@@ -725,6 +677,12 @@ impl ProactiveCache {
         }
         Ok(())
     }
+}
+
+/// `x` as an integer that orders exactly as `f64::total_cmp` orders `x`.
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Byte footprint of a node item: its transmitted frontier plus a header —

@@ -118,6 +118,25 @@ fn absorb_is_idempotent_for_objects() {
 }
 
 #[test]
+fn a_shipment_without_cells_is_skipped() {
+    // The codec decodes a shipment with no cells; for a node the cache has
+    // never seen, it carries nothing to cache (and no MBR to cache it by).
+    let mut reply = sample_reply();
+    reply.index.push(NodeShipment {
+        node: n(3),
+        level: 0,
+        parent: Some(n(0)),
+        cells: vec![],
+    });
+    let mut c = big_cache(ReplacementPolicy::Grd3);
+    let out = c.absorb(&reply, 1, Point::ORIGIN);
+    c.validate().unwrap();
+    assert!(c.get(ItemKey::Node(n(3))).is_none());
+    assert_eq!(c.len(), 6, "the rest of the reply is absorbed");
+    assert_eq!(out.inserted_bytes, c.used_bytes());
+}
+
+#[test]
 fn touch_updates_hits_and_recency() {
     let mut c = big_cache(ReplacementPolicy::Lru);
     c.absorb(&sample_reply(), 1, Point::ORIGIN);

@@ -12,6 +12,22 @@
 //! constraint trivially satisfied — an evicted object or childless node
 //! never strands descendants.
 
+// The cache ingests decoded wire replies, so library code here answers
+// malformed input by skipping it, and each deliberate panic carries an
+// `#[expect]` saying why it is safe. Tests panic to fail.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 mod cache;
 mod item;
 mod node_view;

@@ -99,6 +99,10 @@ impl CachedNodeView {
     /// children (sound because each shipment is a *covering antichain* of
     /// the subtree under the cell the client asked about, so sibling
     /// information is always complete up to an already-known cell).
+    #[expect(
+        clippy::panic,
+        reason = "debug builds only: a merge that breaks the view's invariants is a cache bug, caught where it happens"
+    )]
     pub fn merge(&mut self, records: &[CellRecord]) {
         self.merge_records(records);
         if cfg!(debug_assertions) {

@@ -1,9 +1,10 @@
 //! Property tests for the cache, centered on Theorem 5.5: GRD3 must evict
 //! exactly what the EBRS-greedy GRD2 evicts, on randomized item
-//! hierarchies, while every structural invariant holds for every policy.
+//! hierarchies, while every structural invariant holds for every policy,
+//! and the one leaf-heap loop evicts what a per-victim rescan would.
 
 use crate::cache::ProactiveCache;
-use crate::item::ItemKey;
+use crate::item::{Item, ItemKey};
 use crate::policy::ReplacementPolicy;
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;
@@ -118,6 +119,32 @@ fn surviving_keys(c: &ProactiveCache) -> Vec<ItemKey> {
     keys
 }
 
+/// The reference for LRU, MRU and FAR: every victim is the least
+/// `(score, key)` hierarchy leaf of a full rescan. Returns the victims in
+/// eviction order.
+fn rescan_evict(c: &mut ProactiveCache, pos: Point) -> Vec<ItemKey> {
+    let policy = c.policy();
+    let score = |it: &Item| match policy {
+        ReplacementPolicy::Lru => it.meta.last_access as f64,
+        ReplacementPolicy::Mru => -(it.meta.last_access as f64),
+        ReplacementPolicy::Far => -it.meta.mbr.center().dist(&pos),
+        p => unreachable!("{p} does not rank by a fixed score"),
+    };
+    let mut victims = Vec::new();
+    while c.used_bytes() > c.capacity() {
+        let leaves = c.keys().map(|k| (k, c.get(k).unwrap()));
+        let Some((victim, _)) = leaves
+            .filter(|(_, it)| it.is_hierarchy_leaf())
+            .min_by(|(ka, a), (kb, b)| score(a).total_cmp(&score(b)).then(ka.cmp(kb)))
+        else {
+            break;
+        };
+        c.remove_item(victim);
+        victims.push(victim);
+    }
+    victims
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -186,6 +213,49 @@ proptest! {
         prop_assert_eq!(c.used_bytes(), used);
         prop_assert_eq!(c.len(), items);
         c.validate().unwrap();
+    }
+
+    /// LRU, MRU and FAR evict through the leaf heap exactly the victims a
+    /// per-victim rescan picks, in its order: for every prefix of the
+    /// rescan's victims, the capacity that stops the rescan there makes
+    /// the heap evict that prefix and nothing else.
+    #[test]
+    fn leaf_heap_matches_the_rescan(
+        objs_per_leaf in prop::collection::vec(1usize..5, 1..6),
+        sizes in prop::collection::vec(100u32..8000, 4),
+        touches in prop::collection::vec((100u32..130, 2u64..40), 0..40),
+        cap_frac in 0.0f64..0.95,
+        x in -0.5f64..1.5,
+        y in -0.5f64..1.5,
+    ) {
+        let reply = synth_reply(objs_per_leaf.len(), &objs_per_leaf, &sizes);
+        let pos = Point::new(x, y);
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Mru, ReplacementPolicy::Far] {
+            let full = loaded_cache(policy, &reply, &touches);
+            let used = full.used_bytes();
+            let mut rescan = full.clone();
+            rescan.set_capacity((used as f64 * cap_frac) as u64);
+            let victims = rescan_evict(&mut rescan, pos);
+            let mut freed = 0;
+            for (i, v) in victims.iter().enumerate() {
+                freed += full.get(*v).unwrap().meta.size;
+                let mut heap = full.clone();
+                heap.set_capacity(used - freed);
+                let (count, bytes) = heap.enforce_capacity(60, pos);
+                heap.validate().unwrap();
+                let mut expected = victims[..=i].to_vec();
+                expected.sort();
+                let gone: Vec<ItemKey> =
+                    surviving_keys(&full).into_iter().filter(|k| heap.get(*k).is_none()).collect();
+                prop_assert!(
+                    gone == expected,
+                    "{policy} after {} victims: heap {gone:?}, rescan {expected:?}",
+                    i + 1
+                );
+                prop_assert_eq!((count, bytes), (i + 1, freed));
+            }
+            prop_assert_eq!(surviving_keys(&rescan).len() + victims.len(), full.len());
+        }
     }
 }
 

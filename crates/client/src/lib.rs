@@ -3,6 +3,22 @@
 //! and absorbs server replies into the cache (stage ③), maintaining the
 //! §5.2 hit statistics along the way.
 
+// The client ingests decoded wire replies, so nothing a peer sends may
+// panic library code here, and each deliberate panic carries an
+// `#[expect]` saying why it is safe. Tests panic to fail.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use pc_cache::{CacheView, Catalog, InsertOutcome, ItemKey, ProactiveCache, ReplacementPolicy};
 use pc_geom::Point;
 use pc_rtree::engine::{execute_with, EngineScratch, NodeTrace};

@@ -3,16 +3,13 @@
 //! more than the sensitivity `s`, lowers it when it fell by more than `s`,
 //! and leaves it alone otherwise.
 //!
-//! The per-client table is sharded behind mutexes so every entry point
-//! takes `&self`: a server handling a fleet of clients reports and reads
-//! adaptive state concurrently, and clients with different ids land on
-//! different shards most of the time (a multiplicative hash picks the
-//! shard). State growth is bounded: each shard evicts its
-//! least-recently-reporting client once its slice of the capacity
-//! (`MAX_TRACKED_CLIENTS`) is exceeded, so a long-lived server under
-//! churning client ids keeps a fixed-size table. The cap is enforced per
-//! shard (rounded up), so the global count can overshoot it by at most
-//! `SHARDS - 1`.
+//! The per-client table is one map behind one mutex, so every entry point
+//! takes `&self` and a server answering a fleet of clients reports and
+//! reads adaptive state concurrently; the lock covers one map lookup (and,
+//! once the table is full, a newcomer's scan for the stalest entry).
+//! State growth is bounded: once `MAX_TRACKED_CLIENTS` clients are
+//! tracked, a newcomer evicts the least-recently-reporting one, so a
+//! long-lived server under churning client ids keeps a fixed-size table.
 
 use crate::sync_util::lock_recover;
 use std::collections::HashMap;
@@ -22,20 +19,6 @@ use std::sync::Mutex;
 pub(crate) const MAX_D: u8 = 16;
 /// Default cap on tracked per-client states.
 const MAX_TRACKED_CLIENTS: usize = 1 << 16;
-
-/// Number of independently locked shards (power of two).
-const SHARDS: usize = 16;
-/// log2(SHARDS), used to take the hash's top bits as the shard index.
-const SHARD_BITS: u32 = SHARDS.trailing_zeros();
-
-/// Maps a client id to its shard: a Fibonacci multiplicative hash, so
-/// densely-assigned ids *and* ids striding by a power of two (an upstream
-/// allocator handing out every 16th id, say) both spread across shards
-/// instead of piling the whole fleet onto one lock and its slice of the
-/// eviction budget.
-fn shard_index(client: u32) -> usize {
-    ((client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize
-}
 
 /// Per-client adaptive state.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -53,12 +36,12 @@ pub struct AdaptiveState {
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     state: AdaptiveState,
-    /// Shard-local logical clock of the last report (eviction order).
+    /// Logical clock of the last report (eviction order).
     last_report: u64,
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Table {
     states: HashMap<u32, Entry>,
     clock: u64,
 }
@@ -69,27 +52,9 @@ pub struct AdaptiveController {
     /// Sensitivity `s` (Table 6.1 default: 20 %).
     sensitivity: f64,
     initial_d: u8,
-    /// Total client-state capacity across all shards.
+    /// Client-state capacity.
     max_clients: usize,
-    shards: [Mutex<Shard>; SHARDS],
-}
-
-impl Clone for AdaptiveController {
-    fn clone(&self) -> Self {
-        let shards = std::array::from_fn(|i| {
-            let shard = lock_recover(&self.shards[i]);
-            Mutex::new(Shard {
-                states: shard.states.clone(),
-                clock: shard.clock,
-            })
-        });
-        AdaptiveController {
-            sensitivity: self.sensitivity,
-            initial_d: self.initial_d,
-            max_clients: self.max_clients,
-            shards,
-        }
-    }
+    table: Mutex<Table>,
 }
 
 impl AdaptiveController {
@@ -101,82 +66,68 @@ impl AdaptiveController {
             sensitivity,
             initial_d,
             max_clients: MAX_TRACKED_CLIENTS,
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+            table: Mutex::new(Table::default()),
         }
     }
 
-    /// Re-caps the number of tracked clients; the least-recently-reporting
-    /// client of a full shard is evicted back to the initial d. The cap is
-    /// approximate: it is enforced per shard (`⌈max/SHARDS⌉` each), so the
-    /// global count may exceed it by up to `SHARDS - 1`, and caps below
-    /// the shard count (16) are raised to one client per shard.
-    pub fn with_max_clients(mut self, max_clients: usize) -> Self {
-        self.max_clients = max_clients.max(SHARDS);
+    /// Re-caps the number of tracked clients (at least one).
+    #[cfg(test)]
+    fn with_max_clients(mut self, max_clients: usize) -> Self {
+        self.max_clients = max_clients.max(1);
         self
     }
 
-    fn shard(&self, client: u32) -> &Mutex<Shard> {
-        &self.shards[shard_index(client)]
-    }
-
-    fn per_shard_cap(&self) -> usize {
-        self.max_clients.div_ceil(SHARDS)
+    fn initial_state(&self) -> AdaptiveState {
+        AdaptiveState {
+            d: self.initial_d,
+            last_fmr: None,
+            last_epoch: None,
+        }
     }
 
     /// Current d⁺-level for a client.
     pub fn d(&self, client: u32) -> u8 {
-        lock_recover(self.shard(client))
-            .states
-            .get(&client)
-            .map(|e| e.state.d)
-            .unwrap_or(self.initial_d)
+        self.state(client).d
     }
 
     pub fn state(&self, client: u32) -> AdaptiveState {
-        lock_recover(self.shard(client))
+        lock_recover(&self.table)
             .states
             .get(&client)
-            .map(|e| e.state)
-            .unwrap_or(AdaptiveState {
-                d: self.initial_d,
-                last_fmr: None,
-                last_epoch: None,
-            })
+            .map_or_else(|| self.initial_state(), |e| e.state)
     }
 
     /// Number of clients with recorded state.
     pub fn tracked_clients(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_recover(s).states.len())
-            .sum()
+        lock_recover(&self.table).states.len()
     }
 
     /// Drops a client's state (it restarts from the initial d); returns
     /// whether anything was tracked. Lets a server forget disconnected
     /// clients instead of carrying their state forever.
     pub fn forget_client(&self, client: u32) -> bool {
-        lock_recover(self.shard(client))
-            .states
-            .remove(&client)
-            .is_some()
+        lock_recover(&self.table).states.remove(&client).is_some()
     }
 
-    /// Evicts the stalest entry of `shard` when inserting `client` would
-    /// exceed the per-shard capacity (shared by every tracked-state write).
-    fn make_room(&self, shard: &mut Shard, client: u32) {
-        let cap = self.per_shard_cap();
-        if !shard.states.contains_key(&client) && shard.states.len() >= cap {
-            // Evict the stalest reporter to stay within capacity.
-            if let Some(&stale) = shard
-                .states
-                .iter()
-                .min_by_key(|(_, e)| e.last_report)
-                .map(|(c, _)| c)
-            {
-                shard.states.remove(&stale);
+    /// Ticks the clock and applies `update` to `client`'s entry, first
+    /// evicting the stalest reporter if a newcomer would exceed the cap
+    /// (shared by every tracked-state write).
+    fn write<R>(&self, client: u32, update: impl FnOnce(&mut AdaptiveState) -> R) -> R {
+        let mut table = lock_recover(&self.table);
+        table.clock += 1;
+        let clock = table.clock;
+        if !table.states.contains_key(&client) && table.states.len() >= self.max_clients {
+            let stalest = table.states.iter().min_by_key(|(_, e)| e.last_report);
+            if let Some(stale) = stalest.map(|(&c, _)| c) {
+                table.states.remove(&stale);
             }
         }
+        let entry = table.states.entry(client).or_insert(Entry {
+            state: self.initial_state(),
+            last_report: clock,
+        });
+        entry.last_report = clock;
+        update(&mut entry.state)
     }
 
     /// Records the epoch `client` will be synced to once the versioned
@@ -185,22 +136,11 @@ impl AdaptiveController {
     /// epoch, and the client adopts it). Feeds
     /// [`epoch_low_water`](Self::epoch_low_water).
     pub fn note_epoch(&self, client: u32, epoch: u64) {
-        let mut shard = lock_recover(self.shard(client));
-        shard.clock += 1;
-        let clock = shard.clock;
-        self.make_room(&mut shard, client);
-        let entry = shard.states.entry(client).or_insert(Entry {
-            state: AdaptiveState {
-                d: self.initial_d,
-                last_fmr: None,
-                last_epoch: None,
-            },
-            last_report: clock,
-        });
         // A client's contacts are serial, but callers sharing one id may
         // note out of order — keep the max so the mark never runs backwards.
-        entry.state.last_epoch = Some(entry.state.last_epoch.unwrap_or(0).max(epoch));
-        entry.last_report = clock;
+        self.write(client, |state| {
+            state.last_epoch = Some(state.last_epoch.unwrap_or(0).max(epoch));
+        });
     }
 
     /// The fleet **low-water mark**: the minimum last-synced epoch over
@@ -209,15 +149,10 @@ impl AdaptiveController {
     /// tracked client has spoken the versioned protocol — then there is
     /// nobody to bound pruning for (the history cap alone applies).
     pub fn epoch_low_water(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                lock_recover(s)
-                    .states
-                    .values()
-                    .filter_map(|e| e.state.last_epoch)
-                    .min()
-            })
+        lock_recover(&self.table)
+            .states
+            .values()
+            .filter_map(|e| e.state.last_epoch)
             .min()
     }
 
@@ -228,28 +163,17 @@ impl AdaptiveController {
     /// contrary, if it is lower than last fmr by s percent, d is decreased
     /// by 1. Otherwise, d remains its last value."
     pub fn report(&self, client: u32, fmr: f64) -> u8 {
-        let mut shard = lock_recover(self.shard(client));
-        shard.clock += 1;
-        let clock = shard.clock;
-        self.make_room(&mut shard, client);
-        let entry = shard.states.entry(client).or_insert(Entry {
-            state: AdaptiveState {
-                d: self.initial_d,
-                last_fmr: None,
-                last_epoch: None,
-            },
-            last_report: clock,
-        });
-        if let Some(last) = entry.state.last_fmr {
-            if fmr > last * (1.0 + self.sensitivity) {
-                entry.state.d = entry.state.d.saturating_add(1).min(MAX_D);
-            } else if fmr < last * (1.0 - self.sensitivity) {
-                entry.state.d = entry.state.d.saturating_sub(1);
+        self.write(client, |state| {
+            if let Some(last) = state.last_fmr {
+                if fmr > last * (1.0 + self.sensitivity) {
+                    state.d = state.d.saturating_add(1).min(MAX_D);
+                } else if fmr < last * (1.0 - self.sensitivity) {
+                    state.d = state.d.saturating_sub(1);
+                }
             }
-        }
-        entry.state.last_fmr = Some(fmr);
-        entry.last_report = clock;
-        entry.state.d
+            state.last_fmr = Some(fmr);
+            state.d
+        })
     }
 }
 
@@ -362,11 +286,11 @@ mod tests {
 
     #[test]
     fn note_epoch_respects_capacity_and_eviction() {
-        let cap = SHARDS;
+        let cap = 16;
         let c = controller().with_max_clients(cap);
         for client in 0..1000u32 {
             c.note_epoch(client, client as u64);
-            assert!(c.tracked_clients() <= cap);
+            assert_eq!(c.tracked_clients(), (client as usize + 1).min(cap));
         }
         // Evicted stragglers no longer hold the low-water mark down.
         assert!(c.epoch_low_water().unwrap() > 0);
@@ -385,40 +309,33 @@ mod tests {
 
     #[test]
     fn churning_client_ids_stay_within_capacity() {
-        let cap = 2 * SHARDS;
+        let cap = 32;
         let c = controller().with_max_clients(cap);
         for client in 0..10_000u32 {
             c.report(client, 0.1);
-            assert!(
-                c.tracked_clients() <= cap,
-                "tracked {} exceeds cap {cap} at client {client}",
-                c.tracked_clients()
+            assert_eq!(
+                c.tracked_clients(),
+                (client as usize + 1).min(cap),
+                "at client {client}"
             );
         }
-        assert_eq!(c.tracked_clients(), cap, "table is full, not empty");
     }
 
     #[test]
     fn eviction_prefers_the_stalest_reporter() {
-        // Two ids hashing to the same shard, capacity one per shard: the
-        // newcomer evicts the stalest reporter.
-        let c = controller().with_max_clients(SHARDS);
-        let a = 1u32;
-        let b = (2..).find(|&x| shard_index(x) == shard_index(a)).unwrap();
+        // Capacity two: a newcomer evicts whichever of the two tracked
+        // clients reported least recently, not the first one tracked.
+        let c = controller().with_max_clients(2);
+        let (a, b, newcomer) = (1u32, 2u32, 3u32);
         c.report(a, 0.1);
-        c.report(a, 0.2); // a → d=3
-        c.report(b, 0.1); // evicts a
-        assert_eq!(c.d(a), 2, "evicted client lost its raised d");
-        assert_eq!(c.state(b).last_fmr, Some(0.1), "newcomer is tracked");
-    }
-
-    #[test]
-    fn power_of_two_striding_ids_spread_across_shards() {
-        // An upstream allocator striding by 16 must not pile every client
-        // onto one shard (the failure mode of sharding by low bits).
-        let hit: std::collections::HashSet<usize> =
-            (0..64u32).map(|i| shard_index(i * 16)).collect();
-        assert!(hit.len() > SHARDS / 2, "only {} shards used", hit.len());
+        c.report(b, 0.1);
+        c.report(b, 0.2); // b → d=3
+        c.report(a, 0.2); // a → d=3, and b is now the stalest
+        c.report(newcomer, 0.1); // evicts b
+        assert_eq!(c.d(b), 2, "evicted client lost its raised d");
+        assert_eq!(c.d(a), 3, "the fresher reporter keeps its state");
+        assert_eq!(c.state(newcomer).last_fmr, Some(0.1), "newcomer is tracked");
+        assert_eq!(c.tracked_clients(), 2);
     }
 
     #[test]

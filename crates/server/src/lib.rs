@@ -16,7 +16,7 @@
 //! once, every shard's R*-tree + BPT store by `Arc` — as one immutable
 //! [`Snapshot`] behind the one [`SnapshotCell`] of its [`ServerCore`]:
 //! readers pin it and never block, while an update batch builds the next
-//! snapshot off to the side and swaps it in. A sharded, interior-mutable
+//! snapshot off to the side and swaps it in. An interior-mutable
 //! [`AdaptiveController`] keeps the per-client §4.3 state. One instance
 //! serves a whole fleet of concurrent clients while the object set churns.
 //!

@@ -8,7 +8,7 @@
 //! * [`geom`] — points, rectangles, distances.
 //! * [`rtree`] — R*-tree, binary partition trees, the generic query engine
 //!   (paper Algorithm 1) and the wire protocol.
-//! * [`cache`] — the proactive cache: item hierarchy, GRD1/2/3, LRU, MRU
+//! * [`cache`] — the proactive cache: item hierarchy, GRD2/GRD3, LRU, MRU
 //!   and FAR replacement (§5).
 //! * [`client`] — the client-side query processor (§3.3).
 //! * [`server`] — remainder-query resumption, compact / d⁺-level forms and
