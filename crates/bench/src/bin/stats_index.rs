@@ -5,11 +5,14 @@
 //!
 //! Beside the paper's disk-model sizes, two columns describe the BPT store
 //! as this implementation keeps it in memory: resident heap bytes per node
-//! entry (implicit leaves: 36 B per super entry plus per-BPT headers and
-//! slot tables) and build wall time per node (best of three builds on
-//! [`pc_rtree::par::worker_count`] threads). Two more attribute the rest
-//! of a world's set-up (the benchmark's `setup_s`): generating the dataset
-//! and STR bulk-loading the tree, each the best of three, in ms.
+//! entry (implicit leaves and implicit MBRs: 12 B per super entry plus
+//! per-BPT headers and slot tables) and build wall time per node (best of
+//! three builds on [`pc_rtree::par::worker_count`] threads). Three split a
+//! served world's resident bytes (`Snapshot::heap_bytes` of one shard) by
+//! structure, per object: the object store, the R-tree and the BPTs. Two
+//! more attribute the rest of a world's set-up (the benchmark's
+//! `setup_s`): generating the dataset and STR bulk-loading the tree, each
+//! the best of three, in ms.
 
 use pc_bench::{fmt_bytes, HarnessOpts, Table};
 use pc_rtree::bpt::BptStore;
@@ -49,6 +52,9 @@ fn main() {
         "BPT/index",
         "resident",
         "B/entry",
+        "store/obj",
+        "tree/obj",
+        "BPTs/obj",
         "build/node",
         "generate",
         "bulk_load",
@@ -60,13 +66,14 @@ fn main() {
             opts.objects.unwrap_or(50_000)
         };
         let (store, generate_s) = best_of(|| kind.generate(n, opts.seed));
-        let (tree, load_s) = best_of(|| RTree::bulk_load(RTreeConfig::paper(), store.iter()));
+        let (tree, load_s) = best_of(|| RTree::bulk_load(RTreeConfig::paper(), &store));
         let (bpts, build_s) = best_of(|| BptStore::build(&tree));
         let stats = tree.stats();
         // Every object and every non-root node is one entry of some node.
         let entries = n + stats.node_count - 1;
         let aux = bpts.total_aux_bytes();
         let resident = bpts.heap_bytes() as f64;
+        let per_object = |bytes: usize| format!("{:.1}", bytes as f64 / n as f64);
         t.row(vec![
             kind.name().to_string(),
             format!("{n}"),
@@ -77,6 +84,9 @@ fn main() {
             format!("{:.2}x", aux as f64 / stats.index_bytes as f64),
             fmt_bytes(resident),
             format!("{:.1}", resident / entries as f64),
+            per_object(store.heap_bytes()),
+            per_object(tree.heap_bytes()),
+            per_object(bpts.heap_bytes()),
             format!("{:.1}us", build_s * 1e6 / stats.node_count as f64),
             format!("{:.1}ms", generate_s * 1e3),
             format!("{:.1}ms", load_s * 1e3),
@@ -87,7 +97,8 @@ fn main() {
     println!("invariant: BPT overhead <= 2x the index (§4.2).");
     println!(
         "resident / B/entry: BptStore::heap_bytes (memory, not the disk model); \
-         build/node: best of {BUILDS} BptStore::build on up to {} threads; \
+         store / tree / BPTs per object: ObjectStore / RTree / BptStore::heap_bytes, \
+         which sum to a one-shard world's Snapshot::heap_bytes; build/node: best of {BUILDS} BptStore::build on up to {} threads; \
          generate / bulk_load: best of {BUILDS} DatasetKind::generate and \
          RTree::bulk_load, one thread.",
         std::thread::available_parallelism().map_or(1, |p| p.get())

@@ -13,12 +13,17 @@
 //! "A one-time operation" in the paper, the BPTs are the largest resident
 //! part of a served world and are rebuilt for every node a publish dirties,
 //! so a [`Bpt`] keeps only what the R-tree node does not already hold: its
-//! `N − 1` super entries, as two columns (`mbrs`, `kids`: 32 + 4 = 36 B per
-//! entry). A leaf cell *is* an entry of the node — a child reference with
-//! the high bit set is the entry index — and its MBR is read from the entry
-//! set the BPT was built over ([`EntryMbrs`]: the [`Node`]'s SoA columns,
-//! or the plain slice behind the cluster's super-root layout). Cells are
-//! handed out by value ([`BptCell`]); nothing stores a leaf MBR twice.
+//! `N − 1` super entries, as one column of two child references and four
+//! entry indices (12 B per super entry). A leaf cell *is* an entry of the
+//! node — a child reference with the high bit set is the entry index — and
+//! its MBR is read from the entry set the BPT was built over
+//! ([`EntryMbrs`]: the [`Node`]'s SoA columns, or the plain slice behind
+//! the cluster's super-root layout). A super entry's MBR is the union of
+//! the entries it covers, so each of its four coordinates is one entry's:
+//! the build records which, and a read loads those four coordinates back
+//! ([`EntryMbrs::extent`]), bit for bit the union the build formed.
+//! Cells are handed out by value ([`BptCell`]); nothing stores an MBR the
+//! entry set already holds.
 //!
 //! Super entries are numbered in build pre-order (a super entry, its left
 //! subtree, its right subtree), which is neither observable nor on the
@@ -35,7 +40,7 @@ use crate::spares::{clear_to, Lent};
 use crate::split::{midpoint_split, rstar_split, SplitScratch};
 use crate::tree::RTree;
 use crate::{Chunked, Node, NodeId, Spares};
-use pc_geom::Rect;
+use pc_geom::{Point, Rect};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -145,7 +150,8 @@ impl std::fmt::Debug for Code {
 }
 
 /// One cell of a binary partition tree, by value: a view assembled from
-/// the BPT's super-entry columns or, for a leaf, from the node's own entry.
+/// the entry set — through a super entry's four entry indices or, for a
+/// leaf, from the node's own entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BptCell {
     /// MBR of the entry subset this cell covers.
@@ -162,24 +168,41 @@ pub enum BptCellKind {
     Leaf { entry_idx: u16 },
 }
 
-/// The entry MBRs a [`Bpt`] was built over — where its leaf cells live.
-/// Every `Bpt` method that can hand out a leaf cell takes the same entry
+/// The entry MBRs a [`Bpt`] was built over — where every cell's MBR is
+/// read from. Every `Bpt` method that hands out a cell takes the same entry
 /// set the tree was built from.
 pub trait EntryMbrs {
-    fn entry_mbr(&self, entry_idx: u16) -> Rect;
+    /// The rectangle spanned by the min x, min y, max x and max y of the
+    /// entries `[x0, y0, x1, y1]` name, in that order: one load per
+    /// coordinate.
+    fn extent(&self, extremes: [u16; 4]) -> Rect;
+
+    /// One entry's own MBR.
+    #[inline]
+    fn entry_mbr(&self, entry_idx: u16) -> Rect {
+        self.extent([entry_idx; 4])
+    }
 }
 
 impl EntryMbrs for Node {
     #[inline]
-    fn entry_mbr(&self, entry_idx: u16) -> Rect {
-        self.mbr_at(entry_idx as usize)
+    fn extent(&self, [x0, y0, x1, y1]: [u16; 4]) -> Rect {
+        // The raw columns, as stored: the BPT was built over them.
+        let (min_x, min_y, max_x, max_y) = self.mbr_cols();
+        Rect {
+            min: Point::new(min_x[x0 as usize], min_y[y0 as usize]),
+            max: Point::new(max_x[x1 as usize], max_y[y1 as usize]),
+        }
     }
 }
 
 impl EntryMbrs for [Rect] {
     #[inline]
-    fn entry_mbr(&self, entry_idx: u16) -> Rect {
-        self[entry_idx as usize]
+    fn extent(&self, [x0, y0, x1, y1]: [u16; 4]) -> Rect {
+        Rect {
+            min: Point::new(self[x0 as usize].min.x, self[y0 as usize].min.y),
+            max: Point::new(self[x1 as usize].max.x, self[y1 as usize].max.y),
+        }
     }
 }
 
@@ -201,7 +224,7 @@ pub enum SplitPolicy {
 /// Working memory of one BPT build, reused from node to node: a whole
 /// store build (or one builder thread's share of it, or one publish's
 /// dirty set) allocates these buffers once, after which a build allocates
-/// only the BPT's own two columns.
+/// only the BPT's own column.
 #[derive(Default)]
 pub(crate) struct BptScratch {
     split: SplitScratch,
@@ -219,16 +242,25 @@ pub(crate) struct BptScratch {
 /// rather than a super entry; the low 15 bits are the index either way.
 const LEAF_BIT: u16 = 1 << 15;
 
+/// One super entry, 12 B: where its cells are and which entries its MBR's
+/// coordinates come from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct SuperEntry {
+    /// `[left, right]` child references: an index into the super-entry
+    /// column, or `LEAF_BIT | entry_idx`.
+    kids: [u16; 2],
+    /// The entries attaining the MBR's min x, min y, max x and max y
+    /// ([`EntryMbrs::extent`]).
+    extremes: [u16; 4],
+}
+
 /// The binary partition tree of one R-tree node: its super entries only
 /// (module docs — leaves are implicit).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bpt {
-    /// MBR of each super entry; super entry 0 is the root of a BPT over
-    /// two or more entries.
-    mbrs: Vec<Rect>,
-    /// `[left, right]` child references of each super entry: an index
-    /// into these columns, or `LEAF_BIT | entry_idx`.
-    kids: Vec<[u16; 2]>,
+    /// The super entries in build pre-order; super entry 0 is the root of
+    /// a BPT over two or more entries.
+    supers: Vec<SuperEntry>,
     /// `N`, the number of entries built over: 0 models an empty node, 1 a
     /// BPT that is a single leaf — neither has a super entry.
     entries: u16,
@@ -272,16 +304,9 @@ impl Bpt {
             "a BPT addresses at most 2^15 - 1 entries, got {n}"
         );
         let supers = n.saturating_sub(1);
-        let Bpt {
-            mbrs,
-            kids,
-            entries,
-            height,
-        } = self;
-        clear_to(mbrs, supers);
-        clear_to(kids, supers);
-        *entries = n as u16;
-        *height = 0;
+        clear_to(&mut self.supers, supers);
+        self.entries = n as u16;
+        self.height = 0;
         if n > 0 {
             scratch.ids.clear();
             scratch.ids.extend(0..n as u16);
@@ -290,7 +315,7 @@ impl Bpt {
     }
 
     /// Builds the subtree over `scratch.ids[range]`; returns the reference
-    /// to its root cell and that cell's MBR.
+    /// to its root cell and the entries attaining that cell's MBR.
     fn build_rec(
         &mut self,
         range: Range<usize>,
@@ -298,11 +323,11 @@ impl Bpt {
         depth: u8,
         policy: SplitPolicy,
         scratch: &mut BptScratch,
-    ) -> (u16, Rect) {
+    ) -> (u16, [u16; 4]) {
         self.height = self.height.max(depth);
         if range.len() == 1 {
             let entry_idx = scratch.ids[range.start];
-            return (LEAF_BIT | entry_idx, mbrs[entry_idx as usize]);
+            return (LEAF_BIT | entry_idx, [entry_idx; 4]);
         }
         let BptScratch {
             split,
@@ -326,26 +351,43 @@ impl Bpt {
         ids[range.clone()].copy_from_slice(regrouped);
 
         // Claim this super entry's slot before its subtrees claim theirs
-        // (pre-order numbering); both columns are filled on the way back.
-        let at = self.mbrs.len();
-        self.mbrs.push(subset[0]);
-        self.kids.push([0; 2]);
-        let (left, left_mbr) = self.build_rec(range.start..mid, mbrs, depth + 1, policy, scratch);
-        let (right, right_mbr) = self.build_rec(mid..range.end, mbrs, depth + 1, policy, scratch);
-        let mbr = left_mbr.union(&right_mbr);
-        self.mbrs[at] = mbr;
-        self.kids[at] = [left, right];
-        (at as u16, mbr)
+        // (pre-order numbering); it is filled on the way back.
+        let at = self.supers.len();
+        self.supers.push(SuperEntry::default());
+        let (left, l_ext) = self.build_rec(range.start..mid, mbrs, depth + 1, policy, scratch);
+        let (right, r_ext) = self.build_rec(mid..range.end, mbrs, depth + 1, policy, scratch);
+        let l_mbr = mbrs.extent(l_ext);
+        let mbr = l_mbr.union(&mbrs.extent(r_ext));
+        // `min` / `max` return one operand's bits, so each coordinate of
+        // the union is one side's: name that side's entry for it.
+        let side = |k: usize, union: f64, left: f64| {
+            if union.to_bits() == left.to_bits() {
+                l_ext[k]
+            } else {
+                r_ext[k]
+            }
+        };
+        let extremes = [
+            side(0, mbr.min.x, l_mbr.min.x),
+            side(1, mbr.min.y, l_mbr.min.y),
+            side(2, mbr.max.x, l_mbr.max.x),
+            side(3, mbr.max.y, l_mbr.max.y),
+        ];
+        self.supers[at] = SuperEntry {
+            kids: [left, right],
+            extremes,
+        };
+        (at as u16, extremes)
     }
 
     /// Number of cells (`2N - 1` for an `N`-entry node).
     pub fn cell_count(&self) -> usize {
-        self.entries as usize + self.mbrs.len()
+        self.entries as usize + self.supers.len()
     }
 
     /// Number of super entries (`N - 1`).
     pub fn internal_count(&self) -> usize {
-        self.mbrs.len()
+        self.supers.len()
     }
 
     /// Height of the tree (the `h` of §4.3: the `h⁺`-level compact form is
@@ -375,7 +417,7 @@ impl Bpt {
             if at & LEAF_BIT != 0 {
                 return None;
             }
-            at = self.kids[at as usize][code.bit(i) as usize];
+            at = self.supers[at as usize].kids[code.bit(i) as usize];
         }
         Some(at)
     }
@@ -390,7 +432,7 @@ impl Bpt {
             }
         } else {
             BptCell {
-                mbr: self.mbrs[at as usize],
+                mbr: entries.extent(self.supers[at as usize].extremes),
                 kind: BptCellKind::Internal,
             }
         }
@@ -412,7 +454,7 @@ impl Bpt {
         if at & LEAF_BIT != 0 {
             return None;
         }
-        let [left, right] = self.kids[at as usize];
+        let [left, right] = self.supers[at as usize].kids;
         Some([
             (code.child(false), self.cell(left, entries)),
             (code.child(true), self.cell(right, entries)),
@@ -439,7 +481,7 @@ impl Bpt {
             let entry_idx = at & !LEAF_BIT;
             return Expansion::Entry(entry(entry_idx, entries.entry_mbr(entry_idx)));
         }
-        let [left, right] = self.kids[at as usize];
+        let [left, right] = self.supers[at as usize].kids;
         let child = |at: u16, right: bool| Side::Cell {
             cell: CellRef {
                 node: cell.node,
@@ -456,7 +498,7 @@ impl Bpt {
         if at & LEAF_BIT != 0 || levels == 0 {
             return visit(code, at);
         }
-        let [left, right] = self.kids[at as usize];
+        let [left, right] = self.supers[at as usize].kids;
         self.walk(right, code.child(true), levels - 1, visit);
         self.walk(left, code.child(false), levels - 1, visit);
     }
@@ -500,18 +542,16 @@ impl Bpt {
         internal * crate::proto::ENTRY_BYTES + 2 * internal * 8
     }
 
-    /// Heap bytes this BPT keeps resident, by capacity: the two super-entry
-    /// columns (36 B per super entry) plus the header.
+    /// Heap bytes this BPT keeps resident, by capacity: the super-entry
+    /// column (12 B per super entry) plus the header.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        size_of::<Bpt>()
-            + self.mbrs.capacity() * size_of::<Rect>()
-            + self.kids.capacity() * size_of::<[u16; 2]>()
+        size_of::<Bpt>() + self.supers.capacity() * size_of::<SuperEntry>()
     }
 }
 
 /// Builds BPTs straight off tree nodes, gathering each node's SoA MBR
-/// columns into one reused buffer.
+/// columns, as stored, into one reused buffer.
 #[derive(Default)]
 struct NodeBptBuilder {
     mbrs: Vec<Rect>,
@@ -527,7 +567,8 @@ impl NodeBptBuilder {
 
     fn build_into(&mut self, node: &Node, policy: SplitPolicy, bpt: &mut Bpt) {
         self.mbrs.clear();
-        self.mbrs.extend((0..node.len()).map(|j| node.mbr_at(j)));
+        self.mbrs
+            .extend((0..node.len()).map(|j| node.entry_mbr(j as u16)));
         bpt.rebuild(&self.mbrs, policy, &mut self.scratch);
     }
 }
@@ -650,7 +691,6 @@ impl BptStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pc_geom::Point;
 
     #[test]
     fn code_raw_round_trips_and_validates() {
@@ -871,10 +911,87 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_is_36_per_super_entry() {
-        // Implicit leaves: two exact-capacity columns, nothing per leaf.
+    fn heap_bytes_is_12_per_super_entry() {
+        // Implicit leaves and implicit MBRs: one exact-capacity column of
+        // two child references and four entry indices, nothing per leaf.
         let bpt = Bpt::build(&mbrs(102));
-        assert_eq!(bpt.heap_bytes(), std::mem::size_of::<Bpt>() + 101 * 36);
+        assert_eq!(bpt.heap_bytes(), std::mem::size_of::<Bpt>() + 101 * 12);
+    }
+
+    fn rect_bits(r: Rect) -> [u64; 4] {
+        [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits)
+    }
+
+    /// The entry MBRs under `code`, left subtree before right: the order
+    /// the build unions them in.
+    fn span(bpt: &Bpt, ms: &[Rect], code: Code, out: &mut Vec<Rect>) {
+        match bpt.children(code, ms) {
+            Some([(left, _), (right, _)]) => {
+                span(bpt, ms, left, out);
+                span(bpt, ms, right, out);
+            }
+            None => out.push(bpt.find(code, ms).unwrap().mbr),
+        }
+    }
+
+    #[test]
+    fn super_entry_mbrs_are_their_spans_union_bit_for_bit() {
+        let z = |negative: bool| if negative { -0.0 } else { 0.0 };
+        // Extremes tied across the two children: every coordinate drawn
+        // from three values, so most super entries have both sides attain
+        // each of their four extremes.
+        let duplicated: Vec<Rect> = (0..60)
+            .map(|i| {
+                let c = |k: usize| [0.25, 0.5, 0.75][(i * k + i / 3) % 3];
+                Rect::from_coords(c(1), c(2), c(1) + 0.25, c(2) + 0.25)
+            })
+            .collect();
+        // Signed zeros that compare equal but differ in bits, in both
+        // corners (built raw: the constructors normalize corners).
+        let zeros: Vec<Rect> = (0..45)
+            .map(|i| Rect {
+                min: Point::new(z(i % 2 == 0), z(i % 3 == 0)),
+                max: Point::new(z(i % 5 == 0), if i % 4 == 0 { 0.5 } else { z(i % 7 == 0) }),
+            })
+            .collect();
+        let points: Vec<Rect> = (0..50)
+            .map(|i| Rect::from_point(Point::new((i % 4) as f64 * 0.1, z(i % 3 == 1))))
+            .collect();
+        for (what, ms) in [
+            ("duplicated", duplicated),
+            ("±0.0", zeros),
+            ("points", points),
+        ] {
+            let node = Node::with_entries(
+                None,
+                0,
+                ms.iter().enumerate().map(|(i, &mbr)| crate::Entry {
+                    mbr,
+                    child: crate::ChildRef::Object(crate::ObjectId(i as u32)),
+                }),
+            );
+            for policy in [SplitPolicy::RStar, SplitPolicy::Midpoint] {
+                let bpt = Bpt::build_with(&ms, policy);
+                let mut codes = vec![Code::ROOT];
+                let mut supers = 0;
+                while let Some(code) = codes.pop() {
+                    let Some([(left, _), (right, _)]) = bpt.children(code, &ms[..]) else {
+                        continue;
+                    };
+                    supers += 1;
+                    let mut entries = Vec::new();
+                    span(&bpt, &ms, code, &mut entries);
+                    let want = rect_bits(Rect::union_all(entries).unwrap());
+                    let got = bpt.find(code, &ms[..]).unwrap().mbr;
+                    assert_eq!(rect_bits(got), want, "{what} {policy:?} cell {code}");
+                    // The node's columns hold the same coordinates.
+                    let from_node = bpt.find(code, &node).unwrap().mbr;
+                    assert_eq!(rect_bits(from_node), want, "{what} {policy:?} cell {code}");
+                    codes.extend([left, right]);
+                }
+                assert_eq!(supers, ms.len() - 1, "{what} {policy:?}");
+            }
+        }
     }
 
     #[test]

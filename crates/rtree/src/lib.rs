@@ -48,7 +48,7 @@ use pc_geom::Rect;
 use spares::Lent;
 
 pub use spares::{Chunked, Spares, CHUNK_LEN};
-pub use tree::{RTree, RTreeConfig, TreeStats};
+pub use tree::{Objects, RTree, RTreeConfig, TreeStats};
 
 /// Identifier of a data object. Objects are numbered densely from zero so
 /// stores can be plain vectors.

@@ -4,7 +4,7 @@
 
 use crate::spares::Lent;
 use crate::split::{key_bits, rstar_split, SplitScratch};
-use crate::{ChildRef, Chunked, Entry, Node, NodeId, Spares, SpatialObject};
+use crate::{ChildRef, Chunked, Entry, Node, NodeId, ObjectId, ObjectStore, Spares, SpatialObject};
 use pc_geom::Rect;
 use std::sync::Arc;
 
@@ -47,6 +47,57 @@ impl RTreeConfig {
 impl Default for RTreeConfig {
     fn default() -> Self {
         RTreeConfig::paper()
+    }
+}
+
+/// The objects a bulk load packs, by position. Random access: the packer
+/// sorts positions and reads each object where it already lies, so a load
+/// keeps nothing per object beside its sort key.
+pub trait Objects {
+    fn count(&self) -> usize;
+    fn object(&self, position: usize) -> &SpatialObject;
+}
+
+impl Objects for [SpatialObject] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn object(&self, position: usize) -> &SpatialObject {
+        &self[position]
+    }
+}
+
+impl Objects for Vec<SpatialObject> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn object(&self, position: usize) -> &SpatialObject {
+        &self[position]
+    }
+}
+
+/// Every slot of a store, tombstoned ones included.
+impl Objects for ObjectStore {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn object(&self, position: usize) -> &SpatialObject {
+        self.get(ObjectId(position as u32))
+    }
+}
+
+/// The objects of a store the ids name, in id-slice order: a shard's
+/// partition.
+impl Objects for (&ObjectStore, &[ObjectId]) {
+    fn count(&self) -> usize {
+        self.1.len()
+    }
+
+    fn object(&self, position: usize) -> &SpatialObject {
+        self.0.get(self.1[position])
     }
 }
 
@@ -134,26 +185,25 @@ impl RTree {
     /// Bulk loads with Sort-Tile-Recursive packing — the standard way to
     /// build a static R-tree over a full dataset.
     ///
-    /// Takes any pass over the objects — a slice, or
-    /// [`ObjectStore::iter`](crate::ObjectStore::iter) directly — since all
-    /// it keeps of them is a reference each: entries are gathered from the
-    /// objects themselves when their node is packed.
+    /// Reads the objects in place ([`Objects`]: a slice, a store, or a
+    /// store's objects by id): entries are gathered from the objects
+    /// themselves when their node is packed.
     ///
     /// # Panics
     /// Panics, naming the object, if an MBR coordinate is NaN.
-    pub fn bulk_load<'a>(
-        cfg: RTreeConfig,
-        objects: impl IntoIterator<Item = &'a SpatialObject>,
-    ) -> Self {
-        let objects: Vec<&SpatialObject> = objects.into_iter().collect();
-        if objects.is_empty() {
+    pub fn bulk_load(cfg: RTreeConfig, objects: &(impl Objects + ?Sized)) -> Self {
+        let n = objects.count();
+        if n == 0 {
             return RTree::new(cfg);
         }
         let mut tree = RTree::hollow(cfg);
-        tree.object_count = objects.len();
-        let mut level_nodes = tree.str_pack(objects.len(), 0, |_, i| Entry {
-            mbr: objects[i].mbr,
-            child: ChildRef::Object(objects[i].id),
+        tree.object_count = n;
+        let mut level_nodes = tree.str_pack(n, 0, |_, i| {
+            let object = objects.object(i);
+            Entry {
+                mbr: object.mbr,
+                child: ChildRef::Object(object.id),
+            }
         });
         let mut level = 0u16;
 

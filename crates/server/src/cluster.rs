@@ -455,10 +455,7 @@ impl Cluster {
         let workers = par::worker_count(owned.iter().map(Vec::len).sum());
         let shards: Vec<Arc<Shard>> = par::map_ranges(owned.len(), workers, |range| {
             range
-                .map(|s| {
-                    let objects = owned[s].iter().map(|&id| store.get(id));
-                    Arc::new(Shard::build(tree_cfg, objects))
-                })
+                .map(|s| Arc::new(Shard::build(tree_cfg, &(&store, owned[s].as_slice()))))
                 .collect()
         });
         Cluster {

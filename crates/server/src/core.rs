@@ -29,7 +29,9 @@ use pc_rtree::bpt::{Bpt, BptStore};
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
-use pc_rtree::{Node, NodeId, ObjectId, ObjectStore, RTree, RTreeConfig, Spares, SpatialObject};
+use pc_rtree::{
+    Node, NodeId, ObjectId, ObjectStore, Objects, RTree, RTreeConfig, Spares, SpatialObject,
+};
 use std::sync::{Arc, Mutex};
 
 /// One shard's immutable index as of one deployment epoch: tree + BPTs, no
@@ -47,10 +49,7 @@ impl Shard {
     /// Bulk loads the index over `objects` — the objects whose MBRs touch
     /// the tiles this shard owns (all of them, for a lone shard) — and
     /// prepares the BPTs offline.
-    pub fn build<'a>(
-        tree_cfg: RTreeConfig,
-        objects: impl IntoIterator<Item = &'a SpatialObject>,
-    ) -> Shard {
+    pub fn build(tree_cfg: RTreeConfig, objects: &(impl Objects + ?Sized)) -> Shard {
         let tree = RTree::bulk_load(tree_cfg, objects);
         Shard {
             bpts: BptStore::build(&tree),

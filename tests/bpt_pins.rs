@@ -156,7 +156,7 @@ const PINS: [(usize, u64, [u64; 3]); 2] = [
 fn bpt_store_and_shipments_match_the_cell_arena_pins() {
     for (n, want_store, want_forms) in PINS {
         let store = ne_like(n, 2005);
-        let tree = RTree::bulk_load(RTreeConfig::paper(), store.iter());
+        let tree = RTree::bulk_load(RTreeConfig::paper(), &store);
         let bpts = BptStore::build(&tree);
         assert_eq!(
             store_digest(&tree, &bpts),

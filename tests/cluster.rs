@@ -133,7 +133,8 @@ fn any_spec() -> impl Strategy<Value = QuerySpec> {
 /// built from scratch: the reference world of [`assert_equivalent`].
 fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, Shard) {
     let store = cluster.core().pin().store().clone();
-    let single = Shard::build(tree_cfg, store.iter_live());
+    let live: Vec<ObjectId> = store.iter_live().map(|o| o.id).collect();
+    let single = Shard::build(tree_cfg, &(&store, live.as_slice()));
     (store, single)
 }
 

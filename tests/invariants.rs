@@ -126,10 +126,12 @@ fn served_world_footprint_is_linear_in_the_dataset() {
     // Store + tree + BPTs by capacity: 4× the objects may cost 4× the
     // bytes plus rounding (partial segments, the last leaf), never a
     // superlinear term — the `split_off` chunking this pins against held
-    // n²/2048 object slots — and stays under 170 B per object (40 B
-    // object, ~40 B leaf entry, ~36 B of BPT super entry, plus interior
-    // nodes, per-BPT headers and partial segments: ~135 B measured). A BPT
-    // that stored its leaf cells again would add 60 B and trip it.
+    // n²/2048 object slots — and stays under 110 B per object (40 B
+    // object, ~40 B leaf entry, ~12 B of BPT super entry, plus interior
+    // nodes, per-BPT headers and partial segments: 96.9 / 95.7 B measured
+    // at 10k / 40k). A BPT that stored its super entries' MBRs again would
+    // add ~24 B and trip it (121.2 B), one that stored its leaf cells
+    // again ~60 B more.
     let heap = |n: usize| {
         Cluster::single(
             ne_like(n, 2005),
@@ -144,6 +146,6 @@ fn served_world_footprint_is_linear_in_the_dataset() {
         large as f64 <= 4.3 * small as f64,
         "footprint grew superlinearly: {small} B at 10k, {large} B at 40k"
     );
-    assert!(small <= 170 * 10_000, "{small} B at 10k objects");
-    assert!(large <= 170 * 40_000, "{large} B at 40k objects");
+    assert!(small <= 110 * 10_000, "{small} B at 10k objects");
+    assert!(large <= 110 * 40_000, "{large} B at 40k objects");
 }
