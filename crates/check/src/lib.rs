@@ -17,33 +17,20 @@
 //!   other guard (the connection table, say) held across a blocking write
 //!   turns one slow peer into a stall for every client.
 //!
-//! The rest is the toolchain's: panic paths in `pc_server`, `pc_wire` and
-//! `pc_sim` are denied by clippy lints at the top of each `lib.rs`, and
-//! the codec's record sizes are held to the `pc_rtree::proto` byte model
-//! by `const` assertions in `pc_wire`, which every build evaluates.
+//! The rest is the toolchain's: panic paths in `pc_server`, `pc_wire`,
+//! `pc_sim`, `pc_cache` and `pc_client` are denied by clippy lints at the
+//! top of each `lib.rs`, and the codec's record sizes are held to the
+//! `pc_rtree::proto` byte model by `const` assertions in `pc_wire`, which
+//! every build evaluates.
 //!
-//! # Suppressions
-//!
-//! A finding is suppressed by a comment on the same line, or on one of
-//! the two preceding lines:
-//!
-//! ```text
-//! // pc-check: allow(ordering-invariant, "a token in a macro body, not an atomic access")
-//! ```
-//!
-//! The reason is mandatory — an allow without one is itself a violation —
-//! and so is usefulness: a suppression that matches no finding is flagged
-//! as stale. The report ([`LintReport`]) carries every violation *and*
-//! every accepted suppression with its reason, and serializes to JSON for
-//! the CI artifact.
+//! There is no suppression syntax: a finding is fixed, never silenced.
+//! The report ([`LintReport`]) is the list of findings; the CLI prints it
+//! and exits nonzero unless it is empty.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 pub const RULE_ORDERING: &str = "ordering-invariant";
 pub const RULE_GUARD: &str = "no-guard-across-write";
-pub const RULE_SUPPRESSION: &str = "suppression";
 
 /// How many lines above an `Ordering::*` use the `ordering:` invariant
 /// comment may sit (multi-line method chains put the comment above the
@@ -62,95 +49,17 @@ pub struct Finding {
     pub message: String,
 }
 
-#[derive(Clone, Debug)]
-pub struct Allowed {
-    pub rule: &'static str,
-    pub file: String,
-    pub line: usize,
-    pub reason: String,
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
     pub files_scanned: usize,
-    /// Unsuppressed violations: each one fails the lint.
+    /// Violations: each one fails the lint.
     pub findings: Vec<Finding>,
-    /// Findings covered by a reasoned suppression (reported, not fatal).
-    pub allowed: Vec<Allowed>,
 }
 
 impl LintReport {
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
     }
-
-    /// Finding counts per rule, for the summary table.
-    pub fn counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut m = BTreeMap::new();
-        for f in &self.findings {
-            *m.entry(f.rule).or_insert(0) += 1;
-        }
-        m
-    }
-
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(s, "  \"violations\": {},", self.findings.len());
-        let _ = writeln!(s, "  \"allowed\": {},", self.allowed.len());
-        s.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                f.rule,
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message)
-            );
-            s.push_str(if i + 1 < self.findings.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ],\n  \"suppressions\": [\n");
-        for (i, a) in self.allowed.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}",
-                a.rule,
-                json_escape(&a.file),
-                a.line,
-                json_escape(&a.reason)
-            );
-            s.push_str(if i + 1 < self.allowed.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -168,79 +77,28 @@ pub struct Line {
     pub comment: String,
 }
 
-/// A parsed `// pc-check: allow(rule, reason)` marker.
-#[derive(Clone, Debug)]
-struct Suppression {
-    rule: String,
-    reason: String,
-    line: usize,
-    /// Trailing comment on a code line (covers that line only) vs a
-    /// standalone comment line (covers the next two lines).
-    trailing: bool,
-    used: bool,
-}
-
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel_path: String,
     pub lines: Vec<Line>,
-    suppressions: Vec<Suppression>,
 }
 
 impl SourceFile {
     pub fn parse(rel_path: &str, text: &str) -> SourceFile {
-        let lines = strip_lines(text);
-        let mut suppressions = Vec::new();
-        for (i, line) in lines.iter().enumerate() {
-            if let Some((rule, reason)) = parse_allow(&line.comment) {
-                suppressions.push(Suppression {
-                    rule,
-                    reason,
-                    line: i + 1,
-                    trailing: !line.code.trim().is_empty(),
-                    used: false,
-                });
-            }
-        }
         SourceFile {
             rel_path: rel_path.to_string(),
-            lines,
-            suppressions,
+            lines: strip_lines(text),
         }
     }
 
-    /// Looks for a suppression of `rule` covering `line` (1-based): a
-    /// trailing allow covers exactly its own line; a standalone comment
-    /// allow covers the two lines below it.
-    fn suppression_for(&mut self, rule: &str, line: usize) -> Option<&mut Suppression> {
-        self.suppressions.iter_mut().find(|s| {
-            s.rule == rule
-                && if s.trailing {
-                    s.line == line
-                } else {
-                    s.line < line && line - s.line <= 2
-                }
-        })
+    fn finding(&self, rule: &'static str, line: usize, message: String) -> Finding {
+        Finding {
+            rule,
+            file: self.rel_path.clone(),
+            line,
+            message,
+        }
     }
-}
-
-/// Extracts `pc-check: allow(rule, reason...)` from comment text. The
-/// marker must *lead* the comment — prose (or docs like this paragraph)
-/// that merely mentions the syntax never arms a suppression.
-fn parse_allow(comment: &str) -> Option<(String, String)> {
-    let trimmed = comment.trim();
-    if !trimmed.starts_with("pc-check: allow(") {
-        return None;
-    }
-    let body = &trimmed["pc-check: allow(".len()..];
-    let close = body.rfind(')')?;
-    let body = &body[..close];
-    let (rule, reason) = match body.split_once(',') {
-        Some((r, why)) => (r.trim(), why.trim()),
-        None => (body.trim(), ""),
-    };
-    let reason = reason.trim_matches('"').trim();
-    Some((rule.to_string(), reason.to_string()))
 }
 
 // ---------------------------------------------------------------------
@@ -414,7 +272,7 @@ const ATOMIC_ORDERINGS: &[&str] = &[
     "Ordering::SeqCst",
 ];
 
-fn check_ordering(file: &mut SourceFile, report: &mut LintReport) {
+fn check_ordering(file: &SourceFile, report: &mut LintReport) {
     for i in 0..file.lines.len() {
         let code = &file.lines[i].code;
         let Some(which) = ATOMIC_ORDERINGS.iter().find(|o| code.contains(*o)) else {
@@ -432,7 +290,9 @@ fn check_ordering(file: &mut SourceFile, report: &mut LintReport) {
                 "`{which}` without an `ordering:` invariant comment within \
                  {ORDERING_COMMENT_WINDOW} lines naming what it synchronizes"
             );
-            emit(file, report, RULE_ORDERING, i + 1, message);
+            report
+                .findings
+                .push(file.finding(RULE_ORDERING, i + 1, message));
         }
     }
 }
@@ -454,7 +314,7 @@ fn guard_rule_applies(rel_path: &str) -> bool {
     rel_path == "crates/server/src/wire.rs"
 }
 
-fn check_guard_across_write(file: &mut SourceFile, report: &mut LintReport) {
+fn check_guard_across_write(file: &SourceFile, report: &mut LintReport) {
     let mut depth: i32 = 0;
     let mut guards: Vec<LiveGuard> = Vec::new();
     for i in 0..file.lines.len() {
@@ -490,7 +350,9 @@ fn check_guard_across_write(file: &mut SourceFile, report: &mut LintReport) {
                      slow peer would stall every thread contending on them",
                     offenders.join(", ")
                 );
-                emit(file, report, RULE_GUARD, i + 1, message);
+                report
+                    .findings
+                    .push(file.finding(RULE_GUARD, i + 1, message));
             }
         }
         // New guard bindings: `let [mut] NAME = EXPR.lock()…` (also
@@ -562,42 +424,6 @@ fn parse_guard_binding(code: &str, depth: i32, line_no: usize) -> Option<LiveGua
 // Driver
 // ---------------------------------------------------------------------
 
-fn emit(
-    file: &mut SourceFile,
-    report: &mut LintReport,
-    rule: &'static str,
-    line: usize,
-    message: String,
-) {
-    let rel = file.rel_path.clone();
-    if let Some(s) = file.suppression_for(rule, line) {
-        s.used = true;
-        if s.reason.is_empty() {
-            report.findings.push(Finding {
-                rule: RULE_SUPPRESSION,
-                file: rel,
-                line: s.line,
-                message: format!("allow({rule}) without a reason — suppressions must say why"),
-            });
-        } else {
-            let reason = s.reason.clone();
-            report.allowed.push(Allowed {
-                rule,
-                file: rel,
-                line,
-                reason,
-            });
-        }
-        return;
-    }
-    report.findings.push(Finding {
-        rule,
-        file: rel,
-        line,
-        message,
-    });
-}
-
 fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -624,7 +450,7 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
     let Ok(entries) = std::fs::read_dir(&crates_dir) else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::NotFound,
-            format!("no crates/ under {} — wrong --root?", root.display()),
+            format!("no crates/ under {}", root.display()),
         ));
     };
     let mut crate_dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
@@ -642,30 +468,12 @@ pub fn run_lint(root: &Path) -> std::io::Result<LintReport> {
             .to_string_lossy()
             .replace('\\', "/");
         let text = std::fs::read_to_string(&path)?;
-        let mut file = SourceFile::parse(&rel, &text);
+        let file = SourceFile::parse(&rel, &text);
         report.files_scanned += 1;
 
-        check_ordering(&mut file, &mut report);
+        check_ordering(&file, &mut report);
         if guard_rule_applies(&rel) {
-            check_guard_across_write(&mut file, &mut report);
-        }
-
-        // Stale suppressions: an allow that matched nothing is noise at
-        // best and a silently-disarmed check at worst.
-        for s in &file.suppressions {
-            if !s.used {
-                report.findings.push(Finding {
-                    rule: RULE_SUPPRESSION,
-                    file: rel.clone(),
-                    line: s.line,
-                    message: format!(
-                        "stale suppression: allow({}) matched no finding on lines {}..={}",
-                        s.rule,
-                        s.line,
-                        s.line + 2
-                    ),
-                });
-            }
+            check_guard_across_write(&file, &mut report);
         }
     }
 

@@ -17,6 +17,11 @@ use std::sync::Mutex;
 
 /// Upper clamp for d (a BPT of a 4 KB page is ~11 deep).
 pub(crate) const MAX_D: u8 = 16;
+/// The d⁺-level every client starts at (and restarts at once forgotten).
+pub(crate) const INITIAL_D: u8 = 1;
+// A start above the clamp would make a client's first rising report move d
+// down to it.
+const _: () = assert!(INITIAL_D <= MAX_D);
 /// Default cap on tracked per-client states.
 const MAX_TRACKED_CLIENTS: usize = 1 << 16;
 
@@ -51,6 +56,7 @@ struct Table {
 pub struct AdaptiveController {
     /// Sensitivity `s` (Table 6.1 default: 20 %).
     sensitivity: f64,
+    /// Where new clients start: [`INITIAL_D`] outside the unit tests.
     initial_d: u8,
     /// Client-state capacity.
     max_clients: usize,
@@ -59,12 +65,12 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// A table tracking up to `MAX_TRACKED_CLIENTS` (65 536) clients, each
-    /// starting at `initial_d`; d is clamped to `0..=16`.
-    pub fn new(sensitivity: f64, initial_d: u8) -> Self {
+    /// starting at d = 1; d is clamped to `0..=16`.
+    pub fn new(sensitivity: f64) -> Self {
         assert!(sensitivity >= 0.0);
         AdaptiveController {
             sensitivity,
-            initial_d,
+            initial_d: INITIAL_D,
             max_clients: MAX_TRACKED_CLIENTS,
             table: Mutex::new(Table::default()),
         }
@@ -74,6 +80,13 @@ impl AdaptiveController {
     #[cfg(test)]
     fn with_max_clients(mut self, max_clients: usize) -> Self {
         self.max_clients = max_clients.max(1);
+        self
+    }
+
+    /// Starts new clients at `d` instead of [`INITIAL_D`].
+    #[cfg(test)]
+    fn with_initial_d(mut self, d: u8) -> Self {
+        self.initial_d = d;
         self
     }
 
@@ -183,7 +196,7 @@ mod tests {
     use std::sync::Arc;
 
     fn controller() -> AdaptiveController {
-        AdaptiveController::new(0.2, 2)
+        AdaptiveController::new(0.2).with_initial_d(2)
     }
 
     #[test]
@@ -217,7 +230,7 @@ mod tests {
 
     #[test]
     fn d_is_clamped_at_bounds() {
-        let c = AdaptiveController::new(0.2, 0);
+        let c = AdaptiveController::new(0.2).with_initial_d(0);
         let fmr = |step: i32| 2f64.powi(step);
         c.report(1, fmr(0));
         // Doubling, well beyond the band: d climbs to the clamp and stays …

@@ -84,6 +84,7 @@ use crate::adaptive::AdaptiveController;
 use crate::config::{form_mode, ClientId, ServerConfig};
 use crate::core::{PartitionOp, ServerCore, Shard, WriterSpares};
 use crate::forms::FormMode;
+use crate::sync_util::Counter;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::{Update, UpdateLog};
 use pc_geom::{Rect, TileGrid};
@@ -98,7 +99,6 @@ use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The synthetic node id of the cluster's super-root (the BPT over shard
@@ -400,10 +400,10 @@ struct Leg {
 
 #[derive(Debug, Default)]
 struct Counters {
-    scatter_bytes: AtomicU64,
-    gather_bytes: AtomicU64,
-    sub_queries: AtomicU64,
-    duplicates_merged: AtomicU64,
+    scatter_bytes: Counter,
+    gather_bytes: Counter,
+    sub_queries: Counter,
+    duplicates_merged: Counter,
 }
 
 /// Backplane accounting of the scatter-gather router (router ↔ shard
@@ -468,7 +468,7 @@ impl Cluster {
                 log: UpdateLog::default(),
             }),
             map,
-            adaptive: AdaptiveController::new(cfg.server.sensitivity, cfg.server.initial_d),
+            adaptive: AdaptiveController::new(cfg.server.sensitivity),
             cfg,
             stats: Counters::default(),
         }
@@ -514,14 +514,11 @@ impl Cluster {
 
     /// Router backplane counters since construction.
     pub fn stats(&self) -> ClusterStats {
-        // ordering: Relaxed — monotone stats counters; a snapshot is a
-        // report (exact-total tests read it after the fleet joins).
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ClusterStats {
-            scatter_bytes: ld(&self.stats.scatter_bytes),
-            gather_bytes: ld(&self.stats.gather_bytes),
-            sub_queries: ld(&self.stats.sub_queries),
-            duplicates_merged: ld(&self.stats.duplicates_merged),
+            scatter_bytes: self.stats.scatter_bytes.get(),
+            gather_bytes: self.stats.gather_bytes.get(),
+            sub_queries: self.stats.sub_queries.get(),
+            duplicates_merged: self.stats.duplicates_merged.get(),
         }
     }
 
@@ -972,11 +969,10 @@ impl Cluster {
                 already_found: rq.already_found,
                 heap: std::mem::take(&mut leg.heap),
             };
-            // ordering: Relaxed — monotone stats counters (see `stats`).
             self.stats
                 .scatter_bytes
-                .fetch_add(shard_sub_request_bytes(&query), Ordering::Relaxed);
-            self.stats.sub_queries.fetch_add(1, Ordering::Relaxed);
+                .add(shard_sub_request_bytes(&query));
+            self.stats.sub_queries.add(1);
             leg.resumed = Some(shard.resume_traced(&query));
         }
 
@@ -1004,10 +1000,9 @@ impl Cluster {
                     for sh in &mut reply.index {
                         self.translate_shipment(sh, s);
                     }
-                    // ordering: Relaxed — monotone stats counter (see `stats`).
                     self.stats
                         .gather_bytes
-                        .fetch_add(shard_sub_reply_bytes(n, &reply), Ordering::Relaxed);
+                        .add(shard_sub_reply_bytes(n, &reply));
                     Some(reply)
                 });
 
@@ -1116,10 +1111,7 @@ impl Cluster {
             }
         }
         if dups > 0 {
-            // ordering: Relaxed — monotone stats counter (see `stats`).
-            self.stats
-                .duplicates_merged
-                .fetch_add(dups, Ordering::Relaxed);
+            self.stats.duplicates_merged.add(dups);
         }
 
         match *spec {
@@ -1306,6 +1298,7 @@ impl ServerHandle for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::INITIAL_D;
     use crate::config::FormPolicy;
     use crate::test_util::{cold_remainder, leaves_of, sample_server, sample_store, Fnv};
     use pc_geom::Point;
@@ -1576,7 +1569,7 @@ mod tests {
             "same query, same answer"
         );
         // 0 reports → initial d; k≥2 reports → d rose k−1 times.
-        let d0 = ServerConfig::default().initial_d;
+        let d0 = INITIAL_D;
         assert_eq!(server.adaptive().d(0), d0);
         assert_eq!(server.adaptive().d(2), d0 + 1);
         assert_eq!(server.adaptive().d(3), d0 + 2);
@@ -1666,7 +1659,7 @@ mod tests {
         server.adaptive().report(9, 0.1);
         server.adaptive().report(9, 0.5);
         server.adaptive().report(9, 0.9);
-        assert!(server.adaptive().d(9) > ServerConfig::default().initial_d);
+        assert!(server.adaptive().d(9) > INITIAL_D);
         let after = server
             .process_remainder(9, &cold_remainder(&server, spec))
             .index_bytes();
@@ -1678,10 +1671,10 @@ mod tests {
         let server = sample_server(200, 7, FormPolicy::Adaptive);
         server.adaptive().report(3, 0.1);
         server.adaptive().report(3, 0.5);
-        assert!(server.adaptive().d(3) > ServerConfig::default().initial_d);
+        assert!(server.adaptive().d(3) > INITIAL_D);
         assert_eq!(server.adaptive().tracked_clients(), 1);
         assert!(server.adaptive().forget_client(3));
-        assert_eq!(server.adaptive().d(3), ServerConfig::default().initial_d);
+        assert_eq!(server.adaptive().d(3), INITIAL_D);
         assert_eq!(server.adaptive().tracked_clients(), 0);
     }
 
@@ -2209,7 +2202,7 @@ mod tests {
 
     #[test]
     fn every_pin_is_one_consistent_epoch_under_concurrent_publishes() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         const BATCHES: u64 = 300;
         let cl = quad_cluster(sample_store(400, 31));
         let quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)];

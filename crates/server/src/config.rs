@@ -2,7 +2,7 @@
 //! [`FormPolicy`], [`ClientId`] and the `(policy, d)` → form mapping. The
 //! deployment itself — one shard or many — is a [`crate::Cluster`].
 
-use crate::adaptive::{AdaptiveController, MAX_D};
+use crate::adaptive::AdaptiveController;
 use crate::forms::FormMode;
 
 /// Identifier the server uses to keep per-client adaptive state.
@@ -33,9 +33,6 @@ pub struct ServerConfig {
     pub form: FormPolicy,
     /// Adaptive sensitivity `s` (Table 6.1: 20 %).
     pub sensitivity: f64,
-    /// Initial d⁺-level for adaptive clients, at most 16: d is clamped
-    /// there (a BPT of a 4 KB page is ~11 deep).
-    pub initial_d: u8,
     /// Hard cap on retained update-log history, in epochs. Regardless of
     /// client tracking, `apply_updates` prunes the deployment's one log of
     /// change records this many epochs old or older — in every shard, the
@@ -52,7 +49,6 @@ impl Default for ServerConfig {
         ServerConfig {
             form: FormPolicy::Adaptive,
             sensitivity: 0.2,
-            initial_d: 1,
             max_update_history: 1024,
         }
     }
@@ -61,11 +57,10 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Rejects configurations that would silently misbehave instead of
     /// erroring: a sensitivity that is negative, NaN or infinite inverts,
-    /// breaks or freezes §4.3's band; an initial d above the clamp makes a
-    /// client's first rising report move d *down*; and a zero-epoch
-    /// history window full-refreshes every versioned contact. Called
-    /// through [`ClusterConfig::validate`] by every constructor, which
-    /// panic with the returned message.
+    /// breaks or freezes §4.3's band, and a zero-epoch history window
+    /// full-refreshes every versioned contact. Called through
+    /// [`ClusterConfig::validate`] by every constructor, which panic with
+    /// the returned message.
     ///
     /// [`ClusterConfig::validate`]: crate::ClusterConfig::validate
     pub fn validate(&self) -> Result<(), String> {
@@ -74,13 +69,6 @@ impl ServerConfig {
                 "ServerConfig::sensitivity must be finite and ≥ 0 (got {}): a negative or NaN \
                  band inverts or breaks §4.3's fmr comparison, and an infinite one never moves d",
                 self.sensitivity
-            ));
-        }
-        if self.initial_d > MAX_D {
-            return Err(format!(
-                "ServerConfig::initial_d {} exceeds the clamp {MAX_D}: a client's first rising \
-                 fmr report would move d down to it",
-                self.initial_d
             ));
         }
         if self.max_update_history == 0 {
@@ -122,20 +110,14 @@ mod tests {
             cfg.validate()
         };
         // The default, and every §4.3 setting a figure or example uses.
-        let valid: [Edit; 4] = [
-            |_| {},
-            |c| c.sensitivity = 0.0,
-            |c| c.sensitivity = 10.0,
-            |c| c.initial_d = MAX_D,
-        ];
+        let valid: [Edit; 3] = [|_| {}, |c| c.sensitivity = 0.0, |c| c.sensitivity = 10.0];
         for edit in valid {
             assert!(validate(edit).is_ok());
         }
-        let invalid: [(Edit, &str); 5] = [
+        let invalid: [(Edit, &str); 4] = [
             (|c| c.sensitivity = -0.1, "sensitivity"),
             (|c| c.sensitivity = f64::NAN, "sensitivity"),
             (|c| c.sensitivity = f64::INFINITY, "sensitivity"),
-            (|c| c.initial_d = MAX_D + 1, "initial_d"),
             (|c| c.max_update_history = 0, "max_update_history"),
         ];
         for (edit, field) in invalid {

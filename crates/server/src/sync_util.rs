@@ -1,4 +1,5 @@
-//! Poison-tolerant lock acquisition for serving threads.
+//! Shared-state helpers for serving threads: poison-tolerant lock
+//! acquisition, and the one `Counter` every stats mirror is built from.
 //!
 //! `std`'s lock poisoning turns *one* panicked thread into a panic
 //! cascade: every later `lock().unwrap()` on the same lock panics too,
@@ -17,8 +18,30 @@
 //! Every lock acquisition in `pc_server` library code goes through these
 //! helpers; clippy's `unwrap_used` / `expect_used`, denied in `lib.rs`, keep
 //! it that way.
+//!
+//! A `Counter` is the only atomic a stats mirror holds, so the memory
+//! ordering of every counter in the crate is stated once, on it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// A monotone `u64` tally shared across serving threads.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    pub(crate) fn add(&self, n: u64) {
+        // ordering: Relaxed — a counter is a report, not a synchronization
+        // point; exact totals are read after the join or `shutdown()` that
+        // orders every bump before the read.
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        // ordering: Relaxed — as in `add`.
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// Locks `m`, recovering the guard from a poisoned peer panic.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -34,7 +34,7 @@
 //! ledger charges nothing for it, so it does not travel the socket.
 
 use crate::config::ClientId;
-use crate::sync_util::lock_recover;
+use crate::sync_util::{lock_recover, Counter};
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::Update;
 use crate::ServerCore;
@@ -48,7 +48,7 @@ use pc_wire::{
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -89,28 +89,23 @@ pub struct WireServerStats {
 
 #[derive(Default)]
 struct ServerCounters {
-    connections_accepted: AtomicU64,
-    requests_served: AtomicU64,
-    frames_rejected: AtomicU64,
-    requests_aborted: AtomicU64,
-    rx_frame_bytes: AtomicU64,
-    tx_frame_bytes: AtomicU64,
+    connections_accepted: Counter,
+    requests_served: Counter,
+    frames_rejected: Counter,
+    requests_aborted: Counter,
+    rx_frame_bytes: Counter,
+    tx_frame_bytes: Counter,
 }
 
 impl ServerCounters {
     fn snapshot(&self) -> WireServerStats {
-        // ordering: Relaxed — monotone stats counters; a snapshot is a
-        // report, not a synchronization point. Tests read the exact totals
-        // only after `shutdown()` joins every serving thread, where the
-        // join edge supplies the stronger happens-before.
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         WireServerStats {
-            connections_accepted: ld(&self.connections_accepted),
-            requests_served: ld(&self.requests_served),
-            frames_rejected: ld(&self.frames_rejected),
-            requests_aborted: ld(&self.requests_aborted),
-            rx_frame_bytes: ld(&self.rx_frame_bytes),
-            tx_frame_bytes: ld(&self.tx_frame_bytes),
+            connections_accepted: self.connections_accepted.get(),
+            requests_served: self.requests_served.get(),
+            frames_rejected: self.frames_rejected.get(),
+            requests_aborted: self.requests_aborted.get(),
+            rx_frame_bytes: self.rx_frame_bytes.get(),
+            tx_frame_bytes: self.tx_frame_bytes.get(),
         }
     }
 }
@@ -198,22 +193,18 @@ fn handle_connection(
             // peer during drain, a socket error, a response tag: the stream
             // is desynchronized beyond recovery — close it.
             _ => {
-                // ordering: Relaxed — monotone stats counter (see snapshot).
-                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                stats.frames_rejected.add(1);
                 return;
             }
         };
         let header = frame.header;
-        // ordering: Relaxed — monotone stats counter (see snapshot).
-        stats.rx_frame_bytes.fetch_add(
-            FRAME_HEADER_BYTES + frame.body.len() as u64,
-            Ordering::Relaxed,
-        );
+        stats
+            .rx_frame_bytes
+            .add(FRAME_HEADER_BYTES + frame.body.len() as u64);
         let req = match decode_request(header.tag, &frame.body) {
             Ok(r) => r,
             Err(_) => {
-                // ordering: Relaxed — monotone stats counter (see snapshot).
-                stats.requests_aborted.fetch_add(1, Ordering::Relaxed);
+                stats.requests_aborted.add(1);
                 return;
             }
         };
@@ -222,11 +213,8 @@ fn handle_connection(
         if stream.write_all(&frame).is_err() {
             return;
         }
-        // ordering: Relaxed — monotone stats counters (see snapshot).
-        stats
-            .tx_frame_bytes
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        stats.requests_served.fetch_add(1, Ordering::Relaxed);
+        stats.tx_frame_bytes.add(frame.len() as u64);
+        stats.requests_served.add(1);
     }
 }
 
@@ -257,8 +245,7 @@ impl WireServer {
                             break;
                         }
                         let Ok(stream) = incoming else { continue };
-                        // ordering: Relaxed — monotone stats counter.
-                        stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                        stats.connections_accepted.add(1);
                         let handle = Arc::clone(&handle);
                         let stop = Arc::clone(&stop);
                         let stats = Arc::clone(&stats);
@@ -358,58 +345,43 @@ impl WireTransportStats {
 
 #[derive(Default)]
 struct TransportCounters {
-    tx_frames: AtomicU64,
-    rx_frames: AtomicU64,
-    tx_bytes: AtomicU64,
-    rx_bytes: AtomicU64,
-    modeled_tx: AtomicU64,
-    modeled_rx: AtomicU64,
-    tx_overhead: AtomicU64,
-    rx_overhead: AtomicU64,
+    tx_frames: Counter,
+    rx_frames: Counter,
+    tx_bytes: Counter,
+    rx_bytes: Counter,
+    modeled_tx: Counter,
+    modeled_rx: Counter,
+    tx_overhead: Counter,
+    rx_overhead: Counter,
 }
 
 impl TransportCounters {
     /// Accounts one encoded request frame about to hit the wire.
     fn note_tx(&self, frame_len: u64, req: &Request) {
-        // ordering: Relaxed — monotone stats counters; readers are reports
-        // tolerating inter-counter skew (joins order the final totals).
-        self.tx_frames.fetch_add(1, Ordering::Relaxed);
-        self.tx_bytes.fetch_add(frame_len, Ordering::Relaxed);
-        // ordering: Relaxed — monotone stats counter (as above).
-        self.modeled_tx
-            .fetch_add(req.wire_bytes(), Ordering::Relaxed);
-        // ordering: Relaxed — monotone stats counter (as above).
-        self.tx_overhead
-            .fetch_add(request_overhead(req), Ordering::Relaxed);
+        self.tx_frames.add(1);
+        self.tx_bytes.add(frame_len);
+        self.modeled_tx.add(req.wire_bytes());
+        self.tx_overhead.add(request_overhead(req));
     }
 
     /// Accounts one decoded response frame read off the wire.
     fn note_rx(&self, frame_len: u64, resp: &Response) {
-        // ordering: Relaxed — monotone stats counters; same report-only
-        // contract as `note_tx` above.
-        self.rx_frames.fetch_add(1, Ordering::Relaxed);
-        self.rx_bytes.fetch_add(frame_len, Ordering::Relaxed);
-        // ordering: Relaxed — monotone stats counter (as above).
-        self.modeled_rx
-            .fetch_add(resp.wire_bytes(), Ordering::Relaxed);
-        // ordering: Relaxed — monotone stats counter (as above).
-        self.rx_overhead
-            .fetch_add(response_overhead(resp), Ordering::Relaxed);
+        self.rx_frames.add(1);
+        self.rx_bytes.add(frame_len);
+        self.modeled_rx.add(resp.wire_bytes());
+        self.rx_overhead.add(response_overhead(resp));
     }
 
     fn snapshot(&self) -> WireTransportStats {
-        // ordering: Relaxed — monotone stats counters; a snapshot is a
-        // report, not a synchronization point (see note_tx / note_rx).
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         WireTransportStats {
-            tx_frames: ld(&self.tx_frames),
-            rx_frames: ld(&self.rx_frames),
-            tx_bytes: ld(&self.tx_bytes),
-            rx_bytes: ld(&self.rx_bytes),
-            modeled_tx_bytes: ld(&self.modeled_tx),
-            modeled_rx_bytes: ld(&self.modeled_rx),
-            tx_overhead_bytes: ld(&self.tx_overhead),
-            rx_overhead_bytes: ld(&self.rx_overhead),
+            tx_frames: self.tx_frames.get(),
+            rx_frames: self.rx_frames.get(),
+            tx_bytes: self.tx_bytes.get(),
+            rx_bytes: self.rx_bytes.get(),
+            modeled_tx_bytes: self.modeled_tx.get(),
+            modeled_rx_bytes: self.modeled_rx.get(),
+            tx_overhead_bytes: self.tx_overhead.get(),
+            rx_overhead_bytes: self.rx_overhead.get(),
         }
     }
 }
@@ -771,7 +743,7 @@ mod tests {
             tcp.call(9, Request::ReportFmr { fmr: 0.1 })
                 .clone()
                 .into_new_d(),
-            crate::ServerConfig::default().initial_d
+            crate::adaptive::INITIAL_D
         );
         drop(tcp);
         ws.shutdown();

@@ -53,8 +53,6 @@ pub struct SimConfig {
     pub form: FormPolicy,
     /// Adaptive sensitivity `s` (20 %).
     pub sensitivity: f64,
-    /// Initial d⁺-level.
-    pub initial_d: u8,
     /// Queries between fmr reports (§4.3 "periodically submits").
     pub fmr_report_period: usize,
     pub mobility: MobilityModel,
@@ -93,7 +91,6 @@ impl SimConfig {
             policy: ReplacementPolicy::Grd3,
             form: FormPolicy::Adaptive,
             sensitivity: 0.2,
-            initial_d: 1,
             fmr_report_period: 50,
             mobility: MobilityModel::Dir,
             mobility_cfg: MobilityConfig::paper(),

@@ -78,7 +78,6 @@ fn server_config(cfg: &SimConfig) -> ServerConfig {
     ServerConfig {
         form: cfg.form,
         sensitivity: cfg.sensitivity,
-        initial_d: cfg.initial_d,
         ..Default::default()
     }
 }
