@@ -27,7 +27,7 @@ fn main() {
     println!("objects={n} queries={queries} seed={}\n", opts.seed);
 
     let store = datasets::ne_like(n, opts.seed);
-    let objects: Vec<_> = store.iter().copied().collect();
+    let objects: Vec<_> = store.iter().collect();
     let tree = RTree::bulk_load(RTreeConfig::paper(), &objects);
 
     let mut table = Table::new(vec![

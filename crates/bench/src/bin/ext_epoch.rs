@@ -42,8 +42,9 @@
 //! `--json OUT` writes the rows as machine-readable JSON.
 
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
+use pc_geom::Point;
 use pc_rtree::proto::PAGE_BYTES;
-use pc_rtree::{Chunked, SpatialObject, CHUNK_LEN};
+use pc_rtree::{Chunked, CHUNK_LEN};
 use pc_server::{Cluster, ServerConfig};
 use pc_sim::generate_update;
 use pc_workload::datasets;
@@ -155,7 +156,15 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         rebuilt_bpts += new_bpts.len() - new_bpts.shared_slots(old_bpts);
         let bpt_chunks = copied_segments(new_bpts, old_bpts);
         copied_bpt_chunks += bpt_chunks;
-        let chunks = copied_segments(new_world.store().objects(), old_world.store().objects());
+        // The store's columns: corners and sizes.
+        let (new_store, old_store) = (new_world.store(), old_world.store());
+        let (mins, sizes, maxes) = (
+            copied_segments(new_store.mins(), old_store.mins()),
+            copied_segments(new_store.sizes(), old_store.sizes()),
+            copied_segments(new_store.maxes(), old_store.maxes()),
+        );
+        let chunks = mins + sizes + maxes;
+        let store_bytes = (mins + maxes) * size_of::<Point>() + sizes * size_of::<u32>();
         copied_chunks += chunks;
         // The BPT-rebuild share of the publish: the nodes this epoch
         // logged as changed are the ones it dirtied, and rebuilding them
@@ -176,8 +185,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
             .sum();
         copied_bytes += copied as u64 * PAGE_BYTES
             + rebuilt_bytes as u64
-            + ((chunks * size_of::<SpatialObject>() + (node_chunks + bpt_chunks) * 8) * CHUNK_LEN)
-                as u64;
+            + ((store_bytes + (node_chunks + bpt_chunks) * 8) * CHUNK_LEN) as u64;
     }
     let snap = server.snapshot();
     let rounds = ROUNDS as f64;

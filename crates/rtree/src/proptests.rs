@@ -269,9 +269,9 @@ proptest! {
             let live = store.iter_live().count();
             if insert {
                 let id = store.push(Rect::from_point(Point::new(snap(x), snap(y))), 64);
-                tree.insert(store.get(id));
+                tree.insert(&store.get(id));
             } else if live > 0 {
-                let o = *store.iter_live().nth(pick as usize % live).unwrap();
+                let o = store.iter_live().nth(pick as usize % live).unwrap();
                 prop_assert!(tree.delete(o.id, &o.mbr));
                 store.mark_dead(o.id);
             }

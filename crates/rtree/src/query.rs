@@ -56,8 +56,7 @@ pub fn range_query(tree: &RTree, window: &Rect) -> Vec<ObjectId> {
     while let Some(id) = stack.pop() {
         let node = tree.node(id);
         let (min_x, min_y, max_x, max_y) = node.mbr_cols();
-        let children = node.children();
-        for i in 0..children.len() {
+        for i in 0..node.len() {
             // Non-short-circuiting `&`: all four lane compares issue
             // unconditionally, which keeps the qualification branch-light.
             let hit = (min_x[i] <= window.max.x)
@@ -65,7 +64,7 @@ pub fn range_query(tree: &RTree, window: &Rect) -> Vec<ObjectId> {
                 & (min_y[i] <= window.max.y)
                 & (window.min.y <= max_y[i]);
             if hit {
-                match children[i] {
+                match node.child_at(i) {
                     ChildRef::Node(c) => stack.push(c),
                     ChildRef::Object(o) => out.push(o),
                 }
@@ -92,15 +91,14 @@ pub fn knn_query(tree: &RTree, center: &Point, k: usize) -> Vec<(ObjectId, f64)>
             HiItem::Node(n) => {
                 let node = tree.node(n);
                 let (min_x, min_y, max_x, max_y) = node.mbr_cols();
-                let children = node.children();
-                for i in 0..children.len() {
+                for i in 0..node.len() {
                     seq += 1;
                     // MINDIST over the columns — bit-identical to
                     // `Rect::min_dist`.
                     let dx = (min_x[i] - center.x).max(0.0).max(center.x - max_x[i]);
                     let dy = (min_y[i] - center.y).max(0.0).max(center.y - max_y[i]);
                     let dist = (dx * dx + dy * dy).sqrt();
-                    match children[i] {
+                    match node.child_at(i) {
                         ChildRef::Node(c) => heap.push(Hi(dist, seq, HiItem::Node(c))),
                         // Tie-break object pops by id so equal-distance
                         // results are deterministic.

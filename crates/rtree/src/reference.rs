@@ -17,10 +17,19 @@
 //! ([`str_bulk_load`]): node ids are slab positions and every BPT hangs off
 //! a node's entry order, so the key-sorted packer must emit the same nodes
 //! in the same order.
+//!
+//! And the storage layouts from before a point was stored once: the node
+//! with four always-full MBR columns ([`FourColumnNode`]), and a plain
+//! `Vec<SpatialObject>` for the columnar [`ObjectStore`]. Every reader
+//! takes coordinates by bits, so both are held equal bit for bit, over
+//! points, rectangles and `-0.0`/`0.0` corners.
 
 use crate::bpt::{Bpt, BptCellKind, Code, SplitPolicy};
 use crate::split::{self, SplitScratch};
-use crate::{ChildRef, Entry, Node, NodeId, ObjectId, RTree, RTreeConfig, SpatialObject};
+use crate::{
+    ChildRef, Entry, Node, NodeId, ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject,
+    StoreSpares, CHUNK_LEN,
+};
 use pc_geom::{Point, Rect};
 use proptest::prelude::*;
 
@@ -439,5 +448,279 @@ proptest! {
         let mut leaves = Vec::new();
         dense.leaf_cells(&rects[..], |c, entry_idx, mbr| leaves.push((c, (rect_bits(&mbr), Some(entry_idx)))));
         prop_assert_eq!(leaves, arena.descend(Code::ROOT, u8::MAX));
+    }
+}
+
+/// The node layout before a point was stored once: four MBR columns that
+/// are always full length and a [`ChildRef`] per entry. [`Node`] is held to
+/// it step for step by `aliased_node_is_the_four_column_node`.
+#[derive(Default)]
+struct FourColumnNode {
+    min_x: Vec<f64>,
+    min_y: Vec<f64>,
+    max_x: Vec<f64>,
+    max_y: Vec<f64>,
+    children: Vec<ChildRef>,
+}
+
+impl FourColumnNode {
+    fn entry(&self, i: usize) -> Entry {
+        Entry {
+            mbr: Rect::from_coords(self.min_x[i], self.min_y[i], self.max_x[i], self.max_y[i]),
+            child: self.children[i],
+        }
+    }
+
+    fn push(&mut self, e: Entry) {
+        self.min_x.push(e.mbr.min.x);
+        self.min_y.push(e.mbr.min.y);
+        self.max_x.push(e.mbr.max.x);
+        self.max_y.push(e.mbr.max.y);
+        self.children.push(e.child);
+    }
+
+    fn set_mbr_at(&mut self, i: usize, mbr: Rect) {
+        self.min_x[i] = mbr.min.x;
+        self.min_y[i] = mbr.min.y;
+        self.max_x[i] = mbr.max.x;
+        self.max_y[i] = mbr.max.y;
+    }
+
+    fn retain_entries(&mut self, mut keep: impl FnMut(&Entry) -> bool) {
+        let keep: Vec<bool> = (0..self.children.len())
+            .map(|i| keep(&self.entry(i)))
+            .collect();
+        fn filter<T>(column: &mut Vec<T>, keep: &[bool]) {
+            let mut flags = keep.iter();
+            column.retain(|_| flags.next() == Some(&true));
+        }
+        filter(&mut self.min_x, &keep);
+        filter(&mut self.min_y, &keep);
+        filter(&mut self.max_x, &keep);
+        filter(&mut self.max_y, &keep);
+        filter(&mut self.children, &keep);
+    }
+
+    fn take_entries(&mut self) -> Vec<Entry> {
+        let out = (0..self.children.len()).map(|i| self.entry(i)).collect();
+        *self = FourColumnNode::default();
+        out
+    }
+
+    fn mbr(&self) -> Option<Rect> {
+        let n = self.children.len();
+        (n > 0).then(|| {
+            let min = |c: &[f64]| c.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+            let max = |c: &[f64]| c.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            Rect::from_coords(
+                min(&self.min_x),
+                min(&self.min_y),
+                max(&self.max_x),
+                max(&self.max_y),
+            )
+        })
+    }
+}
+
+/// Points, rectangles and `-0.0`/`0.0` corners: `(kind, x, y, w, h)`
+/// becomes a point, a rectangle, a signed-zero pair on one axis (not a
+/// point), or a point at a signed zero. Literal corners: `Rect::new`
+/// would pick one zero's sign.
+fn mixed_rect((kind, x, y, w, h): (u8, f64, f64, f64, f64)) -> Rect {
+    let zero = if x < 0.5 { -0.0 } else { 0.0 };
+    let (x0, y0, x1, y1) = match kind % 4 {
+        0 => (x, y, x, y),
+        1 => (x, y, x + w, y + h),
+        2 if y < 0.5 => (-0.0, y, 0.0, y),
+        2 => (x, -0.0, x, 0.0),
+        _ => (zero, y, zero, y),
+    };
+    Rect {
+        min: Point::new(x0, y0),
+        max: Point::new(x1, y1),
+    }
+}
+
+fn arb_mixed_rect() -> impl Strategy<Value = Rect> {
+    (0u8..4, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.1, 0.0f64..0.1).prop_map(mixed_rect)
+}
+
+fn is_point_bits(r: &Rect) -> bool {
+    let [x0, y0, x1, y1] = rect_bits(r);
+    x0 == x1 && y0 == y1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One step sequence driven through a [`Node`] and the four-column
+    /// reference: after every step both hold the same entries, the same
+    /// column bits and the same MBR bits, and the node's max columns are
+    /// empty exactly when every entry is a point, bitwise.
+    #[test]
+    fn aliased_node_is_the_four_column_node(
+        leaf in any::<bool>(),
+        steps in prop::collection::vec((0u8..8, arb_mixed_rect(), 0usize..64, 0u32..3), 1..80),
+    ) {
+        let level = if leaf { 0 } else { 1 };
+        let child = |id: u32| if leaf { ChildRef::Object(ObjectId(id)) } else { ChildRef::Node(NodeId(id)) };
+        let mut node = Node::new(None, level);
+        let mut want = FourColumnNode::default();
+        // A retired node of the other flavour for copies to land in.
+        let mut spare = Node::new(None, level);
+        spare.push(Entry { mbr: Rect::UNIT, child: child(u32::MAX) });
+        let mut next_id = 0u32;
+        for (step, (op, mbr, at, salt)) in steps.into_iter().enumerate() {
+            let len = node.len();
+            match op {
+                // Pushes weigh most, so nodes grow past a few entries.
+                0..=2 => {
+                    let e = Entry { mbr, child: child(next_id) };
+                    next_id += 1;
+                    node.push(e);
+                    want.push(e);
+                }
+                3 | 4 if len > 0 => {
+                    node.set_mbr_at(at % len, mbr);
+                    want.set_mbr_at(at % len, mbr);
+                }
+                5 => {
+                    let keep = |e: &Entry| match e.child {
+                        ChildRef::Object(ObjectId(id)) | ChildRef::Node(NodeId(id)) => id % 3 != salt,
+                    };
+                    node.retain_entries(keep);
+                    want.retain_entries(keep);
+                }
+                6 => {
+                    let (got, taken) = (node.take_entries(), want.take_entries());
+                    let bits = |es: &[Entry]| es.iter().map(|e| (rect_bits(&e.mbr), e.child)).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got), bits(&taken));
+                    prop_assert!(node.is_empty() && node.is_aliased());
+                    // Half the time the entries go back, reversed.
+                    if salt != 0 {
+                        node.set_entries(got.into_iter().rev());
+                        taken.into_iter().rev().for_each(|e| want.push(e));
+                    }
+                }
+                _ => {
+                    let columns = len + at % 4;
+                    let mut copy = std::mem::take(&mut spare);
+                    copy.copy_from(&node, columns);
+                    prop_assert!(copy.min_x.capacity() == columns.max(len));
+                    prop_assert!(copy.max_x.capacity() == if node.is_aliased() { 0 } else { columns.max(len) });
+                    spare = std::mem::replace(&mut node, copy);
+                }
+            }
+            let n = want.children.len();
+            prop_assert_eq!(node.len(), n);
+            let got: Vec<_> = node.entries().map(|e| (rect_bits(&e.mbr), e.child)).collect();
+            let entries: Vec<_> = (0..n).map(|i| want.entry(i)).map(|e| (rect_bits(&e.mbr), e.child)).collect();
+            prop_assert_eq!((step, got), (step, entries));
+            let (x0, y0, x1, y1) = node.mbr_cols();
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                [bits(x0), bits(y0), bits(x1), bits(y1)],
+                [bits(&want.min_x), bits(&want.min_y), bits(&want.max_x), bits(&want.max_y)]
+            );
+            prop_assert_eq!(node.mbr().map(|r| rect_bits(&r)), want.mbr().map(|r| rect_bits(&r)));
+            let points = (0..n).all(|i| {
+                want.min_x[i].to_bits() == want.max_x[i].to_bits()
+                    && want.min_y[i].to_bits() == want.max_y[i].to_bits()
+            });
+            prop_assert_eq!((step, node.is_aliased()), (step, points));
+            prop_assert!(node.max_x.is_empty() || node.max_x.len() == n);
+            prop_assert_eq!(node.max_x.len(), node.max_y.len());
+            if !node.is_aliased() {
+                prop_assert!(node.max_x.capacity() >= n);
+            }
+        }
+    }
+
+    /// An [`ObjectStore`] against a plain `Vec<SpatialObject>` model,
+    /// across clones: pushes, relocations and tombstones — half of them
+    /// through lent spares — on any of the clones leave every clone equal
+    /// to its model bit for bit, copy only the segments they land in, and
+    /// keep the max-corner column empty while every object is a point.
+    #[test]
+    fn columnar_store_is_the_object_vector(
+        base in 1usize..2600,
+        steps in prop::collection::vec(
+            (0u8..6, arb_mixed_rect(), 0usize..4096, 0usize..8, any::<bool>()),
+            1..48,
+        ),
+    ) {
+        let point = |i: usize| Rect::from_point(Point::new(i as f64 / base as f64, 0.5));
+        let objects: Vec<SpatialObject> = (0..base)
+            .map(|i| SpatialObject { id: ObjectId(i as u32), mbr: point(i), size_bytes: 7 * i as u32 })
+            .collect();
+        let mut worlds = vec![(ObjectStore::new(objects.clone()), objects, vec![false; base])];
+        let mut spares = StoreSpares::default();
+        for (step, (op, mbr, at, which, spared)) in steps.into_iter().enumerate() {
+            let k = which % worlds.len();
+            let before = worlds[k].0.clone();
+            let (store, model, dead) = &mut worlds[k];
+            let id = ObjectId((at % model.len()) as u32);
+            let mut edit = |edit: &mut dyn FnMut(&mut ObjectStore)| {
+                if spared {
+                    store.with_spares(&mut spares, |s| edit(s));
+                } else {
+                    edit(store);
+                }
+            };
+            // The one segment index an edit may copy, in every column.
+            let touched = match op {
+                0 | 1 => {
+                    let size = at as u32;
+                    edit(&mut |s| { s.push(mbr, size); });
+                    model.push(SpatialObject { id: ObjectId(model.len() as u32), mbr, size_bytes: size });
+                    dead.push(false);
+                    model.len() - 1
+                }
+                2 | 3 => {
+                    edit(&mut |s| s.set_mbr(id, mbr));
+                    model[id.0 as usize].mbr = mbr;
+                    id.0 as usize
+                }
+                4 => {
+                    edit(&mut |s| s.mark_dead(id));
+                    dead[id.0 as usize] = true;
+                    id.0 as usize
+                }
+                _ => {
+                    let clone = worlds[k].clone();
+                    worlds.push(clone);
+                    usize::MAX
+                }
+            };
+            // Every segment a column had stays shared but the one the edit
+            // lands in (a max column this step fills in had none).
+            let store = &worlds[k].0;
+            if touched != usize::MAX {
+                let segment = touched / CHUNK_LEN;
+                for (count, shared) in [
+                    (before.mins().chunk_count(), before.mins().shared_chunks(store.mins())),
+                    (before.sizes().chunk_count(), before.sizes().shared_chunks(store.sizes())),
+                    (before.maxes().chunk_count(), before.maxes().shared_chunks(store.maxes())),
+                ] {
+                    let copied = count - shared;
+                    prop_assert!(copied <= usize::from(segment < count), "step {step}: {copied} copied");
+                }
+            }
+            for (store, model, dead) in &worlds {
+                prop_assert_eq!(store.len(), model.len());
+                let got: Vec<_> = store.iter().map(|o| (o.id, rect_bits(&o.mbr), o.size_bytes)).collect();
+                let want: Vec<_> = model.iter().map(|o| (o.id, rect_bits(&o.mbr), o.size_bytes)).collect();
+                prop_assert_eq!((step, got), (step, want));
+                let live: Vec<bool> = (0..model.len()).map(|i| store.is_live(ObjectId(i as u32))).collect();
+                prop_assert_eq!(live, dead.iter().map(|d| !d).collect::<Vec<_>>());
+                prop_assert_eq!(store.live_count(), dead.iter().filter(|d| !**d).count());
+                prop_assert_eq!(store.total_bytes(), model.iter().map(|o| o.size_bytes as u64).sum::<u64>());
+                if store.maxes().is_empty() {
+                    prop_assert!(model.iter().all(|o| is_point_bits(&o.mbr)));
+                } else {
+                    prop_assert_eq!(store.maxes().len(), model.len());
+                }
+            }
+        }
     }
 }

@@ -105,13 +105,12 @@ impl<E> Chunked<E> {
 }
 
 impl<E: Clone> Chunked<E> {
-    /// A column holding `entries`, each segment its own `CHUNK_LEN`
-    /// allocation. (`split_off` in a loop would leave segment k owning the
-    /// capacity of the whole remaining tail: Σ ≈ n²/2 / `CHUNK_LEN` slots.)
-    pub(crate) fn from_slice(entries: &[E]) -> Self {
+    /// A private copy of the column, each segment its own `CHUNK_LEN`
+    /// allocation, as the copy of a spared segment is.
+    pub(crate) fn copy(&self) -> Self {
         Chunked {
-            segments: entries.chunks(CHUNK_LEN).map(Self::segment).collect(),
-            len: entries.len(),
+            segments: self.segments.iter().map(|s| Self::segment(s)).collect(),
+            len: self.len,
         }
     }
 
@@ -296,6 +295,7 @@ mod tests {
     use crate::bpt::BptStore;
     use crate::{ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
     use pc_geom::{Point, Rect};
+    use std::mem::size_of;
 
     fn copy<T: Clone>(old: &T, into: &mut T) {
         into.clone_from(old);
@@ -398,18 +398,24 @@ mod tests {
         assert_linear_capacity(tree.slots());
         assert_linear_capacity(bpts.slots());
 
-        // The object column, copied into exactly `CHUNK_LEN`: grow,
+        // The store's columns, copied into exactly `CHUNK_LEN`: grow,
         // relocate and tombstone on a clone while the original pins every
-        // segment.
+        // segment. The pushed rectangles fill in the max corners.
+        fn assert_store_capacity(store: &ObjectStore) {
+            assert_linear_capacity(store.mins());
+            assert_linear_capacity(store.sizes());
+            assert_linear_capacity(store.maxes());
+        }
         for n in [0usize, 1, 1023, 1024, 1025, 123_593] {
             let objects: Vec<SpatialObject> = (0..n as u32)
                 .map(|i| point(i, i as f64 / n as f64, 0.5))
                 .collect();
             let mut store = ObjectStore::new(objects);
             assert_eq!(store.len(), n);
-            assert_eq!(store.objects().chunk_count(), n.div_ceil(CHUNK_LEN));
+            assert_eq!(store.mins().chunk_count(), n.div_ceil(CHUNK_LEN));
+            assert!(store.maxes().is_empty());
             assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n));
-            assert_linear_capacity(store.objects());
+            assert_store_capacity(&store);
 
             let base = store.clone();
             for _ in 0..3_000 {
@@ -419,12 +425,14 @@ mod tests {
                 store.set_mbr(id, Rect::UNIT);
                 store.mark_dead(id);
             }
-            assert_linear_capacity(store.objects());
-            assert!(store.heap_bytes() >= store.len() * std::mem::size_of::<SpatialObject>());
+            assert_store_capacity(&store);
+            assert!(store.heap_bytes() >= store.len() * (2 * size_of::<Point>() + 4));
             assert!(store.iter().map(|o| o.id.0 as usize).eq(0..n + 3_000));
+            assert_eq!(store.get(ObjectId(0)).mbr, Rect::UNIT);
             assert_eq!(store.live_count(), n + 2_997);
             assert_eq!(base.len(), n);
-            assert_linear_capacity(base.objects());
+            assert!(base.maxes().is_empty());
+            assert_store_capacity(&base);
         }
     }
 

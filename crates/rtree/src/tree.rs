@@ -55,7 +55,7 @@ impl Default for RTreeConfig {
 /// keeps nothing per object beside its sort key.
 pub trait Objects {
     fn count(&self) -> usize;
-    fn object(&self, position: usize) -> &SpatialObject;
+    fn object(&self, position: usize) -> SpatialObject;
 }
 
 impl Objects for [SpatialObject] {
@@ -63,8 +63,8 @@ impl Objects for [SpatialObject] {
         self.len()
     }
 
-    fn object(&self, position: usize) -> &SpatialObject {
-        &self[position]
+    fn object(&self, position: usize) -> SpatialObject {
+        self[position]
     }
 }
 
@@ -73,8 +73,8 @@ impl Objects for Vec<SpatialObject> {
         self.len()
     }
 
-    fn object(&self, position: usize) -> &SpatialObject {
-        &self[position]
+    fn object(&self, position: usize) -> SpatialObject {
+        self[position]
     }
 }
 
@@ -84,7 +84,7 @@ impl Objects for ObjectStore {
         self.len()
     }
 
-    fn object(&self, position: usize) -> &SpatialObject {
+    fn object(&self, position: usize) -> SpatialObject {
         self.get(ObjectId(position as u32))
     }
 }
@@ -96,7 +96,7 @@ impl Objects for (&ObjectStore, &[ObjectId]) {
         self.1.len()
     }
 
-    fn object(&self, position: usize) -> &SpatialObject {
+    fn object(&self, position: usize) -> SpatialObject {
         self.0.get(self.1[position])
     }
 }
@@ -372,10 +372,9 @@ impl RTree {
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             out.push(id);
-            for c in self.node(id).children() {
-                if let ChildRef::Node(c) = c {
-                    stack.push(*c);
-                }
+            let node = self.node(id);
+            if !node.is_leaf() {
+                stack.extend(node.child_ids().iter().map(|&c| NodeId(c)));
             }
         }
         out
@@ -585,17 +584,11 @@ impl RTree {
         let sibling_node = Node::with_entries(self.node(id).parent, level, right_entries);
         let sibling = self.push_node(sibling_node);
         // Children moved to the sibling need their parent pointer fixed.
-        let moved: Vec<NodeId> = self
-            .node(sibling)
-            .children()
-            .iter()
-            .filter_map(|c| match c {
-                ChildRef::Node(c) => Some(*c),
-                ChildRef::Object(_) => None,
-            })
-            .collect();
-        for c in moved {
-            self.node_mut(c).parent = Some(sibling);
+        if level > 0 {
+            let moved = self.node(sibling).child_ids().to_vec();
+            for c in moved {
+                self.node_mut(NodeId(c)).parent = Some(sibling);
+            }
         }
 
         self.mark_dirty(id);
@@ -666,7 +659,7 @@ impl RTree {
         while let Some(cur) = stack.pop() {
             let n = self.node(cur);
             if n.is_leaf() {
-                if n.children().contains(&ChildRef::Object(id)) {
+                if n.child_ids().contains(&id.0) {
                     return Some(cur);
                 }
                 continue;

@@ -212,21 +212,15 @@ impl ShardMap {
         mask
     }
 
-    /// The live objects each shard indexes, as ids in id order, from one
+    /// The live objects `shard` indexes, as ids in id order, from one
     /// pass over `store`: an object goes to every shard owning a tile its
     /// MBR covers (straddlers are replicated). Ids, not objects: the store
     /// already holds those, and a second resident copy of the dataset
     /// would sit under every build's peak.
-    pub fn partition(&self, store: &ObjectStore) -> Vec<Vec<ObjectId>> {
-        let mut owned = vec![Vec::new(); self.shards as usize];
-        for o in store.iter_live() {
-            let mut mask = self.owners(&o.mbr);
-            while mask != 0 {
-                owned[mask.trailing_zeros() as usize].push(o.id);
-                mask &= mask - 1;
-            }
-        }
-        owned
+    pub fn owned_by(&self, store: &ObjectStore, shard: u32) -> Vec<ObjectId> {
+        let owned =
+            |o: &SpatialObject| store.is_live(o.id) && self.owners(&o.mbr) >> shard & 1 != 0;
+        store.iter().filter(owned).map(|o| o.id).collect()
     }
 
     /// The lowest-numbered owning shard — the canonical home used to
@@ -449,15 +443,24 @@ impl Cluster {
         )]
         cfg.validate().expect("invalid ClusterConfig");
         let map = ShardMap::new(TileGrid::new(cfg.grid_per_axis()), cfg.shards);
-        let owned = map.partition(&store);
-        // Shards are independent indexes over one shared store: build
-        // them side by side.
-        let workers = par::worker_count(owned.iter().map(Vec::len).sum());
-        let shards: Vec<Arc<Shard>> = par::map_ranges(owned.len(), workers, |range| {
-            range
-                .map(|s| Arc::new(Shard::build(tree_cfg, &(&store, owned[s].as_slice()))))
-                .collect()
-        });
+        // A lone shard owning every slot loads the objects where they lie.
+        // Otherwise shards are independent indexes over one shared store:
+        // each worker lists the ids its shard owns, builds it and drops
+        // the list, side by side.
+        let owns_all = |o: SpatialObject| store.is_live(o.id) && map.owners(&o.mbr) != 0;
+        let shards: Vec<Arc<Shard>> = if cfg.shards == 1 && store.iter().all(owns_all) {
+            vec![Arc::new(Shard::build(tree_cfg, &store))]
+        } else {
+            let workers = par::worker_count(store.live_count());
+            par::map_ranges(cfg.shards as usize, workers, |range| {
+                range
+                    .map(|s| {
+                        let owned = map.owned_by(&store, s as u32);
+                        Arc::new(Shard::build(tree_cfg, &(&store, owned.as_slice())))
+                    })
+                    .collect()
+            })
+        };
         Cluster {
             core: ServerCore::new(Snapshot {
                 layout: SuperLayout::build(&map, &shards),
@@ -579,7 +582,7 @@ impl Cluster {
         // inverted rectangle covers no tile (no shard would index it) and
         // a NaN one cannot be bulk loaded.
         let well_formed = |r: &Rect| r.min.x <= r.max.x && r.min.y <= r.max.y;
-        next_store.with_spares(&mut spares.segments, |store| {
+        next_store.with_spares(&mut spares.store, |store| {
             for u in updates {
                 let id = match *u {
                     Update::Insert { mbr, size_bytes } if well_formed(&mbr) => {
@@ -1096,7 +1099,7 @@ impl Cluster {
                 .confirmed
                 .iter()
                 .filter_map(|&id| store.try_get(id))
-                .map(|o| (*o, true));
+                .map(|o| (o, true));
             for (object, cached) in confirmed.chain(reply.objects.into_iter().map(|o| (o, false))) {
                 match seen.entry(object.id) {
                     std::collections::hash_map::Entry::Vacant(v) => {
@@ -1792,15 +1795,14 @@ mod tests {
         // A warm heap: one inner node under the root, at the current epoch.
         let snap = server.snapshot();
         let tree = snap.shard(0).tree();
-        let inner = tree
-            .node(tree.root())
-            .children()
-            .iter()
-            .find_map(|c| match *c {
-                ChildRef::Node(n) => Some(n),
-                ChildRef::Object(_) => None,
-            })
-            .expect("600 objects make a tree taller than one node");
+        let root = tree.node(tree.root());
+        assert!(
+            !root.is_leaf(),
+            "600 objects make a tree taller than one node"
+        );
+        let ChildRef::Node(inner) = root.child_at(0) else {
+            unreachable!("a root above the leaves holds nodes")
+        };
         let mbr = tree.node(inner).mbr().unwrap();
         let warm = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
@@ -2164,8 +2166,8 @@ mod tests {
         // Store and index are of one vintage: every shard's leaves index
         // exactly the live objects it owns, each at its store MBR — so a
         // dead id is reachable nowhere.
-        let owned = snap.map.partition(&snap.store);
-        for (s, (shard, owned)) in snap.shards.iter().zip(owned).enumerate() {
+        for (s, shard) in snap.shards.iter().enumerate() {
+            let owned = snap.map.owned_by(&snap.store, s as u32);
             let tree = shard.tree();
             let mut indexed: Vec<(ObjectId, Rect)> = tree
                 .node_ids()

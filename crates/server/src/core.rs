@@ -30,7 +30,7 @@ use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
 use pc_rtree::{
-    Node, NodeId, ObjectId, ObjectStore, Objects, RTree, RTreeConfig, Spares, SpatialObject,
+    Node, NodeId, ObjectId, ObjectStore, Objects, RTree, RTreeConfig, Spares, StoreSpares,
 };
 use std::sync::{Arc, Mutex};
 
@@ -117,7 +117,7 @@ impl Shard {
             } else if let Some(object) = store.try_get(id) {
                 // An id the store never assigned can only come from a
                 // heap built outside this program: nothing to transmit.
-                objects.push(*object);
+                objects.push(object);
             }
         }
         ServerReply {
@@ -150,14 +150,14 @@ impl Shard {
         next.tree.with_spares(&mut spares.nodes, |tree| {
             for op in ops {
                 match *op {
-                    PartitionOp::Insert(id) => tree.insert(store.get(id)),
+                    PartitionOp::Insert(id) => tree.insert(&store.get(id)),
                     PartitionOp::Delete(id, ref from) => {
                         let removed = tree.delete(id, from);
                         debug_assert!(removed, "partition delete must match the indexed entry");
                     }
                     PartitionOp::Relocate(id, ref from) => {
                         if tree.delete(id, from) {
-                            tree.insert(store.get(id));
+                            tree.insert(&store.get(id));
                         }
                     }
                 }
@@ -189,7 +189,7 @@ impl Shard {
 pub(crate) struct WriterSpares {
     pub(crate) nodes: Spares<Node>,
     pub(crate) bpts: Spares<Bpt>,
-    pub(crate) segments: Spares<Vec<SpatialObject>>,
+    pub(crate) store: StoreSpares,
 }
 
 /// The deployment's one published value and the one lock that orders its
@@ -354,8 +354,10 @@ mod tests {
             "2-update batch rebuilt {} of {bpts} BPTs",
             bpts - shared_bpts
         );
-        let chunks = old.store().objects().chunk_count();
-        let shared_chunks = old.store().objects().shared_chunks(new.store().objects());
+        let (old_store, new_store) = (old.store(), new.store());
+        let chunks = old_store.mins().chunk_count() + old_store.sizes().chunk_count();
+        let shared_chunks = old_store.mins().shared_chunks(new_store.mins())
+            + old_store.sizes().shared_chunks(new_store.sizes());
         assert!(
             chunks - shared_chunks <= 2,
             "2-update batch copied {} of {chunks} store segments",
@@ -409,8 +411,8 @@ mod tests {
     }
 
     /// Where one epoch's nodes, BPTs and store segments (by their first
-    /// object) live, slot by slot: the addresses a copy-on-write copy
-    /// either reuses or does not.
+    /// entry; each segment's min corners, then its sizes) live, slot by
+    /// slot: the addresses a copy-on-write copy either reuses or does not.
     #[derive(Clone)]
     struct Allocations {
         nodes: Vec<usize>,
@@ -420,13 +422,17 @@ mod tests {
 
     fn allocations(snap: &Snapshot) -> Allocations {
         let (nodes, bpts) = (snap.shard(0).tree().slots(), snap.shard(0).bpts().slots());
-        let objects = snap.store().objects();
+        let store = snap.store();
+        assert!(store.maxes().is_empty(), "a world of points");
         Allocations {
             nodes: nodes.iter().map(|n| Arc::as_ptr(n) as usize).collect(),
             bpts: bpts.iter().map(|b| Arc::as_ptr(b) as usize).collect(),
-            segments: (0..objects.len())
+            segments: (0..store.len())
                 .step_by(pc_rtree::CHUNK_LEN)
-                .map(|first| objects.get(first) as *const SpatialObject as usize)
+                .flat_map(|first| {
+                    let min = store.mins().get(first) as *const Point as usize;
+                    [min, store.sizes().get(first) as *const u32 as usize]
+                })
                 .collect(),
         }
     }
@@ -516,7 +522,7 @@ mod tests {
             let bpts: Vec<Bpt> = (0..snap.shard(0).bpts().node_count() as u32)
                 .map(|id| snap.shard(0).bpts().get(NodeId(id)).clone())
                 .collect();
-            let objects: Vec<SpatialObject> = snap.store().iter().copied().collect();
+            let objects: Vec<SpatialObject> = snap.store().iter().collect();
             let answers: Vec<Vec<ObjectId>> = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3), (0.5, 0.5, 0.6)]
                 .map(|(x, y, half)| {
                     let window = Rect::centered_square(Point::new(x, y), half);
@@ -609,7 +615,7 @@ mod tests {
 
     /// Live objects of a snapshot (dead ids excluded), in id order.
     fn live_objects(snap: &Snapshot) -> Vec<SpatialObject> {
-        snap.store().iter_live().copied().collect()
+        snap.store().iter_live().collect()
     }
 
     proptest! {

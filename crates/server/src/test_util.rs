@@ -13,7 +13,7 @@ use pc_rtree::proto::{
     CellKind, CellRef, DirectReply, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side,
     VersionedReply,
 };
-use pc_rtree::{ChildRef, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use pc_rtree::{NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,9 +91,8 @@ pub fn leaves_of(snap: &Snapshot, map: &ShardMap, id: ObjectId) -> Vec<NodeId> {
     (0..map.shards())
         .flat_map(|s| {
             let tree = snap.shard(s).tree();
-            let holds = |n: &NodeId| {
-                tree.node(*n).is_leaf() && tree.node(*n).children().contains(&ChildRef::Object(id))
-            };
+            let holds =
+                |n: &NodeId| tree.node(*n).is_leaf() && tree.node(*n).child_ids().contains(&id.0);
             let leaf = tree.node_ids().into_iter().find(holds);
             leaf.map(|n| map.to_global(n, s))
         })

@@ -122,7 +122,7 @@ impl SpacingGrid {
                 let cell = (kx + dx, ky + dy);
                 let mut slot = self.home(cell);
                 while self.slots[slot] != Self::EMPTY {
-                    let q = placed.get(ObjectId(self.slots[slot])).mbr.min;
+                    let q = *placed.mins().get(self.slots[slot] as usize);
                     if q.dist(p) < dist && self.key(&q) == cell {
                         return true;
                     }

@@ -38,8 +38,7 @@ fn pipeline(
 fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
     for form in [FormPolicy::Full, FormPolicy::Compact, FormPolicy::Adaptive] {
         // Rebuild the server with this form (same dataset/seed).
-        let store =
-            procache::rtree::ObjectStore::new(server.snapshot().store().iter().copied().collect());
+        let store = procache::rtree::ObjectStore::new(server.snapshot().store().iter().collect());
         let server = Cluster::single(
             store,
             RTreeConfig::small(),

@@ -132,19 +132,20 @@ fn building_a_world_peaks_at_its_resident_footprint() {
     // (query mix, mobility, cache share) is session state, not the world.
     let cfg = SimConfig::paper();
 
-    // Bounds: the figures measured with 12-byte BPT super entries
-    // (12 966 872 / 13 052 740 B resident, 128 147 / 158 773 B per
-    // publish for one / four shards; both repeat exactly) plus under 3 %.
-    // Storing each super entry's 32-byte MBR again reads 15 969 656 /
-    // 16 055 644 and 141 633 / 172 015 and fails them.
+    // Bounds: the figures measured with points stored once (7 416 188 /
+    // 7 469 744 B resident, 128 906 / 159 260 B per publish for one /
+    // four shards; both repeat exactly) plus under 3 %; the per-publish
+    // bounds stay those of the layout before, which measured 128 147 /
+    // 158 773. Keeping each point's max corner again reads 12 966 872 /
+    // 13 052 740 resident and fails them.
     let (peak, allocations, server) = measured(|| build_server(&cfg));
     let resident = server.snapshot().heap_bytes();
     assert_at_footprint("build_server", peak, allocations, resident);
-    assert_steady_churn("build_server", &server, 13_300_000, 131_000);
+    assert_steady_churn("build_server", &server, 7_600_000, 131_000);
     drop(server);
 
     let (peak, allocations, cluster) = measured(|| build_cluster(&cfg, 4));
     let resident = cluster.core().pin().heap_bytes();
     assert_at_footprint("build_cluster(4)", peak, allocations, resident);
-    assert_steady_churn("build_cluster(4)", &cluster, 13_400_000, 163_000);
+    assert_steady_churn("build_cluster(4)", &cluster, 7_650_000, 163_000);
 }
