@@ -41,6 +41,7 @@
 //!
 //! `--json OUT` writes the rows as machine-readable JSON.
 
+use pc_bench::alloc::Counting;
 use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_geom::Point;
 use pc_rtree::proto::PAGE_BYTES;
@@ -50,37 +51,10 @@ use pc_sim::generate_update;
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-// ordering: Relaxed — a statistic, read on the one thread that allocates
-// while a publish is measured; it publishes no other data.
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
 
-/// Bytes handed out by the allocator since the process started.
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter beside
-// it is a plain statistic and never touches the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// Update batches applied (and averaged over) per row.
 const ROUNDS: usize = 24;
@@ -139,11 +113,11 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         let updates: Vec<_> = (0..batch)
             .map(|_| generate_update(&mut rng, n_live))
             .collect();
-        let allocated = ALLOCATED.load(Relaxed);
+        let allocated = ALLOC.allocated();
         let t = Instant::now();
         server.apply_updates(&updates);
         publish_s += t.elapsed().as_secs_f64();
-        alloc_bytes += ALLOCATED.load(Relaxed) - allocated;
+        alloc_bytes += ALLOC.allocated() - allocated;
         let new_world = server.snapshot();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 

@@ -11,6 +11,8 @@
 //! the paper's (≈0–5 objects per query, tens of join pairs), which is what
 //! keeps the relative shapes intact.
 
+pub mod alloc;
+
 use pc_sim::{CacheModel, SimConfig};
 use pc_workload::DatasetKind;
 

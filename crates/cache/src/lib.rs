@@ -26,7 +26,6 @@
         clippy::unimplemented
     )
 )]
-#![deny(clippy::allow_attributes_without_reason)]
 
 mod cache;
 mod item;

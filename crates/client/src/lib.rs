@@ -17,7 +17,6 @@
         clippy::unimplemented
     )
 )]
-#![deny(clippy::allow_attributes_without_reason)]
 
 use pc_cache::{CacheView, Catalog, InsertOutcome, ItemKey, ProactiveCache, ReplacementPolicy};
 use pc_geom::Point;

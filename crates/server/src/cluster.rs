@@ -2213,10 +2213,12 @@ mod tests {
             for _ in 0..3 {
                 scope.spawn(|| {
                     let (mut pins, mut last) = (0u32, 0u64);
-                    // ordering: Acquire pairs with the writer's Release
-                    // store, so a reader that sees `done` also sees the
-                    // last publish — pinning the final-epoch assert.
-                    while pins < 2000 || !done.load(Ordering::Acquire) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "ordering: Acquire pairs with the writer's Release store, so a reader that sees `done` also sees the last publish — pinning the final-epoch assert"
+                    )]
+                    let finished = || done.load(Ordering::Acquire);
+                    while pins < 2000 || !finished() {
                         let snap = cl.core.pin();
                         assert_one_consistent_epoch(&snap);
                         assert!(snap.epoch >= last, "epochs went backwards");
@@ -2243,8 +2245,10 @@ mod tests {
                 }
                 assert_eq!(cl.apply_updates(&batch), b + 1);
             }
-            // ordering: Release publishes "all batches applied" to the
-            // Acquire loads in the reader loops above.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: Release publishes \"all batches applied\" to the Acquire loads in the reader loops above"
+            )]
             done.store(true, Ordering::Release);
         });
         assert_one_consistent_epoch(&cl.core.pin());

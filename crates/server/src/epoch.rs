@@ -91,10 +91,12 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    // ordering: Acquire pairs with the Release store after
-                    // the last publish, so a reader that sees `stop` also
-                    // sees publish 499 — pinning the final-value assert.
-                    while !stop.load(Ordering::Acquire) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "ordering: Acquire pairs with the Release store after the last publish, so a reader that sees `stop` also sees publish 499 — pinning the final-value assert"
+                    )]
+                    let stopped = || stop.load(Ordering::Acquire);
+                    while !stopped() {
                         let snap = cell.pin();
                         assert_eq!(snap.0, snap.1, "snapshot observed mid-update");
                     }
@@ -103,8 +105,10 @@ mod tests {
             for i in 1..500u64 {
                 cell.publish((i, i));
             }
-            // ordering: Release publishes "all 499 publishes happened"
-            // to the Acquire loads in the reader loops above.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: Release publishes \"all 499 publishes happened\" to the Acquire loads in the reader loops above"
+            )]
             stop.store(true, Ordering::Release);
         });
         assert_eq!(*cell.pin(), (499, 499));

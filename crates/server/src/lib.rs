@@ -41,7 +41,6 @@
         clippy::unimplemented
     )
 )]
-#![deny(clippy::allow_attributes_without_reason)]
 
 mod adaptive;
 pub mod cluster;

@@ -29,16 +29,16 @@ use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[derive(Debug, Default)]
 pub(crate) struct Counter(AtomicU64);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "ordering: Relaxed — a counter is a report, not a synchronization point; exact totals are read after the join or `shutdown()` that orders every bump before the read"
+)]
 impl Counter {
     pub(crate) fn add(&self, n: u64) {
-        // ordering: Relaxed — a counter is a report, not a synchronization
-        // point; exact totals are read after the join or `shutdown()` that
-        // orders every bump before the read.
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn get(&self) -> u64 {
-        // ordering: Relaxed — as in `add`.
         self.0.load(Ordering::Relaxed)
     }
 }

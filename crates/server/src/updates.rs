@@ -509,10 +509,12 @@ mod tests {
                 let stop = &stop;
                 scope.spawn(move || {
                     let w = Rect::centered_square(Point::new(0.2 + 0.2 * t as f64, 0.5), 0.25);
-                    // ordering: Acquire pairs with the Release store after
-                    // the last update, so readers that observe `stop` also
-                    // observe all 40 published epochs.
-                    while !stop.load(Ordering::Acquire) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "ordering: Acquire pairs with the Release store after the last update, so readers that observe `stop` also observe all 40 published epochs"
+                    )]
+                    let stopped = || stop.load(Ordering::Acquire);
+                    while !stopped() {
                         let snap = server.snapshot();
                         let got = snap.shard(0).direct(&QuerySpec::Range { window: w });
                         // The naive oracle skips tombstoned objects via the
@@ -530,8 +532,10 @@ mod tests {
                 let update = random_update(&mut rng, 250);
                 epoch = server.apply_updates(&[update]);
             }
-            // ordering: Release publishes "all updates applied" to the
-            // Acquire loads in the reader loops above.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: Release publishes \"all updates applied\" to the Acquire loads in the reader loops above"
+            )]
             stop.store(true, Ordering::Release);
         });
         // One deployment epoch per batch, however many netted to nothing
@@ -619,9 +623,10 @@ mod tests {
                     scope.spawn(move || {
                         let mut last_epoch = 0u64;
                         loop {
-                            // ordering: Acquire pairs with the Release store
-                            // after the last batch — a reader that sees
-                            // `stop` runs one final full-consistency pass.
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "ordering: Acquire pairs with the Release store after the last batch — a reader that sees `stop` runs one final full-consistency pass"
+                            )]
                             let done = stop.load(Ordering::Acquire);
                             let snap = server.snapshot();
                             assert!(snap.epoch() >= last_epoch, "epoch ran backwards");
@@ -683,8 +688,10 @@ mod tests {
                         );
                     }
                 }
-                // ordering: Release publishes "all batches applied" to the
-                // Acquire loads in the reader loops above.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "ordering: Release publishes \"all batches applied\" to the Acquire loads in the reader loops above"
+                )]
                 stop.store(true, Ordering::Release);
             });
         }

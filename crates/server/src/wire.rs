@@ -45,7 +45,6 @@ use pc_wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame, request_overhead,
     response_overhead, tag, WireError, FRAME_HEADER_BYTES,
 };
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -150,10 +149,12 @@ impl Read for StopAwareRead<'_> {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    // ordering: Relaxed — standalone stop flag carrying no
-                    // data; this loop re-loads it every timeout tick, so cache
-                    // coherence alone bounds how stale a read can be.
-                    if self.stop.load(Ordering::Relaxed) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "ordering: Relaxed — standalone stop flag carrying no data; this loop re-loads it every timeout tick, so cache coherence alone bounds how stale a read can be"
+                    )]
+                    let stopping = self.stop.load(Ordering::Relaxed);
+                    if stopping {
                         if !self.mid_frame {
                             return Ok(0);
                         }
@@ -210,7 +211,12 @@ fn handle_connection(
         };
         let resp = handle.call(header.client, req);
         let frame = encode_response(header.client, header.seq, &resp);
-        if stream.write_all(&frame).is_err() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "guard: holds no lock — the connection thread owns its stream, so a slow peer stalls only its own connection"
+        )]
+        let sent = stream.write_all(&frame);
+        if sent.is_err() {
             return;
         }
         stats.tx_frame_bytes.add(frame.len() as u64);
@@ -237,11 +243,12 @@ impl WireServer {
                 .spawn(move || {
                     let mut conns: Vec<JoinHandle<()>> = Vec::new();
                     for incoming in listener.incoming() {
-                        // ordering: Relaxed — stop flag re-loaded once per
-                        // accepted connection; `shutdown` keeps sending wake
-                        // connections until this thread exits, so a stale
-                        // read here only costs one more wake round.
-                        if stop.load(Ordering::Relaxed) {
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "ordering: Relaxed — stop flag re-loaded once per accepted connection; `shutdown` keeps sending wake connections until this thread exits, so a stale read here only costs one more wake round"
+                        )]
+                        let stopping = stop.load(Ordering::Relaxed);
+                        if stopping {
                             break;
                         }
                         let Ok(stream) = incoming else { continue };
@@ -294,9 +301,10 @@ impl WireServer {
         // A single one-shot wake could race a not-yet-visible flag store
         // and leave the loop parked in accept() forever; the wake below
         // therefore retries until the accept thread confirms exit.
-        // ordering: Relaxed — every wake forces another load of the stop
-        // flag, and coherence makes the store visible within finitely
-        // many rounds.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: Relaxed — every wake forces another load of the stop flag, and coherence makes the store visible within finitely many rounds"
+        )]
         self.stop.store(true, Ordering::Relaxed);
         while !t.is_finished() {
             // Refused once the accept loop drops the listener to drain.
@@ -402,12 +410,57 @@ struct Conn {
     seq: u32,
 }
 
+mod conn_table {
+    use super::{lock_recover, Arc, ClientId, Conn, Mutex};
+    use std::collections::HashMap;
+
+    /// A [`super::TcpTransport`]'s connections by client. The table lock
+    /// covers one map operation and no method hands out its guard, so no
+    /// table guard can be live at a blocking socket write.
+    #[derive(Default)]
+    pub(super) struct ConnTable(Mutex<HashMap<ClientId, Arc<Mutex<Conn>>>>);
+
+    impl ConnTable {
+        pub(super) fn get(&self, client: ClientId) -> Option<Arc<Mutex<Conn>>> {
+            lock_recover(&self.0).get(&client).cloned()
+        }
+
+        /// `client`'s connection, inserting `conn` if it has none: of two
+        /// racing inserts the first wins and the loser's socket closes
+        /// unused.
+        pub(super) fn get_or_insert(&self, client: ClientId, conn: Conn) -> Arc<Mutex<Conn>> {
+            let mut table = lock_recover(&self.0);
+            let conn = table
+                .entry(client)
+                .or_insert_with(|| Arc::new(Mutex::new(conn)));
+            Arc::clone(conn)
+        }
+
+        /// Removes `client`'s connection if it is still `conn`, not a newer
+        /// one that took its place.
+        pub(super) fn remove_if_same(&self, client: ClientId, conn: &Arc<Mutex<Conn>>) {
+            let mut table = lock_recover(&self.0);
+            if table.get(&client).is_some_and(|c| Arc::ptr_eq(c, conn)) {
+                table.remove(&client);
+            }
+        }
+
+        pub(super) fn remove(&self, client: ClientId) {
+            lock_recover(&self.0).remove(&client);
+        }
+
+        pub(super) fn clear(&self) {
+            lock_recover(&self.0).clear();
+        }
+    }
+}
+
 /// Client-side [`ServerHandle`] over a TCP connection per [`ClientId`].
 pub struct TcpTransport {
     addr: SocketAddr,
     /// In-process handle backing the out-of-band metadata surface.
     inner: Arc<dyn ServerHandle>,
-    conns: Mutex<HashMap<ClientId, Arc<Mutex<Conn>>>>,
+    conns: conn_table::ConnTable,
     counters: TransportCounters,
 }
 
@@ -418,7 +471,7 @@ impl TcpTransport {
         TcpTransport {
             addr,
             inner,
-            conns: Mutex::new(HashMap::new()),
+            conns: conn_table::ConnTable::default(),
             counters: TransportCounters::default(),
         }
     }
@@ -431,8 +484,7 @@ impl TcpTransport {
     /// only the lookup and the insert — never the connect, which would
     /// stall every other client's call behind one client's handshake.
     fn conn(&self, client: ClientId) -> Arc<Mutex<Conn>> {
-        let open = lock_recover(&self.conns).get(&client).cloned();
-        if let Some(conn) = open {
+        if let Some(conn) = self.conns.get(client) {
             return conn;
         }
         #[expect(
@@ -442,13 +494,7 @@ impl TcpTransport {
         let stream = TcpStream::connect(self.addr)
             .and_then(|s| s.set_nodelay(true).map(|()| s))
             .expect("wire transport: connect to loopback server");
-        // Two threads may have raced to connect the same client: the first
-        // insert wins and the loser's socket closes unused.
-        Arc::clone(
-            lock_recover(&self.conns)
-                .entry(client)
-                .or_insert_with(|| Arc::new(Mutex::new(Conn { stream, seq: 0 }))),
-        )
+        self.conns.get_or_insert(client, Conn { stream, seq: 0 })
     }
 
     /// One request/reply exchange on `conn`. `Err` says why the connection
@@ -467,6 +513,10 @@ impl TcpTransport {
         io.seq = seq.wrapping_add(1);
         let frame = encode_request(client, seq, req);
         self.counters.note_tx(frame.len() as u64, req);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "guard: holds only `io`, the per-connection I/O mutex — it is the channel, and only callers sharing the `ClientId` contend"
+        )]
         let sent = io.stream.write_all(&frame).map_err(WireError::from);
         let reply = sent.and_then(|()| read_frame(&mut io.stream, RESPONSE_FRAME_CAP_BYTES));
         let died = |e: WireError| format!("connection died awaiting reply seq {seq}: {e}");
@@ -495,12 +545,12 @@ impl TcpTransport {
     /// still in flight on another thread finishes first: the socket closes
     /// with its last user.
     pub fn disconnect(&self, client: ClientId) {
-        lock_recover(&self.conns).remove(&client);
+        self.conns.remove(client);
     }
 
     /// Closes every connection.
     pub fn disconnect_all(&self) {
-        lock_recover(&self.conns).clear();
+        self.conns.clear();
     }
 }
 
@@ -517,10 +567,7 @@ impl Transport for TcpTransport {
             // exchange leaves a dead socket: either way retire this
             // connection (unless a newer one already took its place) so
             // the next call reconnects.
-            let mut conns = lock_recover(&self.conns);
-            if conns.get(&client).is_some_and(|c| Arc::ptr_eq(c, &conn)) {
-                conns.remove(&client);
-            }
+            self.conns.remove_if_same(client, &conn);
         }
         outcome.unwrap_or_else(|why| panic!("wire transport: {why}"))
     }
@@ -602,6 +649,15 @@ mod tests {
         Honest,
     }
 
+    /// A scripted peer's raw bytes, written to its own socket.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "guard: a scripted test peer holds no lock; the socket is its own"
+    )]
+    fn send(s: &mut TcpStream, bytes: &[u8]) {
+        s.write_all(bytes).unwrap();
+    }
+
     /// Accepts one connection per script entry, in order.
     fn scripted_peer(script: Vec<Peer>) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -618,7 +674,7 @@ mod tests {
                     Peer::RequestTag => encode_request(asked.client, asked.seq, &Request::Forget),
                     Peer::Honest => encode_response(asked.client, asked.seq, &Response::NewD(3)),
                 };
-                s.write_all(&reply).unwrap();
+                send(&mut s, &reply);
             }
         });
         (addr, peer)
@@ -696,8 +752,8 @@ mod tests {
             client: 1,
             body_len: 64,
         };
-        s.write_all(&hdr.to_bytes()).unwrap();
-        s.write_all(&[0u8; 10]).unwrap();
+        send(&mut s, &hdr.to_bytes());
+        send(&mut s, &[0u8; 10]);
         drop(s); // disconnect mid-request
 
         // The server must shrug it off and keep serving other clients.
@@ -730,7 +786,7 @@ mod tests {
             client: 1,
             body_len: u32::MAX,
         };
-        s.write_all(&hdr.to_bytes()).unwrap();
+        send(&mut s, &hdr.to_bytes());
         // The server closes the connection instead of reading 4 GiB.
         let mut buf = [0u8; 1];
         let n = s.read(&mut buf).unwrap_or(0);
@@ -754,7 +810,7 @@ mod tests {
     fn garbage_bytes_are_rejected() {
         let (mut ws, _server) = served(50, 8);
         let mut s = TcpStream::connect(ws.addr()).unwrap();
-        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        send(&mut s, b"GET / HTTP/1.1\r\n\r\n");
         let mut buf = [0u8; 1];
         assert_eq!(s.read(&mut buf).unwrap_or(0), 0, "bad magic closes");
         drop(s);

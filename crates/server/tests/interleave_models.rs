@@ -74,8 +74,10 @@ impl Snap {
 
 impl Drop for Snap {
     fn drop(&mut self) {
-        // ordering: SeqCst — model-test drop counter read only after every
-        // thread joins; strongest-for-free beats justifying anything weaker.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: SeqCst — model-test drop counter read only after every thread joins; strongest-for-free beats justifying anything weaker"
+        )]
         self.drops.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -153,13 +155,12 @@ fn snapshot_cell_publish_pin_drop_is_sound() {
             // published); with all pins gone and the cell itself dropped,
             // every one of them must have freed exactly once.
             drop(cell);
-            // ordering: SeqCst pairs with the fetch_add in Snap::drop; all
-            // droppers were joined above, so any ordering would do.
-            assert_eq!(
-                drops.load(Ordering::SeqCst),
-                3,
-                "retired snapshots must drop exactly once"
-            );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: SeqCst pairs with the fetch_add in Snap::drop; all droppers were joined above, so any ordering would do"
+            )]
+            let dropped = drops.load(Ordering::SeqCst);
+            assert_eq!(dropped, 3, "retired snapshots must drop exactly once");
         })
         .expect("SnapshotCell protocol must survive every schedule");
     assert!(
@@ -220,7 +221,12 @@ impl<T> Shared<T> {
     /// `Arc::get_mut`'s test: the value is the caller's alone when the
     /// count is one, loaded with `order` (`Acquire` in `std`).
     fn is_unique(&self, order: Ordering) -> bool {
-        self.inner.0.load(order) == 1
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: the caller's — `Acquire` as in `Arc::get_mut`, or the planted `Relaxed` mutant"
+        )]
+        let count = self.inner.0.load(order);
+        count == 1
     }
 }
 
@@ -233,8 +239,10 @@ impl<T> std::ops::Deref for Shared<T> {
 
 impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
-        // ordering: Relaxed, as `Arc::clone`: a new reference is made from
-        // an existing one, which already orders everything it can reach.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: Relaxed, as `Arc::clone`: a new reference is made from an existing one, which already orders everything it can reach"
+        )]
         self.inner.0.fetch_add(1, Ordering::Relaxed);
         Shared {
             inner: Arc::clone(&self.inner),
@@ -247,12 +255,16 @@ impl<T> Drop for Shared<T> {
         if std::thread::panicking() {
             return; // condemned run: do not re-enter the scheduler
         }
-        // ordering: Release, as `Arc`'s drop: every use of the value
-        // through this reference happens before whoever next sees the
-        // count it leaves — the last dropper, or a writer's uniqueness
-        // check.
-        if self.inner.0.fetch_sub(1, Ordering::Release) == 1 {
-            // ordering: Acquire — `Arc`'s fence before the value is freed.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: Release, as `Arc`'s drop: every use of the value through this reference happens before whoever next sees the count it leaves — the last dropper, or a writer's uniqueness check"
+        )]
+        let last = self.inner.0.fetch_sub(1, Ordering::Release) == 1;
+        if last {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: Acquire — `Arc`'s fence before the value is freed"
+            )]
             self.inner.0.load(Ordering::Acquire);
         }
     }

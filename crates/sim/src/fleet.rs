@@ -155,9 +155,10 @@ impl Fleet {
             // panicked, or the scope would hang forever on the driver
             // thread instead of propagating the panic.
             let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            // ordering: Release pairs with the driver loop's Acquire load —
-            // a driver that sees `stop` also sees every worker's final
-            // issued-count contribution, so the drained quota is exact.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "ordering: Release pairs with the driver loop's Acquire load — a driver that sees `stop` also sees every worker's final issued-count contribution, so the drained quota is exact"
+            )]
             stop.store(true, Ordering::Release);
             #[expect(
                 clippy::expect_used,
@@ -212,13 +213,15 @@ fn drive_updates(
     let mut applied = 0u64;
     let mut epoch = server.bootstrap_root().1;
     loop {
-        // ordering: Acquire pairs with the Release store in `run` after all
-        // workers joined — seeing `stop` implies seeing the final issued
-        // count, read (also Acquire) on the next line, so the drain below
-        // settles the exact quota before the loop exits.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: Acquire pairs with the Release store in `run` after all workers joined — seeing `stop` implies seeing the final issued count, read (also Acquire) on the next line, so the drain below settles the exact quota before the loop exits"
+        )]
         let finished = stop.load(Ordering::Acquire);
-        // ordering: Acquire pairs with each session's Release fetch_add —
-        // counted queries have fully completed before churn is paced on them.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "ordering: Acquire pairs with each session's Release fetch_add — counted queries have fully completed before churn is paced on them"
+        )]
         let target = issued.load(Ordering::Acquire) * churn.rate_per_100 as u64 / 100;
         while applied < target {
             let n = churn.batch.min((target - applied) as usize);

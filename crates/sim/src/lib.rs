@@ -32,7 +32,6 @@
         clippy::unimplemented
     )
 )]
-#![deny(clippy::allow_attributes_without_reason)]
 
 mod config;
 mod fleet;

@@ -208,9 +208,10 @@ impl ClientSession {
             let before = self.issued;
             let more = self.step(server);
             if self.issued > before {
-                // ordering: Release pairs with the update driver's Acquire
-                // load of `issued` — the driver paces churn against counts
-                // whose queries have fully completed.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "ordering: Release pairs with the update driver's Acquire load of `issued` — the driver paces churn against counts whose queries have fully completed"
+                )]
                 issued.fetch_add(1, std::sync::atomic::Ordering::Release);
             }
             if !more {

@@ -304,8 +304,10 @@ mod churn_clients {
     impl Transport for RacingHandle<'_> {
         fn call(&self, client: ClientId, req: Request) -> Response {
             if matches!(req, Request::RemainderVersioned { .. }) {
-                // ordering: SeqCst — test counter; ordering immaterial,
-                // strongest-for-free beats justifying anything weaker.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "ordering: SeqCst — test counter; ordering immaterial, strongest-for-free beats justifying anything weaker"
+                )]
                 let raced = self
                     .races
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |r| r.checked_sub(1));

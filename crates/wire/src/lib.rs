@@ -66,7 +66,6 @@
         clippy::unimplemented
     )
 )]
-#![deny(clippy::allow_attributes_without_reason)]
 
 mod codec;
 mod frame;

@@ -13,49 +13,18 @@
 //! A binary of its own: the counting allocator is process-wide, so the one
 //! test here runs alone in its process.
 
-use pc_cache::{Catalog, ItemKey, ReplacementPolicy};
-use pc_client::Client;
-use pc_geom::{Point, Rect};
-use pc_rtree::proto::QuerySpec;
-use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use pc_server::{Cluster, ServerConfig};
+use pc_bench::alloc::Counting;
+use procache::cache::{Catalog, ItemKey, ReplacementPolicy};
+use procache::client::Client;
+use procache::geom::{Point, Rect};
+use procache::rtree::proto::QuerySpec;
+use procache::rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use procache::server::{Cluster, ServerConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-// ordering: Relaxed — a statistics counter, read on the thread that did
-// the counted work; it publishes no other data.
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`; the counter
-// beside it never touches the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        LIVE.fetch_add(layout.size(), Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        LIVE.fetch_add(new_size, Relaxed);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// Allocations per cache-complete `run_local`, by query kind.
 const RANGE_OR_KNN: usize = 2;
@@ -126,9 +95,9 @@ fn cache_complete_run_local_allocates_a_constant() {
 
     let mut expansions = Vec::new();
     for (spec, want) in &cases {
-        let before = ALLOCATIONS.load(Relaxed);
+        let before = ALLOC.allocations();
         let local = client.run_local(spec);
-        let allocations = ALLOCATIONS.load(Relaxed) - before;
+        let allocations = ALLOC.allocations() - before;
         assert!(local.complete());
         assert!(!local.saved.is_empty(), "{spec:?} found nothing");
         eprintln!(
@@ -152,12 +121,12 @@ fn cache_complete_run_local_allocates_a_constant() {
     let mut fresh = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
     *fresh.cache_mut() = client.cache().clone();
     let join = QuerySpec::Join { dist: 0.001 };
-    let before = LIVE.load(Relaxed);
+    let before = ALLOC.live();
     let local = fresh.run_local(&join);
     assert!(local.complete());
     let expansions = local.expansions;
     drop(local);
-    let kept = LIVE.load(Relaxed).saturating_sub(before);
+    let kept = ALLOC.live().saturating_sub(before);
     eprintln!(
         "first join on a fresh client: {expansions} expansions over {nodes} cached nodes, \
          {kept} bytes kept ({:.1} per node)",

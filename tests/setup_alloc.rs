@@ -11,65 +11,25 @@
 //! test here runs both deployments back to back on an otherwise idle
 //! process.
 
+use pc_bench::alloc::Counting;
 use procache::server::ServerHandle;
 use procache::sim::{build_cluster, build_server, generate_update, SimConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-// ordering: Relaxed throughout — the counters are statistics, read once the
-// work they measure has returned (its workers joined); they publish no
-// other data.
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grew(bytes: usize) {
-        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-        PEAK.fetch_max(live, Relaxed);
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        ALLOCATED.fetch_add(bytes, Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// beside it are plain statistics and never touch the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Counting::grew(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        Counting::grew(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static ALLOC: Counting = Counting::new();
 
 /// Runs `build` and returns `(live-byte peak above the starting level,
 /// allocations made, what it built)`.
 fn measured<T>(build: impl FnOnce() -> T) -> (usize, usize, T) {
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-    ALLOCATIONS.store(0, Relaxed);
+    let before = ALLOC.live();
+    ALLOC.reset_peak();
+    let allocations = ALLOC.allocations();
     let built = build();
     (
-        PEAK.load(Relaxed) - before,
-        ALLOCATIONS.load(Relaxed),
+        ALLOC.peak() - before,
+        ALLOC.allocations() - allocations,
         built,
     )
 }
@@ -106,10 +66,10 @@ fn assert_steady_churn(
         handle.apply_updates(&batch);
     };
     (0..WARM_UP).for_each(|_| publish());
-    let (bytes, allocations) = (ALLOCATED.load(Relaxed), ALLOCATIONS.load(Relaxed));
+    let (bytes, allocations) = (ALLOC.allocated(), ALLOC.allocations());
     (0..BATCHES).for_each(|_| publish());
-    let per_publish = (ALLOCATED.load(Relaxed) - bytes) / BATCHES;
-    let allocations = (ALLOCATIONS.load(Relaxed) - allocations) / BATCHES;
+    let per_publish = (ALLOC.allocated() - bytes) / BATCHES;
+    let allocations = (ALLOC.allocations() - allocations) / BATCHES;
     let heap = handle.core().pin().heap_bytes();
     eprintln!(
         "{what} after {} publishes: {heap} B resident; {per_publish} B in {allocations} \
