@@ -163,7 +163,7 @@ mod tests {
         let a = pag.query(&server, 0, &spec, 0.0);
         let mut got = a.objects.clone();
         got.sort_unstable();
-        assert_eq!(got, naive::range_naive(server.snapshot().store(), &w));
+        assert_eq!(got, naive::range_naive(server.core().pin().store(), &w));
         assert_eq!(a.ledger.saved_bytes, 0, "PAG never answers locally");
         assert!(a.ledger.transmitted_bytes() > 0);
         assert!(!pag.is_empty());

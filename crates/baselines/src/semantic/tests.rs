@@ -4,7 +4,7 @@
 
 use super::*;
 use pc_rtree::{naive, ObjectStore, RTreeConfig, SpatialObject};
-use pc_server::{Cluster, ServerConfig};
+use pc_server::{Cluster, ServerConfig, ServerHandle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +45,7 @@ fn range_answers_match_naive_under_trimming() {
         got.sort_unstable();
         assert_eq!(
             got,
-            naive::range_naive(server.snapshot().store(), &w),
+            naive::range_naive(server.core().pin().store(), &w),
             "round {round}"
         );
     }
@@ -84,7 +84,7 @@ fn overlapping_window_transmits_only_the_remainder() {
     );
     let mut got = a2.objects.clone();
     got.sort_unstable();
-    assert_eq!(got, naive::range_naive(server.snapshot().store(), &w2));
+    assert_eq!(got, naive::range_naive(server.core().pin().store(), &w2));
 }
 
 #[test]
@@ -95,10 +95,10 @@ fn knn_matches_naive_and_valid_repeats_are_local() {
     let spec = QuerySpec::Knn { center: pos, k: 5 };
     let first = sem.query(&server, 0, &spec, pos, 0.0);
     assert!(first.ledger.contacted_server);
-    let want = naive::knn_naive(server.snapshot().store(), &pos, 5);
+    let want = naive::knn_naive(server.core().pin().store(), &pos, 5);
     assert_eq!(first.objects.len(), 5);
     for (got, (_, wd)) in first.objects.iter().zip(&want) {
-        let d = server.snapshot().store().get(*got).mbr.min_dist(&pos);
+        let d = server.core().pin().store().get(*got).mbr.min_dist(&pos);
         assert!((d - wd).abs() < 1e-12);
     }
     // Same point, same k: trivially valid (shift = 0).
@@ -113,9 +113,9 @@ fn knn_matches_naive_and_valid_repeats_are_local() {
         near,
         0.0,
     );
-    let want3 = naive::knn_naive(server.snapshot().store(), &near, 3);
+    let want3 = naive::knn_naive(server.core().pin().store(), &near, 3);
     for (got, (_, wd)) in a3.objects.iter().zip(&want3) {
-        let d = server.snapshot().store().get(*got).mbr.min_dist(&near);
+        let d = server.core().pin().store().get(*got).mbr.min_dist(&near);
         assert!((d - wd).abs() < 1e-12, "validity reuse returned wrong kNN");
     }
 }
@@ -132,10 +132,10 @@ fn knn_reuse_is_sound_under_random_displacements() {
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
         let k = rng.random_range(1..6u32);
         let a = sem.query(&server, 0, &QuerySpec::Knn { center: p, k }, p, 0.0);
-        let want = naive::knn_naive(server.snapshot().store(), &p, k as usize);
+        let want = naive::knn_naive(server.core().pin().store(), &p, k as usize);
         assert_eq!(a.objects.len(), want.len());
         for (got, (_, wd)) in a.objects.iter().zip(&want) {
-            let d = server.snapshot().store().get(*got).mbr.min_dist(&p);
+            let d = server.core().pin().store().get(*got).mbr.min_dist(&p);
             assert!((d - wd).abs() < 1e-12);
         }
         if !a.ledger.contacted_server {
@@ -180,7 +180,7 @@ fn join_passes_through_and_is_never_cached() {
         a2.ledger.transmitted_bytes(),
         "joins are retransmitted in full every time"
     );
-    let mut want = naive::join_naive(server.snapshot().store(), 0.03);
+    let mut want = naive::join_naive(server.core().pin().store(), 0.03);
     want.sort_unstable();
     let mut got = a1.pairs.clone();
     got.sort_unstable();
@@ -274,5 +274,5 @@ fn fragmentation_fallback_coalesces() {
     sem.validate().unwrap();
     let mut got = a.objects.clone();
     got.sort_unstable();
-    assert_eq!(got, naive::range_naive(server.snapshot().store(), &w));
+    assert_eq!(got, naive::range_naive(server.core().pin().store(), &w));
 }

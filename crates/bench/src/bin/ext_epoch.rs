@@ -46,7 +46,7 @@ use pc_bench::{fmt_bytes, json, HarnessOpts, Table};
 use pc_geom::Point;
 use pc_rtree::proto::PAGE_BYTES;
 use pc_rtree::{Chunked, CHUNK_LEN};
-use pc_server::{Cluster, ServerConfig};
+use pc_server::{Cluster, ServerConfig, ServerHandle};
 use pc_sim::generate_update;
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
@@ -108,7 +108,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     let mut copied_bytes = 0u64;
     let mut alloc_bytes = 0usize;
     for _ in 0..ROUNDS {
-        let old_world = server.snapshot();
+        let old_world = server.core().pin();
         let n_live = old_world.store().len() as u32;
         let updates: Vec<_> = (0..batch)
             .map(|_| generate_update(&mut rng, n_live))
@@ -118,7 +118,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         server.apply_updates(&updates);
         publish_s += t.elapsed().as_secs_f64();
         alloc_bytes += ALLOC.allocated() - allocated;
-        let new_world = server.snapshot();
+        let new_world = server.core().pin();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 
         let (old_nodes, new_nodes) = (old.tree().slots(), new.tree().slots());
@@ -161,7 +161,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
             + rebuilt_bytes as u64
             + ((store_bytes + (node_chunks + bpt_chunks) * 8) * CHUNK_LEN) as u64;
     }
-    let snap = server.snapshot();
+    let snap = server.core().pin();
     let rounds = ROUNDS as f64;
     Row {
         objects: n_objects,

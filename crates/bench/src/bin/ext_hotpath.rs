@@ -32,9 +32,9 @@ use pc_bench::{json, HarnessOpts, Table};
 use pc_cache::{Catalog, ReplacementPolicy};
 use pc_client::Client;
 use pc_geom::{Point, Rect};
-use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
+use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, Side};
 use pc_rtree::{query, ObjectId, RTreeConfig};
-use pc_server::{Cluster, FormMode, ServerConfig, Snapshot};
+use pc_server::{Cluster, FormMode, ServerConfig, ServerHandle, Snapshot, Transport};
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -130,7 +130,7 @@ fn warm(client: &mut Client, server: &Cluster, spec: &QuerySpec) {
         let Some(rq) = client.run_local(spec).remainder else {
             return;
         };
-        let reply = server.process_remainder(0, &rq);
+        let reply = server.call(0, Request::Remainder(rq)).into_remainder();
         client.absorb(&reply, Point::ORIGIN);
     }
     panic!("cache still incomplete for {spec:?} after 8 contacts");
@@ -168,7 +168,7 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
         RTreeConfig::paper(),
         ServerConfig::default(),
     );
-    let snap = server.snapshot();
+    let snap = server.core().pin();
     let snap = &*snap;
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x407);
     let mut point = || Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));

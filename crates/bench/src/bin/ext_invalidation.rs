@@ -14,7 +14,7 @@ use pc_geom::{Point, Rect};
 use pc_mobility::{MobileClient, MobilityModel};
 use pc_net::Channel;
 use pc_rtree::ObjectId;
-use pc_server::{Cluster, ServerConfig, Update};
+use pc_server::{Cluster, ServerConfig, ServerHandle, Update};
 use pc_sim::{ModelRunner, ProactiveRunner};
 use pc_workload::{QueryGenerator, WorkloadConfig};
 use rand::rngs::SmallRng;
@@ -53,11 +53,11 @@ fn main() {
         let mut client = ProactiveRunner::new(
             total_bytes / 100, // |C| = 1 %
             ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.snapshot().shard(0).tree()),
+            Catalog::from_tree(server.core().pin().shard(0).tree()),
         )
         .with_client(1)
         .versioned(true)
-        .at_epoch(server.snapshot().epoch());
+        .at_epoch(server.core().pin().epoch());
         let mut mobile = MobileClient::new(
             MobilityModel::Dir,
             pc_mobility::MobilityConfig::paper(),
@@ -80,7 +80,7 @@ fn main() {
         for q in 0..n_queries {
             // Poisson-ish update arrivals at `rate` per 100 queries.
             if rate > 0 && rng.random_range(0..100) < rate.min(100) {
-                let n_live = server.snapshot().store().len() as u32;
+                let n_live = server.core().pin().store().len() as u32;
                 let update = match rng.random_range(0..3) {
                     0 => Update::Move {
                         id: ObjectId(rng.random_range(0..n_live.min(n_objects as u32))),

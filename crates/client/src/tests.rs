@@ -8,9 +8,9 @@ use pc_cache::Catalog;
 use pc_geom::{Point, Rect};
 use pc_rtree::engine::{execute, AccessLog, NodeTrace};
 use pc_rtree::naive;
-use pc_rtree::proto::QuerySpec;
+use pc_rtree::proto::{QuerySpec, Request};
 use pc_rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use pc_server::{Cluster, FormPolicy, ServerConfig};
+use pc_server::{Cluster, FormPolicy, ServerConfig, ServerHandle, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +40,7 @@ fn make_client(server: &Cluster, capacity: u64) -> Client {
     Client::new(
         capacity,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     )
 }
 
@@ -54,10 +54,8 @@ fn pipeline_query(
 ) -> (usize, usize) {
     client.begin_query();
     let local = client.run_local(spec);
-    let reply = local
-        .remainder
-        .as_ref()
-        .map(|rq| server.process_remainder(0, rq));
+    let reply =
+        (local.remainder.clone()).map(|rq| server.call(0, Request::Remainder(rq)).into_remainder());
     if let Some(r) = &reply {
         client.absorb(r, pos);
     }
@@ -65,7 +63,7 @@ fn pipeline_query(
     client.cache().validate().expect("cache invariant broken");
 
     // Ground truth comparison.
-    let direct = server.direct(spec);
+    let direct = server.core().pin().direct(spec);
     match spec {
         QuerySpec::Join { .. } => {
             let mut got = answer.pairs.clone();
@@ -77,7 +75,7 @@ fn pipeline_query(
         QuerySpec::Knn { center, k } => {
             assert_eq!(answer.objects.len(), direct.results.len().min(*k as usize));
             // Compare distance multisets (ties may swap ids).
-            let d = |id: ObjectId| server.snapshot().store().get(id).mbr.min_dist(center);
+            let d = |id: ObjectId| server.core().pin().store().get(id).mbr.min_dist(center);
             let mut got: Vec<f64> = answer.objects.iter().map(|&o| d(o)).collect();
             got.sort_by(f64::total_cmp);
             let mut want: Vec<f64> = direct.results.iter().map(|&o| d(o)).collect();
@@ -139,7 +137,8 @@ fn repeated_query_completes_locally() {
     client.begin_query();
     let first = client.run_local(&spec);
     assert!(!first.complete(), "cold cache must miss");
-    let reply = server.process_remainder(0, first.remainder.as_ref().unwrap());
+    let rq = first.remainder.clone().unwrap();
+    let reply = server.call(0, Request::Remainder(rq)).into_remainder();
     client.absorb(&reply, pos);
 
     client.begin_query();
@@ -153,7 +152,7 @@ fn repeated_query_completes_locally() {
     assert_eq!(
         got,
         naive::range_naive(
-            server.snapshot().store(),
+            server.core().pin().store(),
             &match spec {
                 QuerySpec::Range { window } => window,
                 _ => unreachable!(),
@@ -219,9 +218,9 @@ fn uplink_stays_small_relative_to_downlink() {
         };
         client.begin_query();
         let local = client.run_local(&spec);
-        if let Some(rq) = &local.remainder {
+        if let Some(rq) = local.remainder {
             up_total += rq.uplink_bytes();
-            let reply = server.process_remainder(0, rq);
+            let reply = server.call(0, Request::Remainder(rq)).into_remainder();
             down_total += reply.downlink_bytes();
             client.absorb(&reply, pos);
         }

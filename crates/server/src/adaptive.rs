@@ -175,7 +175,14 @@ impl AdaptiveController {
     /// percent, … the value of d for this client is increased by 1. On the
     /// contrary, if it is lower than last fmr by s percent, d is decreased
     /// by 1. Otherwise, d remains its last value."
+    ///
+    /// A rate outside `[0, 1]`, NaN included, is not one: it is ignored,
+    /// nothing is recorded and the client's current d is returned. (A NaN
+    /// baseline would compare false with every later report, freezing d.)
     pub fn report(&self, client: u32, fmr: f64) -> u8 {
+        if !(0.0..=1.0).contains(&fmr) {
+            return self.d(client);
+        }
         self.write(client, |state| {
             if let Some(last) = state.last_fmr {
                 if fmr > last * (1.0 + self.sensitivity) {
@@ -231,7 +238,7 @@ mod tests {
     #[test]
     fn d_is_clamped_at_bounds() {
         let c = AdaptiveController::new(0.2).with_initial_d(0);
-        let fmr = |step: i32| 2f64.powi(step);
+        let fmr = |step: i32| 2f64.powi(step - 20);
         c.report(1, fmr(0));
         // Doubling, well beyond the band: d climbs to the clamp and stays …
         for step in 1..=i32::from(MAX_D) + 1 {
@@ -241,6 +248,19 @@ mod tests {
         for step in (-1..=i32::from(MAX_D)).rev() {
             assert_eq!(c.report(1, fmr(step)), (step - 1).max(0) as u8);
         }
+    }
+
+    #[test]
+    fn reports_outside_the_unit_interval_are_ignored() {
+        let c = AdaptiveController::new(0.2);
+        c.report(1, 0.1);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1.5] {
+            assert_eq!(c.report(1, bad), INITIAL_D, "fmr {bad}");
+        }
+        assert_eq!(c.report(1, 0.5), INITIAL_D + 1, "0.1 is still the baseline");
+        // An untracked client's bad report tracks nothing.
+        assert_eq!(c.report(2, f64::NAN), INITIAL_D);
+        assert_eq!(c.tracked_clients(), 1);
     }
 
     #[test]
@@ -361,7 +381,7 @@ mod tests {
                     // Doubling fmr sequence (every rise > 20%): d climbs
                     // from 2 to the clamp.
                     for step in 0..20 {
-                        c.report(client, 1e-3 * (1u64 << step) as f64);
+                        c.report(client, 2f64.powi(step - 20));
                     }
                 })
             })
@@ -371,7 +391,7 @@ mod tests {
         }
         for client in 0..8u32 {
             assert_eq!(c.d(client), MAX_D, "client {client}");
-            assert!((c.state(client).last_fmr.unwrap() - 524.288).abs() < 1e-9);
+            assert_eq!(c.state(client).last_fmr, Some(0.5), "client {client}");
         }
         assert_eq!(c.tracked_clients(), 8);
     }

@@ -97,7 +97,6 @@ use pc_rtree::proto::{
 };
 use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -497,24 +496,6 @@ impl Cluster {
         &self.map
     }
 
-    pub fn shard_count(&self) -> u32 {
-        self.cfg.shards
-    }
-
-    /// The current cluster epoch (bumped once per applied update batch).
-    pub fn epoch(&self) -> u64 {
-        self.core.epoch()
-    }
-
-    /// Pins the current [`Snapshot`]: the dataset, every shard's R*-tree
-    /// and BPTs, and the update log at one epoch. The pin stays valid and
-    /// self-consistent across concurrent
-    /// [`apply_updates`](Self::apply_updates) calls, and its `epoch()` is
-    /// the one the latest `apply_updates` returned.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.core.pin()
-    }
-
     /// Router backplane counters since construction.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
@@ -535,34 +516,6 @@ impl Cluster {
     // -----------------------------------------------------------------
     // Updates
     // -----------------------------------------------------------------
-
-    /// Applies one update batch atomically while queries keep running.
-    /// The global store is updated once, in batch order (ids are assigned
-    /// in that order; updates naming unassigned ids or dead objects, and
-    /// inserts or moves whose rectangle is not one — `min > max`, a NaN
-    /// coordinate — are **ignored**: a malformed batch must neither panic
-    /// the writer mid-epoch nor put an object in the store that no shard
-    /// indexes). The batch is then **netted per object**: each touched
-    /// object becomes at most one tree operation per shard, derived from
-    /// its batch-start and batch-end tile ownership — a `Move` across a
-    /// tile boundary is delete-here/insert-there, an object moved twice is
-    /// relocated once, one inserted and deleted in the same batch never
-    /// reaches an index. Only the touched shards are rebuilt, the nodes
-    /// they dirtied logged at the new epoch; an untouched shard is carried
-    /// into the next snapshot as it is, so its clients stay fresh. Returns
-    /// the new deployment epoch.
-    ///
-    /// History is pruned below the fleet's **low-water mark** (the minimum
-    /// last-synced epoch over tracked versioned clients, fed by every
-    /// versioned contact) and, regardless of clients, below
-    /// [`max_update_history`](ServerConfig) epochs, so a long-running
-    /// deployment under sustained churn keeps a bounded invalidation log.
-    /// Clients that fall below the pruned horizon get a
-    /// [`VersionedReply::FullRefresh`] refusal at their next contact.
-    pub fn apply_updates(&self, updates: &[Update]) -> u64 {
-        self.core
-            .advance(|current, spares| self.next_epoch(current, updates, spares))
-    }
 
     /// The snapshot `updates` turn `current` into, its copies written into
     /// the writer's `spares` wherever one is free.
@@ -683,11 +636,6 @@ impl Cluster {
     // Queries: scatter / gather / merge
     // -----------------------------------------------------------------
 
-    /// Answers a plain (unversioned) remainder query by scatter-gather.
-    pub fn process_remainder(&self, client: ClientId, rq: &RemainderQuery) -> ServerReply {
-        self.scatter_remainder(client, rq.clone(), &self.core.pin())
-    }
-
     /// The versioned contact — the one version gate of the §7 protocol.
     /// The deployment's log is asked what changed after the client's
     /// epoch, and staleness is decided **per shard**: only changes in
@@ -713,23 +661,10 @@ impl Cluster {
     /// pinned epoch** (a client that outlived a restart) names a history
     /// this deployment never had; both get a
     /// [`VersionedReply::FullRefresh`] — never a silently truncated list.
-    pub fn process_remainder_versioned(
-        &self,
-        client: ClientId,
-        rq: &RemainderQuery,
-        client_epoch: u64,
-    ) -> VersionedReply {
-        self.answer_versioned(client, Cow::Borrowed(rq), client_epoch)
-    }
-
-    /// [`process_remainder_versioned`](Self::process_remainder_versioned)
-    /// over a frontier the caller may already own (a transport does): the
-    /// resume routes an owned frontier in place, and a refusal never
-    /// copies a borrowed one.
     fn answer_versioned(
         &self,
         client: ClientId,
-        rq: Cow<'_, RemainderQuery>,
+        rq: RemainderQuery,
         client_epoch: u64,
     ) -> VersionedReply {
         let snap = self.core.pin();
@@ -752,7 +687,7 @@ impl Cluster {
             };
         }
         VersionedReply::Fresh {
-            reply: self.scatter_remainder(client, rq.into_owned(), &snap),
+            reply: self.scatter_remainder(client, rq, &snap),
             invalidate: delta.invalidate,
             epoch,
         }
@@ -809,11 +744,6 @@ impl Cluster {
             HeapEntry::Single(side) => hit(side),
             HeapEntry::Pair(a, b) => hit(a) || hit(b),
         })
-    }
-
-    /// Ground-truth query against the merged current epoch.
-    pub fn direct(&self, spec: &QuerySpec) -> DirectReply {
-        self.core.pin().direct(spec)
     }
 
     /// Decomposes one client-held super-root cell into the shard roots
@@ -1262,9 +1192,9 @@ impl Transport for Cluster {
                 Response::Remainder(self.scatter_remainder(client, rq, &self.core.pin()))
             }
             Request::RemainderVersioned { query, epoch } => {
-                Response::Versioned(self.answer_versioned(client, Cow::Owned(query), epoch))
+                Response::Versioned(self.answer_versioned(client, query, epoch))
             }
-            Request::Direct(spec) => Response::Direct(self.direct(&spec)),
+            Request::Direct(spec) => Response::Direct(self.core.pin().direct(&spec)),
             Request::ReportFmr { fmr } => Response::NewD(self.adaptive.report(client, fmr)),
             Request::Forget => Response::Forgotten(self.adaptive.forget_client(client)),
         }
@@ -1276,8 +1206,32 @@ impl ServerHandle for Cluster {
         &self.core
     }
 
+    /// Applies one update batch atomically while queries keep running.
+    /// The global store is updated once, in batch order (ids are assigned
+    /// in that order; updates naming unassigned ids or dead objects, and
+    /// inserts or moves whose rectangle is not one — `min > max`, a NaN
+    /// coordinate — are **ignored**: a malformed batch must neither panic
+    /// the writer mid-epoch nor put an object in the store that no shard
+    /// indexes). The batch is then **netted per object**: each touched
+    /// object becomes at most one tree operation per shard, derived from
+    /// its batch-start and batch-end tile ownership — a `Move` across a
+    /// tile boundary is delete-here/insert-there, an object moved twice is
+    /// relocated once, one inserted and deleted in the same batch never
+    /// reaches an index. Only the touched shards are rebuilt, the nodes
+    /// they dirtied logged at the new epoch; an untouched shard is carried
+    /// into the next snapshot as it is, so its clients stay fresh. Returns
+    /// the new deployment epoch.
+    ///
+    /// History is pruned below the fleet's **low-water mark** (the minimum
+    /// last-synced epoch over tracked versioned clients, fed by every
+    /// versioned contact) and, regardless of clients, below
+    /// [`max_update_history`](ServerConfig) epochs, so a long-running
+    /// deployment under sustained churn keeps a bounded invalidation log.
+    /// Clients that fall below the pruned horizon get a
+    /// [`VersionedReply::FullRefresh`] refusal at their next contact.
     fn apply_updates(&self, updates: &[Update]) -> u64 {
-        Cluster::apply_updates(self, updates)
+        self.core
+            .advance(|current, spares| self.next_epoch(current, updates, spares))
     }
 
     fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
@@ -1406,8 +1360,8 @@ mod tests {
             QuerySpec::Join { dist: 0.015 },
         ] {
             // Direct ground truth.
-            let a = cl.direct(&spec);
-            let b = single.direct(&spec);
+            let a = cl.core().pin().direct(&spec);
+            let b = single.core().pin().direct(&spec);
             let mut b_ids = b.results.clone();
             b_ids.sort();
             b_ids.dedup();
@@ -1440,7 +1394,8 @@ mod tests {
 
             // Cold-cache remainder through the scatter-gather path.
             if !spec.is_join() {
-                let reply = cl.process_remainder(1, &cold_remainder(&cl, spec));
+                let rq = cold_remainder(&cl, spec);
+                let reply = cl.call(1, Request::Remainder(rq)).into_remainder();
                 let direct_ids = a.results.clone();
                 let mut got = reply_ids(&reply);
                 if let QuerySpec::Knn { center, .. } = spec {
@@ -1496,7 +1451,8 @@ mod tests {
         let spec = QuerySpec::Range {
             window: Rect::centered_square(Point::new(0.5, 0.5), 0.2),
         };
-        let reply = cl.process_remainder(1, &cold_remainder(&cl, spec));
+        let rq = cold_remainder(&cl, spec);
+        let reply = cl.call(1, Request::Remainder(rq)).into_remainder();
         // ...but the merged reply carries it exactly once.
         let hits = reply.objects.iter().filter(|o| o.id == ObjectId(0)).count()
             + reply
@@ -1555,7 +1511,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let w = Rect::centered_square(Point::new(0.5, 0.5), 0.2);
                     let rq = cold_remainder(&*server, QuerySpec::Range { window: w });
-                    let reply = server.process_remainder(client, &rq);
+                    let reply = server.call(client, Request::Remainder(rq)).into_remainder();
                     // Client `client` reports a rising fmr `client` times.
                     for step in 0..client {
                         server
@@ -1583,10 +1539,10 @@ mod tests {
         let server = sample_server(300, 1, FormPolicy::Adaptive);
         let w = Rect::centered_square(Point::new(0.4, 0.6), 0.3);
         let rq = cold_remainder(&server, QuerySpec::Range { window: w });
-        let reply = server.process_remainder(7, &rq);
+        let reply = server.call(7, Request::Remainder(rq)).into_remainder();
         let mut got: Vec<ObjectId> = reply.objects.iter().map(|o| o.id).collect();
         got.sort_unstable();
-        assert_eq!(got, naive::range_naive(server.snapshot().store(), &w));
+        assert_eq!(got, naive::range_naive(server.core().pin().store(), &w));
         assert!(reply.confirmed.is_empty(), "cold cache has nothing cached");
         assert!(!reply.index.is_empty(), "Ir must accompany Rr");
         assert!(reply.downlink_bytes() > 0);
@@ -1597,7 +1553,7 @@ mod tests {
         let server = sample_server(300, 2, FormPolicy::Compact);
         let p = Point::new(0.5, 0.5);
         let rq = cold_remainder(&server, QuerySpec::Knn { center: p, k: 8 });
-        let reply = server.process_remainder(1, &rq);
+        let reply = server.call(1, Request::Remainder(rq)).into_remainder();
         assert_eq!(reply.objects.len(), 8);
         let d: Vec<f64> = reply.objects.iter().map(|o| o.mbr.min_dist(&p)).collect();
         for w in d.windows(2) {
@@ -1610,10 +1566,10 @@ mod tests {
         let server = sample_server(120, 3, FormPolicy::Adaptive);
         let dist = 0.03;
         let rq = cold_remainder(&server, QuerySpec::Join { dist });
-        let reply = server.process_remainder(1, &rq);
+        let reply = server.call(1, Request::Remainder(rq)).into_remainder();
         let mut pairs = reply.pairs.clone();
         pairs.sort_unstable();
-        assert_eq!(pairs, naive::join_naive(server.snapshot().store(), dist));
+        assert_eq!(pairs, naive::join_naive(server.core().pin().store(), dist));
         // All pair members must be transmitted exactly once.
         let mut ids: Vec<ObjectId> = reply.objects.iter().map(|o| o.id).collect();
         ids.sort_unstable();
@@ -1634,14 +1590,20 @@ mod tests {
         let full = sample_server(400, 4, FormPolicy::Full);
         let compact = sample_server(400, 4, FormPolicy::Compact);
         let adaptive = sample_server(400, 4, FormPolicy::Adaptive);
+        let rq = cold_remainder(&full, spec);
         let b_full = full
-            .process_remainder(1, &cold_remainder(&full, spec))
+            .call(1, Request::Remainder(rq))
+            .into_remainder()
             .index_bytes();
+        let rq = cold_remainder(&compact, spec);
         let b_compact = compact
-            .process_remainder(1, &cold_remainder(&compact, spec))
+            .call(1, Request::Remainder(rq))
+            .into_remainder()
             .index_bytes();
+        let rq = cold_remainder(&adaptive, spec);
         let b_adaptive = adaptive
-            .process_remainder(1, &cold_remainder(&adaptive, spec))
+            .call(1, Request::Remainder(rq))
+            .into_remainder()
             .index_bytes();
         assert!(b_compact <= b_adaptive, "{b_compact} > {b_adaptive}");
         assert!(b_adaptive <= b_full, "{b_adaptive} > {b_full}");
@@ -1655,16 +1617,20 @@ mod tests {
             center: Point::new(0.5, 0.5),
             k: 2,
         };
+        let rq = cold_remainder(&server, spec);
         let before = server
-            .process_remainder(9, &cold_remainder(&server, spec))
+            .call(9, Request::Remainder(rq))
+            .into_remainder()
             .index_bytes();
         // Report a strongly rising fmr twice: d goes up by 2.
         server.adaptive().report(9, 0.1);
         server.adaptive().report(9, 0.5);
         server.adaptive().report(9, 0.9);
         assert!(server.adaptive().d(9) > INITIAL_D);
+        let rq = cold_remainder(&server, spec);
         let after = server
-            .process_remainder(9, &cold_remainder(&server, spec))
+            .call(9, Request::Remainder(rq))
+            .into_remainder()
             .index_bytes();
         assert!(after >= before, "higher d must not shrink the form");
     }
@@ -1735,7 +1701,8 @@ mod tests {
         let mut join_sets: Vec<u64> = Vec::new();
         let mut cold_and_direct = |pins: &mut Vec<u64>| {
             for spec in specs {
-                let reply = server.process_remainder(1, &cold_remainder(&server, spec));
+                let rq = cold_remainder(&server, spec);
+                let reply = server.call(1, Request::Remainder(rq)).into_remainder();
                 pins.push(digest(&|h| h.reply(&reply)));
                 if spec.is_join() {
                     join_sets.push(digest(&|h| h.reply_as_set(&reply)));
@@ -1749,8 +1716,9 @@ mod tests {
                 }
             }
         };
-        let contact = |pins: &mut Vec<u64>, rq: &RemainderQuery, stamp: u64| {
-            let reply = server.process_remainder_versioned(2, rq, stamp);
+        let contact = |pins: &mut Vec<u64>, query: RemainderQuery, epoch: u64| {
+            let req = Request::RemainderVersioned { query, epoch };
+            let reply = server.call(2, req).into_versioned();
             pins.push(digest(&|h| h.versioned(&reply)));
             reply
         };
@@ -1769,10 +1737,10 @@ mod tests {
         ]);
         assert_eq!(epoch, 1);
         // A client synced at epoch 0 is refused, then answered.
-        let stale = contact(&mut pins, &cold_remainder(&server, specs[0]), 0);
+        let stale = contact(&mut pins, cold_remainder(&server, specs[0]), 0);
         assert!(matches!(stale, VersionedReply::Stale { epoch: 1, .. }));
         for spec in [specs[0], specs[1]] {
-            let fresh = contact(&mut pins, &cold_remainder(&server, spec), 1);
+            let fresh = contact(&mut pins, cold_remainder(&server, spec), 1);
             assert!(matches!(fresh, VersionedReply::Fresh { epoch: 1, .. }));
         }
         // The second publish prunes epoch 0: full refresh below the
@@ -1788,12 +1756,12 @@ mod tests {
             },
         ]);
         assert_eq!(epoch, 2);
-        let refresh = contact(&mut pins, &cold_remainder(&server, specs[1]), 0);
+        let refresh = contact(&mut pins, cold_remainder(&server, specs[1]), 0);
         assert_eq!(refresh, VersionedReply::FullRefresh { epoch: 2 });
-        let stale = contact(&mut pins, &cold_remainder(&server, specs[1]), 1);
+        let stale = contact(&mut pins, cold_remainder(&server, specs[1]), 1);
         assert!(matches!(stale, VersionedReply::Stale { epoch: 2, .. }));
         // A warm heap: one inner node under the root, at the current epoch.
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         let tree = snap.shard(0).tree();
         let root = tree.node(tree.root());
         assert!(
@@ -1815,7 +1783,7 @@ mod tests {
                 }),
             )],
         };
-        let fresh = contact(&mut pins, &warm, 2);
+        let fresh = contact(&mut pins, warm, 2);
         assert!(
             matches!(&fresh, VersionedReply::Fresh { invalidate, epoch: 2, .. } if invalidate.is_empty())
         );
@@ -1866,8 +1834,8 @@ mod tests {
         // partition trees … is no more than two times that of the R-tree
         // index itself."
         let server = sample_server(500, 6, FormPolicy::Adaptive);
-        let aux = server.snapshot().shard(0).bpt_bytes();
-        let index = server.snapshot().shard(0).tree().stats().index_bytes;
+        let aux = server.core().pin().shard(0).bpt_bytes();
+        let index = server.core().pin().shard(0).tree().stats().index_bytes;
         assert!(aux > 0);
         assert!(aux <= 2 * index, "aux {aux} vs index {index}");
     }
@@ -1905,7 +1873,8 @@ mod tests {
         let mut h = Fnv::new();
 
         for spec in specs {
-            h.reply(&cl.process_remainder(1, &cold_remainder(&cl, spec)));
+            let rq = cold_remainder(&cl, spec);
+            h.reply(&cl.call(1, Request::Remainder(rq)).into_remainder());
         }
         // Batch 1: an insert on the centre corner (all four shards), a move
         // across a tile boundary, a delete.
@@ -1922,8 +1891,10 @@ mod tests {
         ]);
         assert_eq!(epoch, 1);
         // A client synced at epoch 0 is refused, then answered.
-        for (spec, stamp) in [(specs[0], 0), (specs[0], 1), (specs[1], 1)] {
-            h.versioned(&cl.process_remainder_versioned(2, &cold_remainder(&cl, spec), stamp));
+        for (spec, epoch) in [(specs[0], 0), (specs[0], 1), (specs[1], 1)] {
+            let query = cold_remainder(&cl, spec);
+            let req = Request::RemainderVersioned { query, epoch };
+            h.versioned(&cl.call(2, req).into_versioned());
         }
         // Batch 2 touches one quadrant only.
         let epoch = cl.apply_updates(&[
@@ -1938,7 +1909,9 @@ mod tests {
         ]);
         assert_eq!(epoch, 2);
         // A kNN can reach the churned quadrant: refused.
-        h.versioned(&cl.process_remainder_versioned(2, &cold_remainder(&cl, specs[1]), 1));
+        let query = cold_remainder(&cl, specs[1]);
+        let req = Request::RemainderVersioned { query, epoch: 1 };
+        h.versioned(&cl.call(2, req).into_versioned());
         // A warm window over a quiet shard's root cannot: answered, with
         // the other quadrant's invalidations riding along.
         let window = Rect::centered_square(Point::new(0.8, 0.2), 0.1);
@@ -1956,13 +1929,18 @@ mod tests {
                 }),
             )],
         };
-        let fresh = cl.process_remainder_versioned(2, &warm, 1);
+        let req = Request::RemainderVersioned {
+            query: warm,
+            epoch: 1,
+        };
+        let fresh = cl.call(2, req).into_versioned();
         assert!(
             matches!(&fresh, VersionedReply::Fresh { invalidate, epoch: 2, .. } if !invalidate.is_empty())
         );
         h.versioned(&fresh);
         for spec in specs {
-            h.reply(&cl.process_remainder(1, &cold_remainder(&cl, spec)));
+            let rq = cold_remainder(&cl, spec);
+            h.reply(&cl.call(1, Request::Remainder(rq)).into_remainder());
         }
 
         assert_eq!(
@@ -2225,7 +2203,7 @@ mod tests {
                         last = snap.epoch;
                         pins += 1;
                     }
-                    assert_eq!(cl.core.epoch(), BATCHES);
+                    assert_eq!(cl.core.pin().epoch(), BATCHES);
                 });
             }
             // Batch `b` inserts into 1–4 quadrants and, every third batch,
@@ -2310,10 +2288,10 @@ mod tests {
         assert_one_consistent_epoch(&old);
         assert_eq!(old.direct(&spec).results, before);
         // … while the current one moved on.
-        let mut after = cl.direct(&spec).results;
+        let mut after = cl.core().pin().direct(&spec).results;
         after.retain(|id| !before.contains(id));
         assert_eq!(after, vec![ObjectId(200)]);
-        assert_eq!(cl.epoch(), 1);
+        assert_eq!(cl.core().pin().epoch(), 1);
         assert_eq!(last_batch_shards(&cl.core.pin()), vec![0, 1, 2, 3]);
     }
 
@@ -2385,7 +2363,7 @@ mod tests {
         }
 
         // The handoff is visible in ground truth.
-        let found = cl.direct(&QuerySpec::Range {
+        let found = cl.core().pin().direct(&QuerySpec::Range {
             window: Rect::centered_square(Point::new(0.8, 0.8), 0.05),
         });
         assert!(found.results.contains(&id));
@@ -2395,14 +2373,14 @@ mod tests {
     fn versioned_staleness_is_decided_per_shard() {
         let cl = quad_cluster(sample_store(120, 5));
         // Sync a client at epoch 0 via a versioned cold query.
-        let cold = cold_remainder(
+        let query = cold_remainder(
             &cl,
             QuerySpec::Range {
                 window: Rect::centered_square(Point::new(0.25, 0.25), 0.1),
             },
         );
-        let VersionedReply::Fresh { epoch, .. } = cl.process_remainder_versioned(9, &cold, 0)
-        else {
+        let req = Request::RemainderVersioned { query, epoch: 0 };
+        let VersionedReply::Fresh { epoch, .. } = cl.call(9, req).into_versioned() else {
             panic!("cold client at the current epoch must be fresh");
         };
         assert_eq!(epoch, 0);
@@ -2442,7 +2420,11 @@ mod tests {
                 }),
             )],
         };
-        match cl.process_remainder_versioned(9, &warm, 0) {
+        let req = Request::RemainderVersioned {
+            query: warm.clone(),
+            epoch: 0,
+        };
+        match cl.call(9, req).into_versioned() {
             VersionedReply::Fresh {
                 invalidate, epoch, ..
             } => {
@@ -2464,7 +2446,11 @@ mod tests {
             already_found: 0,
             heap: warm.heap.clone(),
         };
-        match cl.process_remainder_versioned(9, &into_churn, 0) {
+        let req = Request::RemainderVersioned {
+            query: into_churn,
+            epoch: 0,
+        };
+        match cl.call(9, req).into_versioned() {
             VersionedReply::Stale { invalidate, epoch } => {
                 assert_eq!(epoch, 1);
                 assert!(!invalidate.is_empty());
@@ -2524,9 +2510,10 @@ mod tests {
                 .flat_map(|&id| leaves_of(&pin, &pin.map, id))
                 .collect()
         };
-        let contact = |client: ClientId, stamp: u64| {
-            let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
-            cl.process_remainder_versioned(client, &rq, stamp)
+        let contact = |client: ClientId, epoch: u64| {
+            let query = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
+            cl.call(client, Request::RemainderVersioned { query, epoch })
+                .into_versioned()
         };
 
         publish(1);
@@ -2570,9 +2557,10 @@ mod tests {
         // four shards and on one.
         assert_eq!(contact(3, 8), VersionedReply::FullRefresh { epoch: 7 });
         let single = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
-        let rq = cold_remainder(&single, QuerySpec::Range { window: Rect::UNIT });
+        let query = cold_remainder(&single, QuerySpec::Range { window: Rect::UNIT });
+        let req = Request::RemainderVersioned { query, epoch: 1 };
         assert_eq!(
-            single.process_remainder_versioned(3, &rq, 1),
+            single.call(3, req).into_versioned(),
             VersionedReply::FullRefresh { epoch: 0 }
         );
     }
@@ -2596,7 +2584,7 @@ mod tests {
         for _ in 0..40 {
             cl.apply_updates(&[insert(0.8)]);
         }
-        let snap = cl.snapshot();
+        let snap = cl.core().pin();
         let log = snap.update_log();
         assert_eq!((snap.epoch(), log.low_water()), (41, 37));
         // Every retained record is above the mark, and none is the quiet

@@ -219,11 +219,6 @@ impl ServerCore {
         self.snap.pin()
     }
 
-    /// The deployment epoch: bumped once per applied update batch.
-    pub fn epoch(&self) -> u64 {
-        self.pin().epoch()
-    }
-
     /// One epoch transition, under the writer lock: `build` derives the
     /// next snapshot from the current one, copying into the writer's
     /// spares, and it is published with one pointer swap. Pinned readers
@@ -479,16 +474,16 @@ mod tests {
     fn a_publish_copies_into_what_the_publish_before_retired() {
         let server = sample_server(4000, 29);
         let mut rng = SmallRng::seed_from_u64(29);
-        let first = allocations(&server.snapshot());
+        let first = allocations(&server.core().pin());
         // Moves all over the world retire many spines, their BPTs and every
         // store segment …
         server.apply_updates(&moves(&mut rng, 4000, 16));
-        let second = allocations(&server.snapshot());
+        let second = allocations(&server.core().pin());
         let retired = replaced(&second, &first);
         // … and with nothing pinning the first epoch any more, every copy a
         // one-move batch makes is written into one of them.
         server.apply_updates(&moves(&mut rng, 4000, 1));
-        let copied = replaced(&second, &allocations(&server.snapshot()));
+        let copied = replaced(&second, &allocations(&server.core().pin()));
         for ((kind, copied), (_, retired)) in kinds(&copied).into_iter().zip(kinds(&retired)) {
             assert!(!copied.is_empty(), "the batch copied no {kind}");
             let retired: HashSet<usize> = retired.iter().copied().collect();
@@ -505,7 +500,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(37);
         // A batch first, so the writer has spares when the pin is taken.
         server.apply_updates(&moves(&mut rng, 3000, 8));
-        let pinned = server.snapshot();
+        let pinned = server.core().pin();
         let held = allocations(&pinned);
         let held_set: HashSet<usize> = kinds(&held)
             .iter()
@@ -535,10 +530,10 @@ mod tests {
 
         let mut before = held.clone();
         for batch in 0..20 {
-            let ids = server.snapshot().store().len() as u32;
+            let ids = server.core().pin().store().len() as u32;
             let updates: Vec<Update> = (0..4).map(|_| random_update(&mut rng, ids)).collect();
             server.apply_updates(&updates);
-            let now = allocations(&server.snapshot());
+            let now = allocations(&server.core().pin());
             for (kind, copied) in kinds(&replaced(&before, &now)) {
                 assert!(
                     copied.iter().all(|a| !held_set.contains(a)),
@@ -608,7 +603,7 @@ mod tests {
         once.apply_updates(&[Update::Delete(ObjectId(3))]);
         assert_eq!(
             snap.update_log().changed_since(0),
-            once.snapshot().update_log().changed_since(0),
+            once.core().pin().update_log().changed_since(0),
         );
         snap.shard(0).tree().validate(99, false).unwrap();
     }

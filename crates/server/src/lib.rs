@@ -10,8 +10,9 @@
 //! application server is [`Cluster::single`], the cluster of one shard.
 //!
 //! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
-//! (`process_remainder` / `direct` / fmr reports through
-//! [`Cluster::adaptive`]) *and* data updates (`apply_updates`). A
+//! and fmr reports (every [`Request`](pc_rtree::proto::Request) through
+//! [`Transport::call`]) *and* data updates
+//! ([`ServerHandle::apply_updates`]). A
 //! deployment publishes its whole world — the dataset and the update log
 //! once, every shard's R*-tree + BPT store by `Arc` — as one immutable
 //! [`Snapshot`] behind the one [`SnapshotCell`] of its [`ServerCore`]:
@@ -23,9 +24,11 @@
 //! Protocol boundary: all client traffic travels as typed
 //! `Request`/`Response` envelopes (`pc_rtree::proto`) over a [`Transport`]
 //! — a [`Cluster`] answers on the caller's thread, and a [`TcpTransport`]
-//! carries the same envelopes over a socket. Simulation drivers hold a
-//! [`ServerHandle`] (transport + shared-store metadata) instead of a
-//! concrete `&Cluster`.
+//! carries the same envelopes over a socket. That is the one way into a
+//! deployment: it is asked through [`Transport::call`] and read through
+//! [`ServerHandle::core`] (`core().pin()` is its whole world at one
+//! epoch). Simulation drivers hold a [`ServerHandle`] (transport +
+//! shared-store metadata) instead of a concrete `&Cluster`.
 
 // A panic on a serving thread strands every waiter parked on its locks and
 // condvars, so library code here returns typed errors and each deliberate
@@ -43,17 +46,17 @@
 )]
 
 mod adaptive;
-pub mod cluster;
+mod cluster;
 mod config;
 mod core;
-pub mod epoch;
+mod epoch;
 mod forms;
-pub mod sync_util;
+mod sync_util;
 #[cfg(test)]
 mod test_util;
-pub mod transport;
-pub mod updates;
-pub mod wire;
+mod transport;
+mod updates;
+mod wire;
 
 pub use adaptive::{AdaptiveController, AdaptiveState};
 pub use cluster::{Cluster, ClusterConfig, ClusterStats, ShardMap, Snapshot, SUPER_ROOT};

@@ -44,17 +44,17 @@ impl Counter {
 }
 
 /// Locks `m`, recovering the guard from a poisoned peer panic.
-pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Read-locks `l`, recovering from poison.
-pub fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+pub(crate) fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Write-locks `l`, recovering from poison.
-pub fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

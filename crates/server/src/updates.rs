@@ -122,10 +122,10 @@ impl UpdateLog {
 mod tests {
     use super::*;
     use crate::test_util::{churn_once, cold_remainder, random_update, sample_store};
-    use crate::{Cluster, ServerConfig};
+    use crate::{Cluster, ServerConfig, ServerHandle, Transport};
     use pc_geom::Point;
     use pc_rtree::naive;
-    use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
+    use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, Side};
     use pc_rtree::{RTreeConfig, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -144,14 +144,14 @@ mod tests {
     #[test]
     fn updates_bump_epoch_and_record_changes() {
         let server = sample_server(200, 1);
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         assert_eq!(snap.epoch(), 0);
         let e1 = server.apply_updates(&[Update::Insert {
             mbr: Rect::from_point(Point::new(0.5, 0.5)),
             size_bytes: 777,
         }]);
         assert_eq!(e1, 1);
-        let now = server.snapshot();
+        let now = server.core().pin();
         assert!(!now.update_log().changed_since(0).is_empty());
         assert!(now.update_log().changed_since(1).is_empty());
         // The pre-update pin still sees the unchanged world.
@@ -163,9 +163,9 @@ mod tests {
     fn queries_reflect_updates() {
         let server = sample_server(200, 2);
         let w = Rect::centered_square(Point::new(0.5, 0.5), 0.1);
-        let before = naive::range_naive(server.snapshot().store(), &w).len();
+        let before = naive::range_naive(server.core().pin().store(), &w).len();
         // Drop everything currently in the window, then add one point.
-        let victims: Vec<Update> = naive::range_naive(server.snapshot().store(), &w)
+        let victims: Vec<Update> = naive::range_naive(server.core().pin().store(), &w)
             .into_iter()
             .map(Update::Delete)
             .collect();
@@ -174,13 +174,13 @@ mod tests {
             mbr: Rect::from_point(Point::new(0.5, 0.5)),
             size_bytes: 123,
         }]);
-        let outcome = server.direct(&QuerySpec::Range { window: w });
+        let outcome = server.core().pin().direct(&QuerySpec::Range { window: w });
         assert_eq!(
             outcome.results.len(),
             1,
             "was {before}, all deleted, one added"
         );
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         snap.shard(0)
             .tree()
             .validate(snap.shard(0).tree().object_count(), false)
@@ -193,7 +193,7 @@ mod tests {
         let id = ObjectId(0);
         let to = Rect::from_point(Point::new(0.99, 0.99));
         server.apply_updates(&[Update::Move { id, to }]);
-        let knn = server.direct(&QuerySpec::Knn {
+        let knn = server.core().pin().direct(&QuerySpec::Knn {
             center: Point::new(0.99, 0.99),
             k: 1,
         });
@@ -242,7 +242,7 @@ mod tests {
             let (x, y) = (sample_server(200, 8), sample_server(200, 8));
             assert_eq!(x.apply_updates(twice), 1);
             assert_eq!(y.apply_updates(once), 1);
-            let (x, y) = (x.snapshot(), y.snapshot());
+            let (x, y) = (x.core().pin(), y.core().pin());
             // The pin's epoch is the deployment's — what `apply_updates`
             // just returned — even for the batch that netted to nothing,
             // which never touched the shard and logged nothing.
@@ -268,7 +268,7 @@ mod tests {
             fresh,
             Update::Delete(ObjectId(200)),
         ]);
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         assert_eq!(snap.store().len(), 202);
         assert!(!snap.store().is_live(ObjectId(200)));
         assert_eq!(snap.store().get(ObjectId(200)).mbr, p);
@@ -289,7 +289,7 @@ mod tests {
         // changed must be refused when the client is behind (epoch 0).
         // (A remainder through *unchanged* nodes stays resumable — the
         // companion test below — so we target a changed leaf explicitly.)
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         let changed = snap.update_log().changed_since(0);
         assert!(!changed.is_empty());
         let leaf = *changed
@@ -308,7 +308,11 @@ mod tests {
                 }),
             )],
         };
-        match server.process_remainder_versioned(0, &rq, 0) {
+        let req = |epoch| Request::RemainderVersioned {
+            query: rq.clone(),
+            epoch,
+        };
+        match server.call(0, req(0)).into_versioned() {
             VersionedReply::Stale { invalidate, epoch } => {
                 assert_eq!(epoch, 1);
                 assert!(invalidate.contains(&leaf));
@@ -316,7 +320,7 @@ mod tests {
             other => panic!("must refuse a stale resume, got {other:?}"),
         }
         // With the current epoch it goes through.
-        match server.process_remainder_versioned(0, &rq, 1) {
+        match server.call(0, req(1)).into_versioned() {
             VersionedReply::Fresh {
                 reply, invalidate, ..
             } => {
@@ -333,13 +337,15 @@ mod tests {
         // stale leaves the heap never mentions, so *any* gap refuses.
         let server = sample_server(400, 5);
         let far = server
+            .core()
+            .pin()
             .direct(&QuerySpec::Knn {
                 center: Point::new(0.95, 0.95),
                 k: 1,
             })
             .results[0];
         server.apply_updates(&[Update::Delete(far)]);
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         let changed: HashSet<NodeId> = snap.update_log().changed_since(0).into_iter().collect();
         let unchanged_leaf = snap
             .shard(0)
@@ -360,13 +366,17 @@ mod tests {
                 }),
             )],
         };
-        match server.process_remainder_versioned(0, &rq, 0) {
+        let req = |epoch| Request::RemainderVersioned {
+            query: rq.clone(),
+            epoch,
+        };
+        match server.call(0, req(0)).into_versioned() {
             VersionedReply::Stale { invalidate, .. } => {
                 assert!(!invalidate.is_empty());
             }
             other => panic!("behind-epoch contact must be refused, got {other:?}"),
         }
-        match server.process_remainder_versioned(0, &rq, snap.epoch()) {
+        match server.call(0, req(snap.epoch())).into_versioned() {
             VersionedReply::Fresh { invalidate, .. } => assert!(invalidate.is_empty()),
             other => panic!("current epoch must be fresh, got {other:?}"),
         }
@@ -397,7 +407,7 @@ mod tests {
         for i in 0..10u32 {
             server.apply_updates(&[Update::Delete(ObjectId(i))]);
         }
-        let log_snap = server.snapshot();
+        let log_snap = server.core().pin();
         let log = log_snap.update_log();
         assert_eq!(log_snap.epoch(), 10);
         assert_eq!(log.low_water(), 7, "epoch 10 minus 3 epochs of history");
@@ -423,14 +433,18 @@ mod tests {
                 }),
             )],
         };
-        match server.process_remainder_versioned(1, &rq, 8) {
+        let req = |epoch| Request::RemainderVersioned {
+            query: rq.clone(),
+            epoch,
+        };
+        match server.call(1, req(8)).into_versioned() {
             VersionedReply::Stale { invalidate, epoch } => {
                 assert_eq!(epoch, 10);
                 assert!(!invalidate.is_empty());
             }
             other => panic!("in-window client must get Stale, got {other:?}"),
         }
-        match server.process_remainder_versioned(2, &rq, 2) {
+        match server.call(2, req(2)).into_versioned() {
             VersionedReply::FullRefresh { epoch } => assert_eq!(epoch, 10),
             other => panic!("below-horizon client must get FullRefresh, got {other:?}"),
         }
@@ -450,7 +464,7 @@ mod tests {
         server.apply_updates(&[Update::Delete(ObjectId(1))]);
         server.apply_updates(&[Update::Delete(ObjectId(2))]);
         let rq = {
-            let snap = server.snapshot();
+            let snap = server.core().pin();
             let root = snap.shard(0).tree().root();
             let mbr = snap.shard(0).tree().root_mbr().unwrap();
             RemainderQuery {
@@ -465,18 +479,22 @@ mod tests {
                 )],
             }
         };
+        let req = |epoch| Request::RemainderVersioned {
+            query: rq.clone(),
+            epoch,
+        };
         // Both clients sync to epoch 2 (a Stale reply updates them).
         for client in [5u32, 6] {
-            match server.process_remainder_versioned(client, &rq, 0) {
+            match server.call(client, req(0)).into_versioned() {
                 VersionedReply::Stale { epoch, .. } => assert_eq!(epoch, 2),
                 other => panic!("expected Stale, got {other:?}"),
             }
         }
         assert_eq!(server.adaptive().epoch_low_water(), Some(2));
-        assert!(server.snapshot().update_log().retained_records() > 0);
+        assert!(server.core().pin().update_log().retained_records() > 0);
         // The next publish prunes below the fleet mark.
         server.apply_updates(&[Update::Delete(ObjectId(3))]);
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         let log = snap.update_log();
         assert_eq!(log.low_water(), 2);
         assert_eq!(
@@ -486,7 +504,7 @@ mod tests {
         );
         // A brand-new client pinning the current snapshot is never below
         // the horizon (the mark is ≤ the epoch current at prune time).
-        match server.process_remainder_versioned(9, &rq, snap.epoch()) {
+        match server.call(9, req(snap.epoch())).into_versioned() {
             VersionedReply::Fresh { .. } => {}
             other => panic!("current-epoch client must be Fresh, got {other:?}"),
         }
@@ -515,7 +533,7 @@ mod tests {
                     )]
                     let stopped = || stop.load(Ordering::Acquire);
                     while !stopped() {
-                        let snap = server.snapshot();
+                        let snap = server.core().pin();
                         let got = snap.shard(0).direct(&QuerySpec::Range { window: w });
                         // The naive oracle skips tombstoned objects via the
                         // store's liveness bitset.
@@ -541,7 +559,7 @@ mod tests {
         // One deployment epoch per batch, however many netted to nothing
         // (a delete of a dead id does).
         assert_eq!(epoch, 40);
-        assert_eq!(server.snapshot().epoch(), 40);
+        assert_eq!(server.core().pin().epoch(), 40);
     }
 
     proptest! {
@@ -576,11 +594,12 @@ mod tests {
             for _ in 0..batches {
                 watch.push(churn_once(&cl, cl.shard_map(), &mut rng, per_batch));
             }
-            let current = cl.epoch();
+            let current = cl.core().pin().epoch();
             let low_water = current.saturating_sub(history);
             let rq = cold_remainder(&cl, QuerySpec::Range { window: Rect::UNIT });
             for (since, victims) in watch {
-                match cl.process_remainder_versioned(0, &rq, since) {
+                let req = Request::RemainderVersioned { query: rq.clone(), epoch: since };
+                match cl.call(0, req).into_versioned() {
                     VersionedReply::Stale { invalidate, epoch }
                     | VersionedReply::Fresh { invalidate, epoch, .. } => {
                         prop_assert!(since >= low_water, "stamp {} answered below the mark", since);
@@ -628,7 +647,7 @@ mod tests {
                                 reason = "ordering: Acquire pairs with the Release store after the last batch — a reader that sees `stop` runs one final full-consistency pass"
                             )]
                             let done = stop.load(Ordering::Acquire);
-                            let snap = server.snapshot();
+                            let snap = server.core().pin();
                             assert!(snap.epoch() >= last_epoch, "epoch ran backwards");
                             last_epoch = snap.epoch();
                             let root = snap.shard(0).tree().root();
@@ -675,7 +694,8 @@ mod tests {
                     // Old-snapshot leaves of the victims, *before* the batch.
                     let (since, victims) = churn_once(&server, &map, &mut rng, per_batch);
                     let changed: HashSet<NodeId> = server
-                        .snapshot()
+                        .core()
+                        .pin()
                         .update_log()
                         .changed_since(since)
                         .into_iter()

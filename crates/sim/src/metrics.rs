@@ -254,13 +254,7 @@ impl SimResult {
         }
     }
 
-    pub(crate) fn push(
-        &mut self,
-        record: QueryRecord,
-        _cache_used: u64,
-        index_bytes: u64,
-        capacity: u64,
-    ) {
+    pub(crate) fn push(&mut self, record: QueryRecord, index_bytes: u64, capacity: u64) {
         self.records.push(record);
         self.last_index_bytes = index_bytes;
         self.last_capacity = capacity;
@@ -341,8 +335,8 @@ mod tests {
     #[test]
     fn summary_rates() {
         let mut r = SimResult::new(10);
-        r.push(rec(500, 800, 1000, 1, 4), 0, 0, 1);
-        r.push(rec(0, 0, 1000, 0, 0), 0, 0, 1);
+        r.push(rec(500, 800, 1000, 1, 4), 0, 1);
+        r.push(rec(0, 0, 1000, 0, 0), 0, 1);
         r.finish();
         let s = r.summary;
         assert_eq!(s.queries, 2);
@@ -366,7 +360,7 @@ mod tests {
     fn windows_close_on_boundary_and_at_end() {
         let mut r = SimResult::new(2);
         for _ in 0..5 {
-            r.push(rec(0, 0, 100, 0, 0), 0, 50, 100);
+            r.push(rec(0, 0, 100, 0, 0), 50, 100);
         }
         r.finish();
         assert_eq!(r.windows.len(), 3, "2+2+1 queries");
@@ -380,8 +374,8 @@ mod tests {
         let mut r = SimResult::new(10);
         let mut empty = rec(0, 0, 0, 0, 0);
         empty.avg_response_s = 99.0; // must be ignored
-        r.push(rec(0, 0, 100, 0, 0), 0, 0, 1);
-        r.push(empty, 0, 0, 1);
+        r.push(rec(0, 0, 100, 0, 0), 0, 1);
+        r.push(empty, 0, 1);
         r.finish();
         assert!((r.summary.avg_response_s - 1.0).abs() < 1e-12);
     }
@@ -389,10 +383,10 @@ mod tests {
     #[test]
     fn by_kind_filters() {
         let mut r = SimResult::new(10);
-        r.push(rec(0, 0, 100, 0, 0), 0, 0, 1);
+        r.push(rec(0, 0, 100, 0, 0), 0, 1);
         let mut k = rec(0, 0, 100, 0, 0);
         k.kind = QueryKind::Join;
-        r.push(k, 0, 0, 1);
+        r.push(k, 0, 1);
         r.finish();
         assert_eq!(r.by_kind(QueryKind::Range).queries, 1);
         assert_eq!(r.by_kind(QueryKind::Join).queries, 1);
@@ -412,13 +406,13 @@ mod tests {
     fn result_merge_concatenates_and_offsets_windows() {
         let mut a = SimResult::new(2);
         for _ in 0..4 {
-            a.push(rec(0, 0, 100, 0, 0), 0, 50, 100);
+            a.push(rec(0, 0, 100, 0, 0), 50, 100);
         }
         a.finish();
         a.sim_elapsed_s = 10.0;
         let mut b = SimResult::new(2);
         for _ in 0..3 {
-            b.push(rec(500, 800, 1000, 1, 4), 0, 10, 100);
+            b.push(rec(500, 800, 1000, 1, 4), 10, 100);
         }
         b.finish();
         b.sim_elapsed_s = 25.0;

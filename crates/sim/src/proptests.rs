@@ -45,7 +45,7 @@ fn arb_record() -> impl Strategy<Value = QueryRecord> {
 fn result_of(records: &[QueryRecord], window: usize, elapsed: f64) -> SimResult {
     let mut r = SimResult::new(window);
     for rec in records {
-        r.push(*rec, 0, 64, 128);
+        r.push(*rec, 64, 128);
     }
     r.sim_elapsed_s = elapsed;
     r.finish();

@@ -56,8 +56,12 @@ pub trait ModelRunner: Send {
         server_time_s: f64,
     ) -> RunOutput;
 
-    /// `(used bytes, index bytes)` for the i/c series.
-    fn cache_stats(&self) -> (u64, u64);
+    /// Index bytes the cache holds, for the i/c series. PAG keeps none,
+    /// and SEM's region descriptors are negligible, matching the paper's
+    /// "Ir = Qr" remark: both keep this default.
+    fn index_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// Builds the runner for one client of a configuration.
@@ -124,10 +128,6 @@ impl ModelRunner for PageRunner {
             ..Default::default()
         }
     }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.used_bytes(), 0)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -167,12 +167,6 @@ impl ModelRunner for SemanticRunner {
             server_cpu_s,
             ..Default::default()
         }
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        // Region descriptors are the only "index" SEM keeps; they are
-        // negligible, matching the paper's "Ir = Qr" remark.
-        (self.cache.used_bytes(), 0)
     }
 }
 
@@ -388,8 +382,7 @@ impl ModelRunner for ProactiveRunner {
         );
     }
 
-    fn cache_stats(&self) -> (u64, u64) {
-        let s = self.client.cache().stats();
-        (s.used_bytes, s.index_bytes)
+    fn index_bytes(&self) -> u64 {
+        self.client.cache().stats().index_bytes
     }
 }

@@ -143,7 +143,7 @@ impl ClientSession {
             self.cached_win = 0;
         }
 
-        let (used, index_bytes) = self.runner.cache_stats();
+        let index_bytes = self.runner.index_bytes();
         let snap = server.core().pin();
         let store = snap.store();
         self.result.push(
@@ -173,7 +173,6 @@ impl ClientSession {
                 server_cpu_s: out.server_cpu_s,
                 client_expansions: out.client_expansions,
             },
-            used,
             index_bytes,
             self.capacity,
         );

@@ -258,11 +258,11 @@ mod churn_clients {
         ProactiveRunner::new(
             1 << 22,
             ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.snapshot().shard(0).tree()),
+            Catalog::from_tree(server.core().pin().shard(0).tree()),
         )
         .with_client(id)
         .versioned(true)
-        .at_epoch(server.snapshot().epoch())
+        .at_epoch(server.core().pin().epoch())
     }
 
     fn range_at(pos: Point, half: f64) -> (QuerySpec, Rect) {
@@ -372,7 +372,7 @@ mod churn_clients {
         got.dedup();
         assert_eq!(
             got,
-            naive::range_naive(server.snapshot().store(), &window),
+            naive::range_naive(server.core().pin().store(), &window),
             "the converged answer must be exact for the final epoch"
         );
     }
@@ -408,7 +408,7 @@ mod churn_clients {
                 to: Rect::from_point(Point::new(0.9, 0.05 + 0.01 * i as f64)),
             }]);
         }
-        assert_eq!(server.snapshot().update_log().low_water(), 4);
+        assert_eq!(server.core().pin().update_log().low_water(), 4);
 
         // A wider window than the warmed one: stage ① cannot finish
         // locally, so the client must contact — and be refused.
@@ -426,7 +426,10 @@ mod churn_clients {
         let mut got = out.objects.clone();
         got.sort_unstable();
         got.dedup();
-        assert_eq!(got, naive::range_naive(server.snapshot().store(), &window));
+        assert_eq!(
+            got,
+            naive::range_naive(server.core().pin().store(), &window)
+        );
     }
 
     #[test]
@@ -438,12 +441,12 @@ mod churn_clients {
         use pc_rtree::proto::EPOCH_BYTES;
         let cfg = crate::SimConfig::small();
         let server = crate::build_server(&cfg);
-        let capacity = cfg.cache_bytes(server.snapshot().store().total_bytes());
+        let capacity = cfg.cache_bytes(server.core().pin().store().total_bytes());
         let runner = |versioned: bool| {
             ProactiveRunner::new(
                 capacity,
                 cfg.policy,
-                Catalog::from_tree(server.snapshot().shard(0).tree()),
+                Catalog::from_tree(server.core().pin().shard(0).tree()),
             )
             .with_client(versioned as ClientId)
             .versioned(versioned)

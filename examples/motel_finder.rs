@@ -16,9 +16,9 @@ use procache::baselines::SemanticCache;
 use procache::cache::{Catalog, ReplacementPolicy};
 use procache::client::Client;
 use procache::geom::{Point, Rect};
-use procache::rtree::proto::QuerySpec;
+use procache::rtree::proto::{QuerySpec, Request};
 use procache::rtree::RTreeConfig;
-use procache::server::{Cluster, ServerConfig};
+use procache::server::{Cluster, ServerConfig, ServerHandle, Transport};
 use procache::workload::datasets;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     let mut pro = Client::new(
         2 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     // --- Semantic caching client --------------------------------------
     let mut sem = SemanticCache::new(2 << 20);
@@ -43,10 +43,12 @@ fn main() {
 
     pro.begin_query();
     let local = pro.run_local(&q0);
+    // What the cache cannot answer goes to the server as a remainder
+    // envelope — the one way either model reaches it.
     let reply = local
         .remainder
-        .as_ref()
-        .map(|rq| server.process_remainder(0, rq));
+        .clone()
+        .map(|rq| server.call(0, Request::Remainder(rq)).into_remainder());
     if let Some(r) = &reply {
         pro.absorb(r, joey);
     }
@@ -64,9 +66,9 @@ fn main() {
 
     pro.begin_query();
     let pro_local = pro.run_local(&q2);
-    let pro_transmitted = match &pro_local.remainder {
+    let pro_transmitted = match pro_local.remainder.clone() {
         Some(rq) => {
-            let reply = server.process_remainder(0, rq);
+            let reply = server.call(0, Request::Remainder(rq)).into_remainder();
             let n = reply.objects.len();
             pro.absorb(&reply, joey);
             n

@@ -9,9 +9,9 @@ use procache::cache::{Catalog, ReplacementPolicy};
 use procache::client::Client;
 use procache::geom::{Point, Rect};
 use procache::net::{Channel, Ledger};
-use procache::rtree::proto::QuerySpec;
+use procache::rtree::proto::{QuerySpec, Request};
 use procache::rtree::RTreeConfig;
-use procache::server::{Cluster, ServerConfig};
+use procache::server::{Cluster, ServerConfig, ServerHandle, Transport};
 use procache::workload::datasets;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     // 2. The server bulk-loads an R*-tree and builds the per-node binary
     //    partition trees offline (§4.2).
     let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
-    let world = server.snapshot();
+    let world = server.core().pin();
     let shard = world.shard(0);
     println!(
         "index: {} nodes, height {}, BPT overhead {:.2}x",
@@ -48,6 +48,9 @@ fn main() {
     // 4. Issue the same range query twice: the first run misses cold and
     //    pays the wireless round trip; the second answers mostly from
     //    cache and only fetches the few objects replacement evicted.
+    //    What the cache cannot answer travels to the server as one
+    //    `Request::Remainder` envelope through `Transport::call` — the one
+    //    way a client reaches the server (Fig. 3).
     let window = Rect::centered_square(here, 0.05);
     let spec = QuerySpec::Range { window };
     for round in 1..=2 {
@@ -61,10 +64,10 @@ fn main() {
                 .sum(),
             ..Default::default()
         };
-        let reply = local.remainder.as_ref().map(|rq| {
+        let reply = local.remainder.clone().map(|rq| {
             ledger.contacted_server = true;
             ledger.uplink_bytes = rq.uplink_bytes();
-            let reply = server.process_remainder(0, rq);
+            let reply = server.call(0, Request::Remainder(rq)).into_remainder();
             ledger.transmitted = reply.objects.iter().map(|o| o.size_bytes).collect();
             ledger.extra_downlink_bytes = reply.index_bytes();
             client.absorb(&reply, here);

@@ -14,15 +14,16 @@
 //! * [`server`] — remainder-query resumption, compact / d⁺-level forms and
 //!   the adaptive controller (§4). `Send + Sync`: one immutable
 //!   `Snapshot` of the whole world behind the deployment's `ServerCore`
-//!   cell, plus a sharded per-client controller, so one server behind an
-//!   `Arc` serves a concurrent client fleet.
+//!   cell, plus one per-client controller, so one server behind an
+//!   `Arc` serves a concurrent client fleet. A deployment is asked through
+//!   `Transport::call` and read through `ServerHandle::core`.
 //! * [`baselines`] — semantic caching (SEM) and page caching (PAG).
 //! * [`mobility`] — random-waypoint and directed mobility models (§6.1).
 //! * [`workload`] — synthetic datasets, query generation, Zipf sizes.
 //! * [`net`] — the 384 Kbps wireless channel model.
 //! * [`wire`] — the binary frame codec realizing the proto byte model;
-//!   `server::wire` drives it over TCP loopback (`WireServer` /
-//!   `TcpTransport`) so measured bytes cross-check modeled bytes.
+//!   the server's `WireServer` / `TcpTransport` drive it over TCP
+//!   loopback so measured bytes cross-check modeled bytes.
 //! * [`sim`] — the end-to-end simulator and metrics (§6): per-client
 //!   `ClientSession`s, a scoped-thread `Fleet` driver with exactly
 //!   mergeable results, and single-client wrappers.
@@ -31,17 +32,18 @@
 //!
 //! ```
 //! use procache::geom::{Point, Rect};
-//! use procache::rtree::{proto::QuerySpec, RTreeConfig};
-//! use procache::server::{Cluster, ServerConfig};
+//! use procache::rtree::proto::{QuerySpec, Request};
+//! use procache::rtree::RTreeConfig;
+//! use procache::server::{Cluster, ServerConfig, Transport};
 //! use procache::workload::datasets;
 //!
 //! // A small NE-like dataset behind the one server of Fig. 3 (a one-shard
-//! // cluster: R*-tree + per-node BPTs), and one range query answered by
-//! // the §3.3 engine over its index.
+//! // cluster: R*-tree + per-node BPTs), and one range query sent through
+//! // its transport and answered by the §3.3 engine over its index.
 //! let store = datasets::ne_like(500, 42);
 //! let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
 //! let window = Rect::centered_square(Point::new(0.5, 0.5), 0.1);
-//! let hits = server.direct(&QuerySpec::Range { window });
+//! let hits = server.call(0, Request::Direct(QuerySpec::Range { window })).into_direct();
 //! assert!(hits.results.len() <= 500);
 //! ```
 

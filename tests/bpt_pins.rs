@@ -15,7 +15,7 @@ use procache::rtree::engine::{execute, AccessLog};
 use procache::rtree::proto::{CellKind, QuerySpec};
 use procache::rtree::view::FullView;
 use procache::rtree::{NodeId, RTree, RTreeConfig};
-use procache::server::{build_shipments, Cluster, FormMode, ServerConfig, Update};
+use procache::server::{build_shipments, Cluster, FormMode, ServerConfig, ServerHandle, Update};
 use procache::sim::generate_update;
 use procache::workload::datasets::ne_like;
 use rand::rngs::SmallRng;
@@ -188,11 +188,11 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
     let mut rng = SmallRng::seed_from_u64(0xB97);
     let (mut rebuilt, mut kept) = (0usize, 0usize);
     for _ in 0..40 {
-        let old = server.snapshot();
+        let old = server.core().pin();
         let n_live = old.store().len() as u32;
         let batch: Vec<Update> = (0..4).map(|_| generate_update(&mut rng, n_live)).collect();
         server.apply_updates(&batch);
-        let new = server.snapshot();
+        let new = server.core().pin();
         assert!(!Arc::ptr_eq(&old, &new));
         // The nodes this epoch logged as changed are the ones it dirtied.
         let touched = new.update_log().changed_since(old.epoch());

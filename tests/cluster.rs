@@ -19,10 +19,12 @@
 //! wire-charged — exactly once.
 
 use procache::geom::{Point, Rect};
-use procache::rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, ServerReply, Side};
+use procache::rtree::proto::{
+    CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, ServerReply, Side,
+};
 use procache::rtree::{naive, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
 use procache::server::{
-    Cluster, ClusterConfig, FormMode, ServerHandle, Shard, Update, VersionedReply,
+    Cluster, ClusterConfig, FormMode, ServerHandle, Shard, Transport, Update, VersionedReply,
 };
 use procache::sim::{self, generate_update, ChurnConfig, Fleet, SimConfig};
 use proptest::prelude::*;
@@ -145,7 +147,7 @@ fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, Sh
 fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, spec: QuerySpec) {
     // Direct (uncached) path.
     let sd = single.direct(&spec);
-    let cd = cluster.direct(&spec);
+    let cd = cluster.core().pin().direct(&spec);
     match spec {
         QuerySpec::Range { ref window } => {
             let mut want: Vec<ObjectId> = sd.results.iter().map(|&(id, _)| id).collect();
@@ -184,7 +186,9 @@ fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, 
         return;
     };
     let sreply = single.resume_remainder(store, &srq, FormMode::COMPACT);
-    let creply = cluster.process_remainder(9, &crq);
+    let creply = cluster
+        .call(9, Request::Remainder(crq.clone()))
+        .into_remainder();
     // Wire honesty: the merged reply must never ship (and charge) an
     // object twice, boundary straddlers included.
     let mut shipped: Vec<ObjectId> = creply.objects.iter().map(|o| o.id).collect();
@@ -200,14 +204,16 @@ fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, 
 
     // Versioned protocol at the current epoch: Fresh, nothing to
     // invalidate, the same payload.
-    match cluster.process_remainder_versioned(9, &crq, cluster.epoch()) {
+    let epoch = cluster.core().pin().epoch();
+    let req = Request::RemainderVersioned { query: crq, epoch };
+    match cluster.call(9, req).into_versioned() {
         VersionedReply::Fresh {
             reply,
             invalidate,
             epoch,
         } => {
             assert!(invalidate.is_empty(), "nothing changed since current epoch");
-            assert_eq!(epoch, cluster.epoch());
+            assert_eq!(epoch, cluster.core().pin().epoch());
             compare_replies(store, &spec, &sreply, &reply, "versioned remainder");
         }
         other => panic!("expected Fresh at the current epoch, got {other:?}"),
@@ -253,7 +259,7 @@ fn compare_replies(
 /// the (not yet updated) store assigns it.
 fn assert_shards_index_their_partition(store: &ObjectStore, cluster: &Cluster) {
     let pin = cluster.core().pin();
-    for s in 0..cluster.shard_count() {
+    for s in 0..cluster.config().shards {
         let owned = cluster.shard_map().owned_by(store, s);
         let tree = pin.shard(s).tree();
         assert_eq!(tree.object_count(), owned.len(), "shard {s}");
@@ -357,11 +363,11 @@ fn churned_fleet_publishes_per_shard_epochs() {
             .run(&cluster);
         assert_eq!(res.total_queries(), 4 * cfg.n_queries, "{shards} shards");
         assert!(res.updates_applied > 0, "churn driver never ran");
-        assert_eq!(res.final_epoch, cluster.epoch());
+        assert_eq!(res.final_epoch, cluster.core().pin().epoch());
         assert!(res.final_epoch > 0);
         // The log stamps changes with the deployment epoch, so it holds
         // none from beyond it.
-        let pin = cluster.snapshot();
+        let pin = cluster.core().pin();
         assert_eq!(pin.epoch(), res.final_epoch);
         assert!(pin.update_log().changed_since(res.final_epoch).is_empty());
         assert!(res.log_records > 0, "churn left no invalidation log");

@@ -7,9 +7,9 @@ use procache::baselines::{PageCache, SemanticCache};
 use procache::cache::{Catalog, ReplacementPolicy};
 use procache::client::Client;
 use procache::geom::{Point, Rect};
-use procache::rtree::proto::QuerySpec;
+use procache::rtree::proto::{QuerySpec, Request};
 use procache::rtree::{ObjectStore, RTreeConfig};
-use procache::server::{Cluster, ServerConfig};
+use procache::server::{Cluster, ServerConfig, ServerHandle, Transport};
 use procache::workload::datasets;
 
 fn server_with(n: usize) -> Cluster {
@@ -23,10 +23,8 @@ fn server_with(n: usize) -> Cluster {
 fn run_pipeline(client: &mut Client, server: &Cluster, spec: &QuerySpec) -> usize {
     client.begin_query();
     let local = client.run_local(spec);
-    let reply = local
-        .remainder
-        .as_ref()
-        .map(|rq| server.process_remainder(0, rq));
+    let reply =
+        (local.remainder.clone()).map(|rq| server.call(0, Request::Remainder(rq)).into_remainder());
     if let Some(r) = &reply {
         client.absorb(r, Point::new(0.5, 0.5));
     }
@@ -44,7 +42,7 @@ fn empty_dataset_serves_empty_answers() {
     let mut client = Client::new(
         10_000,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     for spec in [
         QuerySpec::Range { window: Rect::UNIT },
@@ -64,7 +62,7 @@ fn k_zero_and_k_beyond_dataset() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     let center = Point::new(0.5, 0.5);
     assert_eq!(
@@ -84,7 +82,7 @@ fn window_outside_the_data_space() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     let spec = QuerySpec::Range {
         window: Rect::from_coords(2.0, 2.0, 3.0, 3.0),
@@ -104,7 +102,7 @@ fn tiny_cache_still_answers_correctly() {
     let mut client = Client::new(
         64, // bytes!
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     for i in 0..10 {
         let spec = QuerySpec::Knn {
@@ -141,7 +139,7 @@ fn repeated_identical_queries_converge_to_fully_local() {
     let mut client = Client::new(
         1 << 22,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     let spec = QuerySpec::Range {
         window: Rect::centered_square(Point::new(0.31, 0.36), 0.2),
@@ -173,7 +171,7 @@ fn degenerate_all_coincident_objects() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     assert_eq!(
         run_pipeline(
@@ -199,10 +197,8 @@ fn degenerate_all_coincident_objects() {
     // Self-join at distance 0: all pairs coincide.
     client.begin_query();
     let local = client.run_local(&QuerySpec::Join { dist: 0.0 });
-    let reply = local
-        .remainder
-        .as_ref()
-        .map(|rq| server.process_remainder(0, rq));
+    let reply =
+        (local.remainder.clone()).map(|rq| server.call(0, Request::Remainder(rq)).into_remainder());
     let a = client.assemble(&local, reply.as_ref());
     assert_eq!(a.pairs.len(), 50 * 49 / 2);
 }
@@ -222,7 +218,7 @@ fn single_object_dataset() {
     let mut client = Client::new(
         1 << 20,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     assert_eq!(
         run_pipeline(

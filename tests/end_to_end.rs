@@ -7,9 +7,9 @@ use procache::cache::{Catalog, ReplacementPolicy};
 use procache::client::Client;
 use procache::geom::{Point, Rect};
 use procache::rtree::naive;
-use procache::rtree::proto::QuerySpec;
+use procache::rtree::proto::{QuerySpec, Request};
 use procache::rtree::{ObjectId, RTreeConfig};
-use procache::server::{Cluster, FormPolicy, ServerConfig};
+use procache::server::{Cluster, FormPolicy, ServerConfig, ServerHandle, Transport};
 use procache::workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,10 +22,8 @@ fn pipeline(
 ) -> (Vec<ObjectId>, Vec<(ObjectId, ObjectId)>) {
     client.begin_query();
     let local = client.run_local(spec);
-    let reply = local
-        .remainder
-        .as_ref()
-        .map(|rq| server.process_remainder(0, rq));
+    let reply =
+        (local.remainder.clone()).map(|rq| server.call(0, Request::Remainder(rq)).into_remainder());
     if let Some(r) = &reply {
         client.absorb(r, pos);
     }
@@ -38,7 +36,7 @@ fn pipeline(
 fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
     for form in [FormPolicy::Full, FormPolicy::Compact, FormPolicy::Adaptive] {
         // Rebuild the server with this form (same dataset/seed).
-        let store = procache::rtree::ObjectStore::new(server.snapshot().store().iter().collect());
+        let store = procache::rtree::ObjectStore::new(server.core().pin().store().iter().collect());
         let server = Cluster::single(
             store,
             RTreeConfig::small(),
@@ -51,7 +49,7 @@ fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
             let mut client = Client::new(
                 40_000,
                 policy,
-                Catalog::from_tree(server.snapshot().shard(0).tree()),
+                Catalog::from_tree(server.core().pin().shard(0).tree()),
             );
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut pos = Point::new(0.4, 0.4);
@@ -81,16 +79,17 @@ fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
                     QuerySpec::Range { window } => {
                         assert_eq!(
                             objs,
-                            naive::range_naive(server.snapshot().store(), window),
+                            naive::range_naive(server.core().pin().store(), window),
                             "{kind}/{form:?}/{policy} round {round}"
                         );
                     }
                     QuerySpec::Knn { center, k } => {
-                        let want = naive::knn_naive(server.snapshot().store(), center, *k as usize);
+                        let want =
+                            naive::knn_naive(server.core().pin().store(), center, *k as usize);
                         assert_eq!(objs.len(), want.len());
                         let mut got_d: Vec<f64> = objs
                             .iter()
-                            .map(|id| server.snapshot().store().get(*id).mbr.min_dist(center))
+                            .map(|id| server.core().pin().store().get(*id).mbr.min_dist(center))
                             .collect();
                         got_d.sort_by(f64::total_cmp);
                         for (g, (_, w)) in got_d.iter().zip(&want) {
@@ -105,7 +104,7 @@ fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
                         got.sort_unstable();
                         assert_eq!(
                             got,
-                            naive::join_naive(server.snapshot().store(), *dist),
+                            naive::join_naive(server.core().pin().store(), *dist),
                             "{kind}/{form:?}/{policy} round {round}"
                         );
                     }
@@ -145,7 +144,7 @@ fn paper_fanout_tree_pipeline_is_exact() {
     let mut client = Client::new(
         300_000,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     );
     let mut rng = SmallRng::seed_from_u64(5);
     for round in 0..30 {
@@ -161,7 +160,7 @@ fn paper_fanout_tree_pipeline_is_exact() {
         if let QuerySpec::Range { window } = &spec {
             assert_eq!(
                 objs,
-                naive::range_naive(server.snapshot().store(), window),
+                naive::range_naive(server.core().pin().store(), window),
                 "round {round}"
             );
         }

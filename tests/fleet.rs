@@ -202,7 +202,7 @@ fn churn_fleet_completes_with_stale_retry_bytes_in_ledger() {
         // nothing (a move or delete of a dead id does); the log holds no
         // change from beyond it.
         assert_eq!(server.bootstrap_root().1, out.final_epoch);
-        let snap = server.snapshot();
+        let snap = server.core().pin();
         assert_eq!(snap.epoch(), out.final_epoch);
         assert!(snap.update_log().changed_since(out.final_epoch).is_empty());
 

@@ -5,7 +5,7 @@
 
 use procache::cache::ReplacementPolicy;
 use procache::rtree::{ObjectStore, RTreeConfig};
-use procache::server::{Cluster, ServerConfig};
+use procache::server::{Cluster, ServerConfig, ServerHandle};
 use procache::sim::{self, CacheModel, SimConfig};
 use procache::workload::datasets::{ne_like, rd_like};
 
@@ -91,7 +91,7 @@ fn capacity_is_never_exceeded_across_models() {
         cfg.model = CacheModel::Proactive;
         cfg.cache_frac = frac;
         let server = sim::build_server(&cfg);
-        let cap = cfg.cache_bytes(server.snapshot().store().total_bytes());
+        let cap = cfg.cache_bytes(server.core().pin().store().total_bytes());
         let r = sim::run(&cfg);
         // The window series carries the cache occupancy indirectly (i/c is
         // index/capacity); a direct assertion lives in the cache crate.
@@ -149,7 +149,8 @@ fn served_world_footprint_is_linear_in_the_dataset() {
                 RTreeConfig::paper(),
                 ServerConfig::default(),
             )
-            .snapshot()
+            .core()
+            .pin()
             .heap_bytes()
         };
         let (small, large) = (heap(10_000), heap(40_000));

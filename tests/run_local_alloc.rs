@@ -17,9 +17,9 @@ use pc_bench::alloc::Counting;
 use procache::cache::{Catalog, ItemKey, ReplacementPolicy};
 use procache::client::Client;
 use procache::geom::{Point, Rect};
-use procache::rtree::proto::QuerySpec;
+use procache::rtree::proto::{QuerySpec, Request};
 use procache::rtree::{ObjectId, ObjectStore, RTreeConfig, SpatialObject};
-use procache::server::{Cluster, ServerConfig};
+use procache::server::{Cluster, ServerConfig, ServerHandle, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +55,7 @@ fn cache_complete_run_local_allocates_a_constant() {
         RTreeConfig::small(),
         ServerConfig::default(),
     );
-    let catalog = Catalog::from_tree(server.snapshot().shard(0).tree());
+    let catalog = Catalog::from_tree(server.core().pin().shard(0).tree());
     let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
 
     // A small and a large query of each kind: the expansion counts differ
@@ -87,7 +87,8 @@ fn cache_complete_run_local_allocates_a_constant() {
             let Some(rq) = client.run_local(spec).remainder else {
                 return true;
             };
-            client.absorb(&server.process_remainder(0, &rq), Point::ORIGIN);
+            let reply = server.call(0, Request::Remainder(rq)).into_remainder();
+            client.absorb(&reply, Point::ORIGIN);
             false
         });
         assert!(complete, "cache still incomplete for {spec:?}");

@@ -99,7 +99,7 @@ fn building_a_world_peaks_at_its_resident_footprint() {
     // 158 773. Keeping each point's max corner again reads 12 966 872 /
     // 13 052 740 resident and fails them.
     let (peak, allocations, server) = measured(|| build_server(&cfg));
-    let resident = server.snapshot().heap_bytes();
+    let resident = server.core().pin().heap_bytes();
     assert_at_footprint("build_server", peak, allocations, resident);
     assert_steady_churn("build_server", &server, 7_600_000, 131_000);
     drop(server);

@@ -8,7 +8,7 @@ use procache::geom::{Point, Rect};
 use procache::rtree::naive;
 use procache::rtree::proto::QuerySpec;
 use procache::rtree::{ObjectId, RTreeConfig};
-use procache::server::{Cluster, ServerConfig, Update};
+use procache::server::{Cluster, ServerConfig, ServerHandle, Update};
 use procache::sim::{ModelRunner, ProactiveRunner};
 use procache::workload::datasets;
 use rand::rngs::SmallRng;
@@ -20,7 +20,7 @@ fn setup(n: usize, seed: u64) -> (Cluster, ProactiveRunner) {
     let client = ProactiveRunner::new(
         1 << 22,
         ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.snapshot().shard(0).tree()),
+        Catalog::from_tree(server.core().pin().shard(0).tree()),
     )
     .versioned(true);
     (server, client)
@@ -70,7 +70,7 @@ fn contact_answers_track_updates_exactly() {
             got.dedup();
             // Tombstoned objects stay in the store (dense ids) but the
             // naive oracle skips them via the liveness bitset.
-            let want = naive::range_naive(server.snapshot().store(), window);
+            let want = naive::range_naive(server.core().pin().store(), window);
             assert_eq!(got, want, "round {round}");
         }
     }
@@ -90,7 +90,10 @@ fn stale_resume_costs_one_extra_round_trip() {
     // Update a node the warm cache definitely holds (delete an object in
     // the warmed window), then query a *wider* window so the client's
     // remainder references cached-but-stale structure.
-    let victim = naive::range_naive(server.snapshot().store(), &Rect::centered_square(pos, 0.2))[0];
+    let victim = naive::range_naive(
+        server.core().pin().store(),
+        &Rect::centered_square(pos, 0.2),
+    )[0];
     server.apply_updates(&[Update::Delete(victim)]);
 
     let wider = QuerySpec::Range {
@@ -108,7 +111,7 @@ fn stale_resume_costs_one_extra_round_trip() {
     let QuerySpec::Range { window } = wider else {
         unreachable!()
     };
-    let mut want = naive::range_naive(server.snapshot().store(), &window);
+    let mut want = naive::range_naive(server.core().pin().store(), &window);
     want.retain(|id| *id != victim);
     assert_eq!(got, want);
     assert!(!out.objects.contains(&victim), "deleted object served");
