@@ -2,14 +2,16 @@
 //! §4.2's choice of the *R\* split* for binary partition trees actually
 //! matter, versus a naïve midpoint cut?
 //!
-//! Same tree, two BPT stores. For a batch of cold kNN/range remainders we
+//! Same tree, two sets of BPTs: a clone of the bulk-loaded tree has every
+//! node's BPT rebuilt with each policy (the timed build includes the
+//! clone's node copies). For a batch of cold kNN/range remainders we
 //! compare (a) compact-form sizes — worse partitions overlap more, so the
 //! query's grey subtree is bigger — and (b) engine cell expansions, the
 //! paper's CPU proxy.
 
 use pc_bench::{fmt_bytes, HarnessOpts, Table};
 use pc_geom::{Point, Rect};
-use pc_rtree::bpt::{BptStore, SplitPolicy};
+use pc_rtree::bpt::SplitPolicy;
 use pc_rtree::engine::{execute, AccessLog};
 use pc_rtree::proto::QuerySpec;
 use pc_rtree::view::FullView;
@@ -28,7 +30,7 @@ fn main() {
 
     let store = datasets::ne_like(n, opts.seed);
     let objects: Vec<_> = store.iter().collect();
-    let tree = RTree::bulk_load(RTreeConfig::paper(), &objects);
+    let loaded = RTree::bulk_load(RTreeConfig::paper(), &objects);
 
     let mut table = Table::new(vec![
         "policy",
@@ -39,10 +41,11 @@ fn main() {
         "BPT build",
     ]);
     for policy in [SplitPolicy::RStar, SplitPolicy::Midpoint] {
+        let mut tree = loaded.clone();
         let t0 = std::time::Instant::now();
-        let bpts = BptStore::build_with(&tree, policy);
+        tree.rebuild_bpts(policy);
         let build_time = t0.elapsed();
-        let view = FullView::new(&tree, &bpts);
+        let view = FullView::new(&tree);
 
         let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xB7);
         let mut compact_bytes = 0u64;
@@ -63,11 +66,11 @@ fn main() {
             let mut log = AccessLog::default();
             let out = execute(&view, &spec, &mut log);
             expansions += out.expansions;
-            compact_bytes += build_shipments(&log, &tree, &bpts, FormMode::COMPACT)
+            compact_bytes += build_shipments(&log, &tree, FormMode::COMPACT)
                 .iter()
                 .map(|s| s.wire_bytes())
                 .sum::<u64>();
-            full_bytes += build_shipments(&log, &tree, &bpts, FormMode::Full)
+            full_bytes += build_shipments(&log, &tree, FormMode::Full)
                 .iter()
                 .map(|s| s.wire_bytes())
                 .sum::<u64>();

@@ -3,11 +3,12 @@
 //!
 //! A deep clone of the world (tree, BPTs, object store, update log) per
 //! batch would cost O(dataset) time and fresh memory per epoch. The node
-//! slab, the BPT slots and the object store are each a `pc_rtree::Chunked`
-//! copy-on-write column, with nodes and BPTs behind their own `Arc`s, so a
+//! slab and the object store are each a `pc_rtree::Chunked` copy-on-write
+//! column, with every node (its BPT inside it) behind its own `Arc`, so a
 //! publish copies only what the batch touches: the root-to-leaf spines of
-//! edited nodes, the dirtied nodes' BPTs, the store segments mutated
-//! objects live in, and the column segments those slots sit in.
+//! edited nodes, the store segments mutated objects live in, and the
+//! column segments those slots sit in — and rebuilds the dirtied nodes'
+//! BPTs.
 //!
 //! Two sweeps make that measurable:
 //!
@@ -18,14 +19,15 @@
 //!   the batch.
 //!
 //! Per row: mean publish wall time and the share of it that is rebuilding
-//! the dirtied nodes' BPTs (the same `BptStore::rebuild_nodes` call, timed
-//! again on a clone of the previous epoch's store — with no spares lent, so
-//! every BPT it rebuilds is a fresh allocation where the publish reused
-//! retired ones), copied node slots / node segments / rebuilt BPTs / BPT
-//! segments / store segments per publish (the columns' sharing diagnostics
-//! against the previous pin: `Arc` pointer equality), two byte figures per
-//! publish — `copied`, modelled: copied nodes × `PAGE_BYTES` plus the
-//! rebuilt BPTs' heap plus every copied segment at `CHUNK_LEN` entries;
+//! the dirtied nodes' BPTs (`RTree::rebuild_node_bpts` over them, timed
+//! again on a clone of the new epoch's tree — with no spares lent, so each
+//! node it rebuilds is first copied into a fresh allocation where the
+//! publish reused retired ones), copied node slots / node segments /
+//! dirtied nodes (each with its BPT rebuilt) / store segments per publish
+//! (the columns' sharing diagnostics against the previous pin: `Arc`
+//! pointer equality), two byte figures per publish — `copied`, modelled:
+//! copied nodes × `PAGE_BYTES` plus the rebuilt BPTs' heap plus every
+//! copied segment at `CHUNK_LEN` entries;
 //! `alloc`, measured: the bytes `apply_updates` asks the
 //! allocator for, counted by this binary's `#[global_allocator]`, which
 //! copies written into retired allocations do not — beside the resident
@@ -74,7 +76,6 @@ struct Row {
     copied_nodes: f64,
     copied_node_chunks: f64,
     rebuilt_bpts: f64,
-    copied_bpt_chunks: f64,
     copied_chunks: f64,
     /// Modelled bytes of the copies one publish makes.
     copied_bytes: f64,
@@ -103,7 +104,6 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     let mut copied_nodes = 0usize;
     let mut copied_node_chunks = 0usize;
     let mut rebuilt_bpts = 0usize;
-    let mut copied_bpt_chunks = 0usize;
     let mut copied_chunks = 0usize;
     let mut copied_bytes = 0u64;
     let mut alloc_bytes = 0usize;
@@ -126,10 +126,6 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_nodes += copied;
         let node_chunks = copied_segments(new_nodes, old_nodes);
         copied_node_chunks += node_chunks;
-        let (old_bpts, new_bpts) = (old.bpts().slots(), new.bpts().slots());
-        rebuilt_bpts += new_bpts.len() - new_bpts.shared_slots(old_bpts);
-        let bpt_chunks = copied_segments(new_bpts, old_bpts);
-        copied_bpt_chunks += bpt_chunks;
         // The store's columns: corners and sizes.
         let (new_store, old_store) = (new_world.store(), old_world.store());
         let (mins, sizes, maxes) = (
@@ -141,12 +137,13 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         let store_bytes = (mins + maxes) * size_of::<Point>() + sizes * size_of::<u32>();
         copied_chunks += chunks;
         // The BPT-rebuild share of the publish: the nodes this epoch
-        // logged as changed are the ones it dirtied, and rebuilding them
-        // over the previous epoch's BPT store is the work `Shard::next` did.
+        // logged as changed are the ones it dirtied, and rebuilding their
+        // BPTs is the work the batch's edits did.
         let dirty = new_world.update_log().changed_since(old_world.epoch());
-        let mut bpts = old.bpts().clone();
+        rebuilt_bpts += dirty.len();
+        let mut tree = new.tree().clone();
         let t = Instant::now();
-        bpts.rebuild_nodes(new.tree(), &dirty);
+        tree.rebuild_node_bpts(&dirty);
         rebuild_s += t.elapsed().as_secs_f64();
 
         // Modelled bytes of one publish's copies: copied index pages, the
@@ -155,11 +152,11 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         // spines (one `Arc` pointer per slot), every segment `CHUNK_LEN`.
         let rebuilt_bytes: usize = dirty
             .iter()
-            .map(|&id| new.bpts().get(id).heap_bytes())
+            .map(|&id| new.tree().node(id).bpt().heap_bytes())
             .sum();
         copied_bytes += copied as u64 * PAGE_BYTES
             + rebuilt_bytes as u64
-            + ((store_bytes + (node_chunks + bpt_chunks) * 8) * CHUNK_LEN) as u64;
+            + ((store_bytes + node_chunks * 8) * CHUNK_LEN) as u64;
     }
     let snap = server.core().pin();
     let rounds = ROUNDS as f64;
@@ -172,7 +169,6 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         copied_nodes: copied_nodes as f64 / rounds,
         copied_node_chunks: copied_node_chunks as f64 / rounds,
         rebuilt_bpts: rebuilt_bpts as f64 / rounds,
-        copied_bpt_chunks: copied_bpt_chunks as f64 / rounds,
         copied_chunks: copied_chunks as f64 / rounds,
         copied_bytes: copied_bytes as f64 / rounds,
         alloc_bytes: alloc_bytes as f64 / rounds,
@@ -184,7 +180,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
 fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
     let mut t = Table::new(vec![
         "objects", "batch", "nodes", "publish", "rebuild", "share", "copied n", "n-chunk", "bpts",
-        "b-chunk", "chunks", "copied", "alloc", "heap", "log",
+        "chunks", "copied", "alloc", "heap", "log",
     ]);
     let mut json_rows = Vec::new();
     for r in rows {
@@ -198,7 +194,6 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
             format!("{:.1}", r.copied_nodes),
             format!("{:.1}", r.copied_node_chunks),
             format!("{:.1}", r.rebuilt_bpts),
-            format!("{:.1}", r.copied_bpt_chunks),
             format!("{:.1}", r.copied_chunks),
             fmt_bytes(r.copied_bytes),
             fmt_bytes(r.alloc_bytes),
@@ -216,7 +211,6 @@ fn render(rows: &[Row], sweep: &str) -> (Table, Vec<String>) {
                 .num("copied_nodes", r.copied_nodes)
                 .num("copied_node_chunks", r.copied_node_chunks)
                 .num("rebuilt_bpts", r.rebuilt_bpts)
-                .num("copied_bpt_chunks", r.copied_bpt_chunks)
                 .num("copied_chunks", r.copied_chunks)
                 .num("copied_bytes", r.copied_bytes)
                 .num("alloc_bytes", r.alloc_bytes)

@@ -10,8 +10,8 @@
 //!
 //! * **direct** — `Shard::direct`: the engine over the server's
 //!   `FullView`, untraced (what `Request::Direct` runs);
-//! * **resume** — `Shard::resume_remainder` of the cold remainder
-//!   `{Q, [root]}` in compact form: the same traversal traced, plus
+//! * **resume** — `Shard::resume_traced` + `Shard::assemble` of the cold
+//!   remainder `{Q, [root]}` in compact form: the same traversal traced, plus
 //!   building the supporting index and splitting the result set (what a
 //!   cold client's contact costs the server);
 //! * **run_local** — `Client::run_local` over a `CacheView` warmed by
@@ -94,9 +94,9 @@ fn direct(snap: &Snapshot, case: &Case) -> Answer {
 }
 
 fn resume(snap: &Snapshot, case: &Case) -> Answer {
-    let reply = snap
-        .shard(0)
-        .resume_remainder(snap.store(), &case.cold, FormMode::COMPACT);
+    let shard = snap.shard(0);
+    let (outcome, log) = shard.resume_traced(&case.cold);
+    let reply = shard.assemble(snap.store(), outcome, &log, FormMode::COMPACT);
     black_box(&reply.index);
     (reply.objects.iter().map(|o| o.id).collect(), reply.pairs)
 }

@@ -3,19 +3,20 @@
 //! R*-tree 3.8 MB (NE) / 18.5 MB (RD); BPTs 4.2 MB (NE) / 23.7 MB (RD) —
 //! i.e. the BPT overhead stays under twice the index size (§4.2's bound).
 //!
-//! Beside the paper's disk-model sizes, two columns describe the BPT store
-//! as this implementation keeps it in memory: resident heap bytes per node
-//! entry (implicit leaves and implicit MBRs: 12 B per super entry plus
-//! per-BPT headers and slot tables) and build wall time per node (best of
-//! three builds on [`pc_rtree::par::worker_count`] threads). Three split a
-//! served world's resident bytes (`Snapshot::heap_bytes` of one shard) by
-//! structure, per object: the object store, the R-tree and the BPTs. Two
-//! more attribute the rest of a world's set-up (the benchmark's
-//! `setup_s`): generating the dataset and STR bulk-loading the tree, each
+//! Beside the paper's disk-model sizes, two columns describe the BPTs as
+//! this implementation keeps them in memory, each in its node: resident
+//! heap bytes per node entry (implicit leaves and implicit MBRs: 12 B per
+//! super entry plus a per-BPT header) and build wall time per node (best
+//! of three `RTree::rebuild_bpts` on [`pc_rtree::par::worker_count`]
+//! threads). Three split a served world's resident bytes
+//! (`Snapshot::heap_bytes` of one shard) by structure, per object: the
+//! object store, the R-tree without its BPTs, and the BPTs. Two more
+//! attribute a world's set-up (the benchmark's `setup_s`): generating the
+//! dataset and bulk-loading the tree (STR packing, then the BPTs), each
 //! the best of three, in ms.
 
 use pc_bench::{fmt_bytes, HarnessOpts, Table};
-use pc_rtree::bpt::BptStore;
+use pc_rtree::bpt::SplitPolicy;
 use pc_rtree::{RTree, RTreeConfig};
 use pc_workload::DatasetKind;
 use std::time::Instant;
@@ -66,13 +67,18 @@ fn main() {
             opts.objects.unwrap_or(50_000)
         };
         let (store, generate_s) = best_of(|| kind.generate(n, opts.seed));
-        let (tree, load_s) = best_of(|| RTree::bulk_load(RTreeConfig::paper(), &store));
-        let (bpts, build_s) = best_of(|| BptStore::build(&tree));
+        let (mut tree, load_s) = best_of(|| RTree::bulk_load(RTreeConfig::paper(), &store));
+        let ((), build_s) = best_of(|| tree.rebuild_bpts(SplitPolicy::RStar));
         let stats = tree.stats();
         // Every object and every non-root node is one entry of some node.
         let entries = n + stats.node_count - 1;
-        let aux = bpts.total_aux_bytes();
-        let resident = bpts.heap_bytes() as f64;
+        let aux = tree.bpt_aux_bytes();
+        let bpt_bytes: usize = tree
+            .slots()
+            .iter()
+            .map(|node| node.bpt().heap_bytes())
+            .sum();
+        let resident = bpt_bytes as f64;
         let per_object = |bytes: usize| format!("{:.1}", bytes as f64 / n as f64);
         t.row(vec![
             kind.name().to_string(),
@@ -85,8 +91,8 @@ fn main() {
             fmt_bytes(resident),
             format!("{:.1}", resident / entries as f64),
             per_object(store.heap_bytes()),
-            per_object(tree.heap_bytes()),
-            per_object(bpts.heap_bytes()),
+            per_object(tree.heap_bytes() - bpt_bytes),
+            per_object(bpt_bytes),
             format!("{:.1}us", build_s * 1e6 / stats.node_count as f64),
             format!("{:.1}ms", generate_s * 1e3),
             format!("{:.1}ms", load_s * 1e3),
@@ -96,11 +102,12 @@ fn main() {
     println!("\npaper (full scale): NE 3.8MB R-tree / 4.2MB BPTs; RD 18.5MB / 23.7MB.");
     println!("invariant: BPT overhead <= 2x the index (§4.2).");
     println!(
-        "resident / B/entry: BptStore::heap_bytes (memory, not the disk model); \
-         store / tree / BPTs per object: ObjectStore / RTree / BptStore::heap_bytes, \
-         which sum to a one-shard world's Snapshot::heap_bytes; build/node: best of {BUILDS} BptStore::build on up to {} threads; \
+        "resident / B/entry: every node's Bpt::heap_bytes (memory, not the disk model); \
+         store / tree / BPTs per object: ObjectStore::heap_bytes, RTree::heap_bytes without \
+         the BPTs, and the BPTs, which sum to a one-shard world's Snapshot::heap_bytes; \
+         build/node: best of {BUILDS} RTree::rebuild_bpts on up to {} threads; \
          generate / bulk_load: best of {BUILDS} DatasetKind::generate and \
-         RTree::bulk_load, one thread.",
+         RTree::bulk_load (STR packing on one thread, then the BPTs).",
         std::thread::available_parallelism().map_or(1, |p| p.get())
     );
 }

@@ -34,15 +34,12 @@
 //! by proptest).
 
 use crate::engine::Expansion;
-use crate::par;
 use crate::proto::{CellRef, Side};
-use crate::spares::{clear_to, Lent};
+use crate::spares::clear_to;
 use crate::split::{midpoint_split, rstar_split, SplitScratch};
-use crate::tree::RTree;
-use crate::{Chunked, Node, NodeId, Spares};
+use crate::Node;
 use pc_geom::{Point, Rect};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// A path through a binary partition tree: the paper's `(n, code)` id with
 /// `code` a bit-string ("formed by concatenating the binary digit 0/1 along
@@ -221,10 +218,9 @@ pub enum SplitPolicy {
     Midpoint,
 }
 
-/// Working memory of one BPT build, reused from node to node: a whole
-/// store build (or one builder thread's share of it, or one publish's
-/// dirty set) allocates these buffers once, after which a build allocates
-/// only the BPT's own column.
+/// Working memory of one BPT build, reused from node to node: a bulk
+/// load's builder thread, or one edit's dirty set, allocates these buffers
+/// once, after which a build allocates only the BPT's own column.
 #[derive(Default)]
 pub(crate) struct BptScratch {
     split: SplitScratch,
@@ -542,6 +538,16 @@ impl Bpt {
         internal * crate::proto::ENTRY_BYTES + 2 * internal * 8
     }
 
+    /// Overwrites this BPT with `src`, its column at exactly `src`'s
+    /// length, as a build leaves it: a copy-on-write copy of a node whose
+    /// entries did not change.
+    pub(crate) fn copy_from(&mut self, src: &Bpt) {
+        clear_to(&mut self.supers, src.supers.len());
+        self.supers.extend_from_slice(&src.supers);
+        self.entries = src.entries;
+        self.height = src.height;
+    }
+
     /// Heap bytes this BPT keeps resident, by capacity: the super-entry
     /// column (12 B per super entry) plus the header.
     pub fn heap_bytes(&self) -> usize {
@@ -551,18 +557,26 @@ impl Bpt {
 }
 
 /// Builds BPTs straight off tree nodes, gathering each node's SoA MBR
-/// columns, as stored, into one reused buffer.
+/// columns, as stored, into one reused buffer beside a [`BptScratch`].
 #[derive(Default)]
-struct NodeBptBuilder {
+pub(crate) struct BptBuilder {
     mbrs: Vec<Rect>,
     scratch: BptScratch,
 }
 
-impl NodeBptBuilder {
-    fn build(&mut self, node: &Node, policy: SplitPolicy) -> Arc<Bpt> {
+impl BptBuilder {
+    /// A fresh BPT over `node`'s entries.
+    pub(crate) fn build(&mut self, node: &Node, policy: SplitPolicy) -> Bpt {
         let mut bpt = Bpt::default();
         self.build_into(node, policy, &mut bpt);
-        Arc::new(bpt)
+        bpt
+    }
+
+    /// Rebuilds `node`'s own BPT in place, into the column it already has.
+    pub(crate) fn rebuild(&mut self, node: &mut Node, policy: SplitPolicy) {
+        let mut bpt = std::mem::take(&mut node.bpt);
+        self.build_into(node, policy, &mut bpt);
+        node.bpt = bpt;
     }
 
     fn build_into(&mut self, node: &Node, policy: SplitPolicy, bpt: &mut Bpt) {
@@ -570,121 +584,6 @@ impl NodeBptBuilder {
         self.mbrs
             .extend((0..node.len()).map(|j| node.entry_mbr(j as u16)));
         bpt.rebuild(&self.mbrs, policy, &mut self.scratch);
-    }
-}
-
-/// Binary partition trees for every node of a tree, built offline ("a
-/// one-time operation", §4.2).
-///
-/// A [`Chunked`] column of `Arc<Bpt>` slots indexed by [`NodeId`], one per
-/// tree slab slot (detached node husks keep an empty BPT, which costs zero
-/// aux bytes), like the tree's node slab. [`BptStore::rebuild_nodes`]
-/// swaps in a rebuilt BPT for exactly the nodes an update batch dirtied —
-/// copying the dirtied slots' segments at their length, not the whole
-/// table — leaving every other node's BPT shared with the previous
-/// snapshot. A writer that [lends](BptStore::with_spares) the store its
-/// [`Spares`] has each BPT rebuilt into one an earlier rebuild retired,
-/// once nothing holds it any more.
-#[derive(Clone, Debug, Default)]
-pub struct BptStore {
-    slots: Chunked<Arc<Bpt>>,
-    spares: Lent<Bpt>,
-}
-
-impl BptStore {
-    pub fn build(tree: &RTree) -> BptStore {
-        BptStore::build_with(tree, SplitPolicy::RStar)
-    }
-
-    /// Builds with an explicit split policy (ablation support), on as many
-    /// threads as the tree's size repays ([`par::worker_count`]).
-    pub fn build_with(tree: &RTree, policy: SplitPolicy) -> BptStore {
-        // Every object and every non-root node is one entry of some node.
-        let workers = par::worker_count(tree.object_count() + tree.slab_len());
-        BptStore::build_on(tree, policy, workers)
-    }
-
-    /// Nodes are independent, so the slab is cut into contiguous `NodeId`
-    /// ranges built side by side and pushed back in id order: the store is
-    /// slot for slot the same for every `workers`.
-    pub(crate) fn build_on(tree: &RTree, policy: SplitPolicy, workers: usize) -> BptStore {
-        let built = par::map_ranges(tree.slab_len(), workers, |range| {
-            let mut builder = NodeBptBuilder::default();
-            range
-                .map(|i| builder.build(tree.node(NodeId(i as u32)), policy))
-                .collect()
-        });
-        let mut store = BptStore::default();
-        for bpt in built {
-            store.slots.push(bpt, None);
-        }
-        store
-    }
-
-    pub fn get(&self, id: NodeId) -> &Bpt {
-        self.slots.get(id.0 as usize)
-    }
-
-    /// Checked [`get`](Self::get), for ids that arrive from outside the
-    /// program: `None` past the slab.
-    pub(crate) fn try_get(&self, id: NodeId) -> Option<&Bpt> {
-        self.slots.try_get(id.0 as usize).map(Arc::as_ref)
-    }
-
-    /// Rebuilds the BPTs of `ids` — the nodes one update batch dirtied —
-    /// on one builder, growing the slab for nodes the batch created. Copies
-    /// only the segments the slots live in; a slot nothing else holds is
-    /// rebuilt in place.
-    pub fn rebuild_nodes(&mut self, tree: &RTree, ids: &[NodeId]) {
-        let mut builder = NodeBptBuilder::default();
-        for &id in ids {
-            while self.slots.len() <= id.0 as usize {
-                // Slots for nodes created by this batch; every new node is
-                // in the dirty set, so each placeholder is rebuilt in turn.
-                self.slots.push(Arc::new(Bpt::default()), None);
-            }
-            let slot = self.slots.get_mut(id.0 as usize, None);
-            // Nothing of the old BPT is copied: the rebuild overwrites it all.
-            let bpt = self.spares.make_mut(slot, |_, _| {});
-            builder.build_into(tree.node(id), SplitPolicy::RStar, bpt);
-        }
-    }
-
-    /// Runs `edit` on this store with `spares` lent to its copy-on-write
-    /// seam: a rebuilt BPT is written into one an earlier rebuild retired
-    /// once nothing holds it any more, and every BPT a rebuild replaces is
-    /// retired into `spares`, which the store hands back.
-    pub fn with_spares<R>(
-        &mut self,
-        spares: &mut Spares<Bpt>,
-        edit: impl FnOnce(&mut BptStore) -> R,
-    ) -> R {
-        Lent::lend(self, |bpts| &mut bpts.spares, spares, edit)
-    }
-
-    /// Total auxiliary bytes across all nodes — the §6.4 "4.2 MB for NE"
-    /// figure; bounded by twice the R-tree size.
-    pub fn total_aux_bytes(&self) -> u64 {
-        self.slots.iter().map(|b| b.aux_bytes()).sum()
-    }
-
-    /// Number of BPT slots (one per tree slab slot).
-    pub fn node_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The BPT slots, read-only: their sharing diagnostics against another
-    /// epoch's store.
-    pub fn slots(&self) -> &Chunked<Arc<Bpt>> {
-        &self.slots
-    }
-
-    /// Heap bytes this store keeps resident, by capacity: the slots and
-    /// every BPT's columns (shared ones included — each snapshot holding a
-    /// BPT counts it).
-    pub fn heap_bytes(&self) -> usize {
-        let bpts: usize = self.slots.iter().map(|bpt| bpt.heap_bytes()).sum();
-        self.slots.heap_bytes() + bpts
     }
 }
 

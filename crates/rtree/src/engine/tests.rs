@@ -4,7 +4,6 @@
 //! must reconstruct exactly the direct answer for every query type.
 
 use super::*;
-use crate::bpt::BptStore;
 use crate::naive;
 use crate::query;
 use crate::tree::{RTree, RTreeConfig};
@@ -15,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree, BptStore) {
+fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let objects: Vec<SpatialObject> = (0..n)
         .map(|i| {
@@ -31,8 +30,7 @@ fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree, BptStore) {
         })
         .collect();
     let tree = RTree::bulk_load(RTreeConfig::small(), &objects);
-    let bpts = BptStore::build(&tree);
-    (ObjectStore::new(objects), tree, bpts)
+    (ObjectStore::new(objects), tree)
 }
 
 /// A partial view for tests: only `visible` nodes expand; objects report
@@ -70,7 +68,6 @@ impl IndexView for PartialView<'_> {
 
 fn random_partial<'a>(
     tree: &'a RTree,
-    bpts: &'a BptStore,
     store: &ObjectStore,
     frac_nodes: f64,
     frac_objs: f64,
@@ -87,7 +84,7 @@ fn random_partial<'a>(
         .map(|o| o.id)
         .collect();
     PartialView {
-        full: FullView::new(tree, bpts),
+        full: FullView::new(tree),
         visible,
         have_objects,
     }
@@ -99,8 +96,8 @@ fn random_partial<'a>(
 
 #[test]
 fn full_view_range_matches_plain_and_naive() {
-    let (store, tree, bpts) = dataset(300, 10);
-    let view = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(300, 10);
+    let view = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(1);
     for _ in 0..40 {
         let w = Rect::centered_square(
@@ -121,8 +118,8 @@ fn full_view_range_matches_plain_and_naive() {
 
 #[test]
 fn full_view_knn_matches_naive() {
-    let (store, tree, bpts) = dataset(250, 11);
-    let view = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(250, 11);
+    let view = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(2);
     for _ in 0..40 {
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
@@ -141,8 +138,8 @@ fn full_view_knn_matches_naive() {
 
 #[test]
 fn full_view_join_matches_naive() {
-    let (store, tree, bpts) = dataset(120, 12);
-    let view = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(120, 12);
+    let view = FullView::new(&tree);
     for dist in [0.0, 0.02, 0.08] {
         let spec = QuerySpec::Join { dist };
         let out = execute(&view, &spec, &mut NoopTracer);
@@ -155,8 +152,8 @@ fn full_view_join_matches_naive() {
 
 #[test]
 fn knn_results_pop_in_distance_order() {
-    let (store, tree, bpts) = dataset(200, 13);
-    let view = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(200, 13);
+    let view = FullView::new(&tree);
     let p = Point::new(0.4, 0.6);
     let out = execute(&view, &QuerySpec::Knn { center: p, k: 20 }, &mut NoopTracer);
     let dists: Vec<f64> = out
@@ -176,10 +173,10 @@ fn knn_results_pop_in_distance_order() {
 /// that emitted in walk order left APRO's response no longer below SEM's.
 #[test]
 fn join_results_emit_in_pair_distance_order() {
-    let (store, tree, bpts) = dataset(300, 14);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(300, 14);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(15);
-    let partial = random_partial(&tree, &bpts, &store, 0.8, 0.7, &mut rng);
+    let partial = random_partial(&tree, &store, 0.8, 0.7, &mut rng);
     let spec = QuerySpec::Join { dist: 0.03 };
     for out in [
         execute(&full, &spec, &mut NoopTracer),
@@ -217,12 +214,12 @@ fn join_results_emit_in_pair_distance_order() {
 /// flags, the expansion count nor the access trace.
 #[test]
 fn join_resume_ignores_heap_order() {
-    let (store, tree, bpts) = dataset(300, 16);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(300, 16);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(17);
     let (mut resumed, mut cached) = (0, 0);
     for _ in 0..10 {
-        let partial = random_partial(&tree, &bpts, &store, 0.6, 0.5, &mut rng);
+        let partial = random_partial(&tree, &store, 0.6, 0.5, &mut rng);
         let spec = QuerySpec::Join { dist: 0.03 };
         let Some(rq) = execute(&partial, &spec, &mut NoopTracer).remainder else {
             continue;
@@ -246,8 +243,7 @@ fn join_resume_ignores_heap_order() {
 #[test]
 fn empty_tree_yields_empty_outcomes() {
     let tree = RTree::new(RTreeConfig::small());
-    let bpts = BptStore::build(&tree);
-    let view = FullView::new(&tree, &bpts);
+    let view = FullView::new(&tree);
     assert_eq!(
         view.expand(CellRef::node_root(tree.root())),
         Expansion::Empty
@@ -296,11 +292,11 @@ fn two_stage(
 
 #[test]
 fn two_stage_range_equals_direct() {
-    let (store, tree, bpts) = dataset(300, 20);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(300, 20);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(21);
     for round in 0..60 {
-        let partial = random_partial(&tree, &bpts, &store, 0.5, 0.4, &mut rng);
+        let partial = random_partial(&tree, &store, 0.5, 0.4, &mut rng);
         let w = Rect::centered_square(
             Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)),
             rng.random_range(0.02..0.35),
@@ -313,11 +309,11 @@ fn two_stage_range_equals_direct() {
 
 #[test]
 fn two_stage_knn_equals_direct() {
-    let (store, tree, bpts) = dataset(300, 22);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(300, 22);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(23);
     for round in 0..60 {
-        let partial = random_partial(&tree, &bpts, &store, 0.6, 0.5, &mut rng);
+        let partial = random_partial(&tree, &store, 0.6, 0.5, &mut rng);
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
         let k = rng.random_range(1..9u32);
         let spec = QuerySpec::Knn { center: p, k };
@@ -338,11 +334,11 @@ fn two_stage_knn_equals_direct() {
 
 #[test]
 fn two_stage_join_equals_direct() {
-    let (store, tree, bpts) = dataset(150, 24);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(150, 24);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(25);
     for round in 0..25 {
-        let partial = random_partial(&tree, &bpts, &store, 0.55, 0.5, &mut rng);
+        let partial = random_partial(&tree, &store, 0.55, 0.5, &mut rng);
         let dist = rng.random_range(0.0..0.08);
         let spec = QuerySpec::Join { dist };
         let (_, pairs) = two_stage(&partial, &full, &spec);
@@ -352,10 +348,10 @@ fn two_stage_join_equals_direct() {
 
 #[test]
 fn cold_cache_sends_everything_to_server() {
-    let (store, tree, bpts) = dataset(100, 26);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(100, 26);
+    let full = FullView::new(&tree);
     let partial = PartialView {
-        full: FullView::new(&tree, &bpts),
+        full: FullView::new(&tree),
         visible: Default::default(),
         have_objects: Default::default(),
     };
@@ -375,9 +371,9 @@ fn cold_cache_sends_everything_to_server() {
 
 #[test]
 fn fully_cached_view_answers_locally() {
-    let (store, tree, bpts) = dataset(150, 27);
+    let (store, tree) = dataset(150, 27);
     let partial = PartialView {
-        full: FullView::new(&tree, &bpts),
+        full: FullView::new(&tree),
         visible: tree.node_ids().into_iter().collect(),
         have_objects: store.iter().map(|o| o.id).collect(),
     };
@@ -394,8 +390,8 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
     // Blocked objects travel in H as present (cached=true) leaf entries;
     // when the server confirms them as results it must preserve the flag so
     // no payload is retransmitted (Example 3.1 / Example 1.3).
-    let (store, tree, bpts) = dataset(200, 28);
-    let full = FullView::new(&tree, &bpts);
+    let (store, tree) = dataset(200, 28);
+    let full = FullView::new(&tree);
     let mut rng = SmallRng::seed_from_u64(29);
     let mut confirmed_without_bytes = 0usize;
     for _ in 0..40 {
@@ -404,7 +400,7 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
         let victim = ids[rng.random_range(1..ids.len())];
         visible.remove(&victim);
         let partial = PartialView {
-            full: FullView::new(&tree, &bpts),
+            full: FullView::new(&tree),
             visible,
             have_objects: store.iter().map(|o| o.id).collect(),
         };
@@ -439,11 +435,11 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
 
 #[test]
 fn knn_remainder_is_pruned_after_kth_leaf() {
-    let (store, tree, bpts) = dataset(400, 30);
+    let (store, tree) = dataset(400, 30);
     let mut rng = SmallRng::seed_from_u64(31);
     let mut saw_pruned = false;
     for _ in 0..40 {
-        let partial = random_partial(&tree, &bpts, &store, 0.7, 0.6, &mut rng);
+        let partial = random_partial(&tree, &store, 0.7, 0.6, &mut rng);
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
         let spec = QuerySpec::Knn { center: p, k: 4 };
         let out = execute(&partial, &spec, &mut NoopTracer);
@@ -475,8 +471,8 @@ fn knn_remainder_is_pruned_after_kth_leaf() {
 
 #[test]
 fn access_log_frontier_is_an_antichain_covering_touched_nodes() {
-    let (_, tree, bpts) = dataset(300, 40);
-    let view = FullView::new(&tree, &bpts);
+    let (_, tree) = dataset(300, 40);
+    let view = FullView::new(&tree);
     let mut log = AccessLog::default();
     let spec = QuerySpec::Knn {
         center: Point::new(0.5, 0.5),
@@ -546,8 +542,8 @@ fn cold_resume_access_log_matches_the_recorded_trace() {
     // The trace decides what index a reply ships, so it is pinned: these
     // digests of three cold remainders `{Q, [root]}` were recorded at the
     // commit before `Expansion` became fixed-arity, and must not move.
-    let (_, tree, bpts) = dataset(600, 77);
-    let view = FullView::new(&tree, &bpts);
+    let (_, tree) = dataset(600, 77);
+    let view = FullView::new(&tree);
     let (mbr, cell) = view.root().unwrap();
     let root = Side::Cell { cell, mbr };
     let cold = |spec: QuerySpec| {
@@ -588,8 +584,8 @@ fn expansion_count_bounded_by_twice_plain_node_accesses() {
     // time" — BPT navigation at most doubles the per-node work. We verify
     // the engine's expansion count against the plain recursion's node
     // accesses with a generous structural bound.
-    let (_, tree, bpts) = dataset(500, 41);
-    let view = FullView::new(&tree, &bpts);
+    let (_, tree) = dataset(500, 41);
+    let view = FullView::new(&tree);
     let w = Rect::centered_square(Point::new(0.5, 0.5), 0.3);
     let out = execute(&view, &QuerySpec::Range { window: w }, &mut NoopTracer);
     // Plain node accesses: count nodes whose MBR intersects the window.

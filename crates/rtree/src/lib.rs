@@ -8,7 +8,8 @@
 //!   insertion (forced re-insert + R* split) and STR bulk loading.
 //! * [`bpt`] — per-node **binary partition trees** (§4.2): an offline
 //!   recursive R*-split of each node's entry set, giving every subset of
-//!   entries a *super entry* addressed by `(NodeId, Code)`.
+//!   entries a *super entry* addressed by `(NodeId, Code)`. Each [`Node`]
+//!   carries its own.
 //! * [`engine`] — the **generic query processor** (paper Algorithm 1): a
 //!   best-first loop for range and kNN and a depth-first pair walk for the
 //!   distance self-join (results emitted by pair distance), over any
@@ -20,10 +21,10 @@
 //! * [`query`] / [`naive`] — the plain-tree reference (one iterative
 //!   function per query kind) and the brute-force oracle the tests hold the
 //!   engine against. They serve nothing.
-//! * [`Chunked`] — the one copy-on-write column under the node slab, the
-//!   BPT slots and the [`ObjectStore`], and the [`Spares`] its copies reuse.
-//! * [`par`] — the fork-join helper the offline builds (BPT store here,
-//!   cluster shards in `pc_server`) share.
+//! * [`Chunked`] — the one copy-on-write column under the node slab and
+//!   the [`ObjectStore`], and the [`Spares`] its copies reuse.
+//! * [`par`] — the fork-join helper the offline builds (a bulk load's BPTs
+//!   here, cluster shards in `pc_server`) share.
 //! * [`proto`] — query specifications, serialized heap entries, remainder
 //!   queries, server replies, and the byte-accounting rules used by every
 //!   experiment metric.
@@ -44,6 +45,7 @@ mod proptests;
 #[cfg(test)]
 mod reference;
 
+use bpt::Bpt;
 use pc_geom::{Point, Rect};
 use spares::Lent;
 
@@ -126,6 +128,12 @@ fn is_point(r: &Rect) -> bool {
 /// The child column holds bare ids: a node's children are all one kind,
 /// objects at a leaf and nodes above, so [`Node::child_at`] tells them
 /// apart by `level`.
+///
+/// A node carries its own binary partition tree ([`Node::bpt`], §4.2),
+/// built over exactly these columns. A node that leaves [`RTree`]'s hands
+/// always holds the BPT of its current entries: a bulk load builds every
+/// one, and an edit rebuilds the BPTs of the nodes it dirtied before it
+/// returns. A node built here by hand holds an empty BPT.
 #[derive(Clone, Debug, Default)]
 pub struct Node {
     pub parent: Option<NodeId>,
@@ -135,6 +143,7 @@ pub struct Node {
     max_x: Vec<f64>,
     max_y: Vec<f64>,
     children: Vec<u32>,
+    bpt: Bpt,
 }
 
 impl Node {
@@ -148,6 +157,7 @@ impl Node {
             max_x: Vec::new(),
             max_y: Vec::new(),
             children: Vec::new(),
+            bpt: Bpt::default(),
         }
     }
 
@@ -172,7 +182,8 @@ impl Node {
         node
     }
 
-    /// Heap bytes the entry columns hold (capacity, not length).
+    /// Heap bytes the entry columns and the BPT's super-entry column hold
+    /// (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.min_x.capacity()
@@ -181,13 +192,24 @@ impl Node {
             + self.max_y.capacity())
             * size_of::<f64>()
             + self.children.capacity() * size_of::<u32>()
+            // The BPT's header is inline in the node; its column is not.
+            + self.bpt.heap_bytes()
+            - size_of::<Bpt>()
+    }
+
+    /// The binary partition tree over this node's entries (§4.2).
+    #[inline]
+    pub fn bpt(&self) -> &Bpt {
+        &self.bpt
     }
 
     /// Overwrites this node with `src`, every column it uses holding room
     /// for exactly `columns` entries (or `src`'s, if more) and the max
     /// columns of a node of points none: a copy-on-write copy, into a
-    /// retired node's columns or fresh ones.
-    pub(crate) fn copy_from(&mut self, src: &Node, columns: usize) {
+    /// retired node's columns or fresh ones. The BPT is copied only when
+    /// `keep_bpt`; otherwise it is left as it was, for a rebuild to
+    /// overwrite.
+    pub(crate) fn copy_from(&mut self, src: &Node, columns: usize, keep_bpt: bool) {
         fn column<T: Copy>(into: &mut Vec<T>, src: &[T], columns: usize) {
             spares::clear_to(into, columns.max(src.len()));
             into.extend_from_slice(src);
@@ -200,6 +222,7 @@ impl Node {
             max_x,
             max_y,
             children,
+            bpt,
         } = self;
         *parent = src.parent;
         *level = src.level;
@@ -209,6 +232,9 @@ impl Node {
         column(max_x, &src.max_x, max_columns);
         column(max_y, &src.max_y, max_columns);
         column(children, &src.children, columns);
+        if keep_bpt {
+            bpt.copy_from(&src.bpt);
+        }
     }
 
     /// Number of entries.

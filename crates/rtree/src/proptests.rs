@@ -2,7 +2,7 @@
 //! must satisfy their contracts on *arbitrary* inputs, not just the
 //! hand-picked unit-test data.
 
-use crate::bpt::{Bpt, BptCellKind, BptScratch, BptStore, Code, SplitPolicy};
+use crate::bpt::{Bpt, BptCellKind, BptScratch, Code, SplitPolicy};
 use crate::engine::tests::PartialView;
 use crate::engine::{execute, resume, Expansion, IndexView, NoopTracer};
 use crate::proto::{
@@ -40,10 +40,9 @@ fn arb_objects(max: usize) -> impl Strategy<Value = Vec<SpatialObject>> {
     })
 }
 
-fn build(objects: &[SpatialObject]) -> (ObjectStore, RTree, BptStore) {
+fn build(objects: &[SpatialObject]) -> (ObjectStore, RTree) {
     let tree = RTree::bulk_load(RTreeConfig::small(), objects);
-    let bpts = BptStore::build(&tree);
-    (ObjectStore::new(objects.to_vec()), tree, bpts)
+    (ObjectStore::new(objects.to_vec()), tree)
 }
 
 /// Arbitrary remainder heaps: a mix of single/pair entries over cell and
@@ -150,13 +149,13 @@ proptest! {
     fn range_query_matches_naive(objects in arb_objects(150),
                                  cx in 0.0f64..1.0, cy in 0.0f64..1.0,
                                  side in 0.01f64..0.6) {
-        let (store, tree, bpts) = build(&objects);
+        let (store, tree) = build(&objects);
         let w = Rect::centered_square(Point::new(cx, cy), side);
         let mut got = query::range_query(&tree, &w);
         got.sort_unstable();
         prop_assert_eq!(&got, &naive::range_naive(&store, &w));
         // Engine agrees as well.
-        let view = FullView::new(&tree, &bpts);
+        let view = FullView::new(&tree);
         let out = execute(&view, &QuerySpec::Range { window: w }, &mut NoopTracer);
         let mut eng: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
         eng.sort_unstable();
@@ -166,7 +165,7 @@ proptest! {
     #[test]
     fn knn_matches_naive(objects in arb_objects(150),
                          cx in 0.0f64..1.0, cy in 0.0f64..1.0, k in 1usize..12) {
-        let (store, tree, bpts) = build(&objects);
+        let (store, tree) = build(&objects);
         let p = Point::new(cx, cy);
         let got = query::knn_query(&tree, &p, k);
         let want = naive::knn_naive(&store, &p, k);
@@ -174,18 +173,18 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g.1 - w.1).abs() < 1e-12);
         }
-        let view = FullView::new(&tree, &bpts);
+        let view = FullView::new(&tree);
         let out = execute(&view, &QuerySpec::Knn { center: p, k: k as u32 }, &mut NoopTracer);
         prop_assert_eq!(out.results.len(), want.len());
     }
 
     #[test]
     fn join_matches_naive(objects in arb_objects(80), dist in 0.0f64..0.1) {
-        let (store, tree, bpts) = build(&objects);
+        let (store, tree) = build(&objects);
         let mut got = query::distance_self_join(&tree, dist);
         got.sort_unstable();
         prop_assert_eq!(&got, &naive::join_naive(&store, dist));
-        let view = FullView::new(&tree, &bpts);
+        let view = FullView::new(&tree);
         let out = execute(&view, &QuerySpec::Join { dist }, &mut NoopTracer);
         let mut eng = out.result_pairs;
         eng.sort_unstable();
@@ -200,18 +199,18 @@ proptest! {
         cx in 0.0f64..1.0, cy in 0.0f64..1.0,
         which in 0u8..3, k in 1u32..8, side in 0.02f64..0.4, dist in 0.0f64..0.05,
     ) {
-        let (store, tree, bpts) = build(&objects);
+        let (store, tree) = build(&objects);
         // A partial view driven by the bits: node bits striped across the
         // slab, one object bit per id.
         let view = PartialView {
-            full: FullView::new(&tree, &bpts),
+            full: FullView::new(&tree),
             visible: (0..512).filter(|i| node_bits[i % 64]).map(|i| NodeId(i as u32)).collect(),
             have_objects: (0..obj_bits.len())
                 .filter(|&i| obj_bits[i])
                 .map(|i| ObjectId(i as u32))
                 .collect(),
         };
-        let full = FullView::new(&tree, &bpts);
+        let full = FullView::new(&tree);
         let spec = match which {
             0 => QuerySpec::Range { window: Rect::centered_square(Point::new(cx, cy), side) },
             1 => QuerySpec::Knn { center: Point::new(cx, cy), k },
@@ -277,9 +276,8 @@ proptest! {
             }
         }
         tree.validate(store.iter_live().count(), false).unwrap();
-        let bpts = BptStore::build(&tree);
         let served = |spec: QuerySpec| {
-            let out = execute(&FullView::new(&tree, &bpts), &spec, &mut NoopTracer);
+            let out = execute(&FullView::new(&tree), &spec, &mut NoopTracer);
             assert!(out.remainder.is_none());
             let mut ids: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
             let mut pairs = out.result_pairs;
@@ -337,11 +335,11 @@ proptest! {
                 prop_assert!(tree.delete(o.id, &o.mbr));
             }
         }
-        let bpts = BptStore::build(&tree);
-        let view = FullView::new(&tree, &bpts);
+        let view = FullView::new(&tree);
         let mut stack = vec![CellRef::node_root(tree.root())];
         while let Some(cell) = stack.pop() {
-            let (node, bpt) = (tree.node(cell.node), bpts.get(cell.node));
+            let node = tree.node(cell.node);
+            let bpt = node.bpt();
             let want = match (bpt.children(cell.code, node), bpt.find(cell.code, node).map(|c| c.kind)) {
                 // Two children iff the BPT splits here, in its order.
                 (Some(pair), _) => Expansion::Split(pair.map(|(code, c)| Side::Cell {
@@ -373,7 +371,7 @@ proptest! {
         let past_slab = CellRef::node_root(NodeId(tree.slab_len() as u32));
         prop_assert_eq!(view.expand(past_slab), Expansion::Missing);
         prop_assert_eq!(view.expand(CellRef::node_root(NodeId(u32::MAX))), Expansion::Missing);
-        if !bpts.get(tree.root()).is_empty() {
+        if !tree.node(tree.root()).bpt().is_empty() {
             let mut deep = Code::ROOT;
             for _ in 0..30 {
                 deep = deep.child(true);
@@ -384,7 +382,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_bpt_store_build_equals_the_per_node_loop(
+    fn parallel_bpt_build_equals_the_per_node_loop(
         objects in arb_objects(160),
         shape in 0usize..3,
     ) {
@@ -416,12 +414,18 @@ proptest! {
                     Bpt::build_with(&mbrs, policy)
                 })
                 .collect();
-            let stores = [1usize, 2, 3, 7]
-                .map(|workers| BptStore::build_on(&tree, policy, workers));
-            for store in stores.iter().chain([&BptStore::build_with(&tree, policy)]) {
-                prop_assert_eq!(store.node_count(), looped.len());
+            let trees = [1usize, 2, 3, 7, 0].map(|workers| {
+                let mut rebuilt = tree.clone();
+                match workers {
+                    0 => rebuilt.rebuild_bpts(policy),
+                    _ => rebuilt.rebuild_bpts_on(policy, workers),
+                }
+                rebuilt
+            });
+            for rebuilt in &trees {
+                prop_assert_eq!(rebuilt.slab_len(), looped.len());
                 for (i, want) in looped.iter().enumerate() {
-                    prop_assert_eq!(store.get(NodeId(i as u32)), want);
+                    prop_assert_eq!(rebuilt.node(NodeId(i as u32)).bpt(), want);
                 }
             }
         }
@@ -449,21 +453,19 @@ proptest! {
         ops in prop::collection::vec(
             (any::<bool>(), 0u32..200, 0.0f64..1.0, 0.0f64..1.0), 1..24),
     ) {
-        // A cloned tree/BPT store is a persistent snapshot: the clone shares
-        // *every* chunk and slot with the original, later updates to the
-        // working copy copy at most the slots they dirty (plus their chunk
-        // spines), and the snapshot's query results never change.
+        // A cloned tree is a persistent snapshot: the clone shares *every*
+        // chunk and slot with the original, later updates to the working
+        // copy copy at most the slots they dirty (plus their chunk spines),
+        // and the snapshot's query results and BPTs never change.
         let mut tree = RTree::bulk_load(RTreeConfig::small(), &objects);
-        let bpts = BptStore::build(&tree);
         let base = tree.clone();
-        let base_bpts = bpts.clone();
-        let (slots, bpt_slots) = (tree.slots(), bpts.slots());
+        let slots = tree.slots();
         prop_assert_eq!(base.slots().shared_slots(slots), slots.len());
         prop_assert_eq!(base.slots().shared_chunks(slots), slots.chunk_count());
-        prop_assert_eq!(base_bpts.slots().shared_slots(bpt_slots), bpt_slots.len());
-        prop_assert_eq!(base_bpts.slots().shared_chunks(bpt_slots), bpt_slots.chunk_count());
 
         let before = query::range_query(&base, &Rect::UNIT);
+        let bpts = |tree: &RTree| -> Vec<Bpt> { tree.slots().iter().map(|n| n.bpt().clone()).collect() };
+        let before_bpts = bpts(&base);
         let mut live = objects.clone();
         let mut next_id = objects.len() as u32;
         for (insert, pick, x, y) in ops {
@@ -492,14 +494,15 @@ proptest! {
         // The snapshot is untouched by everything above.
         base.validate(objects.len(), false).unwrap();
         prop_assert_eq!(query::range_query(&base, &Rect::UNIT), before);
-        prop_assert_eq!(base_bpts.slots().shared_slots(bpts.slots()), bpts.node_count());
+        prop_assert_eq!(bpts(&base), before_bpts);
     }
 
     #[test]
     fn bpt_codes_are_navigable(objects in arb_objects(100)) {
-        let (_, tree, bpts) = build(&objects);
+        let (_, tree) = build(&objects);
         for id in tree.node_ids() {
-            let (bpt, node) = (bpts.get(id), tree.node(id));
+            let node = tree.node(id);
+            let bpt = node.bpt();
             let mut leaves = Vec::new();
             bpt.leaf_cells(node, |code, entry_idx, mbr| leaves.push((code, entry_idx, mbr)));
             prop_assert_eq!(leaves.len(), node.len());

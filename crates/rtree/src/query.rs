@@ -278,12 +278,10 @@ mod tests {
         // megabytes). The iterative reference and the served executor both
         // traverse it inside a 64 KiB thread stack — heap-allocated
         // traversal state, O(1) stack frames.
-        use crate::bpt::BptStore;
         use crate::engine::{execute, NoopTracer};
         use crate::proto::QuerySpec;
         use crate::view::FullView;
         let tree = RTree::degenerate_chain(RTreeConfig::small(), 50_000);
-        let bpts = BptStore::build(&tree);
         let handle = std::thread::Builder::new()
             .name("tiny-stack-query".into())
             .stack_size(64 * 1024)
@@ -295,7 +293,7 @@ mod tests {
                 let pairs = distance_self_join(&tree, 1.0);
                 assert!(pairs.is_empty(), "a single object joins with nothing");
 
-                let view = FullView::new(&tree, &bpts);
+                let view = FullView::new(&tree);
                 let window = Rect::UNIT;
                 let out = execute(&view, &QuerySpec::Range { window }, &mut NoopTracer);
                 assert_eq!(out.results, vec![(ObjectId(0), false)]);

@@ -605,7 +605,7 @@ proptest! {
                 _ => {
                     let columns = len + at % 4;
                     let mut copy = std::mem::take(&mut spare);
-                    copy.copy_from(&node, columns);
+                    copy.copy_from(&node, columns, salt % 2 == 0);
                     prop_assert!(copy.min_x.capacity() == columns.max(len));
                     prop_assert!(copy.max_x.capacity() == if node.is_aliased() { 0 } else { columns.max(len) });
                     spare = std::mem::replace(&mut node, copy);

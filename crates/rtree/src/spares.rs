@@ -1,13 +1,12 @@
 //! Copy-on-write storage: the one chunked column every id-indexed table of
 //! this crate is built on, and the retired allocations its copies reuse.
 //!
-//! [`Chunked`] holds the tree's node slots, the per-node BPTs and the
-//! object store: `Arc`-shared segments of [`CHUNK_LEN`] entries, so a clone
-//! copies a short segment table and an edit copies the one segment it
-//! lands in. Three seams replace a shared `Arc` with a private copy: a
-//! column's segments ([`ObjectStore`](crate::ObjectStore)'s, spared), a
-//! node slot ([`RTree`](crate::RTree)) and a BPT slot
-//! ([`BptStore`](crate::bpt::BptStore)). Left alone, the replaced `Arc`
+//! [`Chunked`] holds the tree's node slots (each node with its BPT) and
+//! the object store: `Arc`-shared segments of [`CHUNK_LEN`] entries, so a
+//! clone copies a short segment table and an edit copies the one segment
+//! it lands in. Two seams replace a shared `Arc` with a private copy: a
+//! column's segments ([`ObjectStore`](crate::ObjectStore)'s, spared) and a
+//! node slot ([`RTree`](crate::RTree)). Left alone, the replaced `Arc`
 //! frees when the last snapshot holding it drops, and the copy is a fresh
 //! allocation — which, on a long-lived writer thread, lands in that
 //! thread's allocator arena while the freed one goes back to the arena the
@@ -292,7 +291,6 @@ impl<T: Default> Lent<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bpt::BptStore;
     use crate::{ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
     use pc_geom::{Point, Rect};
     use std::mem::size_of;
@@ -382,21 +380,16 @@ mod tests {
             .map(|i| point(i, (i % 63) as f64 / 63.0, (i / 63) as f64 / 64.0))
             .collect();
         let mut tree = RTree::bulk_load(RTreeConfig::small(), &grid);
-        let mut bpts = BptStore::build(&tree);
         assert_eq!(tree.slab_len(), 582);
-        let (base, base_bpts) = (tree.clone(), bpts.clone());
+        let base = tree.clone();
         for id in 4_000.. {
             tree.insert(&point(id, 0.5, 0.5));
             if tree.slab_len() > base.slab_len() {
                 break;
             }
         }
-        let dirty = tree.take_dirty();
-        bpts.rebuild_nodes(&tree, &dirty);
         assert_eq!(base.slots().shared_chunks(tree.slots()), 0);
-        assert_eq!(base_bpts.slots().shared_chunks(bpts.slots()), 0);
         assert_linear_capacity(tree.slots());
-        assert_linear_capacity(bpts.slots());
 
         // The store's columns, copied into exactly `CHUNK_LEN`: grow,
         // relocate and tombstone on a clone while the original pins every

@@ -2,6 +2,8 @@
 //! construction and full R* dynamic insertion (ChooseSubtree with the
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
+use crate::bpt::{BptBuilder, SplitPolicy};
+use crate::par;
 use crate::spares::Lent;
 use crate::split::{key_bits, rstar_split, SplitScratch};
 use crate::{ChildRef, Chunked, Entry, Node, NodeId, ObjectId, ObjectStore, Spares, SpatialObject};
@@ -112,7 +114,8 @@ pub struct TreeStats {
     pub index_bytes: u64,
 }
 
-/// A two-dimensional R*-tree over [`SpatialObject`]s.
+/// A two-dimensional R*-tree over [`SpatialObject`]s, each node carrying
+/// its binary partition tree ([`Node::bpt`]).
 ///
 /// The node slab is a [`Chunked`] column of `Arc<Node>` slots, copied on
 /// write twice over: a mutation after a clone copies the slot's segment
@@ -123,7 +126,14 @@ pub struct TreeStats {
 /// most a node holds before it splits, so any retired node fits any copy:
 /// a writer that [lends](RTree::with_spares) the tree its [`Spares`] has
 /// each copy written into a node an earlier copy retired, once nothing
-/// holds it any more.
+/// holds it any more — BPT column included.
+///
+/// Every node reachable between edits holds the BPT of its entries: a
+/// copy whose entries do not change (a child re-parented by a split) keeps
+/// the BPT it had, and an edit — [`insert`](RTree::insert),
+/// [`delete`](RTree::delete), or a whole batch of them run through
+/// [`with_spares`](RTree::with_spares) — rebuilds the BPT of every node
+/// whose entries it changed before it returns.
 #[derive(Clone, Debug)]
 pub struct RTree {
     cfg: RTreeConfig,
@@ -137,6 +147,12 @@ pub struct RTree {
     /// — the hook the update/invalidation subsystem builds on. Detached
     /// nodes are reported too (clients may still cache them).
     dirty: Vec<NodeId>,
+    /// Nodes whose entry sets the running edit changed: their BPTs are
+    /// stale until it ends.
+    stale: Vec<NodeId>,
+    /// Inside [`with_spares`](RTree::with_spares): the edit that ends
+    /// there rebuilds the stale BPTs, not each insert or delete.
+    batched: bool,
     spares: Lent<Node>,
 }
 
@@ -171,6 +187,8 @@ impl RTree {
             height: 0,
             object_count: 0,
             dirty: Vec::new(),
+            stale: Vec::new(),
+            batched: false,
             spares: Lent::default(),
         }
     }
@@ -183,7 +201,8 @@ impl RTree {
     }
 
     /// Bulk loads with Sort-Tile-Recursive packing — the standard way to
-    /// build a static R-tree over a full dataset.
+    /// build a static R-tree over a full dataset — and builds every node's
+    /// BPT ("a one-time operation", §4.2) with the R* split.
     ///
     /// Reads the objects in place ([`Objects`]: a slice, a store, or a
     /// store's objects by id): entries are gathered from the objects
@@ -220,7 +239,32 @@ impl RTree {
 
         tree.root = level_nodes[0];
         tree.height = level + 1;
+        tree.rebuild_bpts(SplitPolicy::RStar);
         tree
+    }
+
+    /// Rebuilds every node's BPT with `policy` (bulk loading, and the
+    /// split-policy ablation on a clone), on as many threads as the tree's
+    /// size repays ([`par::worker_count`]).
+    pub fn rebuild_bpts(&mut self, policy: SplitPolicy) {
+        // Every object and every non-root node is one entry of some node.
+        let workers = par::worker_count(self.object_count + self.slab_len());
+        self.rebuild_bpts_on(policy, workers);
+    }
+
+    /// Nodes are independent, so the slab is cut into contiguous `NodeId`
+    /// ranges built side by side and handed back in id order: every node
+    /// gets the same BPT for every `workers`.
+    pub(crate) fn rebuild_bpts_on(&mut self, policy: SplitPolicy, workers: usize) {
+        let built = par::map_ranges(self.slab_len(), workers, |range| {
+            let mut builder = BptBuilder::default();
+            range
+                .map(|i| builder.build(self.node(NodeId(i as u32)), policy))
+                .collect()
+        });
+        for (i, bpt) in built.into_iter().enumerate() {
+            self.copy_on_write(NodeId(i as u32), false).bpt = bpt;
+        }
     }
 
     /// Packs the `n` entries `entry(self, 0..n)` into nodes of
@@ -292,28 +336,57 @@ impl RTree {
         self.slots.get(id.0 as usize)
     }
 
-    /// Mutable access to one node slot, copying the segment and then the
-    /// node when either is shared with a cloned tree (the copy-on-write
-    /// seam: everything that edits a node funnels through here). Slot-level
-    /// sharing inside a copied segment is preserved.
+    /// Checked [`node`](Self::node), for ids that arrive from outside the
+    /// program: `None` past the slab.
+    #[inline]
+    pub fn try_node(&self, id: NodeId) -> Option<&Node> {
+        self.slots.try_get(id.0 as usize).map(Arc::as_ref)
+    }
+
+    /// Mutable access to a node whose entries stay as they are (its parent
+    /// pointer is what changes), copied with its BPT if shared.
     #[inline]
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.copy_on_write(id, true)
+    }
+
+    /// Mutable access to a node whose entries the caller changes: the node
+    /// is dirty, and its BPT stale until the edit ends, so a copy leaves
+    /// the BPT behind.
+    #[inline]
+    fn entries_mut(&mut self, id: NodeId) -> &mut Node {
+        self.mark_dirty(id);
+        self.copy_on_write(id, false)
+    }
+
+    /// One node slot made private, copying the segment and then the node
+    /// when either is shared with a cloned tree (the copy-on-write seam:
+    /// everything that edits a node funnels through here). Slot-level
+    /// sharing inside a copied segment is preserved.
+    #[inline]
+    fn copy_on_write(&mut self, id: NodeId, keep_bpt: bool) -> &mut Node {
         let columns = self.cfg.max_entries + 1;
         let slot = self.slots.get_mut(id.0 as usize, None);
         self.spares
-            .make_mut(slot, |node, copy| copy.copy_from(node, columns))
+            .make_mut(slot, |node, copy| copy.copy_from(node, columns, keep_bpt))
     }
 
     /// Runs `edit` on this tree with `spares` lent to its copy-on-write
     /// seam: a node copy is written into a node an earlier copy retired
     /// once nothing holds it any more, and every node a copy replaces is
-    /// retired into `spares`, which the tree hands back.
+    /// retired into `spares`, which the tree hands back. `edit` is one
+    /// edit: the inserts and deletes it makes leave their BPT rebuilds to
+    /// its end, so a node they dirty again and again is rebuilt once.
     pub fn with_spares<R>(
         &mut self,
         spares: &mut Spares<Node>,
         edit: impl FnOnce(&mut RTree) -> R,
     ) -> R {
-        Lent::lend(self, |tree| &mut tree.spares, spares, edit)
+        self.batched = true;
+        let out = Lent::lend(self, |tree| &mut tree.spares, spares, edit);
+        self.batched = false;
+        self.rebuild_stale_bpts();
+        out
     }
 
     /// Number of slab slots (reachable nodes plus detached husks).
@@ -328,8 +401,8 @@ impl RTree {
     }
 
     /// Heap bytes this tree keeps resident, by capacity: the slab and
-    /// every node with its entry columns (shared ones included — each
-    /// snapshot holding a node counts it).
+    /// every node with its entry columns and BPT (shared ones included —
+    /// each snapshot holding a node counts it).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let nodes: usize = self
@@ -337,7 +410,14 @@ impl RTree {
             .iter()
             .map(|node| size_of::<Node>() + node.heap_bytes())
             .sum();
-        self.slots.heap_bytes() + nodes + self.dirty.capacity() * size_of::<NodeId>()
+        let ids = self.dirty.capacity() + self.stale.capacity();
+        self.slots.heap_bytes() + nodes + ids * size_of::<NodeId>()
+    }
+
+    /// Total auxiliary BPT bytes across all nodes — the §6.4 "4.2 MB for
+    /// NE" figure; bounded by twice the R-tree size.
+    pub fn bpt_aux_bytes(&self) -> u64 {
+        self.slots.iter().map(|node| node.bpt().aux_bytes()).sum()
     }
 
     #[inline]
@@ -396,15 +476,44 @@ impl RTree {
     // Change tracking (update/invalidation hook)
     // ------------------------------------------------------------------
 
+    /// Records that `id`'s entry set changed: it is reported by
+    /// [`take_dirty`](Self::take_dirty) and its BPT rebuilt when the
+    /// running edit ends.
     #[inline]
     fn mark_dirty(&mut self, id: NodeId) {
-        self.dirty.push(id);
+        self.stale.push(id);
+    }
+
+    /// An edit's last step: rebuilds the BPT of every node it dirtied,
+    /// each once, and hands them on to [`take_dirty`](Self::take_dirty).
+    /// An insert or delete inside a batched edit leaves this to the edit.
+    fn rebuild_stale_bpts(&mut self) {
+        if self.batched {
+            return;
+        }
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.sort_unstable();
+        stale.dedup();
+        self.rebuild_node_bpts(&stale);
+        self.dirty.append(&mut stale);
+        self.stale = stale;
+    }
+
+    /// Rebuilds the BPTs of the nodes `ids` names with the R* split, one
+    /// after another on one builder, each into the column its node already
+    /// has (copying a node a clone still shares first).
+    pub fn rebuild_node_bpts(&mut self, ids: &[NodeId]) {
+        let mut builder = BptBuilder::default();
+        for &id in ids {
+            builder.rebuild(self.copy_on_write(id, false), SplitPolicy::RStar);
+        }
     }
 
     /// Drains the set of nodes whose entries changed since the last call
     /// (deduplicated, unordered). Bulk loading does not report dirt — the
     /// tree is brand new.
     pub fn take_dirty(&mut self) -> Vec<NodeId> {
+        debug_assert!(self.stale.is_empty(), "taken between edits");
         let mut out = std::mem::take(&mut self.dirty);
         out.sort_unstable();
         out.dedup();
@@ -425,6 +534,7 @@ impl RTree {
         let mut reinserted = vec![false; self.height as usize + 1];
         self.insert_at_level(entry, 0, &mut reinserted);
         self.object_count += 1;
+        self.rebuild_stale_bpts();
     }
 
     fn insert_at_level(&mut self, entry: Entry, level: u16, reinserted: &mut Vec<bool>) {
@@ -432,8 +542,7 @@ impl RTree {
         if let ChildRef::Node(c) = entry.child {
             self.node_mut(c).parent = Some(target);
         }
-        self.node_mut(target).push(entry);
-        self.mark_dirty(target);
+        self.entries_mut(target).push(entry);
         self.adjust_upward(target);
         self.handle_overflow(target, reinserted);
     }
@@ -547,7 +656,7 @@ impl RTree {
             .expect("overflowing node non-empty")
             .center();
         let (reinsert_count, min_entries) = (self.cfg.reinsert_count, self.cfg.min_entries);
-        let node = self.node_mut(id);
+        let node = self.entries_mut(id);
         let mut entries = node.take_entries();
         entries.sort_by(|a, b| {
             // Descending distance: farthest first at the front.
@@ -561,7 +670,6 @@ impl RTree {
         let removed: Vec<Entry> = entries.drain(..count).collect();
         node.set_entries(entries);
         let level = node.level;
-        self.mark_dirty(id);
         self.adjust_upward(id);
         for e in removed {
             self.insert_at_level(e, level, reinserted);
@@ -572,7 +680,7 @@ impl RTree {
     /// or `None` when a new root was created.
     fn split_node(&mut self, id: NodeId) -> Option<NodeId> {
         let level = self.node(id).level;
-        let entries = self.node_mut(id).take_entries();
+        let entries = self.entries_mut(id).take_entries();
         let rects: Vec<Rect> = entries.iter().map(|e| e.mbr).collect();
         let mut scratch = SplitScratch::default();
         let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries, &mut scratch);
@@ -580,10 +688,12 @@ impl RTree {
         let left_entries: Vec<Entry> = left_idx.iter().map(|&i| entries[i]).collect();
         let right_entries: Vec<Entry> = right_idx.iter().map(|&i| entries[i]).collect();
 
-        self.node_mut(id).set_entries(left_entries);
+        self.entries_mut(id).set_entries(left_entries);
         let sibling_node = Node::with_entries(self.node(id).parent, level, right_entries);
         let sibling = self.push_node(sibling_node);
-        // Children moved to the sibling need their parent pointer fixed.
+        self.mark_dirty(sibling);
+        // Children moved to the sibling need their parent pointer fixed;
+        // their entries, and so their BPTs, stay as they are.
         if level > 0 {
             let moved = self.node(sibling).child_ids().to_vec();
             for c in moved {
@@ -591,17 +701,14 @@ impl RTree {
             }
         }
 
-        self.mark_dirty(id);
-        self.mark_dirty(sibling);
         let sibling_mbr = self.node(sibling).mbr().expect("split side non-empty");
         match self.node(id).parent {
             Some(p) => {
                 self.refresh_parent_entry(id);
-                self.node_mut(p).push(Entry {
+                self.entries_mut(p).push(Entry {
                     mbr: sibling_mbr,
                     child: ChildRef::Node(sibling),
                 });
-                self.mark_dirty(p);
                 self.adjust_upward(p);
                 Some(p)
             }
@@ -643,11 +750,11 @@ impl RTree {
         let Some(leaf) = self.find_leaf(id, mbr) else {
             return false;
         };
-        self.node_mut(leaf)
+        self.entries_mut(leaf)
             .retain_entries(|e| e.child != ChildRef::Object(id));
-        self.mark_dirty(leaf);
         self.object_count -= 1;
         self.condense(leaf);
+        self.rebuild_stale_bpts();
         true
     }
 
@@ -685,13 +792,11 @@ impl RTree {
                 // Detach `id`: its parent loses the entry, its own entries
                 // queue for re-insertion at their original level.
                 let level = self.node(id).level;
-                let entries = self.node_mut(id).take_entries();
+                let entries = self.entries_mut(id).take_entries();
                 orphans.extend(entries.into_iter().map(|e| (e, level)));
-                self.node_mut(parent)
+                self.entries_mut(parent)
                     .retain_entries(|e| e.child != ChildRef::Node(id));
                 self.node_mut(id).parent = None;
-                self.mark_dirty(id);
-                self.mark_dirty(parent);
             } else {
                 self.refresh_parent_entry(id);
             }
@@ -713,8 +818,7 @@ impl RTree {
             self.node_mut(child).parent = None;
             self.root = child;
             self.height -= 1;
-            self.node_mut(old_root).clear_entries();
-            self.mark_dirty(old_root);
+            self.entries_mut(old_root).clear_entries();
         }
     }
 
@@ -731,8 +835,7 @@ impl RTree {
             let Some(slot) = slot else {
                 return;
             };
-            self.node_mut(p).set_mbr_at(slot, mbr);
-            self.dirty.push(p);
+            self.entries_mut(p).set_mbr_at(slot, mbr);
         }
     }
 
@@ -848,6 +951,7 @@ impl RTree {
         }
         tree.root = prev;
         tree.height = depth;
+        tree.rebuild_bpts_on(SplitPolicy::RStar, 1);
         tree
     }
 }

@@ -1,7 +1,6 @@
-//! [`FullView`]: the authoritative [`IndexView`] over a complete R-tree and
-//! its BPT store — what the server's query processor navigates.
+//! [`FullView`]: the authoritative [`IndexView`] over a complete R-tree,
+//! each node with its BPT — what the server's query processor navigates.
 
-use crate::bpt::BptStore;
 use crate::engine::{Expansion, IndexView};
 use crate::proto::{CellRef, Side};
 use crate::tree::RTree;
@@ -12,20 +11,15 @@ use pc_geom::Rect;
 /// to anything else is [`Expansion::Missing`].
 pub struct FullView<'a> {
     tree: &'a RTree,
-    bpts: &'a BptStore,
 }
 
 impl<'a> FullView<'a> {
-    pub fn new(tree: &'a RTree, bpts: &'a BptStore) -> Self {
-        FullView { tree, bpts }
+    pub fn new(tree: &'a RTree) -> Self {
+        FullView { tree }
     }
 
     pub fn tree(&self) -> &RTree {
         self.tree
-    }
-
-    pub fn bpts(&self) -> &BptStore {
-        self.bpts
     }
 }
 
@@ -38,14 +32,12 @@ impl IndexView for FullView<'_> {
 
     fn expand(&self, cell: CellRef) -> Expansion {
         // Cells of a remainder heap come off the wire: a node id past the
-        // slab is missing, never indexed. (The BPT store has one slot per
-        // tree slot and a leaf cell per entry, so the lookups under a
-        // found slot cannot miss.)
-        let Some(bpt) = self.bpts.try_get(cell.node) else {
+        // slab is missing, never indexed. (A node's BPT has a leaf cell per
+        // entry, so the lookups under a found node cannot miss.)
+        let Some(node) = self.tree.try_node(cell.node) else {
             return Expansion::Missing;
         };
-        let node = self.tree.node(cell.node);
-        bpt.expand(cell, node, |entry_idx, mbr| {
+        node.bpt().expand(cell, node, |entry_idx, mbr| {
             match node.child_at(entry_idx as usize) {
                 ChildRef::Node(n) => Side::Cell {
                     cell: CellRef::node_root(n),

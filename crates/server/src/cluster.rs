@@ -1,6 +1,6 @@
 //! The deployment — every deployment: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
-//! is a [`Shard`] (its own tree and BPTs) indexing exactly the objects
+//! is a [`Shard`] (its own tree, each node with its BPT) indexing exactly the objects
 //! whose MBRs touch its tiles, over the one global store and the one update
 //! log the deployment's [`Snapshot`] holds; the per-client state
 //! (§4.3 `d`, last-synced epoch) lives once, in the cluster's single
@@ -62,7 +62,7 @@
 //!   batch — and an untouched one is the current epoch's `Arc`, a pointer
 //!   copy. There is no per-shard cell or lock, so nothing to order.
 //! * **Who tears down a retired epoch.** Nobody frees its private CoW
-//!   copies: every node, BPT and store segment a batch replaced was
+//!   copies: every node (BPT included) and store segment a batch replaced was
 //!   retired into the writer's spares (`WriterSpares`, guarded by the
 //!   core's writer lock), and a later batch writes its own copies into
 //!   them once the last snapshot naming them — the previous epoch, or a
@@ -299,7 +299,7 @@ impl Snapshot {
     }
 
     /// Heap bytes this epoch keeps resident, by capacity: the store once,
-    /// plus every shard's tree and BPTs. Segments shared with other live
+    /// plus every shard's tree, BPTs included. Segments shared with other live
     /// epochs are counted in each.
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = self.shards.iter().map(|shard| shard.heap_bytes()).sum();
@@ -1171,7 +1171,7 @@ impl IndexView for Snapshot {
             node: local,
             code: cell.code,
         };
-        FullView::new(shard.tree(), shard.bpts())
+        FullView::new(shard.tree())
             .expand(cell)
             .map(|side| side.map_node(|n| self.map.to_global(n, s)))
     }

@@ -1,9 +1,9 @@
 //! What a deployment publishes and where: a [`Shard`] is one shard's index
-//! at one epoch — R*-tree and BPT store, no object store or update log of
-//! its own — built by pure functions ([`Shard::build`] at set-up,
-//! `Shard::next` per update batch), and a [`ServerCore`] is the
-//! deployment's **one** [`SnapshotCell`] plus the writer lock that
-//! serializes its epoch transitions. The value in the cell is the whole
+//! at one epoch — an R*-tree whose every node carries its BPT, no object
+//! store or update log of its own — built by pure functions
+//! ([`Shard::build`] at set-up, `Shard::next` per update batch), and a
+//! [`ServerCore`] is the deployment's **one** [`SnapshotCell`] plus the
+//! writer lock that serializes its epoch transitions. The value in the cell is the whole
 //! world at one epoch, a [`Snapshot`]: the global store and the update log
 //! once, and every shard by `Arc`. Query
 //! paths [`pin`](ServerCore::pin) it (a refcount bump) and read it with
@@ -25,7 +25,6 @@ use crate::cluster::Snapshot;
 use crate::epoch::SnapshotCell;
 use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
-use pc_rtree::bpt::{Bpt, BptStore};
 use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
 use pc_rtree::view::FullView;
@@ -34,26 +33,24 @@ use pc_rtree::{
 };
 use std::sync::{Arc, Mutex};
 
-/// One shard's immutable index as of one deployment epoch: tree + BPTs, no
-/// per-client state, no versioning and no objects — ids resolve through
-/// the [`Snapshot`]'s store, which the methods that need it take, and what
-/// changed when is the [`Snapshot`]'s log. All query methods take `&self`;
-/// nothing here ever mutates after publication.
+/// One shard's immutable index as of one deployment epoch: the tree, each
+/// node with its BPT; no per-client state, no versioning and no objects —
+/// ids resolve through the [`Snapshot`]'s store, which the methods that
+/// need it take, and what changed when is the [`Snapshot`]'s log. All
+/// query methods take `&self`; nothing here ever mutates after
+/// publication.
 #[derive(Clone, Debug)]
 pub struct Shard {
     tree: RTree,
-    bpts: BptStore,
 }
 
 impl Shard {
     /// Bulk loads the index over `objects` — the objects whose MBRs touch
-    /// the tiles this shard owns (all of them, for a lone shard) — and
-    /// prepares the BPTs offline.
+    /// the tiles this shard owns (all of them, for a lone shard) — BPTs
+    /// prepared offline with it.
     pub fn build(tree_cfg: RTreeConfig, objects: &(impl Objects + ?Sized)) -> Shard {
-        let tree = RTree::bulk_load(tree_cfg, objects);
         Shard {
-            bpts: BptStore::build(&tree),
-            tree,
+            tree: RTree::bulk_load(tree_cfg, objects),
         }
     }
 
@@ -61,38 +58,20 @@ impl Shard {
         &self.tree
     }
 
-    pub fn bpts(&self) -> &BptStore {
-        &self.bpts
-    }
-
     /// Evaluates a query directly (no caching) over this shard's index.
     pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        let view = FullView::new(&self.tree, &self.bpts);
-        execute(&view, spec, &mut NoopTracer)
+        execute(&FullView::new(&self.tree), spec, &mut NoopTracer)
     }
 
-    /// Stage ② of Fig. 3 with an explicit form: resumes `Qr` from its heap,
-    /// assembles `Rr` (splitting confirmed-cached results from transmitted
-    /// ones, read from the epoch's `store`) and the supporting index `Ir`
-    /// in `mode`. This is the policy-free, single-shard primitive the
-    /// router's scatter is built from.
-    pub fn resume_remainder(
-        &self,
-        store: &ObjectStore,
-        rq: &RemainderQuery,
-        mode: FormMode,
-    ) -> ServerReply {
-        let (outcome, log) = self.resume_traced(rq);
-        self.assemble(store, outcome, &log, mode)
-    }
-
-    /// The resume half of stage ②: runs `Qr` to completion over this
-    /// epoch's index and records which cells the traversal read. A cluster
-    /// folds cross-shard accesses into the log before [`assemble`]ing.
+    /// The resume half of stage ② of Fig. 3: runs `Qr` to completion over
+    /// this epoch's index and records which cells the traversal read. A
+    /// cluster folds cross-shard accesses into the log before
+    /// [`assemble`]ing; on one shard the two halves are the whole of the
+    /// policy-free primitive the router's scatter is built from.
     ///
     /// [`assemble`]: Self::assemble
-    pub(crate) fn resume_traced(&self, rq: &RemainderQuery) -> (Outcome, AccessLog) {
-        let view = FullView::new(&self.tree, &self.bpts);
+    pub fn resume_traced(&self, rq: &RemainderQuery) -> (Outcome, AccessLog) {
+        let view = FullView::new(&self.tree);
         let mut log = AccessLog::default();
         let outcome = resume(&view, rq, &mut log);
         debug_assert!(outcome.remainder.is_none(), "server must finish queries");
@@ -102,7 +81,7 @@ impl Shard {
     /// The assembly half of stage ②: `Ir` in `mode` for every node `log`
     /// saw expanded, and `Rr` split into confirmations (the client holds
     /// the payload) and objects transmitted out of `store`.
-    pub(crate) fn assemble(
+    pub fn assemble(
         &self,
         store: &ObjectStore,
         outcome: Outcome,
@@ -124,22 +103,22 @@ impl Shard {
             confirmed,
             objects,
             pairs: outcome.result_pairs,
-            index: build_shipments(log, &self.tree, &self.bpts, mode),
+            index: build_shipments(log, &self.tree, mode),
             expansions: outcome.expansions,
         }
     }
 
     /// This shard after one routed slice of an update batch, built *while
     /// queries keep running* on the current one: clones it **structurally**
-    /// (node slab and per-node BPTs are `Arc`-shared, so the clone copies
-    /// pointer tables, not data), applies the shard-local tree operations
-    /// the router derived from tile ownership against the already-updated
-    /// global `store` — copy-on-write touches only the spines the batch
-    /// lands in, each copy written into one of the writer's `spares` when
-    /// nothing holds it any more — and rebuilds only the dirty nodes' BPTs
-    /// the same way. Returns the new shard beside its dirty nodes (local
-    /// ids, sorted), which the caller logs. A shard a batch never touched
-    /// is not rebuilt at all: the next snapshot holds the same `Arc`.
+    /// (the node slab is `Arc`-shared, so the clone copies pointer tables,
+    /// not data) and applies the shard-local tree operations the router
+    /// derived from tile ownership against the already-updated global
+    /// `store` — copy-on-write touches only the spines the batch lands in,
+    /// each copy written into one of the writer's `spares` when nothing
+    /// holds it any more, and the BPT of each node the slice dirtied is
+    /// rebuilt once, at its end. Returns the new shard beside its dirty nodes (local ids,
+    /// sorted), which the caller logs. A shard a batch never touched is not
+    /// rebuilt at all: the next snapshot holds the same `Arc`.
     pub(crate) fn next(
         &self,
         store: &ObjectStore,
@@ -164,31 +143,29 @@ impl Shard {
             }
         });
         let dirty = next.tree.take_dirty();
-        next.bpts.with_spares(&mut spares.bpts, |bpts| {
-            bpts.rebuild_nodes(&next.tree, &dirty)
-        });
         (next, dirty)
     }
 
     /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
     pub fn bpt_bytes(&self) -> u64 {
-        self.bpts.total_aux_bytes()
+        self.tree.bpt_aux_bytes()
     }
 
-    /// Heap bytes this shard keeps resident, by capacity: tree + BPTs.
-    /// Segments shared with other live epochs are counted in each.
+    /// Heap bytes this shard keeps resident, by capacity: the tree, BPTs
+    /// included. Segments shared with other live epochs are counted in
+    /// each.
     pub fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes() + self.bpts.heap_bytes()
+        self.tree.heap_bytes()
     }
 }
 
 /// What a deployment's publishes retired, by copy-on-write seam, kept for
 /// the next publishes to copy into: the writer's, lent to the value it is
-/// building for one batch at a time and never published.
+/// building for one batch at a time and never published. A node spare
+/// brings its BPT column along.
 #[derive(Debug, Default)]
 pub(crate) struct WriterSpares {
     pub(crate) nodes: Spares<Node>,
-    pub(crate) bpts: Spares<Bpt>,
     pub(crate) store: StoreSpares,
 }
 
@@ -259,6 +236,7 @@ mod tests {
     use crate::test_util::{random_update, sample_store};
     use crate::{Cluster, ServerConfig, ServerHandle, Update};
     use pc_geom::{Point, Rect};
+    use pc_rtree::bpt::{Bpt, EntryMbrs};
     use pc_rtree::naive;
     use pc_rtree::{Entry, NodeId, ObjectId, SpatialObject};
     use proptest::prelude::*;
@@ -319,8 +297,8 @@ mod tests {
     #[test]
     fn publish_shares_structure_with_the_previous_snapshot() {
         // The epoch-cost tentpole: a small batch against a large snapshot
-        // copies only the spines/segments/BPTs it touches. Everything else
-        // is the *same allocation* as the previous epoch.
+        // copies only the spines/segments it touches. Everything else is
+        // the *same allocation* as the previous epoch.
         let server = sample_server(2000, 17);
         let core = server.core();
         let old = core.pin();
@@ -333,7 +311,6 @@ mod tests {
         ]);
         let new = core.pin();
         let (old_nodes, new_nodes) = (old.shard(0).tree().slots(), new.shard(0).tree().slots());
-        let (old_bpts, new_bpts) = (old.shard(0).bpts().slots(), new.shard(0).bpts().slots());
 
         let slab = old_nodes.len();
         let shared_nodes = old_nodes.shared_slots(new_nodes);
@@ -341,13 +318,6 @@ mod tests {
             slab - shared_nodes <= 6 * new.shard(0).tree().height() as usize + 12,
             "2-update batch copied {} of {slab} nodes",
             slab - shared_nodes
-        );
-        let bpts = old_bpts.len();
-        let shared_bpts = old_bpts.shared_slots(new_bpts);
-        assert!(
-            bpts - shared_bpts <= 6 * new.shard(0).tree().height() as usize + 12,
-            "2-update batch rebuilt {} of {bpts} BPTs",
-            bpts - shared_bpts
         );
         let (old_store, new_store) = (old.store(), new.store());
         let chunks = old_store.mins().chunk_count() + old_store.sizes().chunk_count();
@@ -364,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_shares_node_and_bpt_chunks_at_scale() {
+    fn publish_shares_node_chunks_at_scale() {
         // Chunked-slab extension of the sharing test: with a slab spanning
         // several 1024-slot segments, a small batch must leave most *whole
         // segments* shared by `Arc` between epochs — the publish cost is
@@ -395,33 +365,23 @@ mod tests {
             copied_node_chunks <= copied_slots.max(1),
             "copied {copied_node_chunks} node chunks for only {copied_slots} dirty slots"
         );
-
-        let (old_bpts, new_bpts) = (old.shard(0).bpts().slots(), new.shard(0).bpts().slots());
-        let rebuilt = old_bpts.len() - old_bpts.shared_slots(new_bpts);
-        let copied_bpt_chunks = old_bpts.chunk_count() - old_bpts.shared_chunks(new_bpts);
-        assert!(
-            copied_bpt_chunks <= rebuilt.max(1),
-            "copied {copied_bpt_chunks} BPT chunks for only {rebuilt} rebuilt BPTs"
-        );
     }
 
-    /// Where one epoch's nodes, BPTs and store segments (by their first
-    /// entry; each segment's min corners, then its sizes) live, slot by
-    /// slot: the addresses a copy-on-write copy either reuses or does not.
+    /// Where one epoch's nodes and store segments (by their first entry;
+    /// each segment's min corners, then its sizes) live, slot by slot: the
+    /// addresses a copy-on-write copy either reuses or does not.
     #[derive(Clone)]
     struct Allocations {
         nodes: Vec<usize>,
-        bpts: Vec<usize>,
         segments: Vec<usize>,
     }
 
     fn allocations(snap: &Snapshot) -> Allocations {
-        let (nodes, bpts) = (snap.shard(0).tree().slots(), snap.shard(0).bpts().slots());
+        let nodes = snap.shard(0).tree().slots();
         let store = snap.store();
         assert!(store.maxes().is_empty(), "a world of points");
         Allocations {
             nodes: nodes.iter().map(|n| Arc::as_ptr(n) as usize).collect(),
-            bpts: bpts.iter().map(|b| Arc::as_ptr(b) as usize).collect(),
             segments: (0..store.len())
                 .step_by(pc_rtree::CHUNK_LEN)
                 .flat_map(|first| {
@@ -445,17 +405,12 @@ mod tests {
         };
         Allocations {
             nodes: moved(&before.nodes, &after.nodes),
-            bpts: moved(&before.bpts, &after.bpts),
             segments: moved(&before.segments, &after.segments),
         }
     }
 
-    fn kinds(a: &Allocations) -> [(&str, &[usize]); 3] {
-        [
-            ("node", &a.nodes),
-            ("BPT", &a.bpts),
-            ("segment", &a.segments),
-        ]
+    fn kinds(a: &Allocations) -> [(&str, &[usize]); 2] {
+        [("node", &a.nodes), ("segment", &a.segments)]
     }
 
     fn moves(rng: &mut SmallRng, ids: u32, n: usize) -> Vec<Update> {
@@ -475,8 +430,8 @@ mod tests {
         let server = sample_server(4000, 29);
         let mut rng = SmallRng::seed_from_u64(29);
         let first = allocations(&server.core().pin());
-        // Moves all over the world retire many spines, their BPTs and every
-        // store segment …
+        // Moves all over the world retire many spines and every store
+        // segment …
         server.apply_updates(&moves(&mut rng, 4000, 16));
         let second = allocations(&server.core().pin());
         let retired = replaced(&second, &first);
@@ -508,14 +463,16 @@ mod tests {
             .collect();
         let deep = |snap: &Snapshot| {
             let tree = snap.shard(0).tree();
-            let nodes: Vec<(Option<NodeId>, u16, Vec<Entry>)> = (0..tree.slab_len() as u32)
+            let nodes: Vec<(Option<NodeId>, u16, Vec<Entry>, Bpt)> = (0..tree.slab_len() as u32)
                 .map(|id| {
                     let node = tree.node(NodeId(id));
-                    (node.parent, node.level, node.entries().collect())
+                    (
+                        node.parent,
+                        node.level,
+                        node.entries().collect(),
+                        node.bpt().clone(),
+                    )
                 })
-                .collect();
-            let bpts: Vec<Bpt> = (0..snap.shard(0).bpts().node_count() as u32)
-                .map(|id| snap.shard(0).bpts().get(NodeId(id)).clone())
                 .collect();
             let objects: Vec<SpatialObject> = snap.store().iter().collect();
             let answers: Vec<Vec<ObjectId>> = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3), (0.5, 0.5, 0.6)]
@@ -524,7 +481,7 @@ mod tests {
                     snap.direct(&QuerySpec::Range { window }).results
                 })
                 .to_vec();
-            (nodes, bpts, objects, answers)
+            (nodes, objects, answers)
         };
         let at_pin = deep(&pinned);
 
@@ -621,9 +578,9 @@ mod tests {
         /// rebuilt from scratch over the same final live set — the tree
         /// validates, direct answers match a fresh bulk-loaded tree and
         /// the naive oracle, a cold remainder resume through the
-        /// incrementally-maintained BPTs equals the direct answer, and the
-        /// BPT store byte-matches a full from-scratch BPT build over the
-        /// same tree.
+        /// incrementally-maintained BPTs equals the direct answer, and
+        /// every reachable node's BPT equals a from-scratch build over that
+        /// node's entries.
         #[test]
         fn cow_snapshot_equals_from_scratch_build(
             seed in 0u64..500,
@@ -680,7 +637,8 @@ mod tests {
                         }),
                     )],
                 };
-                let resumed = snap.shard(0).resume_remainder(snap.store(), &rq, crate::FormMode::COMPACT);
+                let (outcome, log) = snap.shard(0).resume_traced(&rq);
+                let resumed = snap.shard(0).assemble(snap.store(), outcome, &log, FormMode::COMPACT);
                 let mut via_bpt: Vec<ObjectId> =
                     resumed.objects.iter().map(|o| o.id).collect();
                 via_bpt.extend(resumed.confirmed.iter().copied());
@@ -695,15 +653,21 @@ mod tests {
             }
 
             // (4) The dirty-node-only BPT maintenance — rebuilding into
-            // retired BPTs from the second batch on — equals a full
-            // from-scratch BPT build over the *same* tree, slot by slot and
-            // field by field: a stale field left in a reused BPT shows here.
-            let rebuilt = pc_rtree::bpt::BptStore::build(snap.shard(0).tree());
-            prop_assert_eq!(rebuilt.node_count(), snap.shard(0).bpts().node_count());
-            for id in (0..rebuilt.node_count() as u32).map(NodeId) {
-                prop_assert_eq!(rebuilt.get(id), snap.shard(0).bpts().get(id));
+            // retired nodes' BPTs from the second batch on, and carrying a
+            // copied node's BPT over when its entries did not change —
+            // equals a from-scratch build over every reachable node, dirty
+            // or not, field by field: a stale BPT, or a field left behind
+            // in a reused one, shows here.
+            let tree = snap.shard(0).tree();
+            let mut aux = 0;
+            for id in tree.node_ids() {
+                let node = tree.node(id);
+                let mbrs: Vec<Rect> = (0..node.len() as u16).map(|j| node.entry_mbr(j)).collect();
+                let fresh = Bpt::build(&mbrs);
+                prop_assert_eq!(node.bpt(), &fresh);
+                aux += fresh.aux_bytes();
             }
-            prop_assert_eq!(rebuilt.total_aux_bytes(), snap.shard(0).bpt_bytes());
+            prop_assert_eq!(aux, tree.bpt_aux_bytes());
         }
     }
 

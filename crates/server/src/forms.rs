@@ -9,7 +9,7 @@
 //!   cell replaced by its `d`-level BPT descendants "or the entries,
 //!   whichever come first".
 
-use pc_rtree::bpt::{BptCell, BptCellKind, BptStore, Code};
+use pc_rtree::bpt::{BptCell, BptCellKind, Code};
 use pc_rtree::engine::AccessLog;
 use pc_rtree::proto::{CellKind, CellRecord, NodeShipment};
 use pc_rtree::{ChildRef, Node, NodeId, RTree};
@@ -28,27 +28,16 @@ impl FormMode {
 }
 
 /// Builds the `Ir` shipments for every node the resume touched.
-pub fn build_shipments(
-    log: &AccessLog,
-    tree: &RTree,
-    bpts: &BptStore,
-    mode: FormMode,
-) -> Vec<NodeShipment> {
+pub fn build_shipments(log: &AccessLog, tree: &RTree, mode: FormMode) -> Vec<NodeShipment> {
     log.shipped_nodes()
         .into_iter()
-        .map(|node| ship_node(node, log, tree, bpts, mode))
+        .map(|node| ship_node(node, log, tree, mode))
         .collect()
 }
 
-fn ship_node(
-    node: NodeId,
-    log: &AccessLog,
-    tree: &RTree,
-    bpts: &BptStore,
-    mode: FormMode,
-) -> NodeShipment {
-    let bpt = bpts.get(node);
+fn ship_node(node: NodeId, log: &AccessLog, tree: &RTree, mode: FormMode) -> NodeShipment {
     let n = tree.node(node);
+    let bpt = n.bpt();
     let mut cells = Vec::new();
     match mode {
         FormMode::Full => {
@@ -106,7 +95,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn tree_with_bpts(n: usize, seed: u64) -> (RTree, BptStore) {
+    fn sample_tree(n: usize, seed: u64) -> RTree {
         let mut rng = SmallRng::seed_from_u64(seed);
         let objects: Vec<SpatialObject> = (0..n)
             .map(|i| SpatialObject {
@@ -118,13 +107,11 @@ mod tests {
                 size_bytes: 100,
             })
             .collect();
-        let tree = RTree::bulk_load(RTreeConfig::small(), &objects);
-        let bpts = BptStore::build(&tree);
-        (tree, bpts)
+        RTree::bulk_load(RTreeConfig::small(), &objects)
     }
 
-    fn logged_query(tree: &RTree, bpts: &BptStore, spec: &QuerySpec) -> AccessLog {
-        let view = FullView::new(tree, bpts);
+    fn logged_query(tree: &RTree, spec: &QuerySpec) -> AccessLog {
+        let view = FullView::new(tree);
         let mut log = AccessLog::default();
         let _ = execute(&view, spec, &mut log);
         log
@@ -132,13 +119,13 @@ mod tests {
 
     #[test]
     fn full_form_ships_every_entry() {
-        let (tree, bpts) = tree_with_bpts(120, 1);
+        let tree = sample_tree(120, 1);
         let spec = QuerySpec::Knn {
             center: Point::new(0.5, 0.5),
             k: 3,
         };
-        let log = logged_query(&tree, &bpts, &spec);
-        let ships = build_shipments(&log, &tree, &bpts, FormMode::Full);
+        let log = logged_query(&tree, &spec);
+        let ships = build_shipments(&log, &tree, FormMode::Full);
         assert!(!ships.is_empty());
         for s in &ships {
             let n = tree.node(s.node);
@@ -149,14 +136,14 @@ mod tests {
 
     #[test]
     fn compact_form_is_never_larger_than_full() {
-        let (tree, bpts) = tree_with_bpts(200, 2);
+        let tree = sample_tree(200, 2);
         let spec = QuerySpec::Knn {
             center: Point::new(0.3, 0.7),
             k: 2,
         };
-        let log = logged_query(&tree, &bpts, &spec);
-        let full = build_shipments(&log, &tree, &bpts, FormMode::Full);
-        let compact = build_shipments(&log, &tree, &bpts, FormMode::COMPACT);
+        let log = logged_query(&tree, &spec);
+        let full = build_shipments(&log, &tree, FormMode::Full);
+        let compact = build_shipments(&log, &tree, FormMode::COMPACT);
         assert_eq!(full.len(), compact.len());
         let total = |v: &[NodeShipment]| v.iter().map(|s| s.cells.len()).sum::<usize>();
         assert!(total(&compact) <= total(&full));
@@ -169,14 +156,14 @@ mod tests {
 
     #[test]
     fn d_levels_interpolate_between_compact_and_full() {
-        let (tree, bpts) = tree_with_bpts(250, 3);
+        let tree = sample_tree(250, 3);
         let spec = QuerySpec::Knn {
             center: Point::new(0.6, 0.4),
             k: 1,
         };
-        let log = logged_query(&tree, &bpts, &spec);
+        let log = logged_query(&tree, &spec);
         let total = |m: FormMode| {
-            build_shipments(&log, &tree, &bpts, m)
+            build_shipments(&log, &tree, m)
                 .iter()
                 .map(|s| s.cells.len())
                 .sum::<usize>()
@@ -194,12 +181,12 @@ mod tests {
 
     #[test]
     fn shipments_carry_parent_linkage() {
-        let (tree, bpts) = tree_with_bpts(150, 4);
+        let tree = sample_tree(150, 4);
         let spec = QuerySpec::Range {
             window: Rect::centered_square(Point::new(0.5, 0.5), 0.3),
         };
-        let log = logged_query(&tree, &bpts, &spec);
-        for s in build_shipments(&log, &tree, &bpts, FormMode::COMPACT) {
+        let log = logged_query(&tree, &spec);
+        for s in build_shipments(&log, &tree, FormMode::COMPACT) {
             if s.node == tree.root() {
                 assert_eq!(s.parent, None);
             } else {
@@ -214,12 +201,12 @@ mod tests {
     fn compact_form_covers_the_whole_node() {
         // The shipped antichain must cover every entry (union of MBRs
         // equals the node MBR) so the client view can navigate anywhere.
-        let (tree, bpts) = tree_with_bpts(200, 5);
+        let tree = sample_tree(200, 5);
         let spec = QuerySpec::Range {
             window: Rect::centered_square(Point::new(0.2, 0.2), 0.2),
         };
-        let log = logged_query(&tree, &bpts, &spec);
-        for s in build_shipments(&log, &tree, &bpts, FormMode::COMPACT) {
+        let log = logged_query(&tree, &spec);
+        for s in build_shipments(&log, &tree, FormMode::COMPACT) {
             let union = Rect::union_all(s.cells.iter().map(|c| c.mbr)).unwrap();
             let node_mbr = tree.node(s.node).mbr().unwrap();
             assert_eq!(union, node_mbr, "{}", s.node);

@@ -14,7 +14,7 @@
 //! [`Transport::call`]) *and* data updates
 //! ([`ServerHandle::apply_updates`]). A
 //! deployment publishes its whole world — the dataset and the update log
-//! once, every shard's R*-tree + BPT store by `Arc` — as one immutable
+//! once, every shard's R*-tree (each node with its BPT) by `Arc` — as one immutable
 //! [`Snapshot`] behind the one [`SnapshotCell`] of its [`ServerCore`]:
 //! readers pin it and never block, while an update batch builds the next
 //! snapshot off to the side and swaps it in. An interior-mutable

@@ -664,8 +664,10 @@ mod tests {
                                     }),
                                 )],
                             };
+                            let shard = snap.shard(0);
+                            let (outcome, log) = shard.resume_traced(&rq);
                             let resumed =
-                                snap.shard(0).resume_remainder(snap.store(), &rq, crate::FormMode::COMPACT);
+                                shard.assemble(snap.store(), outcome, &log, crate::FormMode::COMPACT);
                             let mut via_bpt: Vec<ObjectId> =
                                 resumed.objects.iter().map(|o| o.id).collect();
                             via_bpt.extend(resumed.confirmed.iter().copied());

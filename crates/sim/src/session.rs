@@ -243,7 +243,7 @@ fn verify_against_direct(
         pc_rtree::proto::QuerySpec::Join { .. } => {
             let mut got = out.pairs.clone();
             got.sort_unstable();
-            let mut want = direct.pairs.clone();
+            let mut want = direct.pairs;
             want.sort_unstable();
             assert_eq!(got, want, "join answer diverged from direct");
         }
@@ -261,7 +261,7 @@ fn verify_against_direct(
         pc_rtree::proto::QuerySpec::Range { .. } => {
             let mut got = out.objects.clone();
             got.sort_unstable();
-            let mut want = direct.results.clone();
+            let mut want = direct.results;
             want.sort_unstable();
             assert_eq!(got, want, "range answer diverged from direct");
         }

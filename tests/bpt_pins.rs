@@ -10,11 +10,11 @@
 //! `build_shipments` output for a fixed query set in three forms.
 
 use procache::geom::{Point, Rect};
-use procache::rtree::bpt::{BptCellKind, BptStore, Code};
+use procache::rtree::bpt::{Bpt, BptCellKind, Code, EntryMbrs};
 use procache::rtree::engine::{execute, AccessLog};
 use procache::rtree::proto::{CellKind, QuerySpec};
 use procache::rtree::view::FullView;
-use procache::rtree::{NodeId, RTree, RTreeConfig};
+use procache::rtree::{Node, NodeId, RTree, RTreeConfig};
 use procache::server::{build_shipments, Cluster, FormMode, ServerConfig, ServerHandle, Update};
 use procache::sim::generate_update;
 use procache::workload::datasets::ne_like;
@@ -50,12 +50,11 @@ impl Fnv {
 }
 
 /// Every cell of every node's BPT, left-before-right pre-order.
-fn store_digest(tree: &RTree, bpts: &BptStore) -> u64 {
+fn store_digest(tree: &RTree) -> u64 {
     let mut h = Fnv::new();
-    assert_eq!(bpts.node_count(), tree.slab_len());
-    for i in 0..bpts.node_count() {
-        let id = NodeId(i as u32);
-        let (bpt, node) = (bpts.get(id), tree.node(id));
+    for i in 0..tree.slab_len() {
+        let node = tree.node(NodeId(i as u32));
+        let bpt = node.bpt();
         h.u64(i as u64);
         h.u64(bpt.height() as u64);
         let mut stack = vec![Code::ROOT];
@@ -99,13 +98,13 @@ fn queries(n: usize, seed: u64) -> Vec<QuerySpec> {
 }
 
 /// Every shipment of 300 fixed range/kNN queries, in emission order.
-fn shipment_digest(tree: &RTree, bpts: &BptStore, mode: FormMode) -> u64 {
+fn shipment_digest(tree: &RTree, mode: FormMode) -> u64 {
     let mut h = Fnv::new();
-    let view = FullView::new(tree, bpts);
+    let view = FullView::new(tree);
     for spec in queries(300, 19) {
         let mut log = AccessLog::default();
         let _ = execute(&view, &spec, &mut log);
-        for s in build_shipments(&log, tree, bpts, mode) {
+        for s in build_shipments(&log, tree, mode) {
             h.u64(s.node.0 as u64);
             h.u64(s.level as u64);
             h.u64(s.parent.map_or(u64::MAX, |p| p.0 as u64));
@@ -157,16 +156,15 @@ fn bpt_store_and_shipments_match_the_cell_arena_pins() {
     for (n, want_store, want_forms) in PINS {
         let store = ne_like(n, 2005);
         let tree = RTree::bulk_load(RTreeConfig::paper(), &store);
-        let bpts = BptStore::build(&tree);
         assert_eq!(
-            store_digest(&tree, &bpts),
+            store_digest(&tree),
             want_store,
-            "BPT store digest moved at {n} objects"
+            "BPT digest moved at {n} objects"
         );
         let modes = [FormMode::Full, FormMode::DLevel(0), FormMode::DLevel(2)];
         for (mode, want) in modes.into_iter().zip(want_forms) {
             assert_eq!(
-                shipment_digest(&tree, &bpts, mode),
+                shipment_digest(&tree, mode),
                 want,
                 "{mode:?} shipments moved at {n} objects"
             );
@@ -174,12 +172,18 @@ fn bpt_store_and_shipments_match_the_cell_arena_pins() {
     }
 }
 
+/// A from-scratch BPT over `node`'s entries, as stored.
+fn fresh_bpt(node: &Node) -> Bpt {
+    let mbrs: Vec<Rect> = (0..node.len() as u16).map(|j| node.entry_mbr(j)).collect();
+    Bpt::build(&mbrs)
+}
+
 #[test]
 fn publish_rebuilds_exactly_the_dirtied_bpts() {
-    // After every batch each slot equals a from-scratch build of its node
-    // (no node the batch changed kept a stale BPT), and every slot the
-    // batch left alone is still the previous pin's allocation (`get` hands
-    // out the `Arc`'s pointee, so address equality is `Arc::ptr_eq`).
+    // After every batch each node's BPT equals a from-scratch build of it
+    // (no node the batch changed kept a stale BPT), and every node the
+    // batch left alone holds the BPT it held at the previous pin, whether
+    // it is still that pin's allocation or a copy (a re-parented child).
     let server = Cluster::single(
         ne_like(20_000, 7),
         RTreeConfig::paper(),
@@ -197,29 +201,23 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
         // The nodes this epoch logged as changed are the ones it dirtied.
         let touched = new.update_log().changed_since(old.epoch());
         let epoch = new.epoch();
-        let (old, new) = (old.shard(0), new.shard(0));
-        assert_eq!(new.bpts().node_count(), new.tree().slab_len());
-        let fresh = BptStore::build(new.tree());
-        let mut shared = 0;
-        for i in 0..new.bpts().node_count() {
+        let (old, new) = (old.shard(0).tree(), new.shard(0).tree());
+        for i in 0..new.slab_len() {
             let id = NodeId(i as u32);
-            let now = new.bpts().get(id);
-            assert_eq!(now, fresh.get(id), "{id} at epoch {epoch}");
-            let kept_pin = i < old.bpts().node_count() && std::ptr::eq(now, old.bpts().get(id));
-            assert_eq!(
-                kept_pin,
-                touched.binary_search(&id).is_err(),
-                "{id}: a slot is rebuilt iff the batch touched its node"
-            );
-            shared += kept_pin as usize;
+            let now = new.node(id);
+            assert_eq!(now.bpt(), &fresh_bpt(now), "{id} at epoch {epoch}");
+            if touched.binary_search(&id).is_ok() {
+                rebuilt += 1;
+            } else {
+                assert!(i < old.slab_len(), "{id}: a new node is touched");
+                assert_eq!(now.bpt(), old.node(id).bpt(), "{id} at epoch {epoch}");
+                kept += 1;
+            }
         }
-        assert_eq!(shared, new.bpts().slots().shared_slots(old.bpts().slots()));
-        kept += shared;
-        rebuilt += new.bpts().node_count() - shared;
     }
     assert!(rebuilt > 0, "40 batches must dirty something");
     assert!(
         kept > 20 * rebuilt,
-        "a publish rebuilds a handful of slots: {rebuilt} rebuilt vs {kept} kept"
+        "a publish rebuilds a handful of BPTs: {rebuilt} rebuilt vs {kept} kept"
     );
 }

@@ -8,7 +8,7 @@
 //!
 //! The reference shares nothing with the router: a bare [`Shard`]
 //! bulk-loaded from the cluster's *current* store, read through
-//! `Shard::direct` / `Shard::resume_remainder`, plus the
+//! `Shard::direct` / `Shard::resume_traced` + `Shard::assemble`, plus the
 //! `pc_rtree::naive` oracles. A bug in the scatter, the merge or the
 //! per-shard update derivation cannot hide by sitting on both sides.
 //!
@@ -185,7 +185,8 @@ fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, 
     ) else {
         return;
     };
-    let sreply = single.resume_remainder(store, &srq, FormMode::COMPACT);
+    let (outcome, log) = single.resume_traced(&srq);
+    let sreply = single.assemble(store, outcome, &log, FormMode::COMPACT);
     let creply = cluster
         .call(9, Request::Remainder(crq.clone()))
         .into_remainder();

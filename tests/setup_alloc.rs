@@ -92,20 +92,21 @@ fn building_a_world_peaks_at_its_resident_footprint() {
     // (query mix, mobility, cache share) is session state, not the world.
     let cfg = SimConfig::paper();
 
-    // Bounds: the figures measured with points stored once (7 416 188 /
-    // 7 469 744 B resident, 128 906 / 159 260 B per publish for one /
-    // four shards; both repeat exactly) plus under 3 %; the per-publish
-    // bounds stay those of the layout before, which measured 128 147 /
-    // 158 773. Keeping each point's max corner again reads 12 966 872 /
-    // 13 052 740 resident and fails them.
+    // Bounds: the figures measured with each node carrying its BPT
+    // (7 403 996 / 7 457 728 B resident, 116 662 / 149 307 B per publish
+    // for one / four shards; both repeat exactly) plus under 3 %. The
+    // resident bounds stay those of the layout before, a BPT store beside
+    // the node slab (7 416 188 / 7 469 744 resident, 128 906 / 159 260
+    // per publish). Keeping each point's max corner again reads
+    // 12 966 872 / 13 052 740 resident and fails them.
     let (peak, allocations, server) = measured(|| build_server(&cfg));
     let resident = server.core().pin().heap_bytes();
     assert_at_footprint("build_server", peak, allocations, resident);
-    assert_steady_churn("build_server", &server, 7_600_000, 131_000);
+    assert_steady_churn("build_server", &server, 7_600_000, 120_000);
     drop(server);
 
     let (peak, allocations, cluster) = measured(|| build_cluster(&cfg, 4));
     let resident = cluster.core().pin().heap_bytes();
     assert_at_footprint("build_cluster(4)", peak, allocations, resident);
-    assert_steady_churn("build_cluster(4)", &cluster, 7_650_000, 163_000);
+    assert_steady_churn("build_cluster(4)", &cluster, 7_650_000, 153_000);
 }
