@@ -121,7 +121,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         let new_world = server.core().pin();
         let (old, new) = (old_world.shard(0), new_world.shard(0));
 
-        let (old_nodes, new_nodes) = (old.tree().slots(), new.tree().slots());
+        let (old_nodes, new_nodes) = (old.slots(), new.slots());
         let copied = new_nodes.len() - new_nodes.shared_slots(old_nodes);
         copied_nodes += copied;
         let node_chunks = copied_segments(new_nodes, old_nodes);
@@ -141,7 +141,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         // BPTs is the work the batch's edits did.
         let dirty = new_world.update_log().changed_since(old_world.epoch());
         rebuilt_bpts += dirty.len();
-        let mut tree = new.tree().clone();
+        let mut tree = new.clone();
         let t = Instant::now();
         tree.rebuild_node_bpts(&dirty);
         rebuild_s += t.elapsed().as_secs_f64();
@@ -152,7 +152,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
         // spines (one `Arc` pointer per slot), every segment `CHUNK_LEN`.
         let rebuilt_bytes: usize = dirty
             .iter()
-            .map(|&id| new.tree().node(id).bpt().heap_bytes())
+            .map(|&id| new.node(id).bpt().heap_bytes())
             .sum();
         copied_bytes += copied as u64 * PAGE_BYTES
             + rebuilt_bytes as u64
@@ -163,7 +163,7 @@ fn measure(n_objects: usize, batch: usize, seed: u64) -> Row {
     Row {
         objects: n_objects,
         batch,
-        nodes: snap.shard(0).tree().slab_len(),
+        nodes: snap.shard(0).slab_len(),
         publish_us: publish_s * 1e6 / rounds,
         rebuild_us: rebuild_s * 1e6 / rounds,
         copied_nodes: copied_nodes as f64 / rounds,

@@ -8,10 +8,10 @@
 //! million-object run) and, at each size, answers the same range, kNN and
 //! self-join queries four ways:
 //!
-//! * **direct** — `Shard::direct`: the engine over the server's
-//!   `FullView`, untraced (what `Request::Direct` runs);
-//! * **resume** — `Shard::resume_traced` + `Shard::assemble` of the cold
-//!   remainder `{Q, [root]}` in compact form: the same traversal traced, plus
+//! * **direct** — `engine::execute` over the shard tree's `FullView`,
+//!   untraced (what `Request::Direct` runs on one shard);
+//! * **resume** — `pc_server::resume_traced` + `pc_server::assemble` of the
+//!   cold remainder `{Q, [root]}` in compact form: the same traversal traced, plus
 //!   building the supporting index and splitting the result set (what a
 //!   cold client's contact costs the server);
 //! * **run_local** — `Client::run_local` over a `CacheView` warmed by
@@ -32,9 +32,13 @@ use pc_bench::{json, HarnessOpts, Table};
 use pc_cache::{Catalog, ReplacementPolicy};
 use pc_client::Client;
 use pc_geom::{Point, Rect};
+use pc_rtree::engine::{execute, NoopTracer};
 use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, Side};
+use pc_rtree::view::FullView;
 use pc_rtree::{query, ObjectId, RTreeConfig};
-use pc_server::{Cluster, FormMode, ServerConfig, ServerHandle, Snapshot, Transport};
+use pc_server::{
+    assemble, resume_traced, Cluster, FormMode, ServerConfig, ServerHandle, Snapshot, Transport,
+};
 use pc_workload::datasets;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,15 +92,15 @@ fn canonical(spec: &QuerySpec, (mut ids, mut pairs): Answer, snap: &Snapshot) ->
 }
 
 fn direct(snap: &Snapshot, case: &Case) -> Answer {
-    let out = snap.shard(0).direct(&case.spec);
+    let out = execute(&FullView::new(snap.shard(0)), &case.spec, &mut NoopTracer);
     let ids = out.results.iter().map(|&(id, _)| id).collect();
     (ids, out.result_pairs)
 }
 
 fn resume(snap: &Snapshot, case: &Case) -> Answer {
-    let shard = snap.shard(0);
-    let (outcome, log) = shard.resume_traced(&case.cold);
-    let reply = shard.assemble(snap.store(), outcome, &log, FormMode::COMPACT);
+    let tree = snap.shard(0);
+    let (outcome, log) = resume_traced(tree, &case.cold);
+    let reply = assemble(tree, snap.store(), outcome, &log, FormMode::COMPACT);
     black_box(&reply.index);
     (reply.objects.iter().map(|o| o.id).collect(), reply.pairs)
 }
@@ -112,7 +116,7 @@ fn run_local(client: &mut Client, case: &Case) -> Answer {
 }
 
 fn reference(snap: &Snapshot, case: &Case) -> Answer {
-    let tree = snap.shard(0).tree();
+    let tree = snap.shard(0);
     match case.spec {
         QuerySpec::Range { window } => (query::range_query(tree, &window), Vec::new()),
         QuerySpec::Knn { center, k } => {
@@ -173,16 +177,17 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x407);
     let mut point = || Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
 
-    let tree = snap.shard(0).tree();
-    let root = Side::Cell {
-        cell: CellRef::node_root(tree.root()),
-        mbr: tree.root_mbr().expect("non-empty dataset"),
+    let root = server.bootstrap_root().0;
+    let (node, mbr) = root.expect("non-empty dataset");
+    let side = Side::Cell {
+        cell: CellRef::node_root(node),
+        mbr,
     };
     let case = |spec: QuerySpec| {
         let entry = if spec.is_join() {
-            HeapEntry::Pair(root, root)
+            HeapEntry::Pair(side, side)
         } else {
-            HeapEntry::Single(root)
+            HeapEntry::Single(side)
         };
         let cold = RemainderQuery {
             spec,
@@ -212,8 +217,7 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
 
     // A cache nothing is ever evicted from, warmed by the queries it will
     // be timed on.
-    let catalog = Catalog::from_tree(tree);
-    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, Catalog { root });
     for case in windows.iter().chain(&knns).chain(&joins) {
         warm(&mut client, &server, &case.spec);
     }

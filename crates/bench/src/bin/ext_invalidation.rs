@@ -50,10 +50,11 @@ fn main() {
             pc_rtree::RTreeConfig::paper(),
             ServerConfig::default(),
         );
+        let root = server.bootstrap_root().0;
         let mut client = ProactiveRunner::new(
             total_bytes / 100, // |C| = 1 %
             ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.core().pin().shard(0).tree()),
+            Catalog { root },
         )
         .with_client(1)
         .versioned(true)

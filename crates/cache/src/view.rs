@@ -7,23 +7,19 @@ use crate::cache::ProactiveCache;
 use pc_geom::Rect;
 use pc_rtree::engine::{Expansion, IndexView};
 use pc_rtree::proto::{CellKind, CellRef, Side};
-use pc_rtree::{NodeId, RTree};
+use pc_rtree::NodeId;
 
 /// Static catalog metadata the client receives out of band (root id and
 /// MBR) — the paper's client must know where the index starts even with a
-/// cold cache (its very first remainder is `{Q, [root]}`).
+/// cold cache (its very first remainder is `{Q, [root]}`). A deployment
+/// hands it out as `ServerHandle::bootstrap_root`: a client builds
+/// `Catalog { root: server.bootstrap_root().0 }`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Catalog {
     pub root: Option<(NodeId, Rect)>,
 }
 
 impl Catalog {
-    pub fn from_tree(tree: &RTree) -> Self {
-        Catalog {
-            root: tree.root_mbr().map(|mbr| (tree.root(), mbr)),
-        }
-    }
-
     pub fn empty() -> Self {
         Catalog { root: None }
     }

@@ -37,11 +37,8 @@ fn make_server(n: usize, seed: u64, form: FormPolicy) -> Cluster {
 }
 
 fn make_client(server: &Cluster, capacity: u64) -> Client {
-    Client::new(
-        capacity,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    )
+    let root = server.bootstrap_root().0;
+    Client::new(capacity, ReplacementPolicy::Grd3, Catalog { root })
 }
 
 /// Runs one query through the full pipeline, checks it against the direct

@@ -1,6 +1,6 @@
 //! The deployment — every deployment: the unit square is cut into a fixed
 //! [`TileGrid`] of tiles, tiles map to shards round-robin, and each shard
-//! is a [`Shard`] (its own tree, each node with its BPT) indexing exactly the objects
+//! is one `RTree` (each node with its BPT) indexing exactly the objects
 //! whose MBRs touch its tiles, over the one global store and the one update
 //! log the deployment's [`Snapshot`] holds; the per-client state
 //! (§4.3 `d`, last-synced epoch) lives once, in the cluster's single
@@ -57,8 +57,8 @@
 //!
 //! * **Who builds what.** `apply_updates` (under the core's writer lock)
 //!   clones the store once and applies the batch to it, then builds the
-//!   next value shard by shard: a touched shard is `Shard::next` — a pure
-//!   function of the current shard, the new store and its slice of the
+//!   next value shard by shard: a touched shard is `next_tree` — a pure
+//!   function of the current tree, the new store and its slice of the
 //!   batch — and an untouched one is the current epoch's `Arc`, a pointer
 //!   copy. There is no per-shard cell or lock, so nothing to order.
 //! * **Who tears down a retired epoch.** Nobody frees its private CoW
@@ -82,8 +82,8 @@
 
 use crate::adaptive::AdaptiveController;
 use crate::config::{form_mode, ClientId, ServerConfig};
-use crate::core::{PartitionOp, ServerCore, Shard, WriterSpares};
-use crate::forms::FormMode;
+use crate::core::{ServerCore, WriterSpares};
+use crate::forms::{assemble, resume_traced, split_results};
 use crate::sync_util::Counter;
 use crate::transport::{ServerHandle, Transport};
 use crate::updates::{Update, UpdateLog};
@@ -96,7 +96,7 @@ use pc_rtree::proto::{
     VersionedReply,
 };
 use pc_rtree::view::FullView;
-use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -262,7 +262,7 @@ pub struct Snapshot {
     store: ObjectStore,
     /// Every shard's index as of this epoch; a shard the publishing batch
     /// never touched is the previous epoch's `Arc`.
-    shards: Vec<Arc<Shard>>,
+    shards: Vec<Arc<RTree>>,
     /// Built over `shards`.
     layout: SuperLayout,
     /// The deployment epoch: one per update batch, the clock `log` stamps
@@ -279,8 +279,9 @@ impl Snapshot {
         &self.store
     }
 
-    /// Shard `s`'s index as of this epoch.
-    pub fn shard(&self, s: u32) -> &Shard {
+    /// Shard `s`'s index as of this epoch: its tree, each node with its
+    /// BPT. Node ids are shard-local.
+    pub fn shard(&self, s: u32) -> &RTree {
         &self.shards[s as usize]
     }
 
@@ -302,7 +303,7 @@ impl Snapshot {
     /// plus every shard's tree, BPTs included. Segments shared with other live
     /// epochs are counted in each.
     pub fn heap_bytes(&self) -> usize {
-        let shards: usize = self.shards.iter().map(|shard| shard.heap_bytes()).sum();
+        let shards: usize = self.shards.iter().map(|tree| tree.heap_bytes()).sum();
         self.store.heap_bytes() + shards
     }
 
@@ -317,7 +318,8 @@ impl Snapshot {
         // One shard to consult: its answer, in its own pop order, is the
         // answer — nothing to merge, re-sort or deduplicate.
         if reach.count_ones() == 1 {
-            let out = self.shards[reach.trailing_zeros() as usize].direct(spec);
+            let tree = &self.shards[reach.trailing_zeros() as usize];
+            let out = execute(&FullView::new(tree), spec, &mut NoopTracer);
             return DirectReply {
                 results: out.results.iter().map(|&(id, _)| id).collect(),
                 pairs: out.result_pairs,
@@ -328,11 +330,11 @@ impl Snapshot {
             QuerySpec::Range { .. } | QuerySpec::Knn { .. } => {
                 let mut cands: Vec<(f64, ObjectId)> = Vec::new();
                 let mut expansions = 0;
-                for (s, shard) in self.shards.iter().enumerate() {
+                for (s, tree) in self.shards.iter().enumerate() {
                     if reach & (1 << s) == 0 {
                         continue;
                     }
-                    let out = shard.direct(spec);
+                    let out = execute(&FullView::new(tree), spec, &mut NoopTracer);
                     expansions += out.expansions;
                     for &(id, _) in &out.results {
                         cands.push((spec.key_for(&self.store.get(id).mbr), id));
@@ -447,15 +449,15 @@ impl Cluster {
         // each worker lists the ids its shard owns, builds it and drops
         // the list, side by side.
         let owns_all = |o: SpatialObject| store.is_live(o.id) && map.owners(&o.mbr) != 0;
-        let shards: Vec<Arc<Shard>> = if cfg.shards == 1 && store.iter().all(owns_all) {
-            vec![Arc::new(Shard::build(tree_cfg, &store))]
+        let shards: Vec<Arc<RTree>> = if cfg.shards == 1 && store.iter().all(owns_all) {
+            vec![Arc::new(RTree::bulk_load(tree_cfg, &store))]
         } else {
             let workers = par::worker_count(store.live_count());
             par::map_ranges(cfg.shards as usize, workers, |range| {
                 range
                     .map(|s| {
                         let owned = map.owned_by(&store, s as u32);
-                        Arc::new(Shard::build(tree_cfg, &(&store, owned.as_slice())))
+                        Arc::new(RTree::bulk_load(tree_cfg, &(&store, owned.as_slice())))
                     })
                     .collect()
             })
@@ -599,12 +601,12 @@ impl Cluster {
         // One after another on this thread: see the module docs for why
         // not a thread per shard.
         let mut log = current.log.clone();
-        let shards: Vec<Arc<Shard>> = (current.shards.iter().zip(&ops).zip(0u32..))
-            .map(|((shard, ops), s)| {
+        let shards: Vec<Arc<RTree>> = (current.shards.iter().zip(&ops).zip(0u32..))
+            .map(|((tree, ops), s)| {
                 if ops.is_empty() {
-                    return Arc::clone(shard);
+                    return Arc::clone(tree);
                 }
-                let (next, dirty) = shard.next(&next_store, ops, spares);
+                let (next, dirty) = next_tree(tree, &next_store, ops, spares);
                 for n in dirty {
                     log.record_change(self.map.to_global(n, s), epoch);
                 }
@@ -893,7 +895,7 @@ impl Cluster {
         }
 
         // Scatter: per-shard authoritative resumes.
-        for (leg, shard) in legs.iter_mut().zip(&snap.shards) {
+        for (leg, tree) in legs.iter_mut().zip(&snap.shards) {
             if leg.heap.is_empty() {
                 continue;
             }
@@ -906,7 +908,7 @@ impl Cluster {
                 .scatter_bytes
                 .add(shard_sub_request_bytes(&query));
             self.stats.sub_queries.add(1);
-            leg.resumed = Some(shard.resume_traced(&query));
+            leg.resumed = Some(resume_traced(tree, &query));
         }
 
         // Cross-shard leftovers (join pairs spanning shards) resume
@@ -927,9 +929,9 @@ impl Cluster {
             legs.into_iter()
                 .zip(&snap.shards)
                 .zip(0u32..)
-                .filter_map(|((leg, shard), s)| {
+                .filter_map(|((leg, tree), s)| {
                     let (out, log) = leg.resumed?;
-                    let mut reply = shard.assemble(&snap.store, out, &log, mode);
+                    let mut reply = assemble(tree, &snap.store, out, &log, mode);
                     for sh in &mut reply.index {
                         self.translate_shipment(sh, s);
                     }
@@ -952,15 +954,8 @@ impl Cluster {
             Some(reply) => reply,
             None => {
                 // Router-side results carry no index of their own (it went
-                // into the shards' logs above), so any shard assembles them.
-                let router_side = router_side.map(|out| {
-                    snap.shards[0].assemble(
-                        &snap.store,
-                        out,
-                        &AccessLog::default(),
-                        FormMode::COMPACT,
-                    )
-                });
+                // into the shards' logs above): only their objects split.
+                let router_side = router_side.map(|out| split_results(&snap.store, out));
                 let partials = partials.chain(router_side);
                 self.merge_partials(&snap.store, &rq.spec, rq.already_found, partials)
             }
@@ -1078,6 +1073,64 @@ impl Cluster {
 }
 
 // ---------------------------------------------------------------------
+// Updates: one shard's slice of a batch
+// ---------------------------------------------------------------------
+
+/// One shard-local index operation of a routed update batch, derived by
+/// [`Cluster::next_epoch`] from before/after tile ownership. Deletes and
+/// relocations carry the object's **batch-start** MBR — the rectangle the
+/// shard's tree actually indexed — so the entry is found even when a batch
+/// moved the object several times before settling.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum PartitionOp {
+    /// The object enters this shard's ownership: insert it at the MBR the
+    /// (already updated) store records.
+    Insert(ObjectId),
+    /// The object leaves this shard (moved away or went dead): delete the
+    /// entry indexed at its batch-start MBR.
+    Delete(ObjectId, Rect),
+    /// The object stays owned here but relocated: delete at the
+    /// batch-start MBR, re-insert at the store's current one.
+    Relocate(ObjectId, Rect),
+}
+
+/// One shard's tree after its routed slice of an update batch, built
+/// *while queries keep running* on the current one: clones `tree`
+/// **structurally** (the node slab is `Arc`-shared, so the clone copies
+/// pointer tables, not data) and applies `ops` against the already-updated
+/// global `store` — copy-on-write touches only the spines the batch lands
+/// in, each copy written into one of the writer's `spares` when nothing
+/// holds it any more, and the BPT of each node the slice dirtied is rebuilt
+/// once, at its end. Returns the new tree beside its dirty nodes (local
+/// ids, sorted), which the caller logs.
+fn next_tree(
+    tree: &RTree,
+    store: &ObjectStore,
+    ops: &[PartitionOp],
+    spares: &mut WriterSpares,
+) -> (RTree, Vec<NodeId>) {
+    let mut next = tree.clone();
+    next.with_spares(&mut spares.nodes, |tree| {
+        for op in ops {
+            match *op {
+                PartitionOp::Insert(id) => tree.insert(&store.get(id)),
+                PartitionOp::Delete(id, ref from) => {
+                    let removed = tree.delete(id, from);
+                    debug_assert!(removed, "partition delete must match the indexed entry");
+                }
+                PartitionOp::Relocate(id, ref from) => {
+                    if tree.delete(id, from) {
+                        tree.insert(&store.get(id));
+                    }
+                }
+            }
+        }
+    });
+    let dirty = next.take_dirty();
+    (next, dirty)
+}
+
+// ---------------------------------------------------------------------
 // Super-root layout + merged view
 // ---------------------------------------------------------------------
 
@@ -1098,16 +1151,16 @@ struct SuperLayout {
 }
 
 impl SuperLayout {
-    fn build(map: &ShardMap, shards: &[Arc<Shard>]) -> SuperLayout {
+    fn build(map: &ShardMap, shards: &[Arc<RTree>]) -> SuperLayout {
         let mut roots = Vec::new();
         let mut mbrs = Vec::new();
         let mut level = 0u16;
-        for (s, shard) in shards.iter().enumerate() {
-            if let Some(mbr) = shard.tree().root_mbr() {
-                let root = shard.tree().root();
+        for (s, tree) in shards.iter().enumerate() {
+            if let Some(mbr) = tree.root_mbr() {
+                let root = tree.root();
                 roots.push(map.to_global(root, s as u32));
                 mbrs.push(mbr);
-                level = level.max(shard.tree().node(root).level + 1);
+                level = level.max(tree.node(root).level + 1);
             }
         }
         SuperLayout {
@@ -1166,12 +1219,11 @@ impl IndexView for Snapshot {
         // A shard node: the shard's own view expands it, and only the
         // node ids it hands out are translated into the global space.
         let (s, local) = self.map.to_local(cell.node);
-        let shard = &self.shards[s as usize];
         let cell = CellRef {
             node: local,
             code: cell.code,
         };
-        FullView::new(shard.tree())
+        FullView::new(&self.shards[s as usize])
             .expand(cell)
             .map(|side| side.map_node(|n| self.map.to_global(n, s)))
     }
@@ -1239,7 +1291,7 @@ impl ServerHandle for Cluster {
         let root = if self.cfg.shards == 1 {
             // A lone shard's tree is the whole index: clients navigate
             // its root directly, with no super-root hop above it.
-            let tree = snap.shards[0].tree();
+            let tree = &snap.shards[0];
             tree.root_mbr().map(|mbr| (tree.root(), mbr))
         } else {
             snap.root().map(|(mbr, cell)| (cell.node, mbr))
@@ -1762,7 +1814,7 @@ mod tests {
         assert!(matches!(stale, VersionedReply::Stale { epoch: 2, .. }));
         // A warm heap: one inner node under the root, at the current epoch.
         let snap = server.core().pin();
-        let tree = snap.shard(0).tree();
+        let tree = snap.shard(0);
         let root = tree.node(tree.root());
         assert!(
             !root.is_leaf(),
@@ -1834,8 +1886,8 @@ mod tests {
         // partition trees … is no more than two times that of the R-tree
         // index itself."
         let server = sample_server(500, 6, FormPolicy::Adaptive);
-        let aux = server.core().pin().shard(0).bpt_bytes();
-        let index = server.core().pin().shard(0).tree().stats().index_bytes;
+        let aux = server.core().pin().shard(0).bpt_aux_bytes();
+        let index = server.core().pin().shard(0).stats().index_bytes;
         assert!(aux > 0);
         assert!(aux <= 2 * index, "aux {aux} vs index {index}");
     }
@@ -1917,15 +1969,15 @@ mod tests {
         let window = Rect::centered_square(Point::new(0.8, 0.2), 0.1);
         let quiet = cl.shard_map().first_owner(&window);
         let pin = cl.core.pin();
-        let pin = pin.shard(quiet);
+        let tree = pin.shard(quiet);
         let warm = RemainderQuery {
             spec: QuerySpec::Range { window },
             already_found: 0,
             heap: vec![(
                 0.0,
                 HeapEntry::Single(Side::Cell {
-                    cell: CellRef::node_root(cl.shard_map().to_global(pin.tree().root(), quiet)),
-                    mbr: pin.tree().root_mbr().unwrap(),
+                    cell: CellRef::node_root(cl.shard_map().to_global(tree.root(), quiet)),
+                    mbr: tree.root_mbr().unwrap(),
                 }),
             )],
         };
@@ -1985,7 +2037,7 @@ mod tests {
             assert_eq!(epoch, batches);
             let snap = h.core().pin();
             let owner = snap.map.first_owner(&tile);
-            let tree = snap.shard(owner).tree();
+            let tree = snap.shard(owner);
             let warm = RemainderQuery {
                 spec: specs[0],
                 already_found: 0,
@@ -2048,7 +2100,7 @@ mod tests {
             let root = || {
                 let snap = h.core().pin();
                 let owner = snap.map.first_owner(&at(x0 + 0.25, y0 + 0.25));
-                snap.shard(owner).tree().root()
+                snap.shard(owner).root()
             };
             let before = root();
             let mut i = 0u32;
@@ -2133,20 +2185,19 @@ mod tests {
                 continue;
             }
             let (s, local) = snap.map.to_local(n);
-            assert!((local.0 as usize) < snap.shards[s as usize].tree().slab_len());
+            assert!((local.0 as usize) < snap.shards[s as usize].slab_len());
         }
         let mut nonempty = Vec::new();
-        for (s, shard) in snap.shards.iter().enumerate() {
-            if let Some(mbr) = shard.tree().root_mbr() {
-                nonempty.push((snap.map.to_global(shard.tree().root(), s as u32), mbr));
+        for (s, tree) in snap.shards.iter().enumerate() {
+            if let Some(mbr) = tree.root_mbr() {
+                nonempty.push((snap.map.to_global(tree.root(), s as u32), mbr));
             }
         }
         // Store and index are of one vintage: every shard's leaves index
         // exactly the live objects it owns, each at its store MBR — so a
         // dead id is reachable nowhere.
-        for (s, shard) in snap.shards.iter().enumerate() {
+        for (s, tree) in snap.shards.iter().enumerate() {
             let owned = snap.map.owned_by(&snap.store, s as u32);
-            let tree = shard.tree();
             let mut indexed: Vec<(ObjectId, Rect)> = tree
                 .node_ids()
                 .into_iter()
@@ -2335,7 +2386,7 @@ mod tests {
         }
         assert_eq!(last_batch_shards(&first), vec![owner]);
         // One store per epoch, counted once.
-        let shards: usize = first.shards.iter().map(|shard| shard.heap_bytes()).sum();
+        let shards: usize = first.shards.iter().map(|tree| tree.heap_bytes()).sum();
         assert_eq!(first.heap_bytes(), first.store().heap_bytes() + shards);
 
         // Move it across the tile boundary: delete-here/insert-there in
@@ -2405,8 +2456,8 @@ mod tests {
         // A warm heap referencing only the quiet shard's root: the churn
         // elsewhere must NOT force a stale round-trip...
         let pin = cl.core.pin();
-        let quiet_root = pin.shard(quiet_shard).tree().root();
-        let quiet_mbr = pin.shard(quiet_shard).tree().root_mbr().unwrap();
+        let quiet_root = pin.shard(quiet_shard).root();
+        let quiet_mbr = pin.shard(quiet_shard).root_mbr().unwrap();
         let warm = RemainderQuery {
             spec: QuerySpec::Range {
                 window: Rect::centered_square(Point::new(0.2, 0.2), 0.05),
@@ -2468,7 +2519,7 @@ mod tests {
         assert_eq!(epoch, 0);
         // The super MBR covers every shard root.
         for s in 0..4 {
-            if let Some(r) = cl.core.pin().shard(s).tree().root_mbr() {
+            if let Some(r) = cl.core.pin().shard(s).root_mbr() {
                 assert!(mbr.contains_rect(&r));
             }
         }

@@ -1,163 +1,30 @@
-//! What a deployment publishes and where: a [`Shard`] is one shard's index
-//! at one epoch — an R*-tree whose every node carries its BPT, no object
-//! store or update log of its own — built by pure functions
-//! ([`Shard::build`] at set-up, `Shard::next` per update batch), and a
-//! [`ServerCore`] is the deployment's **one** [`SnapshotCell`] plus the
-//! writer lock that serializes its epoch transitions. The value in the cell is the whole
-//! world at one epoch, a [`Snapshot`]: the global store and the update log
-//! once, and every shard by `Arc`. Query
+//! Where a deployment publishes and who may: a [`ServerCore`] is the
+//! deployment's **one** [`SnapshotCell`] plus the writer lock that
+//! serializes its epoch transitions and guards the writer's spares. The
+//! value in the cell is the whole world at one epoch, a [`Snapshot`]: the
+//! global store and the update log once, and every shard's `RTree` (each
+//! node with its BPT; no object store or log of its own) by `Arc`. Query
 //! paths [`pin`](ServerCore::pin) it (a refcount bump) and read it with
 //! plain `&self` methods, so a `ServerCore` is `Send + Sync` and serves any
 //! number of worker threads — the concurrency story of a server that, per
 //! Fig. 3, serves many mobile clients at once. An update batch
-//! ([`crate::Cluster::apply_updates`]) builds the *next* snapshot off to
-//! the side — a shard the batch never touched is the same `Arc` in both —
-//! and publishes it with one pointer swap, so readers never block on churn
-//! and a pinned reader always sees one consistent (store, trees, BPTs,
-//! epoch) world.
+//! ([`crate::ServerHandle::apply_updates`]) builds the *next* snapshot off
+//! to the side — a shard the batch never touched is the same `Arc` in
+//! both — and publishes it with one pointer swap, so readers never block
+//! on churn and a pinned reader always sees one consistent (store, trees,
+//! BPTs, epoch) world.
 //!
 //! Everything that spans shards or clients lives in [`crate::Cluster`]:
-//! routing, the version gate, batch netting and the per-client *adaptive*
-//! state (§4.3, [`crate::AdaptiveController`]), of one shard
+//! building and advancing the shards, routing, the version gate, batch
+//! netting and the per-client *adaptive* state (§4.3,
+//! [`crate::AdaptiveController`]), of one shard
 //! ([`crate::Cluster::single`]) or many.
 
 use crate::cluster::Snapshot;
 use crate::epoch::SnapshotCell;
-use crate::forms::{build_shipments, FormMode};
 use crate::sync_util::lock_recover;
-use pc_rtree::engine::{execute, resume, AccessLog, NoopTracer, Outcome};
-use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
-use pc_rtree::view::FullView;
-use pc_rtree::{
-    Node, NodeId, ObjectId, ObjectStore, Objects, RTree, RTreeConfig, Spares, StoreSpares,
-};
+use pc_rtree::{Node, Spares, StoreSpares};
 use std::sync::{Arc, Mutex};
-
-/// One shard's immutable index as of one deployment epoch: the tree, each
-/// node with its BPT; no per-client state, no versioning and no objects —
-/// ids resolve through the [`Snapshot`]'s store, which the methods that
-/// need it take, and what changed when is the [`Snapshot`]'s log. All
-/// query methods take `&self`; nothing here ever mutates after
-/// publication.
-#[derive(Clone, Debug)]
-pub struct Shard {
-    tree: RTree,
-}
-
-impl Shard {
-    /// Bulk loads the index over `objects` — the objects whose MBRs touch
-    /// the tiles this shard owns (all of them, for a lone shard) — BPTs
-    /// prepared offline with it.
-    pub fn build(tree_cfg: RTreeConfig, objects: &(impl Objects + ?Sized)) -> Shard {
-        Shard {
-            tree: RTree::bulk_load(tree_cfg, objects),
-        }
-    }
-
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
-
-    /// Evaluates a query directly (no caching) over this shard's index.
-    pub fn direct(&self, spec: &QuerySpec) -> Outcome {
-        execute(&FullView::new(&self.tree), spec, &mut NoopTracer)
-    }
-
-    /// The resume half of stage ② of Fig. 3: runs `Qr` to completion over
-    /// this epoch's index and records which cells the traversal read. A
-    /// cluster folds cross-shard accesses into the log before
-    /// [`assemble`]ing; on one shard the two halves are the whole of the
-    /// policy-free primitive the router's scatter is built from.
-    ///
-    /// [`assemble`]: Self::assemble
-    pub fn resume_traced(&self, rq: &RemainderQuery) -> (Outcome, AccessLog) {
-        let view = FullView::new(&self.tree);
-        let mut log = AccessLog::default();
-        let outcome = resume(&view, rq, &mut log);
-        debug_assert!(outcome.remainder.is_none(), "server must finish queries");
-        (outcome, log)
-    }
-
-    /// The assembly half of stage ②: `Ir` in `mode` for every node `log`
-    /// saw expanded, and `Rr` split into confirmations (the client holds
-    /// the payload) and objects transmitted out of `store`.
-    pub fn assemble(
-        &self,
-        store: &ObjectStore,
-        outcome: Outcome,
-        log: &AccessLog,
-        mode: FormMode,
-    ) -> ServerReply {
-        let mut confirmed = Vec::new();
-        let mut objects = Vec::new();
-        for (id, cached) in outcome.results {
-            if cached {
-                confirmed.push(id);
-            } else if let Some(object) = store.try_get(id) {
-                // An id the store never assigned can only come from a
-                // heap built outside this program: nothing to transmit.
-                objects.push(object);
-            }
-        }
-        ServerReply {
-            confirmed,
-            objects,
-            pairs: outcome.result_pairs,
-            index: build_shipments(log, &self.tree, mode),
-            expansions: outcome.expansions,
-        }
-    }
-
-    /// This shard after one routed slice of an update batch, built *while
-    /// queries keep running* on the current one: clones it **structurally**
-    /// (the node slab is `Arc`-shared, so the clone copies pointer tables,
-    /// not data) and applies the shard-local tree operations the router
-    /// derived from tile ownership against the already-updated global
-    /// `store` — copy-on-write touches only the spines the batch lands in,
-    /// each copy written into one of the writer's `spares` when nothing
-    /// holds it any more, and the BPT of each node the slice dirtied is
-    /// rebuilt once, at its end. Returns the new shard beside its dirty nodes (local ids,
-    /// sorted), which the caller logs. A shard a batch never touched is not
-    /// rebuilt at all: the next snapshot holds the same `Arc`.
-    pub(crate) fn next(
-        &self,
-        store: &ObjectStore,
-        ops: &[PartitionOp],
-        spares: &mut WriterSpares,
-    ) -> (Shard, Vec<NodeId>) {
-        let mut next = self.clone();
-        next.tree.with_spares(&mut spares.nodes, |tree| {
-            for op in ops {
-                match *op {
-                    PartitionOp::Insert(id) => tree.insert(&store.get(id)),
-                    PartitionOp::Delete(id, ref from) => {
-                        let removed = tree.delete(id, from);
-                        debug_assert!(removed, "partition delete must match the indexed entry");
-                    }
-                    PartitionOp::Relocate(id, ref from) => {
-                        if tree.delete(id, from) {
-                            tree.insert(&store.get(id));
-                        }
-                    }
-                }
-            }
-        });
-        let dirty = next.tree.take_dirty();
-        (next, dirty)
-    }
-
-    /// Auxiliary BPT bytes (§6.4's "4.2 MB for NE" statistic).
-    pub fn bpt_bytes(&self) -> u64 {
-        self.tree.bpt_aux_bytes()
-    }
-
-    /// Heap bytes this shard keeps resident, by capacity: the tree, BPTs
-    /// included. Segments shared with other live epochs are counted in
-    /// each.
-    pub fn heap_bytes(&self) -> usize {
-        self.tree.heap_bytes()
-    }
-}
 
 /// What a deployment's publishes retired, by copy-on-write seam, kept for
 /// the next publishes to copy into: the writer's, lent to the value it is
@@ -212,76 +79,44 @@ impl ServerCore {
     }
 }
 
-/// One shard-local index operation of a routed cluster update batch,
-/// derived by the router from before/after tile ownership. Deletes and
-/// relocations carry the object's **batch-start** MBR — the rectangle the
-/// shard's tree actually indexed — so the entry is found even when a batch
-/// moved the object several times before settling.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum PartitionOp {
-    /// The object enters this shard's ownership: insert it at the MBR the
-    /// (already updated) store records.
-    Insert(ObjectId),
-    /// The object leaves this shard (moved away or went dead): delete the
-    /// entry indexed at its batch-start MBR.
-    Delete(ObjectId, pc_geom::Rect),
-    /// The object stays owned here but relocated: delete at the
-    /// batch-start MBR, re-insert at the store's current one.
-    Relocate(ObjectId, pc_geom::Rect),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{random_update, sample_store};
-    use crate::{Cluster, ServerConfig, ServerHandle, Update};
+    use crate::forms::{assemble, resume_traced, FormMode};
+    use crate::test_util::{cold_remainder, random_update, sample_server, sample_store};
+    use crate::{FormPolicy, ServerHandle, Update};
     use pc_geom::{Point, Rect};
     use pc_rtree::bpt::{Bpt, EntryMbrs};
     use pc_rtree::naive;
-    use pc_rtree::{Entry, NodeId, ObjectId, SpatialObject};
+    use pc_rtree::proto::QuerySpec;
+    use pc_rtree::{Entry, NodeId, ObjectId, RTreeConfig, SpatialObject};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    /// The one-shard deployment the publish tests drive their batches
-    /// through; they read the shard off `core().pin()`.
-    fn sample_server(n: usize, seed: u64) -> Cluster {
-        Cluster::single(
-            sample_store(n, seed),
-            RTreeConfig::small(),
-            ServerConfig::default(),
-        )
-    }
-
     #[test]
     fn core_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ServerCore>();
         assert_send_sync::<Snapshot>();
-        assert_send_sync::<Shard>();
         assert_send_sync::<Arc<ServerCore>>();
     }
 
     #[test]
     fn shared_core_answers_queries_from_many_threads() {
-        let server = Arc::new(sample_server(400, 11));
+        let server = Arc::new(sample_server(400, 11, FormPolicy::Adaptive));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let w = Rect::centered_square(Point::new(0.2 + 0.15 * t as f64, 0.5), 0.2);
-                    let got: Vec<ObjectId> = server
+                    let mut got = server
                         .core()
                         .pin()
-                        .shard(0)
                         .direct(&QuerySpec::Range { window: w })
-                        .results
-                        .iter()
-                        .map(|&(id, _)| id)
-                        .collect();
-                    let mut got = got;
+                        .results;
                     got.sort_unstable();
                     (w, got)
                 })
@@ -299,7 +134,7 @@ mod tests {
         // The epoch-cost tentpole: a small batch against a large snapshot
         // copies only the spines/segments it touches. Everything else is
         // the *same allocation* as the previous epoch.
-        let server = sample_server(2000, 17);
+        let server = sample_server(2000, 17, FormPolicy::Adaptive);
         let core = server.core();
         let old = core.pin();
         server.apply_updates(&[
@@ -310,12 +145,12 @@ mod tests {
             Update::Delete(ObjectId(7)),
         ]);
         let new = core.pin();
-        let (old_nodes, new_nodes) = (old.shard(0).tree().slots(), new.shard(0).tree().slots());
+        let (old_nodes, new_nodes) = (old.shard(0).slots(), new.shard(0).slots());
 
         let slab = old_nodes.len();
         let shared_nodes = old_nodes.shared_slots(new_nodes);
         assert!(
-            slab - shared_nodes <= 6 * new.shard(0).tree().height() as usize + 12,
+            slab - shared_nodes <= 6 * new.shard(0).height() as usize + 12,
             "2-update batch copied {} of {slab} nodes",
             slab - shared_nodes
         );
@@ -329,8 +164,8 @@ mod tests {
             chunks - shared_chunks
         );
         // And both worlds still answer correctly.
-        old.shard(0).tree().validate(2000, false).unwrap();
-        new.shard(0).tree().validate(2000, false).unwrap(); // +1 insert, -1 delete
+        old.shard(0).validate(2000, false).unwrap();
+        new.shard(0).validate(2000, false).unwrap(); // +1 insert, -1 delete
     }
 
     #[test]
@@ -340,10 +175,10 @@ mod tests {
         // segments* shared by `Arc` between epochs — the publish cost is
         // O(batch · depth) slot copies plus one chunk clone per dirty chunk,
         // independent of the dataset size.
-        let server = sample_server(9000, 23);
+        let server = sample_server(9000, 23, FormPolicy::Adaptive);
         let core = server.core();
         let old = core.pin();
-        let old_nodes = old.shard(0).tree().slots();
+        let old_nodes = old.shard(0).slots();
         assert!(
             old_nodes.chunk_count() >= 2,
             "dataset too small to span multiple node chunks"
@@ -356,7 +191,7 @@ mod tests {
             Update::Delete(ObjectId(42)),
         ]);
         let new = core.pin();
-        let new_nodes = new.shard(0).tree().slots();
+        let new_nodes = new.shard(0).slots();
 
         let copied_slots = old_nodes.len() - old_nodes.shared_slots(new_nodes);
         let copied_node_chunks = old_nodes.chunk_count() - old_nodes.shared_chunks(new_nodes);
@@ -377,7 +212,7 @@ mod tests {
     }
 
     fn allocations(snap: &Snapshot) -> Allocations {
-        let nodes = snap.shard(0).tree().slots();
+        let nodes = snap.shard(0).slots();
         let store = snap.store();
         assert!(store.maxes().is_empty(), "a world of points");
         Allocations {
@@ -427,7 +262,7 @@ mod tests {
 
     #[test]
     fn a_publish_copies_into_what_the_publish_before_retired() {
-        let server = sample_server(4000, 29);
+        let server = sample_server(4000, 29, FormPolicy::Adaptive);
         let mut rng = SmallRng::seed_from_u64(29);
         let first = allocations(&server.core().pin());
         // Moves all over the world retire many spines and every store
@@ -451,7 +286,7 @@ mod tests {
 
     #[test]
     fn a_pinned_epoch_is_never_recycled() {
-        let server = sample_server(3000, 37);
+        let server = sample_server(3000, 37, FormPolicy::Adaptive);
         let mut rng = SmallRng::seed_from_u64(37);
         // A batch first, so the writer has spares when the pin is taken.
         server.apply_updates(&moves(&mut rng, 3000, 8));
@@ -462,7 +297,7 @@ mod tests {
             .flat_map(|(_, a)| a.iter().copied())
             .collect();
         let deep = |snap: &Snapshot| {
-            let tree = snap.shard(0).tree();
+            let tree = snap.shard(0);
             let nodes: Vec<(Option<NodeId>, u16, Vec<Entry>, Bpt)> = (0..tree.slab_len() as u32)
                 .map(|id| {
                     let node = tree.node(NodeId(id));
@@ -512,7 +347,7 @@ mod tests {
         // insert or a move whose rectangle is not one (inverted, or with a
         // NaN coordinate). The epoch still bumps (the batch was applied,
         // however vacuous).
-        let server = sample_server(100, 9);
+        let server = sample_server(100, 9, FormPolicy::Adaptive);
         let core = server.core();
         let inverted = Rect {
             min: Point::new(0.6, 0.6),
@@ -556,13 +391,13 @@ mod tests {
         let all = snap.direct(&QuerySpec::Range { window: Rect::UNIT });
         assert_eq!(all.results.len(), 99, "every live object is reachable");
         // The whole batch dirtied what its one real delete does.
-        let once = sample_server(100, 9);
+        let once = sample_server(100, 9, FormPolicy::Adaptive);
         once.apply_updates(&[Update::Delete(ObjectId(3))]);
         assert_eq!(
             snap.update_log().changed_since(0),
             once.core().pin().update_log().changed_since(0),
         );
-        snap.shard(0).tree().validate(99, false).unwrap();
+        snap.shard(0).validate(99, false).unwrap();
     }
 
     /// Live objects of a snapshot (dead ids excluded), in id order.
@@ -587,7 +422,7 @@ mod tests {
             batches in 1usize..6,
             per_batch in 1usize..8,
         ) {
-            let server = sample_server(300, seed);
+            let server = sample_server(300, seed, FormPolicy::Adaptive);
             let core = server.core();
             let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0C0A);
             for _ in 0..batches {
@@ -602,18 +437,14 @@ mod tests {
             let live = live_objects(&snap);
 
             // (1) The shared tree is structurally valid for the live set.
-            snap.shard(0).tree().validate(live.len(), false).unwrap();
+            snap.shard(0).validate(live.len(), false).unwrap();
 
             // (2) Direct answers equal a from-scratch bulk load over the
             // same final live set, and the naive oracle.
             let fresh = pc_rtree::RTree::bulk_load(RTreeConfig::small(), &live);
             for (cx, cy, half) in [(0.3, 0.4, 0.25), (0.6, 0.55, 0.2), (0.5, 0.5, 0.6)] {
                 let w = Rect::centered_square(Point::new(cx, cy), half);
-                let mut got: Vec<ObjectId> = snap.shard(0).direct(&QuerySpec::Range { window: w })
-                    .results
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .collect();
+                let mut got = snap.direct(&QuerySpec::Range { window: w }).results;
                 got.sort_unstable();
                 let mut scratch = pc_rtree::query::range_query(&fresh, &w);
                 scratch.sort_unstable();
@@ -623,34 +454,16 @@ mod tests {
 
             // (3) A cold remainder resume through the incrementally
             // rebuilt BPTs equals the direct answer.
-            let root = snap.shard(0).tree().root();
-            if let Some(mbr) = snap.shard(0).tree().root_mbr() {
-                let w = Rect::centered_square(Point::new(0.5, 0.5), 0.35);
-                let rq = pc_rtree::proto::RemainderQuery {
-                    spec: QuerySpec::Range { window: w },
-                    already_found: 0,
-                    heap: vec![(
-                        0.0,
-                        pc_rtree::proto::HeapEntry::Single(pc_rtree::proto::Side::Cell {
-                            cell: pc_rtree::proto::CellRef::node_root(root),
-                            mbr,
-                        }),
-                    )],
-                };
-                let (outcome, log) = snap.shard(0).resume_traced(&rq);
-                let resumed = snap.shard(0).assemble(snap.store(), outcome, &log, FormMode::COMPACT);
-                let mut via_bpt: Vec<ObjectId> =
-                    resumed.objects.iter().map(|o| o.id).collect();
-                via_bpt.extend(resumed.confirmed.iter().copied());
-                via_bpt.sort_unstable();
-                let mut via_tree: Vec<ObjectId> = snap.shard(0).direct(&QuerySpec::Range { window: w })
-                    .results
-                    .iter()
-                    .map(|&(id, _)| id)
-                    .collect();
-                via_tree.sort_unstable();
-                prop_assert_eq!(via_bpt, via_tree);
-            }
+            let window = Rect::centered_square(Point::new(0.5, 0.5), 0.35);
+            let spec = QuerySpec::Range { window };
+            let (outcome, log) = resume_traced(snap.shard(0), &cold_remainder(&server, spec));
+            let resumed = assemble(snap.shard(0), snap.store(), outcome, &log, FormMode::COMPACT);
+            let mut via_bpt: Vec<ObjectId> = resumed.objects.iter().map(|o| o.id).collect();
+            via_bpt.extend(resumed.confirmed);
+            via_bpt.sort_unstable();
+            let mut via_tree = snap.direct(&spec).results;
+            via_tree.sort_unstable();
+            prop_assert_eq!(via_bpt, via_tree);
 
             // (4) The dirty-node-only BPT maintenance — rebuilding into
             // retired nodes' BPTs from the second batch on, and carrying a
@@ -658,7 +471,7 @@ mod tests {
             // equals a from-scratch build over every reachable node, dirty
             // or not, field by field: a stale BPT, or a field left behind
             // in a reused one, shows here.
-            let tree = snap.shard(0).tree();
+            let tree = snap.shard(0);
             let mut aux = 0;
             for id in tree.node_ids() {
                 let node = tree.node(id);
@@ -673,7 +486,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshot_outlives_a_publish() {
-        let server = sample_server(200, 5);
+        let server = sample_server(200, 5, FormPolicy::Adaptive);
         let core = server.core();
         let old = core.pin();
         let before = old.store().len();

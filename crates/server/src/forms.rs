@@ -1,5 +1,9 @@
-//! Supporting-index construction (§4.2–4.3): turns the engine's access log
-//! into per-node [`NodeShipment`]s in the requested form.
+//! Stage ② of Fig. 3 over one shard's tree: [`resume_traced`] runs `Qr` to
+//! completion and records what it read, and [`assemble`] turns that into
+//! the reply — `Rr` split into confirmations and transmitted objects, and
+//! the supporting index `Ir`, which [`build_shipments`] cuts from the
+//! accessed nodes' BPTs (§4.2–4.3) as per-node [`NodeShipment`]s in the
+//! requested form.
 //!
 //! * **Full form** (FPRO): every entry of each accessed node — "caching the
 //!   exact copy of each node".
@@ -10,9 +14,10 @@
 //!   whichever come first".
 
 use pc_rtree::bpt::{BptCell, BptCellKind, Code};
-use pc_rtree::engine::AccessLog;
-use pc_rtree::proto::{CellKind, CellRecord, NodeShipment};
-use pc_rtree::{ChildRef, Node, NodeId, RTree};
+use pc_rtree::engine::{resume, AccessLog, Outcome};
+use pc_rtree::proto::{CellKind, CellRecord, NodeShipment, RemainderQuery, ServerReply};
+use pc_rtree::view::FullView;
+use pc_rtree::{ChildRef, Node, NodeId, ObjectStore, RTree};
 
 /// Which form of the supporting index to ship.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,6 +30,54 @@ pub enum FormMode {
 
 impl FormMode {
     pub const COMPACT: FormMode = FormMode::DLevel(0);
+}
+
+/// The resume half of stage ②: runs `Qr` to completion over `tree` and
+/// records which cells the traversal read. A cluster folds cross-shard
+/// accesses into the log before [`assemble`]ing.
+pub fn resume_traced(tree: &RTree, rq: &RemainderQuery) -> (Outcome, AccessLog) {
+    let mut log = AccessLog::default();
+    let outcome = resume(&FullView::new(tree), rq, &mut log);
+    debug_assert!(outcome.remainder.is_none(), "server must finish queries");
+    (outcome, log)
+}
+
+/// The assembly half of stage ②: `Ir` in `mode` for every node of `tree`
+/// that `log` saw expanded, and `Rr` split into confirmations (the client
+/// holds the payload) and objects transmitted out of `store`.
+pub fn assemble(
+    tree: &RTree,
+    store: &ObjectStore,
+    outcome: Outcome,
+    log: &AccessLog,
+    mode: FormMode,
+) -> ServerReply {
+    let mut reply = split_results(store, outcome);
+    reply.index = build_shipments(log, tree, mode);
+    reply
+}
+
+/// The objects half of [`assemble`], with no index: what the router
+/// splits results resumed over the merged view with.
+pub(crate) fn split_results(store: &ObjectStore, outcome: Outcome) -> ServerReply {
+    let mut confirmed = Vec::new();
+    let mut objects = Vec::new();
+    for (id, cached) in outcome.results {
+        if cached {
+            confirmed.push(id);
+        } else if let Some(object) = store.try_get(id) {
+            // An id the store never assigned can only come from a heap
+            // built outside this program: nothing to transmit.
+            objects.push(object);
+        }
+    }
+    ServerReply {
+        confirmed,
+        objects,
+        pairs: outcome.result_pairs,
+        index: Vec::new(),
+        expansions: outcome.expansions,
+    }
 }
 
 /// Builds the `Ir` shipments for every node the resume touched.

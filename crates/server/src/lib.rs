@@ -4,10 +4,13 @@
 //! per-client adaptive controller that tunes `d` from reported false-miss
 //! rates (§4.3).
 //!
-//! One deployment type: a [`Cluster`] of N [`Shard`]s behind a
-//! scatter-gather router, with one serve path, one §7 version gate, one
-//! update path and one published value. The paper's single mobile
-//! application server is [`Cluster::single`], the cluster of one shard.
+//! One deployment type: a [`Cluster`] of N shards — each one R*-tree whose
+//! every node carries its BPT — behind a scatter-gather router, with one
+//! serve path, one §7 version gate, one update path and one published
+//! value. The paper's single mobile application server is
+//! [`Cluster::single`], the cluster of one shard. Stage ② of Fig. 3 over
+//! one shard's tree is two functions, [`resume_traced`] and [`assemble`],
+//! beside the form builder [`build_shipments`].
 //!
 //! Concurrency: the whole surface is `&self` and `Send + Sync` — queries
 //! and fmr reports (every [`Request`](pc_rtree::proto::Request) through
@@ -61,9 +64,9 @@ mod wire;
 pub use adaptive::{AdaptiveController, AdaptiveState};
 pub use cluster::{Cluster, ClusterConfig, ClusterStats, ShardMap, Snapshot, SUPER_ROOT};
 pub use config::{ClientId, FormPolicy, ServerConfig};
-pub use core::{ServerCore, Shard};
+pub use core::ServerCore;
 pub use epoch::SnapshotCell;
-pub use forms::{build_shipments, FormMode};
+pub use forms::{assemble, build_shipments, resume_traced, FormMode};
 pub use transport::{ServerHandle, Transport};
 pub use updates::{Update, UpdateLog, VersionedReply};
 pub use wire::{TcpTransport, WireServer, WireServerConfig, WireServerStats, WireTransportStats};

@@ -90,7 +90,7 @@ pub fn random_update(rng: &mut SmallRng, ids: u32) -> Update {
 pub fn leaves_of(snap: &Snapshot, map: &ShardMap, id: ObjectId) -> Vec<NodeId> {
     (0..map.shards())
         .flat_map(|s| {
-            let tree = snap.shard(s).tree();
+            let tree = snap.shard(s);
             let holds =
                 |n: &NodeId| tree.node(*n).is_leaf() && tree.node(*n).child_ids().contains(&id.0);
             let leaf = tree.node_ids().into_iter().find(holds);

@@ -181,10 +181,8 @@ mod tests {
             "was {before}, all deleted, one added"
         );
         let snap = server.core().pin();
-        snap.shard(0)
-            .tree()
-            .validate(snap.shard(0).tree().object_count(), false)
-            .unwrap();
+        let tree = snap.shard(0);
+        tree.validate(tree.object_count(), false).unwrap();
     }
 
     #[test]
@@ -202,7 +200,7 @@ mod tests {
 
     /// Root, then every reachable node with its level and entries.
     fn tree_shape(snap: &crate::Snapshot) -> (NodeId, Vec<(NodeId, u16, Vec<pc_rtree::Entry>)>) {
-        let tree = snap.shard(0).tree();
+        let tree = snap.shard(0);
         let mut nodes: Vec<_> = tree
             .node_ids()
             .into_iter()
@@ -252,10 +250,7 @@ mod tests {
             assert_eq!(lx.retained_records() > 0, !once.is_empty(), "{twice:?}");
             assert_eq!(x.store().live_count(), y.store().live_count(), "{twice:?}");
             assert_eq!(lx.changed_since(0), ly.changed_since(0), "{twice:?}");
-            x.shard(0)
-                .tree()
-                .validate(x.store().live_count(), false)
-                .unwrap();
+            x.shard(0).validate(x.store().live_count(), false).unwrap();
         }
 
         // Ids are assigned in batch order, whatever the netting drops.
@@ -274,11 +269,8 @@ mod tests {
         assert_eq!(snap.store().get(ObjectId(200)).mbr, p);
         assert_eq!(snap.store().get(ObjectId(201)).mbr, q);
         assert_eq!(naive::range_naive(snap.store(), &q), vec![ObjectId(201)]);
-        let found = snap
-            .shard(0)
-            .direct(&QuerySpec::Range { window: q })
-            .results;
-        assert_eq!(found, vec![(ObjectId(201), false)]);
+        let found = snap.direct(&QuerySpec::Range { window: q }).results;
+        assert_eq!(found, vec![ObjectId(201)]);
     }
 
     #[test]
@@ -294,9 +286,9 @@ mod tests {
         assert!(!changed.is_empty());
         let leaf = *changed
             .iter()
-            .find(|n| snap.shard(0).tree().node(**n).is_leaf())
+            .find(|n| snap.shard(0).node(**n).is_leaf())
             .expect("delete dirties its leaf");
-        let mbr = snap.shard(0).tree().node(leaf).mbr().unwrap();
+        let mbr = snap.shard(0).node(leaf).mbr().unwrap();
         let rq = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -347,14 +339,13 @@ mod tests {
         server.apply_updates(&[Update::Delete(far)]);
         let snap = server.core().pin();
         let changed: HashSet<NodeId> = snap.update_log().changed_since(0).into_iter().collect();
-        let unchanged_leaf = snap
-            .shard(0)
-            .tree()
+        let tree = snap.shard(0);
+        let unchanged_leaf = tree
             .node_ids()
             .into_iter()
-            .find(|n| snap.shard(0).tree().node(*n).is_leaf() && !changed.contains(n))
+            .find(|n| tree.node(*n).is_leaf() && !changed.contains(n))
             .expect("some leaf unchanged");
-        let mbr = snap.shard(0).tree().node(unchanged_leaf).mbr().unwrap();
+        let mbr = tree.node(unchanged_leaf).mbr().unwrap();
         let rq = RemainderQuery {
             spec: QuerySpec::Range { window: mbr },
             already_found: 0,
@@ -420,19 +411,8 @@ mod tests {
 
         // A client synced within the window still gets a Stale with a
         // complete list; one below the horizon gets a FullRefresh.
-        let root = log_snap.shard(0).tree().root();
-        let mbr = log_snap.shard(0).tree().root_mbr().unwrap();
-        let rq = RemainderQuery {
-            spec: QuerySpec::Range { window: mbr },
-            already_found: 0,
-            heap: vec![(
-                0.0,
-                HeapEntry::Single(Side::Cell {
-                    cell: CellRef::node_root(root),
-                    mbr,
-                }),
-            )],
-        };
+        let (_, mbr) = server.bootstrap_root().0.unwrap();
+        let rq = cold_remainder(&server, QuerySpec::Range { window: mbr });
         let req = |epoch| Request::RemainderVersioned {
             query: rq.clone(),
             epoch,
@@ -463,22 +443,8 @@ mod tests {
         let server = sample_server(300, 7);
         server.apply_updates(&[Update::Delete(ObjectId(1))]);
         server.apply_updates(&[Update::Delete(ObjectId(2))]);
-        let rq = {
-            let snap = server.core().pin();
-            let root = snap.shard(0).tree().root();
-            let mbr = snap.shard(0).tree().root_mbr().unwrap();
-            RemainderQuery {
-                spec: QuerySpec::Range { window: mbr },
-                already_found: 0,
-                heap: vec![(
-                    0.0,
-                    HeapEntry::Single(Side::Cell {
-                        cell: CellRef::node_root(root),
-                        mbr,
-                    }),
-                )],
-            }
-        };
+        let (_, mbr) = server.bootstrap_root().0.unwrap();
+        let rq = cold_remainder(&server, QuerySpec::Range { window: mbr });
         let req = |epoch| Request::RemainderVersioned {
             query: rq.clone(),
             epoch,
@@ -534,12 +500,10 @@ mod tests {
                     let stopped = || stop.load(Ordering::Acquire);
                     while !stopped() {
                         let snap = server.core().pin();
-                        let got = snap.shard(0).direct(&QuerySpec::Range { window: w });
+                        let mut ids = snap.direct(&QuerySpec::Range { window: w }).results;
                         // The naive oracle skips tombstoned objects via the
                         // store's liveness bitset.
                         let want = naive::range_naive(snap.store(), &w);
-                        let mut ids: Vec<ObjectId> =
-                            got.results.iter().map(|&(id, _)| id).collect();
                         ids.sort_unstable();
                         assert_eq!(ids, want, "pinned snapshot answered inconsistently");
                     }
@@ -650,8 +614,8 @@ mod tests {
                             let snap = server.core().pin();
                             assert!(snap.epoch() >= last_epoch, "epoch ran backwards");
                             last_epoch = snap.epoch();
-                            let root = snap.shard(0).tree().root();
-                            let mbr = snap.shard(0).tree().root_mbr().unwrap();
+                            let root = snap.shard(0).root();
+                            let mbr = snap.shard(0).root_mbr().unwrap();
                             let w = Rect::centered_square(Point::new(0.5, 0.5), 0.3);
                             let rq = RemainderQuery {
                                 spec: QuerySpec::Range { window: w },
@@ -664,21 +628,20 @@ mod tests {
                                     }),
                                 )],
                             };
-                            let shard = snap.shard(0);
-                            let (outcome, log) = shard.resume_traced(&rq);
-                            let resumed =
-                                shard.assemble(snap.store(), outcome, &log, crate::FormMode::COMPACT);
+                            let tree = snap.shard(0);
+                            let (outcome, log) = crate::resume_traced(tree, &rq);
+                            let resumed = crate::assemble(
+                                tree,
+                                snap.store(),
+                                outcome,
+                                &log,
+                                crate::FormMode::COMPACT,
+                            );
                             let mut via_bpt: Vec<ObjectId> =
                                 resumed.objects.iter().map(|o| o.id).collect();
                             via_bpt.extend(resumed.confirmed.iter().copied());
                             via_bpt.sort_unstable();
-                            let mut via_tree: Vec<ObjectId> = snap
-                                .shard(0)
-                                .direct(&QuerySpec::Range { window: w })
-                                .results
-                                .iter()
-                                .map(|&(id, _)| id)
-                                .collect();
+                            let mut via_tree = snap.direct(&QuerySpec::Range { window: w }).results;
                             via_tree.sort_unstable();
                             assert_eq!(
                                 via_bpt, via_tree,

@@ -804,6 +804,79 @@ mod tests {
         assert_eq!(ws.stats().frames_rejected, 1);
     }
 
+    /// A deployment that counts the requests reaching it.
+    struct Tally {
+        inner: Cluster,
+        calls: Counter,
+    }
+
+    impl Transport for Tally {
+        fn call(&self, client: ClientId, req: Request) -> Response {
+            self.calls.add(1);
+            self.inner.call(client, req)
+        }
+    }
+
+    impl ServerHandle for Tally {
+        fn core(&self) -> &ServerCore {
+            self.inner.core()
+        }
+
+        fn apply_updates(&self, updates: &[Update]) -> u64 {
+            self.inner.apply_updates(updates)
+        }
+
+        fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
+            self.inner.bootstrap_root()
+        }
+
+        fn log_records(&self) -> usize {
+            self.inner.log_records()
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_spec_closes_its_connection_before_the_server() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let knn = |center, k| QuerySpec::Knn { center, k };
+        let join = |dist| QuerySpec::Join { dist };
+        let window = Rect::from_point(Point::new(nan, 0.2));
+        let center = Point::new(0.5, 0.5);
+        let hostile = [
+            QuerySpec::Range { window },
+            knn(Point::new(0.5, inf), 3),
+            join(nan),
+            join(-0.1),
+            join(inf),
+            knn(center, 0),
+        ];
+        for (i, spec) in hostile.into_iter().enumerate() {
+            let tally = Arc::new(Tally {
+                inner: sample_server(200, 21, FormPolicy::Adaptive),
+                calls: Counter::default(),
+            });
+            let handle = Arc::clone(&tally) as Arc<dyn ServerHandle>;
+            let mut ws =
+                WireServer::spawn(Arc::clone(&handle), WireServerConfig::default()).unwrap();
+            let mut s = TcpStream::connect(ws.addr()).unwrap();
+            send(&mut s, &encode_request(4, 0, &Request::Direct(spec)));
+            let mut buf = [0u8; 1];
+            assert_eq!(s.read(&mut buf).unwrap_or(0), 0, "{spec:?} was answered");
+            drop(s);
+
+            let tcp = TcpTransport::connect(ws.addr(), handle);
+            let ask = || Request::Direct(knn(center, 2 + i as u32));
+            let over_wire = tcp.call(4, ask()).into_direct();
+            assert_eq!(over_wire, tally.inner.call(4, ask()).into_direct());
+            drop(tcp);
+            ws.shutdown();
+            let stats = ws.stats();
+            assert_eq!(stats.requests_aborted, 1, "{spec:?}");
+            assert_eq!(stats.requests_served, 1, "{spec:?}");
+            assert_eq!(tally.calls.get(), 1, "{spec:?} reached the server");
+        }
+    }
+
     #[test]
     fn garbage_bytes_are_rejected() {
         let (mut ws, _server) = served(50, 8);

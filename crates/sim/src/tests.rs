@@ -255,14 +255,11 @@ mod churn_clients {
     }
 
     fn warm_client(server: &Cluster, id: ClientId) -> ProactiveRunner {
-        ProactiveRunner::new(
-            1 << 22,
-            ReplacementPolicy::Grd3,
-            Catalog::from_tree(server.core().pin().shard(0).tree()),
-        )
-        .with_client(id)
-        .versioned(true)
-        .at_epoch(server.core().pin().epoch())
+        let (root, epoch) = server.bootstrap_root();
+        ProactiveRunner::new(1 << 22, ReplacementPolicy::Grd3, Catalog { root })
+            .with_client(id)
+            .versioned(true)
+            .at_epoch(epoch)
     }
 
     fn range_at(pos: Point, half: f64) -> (QuerySpec, Rect) {
@@ -442,14 +439,11 @@ mod churn_clients {
         let cfg = crate::SimConfig::small();
         let server = crate::build_server(&cfg);
         let capacity = cfg.cache_bytes(server.core().pin().store().total_bytes());
+        let root = server.bootstrap_root().0;
         let runner = |versioned: bool| {
-            ProactiveRunner::new(
-                capacity,
-                cfg.policy,
-                Catalog::from_tree(server.core().pin().shard(0).tree()),
-            )
-            .with_client(versioned as ClientId)
-            .versioned(versioned)
+            ProactiveRunner::new(capacity, cfg.policy, Catalog { root })
+                .with_client(versioned as ClientId)
+                .versioned(versioned)
         };
         let (mut plain, mut stamped) = (runner(false), runner(true));
         let mut mobile = pc_mobility::MobileClient::new(cfg.mobility, cfg.mobility_cfg, 7);

@@ -506,7 +506,21 @@ fn get_spec(rd: &mut Reader<'_>) -> Result<QuerySpec, WireError> {
             })
         }
     };
-    Ok(spec)
+    // The engine is handed only a spec it can answer: finite coordinates,
+    // a finite non-negative join distance, at least one neighbour.
+    let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
+    let out_of_range = match spec {
+        QuerySpec::Range { window } if !(finite(window.min) && finite(window.max)) => {
+            "range window"
+        }
+        QuerySpec::Knn { center, .. } if !finite(center) => "knn center",
+        QuerySpec::Knn { k: 0, .. } => "knn k",
+        QuerySpec::Join { dist } if !(dist.is_finite() && dist >= 0.0) => "join distance",
+        _ => return Ok(spec),
+    };
+    Err(WireError::OutOfRange {
+        context: out_of_range,
+    })
 }
 
 /// Returns the side plus its `has_partner` flag.
@@ -1050,6 +1064,63 @@ mod tests {
                 tag: 99
             })
         );
+    }
+
+    /// `spec` sent as a direct query, decoded on the server side.
+    fn decode_direct(spec: QuerySpec) -> Result<Request, WireError> {
+        let frame = encode_request(1, 1, &Request::Direct(spec));
+        decode_request(tag::REQ_DIRECT, &frame[FRAME_HEADER_BYTES as usize..])
+    }
+
+    fn out_of_range(context: &'static str) -> Result<Request, WireError> {
+        Err(WireError::OutOfRange { context })
+    }
+
+    #[test]
+    fn a_non_finite_window_corner_is_out_of_range() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let corners = [(bad, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, bad)];
+            for (x0, y0, x1, y1) in corners {
+                // A literal: `Rect::new` would order the corners, and
+                // `f64::min` drops a NaN.
+                let window = Rect {
+                    min: Point::new(x0, y0),
+                    max: Point::new(x1, y1),
+                };
+                let spec = QuerySpec::Range { window };
+                assert_eq!(decode_direct(spec), out_of_range("range window"));
+            }
+        }
+        let window = Rect::from_coords(0.1, 0.2, 0.3, 0.4);
+        let spec = QuerySpec::Range { window };
+        assert_eq!(decode_direct(spec), Ok(Request::Direct(spec)));
+    }
+
+    #[test]
+    fn a_non_finite_knn_centre_is_out_of_range() {
+        for center in [Point::new(f64::NAN, 0.5), Point::new(0.5, f64::INFINITY)] {
+            let spec = QuerySpec::Knn { center, k: 3 };
+            assert_eq!(decode_direct(spec), out_of_range("knn center"));
+        }
+    }
+
+    #[test]
+    fn a_nan_negative_or_infinite_join_distance_is_out_of_range() {
+        for dist in [f64::NAN, -1e-9, f64::INFINITY] {
+            let spec = QuerySpec::Join { dist };
+            assert_eq!(decode_direct(spec), out_of_range("join distance"));
+        }
+        let spec = QuerySpec::Join { dist: 0.0 };
+        assert_eq!(decode_direct(spec), Ok(Request::Direct(spec)));
+    }
+
+    #[test]
+    fn a_knn_asking_for_no_neighbours_is_out_of_range() {
+        let center = Point::new(0.5, 0.5);
+        let spec = QuerySpec::Knn { center, k: 0 };
+        assert_eq!(decode_direct(spec), out_of_range("knn k"));
+        let spec = QuerySpec::Knn { center, k: 1 };
+        assert_eq!(decode_direct(spec), Ok(Request::Direct(spec)));
     }
 
     #[test]

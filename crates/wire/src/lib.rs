@@ -177,6 +177,10 @@ pub enum WireError {
     /// An enum discriminant (frame tag, query kind, cell kind, reply
     /// variant, BPT code) was out of range for `context`.
     UnknownTag { context: &'static str, tag: u8 },
+    /// A value decoded whole but outside what `context` admits: a
+    /// non-finite coordinate, a NaN, negative or infinite join distance,
+    /// a kNN `k` of 0.
+    OutOfRange { context: &'static str },
     /// The first header byte was not [`FRAME_MAGIC`].
     BadMagic { got: u8 },
     /// The protocol version byte did not match [`WIRE_VERSION`].
@@ -200,6 +204,7 @@ impl std::fmt::Display for WireError {
             WireError::UnknownTag { context, tag } => {
                 write!(f, "unknown {context} tag {tag}")
             }
+            WireError::OutOfRange { context } => write!(f, "out-of-range {context}"),
             WireError::BadMagic { got } => {
                 write!(
                     f,

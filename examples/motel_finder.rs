@@ -28,11 +28,8 @@ fn main() {
     let joey = Point::new(0.42, 0.58);
 
     // --- Proactive caching client -------------------------------------
-    let mut pro = Client::new(
-        2 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let root = server.bootstrap_root().0;
+    let mut pro = Client::new(2 << 20, ReplacementPolicy::Grd3, Catalog { root });
     // --- Semantic caching client --------------------------------------
     let mut sem = SemanticCache::new(2 << 20);
 

@@ -28,20 +28,18 @@ fn main() {
     //    partition trees offline (§4.2).
     let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
     let world = server.core().pin();
-    let shard = world.shard(0);
+    let tree = world.shard(0);
     println!(
         "index: {} nodes, height {}, BPT overhead {:.2}x",
-        shard.tree().stats().node_count,
-        shard.tree().height(),
-        shard.bpt_bytes() as f64 / shard.tree().stats().index_bytes as f64
+        tree.stats().node_count,
+        tree.height(),
+        tree.bpt_aux_bytes() as f64 / tree.stats().index_bytes as f64
     );
 
-    // 3. A mobile client with a 1 MB proactive cache under GRD3.
-    let mut client = Client::new(
-        1 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(shard.tree()),
-    );
+    // 3. A mobile client with a 1 MB proactive cache under GRD3; the
+    //    server hands out where its index starts.
+    let root = server.bootstrap_root().0;
+    let mut client = Client::new(1 << 20, ReplacementPolicy::Grd3, Catalog { root });
     let here = Point::new(0.31, 0.36); // downtown in the first cluster
     let channel = Channel::paper();
 

@@ -201,7 +201,7 @@ fn publish_rebuilds_exactly_the_dirtied_bpts() {
         // The nodes this epoch logged as changed are the ones it dirtied.
         let touched = new.update_log().changed_since(old.epoch());
         let epoch = new.epoch();
-        let (old, new) = (old.shard(0).tree(), new.shard(0).tree());
+        let (old, new) = (old.shard(0), new.shard(0));
         for i in 0..new.slab_len() {
             let id = NodeId(i as u32);
             let now = new.node(id);

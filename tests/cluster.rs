@@ -6,9 +6,9 @@
 //! arbitrary update batches — and fleets must drive it through
 //! `&dyn ServerHandle` unchanged.
 //!
-//! The reference shares nothing with the router: a bare [`Shard`]
-//! bulk-loaded from the cluster's *current* store, read through
-//! `Shard::direct` / `Shard::resume_traced` + `Shard::assemble`, plus the
+//! The reference shares nothing with the router: a bare `RTree`
+//! bulk-loaded from the cluster's *current* store, read through the
+//! engine over its `FullView` and `resume_traced` + `assemble`, plus the
 //! `pc_rtree::naive` oracles. A bug in the scatter, the merge or the
 //! per-shard update derivation cannot hide by sitting on both sides.
 //!
@@ -19,12 +19,15 @@
 //! wire-charged — exactly once.
 
 use procache::geom::{Point, Rect};
+use procache::rtree::engine::{execute, NoopTracer};
 use procache::rtree::proto::{
     CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, ServerReply, Side,
 };
-use procache::rtree::{naive, ObjectId, ObjectStore, RTreeConfig, SpatialObject};
+use procache::rtree::view::FullView;
+use procache::rtree::{naive, ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use procache::server::{
-    Cluster, ClusterConfig, FormMode, ServerHandle, Shard, Transport, Update, VersionedReply,
+    assemble, resume_traced, Cluster, ClusterConfig, FormMode, ServerHandle, Transport, Update,
+    VersionedReply,
 };
 use procache::sim::{self, generate_update, ChurnConfig, Fleet, SimConfig};
 use proptest::prelude::*;
@@ -133,10 +136,10 @@ fn any_spec() -> impl Strategy<Value = QuerySpec> {
 
 /// One unsharded index over the live objects of `cluster`'s current store,
 /// built from scratch: the reference world of [`assert_equivalent`].
-fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, Shard) {
+fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, RTree) {
     let store = cluster.core().pin().store().clone();
     let live: Vec<ObjectId> = store.iter_live().map(|o| o.id).collect();
-    let single = Shard::build(tree_cfg, &(&store, live.as_slice()));
+    let single = RTree::bulk_load(tree_cfg, &(&store, live.as_slice()));
     (store, single)
 }
 
@@ -144,9 +147,9 @@ fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, Sh
 /// and update history, the cluster agrees with one unsharded tree and the
 /// brute-force oracle on every query path, and the merged reply never
 /// ships an object twice.
-fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, spec: QuerySpec) {
+fn assert_equivalent((store, single): &(ObjectStore, RTree), cluster: &Cluster, spec: QuerySpec) {
     // Direct (uncached) path.
-    let sd = single.direct(&spec);
+    let sd = execute(&FullView::new(single), &spec, &mut NoopTracer);
     let cd = cluster.core().pin().direct(&spec);
     match spec {
         QuerySpec::Range { ref window } => {
@@ -177,16 +180,15 @@ fn assert_equivalent((store, single): &(ObjectStore, Shard), cluster: &Cluster, 
     }
 
     // Cold remainder resume, each side from its own root.
-    let tree = single.tree();
-    let single_root = tree.root_mbr().map(|mbr| (tree.root(), mbr));
+    let single_root = single.root_mbr().map(|mbr| (single.root(), mbr));
     let (Some(srq), Some(crq)) = (
         cold_remainder(single_root, spec),
         cold_remainder(cluster.bootstrap_root().0, spec),
     ) else {
         return;
     };
-    let (outcome, log) = single.resume_traced(&srq);
-    let sreply = single.assemble(store, outcome, &log, FormMode::COMPACT);
+    let (outcome, log) = resume_traced(single, &srq);
+    let sreply = assemble(single, store, outcome, &log, FormMode::COMPACT);
     let creply = cluster
         .call(9, Request::Remainder(crq.clone()))
         .into_remainder();
@@ -262,8 +264,7 @@ fn assert_shards_index_their_partition(store: &ObjectStore, cluster: &Cluster) {
     let pin = cluster.core().pin();
     for s in 0..cluster.config().shards {
         let owned = cluster.shard_map().owned_by(store, s);
-        let tree = pin.shard(s).tree();
-        assert_eq!(tree.object_count(), owned.len(), "shard {s}");
+        assert_eq!(pin.shard(s).object_count(), owned.len(), "shard {s}");
     }
 }
 

@@ -20,6 +20,12 @@ fn server_with(n: usize) -> Cluster {
     )
 }
 
+/// A GRD3 client of `capacity` bytes, bootstrapped from `server`.
+fn grd3_client(server: &Cluster, capacity: u64) -> Client {
+    let root = server.bootstrap_root().0;
+    Client::new(capacity, ReplacementPolicy::Grd3, Catalog { root })
+}
+
 fn run_pipeline(client: &mut Client, server: &Cluster, spec: &QuerySpec) -> usize {
     client.begin_query();
     let local = client.run_local(spec);
@@ -39,11 +45,7 @@ fn empty_dataset_serves_empty_answers() {
         RTreeConfig::small(),
         ServerConfig::default(),
     );
-    let mut client = Client::new(
-        10_000,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 10_000);
     for spec in [
         QuerySpec::Range { window: Rect::UNIT },
         QuerySpec::Knn {
@@ -59,11 +61,7 @@ fn empty_dataset_serves_empty_answers() {
 #[test]
 fn k_zero_and_k_beyond_dataset() {
     let server = server_with(30);
-    let mut client = Client::new(
-        1 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 1 << 20);
     let center = Point::new(0.5, 0.5);
     assert_eq!(
         run_pipeline(&mut client, &server, &QuerySpec::Knn { center, k: 0 }),
@@ -79,11 +77,7 @@ fn k_zero_and_k_beyond_dataset() {
 #[test]
 fn window_outside_the_data_space() {
     let server = server_with(100);
-    let mut client = Client::new(
-        1 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 1 << 20);
     let spec = QuerySpec::Range {
         window: Rect::from_coords(2.0, 2.0, 3.0, 3.0),
     };
@@ -99,11 +93,7 @@ fn tiny_cache_still_answers_correctly() {
     // A cache too small for even one object: every query effectively
     // uncached, but answers stay correct and the cache stays valid.
     let server = server_with(200);
-    let mut client = Client::new(
-        64, // bytes!
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 64); // bytes!
     for i in 0..10 {
         let spec = QuerySpec::Knn {
             center: Point::new(0.3 + i as f64 * 0.02, 0.4),
@@ -136,11 +126,7 @@ fn zero_capacity_baselines_never_cache() {
 #[test]
 fn repeated_identical_queries_converge_to_fully_local() {
     let server = server_with(400);
-    let mut client = Client::new(
-        1 << 22,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 1 << 22);
     let spec = QuerySpec::Range {
         window: Rect::centered_square(Point::new(0.31, 0.36), 0.2),
     };
@@ -168,11 +154,7 @@ fn degenerate_all_coincident_objects() {
         RTreeConfig::small(),
         ServerConfig::default(),
     );
-    let mut client = Client::new(
-        1 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 1 << 20);
     assert_eq!(
         run_pipeline(
             &mut client,
@@ -215,11 +197,7 @@ fn single_object_dataset() {
         RTreeConfig::small(),
         ServerConfig::default(),
     );
-    let mut client = Client::new(
-        1 << 20,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let mut client = grd3_client(&server, 1 << 20);
     assert_eq!(
         run_pipeline(
             &mut client,

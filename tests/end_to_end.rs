@@ -46,11 +46,8 @@ fn check_dataset(kind: &str, server: &Cluster, seed: u64) {
             },
         );
         for policy in [ReplacementPolicy::Grd3, ReplacementPolicy::Lru] {
-            let mut client = Client::new(
-                40_000,
-                policy,
-                Catalog::from_tree(server.core().pin().shard(0).tree()),
-            );
+            let root = server.bootstrap_root().0;
+            let mut client = Client::new(40_000, policy, Catalog { root });
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut pos = Point::new(0.4, 0.4);
             for round in 0..40 {
@@ -141,11 +138,8 @@ fn paper_fanout_tree_pipeline_is_exact() {
     // BPTs are deep and compact forms actually coarsen.
     let store = datasets::ne_like(5_000, 4);
     let server = Cluster::single(store, RTreeConfig::paper(), ServerConfig::default());
-    let mut client = Client::new(
-        300_000,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    );
+    let root = server.bootstrap_root().0;
+    let mut client = Client::new(300_000, ReplacementPolicy::Grd3, Catalog { root });
     let mut rng = SmallRng::seed_from_u64(5);
     for round in 0..30 {
         let pos = Point::new(rng.random_range(0.2..0.8), rng.random_range(0.2..0.8));

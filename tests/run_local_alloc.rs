@@ -55,8 +55,8 @@ fn cache_complete_run_local_allocates_a_constant() {
         RTreeConfig::small(),
         ServerConfig::default(),
     );
-    let catalog = Catalog::from_tree(server.core().pin().shard(0).tree());
-    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+    let root = server.bootstrap_root().0;
+    let mut client = Client::new(1 << 40, ReplacementPolicy::Grd3, Catalog { root });
 
     // A small and a large query of each kind: the expansion counts differ
     // several-fold, the allocation counts must not.
@@ -119,7 +119,7 @@ fn cache_complete_run_local_allocates_a_constant() {
         .keys()
         .filter(|k| matches!(k, ItemKey::Node(_)))
         .count();
-    let mut fresh = Client::new(1 << 40, ReplacementPolicy::Grd3, catalog);
+    let mut fresh = Client::new(1 << 40, ReplacementPolicy::Grd3, Catalog { root });
     *fresh.cache_mut() = client.cache().clone();
     let join = QuerySpec::Join { dist: 0.001 };
     let before = ALLOC.live();

@@ -17,12 +17,9 @@ use rand::{Rng, SeedableRng};
 fn setup(n: usize, seed: u64) -> (Cluster, ProactiveRunner) {
     let store = datasets::ne_like(n, seed);
     let server = Cluster::single(store, RTreeConfig::small(), ServerConfig::default());
-    let client = ProactiveRunner::new(
-        1 << 22,
-        ReplacementPolicy::Grd3,
-        Catalog::from_tree(server.core().pin().shard(0).tree()),
-    )
-    .versioned(true);
+    let root = server.bootstrap_root().0;
+    let client =
+        ProactiveRunner::new(1 << 22, ReplacementPolicy::Grd3, Catalog { root }).versioned(true);
     (server, client)
 }
 
