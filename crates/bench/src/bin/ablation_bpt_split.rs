@@ -14,7 +14,6 @@ use pc_geom::{Point, Rect};
 use pc_rtree::bpt::SplitPolicy;
 use pc_rtree::engine::{execute, AccessLog};
 use pc_rtree::proto::QuerySpec;
-use pc_rtree::view::FullView;
 use pc_rtree::{RTree, RTreeConfig};
 use pc_server::{build_shipments, FormMode};
 use pc_workload::datasets;
@@ -45,7 +44,6 @@ fn main() {
         let t0 = std::time::Instant::now();
         tree.rebuild_bpts(policy);
         let build_time = t0.elapsed();
-        let view = FullView::new(&tree);
 
         let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xB7);
         let mut compact_bytes = 0u64;
@@ -64,7 +62,7 @@ fn main() {
                 }
             };
             let mut log = AccessLog::default();
-            let out = execute(&view, &spec, &mut log);
+            let out = execute(&tree, &spec, &mut log);
             expansions += out.expansions;
             compact_bytes += build_shipments(&log, &tree, FormMode::COMPACT)
                 .iter()

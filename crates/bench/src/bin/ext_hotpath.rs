@@ -2,19 +2,21 @@
 //! to the plain-tree reference?
 //!
 //! Every query a server, cluster or client answers runs the §3.3 engine
-//! (`pc_rtree::engine`) over an `IndexView`; `pc_rtree::query` is the
-//! reference the tests compare it against and serves nothing. This binary
+//! (`pc_rtree::engine`) over an index that is its own `IndexView` — a
+//! shard's `RTree`, a `Snapshot`, a client's `ProactiveCache`;
+//! `pc_rtree::query` is the reference the tests compare it against and
+//! serves nothing. This binary
 //! sweeps dataset sizes up to `--objects` (use `--objects 1000000` for the
 //! million-object run) and, at each size, answers the same range, kNN and
 //! self-join queries four ways:
 //!
-//! * **direct** — `engine::execute` over the shard tree's `FullView`,
+//! * **direct** — `engine::execute` over the shard's `RTree` itself,
 //!   untraced (what `Request::Direct` runs on one shard);
 //! * **resume** — `pc_server::resume_traced` + `pc_server::assemble` of the
 //!   cold remainder `{Q, [root]}` in compact form: the same traversal traced, plus
 //!   building the supporting index and splitting the result set (what a
 //!   cold client's contact costs the server);
-//! * **run_local** — `Client::run_local` over a `CacheView` warmed by
+//! * **run_local** — `Client::run_local` over a `ProactiveCache` warmed by
 //!   these very queries (cache large enough that nothing is evicted), so
 //!   every query completes locally: stage ① at its best;
 //! * **reference** — `pc_rtree::query`, the iterative SoA loops over the
@@ -34,7 +36,6 @@ use pc_client::Client;
 use pc_geom::{Point, Rect};
 use pc_rtree::engine::{execute, NoopTracer};
 use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, Side};
-use pc_rtree::view::FullView;
 use pc_rtree::{query, ObjectId, RTreeConfig};
 use pc_server::{
     assemble, resume_traced, Cluster, FormMode, ServerConfig, ServerHandle, Snapshot, Transport,
@@ -92,7 +93,7 @@ fn canonical(spec: &QuerySpec, (mut ids, mut pairs): Answer, snap: &Snapshot) ->
 }
 
 fn direct(snap: &Snapshot, case: &Case) -> Answer {
-    let out = execute(&FullView::new(snap.shard(0)), &case.spec, &mut NoopTracer);
+    let out = execute(snap.shard(0), &case.spec, &mut NoopTracer);
     let ids = out.results.iter().map(|&(id, _)| id).collect();
     (ids, out.result_pairs)
 }

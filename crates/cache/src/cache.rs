@@ -4,6 +4,7 @@
 use crate::item::{Item, ItemData, ItemKey, ItemMeta};
 use crate::node_view::CachedNodeView;
 use crate::policy::ReplacementPolicy;
+use crate::view::Catalog;
 use pc_geom::Point;
 use pc_rtree::proto::{
     CellKind, NodeShipment, ServerReply, ENTRY_BYTES, OBJECT_HEADER_BYTES, SHIPMENT_HEADER_BYTES,
@@ -44,11 +45,13 @@ impl CacheStats {
     }
 }
 
-/// The proactive cache of §3.2/§5.
+/// The proactive cache of §3.2/§5, with the catalog its traversals start
+/// from.
 #[derive(Clone, Debug)]
 pub struct ProactiveCache {
     capacity: u64,
     policy: ReplacementPolicy,
+    catalog: Catalog,
     items: HashMap<ItemKey, Item>,
     /// Per-kind totals, kept wherever an item comes, grows or goes, so
     /// `stats()` and `used_bytes()` walk nothing.
@@ -65,10 +68,11 @@ pub struct ProactiveCache {
 }
 
 impl ProactiveCache {
-    pub fn new(capacity: u64, policy: ReplacementPolicy) -> Self {
+    pub fn new(capacity: u64, policy: ReplacementPolicy, catalog: Catalog) -> Self {
         ProactiveCache {
             capacity,
             policy,
+            catalog,
             items: HashMap::new(),
             node_items: 0,
             index_bytes: 0,
@@ -130,6 +134,10 @@ impl ProactiveCache {
 
     pub fn policy(&self) -> ReplacementPolicy {
         self.policy
+    }
+
+    pub fn catalog(&self) -> Catalog {
+        self.catalog
     }
 
     pub fn keys(&self) -> impl Iterator<Item = ItemKey> + '_ {
@@ -529,11 +537,18 @@ impl ProactiveCache {
         (1, self.remove_item(key).map_or(0, |it| it.meta.size))
     }
 
-    /// Drops *everything* — the client's response to a full-refresh
-    /// refusal (§7 extension): the server pruned invalidation history below
-    /// the client's epoch, so no per-node list exists and the whole cache
-    /// is suspect. Returns `(items, bytes)` dropped.
-    pub fn clear(&mut self) -> (usize, u64) {
+    /// Drops *everything* and adopts a freshly synced `catalog` — the
+    /// client's response to a full-refresh refusal (§7 extension): the
+    /// server pruned invalidation history below the client's epoch, so no
+    /// per-node list exists and the whole cache is suspect. Returns
+    /// `(items, bytes)` dropped.
+    pub fn full_refresh(&mut self, catalog: Catalog) -> (usize, u64) {
+        self.catalog = catalog;
+        self.clear()
+    }
+
+    /// Drops every item; returns `(items, bytes)` dropped.
+    fn clear(&mut self) -> (usize, u64) {
         let dropped = (self.items.len(), self.used_bytes());
         self.items.clear();
         self.object_parents.clear();

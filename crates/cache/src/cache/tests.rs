@@ -79,7 +79,7 @@ fn sample_reply() -> ServerReply {
 }
 
 fn big_cache(policy: ReplacementPolicy) -> ProactiveCache {
-    ProactiveCache::new(1 << 20, policy)
+    ProactiveCache::new(1 << 20, policy, Catalog::empty())
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn touch_updates_hits_and_recency() {
 fn capacity_is_enforced_and_structure_stays_valid() {
     for policy in ReplacementPolicy::ALL {
         // Room for roughly two of the three objects plus index.
-        let mut c = ProactiveCache::new(2600, policy);
+        let mut c = ProactiveCache::new(2600, policy, Catalog::empty());
         c.absorb(&sample_reply(), 1, Point::new(0.0, 0.0));
         assert!(
             c.used_bytes() <= c.capacity(),
@@ -304,7 +304,7 @@ fn grd3_b_swap_keeps_the_single_valuable_item() {
         }],
         expansions: 0,
     };
-    let mut c = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3);
+    let mut c = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3, Catalog::empty());
     c.absorb(&reply, 1, Point::ORIGIN);
     // Age the cache so the big object has the *lowest* prob but the largest
     // benefit: hits(small) high and recent, hits(big) low.
@@ -400,14 +400,14 @@ fn clear_empties_the_cache_and_stays_usable() {
     c.absorb(&sample_reply(), 1, Point::ORIGIN);
     let before = c.used_bytes();
     assert!(before > 0);
-    let (items, bytes) = c.clear();
+    let (items, bytes) = c.full_refresh(Catalog::empty());
     assert_eq!(items, 6);
     assert_eq!(bytes, before);
     assert!(c.is_empty());
     assert_eq!(c.used_bytes(), 0);
     c.validate().unwrap();
     // Clearing twice is a harmless no-op, and the cache absorbs again.
-    assert_eq!(c.clear(), (0, 0));
+    assert_eq!(c.full_refresh(Catalog::empty()), (0, 0));
     c.absorb(&sample_reply(), 2, Point::ORIGIN);
     assert_eq!(c.used_bytes(), before);
     c.validate().unwrap();
@@ -464,7 +464,7 @@ fn reabsorbing_after_invalidation_adopts_orphans() {
 
 #[test]
 fn stats_ratio_tracks_index_share() {
-    let mut c = ProactiveCache::new(10_000, ReplacementPolicy::Grd3);
+    let mut c = ProactiveCache::new(10_000, ReplacementPolicy::Grd3, Catalog::empty());
     c.absorb(&sample_reply(), 1, Point::ORIGIN);
     let s = c.stats();
     assert!(s.index_bytes > 0);

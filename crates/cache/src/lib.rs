@@ -11,6 +11,10 @@
 //! does anyway, and keeps the "evict an item ⇒ evict its descendants"
 //! constraint trivially satisfied — an evicted object or childless node
 //! never strands descendants.
+//!
+//! The cache is also the client's view of the index: it implements
+//! `pc_rtree::engine::IndexView`, its traversals starting at the root its
+//! [`Catalog`] names, so stage ① runs the engine over the cache itself.
 
 // The cache ingests decoded wire replies, so library code here answers
 // malformed input by skipping it, and each deliberate panic carries an
@@ -37,7 +41,7 @@ pub use cache::{CacheStats, InsertOutcome, ProactiveCache};
 pub use item::{Item, ItemData, ItemKey, ItemMeta};
 pub use node_view::CachedNodeView;
 pub use policy::ReplacementPolicy;
-pub use view::{CacheView, Catalog};
+pub use view::Catalog;
 
 #[cfg(test)]
 mod proptests;

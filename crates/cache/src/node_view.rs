@@ -7,8 +7,8 @@
 //! and a slot names its children by the index of their *pair*, siblings
 //! being allocated side by side. A code is found by walking its branch
 //! digits from the root — at most the BPT's depth of loads, no hashing —
-//! which is what `CacheView::expand` does for every cell the client's
-//! engine opens.
+//! which is what the cache's `IndexView::expand` does for every cell the
+//! client's engine opens.
 
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;

@@ -6,6 +6,7 @@
 use crate::cache::ProactiveCache;
 use crate::item::{Item, ItemKey};
 use crate::policy::ReplacementPolicy;
+use crate::view::Catalog;
 use pc_geom::{Point, Rect};
 use pc_rtree::bpt::Code;
 use pc_rtree::proto::{CellKind, CellRecord, NodeShipment, ServerReply};
@@ -98,7 +99,7 @@ fn loaded_cache(
     reply: &ServerReply,
     touches: &[(u32, u64)],
 ) -> ProactiveCache {
-    let mut c = ProactiveCache::new(u64::MAX / 2, policy);
+    let mut c = ProactiveCache::new(u64::MAX / 2, policy, Catalog::empty());
     c.absorb(reply, 1, Point::ORIGIN);
     for &(oid, t) in touches {
         // Touch the ancestor chain too: real traversals access every index
@@ -205,7 +206,7 @@ proptest! {
         sizes in prop::collection::vec(100u32..4000, 3),
     ) {
         let reply = synth_reply(objs_per_leaf.len(), &objs_per_leaf, &sizes);
-        let mut c = ProactiveCache::new(u64::MAX / 2, ReplacementPolicy::Grd3);
+        let mut c = ProactiveCache::new(u64::MAX / 2, ReplacementPolicy::Grd3, Catalog::empty());
         c.absorb(&reply, 1, Point::ORIGIN);
         let used = c.used_bytes();
         let items = c.len();

@@ -1,6 +1,6 @@
-//! [`CacheView`]: the client's [`IndexView`] over the proactive cache —
-//! what stage ① of Fig. 3 navigates. Cells the cache does not hold expand
-//! to [`Expansion::Missing`], which the engine turns into remainder-query
+//! The cache is the client's [`IndexView`] — what stage ① of Fig. 3
+//! navigates. Cells the cache does not hold expand to
+//! [`Expansion::Missing`], which the engine turns into remainder-query
 //! entries.
 
 use crate::cache::ProactiveCache;
@@ -25,27 +25,15 @@ impl Catalog {
     }
 }
 
-/// Read-only view of the cache for the query engine.
-pub struct CacheView<'a> {
-    cache: &'a ProactiveCache,
-    catalog: Catalog,
-}
-
-impl<'a> CacheView<'a> {
-    pub fn new(cache: &'a ProactiveCache, catalog: Catalog) -> Self {
-        CacheView { cache, catalog }
-    }
-}
-
-impl IndexView for CacheView<'_> {
-    fn root(&self) -> Option<(Rect, CellRef)> {
-        self.catalog
+impl IndexView for ProactiveCache {
+    fn root_cell(&self) -> Option<(Rect, CellRef)> {
+        self.catalog()
             .root
             .map(|(node, mbr)| (mbr, CellRef::node_root(node)))
     }
 
     fn expand(&self, cell: CellRef) -> Expansion {
-        let Some(view) = self.cache.node_view(cell.node) else {
+        let Some(view) = self.node_view(cell.node) else {
             return Expansion::Missing;
         };
         let Some(vc) = view.cell(cell.code) else {
@@ -63,7 +51,7 @@ impl IndexView for CacheView<'_> {
             CellKind::Object(id) => Expansion::Entry(Side::Obj {
                 id,
                 mbr: vc.mbr,
-                cached: self.cache.contains_object(id),
+                cached: self.contains_object(id),
             }),
             CellKind::Super => match view.children(cell.code) {
                 Some(children) => Expansion::Split(children.map(|(code, c)| Side::Cell {
@@ -134,37 +122,30 @@ mod tests {
             ],
             expansions: 0,
         };
-        let mut cache = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3);
+        let catalog = Catalog {
+            root: Some((NodeId(0), Rect::UNIT)),
+        };
+        let mut cache = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3, catalog);
         cache.absorb(&reply, 1, Point::ORIGIN);
         cache
     }
 
     #[test]
     fn root_comes_from_catalog() {
-        let cache = ProactiveCache::new(1024, ReplacementPolicy::Grd3);
-        let catalog = Catalog {
-            root: Some((NodeId(0), Rect::UNIT)),
-        };
-        let view = CacheView::new(&cache, catalog);
-        let (mbr, cell) = view.root().unwrap();
+        let mut cache = build_cache();
+        let (mbr, cell) = cache.root_cell().unwrap();
         assert_eq!(mbr, Rect::UNIT);
         assert_eq!(cell, CellRef::node_root(NodeId(0)));
-        assert!(!view.authoritative());
-        let empty = CacheView::new(&cache, Catalog::empty());
-        assert!(empty.root().is_none());
+        assert!(!cache.authoritative());
+        cache.full_refresh(Catalog::empty());
+        assert!(cache.root_cell().is_none());
     }
 
     #[test]
     fn expand_missing_node_is_missing() {
         let cache = build_cache();
-        let view = CacheView::new(
-            &cache,
-            Catalog {
-                root: Some((NodeId(0), Rect::UNIT)),
-            },
-        );
         assert_eq!(
-            view.expand(CellRef::node_root(NodeId(99))),
+            cache.expand(CellRef::node_root(NodeId(99))),
             Expansion::Missing
         );
     }
@@ -172,31 +153,19 @@ mod tests {
     #[test]
     fn expand_super_frontier_is_missing() {
         let cache = build_cache();
-        let view = CacheView::new(
-            &cache,
-            Catalog {
-                root: Some((NodeId(0), Rect::UNIT)),
-            },
-        );
         // Cell 1 of node 0 is a frontier super entry: no children known.
         let c1 = CellRef {
             node: NodeId(0),
             code: Code::ROOT.child(true),
         };
-        assert_eq!(view.expand(c1), Expansion::Missing);
+        assert_eq!(cache.expand(c1), Expansion::Missing);
     }
 
     #[test]
     fn expand_walks_to_cached_object() {
         let cache = build_cache();
-        let view = CacheView::new(
-            &cache,
-            Catalog {
-                root: Some((NodeId(0), Rect::UNIT)),
-            },
-        );
         // Root cell expands to its two BPT children.
-        let root = view.expand(CellRef::node_root(NodeId(0)));
+        let root = cache.expand(CellRef::node_root(NodeId(0)));
         assert!(root.is_split(), "root must split: {root:?}");
         // Child 0 is a full entry pointing to node 1.
         let c0 = CellRef {
@@ -204,7 +173,7 @@ mod tests {
             code: Code::ROOT.child(false),
         };
         assert_eq!(
-            view.expand(c0),
+            cache.expand(c0),
             Expansion::Entry(Side::Cell {
                 cell: CellRef::node_root(NodeId(1)),
                 mbr: Rect::from_coords(0.0, 0.0, 0.2, 0.2),
@@ -212,7 +181,7 @@ mod tests {
         );
         // Node 1's root cell is a leaf entry for the cached object 7.
         assert_eq!(
-            view.expand(CellRef::node_root(NodeId(1))),
+            cache.expand(CellRef::node_root(NodeId(1))),
             Expansion::Entry(Side::Obj {
                 id: ObjectId(7),
                 mbr: Rect::from_coords(0.0, 0.0, 0.01, 0.01),

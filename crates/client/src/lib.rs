@@ -1,7 +1,7 @@
-//! The mobile client of Fig. 3: runs stage ① (local processing over the
-//! proactive cache via the generic engine), constructs remainder queries,
-//! and absorbs server replies into the cache (stage ③), maintaining the
-//! §5.2 hit statistics along the way.
+//! The mobile client of Fig. 3: runs stage ① (the generic engine over the
+//! proactive cache, which is its own index view), constructs remainder
+//! queries, and absorbs server replies into the cache (stage ③),
+//! maintaining the §5.2 hit statistics along the way.
 
 // The client ingests decoded wire replies, so nothing a peer sends may
 // panic library code here, and each deliberate panic carries an
@@ -18,7 +18,7 @@
     )
 )]
 
-use pc_cache::{CacheView, Catalog, InsertOutcome, ItemKey, ProactiveCache, ReplacementPolicy};
+use pc_cache::{Catalog, InsertOutcome, ItemKey, ProactiveCache, ReplacementPolicy};
 use pc_geom::Point;
 use pc_rtree::engine::{execute_with, EngineScratch, NodeTrace};
 use pc_rtree::proto::{QuerySpec, RemainderQuery, ServerReply};
@@ -58,21 +58,19 @@ pub struct QueryAnswer {
 #[derive(Clone, Debug)]
 pub struct Client {
     cache: ProactiveCache,
-    catalog: Catalog,
     /// Query sequence id — the paper's `T` (§5.2).
     seq: u64,
     /// Reused engine buffers: one allocation set per client, not per query.
     scratch: EngineScratch,
-    /// The nodes and objects a `run_local` used: all its hit statistics
-    /// read. The cell-level trace is the server's.
+    /// The nodes a `run_local` read: with its results, all its hit
+    /// statistics read. The cell-level trace is the server's.
     trace: NodeTrace,
 }
 
 impl Client {
     pub fn new(capacity: u64, policy: ReplacementPolicy, catalog: Catalog) -> Self {
         Client {
-            cache: ProactiveCache::new(capacity, policy),
-            catalog,
+            cache: ProactiveCache::new(capacity, policy, catalog),
             seq: 0,
             scratch: EngineScratch::default(),
             trace: NodeTrace::default(),
@@ -85,10 +83,6 @@ impl Client {
 
     pub fn cache_mut(&mut self) -> &mut ProactiveCache {
         &mut self.cache
-    }
-
-    pub fn catalog(&self) -> Catalog {
-        self.catalog
     }
 
     /// Current query sequence id.
@@ -108,26 +102,22 @@ impl Client {
     /// cold. The query sequence id survives (hit statistics keep their
     /// clock). Returns `(items, bytes)` dropped.
     pub fn full_refresh(&mut self, catalog: Catalog) -> (usize, u64) {
-        self.catalog = catalog;
-        self.cache.clear()
+        self.cache.full_refresh(catalog)
     }
 
     /// Stage ①: evaluates `spec` over the cache. All items the traversal
     /// used are marked as hit by this query.
     pub fn run_local(&mut self, spec: &QuerySpec) -> LocalOutcome {
         self.trace.clear();
-        let outcome = {
-            let view = CacheView::new(&self.cache, self.catalog);
-            execute_with(&view, spec, &mut self.trace, &mut self.scratch)
-        };
+        let outcome = execute_with(&self.cache, spec, &mut self.trace, &mut self.scratch);
         // Hit accounting: every node whose cells the traversal consulted,
         // plus every object confirmed as a saved result.
         let now = self.seq;
         for node in self.trace.nodes() {
             self.cache.touch(ItemKey::Node(node), now);
         }
-        for id in &self.trace.confirmed {
-            self.cache.touch(ItemKey::Object(*id), now);
+        for &(id, _) in &outcome.results {
+            self.cache.touch(ItemKey::Object(id), now);
         }
         LocalOutcome {
             saved: outcome.results.iter().map(|(id, _)| *id).collect(),

@@ -3,11 +3,11 @@
 //! One engine evaluates range, kNN and distance self-join queries over
 //! *any* [`IndexView`]:
 //!
-//! * the **server** runs it over [`crate::view::FullView`] (authoritative —
-//!   nothing is ever missing), both for fresh queries and to *resume*
+//! * the **server** runs it over its [`RTree`](crate::RTree) (authoritative
+//!   — nothing is ever missing), both for fresh queries and to *resume*
 //!   remainder queries from the shipped heap `H`;
-//! * the **proactive client** runs it over its cache view, where expanding
-//!   an absent cell yields [`Expansion::Missing`]; missing entries are set
+//! * the **proactive client** runs it over its cache, where expanding an
+//!   absent cell yields [`Expansion::Missing`]; missing entries are set
 //!   aside (the paper "pushes them back to `H`" and skips them) and, when
 //!   the query cannot finish locally, the whole execution state is
 //!   serialized into a [`RemainderQuery`].
@@ -85,11 +85,11 @@ impl Expansion {
 }
 
 /// A navigable picture of the index: complete on the server, partial on the
-/// client.
+/// client. Each index the engine walks is its own view.
 pub trait IndexView {
     /// The tree's root cell and MBR (`None` for an empty tree). Clients
     /// know this from static catalog metadata even with a cold cache.
-    fn root(&self) -> Option<(Rect, CellRef)>;
+    fn root_cell(&self) -> Option<(Rect, CellRef)>;
 
     /// Children of `cell` (both BPT children for a super entry; the single
     /// pointed-to node root or object for a full entry).
@@ -110,8 +110,6 @@ pub trait Tracer {
     /// expansions (two sibling cells) from full-entry expansions (descent
     /// into a child node or object).
     fn cell_expanded(&mut self, _cell: CellRef, _internal: bool) {}
-    /// `id` was confirmed as a query result.
-    fn object_confirmed(&mut self, _id: ObjectId) {}
 }
 
 /// Tracer that ignores everything.
@@ -126,9 +124,10 @@ struct IndexSlot {
     node: u32,
 }
 
-/// The nodes a query read, each once in first-access order, and the
-/// objects it confirmed: all the client's §5.2 hit statistics need of a
-/// trace (every item the traversal used is marked as hit by the query).
+/// The nodes a query read, each once in first-access order. With the
+/// objects the query confirmed ([`Outcome::results`]), they are all the
+/// client's §5.2 hit statistics need (every item the traversal used is
+/// marked as hit by the query).
 ///
 /// The node index is flat and generation-stamped. A remainder built
 /// outside the program may name any node id, so ids are hashed, not used
@@ -146,7 +145,6 @@ pub struct NodeTrace {
     gen: u32,
     /// The hash multiplier (odd).
     mult: u64,
-    pub confirmed: Vec<ObjectId>,
 }
 
 impl Default for NodeTrace {
@@ -156,7 +154,6 @@ impl Default for NodeTrace {
             nodes: Vec::new(),
             gen: 1,
             mult: RandomState::new().hash_one(0u64) | 1,
-            confirmed: Vec::new(),
         }
     }
 }
@@ -172,7 +169,6 @@ impl NodeTrace {
     /// [`EngineScratch`] so a query loop re-traces without reallocating.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.confirmed.clear();
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Wrapped: stale stamps could read as current again.
@@ -253,10 +249,6 @@ impl Tracer for NodeTrace {
     fn cell_expanded(&mut self, cell: CellRef, _internal: bool) {
         self.slot(cell.node);
     }
-
-    fn object_confirmed(&mut self, id: ObjectId) {
-        self.confirmed.push(id);
-    }
 }
 
 /// One logged cell of a node, as [`AccessLog::cells`] yields it.
@@ -331,11 +323,6 @@ impl AccessLog {
         self.nodes.clear();
         self.cells.clear();
         self.spare_runs.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Objects confirmed as results, in confirmation order.
-    pub fn confirmed(&self) -> &[ObjectId] {
-        &self.trace.confirmed
     }
 
     /// The covering-antichain frontier for one node: touched cells minus
@@ -511,10 +498,6 @@ impl Tracer for AccessLog {
             self.flag(slot, cell_key(cell.code), INTERNAL);
         }
     }
-
-    fn object_confirmed(&mut self, id: ObjectId) {
-        self.trace.object_confirmed(id);
-    }
 }
 
 /// Everything the engine produced for one query.
@@ -623,7 +606,7 @@ pub fn execute_with<V: IndexView, T: Tracer>(
     scratch: &mut EngineScratch,
 ) -> Outcome {
     let cold = view
-        .root()
+        .root_cell()
         .filter(|(mbr, _)| spec.qualifies(mbr))
         .map(|(mbr, cell)| {
             let root = Side::Cell { cell, mbr };
@@ -742,7 +725,6 @@ fn run_single<V: IndexView, T: Tracer>(
                     // The server adjudicates every popped object; `cached`
                     // tells it whether payload transmission is needed.
                     results.push((id, cached));
-                    tracer.object_confirmed(id);
                 } else if !cached {
                     // Paper: a missing leaf entry — the payload must come
                     // from the server.
@@ -755,7 +737,6 @@ fn run_single<V: IndexView, T: Tracer>(
                     blocked.push((key, item.payload));
                 } else {
                     results.push((id, true));
-                    tracer.object_confirmed(id);
                 }
             }
         }
@@ -947,10 +928,7 @@ fn run_join<V: IndexView, T: Tracer>(
     members.sort_unstable_by_key(|&(id, at, _)| (id, at));
     members.dedup_by_key(|m| m.0);
     members.sort_unstable_by_key(|m| m.1);
-    let results: Vec<(ObjectId, bool)> = members.iter().map(|&(id, _, c)| (id, c)).collect();
-    for &(id, _) in &results {
-        tracer.object_confirmed(id);
-    }
+    let results = members.iter().map(|&(id, _, c)| (id, c)).collect();
 
     Outcome {
         results,

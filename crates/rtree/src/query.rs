@@ -280,7 +280,6 @@ mod tests {
         // traversal state, O(1) stack frames.
         use crate::engine::{execute, NoopTracer};
         use crate::proto::QuerySpec;
-        use crate::view::FullView;
         let tree = RTree::degenerate_chain(RTreeConfig::small(), 50_000);
         let handle = std::thread::Builder::new()
             .name("tiny-stack-query".into())
@@ -293,14 +292,14 @@ mod tests {
                 let pairs = distance_self_join(&tree, 1.0);
                 assert!(pairs.is_empty(), "a single object joins with nothing");
 
-                let view = FullView::new(&tree);
+                let view = &tree;
                 let window = Rect::UNIT;
-                let out = execute(&view, &QuerySpec::Range { window }, &mut NoopTracer);
+                let out = execute(view, &QuerySpec::Range { window }, &mut NoopTracer);
                 assert_eq!(out.results, vec![(ObjectId(0), false)]);
                 let center = Point::ORIGIN;
-                let out = execute(&view, &QuerySpec::Knn { center, k: 1 }, &mut NoopTracer);
+                let out = execute(view, &QuerySpec::Knn { center, k: 1 }, &mut NoopTracer);
                 assert_eq!(out.results, vec![(ObjectId(0), false)]);
-                let out = execute(&view, &QuerySpec::Join { dist: 1.0 }, &mut NoopTracer);
+                let out = execute(view, &QuerySpec::Join { dist: 1.0 }, &mut NoopTracer);
                 assert!(out.result_pairs.is_empty());
             })
             .expect("spawn tiny-stack thread");

@@ -3,7 +3,9 @@
 //! overlap criterion, forced re-insert, R* split) for incremental use.
 
 use crate::bpt::{BptBuilder, SplitPolicy};
+use crate::engine::{Expansion, IndexView};
 use crate::par;
+use crate::proto::{CellRef, Side};
 use crate::spares::Lent;
 use crate::split::{key_bits, rstar_split, SplitScratch};
 use crate::{ChildRef, Chunked, Entry, Node, NodeId, ObjectId, ObjectStore, Spares, SpatialObject};
@@ -17,32 +19,32 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 pub struct RTreeConfig {
     pub max_entries: usize,
-    pub min_entries: usize,
-    /// Entries removed by forced re-insert on the first overflow of a level
-    /// (R* recommends 30 % of the maximum fan-out).
-    pub reinsert_count: usize,
 }
 
 impl RTreeConfig {
     /// Paper-scale configuration (4 KB pages).
     pub fn paper() -> Self {
-        let max = (crate::proto::PAGE_BYTES - crate::proto::NODE_HEADER_BYTES) as usize
-            / crate::proto::ENTRY_BYTES as usize;
         RTreeConfig {
-            max_entries: max,
-            min_entries: max * 2 / 5,
-            reinsert_count: max * 3 / 10,
+            max_entries: (crate::proto::PAGE_BYTES - crate::proto::NODE_HEADER_BYTES) as usize
+                / crate::proto::ENTRY_BYTES as usize,
         }
     }
 
     /// Small fan-out for tests — forces deep trees on small datasets so the
     /// structural machinery (splits, re-inserts, BPTs) is exercised.
     pub fn small() -> Self {
-        RTreeConfig {
-            max_entries: 8,
-            min_entries: 3,
-            reinsert_count: 2,
-        }
+        RTreeConfig { max_entries: 8 }
+    }
+
+    /// The minimum fill: R*'s 40 % of the maximum fan-out.
+    pub fn min_entries(&self) -> usize {
+        self.max_entries * 2 / 5
+    }
+
+    /// Entries removed by forced re-insert on the first overflow of a level
+    /// (R* recommends 30 % of the maximum fan-out).
+    pub fn reinsert_count(&self) -> usize {
+        self.max_entries * 3 / 10
     }
 }
 
@@ -60,7 +62,7 @@ pub trait Objects {
     fn object(&self, position: usize) -> SpatialObject;
 }
 
-impl Objects for [SpatialObject] {
+impl Objects for &[SpatialObject] {
     fn count(&self) -> usize {
         self.len()
     }
@@ -70,7 +72,7 @@ impl Objects for [SpatialObject] {
     }
 }
 
-impl Objects for Vec<SpatialObject> {
+impl Objects for &Vec<SpatialObject> {
     fn count(&self) -> usize {
         self.len()
     }
@@ -81,7 +83,7 @@ impl Objects for Vec<SpatialObject> {
 }
 
 /// Every slot of a store, tombstoned ones included.
-impl Objects for ObjectStore {
+impl Objects for &ObjectStore {
     fn count(&self) -> usize {
         self.len()
     }
@@ -91,9 +93,10 @@ impl Objects for ObjectStore {
     }
 }
 
-/// The objects of a store the ids name, in id-slice order: a shard's
-/// partition.
-impl Objects for (&ObjectStore, &[ObjectId]) {
+/// The objects of a store the ids name, in list order: a shard's
+/// partition. The load owns the list and frees it with the leaf level
+/// packed.
+impl Objects for (&ObjectStore, Vec<ObjectId>) {
     fn count(&self) -> usize {
         self.1.len()
     }
@@ -210,7 +213,7 @@ impl RTree {
     ///
     /// # Panics
     /// Panics, naming the object, if an MBR coordinate is NaN.
-    pub fn bulk_load(cfg: RTreeConfig, objects: &(impl Objects + ?Sized)) -> Self {
+    pub fn bulk_load(cfg: RTreeConfig, objects: impl Objects) -> Self {
         let n = objects.count();
         if n == 0 {
             return RTree::new(cfg);
@@ -224,6 +227,9 @@ impl RTree {
                 child: ChildRef::Object(object.id),
             }
         });
+        // Nothing above the leaves reads the objects: a shard's id list
+        // goes before the upper levels and the BPTs are built.
+        drop(objects);
         let mut level = 0u16;
 
         while level_nodes.len() > 1 {
@@ -655,7 +661,7 @@ impl RTree {
             .mbr()
             .expect("overflowing node non-empty")
             .center();
-        let (reinsert_count, min_entries) = (self.cfg.reinsert_count, self.cfg.min_entries);
+        let (reinsert_count, min_entries) = (self.cfg.reinsert_count(), self.cfg.min_entries());
         let node = self.entries_mut(id);
         let mut entries = node.take_entries();
         entries.sort_by(|a, b| {
@@ -683,7 +689,7 @@ impl RTree {
         let entries = self.entries_mut(id).take_entries();
         let rects: Vec<Rect> = entries.iter().map(|e| e.mbr).collect();
         let mut scratch = SplitScratch::default();
-        let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries, &mut scratch);
+        let (left_idx, right_idx) = rstar_split(&rects, self.cfg.min_entries(), &mut scratch);
 
         let left_entries: Vec<Entry> = left_idx.iter().map(|&i| entries[i]).collect();
         let right_entries: Vec<Entry> = right_idx.iter().map(|&i| entries[i]).collect();
@@ -788,7 +794,7 @@ impl RTree {
     fn condense(&mut self, mut id: NodeId) {
         let mut orphans: Vec<(Entry, u16)> = Vec::new();
         while let Some(parent) = self.node(id).parent {
-            if self.node(id).len() < self.cfg.min_entries {
+            if self.node(id).len() < self.cfg.min_entries() {
                 // Detach `id`: its parent loses the entry, its own entries
                 // queue for re-insertion at their original level.
                 let level = self.node(id).level;
@@ -883,7 +889,7 @@ impl RTree {
                 if node.len() > self.cfg.max_entries {
                     return Err(format!("{id}: overflowing node"));
                 }
-                if strict_fill && node.len() < self.cfg.min_entries {
+                if strict_fill && node.len() < self.cfg.min_entries() {
                     return Err(format!("{id}: under-filled node"));
                 }
             }
@@ -953,6 +959,42 @@ impl RTree {
         tree.height = depth;
         tree.rebuild_bpts_on(SplitPolicy::RStar, 1);
         tree
+    }
+}
+
+/// The tree is the server's authoritative view: every cell of the index
+/// expands; a reference to anything else is [`Expansion::Missing`].
+impl IndexView for RTree {
+    fn root_cell(&self) -> Option<(Rect, CellRef)> {
+        self.root_mbr()
+            .map(|mbr| (mbr, CellRef::node_root(self.root)))
+    }
+
+    fn expand(&self, cell: CellRef) -> Expansion {
+        // Cells of a remainder heap come off the wire: a node id past the
+        // slab is missing, never indexed. (A node's BPT has a leaf cell per
+        // entry, so the lookups under a found node cannot miss.)
+        let Some(node) = self.try_node(cell.node) else {
+            return Expansion::Missing;
+        };
+        node.bpt().expand(cell, node, |entry_idx, mbr| {
+            match node.child_at(entry_idx as usize) {
+                ChildRef::Node(n) => Side::Cell {
+                    cell: CellRef::node_root(n),
+                    mbr,
+                },
+                // `cached: false`: the requester has not received it.
+                ChildRef::Object(id) => Side::Obj {
+                    id,
+                    mbr,
+                    cached: false,
+                },
+            }
+        })
+    }
+
+    fn authoritative(&self) -> bool {
+        true
     }
 }
 
@@ -1073,8 +1115,8 @@ mod tests {
     fn paper_config_has_plausible_fanout() {
         let cfg = RTreeConfig::paper();
         assert!(cfg.max_entries >= 90 && cfg.max_entries <= 110);
-        assert!(cfg.min_entries >= cfg.max_entries / 3);
-        assert!(cfg.reinsert_count < cfg.max_entries - cfg.min_entries);
+        assert!(cfg.min_entries() >= cfg.max_entries / 3);
+        assert!(cfg.reinsert_count() < cfg.max_entries - cfg.min_entries());
     }
 
     #[test]

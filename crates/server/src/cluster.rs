@@ -95,7 +95,6 @@ use pc_rtree::proto::{
     HeapEntry, NodeShipment, QuerySpec, RemainderQuery, Request, Response, ServerReply, Side,
     VersionedReply,
 };
-use pc_rtree::view::FullView;
 use pc_rtree::{par, NodeId, ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -318,8 +317,7 @@ impl Snapshot {
         // One shard to consult: its answer, in its own pop order, is the
         // answer — nothing to merge, re-sort or deduplicate.
         if reach.count_ones() == 1 {
-            let tree = &self.shards[reach.trailing_zeros() as usize];
-            let out = execute(&FullView::new(tree), spec, &mut NoopTracer);
+            let out = execute(self.shard(reach.trailing_zeros()), spec, &mut NoopTracer);
             return DirectReply {
                 results: out.results.iter().map(|&(id, _)| id).collect(),
                 pairs: out.result_pairs,
@@ -334,7 +332,7 @@ impl Snapshot {
                     if reach & (1 << s) == 0 {
                         continue;
                     }
-                    let out = execute(&FullView::new(tree), spec, &mut NoopTracer);
+                    let out = execute(tree.as_ref(), spec, &mut NoopTracer);
                     expansions += out.expansions;
                     for &(id, _) in &out.results {
                         cands.push((spec.key_for(&self.store.get(id).mbr), id));
@@ -457,7 +455,7 @@ impl Cluster {
                 range
                     .map(|s| {
                         let owned = map.owned_by(&store, s as u32);
-                        Arc::new(RTree::bulk_load(tree_cfg, &(&store, owned.as_slice())))
+                        Arc::new(RTree::bulk_load(tree_cfg, (&store, owned)))
                     })
                     .collect()
             })
@@ -1198,7 +1196,7 @@ impl SuperLayout {
 /// translated on the way out. Used for cross-shard join resumes and direct
 /// ground truth.
 impl IndexView for Snapshot {
-    fn root(&self) -> Option<(Rect, CellRef)> {
+    fn root_cell(&self) -> Option<(Rect, CellRef)> {
         // The layout BPT's root cell covers every non-empty shard root.
         let SuperLayout { mbrs, bpt, .. } = &self.layout;
         let root = bpt.find(Code::ROOT, mbrs.as_slice())?;
@@ -1223,7 +1221,7 @@ impl IndexView for Snapshot {
             node: local,
             code: cell.code,
         };
-        FullView::new(&self.shards[s as usize])
+        self.shard(s)
             .expand(cell)
             .map(|side| side.map_node(|n| self.map.to_global(n, s)))
     }
@@ -1294,7 +1292,7 @@ impl ServerHandle for Cluster {
             let tree = &snap.shards[0];
             tree.root_mbr().map(|mbr| (tree.root(), mbr))
         } else {
-            snap.root().map(|(mbr, cell)| (cell.node, mbr))
+            snap.root_cell().map(|(mbr, cell)| (cell.node, mbr))
         };
         (root, snap.epoch)
     }

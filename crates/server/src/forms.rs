@@ -16,7 +16,6 @@
 use pc_rtree::bpt::{BptCell, BptCellKind, Code};
 use pc_rtree::engine::{resume, AccessLog, Outcome};
 use pc_rtree::proto::{CellKind, CellRecord, NodeShipment, RemainderQuery, ServerReply};
-use pc_rtree::view::FullView;
 use pc_rtree::{ChildRef, Node, NodeId, ObjectStore, RTree};
 
 /// Which form of the supporting index to ship.
@@ -37,7 +36,7 @@ impl FormMode {
 /// accesses into the log before [`assemble`]ing.
 pub fn resume_traced(tree: &RTree, rq: &RemainderQuery) -> (Outcome, AccessLog) {
     let mut log = AccessLog::default();
-    let outcome = resume(&FullView::new(tree), rq, &mut log);
+    let outcome = resume(tree, rq, &mut log);
     debug_assert!(outcome.remainder.is_none(), "server must finish queries");
     (outcome, log)
 }
@@ -143,7 +142,6 @@ mod tests {
     use pc_geom::{Point, Rect};
     use pc_rtree::engine::{execute, AccessLog};
     use pc_rtree::proto::QuerySpec;
-    use pc_rtree::view::FullView;
     use pc_rtree::{ObjectId, RTreeConfig, SpatialObject};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -164,9 +162,8 @@ mod tests {
     }
 
     fn logged_query(tree: &RTree, spec: &QuerySpec) -> AccessLog {
-        let view = FullView::new(tree);
         let mut log = AccessLog::default();
-        let _ = execute(&view, spec, &mut log);
+        let _ = execute(tree, spec, &mut log);
         log
     }
 

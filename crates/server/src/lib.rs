@@ -2,7 +2,8 @@
 //! queries over the complete R-tree, builds the supporting index `Ir` in
 //! full / compact / d⁺-level compact form (§4.2–4.3), and runs the
 //! per-client adaptive controller that tunes `d` from reported false-miss
-//! rates (§4.3).
+//! rates (§4.3). The engine walks each shard's `RTree`, and a [`Snapshot`]
+//! across shards, as its own authoritative `IndexView`.
 //!
 //! One deployment type: a [`Cluster`] of N shards — each one R*-tree whose
 //! every node carries its BPT — behind a scatter-gather router, with one

@@ -430,6 +430,68 @@ mod churn_clients {
     }
 
     #[test]
+    fn full_refresh_adopts_a_root_that_moved() {
+        // A refresh that kept the old catalog would start its walks at a
+        // node that no longer roots the tree, and miss everything under
+        // the new root's other children.
+        let server = sample_server(
+            49,
+            5,
+            ServerConfig {
+                max_update_history: 2,
+                ..ServerConfig::default()
+            },
+        );
+        let root_id = || server.core().pin().shard(0).root();
+        let mut client = warm_client(&server, 3);
+        let pos = Point::new(0.31, 0.36);
+        let (spec, _) = range_at(pos, 0.25);
+        assert!(
+            client
+                .run_query(&server, &spec, pos, 0.0)
+                .ledger
+                .contacted_server
+        );
+
+        // 49 objects pack into eight leaves under a full root, so inserts
+        // soon split their way up to it. Epoch 0 must also fall below the
+        // pruned horizon.
+        let old_root = root_id();
+        for i in 0.. {
+            if root_id() != old_root && server.core().pin().update_log().low_water() > 0 {
+                break;
+            }
+            assert!(i < 64, "64 inserts left the root where it was");
+            let at = Point::new(
+                0.1 + 0.8 * (i as f64 * 0.618).fract(),
+                0.2 + 0.01 * i as f64,
+            );
+            server.apply_updates(&[Update::Insert {
+                mbr: Rect::from_point(at),
+                size_bytes: 100,
+            }]);
+        }
+        assert_ne!(root_id(), old_root);
+
+        let (spec, window) = range_at(Point::new(0.5, 0.5), 1.0);
+        let out = client.run_query(&server, &spec, pos, 0.0);
+        assert_eq!(out.full_refreshes, 1, "the lagging client is refused");
+        assert_eq!(
+            client.client().cache().catalog(),
+            Catalog {
+                root: server.bootstrap_root().0
+            }
+        );
+        let mut got = out.objects.clone();
+        got.sort_unstable();
+        got.dedup();
+        assert_eq!(
+            got,
+            naive::range_naive(server.core().pin().store(), &window)
+        );
+    }
+
+    #[test]
     fn epoch_stamp_costs_exactly_its_bytes_on_a_static_world() {
         // ROADMAP "(a)": what the plain envelope saves. On a world that
         // never churns, the same seeded tour run plain and stamped must

@@ -13,7 +13,6 @@ use procache::geom::{Point, Rect};
 use procache::rtree::bpt::{Bpt, BptCellKind, Code, EntryMbrs};
 use procache::rtree::engine::{execute, AccessLog};
 use procache::rtree::proto::{CellKind, QuerySpec};
-use procache::rtree::view::FullView;
 use procache::rtree::{Node, NodeId, RTree, RTreeConfig};
 use procache::server::{build_shipments, Cluster, FormMode, ServerConfig, ServerHandle, Update};
 use procache::sim::generate_update;
@@ -100,10 +99,9 @@ fn queries(n: usize, seed: u64) -> Vec<QuerySpec> {
 /// Every shipment of 300 fixed range/kNN queries, in emission order.
 fn shipment_digest(tree: &RTree, mode: FormMode) -> u64 {
     let mut h = Fnv::new();
-    let view = FullView::new(tree);
     for spec in queries(300, 19) {
         let mut log = AccessLog::default();
-        let _ = execute(&view, &spec, &mut log);
+        let _ = execute(tree, &spec, &mut log);
         for s in build_shipments(&log, tree, mode) {
             h.u64(s.node.0 as u64);
             h.u64(s.level as u64);

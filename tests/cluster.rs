@@ -8,7 +8,7 @@
 //!
 //! The reference shares nothing with the router: a bare `RTree`
 //! bulk-loaded from the cluster's *current* store, read through the
-//! engine over its `FullView` and `resume_traced` + `assemble`, plus the
+//! engine over the tree itself and `resume_traced` + `assemble`, plus the
 //! `pc_rtree::naive` oracles. A bug in the scatter, the merge or the
 //! per-shard update derivation cannot hide by sitting on both sides.
 //!
@@ -23,7 +23,6 @@ use procache::rtree::engine::{execute, NoopTracer};
 use procache::rtree::proto::{
     CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, ServerReply, Side,
 };
-use procache::rtree::view::FullView;
 use procache::rtree::{naive, ObjectId, ObjectStore, RTree, RTreeConfig, SpatialObject};
 use procache::server::{
     assemble, resume_traced, Cluster, ClusterConfig, FormMode, ServerHandle, Transport, Update,
@@ -139,7 +138,7 @@ fn any_spec() -> impl Strategy<Value = QuerySpec> {
 fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, RTree) {
     let store = cluster.core().pin().store().clone();
     let live: Vec<ObjectId> = store.iter_live().map(|o| o.id).collect();
-    let single = RTree::bulk_load(tree_cfg, &(&store, live.as_slice()));
+    let single = RTree::bulk_load(tree_cfg, (&store, live));
     (store, single)
 }
 
@@ -149,7 +148,7 @@ fn reference_world(cluster: &Cluster, tree_cfg: RTreeConfig) -> (ObjectStore, RT
 /// ships an object twice.
 fn assert_equivalent((store, single): &(ObjectStore, RTree), cluster: &Cluster, spec: QuerySpec) {
     // Direct (uncached) path.
-    let sd = execute(&FullView::new(single), &spec, &mut NoopTracer);
+    let sd = execute(single, &spec, &mut NoopTracer);
     let cd = cluster.core().pin().direct(&spec);
     match spec {
         QuerySpec::Range { ref window } => {
