@@ -9,9 +9,9 @@ use pc_geom::Point;
 use pc_rtree::proto::{
     CellKind, NodeShipment, ServerReply, ENTRY_BYTES, OBJECT_HEADER_BYTES, SHIPMENT_HEADER_BYTES,
 };
-use pc_rtree::{NodeId, ObjectId};
+use pc_rtree::{IdMap, NodeId, ObjectId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// What one reply absorption did to the cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -52,7 +52,7 @@ pub struct ProactiveCache {
     capacity: u64,
     policy: ReplacementPolicy,
     catalog: Catalog,
-    items: HashMap<ItemKey, Item>,
+    items: IdMap<ItemKey, Item>,
     /// Per-kind totals, kept wherever an item comes, grows or goes, so
     /// `stats()` and `used_bytes()` walk nothing.
     node_items: usize,
@@ -60,7 +60,7 @@ pub struct ProactiveCache {
     object_bytes: u64,
     /// Leaf node currently known to hold each object's entry — lets reply
     /// absorption link object items to their supporting leaf in O(1).
-    object_parents: HashMap<ObjectId, NodeId>,
+    object_parents: IdMap<ObjectId, NodeId>,
     /// Whether the most recent GRD3 eviction took the Definition 5.1
     /// step-(6) B-swap (diagnostics; lets the Theorem 5.5 equivalence test
     /// exclude the one step GRD2 does not have).
@@ -73,11 +73,11 @@ impl ProactiveCache {
             capacity,
             policy,
             catalog,
-            items: HashMap::new(),
+            items: IdMap::default(),
             node_items: 0,
             index_bytes: 0,
             object_bytes: 0,
-            object_parents: HashMap::new(),
+            object_parents: IdMap::default(),
             last_bswap: false,
         }
     }
@@ -207,7 +207,6 @@ impl ProactiveCache {
                         hits: 1,
                         last_access: now,
                         parent: Some(parent_key),
-                        mbr: obj.mbr,
                     },
                     data: ItemData::Object(*obj),
                     children: Vec::new(),
@@ -243,9 +242,6 @@ impl ProactiveCache {
                 meta.size = new;
                 meta.hits += 1;
                 meta.last_access = now;
-                if let Some(mbr) = view.root_mbr() {
-                    meta.mbr = mbr;
-                }
                 // Refinement only adds cells, so the frontier (and size)
                 // never shrinks; stay correct even if that ever changes.
                 self.index_bytes = self.index_bytes + new - old;
@@ -258,7 +254,9 @@ impl ProactiveCache {
             None => {
                 let view = CachedNodeView::new(s.level, &s.cells);
                 let size = node_item_bytes(&view);
-                let Some(mbr) = view.root_mbr() else { return 0 };
+                if view.root_mbr().is_none() {
+                    return 0;
+                }
                 // A parent neither cached nor shipped leaves this node an
                 // orphan (evictable on its own; re-linked by `adopt_orphan`
                 // if the parent arrives later). This only arises after
@@ -280,7 +278,6 @@ impl ProactiveCache {
                             hits: 1,
                             last_access: now,
                             parent: parent_key,
-                            mbr,
                         },
                         data: ItemData::Node(view),
                         children: Vec::new(),
@@ -318,7 +315,7 @@ impl ProactiveCache {
             ReplacementPolicy::Grd2 => return self.evict_grd2(now),
             ReplacementPolicy::Lru => self.evict_leaves(|it| it.meta.last_access as f64),
             ReplacementPolicy::Mru => self.evict_leaves(|it| -(it.meta.last_access as f64)),
-            ReplacementPolicy::Far => self.evict_leaves(|it| -it.meta.mbr.center().dist(&pos)),
+            ReplacementPolicy::Far => self.evict_leaves(|it| -it.mbr().center().dist(&pos)),
         };
         (count, bytes)
     }
@@ -373,7 +370,11 @@ impl ProactiveCache {
             return (count, bytes);
         };
         let benefit = |it: &Item| it.prob(now) * it.meta.size as f64;
-        let remaining: f64 = self.items.values().map(benefit).sum();
+        // Summed in key order: the map's order differs per instance, and a
+        // float sum's last bits depend on its order.
+        let mut left: Vec<_> = self.items.iter().map(|(k, it)| (*k, benefit(it))).collect();
+        left.sort_unstable_by_key(|&(k, _)| k);
+        let remaining: f64 = left.iter().map(|&(_, b)| b).sum();
         if benefit(&b) <= remaining || b.meta.size > self.capacity {
             return (count, bytes);
         }
@@ -405,7 +406,7 @@ impl ProactiveCache {
         let mut bytes = 0;
         bytes += self.discard_oversize(&mut count);
         while self.used_bytes() > self.capacity && !self.items.is_empty() {
-            let mut memo: HashMap<ItemKey, (f64, u64)> = HashMap::new(); // (benefit, SIZE)
+            let mut memo: IdMap<ItemKey, (f64, u64)> = IdMap::default(); // (benefit, SIZE)
             let keys: Vec<ItemKey> = self.items.keys().copied().collect();
             for k in &keys {
                 self.benefit_size(*k, now, &mut memo);
@@ -466,7 +467,7 @@ impl ProactiveCache {
         &self,
         key: ItemKey,
         now: u64,
-        memo: &mut HashMap<ItemKey, (f64, u64)>,
+        memo: &mut IdMap<ItemKey, (f64, u64)>,
     ) -> (f64, u64) {
         if let Some(&v) = memo.get(&key) {
             return v;

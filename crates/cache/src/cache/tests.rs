@@ -337,6 +337,77 @@ fn grd3_b_swap_keeps_the_single_valuable_item() {
     assert!(c.used_bytes() <= c.capacity());
 }
 
+/// Step (6) weighs B against the benefit of everything left, and that sum
+/// must not depend on the order the item map iterates in, which is its own
+/// per instance. Left after B goes are nodes 0 and 1 and object 2. Each
+/// node's benefit is under half an ulp of object 2's, the two together are
+/// over it: the sum reads object 2's benefit X when object 2 comes before
+/// a node, and X + ulp when both nodes come first. B's benefit is X + ulp,
+/// so a cache summing in map order B-swaps in one order and keeps the rest
+/// in the other.
+#[test]
+fn grd3_b_swap_does_not_depend_on_the_map_order() {
+    let object = |id, size_bytes| SpatialObject {
+        id: o(id),
+        mbr: Rect::from_coords(0.0, 0.0, 0.01, 0.01),
+        size_bytes,
+    };
+    let reply = ServerReply {
+        confirmed: vec![],
+        // 128 and 64 bytes cached.
+        objects: vec![object(1, 88), object(2, 24)],
+        pairs: vec![],
+        index: vec![
+            // 56 bytes cached.
+            NodeShipment {
+                node: n(0),
+                level: 1,
+                parent: None,
+                cells: vec![cell(Code::ROOT, 0.0, CellKind::Node(n(1)))],
+            },
+            // 96 bytes cached.
+            NodeShipment {
+                node: n(1),
+                level: 0,
+                parent: Some(n(0)),
+                cells: vec![
+                    cell(Code::ROOT.child(false), 0.0, CellKind::Object(o(1))),
+                    cell(Code::ROOT.child(true), 0.0, CellKind::Object(o(2))),
+                ],
+            },
+        ],
+        expansions: 0,
+    };
+    // (hits, age) at `now`, so every benefit hits / age · size is exact:
+    // object 2: 1 / 1 · 64 = 64 = X, whose ulp is 2^-46; object 1 (B, the
+    // lower prob): (2^52 + 1) / 2^53 · 128 = X + ulp; node 0: 56 / 2^54 =
+    // 0.22 ulp; node 1: 96 / 2^54 = 0.375 ulp.
+    let now = 1 + (1u64 << 54);
+    let stats = [
+        (ItemKey::Node(n(0)), 1, 1 << 54),
+        (ItemKey::Node(n(1)), 1, 1 << 54),
+        (ItemKey::Object(o(1)), (1 << 52) + 1, 1 << 53),
+        (ItemKey::Object(o(2)), 1, 1),
+    ];
+    let mut answers = std::collections::HashSet::new();
+    for _ in 0..64 {
+        let mut c = big_cache(ReplacementPolicy::Grd3);
+        c.absorb(&reply, 1, Point::ORIGIN);
+        for (key, hits, age) in stats {
+            let meta = &mut c.items.get_mut(&key).unwrap().meta;
+            (meta.hits, meta.t_insert) = (hits, now - age);
+        }
+        // Evicting B alone fits.
+        c.capacity = 300;
+        c.enforce_capacity(now, Point::ORIGIN);
+        c.validate().unwrap();
+        let mut kept: Vec<ItemKey> = c.keys().collect();
+        kept.sort();
+        answers.insert((c.took_bswap(), kept));
+    }
+    assert_eq!(answers.len(), 1, "{answers:?}");
+}
+
 #[test]
 fn invalidate_node_drops_the_whole_subtree() {
     let mut c = big_cache(ReplacementPolicy::Grd3);

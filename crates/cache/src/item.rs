@@ -35,8 +35,6 @@ pub struct ItemMeta {
     /// Query sequence id of the most recent access (LRU/MRU).
     pub last_access: u64,
     pub parent: Option<ItemKey>,
-    /// Representative MBR (node root / object MBR) for the FAR policy.
-    pub mbr: Rect,
 }
 
 /// Item payload.
@@ -64,6 +62,16 @@ impl Item {
         self.children.is_empty()
     }
 
+    /// What FAR ranks by: a node view's root cell (absorb caches no node
+    /// shipped without one; merges only add cells), or the object's MBR.
+    #[expect(clippy::expect_used, reason = "absorb keeps no rootless node")]
+    pub fn mbr(&self) -> Rect {
+        match &self.data {
+            ItemData::Node(view) => view.root_mbr().expect("a cached node has its root cell"),
+            ItemData::Object(obj) => obj.mbr,
+        }
+    }
+
     /// The paper's practical access-probability estimate:
     /// `prob = #hit_queries / (T − time_of_insertion)` (§5.2), with the
     /// denominator clamped so an item inserted by the current query has
@@ -87,7 +95,6 @@ mod tests {
                 hits,
                 last_access: t_insert,
                 parent: None,
-                mbr: Rect::from_point(Point::ORIGIN),
             },
             data: ItemData::Object(SpatialObject {
                 id: ObjectId(0),

@@ -128,7 +128,7 @@ fn rescan_evict(c: &mut ProactiveCache, pos: Point) -> Vec<ItemKey> {
     let score = |it: &Item| match policy {
         ReplacementPolicy::Lru => it.meta.last_access as f64,
         ReplacementPolicy::Mru => -(it.meta.last_access as f64),
-        ReplacementPolicy::Far => -it.meta.mbr.center().dist(&pos),
+        ReplacementPolicy::Far => -it.mbr().center().dist(&pos),
         p => unreachable!("{p} does not rank by a fixed score"),
     };
     let mut victims = Vec::new();

@@ -256,13 +256,14 @@ fn eviction_churn_never_corrupts_answers() {
 /// log sees of its nodes: the same nodes in the same first-access order
 /// (the order `run_local` touches cache items in) and the same confirmed
 /// objects, over caches that miss in every way eviction churn leaves them.
-/// Both are reused across queries, as the client reuses its trace.
+/// The trace is reused across queries, as the client reuses its own; the
+/// log is fresh per query, as the server's is per contact.
 #[test]
 fn node_trace_matches_the_access_log_over_partial_caches() {
     let server = make_server(400, 21, FormPolicy::Adaptive);
     let mut client = make_client(&server, 40_000);
     let mut rng = SmallRng::seed_from_u64(23);
-    let (mut log, mut trace) = (AccessLog::default(), NodeTrace::default());
+    let mut trace = NodeTrace::default();
     let mut pos = Point::new(0.5, 0.5);
     let mut partial = [0; 3];
     for round in 0..150 {
@@ -282,7 +283,7 @@ fn node_trace_matches_the_access_log_over_partial_caches() {
                 dist: rng.random_range(0.0..0.02),
             },
         };
-        log.clear();
+        let mut log = AccessLog::default();
         trace.clear();
         let logged = execute(client.cache(), &spec, &mut log);
         let traced = execute(client.cache(), &spec, &mut trace);

@@ -30,11 +30,9 @@
 
 use crate::bpt::Code;
 use crate::proto::{pair_key, CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
-use crate::{NodeId, ObjectId};
+use crate::{IdMap, NodeId, ObjectId};
 use pc_geom::Rect;
-use std::collections::hash_map::RandomState;
 use std::collections::BinaryHeap;
-use std::hash::BuildHasher;
 
 /// Result of asking a view to expand a cell. The children are frontier
 /// [`Side`]s as the engine queues them — and as a remainder ships them — so
@@ -116,65 +114,31 @@ pub trait Tracer {
 pub struct NoopTracer;
 impl Tracer for NoopTracer {}
 
-/// A slot of the node index: the node slot it points at, valid only while
-/// `gen` is the trace's generation.
-#[derive(Clone, Copy, Debug, Default)]
-struct IndexSlot {
-    gen: u32,
-    node: u32,
-}
-
 /// The nodes a query read, each once in first-access order. With the
 /// objects the query confirmed ([`Outcome::results`]), they are all the
 /// client's §5.2 hit statistics need (every item the traversal used is
 /// marked as hit by the query).
 ///
-/// The node index is flat and generation-stamped. A remainder built
-/// outside the program may name any node id, so ids are hashed, not used
-/// as offsets, with an odd multiplier drawn per trace: the ids a remainder
-/// names cannot be chosen to collide. [`clear`](Self::clear) bumps the
-/// generation and frees nothing, so a trace reused across queries (one per
+/// A remainder built outside the program may name any node id, so ids are
+/// filed in an [`IdMap`], not used as offsets. [`clear`](Self::clear)
+/// keeps both allocations, so a trace reused across queries (one per
 /// client) stops allocating once its largest query has run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NodeTrace {
-    /// Power-of-two length, at most half full.
-    index: Vec<IndexSlot>,
+    /// Each node's position in `nodes`.
+    index: IdMap<NodeId, u32>,
     /// In first-access order.
     nodes: Vec<NodeId>,
-    /// Never 0, so a zeroed index slot is vacant.
-    gen: u32,
-    /// The hash multiplier (odd).
-    mult: u64,
-}
-
-impl Default for NodeTrace {
-    fn default() -> Self {
-        NodeTrace {
-            index: Vec::new(),
-            nodes: Vec::new(),
-            gen: 1,
-            mult: RandomState::new().hash_one(0u64) | 1,
-        }
-    }
+    /// The position `slot` last returned: a walk reads cells in runs.
+    last: usize,
 }
 
 impl NodeTrace {
-    /// `key`'s home slot in a table of `1 << (64 - shift)` slots.
-    #[inline]
-    fn spread(&self, key: u64, shift: u32) -> usize {
-        (key.wrapping_mul(self.mult) >> shift) as usize
-    }
-
     /// Resets the trace for reuse, keeping every allocation — pairs with
     /// [`EngineScratch`] so a query loop re-traces without reallocating.
     pub fn clear(&mut self) {
+        self.index.clear();
         self.nodes.clear();
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: stale stamps could read as current again.
-            self.index.fill(IndexSlot::default());
-            self.gen = 1;
-        }
     }
 
     /// Every node with a touched or expanded cell, in first-access order.
@@ -182,61 +146,19 @@ impl NodeTrace {
         self.nodes.iter().copied()
     }
 
-    /// `node`'s slot, or the vacant index slot it would take.
-    #[inline]
-    fn find(&self, node: NodeId) -> Result<usize, usize> {
-        if self.index.is_empty() {
-            return Err(0);
-        }
-        let mask = self.index.len() - 1;
-        let mut at = self.spread(u64::from(node.0), 64 - self.index.len().trailing_zeros());
-        loop {
-            let slot = self.index[at];
-            if slot.gen != self.gen {
-                return Err(at);
-            }
-            if self.nodes[slot.node as usize] == node {
-                return Ok(slot.node as usize);
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    /// `node`'s slot, and whether this call opened it.
+    /// `node`'s position in `nodes`, and whether this call opened it.
     #[inline]
     fn slot(&mut self, node: NodeId) -> (usize, bool) {
-        let at = match self.find(node) {
-            Ok(slot) => return (slot, false),
-            Err(at) => at,
-        };
-        let at = if 2 * (self.nodes.len() + 1) > self.index.len() {
-            self.grow_index();
-            self.find(node).err().unwrap_or(at)
-        } else {
-            at
-        };
-        let slot = self.nodes.len();
-        self.index[at] = IndexSlot {
-            gen: self.gen,
-            node: slot as u32,
-        };
-        self.nodes.push(node);
-        (slot, true)
-    }
-
-    /// Doubles the node index and re-files every node of this generation.
-    #[cold]
-    fn grow_index(&mut self) {
-        let len = (2 * self.index.len()).max(64);
-        self.index = vec![IndexSlot::default(); len];
-        for slot in 0..self.nodes.len() {
-            if let Err(at) = self.find(self.nodes[slot]) {
-                self.index[at] = IndexSlot {
-                    gen: self.gen,
-                    node: slot as u32,
-                };
-            }
+        if self.nodes.get(self.last) == Some(&node) {
+            return (self.last, false);
         }
+        let next = self.nodes.len() as u32;
+        let slot = *self.index.entry(node).or_insert(next);
+        if slot == next {
+            self.nodes.push(node);
+        }
+        self.last = slot as usize;
+        (self.last, slot == next)
     }
 }
 
@@ -293,11 +215,10 @@ impl NodeCells {
 /// expanded; the client traces nodes only.
 ///
 /// Each node owns a small open-addressing table of its cells, all of them
-/// back to back in one vector, keyed with the trace's per-log multiplier.
-/// A join touches nearly every cell of the nodes it reads, so a per-node
-/// table of packed codes is the densest set the trace fits.
-/// [`clear`](Self::clear) frees nothing: clearing after a join costs what
-/// clearing after a range query does.
+/// back to back in one vector, each cell homed by one fold of the
+/// trace's [`IdHash`](crate::IdHash) seed. A join touches nearly every
+/// cell of the nodes it reads, so a per-node table of packed codes is the
+/// densest set the trace fits. The server logs each contact afresh.
 #[derive(Clone, Debug, Default)]
 pub struct AccessLog {
     trace: NodeTrace,
@@ -317,14 +238,6 @@ fn cell_key(code: Code) -> u64 {
 }
 
 impl AccessLog {
-    /// Resets the log for reuse, keeping every allocation.
-    pub fn clear(&mut self) {
-        self.trace.clear();
-        self.nodes.clear();
-        self.cells.clear();
-        self.spare_runs.iter_mut().for_each(Vec::clear);
-    }
-
     /// The covering-antichain frontier for one node: touched cells minus
     /// expanded super entries, in code order.
     pub fn frontier(&self, node: NodeId) -> Vec<Code> {
@@ -358,15 +271,14 @@ impl AccessLog {
 
     /// Whether any cell of `node` was expanded.
     pub fn any_expansion(&self, node: NodeId) -> bool {
-        self.trace.find(node).is_ok_and(|n| self.nodes[n].expanded)
+        let slot = self.trace.index.get(&node);
+        slot.is_some_and(|&n| self.nodes[n as usize].expanded)
     }
 
     /// The logged cells of `node`, in no particular order.
     pub fn cells(&self, node: NodeId) -> impl Iterator<Item = CellAccess> + '_ {
-        let table = self
-            .trace
-            .find(node)
-            .map_or(0..0, |n| self.nodes[n].table());
+        let slot = self.trace.index.get(&node);
+        let table = slot.map_or(0..0, |&n| self.nodes[n as usize].table());
         self.cells[table]
             .iter()
             .filter(|&&entry| entry != 0)
@@ -383,12 +295,12 @@ impl AccessLog {
     /// `as_node` — a cluster folding a cross-shard resume's trace into the
     /// owning shard's log under the shard-local id.
     pub fn record_node(&mut self, from: &AccessLog, node: NodeId, as_node: NodeId) {
-        let Ok(n) = from.trace.find(node) else {
+        let Some(n) = from.trace.index.get(&node).map(|&n| from.nodes[n as usize]) else {
             return;
         };
         let slot = self.slot(as_node);
-        self.nodes[slot].expanded |= from.nodes[n].expanded;
-        for &entry in &from.cells[from.nodes[n].table()] {
+        self.nodes[slot].expanded |= n.expanded;
+        for &entry in &from.cells[n.table()] {
             if entry != 0 {
                 self.flag(slot, entry & !0xff, entry & 0xff);
             }
@@ -418,7 +330,7 @@ impl AccessLog {
         let n = self.nodes[slot];
         let table = n.table();
         let mask = table.len() - 1;
-        let mut at = self.trace.spread(key, n.shift);
+        let mut at = self.trace.index.hasher().home(key, n.shift);
         loop {
             let entry = &mut self.cells[table.start + at];
             if *entry == 0 {
@@ -475,7 +387,7 @@ impl AccessLog {
             if entry == 0 {
                 continue;
             }
-            let mut at = self.trace.spread(entry & !0xff, shift);
+            let mut at = self.trace.index.hasher().home(entry & !0xff, shift);
             while self.cells[start + at] != 0 {
                 at = (at + 1) & (len - 1);
             }

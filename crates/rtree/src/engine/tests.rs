@@ -576,6 +576,37 @@ fn cold_resume_access_log_matches_the_recorded_trace() {
     );
 }
 
+/// A remainder built outside the program may name any node id: 4 096 ids
+/// that share their low 20 bits, each named twice, are logged once each,
+/// in heap order, and the log lists no node twice.
+#[test]
+fn access_log_lists_ids_that_share_their_low_bits_once() {
+    let (_, tree) = dataset(200, 5);
+    let ids: Vec<NodeId> = (0..4096u32).map(|k| NodeId(k << 20)).collect();
+    let window = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+    let heap = ids
+        .iter()
+        .chain(&ids)
+        .map(|&node| {
+            let cell = CellRef::node_root(node);
+            (0.0, HeapEntry::Single(Side::Cell { cell, mbr: window }))
+        })
+        .collect();
+    let rq = RemainderQuery {
+        spec: QuerySpec::Range { window },
+        already_found: 0,
+        heap,
+    };
+    let mut log = AccessLog::default();
+    resume(&tree, &rq, &mut log);
+    let mut logged: Vec<NodeId> = log.nodes().collect();
+    assert!(logged[..ids.len()] == ids[..], "heap order");
+    logged.sort_unstable();
+    let len = logged.len();
+    logged.dedup();
+    assert_eq!(logged.len(), len, "a node logged twice");
+}
+
 #[test]
 fn expansion_count_bounded_by_twice_plain_node_accesses() {
     // §4.2: "the new algorithm in the worst case … doubles the processing

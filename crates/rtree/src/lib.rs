@@ -31,6 +31,7 @@
 
 pub mod bpt;
 pub mod engine;
+mod id_hash;
 pub mod naive;
 pub mod par;
 pub mod proto;
@@ -48,6 +49,7 @@ use bpt::Bpt;
 use pc_geom::{Point, Rect};
 use spares::Lent;
 
+pub use id_hash::{IdHash, IdMap};
 pub use spares::{Chunked, Spares, CHUNK_LEN};
 pub use tree::{Objects, RTree, RTreeConfig, TreeStats};
 
