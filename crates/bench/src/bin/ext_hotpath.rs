@@ -8,33 +8,40 @@
 //! serves nothing. This binary
 //! sweeps dataset sizes up to `--objects` (use `--objects 1000000` for the
 //! million-object run) and, at each size, answers the same range, kNN and
-//! self-join queries four ways:
+//! self-join queries six ways:
 //!
 //! * **direct** — `engine::execute` over the shard's `RTree` itself,
 //!   untraced (what `Request::Direct` runs on one shard);
-//! * **resume** — `pc_server::resume_traced` + `pc_server::assemble` of the
-//!   cold remainder `{Q, [root]}` in compact form: the same traversal traced, plus
-//!   building the supporting index and splitting the result set (what a
-//!   cold client's contact costs the server);
+//! * **traverse** — `engine::resume` of the cold remainder `{Q, [root]}`
+//!   under `NoopTracer`: the traversal a cold contact runs, untraced;
+//! * **trace** — `pc_server::resume_traced` of the same remainder: the
+//!   traversal plus the `AccessLog`;
+//! * **resume** — `resume_traced` + `pc_server::assemble` in compact form:
+//!   the traced traversal plus building the supporting index and
+//!   splitting the result set (what a cold client's contact costs the
+//!   server);
 //! * **run_local** — `Client::run_local` over a `ProactiveCache` warmed by
 //!   these very queries (cache large enough that nothing is evicted), so
 //!   every query completes locally: stage ① at its best;
 //! * **reference** — `pc_rtree::query`, the iterative SoA loops over the
 //!   plain tree.
 //!
-//! Each arm's time includes producing its id / pair list. Before timing,
-//! **every** query is answered by all four arms and the answers compared
-//! (ids for range, distances for kNN — ties may pick different ids — and
-//! the pair set for the join); the three served arms must also emit a
-//! join's pairs and objects in the same order, since the engine emits them
-//! by (pair distance, pair). Any disagreement aborts the run with a
-//! non-zero exit. `--json OUT` writes the rows as `BENCH_hotpath.json`.
+//! Each arm's time includes producing its id / pair list, and is the
+//! fastest of [`PASSES`] passes over the queries, the arm order rotated
+//! per pass; `spread` is the widest arm's slowest / fastest pass − 1.
+//! Before timing, **every** query is answered by all six arms and the
+//! answers compared (ids for range, distances for kNN — ties may pick
+//! different ids — and the pair set for the join); the five served arms
+//! must also emit a join's pairs and objects in the same order, since the
+//! engine emits them by (pair distance, pair). Any disagreement aborts the
+//! run with a non-zero exit. `--json OUT` writes the rows as
+//! `BENCH_hotpath.json`.
 
 use pc_bench::{json, HarnessOpts, Table};
 use pc_cache::{Catalog, ReplacementPolicy};
 use pc_client::Client;
 use pc_geom::{Point, Rect};
-use pc_rtree::engine::{execute, NoopTracer};
+use pc_rtree::engine::{self, execute, NoopTracer};
 use pc_rtree::proto::{CellRef, HeapEntry, QuerySpec, RemainderQuery, Request, Side};
 use pc_rtree::{query, ObjectId, RTreeConfig};
 use pc_server::{
@@ -58,10 +65,26 @@ const K: u32 = 10;
 /// (69 there, 8 835 at 123 593).
 const JOIN_DISTS: [f64; 2] = [6e-5, 2e-4];
 
-const ARMS: [&str; 4] = ["direct", "resume", "run_local", "reference"];
+/// Passes timed per arm; an arm's time is its fastest pass.
+const PASSES: usize = 5;
 
 /// What one arm answered: result ids in the arm's own order, join pairs.
 type Answer = (Vec<ObjectId>, Vec<(ObjectId, ObjectId)>);
+
+/// One way to answer a case: over the snapshot, or over the warm client.
+type Arm = fn(&Snapshot, &mut Client, &Case) -> Answer;
+
+/// The arms in column order; the last, the reference, is what every other
+/// arm is checked against.
+const ARMS: [(&str, Arm); 6] = [
+    ("direct", |snap, _, case| direct(snap, case)),
+    ("traverse", |snap, _, case| traverse(snap, case)),
+    ("trace", |snap, _, case| trace(snap, case)),
+    ("resume", |snap, _, case| resume(snap, case)),
+    ("run_local", |_, client, case| run_local(client, case)),
+    ("reference", |snap, _, case| reference(snap, case)),
+];
+const REFERENCE: usize = ARMS.len() - 1;
 
 /// A query and the remainder `{Q, [root]}` a cold client submits for it.
 struct Case {
@@ -94,6 +117,19 @@ fn canonical(spec: &QuerySpec, (mut ids, mut pairs): Answer, snap: &Snapshot) ->
 
 fn direct(snap: &Snapshot, case: &Case) -> Answer {
     let out = execute(snap.shard(0), &case.spec, &mut NoopTracer);
+    let ids = out.results.iter().map(|&(id, _)| id).collect();
+    (ids, out.result_pairs)
+}
+
+fn traverse(snap: &Snapshot, case: &Case) -> Answer {
+    let out = engine::resume(snap.shard(0), &case.cold, &mut NoopTracer);
+    let ids = out.results.iter().map(|&(id, _)| id).collect();
+    (ids, out.result_pairs)
+}
+
+fn trace(snap: &Snapshot, case: &Case) -> Answer {
+    let (out, log) = resume_traced(snap.shard(0), &case.cold);
+    black_box(&log);
     let ids = out.results.iter().map(|&(id, _)| id).collect();
     (ids, out.result_pairs)
 }
@@ -145,8 +181,10 @@ struct Row {
     objects: usize,
     kind: &'static str,
     queries: usize,
-    /// µs per query, in [`ARMS`] order.
-    us: [f64; 4],
+    /// µs per query, in [`ARMS`] order: each arm's fastest pass.
+    us: [f64; ARMS.len()],
+    /// Each arm's slowest pass / fastest pass − 1.
+    spread: [f64; ARMS.len()],
     results: u64,
 }
 
@@ -228,44 +266,43 @@ fn measure(n: usize, queries: usize, seed: u64) -> Vec<Row> {
         // Cross-check every query before timing any: the table never
         // compares different work.
         for case in cases {
-            let want = canonical(&case.spec, reference(snap, case), snap);
-            let served = [
-                direct(snap, case),
-                resume(snap, case),
-                run_local(&mut client, case),
-            ];
-            if case.spec.is_join() {
-                for (arm, got) in ARMS.iter().zip(&served).skip(1) {
+            let answers = ARMS.map(|(_, arm)| arm(snap, &mut client, case));
+            let want = canonical(&case.spec, answers[REFERENCE].clone(), snap);
+            for ((name, _), got) in ARMS.iter().zip(&answers).take(REFERENCE) {
+                if case.spec.is_join() {
                     assert!(
-                        *got == served[0],
-                        "{arm} emits the join at {n} objects in another order than direct"
+                        *got == answers[0],
+                        "{name} emits the join at {n} objects in another order than direct"
                     );
                 }
-            }
-            for (arm, got) in ARMS.iter().zip(served) {
                 assert!(
-                    canonical(&case.spec, got, snap) == want,
-                    "{arm} disagrees with the reference on {:?} at {n} objects",
+                    canonical(&case.spec, got.clone(), snap) == want,
+                    "{name} disagrees with the reference on {:?} at {n} objects",
                     case.spec
                 );
             }
         }
-        let passes = [
-            time_pass(cases, |c| direct(snap, c)),
-            time_pass(cases, |c| resume(snap, c)),
-            time_pass(cases, |c| run_local(&mut client, c)),
-            time_pass(cases, |c| reference(snap, c)),
-        ];
+        // The arm order rotates per pass: no arm always runs first, or
+        // right after the same neighbour.
+        let (mut us, mut slowest) = ([f64::INFINITY; ARMS.len()], [0f64; ARMS.len()]);
+        let mut results = [0; ARMS.len()];
+        for pass in 0..PASSES {
+            for at in (0..ARMS.len()).map(|i| (pass + i) % ARMS.len()) {
+                let (t, found) = time_pass(cases, |c| ARMS[at].1(snap, &mut client, c));
+                (us[at], slowest[at], results[at]) = (us[at].min(t), slowest[at].max(t), found);
+            }
+        }
         assert!(
-            passes.iter().all(|p| p.1 == passes[3].1),
+            results.iter().all(|&r| r == results[REFERENCE]),
             "{kind} result counts diverged between arms"
         );
         rows.push(Row {
             objects: n,
             kind,
             queries: cases.len(),
-            us: passes.map(|p| p.0),
-            results: passes[3].1,
+            us,
+            spread: std::array::from_fn(|a| slowest[a] / us[a] - 1.0),
+            results: results[REFERENCE],
         });
     }
     rows
@@ -287,16 +324,10 @@ fn main() {
     }
     sizes.reverse();
 
-    let mut t = Table::new(vec![
-        "objects",
-        "kind",
-        "queries",
-        "direct/q",
-        "resume/q",
-        "run_local/q",
-        "reference/q",
-        "results",
-    ]);
+    let mut header: Vec<String> = ["objects", "kind", "queries"].map(String::from).to_vec();
+    header.extend(ARMS.iter().map(|(arm, _)| format!("{arm}/q")));
+    header.extend(["spread", "results"].map(String::from));
+    let mut t = Table::new(header);
     let mut json_rows = Vec::new();
     for &n in &sizes {
         for r in measure(n, queries, opts.seed) {
@@ -306,20 +337,26 @@ fn main() {
                 r.queries.to_string(),
             ];
             cells.extend(r.us.iter().map(|us| format!("{us:.1}us")));
+            let spread = r.spread.iter().copied().fold(0.0, f64::max);
+            cells.push(format!("{:.0}%", 100.0 * spread));
             cells.push(r.results.to_string());
             t.row(cells);
             let mut obj = json::Obj::new()
                 .num("objects", r.objects)
                 .str("kind", r.kind)
                 .num("queries", r.queries);
-            for (arm, us) in ARMS.iter().zip(r.us) {
-                obj = obj.num(&format!("{arm}_us"), us);
+            for (((arm, _), us), spread) in ARMS.iter().zip(r.us).zip(r.spread) {
+                obj = obj
+                    .num(&format!("{arm}_us"), us)
+                    .num(&format!("{arm}_spread"), spread);
             }
             json_rows.push(obj.num("results", r.results).render());
         }
     }
     t.print();
-    println!("\nevery query cross-checked: direct = resume = run_local = reference");
+    println!(
+        "\nevery query cross-checked: direct = traverse = trace = resume = run_local = reference"
+    );
 
     if let Some(path) = &opts.json {
         let doc = json::Obj::new()

@@ -369,12 +369,18 @@ impl ProactiveCache {
         let Some((b_key, mut b)) = last else {
             return (count, bytes);
         };
-        let benefit = |it: &Item| it.prob(now) * it.meta.size as f64;
-        // Summed in key order: the map's order differs per instance, and a
-        // float sum's last bits depend on its order.
-        let mut left: Vec<_> = self.items.iter().map(|(k, it)| (*k, benefit(it))).collect();
-        left.sort_unstable_by_key(|&(k, _)| k);
-        let remaining: f64 = left.iter().map(|&(_, b)| b).sum();
+        // Each benefit `prob · size` on a 2⁻⁶⁴ grid, summed as integers:
+        // integer addition is order-free, and the map's order differs per
+        // instance. `prob ≤ hits`, so a term overflows only when
+        // `hits · size ≥ 2⁶⁴`; the cast saturates there, and so does the
+        // sum, which then keeps everything left (no B-swap).
+        const GRID: f64 = (1u128 << 64) as f64;
+        let benefit = |it: &Item| (it.prob(now) * it.meta.size as f64 * GRID) as u128;
+        let remaining = self
+            .items
+            .values()
+            .map(benefit)
+            .fold(0, u128::saturating_add);
         if benefit(&b) <= remaining || b.meta.size > self.capacity {
             return (count, bytes);
         }

@@ -27,6 +27,11 @@
 //! the order a best-first loop would pop them in, ties broken by pair id,
 //! so a reply depends only on its result set — and §4.1's response metric,
 //! which reads that order, sees the nearest pairs first.
+//!
+//! A [`Tracer`] watches the walk — cells pushed and cells expanded — and
+//! is told when it ends ([`Tracer::finish`]). The server's [`AccessLog`]
+//! seals its per-node cell runs there; the client's [`NodeTrace`] keeps
+//! nodes only.
 
 use crate::bpt::Code;
 use crate::proto::{pair_key, CellRef, HeapEntry, QuerySpec, RemainderQuery, Side};
@@ -108,6 +113,9 @@ pub trait Tracer {
     /// expansions (two sibling cells) from full-entry expansions (descent
     /// into a child node or object).
     fn cell_expanded(&mut self, _cell: CellRef, _internal: bool) {}
+    /// The traversal is over: a tracer that buffers what it saw settles
+    /// it here, before anything reads it.
+    fn finish(&mut self) {}
 }
 
 /// Tracer that ignores everything.
@@ -183,71 +191,69 @@ pub struct CellAccess {
     pub expanded_internal: bool,
 }
 
-/// Cell flags: touched / expanded as a super entry. A table entry is
-/// `bits << 32 | len << 8 | flags`; a cell is only ever logged with a flag
-/// set, so 0 is a vacant entry.
+/// Cell flags: touched / expanded as a super entry. A run entry is
+/// `bits << 8 | len << 2 | flags`, so entries sort in code order.
 const TOUCHED: u64 = 1;
 const INTERNAL: u64 = 2;
+const FLAGS: u64 = TOUCHED | INTERNAL;
 
-/// One node's cell table, a power-of-two run of [`AccessLog::cells`] at
-/// most three-quarters full; parallel to the trace's nodes.
-#[derive(Clone, Copy, Debug)]
-struct NodeCells {
-    /// Some cell of the node was expanded.
-    expanded: bool,
-    start: u32,
-    /// 64 − log2 of the table's length: the hash shift.
-    shift: u32,
-    /// Cells logged.
-    len: u32,
-}
-
-impl NodeCells {
-    fn table(&self) -> std::ops::Range<usize> {
-        let start = self.start as usize;
-        start..start + (1 << (64 - self.shift))
-    }
-}
+/// Entries a node's run opens with: enough for the few cells a range or
+/// kNN contact logs in most nodes, so those runs never grow.
+const RUN_CAPACITY: usize = 16;
 
 /// The server's cell-level trace: the grey subtree §4.2's compact forms
 /// are cut from (the compact form is the frontier of the grey subtree).
-/// A [`NodeTrace`] plus, per traced node, a table of the cells touched or
+/// A [`NodeTrace`] plus, per traced node, the run of cells touched or
 /// expanded; the client traces nodes only.
 ///
-/// Each node owns a small open-addressing table of its cells, all of them
-/// back to back in one vector, each cell homed by one fold of the
-/// trace's [`IdHash`](crate::IdHash) seed. A join touches nearly every
-/// cell of the nodes it reads, so a per-node table of packed codes is the
-/// densest set the trace fits. The server logs each contact afresh.
+/// A traversal appends each node's cells as it reads them, folding a
+/// repeat of the run's last cell into it; [`Tracer::finish`] then sorts
+/// each run and merges the flags of a code logged more than once. Nothing
+/// hashes a cell: a join logs a few hundred entries per node, and sorting
+/// each node's run beats one sort over every (node, code). The readers
+/// see sealed runs, in code order. The server logs each contact afresh.
 #[derive(Clone, Debug, Default)]
 pub struct AccessLog {
     trace: NodeTrace,
     /// Indexed like the trace's nodes.
-    nodes: Vec<NodeCells>,
-    cells: Vec<u64>,
-    /// Runs of `cells` a growing table moved out of, by log2 of their
-    /// length, for the next table of that size.
-    spare_runs: Vec<Vec<u32>>,
+    runs: Vec<CellRun>,
 }
 
-/// `code` as a table entry with no flags.
+/// One traced node's cells, sealed by [`seal`] once its traversal ends.
+#[derive(Clone, Debug)]
+struct CellRun {
+    /// Some cell of the node was expanded.
+    expanded: bool,
+    cells: Vec<u64>,
+}
+
+/// `code` as a run entry with no flags.
 #[inline]
 fn cell_key(code: Code) -> u64 {
     let (bits, len) = code.raw();
-    u64::from(bits) << 32 | u64::from(len) << 8
+    u64::from(bits) << 8 | u64::from(len) << 2
+}
+
+/// Sorts `run` and merges the flags of equal codes.
+fn seal(run: &mut Vec<u64>) {
+    run.sort_unstable();
+    run.dedup_by(|next, kept| {
+        let same = (*next ^ *kept) & !FLAGS == 0;
+        if same {
+            *kept |= *next;
+        }
+        same
+    });
 }
 
 impl AccessLog {
     /// The covering-antichain frontier for one node: touched cells minus
     /// expanded super entries, in code order.
     pub fn frontier(&self, node: NodeId) -> Vec<Code> {
-        let mut out: Vec<Code> = self
-            .cells(node)
+        self.cells(node)
             .filter(|c| c.touched && !c.expanded_internal)
             .map(|c| c.code)
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     /// Nodes that had at least one expansion, i.e. the "accessed R-tree
@@ -256,8 +262,8 @@ impl AccessLog {
         let mut out: Vec<NodeId> = self
             .trace
             .nodes()
-            .zip(&self.nodes)
-            .filter(|(_, n)| n.expanded)
+            .zip(&self.runs)
+            .filter(|(_, run)| run.expanded)
             .map(|(node, _)| node)
             .collect();
         out.sort_unstable();
@@ -271,127 +277,61 @@ impl AccessLog {
 
     /// Whether any cell of `node` was expanded.
     pub fn any_expansion(&self, node: NodeId) -> bool {
-        let slot = self.trace.index.get(&node);
-        slot.is_some_and(|&n| self.nodes[n as usize].expanded)
+        self.run(node).is_some_and(|run| run.expanded)
     }
 
-    /// The logged cells of `node`, in no particular order.
+    /// The logged cells of `node`, in code order.
     pub fn cells(&self, node: NodeId) -> impl Iterator<Item = CellAccess> + '_ {
-        let slot = self.trace.index.get(&node);
-        let table = slot.map_or(0..0, |&n| self.nodes[n as usize].table());
-        self.cells[table]
-            .iter()
-            .filter(|&&entry| entry != 0)
-            .filter_map(|&entry| {
-                Some(CellAccess {
-                    code: Code::from_raw((entry >> 32) as u32, (entry >> 8) as u8)?,
-                    touched: entry & TOUCHED != 0,
-                    expanded_internal: entry & INTERNAL != 0,
-                })
+        let cells = self.run(node).map_or(&[][..], |run| &run.cells);
+        cells.iter().filter_map(|&entry| {
+            Some(CellAccess {
+                code: Code::from_raw((entry >> 8) as u32, (entry >> 2 & 0x3f) as u8)?,
+                touched: entry & TOUCHED != 0,
+                expanded_internal: entry & INTERNAL != 0,
             })
+        })
     }
 
     /// Logs everything `from` logged for its node `node` as accesses of
     /// `as_node` — a cluster folding a cross-shard resume's trace into the
     /// owning shard's log under the shard-local id.
     pub fn record_node(&mut self, from: &AccessLog, node: NodeId, as_node: NodeId) {
-        let Some(n) = from.trace.index.get(&node).map(|&n| from.nodes[n as usize]) else {
+        let Some(from) = from.run(node) else {
             return;
         };
         let slot = self.slot(as_node);
-        self.nodes[slot].expanded |= n.expanded;
-        for &entry in &from.cells[n.table()] {
-            if entry != 0 {
-                self.flag(slot, entry & !0xff, entry & 0xff);
-            }
-        }
+        let run = &mut self.runs[slot];
+        run.expanded |= from.expanded;
+        run.cells.extend_from_slice(&from.cells);
+        seal(&mut run.cells);
     }
 
-    /// `node`'s slot, opened with an empty eight-cell table when absent.
+    fn run(&self, node: NodeId) -> Option<&CellRun> {
+        let slot = self.trace.index.get(&node)?;
+        Some(&self.runs[*slot as usize])
+    }
+
+    /// `node`'s slot, opened with an empty run when absent.
     #[inline]
     fn slot(&mut self, node: NodeId) -> usize {
         let (slot, opened) = self.trace.slot(node);
         if opened {
-            let start = self.take_run(3);
-            self.nodes.push(NodeCells {
+            self.runs.push(CellRun {
                 expanded: false,
-                start,
-                shift: 64 - 3,
-                len: 0,
+                cells: Vec::with_capacity(RUN_CAPACITY),
             });
         }
         slot
     }
 
-    /// Sets `flags` on the cell `key` of node slot `slot`, logging it
-    /// first when absent.
+    /// Appends `entry` to node slot `slot`'s run, or ORs its flags into
+    /// the run's last entry when that is the same cell.
     #[inline]
-    fn flag(&mut self, slot: usize, key: u64, flags: u64) {
-        let n = self.nodes[slot];
-        let table = n.table();
-        let mask = table.len() - 1;
-        let mut at = self.trace.index.hasher().home(key, n.shift);
-        loop {
-            let entry = &mut self.cells[table.start + at];
-            if *entry == 0 {
-                break;
-            }
-            if *entry & !0xff == key {
-                *entry |= flags;
-                return;
-            }
-            at = (at + 1) & mask;
-        }
-        if 4 * (n.len + 1) as usize > 3 * table.len() {
-            self.grow_table(slot);
-            return self.flag(slot, key, flags);
-        }
-        self.cells[table.start + at] = key | flags;
-        self.nodes[slot].len += 1;
-    }
-
-    /// A zeroed run of `1 << log2` cells: a spare one, or new at the end.
-    fn take_run(&mut self, log2: usize) -> u32 {
-        let len = 1 << log2;
-        match self.spare_runs.get_mut(log2).and_then(Vec::pop) {
-            Some(start) => {
-                let at = start as usize;
-                self.cells[at..at + len].fill(0);
-                start
-            }
-            None => {
-                let start = self.cells.len();
-                self.cells.resize(start + len, 0);
-                start as u32
-            }
-        }
-    }
-
-    /// Moves node slot `slot`'s table into a run twice as long and spares
-    /// the one it leaves.
-    #[cold]
-    fn grow_table(&mut self, slot: usize) {
-        let old = self.nodes[slot].table();
-        let log2 = old.len().trailing_zeros() as usize;
-        let start = self.take_run(log2 + 1) as usize;
-        if self.spare_runs.len() <= log2 {
-            self.spare_runs.resize_with(log2 + 1, Vec::new);
-        }
-        self.spare_runs[log2].push(old.start as u32);
-        let n = &mut self.nodes[slot];
-        n.start = start as u32;
-        n.shift -= 1;
-        let (shift, len) = (n.shift, 2 * old.len());
-        for from in old {
-            let entry = self.cells[from];
-            if entry == 0 {
-                continue;
-            }
-            let mut at = self.trace.index.hasher().home(entry & !0xff, shift);
-            while self.cells[start + at] != 0 {
-                at = (at + 1) & (len - 1);
-            }
-            self.cells[start + at] = entry;
+    fn log(&mut self, slot: usize, entry: u64) {
+        let cells = &mut self.runs[slot].cells;
+        match cells.last_mut() {
+            Some(last) if (*last ^ entry) & !FLAGS == 0 => *last |= entry,
+            _ => cells.push(entry),
         }
     }
 }
@@ -400,14 +340,20 @@ impl Tracer for AccessLog {
     #[inline]
     fn cell_touched(&mut self, cell: CellRef) {
         let slot = self.slot(cell.node);
-        self.flag(slot, cell_key(cell.code), TOUCHED);
+        self.log(slot, cell_key(cell.code) | TOUCHED);
     }
 
     fn cell_expanded(&mut self, cell: CellRef, internal: bool) {
         let slot = self.slot(cell.node);
-        self.nodes[slot].expanded = true;
+        self.runs[slot].expanded = true;
         if internal {
-            self.flag(slot, cell_key(cell.code), INTERNAL);
+            self.log(slot, cell_key(cell.code) | INTERNAL);
+        }
+    }
+
+    fn finish(&mut self) {
+        for run in &mut self.runs {
+            seal(&mut run.cells);
         }
     }
 }
@@ -547,10 +493,12 @@ fn run<V: IndexView, T: Tracer>(
     tracer: &mut T,
     scratch: &mut EngineScratch,
 ) -> Outcome {
-    match *spec {
+    let outcome = match *spec {
         QuerySpec::Join { dist } => run_join(view, spec, dist, heap, tracer, scratch),
         _ => run_single(view, spec, already_found as usize, heap, tracer, scratch),
-    }
+    };
+    tracer.finish();
+    outcome
 }
 
 // ---------------------------------------------------------------------

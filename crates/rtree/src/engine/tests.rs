@@ -11,7 +11,7 @@ use crate::{ObjectStore, SpatialObject};
 use pc_geom::Point;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 fn dataset(n: usize, seed: u64) -> (ObjectStore, RTree) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -605,6 +605,180 @@ fn access_log_lists_ids_that_share_their_low_bits_once() {
     let len = logged.len();
     logged.dedup();
     assert_eq!(logged.len(), len, "a node logged twice");
+}
+
+/// An [`AccessLog`] beside the plainest record of the calls its traversal
+/// made: the nodes in first-access order, the expanded ones, and each
+/// (node, code)'s touched / expanded-internal flags.
+#[derive(Default)]
+struct ModelledLog {
+    log: AccessLog,
+    order: Vec<NodeId>,
+    expanded: BTreeSet<NodeId>,
+    cells: BTreeMap<(NodeId, Code), [bool; 2]>,
+}
+
+impl ModelledLog {
+    fn open(&mut self, node: NodeId) {
+        if !self.order.contains(&node) {
+            self.order.push(node);
+        }
+    }
+
+    /// [`AccessLog::record_node`] on both sides.
+    fn record_node(&mut self, from: &ModelledLog, node: NodeId, as_node: NodeId) {
+        self.log.record_node(&from.log, node, as_node);
+        if !from.order.contains(&node) {
+            return;
+        }
+        self.open(as_node);
+        if from.expanded.contains(&node) {
+            self.expanded.insert(as_node);
+        }
+        for (&(_, code), flags) in from.node_cells(node) {
+            let cell = self.cells.entry((as_node, code)).or_default();
+            cell[0] |= flags[0];
+            cell[1] |= flags[1];
+        }
+    }
+
+    fn node_cells(&self, node: NodeId) -> impl Iterator<Item = (&(NodeId, Code), &[bool; 2])> {
+        self.cells
+            .range((node, Code::ROOT)..)
+            .take_while(move |((n, _), _)| *n == node)
+    }
+
+    /// Every reader of the sealed log against the model.
+    fn check(&self) {
+        let log = &self.log;
+        assert!(log.nodes().eq(self.order.iter().copied()), "node order");
+        let shipped: Vec<NodeId> = self.expanded.iter().copied().collect();
+        assert_eq!(log.shipped_nodes(), shipped);
+        for &node in &self.order {
+            let cells: Vec<CellAccess> = self
+                .node_cells(node)
+                .map(|(&(_, code), &[touched, expanded_internal])| CellAccess {
+                    code,
+                    touched,
+                    expanded_internal,
+                })
+                .collect();
+            assert_eq!(log.cells(node).collect::<Vec<_>>(), cells, "{node}");
+            let frontier: Vec<Code> = cells
+                .iter()
+                .filter(|c| c.touched && !c.expanded_internal)
+                .map(|c| c.code)
+                .collect();
+            assert_eq!(log.frontier(node), frontier, "{node}");
+            assert_eq!(log.any_expansion(node), self.expanded.contains(&node));
+        }
+        let absent = NodeId(u32::MAX);
+        assert!(!log.any_expansion(absent) && log.cells(absent).next().is_none());
+    }
+}
+
+impl Tracer for ModelledLog {
+    fn cell_touched(&mut self, cell: CellRef) {
+        self.log.cell_touched(cell);
+        self.open(cell.node);
+        self.cells.entry((cell.node, cell.code)).or_default()[0] = true;
+    }
+
+    fn cell_expanded(&mut self, cell: CellRef, internal: bool) {
+        self.log.cell_expanded(cell, internal);
+        self.open(cell.node);
+        self.expanded.insert(cell.node);
+        if internal {
+            self.cells.entry((cell.node, cell.code)).or_default()[1] = true;
+        }
+    }
+
+    fn finish(&mut self) {
+        self.log.finish();
+    }
+}
+
+/// The sealed log reads as the model of its tracer calls on the
+/// remainders of random partial views, range, kNN and join alike.
+#[test]
+fn access_log_matches_a_model_of_its_calls_on_random_resumes() {
+    let (store, tree) = dataset(400, 61);
+    let mut rng = SmallRng::seed_from_u64(62);
+    let mut resumed = [0; 3];
+    for round in 0..90 {
+        let partial = random_partial(&tree, &store, 0.5, 0.5, &mut rng);
+        let p = Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+        let spec = match round % 3 {
+            0 => QuerySpec::Range {
+                window: Rect::centered_square(p, rng.random_range(0.02..0.4)),
+            },
+            1 => QuerySpec::Knn {
+                center: p,
+                k: rng.random_range(1..12),
+            },
+            _ => QuerySpec::Join {
+                dist: rng.random_range(0.0..0.02),
+            },
+        };
+        let Some(rq) = execute(&partial, &spec, &mut NoopTracer).remainder else {
+            continue;
+        };
+        let mut modelled = ModelledLog::default();
+        resume(&tree, &rq, &mut modelled);
+        modelled.check();
+        resumed[round % 3] += 1;
+    }
+    assert!(resumed.iter().all(|&n| n >= 10), "{resumed:?}");
+}
+
+/// A heap that names the root's two halves over and over, never twice in
+/// a row, logs each once with every flag it was given; a fold of another
+/// log's nodes, under their own ids and under others, merges the same way.
+#[test]
+fn access_log_merges_repeated_cells_and_folded_nodes() {
+    let (_, tree) = dataset(400, 63);
+    let (mbr, root) = tree.root_cell().unwrap();
+    let Expansion::Split(halves) = tree.expand(root) else {
+        panic!("the root node has one entry");
+    };
+    let window = Rect::centered_square(Point::new(0.5, 0.5), 0.3);
+    let heap = [
+        halves[0],
+        halves[1],
+        halves[0],
+        Side::Cell { cell: root, mbr },
+        halves[1],
+    ]
+    .map(|side| (0.0, HeapEntry::Single(side)));
+    let range = RemainderQuery {
+        spec: QuerySpec::Range { window },
+        already_found: 0,
+        heap: heap.to_vec(),
+    };
+    let pairs = [
+        (halves[0], halves[1]),
+        (halves[1], halves[1]),
+        (halves[0], halves[1]),
+    ];
+    let join = RemainderQuery {
+        spec: QuerySpec::Join { dist: 0.01 },
+        already_found: 0,
+        heap: pairs.map(|(a, b)| (0.0, HeapEntry::Pair(a, b))).to_vec(),
+    };
+    let mut logs = [range, join].map(|rq| {
+        let mut modelled = ModelledLog::default();
+        resume(&tree, &rq, &mut modelled);
+        modelled.check();
+        modelled
+    });
+    let [into, from] = &mut logs;
+    let nodes: Vec<NodeId> = from.order.clone();
+    for (i, &node) in nodes.iter().enumerate() {
+        into.record_node(from, node, node);
+        into.record_node(from, node, nodes[(i + 1) % nodes.len()]);
+    }
+    into.record_node(from, NodeId(u32::MAX), root.node);
+    into.check();
 }
 
 #[test]

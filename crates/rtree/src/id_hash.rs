@@ -28,16 +28,6 @@ impl Default for IdHash {
     }
 }
 
-impl IdHash {
-    /// `key`'s home in a table of `1 << (64 - shift)` slots: the top bits
-    /// of one fold, which every key bit reaches (the second fold is for
-    /// the low bits a `HashMap` buckets by).
-    #[inline]
-    pub(crate) fn home(&self, key: u64, shift: u32) -> usize {
-        (fold(self.state ^ key, self.mult) >> shift) as usize
-    }
-}
-
 impl BuildHasher for IdHash {
     type Hasher = IdHash;
 
