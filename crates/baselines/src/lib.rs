@@ -23,7 +23,10 @@ pub use page::PageCache;
 pub use semantic::{SemanticCache, MAX_FRAGMENTS};
 
 use pc_net::Ledger;
+use pc_rtree::proto::{DirectReply, QuerySpec, Request};
 use pc_rtree::ObjectId;
+use pc_server::{ClientId, ServerHandle};
+use std::time::Instant;
 
 /// A baseline's answer to one query: the byte ledger plus the user-visible
 /// results.
@@ -38,4 +41,15 @@ pub struct BaselineAnswer {
     pub cached_results: Vec<ObjectId>,
     /// Result objects answered locally before any server contact (`Rs`).
     pub locally_served: Vec<ObjectId>,
+    /// Wall-clock seconds spent inside `Transport::call`: the server's
+    /// share of the query's CPU.
+    pub server_cpu_s: f64,
+}
+
+/// One [`Request::Direct`] for `spec` over the handle's transport: the
+/// server's answer and the wall-clock seconds the call took.
+fn call_direct(server: &dyn ServerHandle, client: ClientId, spec: QuerySpec) -> (DirectReply, f64) {
+    let t = Instant::now();
+    let reply = server.call(client, Request::Direct(spec)).into_direct();
+    (reply, t.elapsed().as_secs_f64())
 }

@@ -3,7 +3,7 @@
 //! on the objects' keys" — so every spatial query goes to the server with
 //! the full cached-id manifest, and the reward is the smallest downlink.
 
-use crate::BaselineAnswer;
+use crate::{call_direct, BaselineAnswer};
 use pc_net::Ledger;
 use pc_rtree::proto::{
     QuerySpec, Request, CONFIRM_BYTES, OBJECT_HEADER_BYTES, OBJECT_ID_BYTES, PAIR_BYTES,
@@ -68,7 +68,7 @@ impl PageCache {
         let req = Request::Direct(*spec);
         let uplink_bytes = req.wire_bytes() + self.items.len() as u64 * OBJECT_ID_BYTES;
 
-        let outcome = server.call(client, req).into_direct();
+        let (outcome, server_cpu_s) = call_direct(server, client, *spec);
         let objects = outcome.results;
 
         let mut ledger = Ledger {
@@ -104,6 +104,7 @@ impl PageCache {
             // PAG stores no query semantics: nothing is ever served before
             // the server confirms (hit_c = 0, fmr = 1).
             locally_served: Vec::new(),
+            server_cpu_s,
         }
     }
 

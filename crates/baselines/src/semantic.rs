@@ -8,10 +8,10 @@
 //! only" — a cached range region never answers a kNN and vice versa —
 //! which is precisely the weakness proactive caching removes (Example 1.2).
 
-use crate::BaselineAnswer;
+use crate::{call_direct, BaselineAnswer};
 use pc_geom::{Point, Rect};
 use pc_net::Ledger;
-use pc_rtree::proto::{QuerySpec, Request, OBJECT_HEADER_BYTES, PAIR_BYTES, QUERY_DESC_BYTES};
+use pc_rtree::proto::{QuerySpec, OBJECT_HEADER_BYTES, PAIR_BYTES, QUERY_DESC_BYTES};
 use pc_rtree::ObjectId;
 use pc_server::{ClientId, ServerHandle};
 use std::collections::{HashMap, HashSet};
@@ -182,6 +182,7 @@ impl SemanticCache {
                 pairs: Vec::new(),
                 cached_results,
                 locally_served: answer,
+                server_cpu_s: 0.0,
             };
         }
 
@@ -198,10 +199,11 @@ impl SemanticCache {
         let snap = server.core().pin();
         let store = snap.store();
         let mut new_regions: Vec<Region> = Vec::with_capacity(pieces.len());
+        let mut server_cpu_s = 0.0;
         for piece in &pieces {
-            let outcome = server
-                .call(client, Request::Direct(QuerySpec::Range { window: *piece }))
-                .into_direct();
+            let (outcome, call_s) =
+                call_direct(server, client, QuerySpec::Range { window: *piece });
+            server_cpu_s += call_s;
             let mut objs = Vec::with_capacity(outcome.results.len());
             for &id in &outcome.results {
                 let so = store.get(id);
@@ -249,6 +251,7 @@ impl SemanticCache {
             pairs: Vec::new(),
             cached_results,
             locally_served,
+            server_cpu_s,
         }
     }
 
@@ -301,21 +304,21 @@ impl SemanticCache {
                     pairs: Vec::new(),
                     cached_results: answer.clone(),
                     locally_served: answer,
+                    server_cpu_s: 0.0,
                 };
             }
         }
 
         // Miss: the complete query goes to the server and every result is
         // retransmitted, cached or not (Example 1.2's penalty).
-        let outcome = server
-            .call(
-                client,
-                Request::Direct(QuerySpec::Knn {
-                    center,
-                    k: k as u32,
-                }),
-            )
-            .into_direct();
+        let (outcome, server_cpu_s) = call_direct(
+            server,
+            client,
+            QuerySpec::Knn {
+                center,
+                k: k as u32,
+            },
+        );
         let mut ledger = Ledger {
             uplink_bytes: QUERY_DESC_BYTES,
             contacted_server: true,
@@ -362,6 +365,7 @@ impl SemanticCache {
             pairs: Vec::new(),
             cached_results,
             locally_served: Vec::new(),
+            server_cpu_s,
         }
     }
 
@@ -376,9 +380,7 @@ impl SemanticCache {
         dist: f64,
         server_time_s: f64,
     ) -> BaselineAnswer {
-        let outcome = server
-            .call(client, Request::Direct(QuerySpec::Join { dist }))
-            .into_direct();
+        let (outcome, server_cpu_s) = call_direct(server, client, QuerySpec::Join { dist });
         let mut ledger = Ledger {
             uplink_bytes: QUERY_DESC_BYTES,
             contacted_server: true,
@@ -406,6 +408,7 @@ impl SemanticCache {
             pairs: outcome.pairs,
             cached_results,
             locally_served: Vec::new(),
+            server_cpu_s,
         }
     }
 

@@ -7,9 +7,13 @@
 //!
 //! CPU here is measured wall-clock on the host, so absolute values differ
 //! from the paper's Pentium 4; the comparison is relative — which model
-//! costs more, and how each curve bends with |C|.
+//! costs more, and how each curve bends with |C|. Every model measures its
+//! server CPU the same way, as the wall time inside its `Transport::call`s
+//! (the in-process server answering); client CPU is the rest of the
+//! query's wall time. The twelve runs go one after another, so none is
+//! timed against another's contention.
 
-use pc_bench::{banner, fmt_ms, run_parallel, three_models, HarnessOpts, Table};
+use pc_bench::{banner, fmt_ms, three_models, HarnessOpts, Table};
 use pc_mobility::MobilityModel;
 
 const FRACS: [f64; 4] = [0.001, 0.005, 0.01, 0.05];
@@ -28,7 +32,8 @@ fn main() {
             configs.push(cfg);
         }
     }
-    let results = run_parallel(&configs);
+    // One after another: configs run side by side would time each other.
+    let results: Vec<_> = configs.iter().map(pc_sim::run).collect();
 
     let mut t = Table::new(vec!["|C|", "PAG", "SEM", "APRO", "APRO expansions"]);
     for (fi, frac) in FRACS.iter().enumerate() {

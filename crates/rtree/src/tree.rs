@@ -56,7 +56,7 @@ impl Default for RTreeConfig {
 
 /// The objects a bulk load packs, by position. Random access: the packer
 /// sorts positions and reads each object where it already lies, so a load
-/// keeps nothing per object beside its sort key.
+/// keeps nothing per object beside its 4-byte position.
 pub trait Objects {
     fn count(&self) -> usize;
     fn object(&self, position: usize) -> SpatialObject;
@@ -79,17 +79,6 @@ impl Objects for &Vec<SpatialObject> {
 
     fn object(&self, position: usize) -> SpatialObject {
         self[position]
-    }
-}
-
-/// Every slot of a store, tombstoned ones included.
-impl Objects for &ObjectStore {
-    fn count(&self) -> usize {
-        self.len()
-    }
-
-    fn object(&self, position: usize) -> SpatialObject {
-        self.get(ObjectId(position as u32))
     }
 }
 
@@ -159,19 +148,6 @@ pub struct RTree {
     spares: Lent<Node>,
 }
 
-/// One record of an STR sort: the key's order-preserving integer image
-/// ([`key_bits`]) in the high 64 bits, then the entry's rank in the order
-/// the sort starts from, then its input position — so a plain integer sort
-/// is the stable sort by key, and the position rides along.
-fn sort_key(key: f64, rank: usize, position: usize) -> u128 {
-    (key_bits(key) as u128) << 64 | (rank as u128) << 32 | position as u128
-}
-
-/// The input position of a [`sort_key`] record.
-fn position_of(record: u128) -> usize {
-    record as u32 as usize
-}
-
 impl RTree {
     /// An empty tree (a single empty leaf as root).
     pub fn new(cfg: RTreeConfig) -> Self {
@@ -207,9 +183,9 @@ impl RTree {
     /// build a static R-tree over a full dataset — and builds every node's
     /// BPT ("a one-time operation", §4.2) with the R* split.
     ///
-    /// Reads the objects in place ([`Objects`]: a slice, a store, or a
-    /// store's objects by id): entries are gathered from the objects
-    /// themselves when their node is packed.
+    /// Reads the objects in place ([`Objects`]: a slice, or a store's
+    /// objects by id): entries are gathered from the objects themselves
+    /// when their node is packed.
     ///
     /// # Panics
     /// Panics, naming the object, if an MBR coordinate is NaN.
@@ -281,7 +257,10 @@ impl RTree {
     /// centre y, cut into tiles. Both sorts are stable — ties (`clamp01`
     /// makes real ones at 0 and 1) keep their incoming order, and node
     /// ids, BPT shapes and shipped forms all follow from it. What is sorted
-    /// is one [`sort_key`] per entry, never the 40-byte entries.
+    /// is a `(`[`key_bits`]`, position)` pair per entry, never the 40-byte
+    /// entries: the x pairs die once their order is read off, and the
+    /// leaves are packed beside one 4-byte position per entry and one
+    /// slab's y pairs.
     fn str_pack(
         &mut self,
         n: usize,
@@ -305,21 +284,32 @@ impl RTree {
             );
             c
         };
-        let mut keys: Vec<u128> = (0..n).map(|i| sort_key(centre(self, i).x, i, i)).collect();
-        keys.sort_unstable();
+        // A pair's second half is unique, so an unstable sort of the pairs
+        // is the stable sort by key.
+        let mut pairs: Vec<(u64, u32)> = (0..n)
+            .map(|i| (key_bits(centre(self, i).x), i as u32))
+            .collect();
+        pairs.sort_unstable();
+        // From `iter()`: an in-place collect would keep the pairs' buffer.
+        let by_x: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
+        drop(pairs);
 
         let mut out = Vec::with_capacity(page_count);
-        for slab in keys.chunks_mut(slab_size.max(1)) {
-            for (rank, key) in slab.iter_mut().enumerate() {
-                let i = position_of(*key);
-                *key = sort_key(centre(self, i).y, rank, i);
-            }
-            slab.sort_unstable();
-            for tile in slab.chunks(cap) {
+        let mut by_y: Vec<(u64, u32)> = Vec::with_capacity(slab_size.min(n));
+        for slab in by_x.chunks(slab_size.max(1)) {
+            by_y.clear();
+            by_y.extend(
+                slab.iter()
+                    .enumerate()
+                    .map(|(rank, &i)| (key_bits(centre(self, i as usize).y), rank as u32)),
+            );
+            by_y.sort_unstable();
+            for tile in by_y.chunks(cap) {
                 let node = Node::with_entries(
                     None,
                     level,
-                    tile.iter().map(|&key| entry(self, position_of(key))),
+                    tile.iter()
+                        .map(|&(_, rank)| entry(self, slab[rank as usize] as usize)),
                 );
                 let id = self.push_node(node);
                 for slot in 0..tile.len() {

@@ -27,7 +27,8 @@
 //! exactly one shard was consulted and nothing
 //! resumed router-side, that shard's reply is the answer** (no merge map,
 //! re-sort or dedup; `direct` likewise) — which serves an N-shard window
-//! inside one shard's tiles just the same. The shard count is read in two
+//! inside one shard's tiles just the same. Set-up builds a lone shard as it
+//! builds any shard, from the ids it owns. The shard count is read in two
 //! places only: a lone shard's clients bootstrap from its own root, and its
 //! writer never logs the super-root, so they are never handed `SUPER_ROOT`
 //! nor told to invalidate it.
@@ -442,24 +443,18 @@ impl Cluster {
         )]
         cfg.validate().expect("invalid ClusterConfig");
         let map = ShardMap::new(TileGrid::new(cfg.grid_per_axis()), cfg.shards);
-        // A lone shard owning every slot loads the objects where they lie.
-        // Otherwise shards are independent indexes over one shared store:
-        // each worker lists the ids its shard owns, builds it and drops
-        // the list, side by side.
-        let owns_all = |o: SpatialObject| store.is_live(o.id) && map.owners(&o.mbr) != 0;
-        let shards: Vec<Arc<RTree>> = if cfg.shards == 1 && store.iter().all(owns_all) {
-            vec![Arc::new(RTree::bulk_load(tree_cfg, &store))]
-        } else {
-            let workers = par::worker_count(store.live_count());
-            par::map_ranges(cfg.shards as usize, workers, |range| {
-                range
-                    .map(|s| {
-                        let owned = map.owned_by(&store, s as u32);
-                        Arc::new(RTree::bulk_load(tree_cfg, (&store, owned)))
-                    })
-                    .collect()
-            })
-        };
+        // Shards are independent indexes over one shared store: each worker
+        // lists the ids its shard owns, builds it and drops the list, side
+        // by side.
+        let workers = par::worker_count(store.live_count());
+        let shards: Vec<Arc<RTree>> = par::map_ranges(cfg.shards as usize, workers, |range| {
+            range
+                .map(|s| {
+                    let owned = map.owned_by(&store, s as u32);
+                    Arc::new(RTree::bulk_load(tree_cfg, (&store, owned)))
+                })
+                .collect()
+        });
         Cluster {
             core: ServerCore::new(Snapshot {
                 layout: SuperLayout::build(&map, &shards),

@@ -6,7 +6,7 @@
 //! cluster or a real network is invisible to them.
 
 use crate::config::{CacheModel, SimConfig};
-use pc_baselines::{PageCache, SemanticCache};
+use pc_baselines::{BaselineAnswer, PageCache, SemanticCache};
 use pc_cache::Catalog;
 use pc_client::Client;
 use pc_geom::Point;
@@ -113,20 +113,7 @@ impl ModelRunner for PageRunner {
         _pos: Point,
         server_time_s: f64,
     ) -> RunOutput {
-        let t = Instant::now();
-        let a = self.cache.query(server, self.client, spec, server_time_s);
-        // PAG does essentially nothing client-side; the whole call is
-        // dominated by the server's direct evaluation.
-        let server_cpu_s = t.elapsed().as_secs_f64() * 0.95;
-        RunOutput {
-            ledger: a.ledger,
-            objects: a.objects,
-            pairs: a.pairs,
-            cached_results: a.cached_results,
-            locally_served: a.locally_served,
-            server_cpu_s,
-            ..Default::default()
-        }
+        baseline_output(self.cache.query(server, self.client, spec, server_time_s))
     }
 }
 
@@ -147,26 +134,24 @@ impl ModelRunner for SemanticRunner {
         pos: Point,
         server_time_s: f64,
     ) -> RunOutput {
-        let a = self
-            .cache
-            .query(server, self.client, spec, pos, server_time_s);
-        // SEM's server work is plain direct evaluation of the remainder
-        // pieces; approximate its share via the simulated per-contact cost
-        // so client CPU reflects the sequential region scans.
-        let server_cpu_s = if a.ledger.contacted_server {
-            server_time_s.min(1e-3)
-        } else {
-            0.0
-        };
-        RunOutput {
-            ledger: a.ledger,
-            objects: a.objects,
-            pairs: a.pairs,
-            cached_results: a.cached_results,
-            locally_served: a.locally_served,
-            server_cpu_s,
-            ..Default::default()
-        }
+        baseline_output(
+            self.cache
+                .query(server, self.client, spec, pos, server_time_s),
+        )
+    }
+}
+
+/// A baseline's answer as a run's output; the server CPU is what its
+/// `Transport::call`s measured.
+fn baseline_output(a: BaselineAnswer) -> RunOutput {
+    RunOutput {
+        ledger: a.ledger,
+        objects: a.objects,
+        pairs: a.pairs,
+        cached_results: a.cached_results,
+        locally_served: a.locally_served,
+        server_cpu_s: a.server_cpu_s,
+        ..Default::default()
     }
 }
 

@@ -546,3 +546,95 @@ mod churn_clients {
         );
     }
 }
+
+/// Fig. 9's split: every model books as server CPU the time its
+/// `Transport::call`s took, no more and no less.
+mod measured_server_cpu {
+    use super::small;
+    use crate::config::CacheModel;
+    use crate::runner::make_runner;
+    use pc_geom::Rect;
+    use pc_rtree::proto::{Request, Response};
+    use pc_rtree::NodeId;
+    use pc_server::{ClientId, Cluster, ServerCore, ServerHandle, Transport, Update};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// What every call to [`SlowServer`] sleeps before it is answered.
+    const CALL_S: f64 = 3e-3;
+
+    /// A one-shard server whose every call takes [`CALL_S`] longer, and
+    /// that counts the calls.
+    struct SlowServer {
+        server: Cluster,
+        calls: Mutex<u32>,
+    }
+
+    impl SlowServer {
+        fn calls(&self) -> u32 {
+            *self.calls.lock().unwrap()
+        }
+    }
+
+    impl Transport for SlowServer {
+        fn call(&self, client: ClientId, req: Request) -> Response {
+            *self.calls.lock().unwrap() += 1;
+            std::thread::sleep(Duration::from_secs_f64(CALL_S));
+            self.server.call(client, req)
+        }
+    }
+
+    impl ServerHandle for SlowServer {
+        fn core(&self) -> &ServerCore {
+            self.server.core()
+        }
+
+        fn apply_updates(&self, updates: &[Update]) -> u64 {
+            self.server.apply_updates(updates)
+        }
+
+        fn bootstrap_root(&self) -> (Option<(NodeId, Rect)>, u64) {
+            self.server.bootstrap_root()
+        }
+
+        fn log_records(&self) -> usize {
+            self.server.log_records()
+        }
+    }
+
+    #[test]
+    fn server_cpu_covers_every_call_of_every_model() {
+        for model in [
+            CacheModel::Page,
+            CacheModel::Semantic,
+            CacheModel::Proactive,
+        ] {
+            let cfg = small(model);
+            let slow = SlowServer {
+                server: crate::build_server(&cfg),
+                calls: Mutex::new(0),
+            };
+            let capacity = cfg.cache_bytes(slow.core().pin().store().total_bytes());
+            let mut runner = make_runner(&cfg, &slow, capacity, 0);
+            let mut mobile = pc_mobility::MobileClient::new(cfg.mobility, cfg.mobility_cfg, 7);
+            let mut qgen = pc_workload::QueryGenerator::new(cfg.workload, 8);
+            let mut contacts = 0;
+            for _ in 0..60 {
+                mobile.advance(qgen.think_time());
+                let pos = mobile.position();
+                let spec = qgen.next_query(pos);
+                let before = slow.calls();
+                let out = runner.run_query(&slow, &spec, pos, cfg.server_time_s);
+                let calls = slow.calls() - before;
+                assert_eq!(calls, out.ledger.contacts, "{model}: one contact per call");
+                assert!(
+                    out.server_cpu_s >= CALL_S * calls as f64,
+                    "{model}: {calls} calls of at least {CALL_S} s booked as {} s of server CPU",
+                    out.server_cpu_s
+                );
+                contacts += calls;
+            }
+            assert!(contacts > 0, "{model} must reach the server");
+        }
+    }
+}

@@ -13,7 +13,7 @@ use procache::geom::{Point, Rect};
 use procache::rtree::bpt::{Bpt, BptCellKind, Code, EntryMbrs};
 use procache::rtree::engine::{execute, AccessLog};
 use procache::rtree::proto::{CellKind, QuerySpec};
-use procache::rtree::{Node, NodeId, RTree, RTreeConfig};
+use procache::rtree::{Node, NodeId, ObjectId, RTree, RTreeConfig};
 use procache::server::{build_shipments, Cluster, FormMode, ServerConfig, ServerHandle, Update};
 use procache::sim::generate_update;
 use procache::workload::datasets::ne_like;
@@ -153,7 +153,9 @@ const PINS: [(usize, u64, [u64; 3]); 2] = [
 fn bpt_store_and_shipments_match_the_cell_arena_pins() {
     for (n, want_store, want_forms) in PINS {
         let store = ne_like(n, 2005);
-        let tree = RTree::bulk_load(RTreeConfig::paper(), &store);
+        // What a one-shard deployment loads: every live object by id.
+        let ids: Vec<ObjectId> = store.iter_live().map(|o| o.id).collect();
+        let tree = RTree::bulk_load(RTreeConfig::paper(), (&store, ids));
         assert_eq!(
             store_digest(&tree),
             want_store,

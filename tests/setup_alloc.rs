@@ -1,11 +1,18 @@
 //! Building a world costs what the world costs, and so does keeping it
 //! under churn: `pc_sim::build_server` and `build_cluster` at the
 //! benchmark's `nojoin_*` world (NE-like, 123 593 objects, seed 2005, 4 KB
-//! pages) must peak within 10 % of the bytes the finished world keeps
+//! pages) must peak within 4 % of the bytes the finished world keeps
 //! resident, in fewer than 20 000 allocations (the hash-map thinning grid
 //! this replaced peaked at 1.80 × in 135 130), and a steady stream of
 //! four-update publishes must neither grow the world nor allocate per
 //! publish more than 3 % past what the current layout measures.
+//!
+//! What a build keeps beside the world is small whichever shard builds
+//! overlap: a shard's id list and its STR positions are 4 B per owned
+//! object, and the STR sort pairs are either one slab's or die before the
+//! first node is allocated. Both deployments read 1.01 × on a 2-core host
+//! (at most 1.016 × with four workers); with 16 B sort records per object
+//! they read up to 1.10 ×, the bound before.
 //!
 //! A binary of its own: the counting allocator is process-wide, so the one
 //! test here runs both deployments back to back on an otherwise idle
@@ -37,7 +44,7 @@ fn measured<T>(build: impl FnOnce() -> T) -> (usize, usize, T) {
 fn assert_at_footprint(what: &str, peak: usize, allocations: usize, resident: usize) {
     eprintln!("{what}: peak {peak} B live, {resident} B resident, {allocations} allocations");
     assert!(
-        peak as f64 <= 1.10 * resident as f64,
+        peak as f64 <= 1.04 * resident as f64,
         "{what}: set-up peaked at {peak} live bytes, {:.2} x the {resident} the world keeps",
         peak as f64 / resident as f64
     );
