@@ -9,7 +9,8 @@ use pc_geom::Point;
 use pc_rtree::proto::{
     CellKind, NodeShipment, ServerReply, ENTRY_BYTES, OBJECT_HEADER_BYTES, SHIPMENT_HEADER_BYTES,
 };
-use pc_rtree::{IdMap, NodeId, ObjectId};
+use pc_rtree::{IdMap, NodeId, ObjectId, SpatialObject};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -173,17 +174,43 @@ impl ProactiveCache {
 
     /// Inserts a server reply — index shipments first (parents before
     /// children), then objects — and evicts per the configured policy until
-    /// the capacity holds again.
+    /// the capacity holds again. The reply stays whole, so for the time of
+    /// the call the client holds its index twice: once shipped, once
+    /// merged. This entry serves callers that read the index afterwards:
+    /// the benchmark package's traced driver and tests. It can go once that
+    /// driver no longer replays the runner by hand (ROADMAP item 6);
+    /// [`absorb_drain`](Self::absorb_drain) is the one a client runs.
     pub fn absorb(&mut self, reply: &ServerReply, now: u64, pos: Point) -> InsertOutcome {
+        self.absorb_parts(reply.index.iter().collect(), &reply.objects, now, pos)
+    }
+
+    /// [`absorb`](Self::absorb), taking `reply.index` (left empty) and
+    /// dropping each shipment as soon as it is merged: the client then
+    /// holds one copy of the index and one shipment, not a second index.
+    /// The rest of the reply is untouched.
+    pub fn absorb_drain(&mut self, reply: &mut ServerReply, now: u64, pos: Point) -> InsertOutcome {
+        let index = std::mem::take(&mut reply.index);
+        self.absorb_parts(index, &reply.objects, now, pos)
+    }
+
+    /// The one body of both entries, over borrowed or owned shipments.
+    fn absorb_parts<S: Borrow<NodeShipment>>(
+        &mut self,
+        mut shipments: Vec<S>,
+        objects: &[SpatialObject],
+        now: u64,
+        pos: Point,
+    ) -> InsertOutcome {
         let mut out = InsertOutcome::default();
 
-        let mut shipments: Vec<&NodeShipment> = reply.index.iter().collect();
-        shipments.sort_by_key(|s| std::cmp::Reverse(s.level));
+        // Stable: one level's shipments merge in reply order. An owned
+        // shipment is dropped at the end of its iteration, once merged.
+        shipments.sort_by_key(|s| Reverse(s.borrow().level));
         for s in shipments {
-            out.inserted_bytes += self.merge_shipment(s, now);
+            out.inserted_bytes += self.merge_shipment(s.borrow(), now);
         }
 
-        for obj in &reply.objects {
+        for obj in objects {
             if self.items.contains_key(&ItemKey::Object(obj.id)) {
                 continue;
             }

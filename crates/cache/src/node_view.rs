@@ -59,9 +59,14 @@ const MAX_PATH: usize = 33;
 ///   its parent are present too (shipments are covering antichains,
 ///   ancestors are synthesized as unions — see [`CachedNodeView::merge`]).
 ///
-/// The slot vector's capacity is a power of two, reserved once per merge
-/// for every pair the merge opens: the allocator's size classes are what a
-/// cache of many small views packs into, and a merge never regrows mid-way.
+/// The slot vector's capacity is exact: each merge reserves, once, the
+/// slots of the pairs it opens, so it never regrows mid-way and the view
+/// keeps no spare slots; a refinement that opens pairs reallocates once.
+/// A power-of-two capacity held a full leaf's 187 slots (8 976 B) in 256
+/// (12 288 B). Exact, that block fits in the space two freed 4 512 B
+/// shipments leave, which is where a draining absorb
+/// ([`ProactiveCache::absorb_drain`](crate::ProactiveCache::absorb_drain))
+/// puts it.
 #[derive(Clone, Debug)]
 pub struct CachedNodeView {
     level: u16,
@@ -139,10 +144,7 @@ impl CachedNodeView {
         }
         let opened = 2 * self.pairs_to_open(codes);
         let need = self.slots.len().max(1) + opened;
-        if need > self.slots.capacity() {
-            self.slots
-                .reserve_exact(need.next_power_of_two() - self.slots.len());
-        }
+        self.slots.reserve_exact(need - self.slots.len());
         if self.slots.is_empty() {
             self.slots.push(VACANT);
         }
@@ -350,10 +352,16 @@ impl CachedNodeView {
     }
 
     /// The codes of the known cells, in pre-order.
-    fn codes(&self) -> impl Iterator<Item = Code> + '_ {
+    pub(crate) fn codes(&self) -> impl Iterator<Item = Code> + '_ {
         self.walk()
             .filter(|&(_, at)| self.slots[at].known)
             .map(|(code, _)| code)
+    }
+
+    /// Slots opened and slots allocated, which the tests hold equal.
+    #[cfg(test)]
+    pub(crate) fn slot_usage(&self) -> (usize, usize) {
+        (self.slots.len(), self.slots.capacity())
     }
 
     /// Checks the structural invariants; used by debug assertions and tests.

@@ -199,7 +199,9 @@ proptest! {
         }
     }
 
-    /// Absorbing the same reply twice never double-counts bytes.
+    /// Absorbing the same reply twice never double-counts bytes, and
+    /// draining owned copies of the replies builds the cache that
+    /// borrowing them builds.
     #[test]
     fn absorb_idempotent(
         objs_per_leaf in prop::collection::vec(1usize..4, 1..4),
@@ -207,6 +209,7 @@ proptest! {
     ) {
         let reply = synth_reply(objs_per_leaf.len(), &objs_per_leaf, &sizes);
         let mut c = ProactiveCache::new(u64::MAX / 2, ReplacementPolicy::Grd3, Catalog::empty());
+        let mut owned = c.clone();
         c.absorb(&reply, 1, Point::ORIGIN);
         let used = c.used_bytes();
         let items = c.len();
@@ -214,6 +217,24 @@ proptest! {
         prop_assert_eq!(c.used_bytes(), used);
         prop_assert_eq!(c.len(), items);
         c.validate().unwrap();
+
+        for now in [1, 2] {
+            let mut copy = reply.clone();
+            owned.absorb_drain(&mut copy, now, Point::ORIGIN);
+            prop_assert!(copy.index.is_empty());
+            prop_assert_eq!(&copy.objects, &reply.objects);
+        }
+        owned.validate().unwrap();
+        prop_assert_eq!(surviving_keys(&owned), surviving_keys(&c));
+        prop_assert_eq!(owned.stats(), c.stats());
+        for key in surviving_keys(&c) {
+            let ItemKey::Node(id) = key else { continue };
+            let cells = |c: &ProactiveCache| {
+                let v = c.node_view(id).unwrap();
+                v.codes().map(|code| (code, *v.cell(code).unwrap())).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(cells(&owned), cells(&c));
+        }
     }
 
     /// LRU, MRU and FAR evict through the leaf heap exactly the victims a
@@ -440,6 +461,8 @@ proptest! {
                 }),
                 None => arena.insert(crate::CachedNodeView::new(0, &batch)),
             };
+            let (len, capacity) = view.slot_usage();
+            prop_assert!(capacity == len, "{} spare slots after a merge", capacity - len);
             assert_views_agree(view, &map, &shape)?;
             if !broken {
                 prop_assert!(map.debug_validate().is_ok(), "{:?}", map.debug_validate());

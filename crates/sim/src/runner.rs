@@ -307,7 +307,7 @@ impl ModelRunner for ProactiveRunner {
             };
             match resp {
                 VersionedReply::Fresh {
-                    reply,
+                    mut reply,
                     invalidate,
                     epoch,
                 } => {
@@ -328,7 +328,7 @@ impl ModelRunner for ProactiveRunner {
                         reply.index_bytes() + reply.pairs.len() as u64 * PAIR_BYTES + inv;
                     out.cached_results = local.saved.clone();
                     out.cached_results.extend(reply.confirmed.iter().copied());
-                    self.client.absorb(&reply, pos);
+                    self.client.absorb_drain(&mut reply, pos);
                     let answer = self.client.assemble(&local, Some(&reply));
                     out.objects = answer.objects;
                     out.pairs = answer.pairs;
