@@ -64,11 +64,11 @@ fn main() {
             let mut log = AccessLog::default();
             let out = execute(&tree, &spec, &mut log);
             expansions += out.expansions;
-            compact_bytes += build_shipments(&log, &tree, FormMode::COMPACT)
+            compact_bytes += build_shipments(log.clone(), &tree, FormMode::COMPACT)
                 .iter()
                 .map(|s| s.wire_bytes())
                 .sum::<u64>();
-            full_bytes += build_shipments(&log, &tree, FormMode::Full)
+            full_bytes += build_shipments(log, &tree, FormMode::Full)
                 .iter()
                 .map(|s| s.wire_bytes())
                 .sum::<u64>();

@@ -137,7 +137,7 @@ fn trace(snap: &Snapshot, case: &Case) -> Answer {
 fn resume(snap: &Snapshot, case: &Case) -> Answer {
     let tree = snap.shard(0);
     let (outcome, log) = resume_traced(tree, &case.cold);
-    let reply = assemble(tree, snap.store(), outcome, &log, FormMode::COMPACT);
+    let reply = assemble(tree, snap.store(), outcome, log, FormMode::COMPACT);
     black_box(&reply.index);
     (reply.objects.iter().map(|o| o.id).collect(), reply.pairs)
 }

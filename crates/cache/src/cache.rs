@@ -203,6 +203,19 @@ impl ProactiveCache {
     ) -> InsertOutcome {
         let mut out = InsertOutcome::default();
 
+        // Room for every object entry the reply adds, before the first
+        // merge: grown mid-drain, the map would hold its old and new
+        // tables at once beside the cache, and that would be the
+        // contact's live peak.
+        let new_objects = shipments
+            .iter()
+            .flat_map(|s| &s.borrow().cells)
+            .filter(
+                |c| matches!(c.kind, CellKind::Object(o) if !self.object_parents.contains_key(&o)),
+            )
+            .count();
+        self.object_parents.reserve(new_objects);
+
         // Stable: one level's shipments merge in reply order. An owned
         // shipment is dropped at the end of its iteration, once merged.
         shipments.sort_by_key(|s| Reverse(s.borrow().level));
@@ -248,23 +261,21 @@ impl ProactiveCache {
         out
     }
 
-    /// Merges one node shipment; returns the byte growth.
+    /// Merges one node shipment; returns the byte growth. A shipment the
+    /// node's view declines (`CachedNodeView::merge`) caches nothing: a
+    /// new node stays uncached, a cached one stays as it was.
     fn merge_shipment(&mut self, s: &NodeShipment, now: u64) -> u64 {
         let key = ItemKey::Node(s.node);
-        // Track the supporting-leaf mapping for every full object entry.
-        for c in &s.cells {
-            if let CellKind::Object(o) = c.kind {
-                self.object_parents.insert(o, s.node);
-            }
-        }
         let grown = match self.items.get_mut(&key) {
             Some(Item {
                 meta,
                 data: ItemData::Node(view),
                 ..
             }) => {
+                if !view.merge(&s.cells) {
+                    return 0;
+                }
                 let old = meta.size;
-                view.merge(&s.cells);
                 let new = node_item_bytes(view);
                 meta.size = new;
                 meta.hits += 1;
@@ -279,7 +290,9 @@ impl ProactiveCache {
             // A decoded shipment may carry no cells: nothing to cache.
             None if s.cells.is_empty() => return 0,
             None => {
-                let view = CachedNodeView::new(s.level, &s.cells);
+                let Some(view) = CachedNodeView::new(s.level, &s.cells) else {
+                    return 0;
+                };
                 let size = node_item_bytes(&view);
                 if view.root_mbr().is_none() {
                     return 0;
@@ -313,6 +326,12 @@ impl ProactiveCache {
                 size
             }
         };
+        // Track the supporting-leaf mapping for every full object entry.
+        for c in &s.cells {
+            if let CellKind::Object(o) = c.kind {
+                self.object_parents.insert(o, s.node);
+            }
+        }
         // Adopt cached orphans this node's entries point at (orphans
         // appear when the update-extension invalidates an ancestor while a
         // descendant survives a later re-shipment).

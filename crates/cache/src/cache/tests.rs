@@ -137,6 +137,50 @@ fn a_shipment_without_cells_is_skipped() {
 }
 
 #[test]
+fn a_shipment_the_view_declines_caches_nothing() {
+    // 2¹⁶ object cells, one more than a view's 16-bit column holds (no
+    // BPT ships that many): node 2's view declines them. A fresh node is
+    // left uncached, and its object with it; a cached one stays as it was.
+    let over = NodeShipment {
+        node: n(2),
+        level: 0,
+        parent: Some(n(0)),
+        cells: (0..1u32 << 16)
+            .map(|i| {
+                let code = (0..16).fold(Code::ROOT, |c, d| c.child(i >> d & 1 == 1));
+                cell(code, 0.5, CellKind::Object(o(12 + i)))
+            })
+            .collect(),
+    };
+    let mut reply = sample_reply();
+    reply.index[2] = over.clone();
+    let mut c = big_cache(ReplacementPolicy::Grd3);
+    let out = c.absorb(&reply, 1, Point::ORIGIN);
+    c.validate().unwrap();
+    assert!(c.node_view(n(2)).is_none());
+    assert!(!c.contains_object(o(12)));
+    assert_eq!(out.skipped_objects, 1);
+    assert_eq!(c.len(), 4, "the rest of the reply is absorbed");
+
+    let mut c = big_cache(ReplacementPolicy::Grd3);
+    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    let used = c.used_bytes();
+    let mut reply = sample_reply();
+    reply.index = vec![over];
+    reply.objects.clear();
+    assert_eq!(c.absorb(&reply, 2, Point::ORIGIN).inserted_bytes, 0);
+    c.validate().unwrap();
+    assert_eq!(c.used_bytes(), used);
+    assert_eq!(
+        c.node_view(n(2))
+            .unwrap()
+            .object_entries()
+            .collect::<Vec<_>>(),
+        [o(12)]
+    );
+}
+
+#[test]
 fn touch_updates_hits_and_recency() {
     let mut c = big_cache(ReplacementPolicy::Lru);
     c.absorb(&sample_reply(), 1, Point::ORIGIN);

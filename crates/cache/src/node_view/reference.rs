@@ -55,15 +55,15 @@ impl MapView {
         }
     }
 
-    pub fn cell(&self, code: Code) -> Option<&ViewCell> {
-        self.cells.get(&code)
+    pub fn cell(&self, code: Code) -> Option<ViewCell> {
+        self.cells.get(&code).copied()
     }
 
-    pub fn children(&self, code: Code) -> Option<[(Code, &ViewCell); 2]> {
+    pub fn children(&self, code: Code) -> Option<[(Code, ViewCell); 2]> {
         let l = code.child(false);
         let r = code.child(true);
         match (self.cells.get(&l), self.cells.get(&r)) {
-            (Some(lc), Some(rc)) => Some([(l, lc), (r, rc)]),
+            (Some(lc), Some(rc)) => Some([(l, *lc), (r, *rc)]),
             _ => None,
         }
     }

@@ -231,7 +231,7 @@ proptest! {
             let ItemKey::Node(id) = key else { continue };
             let cells = |c: &ProactiveCache| {
                 let v = c.node_view(id).unwrap();
-                v.codes().map(|code| (code, *v.cell(code).unwrap())).collect::<Vec<_>>()
+                v.codes().map(|code| (code, v.cell(code).unwrap())).collect::<Vec<_>>()
             };
             prop_assert_eq!(cells(&owned), cells(&c));
         }
@@ -311,7 +311,13 @@ fn grow_bpt(code: Code, n: usize, tape: &mut Tape, shape: &mut Vec<CellRecord>) 
             tape.below(1000) as f64 / 1000.0,
             tape.below(1000) as f64 / 1000.0,
         );
-        let side = tape.below(50) as f64 / 1000.0;
+        // Half the entries are points, which a view's column keeps one
+        // corner of until a cell that is not one arrives.
+        let side = if tape.chance(50) {
+            0.0
+        } else {
+            tape.below(50) as f64 / 1000.0
+        };
         let id = shape.len() as u32;
         let kind = if tape.chance(50) {
             CellKind::Object(ObjectId(id))
@@ -397,7 +403,8 @@ proptest! {
     /// The arena view answers every question the map view answered, the
     /// same way, after every shipment of a random sequence: full, compact
     /// and d⁺-level antichains under the root or a known cell, re-shipped
-    /// coarser cells, and — once `broken` — sibling-incomplete batches and
+    /// coarser cells, a known cell re-shipped as it is or with its MBR
+    /// moved, and — once `broken` — sibling-incomplete batches and
     /// antichains under cells the view does not know. Valid sequences
     /// must stay valid.
     #[test]
@@ -413,56 +420,75 @@ proptest! {
         let mut map = crate::node_view::reference::MapView::default();
         let mut broken = false;
         for _ in 0..steps {
-            let op = tape.below(6);
             let known: Vec<Code> = shape
                 .iter()
                 .map(|c| c.code)
                 .filter(|&c| map.cell(c).is_some())
                 .collect();
-            let from = match op {
-                // Anywhere in the BPT, known or not.
-                5 => shape[tape.below(shape.len())].code,
-                _ if known.is_empty() || tape.chance(25) => Code::ROOT,
-                _ => known[tape.below(known.len())],
-            };
-            let depth = from.depth();
-            let (cut, compact) = match op {
-                0 => (u8::MAX, false),                      // full: every entry
-                1 => (u8::MAX, true),                       // compact
-                2 => (depth + 1 + tape.below(4) as u8, false), // d⁺-level
-                3 => (depth + tape.below(2) as u8, false),  // coarser
-                _ => (u8::MAX, true),
+            let op = match tape.below(7) {
+                6 if known.is_empty() => 1,
+                op => op,
             };
             let mut batch = Vec::new();
-            antichain(&shape, from, cut, compact, &mut tape, &mut batch);
-            if op >= 4 {
-                // Sibling-incomplete: drop some cells, keep at least one.
-                let mut kept = 0;
-                batch.retain(|_| {
-                    let keep = kept == 0 || tape.chance(60);
-                    kept += usize::from(keep);
-                    keep
-                });
-            }
-            for i in (1..batch.len()).rev() {
-                batch.swap(i, tape.below(i + 1));
-            }
-            broken |= op >= 4;
-            map.merge_records(&batch);
-            let view = match arena.as_mut() {
-                Some(view) => {
-                    view.merge_records(&batch);
-                    view
+            if op == 6 {
+                // One known cell again: as the view holds it, or moved. A
+                // moved cell leaves the MBRs synthesized from it as they
+                // were, so it may no longer lie inside them.
+                let code = known[tape.below(known.len())];
+                let Some(cell) = map.cell(code) else {
+                    unreachable!("{code} was known");
+                };
+                let mut mbr = cell.mbr;
+                if !tape.chance(20) {
+                    let shift = (1 + tape.below(3)) as f64 / 1000.0;
+                    mbr = Rect::from_coords(
+                        mbr.min.x + shift,
+                        mbr.min.y + shift,
+                        mbr.max.x + shift,
+                        mbr.max.y + shift,
+                    );
+                    broken = true;
                 }
-                None if broken => arena.insert({
-                    let mut view = crate::CachedNodeView::empty(0);
-                    view.merge_records(&batch);
-                    view
-                }),
-                None => arena.insert(crate::CachedNodeView::new(0, &batch)),
-            };
-            let (len, capacity) = view.slot_usage();
-            prop_assert!(capacity == len, "{} spare slots after a merge", capacity - len);
+                batch.push(CellRecord { code, mbr, kind: cell.kind });
+            } else {
+                let from = match op {
+                    // Anywhere in the BPT, known or not.
+                    5 => shape[tape.below(shape.len())].code,
+                    _ if known.is_empty() || tape.chance(25) => Code::ROOT,
+                    _ => known[tape.below(known.len())],
+                };
+                let depth = from.depth();
+                let (cut, compact) = match op {
+                    0 => (u8::MAX, false),                      // full: every entry
+                    1 => (u8::MAX, true),                       // compact
+                    2 => (depth + 1 + tape.below(4) as u8, false), // d⁺-level
+                    3 => (depth + tape.below(2) as u8, false),  // coarser
+                    _ => (u8::MAX, true),
+                };
+                antichain(&shape, from, cut, compact, &mut tape, &mut batch);
+                if op >= 4 {
+                    // Sibling-incomplete: drop some cells, keep at least one.
+                    let mut kept = 0;
+                    batch.retain(|_| {
+                        let keep = kept == 0 || tape.chance(60);
+                        kept += usize::from(keep);
+                        keep
+                    });
+                    broken = true;
+                }
+                for i in (1..batch.len()).rev() {
+                    batch.swap(i, tape.below(i + 1));
+                }
+            }
+            map.merge_records(&batch);
+            let view = arena.get_or_insert_with(|| crate::CachedNodeView::empty(0));
+            if broken {
+                prop_assert!(view.merge_records(&batch), "declined");
+            } else {
+                prop_assert!(view.merge(&batch), "declined");
+            }
+            let spare = view.spare_capacity();
+            prop_assert!(spare == (0, 0), "(slots, column) spare after a merge: {:?}", spare);
             assert_views_agree(view, &map, &shape)?;
             if !broken {
                 prop_assert!(map.debug_validate().is_ok(), "{:?}", map.debug_validate());

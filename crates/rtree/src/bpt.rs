@@ -515,6 +515,16 @@ impl Bpt {
         }
     }
 
+    /// How many cells [`descend`](Self::descend) visits, reading no MBR:
+    /// what a shipment reserves before it is cut.
+    pub fn descent_len(&self, code: Code, d: u8) -> usize {
+        let mut n = 0;
+        if let Some(at) = self.resolve(code) {
+            self.walk(at, code, d, &mut |_, _| n += 1);
+        }
+        n
+    }
+
     /// All leaf (entry) cells as `(code, entry_idx, mbr)`, i.e. the full
     /// form as an antichain.
     pub fn leaf_cells<E: EntryMbrs + ?Sized>(

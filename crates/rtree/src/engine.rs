@@ -292,6 +292,15 @@ impl AccessLog {
         })
     }
 
+    /// Frees `node`'s run, once its shipment is cut: the node reads as
+    /// logged with no cells, and keeps whether it was expanded. A log
+    /// that is read node by node shrinks as it is read.
+    pub fn release(&mut self, node: NodeId) {
+        if let Some(&slot) = self.trace.index.get(&node) {
+            self.runs[slot as usize].cells = Vec::new();
+        }
+    }
+
     /// Logs everything `from` logged for its node `node` as accesses of
     /// `as_node` — a cluster folding a cross-shard resume's trace into the
     /// owning shard's log under the shard-local id.

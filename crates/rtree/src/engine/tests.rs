@@ -494,6 +494,27 @@ fn access_log_frontier_is_an_antichain_covering_touched_nodes() {
     }
 }
 
+/// Releasing a node's run frees its cells and nothing else: the node is
+/// still logged, expanded and shipped, and the other runs are untouched.
+#[test]
+fn a_released_run_keeps_its_node_shipped() {
+    let (_, tree) = dataset(300, 41);
+    let mut log = AccessLog::default();
+    let _ = execute(&tree, &QuerySpec::Join { dist: 0.01 }, &mut log);
+    let shipped = log.shipped_nodes();
+    let before = log.clone();
+    assert!(shipped.len() > 1);
+    for (i, &node) in shipped.iter().enumerate() {
+        log.release(node);
+        assert!(log.cells(node).next().is_none() && log.any_expansion(node));
+        for &later in &shipped[i + 1..] {
+            assert!(log.cells(later).eq(before.cells(later)), "{later}");
+        }
+    }
+    assert_eq!(log.shipped_nodes(), shipped);
+    assert!(log.nodes().eq(before.nodes()));
+}
+
 /// Order-independent fingerprint of an access log: (cells touched, super
 /// entries expanded, nodes shipped, FNV-1a over the sorted trace).
 fn log_digest(log: &AccessLog) -> (usize, usize, usize, u64) {

@@ -101,10 +101,10 @@ pub struct Entry {
 }
 
 /// Whether `r` is a point: its min and max corners bit-equal, so a
-/// `-0.0`/`0.0` pair is not one. What a [`Node`] and an [`ObjectStore`]
-/// store once instead of twice.
+/// `-0.0`/`0.0` pair is not one. What a [`Node`], an [`ObjectStore`] and a
+/// client's node view store once instead of twice.
 #[inline]
-fn is_point(r: &Rect) -> bool {
+pub fn is_point(r: &Rect) -> bool {
     r.min.x.to_bits() == r.max.x.to_bits() && r.min.y.to_bits() == r.max.y.to_bits()
 }
 

@@ -924,7 +924,7 @@ impl Cluster {
                 .zip(0u32..)
                 .filter_map(|((leg, tree), s)| {
                     let (out, log) = leg.resumed?;
-                    let mut reply = assemble(tree, &snap.store, out, &log, mode);
+                    let mut reply = assemble(tree, &snap.store, out, log, mode);
                     for sh in &mut reply.index {
                         self.translate_shipment(sh, s);
                     }

@@ -457,7 +457,7 @@ mod tests {
             let window = Rect::centered_square(Point::new(0.5, 0.5), 0.35);
             let spec = QuerySpec::Range { window };
             let (outcome, log) = resume_traced(snap.shard(0), &cold_remainder(&server, spec));
-            let resumed = assemble(snap.shard(0), snap.store(), outcome, &log, FormMode::COMPACT);
+            let resumed = assemble(snap.shard(0), snap.store(), outcome, log, FormMode::COMPACT);
             let mut via_bpt: Vec<ObjectId> = resumed.objects.iter().map(|o| o.id).collect();
             via_bpt.extend(resumed.confirmed);
             via_bpt.sort_unstable();

@@ -5,6 +5,14 @@
 //! accessed nodes' BPTs (§4.2–4.3) as per-node [`NodeShipment`]s in the
 //! requested form.
 //!
+//! Both take the [`AccessLog`] by value and drain it: each node's run of
+//! logged cells is freed as soon as that node's shipment is cut, so the
+//! server holds the log and the reply together for one node at a time, not
+//! for the whole contact. A cold self-join at 20 000 objects logs 0.72 MB
+//! beside a 0.98 MB index; holding both whole made the server's call, not
+//! the client's absorption, the contact's live peak. Every shipment's cell
+//! vector is reserved exactly: a d⁺-level form counts its descent first.
+//!
 //! * **Full form** (FPRO): every entry of each accessed node — "caching the
 //!   exact copy of each node".
 //! * **Normal compact form** (CPRO): the frontier of the grey subtree,
@@ -43,12 +51,13 @@ pub fn resume_traced(tree: &RTree, rq: &RemainderQuery) -> (Outcome, AccessLog) 
 
 /// The assembly half of stage ②: `Ir` in `mode` for every node of `tree`
 /// that `log` saw expanded, and `Rr` split into confirmations (the client
-/// holds the payload) and objects transmitted out of `store`.
+/// holds the payload) and objects transmitted out of `store`. Drains `log`
+/// ([`build_shipments`]).
 pub fn assemble(
     tree: &RTree,
     store: &ObjectStore,
     outcome: Outcome,
-    log: &AccessLog,
+    log: AccessLog,
     mode: FormMode,
 ) -> ServerReply {
     let mut reply = split_results(store, outcome);
@@ -79,12 +88,16 @@ pub(crate) fn split_results(store: &ObjectStore, outcome: Outcome) -> ServerRepl
     }
 }
 
-/// Builds the `Ir` shipments for every node the resume touched.
-pub fn build_shipments(log: &AccessLog, tree: &RTree, mode: FormMode) -> Vec<NodeShipment> {
-    log.shipped_nodes()
-        .into_iter()
-        .map(|node| ship_node(node, log, tree, mode))
-        .collect()
+/// Builds the `Ir` shipments for every node the resume touched, freeing
+/// each node's logged cells once its shipment is cut.
+pub fn build_shipments(mut log: AccessLog, tree: &RTree, mode: FormMode) -> Vec<NodeShipment> {
+    let nodes = log.shipped_nodes();
+    let mut shipments = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        shipments.push(ship_node(node, &log, tree, mode));
+        log.release(node);
+    }
+    shipments
 }
 
 fn ship_node(node: NodeId, log: &AccessLog, tree: &RTree, mode: FormMode) -> NodeShipment {
@@ -103,7 +116,9 @@ fn ship_node(node: NodeId, log: &AccessLog, tree: &RTree, mode: FormMode) -> Nod
             });
         }
         FormMode::DLevel(d) => {
-            for code in log.frontier(node) {
+            let frontier = log.frontier(node);
+            cells.reserve_exact(frontier.iter().map(|&code| bpt.descent_len(code, d)).sum());
+            for code in frontier {
                 bpt.descend(code, d, n, |c, cell| cells.push(record(c, cell, n)));
             }
         }
@@ -175,7 +190,7 @@ mod tests {
             k: 3,
         };
         let log = logged_query(&tree, &spec);
-        let ships = build_shipments(&log, &tree, FormMode::Full);
+        let ships = build_shipments(log, &tree, FormMode::Full);
         assert!(!ships.is_empty());
         for s in &ships {
             let n = tree.node(s.node);
@@ -192,8 +207,8 @@ mod tests {
             k: 2,
         };
         let log = logged_query(&tree, &spec);
-        let full = build_shipments(&log, &tree, FormMode::Full);
-        let compact = build_shipments(&log, &tree, FormMode::COMPACT);
+        let full = build_shipments(log.clone(), &tree, FormMode::Full);
+        let compact = build_shipments(log, &tree, FormMode::COMPACT);
         assert_eq!(full.len(), compact.len());
         let total = |v: &[NodeShipment]| v.iter().map(|s| s.cells.len()).sum::<usize>();
         assert!(total(&compact) <= total(&full));
@@ -213,7 +228,7 @@ mod tests {
         };
         let log = logged_query(&tree, &spec);
         let total = |m: FormMode| {
-            build_shipments(&log, &tree, m)
+            build_shipments(log.clone(), &tree, m)
                 .iter()
                 .map(|s| s.cells.len())
                 .sum::<usize>()
@@ -236,7 +251,7 @@ mod tests {
             window: Rect::centered_square(Point::new(0.5, 0.5), 0.3),
         };
         let log = logged_query(&tree, &spec);
-        for s in build_shipments(&log, &tree, FormMode::COMPACT) {
+        for s in build_shipments(log, &tree, FormMode::COMPACT) {
             if s.node == tree.root() {
                 assert_eq!(s.parent, None);
             } else {
@@ -256,7 +271,7 @@ mod tests {
             window: Rect::centered_square(Point::new(0.2, 0.2), 0.2),
         };
         let log = logged_query(&tree, &spec);
-        for s in build_shipments(&log, &tree, FormMode::COMPACT) {
+        for s in build_shipments(log, &tree, FormMode::COMPACT) {
             let union = Rect::union_all(s.cells.iter().map(|c| c.mbr)).unwrap();
             let node_mbr = tree.node(s.node).mbr().unwrap();
             assert_eq!(union, node_mbr, "{}", s.node);

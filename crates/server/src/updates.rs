@@ -634,7 +634,7 @@ mod tests {
                                 tree,
                                 snap.store(),
                                 outcome,
-                                &log,
+                                log,
                                 crate::FormMode::COMPACT,
                             );
                             let mut via_bpt: Vec<ObjectId> =

@@ -102,7 +102,7 @@ fn shipment_digest(tree: &RTree, mode: FormMode) -> u64 {
     for spec in queries(300, 19) {
         let mut log = AccessLog::default();
         let _ = execute(tree, &spec, &mut log);
-        for s in build_shipments(&log, tree, mode) {
+        for s in build_shipments(log, tree, mode) {
             h.u64(s.node.0 as u64);
             h.u64(s.level as u64);
             h.u64(s.parent.map_or(u64::MAX, |p| p.0 as u64));

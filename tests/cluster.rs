@@ -187,7 +187,7 @@ fn assert_equivalent((store, single): &(ObjectStore, RTree), cluster: &Cluster, 
         return;
     };
     let (outcome, log) = resume_traced(single, &srq);
-    let sreply = assemble(single, store, outcome, &log, FormMode::COMPACT);
+    let sreply = assemble(single, store, outcome, log, FormMode::COMPACT);
     let creply = cluster
         .call(9, Request::Remainder(crq.clone()))
         .into_remainder();
