@@ -46,6 +46,9 @@ impl CacheStats {
     }
 }
 
+/// Each object a reply brings that the cache lacks, and its leaf once found.
+type Leaves = IdMap<ObjectId, Option<NodeId>>;
+
 /// The proactive cache of §3.2/§5, with the catalog its traversals start
 /// from.
 #[derive(Clone, Debug)]
@@ -59,9 +62,6 @@ pub struct ProactiveCache {
     node_items: usize,
     index_bytes: u64,
     object_bytes: u64,
-    /// Leaf node currently known to hold each object's entry — lets reply
-    /// absorption link object items to their supporting leaf in O(1).
-    object_parents: IdMap<ObjectId, NodeId>,
     /// Whether the most recent GRD3 eviction took the Definition 5.1
     /// step-(6) B-swap (diagnostics; lets the Theorem 5.5 equivalence test
     /// exclude the one step GRD2 does not have).
@@ -78,7 +78,6 @@ impl ProactiveCache {
             node_items: 0,
             index_bytes: 0,
             object_bytes: 0,
-            object_parents: IdMap::default(),
             last_bswap: false,
         }
     }
@@ -174,23 +173,37 @@ impl ProactiveCache {
 
     /// Inserts a server reply — index shipments first (parents before
     /// children), then objects — and evicts per the configured policy until
-    /// the capacity holds again. The reply stays whole, so for the time of
-    /// the call the client holds its index twice: once shipped, once
-    /// merged. This entry serves callers that read the index afterwards:
-    /// the benchmark package's traced driver and tests. It can go once that
-    /// driver no longer replays the runner by hand (ROADMAP item 6);
+    /// the capacity holds again. A new object goes under the last merged
+    /// shipment that lists it, else the first node of `read` (what the
+    /// query's local run read) that does; an object neither lists is
+    /// skipped. The reply stays whole: the client holds its index twice
+    /// for the call. The benchmark package's traced driver and tests read
+    /// the index afterwards; the entry can go once that driver no longer
+    /// replays the runner by hand (ROADMAP item 6).
     /// [`absorb_drain`](Self::absorb_drain) is the one a client runs.
-    pub fn absorb(&mut self, reply: &ServerReply, now: u64, pos: Point) -> InsertOutcome {
-        self.absorb_parts(reply.index.iter().collect(), &reply.objects, now, pos)
+    pub fn absorb(
+        &mut self,
+        reply: &ServerReply,
+        read: impl IntoIterator<Item = NodeId>,
+        now: u64,
+        pos: Point,
+    ) -> InsertOutcome {
+        self.absorb_parts(reply.index.iter().collect(), &reply.objects, read, now, pos)
     }
 
     /// [`absorb`](Self::absorb), taking `reply.index` (left empty) and
     /// dropping each shipment as soon as it is merged: the client then
     /// holds one copy of the index and one shipment, not a second index.
     /// The rest of the reply is untouched.
-    pub fn absorb_drain(&mut self, reply: &mut ServerReply, now: u64, pos: Point) -> InsertOutcome {
+    pub fn absorb_drain(
+        &mut self,
+        reply: &mut ServerReply,
+        read: impl IntoIterator<Item = NodeId>,
+        now: u64,
+        pos: Point,
+    ) -> InsertOutcome {
         let index = std::mem::take(&mut reply.index);
-        self.absorb_parts(index, &reply.objects, now, pos)
+        self.absorb_parts(index, &reply.objects, read, now, pos)
     }
 
     /// The one body of both entries, over borrowed or owned shipments.
@@ -198,40 +211,50 @@ impl ProactiveCache {
         &mut self,
         mut shipments: Vec<S>,
         objects: &[SpatialObject],
+        read: impl IntoIterator<Item = NodeId>,
         now: u64,
         pos: Point,
     ) -> InsertOutcome {
         let mut out = InsertOutcome::default();
 
-        // Room for every object entry the reply adds, before the first
-        // merge: grown mid-drain, the map would hold its old and new
-        // tables at once beside the cache, and that would be the
-        // contact's live peak.
-        let new_objects = shipments
-            .iter()
-            .flat_map(|s| &s.borrow().cells)
-            .filter(
-                |c| matches!(c.kind, CellKind::Object(o) if !self.object_parents.contains_key(&o)),
-            )
-            .count();
-        self.object_parents.reserve(new_objects);
+        let mut leaves = Leaves::with_capacity_and_hasher(objects.len(), Default::default());
+        let uncached = objects.iter().filter(|o| !self.contains_object(o.id));
+        leaves.extend(uncached.map(|o| (o.id, None)));
 
         // Stable: one level's shipments merge in reply order. An owned
         // shipment is dropped at the end of its iteration, once merged.
         shipments.sort_by_key(|s| Reverse(s.borrow().level));
         for s in shipments {
-            out.inserted_bytes += self.merge_shipment(s.borrow(), now);
+            out.inserted_bytes += self.merge_shipment(s.borrow(), now, &mut leaves);
+        }
+        // An object no shipment listed goes under a leaf the query read. A
+        // leaf lists only objects its root cell covers, as they were when
+        // it was shipped.
+        let mut read = read.into_iter();
+        while let Some(node) = read.next().filter(|_| leaves.values().any(Option::is_none)) {
+            let Some(view) = self.node_view(node).filter(|v| v.level() == 0) else {
+                continue;
+            };
+            let covers =
+                |o: &&SpatialObject| view.root_mbr().is_some_and(|r| r.contains_rect(&o.mbr));
+            for obj in objects.iter().filter(covers) {
+                if let Some(leaf @ None) = leaves.get_mut(&obj.id) {
+                    if view.object_entries().any(|o| o == obj.id) {
+                        *leaf = Some(node);
+                    }
+                }
+            }
         }
 
         for obj in objects {
-            if self.items.contains_key(&ItemKey::Object(obj.id)) {
+            let key = ItemKey::Object(obj.id);
+            if self.items.contains_key(&key) {
                 continue;
             }
-            let Some(&leaf) = self.object_parents.get(&obj.id) else {
+            let Some(&Some(leaf)) = leaves.get(&obj.id) else {
                 out.skipped_objects += 1;
                 continue;
             };
-            let key = ItemKey::Object(obj.id);
             let size = OBJECT_HEADER_BYTES + obj.size_bytes as u64;
             let parent_key = ItemKey::Node(leaf);
             debug_assert!(self.items.contains_key(&parent_key));
@@ -261,10 +284,11 @@ impl ProactiveCache {
         out
     }
 
-    /// Merges one node shipment; returns the byte growth. A shipment the
+    /// Merges one node shipment; returns the byte growth. Files the node
+    /// as the leaf of each object of `leaves` it lists. A shipment the
     /// node's view declines (`CachedNodeView::merge`) caches nothing: a
     /// new node stays uncached, a cached one stays as it was.
-    fn merge_shipment(&mut self, s: &NodeShipment, now: u64) -> u64 {
+    fn merge_shipment(&mut self, s: &NodeShipment, now: u64, leaves: &mut Leaves) -> u64 {
         let key = ItemKey::Node(s.node);
         let grown = match self.items.get_mut(&key) {
             Some(Item {
@@ -326,18 +350,17 @@ impl ProactiveCache {
                 size
             }
         };
-        // Track the supporting-leaf mapping for every full object entry.
-        for c in &s.cells {
-            if let CellKind::Object(o) = c.kind {
-                self.object_parents.insert(o, s.node);
-            }
-        }
         // Adopt cached orphans this node's entries point at (orphans
         // appear when the update-extension invalidates an ancestor while a
         // descendant survives a later re-shipment).
         for c in &s.cells {
             match c.kind {
-                CellKind::Object(o) => self.adopt_orphan(key, ItemKey::Object(o)),
+                CellKind::Object(o) => {
+                    if let Some(leaf) = leaves.get_mut(&o) {
+                        *leaf = Some(s.node);
+                    }
+                    self.adopt_orphan(key, ItemKey::Object(o));
+                }
                 CellKind::Node(child) => self.adopt_orphan(key, ItemKey::Node(child)),
                 CellKind::Super => {}
             }
@@ -433,11 +456,6 @@ impl ProactiveCache {
         // Evict everything left and re-insert B as an orphan.
         let (cleared, cleared_bytes) = self.clear();
         self.last_bswap = true;
-        if let (ItemData::Node(v), ItemKey::Node(nid)) = (&b.data, b_key) {
-            for o in v.object_entries() {
-                self.object_parents.insert(o, nid);
-            }
-        }
         b.meta.parent = None;
         let kept = b.meta.size;
         self.insert_item(b_key, b);
@@ -604,7 +622,6 @@ impl ProactiveCache {
     fn clear(&mut self) -> (usize, u64) {
         let dropped = (self.items.len(), self.used_bytes());
         self.items.clear();
-        self.object_parents.clear();
         (self.node_items, self.index_bytes, self.object_bytes) = (0, 0, 0);
         self.last_bswap = false;
         dropped
@@ -622,8 +639,8 @@ impl ProactiveCache {
         self.items.insert(key, item);
     }
 
-    /// Removes a single (leaf) item; unlinks it from its parent, cleans
-    /// the object-parent map and refunds its bytes. Returns the item.
+    /// Removes a single (leaf) item; unlinks it from its parent and
+    /// refunds its bytes. Returns the item.
     pub(crate) fn remove_item(&mut self, key: ItemKey) -> Option<Item> {
         let item = self.items.remove(&key)?;
         debug_assert!(
@@ -632,13 +649,6 @@ impl ProactiveCache {
         );
         if let Some(p) = item.meta.parent.and_then(|pk| self.items.get_mut(&pk)) {
             p.children.retain(|&c| c != key);
-        }
-        if let (ItemData::Node(view), ItemKey::Node(nid)) = (&item.data, key) {
-            for o in view.object_entries() {
-                if self.object_parents.get(&o) == Some(&nid) {
-                    self.object_parents.remove(&o);
-                }
-            }
         }
         match item.data {
             ItemData::Node(_) => {
@@ -681,6 +691,13 @@ impl ProactiveCache {
                 if !p.children.contains(key) {
                     return Err(format!("{key}: parent {pk} does not list it"));
                 }
+                let listed = match &p.data {
+                    ItemData::Node(v) => v.object_entries().any(|o| ItemKey::Object(o) == *key),
+                    ItemData::Object(_) => false,
+                };
+                if matches!(key, ItemKey::Object(_)) && !listed {
+                    return Err(format!("{key}: parent {pk}'s view does not list it"));
+                }
             }
             for c in &item.children {
                 let child = self
@@ -722,26 +739,6 @@ impl ProactiveCache {
                 self.used_bytes(),
                 self.capacity
             ));
-        }
-        for (o, n) in &self.object_parents {
-            match self.node_view(*n) {
-                Some(v) => {
-                    if !v.object_entries().any(|x| x == *o) {
-                        return Err(format!("object_parents[{o}] = {n} has no entry"));
-                    }
-                }
-                None => return Err(format!("object_parents[{o}] -> missing node {n}")),
-            }
-        }
-        // Every cached object must be supported by a known leaf entry —
-        // except B-swap orphans (parent == None), which are harmless
-        // payload retained without index support.
-        for (key, item) in &self.items {
-            if let ItemKey::Object(o) = key {
-                if item.meta.parent.is_some() && !self.object_parents.contains_key(o) {
-                    return Err(format!("cached object {o} has no supporting leaf"));
-                }
-            }
         }
         Ok(())
     }

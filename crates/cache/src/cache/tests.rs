@@ -85,7 +85,7 @@ fn big_cache(policy: ReplacementPolicy) -> ProactiveCache {
 #[test]
 fn absorb_builds_hierarchy_and_accounts_bytes() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    let out = c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    let out = c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     c.validate().unwrap();
     assert_eq!(out.skipped_objects, 0);
     assert_eq!(out.evicted_items, 0);
@@ -109,12 +109,96 @@ fn absorb_builds_hierarchy_and_accounts_bytes() {
 #[test]
 fn absorb_is_idempotent_for_objects() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let used = c.used_bytes();
-    c.absorb(&sample_reply(), 2, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 2, Point::ORIGIN);
     c.validate().unwrap();
     assert_eq!(c.used_bytes(), used, "re-absorbing must not double count");
     assert_eq!(c.len(), 6);
+}
+
+/// `sample_reply`'s index alone, then a reply that ships no index and
+/// transmits `objects` of `sample_reply`'s, absorbed with `read` as the
+/// nodes the query read.
+fn absorb_objects(objects: &[u32], read: &[NodeId]) -> (ProactiveCache, InsertOutcome) {
+    let mut c = big_cache(ReplacementPolicy::Grd3);
+    let mut warm = sample_reply();
+    warm.objects.clear();
+    c.absorb(&warm, [], 1, Point::ORIGIN);
+    let mut reply = sample_reply();
+    reply.index.clear();
+    reply.objects.retain(|x| objects.contains(&x.id.0));
+    let out = c.absorb(&reply, read.iter().copied(), 2, Point::ORIGIN);
+    c.validate().unwrap();
+    (c, out)
+}
+
+#[test]
+fn an_object_goes_under_a_leaf_the_query_read() {
+    // Leaf 1 was read, not re-shipped: object 10 is cached under it.
+    let (c, out) = absorb_objects(&[10], &[n(0), n(1)]);
+    assert_eq!(out.skipped_objects, 0);
+    let parent = c.get(ItemKey::Object(o(10))).unwrap().meta.parent;
+    assert_eq!(parent, Some(ItemKey::Node(n(1))));
+    assert_eq!(c.get(ItemKey::Node(n(1))).unwrap().children.len(), 1);
+}
+
+#[test]
+fn an_object_whose_leaf_was_neither_read_nor_shipped_is_skipped() {
+    // Leaf 2 was read, leaf 1 was not: object 12 is cached, object 10 is
+    // skipped and counted.
+    let (c, out) = absorb_objects(&[10, 12], &[n(0), n(2)]);
+    assert_eq!(out.skipped_objects, 1);
+    assert!(!c.contains_object(o(10)));
+    let parent = c.get(ItemKey::Object(o(12))).unwrap().meta.parent;
+    assert_eq!(parent, Some(ItemKey::Node(n(2))));
+}
+
+#[test]
+fn an_object_outside_its_read_leafs_root_is_skipped() {
+    // Leaf 1 lists object 10 as shipped; the object arrives moved outside
+    // the leaf's root cell, so the stale leaf is not its parent.
+    let mut c = big_cache(ReplacementPolicy::Grd3);
+    let mut warm = sample_reply();
+    warm.objects.clear();
+    c.absorb(&warm, [], 1, Point::ORIGIN);
+    let mut reply = sample_reply();
+    reply.index.clear();
+    reply.objects.truncate(1);
+    reply.objects[0].mbr = Rect::from_coords(0.9, 0.9, 0.91, 0.91);
+    let out = c.absorb(&reply, [n(0), n(1)], 2, Point::ORIGIN);
+    c.validate().unwrap();
+    assert_eq!(out.skipped_objects, 1);
+    assert!(!c.contains_object(o(10)));
+}
+
+#[test]
+fn a_straddler_goes_under_the_leaf_this_reply_shipped() {
+    // Object 11 is listed by leaf 1 and, as a sharded straddler, by leaf
+    // 2. Both were read, in either order; the reply re-ships leaf 2 only,
+    // and object 10 sends the absorb looking through what was read.
+    let mut leaf2 = sample_reply().index[2].clone();
+    leaf2.cells = vec![
+        cell(Code::ROOT.child(false), 0.5, CellKind::Object(o(12))),
+        cell(Code::ROOT.child(true), 0.1, CellKind::Object(o(11))),
+    ];
+    for read in [[n(0), n(1), n(2)], [n(0), n(2), n(1)]] {
+        let mut c = big_cache(ReplacementPolicy::Grd3);
+        let mut warm = sample_reply();
+        warm.index[2] = leaf2.clone();
+        warm.objects.clear();
+        c.absorb(&warm, [], 1, Point::ORIGIN);
+        let mut reply = sample_reply();
+        reply.index = vec![leaf2.clone()];
+        reply.objects.retain(|x| x.id != o(12));
+        let out = c.absorb(&reply, read, 2, Point::ORIGIN);
+        c.validate().unwrap();
+        assert_eq!(out.skipped_objects, 0);
+        let parent = c.get(ItemKey::Object(o(11))).unwrap().meta.parent;
+        assert_eq!(parent, Some(ItemKey::Node(n(2))), "read {read:?}");
+        let parent = c.get(ItemKey::Object(o(10))).unwrap().meta.parent;
+        assert_eq!(parent, Some(ItemKey::Node(n(1))));
+    }
 }
 
 #[test]
@@ -129,7 +213,7 @@ fn a_shipment_without_cells_is_skipped() {
         cells: vec![],
     });
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    let out = c.absorb(&reply, 1, Point::ORIGIN);
+    let out = c.absorb(&reply, [], 1, Point::ORIGIN);
     c.validate().unwrap();
     assert!(c.get(ItemKey::Node(n(3))).is_none());
     assert_eq!(c.len(), 6, "the rest of the reply is absorbed");
@@ -155,7 +239,7 @@ fn a_shipment_the_view_declines_caches_nothing() {
     let mut reply = sample_reply();
     reply.index[2] = over.clone();
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    let out = c.absorb(&reply, 1, Point::ORIGIN);
+    let out = c.absorb(&reply, [], 1, Point::ORIGIN);
     c.validate().unwrap();
     assert!(c.node_view(n(2)).is_none());
     assert!(!c.contains_object(o(12)));
@@ -163,12 +247,12 @@ fn a_shipment_the_view_declines_caches_nothing() {
     assert_eq!(c.len(), 4, "the rest of the reply is absorbed");
 
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let used = c.used_bytes();
     let mut reply = sample_reply();
     reply.index = vec![over];
     reply.objects.clear();
-    assert_eq!(c.absorb(&reply, 2, Point::ORIGIN).inserted_bytes, 0);
+    assert_eq!(c.absorb(&reply, [], 2, Point::ORIGIN).inserted_bytes, 0);
     c.validate().unwrap();
     assert_eq!(c.used_bytes(), used);
     assert_eq!(
@@ -183,7 +267,7 @@ fn a_shipment_the_view_declines_caches_nothing() {
 #[test]
 fn touch_updates_hits_and_recency() {
     let mut c = big_cache(ReplacementPolicy::Lru);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let before = c.get(ItemKey::Object(o(10))).unwrap().meta.hits;
     c.touch(ItemKey::Object(o(10)), 5);
     let item = c.get(ItemKey::Object(o(10))).unwrap();
@@ -199,7 +283,7 @@ fn capacity_is_enforced_and_structure_stays_valid() {
     for policy in ReplacementPolicy::ALL {
         // Room for roughly two of the three objects plus index.
         let mut c = ProactiveCache::new(2600, policy, Catalog::empty());
-        c.absorb(&sample_reply(), 1, Point::new(0.0, 0.0));
+        c.absorb(&sample_reply(), [], 1, Point::new(0.0, 0.0));
         assert!(
             c.used_bytes() <= c.capacity(),
             "{policy}: {} > {}",
@@ -213,7 +297,7 @@ fn capacity_is_enforced_and_structure_stays_valid() {
 #[test]
 fn lru_evicts_least_recently_used_object() {
     let mut c = big_cache(ReplacementPolicy::Lru);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     // Touch 10 and 12 later; object 11 is the LRU leaf.
     c.touch(ItemKey::Object(o(10)), 7);
     c.touch(ItemKey::Object(o(12)), 8);
@@ -229,7 +313,7 @@ fn lru_evicts_least_recently_used_object() {
 #[test]
 fn mru_evicts_most_recently_used_object() {
     let mut c = big_cache(ReplacementPolicy::Mru);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     c.touch(ItemKey::Object(o(11)), 7);
     c.capacity = c.used_bytes() - 1;
     c.enforce_capacity(9, Point::ORIGIN);
@@ -240,7 +324,7 @@ fn mru_evicts_most_recently_used_object() {
 #[test]
 fn far_evicts_farthest_object() {
     let mut c = big_cache(ReplacementPolicy::Far);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     c.capacity = c.used_bytes() - 1;
     // Client sits at x=0: object 12 (x=0.5) is farthest.
     c.enforce_capacity(9, Point::new(0.0, 0.0));
@@ -252,7 +336,7 @@ fn far_evicts_farthest_object() {
 #[test]
 fn grd3_evicts_lowest_prob_first() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     // Give objects 10 and 11 extra hits; object 12 keeps prob = 1/(T-1).
     for t in 2..6 {
         c.touch(ItemKey::Object(o(10)), t);
@@ -272,7 +356,7 @@ fn grd3_evicts_lowest_prob_first() {
 #[test]
 fn grd3_cascades_bottom_up_until_fit() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     // Keep barely more than the index: all objects must go, then possibly
     // childless leaves.
     c.capacity = 500;
@@ -290,7 +374,7 @@ fn node_with_cached_children_is_never_evicted_before_them() {
     // only disappear after its objects are gone.
     for policy in ReplacementPolicy::ALL {
         let mut c = big_cache(policy);
-        c.absorb(&sample_reply(), 1, Point::new(0.2, 0.2));
+        c.absorb(&sample_reply(), [], 1, Point::new(0.2, 0.2));
         for cap in [3000u64, 2000, 1000, 400, 100] {
             c.capacity = cap;
             c.enforce_capacity(5, Point::new(0.2, 0.2));
@@ -349,7 +433,7 @@ fn grd3_b_swap_keeps_the_single_valuable_item() {
         expansions: 0,
     };
     let mut c = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3, Catalog::empty());
-    c.absorb(&reply, 1, Point::ORIGIN);
+    c.absorb(&reply, [], 1, Point::ORIGIN);
     // Age the cache so the big object has the *lowest* prob but the largest
     // benefit: hits(small) high and recent, hits(big) low.
     for t in 2..20 {
@@ -436,7 +520,7 @@ fn grd3_b_swap_does_not_depend_on_the_map_order() {
     let mut answers = std::collections::HashSet::new();
     for _ in 0..64 {
         let mut c = big_cache(ReplacementPolicy::Grd3);
-        c.absorb(&reply, 1, Point::ORIGIN);
+        c.absorb(&reply, [], 1, Point::ORIGIN);
         for (key, hits, age) in stats {
             let meta = &mut c.items.get_mut(&key).unwrap().meta;
             (meta.hits, meta.t_insert) = (hits, now - age);
@@ -455,7 +539,7 @@ fn grd3_b_swap_does_not_depend_on_the_map_order() {
 #[test]
 fn invalidate_node_drops_the_whole_subtree() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let before = c.used_bytes();
     // Invalidate leaf 1: its two objects go with it.
     let (items, bytes) = c.invalidate_node(n(1));
@@ -474,7 +558,7 @@ fn invalidate_node_drops_the_whole_subtree() {
 #[test]
 fn shallow_invalidation_orphans_children_and_readopts() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let before = c.used_bytes();
     // Shallow-drop the root (a cluster's routing layer changed): only the
     // root view goes; both leaf subtrees survive as orphans.
@@ -498,6 +582,7 @@ fn shallow_invalidation_orphans_children_and_readopts() {
             index: vec![sample_reply().index[0].clone()],
             expansions: 0,
         },
+        [],
         2,
         Point::ORIGIN,
     );
@@ -512,7 +597,7 @@ fn shallow_invalidation_orphans_children_and_readopts() {
 #[test]
 fn clear_empties_the_cache_and_stays_usable() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let before = c.used_bytes();
     assert!(before > 0);
     let (items, bytes) = c.full_refresh(Catalog::empty());
@@ -523,7 +608,7 @@ fn clear_empties_the_cache_and_stays_usable() {
     c.validate().unwrap();
     // Clearing twice is a harmless no-op, and the cache absorbs again.
     assert_eq!(c.full_refresh(Catalog::empty()), (0, 0));
-    c.absorb(&sample_reply(), 2, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 2, Point::ORIGIN);
     assert_eq!(c.used_bytes(), before);
     c.validate().unwrap();
 }
@@ -531,7 +616,7 @@ fn clear_empties_the_cache_and_stays_usable() {
 #[test]
 fn invalidating_the_root_empties_the_cache() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let (items, _) = c.invalidate_node(n(0));
     assert_eq!(items, 6);
     assert!(c.is_empty());
@@ -542,7 +627,7 @@ fn invalidating_the_root_empties_the_cache() {
 #[test]
 fn reabsorbing_after_invalidation_adopts_orphans() {
     let mut c = big_cache(ReplacementPolicy::Grd3);
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     // Drop the root only — impossible through the protocol (cascade), so
     // emulate the orphan state the updates extension can produce by
     // invalidating and re-shipping just the root.
@@ -552,7 +637,7 @@ fn reabsorbing_after_invalidation_adopts_orphans() {
     c.invalidate_node(n(0));
     let mut leaves_only = sample_reply();
     leaves_only.index.remove(0); // leaf shipments reference parent n0
-    c.absorb(&leaves_only, 2, Point::ORIGIN);
+    c.absorb(&leaves_only, [], 2, Point::ORIGIN);
     c.validate().unwrap();
     // Orphans: leaves cached without parent.
     assert!(c.get(ItemKey::Node(n(1))).unwrap().meta.parent.is_none());
@@ -565,6 +650,7 @@ fn reabsorbing_after_invalidation_adopts_orphans() {
             index: vec![root_shipment],
             expansions: 0,
         },
+        [],
         3,
         Point::ORIGIN,
     );
@@ -580,7 +666,7 @@ fn reabsorbing_after_invalidation_adopts_orphans() {
 #[test]
 fn stats_ratio_tracks_index_share() {
     let mut c = ProactiveCache::new(10_000, ReplacementPolicy::Grd3, Catalog::empty());
-    c.absorb(&sample_reply(), 1, Point::ORIGIN);
+    c.absorb(&sample_reply(), [], 1, Point::ORIGIN);
     let s = c.stats();
     assert!(s.index_bytes > 0);
     assert!(s.index_to_cache_ratio() > 0.0);

@@ -34,6 +34,7 @@ pub struct ItemMeta {
     pub hits: u64,
     /// Query sequence id of the most recent access (LRU/MRU).
     pub last_access: u64,
+    /// A node's parent; an object's leaf, shipped or read (`ProactiveCache::absorb`).
     pub parent: Option<ItemKey>,
 }
 

@@ -100,7 +100,7 @@ fn loaded_cache(
     touches: &[(u32, u64)],
 ) -> ProactiveCache {
     let mut c = ProactiveCache::new(u64::MAX / 2, policy, Catalog::empty());
-    c.absorb(reply, 1, Point::ORIGIN);
+    c.absorb(reply, [], 1, Point::ORIGIN);
     for &(oid, t) in touches {
         // Touch the ancestor chain too: real traversals access every index
         // node on the way to an object, which is exactly the monotonicity
@@ -210,17 +210,17 @@ proptest! {
         let reply = synth_reply(objs_per_leaf.len(), &objs_per_leaf, &sizes);
         let mut c = ProactiveCache::new(u64::MAX / 2, ReplacementPolicy::Grd3, Catalog::empty());
         let mut owned = c.clone();
-        c.absorb(&reply, 1, Point::ORIGIN);
+        c.absorb(&reply, [], 1, Point::ORIGIN);
         let used = c.used_bytes();
         let items = c.len();
-        c.absorb(&reply, 2, Point::ORIGIN);
+        c.absorb(&reply, [], 2, Point::ORIGIN);
         prop_assert_eq!(c.used_bytes(), used);
         prop_assert_eq!(c.len(), items);
         c.validate().unwrap();
 
         for now in [1, 2] {
             let mut copy = reply.clone();
-            owned.absorb_drain(&mut copy, now, Point::ORIGIN);
+            owned.absorb_drain(&mut copy, [], now, Point::ORIGIN);
             prop_assert!(copy.index.is_empty());
             prop_assert_eq!(&copy.objects, &reply.objects);
         }

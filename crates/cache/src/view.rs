@@ -126,7 +126,7 @@ mod tests {
             root: Some((NodeId(0), Rect::UNIT)),
         };
         let mut cache = ProactiveCache::new(1 << 20, ReplacementPolicy::Grd3, catalog);
-        cache.absorb(&reply, 1, Point::ORIGIN);
+        cache.absorb(&reply, [], 1, Point::ORIGIN);
         cache
     }
 

@@ -128,20 +128,24 @@ impl Client {
     }
 
     /// Stage ③: inserts `Rr` and `Ir` into the cache, evicting per policy.
-    /// `pos` is the client's current position (used by FAR). The reply
-    /// stays whole, so the client holds its index twice until the caller
-    /// drops it; the benchmark package's traced driver and tests read the
-    /// reply this way. A client that is done with the index calls
-    /// [`absorb_drain`](Self::absorb_drain).
+    /// `pos` is the client's current position (used by FAR). Each new
+    /// object goes under a leaf that lists it: one the reply ships, else
+    /// one the last [`run_local`](Self::run_local) read — a server reaches
+    /// an object only through a leaf it ships or one the client's run
+    /// expanded. The reply stays whole, so the client holds its index
+    /// twice until the caller drops it; the benchmark package's traced
+    /// driver and tests read the reply this way. A client that is done
+    /// with the index calls [`absorb_drain`](Self::absorb_drain).
     pub fn absorb(&mut self, reply: &ServerReply, pos: Point) -> InsertOutcome {
-        self.cache.absorb(reply, self.seq, pos)
+        self.cache.absorb(reply, self.trace.nodes(), self.seq, pos)
     }
 
     /// [`absorb`](Self::absorb), taking the reply's `index` (left empty)
     /// and dropping each shipment once it is merged; `confirmed`, `objects`
     /// and `pairs` stay for [`assemble`](Self::assemble).
     pub fn absorb_drain(&mut self, reply: &mut ServerReply, pos: Point) -> InsertOutcome {
-        self.cache.absorb_drain(reply, self.seq, pos)
+        self.cache
+            .absorb_drain(reply, self.trace.nodes(), self.seq, pos)
     }
 
     /// Assembles the user-visible answer from the local outcome and the

@@ -72,8 +72,11 @@ impl Default for WireServerConfig {
 /// Counters the server side keeps about its wire traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireServerStats {
-    /// Connections the accept loop handed to a handler thread.
+    /// Connections the accept loop accepted.
     pub connections_accepted: u64,
+    /// Accepted connections closed unserved because the OS refused them a
+    /// handler thread; the accept loop keeps accepting.
+    pub connections_dropped: u64,
     /// Requests decoded, dispatched and answered.
     pub requests_served: u64,
     /// Frames refused for framing violations (bad magic/version/oversize).
@@ -89,6 +92,7 @@ pub struct WireServerStats {
 #[derive(Default)]
 struct ServerCounters {
     connections_accepted: Counter,
+    connections_dropped: Counter,
     requests_served: Counter,
     frames_rejected: Counter,
     requests_aborted: Counter,
@@ -100,6 +104,7 @@ impl ServerCounters {
     fn snapshot(&self) -> WireServerStats {
         WireServerStats {
             connections_accepted: self.connections_accepted.get(),
+            connections_dropped: self.connections_dropped.get(),
             requests_served: self.requests_served.get(),
             frames_rejected: self.frames_rejected.get(),
             requests_aborted: self.requests_aborted.get(),
@@ -255,18 +260,19 @@ impl WireServer {
                         stats.connections_accepted.add(1);
                         let handle = Arc::clone(&handle);
                         let stop = Arc::clone(&stop);
-                        let stats = Arc::clone(&stats);
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "spawn fails only on OS resource exhaustion; panicking the accept thread stops intake while live connections drain — better than silently dropping the accepted socket"
-                        )]
-                        let t = std::thread::Builder::new()
+                        let conn_stats = Arc::clone(&stats);
+                        // A refused spawn drops the closure, and with it
+                        // the stream: that one peer's socket closes and
+                        // the loop keeps serving the rest.
+                        let spawned = std::thread::Builder::new()
                             .name("wire-conn".into())
                             .spawn(move || {
-                                handle_connection(stream, &handle, cfg, &stop, &stats);
-                            })
-                            .expect("spawn connection thread");
-                        conns.push(t);
+                                handle_connection(stream, &handle, cfg, &stop, &conn_stats);
+                            });
+                        match spawned {
+                            Ok(t) => conns.push(t),
+                            Err(_) => stats.connections_dropped.add(1),
+                        }
                         conns.retain(|t| !t.is_finished());
                     }
                     // Close the listener before draining so late shutdown

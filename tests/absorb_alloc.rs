@@ -28,25 +28,28 @@ static ALLOC: Counting = Counting::new();
 
 /// How far the contact's live peak may stand above the live bytes after
 /// it: the shipments not yet merged, less the views merged so far, plus
-/// the cache maps' growth. Measured: 34.3 kB, with `object_parents`
-/// reserved before the drain (14.7 kB with 48-byte view slots, whose
-/// views outgrew the shipments they replaced, so the peak came last).
-/// Keeping the reply whole through the absorption stood 1.23 MB above:
-/// its 0.97 MB of cell records and the views' spare slots.
+/// the item map's growth. Measured: 34.3 kB, the same as when the cache
+/// also reserved an object→leaf map before the drain (14.7 kB with
+/// 48-byte view slots, whose views outgrew the shipments they replaced,
+/// so the peak came last). Keeping the reply whole through the absorption
+/// stood 1.23 MB above: its 0.97 MB of cell records and the views' spare
+/// slots.
 const PEAK_SLACK_BYTES: usize = 64 << 10;
 
 /// How far the server's call may peak above the reply it returns: one
 /// node's logged cells and shipment, the engine's buffers. Measured:
-/// 25.3 kB. An `assemble` that held the whole access log until the reply
-/// was cut stood 720 kB above.
+/// 25.3 kB (unchanged by the client's cache). An `assemble` that held the
+/// whole access log until the reply was cut stood 720 kB above.
 const SERVER_SLACK_BYTES: usize = 64 << 10;
 
-/// What the client may keep per shipped cell. Measured: 64.8 B (1.61 B
-/// per charged byte) with 12-byte view slots and shipped cells in one
-/// column that keeps a point's corner once; 80.3 B when it kept both,
+/// What the client may keep per shipped cell. Measured: 50.2 B (1.25 B
+/// per charged byte) once an arriving object finds its leaf among the
+/// reply's shipments and the nodes its query read; 64.8 B (1.61 B) while
+/// the cache kept an object→leaf map of every listed object, 20 000
+/// entries here; 80.3 B when the view column kept a point's corner twice,
 /// 111.7 B with 48-byte slots that held their cells, 136.6 B with
 /// power-of-two node-view capacities.
-const KEPT_BYTES_PER_CELL: usize = 70;
+const KEPT_BYTES_PER_CELL: usize = 51;
 
 #[test]
 fn a_cold_join_contact_holds_the_index_once() {
